@@ -10,13 +10,16 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime/debug"
 	"sync"
 	"testing"
 
+	"repro/internal/graph"
 	"repro/internal/proximity"
 	"repro/internal/search"
 	"repro/internal/social"
+	"repro/internal/tagstore"
 )
 
 // TestCachedReadPathZeroAlloc: after the seeker cache and the arenas
@@ -100,6 +103,26 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 			}
 			if err := svc.Flush(); err != nil {
 				t.Fatal(err)
+			}
+			// Every write above was its own compaction: the snapshot they
+			// chained to must be the one a fresh build of its content gives.
+			g, st, _, err := svc.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			gb := graph.NewBuilder(g.NumUsers())
+			for _, e := range g.Edges() {
+				gb.AddEdge(e.U, e.V, e.Weight)
+			}
+			tb := tagstore.NewBuilder(st.NumUsers(), st.NumItems(), st.NumTags())
+			for _, tr := range st.Triples() {
+				tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
+			}
+			if fresh, err := gb.Build(); err != nil || !reflect.DeepEqual(g, fresh) {
+				t.Fatalf("seed %d: compacted graph differs from a fresh build (%v)", seed, err)
+			}
+			if fresh, err := tb.Build(); err != nil || !reflect.DeepEqual(st, fresh) {
+				t.Fatalf("seed %d: compacted store differs from a fresh build (%v)", seed, err)
 			}
 		}
 		mutate(120)

@@ -11,8 +11,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -51,98 +53,56 @@ func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build validates and freezes the accumulated edges into a Graph.
 func (b *Builder) Build() (*Graph, error) {
-	n := b.numUsers
-	if n < 0 {
-		return nil, errors.New("graph: negative user count")
+	return mergeEdges(nil, b.edges, b.numUsers)
+}
+
+// Merge returns a graph over numUsers vertices, no fewer than g has,
+// that holds g's edges plus delta, the larger weight winning where a
+// pair repeats. g is left untouched; with nothing to add Merge returns
+// g itself. The cost is sorting delta plus a linear pass over g.
+func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
+	if numUsers < g.numUsers {
+		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.numUsers)
 	}
-	for _, e := range b.edges {
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
-		}
+	if len(delta) == 0 && numUsers == g.numUsers {
+		return g, nil
+	}
+	return mergeEdges(g.Edges(), delta, numUsers)
+}
+
+// mergeEdges merges canonical edges (what Edges returns) with arbitrary
+// ones into the canonical form FromSortedEdges builds from; vertex
+// ranges are left for it to check.
+func mergeEdges(canon, delta []Edge, numUsers int) (*Graph, error) {
+	d := make([]Edge, len(delta))
+	for i, e := range delta {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop on user %d", e.U)
 		}
 		if e.Weight <= 0 || e.Weight > 1 {
 			return nil, fmt.Errorf("graph: edge (%d,%d) weight %g outside (0,1]", e.U, e.V, e.Weight)
 		}
-	}
-	// Normalize to (min,max) key and dedup keeping max weight.
-	type key struct{ a, b UserID }
-	best := make(map[key]float64, len(b.edges))
-	for _, e := range b.edges {
-		u, v := e.U, e.V
-		if u > v {
-			u, v = v, u
+		if e.U > e.V {
+			e.U, e.V = e.V, e.U
 		}
-		k := key{u, v}
-		if w, ok := best[k]; !ok || e.Weight > w {
-			best[k] = e.Weight
+		d[i] = e
+	}
+	slices.SortFunc(d, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	merged := make([]Edge, 0, len(canon)+len(d))
+	for _, e := range d {
+		for len(canon) > 0 && (canon[0].U < e.U || canon[0].U == e.U && canon[0].V < e.V) {
+			merged, canon = append(merged, canon[0]), canon[1:]
 		}
-	}
-	uniq := make([]Edge, 0, len(best))
-	for k, w := range best {
-		uniq = append(uniq, Edge{U: k.a, V: k.b, Weight: w})
-	}
-	sort.Slice(uniq, func(i, j int) bool {
-		if uniq[i].U != uniq[j].U {
-			return uniq[i].U < uniq[j].U
+		if len(canon) > 0 && canon[0].U == e.U && canon[0].V == e.V {
+			e.Weight, canon = max(e.Weight, canon[0].Weight), canon[1:]
 		}
-		return uniq[i].V < uniq[j].V
-	})
-
-	deg := make([]int32, n+1)
-	for _, e := range uniq {
-		deg[e.U+1]++
-		deg[e.V+1]++
+		if last := len(merged) - 1; last >= 0 && merged[last].U == e.U && merged[last].V == e.V {
+			merged[last].Weight = max(merged[last].Weight, e.Weight)
+			continue
+		}
+		merged = append(merged, e)
 	}
-	for i := 0; i < n; i++ {
-		deg[i+1] += deg[i]
-	}
-	m2 := int(deg[n]) // 2 * |E|
-	adj := make([]UserID, m2)
-	wts := make([]float64, m2)
-	cursor := make([]int32, n)
-	copy(cursor, deg[:n])
-	insert := func(from, to UserID, w float64) {
-		p := cursor[from]
-		adj[p] = to
-		wts[p] = w
-		cursor[from]++
-	}
-	for _, e := range uniq {
-		insert(e.U, e.V, e.Weight)
-		insert(e.V, e.U, e.Weight)
-	}
-	g := &Graph{
-		numUsers: n,
-		offsets:  deg,
-		adj:      adj,
-		weights:  wts,
-	}
-	// Sort each adjacency slice by neighbour id for deterministic
-	// iteration and binary-searchable HasEdge.
-	for u := 0; u < n; u++ {
-		lo, hi := g.offsets[u], g.offsets[u+1]
-		sort.Sort(nbrSorter{adj: adj, wts: wts, lo: int(lo), n: int(hi - lo)})
-	}
-	return g, nil
-}
-
-type nbrSorter struct {
-	adj []UserID
-	wts []float64
-	lo  int
-	n   int
-}
-
-func (s nbrSorter) Len() int { return s.n }
-func (s nbrSorter) Less(i, j int) bool {
-	return s.adj[s.lo+i] < s.adj[s.lo+j]
-}
-func (s nbrSorter) Swap(i, j int) {
-	a, b := s.lo+i, s.lo+j
-	s.adj[a], s.adj[b] = s.adj[b], s.adj[a]
-	s.wts[a], s.wts[b] = s.wts[b], s.wts[a]
+	return FromSortedEdges(numUsers, append(merged, canon...))
 }
 
 // FromSortedEdges builds a Graph directly from edges that are already

@@ -388,3 +388,88 @@ func TestPropertyComponentsPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestMergeMatchesBuild: folding batches of edges into a graph one
+// Merge at a time gives, after every batch, the graph a Build over the
+// union gives — edges declared twice or in either direction, weights
+// that raise an existing edge and weights that do not, brand-new users,
+// empty batches — and the graph a map of the largest weight per pair
+// describes.
+func TestMergeMatchesBuild(t *testing.T) {
+	pair := func(u, v UserID) [2]UserID { return [2]UserID{min(u, v), max(u, v)} }
+	for seed := int64(1); seed <= 30; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := rng.Intn(6)
+		g, err := NewBuilder(n).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var union []Edge
+		for round := 0; round < 5; round++ {
+			n += rng.Intn(3)
+			var delta []Edge
+			for k, m := 0, rng.Intn(12); n >= 2 && k < m; k++ {
+				e := Edge{U: UserID(rng.Intn(n)), V: UserID(rng.Intn(n)), Weight: float64(1+rng.Intn(4)) / 4}
+				if len(union) > 0 && rng.Intn(3) == 0 { // re-declare a pair, maybe reversed
+					old := union[rng.Intn(len(union))]
+					e.U, e.V = old.V, old.U
+				}
+				if e.U != e.V {
+					delta = append(delta, e)
+				}
+			}
+			before := g
+			if g, err = g.Merge(delta, n); err != nil {
+				t.Fatalf("seed %d round %d: Merge: %v", seed, round, err)
+			}
+			if len(delta) == 0 && n == before.NumUsers() && g != before {
+				t.Fatalf("seed %d round %d: empty delta built a new graph", seed, round)
+			}
+			union = append(union, delta...)
+			b := NewBuilder(n)
+			best := make(map[[2]UserID]float64)
+			for _, e := range union {
+				b.AddEdge(e.U, e.V, e.Weight)
+				best[pair(e.U, e.V)] = max(best[pair(e.U, e.V)], e.Weight)
+			}
+			want, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(g, want) {
+				t.Fatalf("seed %d round %d: merged graph differs from Build over the union\n got %+v\nwant %+v", seed, round, g, want)
+			}
+			if g.NumUsers() != n || g.NumEdges() != len(best) {
+				t.Fatalf("seed %d round %d: %d users, %d edges; want %d, %d", seed, round, g.NumUsers(), g.NumEdges(), n, len(best))
+			}
+			for u := UserID(0); int(u) < n; u++ {
+				nbrs, _ := g.Neighbors(u)
+				if !sort.SliceIsSorted(nbrs, func(i, j int) bool { return nbrs[i] < nbrs[j] }) {
+					t.Fatalf("seed %d round %d: neighbours of %d not sorted: %v", seed, round, u, nbrs)
+				}
+				for v := UserID(0); int(v) < n; v++ {
+					if w, _ := g.EdgeWeight(u, v); w != best[pair(u, v)] {
+						t.Fatalf("seed %d round %d: weight(%d,%d) = %g, want %g", seed, round, u, v, w, best[pair(u, v)])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestMergeRejectsBadDelta(t *testing.T) {
+	g := triangle(t)
+	for name, e := range map[string]Edge{
+		"self-loop":       {U: 1, V: 1, Weight: 0.5},
+		"out of range":    {U: 0, V: 7, Weight: 0.5},
+		"negative weight": {U: 0, V: 1, Weight: -1}, // on an existing, heavier edge
+		"weight above 1":  {U: 0, V: 1, Weight: 1.5},
+	} {
+		if _, err := g.Merge([]Edge{e}, g.NumUsers()); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := g.Merge(nil, g.NumUsers()-1); err == nil {
+		t.Error("fewer users: accepted")
+	}
+}

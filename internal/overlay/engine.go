@@ -25,7 +25,6 @@ type Engine struct {
 	mu        sync.Mutex
 	engine    *core.Engine
 	mutations int
-	engGraph  *graph.Graph // snapshot the current engine was built from
 }
 
 // NewEngine wraps an overlay with query capability. autoCompactEvery
@@ -41,12 +40,14 @@ func NewEngine(o *Overlay, cfg core.Config, autoCompactEvery int) (*Engine, erro
 	return e, nil
 }
 
-// refresh rebuilds the core engine if the overlay snapshot moved.
+// refresh rebuilds the core engine if the overlay snapshot moved. A
+// compaction may replace only the graph or only the store, so both are
+// compared.
 func (e *Engine) refresh() error {
 	g, s := e.overlay.Snapshot()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.engine != nil && g == e.engGraph {
+	if e.engine != nil && e.engine.Graph() == g && e.engine.Store() == s {
 		return nil
 	}
 	eng, err := core.NewEngine(g, s, e.cfg)
@@ -54,7 +55,6 @@ func (e *Engine) refresh() error {
 		return err
 	}
 	e.engine = eng
-	e.engGraph = g
 	return nil
 }
 

@@ -1,9 +1,9 @@
 // Package overlay adds dynamic updates on top of the immutable base
 // structures: new tagging actions and new/strengthened friendships
-// accumulate in a mutable delta that queries see immediately, and a
-// compaction step folds the delta back into fresh immutable base
-// structures. This is the "handling evolving networks" extension the
-// evaluation's future-work discussion calls for.
+// accumulate in a pending delta, and a compaction step merges the
+// sorted delta into the current immutable snapshot, producing the next
+// one that queries see. This is the "handling evolving networks"
+// extension the evaluation's future-work discussion calls for.
 //
 // Concurrency: an Overlay serializes mutations with a mutex and serves
 // reads from immutable snapshots, so readers never block writers longer
@@ -149,42 +149,25 @@ func (o *Overlay) Tag(user graph.UserID, item tagstore.ItemID, tag tagstore.TagI
 
 // Compact folds all pending mutations (and any universe growth) into
 // fresh immutable snapshot structures. It is idempotent when nothing is
-// pending. Compaction cost is O(base + delta); amortize it by batching
-// mutations.
+// pending. The pending batch is sorted and merged into the current
+// snapshot (graph.Graph.Merge, tagstore.Store.Merge): the cost is
+// O(delta·log delta) plus one linear copy of the side that changed — a
+// batch without friendships keeps the graph, one without tags keeps the
+// store — so it does not grow with the corpus beyond that copy.
 func (o *Overlay) Compact() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if len(o.pendingEdges) == 0 && len(o.pendingTriples) == 0 &&
-		o.snapGraph.NumUsers() == o.numUsers &&
-		o.snapStore.NumItems() == o.numItems &&
-		o.snapStore.NumTags() == o.numTags {
-		return nil
-	}
-
-	gb := graph.NewBuilder(o.numUsers)
-	for _, e := range o.snapGraph.Edges() {
-		gb.AddEdge(e.U, e.V, e.Weight)
-	}
-	for _, e := range o.pendingEdges {
-		gb.AddEdge(e.U, e.V, e.Weight)
-	}
-	g, err := gb.Build()
+	g, err := o.snapGraph.Merge(o.pendingEdges, o.numUsers)
 	if err != nil {
 		return fmt.Errorf("overlay: compacting graph: %w", err)
 	}
-
-	tb := tagstore.NewBuilder(o.numUsers, o.numItems, o.numTags)
-	for _, tr := range o.snapStore.Triples() {
-		tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
-	}
-	for _, tr := range o.pendingTriples {
-		tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
-	}
-	s, err := tb.Build()
+	s, err := o.snapStore.Merge(o.pendingTriples, o.numUsers, o.numItems, o.numTags)
 	if err != nil {
 		return fmt.Errorf("overlay: compacting store: %w", err)
 	}
-
+	if g == o.snapGraph && s == o.snapStore {
+		return nil
+	}
 	o.snapGraph = g
 	o.snapStore = s
 	o.pendingEdges = o.pendingEdges[:0]

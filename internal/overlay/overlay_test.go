@@ -320,3 +320,51 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTagOnlyCompactReachesEngine: a compaction without friendships
+// keeps the graph it had, so the engine must notice the new store on
+// its own; and one without tags keeps the store.
+func TestTagOnlyCompactReachesEngine(t *testing.T) {
+	g, s := base(t)
+	o, err := New(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(o, core.DefaultConfig(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
+	if ans, err := e.SocialMerge(q, core.Options{}); err != nil || len(ans.Results) != 1 {
+		t.Fatalf("base answer = %v, %v", ans.Results, err)
+	}
+	if err := e.Tag(1, 1, 0); err != nil { // friend u1 tags a second item
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if sg, ss := o.Snapshot(); sg != g || ss == s {
+		t.Fatalf("tag-only compaction: graph reused %v, store replaced %v; want both", sg == g, ss != s)
+	}
+	ans, err := e.SocialMerge(q, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ans.Results) != 2 {
+		t.Fatalf("answer after a tag-only compaction = %v, want 2 results", ans.Results)
+	}
+	_, tagged := o.Snapshot()
+	if err := e.Befriend(0, 2, 0.8); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if sg, ss := o.Snapshot(); sg == g || ss != tagged {
+		t.Fatalf("friend-only compaction: graph replaced %v, store reused %v; want both", sg != g, ss == tagged)
+	}
+	if o.Compactions() != 2 {
+		t.Fatalf("Compactions() = %d, want 2", o.Compactions())
+	}
+}

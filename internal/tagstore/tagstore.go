@@ -4,18 +4,21 @@
 //
 //   - sequential access: per-tag global posting lists sorted by descending
 //     tag frequency, consumed front-to-back by threshold algorithms;
-//   - random access: O(1)-ish point lookups tf(u, i, t) and per-(user,tag)
-//     lists, consumed by the network-aware algorithm as the social
-//     frontier visits each user.
+//   - random access: per-(user,tag) lists and point lookups tf(u, i, t),
+//     both binary searches over flat sorted arrays, consumed by the
+//     network-aware algorithm as the social frontier visits each user.
 //
-// The store is immutable after Build; all query-time structures are
-// read-only and safe for concurrent use.
+// A Store is immutable: all query-time structures are read-only and
+// safe for concurrent use. Builder.Build makes one from scratch and
+// Store.Merge makes the next one from a store and a batch of new
+// triples; both run the same merge, Build from an empty store.
 package tagstore
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // ItemID is a dense item identifier in [0, NumItems).
@@ -71,61 +74,19 @@ func (b *Builder) AddCount(user int32, item ItemID, tag TagID, count int32) {
 	b.triples = append(b.triples, Triple{User: user, Item: item, Tag: tag, Count: count})
 }
 
-// Build validates and freezes the store.
+// Build validates and freezes the store: the accumulated triples are
+// merged into an empty store, the same way compaction folds a batch of
+// writes into a live one.
 func (b *Builder) Build() (*Store, error) {
-	if b.numUsers < 0 || b.numItems < 0 || b.numTags < 0 {
-		return nil, errors.New("tagstore: negative universe size")
-	}
-	for _, tr := range b.triples {
-		if tr.User < 0 || int(tr.User) >= b.numUsers {
-			return nil, fmt.Errorf("tagstore: user %d outside [0,%d)", tr.User, b.numUsers)
-		}
-		if tr.Item < 0 || int(tr.Item) >= b.numItems {
-			return nil, fmt.Errorf("tagstore: item %d outside [0,%d)", tr.Item, b.numItems)
-		}
-		if tr.Tag < 0 || int(tr.Tag) >= b.numTags {
-			return nil, fmt.Errorf("tagstore: tag %d outside [0,%d)", tr.Tag, b.numTags)
-		}
-		if tr.Count <= 0 {
-			return nil, fmt.Errorf("tagstore: non-positive count %d", tr.Count)
-		}
-	}
-	// Merge duplicates.
-	merged := make(map[Triple]int32, len(b.triples))
-	for _, tr := range b.triples {
-		key := Triple{User: tr.User, Item: tr.Item, Tag: tr.Tag}
-		merged[key] += tr.Count
-	}
-	triples := make([]Triple, 0, len(merged))
-	for k, c := range merged {
-		k.Count = c
-		triples = append(triples, k)
-	}
-	sort.Slice(triples, func(i, j int) bool {
-		a, b := triples[i], triples[j]
-		if a.User != b.User {
-			return a.User < b.User
-		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
-		}
-		return a.Item < b.Item
-	})
-
-	s := &Store{
-		numUsers: b.numUsers,
-		numItems: b.numItems,
-		numTags:  b.numTags,
-		triples:  triples,
-	}
-	s.buildIndexes()
-	return s, nil
+	return new(Store).merge(b.triples, b.numUsers, b.numItems, b.numTags)
 }
 
 // Store is the immutable tagging store.
 type Store struct {
 	numUsers, numItems, numTags int
-	triples                     []Triple // canonical sorted triples
+	// canonical triples sorted by (user, tag, item); a (user, tag) run
+	// sits at the same offsets here as in userPostings
+	triples []Triple
 
 	// global per-tag posting lists sorted by (TF desc, Item asc)
 	global [][]Posting
@@ -152,124 +113,342 @@ type Store struct {
 	itTags  []TagID
 	itTF    []int32
 
-	// point lookup (user,item,tag) → count
-	point map[uint64]int32
-
 	totalAnnotations int64
 }
 
-func packUIT(user int32, item ItemID, tag TagID) uint64 {
-	// 21 bits each is plenty for the evaluated scales (≤ 2M ids); verify
-	// at build time.
-	return uint64(uint32(user))<<42 | uint64(uint32(item))<<21 | uint64(uint32(tag))
+// Merge returns a store holding s's triples plus delta (duplicates
+// summed) over a universe that may have grown. s is left untouched and
+// stays valid for readers still holding it: the new store copies what
+// changed and shares the rest — the global lists of the tags delta does
+// not mention — which is safe because neither store is written again.
+// The cost is sorting delta plus one linear copy of s; nothing is
+// hashed, and only the (user, tag) runs and tag lists delta touches are
+// re-ordered. With nothing to fold in, Merge returns s itself.
+func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
+	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
+		return s, nil
+	}
+	return s.merge(delta, numUsers, numItems, numTags)
 }
 
-const maxPackedID = 1 << 21
+func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
+	if numUsers < s.numUsers || numItems < s.numItems || numTags < s.numTags {
+		return nil, fmt.Errorf("tagstore: universe (%d users, %d items, %d tags) smaller than the store's (%d, %d, %d)",
+			numUsers, numItems, numTags, s.numUsers, s.numItems, s.numTags)
+	}
+	for _, tr := range delta {
+		if tr.User < 0 || int(tr.User) >= numUsers {
+			return nil, fmt.Errorf("tagstore: user %d outside [0,%d)", tr.User, numUsers)
+		}
+		if tr.Item < 0 || int(tr.Item) >= numItems {
+			return nil, fmt.Errorf("tagstore: item %d outside [0,%d)", tr.Item, numItems)
+		}
+		if tr.Tag < 0 || int(tr.Tag) >= numTags {
+			return nil, fmt.Errorf("tagstore: tag %d outside [0,%d)", tr.Tag, numTags)
+		}
+		if tr.Count <= 0 {
+			return nil, fmt.Errorf("tagstore: non-positive count %d", tr.Count)
+		}
+	}
+	// Offsets into the triples are int32.
+	if len(s.triples)+len(delta) > math.MaxInt32 {
+		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", len(s.triples)+len(delta), math.MaxInt32)
+	}
 
-func (s *Store) buildIndexes() {
-	// Global lists: aggregate per (tag, item).
-	type ti struct {
-		t TagID
-		i ItemID
+	d := slices.Clone(delta)
+	slices.SortFunc(d, byUserTagItem)
+	d, err := coalesce(d, byUserTagItem, func(tr *Triple) *int32 { return &tr.Count })
+	if err != nil {
+		return nil, err
 	}
-	agg := make(map[ti]int32)
-	for _, tr := range s.triples {
-		agg[ti{tr.Tag, tr.Item}] += tr.Count
-		s.totalAnnotations += int64(tr.Count)
+	n := &Store{numUsers: numUsers, numItems: numItems, numTags: numTags, totalAnnotations: s.totalAnnotations}
+	agg := make([]tagItem, len(d))
+	for k, tr := range d {
+		agg[k] = tagItem{item: tr.Item, tag: tr.Tag, tf: tr.Count}
+		n.totalAnnotations += int64(tr.Count)
 	}
-	s.global = make([][]Posting, s.numTags)
-	for k, c := range agg {
-		s.global[k.t] = append(s.global[k.t], Posting{Item: k.i, TF: c})
+	slices.SortFunc(agg, byItemTag)
+	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
+		return nil, err
 	}
-	s.maxTF = make([]int32, s.numTags)
-	for t := range s.global {
-		lst := s.global[t]
-		sort.Slice(lst, func(i, j int) bool {
-			if lst[i].TF != lst[j].TF {
-				return lst[i].TF > lst[j].TF
+	if err := n.mergeUsers(s, d); err != nil {
+		return nil, err
+	}
+	if err := n.mergeItems(s, agg); err != nil {
+		return nil, err
+	}
+	n.mergeGlobal(s, agg)
+	return n, nil
+}
+
+// tagItem is what a delta adds to one (tag, item) pair: tf holds the
+// added frequency until mergeItems turns it into the new global one and
+// records the previous one in old.
+type tagItem struct {
+	item    ItemID
+	tag     TagID
+	old, tf int32
+}
+
+func (e tagItem) posting() Posting { return Posting{Item: e.item, TF: e.tf} }
+
+func byUserTagItem(a, b Triple) int {
+	if a.User != b.User {
+		return cmp.Compare(a.User, b.User)
+	}
+	if a.Tag != b.Tag {
+		return cmp.Compare(a.Tag, b.Tag)
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
+
+func byItemTag(a, b tagItem) int {
+	if a.item != b.item {
+		return cmp.Compare(a.item, b.item)
+	}
+	return cmp.Compare(a.tag, b.tag)
+}
+
+// byTFDesc is the order of every posting list: TF descending, then item.
+func byTFDesc(a, b Posting) int {
+	if a.TF != b.TF {
+		return cmp.Compare(b.TF, a.TF)
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
+
+// addTF sums two frequencies. Besides the triple count, int32 is the
+// one size limit a store has.
+func addTF(a, b int32) (int32, error) {
+	if a > math.MaxInt32-b {
+		return 0, fmt.Errorf("tagstore: frequency %d+%d overflows int32", a, b)
+	}
+	return a + b, nil
+}
+
+// coalesce folds, in place, every run of neighbours that compare equal
+// into its first element, summing the frequency tf points at.
+func coalesce[T any](xs []T, compare func(a, b T) int, tf func(*T) *int32) ([]T, error) {
+	w := 0
+	for k := range xs {
+		if w > 0 && compare(xs[w-1], xs[k]) == 0 {
+			sum, err := addTF(*tf(&xs[w-1]), *tf(&xs[k]))
+			if err != nil {
+				return nil, err
 			}
-			return lst[i].Item < lst[j].Item
-		})
-		if len(lst) > 0 {
-			s.maxTF[t] = lst[0].TF
+			*tf(&xs[w-1]) = sum
+			continue
 		}
+		xs[w] = xs[k]
+		w++
 	}
+	return xs[:w], nil
+}
 
-	// Per-item tag CSR: the same (tag, item) aggregates keyed by item.
-	type it struct {
-		i ItemID
-		t TagID
-		c int32
-	}
-	flat := make([]it, 0, len(agg))
-	for k, c := range agg {
-		flat = append(flat, it{i: k.i, t: k.t, c: c})
-	}
-	sort.Slice(flat, func(a, b int) bool {
-		if flat[a].i != flat[b].i {
-			return flat[a].i < flat[b].i
+// seek finds tag t in owner id's segment tags[start[id]:start[id+1]] of
+// a CSR: its index and true, or the index it would be inserted at.
+func seek(start []int32, tags []TagID, id int32, t TagID) (int32, bool) {
+	lo, end := start[id], start[id+1]
+	hi := end
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if tags[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		return flat[a].t < flat[b].t
+	}
+	return lo, lo < end && tags[lo] == t
+}
+
+// seekGrown is seek for an id that may lie beyond the n owners the CSR
+// was built for; such an id owns nothing yet.
+func seekGrown(start []int32, tags []TagID, n int, id int32, t TagID) (int32, bool) {
+	if int(id) >= n {
+		return int32(len(tags)), false
+	}
+	return seek(start, tags, id, t)
+}
+
+// shiftStarts returns the start array of a CSR grown from oldN owners
+// and oldLen entries to n owners: owners lists, in ascending order, the
+// owner of every entry inserted.
+func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
+	start := make([]int32, n+1)
+	k := 0
+	for id := range start {
+		for k < len(owners) && int(owners[k]) < id {
+			k++
+		}
+		base := oldLen
+		if id < oldN {
+			base = int(old[id])
+		}
+		start[id] = int32(base + k)
+	}
+	return start
+}
+
+// mergeUsers fills n.triples and the per-user CSR from s plus the
+// canonical delta d. Runs of s that d does not touch are block-copied
+// with their offsets shifted; a touched run is merged by item and only
+// its postings are re-sorted.
+func (n *Store) mergeUsers(s *Store, d []Triple) error {
+	// Count the runs first: a snapshot lives as long as the service, so
+	// its arrays get the capacity they need and no more.
+	runs := len(s.utTags)
+	for k, tr := range d {
+		if k == 0 || tr.User != d[k-1].User || tr.Tag != d[k-1].Tag {
+			runs++
+		}
+	}
+	n.triples = make([]Triple, 0, len(s.triples)+len(d))
+	n.userPostings = make([]UserPosting, 0, len(s.triples)+len(d))
+	n.utTags = make([]TagID, 0, runs)
+	n.utOff = make([]int32, 0, runs)
+	n.utLen = make([]int32, 0, runs)
+
+	next := int32(0) // first run of s not carried over yet
+	carry := func(upTo int32) {
+		if upTo == next {
+			return
+		}
+		lo, hi := s.utOff[next], s.utOff[upTo-1]+s.utLen[upTo-1]
+		shift := int32(len(n.triples)) - lo
+		n.triples = append(n.triples, s.triples[lo:hi]...)
+		n.userPostings = append(n.userPostings, s.userPostings[lo:hi]...)
+		n.utTags = append(n.utTags, s.utTags[next:upTo]...)
+		n.utLen = append(n.utLen, s.utLen[next:upTo]...)
+		for _, off := range s.utOff[next:upTo] {
+			n.utOff = append(n.utOff, off+shift)
+		}
+		next = upTo
+	}
+	var newRunUsers []int32
+	for a := 0; a < len(d); {
+		u, t := d[a].User, d[a].Tag
+		b := a + 1
+		for b < len(d) && d[b].User == u && d[b].Tag == t {
+			b++
+		}
+		r, found := seekGrown(s.utStart, s.utTags, s.numUsers, u, t)
+		carry(r)
+		var old []Triple
+		if found {
+			old = s.triples[s.utOff[r] : s.utOff[r]+s.utLen[r]]
+			next = r + 1
+		} else {
+			newRunUsers = append(newRunUsers, u)
+		}
+		start := len(n.triples)
+		for _, tr := range d[a:b] {
+			for len(old) > 0 && old[0].Item < tr.Item {
+				n.triples, old = append(n.triples, old[0]), old[1:]
+			}
+			if len(old) > 0 && old[0].Item == tr.Item {
+				sum, err := addTF(old[0].Count, tr.Count)
+				if err != nil {
+					return err
+				}
+				tr.Count, old = sum, old[1:]
+			}
+			n.triples = append(n.triples, tr)
+		}
+		n.triples = append(n.triples, old...)
+		for _, tr := range n.triples[start:] {
+			n.userPostings = append(n.userPostings, UserPosting{Item: tr.Item, TF: tr.Count})
+		}
+		slices.SortFunc(n.userPostings[start:], func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
+		n.utTags = append(n.utTags, t)
+		n.utOff = append(n.utOff, int32(start))
+		n.utLen = append(n.utLen, int32(len(n.triples)-start))
+		a = b
+	}
+	carry(int32(len(s.utTags)))
+	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, newRunUsers)
+	return nil
+}
+
+// mergeItems patches the per-item CSR in one pass over s's, and turns
+// every agg entry (sorted by item, tag) from "frequency added" into
+// "global frequency before and after".
+func (n *Store) mergeItems(s *Store, agg []tagItem) error {
+	n.itTags = make([]TagID, 0, len(s.itTags)+len(agg))
+	n.itTF = make([]int32, 0, len(s.itTags)+len(agg))
+	next := int32(0) // first entry of s not carried over yet
+	carry := func(upTo int32) {
+		n.itTags = append(n.itTags, s.itTags[next:upTo]...)
+		n.itTF = append(n.itTF, s.itTF[next:upTo]...)
+		next = upTo
+	}
+	var newEntryItems []int32
+	for k := range agg {
+		e := &agg[k]
+		p, found := seekGrown(s.itStart, s.itTags, s.numItems, e.item, e.tag)
+		carry(p)
+		if found {
+			e.old = s.itTF[p]
+			next = p + 1
+		} else {
+			newEntryItems = append(newEntryItems, e.item)
+		}
+		var err error
+		if e.tf, err = addTF(e.old, e.tf); err != nil {
+			return err
+		}
+		n.itTags = append(n.itTags, e.tag)
+		n.itTF = append(n.itTF, e.tf)
+	}
+	carry(int32(len(s.itTags)))
+	n.itStart = shiftStarts(s.itStart, s.numItems, len(s.itTags), n.numItems, newEntryItems)
+	return nil
+}
+
+// mergeGlobal shares s's global list of every tag agg does not mention
+// and rebuilds the others: the postings whose frequency changed are
+// taken out of the old list and merged back in at their new rank.
+func (n *Store) mergeGlobal(s *Store, agg []tagItem) {
+	n.global = make([][]Posting, n.numTags)
+	copy(n.global, s.global)
+	n.maxTF = make([]int32, n.numTags)
+	copy(n.maxTF, s.maxTF)
+	slices.SortFunc(agg, func(a, b tagItem) int {
+		if a.tag != b.tag {
+			return cmp.Compare(a.tag, b.tag)
+		}
+		return byTFDesc(a.posting(), b.posting())
 	})
-	s.itStart = make([]int32, s.numItems+1)
-	s.itTags = make([]TagID, len(flat))
-	s.itTF = make([]int32, len(flat))
-	cur := 0
-	for j, e := range flat {
-		for cur <= int(e.i) {
-			s.itStart[cur] = int32(j)
-			cur++
+	var moved []int // where the re-ranked postings sat in the old list
+	for a := 0; a < len(agg); {
+		t := agg[a].tag
+		b := a + 1
+		for b < len(agg) && agg[b].tag == t {
+			b++
 		}
-		s.itTags[j] = e.t
-		s.itTF[j] = e.c
-	}
-	for ; cur <= s.numItems; cur++ {
-		s.itStart[cur] = int32(len(flat))
-	}
-
-	// Per-(user,tag) lists and point index. The triples slice is already
-	// sorted by (user, tag, item), so runs are contiguous and the
-	// per-user CSR segments come out tag-sorted by construction.
-	s.point = make(map[uint64]int32, len(s.triples))
-	usePacked := s.numUsers < maxPackedID && s.numItems < maxPackedID && s.numTags < maxPackedID
-	if !usePacked {
-		// The packed point index would overflow; the evaluated scales
-		// never reach 2M ids, so treat it as a hard limit.
-		panic(fmt.Sprintf("tagstore: universe too large for packed index (%d users, %d items, %d tags)",
-			s.numUsers, s.numItems, s.numTags))
-	}
-	s.utStart = make([]int32, s.numUsers+1)
-	userCur := 0
-	i := 0
-	for i < len(s.triples) {
-		u, t := s.triples[i].User, s.triples[i].Tag
-		for userCur <= int(u) {
-			s.utStart[userCur] = int32(len(s.utTags))
-			userCur++
-		}
-		start := len(s.userPostings)
-		j := i
-		for j < len(s.triples) && s.triples[j].User == u && s.triples[j].Tag == t {
-			tr := s.triples[j]
-			s.userPostings = append(s.userPostings, UserPosting{Item: tr.Item, TF: tr.Count})
-			s.point[packUIT(tr.User, tr.Item, tr.Tag)] = tr.Count
-			j++
-		}
-		// order per-user list by TF desc for consistent consumption
-		seg := s.userPostings[start:]
-		sort.Slice(seg, func(a, b int) bool {
-			if seg[a].TF != seg[b].TF {
-				return seg[a].TF > seg[b].TF
+		old := n.global[t] // nil for a tag s did not have
+		moved = moved[:0]
+		for _, e := range agg[a:b] {
+			if e.old > 0 {
+				p, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: e.old}, byTFDesc)
+				moved = append(moved, p)
 			}
-			return seg[a].Item < seg[b].Item
-		})
-		s.utTags = append(s.utTags, t)
-		s.utOff = append(s.utOff, int32(start))
-		s.utLen = append(s.utLen, int32(j-i))
-		i = j
-	}
-	for ; userCur <= s.numUsers; userCur++ {
-		s.utStart[userCur] = int32(len(s.utTags))
+		}
+		slices.Sort(moved)
+		lst := make([]Posting, 0, len(old)-len(moved)+b-a)
+		for i, m, j := 0, 0, a; i < len(old) || j < b; {
+			switch {
+			case m < len(moved) && moved[m] == i:
+				i, m = i+1, m+1
+			case j == b || i < len(old) && byTFDesc(old[i], agg[j].posting()) < 0:
+				lst = append(lst, old[i])
+				i++
+			default:
+				lst = append(lst, agg[j].posting())
+				j++
+			}
+		}
+		n.global[t], n.maxTF[t] = lst, lst[0].TF
+		a = b
 	}
 }
 
@@ -305,17 +484,8 @@ func (s *Store) MaxTF(t TagID) int32 { return s.maxTF[t] }
 // binary search over u's (small, sorted) tag segment in the flat CSR —
 // no hashing, no pointer chasing.
 func (s *Store) UserList(u int32, t TagID) []UserPosting {
-	lo, hi := s.utStart[u], s.utStart[u+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.utTags[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.utStart[u+1] && s.utTags[lo] == t {
-		off, n := s.utOff[lo], s.utLen[lo]
+	if j, ok := seek(s.utStart, s.utTags, u, t); ok {
+		off, n := s.utOff[j], s.utLen[j]
 		return s.userPostings[off : off+n]
 	}
 	return nil
@@ -328,24 +498,27 @@ func (s *Store) UserTags(u int32) []TagID {
 }
 
 // TF returns tf(u, i, t): how many times user u applied tag t to item i.
+// The (user, tag) run UserList would return is found the same way and
+// then searched by item in the canonical triples, which keep the run in
+// item order.
 func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
-	return s.point[packUIT(u, i, t)]
+	j, ok := seekGrown(s.utStart, s.utTags, s.numUsers, u, t)
+	if !ok {
+		return 0
+	}
+	run := s.triples[s.utOff[j] : s.utOff[j]+s.utLen[j]]
+	k, ok := slices.BinarySearchFunc(run, i, func(tr Triple, i ItemID) int { return cmp.Compare(tr.Item, i) })
+	if !ok {
+		return 0
+	}
+	return run[k].Count
 }
 
 // GlobalTF returns the total frequency of tag t on item i across users:
 // a binary search over item i's sorted tag segment in the flat CSR.
 func (s *Store) GlobalTF(i ItemID, t TagID) int32 {
-	lo, hi := s.itStart[i], s.itStart[i+1]
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if s.itTags[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < s.itStart[i+1] && s.itTags[lo] == t {
-		return s.itTF[lo]
+	if j, ok := seek(s.itStart, s.itTags, i, t); ok {
+		return s.itTF[j]
 	}
 	return 0
 }

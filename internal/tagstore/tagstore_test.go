@@ -303,3 +303,270 @@ func TestPropertyMaxTFIsListHead(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// mergeScript decodes a byte string into a base corpus and the delta
+// batches compacted into it one after another, so the seeded
+// differential test and FuzzStoreMerge run the same harness. A record
+// is four bytes (user, item, tag, c): c = 0xFF closes the current batch
+// (two in a row give an empty delta) and grows each universe by the
+// other three bytes mod 3 without using the new ids; anything else is a
+// triple with count 1 + c%3 over ids small enough to collide often.
+func mergeScript(data []byte) (batches [][]Triple, grow [][3]int) {
+	batches, grow = [][]Triple{nil}, [][3]int{{}}
+	for ; len(data) >= 4; data = data[4:] {
+		u, i, tg, c := data[0], data[1], data[2], data[3]
+		if c == 0xFF {
+			grow[len(grow)-1] = [3]int{int(u % 3), int(i % 3), int(tg % 3)}
+			batches, grow = append(batches, nil), append(grow, [3]int{})
+			continue
+		}
+		last := len(batches) - 1
+		batches[last] = append(batches[last], Triple{User: int32(u % 12), Item: ItemID(i % 16), Tag: TagID(tg % 6), Count: int32(1 + c%3)})
+	}
+	return batches, grow
+}
+
+// randomMergeScript draws a script of several batches in which about a
+// quarter of the triples repeat an earlier (user, item, tag) — the
+// increments that reorder a TF-descending list — and later batches
+// reach ids the earlier ones never used.
+func randomMergeScript(rng *rand.Rand) []byte {
+	var data []byte
+	for batch, n := 0, 2+rng.Intn(4); batch < n; batch++ {
+		if batch > 0 {
+			data = append(data, byte(rng.Intn(3)), byte(rng.Intn(3)), byte(rng.Intn(3)), 0xFF)
+		}
+		reach := 2 + 3*batch // ids in use grow batch by batch
+		for k, m := 0, rng.Intn(30); k < m; k++ {
+			if len(data) >= 4 && rng.Intn(4) == 0 {
+				at := 4 * rng.Intn(len(data)/4)
+				data = append(data, data[at], data[at+1], data[at+2], byte(rng.Intn(3)))
+				continue
+			}
+			data = append(data, byte(rng.Intn(reach)), byte(rng.Intn(reach+2)), byte(rng.Intn(1+reach/2)), byte(rng.Intn(3)))
+		}
+	}
+	return data
+}
+
+// checkMergeScript folds the script's batches into a store one Merge at
+// a time and, after each, holds the result against two references: a
+// Build over the union of everything folded so far (deep equality of
+// every array) and a map model of the relation read back through every
+// accessor.
+func checkMergeScript(t *testing.T, data []byte) {
+	t.Helper()
+	batches, grow := mergeScript(data)
+	var union []Triple
+	nu, ni, nt := 0, 0, 0
+	store, err := NewBuilder(0, 0, 0).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, delta := range batches {
+		for _, tr := range delta {
+			nu, ni, nt = max(nu, int(tr.User)+1), max(ni, int(tr.Item)+1), max(nt, int(tr.Tag)+1)
+		}
+		nu, ni, nt = nu+grow[round][0], ni+grow[round][1], nt+grow[round][2]
+		before := store
+		if store, err = store.Merge(delta, nu, ni, nt); err != nil {
+			t.Fatalf("round %d: Merge: %v", round, err)
+		}
+		if len(delta) == 0 && grow[round] == [3]int{} && store != before {
+			t.Fatalf("round %d: empty delta built a new store", round)
+		}
+		union = append(union, delta...)
+		b := NewBuilder(nu, ni, nt)
+		for _, tr := range union {
+			b.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
+		}
+		want, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(store, want) {
+			t.Fatalf("round %d: merged store differs from Build over the union\n got %+v\nwant %+v", round, store, want)
+		}
+		checkAgainstModel(t, store, union, nu, ni, nt)
+	}
+}
+
+// checkAgainstModel reads the whole relation back through the store's
+// accessors and compares it with sums taken straight from the triples.
+func checkAgainstModel(t *testing.T, s *Store, union []Triple, nu, ni, nt int) {
+	t.Helper()
+	tf := make(map[Triple]int32)
+	gtf := make(map[[2]int32]int32)
+	var total int64
+	for _, tr := range union {
+		tf[Triple{User: tr.User, Item: tr.Item, Tag: tr.Tag}] += tr.Count
+		gtf[[2]int32{tr.Item, tr.Tag}] += tr.Count
+		total += int64(tr.Count)
+	}
+	if s.NumUsers() != nu || s.NumItems() != ni || s.NumTags() != nt || s.TotalAnnotations() != total || s.NumTriples() != len(tf) {
+		t.Fatalf("store is %d×%d×%d, %d triples, %d annotations; want %d×%d×%d, %d, %d",
+			s.NumUsers(), s.NumItems(), s.NumTags(), s.NumTriples(), s.TotalAnnotations(), nu, ni, nt, len(tf), total)
+	}
+	var triples []Triple
+	for u := int32(0); int(u) < nu; u++ {
+		var tags []TagID
+		for tag := TagID(0); int(tag) < nt; tag++ {
+			var lst []UserPosting
+			for i := ItemID(0); int(i) < ni; i++ {
+				c := tf[Triple{User: u, Item: i, Tag: tag}]
+				if got := s.TF(u, i, tag); got != c {
+					t.Fatalf("TF(%d,%d,%d) = %d, want %d", u, i, tag, got, c)
+				}
+				if c > 0 {
+					lst = append(lst, UserPosting{Item: i, TF: c})
+					triples = append(triples, Triple{User: u, Item: i, Tag: tag, Count: c})
+				}
+			}
+			sort.SliceStable(lst, func(a, b int) bool { return lst[a].TF > lst[b].TF })
+			if got := s.UserList(u, tag); !reflect.DeepEqual(got, lst) {
+				t.Fatalf("UserList(%d,%d) = %v, want %v", u, tag, got, lst)
+			}
+			if lst != nil {
+				tags = append(tags, tag)
+			}
+		}
+		if got := s.UserTags(u); len(got) != len(tags) || len(tags) > 0 && !reflect.DeepEqual(got, tags) {
+			t.Fatalf("UserTags(%d) = %v, want %v", u, got, tags)
+		}
+	}
+	if got := s.Triples(); len(got) != len(triples) || len(triples) > 0 && !reflect.DeepEqual(got, triples) {
+		t.Fatalf("Triples() = %v, want %v", got, triples)
+	}
+	for tag := TagID(0); int(tag) < nt; tag++ {
+		var lst []Posting
+		for i := ItemID(0); int(i) < ni; i++ {
+			c := gtf[[2]int32{i, tag}]
+			if got := s.GlobalTF(i, tag); got != c {
+				t.Fatalf("GlobalTF(%d,%d) = %d, want %d", i, tag, got, c)
+			}
+			if c > 0 {
+				lst = append(lst, Posting{Item: i, TF: c})
+			}
+		}
+		sort.SliceStable(lst, func(a, b int) bool { return lst[a].TF > lst[b].TF })
+		if got := s.GlobalList(tag); !reflect.DeepEqual(got, lst) {
+			t.Fatalf("GlobalList(%d) = %v, want %v", tag, got, lst)
+		}
+		var head int32
+		if len(lst) > 0 {
+			head = lst[0].TF
+		}
+		if got := s.MaxTF(tag); got != head {
+			t.Fatalf("MaxTF(%d) = %d, want %d", tag, got, head)
+		}
+	}
+}
+
+// mergeSeeds are the seeded scripts: the differential test runs them,
+// the fuzz target starts from them.
+func mergeSeeds() [][]byte {
+	seeds := [][]byte{
+		nil,
+		{0, 0, 0, 0xFF, 0, 0, 0, 0xFF}, // empty base, empty deltas
+		// one (user, tag) run whose TF order a later increment flips
+		{0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0xFF, 0, 0, 0, 2, 0, 0, 0, 2},
+		// a delta made only of ids the base never had
+		{0, 0, 0, 0, 2, 2, 2, 0xFF, 5, 9, 3, 0, 11, 15, 5, 1},
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		seeds = append(seeds, randomMergeScript(rand.New(rand.NewSource(seed))))
+	}
+	return seeds
+}
+
+// TestMergeMatchesBuild: folding delta batches into a store one after
+// another gives, after every batch, the store a Build over the union
+// gives — duplicate triples, TF-reordering increments, brand-new ids,
+// empty deltas and bare universe growth included.
+func TestMergeMatchesBuild(t *testing.T) {
+	for _, data := range mergeSeeds() {
+		checkMergeScript(t, data)
+	}
+}
+
+func FuzzStoreMerge(f *testing.F) {
+	for _, data := range mergeSeeds() {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			t.Skip() // the model check is cubic in the universe, linear in the script
+		}
+		checkMergeScript(t, data)
+	})
+}
+
+// TestMergeLeavesOldStoreIntact: readers may still hold the store a
+// Merge started from, so it must answer as before, including for the
+// tags whose lists the new store shares.
+func TestMergeLeavesOldStoreIntact(t *testing.T) {
+	old := smallStore(t)
+	want := smallStore(t)
+	merged, err := old.Merge([]Triple{{User: 1, Item: 1, Tag: 0, Count: 5}, {User: 2, Item: 0, Tag: 2, Count: 1}}, 4, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(old, want) {
+		t.Fatalf("Merge changed the store it started from:\n got %+v\nwant %+v", old, want)
+	}
+	if got := merged.GlobalList(0); !reflect.DeepEqual(got, []Posting{{Item: 1, TF: 6}, {Item: 0, TF: 3}}) {
+		t.Fatalf("merged GlobalList(0) = %v", got)
+	}
+	if &merged.GlobalList(1)[0] != &old.GlobalList(1)[0] {
+		t.Fatal("the untouched tag's list was copied, not shared")
+	}
+}
+
+// TestNoUniverseLimit: stores used to pack (user, item, tag) into 21
+// bits each and panic beyond; ids past 2^21 must simply work.
+func TestNoUniverseLimit(t *testing.T) {
+	const n = 1<<21 + 1
+	b := NewBuilder(n, n, 2)
+	b.Add(n-1, n-1, 1)
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, err = s.Merge([]Triple{{User: n, Item: n, Tag: 1, Count: 2}}, n+1, n+1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if s.TF(n-1, n-1, 1) != 1 || s.TF(n, n, 1) != 2 || s.GlobalTF(n, 1) != 2 || len(s.UserList(n, 1)) != 1 {
+		t.Fatal("lookups past 2^21 ids are wrong")
+	}
+}
+
+// TestSizeLimitsAreErrors: what a store cannot represent — a frequency
+// past int32, a universe smaller than the one merged into — comes back
+// as an error from Build and Merge.
+func TestSizeLimitsAreErrors(t *testing.T) {
+	const big = 1<<31 - 1
+	b := NewBuilder(1, 1, 1)
+	b.AddCount(0, 0, 0, big)
+	b.Add(0, 0, 0)
+	if _, err := b.Build(); err == nil {
+		t.Error("Build accepted a triple count past int32")
+	}
+	b = NewBuilder(2, 1, 1)
+	b.AddCount(0, 0, 0, big)
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Merge([]Triple{{User: 0, Item: 0, Tag: 0, Count: 1}}, 2, 1, 1); err == nil {
+		t.Error("Merge accepted a triple count past int32")
+	}
+	if _, err := s.Merge([]Triple{{User: 1, Item: 0, Tag: 0, Count: 1}}, 2, 1, 1); err == nil {
+		t.Error("Merge accepted a global frequency past int32")
+	}
+	if _, err := s.Merge(nil, 1, 1, 1); err == nil {
+		t.Error("Merge accepted a shrunken universe")
+	}
+	if _, err := NewBuilder(-1, 0, 0).Build(); err == nil {
+		t.Error("Build accepted a negative universe")
+	}
+}
