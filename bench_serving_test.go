@@ -4,7 +4,7 @@ package repro
 // fixed 64-query workload over a small set of repeating seekers, served
 // (a) cold — seeker cache disabled, every query re-expands the graph,
 // (b) through the mutation-aware seeker cache (internal/qcache), and
-// (c) as one SearchBatch on the worker pool with the cache enabled.
+// (c) as one DoBatch on the worker pool with the cache enabled.
 // Comparing ns/op across the three shows what horizon reuse and
 // batching buy on identical work:
 //
@@ -34,10 +34,12 @@ const (
 )
 
 // servingService restores a generated corpus into a name-addressed
-// service with the given cache size (negative disables caching). It is
-// shared with the zero-allocation and cross-layout property tests in
-// flatpath_test.go, hence testing.TB.
-func servingService(b testing.TB, cacheSize int) (*social.Service, []social.BatchQuery) {
+// service with the given cache size (negative disables caching) and
+// prebuilds the workload's requests, so the benchmarks measure the
+// serving path, not request construction. It is shared with the
+// zero-allocation and cross-layout property tests in flatpath_test.go,
+// hence testing.TB.
+func servingService(b testing.TB, cacheSize int) (*social.Service, []search.Request) {
 	b.Helper()
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale), 42)
 	if err != nil {
@@ -65,26 +67,16 @@ func servingService(b testing.TB, cacheSize int) (*social.Service, []social.Batc
 	for i := range seekers {
 		seekers[i] = fmt.Sprintf("u%d", rng.Intn(ds.Graph.NumUsers()))
 	}
-	queries := make([]social.BatchQuery, servingWorkload)
-	for i := range queries {
-		queries[i] = social.BatchQuery{
+	reqs := make([]search.Request, servingWorkload)
+	for i := range reqs {
+		reqs[i] = search.Request{
 			Seeker: seekers[i%servingSeekers],
 			Tags:   []string{fmt.Sprintf("t%d", rng.Intn(ds.Store.NumTags()))},
 			K:      10,
+			Mode:   search.ModeExact,
 		}
 	}
-	return svc, queries
-}
-
-// servingRequests converts the workload to prebuilt v2 requests so the
-// sequential benchmarks measure the serving path, not request
-// construction.
-func servingRequests(queries []social.BatchQuery) []search.Request {
-	reqs := make([]search.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = search.Request{Seeker: q.Seeker, Tags: q.Tags, K: q.K, Mode: search.ModeExact}
-	}
-	return reqs
+	return svc, reqs
 }
 
 func runSequential(b *testing.B, svc *social.Service, reqs []search.Request, resp *search.Response) {
@@ -98,8 +90,7 @@ func runSequential(b *testing.B, svc *social.Service, reqs []search.Request, res
 // BenchmarkServingColdSearch: N sequential searches, cache disabled —
 // the baseline every serving optimisation is measured against.
 func BenchmarkServingColdSearch(b *testing.B) {
-	svc, queries := servingService(b, -1)
-	reqs := servingRequests(queries)
+	svc, reqs := servingService(b, -1)
 	var resp search.Response
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -113,8 +104,7 @@ func BenchmarkServingColdSearch(b *testing.B) {
 // With the response buffer reused, the warm path is expected to run
 // allocation-free (gated by benchgate's allocs/op baseline).
 func BenchmarkServingCachedSearch(b *testing.B) {
-	svc, queries := servingService(b, 0) // 0 = default size
-	reqs := servingRequests(queries)
+	svc, reqs := servingService(b, 0) // 0 = default size
 	var resp search.Response
 	runSequential(b, svc, reqs, &resp) // warm the cache
 	b.ReportAllocs()
@@ -124,14 +114,15 @@ func BenchmarkServingCachedSearch(b *testing.B) {
 	}
 }
 
-// BenchmarkServingBatchSearch: the same workload as one SearchBatch on
-// the bounded worker pool, cache enabled.
+// BenchmarkServingBatchSearch: the same workload as one DoBatch on the
+// bounded worker pool, cache enabled.
 func BenchmarkServingBatchSearch(b *testing.B) {
-	svc, queries := servingService(b, 0)
-	svc.SearchBatch(queries) // warm the cache
+	svc, reqs := servingService(b, 0)
+	ctx := context.Background()
+	svc.DoBatch(ctx, reqs) // warm the cache
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, r := range svc.SearchBatch(queries) {
+		for _, r := range svc.DoBatch(ctx, reqs) {
 			if r.Err != nil {
 				b.Fatal(r.Err)
 			}
@@ -148,12 +139,12 @@ func BenchmarkServingBatchSearch(b *testing.B) {
 // regression fails CI even on different hardware.
 func BenchmarkServingFleetLoopback(b *testing.B) {
 	var clients []*fleet.Client
-	var queries []social.BatchQuery
+	var reqs []search.Request
 	for i := 0; i < 3; i++ {
 		// servingService is deterministic (fixed gen + rng seeds), so
 		// three calls build three identical replicas.
-		svc, qs := servingService(b, 0)
-		queries = qs
+		svc, rs := servingService(b, 0)
+		reqs = rs
 		srv, err := server.New(svc)
 		if err != nil {
 			b.Fatal(err)
@@ -171,10 +162,6 @@ func BenchmarkServingFleetLoopback(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer pool.Close()
-	reqs := make([]search.Request, len(queries))
-	for i, q := range queries {
-		reqs[i] = search.Request{Seeker: q.Seeker, Tags: q.Tags, K: q.K, Mode: search.ModeExact}
-	}
 	ctx := context.Background()
 	run := func() {
 		for _, r := range pool.DoBatch(ctx, reqs) {
@@ -236,7 +223,9 @@ func runChurn(b *testing.B, svc *social.Service) {
 	b.Helper()
 	queryAll := func() {
 		for c := 0; c < churnCommunities; c++ {
-			if _, err := svc.Search(churnUser(c, 0), []string{"pizza"}, 5); err != nil {
+			if _, err := svc.Do(context.Background(), search.Request{
+				Seeker: churnUser(c, 0), Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact,
+			}); err != nil {
 				b.Fatal(err)
 			}
 		}

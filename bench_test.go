@@ -8,6 +8,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"testing"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/proximity"
 	"repro/internal/recommend"
+	"repro/internal/search"
 	"repro/internal/similarity"
 	"repro/internal/social"
 	"repro/internal/tagstore"
@@ -444,7 +446,9 @@ func BenchmarkSocialFacade(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := svc.Search("user0", []string{"go"}, 10); err != nil {
+		if _, err := svc.Do(context.Background(), search.Request{
+			Seeker: "user0", Tags: []string{"go"}, K: 10, Mode: search.ModeExact,
+		}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,6 +9,7 @@ package repro
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -23,6 +24,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/planner"
 	"repro/internal/proximity"
+	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/social"
 	"repro/internal/tagstore"
@@ -358,7 +360,10 @@ func TestPropertyCachedServiceMatchesExact(t *testing.T) {
 				continue
 			}
 			k := 1 + rng.Intn(5)
-			got, err := svc.Search(seeker, []string{tag}, k)
+			resp, err := svc.Do(context.Background(), search.Request{
+				Seeker: seeker, Tags: []string{tag}, K: k, Mode: search.ModeExact,
+			})
+			got := resp.Results
 			if err != nil {
 				t.Logf("seed %d step %d: search: %v", seed, step, err)
 				return false

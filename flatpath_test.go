@@ -30,8 +30,7 @@ func TestCachedReadPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	svc, queries := servingService(t, 0)
-	reqs := servingRequests(queries)
+	svc, reqs := servingService(t, 0)
 	var resp search.Response
 	ctx := context.Background()
 	// Two warm passes: the first fills the seeker cache, the second

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -14,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/pagestore"
 	"repro/internal/planner"
+	"repro/internal/search"
 	"repro/internal/social"
 	"repro/internal/wal"
 )
@@ -79,7 +81,7 @@ func runExt4(cfg Config, w io.Writer) error {
 	mutations := nUsers * 10
 
 	user := func(i int) string { return fmt.Sprintf("u%03d", i) }
-	randomMutation := func(s *durable.Service) error {
+	randomMutation := func(s *social.Service) error {
 		if rng.Intn(4) == 0 {
 			a, b := rng.Intn(nUsers), rng.Intn(nUsers)
 			if a == b {
@@ -378,7 +380,10 @@ func runExt7(cfg Config, w io.Writer) error {
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			if rng.Intn(100) < mix.readShare {
-				if _, err := svc.Search(fmt.Sprintf("u%d", rng.Intn(40)), []string{fmt.Sprintf("t%d", rng.Intn(10))}, 10); err != nil {
+				if _, err := svc.Do(context.Background(), search.Request{
+					Seeker: fmt.Sprintf("u%d", rng.Intn(40)), Tags: []string{fmt.Sprintf("t%d", rng.Intn(10))},
+					K: 10, Mode: search.ModeExact,
+				}); err != nil {
 					return err
 				}
 			} else {

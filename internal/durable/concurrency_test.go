@@ -55,7 +55,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(id int) {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				if _, err := s.Search(fmt.Sprintf("u%d", id), []string{"seed"}, 5); err != nil {
+				if _, err := searchExact(s, fmt.Sprintf("u%d", id), []string{"seed"}, 5); err != nil {
 					errs <- fmt.Errorf("reader %d: %w", id, err)
 					return
 				}
@@ -74,7 +74,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	answers := map[key][]social_ResultLike{}
 	for i := 0; i < 8; i++ {
 		for _, tag := range []string{"seed", "t0", "t1", "t2", "t3"} {
-			res, err := s.Search(fmt.Sprintf("u%d", i), []string{tag}, 5)
+			res, err := searchExact(s, fmt.Sprintf("u%d", i), []string{tag}, 5)
 			if err != nil {
 				continue
 			}
@@ -95,7 +95,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 	defer s2.Close()
 	for k, want := range answers {
-		res, err := s2.Search(k.seeker, []string{k.tag}, 5)
+		res, err := searchExact(s2, k.seeker, []string{k.tag}, 5)
 		if err != nil {
 			t.Fatalf("recovered Search(%s,%s): %v", k.seeker, k.tag, err)
 		}
@@ -114,23 +114,4 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 type social_ResultLike struct {
 	item  string
 	score float64
-}
-
-// TestBrokenServiceRefusesWrites exercises the ErrBroken latch: after
-// a forced internal apply failure the service fails closed.
-func TestBrokenServiceRefusesWrites(t *testing.T) {
-	s, err := Open(t.TempDir(), DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.mu.Lock()
-	s.broken = true
-	s.mu.Unlock()
-	if err := s.Tag("a", "b", "c"); err != ErrBroken {
-		t.Fatalf("Tag on broken service: %v, want ErrBroken", err)
-	}
-	if err := s.Checkpoint(); err != ErrBroken {
-		t.Fatalf("Checkpoint on broken service: %v, want ErrBroken", err)
-	}
 }

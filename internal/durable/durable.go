@@ -1,8 +1,13 @@
 // Package durable makes the mutable social tagging service survive
-// process crashes: every mutation is appended to a write-ahead log
-// (internal/wal) before it is applied, and checkpoints periodically
-// fold the state into an atomic on-disk snapshot (the internal/index
-// binary format plus the vocabulary files) so the log stays short.
+// process crashes. It is not a second service type: Open returns the
+// one replica type, *social.Service, with a social.Journal attached
+// whose only implementation lives here. Through it every mutation is
+// appended to a write-ahead log (internal/wal) before it is applied,
+// and checkpoints periodically fold the state into an atomic on-disk
+// snapshot (the internal/index binary format plus the vocabulary
+// files) so the log stays short. What remains in this package is that
+// journal, the record codec (records.go, shared with the fleet
+// replication log) and the MANIFEST/snapshot-directory I/O.
 //
 // Directory layout under the service root:
 //
@@ -21,18 +26,15 @@
 package durable
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/search"
 	"repro/internal/social"
 	"repro/internal/tagstore"
 	"repro/internal/vocab"
@@ -71,9 +73,9 @@ const (
 	walDirName     = "wal"
 )
 
-// Config tunes a durable Service.
+// Config tunes Open.
 type Config struct {
-	// Service configures the wrapped in-memory service.
+	// Service configures the service Open returns.
 	Service social.ServiceConfig
 	// CheckpointEvery takes a checkpoint after this many mutations
 	// (0 disables automatic checkpoints; call Checkpoint explicitly).
@@ -96,29 +98,27 @@ func DefaultConfig() Config {
 	}
 }
 
-// ErrBroken is returned once a write failed mid-sequence, leaving the
-// in-memory state possibly ahead of or behind the log; reopen the
-// directory to recover to a consistent state.
-var ErrBroken = errors.New("durable: service broken by earlier write failure; reopen to recover")
-
-// Service is a crash-safe social.Service. It is safe for concurrent
-// use.
-type Service struct {
-	mu     sync.Mutex
-	dir    string
-	cfg    Config
-	svc    *social.Service
-	log    *wal.Log
-	writes int
-	broken bool
-
-	// recovered statistics from the last Open, for observability
+// journal is the social.Journal behind a durable service: the
+// write-ahead log, the MANIFEST and snapshot directories, and the
+// checkpoint policy. The service calls it under its own lock, so it
+// carries none.
+type journal struct {
+	dir string
+	log *wal.Log
+	// checkpointEvery is Config.CheckpointEvery; writes counts appends
+	// since the last checkpoint.
+	checkpointEvery int
+	writes          int
+	// recovery statistics from Open, for observability
 	recoveredRecords int
 	snapshotBarrier  uint64
 }
 
-// Open recovers (or initializes) a durable service rooted at dir.
-func Open(dir string, cfg Config) (*Service, error) {
+// Open recovers (or initializes) a durable service rooted at dir: load
+// the snapshot MANIFEST names (or start empty), replay the log suffix
+// the snapshot does not cover through the service's own apply path,
+// then attach the journal so every later mutation is logged first.
+func Open(dir string, cfg Config) (*social.Service, error) {
 	if cfg.Service.IsZero() {
 		cfg.Service = social.DefaultServiceConfig()
 	}
@@ -145,7 +145,9 @@ func Open(dir string, cfg Config) (*Service, error) {
 	// The snapshot's state already covers the fleet stream up to the
 	// cursor the manifest recorded; stamped records replayed below may
 	// advance it further.
-	svc.SetReplicationCursor(cursor)
+	if err := svc.Replay(social.Mutation{LSN: cursor}); err != nil {
+		return nil, err
+	}
 
 	// Open the log first (repairs a torn tail), then replay the suffix
 	// the snapshot does not cover.
@@ -156,334 +158,102 @@ func Open(dir string, cfg Config) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{dir: dir, cfg: cfg, svc: svc, log: log, snapshotBarrier: barrier}
-	if err := s.replay(barrier); err != nil {
+	j := &journal{dir: dir, log: log, checkpointEvery: cfg.CheckpointEvery, snapshotBarrier: barrier}
+	if j.recoveredRecords, err = replay(dir, barrier, svc); err != nil {
 		log.Close()
 		return nil, err
 	}
 	// Clean any leftovers from interrupted checkpoints.
-	if err := s.cleanStale(snapDir); err != nil {
+	if err := cleanStale(dir, snapDir); err != nil {
 		log.Close()
 		return nil, err
 	}
-	return s, nil
+	svc.AttachJournal(j)
+	return svc, nil
 }
 
-func (s *Service) replay(barrier uint64) error {
+// replay feeds every log record at or past the snapshot barrier to
+// svc.Replay and returns how many there were. Stamped records restore
+// the replication cursor advance-only: the live path skips
+// deterministic rejections without logging them, so the logged stamps
+// may have gaps a strict cursor check would refuse.
+func replay(dir string, barrier uint64, svc *social.Service) (int, error) {
 	n := 0
-	_, err := wal.Replay(filepath.Join(s.dir, walDirName), func(r wal.Record) error {
+	_, err := wal.Replay(filepath.Join(dir, walDirName), func(r wal.Record) error {
 		if r.LSN < barrier {
 			return nil // already folded into the snapshot
 		}
 		n++
-		switch r.Type {
-		case RecBefriend:
-			a, b, w, err := DecodeBefriend(r.Data)
-			if err != nil {
-				return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
-			}
-			return s.svc.Befriend(a, b, w)
-		case RecTag:
-			u, i, tg, err := DecodeTag(r.Data)
-			if err != nil {
-				return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
-			}
-			return s.svc.Tag(u, i, tg)
-		case RecBefriendAt:
-			// Stamped records apply as PLAIN mutations plus an advance-only
-			// cursor restore — not through BefriendAt. The live path skips
-			// deterministic rejections without logging them, so the logged
-			// stamped LSNs may have gaps a strict cursor check would refuse.
-			flsn, a, b, w, err := DecodeBefriendAt(r.Data)
-			if err != nil {
-				return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
-			}
-			if err := s.svc.Befriend(a, b, w); err != nil {
-				return err
-			}
-			s.svc.SetReplicationCursor(flsn)
-			return nil
-		case RecTagAt:
-			flsn, u, i, tg, err := DecodeTagAt(r.Data)
-			if err != nil {
-				return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
-			}
-			if err := s.svc.Tag(u, i, tg); err != nil {
-				return err
-			}
-			s.svc.SetReplicationCursor(flsn)
-			return nil
-		default:
-			return fmt.Errorf("durable: lsn %d: unknown record type %d", r.LSN, r.Type)
+		m, err := decodeMutation(r)
+		if err != nil {
+			return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
 		}
+		return svc.Replay(m)
 	})
-	s.recoveredRecords = n
-	return err
+	return n, err
 }
 
-// cleanStale removes snapshot directories other than the live one and
-// any interrupted temporary directories.
-func (s *Service) cleanStale(live string) error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return err
+// decodeMutation is the inverse of EncodeMutation.
+func decodeMutation(r wal.Record) (m social.Mutation, err error) {
+	switch r.Type {
+	case RecBefriend:
+		m.Kind = social.KindBefriend
+		m.User, m.Friend, m.Weight, err = DecodeBefriend(r.Data)
+	case RecTag:
+		m.Kind = social.KindTag
+		m.User, m.Item, m.Tag, err = DecodeTag(r.Data)
+	case RecBefriendAt:
+		m.Kind = social.KindBefriend
+		m.LSN, m.User, m.Friend, m.Weight, err = DecodeBefriendAt(r.Data)
+	case RecTagAt:
+		m.Kind = social.KindTag
+		m.LSN, m.User, m.Item, m.Tag, err = DecodeTagAt(r.Data)
+	default:
+		err = fmt.Errorf("unknown record type %d", r.Type)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if !e.IsDir() || name == live || name == walDirName {
-			continue
-		}
-		if strings.HasPrefix(name, snapshotPrefix) || strings.HasPrefix(name, ".tmp-") {
-			if err := os.RemoveAll(filepath.Join(s.dir, name)); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return m, err
 }
 
-// Befriend durably records a friendship declaration. See
-// social.Service.Befriend for semantics.
-func (s *Service) Befriend(a, b string, weight float64) error {
-	if err := s.validateBefriend(a, b, weight); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logged(RecBefriend, EncodeBefriend(a, b, weight), func() error {
-		return s.svc.Befriend(a, b, weight)
-	})
-}
-
-// Tag durably records a tagging action. See social.Service.Tag.
-func (s *Service) Tag(user, item, tag string) error {
-	for _, n := range []string{user, item, tag} {
-		if err := validateName(n); err != nil {
-			return err
-		}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logged(RecTag, EncodeTag(user, item, tag), func() error {
-		return s.svc.Tag(user, item, tag)
-	})
-}
-
-// BefriendAt is the apply-from-replication-log entry point (see
-// social.Service.BefriendAt): the mutation is deduplicated and
-// order-checked against the wrapped service's replication cursor, and
-// only a record that actually advances the cursor is appended to this
-// service's own write-ahead log — a replayed duplicate must not be
-// logged twice. The record is logged as RecBefriendAt with the fleet
-// LSN embedded, so the cursor itself is durable: a restarted replica
+// EncodeMutation returns the log record for m: the plain record types
+// for an unstamped mutation (the form the fleet replication log also
+// stores, its framing stamping the LSN), the stamped ones when m
+// carries a fleet LSN. A stamped mutation is ONE record, so in a
+// replica's own log the cursor itself is durable: a restarted replica
 // recovers it from the manifest and the stamped log suffix and resumes
-// the fleet stream from there instead of restreaming history. (Cursor
-// advances for deterministically rejected records are deliberately not
-// logged; after a restart the fleet re-streams those records and the
-// replica re-skips them identically.)
-func (s *Service) BefriendAt(lsn uint64, a, b string, weight float64) error {
-	if lsn == 0 {
-		return s.Befriend(a, b, weight)
+// the fleet stream from there instead of restreaming history.
+func EncodeMutation(m social.Mutation) (wal.Type, []byte, error) {
+	switch {
+	case m.Kind == social.KindBefriend && m.LSN == 0:
+		return RecBefriend, EncodeBefriend(m.User, m.Friend, m.Weight), nil
+	case m.Kind == social.KindBefriend:
+		return RecBefriendAt, EncodeBefriendAt(m.LSN, m.User, m.Friend, m.Weight), nil
+	case m.Kind == social.KindTag && m.LSN == 0:
+		return RecTag, EncodeTag(m.User, m.Item, m.Tag), nil
+	case m.Kind == social.KindTag:
+		return RecTagAt, EncodeTagAt(m.LSN, m.User, m.Item, m.Tag), nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Cursor discipline BEFORE logging: a duplicate must not be logged
-	// twice, and a gap is a routine protocol answer (the sender streams
-	// the missing records and retries), not a broken service.
-	switch applied := s.svc.AppliedLSN(); {
-	case lsn <= applied:
-		return nil // already processed (and already logged)
-	case lsn != applied+1:
-		return fmt.Errorf("%w: record lsn %d, applied %d", social.ErrReplicationGap, lsn, applied)
-	}
-	// Deterministic rejections advance the cursor WITHOUT logging — the
-	// record is a fleet-wide no-op, and the cursor must move in lockstep
-	// with every other replica that skipped it identically.
-	if err := s.validateBefriend(a, b, weight); err != nil {
-		s.svc.SkipLSN(lsn)
-		return err
-	}
-	return s.logged(RecBefriendAt, EncodeBefriendAt(lsn, a, b, weight), func() error {
-		return s.svc.BefriendAt(lsn, a, b, weight)
-	})
+	return 0, nil, fmt.Errorf("durable: no record type for mutation kind %d", m.Kind)
 }
 
-func (s *Service) validateBefriend(a, b string, weight float64) error {
-	if err := validateName(a); err != nil {
-		return err
-	}
-	if err := validateName(b); err != nil {
-		return err
-	}
-	if weight <= 0 || weight > 1 {
-		return fmt.Errorf("durable: weight %g outside (0,1]", weight)
-	}
-	if a == b {
-		return fmt.Errorf("durable: self-friendship for %q", a)
-	}
-	return nil
-}
-
-// TagAt is BefriendAt's tagging sibling.
-func (s *Service) TagAt(lsn uint64, user, item, tag string) error {
-	if lsn == 0 {
-		return s.Tag(user, item, tag)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch applied := s.svc.AppliedLSN(); {
-	case lsn <= applied:
-		return nil
-	case lsn != applied+1:
-		return fmt.Errorf("%w: record lsn %d, applied %d", social.ErrReplicationGap, lsn, applied)
-	}
-	for _, n := range []string{user, item, tag} {
-		if err := validateName(n); err != nil {
-			s.svc.SkipLSN(lsn)
-			return err
-		}
-	}
-	return s.logged(RecTagAt, EncodeTagAt(lsn, user, item, tag), func() error {
-		return s.svc.TagAt(lsn, user, item, tag)
-	})
-}
-
-// SkipLSN marks replication record lsn processed without applying or
-// logging anything (see social.Service.SkipLSN). It is the wire-level
-// cursor advance for records that are fleet-wide no-ops on a replica:
-// deterministic rejections another replica already skipped, and the
-// quorum log's RecTerm leadership records, which carry no mutation.
-func (s *Service) SkipLSN(lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.svc.SkipLSN(lsn)
-}
-
-// AppliedLSN returns the replication cursor of the wrapped service.
-func (s *Service) AppliedLSN() uint64 {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.AppliedLSN()
-}
-
-// logged appends the record, applies the mutation, and runs the
-// checkpoint policy. Callers hold s.mu and have fully validated the
-// mutation, so apply cannot fail for user-input reasons; if it fails
-// anyway the service is marked broken (log and memory may disagree).
-func (s *Service) logged(t wal.Type, payload []byte, apply func() error) error {
-	if s.broken {
-		return ErrBroken
-	}
-	if _, err := s.log.Append(t, payload); err != nil {
-		// Nothing was applied; memory still matches acknowledged log.
-		return err
-	}
-	if err := s.apply(apply); err != nil {
-		return err
-	}
-	s.writes++
-	if s.cfg.CheckpointEvery > 0 && s.writes >= s.cfg.CheckpointEvery {
-		if err := s.checkpointLocked(); err != nil {
-			return fmt.Errorf("durable: auto-checkpoint: %w", err)
-		}
-	}
-	return nil
-}
-
-func (s *Service) apply(fn func() error) error {
-	if err := fn(); err != nil {
-		s.broken = true
-		return fmt.Errorf("%w (cause: %v)", ErrBroken, err)
-	}
-	return nil
-}
-
-// Sync forces buffered log records to stable storage (meaningful under
-// wal.SyncManual; a no-op cost under wal.SyncAlways).
-func (s *Service) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Sync()
-}
-
-// CachedSeekers reports the wrapped service's resident cached seekers
-// (see social.Service.CachedSeekers).
-func (s *Service) CachedSeekers() []string {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.CachedSeekers()
-}
-
-// WarmSeekers pre-warms the wrapped service's seeker cache (see
-// social.Service.WarmSeekers). Warming touches no durable state.
-func (s *Service) WarmSeekers(ctx context.Context, seekers []string) (int, error) {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.WarmSeekers(ctx, seekers)
-}
-
-// SnapshotWithCursor exports the wrapped service's compacted state
-// pinned at its replication cursor (see social.Service), so a durable
-// replica can serve as the bootstrap source for a joining peer.
-func (s *Service) SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken {
-		return nil, nil, nil, 0, ErrBroken
-	}
-	return s.svc.SnapshotWithCursor()
-}
-
-// ImportSnapshot replaces the replica's entire state with a snapshot
-// exported by another replica, pinned at fleet-log LSN lsn (see
-// social.Service.ImportSnapshot). The imported state exists nowhere in
-// this replica's own log, so it is checkpointed to disk immediately —
-// the manifest then carries the new cursor and the old log prefix is
-// truncated. A persistence failure marks the service broken (memory is
-// ahead of disk); reopening recovers the pre-import state and the join
-// restarts from scratch.
-func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken {
-		return ErrBroken
-	}
-	if err := s.svc.ImportSnapshot(g, st, names, lsn); err != nil {
-		return err
-	}
-	if err := s.checkpointLocked(); err != nil {
-		s.broken = true
-		return fmt.Errorf("%w (cause: persisting imported snapshot: %v)", ErrBroken, err)
-	}
-	return nil
-}
-
-// Checkpoint folds the current state into an atomic on-disk snapshot
-// and truncates the now-redundant log prefix.
-func (s *Service) Checkpoint() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.broken {
-		return ErrBroken
-	}
-	return s.checkpointLocked()
-}
-
-func (s *Service) checkpointLocked() error {
-	g, st, names, err := s.svc.Snapshot()
+func (j *journal) Append(m social.Mutation) (checkpointDue bool, err error) {
+	t, payload, err := EncodeMutation(m)
 	if err != nil {
-		return err
+		return false, err
 	}
-	barrier := s.log.NextLSN() // first LSN NOT covered by this snapshot
-	// The replication cursor is part of the checkpointed state: the log
-	// prefix holding the stamped records that advanced it is about to be
-	// truncated, so the manifest must carry it across restarts.
-	cursor := s.svc.AppliedLSN()
+	if _, err := j.log.Append(t, payload); err != nil {
+		return false, err
+	}
+	j.writes++
+	return j.checkpointEvery > 0 && j.writes >= j.checkpointEvery, nil
+}
 
-	tmp := filepath.Join(s.dir, fmt.Sprintf(".tmp-%d", barrier))
+// Checkpoint writes the state as a fresh snapshot directory, flips
+// MANIFEST to it, and truncates the log prefix it covers — in that
+// order, each step atomic (see the package comment).
+func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Set, cursor uint64) error {
+	barrier := j.log.NextLSN() // first LSN NOT covered by this snapshot
+
+	tmp := filepath.Join(j.dir, fmt.Sprintf(".tmp-%d", barrier))
 	if err := os.RemoveAll(tmp); err != nil {
 		return err
 	}
@@ -497,175 +267,61 @@ func (s *Service) checkpointLocked() error {
 		return err
 	}
 	final := snapshotDirName(barrier)
-	if err := os.Rename(tmp, filepath.Join(s.dir, final)); err != nil {
+	if err := os.Rename(tmp, filepath.Join(j.dir, final)); err != nil {
 		return err
 	}
-	if err := writeManifest(s.dir, barrier, cursor); err != nil {
+	// The replication cursor is part of the checkpointed state: the log
+	// prefix holding the stamped records that advanced it is about to be
+	// truncated, so the manifest must carry it across restarts.
+	if err := writeManifest(j.dir, barrier, cursor); err != nil {
 		return err
 	}
 	// The log prefix below the barrier is now redundant. Rotation puts
 	// the barrier at a segment boundary so truncation can drop it all.
-	if err := s.log.Rotate(); err != nil {
+	if err := j.log.Rotate(); err != nil {
 		return err
 	}
-	if err := s.log.TruncateThrough(barrier - 1); err != nil {
+	if err := j.log.TruncateThrough(barrier - 1); err != nil {
 		return err
 	}
-	if err := s.cleanStale(final); err != nil {
+	if err := cleanStale(j.dir, final); err != nil {
 		return err
 	}
-	s.writes = 0
-	s.snapshotBarrier = barrier
+	j.writes = 0
+	j.snapshotBarrier = barrier
 	return nil
 }
 
-// Service implements search.Searcher on top of the wrapped in-memory
-// service.
-var _ search.Searcher = (*Service)(nil)
+func (j *journal) Sync() error { return j.log.Sync() }
 
-// Do answers one request (see search.Searcher and social.Service.Do).
-// Unlike the in-memory service (where readers see the last compacted
-// snapshot), a durable store's reads see every acknowledged write:
-// pending mutations are folded in first. Compaction is a no-op when
-// nothing is pending.
-func (s *Service) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	if ctx == nil {
-		ctx = context.Background()
+func (j *journal) Close() error { return j.log.Close() }
+
+func (j *journal) Stats() social.JournalStats {
+	return social.JournalStats{
+		RecoveredRecords:      j.recoveredRecords,
+		SnapshotBarrier:       j.snapshotBarrier,
+		LogSegments:           j.log.Segments(),
+		WritesSinceCheckpoint: j.writes,
 	}
-	if err := ctx.Err(); err != nil {
-		return search.Response{}, err
-	}
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	if err := svc.Flush(); err != nil {
-		return search.Response{}, err
-	}
-	return svc.Do(ctx, req)
 }
 
-// DoBatch answers many requests concurrently with per-request error
-// reporting (see social.Service.DoBatch). Like Do, reads see every
-// acknowledged write: pending mutations are folded in once before the
-// batch runs.
-func (s *Service) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	if ctx == nil {
-		ctx = context.Background()
+// cleanStale removes snapshot directories other than the live one and
+// any interrupted temporary directories.
+func cleanStale(dir, live string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
 	}
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	if err := svc.Flush(); err != nil {
-		out := make([]search.BatchResult, len(reqs))
-		for i := range out {
-			out[i].Err = err
+	for _, e := range entries {
+		name := e.Name()
+		if !e.IsDir() || name == live || name == walDirName {
+			continue
 		}
-		return out
-	}
-	return svc.DoBatch(ctx, reqs)
-}
-
-// Search answers seeker's top-k query with exact scores.
-//
-// Deprecated: use Do. Kept so v1 embedders compile unchanged; it
-// shares social.Service.Search's normalization caveats (comma-split
-// and trimmed tag names, k capped at search.MaxK).
-func (s *Service) Search(seeker string, tags []string, k int) ([]social.Result, error) {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	if err := svc.Flush(); err != nil {
-		return nil, err
-	}
-	return svc.Search(seeker, tags, k)
-}
-
-// SearchBatch answers many queries concurrently with per-query error
-// reporting.
-//
-// Deprecated: use DoBatch. Kept so v1 embedders compile unchanged.
-func (s *Service) SearchBatch(queries []social.BatchQuery) []social.BatchResult {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	if err := svc.Flush(); err != nil {
-		out := make([]social.BatchResult, len(queries))
-		for i := range out {
-			out[i].Err = err
+		if strings.HasPrefix(name, snapshotPrefix) || strings.HasPrefix(name, ".tmp-") {
+			if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
+				return err
+			}
 		}
-		return out
-	}
-	return svc.SearchBatch(queries)
-}
-
-// Flush folds pending writes into the queryable snapshot without
-// taking a checkpoint.
-func (s *Service) Flush() error {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.Flush()
-}
-
-// ApplyInvalidation folds pending writes into the snapshot and applies
-// a fleet invalidation broadcast to the seeker cache (see
-// social.Service.ApplyInvalidation). Purely a cache/visibility
-// operation — nothing is logged, since the mutations themselves arrive
-// through Befriend/Tag.
-func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.ApplyInvalidation(edges, all)
-}
-
-// Users lists all known user names.
-func (s *Service) Users() []string {
-	s.mu.Lock()
-	svc := s.svc
-	s.mu.Unlock()
-	return svc.Users()
-}
-
-// Stats reports service and durability counters.
-type Stats struct {
-	social.Stats
-	// RecoveredRecords is the number of log records replayed by Open.
-	RecoveredRecords int
-	// SnapshotBarrier is the first LSN not covered by the live snapshot.
-	SnapshotBarrier uint64
-	// LogSegments is the number of live log segment files.
-	LogSegments int
-	// WritesSinceCheckpoint counts mutations since the last checkpoint.
-	WritesSinceCheckpoint int
-}
-
-// Stats returns current counters.
-func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Stats{
-		Stats:                 s.svc.Stats(),
-		RecoveredRecords:      s.recoveredRecords,
-		SnapshotBarrier:       s.snapshotBarrier,
-		LogSegments:           s.log.Segments(),
-		WritesSinceCheckpoint: s.writes,
-	}
-}
-
-// Close syncs and closes the log. The service must not be used after.
-func (s *Service) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.log.Close()
-}
-
-func validateName(n string) error {
-	if n == "" {
-		return errors.New("durable: empty name")
-	}
-	if strings.ContainsAny(n, "\n\r") {
-		return fmt.Errorf("durable: name %q contains line breaks", n)
 	}
 	return nil
 }

@@ -1,15 +1,16 @@
 package durable
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/search"
 	"repro/internal/social"
 	"repro/internal/wal"
 )
@@ -41,9 +42,15 @@ func seedMutations(t *testing.T, m mutator) {
 	}
 }
 
-func searchNames(t *testing.T, s *Service, seeker string, tags []string, k int) []string {
+// searchExact runs the ModeExact query the /v1 search surface runs.
+func searchExact(s *social.Service, seeker string, tags []string, k int) ([]search.Result, error) {
+	resp, err := s.Do(context.Background(), search.Request{Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact})
+	return resp.Results, err
+}
+
+func searchNames(t *testing.T, s *social.Service, seeker string, tags []string, k int) []string {
 	t.Helper()
-	res, err := s.Search(seeker, tags, k)
+	res, err := searchExact(s, seeker, tags, k)
 	if err != nil {
 		t.Fatalf("Search(%s,%v): %v", seeker, tags, err)
 	}
@@ -168,25 +175,7 @@ func TestTornTailLosesOnlyLastRecord(t *testing.T) {
 	seedMutations(t, s)
 	s.Close()
 
-	// Simulate a torn write: chop bytes off the last wal segment.
-	walDir := filepath.Join(dir, walDirName)
-	entries, err := os.ReadDir(walDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var segs []string
-	for _, e := range entries {
-		segs = append(segs, filepath.Join(walDir, e.Name()))
-	}
-	sort.Strings(segs)
-	last := segs[len(segs)-1]
-	st, err := os.Stat(last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(last, st.Size()-2); err != nil {
-		t.Fatal(err)
-	}
+	tearTail(t, dir)
 
 	s2, err := Open(dir, DefaultConfig())
 	if err != nil {
@@ -380,11 +369,11 @@ func TestRandomizedCrashRecovery(t *testing.T) {
 		}
 		for _, seeker := range ref.Users() {
 			for _, tg := range tags {
-				want, err := ref.Search(seeker, []string{tg}, 5)
+				want, err := searchExact(ref, seeker, []string{tg}, 5)
 				if err != nil {
 					continue // tag not yet known to the reference
 				}
-				got, err := s.Search(seeker, []string{tg}, 5)
+				got, err := searchExact(s, seeker, []string{tg}, 5)
 				if err != nil {
 					t.Fatalf("trial %d: recovered Search(%s,%s): %v", trial, seeker, tg, err)
 				}
@@ -421,7 +410,7 @@ func TestSyncManualGroupCommit(t *testing.T) {
 	}
 }
 
-func ExampleService() {
+func ExampleOpen() {
 	dir, _ := os.MkdirTemp("", "durable-example")
 	defer os.RemoveAll(dir)
 
@@ -433,25 +422,25 @@ func ExampleService() {
 	// Reopen: state survives the restart.
 	svc2, _ := Open(dir, DefaultConfig())
 	defer svc2.Close()
-	res, _ := svc2.Search("alice", []string{"pizza"}, 1)
+	res, _ := searchExact(svc2, "alice", []string{"pizza"}, 1)
 	fmt.Println(res[0].Item)
 	// Output: luigis
 }
 
-// TestSearchBatchSeesAcknowledgedWrites: batch reads honour the durable
+// TestDoBatchSeesAcknowledgedWrites: batch reads honour the durable
 // read contract (pending mutations folded in first), report errors per
-// query, and agree with sequential Search.
-func TestSearchBatchSeesAcknowledgedWrites(t *testing.T) {
+// query, and agree with sequential Do.
+func TestDoBatchSeesAcknowledgedWrites(t *testing.T) {
 	s, err := Open(t.TempDir(), DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	seedMutations(t, s)
-	out := s.SearchBatch([]social.BatchQuery{
-		{Seeker: "alice", Tags: []string{"pizza"}, K: 3},
-		{Seeker: "nobody", Tags: []string{"pizza"}, K: 3},
-		{Seeker: "alice", Tags: []string{"sushi"}, K: 2},
+	out := s.DoBatch(context.Background(), []search.Request{
+		{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact},
+		{Seeker: "nobody", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact},
+		{Seeker: "alice", Tags: []string{"sushi"}, K: 2, Mode: search.ModeExact},
 	})
 	if len(out) != 3 {
 		t.Fatalf("got %d results", len(out))
@@ -463,8 +452,8 @@ func TestSearchBatchSeesAcknowledgedWrites(t *testing.T) {
 		t.Fatal("unknown seeker did not fail")
 	}
 	want := searchNames(t, s, "alice", []string{"pizza"}, 3)
-	got := make([]string, len(out[0].Results))
-	for i, r := range out[0].Results {
+	got := make([]string, len(out[0].Response.Results))
+	for i, r := range out[0].Response.Results {
 		got[i] = r.Item
 	}
 	if fmt.Sprint(got) != fmt.Sprint(want) {

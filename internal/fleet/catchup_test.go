@@ -440,21 +440,48 @@ func TestPreLogValidationMirrorsReplicas(t *testing.T) {
 	}
 }
 
-// TestProbeObservesCursorReset pins the barrier-safety rule: health
-// probes overwrite the tracked cursor with the replica's self-reported
-// value, so a restarted replica's reset to zero is observed (and the
-// truncation barrier retreats with it) instead of being masked by
-// monotonic ack tracking.
+// TestProbeObservesCursorReset pins the barrier-safety rule: a health
+// probe that finds the tracked cursor where it left it overwrites it
+// with the replica's self-reported value, so a restarted replica's
+// reset to zero is observed (and the truncation barrier retreats with
+// it) instead of being masked by monotonic ack tracking.
 func TestProbeObservesCursorReset(t *testing.T) {
 	var st replicaState
 	st.noteApplied(40)
 	st.noteApplied(10) // acks are monotonic
-	if got := st.appliedLSN; got != 40 {
+	if got := st.applied(); got != 40 {
 		t.Fatalf("cursor after acks = %d, want 40", got)
 	}
-	st.setApplied(0) // the replica restarted and says so
-	if got := st.appliedLSN; got != 0 {
-		t.Fatalf("cursor after probe reset = %d, want 0", got)
+	before := st.applied()
+	// ... probe in flight; the replica restarted and says so.
+	if got := st.probeApplied(before, 0); got != 0 || st.applied() != 0 {
+		t.Fatalf("cursor after probe reset = %d (tracked %d), want 0", got, st.applied())
+	}
+}
+
+// TestProbeDoesNotLowerCursorAckedInFlight interleaves, by hand, the
+// race behind the "victim replog lag = 1 after quiesce" flake: the
+// probe reads X-Applied-LSN = K, a fan-out ack notes K+1 before the
+// probe's reply is processed, and the stale K must not win — neither in
+// the tracked cursor (ReplogLag) nor in the value lagEject is handed.
+func TestProbeDoesNotLowerCursorAckedInFlight(t *testing.T) {
+	const k = 7
+	var st replicaState
+	st.noteApplied(k)
+	before := st.applied() // probeAll, before Healthz goes out
+	reported := uint64(k)  // what /healthz answered
+	st.noteApplied(k + 1)  // the concurrent mutation ack
+	if got := st.probeApplied(before, reported); got != k+1 {
+		t.Fatalf("probe reply lowered an acked cursor: %d, want %d", got, k+1)
+	}
+	if got := st.applied(); got != k+1 {
+		t.Fatalf("tracked cursor = %d, want %d", got, k+1)
+	}
+	// A probe that saw further than the acks still raises the cursor.
+	before = st.applied()
+	st.noteApplied(k + 2)
+	if got := st.probeApplied(before, k+5); got != k+5 {
+		t.Fatalf("probe ahead of acks: cursor %d, want %d", got, k+5)
 	}
 }
 

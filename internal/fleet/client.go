@@ -1,6 +1,6 @@
-// Package fleet turns the in-process shard.Router prototype into a
-// multi-process serving fleet: N replica processes each run the full
-// engine over the same mutation stream, a front-end routes queries to
+// Package fleet is the multi-process serving fleet: N replica
+// processes (each a social.Service behind internal/server, volatile or
+// journaled) run the full engine over the same mutation stream, a front-end routes queries to
 // the replica owning each seeker (consistent hashing, so exactly one
 // replica pays a seeker's horizon expansion), health checking ejects
 // dead replicas and spills their seekers across the survivors in ring
@@ -17,9 +17,11 @@
 //	Pool        — replica registry + /healthz prober + failover router
 //	              (itself a search.Searcher)
 //	Broadcaster — coalesces dirty edges and fans /v2/invalidate out
-//	Frontend    — server.Backend gluing Pool + Broadcaster together,
-//	              so cmd/friendserve -replicas serves the same API as a
-//	              single process
+//	Frontend    — server.Backend (in the server.Frontend role) gluing
+//	              Pool + Broadcaster together, so cmd/friendserve
+//	              -replicas serves the same API as a single process;
+//	              its one mutation path validates with the replicas'
+//	              own rule (social.Mutation.Validate) before it logs
 //
 // Soundness of the invalidation broadcast is argued in docs/fleet.md:
 // the front-end serializes mutations, every replica applies the same

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/search"
 	"repro/internal/server"
+	"repro/internal/social"
 	"repro/internal/wal"
 )
 
@@ -26,7 +26,8 @@ const DefaultCatchupTimeout = 30 * time.Second
 // fleet's minimum applied LSN).
 const replogTruncateEvery = 1024
 
-// Frontend is the fleet's server.Backend: queries go through the Pool
+// Frontend is the fleet's server.Backend, in the server.Frontend role:
+// queries go through the Pool
 // (consistent-hash routing, health-checked failover, optional hedging)
 // and mutations are forwarded — serialized, so every replica applies
 // the identical stream in the identical order, which is what makes
@@ -256,7 +257,10 @@ func (f *Frontend) logHead() uint64 {
 	return f.replog.Head()
 }
 
-var _ search.Searcher = (*Frontend)(nil)
+var (
+	_ search.Searcher = (*Frontend)(nil)
+	_ server.Frontend = (*Frontend)(nil)
+)
 
 // Do routes one query through the pool.
 func (f *Frontend) Do(ctx context.Context, req search.Request) (search.Response, error) {
@@ -399,39 +403,6 @@ func (f *Frontend) forward(ctx context.Context, lsn uint64, send func(ctx contex
 	return nil
 }
 
-// validateMutationNames is the front-end's pre-log validation: with a
-// replication log, a record is appended before fan-out, so anything a
-// replica would deterministically reject must be caught here first —
-// the log must never grow a record the fleet cannot apply. The rules
-// mirror the STRICTEST replica side: vocab rejects empty names,
-// overlay rejects self-edges and out-of-range weights, and durable
-// replicas reject names containing line breaks (their persistence
-// format is line-based).
-func validateMutationNames(names ...string) error {
-	for _, n := range names {
-		if strings.TrimSpace(n) == "" {
-			return search.WrapInvalid(errors.New("fleet: empty name in mutation"))
-		}
-		if strings.ContainsAny(n, "\n\r") {
-			return search.WrapInvalid(fmt.Errorf("fleet: name %q contains line breaks", n))
-		}
-	}
-	return nil
-}
-
-func validateBefriend(a, b string, weight float64) error {
-	if err := validateMutationNames(a, b); err != nil {
-		return err
-	}
-	if a == b {
-		return search.WrapInvalid(fmt.Errorf("fleet: self-friendship for %q", a))
-	}
-	if !(weight > 0 && weight <= 1) {
-		return search.WrapInvalid(fmt.Errorf("fleet: weight %g outside (0,1]", weight))
-	}
-	return nil
-}
-
 // Befriend forwards the friendship mutation to every replica and notes
 // the dirty edge for the next invalidation broadcast. With a replog the
 // record is validated, durably logged, and only then fanned out.
@@ -440,59 +411,83 @@ func (f *Frontend) Befriend(a, b string, weight float64) error {
 }
 
 // BefriendCtx is Befriend carrying the request context's trace through
-// the append and fan-out path (the server.CtxMutator surface).
-// Cancellation is stripped up front: once the record is durably logged
-// the fan-out must run to completion whether or not the client is
-// still listening, or replicas would diverge on a hang-up.
+// the append and fan-out path (server.Frontend's mutation surface).
 func (f *Frontend) BefriendCtx(ctx context.Context, a, b string, weight float64) error {
+	return f.mutate(ctx, social.Mutation{Kind: social.KindBefriend, User: a, Friend: b, Weight: weight})
+}
+
+// Tag forwards the tagging mutation to every replica and schedules the
+// compaction heartbeat that makes it queryable fleet-wide.
+func (f *Frontend) Tag(user, item, tag string) error {
+	return f.TagCtx(context.Background(), user, item, tag)
+}
+
+// TagCtx is Tag carrying the request context's trace.
+func (f *Frontend) TagCtx(ctx context.Context, user, item, tag string) error {
+	return f.mutate(ctx, social.Mutation{Kind: social.KindTag, User: user, Item: item, Tag: tag})
+}
+
+// mutate is the front-end's one mutation path: validate and log (when
+// there is a log), fan out, tell the broadcaster. Cancellation is
+// stripped up front: once the record is durably logged the fan-out must
+// run to completion whether or not the client is still listening, or
+// replicas would diverge on a hang-up.
+func (f *Frontend) mutate(ctx context.Context, m social.Mutation) error {
 	ctx = context.WithoutCancel(ctx)
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
 	var lsn uint64
-	switch {
-	case f.qnode != nil:
-		if err := validateBefriend(a, b, weight); err != nil {
+	if f.qnode != nil || f.replog != nil {
+		// The record is appended before fan-out, so anything a replica
+		// would deterministically reject must be caught first — the log
+		// must never grow a record the fleet cannot apply. The rule is the
+		// replicas' own. (Without a log nothing is recorded, and the
+		// replicas' identical rejections are the answer.)
+		if err := m.Validate(); err != nil {
 			return err
 		}
-		var err error
-		if lsn, err = f.quorumAppend(ctx, durable.RecBefriend, durable.EncodeBefriend(a, b, weight)); err != nil {
+		rec, payload, err := durable.EncodeMutation(m)
+		if err != nil {
 			return err
 		}
-	case f.replog != nil:
-		if err := validateBefriend(a, b, weight); err != nil {
-			return err
+		if f.qnode != nil {
+			lsn, err = f.quorumAppend(ctx, rec, payload)
+		} else {
+			lsn, err = f.replogAppend(ctx, rec, payload)
 		}
-		if !f.pool.anyLive() {
-			return unavailablef("no live replica to accept the write")
-		}
-		var err error
-		if lsn, err = f.replogAppend(ctx, func() (uint64, error) {
-			return f.replog.AppendBefriend(a, b, weight)
-		}); err != nil {
+		if err != nil {
 			return err
 		}
 	}
-	if err := f.forward(ctx, lsn, func(ctx context.Context, c *Client) (uint64, error) {
-		return c.Befriend(ctx, a, b, weight, lsn)
-	}); err != nil {
-		if errors.Is(err, search.ErrOverloaded) {
-			// A shed aborted the fan-out partway: replicas before the
-			// shedding one applied the edge, and their caches must not
-			// outlive it just because the client was told to back off.
-			f.bcast.NoteEdge(a, b)
+	err := f.forward(ctx, lsn, func(ctx context.Context, c *Client) (uint64, error) {
+		if m.Kind == social.KindBefriend {
+			return c.Befriend(ctx, m.User, m.Friend, m.Weight, lsn)
 		}
-		return err
+		return c.Tag(ctx, m.User, m.Item, m.Tag, lsn)
+	})
+	// A shed aborts the fan-out partway: replicas before the shedding one
+	// applied the mutation, and their caches must not outlive a new edge
+	// (nor miss the compaction heartbeat a tagging needs) just because
+	// the client was told to back off.
+	if err == nil || errors.Is(err, search.ErrOverloaded) {
+		if m.Kind == social.KindBefriend {
+			f.bcast.NoteEdge(m.User, m.Friend)
+		} else {
+			f.bcast.NoteWrite()
+		}
 	}
-	f.bcast.NoteEdge(a, b)
-	return nil
+	return err
 }
 
 // replogAppend wraps one replication log append in its trace span and
 // the periodic log maintenance. Callers hold writeMu.
-func (f *Frontend) replogAppend(ctx context.Context, append func() (uint64, error)) (uint64, error) {
+func (f *Frontend) replogAppend(ctx context.Context, t wal.Type, payload []byte) (uint64, error) {
+	if !f.pool.anyLive() {
+		return 0, unavailablef("no live replica to accept the write")
+	}
 	_, sp := obs.StartSpan(ctx, "replog.append")
 	defer sp.End()
-	lsn, err := append()
+	lsn, err := f.replog.log.Append(t, payload)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: replication log append: %w", err)
 	}
@@ -534,56 +529,6 @@ func (f *Frontend) quorumAppend(ctx context.Context, t wal.Type, payload []byte)
 	sp.SetInt("lsn", int64(lsn))
 	sp.SetInt("term", int64(f.qnode.Term()))
 	return lsn, nil
-}
-
-// Tag forwards the tagging mutation to every replica and schedules the
-// compaction heartbeat that makes it queryable fleet-wide.
-func (f *Frontend) Tag(user, item, tag string) error {
-	return f.TagCtx(context.Background(), user, item, tag)
-}
-
-// TagCtx is Tag carrying the request context's trace; cancellation is
-// stripped for the same divergence-safety reason as BefriendCtx.
-func (f *Frontend) TagCtx(ctx context.Context, user, item, tag string) error {
-	ctx = context.WithoutCancel(ctx)
-	f.writeMu.Lock()
-	defer f.writeMu.Unlock()
-	var lsn uint64
-	switch {
-	case f.qnode != nil:
-		if err := validateMutationNames(user, item, tag); err != nil {
-			return err
-		}
-		var err error
-		if lsn, err = f.quorumAppend(ctx, durable.RecTag, durable.EncodeTag(user, item, tag)); err != nil {
-			return err
-		}
-	case f.replog != nil:
-		if err := validateMutationNames(user, item, tag); err != nil {
-			return err
-		}
-		if !f.pool.anyLive() {
-			return unavailablef("no live replica to accept the write")
-		}
-		var err error
-		if lsn, err = f.replogAppend(ctx, func() (uint64, error) {
-			return f.replog.AppendTag(user, item, tag)
-		}); err != nil {
-			return err
-		}
-	}
-	if err := f.forward(ctx, lsn, func(ctx context.Context, c *Client) (uint64, error) {
-		return c.Tag(ctx, user, item, tag, lsn)
-	}); err != nil {
-		if errors.Is(err, search.ErrOverloaded) {
-			// Partial fan-out before the shed: the applied replicas still
-			// need the compaction heartbeat (see BefriendCtx).
-			f.bcast.NoteWrite()
-		}
-		return err
-	}
-	f.bcast.NoteWrite()
-	return nil
 }
 
 // noteAppendLocked runs the periodic replog maintenance: every
@@ -795,9 +740,10 @@ func (f *Frontend) Flush() error {
 	return nil
 }
 
-// ReplogPage implements server.ReplogSource: GET /v2/replog pages
-// through the replication log, so operators (and external tooling) can
-// inspect exactly the stream replicas catch up from.
+// ReplogPage is server.Frontend's replication-log surface: GET
+// /v2/replog pages through the replication log, so operators (and
+// external tooling) can inspect exactly the stream replicas catch up
+// from.
 func (f *Frontend) ReplogPage(from uint64, max int) (server.ReplogPage, error) {
 	if f.qnode != nil {
 		// Serve the COMMITTED prefix only: the uncommitted suffix may be
@@ -848,7 +794,7 @@ type Stats struct {
 	Quorum    *quorum.Stats `json:",omitempty"`
 }
 
-// StatsAny implements server.Statser.
+// StatsAny is server.Frontend's stats surface.
 func (f *Frontend) StatsAny() interface{} {
 	st := Stats{Replicas: f.pool.Stats(), Broadcast: f.bcast.Stats()}
 	if f.qnode != nil {
@@ -885,7 +831,7 @@ func (f *Frontend) StatsAny() interface{} {
 	return st
 }
 
-// QuorumRole implements server.RoleReporter for HA front-ends: the
+// QuorumRole is server.Frontend's role surface for HA front-ends: the
 // node's role, believed leader URL, and term ride on /healthz headers.
 // Without a quorum node the role is empty and the server omits the
 // headers.

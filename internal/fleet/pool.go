@@ -92,16 +92,39 @@ func (r *replicaState) noteApplied(lsn uint64) {
 	r.mu.Unlock()
 }
 
-// setApplied overwrites the tracked cursor with the replica's
-// self-reported value (health probes). NOT monotonic on purpose: a
-// restarted replica reports 0, and the truncation barrier must observe
-// the reset or it would reclaim exactly the records the replica now
-// needs. A transiently stale probe value only lowers the barrier —
-// retaining more log than necessary, never less.
+// setApplied overwrites the tracked cursor with a value the replica
+// just reported on a path nothing races (catch-up, snapshot bootstrap).
+// NOT monotonic on purpose: a restarted replica reports 0, and the
+// truncation barrier must observe the reset or it would reclaim exactly
+// the records the replica now needs.
 func (r *replicaState) setApplied(lsn uint64) {
 	r.mu.Lock()
 	r.appliedLSN = lsn
 	r.mu.Unlock()
+}
+
+// applied returns the tracked cursor.
+func (r *replicaState) applied() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.appliedLSN
+}
+
+// probeApplied reconciles a health probe's self-reported cursor with
+// the tracked one and returns the result. before is the tracked cursor
+// when the probe was sent. If it has not moved since, the report stands
+// even when lower — that is a restarted replica, the reset setApplied
+// exists for. If a mutation ack advanced it while the probe was in
+// flight, the report is the older of the two observations and may only
+// raise the cursor: lowering it would show a caught-up replica as
+// lagging until the next sweep, and hand that stale value to lagEject.
+func (r *replicaState) probeApplied(before, reported uint64) uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.appliedLSN == before || reported > r.appliedLSN {
+		r.appliedLSN = reported
+	}
+	return r.appliedLSN
 }
 
 // fail records one failure (probe or query) and reports whether the
@@ -679,15 +702,16 @@ func (p *Pool) probeAll() {
 			defer wg.Done()
 			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthTimeout)
 			defer cancel()
-			applied, err := t.clients[i].Healthz(ctx)
 			st := t.states[i]
+			before := st.applied()
+			applied, err := t.clients[i].Healthz(ctx)
 			st.mu.Lock()
 			st.lastProbe = time.Now()
 			st.mu.Unlock()
 			if err != nil {
 				st.fail(err)
 			} else {
-				st.setApplied(applied)
+				applied = st.probeApplied(before, applied)
 				if eject := p.lagEject.Load(); eject != nil && st.isLive() && (*eject)(i, applied) {
 					st.eject(fmt.Errorf("fleet: replica cursor %d lags the replication log", applied))
 				} else {

@@ -52,12 +52,6 @@ func (r *RepLog) Segments() int { return r.log.Segments() }
 // Barrier returns the current truncation barrier (0 = none).
 func (r *RepLog) Barrier() uint64 { return r.log.Barrier() }
 
-// AppendBefriend durably appends one friendship mutation and returns
-// its LSN.
-func (r *RepLog) AppendBefriend(a, b string, weight float64) (uint64, error) {
-	return r.log.Append(durable.RecBefriend, durable.EncodeBefriend(a, b, weight))
-}
-
 // AppendTag durably appends one tagging mutation and returns its LSN.
 func (r *RepLog) AppendTag(user, item, tag string) (uint64, error) {
 	return r.log.Append(durable.RecTag, durable.EncodeTag(user, item, tag))

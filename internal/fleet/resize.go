@@ -295,5 +295,5 @@ func (f *Frontend) RetireReplica(ctx context.Context, slot int) error {
 	return nil
 }
 
-// FleetEpoch returns the current topology epoch (server.FleetResizer).
+// FleetEpoch returns the current topology epoch (server.Frontend).
 func (f *Frontend) FleetEpoch() uint64 { return f.pool.Epoch() }

@@ -19,7 +19,9 @@ import (
 // hand-maintained registry:
 //
 //   - struct fields extend the metric name with their snake_cased
-//     field name; numeric fields become samples, bools become 0/1
+//     field name (embedded structs add nothing: their fields flatten
+//     into the parent, as on the JSON wire); numeric fields become
+//     samples, bools become 0/1
 //   - time.Duration fields become <name>_seconds
 //   - metrics.HistogramSnapshot becomes quantile-labeled
 //     <name>_seconds samples plus <name>_count and <name>_max_seconds
@@ -73,6 +75,11 @@ func (p *promWriter) walk(v reflect.Value, name string, labels []promLabel) {
 		for i := 0; i < v.NumField(); i++ {
 			f := v.Type().Field(i)
 			if !f.IsExported() {
+				continue
+			}
+			if f.Anonymous {
+				// Embedded structs flatten, as they do on the JSON wire.
+				p.walk(v.Field(i), name, labels)
 				continue
 			}
 			p.walk(v.Field(i), name+"_"+sanitizeMetricName(snakeCase(f.Name)), labels)

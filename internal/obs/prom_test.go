@@ -14,7 +14,12 @@ func TestWriteProm(t *testing.T) {
 		Healthy  bool
 		Requests int64
 	}
+	// Embedded by pointer, as social.Stats embeds its journal counters.
+	type Durability struct{ LogSegments int }
+	type Absent struct{ Never int }
 	type stats struct {
+		*Durability
+		*Absent      // nil: contributes nothing
 		Hits         int64
 		HitRate      float64
 		OKOnDeadline int64
@@ -25,6 +30,7 @@ func TestWriteProm(t *testing.T) {
 		Since        time.Time // must be skipped
 	}
 	v := stats{
+		Durability:   &Durability{LogSegments: 2},
 		Hits:         42,
 		HitRate:      0.75,
 		OKOnDeadline: 7,
@@ -42,6 +48,7 @@ func TestWriteProm(t *testing.T) {
 	out := sb.String()
 
 	for _, want := range []string{
+		"friendserve_log_segments 2\n", // flattened: no durability_ infix
 		"friendserve_hits 42\n",
 		"friendserve_hit_rate 0.75\n",
 		"friendserve_ok_on_deadline 7\n",
@@ -59,6 +66,9 @@ func TestWriteProm(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\ngot:\n%s", want, out)
 		}
+	}
+	if strings.Contains(out, "never") || strings.Contains(out, "durability") {
+		t.Errorf("embedded struct rendered under its own name, or a nil one at all:\n%s", out)
 	}
 	if strings.Contains(out, "since") {
 		t.Errorf("time.Time field leaked into exposition:\n%s", out)

@@ -1,8 +1,11 @@
 // Package server exposes a social tagging service over HTTP/JSON: the
 // thin deployment layer a downstream application runs in front of the
-// library. It serves both the in-memory service (internal/social) and
-// the crash-safe one (internal/durable) through a small backend
-// interface built around the canonical search.Searcher surface.
+// library. Every backend answers queries and plain mutations (Backend);
+// beyond that a backend plays one of two explicit roles, resolved once
+// in New: Replica (*social.Service, volatile or journaled — the
+// replication apply path, snapshots, the cache plane) or Frontend
+// (*fleet.Frontend — the replication log, quorum role, elastic resize).
+// Endpoints of a role the backend does not play answer 400/404.
 //
 // Endpoints (all JSON):
 //
@@ -94,7 +97,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/durable"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/quorum"
@@ -104,9 +106,9 @@ import (
 	"repro/internal/vocab"
 )
 
-// Backend is the mutation/query surface the server needs. Both
-// *social.Service and *durable.Service satisfy it; queries go through
-// the canonical request/response interface (see internal/search).
+// Backend is the query and plain-mutation surface every backend has;
+// queries go through the canonical request/response interface (see
+// internal/search).
 type Backend interface {
 	search.Searcher
 	Befriend(a, b string, weight float64) error
@@ -114,74 +116,74 @@ type Backend interface {
 	Users() []string
 }
 
-// Invalidator is the optional backend surface behind POST
-// /v2/invalidate: fold pending writes into the queryable snapshot and
-// drop the cached seeker horizons the given friendship edges could
-// affect (all = drop everything). Replica deployments expose it so a
-// fleet front-end's write path can batch invalidation across
-// processes; backends without it answer 404.
-type Invalidator interface {
-	ApplyInvalidation(edges [][2]string, all bool) (int, error)
-}
-
-// Statser is the optional generic stats surface for backends whose
-// concrete stats type the server does not know (the fleet front door).
-// The typed Stats() cases are checked first, so existing backends are
-// unaffected.
-type Statser interface {
-	StatsAny() interface{}
-}
-
-// CtxMutator is the optional context-aware mutation surface. A fleet
-// front-end implements it so the request context — carrying the trace
-// — reaches the quorum append and replica fan-out path; cancellation
-// is stripped there (a client hang-up must never abort a replication
-// fan-out half-way). The handlers prefer it over Befriend/Tag when
-// present.
-type CtxMutator interface {
-	BefriendCtx(ctx context.Context, a, b string, weight float64) error
-	TagCtx(ctx context.Context, user, item, tag string) error
-}
-
-// LSNApplier is the optional backend surface for LSN-stamped replicated
-// mutations: a fleet front-end stamps every forwarded Befriend/Tag with
-// its replication log LSN ("lsn" on the /v1 mutation wire), and a
-// replica backend applies it with idempotent dedup (at or below the
-// cursor: no-op) and strict ordering (ahead of cursor+1: refused with
-// social.ErrReplicationGap, 409 on the wire). Both *social.Service and
-// *durable.Service implement it. Backends without it reject stamped
-// mutations with 400.
-type LSNApplier interface {
+// Replica is the role of a backend that holds the state itself and
+// applies the fleet's replication stream: *social.Service, volatile or
+// journaled. Its endpoints answer 400 (stamped /v1 mutations, /v1/skip)
+// or 404 (/v2/invalidate, /v2/snapshot, /v2/cache/*) on a backend that
+// is not one.
+type Replica interface {
+	// BefriendAt and TagAt apply a mutation stamped with its replication
+	// log LSN ("lsn" on the /v1 mutation wire) with idempotent dedup (at
+	// or below the cursor: no-op) and strict ordering (ahead of cursor+1:
+	// social.ErrReplicationGap, 409 on the wire). SkipLSN (POST /v1/skip)
+	// advances the cursor past a record that is a fleet-wide no-op.
 	BefriendAt(lsn uint64, a, b string, weight float64) error
 	TagAt(lsn uint64, user, item, tag string) error
-	AppliedLSN() uint64
-}
-
-// lsnReporter is the read-only half of LSNApplier: /healthz attaches
-// the cursor (header X-Applied-LSN) for any backend that can report it,
-// so fleet health probes double as replication lag probes.
-type lsnReporter interface {
-	AppliedLSN() uint64
-}
-
-// LSNSkipper is the optional backend surface behind POST /v1/skip: mark
-// a replication record processed without applying anything, under the
-// same cursor discipline as LSNApplier. A quorum-mode front-end uses it
-// to stream records that are fleet-wide no-ops on a replica — RecTerm
-// leadership records and deterministically rejected mutations — so
-// replica cursors advance in lockstep with the log. Both service types
-// implement it; backends without it answer 400.
-type LSNSkipper interface {
 	SkipLSN(lsn uint64) error
+	// AppliedLSN is the replication cursor; /healthz reports it (header
+	// X-Applied-LSN), so fleet health probes double as lag probes.
 	AppliedLSN() uint64
+	// ApplyInvalidation (POST /v2/invalidate) folds pending writes into
+	// the queryable snapshot and drops the cached seeker horizons the
+	// given friendship edges could affect (all = drop everything).
+	ApplyInvalidation(edges [][2]string, all bool) (int, error)
+	// SnapshotWithCursor and ImportSnapshot (GET/POST /v2/snapshot)
+	// export the compacted state pinned at the replication cursor, and
+	// replace the entire state with such an export — how a joining
+	// replica bootstraps before replaying the fleet log suffix.
+	SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error)
+	ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error
+	// CachedSeekers and WarmSeekers (GET /v2/cache/seekers, POST
+	// /v2/cache/warm) list the seekers with resident cached horizons and
+	// materialize a given slice of seekers ahead of a traffic flip.
+	CachedSeekers() []string
+	WarmSeekers(ctx context.Context, seekers []string) (int, error)
+	Stats() social.Stats
 }
 
-// RoleReporter is the optional backend surface for HA front-ends:
-// /healthz attaches the node's quorum role, believed leader URL, and
-// term (headers X-Quorum-Role / X-Quorum-Leader / X-Quorum-Term) so
-// operators and smoke tests can find the leader without parsing stats.
-type RoleReporter interface {
+// New resolves roles by a dynamic assertion, which would quietly turn a
+// role off if the one replica type drifted from the interface.
+var _ Replica = (*social.Service)(nil)
+
+// Frontend is the role of a backend that owns no state but fronts a
+// fleet of replicas: *fleet.Frontend. /v2/replog and /v2/fleet/resize
+// answer 404 on a backend that is not one.
+type Frontend interface {
+	// BefriendCtx and TagCtx replace Befriend/Tag for unstamped
+	// mutations, so the request context — carrying the trace — reaches
+	// the quorum append and replica fan-out path; cancellation is
+	// stripped there (a client hang-up must never abort a replication
+	// fan-out half-way).
+	BefriendCtx(ctx context.Context, a, b string, weight float64) error
+	TagCtx(ctx context.Context, user, item, tag string) error
+	// QuorumRole is an HA front-end's quorum role, believed leader URL
+	// and term, reported on /healthz (X-Quorum-Role / -Leader / -Term) so
+	// finding the leader is one HEAD request; role "" means no quorum.
 	QuorumRole() (role, leaderURL string, term uint64)
+	// ReplogPage (GET /v2/replog) pages through the fleet replication
+	// log from a given LSN; ErrNoReplog when the log is disabled.
+	ReplogPage(from uint64, max int) (ReplogPage, error)
+	// JoinReplica, RetireReplica and FleetEpoch (POST /v2/fleet/resize)
+	// are elastic membership: joining adopts a running replica by URL
+	// (admit → snapshot bootstrap → log catch-up → cache pre-warm → ring
+	// activation under a new topology epoch); retiring drains a slot's
+	// cached working set to its ring successors and removes it.
+	JoinReplica(ctx context.Context, url string) (slot int, err error)
+	RetireReplica(ctx context.Context, slot int) error
+	FleetEpoch() uint64
+	// StatsAny is the front-end's counters, a type this package does
+	// not know.
+	StatsAny() interface{}
 }
 
 // ReplogRecord is one replication log record on the /v2/replog wire
@@ -202,59 +204,12 @@ type ReplogPage struct {
 	Records []ReplogRecord `json:"records"`
 }
 
-// ReplogSource is the optional backend surface behind GET /v2/replog:
-// page through the fleet replication log from a given LSN. The fleet
-// front-end implements it; backends without a replication log answer
-// 404 (an implementation may also return ErrNoReplog when the log is
-// disabled by configuration).
-type ReplogSource interface {
-	ReplogPage(from uint64, max int) (ReplogPage, error)
-}
-
-// ErrNoReplog is returned by ReplogSource implementations whose
-// replication log is disabled; the handler maps it to 404.
+// ErrNoReplog is returned by a Frontend whose replication log is
+// disabled; the handler maps it to 404.
 var ErrNoReplog = errors.New("server: no replication log configured")
-
-// SnapshotSource is the optional backend surface behind GET
-// /v2/snapshot: export the compacted state pinned at the replication
-// cursor, for bootstrapping a joining replica. Both *social.Service and
-// *durable.Service implement it; backends without it answer 404.
-type SnapshotSource interface {
-	SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error)
-}
-
-// SnapshotImporter is the optional backend surface behind POST
-// /v2/snapshot: replace the backend's entire state with a snapshot
-// stream pinned at an LSN. A joining replica imports a peer's snapshot
-// and then replays the fleet log suffix after the pinned LSN.
-type SnapshotImporter interface {
-	ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error
-}
-
-// CacheWarmer is the optional backend surface behind the cache
-// pre-warm plane (GET /v2/cache/seekers + POST /v2/cache/warm): list
-// the seekers with resident cached horizons, and materialize a given
-// slice of seekers into the cache ahead of a traffic flip. Both service
-// types implement it; backends without it answer 404.
-type CacheWarmer interface {
-	CachedSeekers() []string
-	WarmSeekers(ctx context.Context, seekers []string) (int, error)
-}
 
 // MaxWarmSeekers bounds one POST /v2/cache/warm request.
 const MaxWarmSeekers = 65536
-
-// FleetResizer is the optional backend surface behind POST
-// /v2/fleet/resize: elastic membership on a fleet front-end. Joining
-// adopts a running replica by URL (admit → snapshot bootstrap →
-// log catch-up → cache pre-warm → ring activation under a new
-// topology epoch); retiring drains a slot's cached working set to its
-// ring successors and removes it. Replica backends answer 404.
-type FleetResizer interface {
-	JoinReplica(ctx context.Context, url string) (slot int, err error)
-	RetireReplica(ctx context.Context, slot int) error
-	FleetEpoch() uint64
-}
 
 // FleetResizeRequest is the POST /v2/fleet/resize body: replica base
 // URLs to join and member slots to retire. Joins run first (in order),
@@ -302,8 +257,12 @@ const StatusClientClosedRequest = 499
 // Server is an http.Handler serving the API.
 type Server struct {
 	backend Backend
-	mux     *http.ServeMux
-	logf    func(format string, args ...interface{})
+	// replica and frontend are the backend in the role it plays (at most
+	// one is non-nil), resolved once in New.
+	replica  Replica
+	frontend Frontend
+	mux      *http.ServeMux
+	logf     func(format string, args ...interface{})
 	// admission, when set, fronts every search (read class) and every
 	// unstamped mutation (write class) with the AIMD admission
 	// controller: shed requests answer 429 with Retry-After, and the
@@ -342,6 +301,8 @@ func New(b Backend) (*Server, error) {
 		return nil, errors.New("server: nil backend")
 	}
 	s := &Server{backend: b, mux: http.NewServeMux(), logf: log.Printf}
+	s.replica, _ = b.(Replica)
+	s.frontend, _ = b.(Frontend)
 	s.ready.Store(true)
 	s.mux.HandleFunc("/v1/friend", s.handleFriend)
 	s.mux.HandleFunc("/v1/tag", s.handleTag)
@@ -362,13 +323,13 @@ func New(b Backend) (*Server, error) {
 	s.mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		// Liveness doubles as the replication lag probe: a fleet prober
 		// reads the replica's applied LSN off every health check.
-		if lr, ok := s.backend.(lsnReporter); ok {
-			w.Header().Set("X-Applied-LSN", strconv.FormatUint(lr.AppliedLSN(), 10))
+		if s.replica != nil {
+			w.Header().Set("X-Applied-LSN", strconv.FormatUint(s.replica.AppliedLSN(), 10))
 		}
 		// HA front-ends also report their quorum role, so finding the
 		// leader is one HEAD request, not a stats parse.
-		if rr, ok := s.backend.(RoleReporter); ok {
-			if role, leader, term := rr.QuorumRole(); role != "" {
+		if s.frontend != nil {
+			if role, leader, term := s.frontend.QuorumRole(); role != "" {
 				w.Header().Set("X-Quorum-Role", role)
 				w.Header().Set("X-Quorum-Leader", leader)
 				w.Header().Set("X-Quorum-Term", strconv.FormatUint(term, 10))
@@ -630,8 +591,8 @@ type friendRequest struct {
 	B      string  `json:"b"`
 	Weight float64 `json:"weight"`
 	// LSN, when positive, stamps the mutation with its fleet replication
-	// log sequence number: the backend applies it through the LSNApplier
-	// surface (idempotent dedup + strict ordering) and the response
+	// log sequence number: a Replica backend applies it with idempotent
+	// dedup and strict ordering, and the response
 	// reports the replica's cursor. 0 (or absent) is a plain mutation —
 	// the wire format unchanged since v1.
 	LSN uint64 `json:"lsn"`
@@ -646,33 +607,48 @@ type AppliedResponse struct {
 	Spans      []obs.SpanData `json:"spans,omitempty"`
 }
 
-// applyStamped routes an LSN-stamped mutation through the backend's
-// LSNApplier surface and writes the response: 409 for a replication
-// gap (the sender must stream the missing records first), and on any
-// other failure the CURSOR decides the class — a cursor that advanced
-// to the record's LSN means a deterministic rejection every replica
-// repeats identically (400, the sender counts the record processed),
-// while a cursor left behind means an internal failure (a full disk, a
-// broken log) that retrying may fix (500, never counted processed).
-// Success answers the post-apply cursor.
-func (s *Server) applyStamped(w http.ResponseWriter, r *http.Request, lsn uint64, apply func(la LSNApplier) error) {
-	la, ok := s.backend.(LSNApplier)
-	if !ok {
-		s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
-		return
-	}
-	if err := apply(la); err != nil {
-		switch {
-		case errors.Is(err, social.ErrReplicationGap):
-			s.writeErr(w, http.StatusConflict, err)
-		case la.AppliedLSN() >= lsn:
-			s.writeErr(w, http.StatusBadRequest, err)
-		default:
-			s.writeErr(w, http.StatusInternalServerError, err)
+// handleMutation is the shared body of /v1/friend and /v1/tag once the
+// request is decoded. A stamped mutation (lsn > 0) is the replication
+// apply path: it goes to a Replica backend, is never shed (see the
+// admission field), and answers the post-apply cursor — or 409 for a
+// replication gap (the sender must stream the missing records first),
+// and on any other failure the CURSOR decides the class: a cursor that
+// advanced to the record's LSN means a deterministic rejection every
+// replica repeats identically (400, the sender counts the record
+// processed), while a cursor left behind means an internal failure (a
+// full disk, a broken log) that retrying may fix (500, never counted
+// processed). A plain mutation is admitted as a write and answers 204.
+func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, lsn uint64, stamped func(Replica) error, plain func() error) {
+	if lsn > 0 {
+		if s.replica == nil {
+			s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
+			return
 		}
+		if err := stamped(s.replica); err != nil {
+			switch {
+			case errors.Is(err, social.ErrReplicationGap):
+				s.writeErr(w, http.StatusConflict, err)
+			case s.replica.AppliedLSN() >= lsn:
+				s.writeErr(w, http.StatusBadRequest, err)
+			default:
+				s.writeErr(w, http.StatusInternalServerError, err)
+			}
+			return
+		}
+		s.writeJSON(w, r, AppliedResponse{AppliedLSN: s.replica.AppliedLSN(), Spans: obs.WireSpans(r.Context())})
 		return
 	}
-	s.writeJSON(w, r, AppliedResponse{AppliedLSN: la.AppliedLSN(), Spans: obs.WireSpans(r.Context())})
+	tk, ok := s.admit(w, r, admission.Write)
+	if !ok {
+		return
+	}
+	err := plain()
+	tk.Release(err)
+	if err != nil {
+		s.writeMutationErr(w, r, err)
+		return
+	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 func (s *Server) handleFriend(w http.ResponseWriter, r *http.Request) {
@@ -684,29 +660,14 @@ func (s *Server) handleFriend(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.LSN > 0 {
-		// Replicated apply path: never shed (see the admission field).
-		s.applyStamped(w, r, req.LSN, func(la LSNApplier) error {
-			return la.BefriendAt(req.LSN, req.A, req.B, req.Weight)
+	s.handleMutation(w, r, req.LSN,
+		func(rep Replica) error { return rep.BefriendAt(req.LSN, req.A, req.B, req.Weight) },
+		func() error {
+			if s.frontend != nil {
+				return s.frontend.BefriendCtx(r.Context(), req.A, req.B, req.Weight)
+			}
+			return s.backend.Befriend(req.A, req.B, req.Weight)
 		})
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Write)
-	if !ok {
-		return
-	}
-	var err error
-	if cm, isCtx := s.backend.(CtxMutator); isCtx {
-		err = cm.BefriendCtx(r.Context(), req.A, req.B, req.Weight)
-	} else {
-		err = s.backend.Befriend(req.A, req.B, req.Weight)
-	}
-	tk.Release(err)
-	if err != nil {
-		s.writeMutationErr(w, r, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // writeMutationErr answers a failed unstamped mutation. A quorum
@@ -762,29 +723,14 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.LSN > 0 {
-		// Replicated apply path: never shed (see the admission field).
-		s.applyStamped(w, r, req.LSN, func(la LSNApplier) error {
-			return la.TagAt(req.LSN, req.User, req.Item, req.Tag)
+	s.handleMutation(w, r, req.LSN,
+		func(rep Replica) error { return rep.TagAt(req.LSN, req.User, req.Item, req.Tag) },
+		func() error {
+			if s.frontend != nil {
+				return s.frontend.TagCtx(r.Context(), req.User, req.Item, req.Tag)
+			}
+			return s.backend.Tag(req.User, req.Item, req.Tag)
 		})
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Write)
-	if !ok {
-		return
-	}
-	var err error
-	if cm, isCtx := s.backend.(CtxMutator); isCtx {
-		err = cm.TagCtx(r.Context(), req.User, req.Item, req.Tag)
-	} else {
-		err = s.backend.Tag(req.User, req.Item, req.Tag)
-	}
-	tk.Release(err)
-	if err != nil {
-		s.writeMutationErr(w, r, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
 }
 
 // skipRequest is the /v1/skip body: the replication LSN to mark
@@ -802,8 +748,7 @@ func (s *Server) handleSkip(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	sk, ok := s.backend.(LSNSkipper)
-	if !ok {
+	if s.replica == nil {
 		s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
 		return
 	}
@@ -816,7 +761,7 @@ func (s *Server) handleSkip(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, errors.New("skip needs a positive lsn"))
 		return
 	}
-	if err := sk.SkipLSN(req.LSN); err != nil {
+	if err := s.replica.SkipLSN(req.LSN); err != nil {
 		if errors.Is(err, social.ErrReplicationGap) {
 			s.writeErr(w, http.StatusConflict, err)
 			return
@@ -824,12 +769,19 @@ func (s *Server) handleSkip(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.writeJSON(w, r, AppliedResponse{AppliedLSN: sk.AppliedLSN()})
+	s.writeJSON(w, r, AppliedResponse{AppliedLSN: s.replica.AppliedLSN()})
+}
+
+// V1Result is one result on the /v1 wire, whose JSON keys are
+// capitalized (Item, Score), as they have been since v1 shipped.
+type V1Result struct {
+	Item  string
+	Score float64
 }
 
 // SearchResponse is the /v1/search response body.
 type SearchResponse struct {
-	Results []social.Result `json:"results"`
+	Results []V1Result `json:"results"`
 }
 
 // handleSearchV1 is the v1 single-query endpoint: a thin adapter that
@@ -915,12 +867,11 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 	}
 }
 
-// v1Results converts canonical results to the v1 wire type (whose JSON
-// keys are capitalized, as they have been since v1 shipped).
-func v1Results(rs []search.Result) []social.Result {
-	out := make([]social.Result, len(rs))
+// v1Results converts canonical results to the v1 wire type.
+func v1Results(rs []search.Result) []V1Result {
+	out := make([]V1Result, len(rs))
 	for i, r := range rs {
-		out[i] = social.Result{Item: r.Item, Score: r.Score}
+		out[i] = V1Result{Item: r.Item, Score: r.Score}
 	}
 	return out
 }
@@ -942,8 +893,8 @@ type batchRequest struct {
 // answer (an empty array when nothing matched, never null); on failure
 // Error is set and Results is null.
 type BatchEntry struct {
-	Results []social.Result `json:"results"`
-	Error   string          `json:"error,omitempty"`
+	Results []V1Result `json:"results"`
+	Error   string     `json:"error,omitempty"`
 }
 
 // BatchResponse is the /v1/search/batch response body; entry i answers
@@ -1324,8 +1275,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	inv, ok := s.backend.(Invalidator)
-	if !ok {
+	if s.replica == nil {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend does not support invalidation broadcast"))
 		return
 	}
@@ -1334,7 +1284,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	dropped, err := inv.ApplyInvalidation(req.Edges, req.All)
+	dropped, err := s.replica.ApplyInvalidation(req.Edges, req.All)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -1350,8 +1300,7 @@ func (s *Server) handleReplog(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	src, ok := s.backend.(ReplogSource)
-	if !ok {
+	if s.frontend == nil {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend has no replication log"))
 		return
 	}
@@ -1364,7 +1313,7 @@ func (s *Server) handleReplog(w http.ResponseWriter, r *http.Request) {
 		}
 		from = v
 	}
-	page, err := src.ReplogPage(from, MaxReplogPageRecords)
+	page, err := s.frontend.ReplogPage(from, MaxReplogPageRecords)
 	if err != nil {
 		if errors.Is(err, ErrNoReplog) {
 			s.writeErr(w, http.StatusNotFound, err)
@@ -1388,12 +1337,11 @@ func (s *Server) handleReplog(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
-		src, ok := s.backend.(SnapshotSource)
-		if !ok {
+		if s.replica == nil {
 			s.writeErr(w, http.StatusNotFound, errors.New("backend does not export snapshots"))
 			return
 		}
-		g, st, names, lsn, err := src.SnapshotWithCursor()
+		g, st, names, lsn, err := s.replica.SnapshotWithCursor()
 		if err != nil {
 			s.writeErr(w, http.StatusInternalServerError, err)
 			return
@@ -1404,8 +1352,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			s.logf("server: streaming snapshot: %v", err)
 		}
 	case http.MethodPost:
-		imp, ok := s.backend.(SnapshotImporter)
-		if !ok {
+		if s.replica == nil {
 			s.writeErr(w, http.StatusNotFound, errors.New("backend does not import snapshots"))
 			return
 		}
@@ -1414,7 +1361,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			s.writeErr(w, http.StatusBadRequest, err)
 			return
 		}
-		if err := imp.ImportSnapshot(g, st, names, lsn); err != nil {
+		if err := s.replica.ImportSnapshot(g, st, names, lsn); err != nil {
 			s.writeErr(w, http.StatusInternalServerError, err)
 			return
 		}
@@ -1432,12 +1379,11 @@ func (s *Server) handleCacheSeekers(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
 		return
 	}
-	cw, ok := s.backend.(CacheWarmer)
-	if !ok {
+	if s.replica == nil {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend has no seeker cache plane"))
 		return
 	}
-	seekers := cw.CachedSeekers()
+	seekers := s.replica.CachedSeekers()
 	if seekers == nil {
 		seekers = []string{}
 	}
@@ -1453,8 +1399,7 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	cw, ok := s.backend.(CacheWarmer)
-	if !ok {
+	if s.replica == nil {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend has no seeker cache plane"))
 		return
 	}
@@ -1469,7 +1414,7 @@ func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("%d seekers exceeds limit %d", len(req.Seekers), MaxWarmSeekers))
 		return
 	}
-	warmed, err := cw.WarmSeekers(r.Context(), req.Seekers)
+	warmed, err := s.replica.WarmSeekers(r.Context(), req.Seekers)
 	if err != nil {
 		s.writeErr(w, http.StatusInternalServerError, err)
 		return
@@ -1489,8 +1434,8 @@ func (s *Server) handleFleetResize(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	fr, ok := s.backend.(FleetResizer)
-	if !ok {
+	fr := s.frontend
+	if fr == nil {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend is not a resizable fleet front-end"))
 		return
 	}
@@ -1563,17 +1508,13 @@ type StatsEnvelope struct {
 	Backend   interface{}         `json:"Backend"`
 }
 
-// backendStats resolves the backend's counters. The two service types
-// return different concrete stats structs, so match on the method
-// signature.
+// backendStats resolves the backend's counters through its role.
 func (s *Server) backendStats() (interface{}, bool) {
-	switch b := s.backend.(type) {
-	case interface{ Stats() social.Stats }:
-		return b.Stats(), true
-	case interface{ Stats() durable.Stats }:
-		return b.Stats(), true
-	case Statser:
-		return b.StatsAny(), true
+	switch {
+	case s.replica != nil:
+		return s.replica.Stats(), true
+	case s.frontend != nil:
+		return s.frontend.StatsAny(), true
 	default:
 		return nil, false
 	}

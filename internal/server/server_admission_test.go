@@ -16,27 +16,17 @@ import (
 	"repro/internal/social"
 )
 
-// countingBackend wraps a Backend and counts Do calls, so tests can
+// countingBackend is a real replica that counts Do calls, so tests can
 // assert that refused requests never reached the engine.
 type countingBackend struct {
-	Backend
+	*social.Service
 	dos atomic.Int64
 }
 
 func (c *countingBackend) Do(ctx context.Context, req search.Request) (search.Response, error) {
 	c.dos.Add(1)
-	return c.Backend.Do(ctx, req)
+	return c.Service.Do(ctx, req)
 }
-
-// Forward the optional surfaces the embedded interface hides.
-func (c *countingBackend) Stats() social.Stats { return c.Backend.(*social.Service).Stats() }
-func (c *countingBackend) BefriendAt(lsn uint64, a, b string, w float64) error {
-	return c.Backend.(*social.Service).BefriendAt(lsn, a, b, w)
-}
-func (c *countingBackend) TagAt(lsn uint64, user, item, tag string) error {
-	return c.Backend.(*social.Service).TagAt(lsn, user, item, tag)
-}
-func (c *countingBackend) AppliedLSN() uint64 { return c.Backend.(*social.Service).AppliedLSN() }
 
 func newAdmissionServer(t *testing.T, cfg admission.Config) (*Server, *countingBackend, *admission.Controller) {
 	t.Helper()
@@ -46,7 +36,7 @@ func newAdmissionServer(t *testing.T, cfg admission.Config) (*Server, *countingB
 	if err != nil {
 		t.Fatal(err)
 	}
-	cb := &countingBackend{Backend: svc}
+	cb := &countingBackend{Service: svc}
 	s, err := New(cb)
 	if err != nil {
 		t.Fatal(err)

@@ -120,24 +120,20 @@ func TestInvalidateEndpoint(t *testing.T) {
 	}
 }
 
-// statsAnyBackend is a minimal backend exposing only the generic stats
-// surface (like the fleet front door).
-type statsAnyBackend struct{ unavailable bool }
+// statsAnyBackend is a front-end whose stats are a payload the server
+// does not know, and whose searches can be made unavailable.
+type statsAnyBackend struct {
+	noopFrontend
+	unavailable bool
+}
 
 func (b *statsAnyBackend) Do(ctx context.Context, req search.Request) (search.Response, error) {
 	if b.unavailable {
 		return search.Response{}, fmt.Errorf("%w: every replica down", search.ErrUnavailable)
 	}
-	return search.Response{Results: []search.Result{}}, nil
+	return b.noopFrontend.Do(ctx, req)
 }
 
-func (b *statsAnyBackend) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	return make([]search.BatchResult, len(reqs))
-}
-
-func (b *statsAnyBackend) Befriend(a, c string, w float64) error { return nil }
-func (b *statsAnyBackend) Tag(u, i, tg string) error             { return nil }
-func (b *statsAnyBackend) Users() []string                       { return nil }
 func (b *statsAnyBackend) StatsAny() interface{} {
 	return map[string]int{"replicas": 3}
 }

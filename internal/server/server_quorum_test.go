@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"testing"
 
@@ -10,14 +11,14 @@ import (
 // followerBackend refuses unstamped mutations the way an HA follower
 // front-end does: with the leader's address when one is known.
 type followerBackend struct {
-	brokenLSNBackend
+	noopFrontend
 	leaderURL string
 }
 
-func (b followerBackend) Befriend(a, b2 string, weight float64) error {
+func (b followerBackend) BefriendCtx(ctx context.Context, a, b2 string, weight float64) error {
 	return &quorum.NotLeaderError{LeaderID: "fe2", LeaderURL: b.leaderURL}
 }
-func (b followerBackend) Tag(user, item, tag string) error {
+func (b followerBackend) TagCtx(ctx context.Context, user, item, tag string) error {
 	return &quorum.NotLeaderError{LeaderID: "fe2", LeaderURL: b.leaderURL}
 }
 func (b followerBackend) QuorumRole() (string, string, uint64) {
@@ -66,7 +67,7 @@ func TestFollowerWriteMidElectionIs503(t *testing.T) {
 }
 
 // TestHealthzQuorumHeaders pins the role surface health probes use: a
-// RoleReporter backend stamps /healthz with its role, leader and term;
+// Frontend backend with a quorum role stamps /healthz with its role, leader and term;
 // a plain backend leaves the headers off entirely.
 func TestHealthzQuorumHeaders(t *testing.T) {
 	s, err := New(followerBackend{leaderURL: "http://leader:7777"})

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -81,24 +80,14 @@ func TestStampedMutations(t *testing.T) {
 // brokenLSNBackend deterministically rejects nothing: its stamped
 // applies fail WITHOUT advancing the cursor — the shape of an internal
 // failure (full disk, broken log), not a validation rejection.
-type brokenLSNBackend struct{}
+type brokenLSNBackend struct{ noopReplica }
 
-func (brokenLSNBackend) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	return search.Response{}, errors.New("unused")
-}
-func (brokenLSNBackend) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	return nil
-}
-func (brokenLSNBackend) Befriend(a, b string, weight float64) error { return nil }
-func (brokenLSNBackend) Tag(user, item, tag string) error           { return nil }
-func (brokenLSNBackend) Users() []string                            { return nil }
 func (brokenLSNBackend) BefriendAt(lsn uint64, a, b string, weight float64) error {
 	return errors.New("disk full")
 }
 func (brokenLSNBackend) TagAt(lsn uint64, user, item, tag string) error {
 	return errors.New("disk full")
 }
-func (brokenLSNBackend) AppliedLSN() uint64 { return 0 }
 
 // TestStampedMutationInternalFailureIs500 pins the error split the
 // replication protocol depends on: a stamped apply that fails while
@@ -139,7 +128,7 @@ func TestStampedMutationDeterministicRejectionIs400(t *testing.T) {
 
 // unavailableBackend fails every mutation with the unavailable class —
 // the shape of a fleet front-end with no live replica.
-type unavailableBackend struct{ brokenLSNBackend }
+type unavailableBackend struct{ noopBackend }
 
 func (unavailableBackend) Befriend(a, b string, weight float64) error {
 	return fmt.Errorf("%w: no live replica", search.ErrUnavailable)

@@ -265,7 +265,7 @@ func TestBackendIsCanonicalSearcher(t *testing.T) {
 	}
 }
 
-type stubBackend struct{}
+type stubBackend struct{ noopBackend }
 
 func (stubBackend) Do(ctx context.Context, req search.Request) (search.Response, error) {
 	if err := req.Normalize(); err != nil {
@@ -282,10 +282,6 @@ func (s stubBackend) DoBatch(ctx context.Context, reqs []search.Request) []searc
 	}
 	return out
 }
-
-func (stubBackend) Befriend(a, b string, weight float64) error { return nil }
-func (stubBackend) Tag(user, item, tag string) error           { return nil }
-func (stubBackend) Users() []string                            { return nil }
 
 // TestBackendFailureIs500: an error the backend reports that is neither
 // a request-content problem nor a cancellation — a disk failure, an

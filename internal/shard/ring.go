@@ -1,7 +1,7 @@
 // Package shard is the sharded serving spine: it partitions seekers
-// across N shards by consistent hashing so each shard owns its
-// seekers' cached horizons (Caches) and, one level up, so whole
-// requests can be routed across N engine replicas (Router).
+// across N shards by consistent hashing (Ring) so each shard owns its
+// seekers' cached horizons (Caches); one level up, internal/fleet
+// routes whole requests across replica processes over the same Ring.
 //
 // Consistent hashing — a ring of virtual nodes rather than a plain
 // modulus — is deliberate: shard ownership is stable under fleet

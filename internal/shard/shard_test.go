@@ -1,15 +1,12 @@
 package shard
 
 import (
-	"context"
 	"fmt"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/qcache"
-	"repro/internal/search"
 	"repro/internal/tagstore"
 )
 
@@ -351,199 +348,6 @@ func TestCachesValidation(t *testing.T) {
 	}
 	if cs.NumShards() != 4 {
 		t.Fatalf("NumShards = %d", cs.NumShards())
-	}
-}
-
-// spySearcher records which replica served which seeker.
-type spySearcher struct {
-	id int
-
-	mu      sync.Mutex
-	seekers []string
-}
-
-func (s *spySearcher) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	s.mu.Lock()
-	s.seekers = append(s.seekers, req.Seeker)
-	s.mu.Unlock()
-	if req.Seeker == "explode" {
-		return search.Response{}, fmt.Errorf("replica %d: boom", s.id)
-	}
-	return search.Response{Results: []search.Result{{Item: fmt.Sprintf("r%d:%s", s.id, req.Seeker), Score: 1}}}, nil
-}
-
-func (s *spySearcher) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	out := make([]search.BatchResult, len(reqs))
-	for i, req := range reqs {
-		resp, err := s.Do(ctx, req)
-		out[i] = search.BatchResult{Response: resp, Err: err}
-	}
-	return out
-}
-
-func TestRouterRoutesBySeeker(t *testing.T) {
-	replicas := []*spySearcher{{id: 0}, {id: 1}, {id: 2}}
-	r, err := NewRouter([]search.Searcher{replicas[0], replicas[1], replicas[2]}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	// The same seeker must always land on the same replica.
-	for i := 0; i < 3; i++ {
-		if _, err := r.Do(ctx, search.Request{Seeker: "alice", Tags: []string{"x"}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	owner := r.ReplicaFor("alice")
-	for i, rep := range replicas {
-		rep.mu.Lock()
-		n := len(rep.seekers)
-		rep.mu.Unlock()
-		if i == owner && n != 3 {
-			t.Fatalf("owner replica %d served %d queries, want 3", i, n)
-		}
-		if i != owner && n != 0 {
-			t.Fatalf("non-owner replica %d served %d queries", i, n)
-		}
-	}
-}
-
-func TestRouterBatchOrderAndErrors(t *testing.T) {
-	reps := []search.Searcher{&spySearcher{id: 0}, &spySearcher{id: 1}, &spySearcher{id: 2}}
-	r, err := NewRouter(reps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []search.Request
-	for i := 0; i < 40; i++ {
-		seeker := fmt.Sprintf("user-%d", i)
-		if i%7 == 3 {
-			seeker = "explode"
-		}
-		reqs = append(reqs, search.Request{Seeker: seeker, Tags: []string{"x"}})
-	}
-	out := r.DoBatch(context.Background(), reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("%d outcomes for %d requests", len(out), len(reqs))
-	}
-	for i, br := range out {
-		if reqs[i].Seeker == "explode" {
-			if br.Err == nil {
-				t.Fatalf("entry %d: expected error", i)
-			}
-			continue
-		}
-		if br.Err != nil {
-			t.Fatalf("entry %d: %v", i, br.Err)
-		}
-		want := fmt.Sprintf("r%d:%s", r.ReplicaFor(reqs[i].Seeker), reqs[i].Seeker)
-		if got := br.Response.Results[0].Item; got != want {
-			t.Fatalf("entry %d answered by %q, want %q (order scrambled?)", i, got, want)
-		}
-	}
-}
-
-func TestRouterValidation(t *testing.T) {
-	if _, err := NewRouter(nil, 0); err == nil {
-		t.Error("empty replica set accepted")
-	}
-	if _, err := NewRouter([]search.Searcher{nil}, 0); err == nil {
-		t.Error("nil replica accepted")
-	}
-}
-
-// errSearcher fails every call with a fixed error.
-type errSearcher struct{ err error }
-
-func (e *errSearcher) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	return search.Response{}, e.err
-}
-
-func (e *errSearcher) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	out := make([]search.BatchResult, len(reqs))
-	for i := range out {
-		out[i] = search.BatchResult{Err: e.err}
-	}
-	return out
-}
-
-// TestRouterDoError pins the single-query error path: a replica's Do
-// failure surfaces to the caller untouched (the in-process router has
-// no failover — that is the fleet pool's job).
-func TestRouterDoError(t *testing.T) {
-	boom := fmt.Errorf("replica exploded")
-	reps := []search.Searcher{&errSearcher{err: boom}, &errSearcher{err: boom}}
-	r, err := NewRouter(reps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = r.Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"x"}})
-	if err == nil || err.Error() != boom.Error() {
-		t.Fatalf("Do error = %v, want %v", err, boom)
-	}
-}
-
-// TestRouterDoBatchFailedReplica mixes a healthy replica with one whose
-// every request fails: the failed replica's entries error individually,
-// the healthy replica's entries still answer, and order is preserved.
-func TestRouterDoBatchFailedReplica(t *testing.T) {
-	boom := fmt.Errorf("replica down")
-	healthy := &spySearcher{id: 0}
-	reps := []search.Searcher{healthy, &errSearcher{err: boom}}
-	r, err := NewRouter(reps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reqs []search.Request
-	for i := 0; i < 64; i++ {
-		reqs = append(reqs, search.Request{Seeker: fmt.Sprintf("user-%d", i), Tags: []string{"x"}})
-	}
-	out := r.DoBatch(context.Background(), reqs)
-	if len(out) != len(reqs) {
-		t.Fatalf("%d outcomes for %d requests", len(out), len(reqs))
-	}
-	sawHealthy, sawFailed := false, false
-	for i, br := range out {
-		switch r.ReplicaFor(reqs[i].Seeker) {
-		case 0:
-			sawHealthy = true
-			if br.Err != nil {
-				t.Fatalf("entry %d on healthy replica failed: %v", i, br.Err)
-			}
-			if want := fmt.Sprintf("r0:%s", reqs[i].Seeker); br.Response.Results[0].Item != want {
-				t.Fatalf("entry %d = %q, want %q", i, br.Response.Results[0].Item, want)
-			}
-		case 1:
-			sawFailed = true
-			if br.Err == nil || br.Err.Error() != boom.Error() {
-				t.Fatalf("entry %d on failed replica: err = %v, want %v", i, br.Err, boom)
-			}
-		}
-	}
-	if !sawHealthy || !sawFailed {
-		t.Fatalf("workload did not hit both replicas (healthy=%v failed=%v)", sawHealthy, sawFailed)
-	}
-}
-
-// TestRouterReplicaForStable pins routing determinism: two routers
-// built from identical ring parameters agree on every seeker — the
-// property that lets separately-built front-ends (and restarts) route
-// the same seeker to the same replica.
-func TestRouterReplicaForStable(t *testing.T) {
-	build := func() *Router {
-		reps := []search.Searcher{&spySearcher{id: 0}, &spySearcher{id: 1}, &spySearcher{id: 2}}
-		r, err := NewRouter(reps, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := build(), build()
-	for i := 0; i < 500; i++ {
-		seeker := fmt.Sprintf("user-%d", i)
-		if a.ReplicaFor(seeker) != b.ReplicaFor(seeker) {
-			t.Fatalf("seeker %q routed to %d and %d by identical rings", seeker, a.ReplicaFor(seeker), b.ReplicaFor(seeker))
-		}
 	}
 }
 

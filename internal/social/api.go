@@ -15,8 +15,7 @@ import (
 )
 
 // Service implements search.Searcher: Do is the canonical query entry
-// point; Search and SearchBatch are thin positional wrappers kept for
-// embedders of the v1 surface.
+// point.
 var _ search.Searcher = (*Service)(nil)
 
 // doScratch is the per-query working storage Do recycles through the
@@ -47,7 +46,7 @@ type burst struct {
 //
 //   - ModeExact: the refine path — exact scores via the seeker-horizon
 //     cache; with unbounded horizons the answer equals the ExactSocial
-//     oracle's. This is what the v1 Search surface always ran.
+//     oracle's. This is what the /v1 search endpoints run.
 //   - ModeAuto: the cost-based planner picks the cheapest exact
 //     algorithm (or req.AlgHint forces one); a SocialMerge plan runs
 //     through the horizon cache. Scores are certified lower bounds.
@@ -84,6 +83,15 @@ func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.R
 	}
 	if err := ctx.Err(); err != nil {
 		return err
+	}
+	// A journaled service's reads see every acknowledged write (a
+	// volatile one's see the last compacted snapshot): fold pending
+	// writes in first, which one atomic load shows to be nothing to do
+	// on all but the first read after a write.
+	if s.journal != nil && s.writes.Load() != 0 {
+		if err := s.Flush(); err != nil {
+			return err
+		}
 	}
 
 	sc, _ := s.scratch.Get().(*doScratch)

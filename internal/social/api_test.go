@@ -44,31 +44,6 @@ func apiWorld(t *testing.T, cfg ServiceConfig) *Service {
 	return svc
 }
 
-func TestDoMatchesSearch(t *testing.T) {
-	cfg := DefaultServiceConfig()
-	cfg.AutoCompactEvery = 0
-	svc := apiWorld(t, cfg)
-
-	want, err := svc.Search("alice", []string{"pizza"}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := svc.Do(context.Background(), search.Request{
-		Seeker: "alice", Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != len(want) {
-		t.Fatalf("Do %d results, Search %d", len(resp.Results), len(want))
-	}
-	for i := range want {
-		if want[i].Item != resp.Results[i].Item || want[i].Score != resp.Results[i].Score {
-			t.Fatalf("rank %d: Do %+v, Search %+v", i, resp.Results[i], want[i])
-		}
-	}
-}
-
 func TestDoModesAgreeOnItemSets(t *testing.T) {
 	cfg := DefaultServiceConfig()
 	cfg.AutoCompactEvery = 0

@@ -1,6 +1,7 @@
 package social
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -8,12 +9,13 @@ import (
 	"testing"
 
 	"repro/internal/proximity"
+	"repro/internal/search"
 )
 
 func TestSeekerCacheHitsAccumulate(t *testing.T) {
 	svc := pizzaWorld(t, 0)
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Search("alice", []string{"pizza"}, 5); err != nil {
+		if _, err := searchExact(svc, "alice", []string{"pizza"}, 5); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -28,7 +30,7 @@ func TestSeekerCacheHitsAccumulate(t *testing.T) {
 
 func TestSeekerCacheInvalidatedByBefriend(t *testing.T) {
 	svc := pizzaWorld(t, 0) // compact on every write: mutations visible immediately
-	res, err := svc.Search("alice", []string{"pizza"}, 5)
+	res, err := searchExact(svc, "alice", []string{"pizza"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +44,7 @@ func TestSeekerCacheInvalidatedByBefriend(t *testing.T) {
 	if err := svc.Befriend("alice", "frank", 0.9); err != nil {
 		t.Fatal(err)
 	}
-	res, err = svc.Search("alice", []string{"pizza"}, 5)
+	res, err = searchExact(svc, "alice", []string{"pizza"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +62,7 @@ func TestSeekerCacheInvalidatedByBefriend(t *testing.T) {
 
 func TestSeekerCacheSurvivesTagOnlyWrites(t *testing.T) {
 	svc := pizzaWorld(t, 0)
-	if _, err := svc.Search("alice", []string{"pizza"}, 5); err != nil {
+	if _, err := searchExact(svc, "alice", []string{"pizza"}, 5); err != nil {
 		t.Fatal(err)
 	}
 	// Tags touch the store, not the graph: the cached horizon stays
@@ -69,7 +71,7 @@ func TestSeekerCacheSurvivesTagOnlyWrites(t *testing.T) {
 	if err := svc.Tag("bob", "dominos", "pizza"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Search("alice", []string{"pizza"}, 5)
+	res, err := searchExact(svc, "alice", []string{"pizza"}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +106,7 @@ func TestSeekerCacheDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := svc.Search("a", []string{"t"}, 3); err != nil {
+		if _, err := searchExact(svc, "a", []string{"t"}, 3); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -169,8 +171,8 @@ func TestCachedMatchesUncachedUnderMutations(t *testing.T) {
 			seeker := user()
 			tags := []string{fmt.Sprintf("t%d", rng.Intn(4))}
 			k := 1 + rng.Intn(6)
-			r1, e1 := cached.Search(seeker, tags, k)
-			r2, e2 := uncached.Search(seeker, tags, k)
+			r1, e1 := searchExact(cached, seeker, tags, k)
+			r2, e2 := searchExact(uncached, seeker, tags, k)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("step %d: search divergence: %v vs %v", step, e1, e2)
 			}
@@ -187,16 +189,16 @@ func TestCachedMatchesUncachedUnderMutations(t *testing.T) {
 	}
 }
 
-func TestSearchBatch(t *testing.T) {
+func TestDoBatchMatchesSequential(t *testing.T) {
 	svc := pizzaWorld(t, 0)
-	queries := []BatchQuery{
-		{Seeker: "alice", Tags: []string{"pizza"}, K: 3},
-		{Seeker: "nobody", Tags: []string{"pizza"}, K: 3},
-		{Seeker: "bob", Tags: []string{"pizza"}, K: 2},
-		{Seeker: "alice", Tags: []string{"quantum"}, K: 1},
-		{Seeker: "alice", Tags: []string{"pizza"}, K: 3},
+	queries := []search.Request{
+		{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact},
+		{Seeker: "nobody", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact},
+		{Seeker: "bob", Tags: []string{"pizza"}, K: 2, Mode: search.ModeExact},
+		{Seeker: "alice", Tags: []string{"quantum"}, K: 1, Mode: search.ModeExact},
+		{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact},
 	}
-	out := svc.SearchBatch(queries)
+	out := svc.DoBatch(context.Background(), queries)
 	if len(out) != len(queries) {
 		t.Fatalf("got %d results for %d queries", len(out), len(queries))
 	}
@@ -208,22 +210,22 @@ func TestSearchBatch(t *testing.T) {
 	}
 	// Batch answers must equal sequential answers, in input order.
 	for _, i := range []int{0, 2, 4} {
-		want, err := svc.Search(queries[i].Seeker, queries[i].Tags, queries[i].K)
+		want, err := searchExact(svc, queries[i].Seeker, queries[i].Tags, queries[i].K)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(out[i].Results, want) {
-			t.Fatalf("query %d: batch %+v != sequential %+v", i, out[i].Results, want)
+		if !reflect.DeepEqual(out[i].Response.Results, want) {
+			t.Fatalf("query %d: batch %+v != sequential %+v", i, out[i].Response.Results, want)
 		}
 	}
-	if got := svc.SearchBatch(nil); len(got) != 0 {
+	if got := svc.DoBatch(context.Background(), nil); len(got) != 0 {
 		t.Fatalf("nil batch returned %+v", got)
 	}
 }
 
-// TestSearchBatchConcurrentWithMutations hammers SearchBatch against
+// TestDoBatchConcurrentWithMutations hammers DoBatch against
 // concurrent writers; run with -race.
-func TestSearchBatchConcurrentWithMutations(t *testing.T) {
+func TestDoBatchConcurrentWithMutations(t *testing.T) {
 	svc := pizzaWorld(t, 2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -241,10 +243,10 @@ func TestSearchBatchConcurrentWithMutations(t *testing.T) {
 		}
 	}()
 	for round := 0; round < 20; round++ {
-		out := svc.SearchBatch([]BatchQuery{
-			{Seeker: "alice", Tags: []string{"pizza"}, K: 5},
-			{Seeker: "bob", Tags: []string{"pizza"}, K: 5},
-			{Seeker: "dave", Tags: []string{"pizza"}, K: 5},
+		out := svc.DoBatch(context.Background(), []search.Request{
+			{Seeker: "alice", Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact},
+			{Seeker: "bob", Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact},
+			{Seeker: "dave", Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact},
 		})
 		for i, r := range out {
 			if r.Err != nil {

@@ -7,10 +7,8 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/index"
-	"repro/internal/overlay"
 	"repro/internal/tagstore"
 	"repro/internal/vocab"
 )
@@ -41,7 +39,9 @@ const SnapshotStreamVersion = 1
 func (s *Service) SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes = 0
+	if s.broken {
+		return nil, nil, nil, 0, ErrBroken
+	}
 	if err := s.compactLocked(); err != nil {
 		return nil, nil, nil, 0, err
 	}
@@ -60,33 +60,26 @@ func (s *Service) SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Se
 // describe the old universe) and the read-path view is republished, so
 // in-flight queries cut over atomically. Ownership of the arguments
 // passes to the service.
+//
+// On a journaled service the imported state exists nowhere in its own
+// journal, so it is checkpointed at once — the manifest then carries
+// the new cursor and the old journal prefix is dropped. A persistence
+// failure latches ErrBroken (memory is ahead of disk); reopening
+// recovers the pre-import state and the join restarts from scratch.
 func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error {
-	if g == nil || st == nil || names == nil || names.Users == nil || names.Items == nil || names.Tags == nil {
-		return fmt.Errorf("social: ImportSnapshot with nil state")
-	}
-	if names.Users.Len() != g.NumUsers() {
-		return fmt.Errorf("social: %d user names for %d graph users", names.Users.Len(), g.NumUsers())
-	}
-	if names.Items.Len() != st.NumItems() {
-		return fmt.Errorf("social: %d item names for %d store items", names.Items.Len(), st.NumItems())
-	}
-	if names.Tags.Len() != st.NumTags() {
-		return fmt.Errorf("social: %d tag names for %d store tags", names.Tags.Len(), st.NumTags())
-	}
-	o, err := overlay.New(g, st)
-	if err != nil {
-		return err
-	}
-	eng, err := overlay.NewEngine(o, core.Config{Proximity: s.cfg.Proximity, Beta: s.cfg.Beta}, 0)
+	o, eng, err := loadState(s.cfg, g, st, names)
 	if err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.broken {
+		return ErrBroken
+	}
 	s.names = names
 	s.overlay = o
 	s.engine = eng
-	s.writes = 0
+	s.writes.Store(0)
 	s.friendsDirty = false
 	s.dirtyEdges = nil
 	s.dirtySet = nil
@@ -96,6 +89,12 @@ func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *voca
 		s.caches.Invalidate()
 	}
 	s.publishLocked()
+	if s.journal != nil {
+		if err := s.checkpointLocked(); err != nil {
+			s.broken = true
+			return fmt.Errorf("%w (cause: persisting imported snapshot: %v)", ErrBroken, err)
+		}
+	}
 	return nil
 }
 

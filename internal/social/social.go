@@ -13,13 +13,21 @@
 //
 // Do (with its DoBatch sibling) is the canonical request/response query
 // surface — per-query β, execution mode, paging, explainable answers,
-// context cancellation; see internal/search. The positional Search /
-// SearchBatch methods are deprecated wrappers over it.
+// context cancellation; see internal/search.
+//
+// Service is the one replica type. Its state — graph, store,
+// vocabulary, replication cursor — changes only through the mutation
+// funnel in mutation.go, which all five public mutators (Befriend, Tag,
+// BefriendAt, TagAt, SkipLSN) call: cursor discipline, one validation
+// before anything changes, an append to the attached Journal if there
+// is one, the apply, the compaction policy. Durability is a property of
+// that type, not a second type: internal/durable.Open returns a
+// *Service with a write-ahead journal attached (journal.go), whose
+// reads also fold in every acknowledged write; a volatile service
+// leaves the journal nil and Checkpoint/Sync/Close are no-ops.
 package social
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"sync"
@@ -91,7 +99,7 @@ type ServiceConfig struct {
 	// cache-miss cost and entry size; answers for seekers whose
 	// neighbourhood exceeds the bound may become approximate.
 	MaxHorizonUsers int
-	// BatchWorkers bounds the worker pool SearchBatch runs queries on
+	// BatchWorkers bounds the worker pool DoBatch runs queries on
 	// (0 means DefaultBatchWorkers).
 	BatchWorkers int
 }
@@ -114,14 +122,9 @@ func DefaultServiceConfig() ServiceConfig {
 	}
 }
 
-// Result is one named search result.
-type Result struct {
-	Item  string
-	Score float64
-}
-
 // Service is a mutable, name-addressed social tagging search service.
-// It is safe for concurrent use; reads see the last compacted snapshot.
+// It is safe for concurrent use; reads see the last compacted snapshot
+// (on a journaled service, compacted up to every acknowledged write).
 // Searches reuse cached seeker horizons (internal/qcache) that are
 // invalidated whenever friendship edges reach the snapshot.
 type Service struct {
@@ -148,11 +151,23 @@ type Service struct {
 	// with its certified score bound.
 	degradeHook atomic.Value // func(*search.Request) bool
 
-	mu           sync.Mutex
-	names        *vocab.Set
-	overlay      *overlay.Overlay
-	engine       *overlay.Engine
-	writes       int
+	// journal, when attached (AttachJournal, before the service is
+	// shared), makes the service durable: the funnel appends every
+	// accepted mutation to it before applying, and reads fold pending
+	// writes in first. Nil on a volatile service.
+	journal Journal
+	// writes counts mutations applied since the last successful
+	// compaction. Written under mu; loaded lock-free by a journaled
+	// service's read path to decide whether a fold is needed at all.
+	writes atomic.Int64
+
+	mu      sync.Mutex
+	names   *vocab.Set
+	overlay *overlay.Overlay
+	engine  *overlay.Engine
+	// broken latches once a journaled mutation was appended but failed
+	// to apply (see ErrBroken).
+	broken       bool
 	friendsDirty bool // friend edges written since the last compaction
 	// appliedLSN is the replication cursor: the highest fleet replication
 	// log LSN this service has processed (see BefriendAt/TagAt). 0 until
@@ -330,55 +345,9 @@ func (s *Service) SetDegradeHook(h func(*search.Request) bool) {
 	s.degradeHook.Store(h)
 }
 
-// ensureUser interns a user name, growing the universe when new.
-// Callers hold s.mu.
-func (s *Service) ensureUser(name string) (int32, error) {
-	if id, ok := s.names.Users.ID(name); ok {
-		return id, nil
-	}
-	id, err := s.names.Users.Add(name)
-	if err != nil {
-		return 0, err
-	}
-	if got := s.overlay.AddUser(); got != id {
-		return 0, fmt.Errorf("social: user id drift (%d vs %d)", got, id)
-	}
-	return id, nil
-}
-
-func (s *Service) ensureItem(name string) (int32, error) {
-	if id, ok := s.names.Items.ID(name); ok {
-		return id, nil
-	}
-	id, err := s.names.Items.Add(name)
-	if err != nil {
-		return 0, err
-	}
-	if got := s.overlay.AddItem(); got != id {
-		return 0, fmt.Errorf("social: item id drift (%d vs %d)", got, id)
-	}
-	return id, nil
-}
-
-func (s *Service) ensureTag(name string) (int32, error) {
-	if id, ok := s.names.Tags.ID(name); ok {
-		return id, nil
-	}
-	id, err := s.names.Tags.Add(name)
-	if err != nil {
-		return 0, err
-	}
-	if got := s.overlay.AddTag(); got != id {
-		return 0, fmt.Errorf("social: tag id drift (%d vs %d)", got, id)
-	}
-	return id, nil
-}
-
 // noteWrite applies the auto-compaction policy. Callers hold s.mu.
 func (s *Service) noteWrite() error {
-	s.writes++
-	if s.cfg.AutoCompactEvery == 0 || s.writes >= s.cfg.AutoCompactEvery {
-		s.writes = 0
+	if n := s.writes.Add(1); s.cfg.AutoCompactEvery == 0 || n >= int64(s.cfg.AutoCompactEvery) {
 		return s.compactLocked()
 	}
 	return nil
@@ -398,6 +367,7 @@ func (s *Service) compactLocked() error {
 	if err := s.engine.Compact(); err != nil {
 		return err
 	}
+	s.writes.Store(0)
 	if s.friendsDirty {
 		s.friendsDirty = false
 		edges := s.dirtyEdges
@@ -450,132 +420,6 @@ func (s *Service) noteFriendEdge(a, b graph.UserID) {
 	s.dirtyEdges = append(s.dirtyEdges, key)
 }
 
-// Befriend declares (or strengthens) a friendship between two users,
-// creating them as needed. Weight ∈ (0, 1].
-func (s *Service) Befriend(a, b string, weight float64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.befriendLocked(a, b, weight)
-}
-
-func (s *Service) befriendLocked(a, b string, weight float64) error {
-	ua, err := s.ensureUser(a)
-	if err != nil {
-		return err
-	}
-	ub, err := s.ensureUser(b)
-	if err != nil {
-		return err
-	}
-	if err := s.overlay.Befriend(ua, ub, weight); err != nil {
-		return err
-	}
-	s.noteFriendEdge(ua, ub)
-	return s.noteWrite()
-}
-
-// Tag records that a user annotated an item with a tag, creating any of
-// the three as needed.
-func (s *Service) Tag(user, item, tag string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tagLocked(user, item, tag)
-}
-
-func (s *Service) tagLocked(user, item, tag string) error {
-	u, err := s.ensureUser(user)
-	if err != nil {
-		return err
-	}
-	i, err := s.ensureItem(item)
-	if err != nil {
-		return err
-	}
-	tg, err := s.ensureTag(tag)
-	if err != nil {
-		return err
-	}
-	if err := s.overlay.Tag(u, i, tg); err != nil {
-		return err
-	}
-	return s.noteWrite()
-}
-
-// ErrReplicationGap reports an LSN-stamped mutation that arrived out of
-// order: the record's LSN is more than one ahead of the service's
-// replication cursor, so applying it would silently skip history. The
-// sender must stream the missing records first (the fleet's catch-up
-// path); transports map the class to 409.
-var ErrReplicationGap = errors.New("social: replication gap")
-
-// advanceCursor applies the replication-cursor discipline shared by
-// BefriendAt and TagAt. Callers hold s.mu. It returns (true, nil) when
-// the record was already processed (idempotent dedup), (true, err) when
-// the record cannot be accepted yet (gap), and (false, nil) when the
-// caller should apply it — the cursor has already advanced, so a
-// deterministic validation rejection still counts as processed: every
-// replica rejects the identical record identically, and skipping it in
-// lockstep is what keeps the fleet bit-identical.
-func (s *Service) advanceCursor(lsn uint64) (done bool, err error) {
-	switch {
-	case lsn <= s.appliedLSN:
-		return true, nil
-	case lsn != s.appliedLSN+1:
-		return true, fmt.Errorf("%w: record lsn %d, applied %d", ErrReplicationGap, lsn, s.appliedLSN)
-	}
-	s.appliedLSN = lsn
-	return false, nil
-}
-
-// BefriendAt is the apply-from-replication-log entry point: it applies
-// the friendship mutation stamped with fleet replication log LSN lsn,
-// with idempotent dedup (a record at or below the cursor is a no-op)
-// and strict ordering (a record further ahead than cursor+1 is refused
-// with ErrReplicationGap). lsn 0 means "not replicated" and behaves
-// exactly like Befriend.
-func (s *Service) BefriendAt(lsn uint64, a, b string, weight float64) error {
-	if lsn == 0 {
-		return s.Befriend(a, b, weight)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if done, err := s.advanceCursor(lsn); done {
-		return err
-	}
-	return s.befriendLocked(a, b, weight)
-}
-
-// TagAt is BefriendAt's tagging sibling: apply the tagging mutation
-// stamped with replication log LSN lsn, deduplicated and
-// order-checked against the replication cursor.
-func (s *Service) TagAt(lsn uint64, user, item, tag string) error {
-	if lsn == 0 {
-		return s.Tag(user, item, tag)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if done, err := s.advanceCursor(lsn); done {
-		return err
-	}
-	return s.tagLocked(user, item, tag)
-}
-
-// SkipLSN marks a record as processed without applying anything, under
-// the same cursor discipline as BefriendAt (dedup below the cursor,
-// ErrReplicationGap ahead of it). The durable wrapper uses it when it
-// deterministically rejects a record before logging: every replica
-// skips the identical record identically, so the cursors stay in
-// lockstep without a no-op record in the local log.
-func (s *Service) SkipLSN(lsn uint64) error {
-	if lsn == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, err := s.advanceCursor(lsn)
-	return err
-}
-
 // AppliedLSN returns the replication cursor: the highest replication
 // log LSN this service has processed (0 before any).
 func (s *Service) AppliedLSN() uint64 {
@@ -584,29 +428,10 @@ func (s *Service) AppliedLSN() uint64 {
 	return s.appliedLSN
 }
 
-// SetReplicationCursor restores the replication cursor to lsn without
-// applying anything, advance-only: a value at or below the current
-// cursor is a no-op. Recovery paths use it — a durable replica
-// replaying its own WAL applies stamped records as plain mutations and
-// then restores the cursor from the record's embedded LSN, and a
-// snapshot import stamps the restored state with the LSN it was
-// exported at — so a restarted or bootstrapped replica resumes the
-// fleet stream from its cursor instead of restreaming history. It must
-// never be used on the live apply path, where advanceCursor enforces
-// the gap discipline.
-func (s *Service) SetReplicationCursor(lsn uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if lsn > s.appliedLSN {
-		s.appliedLSN = lsn
-	}
-}
-
 // Flush forces pending writes into the queryable snapshot.
 func (s *Service) Flush() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes = 0
 	return s.compactLocked()
 }
 
@@ -626,7 +451,6 @@ func (s *Service) Flush() error {
 func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.writes = 0
 	if err := s.compactLocked(); err != nil {
 		return 0, err
 	}
@@ -659,41 +483,6 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	return n, nil
 }
 
-// Search answers seeker's top-k query over tag names with exact scores
-// (the ModeExact refine path). Unknown tags are an error (a deployment
-// would typically treat them as empty); unknown seekers are an error.
-// Answers are exact unless MaxHorizonUsers is set: a truncated horizon
-// makes answers for seekers whose neighbourhood exceeds the bound
-// approximate.
-//
-// When the seeker cache is enabled, the expensive half of the query —
-// expanding the seeker's social neighbourhood — is reused across that
-// seeker's searches until a friendship mutation reaches the snapshot.
-//
-// Deprecated: use Do, which carries a context, per-query options and an
-// explainable answer. Search keeps the v1 positional signature and its
-// strict rejection of k < 1 (where Do defaults k = 0), but now routes
-// through Do's central normalization: tag names are comma-split and
-// whitespace-trimmed, and k is capped at search.MaxK — embedders that
-// stored tag names containing commas or padding, or asked for more
-// than search.MaxK results, see different answers than under v1.
-func (s *Service) Search(seeker string, tags []string, k int) ([]Result, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("social: k = %d, must be >= 1 (Do defaults k = 0)", k)
-	}
-	resp, err := s.Do(context.Background(), search.Request{
-		Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact,
-	})
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Result, 0, len(resp.Results))
-	for _, r := range resp.Results {
-		out = append(out, Result{Item: r.Item, Score: r.Score})
-	}
-	return out, nil
-}
-
 // Users returns all known user names in id order.
 func (s *Service) Users() []string {
 	s.mu.Lock()
@@ -719,6 +508,12 @@ type Stats struct {
 	// counters (nil when caching is disabled), so hot and cold shards
 	// are observable per shard.
 	SeekerCacheShards []shard.Snapshot
+	// JournalStats carries the durability counters of a journaled
+	// service (RecoveredRecords, SnapshotBarrier, LogSegments,
+	// WritesSinceCheckpoint, flat on the JSON and /metrics wires). Nil
+	// on a volatile service, whose wire carries none of the four — check
+	// it before reading the promoted fields.
+	*JournalStats
 }
 
 // Stats returns current counters.
@@ -738,6 +533,10 @@ func (s *Service) Stats() Stats {
 		st.SeekerCache = s.caches.Counters()
 		st.SeekerCacheEntries = s.caches.Len()
 		st.SeekerCacheShards = s.caches.PerShard()
+	}
+	if s.journal != nil {
+		js := s.journal.Stats()
+		st.JournalStats = &js
 	}
 	return st
 }

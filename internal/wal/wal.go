@@ -411,6 +411,11 @@ func (l *Log) Rotate() error {
 	if l.closed {
 		return ErrClosed
 	}
+	if l.segs[len(l.segs)-1].firstLSN == l.nextLSN {
+		// The active segment is empty: the log is already cut at nextLSN,
+		// and a new segment would take the active one's name.
+		return nil
+	}
 	return l.rotateLocked()
 }
 

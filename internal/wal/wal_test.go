@@ -213,6 +213,15 @@ func TestRotateThenTruncateLeavesOnlyActive(t *testing.T) {
 	if got := l.Segments(); got != 1 {
 		t.Fatalf("segments after checkpoint truncate = %d, want 1", got)
 	}
+	// A second checkpoint with nothing appended since: the active segment
+	// is empty and already sits at the boundary, so there is nothing to
+	// seal — and no second segment to create under the same name.
+	if err := l.Rotate(); err != nil {
+		t.Fatalf("Rotate on an empty active segment: %v", err)
+	}
+	if got := l.Segments(); got != 1 {
+		t.Fatalf("segments after empty rotate = %d, want 1", got)
+	}
 	lsn, err := l.Append(2, []byte("post"))
 	if err != nil {
 		t.Fatal(err)
