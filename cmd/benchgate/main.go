@@ -41,6 +41,14 @@ type Baseline struct {
 	// global-generation one") that hold on any machine. Ratios are
 	// never touched by -update.
 	Ratios []RatioGate `json:"ratios,omitempty"`
+	// Overheads gate what one benchmark costs on top of another doing
+	// the same work — median(Of) − median(Over) — against the same
+	// difference of the baselined medians, under the ns/op threshold. A
+	// ratio of the two would also move when the shared work gets
+	// faster; the difference moves only when the extra layer does.
+	// Like Ratios the list is hand-written and survives -update; its
+	// reference values are the Benchmarks entries -update refreshes.
+	Overheads []OverheadGate `json:"overheads,omitempty"`
 	// Allocs maps benchmark name to its accepted median allocs/op
 	// (requires -benchmem in the bench command). Unlike ns/op these are
 	// gated strictly — ANY growth fails, with no percentage budget —
@@ -57,6 +65,13 @@ type RatioGate struct {
 	Num  string  `json:"num"`
 	Den  string  `json:"den"`
 	Max  float64 `json:"max"`
+}
+
+// OverheadGate is one "Of costs this much more than Over" invariant.
+type OverheadGate struct {
+	Name string `json:"name"`
+	Of   string `json:"of"`
+	Over string `json:"over"`
 }
 
 // benchLine matches one result line of `go test -bench` output, e.g.
@@ -179,6 +194,39 @@ func gateRatios(base Baseline, samples map[string][]float64) ([]string, bool) {
 	return lines, failed
 }
 
+// gateOverheads evaluates the overhead invariants: each difference of
+// medians may exceed the baseline's by at most thresholdPct.
+func gateOverheads(base Baseline, samples map[string][]float64, thresholdPct float64) ([]string, bool) {
+	var lines []string
+	failed := false
+	for _, o := range base.Overheads {
+		of, over := samples[o.Of], samples[o.Over]
+		wantOf, okOf := base.Benchmarks[o.Of]
+		wantOver, okOver := base.Benchmarks[o.Over]
+		if len(of) == 0 || len(over) == 0 || !okOf || !okOver {
+			lines = append(lines, fmt.Sprintf("FAIL  overhead %s: %s or %s missing from the input or the baseline", o.Name, o.Of, o.Over))
+			failed = true
+			continue
+		}
+		want, got := wantOf-wantOver, median(of)-median(over)
+		if want <= 0 {
+			// A percentage of a non-positive overhead has the wrong sign
+			// or no value: a dearer hop would read as a saving and pass.
+			lines = append(lines, fmt.Sprintf("FAIL  overhead %s: the baseline's %s - %s is %.0f ns/op, not positive", o.Name, o.Of, o.Over, want))
+			failed = true
+			continue
+		}
+		delta := 100 * (got - want) / want
+		status := "ok   "
+		if delta > thresholdPct {
+			status = "FAIL "
+			failed = true
+		}
+		lines = append(lines, fmt.Sprintf("%s overhead %-35s %12.0f -> %12.0f ns/op (%+.1f%%, limit +%.0f%%)", status, o.Name, want, got, delta, thresholdPct))
+	}
+	return lines, failed
+}
+
 // gateAllocs evaluates the strict allocation gates: a baselined
 // benchmark's median allocs/op may shrink but never grow, and a
 // baselined benchmark whose input lacks allocation data (e.g. the
@@ -237,12 +285,12 @@ func main() {
 
 	if *update {
 		b := Baseline{Note: *note, Benchmarks: make(map[string]float64, len(samples))}
-		// Preserve the hand-written ratio invariants across refreshes,
+		// Preserve the hand-written ratio and overhead invariants across refreshes,
 		// and refresh (but never add or drop) the curated alloc gates.
 		if raw, err := os.ReadFile(*baselinePath); err == nil {
 			var old Baseline
 			if err := json.Unmarshal(raw, &old); err == nil {
-				b.Ratios = old.Ratios
+				b.Ratios, b.Overheads = old.Ratios, old.Overheads
 				if len(old.Allocs) > 0 {
 					b.Allocs = make(map[string]float64, len(old.Allocs))
 					for name, want := range old.Allocs {
@@ -279,9 +327,13 @@ func main() {
 	}
 	verdicts, failed := gate(base, samples, *threshold)
 	ratioLines, ratioFailed := gateRatios(base, samples)
+	overheadLines, overheadFailed := gateOverheads(base, samples, *threshold)
 	allocLines, allocFailed := gateAllocs(base, allocs)
-	failed = failed || ratioFailed || allocFailed
+	failed = failed || ratioFailed || overheadFailed || allocFailed
 	for _, line := range ratioLines {
+		fmt.Println(line)
+	}
+	for _, line := range overheadLines {
 		fmt.Println(line)
 	}
 	for _, line := range allocLines {

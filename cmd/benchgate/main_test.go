@@ -150,3 +150,31 @@ func TestGateRatios(t *testing.T) {
 		t.Fatal("missing ratio operand passed")
 	}
 }
+
+func TestGateOverheads(t *testing.T) {
+	// The hop costs 1000 on top of the batch it carries.
+	base := Baseline{
+		Benchmarks: map[string]float64{"BenchmarkLoopback": 1500, "BenchmarkBatch": 500},
+		Overheads:  []OverheadGate{{Name: "hop", Of: "BenchmarkLoopback", Over: "BenchmarkBatch"}},
+	}
+	// The shared work got 2.5× faster and the hop did not move: the
+	// ratio of the two went from 3 to 6, the overhead is where it was.
+	samples := map[string][]float64{"BenchmarkLoopback": {1210, 1190, 1200}, "BenchmarkBatch": {200, 190, 210}}
+	if lines, failed := gateOverheads(base, samples, 15); failed {
+		t.Fatalf("an unchanged overhead failed the gate: %v", lines)
+	}
+	// The hop itself 20% dearer, hidden in a total that got cheaper.
+	samples["BenchmarkLoopback"] = []float64{1400, 1410, 1390}
+	if _, failed := gateOverheads(base, samples, 15); !failed {
+		t.Fatal("a 20% dearer overhead passed a 15% gate")
+	}
+	// A baseline whose medians leave no overhead to compare against.
+	noHop := Baseline{Benchmarks: map[string]float64{"BenchmarkLoopback": 500, "BenchmarkBatch": 500}, Overheads: base.Overheads}
+	if _, failed := gateOverheads(noHop, samples, 15); !failed {
+		t.Fatal("a baseline with a non-positive overhead passed")
+	}
+	delete(samples, "BenchmarkBatch")
+	if _, failed := gateOverheads(base, samples, 15); !failed {
+		t.Fatal("a missing operand passed")
+	}
+}

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/proximity"
 	"repro/internal/search"
@@ -61,11 +62,15 @@ func TestCachedReadPathZeroAlloc(t *testing.T) {
 // TestPropertyFlatHorizonMatchesPointerPath: on random graphs mutated
 // in random rounds, a ModeExact answer served from the flat
 // materialized horizon (cache miss installing it, then a cache hit
-// replaying it) must equal the answer from the lazy pointer-graph
-// expansion (NoCache) bit-for-bit: same items, same float64 scores,
-// same certified ScoreBound, same Exact flag. Each round ends with a
-// concurrent DoInto storm so `go test -race` exercises the pooled
-// arenas under contention.
+// replaying it — both through the tag-pivoted join) must equal the
+// answer from the lazy pointer-graph expansion (NoCache) bit-for-bit:
+// same items, same float64 scores, same certified ScoreBound, same
+// Exact flag, same access accounting. Queries repeat a tag and name one
+// nobody in the horizon used; the variants cover β < 1 and truncated
+// horizons (MaxHorizonUsers, where the lazy path is no reference and
+// the per-user probe over the same horizon takes its place, see
+// crossCheckKernels). Each round ends with a concurrent DoInto storm so
+// `go test -race` exercises the pooled arenas under contention.
 func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 	const (
 		users = 24
@@ -74,14 +79,26 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 	)
 	ctx := context.Background()
 	user := func(i int) string { return fmt.Sprintf("u%d", i) }
-	for seed := int64(1); seed <= 4; seed++ {
+	variants := []struct {
+		beta       float64
+		maxHorizon int
+	}{{1, 0}, {1, 0}, {0.6, 0}, {1, 6}, {0.6, 6}}
+	for vi, variant := range variants {
+		seed := int64(vi + 1)
 		rng := rand.New(rand.NewSource(seed))
 		cfg := social.DefaultServiceConfig()
 		cfg.Proximity = proximity.Params{Alpha: 0.7, SelfWeight: 1, MinSigma: 0.02}
+		cfg.Beta = variant.beta
+		cfg.MaxHorizonUsers = variant.maxHorizon
 		cfg.AutoCompactEvery = 0 // every write compacts and invalidates
 		cfg.SeekerCacheSize = 256
 		svc, err := social.NewService(cfg)
 		if err != nil {
+			t.Fatal(err)
+		}
+		// A tag only a friendless user has: in the vocabulary, in no
+		// other seeker's horizon.
+		if err := svc.Tag("hermit", "i0", "rare"); err != nil {
 			t.Fatal(err)
 		}
 		mutate := func(n int) {
@@ -131,18 +148,18 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					qtags = append(qtags, fmt.Sprintf("t%d", rng.Intn(tags)))
 				}
+				switch rng.Intn(4) {
+				case 0:
+					qtags = append(qtags, qtags[0])
+				case 1:
+					qtags = append(qtags, "rare")
+				}
 				base := search.Request{
 					Seeker:  user(s),
 					Tags:    qtags,
 					K:       1 + rng.Intn(10),
 					Mode:    search.ModeExact,
 					Explain: true,
-				}
-				ptrReq := base
-				ptrReq.NoCache = true
-				ptr, err := svc.Do(ctx, ptrReq) // lazy pointer-graph expansion
-				if err != nil {
-					t.Fatal(err)
 				}
 				miss, err := svc.Do(ctx, base) // miss: materialize + install flat horizon
 				if err != nil {
@@ -151,6 +168,14 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 				hit, err := svc.Do(ctx, base) // hit: replay the cached flat horizon
 				if err != nil {
 					t.Fatal(err)
+				}
+				ptr := miss // a truncated horizon has no lazy twin: hold the hit to the miss
+				if variant.maxHorizon == 0 {
+					ptrReq := base
+					ptrReq.NoCache = true
+					if ptr, err = svc.Do(ctx, ptrReq); err != nil { // lazy pointer-graph expansion
+						t.Fatal(err)
+					}
 				}
 				for _, flat := range [...]struct {
 					name string
@@ -174,8 +199,14 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 						t.Fatalf("seed %d round %d %s/%v (%s): Exact %v flat vs %v pointer",
 							seed, round, base.Seeker, qtags, flat.name, flat.resp.Explain.Exact, ptr.Explain.Exact)
 					}
+					fx, px := flat.resp.Explain, ptr.Explain
+					if fx.UsersSettled != px.UsersSettled || fx.SequentialAccesses != px.SequentialAccesses || fx.RandomAccesses != px.RandomAccesses {
+						t.Fatalf("seed %d round %d %s/%v (%s): accounting %d/%d/%d flat vs %d/%d/%d pointer", seed, round, base.Seeker, qtags, flat.name,
+							fx.UsersSettled, fx.SequentialAccesses, fx.RandomAccesses, px.UsersSettled, px.SequentialAccesses, px.RandomAccesses)
+					}
 				}
 			}
+			crossCheckKernels(t, svc, cfg, rng)
 			// Concurrent storm over the pooled path: answers are already
 			// verified above; this exists so -race sees the arenas under
 			// contention.
@@ -189,7 +220,7 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 					for i := 0; i < 32; i++ {
 						req := search.Request{
 							Seeker: user(wrng.Intn(users)),
-							Tags:   []string{fmt.Sprintf("t%d", wrng.Intn(tags))},
+							Tags:   []string{fmt.Sprintf("t%d", wrng.Intn(tags)), fmt.Sprintf("t%d", wrng.Intn(tags))},
 							K:      1 + wrng.Intn(10),
 							Mode:   search.ModeExact,
 						}
@@ -202,6 +233,62 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 			}
 			wg.Wait()
 			mutate(30)
+		}
+	}
+}
+
+// crossCheckKernels holds the three ways the engine settles a whole
+// horizon against each other on the service's current snapshot — a
+// store many Store.Merge calls away from a Build: the tag-pivoted join,
+// the per-user probe over the same materialized horizon (a MaxUsers
+// budget past the horizon's end never fires but keeps the merge on the
+// settle-one-user loop), and, where the horizon is complete, the lazy
+// expansion. Answers, Exact flags and access counters must all be
+// equal; the truncated horizons reach the residual certification.
+func crossCheckKernels(t *testing.T, svc *social.Service, cfg social.ServiceConfig, rng *rand.Rand) {
+	t.Helper()
+	g, st, _, err := svc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tag := func() tagstore.TagID { return tagstore.TagID(rng.Intn(st.NumTags())) }
+	for s := 0; s < g.NumUsers(); s++ {
+		beta := cfg.Beta
+		if s%8 == 0 {
+			beta = 0 // pure-global scoring: the horizon is walked, no list is read
+		}
+		eng, err := core.NewEngine(g, st, core.Config{Proximity: cfg.Proximity, Beta: beta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first := tag()
+		q := core.Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(10)}
+		for _, maxUsers := range [...]int{0, 1 + rng.Intn(8)} {
+			h, err := eng.MaterializeHorizon(q.Seeker, maxUsers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			join, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			probe, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true, MaxUsers: h.Size() + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(join, probe) {
+				t.Fatalf("%+v over %d of its horizon (residual %g):\n join %+v\nprobe %+v", q, h.Size(), h.Residual(), join, probe)
+			}
+			if h.Residual() > 0 {
+				continue
+			}
+			lazy, err := eng.SocialMerge(q, core.Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(join, lazy) {
+				t.Fatalf("%+v over its whole horizon of %d:\njoin %+v\nlazy %+v", q, h.Size(), join, lazy)
+			}
 		}
 	}
 }

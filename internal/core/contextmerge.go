@@ -68,7 +68,7 @@ func (e *Engine) ContextMerge(q Query, opts Options) (Answer, error) {
 			run.cutoffFired = true
 			break
 		}
-		if opts.MaxHops > 0 && entry.Hops > opts.MaxHops {
+		if opts.MaxHops > 0 && int(entry.Hops) > opts.MaxHops {
 			run.cutoffFired = true
 			break
 		}

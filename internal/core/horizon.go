@@ -80,7 +80,7 @@ func (h *SeekerHorizon) Users(buf []graph.UserID) []graph.UserID {
 }
 
 // MemoryBytes estimates the resident size of the horizon.
-func (h *SeekerHorizon) MemoryBytes() int { return 16 + len(h.list)*24 }
+func (h *SeekerHorizon) MemoryBytes() int { return 16 + len(h.list)*16 }
 
 // SocialMergeWithHorizon answers the query using a previously
 // materialized horizon instead of expanding the graph. The horizon must

@@ -64,7 +64,7 @@ func (idx *NeighborhoodIndex) Horizon(s graph.UserID) ([]proximity.Entry, float6
 func (idx *NeighborhoodIndex) MemoryBytes() int {
 	bytes := len(idx.residual) * 8
 	for _, l := range idx.lists {
-		bytes += len(l) * 24 // UserID + Prox + Hops
+		bytes += len(l) * 16 // UserID + Hops + Prox
 	}
 	return bytes
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -89,5 +90,55 @@ func TestRefineScoresSettlesWholeHorizon(t *testing.T) {
 	// exact score of item 0 is 1.0
 	if len(ans.Results) == 0 || math.Abs(ans.Results[0].Score-1.0) > 1e-12 {
 		t.Fatalf("refined top = %v, want exact score 1.0", ans.Results)
+	}
+}
+
+// TestRefineJoinMatchesSettleLoop: over a materialized horizon the
+// tag-pivoted join returns what the settle-one-user loop returns over
+// the same horizon (a MaxUsers budget past its end never fires but keeps
+// the merge on mainLoop) and, where the horizon is complete, what the
+// lazy expansion returns — results, Exact and every access counter —
+// for β = 1, a blend and pure-global scoring, with a repeated query tag,
+// and for truncated horizons, which reach the residual certification.
+func TestRefineJoinMatchesSettleLoop(t *testing.T) {
+	for seed, beta := range [...]float64{1, 0.6, 0, 1} {
+		cfg := Config{
+			Proximity: proximity.Params{Alpha: 0.7, SelfWeight: 1, MinSigma: 0.05},
+			Beta:      beta,
+		}
+		e, ds := randomCorpusEngine(t, int64(seed), cfg)
+		rng := rand.New(rand.NewSource(int64(seed)))
+		tag := func() tagstore.TagID { return tagstore.TagID(rng.Intn(ds.Store.NumTags())) }
+		for s := 0; s < ds.Graph.NumUsers(); s++ {
+			first := tag()
+			q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(8)}
+			for _, maxUsers := range [...]int{0, 1 + rng.Intn(6)} {
+				h, err := e.MaterializeHorizon(q.Seeker, maxUsers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(join, loop) {
+					t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
+				}
+				if h.Residual() > 0 {
+					continue
+				}
+				lazy, err := e.SocialMerge(q, Options{RefineScores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(join, lazy) {
+					t.Fatalf("β=%g %+v over its whole horizon of %d:\njoin %+v\nlazy %+v", beta, q, h.Size(), join, lazy)
+				}
+			}
+		}
 	}
 }

@@ -73,12 +73,18 @@ func (e *Engine) SocialMergeInto(q Query, opts Options, ans *Answer) error {
 func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts Options, ans *Answer) error {
 	run := e.acquireRun(q, opts)
 	defer e.releaseRun(run)
-	if h != nil {
+	var certified bool
+	var err error
+	switch {
+	case h != nil && opts.RefineScores && opts.Theta == 0 && opts.MaxHops == 0 && opts.MaxUsers == 0:
+		// Nothing can stop this merge short of the horizon's last user.
+		certified, err = run.joinHorizon(h, opts)
+	case h != nil:
 		run.msrc = materializedSource{list: h.list, residual: h.residual}
-		src = &run.msrc
+		certified, err = run.mainLoop(&run.msrc, q.Seeker, opts)
+	default:
+		certified, err = run.mainLoop(src, q.Seeker, opts)
 	}
-
-	certified, err := run.mainLoop(src, q.Seeker, opts)
 	if err != nil {
 		return err
 	}
@@ -135,6 +141,13 @@ type mergeRun struct {
 
 	// msrc is the inline horizon adapter used by socialMergeRun.
 	msrc materializedSource
+
+	// Scratch of joinHorizon. rank[u] is 1 + the horizon position of
+	// user u, 0 for everyone outside; it is all zero between queries.
+	// slots[k·|tags|+i] is 1 + the run of the horizon's k-th user under
+	// the i-th query tag, 0 when that user never used the tag.
+	rank  []int32
+	slots []int32
 }
 
 // acquireRun checks a recycled run out of the engine pool and resets it
@@ -255,23 +268,93 @@ func (r *mergeRun) ensureCandidate(item tagstore.ItemID) int32 {
 
 // settleUser consumes the per-tag posting lists of user v at proximity σ.
 func (r *mergeRun) settleUser(v int32, sigma float64) {
-	r.settled++
-	r.acc.UsersExpanded++
-	if r.beta == 0 {
-		return // pure-global scoring: user lists contribute nothing
-	}
-	for _, t := range r.tags {
-		for _, up := range r.e.store.UserList(v, t) {
-			r.acc.Sequential++
-			idx := r.ensureCandidate(up.Item)
-			c := r.table.At(idx)
-			c.Lower += r.beta * sigma * float64(up.TF)
-			c.Rem -= int64(up.TF)
-			// σ, β and tf are all positive here, so Lower > 0 and the
-			// candidate is promotable.
-			r.table.Promote(idx)
+	if r.beta != 0 { // pure-global scoring: user lists contribute nothing
+		for _, t := range r.tags {
+			r.settleList(r.e.store.UserList(v, t), sigma)
 		}
 	}
+	r.userSettled()
+}
+
+// userSettled closes the settle of one user, whichever way its lists
+// were found: the accounting, then one round of sorted access, which
+// discovers globally hot candidates early and walks the unseen-item bar
+// down the Zipf tail — that is what lets the unseen bound release. The
+// β = 1 refine path skips the round: it terminates by exhaustion, not
+// by the bound, and a zero-σ certification needs no bar.
+func (r *mergeRun) userSettled() {
+	r.settled++
+	r.acc.UsersExpanded++
+	if !r.refineFast {
+		r.advanceCursors()
+	}
+}
+
+// settleList consumes one (user, tag) posting list at proximity σ.
+func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
+	for _, up := range list {
+		r.acc.Sequential++
+		idx := r.ensureCandidate(up.Item)
+		c := r.table.At(idx)
+		c.Lower += r.beta * sigma * float64(up.TF)
+		c.Rem -= int64(up.TF)
+		// σ, β and tf are all positive here, so Lower > 0 and the
+		// candidate is promotable.
+		r.table.Promote(idx)
+	}
+}
+
+// joinHorizon is mainLoop for a merge that settles every user of a
+// materialized horizon: same users, same tag order within a user, same
+// posting order within a list, so every candidate's bounds go through
+// the arithmetic mainLoop would put them through and the accounting
+// comes out equal. What differs is how a user's lists are found. Each
+// query tag's user list is scanned once against the horizon's rank
+// marks and the hits land in a rank × tag slot array; the sweep over
+// ranks then settles the slots that are set and nothing else, where
+// settleUser searches every (user, tag) pair and mostly finds nothing.
+func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
+	st, tags := r.e.store, r.tags
+	if r.beta == 0 {
+		tags = nil // as in settleUser
+	}
+	nt := len(tags)
+	if len(r.rank) < st.NumUsers() {
+		r.rank = make([]int32, st.NumUsers())
+	}
+	if cap(r.slots) < len(h.list)*nt {
+		r.slots = make([]int32, len(h.list)*nt)
+	}
+	r.slots = r.slots[:len(h.list)*nt]
+	clear(r.slots)
+	for k, entry := range h.list {
+		r.rank[entry.User] = int32(k) + 1
+	}
+	for i, t := range tags {
+		users, runs := st.TagUsers(t)
+		for p, u := range users {
+			if k := r.rank[u]; k != 0 {
+				r.slots[int(k-1)*nt+i] = runs[p] + 1
+			}
+		}
+	}
+	for _, entry := range h.list {
+		r.rank[entry.User] = 0
+	}
+	for k, entry := range h.list {
+		if k%64 == 0 {
+			if err := ctxErr(opts.Ctx); err != nil {
+				return false, err
+			}
+		}
+		for _, slot := range r.slots[k*nt : (k+1)*nt] {
+			if slot != 0 {
+				r.settleList(st.Run(slot-1), entry.Prox)
+			}
+		}
+		r.userSettled()
+	}
+	return r.finish(h.residual, opts)
 }
 
 // repairRems switches a β = 1 fast-path run back to fully initialized
@@ -363,7 +446,7 @@ func (r *mergeRun) mainLoop(src userSource, seeker graph.UserID, opts Options) (
 			r.cutoffFired = true
 			break
 		}
-		if opts.MaxHops > 0 && entry.Hops > opts.MaxHops {
+		if opts.MaxHops > 0 && int(entry.Hops) > opts.MaxHops {
 			r.cutoffFired = true
 			break
 		}
@@ -378,22 +461,19 @@ func (r *mergeRun) mainLoop(src userSource, seeker graph.UserID, opts Options) (
 			}
 		}
 		r.settleUser(entry.User, entry.Prox)
-		// One round of sorted access per settle: discovers globally hot
-		// candidates early and walks the unseen-item bar down the Zipf
-		// tail, which is what lets the unseen bound release. The β = 1
-		// refine path skips this — it terminates by exhaustion, not by
-		// the bound, and a zero-σ certification needs no bar.
-		if !r.refineFast {
-			r.advanceCursors()
-		}
 		if opts.MaxUsers > 0 && r.settled >= opts.MaxUsers {
 			r.cutoffFired = true
 			break
 		}
 	}
-	// Source exhausted or cutoff: the residual bound still applies to
-	// all unvisited users (0 for a fully drained graph frontier).
-	residual := src.Bound()
+	return r.finish(src.Bound(), opts)
+}
+
+// finish ends a merge whose source is exhausted or cut off. residual
+// still bounds the proximity of all unvisited users (0 for a fully
+// drained graph frontier). It reports whether the final state is
+// certified.
+func (r *mergeRun) finish(residual float64, opts Options) (bool, error) {
 	if r.refineFast {
 		// β = 1 exact refine. With a zero residual (full horizon drained)
 		// the stop test holds vacuously: the unseen bound and every

@@ -65,7 +65,7 @@ func (e *Engine) SocialTA(q Query, opts Options) (Answer, error) {
 			cutoff = true
 			break
 		}
-		if opts.MaxHops > 0 && entry.Hops > opts.MaxHops {
+		if opts.MaxHops > 0 && int(entry.Hops) > opts.MaxHops {
 			cutoff = true
 			break
 		}

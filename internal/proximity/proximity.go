@@ -67,11 +67,12 @@ func (p Params) Validate() error {
 }
 
 // Entry is one settled user with its proximity to the seeker and the hop
-// count of the best path.
+// count of the best path. The two int32s share a word ahead of the
+// float: 16 bytes, and cached horizons hold thousands of entries each.
 type Entry struct {
 	User graph.UserID
+	Hops int32
 	Prox float64
-	Hops int
 }
 
 // Iterator incrementally enumerates users by non-increasing proximity.
@@ -202,7 +203,7 @@ func (it *Iterator) Next() (e Entry, ok bool) {
 			it.best[v] = cand
 			it.pq.push(frontierItem{u: v, p: cand, h: item.h + 1})
 		}
-		return Entry{User: item.u, Prox: item.p, Hops: int(item.h)}, true
+		return Entry{User: item.u, Prox: item.p, Hops: item.h}, true
 	}
 	return Entry{}, false
 }

@@ -1,7 +1,9 @@
 package social
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -181,6 +183,25 @@ func TestCachedMatchesUncachedUnderMutations(t *testing.T) {
 			}
 			if !reflect.DeepEqual(r1, r2) {
 				t.Fatalf("step %d: cached %+v != uncached %+v", step, r1, r2)
+			}
+			// explain:true — the cached service merges a materialized
+			// horizon, the uncached one expands lazily; beyond the cache
+			// provenance they must account for the same work, byte for byte.
+			req := search.Request{Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact, Explain: true}
+			x1, e1 := cached.Do(context.Background(), req)
+			x2, e2 := uncached.Do(context.Background(), req)
+			if e1 != nil || e2 != nil {
+				t.Fatalf("step %d: explain search: %v, %v", step, e1, e2)
+			}
+			if x1.Explain.HorizonUsers != x1.Explain.UsersSettled || x2.Explain.HorizonUsers != 0 {
+				t.Fatalf("step %d: horizon of %d users, %d settled (uncached: horizon of %d)",
+					step, x1.Explain.HorizonUsers, x1.Explain.UsersSettled, x2.Explain.HorizonUsers)
+			}
+			x1.Explain.HorizonUsers, x1.Explain.CacheHit, x1.Explain.CacheGeneration = 0, false, 0
+			b1, _ := json.Marshal(x1)
+			b2, _ := json.Marshal(x2)
+			if !bytes.Equal(b1, b2) {
+				t.Fatalf("step %d: explained answers differ:\n  cached %s\nuncached %s", step, b1, b2)
 			}
 		}
 	}

@@ -6,7 +6,11 @@
 //     tag frequency, consumed front-to-back by threshold algorithms;
 //   - random access: per-(user,tag) lists and point lookups tf(u, i, t),
 //     both binary searches over flat sorted arrays, consumed by the
-//     network-aware algorithm as the social frontier visits each user.
+//     network-aware algorithm as the social frontier visits each user;
+//   - the tag-pivoted join: per tag, the users who used it with a
+//     reference to each one's (user,tag) list, consumed when a whole
+//     materialized horizon is merged at once — one scan of the tag's
+//     users replaces a binary search per horizon user.
 //
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
@@ -95,15 +99,25 @@ type Store struct {
 
 	// Per-user tag CSR: user u's distinct tags are
 	// utTags[utStart[u]:utStart[u+1]] (sorted ascending), and the tag at
-	// index j owns userPostings[utOff[j] : utOff[j]+utLen[j]]. A flat
+	// index j — run j — owns userPostings[utOff[j]:utOff[j+1]]. A flat
 	// binary search over the (small) per-user tag segment replaces the
 	// packed-key hash lookups the random-access path used to pay per
 	// settled user — no hashing, no map runtime, cache-local.
 	utStart      []int32 // len numUsers+1
-	utTags       []TagID // parallel to utOff/utLen
-	utOff        []int32
-	utLen        []int32
+	utTags       []TagID // one per run
+	utOff        []int32 // len(utTags)+1
 	userPostings []UserPosting
+
+	// Tag-pivoted index over the same runs: tag t was used by
+	// tagUsers[t] (ascending), and the p-th of them owns run
+	// tuRuns[tuStart[t]+p]. The user lists change only when a
+	// (user, tag) pair is new, so a merge shares the lists of the tags
+	// that gained none with the store it started from, as it does with
+	// global; run numbers shift with every new pair, so tuRuns is
+	// rewritten.
+	tagUsers [][]int32
+	tuStart  []int32 // len numTags+1
+	tuRuns   []int32 // one per run
 
 	// Per-item tag CSR for gtf(i, t): item i's tags are
 	// itTags[itStart[i]:itStart[i+1]] (sorted ascending) with their
@@ -120,7 +134,8 @@ type Store struct {
 // summed) over a universe that may have grown. s is left untouched and
 // stays valid for readers still holding it: the new store copies what
 // changed and shares the rest — the global lists of the tags delta does
-// not mention — which is safe because neither store is written again.
+// not mention, the user lists of the tags that gained no user — which
+// is safe because neither store is written again.
 // The cost is sorting delta plus one linear copy of s; nothing is
 // hashed, and only the (user, tag) runs and tag lists delta touches are
 // re-ordered. With nothing to fold in, Merge returns s itself.
@@ -171,9 +186,11 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
 		return nil, err
 	}
-	if err := n.mergeUsers(s, d); err != nil {
+	newRunTags, err := n.mergeUsers(s, d)
+	if err != nil {
 		return nil, err
 	}
+	n.mergeTagUsers(s, newRunTags)
 	if err := n.mergeItems(s, agg); err != nil {
 		return nil, err
 	}
@@ -290,10 +307,11 @@ func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
 }
 
 // mergeUsers fills n.triples and the per-user CSR from s plus the
-// canonical delta d. Runs of s that d does not touch are block-copied
-// with their offsets shifted; a touched run is merged by item and only
-// its postings are re-sorted.
-func (n *Store) mergeUsers(s *Store, d []Triple) error {
+// canonical delta d, and returns the tag of every (user, tag) pair d
+// introduced. Runs of s that d does not touch are block-copied with
+// their offsets shifted; a touched run is merged by item and only its
+// postings are re-sorted.
+func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
 	// Count the runs first: a snapshot lives as long as the service, so
 	// its arrays get the capacity they need and no more.
 	runs := len(s.utTags)
@@ -305,26 +323,26 @@ func (n *Store) mergeUsers(s *Store, d []Triple) error {
 	n.triples = make([]Triple, 0, len(s.triples)+len(d))
 	n.userPostings = make([]UserPosting, 0, len(s.triples)+len(d))
 	n.utTags = make([]TagID, 0, runs)
-	n.utOff = make([]int32, 0, runs)
-	n.utLen = make([]int32, 0, runs)
+	n.utOff = make([]int32, 0, runs+1)
 
 	next := int32(0) // first run of s not carried over yet
 	carry := func(upTo int32) {
 		if upTo == next {
 			return
 		}
-		lo, hi := s.utOff[next], s.utOff[upTo-1]+s.utLen[upTo-1]
+		lo, hi := s.utOff[next], s.utOff[upTo]
 		shift := int32(len(n.triples)) - lo
 		n.triples = append(n.triples, s.triples[lo:hi]...)
 		n.userPostings = append(n.userPostings, s.userPostings[lo:hi]...)
 		n.utTags = append(n.utTags, s.utTags[next:upTo]...)
-		n.utLen = append(n.utLen, s.utLen[next:upTo]...)
 		for _, off := range s.utOff[next:upTo] {
 			n.utOff = append(n.utOff, off+shift)
 		}
 		next = upTo
 	}
-	var newRunUsers []int32
+	// The runs d brings that s lacks, at most every run of d.
+	newRunUsers := make([]int32, 0, runs-len(s.utTags))
+	newRunTags := make([]TagID, 0, runs-len(s.utTags))
 	for a := 0; a < len(d); {
 		u, t := d[a].User, d[a].Tag
 		b := a + 1
@@ -335,10 +353,10 @@ func (n *Store) mergeUsers(s *Store, d []Triple) error {
 		carry(r)
 		var old []Triple
 		if found {
-			old = s.triples[s.utOff[r] : s.utOff[r]+s.utLen[r]]
+			old = s.triples[s.utOff[r]:s.utOff[r+1]]
 			next = r + 1
 		} else {
-			newRunUsers = append(newRunUsers, u)
+			newRunUsers, newRunTags = append(newRunUsers, u), append(newRunTags, t)
 		}
 		start := len(n.triples)
 		for _, tr := range d[a:b] {
@@ -348,7 +366,7 @@ func (n *Store) mergeUsers(s *Store, d []Triple) error {
 			if len(old) > 0 && old[0].Item == tr.Item {
 				sum, err := addTF(old[0].Count, tr.Count)
 				if err != nil {
-					return err
+					return nil, err
 				}
 				tr.Count, old = sum, old[1:]
 			}
@@ -361,12 +379,47 @@ func (n *Store) mergeUsers(s *Store, d []Triple) error {
 		slices.SortFunc(n.userPostings[start:], func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
 		n.utTags = append(n.utTags, t)
 		n.utOff = append(n.utOff, int32(start))
-		n.utLen = append(n.utLen, int32(len(n.triples)-start))
 		a = b
 	}
 	carry(int32(len(s.utTags)))
+	n.utOff = append(n.utOff, int32(len(n.triples)))
 	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, newRunUsers)
-	return nil
+	return newRunTags, nil
+}
+
+// mergeTagUsers fills the tag-pivoted index once the per-user CSR is in
+// place. A tag's user list is shared with s unless the tag is among
+// newRunTags, the tags of the runs s did not have; the lists that are
+// not shared, and every run number, are dealt out in one pass over the
+// runs, whose (user, tag) order hands each tag its users in ascending
+// order.
+func (n *Store) mergeTagUsers(s *Store, newRunTags []TagID) {
+	n.tagUsers = make([][]int32, n.numTags)
+	copy(n.tagUsers, s.tagUsers)
+	n.tuStart = make([]int32, n.numTags+1)
+	for _, t := range newRunTags {
+		n.tuStart[t+1]++ // users tag t gains; the list's end offset below
+	}
+	grown := make([]bool, n.numTags)
+	for t, users := range n.tagUsers {
+		if added := int(n.tuStart[t+1]); added > 0 {
+			grown[t] = true
+			n.tagUsers[t] = make([]int32, len(users)+added)
+		}
+		n.tuStart[t+1] = n.tuStart[t] + int32(len(n.tagUsers[t]))
+	}
+	n.tuRuns = make([]int32, len(n.utTags))
+	fill := slices.Clone(n.tuStart[:n.numTags])
+	for u := 0; u < n.numUsers; u++ {
+		for j := n.utStart[u]; j < n.utStart[u+1]; j++ {
+			t := n.utTags[j]
+			if grown[t] {
+				n.tagUsers[t][fill[t]-n.tuStart[t]] = int32(u)
+			}
+			n.tuRuns[fill[t]] = j
+			fill[t]++
+		}
+	}
 }
 
 // mergeItems patches the per-item CSR in one pass over s's, and turns
@@ -485,10 +538,22 @@ func (s *Store) MaxTF(t TagID) int32 { return s.maxTF[t] }
 // no hashing, no pointer chasing.
 func (s *Store) UserList(u int32, t TagID) []UserPosting {
 	if j, ok := seek(s.utStart, s.utTags, u, t); ok {
-		off, n := s.utOff[j], s.utLen[j]
-		return s.userPostings[off : off+n]
+		return s.Run(j)
 	}
 	return nil
+}
+
+// Run returns the posting list of run j, a number TagUsers gave: the
+// list UserList returns for that run's (user, tag).
+func (s *Store) Run(j int32) []UserPosting {
+	return s.userPostings[s.utOff[j]:s.utOff[j+1]]
+}
+
+// TagUsers returns the users who used tag t in ascending order and,
+// beside each, the number of that user's run under t (see Run). Both
+// slices alias internal storage.
+func (s *Store) TagUsers(t TagID) (users, runs []int32) {
+	return s.tagUsers[t], s.tuRuns[s.tuStart[t]:s.tuStart[t+1]]
 }
 
 // UserTags returns the sorted distinct tags user u has used. The slice
@@ -506,7 +571,7 @@ func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
 	if !ok {
 		return 0
 	}
-	run := s.triples[s.utOff[j] : s.utOff[j]+s.utLen[j]]
+	run := s.triples[s.utOff[j]:s.utOff[j+1]]
 	k, ok := slices.BinarySearchFunc(run, i, func(tr Triple, i ItemID) int { return cmp.Compare(tr.Item, i) })
 	if !ok {
 		return 0

@@ -352,8 +352,8 @@ func randomMergeScript(rng *rand.Rand) []byte {
 // checkMergeScript folds the script's batches into a store one Merge at
 // a time and, after each, holds the result against two references: a
 // Build over the union of everything folded so far (deep equality of
-// every array) and a map model of the relation read back through every
-// accessor.
+// every array, the tag-pivoted index included) and a map model of the
+// relation read back through every accessor.
 func checkMergeScript(t *testing.T, data []byte) {
 	t.Helper()
 	batches, grow := mergeScript(data)
@@ -452,6 +452,21 @@ func checkAgainstModel(t *testing.T, s *Store, union []Triple, nu, ni, nt int) {
 		if got := s.GlobalList(tag); !reflect.DeepEqual(got, lst) {
 			t.Fatalf("GlobalList(%d) = %v, want %v", tag, got, lst)
 		}
+		// The tag-pivoted index: every user with a list under the tag, in
+		// ascending order, each beside the run UserList reads.
+		users, runs := s.TagUsers(tag)
+		var want []int32
+		for u := int32(0); int(u) < nu; u++ {
+			if j, ok := seek(s.utStart, s.utTags, u, tag); ok {
+				want = append(want, u)
+				if p := len(want) - 1; p >= len(runs) || runs[p] != j {
+					t.Fatalf("TagUsers(%d) runs = %v, want run %d of user %d at %d", tag, runs, j, u, p)
+				}
+			}
+		}
+		if len(users) != len(want) || len(runs) != len(want) || len(want) > 0 && !reflect.DeepEqual(users, want) {
+			t.Fatalf("TagUsers(%d) = %v with %d runs, want %v", tag, users, len(runs), want)
+		}
 		var head int32
 		if len(lst) > 0 {
 			head = lst[0].TF
@@ -519,6 +534,22 @@ func TestMergeLeavesOldStoreIntact(t *testing.T) {
 	}
 	if &merged.GlobalList(1)[0] != &old.GlobalList(1)[0] {
 		t.Fatal("the untouched tag's list was copied, not shared")
+	}
+	// Tag 0 was touched but gained no user, tag 1 gains user 2.
+	grown, err := merged.Merge([]Triple{{User: 2, Item: 1, Tag: 1, Count: 1}}, 4, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldUsers, _ := old.TagUsers(0)
+	if users, _ := grown.TagUsers(0); &users[0] != &oldUsers[0] {
+		t.Fatal("the user list of a tag that gained no user was copied, not shared")
+	}
+	if users, _ := merged.TagUsers(1); !reflect.DeepEqual(users, []int32{0, 1}) {
+		t.Fatalf("Merge changed TagUsers(1) of the store it started from: %v", users)
+	}
+	users, runs := grown.TagUsers(1)
+	if !reflect.DeepEqual(users, []int32{0, 1, 2}) || !reflect.DeepEqual(grown.Run(runs[2]), []UserPosting{{Item: 1, TF: 1}}) {
+		t.Fatalf("grown TagUsers(1) = %v, runs %v", users, runs)
 	}
 }
 
