@@ -13,6 +13,10 @@ import (
 //
 //   - join:  over a cached horizon, the tag-pivoted join (what a cache
 //     hit runs);
+//   - join-evicted: the same, each query starting on cold caches — the
+//     timer stops while a 16 MiB scratch is walked. A replica serving
+//     HTTP between merges is nearer this than the warm loop, which
+//     keeps 192 queries' posting lists in cache;
 //   - probe: over the same cached horizon, one binary search per
 //     (user, tag) pair. A MaxUsers budget one past the horizon never
 //     fires but keeps the merge on mainLoop, which is how the cached
@@ -20,8 +24,8 @@ import (
 //   - lazy:  no horizon, the live best-first expansion (what NoCache and
 //     the oracle run).
 //
-// All three return the same answers: TestRefineJoinMatchesSettleLoop
-// holds them to that.
+// All return the same answers: TestRefineJoinMatchesSettleLoop holds
+// them to that.
 func BenchmarkRefineHorizonMerge(b *testing.B) {
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
 	if err != nil {
@@ -50,7 +54,7 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 		}
 		users += horizons[i].Size()
 	}
-	run := func(name string, one func(i int, ans *Answer) error) {
+	run := func(name string, scratch []int64, one func(i int, ans *Answer) error) {
 		b.Run(name, func(b *testing.B) {
 			var ans Answer
 			for i := range queries { // warm the run pool and ans.Results
@@ -61,6 +65,13 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; n++ {
+				if scratch != nil {
+					b.StopTimer()
+					for k := range scratch {
+						scratch[k]++
+					}
+					b.StartTimer()
+				}
 				if err := one(n%len(queries), &ans); err != nil {
 					b.Fatal(err)
 				}
@@ -68,13 +79,15 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 			b.ReportMetric(float64(users)/float64(len(queries)), "horizon-users")
 		})
 	}
-	run("join", func(i int, ans *Answer) error {
+	join := func(i int, ans *Answer) error {
 		return e.SocialMergeWithHorizonInto(queries[i], horizons[i], Options{RefineScores: true}, ans)
-	})
-	run("probe", func(i int, ans *Answer) error {
+	}
+	run("join", nil, join)
+	run("join-evicted", make([]int64, 16<<20/8), join)
+	run("probe", nil, func(i int, ans *Answer) error {
 		return e.SocialMergeWithHorizonInto(queries[i], horizons[i], Options{RefineScores: true, MaxUsers: horizons[i].Size() + 1}, ans)
 	})
-	run("lazy", func(i int, ans *Answer) error {
+	run("lazy", nil, func(i int, ans *Answer) error {
 		return e.SocialMergeInto(queries[i], Options{RefineScores: true}, ans)
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proximity"
 	"repro/internal/tagstore"
@@ -100,6 +101,8 @@ func TestRefineScoresSettlesWholeHorizon(t *testing.T) {
 // lazy expansion returns — results, Exact and every access counter —
 // for β = 1, a blend and pure-global scoring, with a repeated query tag,
 // and for truncated horizons, which reach the residual certification.
+// Each corpus is queried as built and again after a chain of merges, so
+// the join also reads posting lists a merge wrote beside ones it shared.
 func TestRefineJoinMatchesSettleLoop(t *testing.T) {
 	for seed, beta := range [...]float64{1, 0.6, 0, 1} {
 		cfg := Config{
@@ -107,37 +110,87 @@ func TestRefineJoinMatchesSettleLoop(t *testing.T) {
 			Beta:      beta,
 		}
 		e, ds := randomCorpusEngine(t, int64(seed), cfg)
-		rng := rand.New(rand.NewSource(int64(seed)))
-		tag := func() tagstore.TagID { return tagstore.TagID(rng.Intn(ds.Store.NumTags())) }
-		for s := 0; s < ds.Graph.NumUsers(); s++ {
-			first := tag()
-			q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(8)}
-			for _, maxUsers := range [...]int{0, 1 + rng.Intn(6)} {
-				h, err := e.MaterializeHorizon(q.Seeker, maxUsers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(join, loop) {
-					t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
-				}
-				if h.Residual() > 0 {
-					continue
-				}
-				lazy, err := e.SocialMerge(q, Options{RefineScores: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(join, lazy) {
-					t.Fatalf("β=%g %+v over its whole horizon of %d:\njoin %+v\nlazy %+v", beta, q, h.Size(), join, lazy)
-				}
+		checkJoinMatchesSettleLoop(t, e, int64(seed))
+		g, st := mergedCorpus(t, ds)
+		merged, err := NewEngine(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkJoinMatchesSettleLoop(t, merged, int64(seed))
+	}
+}
+
+// mergedCorpus folds three batches into ds, one merge each: a new user
+// who befriends two old ones and tags under an old tag; a new tag used
+// by the new user and two old ones; and a (user, tag) pair that did not
+// exist together with a frequency bump that reorders an existing list.
+func mergedCorpus(t *testing.T, ds *gen.Dataset) (*graph.Graph, *tagstore.Store) {
+	t.Helper()
+	g, st := ds.Graph, ds.Store
+	nu, ni, nt := st.NumUsers(), st.NumItems(), st.NumTags()
+	newUser, newTag := int32(nu), tagstore.TagID(nt)
+	g, err := g.Merge([]graph.Edge{{U: graph.UserID(newUser), V: 0, Weight: 0.9}, {U: graph.UserID(newUser), V: 7, Weight: 0.5}}, nu+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pair tagstore.Triple // the first (user, tag) the corpus lacks
+	for u := int32(0); pair.Count == 0; u++ {
+		for tag := tagstore.TagID(0); int(tag) < nt && pair.Count == 0; tag++ {
+			if st.UserList(u, tag) == nil {
+				pair = tagstore.Triple{User: u, Item: 3, Tag: tag, Count: 2}
+			}
+		}
+	}
+	bump := st.Triples()[len(st.Triples())/2]
+	bump.Count = 4
+	for _, step := range []struct {
+		delta  []tagstore.Triple
+		nu, nt int
+	}{
+		{[]tagstore.Triple{{User: newUser, Item: 1, Tag: 0, Count: 1}, {User: newUser, Item: 2, Tag: 0, Count: 3}}, nu + 1, nt},
+		{[]tagstore.Triple{{User: newUser, Item: 1, Tag: newTag, Count: 2}, {User: 0, Item: 5, Tag: newTag, Count: 1}, {User: 9, Item: 1, Tag: newTag, Count: 1}}, nu + 1, nt + 1},
+		{[]tagstore.Triple{pair, bump}, nu + 1, nt + 1},
+	} {
+		if st, err = st.Merge(step.delta, step.nu, ni, step.nt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g, st
+}
+
+func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
+	t.Helper()
+	beta := e.beta
+	rng := rand.New(rand.NewSource(seed))
+	tag := func() tagstore.TagID { return tagstore.TagID(rng.Intn(e.Store().NumTags())) }
+	for s := 0; s < e.Graph().NumUsers(); s++ {
+		first := tag()
+		q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(8)}
+		for _, maxUsers := range [...]int{0, 1 + rng.Intn(6)} {
+			h, err := e.MaterializeHorizon(q.Seeker, maxUsers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(join, loop) {
+				t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
+			}
+			if h.Residual() > 0 {
+				continue
+			}
+			lazy, err := e.SocialMerge(q, Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(join, lazy) {
+				t.Fatalf("β=%g %+v over its whole horizon of %d:\njoin %+v\nlazy %+v", beta, q, h.Size(), join, lazy)
 			}
 		}
 	}

@@ -144,11 +144,16 @@ type mergeRun struct {
 
 	// Scratch of joinHorizon. rank[u] is 1 + the horizon position of
 	// user u, 0 for everyone outside; it is all zero between queries.
-	// slots[k·|tags|+i] is 1 + the run of the horizon's k-th user under
-	// the i-th query tag, 0 when that user never used the tag.
+	// slots[k·|tags|+i] is where the list of the horizon's k-th user
+	// under the i-th query tag lies in posts[i], that tag's postings.
 	rank  []int32
-	slots []int32
+	slots []listSlot
+	posts [][]tagstore.UserPosting
 }
+
+// listSlot locates one (user, tag) posting list inside its tag's
+// postings; n is 0 when the user never used the tag.
+type listSlot struct{ off, n int32 }
 
 // acquireRun checks a recycled run out of the engine pool and resets it
 // for the query. All retained storage (tag buffer, cursor slices, the
@@ -199,9 +204,8 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 }
 
 func (e *Engine) releaseRun(r *mergeRun) {
-	for i := range r.lists {
-		r.lists[i] = nil // do not pin posting lists while pooled
-	}
+	clear(r.lists) // do not pin posting lists while pooled
+	clear(r.posts)
 	r.msrc = materializedSource{}
 	e.runs.Put(r)
 }
@@ -313,6 +317,8 @@ func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
 // marks and the hits land in a rank × tag slot array; the sweep over
 // ranks then settles the slots that are set and nothing else, where
 // settleUser searches every (user, tag) pair and mostly finds nothing.
+// The store keeps a tag's lists back to back, so everything the sweep
+// reads lies in the query tags' own postings.
 func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	st, tags := r.e.store, r.tags
 	if r.beta == 0 {
@@ -323,18 +329,20 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 		r.rank = make([]int32, st.NumUsers())
 	}
 	if cap(r.slots) < len(h.list)*nt {
-		r.slots = make([]int32, len(h.list)*nt)
+		r.slots = make([]listSlot, len(h.list)*nt)
 	}
 	r.slots = r.slots[:len(h.list)*nt]
 	clear(r.slots)
+	r.posts = r.posts[:0]
 	for k, entry := range h.list {
 		r.rank[entry.User] = int32(k) + 1
 	}
 	for i, t := range tags {
-		users, runs := st.TagUsers(t)
+		users, off, post := st.TagLists(t)
+		r.posts = append(r.posts, post)
 		for p, u := range users {
 			if k := r.rank[u]; k != 0 {
-				r.slots[int(k-1)*nt+i] = runs[p] + 1
+				r.slots[int(k-1)*nt+i] = listSlot{off: off[p], n: off[p+1] - off[p]}
 			}
 		}
 	}
@@ -347,9 +355,9 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 				return false, err
 			}
 		}
-		for _, slot := range r.slots[k*nt : (k+1)*nt] {
-			if slot != 0 {
-				r.settleList(st.Run(slot-1), entry.Prox)
+		for i, slot := range r.slots[k*nt : (k+1)*nt] {
+			if slot.n != 0 {
+				r.settleList(r.posts[i][slot.off:slot.off+slot.n], entry.Prox)
 			}
 		}
 		r.userSettled()

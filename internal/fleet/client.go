@@ -42,6 +42,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -225,7 +226,7 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 			io.Copy(io.Discard, resp.Body)
 			return nil
 		}
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		if err := decodeBody(resp.Body, out); err != nil {
 			return unavailablef("%s %s: decoding response: %v", c.base, path, err)
 		}
 		return nil
@@ -250,6 +251,25 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 		return unavailablef("%s %s: status %d: %s", c.base, path, resp.StatusCode, wireErrMessage(resp.Body))
 	}
 }
+
+// decodeBody decodes the JSON value a 2xx body holds and then reads the
+// body to its end. The decoder stops at the value's closing brace; a
+// chunked answer's terminating chunk lies past it, and the transport
+// discards a connection whose body is closed with that unread. The
+// servers send nothing after the value, so the bound only keeps a
+// misbehaving peer from holding the caller; the limiting readers are
+// pooled so that a search RPC allocates no more than before.
+func decodeBody(body io.Reader, out interface{}) error {
+	err := json.NewDecoder(body).Decode(out)
+	rest := drainReaders.Get().(*io.LimitedReader)
+	rest.R, rest.N = body, 64<<10
+	io.Copy(io.Discard, rest)
+	rest.R = nil
+	drainReaders.Put(rest)
+	return err
+}
+
+var drainReaders = sync.Pool{New: func() interface{} { return new(io.LimitedReader) }}
 
 // parseRetryAfter reads a Retry-After header (delta-seconds form; the
 // only form our servers emit) into a duration, 0 when absent or
@@ -588,7 +608,7 @@ func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error
 		return 0, unavailablef("%s /v2/snapshot: status %d: %s", c.base, resp.StatusCode, wireErrMessage(resp.Body))
 	}
 	var out appliedAck
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp.Body, &out); err != nil {
 		return 0, unavailablef("%s /v2/snapshot: decoding response: %v", c.base, err)
 	}
 	return out.AppliedLSN, nil
@@ -615,7 +635,7 @@ func (c *Client) CachedSeekers(ctx context.Context) ([]string, error) {
 	var out struct {
 		Seekers []string `json:"seekers"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp.Body, &out); err != nil {
 		return nil, unavailablef("%s /v2/cache/seekers: decoding response: %v", c.base, err)
 	}
 	return out.Seekers, nil
@@ -649,7 +669,7 @@ func (c *Client) WarmSeekers(ctx context.Context, seekers []string) (int, error)
 	var out struct {
 		Warmed int `json:"warmed"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp.Body, &out); err != nil {
 		return 0, unavailablef("%s /v2/cache/warm: decoding response: %v", c.base, err)
 	}
 	return out.Warmed, nil
@@ -674,7 +694,7 @@ func (c *Client) Users(ctx context.Context) ([]string, error) {
 	var out struct {
 		Users []string `json:"users"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := decodeBody(resp.Body, &out); err != nil {
 		return nil, unavailablef("%s /v1/users: decoding response: %v", c.base, err)
 	}
 	return out.Users, nil

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -476,5 +477,63 @@ func TestFrontendMutationsAndStats(t *testing.T) {
 	// An invalid mutation is rejected without partial effects.
 	if err := front.Befriend("", "x", 0.5); err == nil {
 		t.Fatal("invalid befriend accepted")
+	}
+}
+
+// TestClientReusesOneConnection: a 2xx body is read to its end before
+// it is closed, so the transport keeps the connection — also for a
+// batch answer, which is long enough to go out chunked and so has a
+// terminating chunk past the JSON value's closing brace. Fifty RPCs of
+// either kind open one connection.
+func TestClientReusesOneConnection(t *testing.T) {
+	svc, _ := newReplica(t)
+	srv, err := server.New(svc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var opened atomic.Int64
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			opened.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(ts.Close)
+	ctx := context.Background()
+	seed := newTestClient(t, ts.URL, ClientConfig{})
+	if _, err := seed.Befriend(ctx, "alice", "bob", 0.9, 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.Tag(ctx, "bob", "luigis", "pizza", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := seed.Invalidate(ctx, nil, true); err != nil {
+		t.Fatal(err)
+	}
+	one := search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact, Explain: true}
+	// Whether the decoder happens to consume the terminating chunk
+	// depends on the answer's length, so batches of several lengths.
+	sizes := [...]int{40, 100, 128, 200, 256}
+	for name, rpc := range map[string]func(c *Client, i int) error{
+		"single": func(c *Client, _ int) error { _, err := c.Do(ctx, one); return err },
+		"batch": func(c *Client, i int) error {
+			batch := make([]search.Request, sizes[i%len(sizes)])
+			for q := range batch {
+				batch[q] = one
+			}
+			return c.DoBatch(ctx, batch)[0].Err
+		},
+	} {
+		c := newTestClient(t, ts.URL, ClientConfig{}) // its own transport
+		before := opened.Load()
+		for i := 0; i < 50; i++ {
+			if err := rpc(c, i); err != nil {
+				t.Fatalf("%s RPC %d: %v", name, i, err)
+			}
+		}
+		if n := opened.Load() - before; n != 1 {
+			t.Errorf("50 %s RPCs opened %d connections, want 1", name, n)
+		}
 	}
 }

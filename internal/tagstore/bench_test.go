@@ -1,7 +1,10 @@
 package tagstore_test
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -50,5 +53,43 @@ func BenchmarkStoreTF(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr := probe[i&(len(probe)-1)]
 		sinkTF += s.TF(tr.User, tr.Item, tr.Tag)
+	}
+}
+
+var sinkPostings int
+
+// BenchmarkUserList probes one tag's lists for users drawn at random
+// from the whole universe, as the lazy merge probes every user its
+// frontier settles: under the tag with the median number of users
+// nearly every probe misses, under a top-1% tag about one in six hits.
+func BenchmarkUserList(b *testing.B) {
+	s := benchStore(b)
+	var used []tagstore.TagID
+	for t := tagstore.TagID(0); int(t) < s.NumTags(); t++ {
+		if users, _, _ := s.TagLists(t); len(users) > 0 {
+			used = append(used, t)
+		}
+	}
+	slices.SortFunc(used, func(x, y tagstore.TagID) int {
+		ux, _, _ := s.TagLists(x)
+		uy, _, _ := s.TagLists(y)
+		return cmp.Compare(len(ux), len(uy))
+	})
+	rng := rand.New(rand.NewSource(1))
+	probe := make([]int32, 1<<12)
+	for i := range probe {
+		probe[i] = int32(rng.Intn(s.NumUsers()))
+	}
+	for _, c := range []struct {
+		name string
+		tag  tagstore.TagID
+	}{{"median", used[len(used)/2]}, {"top1pct", used[len(used)*99/100]}} {
+		users, _, _ := s.TagLists(c.tag)
+		b.Run(fmt.Sprintf("%s-%dusers", c.name, len(users)), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkPostings += len(s.UserList(probe[i&(len(probe)-1)], c.tag))
+			}
+		})
 	}
 }

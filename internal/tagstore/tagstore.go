@@ -7,10 +7,10 @@
 //   - random access: per-(user,tag) lists and point lookups tf(u, i, t),
 //     both binary searches over flat sorted arrays, consumed by the
 //     network-aware algorithm as the social frontier visits each user;
-//   - the tag-pivoted join: per tag, the users who used it with a
-//     reference to each one's (user,tag) list, consumed when a whole
-//     materialized horizon is merged at once — one scan of the tag's
-//     users replaces a binary search per horizon user.
+//   - the tag-pivoted join: per tag, the users who used it and their
+//     (user,tag) lists back to back, consumed when a whole materialized
+//     horizon is merged at once — one scan of the tag's users replaces a
+//     binary search per horizon user.
 //
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
@@ -88,8 +88,7 @@ func (b *Builder) Build() (*Store, error) {
 // Store is the immutable tagging store.
 type Store struct {
 	numUsers, numItems, numTags int
-	// canonical triples sorted by (user, tag, item); a (user, tag) run
-	// sits at the same offsets here as in userPostings
+	// canonical triples sorted by (user, tag, item)
 	triples []Triple
 
 	// global per-tag posting lists sorted by (TF desc, Item asc)
@@ -97,27 +96,19 @@ type Store struct {
 	// maxTF[t] = largest global TF of any item under tag t (0 if none)
 	maxTF []int32
 
-	// Per-user tag CSR: user u's distinct tags are
+	// Per-user tag CSR over the triples: user u's distinct tags are
 	// utTags[utStart[u]:utStart[u+1]] (sorted ascending), and the tag at
-	// index j — run j — owns userPostings[utOff[j]:utOff[j+1]]. A flat
-	// binary search over the (small) per-user tag segment replaces the
-	// packed-key hash lookups the random-access path used to pay per
-	// settled user — no hashing, no map runtime, cache-local.
-	utStart      []int32 // len numUsers+1
-	utTags       []TagID // one per run
-	utOff        []int32 // len(utTags)+1
-	userPostings []UserPosting
+	// index j — run j — owns triples[utOff[j]:utOff[j+1]], the (user, tag)
+	// pair's items in ascending order. TF and the next merge read it.
+	utStart []int32 // len numUsers+1
+	utTags  []TagID // one per run
+	utOff   []int32 // len(utTags)+1
 
-	// Tag-pivoted index over the same runs: tag t was used by
-	// tagUsers[t] (ascending), and the p-th of them owns run
-	// tuRuns[tuStart[t]+p]. The user lists change only when a
-	// (user, tag) pair is new, so a merge shares the lists of the tags
-	// that gained none with the store it started from, as it does with
-	// global; run numbers shift with every new pair, so tuRuns is
-	// rewritten.
-	tagUsers [][]int32
-	tuStart  []int32 // len numTags+1
-	tuRuns   []int32 // one per run
+	// The per-(user, tag) posting lists, tag-major: whatever a query
+	// reads of them lies in its own tags' entries. A merge shares the
+	// entry of every tag its delta does not mention with the store it
+	// started from, as it does with global.
+	byTag []tagLists // len numTags
 
 	// Per-item tag CSR for gtf(i, t): item i's tags are
 	// itTags[itStart[i]:itStart[i+1]] (sorted ascending) with their
@@ -130,14 +121,24 @@ type Store struct {
 	totalAnnotations int64
 }
 
+// tagLists holds one tag's per-user posting lists: users lists, in
+// ascending order, everyone who used the tag, and the p-th of them owns
+// post[off[p]:off[p+1]], sorted by (TF desc, Item asc). All three are
+// nil for a tag nobody used.
+type tagLists struct {
+	users []int32
+	off   []int32 // len(users)+1
+	post  []UserPosting
+}
+
 // Merge returns a store holding s's triples plus delta (duplicates
 // summed) over a universe that may have grown. s is left untouched and
 // stays valid for readers still holding it: the new store copies what
-// changed and shares the rest — the global lists of the tags delta does
-// not mention, the user lists of the tags that gained no user — which
-// is safe because neither store is written again.
-// The cost is sorting delta plus one linear copy of s; nothing is
-// hashed, and only the (user, tag) runs and tag lists delta touches are
+// changed and shares the rest — the global and the per-user posting
+// lists of the tags delta does not mention — which is safe because
+// neither store is written again.
+// The cost is sorting delta plus one linear copy of s's triples; nothing
+// is hashed, and only the lists of the tags delta mentions are
 // re-ordered. With nothing to fold in, Merge returns s itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
@@ -186,11 +187,11 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
 		return nil, err
 	}
-	newRunTags, err := n.mergeUsers(s, d)
+	touched, err := n.mergeUsers(s, d)
 	if err != nil {
 		return nil, err
 	}
-	n.mergeTagUsers(s, newRunTags)
+	n.mergeTagLists(s, d, touched)
 	if err := n.mergeItems(s, agg); err != nil {
 		return nil, err
 	}
@@ -307,11 +308,11 @@ func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
 }
 
 // mergeUsers fills n.triples and the per-user CSR from s plus the
-// canonical delta d, and returns the tag of every (user, tag) pair d
-// introduced. Runs of s that d does not touch are block-copied with
-// their offsets shifted; a touched run is merged by item and only its
-// postings are re-sorted.
-func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
+// canonical delta d, and returns the number each run of d — each
+// (user, tag) pair it mentions — has in n. Runs of s that d does not
+// touch are block-copied with their offsets shifted; a touched run is
+// merged by item.
+func (n *Store) mergeUsers(s *Store, d []Triple) ([]int32, error) {
 	// Count the runs first: a snapshot lives as long as the service, so
 	// its arrays get the capacity they need and no more.
 	runs := len(s.utTags)
@@ -321,7 +322,6 @@ func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
 		}
 	}
 	n.triples = make([]Triple, 0, len(s.triples)+len(d))
-	n.userPostings = make([]UserPosting, 0, len(s.triples)+len(d))
 	n.utTags = make([]TagID, 0, runs)
 	n.utOff = make([]int32, 0, runs+1)
 
@@ -333,16 +333,15 @@ func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
 		lo, hi := s.utOff[next], s.utOff[upTo]
 		shift := int32(len(n.triples)) - lo
 		n.triples = append(n.triples, s.triples[lo:hi]...)
-		n.userPostings = append(n.userPostings, s.userPostings[lo:hi]...)
 		n.utTags = append(n.utTags, s.utTags[next:upTo]...)
 		for _, off := range s.utOff[next:upTo] {
 			n.utOff = append(n.utOff, off+shift)
 		}
 		next = upTo
 	}
-	// The runs d brings that s lacks, at most every run of d.
+	// At most every run of d is one s lacks.
+	touched := make([]int32, 0, runs-len(s.utTags))
 	newRunUsers := make([]int32, 0, runs-len(s.utTags))
-	newRunTags := make([]TagID, 0, runs-len(s.utTags))
 	for a := 0; a < len(d); {
 		u, t := d[a].User, d[a].Tag
 		b := a + 1
@@ -356,9 +355,11 @@ func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
 			old = s.triples[s.utOff[r]:s.utOff[r+1]]
 			next = r + 1
 		} else {
-			newRunUsers, newRunTags = append(newRunUsers, u), append(newRunTags, t)
+			newRunUsers = append(newRunUsers, u)
 		}
-		start := len(n.triples)
+		touched = append(touched, int32(len(n.utTags)))
+		n.utTags = append(n.utTags, t)
+		n.utOff = append(n.utOff, int32(len(n.triples)))
 		for _, tr := range d[a:b] {
 			for len(old) > 0 && old[0].Item < tr.Item {
 				n.triples, old = append(n.triples, old[0]), old[1:]
@@ -373,51 +374,102 @@ func (n *Store) mergeUsers(s *Store, d []Triple) ([]TagID, error) {
 			n.triples = append(n.triples, tr)
 		}
 		n.triples = append(n.triples, old...)
-		for _, tr := range n.triples[start:] {
-			n.userPostings = append(n.userPostings, UserPosting{Item: tr.Item, TF: tr.Count})
-		}
-		slices.SortFunc(n.userPostings[start:], func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
-		n.utTags = append(n.utTags, t)
-		n.utOff = append(n.utOff, int32(start))
 		a = b
 	}
 	carry(int32(len(s.utTags)))
 	n.utOff = append(n.utOff, int32(len(n.triples)))
 	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, newRunUsers)
-	return newRunTags, nil
+	return touched, nil
 }
 
-// mergeTagUsers fills the tag-pivoted index once the per-user CSR is in
-// place. A tag's user list is shared with s unless the tag is among
-// newRunTags, the tags of the runs s did not have; the lists that are
-// not shared, and every run number, are dealt out in one pass over the
-// runs, whose (user, tag) order hands each tag its users in ascending
-// order.
-func (n *Store) mergeTagUsers(s *Store, newRunTags []TagID) {
-	n.tagUsers = make([][]int32, n.numTags)
-	copy(n.tagUsers, s.tagUsers)
-	n.tuStart = make([]int32, n.numTags+1)
-	for _, t := range newRunTags {
-		n.tuStart[t+1]++ // users tag t gains; the list's end offset below
-	}
-	grown := make([]bool, n.numTags)
-	for t, users := range n.tagUsers {
-		if added := int(n.tuStart[t+1]); added > 0 {
-			grown[t] = true
-			n.tagUsers[t] = make([]int32, len(users)+added)
+// mergeTagLists fills the tag-major posting lists once the per-user CSR
+// is in place; touched[k] is the run of n that holds the k-th (user,
+// tag) pair of the canonical delta d. A tag d does not mention keeps the
+// lists it has in s. A tag it does gets new arrays — s's are never
+// written — into which the lists of the users d leaves alone are
+// block-copied from s with their offsets shifted, and the lists d
+// touches are written from n's merged runs and sorted. d's (user, tag)
+// order brings each tag its touched users in ascending order, so the
+// pass needs one cursor per tag into s's lists.
+func (n *Store) mergeTagLists(s *Store, d []Triple, touched []int32) {
+	was := make([]tagLists, n.numTags) // s's lists over the grown universe
+	copy(was, s.byTag)
+	n.byTag = slices.Clone(was)
+	// A tag gains at most a user per run of d under it and a posting per
+	// triple. What a repeated pair or triple leaves unused is trimmed off
+	// at the end and stays as a few bytes of spare capacity, gone when
+	// the tag is next written: that sizes from lengths again.
+	newUsers, newPosts := make([]int, n.numTags), make([]int, n.numTags)
+	for k, tr := range d {
+		if k == 0 || tr.User != d[k-1].User || tr.Tag != d[k-1].Tag {
+			newUsers[tr.Tag]++
 		}
-		n.tuStart[t+1] = n.tuStart[t] + int32(len(n.tagUsers[t]))
+		newPosts[tr.Tag]++
 	}
-	n.tuRuns = make([]int32, len(n.utTags))
-	fill := slices.Clone(n.tuStart[:n.numTags])
-	for u := 0; u < n.numUsers; u++ {
-		for j := n.utStart[u]; j < n.utStart[u+1]; j++ {
-			t := n.utTags[j]
-			if grown[t] {
-				n.tagUsers[t][fill[t]-n.tuStart[t]] = int32(u)
+	for t, gain := range newUsers {
+		if gain > 0 {
+			n.byTag[t] = tagLists{
+				users: make([]int32, len(was[t].users)+gain),
+				off:   make([]int32, len(was[t].users)+gain+1),
+				post:  make([]UserPosting, len(was[t].post)+newPosts[t]),
 			}
-			n.tuRuns[fill[t]] = j
-			fill[t]++
+		}
+	}
+	// Per tag: the last rest[t] users of s's lists are not carried over
+	// yet, and n's lists hold users[t] users and posts[t] postings so far.
+	rest, users, posts := make([]int32, n.numTags), make([]int32, n.numTags), make([]int32, n.numTags)
+	for t := range s.byTag {
+		rest[t] = int32(len(was[t].users))
+	}
+	carry := func(t TagID, count int32) {
+		if count == 0 {
+			return
+		}
+		old, l := &was[t], &n.byTag[t]
+		lo := int32(len(old.users)) - rest[t]
+		hi := lo + count
+		copy(l.users[users[t]:], old.users[lo:hi])
+		shift := posts[t] - old.off[lo]
+		for p, off := range old.off[lo:hi] {
+			l.off[int(users[t])+p] = off + shift
+		}
+		posts[t] += int32(copy(l.post[posts[t]:], old.post[old.off[lo]:old.off[hi]]))
+		users[t] += count
+		rest[t] -= count
+	}
+	for a, k := 0, 0; a < len(d); k++ {
+		u, t := d[a].User, d[a].Tag
+		for a < len(d) && d[a].User == u && d[a].Tag == t {
+			a++
+		}
+		// With nothing of s's left under t — every pair of a Build —
+		// there is nothing to place u in.
+		if rest[t] > 0 {
+			old := was[t].users
+			p, found := slices.BinarySearch(old[len(old)-int(rest[t]):], u)
+			carry(t, int32(p))
+			if found {
+				rest[t]--
+			}
+		}
+		l := &n.byTag[t]
+		l.users[users[t]], l.off[users[t]] = u, posts[t]
+		users[t]++
+		run := l.post[posts[t]:posts[t]]
+		for _, tr := range n.triples[n.utOff[touched[k]]:n.utOff[touched[k]+1]] {
+			run = append(run, UserPosting{Item: tr.Item, TF: tr.Count})
+		}
+		posts[t] += int32(len(run))
+		if len(run) > 1 { // most lists hold one posting
+			slices.SortFunc(run, func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
+		}
+	}
+	for t, gain := range newUsers {
+		if gain > 0 {
+			carry(TagID(t), rest[t])
+			l := &n.byTag[t]
+			l.users, l.off, l.post = l.users[:users[t]], l.off[:users[t]+1], l.post[:posts[t]]
+			l.off[users[t]] = posts[t]
 		}
 	}
 }
@@ -534,26 +586,22 @@ func (s *Store) MaxTF(t TagID) int32 { return s.maxTF[t] }
 
 // UserList returns the posting list of (user u, tag t), sorted by
 // descending frequency, or nil when u never used t. The lookup is a
-// binary search over u's (small, sorted) tag segment in the flat CSR —
-// no hashing, no pointer chasing.
+// binary search over the tag's ascending users, an array every lookup
+// under that tag shares.
 func (s *Store) UserList(u int32, t TagID) []UserPosting {
-	if j, ok := seek(s.utStart, s.utTags, u, t); ok {
-		return s.Run(j)
+	l := &s.byTag[t]
+	if p, ok := slices.BinarySearch(l.users, u); ok {
+		return l.post[l.off[p]:l.off[p+1]]
 	}
 	return nil
 }
 
-// Run returns the posting list of run j, a number TagUsers gave: the
-// list UserList returns for that run's (user, tag).
-func (s *Store) Run(j int32) []UserPosting {
-	return s.userPostings[s.utOff[j]:s.utOff[j+1]]
-}
-
-// TagUsers returns the users who used tag t in ascending order and,
-// beside each, the number of that user's run under t (see Run). Both
-// slices alias internal storage.
-func (s *Store) TagUsers(t TagID) (users, runs []int32) {
-	return s.tagUsers[t], s.tuRuns[s.tuStart[t]:s.tuStart[t+1]]
+// TagLists returns every posting list under tag t: the users who used
+// it in ascending order, and the p-th user's list — the one UserList
+// returns — is post[off[p]:off[p+1]]. The slices alias internal storage.
+func (s *Store) TagLists(t TagID) (users, off []int32, post []UserPosting) {
+	l := &s.byTag[t]
+	return l.users, l.off, l.post
 }
 
 // UserTags returns the sorted distinct tags user u has used. The slice
@@ -563,9 +611,9 @@ func (s *Store) UserTags(u int32) []TagID {
 }
 
 // TF returns tf(u, i, t): how many times user u applied tag t to item i.
-// The (user, tag) run UserList would return is found the same way and
-// then searched by item in the canonical triples, which keep the run in
-// item order.
+// The (user, tag) run is found by a binary search over u's tag segment
+// and then searched by item in the canonical triples, which keep the run
+// in item order.
 func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
 	j, ok := seekGrown(s.utStart, s.utTags, s.numUsers, u, t)
 	if !ok {

@@ -3,6 +3,7 @@ package tagstore
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -352,8 +353,9 @@ func randomMergeScript(rng *rand.Rand) []byte {
 // checkMergeScript folds the script's batches into a store one Merge at
 // a time and, after each, holds the result against two references: a
 // Build over the union of everything folded so far (deep equality of
-// every array, the tag-pivoted index included) and a map model of the
-// relation read back through every accessor.
+// every array, the tag-major posting lists included), a map model of
+// the relation read back through every accessor, and the structure of
+// the tag-major lists against the store's own canonical triples.
 func checkMergeScript(t *testing.T, data []byte) {
 	t.Helper()
 	batches, grow := mergeScript(data)
@@ -388,6 +390,48 @@ func checkMergeScript(t *testing.T, data []byte) {
 			t.Fatalf("round %d: merged store differs from Build over the union\n got %+v\nwant %+v", round, store, want)
 		}
 		checkAgainstModel(t, store, union, nu, ni, nt)
+		checkTagLists(t, store)
+	}
+}
+
+// checkTagLists holds the tag-major posting lists to their shape —
+// users strictly ascending, offsets starting at 0, strictly rising and
+// ending at the postings' length, every list in (TF desc, item asc)
+// order — and their contents to Triples(): the same (user, item, tag,
+// tf) tuples, each once.
+func checkTagLists(t *testing.T, s *Store) {
+	t.Helper()
+	var got []Triple
+	for tag := TagID(0); int(tag) < s.NumTags(); tag++ {
+		users, off, post := s.TagLists(tag)
+		if len(users) == 0 {
+			if len(off) != 0 || len(post) != 0 {
+				t.Fatalf("tag %d has no users but offsets %v and postings %v", tag, off, post)
+			}
+			continue
+		}
+		if len(off) != len(users)+1 || off[0] != 0 || int(off[len(users)]) != len(post) {
+			t.Fatalf("tag %d: offsets %v do not cover %d users and %d postings", tag, off, len(users), len(post))
+		}
+		for p, u := range users {
+			if p > 0 && users[p-1] >= u {
+				t.Fatalf("tag %d: users %v not strictly ascending", tag, users)
+			}
+			if off[p] >= off[p+1] {
+				t.Fatalf("tag %d: user %d has an empty list (offsets %v)", tag, u, off)
+			}
+			lst := post[off[p]:off[p+1]]
+			for k, up := range lst {
+				if k > 0 && byTFDesc(Posting(lst[k-1]), Posting(up)) >= 0 {
+					t.Fatalf("tag %d: list of user %d out of order: %v", tag, u, lst)
+				}
+				got = append(got, Triple{User: u, Item: up.Item, Tag: tag, Count: up.TF})
+			}
+		}
+	}
+	sort.Slice(got, func(a, b int) bool { return byUserTagItem(got[a], got[b]) < 0 })
+	if want := s.Triples(); len(got) != len(want) || len(want) > 0 && !reflect.DeepEqual(got, want) {
+		t.Fatalf("tag-major lists hold %v, Triples() %v", got, want)
 	}
 }
 
@@ -451,21 +495,6 @@ func checkAgainstModel(t *testing.T, s *Store, union []Triple, nu, ni, nt int) {
 		sort.SliceStable(lst, func(a, b int) bool { return lst[a].TF > lst[b].TF })
 		if got := s.GlobalList(tag); !reflect.DeepEqual(got, lst) {
 			t.Fatalf("GlobalList(%d) = %v, want %v", tag, got, lst)
-		}
-		// The tag-pivoted index: every user with a list under the tag, in
-		// ascending order, each beside the run UserList reads.
-		users, runs := s.TagUsers(tag)
-		var want []int32
-		for u := int32(0); int(u) < nu; u++ {
-			if j, ok := seek(s.utStart, s.utTags, u, tag); ok {
-				want = append(want, u)
-				if p := len(want) - 1; p >= len(runs) || runs[p] != j {
-					t.Fatalf("TagUsers(%d) runs = %v, want run %d of user %d at %d", tag, runs, j, u, p)
-				}
-			}
-		}
-		if len(users) != len(want) || len(runs) != len(want) || len(want) > 0 && !reflect.DeepEqual(users, want) {
-			t.Fatalf("TagUsers(%d) = %v with %d runs, want %v", tag, users, len(runs), want)
 		}
 		var head int32
 		if len(lst) > 0 {
@@ -535,21 +564,43 @@ func TestMergeLeavesOldStoreIntact(t *testing.T) {
 	if &merged.GlobalList(1)[0] != &old.GlobalList(1)[0] {
 		t.Fatal("the untouched tag's list was copied, not shared")
 	}
-	// Tag 0 was touched but gained no user, tag 1 gains user 2.
-	grown, err := merged.Merge([]Triple{{User: 2, Item: 1, Tag: 1, Count: 1}}, 4, 5, 4)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestMergeSharesUntouchedTagLists: a merge hands the new store the very
+// arrays of every tag its delta does not mention, and builds a
+// mentioned tag's without writing the old ones — whether the delta
+// reorders a list, adds a user to the tag, or brings a tag the store
+// never had.
+func TestMergeSharesUntouchedTagLists(t *testing.T) {
+	deltas := map[string][]Triple{
+		"frequency bump reorders a list": {{User: 0, Item: 1, Tag: 0, Count: 5}},
+		"tag gains a user":               {{User: 2, Item: 1, Tag: 1, Count: 1}},
+		"new user, new tag, two tags":    {{User: 3, Item: 4, Tag: 3, Count: 2}, {User: 3, Item: 0, Tag: 0, Count: 1}},
 	}
-	oldUsers, _ := old.TagUsers(0)
-	if users, _ := grown.TagUsers(0); &users[0] != &oldUsers[0] {
-		t.Fatal("the user list of a tag that gained no user was copied, not shared")
-	}
-	if users, _ := merged.TagUsers(1); !reflect.DeepEqual(users, []int32{0, 1}) {
-		t.Fatalf("Merge changed TagUsers(1) of the store it started from: %v", users)
-	}
-	users, runs := grown.TagUsers(1)
-	if !reflect.DeepEqual(users, []int32{0, 1, 2}) || !reflect.DeepEqual(grown.Run(runs[2]), []UserPosting{{Item: 1, TF: 1}}) {
-		t.Fatalf("grown TagUsers(1) = %v, runs %v", users, runs)
+	for name, delta := range deltas {
+		old := smallStore(t)
+		before := make([]tagLists, len(old.byTag)) // a deep copy
+		for t, l := range old.byTag {
+			before[t] = tagLists{users: slices.Clone(l.users), off: slices.Clone(l.off), post: slices.Clone(l.post)}
+		}
+		merged, err := old.Merge(delta, 4, 5, 4)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !reflect.DeepEqual(old.byTag, before) {
+			t.Fatalf("%s: Merge wrote the lists of the store it started from:\n got %+v\nwant %+v", name, old.byTag, before)
+		}
+		mentioned := make(map[TagID]bool)
+		for _, tr := range delta {
+			mentioned[tr.Tag] = true
+		}
+		for tag, was := range old.byTag { // every tag of smallStore has a list
+			is := merged.byTag[tag]
+			if !mentioned[TagID(tag)] && (&is.users[0] != &was.users[0] || &is.off[0] != &was.off[0] || &is.post[0] != &was.post[0]) {
+				t.Fatalf("%s: the lists of tag %d, which the delta does not mention, were copied, not shared", name, tag)
+			}
+		}
+		checkTagLists(t, merged)
 	}
 }
 
