@@ -7,26 +7,11 @@ import (
 	"repro/internal/proximity"
 )
 
-// BenchmarkRefineHorizonMerge times one exact (RefineScores) query in
-// the shape fleetbench's hot reads have: the tier-1 corpus, the serving
-// defaults for proximity and β, two neighbourhood-biased tags, k = 10.
-//
-//   - join:  over a cached horizon, the tag-pivoted join (what a cache
-//     hit runs);
-//   - join-evicted: the same, each query starting on cold caches — the
-//     timer stops while a 16 MiB scratch is walked. A replica serving
-//     HTTP between merges is nearer this than the warm loop, which
-//     keeps 192 queries' posting lists in cache;
-//   - probe: over the same cached horizon, one binary search per
-//     (user, tag) pair. A MaxUsers budget one past the horizon never
-//     fires but keeps the merge on mainLoop, which is how the cached
-//     merge ran before the join existed;
-//   - lazy:  no horizon, the live best-first expansion (what NoCache and
-//     the oracle run).
-//
-// All return the same answers: TestRefineJoinMatchesSettleLoop holds
-// them to that.
-func BenchmarkRefineHorizonMerge(b *testing.B) {
+// servingWorkload is the shape fleetbench's reads have: the tier-1
+// corpus under the serving defaults for proximity and β, and 192
+// queries with two neighbourhood-biased tags from uniform seekers.
+func servingWorkload(b *testing.B) (*Engine, []gen.QuerySpec) {
+	b.Helper()
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
 	if err != nil {
 		b.Fatal(err)
@@ -44,15 +29,65 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return e, specs
+}
+
+// BenchmarkMaterializeHorizon times what a cache miss pays before the
+// merge: one full expansion of a seeker's horizon into the form qcache
+// keeps. B/op is what the miss leaves behind for the collector — the
+// horizon has to own its memory, so the floor is the struct plus an
+// exact-size list (16 B a user).
+func BenchmarkMaterializeHorizon(b *testing.B) {
+	e, specs := servingWorkload(b)
+	users := 0
+	for _, s := range specs { // warm the iterator pool to the largest horizon
+		h, err := e.MaterializeHorizon(s.Seeker, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		users += h.Size()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		if _, err := e.MaterializeHorizon(specs[n%len(specs)].Seeker, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(users)/float64(len(specs)), "users")
+}
+
+// BenchmarkRefineHorizonMerge times one exact (RefineScores) query,
+// k = 10, over servingWorkload.
+//
+//   - join:  over a cached horizon, the tag-pivoted join (what a cache
+//     hit runs);
+//   - join-evicted: the same, each query starting on cold caches — the
+//     timer stops while a 16 MiB scratch is walked. A replica serving
+//     HTTP between merges is nearer this than the warm loop, which
+//     keeps 192 queries' posting lists in cache;
+//   - probe: over the same cached horizon, one binary search per
+//     (user, tag) pair. A MaxUsers budget one past the horizon never
+//     fires but keeps the merge on mainLoop, which is how the cached
+//     merge ran before the join existed;
+//   - lazy:  no horizon, the live best-first expansion (what NoCache and
+//     the oracle run).
+//
+// All return the same answers: TestRefineJoinMatchesSettleLoop holds
+// them to that.
+func BenchmarkRefineHorizonMerge(b *testing.B) {
+	e, specs := servingWorkload(b)
 	queries := make([]Query, len(specs))
 	horizons := make([]*SeekerHorizon, len(specs))
 	users := 0
 	for i, s := range specs {
 		queries[i] = Query{Seeker: s.Seeker, Tags: s.Tags, K: 10}
-		if horizons[i], err = e.MaterializeHorizon(s.Seeker, 0); err != nil {
+		h, err := e.MaterializeHorizon(s.Seeker, 0)
+		if err != nil {
 			b.Fatal(err)
 		}
-		users += horizons[i].Size()
+		horizons[i] = h
+		users += h.Size()
 	}
 	run := func(name string, scratch []int64, one func(i int, ans *Answer) error) {
 		b.Run(name, func(b *testing.B) {

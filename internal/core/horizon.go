@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/graph"
 	"repro/internal/proximity"
@@ -36,19 +38,28 @@ func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID,
 		return nil, err
 	}
 	defer it.Release()
-	h := &SeekerHorizon{seeker: seeker}
-	for maxUsers <= 0 || len(h.list) < maxUsers {
-		if len(h.list)%256 == 0 {
-			if err := ctxErr(ctx); err != nil {
-				return nil, err
-			}
-		}
-		entry, ok := it.Next()
-		if !ok {
-			break
-		}
-		h.list = append(h.list, entry)
+	// Stage the entries in the pooled iterator's buffer and copy once:
+	// the horizon must own its list (readers hold it after the cache
+	// evicts it), but growing that list by append would allocate a dozen
+	// times and keep a quarter of the bytes.
+	limit := maxUsers
+	if limit <= 0 {
+		limit = math.MaxInt
 	}
+	var staged []proximity.Entry
+	for len(staged) < limit {
+		if err := ctxErr(ctx); err != nil {
+			return nil, err
+		}
+		step := min(256, limit-len(staged)) // users between cancellation checkpoints
+		settled := len(staged)
+		staged = it.Settle(step)
+		if len(staged)-settled < step {
+			break // horizon exhausted
+		}
+	}
+	h := &SeekerHorizon{seeker: seeker, list: make([]proximity.Entry, len(staged))}
+	copy(h.list, staged)
 	h.residual = it.PeekBound()
 	return h, nil
 }
@@ -63,24 +74,54 @@ func (h *SeekerHorizon) Size() int { return len(h.list) }
 // (0 when the full horizon was materialized).
 func (h *SeekerHorizon) Residual() float64 { return h.residual }
 
-// Users returns the ids of the materialized users, proximity-descending
-// (the seeker itself first). The slice is shared with the horizon; do
-// not mutate it. Serving caches use it as the entry's member set for
-// edge-scoped invalidation: because proximity is a hop-damped max path
-// product, a friendship mutation on edge (u, v) can only change this
-// horizon if u or v is among these members — any path from the seeker
-// through the mutated edge reaches u or v first, at a proximity the
-// materialized prefix (or its residual bound) already dominates.
-func (h *SeekerHorizon) Users(buf []graph.UserID) []graph.UserID {
-	users := buf[:0]
-	for _, e := range h.list {
-		users = append(users, e.User)
+// HasAny reports whether any of the given users is among the
+// materialized ones. sorted must be ascending — an unsorted argument
+// gives wrong answers, not a panic. The list is read in place, one pass
+// whatever the number of ids: each member is tested against a 4 KiB
+// filter of the ids' hashes on the stack, and only the few that pass
+// (under 2% at 512 ids) are binary-searched in sorted. Searching every
+// member instead costs 50–60 ns each once the ids are many and real
+// (nine unpredictable branches), ten times the pass over the list.
+//
+// Serving caches ask this to scope invalidation to a mutated edge:
+// because proximity is a hop-damped max path product, a friendship
+// mutation on edge (u, v) can only change this horizon if u or v is
+// among its members — any path from the seeker through the mutated edge
+// reaches u or v first, at a proximity the materialized prefix (or its
+// residual bound) already dominates.
+func (h *SeekerHorizon) HasAny(sorted []graph.UserID) bool {
+	if len(sorted) == 0 {
+		return false
 	}
-	return users
+	var filter [1 << (horizonFilterShift - 6)]uint64
+	for _, u := range sorted {
+		b := horizonFilterBit(u)
+		filter[b>>6] |= 1 << (b & 63)
+	}
+	for i := range h.list {
+		u := h.list[i].User
+		if b := horizonFilterBit(u); filter[b>>6]&(1<<(b&63)) == 0 {
+			continue
+		}
+		if _, ok := slices.BinarySearch(sorted, u); ok {
+			return true
+		}
+	}
+	return false
 }
 
-// MemoryBytes estimates the resident size of the horizon.
-func (h *SeekerHorizon) MemoryBytes() int { return 16 + len(h.list)*16 }
+// horizonFilterShift sizes HasAny's filter: 2^15 bits. horizonFilterBit
+// is a user's bit in it, by multiplicative hashing so that ids sharing
+// low bits (or parity) spread out.
+const horizonFilterShift = 15
+
+func horizonFilterBit(u graph.UserID) uint32 {
+	return uint32(u) * 0x9E3779B1 >> (32 - horizonFilterShift)
+}
+
+// MemoryBytes is the resident size of the horizon: the 40-byte struct
+// and its exact-size list of 16-byte entries.
+func (h *SeekerHorizon) MemoryBytes() int { return 40 + cap(h.list)*16 }
 
 // SocialMergeWithHorizon answers the query using a previously
 // materialized horizon instead of expanding the graph. The horizon must

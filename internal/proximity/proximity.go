@@ -91,6 +91,7 @@ type Iterator struct {
 	touched  []uint32  // stamp: best[v] is valid for this expansion
 	best     []float64 // tentative proximity; < 0 once settled
 	pq       frontierHeap
+	staged   []Entry // Settle's output buffer, recycled with the iterator
 	expanded int
 }
 
@@ -121,6 +122,7 @@ func (it *Iterator) reset(g *graph.Graph, seeker graph.UserID, params Params) er
 		it.epoch = 1
 	}
 	it.pq.items = it.pq.items[:0]
+	it.staged = it.staged[:0]
 	it.expanded = 0
 	it.touched[seeker] = it.epoch
 	it.best[seeker] = params.SelfWeight
@@ -206,6 +208,24 @@ func (it *Iterator) Next() (e Entry, ok bool) {
 		return Entry{User: item.u, Prox: item.p, Hops: item.h}, true
 	}
 	return Entry{}, false
+}
+
+// Settle advances the expansion by up to n users, appending them to a
+// buffer the iterator owns, and returns that buffer: every user settled
+// through Settle since the expansion began, proximity-descending. Fewer
+// than n new entries means the horizon is exhausted. The buffer is
+// recycled with the iterator — it is valid until Release, and a caller
+// that keeps the entries copies them out. Materializing a horizon this
+// way grows pooled scratch instead of a fresh slice per expansion.
+func (it *Iterator) Settle(n int) []Entry {
+	for ; n > 0; n-- {
+		e, ok := it.Next()
+		if !ok {
+			break
+		}
+		it.staged = append(it.staged, e)
+	}
+	return it.staged
 }
 
 // PeekBound returns a certified upper bound on the proximity of every

@@ -3,6 +3,7 @@ package proximity
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -130,6 +131,43 @@ func TestIteratorMatchesBatch(t *testing.T) {
 		if math.Abs(got[u]-want[u]) > 1e-12 {
 			t.Fatalf("user %d: iterator %g, batch %g", u, got[u], want[u])
 		}
+	}
+}
+
+// TestSettleStagesWhatNextYields: Settle in steps returns the users Next
+// would, accumulated, reports exhaustion by coming up short, and a
+// pooled iterator's next expansion starts from an empty buffer.
+func TestSettleStagesWhatNextYields(t *testing.T) {
+	g := randomGraph(rand.New(rand.NewSource(13)), 60)
+	params := Params{Alpha: 0.9, SelfWeight: 1.0}
+	ref, err := NewIterator(g, 5, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []Entry
+	for e, ok := ref.Next(); ok; e, ok = ref.Next() {
+		want = append(want, e)
+	}
+	for round := 0; round < 2; round++ { // the second round reuses the first's iterator
+		it, err := AcquireIterator(g, 5, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Entry
+		for settled := -1; len(got) > settled; {
+			settled = len(got)
+			got = it.Settle(7)
+			if len(got) > settled+7 {
+				t.Fatalf("Settle(7) added %d users", len(got)-settled)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("round %d: Settle staged %v, Next yields %v", round, got, want)
+		}
+		if n := len(it.Settle(0)); n != len(want) {
+			t.Fatalf("Settle(0) changed the buffer to %d users", n)
+		}
+		it.Release()
 	}
 }
 

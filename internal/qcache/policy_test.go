@@ -14,14 +14,30 @@ import (
 // component 1, and so on. Horizons never cross components, which is
 // what edge-scoped invalidation tests need.
 func componentsEngine(t testing.TB, components, comp int) *core.Engine {
+	sizes := make([]int, components)
+	for i := range sizes {
+		sizes[i] = comp
+	}
+	return linesEngine(t, sizes, 0.5)
+}
+
+// linesEngine builds disjoint lines of the given lengths over
+// consecutive ids, every edge at the given weight. At weight 1 (and the
+// default no-damping, no-floor proximity) a horizon is its whole line
+// however long that is.
+func linesEngine(t testing.TB, sizes []int, weight float64) *core.Engine {
 	t.Helper()
-	n := components * comp
+	n := 0
+	for _, size := range sizes {
+		n += size
+	}
 	gb := graph.NewBuilder(n)
-	for c := 0; c < components; c++ {
-		base := c * comp
-		for u := 0; u < comp-1; u++ {
-			gb.AddEdge(graph.UserID(base+u), graph.UserID(base+u+1), 0.5)
+	base := 0
+	for _, size := range sizes {
+		for u := base; u < base+size-1; u++ {
+			gb.AddEdge(graph.UserID(u), graph.UserID(u+1), weight)
 		}
+		base += size
 	}
 	g, err := gb.Build()
 	if err != nil {
@@ -119,29 +135,38 @@ func TestInvalidateEdgesBatchOneGeneration(t *testing.T) {
 	}
 }
 
-func TestWildcardEntriesDropOnAnyEdge(t *testing.T) {
-	e := componentsEngine(t, 2, 4)
-	c, err := NewWithPolicy(8, Policy{MaxTrackedMembers: 1})
+// TestLargeHorizonIsScopedNotWildcard: no horizon is too large to be
+// scoped. A 3,000-user horizon survives an edge elsewhere in the graph
+// and is dropped by one touching its farthest member.
+func TestLargeHorizonIsScopedNotWildcard(t *testing.T) {
+	const comp = 3000
+	e := linesEngine(t, []int{comp, comp}, 1)
+	c, err := New(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := c.Generation()
-	c.Put(0, gen, horizonFor(t, e, 0)) // 4 users > cap 1 → wildcard
-	if got := c.TrackedMembers(); got != 0 {
-		t.Fatalf("wildcard entry tracked %d members", got)
+	h := horizonFor(t, e, 0)
+	if h.Size() != comp {
+		t.Fatalf("horizon holds %d users, want the whole %d-user component", h.Size(), comp)
 	}
-	// An edge in the OTHER component still drops the wildcard: without a
-	// member set the cache cannot prove the horizon unaffected.
-	if n := c.InvalidateEdge(5, 6); n != 1 {
-		t.Fatalf("edge dropped %d entries, want 1 (wildcard)", n)
+	c.Put(0, c.Generation(), h)
+	if n := c.InvalidateEdge(comp+5, comp+6); n != 0 {
+		t.Fatalf("edge in the other component dropped %d entries, want 0", n)
 	}
-	if c.Len() != 0 {
-		t.Fatal("wildcard entry survived edge invalidation")
+	if _, ok := c.Get(0, c.Generation()); !ok {
+		t.Fatal("large horizon dropped by an edge that cannot reach it")
+	}
+	if n := c.InvalidateEdge(comp-1, comp+6); n != 1 {
+		t.Fatalf("edge touching the farthest member dropped %d entries, want 1", n)
 	}
 }
 
+// TestMemberIndexFollowsEvictionAndRefresh: invalidation is scoped by
+// the horizons resident now. After an eviction and after an in-place
+// refresh, an edge touching only the old members drops nothing and an
+// edge touching a new member drops exactly that entry.
 func TestMemberIndexFollowsEvictionAndRefresh(t *testing.T) {
-	e := componentsEngine(t, 3, 3)
+	e := componentsEngine(t, 3, 3) // {0,1,2} {3,4,5} {6,7,8}
 	c, err := New(2)
 	if err != nil {
 		t.Fatal(err)
@@ -154,14 +179,22 @@ func TestMemberIndexFollowsEvictionAndRefresh(t *testing.T) {
 	if _, ok := c.Get(3, gen); ok {
 		t.Fatal("evicted entry still resident")
 	}
-	// The evicted entry's members must be gone from the reverse index:
-	// an edge in its component finds nothing to drop.
 	if n := c.InvalidateEdge(4, 5); n != 0 {
 		t.Fatalf("edge over evicted members dropped %d entries", n)
 	}
-	// 3 members each for seekers 0 and 6.
-	if got := c.TrackedMembers(); got != 6 {
-		t.Fatalf("tracked members = %d, want 6", got)
+	if n := c.InvalidateEdge(5, 7); n != 1 || c.Len() != 1 {
+		t.Fatalf("edge touching seeker 6's member dropped %d entries, %d left; want 1 and 1", n, c.Len())
+	}
+
+	// Refresh seeker 0's entry with a horizon over other members (the
+	// cache does not read a horizon's seeker): scope follows the new one.
+	gen = c.Generation()
+	c.Put(0, gen, horizonFor(t, e, 3))
+	if n := c.InvalidateEdge(1, 2); n != 0 {
+		t.Fatalf("edge over the replaced horizon's members dropped %d entries", n)
+	}
+	if n := c.InvalidateEdge(2, 4); n != 1 || c.Len() != 0 {
+		t.Fatalf("edge touching the refreshed horizon's member dropped %d entries, %d left; want 1 and 0", n, c.Len())
 	}
 }
 
@@ -276,7 +309,6 @@ func TestPolicyValidation(t *testing.T) {
 		{TTL: -time.Second},
 		{MinHorizonUsers: -1},
 		{MinMisses: -1},
-		{MaxTrackedMembers: -1},
 	}
 	for i, p := range bad {
 		if _, err := NewWithPolicy(4, p); err == nil {

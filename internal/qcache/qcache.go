@@ -13,12 +13,14 @@
 //     friendship graph wholesale (a snapshot swap, a bulk load).
 //   - InvalidateEdge(u, v) drops only the entries whose horizon could be
 //     affected by a friendship mutation on edge (u, v): those whose
-//     member set contains u or v. Because proximity is a hop-damped
-//     maximum path product, any path from a seeker through the mutated
-//     edge reaches u or v first, so a horizon containing neither is
-//     provably unchanged (see core.SeekerHorizon.Users). Member sets
-//     are tracked in a reverse index, making the drop proportional to
-//     the number of affected entries, not the cache size.
+//     members include u or v. Because proximity is a hop-damped maximum
+//     path product, any path from a seeker through the mutated edge
+//     reaches u or v first, so a horizon containing neither is provably
+//     unchanged (see core.SeekerHorizon.HasAny). The horizon is its own
+//     member set: invalidation scans the resident horizons for the
+//     batch's endpoints, once per compaction that folded a friendship,
+//     so a Put does no per-member work and the cache holds nothing per
+//     member.
 //
 // Both bump the generation, and insertion is generation-bracketed: the
 // caller captures Generation before materializing and passes it to Put,
@@ -48,6 +50,7 @@ package qcache
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -55,13 +58,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/metrics"
 )
-
-// DefaultMaxTrackedMembers bounds the per-entry member set used for
-// edge-scoped invalidation. A horizon larger than the bound is tracked
-// as a wildcard: any edge mutation invalidates it (correct, just
-// coarser), keeping the reverse index's memory proportional to the
-// cache, not the graph.
-const DefaultMaxTrackedMembers = 1 << 14
 
 // Policy tunes admission and expiry. The zero value admits everything
 // and never expires — the behaviour before policies existed.
@@ -74,10 +70,6 @@ type Policy struct {
 	// MinMisses admits a seeker only after it has missed this many times
 	// since its last cached entry (≤ 1 = admit on first miss).
 	MinMisses int
-	// MaxTrackedMembers caps the per-entry member set for edge-scoped
-	// invalidation; larger horizons are tracked as wildcards that any
-	// edge mutation drops (0 = DefaultMaxTrackedMembers).
-	MaxTrackedMembers int
 	// Now is the clock (nil = time.Now); injectable for tests.
 	Now func() time.Time
 }
@@ -87,7 +79,7 @@ func (p Policy) Validate() error {
 	if p.TTL < 0 {
 		return fmt.Errorf("qcache: negative TTL %v", p.TTL)
 	}
-	if p.MinHorizonUsers < 0 || p.MinMisses < 0 || p.MaxTrackedMembers < 0 {
+	if p.MinHorizonUsers < 0 || p.MinMisses < 0 {
 		return fmt.Errorf("qcache: negative admission threshold")
 	}
 	return nil
@@ -100,26 +92,22 @@ type Cache struct {
 	policy   Policy
 	now      func() time.Time
 
-	mu       sync.Mutex
-	gen      uint64
-	floor    uint64     // entries stamped below floor are stale (full invalidation)
-	lru      *list.List // of *entry, front = most recently used
-	index    map[graph.UserID]*list.Element
-	byMember map[graph.UserID]map[graph.UserID]struct{} // horizon member → seekers
-	wild     map[graph.UserID]struct{}                  // seekers with untracked member sets
-	misses   map[graph.UserID]int                       // per-seeker miss streaks (MinMisses > 1 only)
-	victims  map[graph.UserID]struct{}                  // scratch for InvalidateEdges, reused across calls
-	free     []*entry                                   // recycled entries, bounded by capacity
-	counters metrics.CacheCounters
+	mu        sync.Mutex
+	gen       uint64
+	floor     uint64     // entries stamped below floor are stale (full invalidation)
+	lru       *list.List // of *entry, front = most recently used
+	index     map[graph.UserID]*list.Element
+	misses    map[graph.UserID]int // per-seeker miss streaks (MinMisses > 1 only)
+	endpoints []graph.UserID       // scratch for InvalidateEdges, reused across calls
+	free      []*entry             // recycled entries, bounded by capacity
+	counters  metrics.CacheCounters
 }
 
 type entry struct {
-	seeker   graph.UserID
-	gen      uint64
-	at       time.Time
-	horizon  *core.SeekerHorizon
-	members  []graph.UserID // nil when wildcard
-	wildcard bool
+	seeker  graph.UserID
+	gen     uint64
+	at      time.Time
+	horizon *core.SeekerHorizon
 }
 
 // New builds a cache bounded to capacity entries (≥ 1) with the zero
@@ -141,18 +129,12 @@ func NewWithPolicy(capacity int, policy Policy) (*Cache, error) {
 	if now == nil {
 		now = time.Now
 	}
-	if policy.MaxTrackedMembers == 0 {
-		policy.MaxTrackedMembers = DefaultMaxTrackedMembers
-	}
 	c := &Cache{
 		capacity: capacity,
 		policy:   policy,
 		now:      now,
 		lru:      list.New(),
 		index:    make(map[graph.UserID]*list.Element),
-		byMember: make(map[graph.UserID]map[graph.UserID]struct{}),
-		wild:     make(map[graph.UserID]struct{}),
-		victims:  make(map[graph.UserID]struct{}),
 	}
 	if policy.MinMisses > 1 {
 		c.misses = make(map[graph.UserID]int)
@@ -181,17 +163,20 @@ func (c *Cache) Invalidate() {
 }
 
 // InvalidateEdge drops the cached horizons a friendship mutation on
-// edge (u, v) could affect — those whose member set contains u or v,
-// plus every wildcard entry — and bumps the generation so in-flight
-// materializations from the superseded graph cannot be installed.
-// It returns the number of entries dropped.
+// edge (u, v) could affect — those whose members include u or v — and
+// bumps the generation so in-flight materializations from the
+// superseded graph cannot be installed. It returns the number of
+// entries dropped.
 func (c *Cache) InvalidateEdge(u, v graph.UserID) int {
 	return c.InvalidateEdges([][2]graph.UserID{{u, v}})
 }
 
 // InvalidateEdges is InvalidateEdge for a batch of mutated edges under
 // one lock acquisition and one generation bump — what a compaction that
-// folded many Befriends calls.
+// folded many Befriends calls. It walks the LRU once, asking each
+// resident horizon whether it holds any endpoint of the batch: work
+// proportional to the cache's resident users, paid per friendship-
+// folding compaction instead of per Put and per eviction.
 func (c *Cache) InvalidateEdges(edges [][2]graph.UserID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -199,26 +184,22 @@ func (c *Cache) InvalidateEdges(edges [][2]graph.UserID) int {
 	if c.lru.Len() == 0 {
 		return 0
 	}
-	victims := c.victims
+	ends := c.endpoints[:0]
 	for _, e := range edges {
-		for seeker := range c.byMember[e[0]] {
-			victims[seeker] = struct{}{}
-		}
-		for seeker := range c.byMember[e[1]] {
-			victims[seeker] = struct{}{}
-		}
+		ends = append(ends, e[0], e[1])
 	}
-	// Wildcard entries have no tracked members: any edge may affect them.
-	for seeker := range c.wild {
-		victims[seeker] = struct{}{}
-	}
-	for seeker := range victims {
-		if el, ok := c.index[seeker]; ok {
+	slices.Sort(ends)
+	ends = slices.Compact(ends)
+	c.endpoints = ends
+	n := 0
+	for el := c.lru.Front(); el != nil; {
+		next := el.Next()
+		if el.Value.(*entry).horizon.HasAny(ends) {
 			c.removeLocked(el)
+			n++
 		}
+		el = next
 	}
-	n := len(victims)
-	clear(victims)
 	c.counters.Invalidation(n)
 	return n
 }
@@ -333,12 +314,10 @@ func (c *Cache) put(seeker graph.UserID, gen uint64, h *core.SeekerHorizon, admi
 	}
 	if el, ok := c.index[seeker]; ok {
 		// Refresh in place (a concurrent duplicate materialization).
-		c.dropMembersLocked(el.Value.(*entry))
 		e := el.Value.(*entry)
 		e.horizon = h
 		e.gen = gen
 		e.at = c.now()
-		c.trackMembersLocked(e)
 		c.lru.MoveToFront(el)
 		return true
 	}
@@ -351,7 +330,6 @@ func (c *Cache) put(seeker graph.UserID, gen uint64, h *core.SeekerHorizon, admi
 		e = &entry{}
 	}
 	e.seeker, e.gen, e.at, e.horizon = seeker, gen, c.now(), h
-	c.trackMembersLocked(e)
 	c.index[seeker] = c.lru.PushFront(e)
 	for c.lru.Len() > c.capacity {
 		c.removeLocked(c.lru.Back())
@@ -371,46 +349,6 @@ func (c *Cache) Seekers() []graph.UserID {
 		out = append(out, el.Value.(*entry).seeker)
 	}
 	return out
-}
-
-// trackMembersLocked registers the entry's horizon members in the
-// reverse index, or marks it wildcard when the horizon exceeds the
-// tracking bound. Callers hold c.mu.
-func (c *Cache) trackMembersLocked(e *entry) {
-	if e.horizon.Size() > c.policy.MaxTrackedMembers {
-		e.wildcard = true
-		e.members = nil
-		c.wild[e.seeker] = struct{}{}
-		return
-	}
-	e.wildcard = false
-	e.members = e.horizon.Users(e.members)
-	for _, u := range e.members {
-		set, ok := c.byMember[u]
-		if !ok {
-			set = make(map[graph.UserID]struct{}, 1)
-			c.byMember[u] = set
-		}
-		set[e.seeker] = struct{}{}
-	}
-}
-
-// dropMembersLocked removes the entry from the reverse index. Callers
-// hold c.mu.
-func (c *Cache) dropMembersLocked(e *entry) {
-	for _, u := range e.members {
-		if set, ok := c.byMember[u]; ok {
-			delete(set, e.seeker)
-			if len(set) == 0 {
-				delete(c.byMember, u)
-			}
-		}
-	}
-	e.members = e.members[:0]
-	if e.wildcard {
-		delete(c.wild, e.seeker)
-		e.wildcard = false
-	}
 }
 
 // InvalidateSeeker drops one seeker's entry (current or stale),
@@ -434,8 +372,6 @@ func (c *Cache) Purge() {
 	defer c.mu.Unlock()
 	c.lru.Init()
 	c.index = make(map[graph.UserID]*list.Element)
-	c.byMember = make(map[graph.UserID]map[graph.UserID]struct{})
-	c.wild = make(map[graph.UserID]struct{})
 	if c.misses != nil {
 		clear(c.misses)
 	}
@@ -446,15 +382,6 @@ func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.lru.Len()
-}
-
-// TrackedMembers returns the number of distinct users in the reverse
-// member index — the memory-side cost of edge scoping, surfaced for
-// observability.
-func (c *Cache) TrackedMembers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.byMember)
 }
 
 // Counters returns a snapshot of the effectiveness counters.
@@ -468,7 +395,6 @@ func (c *Cache) Counters() metrics.CacheSnapshot {
 // Callers hold c.mu.
 func (c *Cache) removeLocked(el *list.Element) {
 	e := el.Value.(*entry)
-	c.dropMembersLocked(e)
 	c.lru.Remove(el)
 	delete(c.index, e.seeker)
 	e.horizon = nil

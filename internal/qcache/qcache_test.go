@@ -7,34 +7,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/graph"
-	"repro/internal/tagstore"
 )
 
 // testEngine builds a small line graph 0-1-2-...-(n-1) with one tagging
 // action per user, enough to materialize non-trivial horizons.
 func testEngine(t testing.TB, n int) *core.Engine {
-	t.Helper()
-	gb := graph.NewBuilder(n)
-	for u := 0; u < n-1; u++ {
-		gb.AddEdge(graph.UserID(u), graph.UserID(u+1), 0.5)
-	}
-	g, err := gb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb := tagstore.NewBuilder(n, n, 1)
-	for u := 0; u < n; u++ {
-		tb.Add(int32(u), tagstore.ItemID(u), 0)
-	}
-	store, err := tb.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := core.NewEngine(g, store, core.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
+	return linesEngine(t, []int{n}, 0.5)
 }
 
 func horizonFor(t testing.TB, e *core.Engine, seeker graph.UserID) *core.SeekerHorizon {
