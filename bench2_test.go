@@ -1,11 +1,10 @@
 package repro
 
 // Benchmarks for the second wave of subsystems: the exact-algorithm
-// portfolio (Fig 12), the durability layer (Ext 4), the buffer pool
-// (Ext 5), the cost-based planner (Ext 6), and the HTTP serving layer
-// (Ext 7). Same convention as bench_test.go: one bench per
-// table/figure, `go test -bench=. -benchmem` regenerates the
-// measurements.
+// portfolio (Fig 12), the durability layer (Ext 4), the cost-based
+// planner (Ext 6), and the HTTP serving layer (Ext 7). Same convention
+// as bench_test.go: one bench per table/figure, `go test -bench=.
+// -benchmem` regenerates the measurements.
 
 import (
 	"bytes"
@@ -13,14 +12,11 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/gen"
-	"repro/internal/index"
-	"repro/internal/pagestore"
 	"repro/internal/planner"
 	"repro/internal/server"
 	"repro/internal/social"
@@ -124,25 +120,6 @@ func BenchmarkExt4_Recovery(b *testing.B) {
 			b.Fatalf("recovered %d", got)
 		}
 		s.Close()
-	}
-}
-
-// BenchmarkExt5_PagedIndexRead measures the bounded-memory index load
-// against the buffered one (BenchmarkIndexRead in bench_test.go).
-func BenchmarkExt5_PagedIndexRead(b *testing.B) {
-	ds := benchDataset(b)
-	path := filepath.Join(b.TempDir(), "data.frnd")
-	if err := index.WriteFile(path, ds.Graph, ds.Store); err != nil {
-		b.Fatal(err)
-	}
-	for _, capacity := range []int{4, 64} {
-		b.Run(fmt.Sprintf("capacity%d", capacity), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, _, err := index.ReadPagedFile(path, pagestore.Options{Capacity: capacity}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

@@ -15,14 +15,11 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/index"
 	"repro/internal/overlay"
 	"repro/internal/proximity"
-	"repro/internal/recommend"
 	"repro/internal/search"
-	"repro/internal/similarity"
 	"repro/internal/social"
 	"repro/internal/tagstore"
 )
@@ -323,54 +320,6 @@ func BenchmarkFig11_BetaSweep(b *testing.B) {
 	}
 }
 
-// BenchmarkRecommend measures the recommendation extension.
-func BenchmarkRecommend(b *testing.B) {
-	ds := benchDataset(b)
-	e := benchEngine(b, ds)
-	r := recommend.New(e)
-	seeker := ds.Graph.DegreePercentileUser(50)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.Recommend(seeker, recommend.Params{K: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExt1_HorizonCache contrasts cold and cached query execution
-// through the serving layer (Ext 1).
-func BenchmarkExt1_HorizonCache(b *testing.B) {
-	ds := benchDataset(b)
-	e := benchEngine(b, ds)
-	qs := benchWorkload(b, ds, 8)
-	b.Run("cold", func(b *testing.B) {
-		x, err := exec.New(e, exec.Config{Workers: 1, CacheSize: 0})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			spec := qs[i%len(qs)]
-			q := core.Query{Seeker: spec.Seeker, Tags: spec.Tags, K: 10}
-			if _, err := x.Query(q, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cached", func(b *testing.B) {
-		x, err := exec.New(e, exec.Config{Workers: 1, CacheSize: 64})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for i := 0; i < b.N; i++ {
-			spec := qs[i%len(qs)]
-			q := core.Query{Seeker: spec.Seeker, Tags: spec.Tags, K: 10}
-			if _, err := x.Query(q, core.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkExt2_OverlayCompaction measures folding a 500-write delta
 // into the snapshot (Ext 2).
 func BenchmarkExt2_OverlayCompaction(b *testing.B) {
@@ -391,17 +340,6 @@ func BenchmarkExt2_OverlayCompaction(b *testing.B) {
 		}
 		b.StartTimer()
 		if err := o.Compact(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExt3_Reweight measures behaviour-derived edge re-weighting
-// (Ext 3).
-func BenchmarkExt3_Reweight(b *testing.B) {
-	ds := benchDataset(b)
-	for i := 0; i < b.N; i++ {
-		if _, err := similarity.Reweight(ds.Graph, ds.Store, similarity.DefaultReweightParams()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,7 +7,7 @@
 //	benchall -scale 0.25 -queries 10   # quick pass
 //	benchall -list                # show the registry
 //
-// Output goes to stdout; EXPERIMENTS.md archives a full run.
+// Output goes to stdout.
 package main
 
 import (

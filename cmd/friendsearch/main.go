@@ -1,6 +1,7 @@
 // Command friendsearch answers socially personalized top-k queries over
-// a dataset file produced by datagen, through the engine's canonical
-// request/response API (internal/search served by internal/exec).
+// a dataset file produced by datagen by calling the engine
+// (internal/core, internal/planner) directly: it is a one-shot process,
+// so it puts no cache, worker pool or service in front of it.
 //
 // Usage:
 //
@@ -21,80 +22,108 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"os/signal"
 	"strconv"
+	"strings"
 	"time"
 
-	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/exec"
+	"repro/internal/graph"
 	"repro/internal/index"
+	"repro/internal/planner"
 	"repro/internal/proximity"
 	"repro/internal/search"
+	"repro/internal/tagstore"
+	"repro/internal/topk"
 )
+
+// errUsage reports a command line the flag package has already
+// complained about on stderr.
+var errUsage = errors.New("usage")
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("friendsearch: ")
-
-	data := flag.String("data", "", "dataset file from datagen (required)")
-	seeker := flag.Int("seeker", 0, "seeker user id")
-	tagsArg := flag.String("tags", "", "comma-separated query tag ids (required)")
-	k := flag.Int("k", 10, "number of results")
-	mode := flag.String("mode", "auto", "execution mode: auto, exact, approx")
-	algo := flag.String("algo", "", "force an algorithm in auto mode (SocialMerge, ContextMerge, SocialTA, GlobalTopK)")
-	explain := flag.Bool("explain", false, "dump how the query was answered")
-	alpha := flag.Float64("alpha", 1.0, "proximity hop damping in (0,1]")
-	beta := flag.Float64("beta", 1.0, "social/global blend in [0,1]")
-	theta := flag.Float64("theta", 0, "approximation: stop expanding below this proximity")
-	maxUsers := flag.Int("max-users", 0, "approximation: expansion budget (0 = unlimited)")
-	minScore := flag.Float64("min-score", 0, "drop results scoring below this")
-	offset := flag.Int("offset", 0, "skip the first N results (paging)")
-	flag.Parse()
-
-	if *data == "" || *tagsArg == "" {
-		flag.Usage()
+	err := run(os.Args[1:], os.Stdout)
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
+	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("friendsearch", flag.ContinueOnError)
+	data := fs.String("data", "", "dataset file from datagen (required)")
+	seeker := fs.Int("seeker", 0, "seeker user id")
+	tagsArg := fs.String("tags", "", "comma-separated query tag ids (required)")
+	k := fs.Int("k", 10, "number of results")
+	mode := fs.String("mode", "auto", "execution mode: auto, exact, approx")
+	algo := fs.String("algo", "", "force an algorithm in auto mode (SocialMerge, ContextMerge, SocialTA, GlobalTopK)")
+	explain := fs.Bool("explain", false, "dump how the query was answered")
+	alpha := fs.Float64("alpha", 1.0, "proximity hop damping in (0,1]")
+	beta := fs.Float64("beta", 1.0, "social/global blend in [0,1]")
+	theta := fs.Float64("theta", 0, "approximation: stop expanding below this proximity")
+	maxUsers := fs.Int("max-users", 0, "approximation: expansion budget (0 = unlimited)")
+	minScore := fs.Float64("min-score", 0, "drop results scoring below this")
+	offset := fs.Int("offset", 0, "skip the first N results (paging)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
+	if *data == "" || *tagsArg == "" {
+		fs.Usage()
+		return errUsage
 	}
 
 	g, store, err := index.ReadFile(*data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	cfg := core.Config{
+	engine, err := core.NewEngine(g, store, core.Config{
 		Proximity: proximity.Params{Alpha: *alpha, SelfWeight: 1},
 		Beta:      *beta,
-	}
-	engine, err := core.NewEngine(g, store, cfg)
+	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	engine.AttachItemIndex(core.BuildItemIndex(store))
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	// The σ-horizon / expansion-budget approximations predate the
-	// request API and remain core-level knobs: run them directly. They
-	// bypass the request surface, so the request-level flags must not be
-	// silently dropped.
+	// The σ-horizon / expansion-budget approximations are core-level
+	// knobs with no request field: run them directly. They bypass the
+	// request surface, so the request-level flags must not be silently
+	// dropped.
 	if *theta > 0 || *maxUsers > 0 {
 		if *mode != "auto" || *algo != "" || *explain || *minScore != 0 || *offset != 0 {
-			log.Fatal("-theta/-max-users run the legacy core path and cannot be combined with -mode, -algo, -explain, -min-score or -offset")
+			return errors.New("-theta/-max-users run the legacy core path and cannot be combined with -mode, -algo, -explain, -min-score or -offset")
 		}
-		runApproximate(ctx, engine, *seeker, *tagsArg, *k, *theta, *maxUsers)
-		return
+		tags, err := parseTags(*tagsArg)
+		if err != nil {
+			return err
+		}
+		q := core.Query{Seeker: graph.UserID(*seeker), Tags: tags, K: *k}
+		start := time.Now()
+		ans, err := engine.SocialMerge(q, core.Options{Theta: *theta, MaxUsers: *maxUsers, Ctx: ctx})
+		if err != nil {
+			return queryErr(err)
+		}
+		printSummary(stdout, "approx", "SocialMerge", *seeker, fmt.Sprint(tags), *k, ans, time.Since(start))
+		printResults(stdout, named(ans.Results))
+		return nil
 	}
 
 	m, err := search.ParseMode(*mode)
 	if err != nil {
-		log.Fatal(err)
-	}
-	x, err := exec.New(engine, exec.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	req := search.Request{
 		Seeker:   strconv.Itoa(*seeker),
@@ -104,78 +133,141 @@ func main() {
 		AlgHint:  *algo,
 		MinScore: *minScore,
 		Offset:   *offset,
-		Explain:  true, // always collected; printed on -explain
 	}
+	if err := req.Normalize(); err != nil {
+		return err
+	}
+	tags, err := parseTags(strings.Join(req.Tags, ","))
+	if err != nil {
+		return err
+	}
+	p, err := planner.New(engine)
+	if err != nil {
+		return err
+	}
+	q := core.Query{Seeker: graph.UserID(*seeker), Tags: tags, K: req.K + req.Offset}
+	ex := search.Explain{Mode: req.Mode.String(), Beta: engine.Beta()}
+
+	alg, opts := planner.SocialMerge, core.Options{Ctx: ctx}
+	switch {
+	case req.Mode == search.ModeExact:
+		opts.RefineScores = true
+	case req.Mode == search.ModeApprox:
+	case req.AlgHint != "":
+		alg, _ = planner.ParseAlgorithm(req.AlgHint) // Normalize vetted the spelling
+		if !p.Available(alg) {
+			return fmt.Errorf("algorithm %s unavailable on this engine (GlobalTopK needs -beta 0)", alg)
+		}
+	default:
+		plan := p.Plan(q)
+		alg = plan.Alg
+		ex.Planned = true
+		ex.Estimates = make(map[string]float64, len(plan.Est))
+		for a, est := range plan.Est {
+			ex.Estimates[a.String()] = est
+		}
+	}
+	ex.Algorithm = alg.String()
+
 	start := time.Now()
-	resp, err := x.Do(ctx, req)
+	var ans core.Answer
+	if alg == planner.SocialMerge {
+		// Over a materialized horizon, as the serving path runs it, so
+		// -explain can report the horizon the query consumed.
+		var h *core.SeekerHorizon
+		if h, err = engine.MaterializeHorizonCtx(ctx, q.Seeker, 0); err == nil {
+			ex.HorizonUsers = h.Size()
+			ex.HorizonResidual = h.Residual()
+			ans, err = engine.SocialMergeWithHorizon(q, h, opts)
+		}
+	} else {
+		ans, err = p.Run(ctx, alg, q)
+	}
 	elapsed := time.Since(start)
-	if errors.Is(err, context.Canceled) {
-		log.Fatal("query cancelled")
-	}
 	if err != nil {
-		log.Fatal(err)
+		return queryErr(err)
 	}
 
-	ex := resp.Explain
-	fmt.Printf("mode=%s algorithm=%s seeker=%d tags=%s k=%d exact=%v\n",
-		ex.Mode, ex.Algorithm, *seeker, *tagsArg, *k, ex.Exact)
-	fmt.Printf("latency=%s settled=%d seq=%d rand=%d\n",
-		elapsed, ex.UsersSettled, ex.SequentialAccesses, ex.RandomAccesses)
+	results := req.Window(named(ans.Results))
+	if n := len(results); n > 0 {
+		ex.ScoreBound = results[n-1].Score
+	}
+	printSummary(stdout, ex.Mode, ex.Algorithm, *seeker, *tagsArg, *k, ans, elapsed)
 	if *explain {
-		printExplain(ex)
+		printExplain(stdout, &ex)
 	}
-	printResults(resp.Results)
+	printResults(stdout, results)
+	return nil
 }
 
-// runApproximate executes the legacy core-level approximate variants.
-func runApproximate(ctx context.Context, engine *core.Engine, seeker int, tagsArg string, k int, theta float64, maxUsers int) {
-	tags, err := cliutil.ParseTags(tagsArg)
-	if err != nil {
-		log.Fatal(err)
+// parseTags parses a comma-separated list of tag ids ("3,9, 12").
+func parseTags(s string) ([]tagstore.TagID, error) {
+	if strings.TrimSpace(s) == "" {
+		return nil, fmt.Errorf("empty tag list")
 	}
-	q := core.Query{Seeker: int32(seeker), Tags: tags, K: k}
-	start := time.Now()
-	ans, err := engine.SocialMerge(q, core.Options{Theta: theta, MaxUsers: maxUsers, Ctx: ctx})
-	if err != nil {
-		log.Fatal(err)
+	parts := strings.Split(s, ",")
+	out := make([]tagstore.TagID, 0, len(parts))
+	for _, p := range parts {
+		n, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil {
+			return nil, fmt.Errorf("bad tag %q: %v", p, err)
+		}
+		if n < 0 {
+			return nil, fmt.Errorf("negative tag %d", n)
+		}
+		out = append(out, tagstore.TagID(n))
 	}
-	fmt.Printf("mode=approx algorithm=SocialMerge seeker=%d tags=%v k=%d exact=%v\n", seeker, tags, k, ans.Exact)
-	fmt.Printf("latency=%s settled=%d seq=%d rand=%d\n",
-		time.Since(start), ans.UsersSettled, ans.Access.Sequential, ans.Access.Random)
-	results := make([]search.Result, len(ans.Results))
-	for i, r := range ans.Results {
-		results[i] = search.Result{Item: strconv.Itoa(int(r.Item)), Score: r.Score}
-	}
-	printResults(results)
+	return out, nil
 }
 
-func printExplain(ex *search.Explain) {
-	fmt.Printf("planned=%v", ex.Planned)
+func queryErr(err error) error {
+	if errors.Is(err, context.Canceled) {
+		return errors.New("query cancelled")
+	}
+	return err
+}
+
+func named(rs []topk.Result) []search.Result {
+	out := make([]search.Result, len(rs))
+	for i, r := range rs {
+		out[i] = search.Result{Item: strconv.Itoa(int(r.Item)), Score: r.Score}
+	}
+	return out
+}
+
+func printSummary(w io.Writer, mode, alg string, seeker int, tags string, k int, ans core.Answer, elapsed time.Duration) {
+	fmt.Fprintf(w, "mode=%s algorithm=%s seeker=%d tags=%s k=%d exact=%v\n", mode, alg, seeker, tags, k, ans.Exact)
+	fmt.Fprintf(w, "latency=%s settled=%d seq=%d rand=%d\n",
+		elapsed, ans.UsersSettled, ans.Access.Sequential, ans.Access.Random)
+}
+
+func printExplain(w io.Writer, ex *search.Explain) {
+	fmt.Fprintf(w, "planned=%v", ex.Planned)
 	if len(ex.Estimates) > 0 {
-		fmt.Print(" estimates={")
+		fmt.Fprint(w, " estimates={")
 		first := true
 		for _, alg := range search.AlgHints {
 			if est, ok := ex.Estimates[alg]; ok {
 				if !first {
-					fmt.Print(" ")
+					fmt.Fprint(w, " ")
 				}
-				fmt.Printf("%s:%.0f", alg, est)
+				fmt.Fprintf(w, "%s:%.0f", alg, est)
 				first = false
 			}
 		}
-		fmt.Print("}")
+		fmt.Fprint(w, "}")
 	}
-	fmt.Println()
-	fmt.Printf("horizon=%d residual=%.4f cache_hit=%v generation=%d score_bound=%.4f beta=%.2f\n",
-		ex.HorizonUsers, ex.HorizonResidual, ex.CacheHit, ex.CacheGeneration, ex.ScoreBound, ex.Beta)
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "horizon=%d residual=%.4f score_bound=%.4f beta=%.2f\n",
+		ex.HorizonUsers, ex.HorizonResidual, ex.ScoreBound, ex.Beta)
 }
 
-func printResults(rs []search.Result) {
+func printResults(w io.Writer, rs []search.Result) {
 	if len(rs) == 0 {
-		fmt.Println("(no matching items)")
+		fmt.Fprintln(w, "(no matching items)")
 		return
 	}
 	for i, r := range rs {
-		fmt.Printf("%2d. item %-8s score %.4f\n", i+1, r.Item, r.Score)
+		fmt.Fprintf(w, "%2d. item %-8s score %.4f\n", i+1, r.Item, r.Score)
 	}
 }

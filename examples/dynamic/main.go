@@ -1,8 +1,6 @@
-// Dynamic: an evolving network session. Starts from a base corpus,
-// watches a seeker's answer change live as (a) a friend tags something
-// new and (b) the seeker makes a new friend, with the overlay's
-// mutation/compaction cycle and a serving-layer cache that must be
-// invalidated when the network changes.
+// Dynamic: an evolving network session. Starts from a base corpus and
+// watches a seeker's answer change as a friend tags something new,
+// through the overlay's mutation/compaction cycle.
 //
 // Run with:
 //
@@ -10,17 +8,13 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/overlay"
 	"repro/internal/proximity"
-	"repro/internal/search"
-	"repro/internal/tagstore"
 )
 
 func main() {
@@ -69,7 +63,7 @@ func main() {
 	}
 
 	fmt.Printf("seeker %d, tags %v on an evolving network\n\n", seeker, tags)
-	before := show("initial answer")
+	show("initial answer")
 
 	// A close friend discovers a brand-new item and tags it heavily.
 	nbrs, wts := ds.Graph.Neighbors(seeker)
@@ -99,39 +93,4 @@ func main() {
 	if !entered {
 		fmt.Println("→ (discovery below the top-k on this seed)")
 	}
-	_ = before
-
-	// Serving layer: cached horizons must be invalidated on change. The
-	// executor speaks the canonical request/response API at the id level
-	// and reports cache provenance through Explain.
-	g, s := o.Snapshot()
-	eng, err := core.NewEngine(g, s, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	x, err := exec.New(eng, exec.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	req := search.Request{
-		Seeker:  fmt.Sprint(seeker),
-		Tags:    []string{fmt.Sprint(tags[0]), fmt.Sprint(tags[1])},
-		K:       5,
-		Explain: true,
-	}
-	ctx := context.Background()
-	if _, err := x.Do(ctx, req); err != nil {
-		log.Fatal(err)
-	}
-	resp, err := x.Do(ctx, req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	st := x.Stats()
-	fmt.Printf("serving cache: %d hit(s), %d miss(es) for the repeated query (cache_hit=%v, horizon=%d users)\n",
-		st.Hits, st.Misses, resp.Explain.CacheHit, resp.Explain.HorizonUsers)
-	x.Invalidate(seeker)
-	fmt.Println("network changed again → seeker's horizon invalidated; next query re-expands")
-
-	_ = tagstore.TagID(0)
 }

@@ -2,9 +2,8 @@ package repro
 
 // End-to-end integration across the storage and query stack: a corpus
 // enters as TSV (the real-data path), round-trips through the binary
-// index format, is reloaded with bounded memory through the buffer
-// pool, and is then queried by every portfolio algorithm — directly
-// and through the planner — with all answers agreeing.
+// index format, and is then queried by every portfolio algorithm —
+// directly and through the planner — with all answers agreeing.
 
 import (
 	"fmt"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/index"
 	"repro/internal/load"
-	"repro/internal/pagestore"
 	"repro/internal/planner"
 	"repro/internal/proximity"
 	"repro/internal/tagstore"
@@ -40,18 +38,14 @@ alice	sushiko	sushi
 		t.Fatal(err)
 	}
 
-	// 2. Persist to the binary format and reload through the buffer
-	// pool with a pathologically small capacity.
+	// 2. Persist to the binary format and reload.
 	path := filepath.Join(t.TempDir(), "corpus.frnd")
 	if err := index.WriteFile(path, c.Graph, c.Store); err != nil {
 		t.Fatal(err)
 	}
-	g, store, stats, err := index.ReadPagedFile(path, pagestore.Options{PageSize: 64, Capacity: 2})
+	g, store, err := index.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Misses == 0 {
-		t.Fatal("paged load recorded no IO")
 	}
 
 	// 3. Build the engine with the full portfolio attached.

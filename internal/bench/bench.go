@@ -2,7 +2,7 @@
 // runner per table and figure of the (reconstructed) evaluation, each
 // regenerating the corresponding rows from scratch — corpus generation,
 // workload, algorithm execution, measurement, and table formatting.
-// cmd/benchall drives the registry; EXPERIMENTS.md records the output.
+// cmd/benchall drives the registry and prints the tables to stdout.
 package bench
 
 import (
@@ -68,14 +68,10 @@ func All() []Experiment {
 		{ID: "fig10", Title: "Ablation: landmark pruning and materialized neighbourhoods", Run: runFig10},
 		{ID: "fig11", Title: "Social/global blend beta vs result quality", Run: runFig11},
 		{ID: "fig12", Title: "Exact-algorithm portfolio (SocialMerge/ContextMerge/SocialTA)", Run: runFig12},
-		{ID: "ext1", Title: "Extension: horizon cache effectiveness", Run: runExt1},
 		{ID: "ext2", Title: "Extension: dynamic updates and compaction", Run: runExt2},
-		{ID: "ext3", Title: "Extension: behaviour-derived edge weights", Run: runExt3},
 		{ID: "ext4", Title: "Extension: durability (WAL, checkpoint, recovery)", Run: runExt4},
-		{ID: "ext5", Title: "Extension: buffer pool hit ratio vs capacity", Run: runExt5},
 		{ID: "ext6", Title: "Extension: cost-based planner vs oracle", Run: runExt6},
 		{ID: "ext7", Title: "Extension: serving-layer request cost", Run: runExt7},
-		{ID: "ext8", Title: "Extension: continuous queries (incremental maintenance)", Run: runExt8},
 	}
 }
 

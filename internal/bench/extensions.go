@@ -5,65 +5,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/gen"
 	"repro/internal/overlay"
-	"repro/internal/similarity"
 )
-
-// runExt1 measures the serving-layer horizon cache: repeated queries by
-// the same seekers under different cache sizes.
-func runExt1(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
-	ds, err := primaryDataset(cfg)
-	if err != nil {
-		return err
-	}
-	e, err := engineFor(ds, evalEngineConfig())
-	if err != nil {
-		return err
-	}
-	// a workload with repetition: the same queries issued 4 times
-	wp := workloadFor(cfg)
-	wp.NumQueries = cfg.Queries / 2
-	if wp.NumQueries < 4 {
-		wp.NumQueries = 4
-	}
-	specs, err := gen.Workload(ds, wp, cfg.Seed)
-	if err != nil {
-		return err
-	}
-	var queries []core.Query
-	for rep := 0; rep < 4; rep++ {
-		for _, s := range specs {
-			queries = append(queries, core.Query{Seeker: s.Seeker, Tags: s.Tags, K: 10})
-		}
-	}
-
-	t := newTable(w, "Ext 1: horizon cache effectiveness — "+ds.Name)
-	t.row("cache-size", "total-ms", "hit-rate", "evictions")
-	for _, size := range []int{0, 4, 64, 1024} {
-		x, err := exec.New(e, exec.Config{Workers: 1, CacheSize: size})
-		if err != nil {
-			return err
-		}
-		start := time.Now()
-		for _, q := range queries {
-			if _, err := x.Query(q, core.Options{}); err != nil {
-				return err
-			}
-		}
-		elapsed := float64(time.Since(start).Microseconds()) / 1000
-		st := x.Stats()
-		hitRate := 0.0
-		if st.Hits+st.Misses > 0 {
-			hitRate = float64(st.Hits) / float64(st.Hits+st.Misses)
-		}
-		t.row(size, elapsed, hitRate, st.Evictions)
-	}
-	t.flush()
-	return nil
-}
 
 // runExt2 measures dynamic updates: query latency on an overlay as
 // mutations accumulate, and the compaction cost that resets it.
@@ -126,62 +70,4 @@ func runExt2(cfg Config, w io.Writer) error {
 	}
 	t.flush()
 	return nil
-}
-
-// runExt3 replaces declared edge weights with behaviour-derived
-// similarity weights and measures how much the answers move.
-func runExt3(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
-	ds, err := primaryDataset(cfg)
-	if err != nil {
-		return err
-	}
-	base, err := engineFor(ds, evalEngineConfig())
-	if err != nil {
-		return err
-	}
-	specs, err := gen.Workload(ds, workloadFor(cfg), cfg.Seed)
-	if err != nil {
-		return err
-	}
-	ref, err := runQueries(specs, 10, func(q core.Query) (core.Answer, error) {
-		return base.SocialMerge(q, core.Options{})
-	})
-	if err != nil {
-		return err
-	}
-	t := newTable(w, "Ext 3: behaviour-derived edge weights — "+ds.Name)
-	t.row("weighting", "latency-ms", "overlap-vs-declared", "users-settled")
-	t.row("declared", meanLatencyMS(ref), 1.0, meanSettled(ref))
-	for _, m := range []similarity.Measure{similarity.Jaccard, similarity.Cosine} {
-		start := time.Now()
-		g2, err := similarity.Reweight(ds.Graph, ds.Store, similarity.ReweightParams{
-			Measure: m, Floor: 0.05, Blend: 1,
-		})
-		if err != nil {
-			return err
-		}
-		_ = time.Since(start)
-		e2, err := core.NewEngine(g2, ds.Store, evalEngineConfig())
-		if err != nil {
-			return err
-		}
-		runs, err := runQueries(specs, 10, func(q core.Query) (core.Answer, error) {
-			return e2.SocialMerge(q, core.Options{})
-		})
-		if err != nil {
-			return err
-		}
-		prec, _ := quality(runs, ref)
-		t.row(m.String(), meanLatencyMS(runs), prec, meanSettled(runs))
-	}
-	t.flush()
-	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -6,14 +6,11 @@ import (
 	"io"
 	"math/rand"
 	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/gen"
-	"repro/internal/index"
-	"repro/internal/pagestore"
 	"repro/internal/planner"
 	"repro/internal/search"
 	"repro/internal/social"
@@ -155,7 +152,7 @@ func runExt4(cfg Config, w io.Writer) error {
 	}
 	el := time.Since(start)
 	rec := svc.Stats().RecoveredRecords
-	t.row("recover-full-log", rec, float64(el.Microseconds())/1000, float64(el.Microseconds())/float64(max64(1, int64(rec))))
+	t.row("recover-full-log", rec, float64(el.Microseconds())/1000, float64(el.Microseconds())/float64(max(1, int64(rec))))
 
 	ckStart := time.Now()
 	if err := svc.Checkpoint(); err != nil {
@@ -173,68 +170,6 @@ func runExt4(cfg Config, w io.Writer) error {
 	rec = svc.Stats().RecoveredRecords
 	t.row("recover-after-ckpt", rec, float64(el.Microseconds())/1000, 0.0)
 	svc.Close()
-	t.flush()
-	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// runExt5 measures the buffer pool: index load IO behaviour and hit
-// ratio under a Zipf-skewed random-page workload as pool capacity
-// varies. Expected shape: sequential load misses exactly once per page
-// at any capacity; the skewed workload's hit ratio climbs steeply with
-// capacity and saturates once the hot set is resident.
-func runExt5(cfg Config, w io.Writer) error {
-	cfg = cfg.normalized()
-	ds, err := primaryDataset(cfg)
-	if err != nil {
-		return err
-	}
-	dir, err := os.MkdirTemp("", "ext5")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "data.frnd")
-	if err := index.WriteFile(path, ds.Graph, ds.Store); err != nil {
-		return err
-	}
-
-	t := newTable(w, "Ext 5: buffer pool — paged index load and Zipf page access")
-	t.row("capacity", "load-ms", "load-miss", "zipf-hit-ratio", "zipf-evictions")
-	for _, capacity := range []int{2, 8, 32, 128, 512} {
-		opts := pagestore.Options{PageSize: 4096, Capacity: capacity}
-		start := time.Now()
-		_, _, loadStats, err := index.ReadPagedFile(path, opts)
-		if err != nil {
-			return err
-		}
-		loadMS := float64(time.Since(start).Microseconds()) / 1000
-
-		pool, closer, err := pagestore.FilePool(path, opts)
-		if err != nil {
-			return err
-		}
-		numPages := pool.NumPages()
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		zipf := rand.NewZipf(rng, 1.2, 1, uint64(max64(1, numPages-1)))
-		buf := make([]byte, 64)
-		for i := 0; i < 20000; i++ {
-			page := int64(zipf.Uint64())
-			if _, err := pool.ReadAt(buf, page*4096); err != nil && page < numPages-1 {
-				closer.Close()
-				return err
-			}
-		}
-		st := pool.Stats()
-		closer.Close()
-		t.row(capacity, loadMS, loadStats.Misses, st.HitRatio(), st.Evictions)
-	}
 	t.flush()
 	return nil
 }

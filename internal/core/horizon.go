@@ -14,7 +14,7 @@ import (
 // the proximity-ordered users inside the horizon plus the residual
 // bound beyond the materialized prefix. It is the single-seeker
 // counterpart of NeighborhoodIndex, intended for query-time caching
-// (see internal/exec): one expansion, many queries.
+// (see internal/qcache): one expansion, many queries.
 type SeekerHorizon struct {
 	seeker   graph.UserID
 	list     []proximity.Entry

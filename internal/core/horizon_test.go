@@ -122,3 +122,33 @@ func TestMaterializeHorizonOwnsExactList(t *testing.T) {
 		}
 	}
 }
+
+// TestHorizonAccessors: a horizon reports its seeker and truncated
+// size, and horizon-backed execution rejects a missing horizon, another
+// seeker's horizon, and the options that need an expansion of their own.
+func TestHorizonAccessors(t *testing.T) {
+	e := lineEngine(t, 8)
+	h, err := e.MaterializeHorizon(0, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Seeker() != 0 || h.Size() != 3 {
+		t.Fatalf("Seeker = %d, Size = %d, want 0 and 3", h.Seeker(), h.Size())
+	}
+	q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}
+	if _, err := e.SocialMergeWithHorizon(q, h, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.SocialMergeWithHorizon(Query{Seeker: 1, Tags: q.Tags, K: 1}, h, Options{}); err == nil {
+		t.Fatal("horizon/seeker mismatch accepted")
+	}
+	if _, err := e.SocialMergeWithHorizon(q, nil, Options{}); err == nil {
+		t.Fatal("nil horizon accepted")
+	}
+	if _, err := e.SocialMergeWithHorizon(q, h, Options{UseNeighborhoods: true}); err == nil {
+		t.Fatal("UseNeighborhoods accepted")
+	}
+	if _, err := e.SocialMergeWithHorizon(q, h, Options{LandmarkPrune: true}); err == nil {
+		t.Fatal("LandmarkPrune accepted")
+	}
+}

@@ -107,10 +107,10 @@ func mergeEdges(canon, delta []Edge, numUsers int) (*Graph, error) {
 
 // FromSortedEdges builds a Graph directly from edges that are already
 // canonical: each undirected edge reported exactly once with U < V,
-// strictly sorted by (U, V). This is the flat load path for on-disk
-// formats (internal/index, internal/pagestore) whose writers emit
-// canonical edges — it constructs the CSR arrays in two linear passes
-// with no deduplication map and no re-sort. Per-vertex adjacency comes
+// strictly sorted by (U, V). This is the flat load path for the on-disk
+// format (internal/index), whose writer emits canonical edges — it
+// constructs the CSR arrays in two linear passes with no deduplication
+// map and no re-sort. Per-vertex adjacency comes
 // out sorted by construction: row u receives its smaller neighbours
 // (from edges ending at u, which precede u's own run in the input
 // order) before its larger ones (from u's own run), both ascending.

@@ -107,8 +107,7 @@ func Write(w io.Writer, g *graph.Graph, store *tagstore.Store) error {
 
 // Read deserializes a dataset written by Write, verifying the checksum.
 // The stream is buffered in memory so the trailer can be checked before
-// the (possibly partially corrupt) payload is trusted. For
-// bounded-memory loading through a buffer pool, see ReadPaged.
+// the (possibly partially corrupt) payload is trusted.
 func Read(r io.Reader) (*graph.Graph, *tagstore.Store, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {

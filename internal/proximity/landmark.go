@@ -84,7 +84,7 @@ func (idx *LandmarkIndex) LowerBound(s, v graph.UserID) float64 {
 // UpperBoundHeuristic returns a heuristic (unsound) upper estimate of
 // σ(s, v): min over landmarks of σ(L,v) when σ(s,L) is high, otherwise 1.
 // The approximate engine prunes users whose estimate falls below its
-// pruning threshold; EXPERIMENTS.md quantifies the recall cost.
+// pruning threshold; benchall's fig10 table quantifies the quality cost.
 func (idx *LandmarkIndex) UpperBoundHeuristic(s, v graph.UserID) float64 {
 	est := 1.0
 	for l := range idx.landmarks {

@@ -3,8 +3,7 @@
 // every per-query knob (result count, social/global blend, execution
 // mode, explainability), one Response type carrying results plus an
 // optional execution explanation, and the Searcher interface the
-// serving layers (internal/social, internal/durable and — at the
-// id level — internal/exec) implement.
+// serving layers (internal/social, internal/fleet) implement.
 //
 // The package is deliberately dependency-free: it is the contract
 // between callers (HTTP handlers, CLIs, embedding applications) and
