@@ -15,9 +15,9 @@
 //	friendserve -replica [-addr :8081] [-join http://fe:8080]
 //	            [-advertise http://host:8081] ...
 //	friendserve -replicas http://a:8081,http://b:8082 [-addr :8080]
+//	            -replog-dir /var/lib/friendsearch/replog
 //	            [-hedge 0] [-health-interval 1s] [-fail-after 3]
 //	            [-bcast-window 25ms] [-bcast-max-edges 512]
-//	            [-replog-dir /var/lib/friendsearch/replog]
 //	            [-catchup-timeout 30s] [-mutation-timeout 10s]
 //	friendserve -replicas ... -replog-dir DIR -frontend-id fe1 \
 //	            -peers fe1=http://fe1:8080,fe2=http://fe2:8080,fe3=http://fe3:8080
@@ -44,14 +44,12 @@
 // compaction to the broadcast heartbeat; run it standalone only for
 // debugging.
 //
-// With -replog-dir the front-end keeps a WAL-backed replication log:
-// every mutation is LSN-stamped and durably logged before fan-out, and
-// a replica ejected by health checking is readmitted only after it has
-// streamed and applied every record it missed (catch-up gating,
-// bounded by -catchup-timeout), so a rejoining replica never serves
-// answers derived from a stale graph. Without it, readmission is on
-// probe successes alone and a rejoined replica's graph silently misses
-// the mutations written while it was out.
+// A front-end always writes through a replication log, so -replicas
+// requires -replog-dir: every mutation is LSN-stamped and durably
+// logged there before fan-out, and a replica ejected by health checking
+// is readmitted only after it has streamed and applied every record it
+// missed (catch-up gating, bounded by -catchup-timeout), so a rejoining
+// replica never serves answers derived from a stale graph.
 //
 // With -join a -replica process asks a running front-end to adopt it
 // into the fleet under traffic (docs/fleet.md "Elastic resize"): once
@@ -59,8 +57,7 @@
 // http://127.0.0.1 plus the -addr port) to the front-end's
 // /v2/fleet/resize, which bootstraps it from a peer snapshot plus the
 // replication log suffix, pre-warms its cache slice, and splices it
-// into the routing ring. Requires the front-end to run with
-// -replog-dir. Retirement is driven from the front-end side:
+// into the routing ring. Retirement is driven from the front-end side:
 //
 //	curl -d '{"retire":[2]}' http://fe:8080/v2/fleet/resize
 //
@@ -149,7 +146,7 @@ func main() {
 	cacheMinMisses := flag.Int("cache-min-misses", 0, "cache a seeker only after this many misses")
 	drain := flag.Duration("drain", 500*time.Millisecond, "keep serving this long after /readyz flips to 503 on shutdown")
 	replica := flag.Bool("replica", false, "serve as a fleet replica (compaction deferred to the invalidation broadcast)")
-	joinURL := flag.String("join", "", "replica: ask this front-end to adopt this process into the fleet once serving (elastic join; front-end needs -replog-dir)")
+	joinURL := flag.String("join", "", "replica: ask this front-end to adopt this process into the fleet once serving (elastic join)")
 	advertise := flag.String("advertise", "", "replica: base URL the front-end reaches this replica at (default: http://127.0.0.1 + the -addr port)")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs: serve as the fleet front-end")
 	hedge := flag.Duration("hedge", 0, "front-end: duplicate a single query not answered within this delay (0 disables)")
@@ -157,9 +154,9 @@ func main() {
 	failAfter := flag.Int("fail-after", 0, "front-end: consecutive failures before ejecting a replica (0 = default)")
 	bcastWindow := flag.Duration("bcast-window", 0, "front-end: invalidation broadcast coalescing window (0 = default)")
 	bcastMaxEdges := flag.Int("bcast-max-edges", 0, "front-end: flush a broadcast batch early at this many dirty edges (0 = default)")
-	replogDir := flag.String("replog-dir", "", "front-end: replication log directory; enables catch-up-gated replica readmission (empty = disabled)")
+	replogDir := flag.String("replog-dir", "", "front-end: replication log directory (required with -replicas): every write is logged here before fan-out, and ejected replicas catch up from it before readmission")
 	frontendID := flag.String("frontend-id", "", "HA front-end: this node's stable quorum id (must be a key of -peers)")
-	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; enables the quorum-replicated replication log (requires -replicas, -replog-dir and -frontend-id)")
+	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; enables the quorum-replicated replication log (requires -replicas and -frontend-id)")
 	catchupTimeout := flag.Duration("catchup-timeout", 0, "front-end: bound on one replica's replication log catch-up (0 = default 30s)")
 	mutationTimeout := flag.Duration("mutation-timeout", 0, "front-end: bound on one replica's acknowledgement of one forwarded mutation (0 = default 10s)")
 	admit := flag.Bool("admit", false, "enable adaptive admission control (AIMD window + brownout; see docs/overload.md)")
@@ -183,8 +180,11 @@ func main() {
 	if (*peers != "") != (*frontendID != "") {
 		log.Fatalf("friendserve: -peers and -frontend-id go together")
 	}
-	if *peers != "" && (*replicas == "" || *replogDir == "") {
-		log.Fatalf("friendserve: -peers requires -replicas and -replog-dir")
+	if *peers != "" && *replicas == "" {
+		log.Fatalf("friendserve: -peers requires -replicas")
+	}
+	if *replicas != "" && *replogDir == "" {
+		log.Fatalf("friendserve: -replicas requires -replog-dir (a front-end always writes through a replication log)")
 	}
 	if *logFormat != "text" && *logFormat != "json" {
 		log.Fatalf("friendserve: -log-format must be text or json (got %q)", *logFormat)
@@ -221,14 +221,11 @@ func main() {
 			log.Fatalf("friendserve: %v", err)
 		}
 		backend, cleanup, qnode = front, front.Close, node
-		switch {
-		case qnode != nil:
+		if qnode != nil {
 			log.Printf("HA fleet front-end %s over %s (quorum log: %s, peers: %s)",
 				*frontendID, *replicas, *replogDir, *peers)
-		case *replogDir != "":
+		} else {
 			log.Printf("fleet front-end over %s (replication log: %s)", *replicas, *replogDir)
-		default:
-			log.Printf("fleet front-end over %s (no replication log: ejected replicas rejoin stale)", *replicas)
 		}
 	} else {
 		svcCfg := social.DefaultServiceConfig()
@@ -494,17 +491,15 @@ func buildFrontend(o frontendOpts) (*fleet.Frontend, *quorum.Node, error) {
 		}
 		return front, node, nil
 	}
-	if o.replogDir != "" {
-		rl, err := fleet.OpenRepLog(o.replogDir)
-		if err != nil {
-			front.Close()
-			return nil, nil, err
-		}
-		if err := front.UseRepLog(rl); err != nil {
-			rl.Close()
-			front.Close()
-			return nil, nil, err
-		}
+	rl, err := fleet.OpenRepLog(o.replogDir)
+	if err != nil {
+		front.Close()
+		return nil, nil, err
+	}
+	if err := front.UseRepLog(rl); err != nil {
+		rl.Close()
+		front.Close()
+		return nil, nil, err
 	}
 	return front, nil, nil
 }

@@ -184,7 +184,7 @@ func replay(dir string, barrier uint64, svc *social.Service) (int, error) {
 			return nil // already folded into the snapshot
 		}
 		n++
-		m, err := decodeMutation(r)
+		m, err := DecodeMutation(r)
 		if err != nil {
 			return fmt.Errorf("durable: lsn %d: %w", r.LSN, err)
 		}
@@ -193,8 +193,12 @@ func replay(dir string, barrier uint64, svc *social.Service) (int, error) {
 	return n, err
 }
 
-// decodeMutation is the inverse of EncodeMutation.
-func decodeMutation(r wal.Record) (m social.Mutation, err error) {
+// DecodeMutation is the inverse of EncodeMutation. A RecTerm record —
+// which only the quorum-replicated fleet log holds — carries nothing to
+// apply and decodes to the zero Kind, the skip a replica's cursor
+// advances past. The LSN of a plain record rides in the log's framing,
+// not the payload: a reader that needs it stamps m.LSN from r.LSN.
+func DecodeMutation(r wal.Record) (m social.Mutation, err error) {
 	switch r.Type {
 	case RecBefriend:
 		m.Kind = social.KindBefriend
@@ -208,6 +212,8 @@ func decodeMutation(r wal.Record) (m social.Mutation, err error) {
 	case RecTagAt:
 		m.Kind = social.KindTag
 		m.LSN, m.User, m.Item, m.Tag, err = DecodeTagAt(r.Data)
+	case RecTerm:
+		_, _, err = DecodeTerm(r.Data)
 	default:
 		err = fmt.Errorf("unknown record type %d", r.Type)
 	}

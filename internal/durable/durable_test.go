@@ -291,6 +291,28 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 			t.Errorf("DecodeBefriend accepted %d-byte prefix", cut)
 		}
 	}
+	// DecodeMutation inverts EncodeMutation for every kind, stamped and
+	// plain; a leadership record decodes to the zero Kind (a skip).
+	for _, m := range []social.Mutation{
+		{Kind: social.KindBefriend, User: "alice", Friend: "bob", Weight: 0.75},
+		{Kind: social.KindBefriend, LSN: 9, User: "alice", Friend: "bob", Weight: 0.75},
+		{Kind: social.KindTag, User: "user", Item: "an item", Tag: "tag"},
+		{Kind: social.KindTag, LSN: 10, User: "user", Item: "an item", Tag: "tag"},
+	} {
+		typ, payload, err := EncodeMutation(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := DecodeMutation(wal.Record{Type: typ, Data: payload}); err != nil || got != m {
+			t.Errorf("mutation round trip = %+v, %v; want %+v", got, err, m)
+		}
+	}
+	if got, err := DecodeMutation(wal.Record{Type: RecTerm, Data: EncodeTerm(3, "fe1")}); err != nil || got != (social.Mutation{}) {
+		t.Errorf("term record decoded to %+v, %v; want the zero (skip) mutation", got, err)
+	}
+	if _, err := DecodeMutation(wal.Record{Type: 99}); err == nil {
+		t.Error("DecodeMutation accepted an unknown record type")
+	}
 }
 
 // TestRandomizedCrashRecovery is the package's central property: for a

@@ -39,14 +39,14 @@ type BroadcasterConfig struct {
 // never global-flushes the fleet's caches.
 //
 // A replica that fails to acknowledge a batch is marked missed; its
-// next successful broadcast — or, on the eject→live transition, an
-// immediate FlushMissed — is escalated to a global invalidation, so
-// edge-level bookkeeping never has to replay history to stay sound.
-// (Missed *mutations* are the replication log's job: a replica ejected
-// while the fleet kept writing streams the records it missed from the
-// Frontend's wal-backed replog before the pool readmits it, and its
-// rejoin invalidation is scoped to exactly those records' edges; see
-// docs/fleet.md.)
+// next successful broadcast is escalated to a global invalidation, so
+// edge-level bookkeeping never has to replay history to stay sound —
+// unless a rejoin settles the debt first: a replica ejected while the
+// fleet kept writing streams the records it missed from the Frontend's
+// replication log before the pool readmits it, and the catch-up's
+// closing invalidation — sent records or not, so a write-quiet fleet
+// settles too — is scoped to exactly those records' edges and withdraws
+// the escalation (ClearMissedIf); see docs/fleet.md.
 type Broadcaster struct {
 	cfg BroadcasterConfig
 
@@ -203,38 +203,6 @@ func (b *Broadcaster) ClearMissedIf(replica int, seq uint64) {
 		b.missed[replica] = false
 	}
 	b.mu.Unlock()
-}
-
-// FlushMissed immediately sends the escalated global invalidation to a
-// replica that missed broadcast traffic, instead of leaving it to ride
-// the next batch flush — which, in a write-quiet fleet, may never come,
-// letting a readmitted replica serve from a stale cache indefinitely.
-// The pool's readmission hook calls it on the eject→live transition.
-// No-op for replicas not marked missed; a failed send counts a Failure
-// (the Escalation is counted only when one is actually delivered) and
-// leaves the flag set, so the next broadcast still escalates.
-func (b *Broadcaster) FlushMissed(ctx context.Context, replica int) error {
-	b.mu.Lock()
-	owed := replica >= 0 && replica < len(b.missed) && b.missed[replica] && !b.disabled[replica]
-	var seq uint64
-	var c *Client
-	if owed {
-		seq = b.missedSeq[replica]
-		c = b.clients[replica]
-	}
-	b.mu.Unlock()
-	if !owed {
-		return nil
-	}
-	sctx, cancel := context.WithTimeout(ctx, b.cfg.Timeout)
-	defer cancel()
-	if _, err := c.Invalidate(sctx, nil, true); err != nil {
-		b.counters.Failure()
-		return err
-	}
-	b.counters.Escalation()
-	b.ClearMissedIf(replica, seq)
-	return nil
 }
 
 func (b *Broadcaster) wake() {

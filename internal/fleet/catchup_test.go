@@ -33,8 +33,9 @@ type invalidateCall struct {
 // toggleReplica is a fleet replica whose HTTP surface can be forced
 // down (503 on every request) and back up without losing its state —
 // the SIGSTOP/SIGCONT shape of the readmission bug, which httptest
-// Close cannot model. It also records every invalidation broadcast it
-// receives.
+// Close cannot model. It also records every invalidation broadcast and
+// every replication apply (/v1/friend, /v1/tag, /v1/skip, as "path
+// body") it receives while up.
 type toggleReplica struct {
 	svc  *social.Service
 	ts   *httptest.Server
@@ -42,6 +43,7 @@ type toggleReplica struct {
 
 	mu            sync.Mutex
 	invalidations []invalidateCall
+	applies       []string
 }
 
 func newToggleReplica(t *testing.T) *toggleReplica {
@@ -62,12 +64,16 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
 			return
 		}
-		if r.URL.Path == "/v2/invalidate" {
+		if r.URL.Path == "/v2/invalidate" || strings.HasPrefix(r.URL.Path, "/v1/") && r.Method == http.MethodPost {
 			raw, _ := io.ReadAll(r.Body)
-			var call invalidateCall
-			json.Unmarshal(raw, &call)
 			tr.mu.Lock()
-			tr.invalidations = append(tr.invalidations, call)
+			if r.URL.Path == "/v2/invalidate" {
+				var call invalidateCall
+				json.Unmarshal(raw, &call)
+				tr.invalidations = append(tr.invalidations, call)
+			} else {
+				tr.applies = append(tr.applies, r.URL.Path+" "+string(raw))
+			}
 			tr.mu.Unlock()
 			r.Body = io.NopCloser(bytes.NewReader(raw))
 		}
@@ -90,9 +96,17 @@ func (tr *toggleReplica) globalInvalidations() int {
 	return n
 }
 
+// appliesSeen returns a copy of the recorded replication applies.
+func (tr *toggleReplica) appliesSeen() []string {
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	return append([]string(nil), tr.applies...)
+}
+
 // newCatchupFleet builds an n-replica fleet over toggle replicas with
-// fast health probing (FailAfter/ReviveAfter 1) and, when replogDir is
-// non-empty, a replication log with catch-up-gated readmission.
+// fast health probing (FailAfter/ReviveAfter 1) and a replication log
+// in replogDir ("": a bare front-end no log is attached to, which
+// refuses writes).
 func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, []*toggleReplica, []*Client) {
 	t.Helper()
 	var reps []*toggleReplica
@@ -131,22 +145,43 @@ func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, [
 // TestReadmissionFiresImmediateInvalidation is the regression test for
 // the write-quiet rejoin bug: a replica that missed broadcast traffic
 // used to get its escalated global invalidation only at the *next*
-// broadcast flush — with zero post-rejoin writes, never. The eject→live
-// transition itself must now fire it.
+// broadcast flush — with zero post-rejoin writes, never. The rejoin
+// itself must settle it: catch-up's closing invalidation goes out even
+// when it replayed zero records, and withdraws the missed-broadcast
+// debt.
 func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
-	front, pool, reps, _ := newCatchupFleet(t, 2, "") // PR 4 posture: no replog
+	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	victim := 0
 	reps[victim].down.Store(true)
 	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
 
-	// Zero writes anywhere: the escalated global must arrive anyway.
-	waitFor(t, 5*time.Second, func() bool { return reps[victim].globalInvalidations() >= 1 })
-	// The counter lands after delivery is acknowledged; wait for it too.
-	waitFor(t, 5*time.Second, func() bool {
-		return front.StatsAny().(Stats).Broadcast.Counters.Escalations >= 1
-	})
+	// Zero writes anywhere: readmission came with an invalidation anyway
+	// (edge-scoped and empty — nothing was replayed).
+	reps[victim].mu.Lock()
+	calls := append([]invalidateCall(nil), reps[victim].invalidations...)
+	reps[victim].mu.Unlock()
+	if len(calls) == 0 {
+		t.Fatal("write-quiet rejoin delivered no invalidation")
+	}
+	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.Catchups < 1 || vs.Counters.CatchupRecords != 0 {
+		t.Fatalf("victim counters = %+v, want a completed catch-up of zero records", vs.Counters)
+	}
+	// The ejection's missed-broadcast debt is withdrawn: the next
+	// broadcast reaches the victim edge-scoped, not escalated.
+	if err := front.Befriend("alice", "bob", 0.9); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := reps[victim].globalInvalidations(); n != 0 {
+		t.Fatalf("victim received %d global invalidations after a settled rejoin, want 0", n)
+	}
+	if got := front.StatsAny().(Stats).Broadcast.Counters.Escalations; got != 0 {
+		t.Fatalf("escalations = %d after a settled rejoin, want 0", got)
+	}
 }
 
 // TestCatchUpRacesConcurrentWrites runs a replica ejection + rejoin
@@ -514,13 +549,7 @@ func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rl, err := OpenRepLog(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := front.UseRepLog(rl); err != nil {
-		t.Fatal(err)
-	}
+	useTempRepLog(t, front)
 	t.Cleanup(front.Close)
 
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
@@ -574,46 +603,6 @@ func TestEpochMismatchRefusesReplica(t *testing.T) {
 	// The healthy replica carries the fleet.
 	if !pool.Live(1) {
 		t.Fatal("healthy replica ejected")
-	}
-}
-
-// TestFlushMissedCountsDeliveredEscalationsOnly pins the counter
-// semantics the readmission retry loop depends on: failed FlushMissed
-// attempts count Failures, and exactly one Escalation is recorded when
-// the global invalidation is finally delivered.
-func TestFlushMissedCountsDeliveredEscalationsOnly(t *testing.T) {
-	tr := newToggleReplica(t)
-	c := newTestClient(t, tr.ts.URL, ClientConfig{})
-	b := NewBroadcaster([]*Client{c}, BroadcasterConfig{Window: time.Hour})
-	defer b.Close()
-	b.MarkMissed(0)
-	tr.down.Store(true)
-	ctx := context.Background()
-	for i := 0; i < 3; i++ {
-		if err := b.FlushMissed(ctx, 0); err == nil {
-			t.Fatal("FlushMissed succeeded against a down replica")
-		}
-	}
-	if got := b.Stats().Counters.Escalations; got != 0 {
-		t.Fatalf("escalations after failed attempts = %d, want 0", got)
-	}
-	tr.down.Store(false)
-	if err := b.FlushMissed(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	st := b.Stats().Counters
-	if st.Escalations != 1 || st.Failures != 3 {
-		t.Fatalf("counters = %+v, want 1 escalation, 3 failures", st)
-	}
-	if tr.globalInvalidations() != 1 {
-		t.Fatalf("replica saw %d globals, want 1", tr.globalInvalidations())
-	}
-	// The debt is settled: another flush is a no-op.
-	if err := b.FlushMissed(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-	if tr.globalInvalidations() != 1 {
-		t.Fatal("settled FlushMissed sent another invalidation")
 	}
 }
 

@@ -17,11 +17,17 @@
 //	Pool        — replica registry + /healthz prober + failover router
 //	              (itself a search.Searcher)
 //	Broadcaster — coalesces dirty edges and fans /v2/invalidate out
+//	RepLog      — the replication log every write goes through first
+//	              (one of the two logs behind the unexported
+//	              mutationLog seam; the other is the HA quorum's)
 //	Frontend    — server.Backend (in the server.Frontend role) gluing
-//	              Pool + Broadcaster together, so cmd/friendserve
+//	              Pool + Broadcaster + log together, so cmd/friendserve
 //	              -replicas serves the same API as a single process;
 //	              its one mutation path validates with the replicas'
-//	              own rule (social.Mutation.Validate) before it logs
+//	              own rule (social.Mutation.Validate), appends the
+//	              record to the log, and delivers that record — the
+//	              same delivery catch-up replays for a replica that
+//	              missed it. No log attached, no writes.
 //
 // Soundness of the invalidation broadcast is argued in docs/fleet.md:
 // the front-end serializes mutations, every replica applies the same
@@ -150,23 +156,9 @@ func (c *Client) URL() string { return c.base }
 // that owns the client).
 func (c *Client) Counters() *metrics.ReplicaCounters { return c.counters }
 
-// wireQuery mirrors the server's /v2 query object field for field.
-type wireQuery struct {
-	Seeker        string   `json:"seeker"`
-	Tags          []string `json:"tags"`
-	K             int      `json:"k"`
-	Beta          *float64 `json:"beta,omitempty"`
-	Mode          string   `json:"mode,omitempty"`
-	AlgHint       string   `json:"alg_hint,omitempty"`
-	MinScore      float64  `json:"min_score,omitempty"`
-	Offset        int      `json:"offset,omitempty"`
-	NoCache       bool     `json:"no_cache,omitempty"`
-	MaxCacheAgeMS int64    `json:"max_cache_age_ms,omitempty"`
-	Explain       bool     `json:"explain,omitempty"`
-}
-
-func toWire(req search.Request) wireQuery {
-	return wireQuery{
+// toWire builds the /v2 query object for req.
+func toWire(req search.Request) server.V2Query {
+	return server.V2Query{
 		Seeker:        req.Seeker,
 		Tags:          req.Tags,
 		K:             req.K,
@@ -222,7 +214,7 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 	defer resp.Body.Close()
 	switch {
 	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if out == nil {
+		if out == nil || resp.StatusCode == http.StatusNoContent {
 			io.Copy(io.Discard, resp.Body)
 			return nil
 		}
@@ -298,17 +290,6 @@ func wireErrMessage(r io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
-// wireSearchResponse mirrors the server's /v2/search response. Spans
-// is the replica's span data for a traced request; the client folds it
-// into the live trace and strips it before the response surfaces.
-type wireSearchResponse struct {
-	Results    []search.Result `json:"results"`
-	Explain    *search.Explain `json:"explain,omitempty"`
-	Degraded   bool            `json:"degraded,omitempty"`
-	ScoreBound float64         `json:"score_bound,omitempty"`
-	Spans      []obs.SpanData  `json:"spans,omitempty"`
-}
-
 // Do answers one request over POST /v2/search. With hedging configured,
 // a duplicate attempt launches after HedgeDelay and the first answer
 // wins (the loser is cancelled).
@@ -371,10 +352,12 @@ func (c *Client) Do(ctx context.Context, req search.Request) (search.Response, e
 }
 
 func (c *Client) searchOnce(ctx context.Context, req search.Request) (search.Response, error) {
-	var out wireSearchResponse
+	var out server.V2SearchResponse
 	if err := c.post(ctx, "/v2/search", toWire(req), &out); err != nil {
 		return search.Response{}, err
 	}
+	// On a sampled trace the replica's span data rides the response; fold
+	// it into the live trace here, so it never surfaces to the caller.
 	obs.MergeRemote(ctx, out.Spans)
 	if out.Results == nil {
 		out.Results = []search.Result{}
@@ -385,27 +368,12 @@ func (c *Client) searchOnce(ctx context.Context, req search.Request) (search.Res
 	}, nil
 }
 
-// wireBatch mirrors the server's /v2/search/batch envelope.
-type wireBatch struct {
-	Queries []wireQuery `json:"queries"`
-}
-
-type wireBatchEntry struct {
-	Results      []search.Result `json:"results"`
-	Explain      *search.Explain `json:"explain,omitempty"`
-	Degraded     bool            `json:"degraded,omitempty"`
-	ScoreBound   float64         `json:"score_bound,omitempty"`
-	Error        string          `json:"error,omitempty"`
-	ErrorKind    string          `json:"error_kind,omitempty"`
-	RetryAfterMS int64           `json:"retry_after_ms,omitempty"`
-}
-
 // entryErr reconstructs the typed error a batch entry carried on the
 // wire: the class decides failover (unavailable) vs return-to-caller
 // (invalid, overloaded — a shed entry keeps its Retry-After hint so
 // the front-end's own response can re-emit it). An unclassified error
 // stays opaque: no failover, no special status.
-func (e wireBatchEntry) entryErr() error {
+func entryErr(e server.V2BatchEntry) error {
 	switch e.ErrorKind {
 	case server.ErrKindInvalid:
 		return search.WrapInvalid(errors.New(e.Error))
@@ -418,11 +386,6 @@ func (e wireBatchEntry) entryErr() error {
 	}
 }
 
-type wireBatchResponse struct {
-	Results []wireBatchEntry `json:"results"`
-	Spans   []obs.SpanData   `json:"spans,omitempty"`
-}
-
 // DoBatch answers many requests over POST /v2/search/batch. Per-query
 // errors come back per entry; a whole-batch transport failure marks
 // every entry ErrUnavailable so a pool can re-route the batch.
@@ -431,11 +394,11 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 	if len(reqs) == 0 {
 		return out
 	}
-	wire := wireBatch{Queries: make([]wireQuery, len(reqs))}
+	wire := server.V2BatchRequest{Queries: make([]server.V2Query, len(reqs))}
 	for i, r := range reqs {
 		wire.Queries[i] = toWire(r)
 	}
-	var resp wireBatchResponse
+	var resp server.V2BatchResponse
 	if err := c.post(ctx, "/v2/search/batch", wire, &resp); err != nil {
 		for i := range out {
 			out[i] = search.BatchResult{Err: err}
@@ -452,7 +415,7 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 	}
 	for i, e := range resp.Results {
 		if e.Error != "" {
-			out[i] = search.BatchResult{Err: e.entryErr()}
+			out[i] = search.BatchResult{Err: entryErr(e)}
 			continue
 		}
 		results := e.Results
@@ -491,45 +454,19 @@ func (c *Client) Healthz(ctx context.Context) (uint64, error) {
 	return applied, nil
 }
 
-// Befriend forwards one friendship mutation to the replica. A positive
-// lsn stamps it with its replication log sequence number; the replica
-// applies it with idempotent dedup and strict ordering (out-of-order
-// records fail with ErrBehind) and the returned LSN is the replica's
-// cursor after the record was processed (0 for unstamped mutations).
+// Befriend forwards one friendship mutation to the replica, stamped
+// with its replication log sequence number: the replica applies it with
+// idempotent dedup and strict ordering (out-of-order records fail with
+// ErrBehind) and the returned LSN is the replica's cursor after the
+// record was processed. (lsn 0 is a client's plain mutation, as
+// cmd/loadtest aims at a front door: answered 204, cursor 0.)
 func (c *Client) Befriend(ctx context.Context, a, b string, weight float64, lsn uint64) (uint64, error) {
-	in := map[string]interface{}{"a": a, "b": b, "weight": weight}
-	if lsn == 0 {
-		return 0, c.post(ctx, "/v1/friend", in, nil)
-	}
-	in["lsn"] = lsn
-	var out appliedAck
-	if err := c.post(ctx, "/v1/friend", in, &out); err != nil {
-		return 0, err
-	}
-	obs.MergeRemote(ctx, out.Spans)
-	return out.AppliedLSN, nil
+	return c.postStamped(ctx, "/v1/friend", server.FriendRequest{A: a, B: b, Weight: weight, LSN: lsn})
 }
 
 // Tag forwards one tagging mutation to the replica; lsn as in Befriend.
 func (c *Client) Tag(ctx context.Context, user, item, tag string, lsn uint64) (uint64, error) {
-	in := map[string]interface{}{"user": user, "item": item, "tag": tag}
-	if lsn == 0 {
-		return 0, c.post(ctx, "/v1/tag", in, nil)
-	}
-	in["lsn"] = lsn
-	var out appliedAck
-	if err := c.post(ctx, "/v1/tag", in, &out); err != nil {
-		return 0, err
-	}
-	obs.MergeRemote(ctx, out.Spans)
-	return out.AppliedLSN, nil
-}
-
-// appliedAck mirrors the server's LSN-stamped mutation response
-// (Spans: the replica's span data for a traced replicated apply).
-type appliedAck struct {
-	AppliedLSN uint64         `json:"applied_lsn"`
-	Spans      []obs.SpanData `json:"spans,omitempty"`
+	return c.postStamped(ctx, "/v1/tag", server.TagRequest{User: user, Item: item, Tag: tag, LSN: lsn})
 }
 
 // Skip advances the replica's replication cursor past a record that is
@@ -538,10 +475,18 @@ type appliedAck struct {
 // and ordering contract as the stamped mutation calls; returns the
 // replica's cursor after the skip.
 func (c *Client) Skip(ctx context.Context, lsn uint64) (uint64, error) {
-	var out appliedAck
-	if err := c.post(ctx, "/v1/skip", map[string]interface{}{"lsn": lsn}, &out); err != nil {
+	return c.postStamped(ctx, "/v1/skip", server.SkipRequest{LSN: lsn})
+}
+
+// postStamped sends one replication apply and returns the cursor the
+// replica acknowledged, folding the replica's span data for a traced
+// apply into the live trace.
+func (c *Client) postStamped(ctx context.Context, path string, in interface{}) (uint64, error) {
+	var out server.AppliedResponse
+	if err := c.post(ctx, path, in, &out); err != nil {
 		return 0, err
 	}
+	obs.MergeRemote(ctx, out.Spans)
 	return out.AppliedLSN, nil
 }
 
@@ -549,14 +494,8 @@ func (c *Client) Skip(ctx context.Context, lsn uint64) (uint64, error) {
 // /v2/invalidate endpoint and returns the number of cached horizons it
 // dropped.
 func (c *Client) Invalidate(ctx context.Context, edges [][2]string, all bool) (int, error) {
-	in := struct {
-		Edges [][2]string `json:"edges"`
-		All   bool        `json:"all"`
-	}{Edges: edges, All: all}
-	var out struct {
-		Dropped int `json:"dropped"`
-	}
-	if err := c.post(ctx, "/v2/invalidate", in, &out); err != nil {
+	var out server.InvalidateResponse
+	if err := c.post(ctx, "/v2/invalidate", server.InvalidateRequest{Edges: edges, All: all}, &out); err != nil {
 		return 0, err
 	}
 	return out.Dropped, nil
@@ -607,7 +546,7 @@ func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error
 	if resp.StatusCode != http.StatusOK {
 		return 0, unavailablef("%s /v2/snapshot: status %d: %s", c.base, resp.StatusCode, wireErrMessage(resp.Body))
 	}
-	var out appliedAck
+	var out server.AppliedResponse
 	if err := decodeBody(resp.Body, &out); err != nil {
 		return 0, unavailablef("%s /v2/snapshot: decoding response: %v", c.base, err)
 	}

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,6 +36,18 @@ func newReplica(t *testing.T) (*social.Service, *httptest.Server) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return svc, ts
+}
+
+// useTempRepLog attaches a fresh replication log in a test directory.
+func useTempRepLog(t *testing.T, front *Frontend) {
+	t.Helper()
+	rl, err := OpenRepLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := front.UseRepLog(rl); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func newTestClient(t *testing.T, url string, cfg ClientConfig) *Client {
@@ -65,11 +79,16 @@ func TestClientRoundTrip(t *testing.T) {
 	c := newTestClient(t, ts.URL, ClientConfig{})
 	ctx := context.Background()
 
-	if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 0); err != nil {
+	if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 0); err != nil {
-		t.Fatal(err)
+	if ack, err := c.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil || ack != 2 {
+		t.Fatalf("stamped tag ack = %d, %v; want cursor 2", ack, err)
+	}
+	// An unstamped mutation (a client's, as cmd/loadtest sends) is
+	// answered 204 with no cursor to report.
+	if ack, err := c.Tag(ctx, "bob", "marios", "pasta", 0); err != nil || ack != 0 {
+		t.Fatalf("plain tag = cursor %d, %v; want 0, nil", ack, err)
 	}
 	// Before the broadcast heartbeat the writes are pending, not
 	// queryable; the invalidation call is what folds them in.
@@ -108,6 +127,41 @@ func TestClientRoundTrip(t *testing.T) {
 	}
 	if out[1].Err == nil {
 		t.Fatal("batch[1]: unknown seeker did not error")
+	}
+}
+
+// TestClientSearchWireGolden pins the bytes the client puts on the hop
+// for a fixed search.Request, single and batched: the request types
+// are the server's own, and a change to either end's tags shows here.
+func TestClientSearchWireGolden(t *testing.T) {
+	var got []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, _ := io.ReadAll(r.Body)
+		got = append(got, r.URL.Path+" "+string(body))
+		w.Write([]byte(`{"results":[]}`))
+	}))
+	defer ts.Close()
+	c := newTestClient(t, ts.URL, ClientConfig{})
+	beta := 0.25
+	full := search.Request{
+		Seeker: "alice", Tags: []string{"pizza", "pasta"}, K: 3, Beta: &beta, Mode: search.ModeExact,
+		AlgHint: "SocialMerge", MinScore: 0.5, Offset: 2, NoCache: true, MaxCacheAgeMS: 1500, Explain: true,
+	}
+	bare := search.Request{Seeker: "bob"}
+	ctx := context.Background()
+	c.Do(ctx, full)
+	c.Do(ctx, bare)
+	c.DoBatch(ctx, []search.Request{full, bare})
+	const fullJSON = `{"seeker":"alice","tags":["pizza","pasta"],"k":3,"beta":0.25,"mode":"exact","alg_hint":"SocialMerge",` +
+		`"min_score":0.5,"offset":2,"no_cache":true,"max_cache_age_ms":1500,"explain":true}`
+	const bareJSON = `{"seeker":"bob","tags":null,"k":0,"mode":"auto"}`
+	want := []string{
+		"/v2/search " + fullJSON,
+		"/v2/search " + bareJSON,
+		`/v2/search/batch {"queries":[` + fullJSON + `,` + bareJSON + `]}`,
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("wire bytes:\n got %q\nwant %q", got, want)
 	}
 }
 
@@ -436,6 +490,7 @@ func TestFrontendMutationsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
+	useTempRepLog(t, front)
 
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)
@@ -502,10 +557,10 @@ func TestClientReusesOneConnection(t *testing.T) {
 	t.Cleanup(ts.Close)
 	ctx := context.Background()
 	seed := newTestClient(t, ts.URL, ClientConfig{})
-	if _, err := seed.Befriend(ctx, "alice", "bob", 0.9, 0); err != nil {
+	if _, err := seed.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seed.Tag(ctx, "bob", "luigis", "pizza", 0); err != nil {
+	if _, err := seed.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := seed.Invalidate(ctx, nil, true); err != nil {

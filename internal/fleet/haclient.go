@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/quorum"
 	"repro/internal/search"
+	"repro/internal/server"
 )
 
 // haElectionBackoff is the pause between full passes over the
@@ -127,19 +128,13 @@ func batchWhollyUnavailable(out []search.BatchResult) bool {
 // Befriend sends one friendship mutation to the current leader,
 // following redirects and riding out elections.
 func (h *HAClient) Befriend(ctx context.Context, a, b string, weight float64) error {
-	return h.mutate(ctx, func(c *Client) error {
-		_, err := c.Befriend(ctx, a, b, weight, 0)
-		return err
-	})
+	return h.mutate(ctx, "/v1/friend", server.FriendRequest{A: a, B: b, Weight: weight})
 }
 
 // Tag sends one tagging mutation to the current leader, following
 // redirects and riding out elections.
 func (h *HAClient) Tag(ctx context.Context, user, item, tag string) error {
-	return h.mutate(ctx, func(c *Client) error {
-		_, err := c.Tag(ctx, user, item, tag, 0)
-		return err
-	})
+	return h.mutate(ctx, "/v1/tag", server.TagRequest{User: user, Item: item, Tag: tag})
 }
 
 // Users asks any reachable front-end for the fleet's user set.
@@ -162,8 +157,9 @@ func (h *HAClient) Users(ctx context.Context) ([]string, error) {
 // leader; a NotLeaderError with an address re-aims immediately, one
 // without (mid-election) and an unreachable front-end advance
 // round-robin after an election-width pause. Decisive answers —
-// success, validation rejection, overload shed — return as-is.
-func (h *HAClient) mutate(ctx context.Context, send func(*Client) error) error {
+// success, validation rejection, overload shed — return as-is. The body
+// is a plain (unstamped) front-door mutation: the front-end stamps it.
+func (h *HAClient) mutate(ctx context.Context, path string, body interface{}) error {
 	h.mu.Lock()
 	target := h.write
 	h.mu.Unlock()
@@ -173,7 +169,7 @@ func (h *HAClient) mutate(ctx context.Context, send func(*Client) error) error {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			err := send(h.fronts[target])
+			err := h.fronts[target].post(ctx, path, body, nil)
 			if err == nil {
 				h.mu.Lock()
 				h.write = target

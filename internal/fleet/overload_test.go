@@ -193,9 +193,10 @@ func TestClientDeadlineShrinksAttempt(t *testing.T) {
 // TestFrontendPropagatesRetryAfterOnFanout pins the shared-fate shed
 // contract end to end: a replica shedding with 429 + Retry-After makes
 // the FRONT-END answer the client 429 with the same hint — on the
-// query path, on the unstamped mutation fan-out, and per entry in a
-// batch (error_kind "overloaded" + retry_after_ms on the wire) — and
-// never ejects the replica or fails over onto ring successors.
+// query path and per entry in a batch (error_kind "overloaded" +
+// retry_after_ms on the wire) — and never ejects the replica or fails
+// over onto ring successors. (Mutation fan-out is always LSN-stamped,
+// and replicas never shed the replication apply path.)
 func TestFrontendPropagatesRetryAfterOnFanout(t *testing.T) {
 	ts, _, _ := shedServer(t, "7")
 	c := newTestClient(t, ts.URL, ClientConfig{})
@@ -235,14 +236,6 @@ func TestFrontendPropagatesRetryAfterOnFanout(t *testing.T) {
 		t.Fatalf("search Retry-After = %q, want %q (the replica's hint)", got, "7")
 	}
 
-	// Unstamped mutation fan-out: shared fate, not ejection.
-	resp = post("/v1/friend", `{"a":"alice","b":"bob","weight":0.9}`)
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("fan-out friend status = %d, want 429", resp.StatusCode)
-	}
-	if got := resp.Header.Get("Retry-After"); got != "7" {
-		t.Fatalf("friend Retry-After = %q, want %q", got, "7")
-	}
 	if !pool.Live(0) {
 		t.Fatal("replica ejected for shedding — overload is not a health failure")
 	}

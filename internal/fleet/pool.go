@@ -55,13 +55,16 @@ type replicaState struct {
 	lastErr     string
 	lastProbe   time.Time
 	onEject     func() // notified once per ejection (broadcaster hook)
-	onReadmit   func() // notified (in a goroutine) once per ungated eject→live transition
 	gate        func() // when set, readmission runs the rejoin gate instead of flipping live
 	catchingUp  bool   // a rejoin gate run is in flight
 	appliedLSN  uint64 // replica's replication cursor, from acks and probes
 	failAfter   int
 	reviveAfter int
 	counters    *metrics.ReplicaCounters
+
+	// The lag test's memory (see lagging): the log bound and this
+	// replica's cursor as of the previous probe sweep that consulted it.
+	lagBound, lagCursor uint64
 }
 
 func (r *replicaState) isLive() bool {
@@ -117,7 +120,8 @@ func (r *replicaState) applied() uint64 {
 // exists for. If a mutation ack advanced it while the probe was in
 // flight, the report is the older of the two observations and may only
 // raise the cursor: lowering it would show a caught-up replica as
-// lagging until the next sweep, and hand that stale value to lagEject.
+// lagging until the next sweep, and hand that stale value to the lag
+// test.
 func (r *replicaState) probeApplied(before, reported uint64) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -125,6 +129,44 @@ func (r *replicaState) probeApplied(before, reported uint64) uint64 {
 		r.appliedLSN = reported
 	}
 	return r.appliedLSN
+}
+
+// checkEpoch refuses a replica cursor beyond anything the log ever
+// issued: a replication epoch mismatch (e.g. the front-end was restarted
+// with a fresh -replog-dir over running replicas). Such a replica
+// answers every stamped write with a dedup no-op "success" — every write
+// would silently vanish — and "catching it up" would dedup-skip its way
+// to the head the same way. The write path ejects it on the ack and the
+// rejoin gate refuses it, so it stays out until an operator resolves the
+// epoch (restore the original log, or restart the replica clean).
+func checkEpoch(cursor, head uint64) error {
+	if cursor > head {
+		return fmt.Errorf("fleet: replication epoch mismatch: replica cursor %d beyond log head %d", cursor, head)
+	}
+	return nil
+}
+
+// lagging is the divergence test the prober runs on each successful
+// probe of a live replica: it records this sweep's log bound and cursor
+// and reports whether the cursor sits two or more records below the
+// bound that already existed at the previous sweep — without
+// progressing since that sweep. Such a replica has silently lost or
+// stopped applying history (a restart the fan-out never noticed, a
+// wedged apply loop); ejecting it lets catch-up repair it. The
+// thresholds are what make this flap-free: writes are serialized, so at
+// most ONE record is ever mid-fan-out — a live replica lagging by
+// exactly one may just be a slow ack, but a lag of two is impossible
+// without a miss (which the write path would have ejected for) or a
+// restart. A cursor that is merely behind but advancing is just slow
+// (an in-flight fan-out, a scheduling hiccup) and must not flap the
+// ring; the no-progress condition is belt-and-braces against delivery
+// paths this analysis missed.
+func (r *replicaState) lagging(bound, cursor uint64) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	lag := cursor+1 < r.lagBound && cursor <= r.lagCursor
+	r.lagBound, r.lagCursor = bound, cursor
+	return lag
 }
 
 // fail records one failure (probe or query) and reports whether the
@@ -181,6 +223,7 @@ func (r *replicaState) retire() {
 	r.retired = true
 	r.live = false
 	r.catchingUp = false
+	r.lagBound = 0
 }
 
 // releaseGate ends the post-admission bootstrap hold: the next
@@ -228,9 +271,6 @@ func (r *replicaState) ok() bool {
 		}
 		r.live = true
 		r.counters.Readmission()
-		if r.onReadmit != nil {
-			go r.onReadmit()
-		}
 		return true
 	}
 	return false
@@ -299,16 +339,14 @@ type Pool struct {
 
 	// adminMu serializes membership changes (Admit/Activate/Retire) and
 	// hook installation; the read path never takes it.
-	adminMu     sync.Mutex
-	ejectHook   func(replica int)
-	readmitHook func(replica int)
-	rejoinGate  func(replica int) error
+	adminMu    sync.Mutex
+	ejectHook  func(replica int)
+	rejoinGate func(replica int) error
 
-	// lagEject, when set, is consulted on every successful probe of a
-	// live replica with its self-reported cursor; true ejects it (see
-	// SetLagEjector). Atomic because the prober is already running when
-	// UseQuorum installs it.
-	lagEject atomic.Pointer[func(replica int, cursor uint64) bool]
+	// lagBound, when set, supplies the log bound every successful probe
+	// of a live replica is tested against (see SetLagBound). Atomic: the
+	// prober is already running when the Frontend installs it.
+	lagBound atomic.Pointer[func() uint64]
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -405,10 +443,6 @@ func (p *Pool) applyHooksLocked(slot int, st *replicaState) {
 		hook := p.ejectHook
 		st.onEject = func() { hook(slot) }
 	}
-	if p.readmitHook != nil {
-		hook := p.readmitHook
-		st.onReadmit = func() { hook(slot) }
-	}
 	if p.rejoinGate != nil {
 		gate := p.rejoinGate
 		st.gate = func() { st.finishGate(gate(slot)) }
@@ -428,27 +462,13 @@ func (p *Pool) OnEject(hook func(replica int)) {
 	}
 }
 
-// OnReadmit registers a hook called (in a goroutine, once per
-// transition) whenever a replica is readmitted without a rejoin gate.
-// The Frontend uses it to fire the escalated invalidation immediately
-// on the eject→live transition — in a write-quiet fleet the next
-// broadcast flush may never come, and a stale cache must not outlive
-// the readmission.
-func (p *Pool) OnReadmit(hook func(replica int)) {
-	p.adminMu.Lock()
-	defer p.adminMu.Unlock()
-	p.readmitHook = hook
-	for i, st := range p.view().states {
-		p.applyHooksLocked(i, st)
-	}
-}
-
 // SetRejoinGate configures catch-up-gated readmission: a
 // probed-healthy ejected replica stays out of the ring until gate
 // (the Frontend's replication log catch-up) returns nil. At most one
 // gate run per replica is in flight; a failed run leaves the replica
 // out, the error in LastError, and the next successful probe retries.
-// Configure before serving traffic; applies to later admissions too.
+// Applies to later admissions too. A pool with no gate readmits on the
+// probe streak alone.
 func (p *Pool) SetRejoinGate(gate func(replica int) error) {
 	p.adminMu.Lock()
 	defer p.adminMu.Unlock()
@@ -618,21 +638,13 @@ func (p *Pool) RingRemoving(slot int) (*shard.Ring, error) {
 	return shard.NewRingOf(slots, p.cfg.VirtualNodes)
 }
 
-// noteApplied records replica i's replication cursor (from a mutation
-// ack); monotonic.
-func (p *Pool) noteApplied(i int, lsn uint64) {
-	p.view().states[i].noteApplied(lsn)
-}
-
-// SetLagEjector configures divergence detection on the probe path: fn
-// is called with each live replica's self-reported cursor, and a true
-// return ejects the replica (catch-up then repairs and readmits it).
-// The Frontend uses it to catch a replica that silently restarted or
-// missed history while staying probe-healthy — the cursor lagging a
-// head that already existed a full probe interval ago is divergence no
-// in-flight write can explain. Configure before serving traffic.
-func (p *Pool) SetLagEjector(fn func(replica int, cursor uint64) bool) {
-	p.lagEject.Store(&fn)
+// SetLagBound configures divergence detection on the probe path: each
+// live replica's self-reported cursor is tested (lagging) against the
+// log bound fn returns — 0 while nothing is deliverable or another node
+// streams to the replicas; nobody lags 0 — and a lagging replica is
+// ejected for catch-up to repair and readmit.
+func (p *Pool) SetLagBound(fn func() uint64) {
+	p.lagBound.Store(&fn)
 }
 
 // minApplied returns the minimum replication cursor across non-retired
@@ -712,7 +724,7 @@ func (p *Pool) probeAll() {
 				st.fail(err)
 			} else {
 				applied = st.probeApplied(before, applied)
-				if eject := p.lagEject.Load(); eject != nil && st.isLive() && (*eject)(i, applied) {
+				if bound := p.lagBound.Load(); bound != nil && st.isLive() && st.lagging((*bound)(), applied) {
 					st.eject(fmt.Errorf("fleet: replica cursor %d lags the replication log", applied))
 				} else {
 					st.ok()

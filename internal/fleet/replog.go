@@ -1,11 +1,13 @@
 package fleet
 
 import (
+	"context"
 	"errors"
 	"fmt"
 
 	"repro/internal/durable"
-	"repro/internal/server"
+	"repro/internal/obs"
+	"repro/internal/quorum"
 	"repro/internal/wal"
 )
 
@@ -29,6 +31,41 @@ import (
 // front-end restarts with a fresh replica set.
 type RepLog struct {
 	log *wal.Log
+
+	// minApplied reports the fleet's minimum applied LSN to the
+	// front-end append's truncation sweeps (set by Frontend.UseRepLog).
+	minApplied func() uint64
+}
+
+// replogTruncateEvery is how many appends ride between truncation
+// sweeps (each sweep reclaims sealed segments below the fleet's minimum
+// applied LSN).
+const replogTruncateEvery = 1024
+
+// mutationLog is all the front-end's one write path knows of the log
+// behind it. The single-front-end RepLog and the quorum-replicated
+// consensus log (quorumLog) are the two implementations.
+type mutationLog interface {
+	// leading is nil on the node that appends records and streams them
+	// to replicas — always, for a RepLog; a quorum follower answers its
+	// NotLeaderError (307 on the wire).
+	leading() error
+	// append durably logs one record and returns its LSN.
+	append(ctx context.Context, t wal.Type, payload []byte) (uint64, error)
+	// Head is the highest LSN the log has issued; a replica cursor
+	// beyond it is epoch-mismatch evidence (checkEpoch).
+	Head() uint64
+	// deliverable is the highest LSN replicas may be handed: the head,
+	// or in quorum mode the commit LSN — an uncommitted record must
+	// never reach a replica, or a conflicting leader change would leave
+	// it serving history the cluster disowned.
+	deliverable() uint64
+	// ReadFrom streams the records in [from, deliverable] through fn and
+	// returns the bound it captured at call time.
+	ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error)
+	// stats fills the log's own share of ReplogStats.
+	stats() ReplogStats
+	Close() error
 }
 
 // OpenRepLog opens (creating if necessary) the replication log in dir.
@@ -45,9 +82,6 @@ func (r *RepLog) Close() error { return r.log.Close() }
 
 // Head returns the LSN of the last appended record (0 for an empty log).
 func (r *RepLog) Head() uint64 { return r.log.NextLSN() - 1 }
-
-// Segments returns the number of live segment files.
-func (r *RepLog) Segments() int { return r.log.Segments() }
 
 // Barrier returns the current truncation barrier (0 = none).
 func (r *RepLog) Barrier() uint64 { return r.log.Barrier() }
@@ -66,33 +100,80 @@ func (r *RepLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error
 	return r.log.ReadFrom(from, fn)
 }
 
-// SetBarrier pins records with LSN ≥ lsn against truncation.
-func (r *RepLog) SetBarrier(lsn uint64) { r.log.SetBarrier(lsn) }
+func (r *RepLog) leading() error      { return nil }
+func (r *RepLog) deliverable() uint64 { return r.Head() }
 
-// TruncateThrough reclaims sealed segments wholly at or below lsn,
-// capped by the barrier.
-func (r *RepLog) TruncateThrough(lsn uint64) error { return r.log.TruncateThrough(lsn) }
-
-// Page reads one /v2/replog page: up to max records from LSN from.
-func (r *RepLog) Page(from uint64, max int) (server.ReplogPage, error) {
-	page := server.ReplogPage{From: from}
-	head, err := r.ReadFrom(from, func(rec wal.Record) error {
-		if len(page.Records) >= max {
-			return errPageFull
-		}
-		page.Records = append(page.Records, server.ReplogRecord{
-			LSN:  rec.LSN,
-			Type: uint8(rec.Type),
-			Data: append([]byte(nil), rec.Data...),
-		})
-		return nil
-	})
-	if err != nil && !errors.Is(err, errPageFull) {
-		return server.ReplogPage{}, err
+// append is the front-end's append: the record, its trace span, and the
+// periodic maintenance — every replogTruncateEvery records, raise the
+// truncation barrier to the fleet's minimum applied LSN + 1 and reclaim
+// the sealed prefix below it.
+func (r *RepLog) append(ctx context.Context, t wal.Type, payload []byte) (uint64, error) {
+	_, sp := obs.StartSpan(ctx, "replog.append")
+	defer sp.End()
+	lsn, err := r.log.Append(t, payload)
+	if err != nil {
+		return 0, fmt.Errorf("fleet: replication log append: %w", err)
 	}
-	page.Head = head
-	return page, nil
+	sp.SetInt("lsn", int64(lsn))
+	if lsn%replogTruncateEvery == 0 {
+		r.log.SetBarrier(r.minApplied() + 1)
+		// Reclaim everything the barrier permits; errors are advisory (the
+		// next sweep retries) but must not fail the write.
+		_ = r.log.TruncateThrough(r.Head())
+	}
+	return lsn, nil
 }
 
-// errPageFull halts a Page read once max records are collected.
-var errPageFull = errors.New("fleet: replog page full")
+func (r *RepLog) stats() ReplogStats {
+	return ReplogStats{Head: r.Head(), Barrier: r.Barrier(), Segments: r.log.Segments()}
+}
+
+// quorumLog is the consensus log in the mutationLog role: Head and
+// Close are the node's own, the deliverable prefix is the committed one.
+type quorumLog struct {
+	*quorum.Node
+	f *Frontend // MutationTimeout bounds the majority ack
+}
+
+func (q quorumLog) leading() error {
+	if q.IsLeader() {
+		return nil
+	}
+	return q.NotLeader()
+}
+
+func (q quorumLog) deliverable() uint64 { return q.CommitLSN() }
+
+func (q quorumLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error) {
+	return q.ReadCommitted(from, fn)
+}
+
+// append appends to the consensus log and waits for the majority ack.
+// Only after it returns does the record exist for the fleet — fan-out
+// of an uncommitted record could surface a write a new leader later
+// disowns.
+func (q quorumLog) append(ctx context.Context, t wal.Type, payload []byte) (uint64, error) {
+	// The span covers append → majority replicate → commit; the caller's
+	// ctx carries trace values only (cancellation already stripped), so
+	// the append still runs under its own timeout.
+	ctx, sp := obs.StartSpan(ctx, "quorum.commit")
+	defer sp.End()
+	ctx, cancel := context.WithTimeout(ctx, q.f.MutationTimeout)
+	defer cancel()
+	lsn, err := q.Node.Append(ctx, t, payload)
+	if err != nil {
+		var nle *quorum.NotLeaderError
+		if errors.As(err, &nle) {
+			return 0, err
+		}
+		return 0, unavailablef("quorum append: %v", err)
+	}
+	sp.SetInt("lsn", int64(lsn))
+	sp.SetInt("term", int64(q.Term()))
+	return lsn, nil
+}
+
+func (q quorumLog) stats() ReplogStats {
+	qs := q.Stats()
+	return ReplogStats{Head: qs.Head, Segments: qs.Segments}
+}

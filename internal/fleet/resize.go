@@ -71,12 +71,9 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 	// The joiner's own cursor decides the bootstrap path. Probe it
 	// directly — the pool's tracked value may not have seen the replica
 	// yet.
-	cursor, err := c.Healthz(ctx)
+	cursor, err := f.probeCursor(ctx, f.replog, slot)
 	if err != nil {
-		return slot, fmt.Errorf("fleet: joiner %s unreachable: %w", url, err)
-	}
-	if cursor > f.replog.Head() {
-		return slot, fmt.Errorf("fleet: replication epoch mismatch: joiner cursor %d beyond log head %d", cursor, f.replog.Head())
+		return slot, fmt.Errorf("fleet: joiner %s: %w", url, err)
 	}
 	sp.SetInt("cursor", int64(cursor))
 

@@ -131,7 +131,15 @@ func TestElasticJoinAndRetireUnderTraffic(t *testing.T) {
 	checkAnswers("after post-join writes")
 
 	// Shrink 3 → 2: retire slot 0, draining its cached slice to the ring
-	// successors.
+	// successors. While it is a live member the prober keeps lag memory
+	// for it.
+	lagSeen := func(slot int) bool {
+		st := pool.state(slot)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.lagBound != 0
+	}
+	waitFor(t, 5*time.Second, func() bool { return lagSeen(0) })
 	epoch = front.FleetEpoch()
 	if err := front.RetireReplica(ctx, 0); err != nil {
 		t.Fatalf("RetireReplica: %v", err)
@@ -158,6 +166,16 @@ func TestElasticJoinAndRetireUnderTraffic(t *testing.T) {
 	}
 	if got := reps[0].svc.AppliedLSN(); got != frozen {
 		t.Fatalf("retired replica cursor advanced %d → %d", frozen, got)
+	}
+	// Nor is it probed for lag (its memory went with the slot) or counted
+	// in the truncation barrier's minimum, which its frozen cursor would
+	// otherwise pin.
+	pool.probeAll()
+	if lagSeen(0) {
+		t.Fatal("retired slot still carries lag memory after a probe sweep")
+	}
+	if got, head := pool.minApplied(), front.StatsAny().(Stats).Replog.Head; got != head || frozen >= head {
+		t.Fatalf("minApplied = %d with head %d and the retired slot frozen at %d; want the head", got, head, frozen)
 	}
 	checkAnswers("after post-retire writes")
 

@@ -52,10 +52,10 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 	// unit under test) and fold the writes in.
 	ctx := context.Background()
 	for _, c := range clients {
-		if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 0); err != nil {
+		if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 0); err != nil {
+		if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Invalidate(ctx, [][2]string{{"alice", "bob"}}, false); err != nil {

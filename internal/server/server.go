@@ -586,7 +586,10 @@ func (s *Server) requireMethod(w http.ResponseWriter, r *http.Request, method st
 	return true
 }
 
-type friendRequest struct {
+// FriendRequest is the /v1/friend body. The request types are exported
+// because the fleet's replica client (internal/fleet) puts exactly
+// these on the wire: one definition serves both ends of the hop.
+type FriendRequest struct {
 	A      string  `json:"a"`
 	B      string  `json:"b"`
 	Weight float64 `json:"weight"`
@@ -655,7 +658,7 @@ func (s *Server) handleFriend(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req friendRequest
+	var req FriendRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -706,11 +709,12 @@ func mutationErrStatus(err error) int {
 	}
 }
 
-type tagRequest struct {
+// TagRequest is the /v1/tag body.
+type TagRequest struct {
 	User string `json:"user"`
 	Item string `json:"item"`
 	Tag  string `json:"tag"`
-	// LSN: see friendRequest.LSN.
+	// LSN: see FriendRequest.LSN.
 	LSN uint64 `json:"lsn"`
 }
 
@@ -718,7 +722,7 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var req tagRequest
+	var req TagRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -733,9 +737,9 @@ func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// skipRequest is the /v1/skip body: the replication LSN to mark
+// SkipRequest is the /v1/skip body: the replication LSN to mark
 // processed without applying anything.
-type skipRequest struct {
+type SkipRequest struct {
 	LSN uint64 `json:"lsn"`
 }
 
@@ -752,7 +756,7 @@ func (s *Server) handleSkip(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
 		return
 	}
-	var req skipRequest
+	var req SkipRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -991,24 +995,25 @@ func (s *Server) handleSearchBatchV1(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// v2Query is the wire form of one search.Request.
-type v2Query struct {
+// V2Query is the wire form of one search.Request. The server only
+// decodes it; omitempty serves the fleet client, which encodes it.
+type V2Query struct {
 	Seeker        string   `json:"seeker"`
 	Tags          []string `json:"tags"`
 	K             int      `json:"k"`
-	Beta          *float64 `json:"beta"`
-	Mode          string   `json:"mode"`
-	AlgHint       string   `json:"alg_hint"`
-	MinScore      float64  `json:"min_score"`
-	Offset        int      `json:"offset"`
-	NoCache       bool     `json:"no_cache"`
-	MaxCacheAgeMS int64    `json:"max_cache_age_ms"`
-	Explain       bool     `json:"explain"`
+	Beta          *float64 `json:"beta,omitempty"`
+	Mode          string   `json:"mode,omitempty"`
+	AlgHint       string   `json:"alg_hint,omitempty"`
+	MinScore      float64  `json:"min_score,omitempty"`
+	Offset        int      `json:"offset,omitempty"`
+	NoCache       bool     `json:"no_cache,omitempty"`
+	MaxCacheAgeMS int64    `json:"max_cache_age_ms,omitempty"`
+	Explain       bool     `json:"explain,omitempty"`
 }
 
 // request converts the wire query to a search.Request (mode parse
 // errors surface as ErrInvalid, like every other validation failure).
-func (q v2Query) request() (search.Request, error) {
+func (q V2Query) request() (search.Request, error) {
 	mode, err := search.ParseMode(q.Mode)
 	if err != nil {
 		return search.Request{}, err
@@ -1047,7 +1052,7 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var q v2Query
+	var q V2Query
 	if err := decodeBody(w, r, &q); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -1122,9 +1127,9 @@ func markDegraded(resp *search.Response, degraded bool) {
 	}
 }
 
-// v2BatchRequest is the /v2/search/batch request body.
-type v2BatchRequest struct {
-	Queries []v2Query `json:"queries"`
+// V2BatchRequest is the /v2/search/batch request body.
+type V2BatchRequest struct {
+	Queries []V2Query `json:"queries"`
 }
 
 // V2BatchEntry answers one v2 batch query.
@@ -1199,7 +1204,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var body v2BatchRequest
+	var body V2BatchRequest
 	if !s.decodeBatchEnvelope(w, r, &body, func() int { return len(body.Queries) }) {
 		return
 	}
@@ -1256,11 +1261,11 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// invalidateRequest is the /v2/invalidate body: a batch of friendship
+// InvalidateRequest is the /v2/invalidate body: a batch of friendship
 // edges (by user name) whose cached horizons must drop, or all=true to
 // drop everything. Pending writes are folded into the snapshot first
 // either way, so a broadcast is also the fleet's compaction heartbeat.
-type invalidateRequest struct {
+type InvalidateRequest struct {
 	Edges [][2]string `json:"edges"`
 	All   bool        `json:"all"`
 }
@@ -1279,7 +1284,7 @@ func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, http.StatusNotFound, errors.New("backend does not support invalidation broadcast"))
 		return
 	}
-	var req invalidateRequest
+	var req InvalidateRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return

@@ -146,7 +146,7 @@ func TestWriteAdmittedWhileReadsQueueFull(t *testing.T) {
 	// The write displaces the queued read instead of being refused.
 	done := make(chan *httptest.ResponseRecorder, 1)
 	go func() {
-		done <- doJSON(t, s, http.MethodPost, "/v1/friend", friendRequest{A: "alice", B: "dave", Weight: 0.5})
+		done <- doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "alice", B: "dave", Weight: 0.5})
 	}()
 	if err := <-readShed; err == nil {
 		t.Fatal("queued read survived a write at a full queue")
@@ -241,7 +241,7 @@ func TestReplicatedApplyBypassesAdmission(t *testing.T) {
 	// even with the window and queue full — shedding it would eject the
 	// replica as divergent.
 	lsn := uint64(1)
-	rec := doJSON(t, s, http.MethodPost, "/v1/friend", friendRequest{A: "alice", B: "erin", Weight: 0.5, LSN: lsn})
+	rec := doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "alice", B: "erin", Weight: 0.5, LSN: lsn})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stamped mutation under overload: status %d body %s, want 200 with cursor", rec.Code, rec.Body)
 	}

@@ -34,14 +34,14 @@ func TestFollowerWriteRedirects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, s, http.MethodPost, "/v1/friend", friendRequest{A: "a", B: "b", Weight: 0.5})
+	rec := doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "a", B: "b", Weight: 0.5})
 	if rec.Code != http.StatusTemporaryRedirect {
 		t.Fatalf("follower friend: status %d, want 307; body %s", rec.Code, rec.Body)
 	}
 	if got := rec.Header().Get("Location"); got != "http://leader:7777/v1/friend" {
 		t.Fatalf("Location = %q, want the leader's /v1/friend", got)
 	}
-	rec = doJSON(t, s, http.MethodPost, "/v1/tag", tagRequest{User: "u", Item: "i", Tag: "t"})
+	rec = doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "u", Item: "i", Tag: "t"})
 	if rec.Code != http.StatusTemporaryRedirect {
 		t.Fatalf("follower tag: status %d, want 307; body %s", rec.Code, rec.Body)
 	}
@@ -57,7 +57,7 @@ func TestFollowerWriteMidElectionIs503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, s, http.MethodPost, "/v1/friend", friendRequest{A: "a", B: "b", Weight: 0.5})
+	rec := doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "a", B: "b", Weight: 0.5})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("mid-election friend: status %d, want 503; body %s", rec.Code, rec.Body)
 	}
@@ -101,7 +101,7 @@ func TestHealthzQuorumHeaders(t *testing.T) {
 func TestSkipEndpoint(t *testing.T) {
 	s, svc := newTestServer(t)
 
-	rec := doJSON(t, s, http.MethodPost, "/v1/skip", skipRequest{LSN: 1})
+	rec := doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("skip 1: status %d body %s", rec.Code, rec.Body)
 	}
@@ -112,14 +112,14 @@ func TestSkipEndpoint(t *testing.T) {
 	}
 
 	// Idempotent redelivery.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", skipRequest{LSN: 1})
+	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("skip 1 redelivered: status %d body %s", rec.Code, rec.Body)
 	}
 
 	// A skipped record interleaves with stamped applies on one cursor.
 	rec = doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 2})
+		FriendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 2})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stamped friend after skip: status %d body %s", rec.Code, rec.Body)
 	}
@@ -128,13 +128,13 @@ func TestSkipEndpoint(t *testing.T) {
 	}
 
 	// Gap.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", skipRequest{LSN: 9})
+	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 9})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("gap skip: status %d, want 409; body %s", rec.Code, rec.Body)
 	}
 
 	// Zero LSN, wrong method, LSN-less backend.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", skipRequest{})
+	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("skip 0: status %d, want 400", rec.Code)
 	}
@@ -146,7 +146,7 @@ func TestSkipEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec = doJSON(t, bare, http.MethodPost, "/v1/skip", skipRequest{LSN: 1})
+	rec = doJSON(t, bare, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("skip on LSN-less backend: status %d, want 400", rec.Code)
 	}

@@ -30,14 +30,14 @@ func hammer(t *testing.T, s *Server) {
 				switch i % 4 {
 				case 0:
 					rec := doJSON(t, s, http.MethodPost, "/v1/friend",
-						friendRequest{A: fmt.Sprintf("w%d", id), B: "alice", Weight: 0.6})
+						FriendRequest{A: fmt.Sprintf("w%d", id), B: "alice", Weight: 0.6})
 					if rec.Code != http.StatusNoContent {
 						errs <- fmt.Sprintf("friend: %d %s", rec.Code, rec.Body)
 						return
 					}
 				case 1:
 					rec := doJSON(t, s, http.MethodPost, "/v1/tag",
-						tagRequest{User: fmt.Sprintf("w%d", id), Item: fmt.Sprintf("item%d-%d", id, i), Tag: "pizza"})
+						TagRequest{User: fmt.Sprintf("w%d", id), Item: fmt.Sprintf("item%d-%d", id, i), Tag: "pizza"})
 					if rec.Code != http.StatusNoContent {
 						errs <- fmt.Sprintf("tag: %d %s", rec.Code, rec.Body)
 						return

@@ -16,7 +16,7 @@ func TestStampedMutations(t *testing.T) {
 	s, svc := newTestServer(t)
 
 	rec := doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 1})
+		FriendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stamped friend: status %d body %s", rec.Code, rec.Body)
 	}
@@ -28,7 +28,7 @@ func TestStampedMutations(t *testing.T) {
 
 	// Duplicate delivery: idempotent, same cursor, no duplicate state.
 	rec = doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 1})
+		FriendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("redelivered friend: status %d body %s", rec.Code, rec.Body)
 	}
@@ -38,7 +38,7 @@ func TestStampedMutations(t *testing.T) {
 	}
 
 	rec = doJSON(t, s, http.MethodPost, "/v1/tag",
-		tagRequest{User: "bob", Item: "luigis", Tag: "pizza", LSN: 2})
+		TagRequest{User: "bob", Item: "luigis", Tag: "pizza", LSN: 2})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("stamped tag: status %d body %s", rec.Code, rec.Body)
 	}
@@ -49,7 +49,7 @@ func TestStampedMutations(t *testing.T) {
 
 	// Gap: record 9 at cursor 2 answers 409 and changes nothing.
 	rec = doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "x", B: "y", Weight: 0.5, LSN: 9})
+		FriendRequest{A: "x", B: "y", Weight: 0.5, LSN: 9})
 	if rec.Code != http.StatusConflict {
 		t.Fatalf("gap record: status %d, want 409; body %s", rec.Code, rec.Body)
 	}
@@ -68,7 +68,7 @@ func TestStampedMutations(t *testing.T) {
 
 	// Unstamped mutations keep the v1 wire byte-for-byte: 204, no body.
 	rec = doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "carol", B: "dave", Weight: 0.7})
+		FriendRequest{A: "carol", B: "dave", Weight: 0.7})
 	if rec.Code != http.StatusNoContent || rec.Body.Len() != 0 {
 		t.Fatalf("plain friend: status %d body %q, want bare 204", rec.Code, rec.Body)
 	}
@@ -100,12 +100,12 @@ func TestStampedMutationInternalFailureIs500(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "a", B: "b", Weight: 0.5, LSN: 1})
+		FriendRequest{A: "a", B: "b", Weight: 0.5, LSN: 1})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("internal apply failure: status %d, want 500; body %s", rec.Code, rec.Body)
 	}
 	rec = doJSON(t, s, http.MethodPost, "/v1/tag",
-		tagRequest{User: "u", Item: "i", Tag: "t", LSN: 1})
+		TagRequest{User: "u", Item: "i", Tag: "t", LSN: 1})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("internal apply failure: status %d, want 500; body %s", rec.Code, rec.Body)
 	}
@@ -117,7 +117,7 @@ func TestStampedMutationInternalFailureIs500(t *testing.T) {
 func TestStampedMutationDeterministicRejectionIs400(t *testing.T) {
 	s, svc := newTestServer(t)
 	rec := doJSON(t, s, http.MethodPost, "/v1/friend",
-		friendRequest{A: "x", B: "x", Weight: 0.5, LSN: 1})
+		FriendRequest{A: "x", B: "x", Weight: 0.5, LSN: 1})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("self-edge record: status %d, want 400; body %s", rec.Code, rec.Body)
 	}
@@ -145,11 +145,11 @@ func TestUnstampedMutationUnavailableIs503(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, s, http.MethodPost, "/v1/friend", friendRequest{A: "a", B: "b", Weight: 0.5})
+	rec := doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "a", B: "b", Weight: 0.5})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("unavailable friend: status %d, want 503; body %s", rec.Code, rec.Body)
 	}
-	rec = doJSON(t, s, http.MethodPost, "/v1/tag", tagRequest{User: "u", Item: "i", Tag: "t"})
+	rec = doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "u", Item: "i", Tag: "t"})
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("unavailable tag: status %d, want 503; body %s", rec.Code, rec.Body)
 	}

@@ -21,9 +21,9 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	}{
 		{"replica: replog", noopReplica{}, http.MethodGet, "/v2/replog?from=1", nil, http.StatusNotFound},
 		{"replica: resize", noopReplica{}, http.MethodPost, "/v2/fleet/resize", FleetResizeRequest{Join: []string{"http://r:1"}}, http.StatusNotFound},
-		{"frontend: skip", noopFrontend{}, http.MethodPost, "/v1/skip", skipRequest{LSN: 1}, http.StatusBadRequest},
-		{"frontend: stamped friend", noopFrontend{}, http.MethodPost, "/v1/friend", friendRequest{A: "a", B: "b", Weight: 0.5, LSN: 1}, http.StatusBadRequest},
-		{"frontend: stamped tag", noopFrontend{}, http.MethodPost, "/v1/tag", tagRequest{User: "u", Item: "i", Tag: "t", LSN: 1}, http.StatusBadRequest},
+		{"frontend: skip", noopFrontend{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}, http.StatusBadRequest},
+		{"frontend: stamped friend", noopFrontend{}, http.MethodPost, "/v1/friend", FriendRequest{A: "a", B: "b", Weight: 0.5, LSN: 1}, http.StatusBadRequest},
+		{"frontend: stamped tag", noopFrontend{}, http.MethodPost, "/v1/tag", TagRequest{User: "u", Item: "i", Tag: "t", LSN: 1}, http.StatusBadRequest},
 		{"frontend: snapshot export", noopFrontend{}, http.MethodGet, "/v2/snapshot", nil, http.StatusNotFound},
 		{"frontend: snapshot import", noopFrontend{}, http.MethodPost, "/v2/snapshot", nil, http.StatusNotFound},
 		{"frontend: cache seekers", noopFrontend{}, http.MethodGet, "/v2/cache/seekers", nil, http.StatusNotFound},
@@ -31,7 +31,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		{"frontend: invalidate", noopFrontend{}, http.MethodPost, "/v2/invalidate", map[string]bool{"all": true}, http.StatusNotFound},
 		// A backend with neither role answers all of them the same way.
 		{"plain: replog", noopBackend{}, http.MethodGet, "/v2/replog", nil, http.StatusNotFound},
-		{"plain: skip", noopBackend{}, http.MethodPost, "/v1/skip", skipRequest{LSN: 1}, http.StatusBadRequest},
+		{"plain: skip", noopBackend{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}, http.StatusBadRequest},
 		{"plain: stats", noopBackend{}, http.MethodGet, "/v1/stats", nil, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -52,7 +52,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		body    interface{}
 	}{
 		{noopFrontend{}, http.MethodGet, "/v2/replog", nil},
-		{noopReplica{}, http.MethodPost, "/v1/skip", skipRequest{LSN: 1}},
+		{noopReplica{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}},
 		{noopReplica{}, http.MethodGet, "/v2/cache/seekers", nil},
 	} {
 		s, _ := New(tc.backend)

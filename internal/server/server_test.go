@@ -51,7 +51,7 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body interface{})
 
 func seedHTTP(t *testing.T, s *Server) {
 	t.Helper()
-	for _, m := range []friendRequest{
+	for _, m := range []FriendRequest{
 		{A: "alice", B: "bob", Weight: 0.9},
 		{A: "bob", B: "carol", Weight: 0.8},
 	} {
@@ -59,7 +59,7 @@ func seedHTTP(t *testing.T, s *Server) {
 			t.Fatalf("friend %+v: status %d body %s", m, rec.Code, rec.Body)
 		}
 	}
-	for _, m := range []tagRequest{
+	for _, m := range []TagRequest{
 		{User: "bob", Item: "luigis", Tag: "pizza"},
 		{User: "bob", Item: "luigis", Tag: "italian"},
 		{User: "carol", Item: "marios", Tag: "pizza"},
@@ -203,7 +203,7 @@ func TestEmptySearchReturnsEmptyArrayNotNull(t *testing.T) {
 	seedHTTP(t, s)
 	// dave exists after this tag but has no friends: result may be empty
 	// once none of his ball tagged anything.
-	doJSON(t, s, http.MethodPost, "/v1/tag", tagRequest{User: "dave", Item: "thing", Tag: "pizza"})
+	doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "dave", Item: "thing", Tag: "pizza"})
 	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=dave&tags=italian&k=3", nil)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
@@ -225,7 +225,7 @@ func TestConcurrentRequests(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				if i%3 == 0 {
 					rec := doJSON(t, s, http.MethodPost, "/v1/tag",
-						tagRequest{User: fmt.Sprintf("w%d", id), Item: fmt.Sprintf("item%d-%d", id, i), Tag: "pizza"})
+						TagRequest{User: fmt.Sprintf("w%d", id), Item: fmt.Sprintf("item%d-%d", id, i), Tag: "pizza"})
 					if rec.Code != http.StatusNoContent {
 						errs <- fmt.Sprintf("tag: %d %s", rec.Code, rec.Body)
 						return
@@ -311,7 +311,7 @@ func TestSearchBatchEndpoint(t *testing.T) {
 	}
 	// A success entry with no matches encodes as an empty array, never
 	// null (dave is isolated, so his italian search matches nothing).
-	doJSON(t, s, http.MethodPost, "/v1/tag", tagRequest{User: "dave", Item: "thing", Tag: "pizza"})
+	doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "dave", Item: "thing", Tag: "pizza"})
 	rec = doJSON(t, s, http.MethodPost, "/v1/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{{"seeker": "dave", "tags": []string{"italian"}}},
 	})
