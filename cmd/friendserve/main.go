@@ -39,10 +39,10 @@
 // routes each seeker's queries to the replica owning it on a
 // consistent-hash ring (failing over in ring order when health checks
 // eject a replica), forwards mutations to every replica in one order,
-// and batches dirty-edge invalidation broadcasts so replica seeker
-// caches stay edge-scoped-consistent. A -replica process defers
-// compaction to the broadcast heartbeat; run it standalone only for
-// debugging.
+// and coalesces them into compaction heartbeats. A -replica process
+// defers compaction to that heartbeat, where its own dirty-edge
+// tracking keeps its seeker cache edge-scoped-consistent; run it
+// standalone only for debugging.
 //
 // A front-end always writes through a replication log, so -replicas
 // requires -replog-dir: every mutation is LSN-stamped and durably
@@ -130,9 +130,8 @@ import (
 )
 
 // replicaCompactEvery effectively disables count-triggered
-// auto-compaction in -replica mode: the front-end's invalidation
-// broadcast is the fleet's compaction heartbeat, so replicas fold
-// pending writes when told to and all land on the same snapshots.
+// auto-compaction in -replica mode: the front-end's heartbeat decides
+// when replicas fold pending writes, so all land on the same snapshots.
 const replicaCompactEvery = 1 << 30
 
 func main() {
@@ -145,15 +144,15 @@ func main() {
 	cacheMinHorizon := flag.Int("cache-min-horizon", 0, "do not cache horizons smaller than this many users")
 	cacheMinMisses := flag.Int("cache-min-misses", 0, "cache a seeker only after this many misses")
 	drain := flag.Duration("drain", 500*time.Millisecond, "keep serving this long after /readyz flips to 503 on shutdown")
-	replica := flag.Bool("replica", false, "serve as a fleet replica (compaction deferred to the invalidation broadcast)")
+	replica := flag.Bool("replica", false, "serve as a fleet replica (compaction deferred to the front-end's heartbeat)")
 	joinURL := flag.String("join", "", "replica: ask this front-end to adopt this process into the fleet once serving (elastic join)")
 	advertise := flag.String("advertise", "", "replica: base URL the front-end reaches this replica at (default: http://127.0.0.1 + the -addr port)")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs: serve as the fleet front-end")
 	hedge := flag.Duration("hedge", 0, "front-end: duplicate a single query not answered within this delay (0 disables)")
 	healthInterval := flag.Duration("health-interval", 0, "front-end: replica /healthz probe period (0 = default)")
 	failAfter := flag.Int("fail-after", 0, "front-end: consecutive failures before ejecting a replica (0 = default)")
-	bcastWindow := flag.Duration("bcast-window", 0, "front-end: invalidation broadcast coalescing window (0 = default)")
-	bcastMaxEdges := flag.Int("bcast-max-edges", 0, "front-end: flush a broadcast batch early at this many dirty edges (0 = default)")
+	bcastWindow := flag.Duration("bcast-window", 0, "front-end: compaction heartbeat coalescing window (0 = default)")
+	bcastMaxEdges := flag.Int("bcast-max-edges", 0, "front-end: send the heartbeat early once this many Befriends were written since the last (0 = default)")
 	replogDir := flag.String("replog-dir", "", "front-end: replication log directory (required with -replicas): every write is logged here before fan-out, and ejected replicas catch up from it before readmission")
 	frontendID := flag.String("frontend-id", "", "HA front-end: this node's stable quorum id (must be a key of -peers)")
 	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; enables the quorum-replicated replication log (requires -replicas and -frontend-id)")

@@ -15,6 +15,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
@@ -355,6 +356,14 @@ func TestDocsStatsKeyDrift(t *testing.T) {
 	}
 
 	base := newLiveHAFrontend(t)
+	// The heartbeat block is pinned both ways: exactly the keys the
+	// Observability section names (plus their Counters wrapper).
+	stats := getJSONValue(t, base+"/v1/stats").(map[string]interface{})
+	bcast := map[string]bool{}
+	collectKeys(stats["Backend"].(map[string]interface{})["Broadcast"], bcast)
+	if want := map[string]bool{"Counters": true, "Batches": true, "Failures": true, "LagMS": true}; !reflect.DeepEqual(bcast, want) {
+		t.Errorf("live Broadcast stats keys = %v, want exactly %v", bcast, want)
+	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		live := map[string]bool{}

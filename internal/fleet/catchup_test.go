@@ -11,7 +11,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -33,13 +32,17 @@ type invalidateCall struct {
 // toggleReplica is a fleet replica whose HTTP surface can be forced
 // down (503 on every request) and back up without losing its state —
 // the SIGSTOP/SIGCONT shape of the readmission bug, which httptest
-// Close cannot model. It also records every invalidation broadcast and
-// every replication apply (/v1/friend, /v1/tag, /v1/skip, as "path
-// body") it receives while up.
+// Close cannot model. Independently, its /v2/invalidate can be made to
+// fail the next dropBeats heartbeats (503) or to hang every heartbeat
+// until the caller gives up. It also records every heartbeat and every
+// replication apply (/v1/friend, /v1/tag, /v1/skip, as "path body") it
+// lets through.
 type toggleReplica struct {
-	svc  *social.Service
-	ts   *httptest.Server
-	down atomic.Bool
+	svc       *social.Service
+	ts        *httptest.Server
+	down      atomic.Bool
+	dropBeats atomic.Int32
+	hangBeats atomic.Bool
 
 	mu            sync.Mutex
 	invalidations []invalidateCall
@@ -60,7 +63,12 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 	}
 	tr := &toggleReplica{svc: svc}
 	tr.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if tr.down.Load() {
+		if r.URL.Path == "/v2/invalidate" && tr.hangBeats.Load() {
+			io.Copy(io.Discard, r.Body) // the server notices a hang-up only past the body
+			<-r.Context().Done()
+			return
+		}
+		if tr.down.Load() || r.URL.Path == "/v2/invalidate" && tr.dropBeat() {
 			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
 			return
 		}
@@ -81,6 +89,19 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 	}))
 	t.Cleanup(tr.ts.Close)
 	return tr
+}
+
+// dropBeat consumes one owed heartbeat failure, if any.
+func (tr *toggleReplica) dropBeat() bool {
+	for {
+		n := tr.dropBeats.Load()
+		if n <= 0 {
+			return false
+		}
+		if tr.dropBeats.CompareAndSwap(n, n-1) {
+			return true
+		}
+	}
 }
 
 // globalInvalidations counts recorded all=true invalidation broadcasts.
@@ -143,12 +164,10 @@ func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, [
 }
 
 // TestReadmissionFiresImmediateInvalidation is the regression test for
-// the write-quiet rejoin bug: a replica that missed broadcast traffic
-// used to get its escalated global invalidation only at the *next*
-// broadcast flush — with zero post-rejoin writes, never. The rejoin
-// itself must settle it: catch-up's closing invalidation goes out even
-// when it replayed zero records, and withdraws the missed-broadcast
-// debt.
+// the write-quiet rejoin bug: a replica that missed heartbeats used to
+// be settled only at the *next* fleet write — with zero post-rejoin
+// writes, never. The rejoin itself must settle it: catch-up's closing
+// heartbeat goes out even when it replayed zero records.
 func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
 	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	victim := 0
@@ -157,8 +176,7 @@ func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
 
-	// Zero writes anywhere: readmission came with an invalidation anyway
-	// (edge-scoped and empty — nothing was replayed).
+	// Zero writes anywhere: readmission came with a heartbeat anyway.
 	reps[victim].mu.Lock()
 	calls := append([]invalidateCall(nil), reps[victim].invalidations...)
 	reps[victim].mu.Unlock()
@@ -168,8 +186,8 @@ func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
 	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.Catchups < 1 || vs.Counters.CatchupRecords != 0 {
 		t.Fatalf("victim counters = %+v, want a completed catch-up of zero records", vs.Counters)
 	}
-	// The ejection's missed-broadcast debt is withdrawn: the next
-	// broadcast reaches the victim edge-scoped, not escalated.
+	// An ejection leaves no debt behind: no later heartbeat drops the
+	// victim's whole cache.
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +196,6 @@ func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
 	}
 	if n := reps[victim].globalInvalidations(); n != 0 {
 		t.Fatalf("victim received %d global invalidations after a settled rejoin, want 0", n)
-	}
-	if got := front.StatsAny().(Stats).Broadcast.Counters.Escalations; got != 0 {
-		t.Fatalf("escalations = %d after a settled rejoin, want 0", got)
 	}
 }
 
@@ -606,62 +621,69 @@ func TestEpochMismatchRefusesReplica(t *testing.T) {
 	}
 }
 
-// TestRejoinInvalidationIsEdgeScoped pins the rejoin invalidation's
-// scope: a readmitted replica that caught up on a handful of dirty
-// edges receives one edges-listed (not global) invalidation.
+// TestRejoinInvalidationIsEdgeScoped pins the rejoin's cache scope on
+// the rejoined replica itself: after a catch-up that replayed two
+// Befriends, a warmed seeker whose horizon holds none of their
+// endpoints is still a cache hit, and one whose horizon holds an
+// endpoint was dropped.
 func TestRejoinInvalidationIsEdgeScoped(t *testing.T) {
-	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
-	if err := front.Befriend("alice", "bob", 0.9); err != nil {
-		t.Fatal(err)
+	front, pool, reps, clients := newCatchupFleet(t, 2, t.TempDir())
+	ctx := context.Background()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	// Two components: alice–bob and zed–yan.
+	must(front.Befriend("alice", "bob", 0.9))
+	must(front.Befriend("zed", "yan", 0.9))
+	must(front.Tag("bob", "luigis", "pizza"))
+	must(front.Tag("yan", "marios", "pizza"))
+	must(front.Flush())
+
 	victim := 0
-	// Let the alice–bob window flush land first: one that finds the
-	// victim down but not yet ejected is a missed broadcast, and those
-	// are settled with a global invalidation at rejoin.
-	waitFor(t, 5*time.Second, func() bool {
-		reps[victim].mu.Lock()
-		defer reps[victim].mu.Unlock()
-		return len(reps[victim].invalidations) > 0
-	})
+	cache := func() (hits, misses int64) {
+		c := reps[victim].svc.Stats().SeekerCache
+		return c.Hits, c.Misses
+	}
+	// query asks the victim directly and reports whether its horizon
+	// cache answered.
+	query := func(seeker string) (hit bool) {
+		t.Helper()
+		h0, m0 := cache()
+		_, err := clients[victim].Do(ctx, search.Request{Seeker: seeker, Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact})
+		must(err)
+		h1, m1 := cache()
+		if (h1-h0)+(m1-m0) != 1 {
+			t.Fatalf("seeker %s: cache counters moved by %d hits, %d misses; want one lookup", seeker, h1-h0, m1-m0)
+		}
+		return h1 > h0
+	}
+	for _, seeker := range []string{"alice", "zed"} {
+		query(seeker) // warm
+		if !query(seeker) {
+			t.Fatalf("warmed seeker %s is not a cache hit", seeker)
+		}
+	}
+
 	reps[victim].down.Store(true)
 	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
-	if err := front.Befriend("carol", "dave", 0.8); err != nil {
-		t.Fatal(err)
-	}
-	if err := front.Befriend("carol", "erin", 0.7); err != nil {
-		t.Fatal(err)
-	}
+	must(front.Befriend("bob", "carol", 0.8))
+	must(front.Befriend("carol", "dave", 0.7))
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
+	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.CatchupRecords != 2 {
+		t.Fatalf("victim counters = %+v, want a catch-up of the two Befriends", vs.Counters)
+	}
 
-	reps[victim].mu.Lock()
-	defer reps[victim].mu.Unlock()
-	// The rejoin invalidation is the one naming carol–dave, a write the
-	// victim was down for. Not simply the last one with edges: the
-	// window flush of the carol–erin write may still be on its way when
-	// the victim is readmitted, and lands after it.
-	var rejoin *invalidateCall
-	for i := range reps[victim].invalidations {
-		c := reps[victim].invalidations[i]
-		if c.All || slices.Contains(c.Edges, [2]string{"carol", "dave"}) {
-			rejoin = &c
-		}
+	if !query("zed") {
+		t.Fatal("rejoin dropped a horizon holding no endpoint of the caught-up Befriends")
 	}
-	if rejoin == nil {
-		t.Fatalf("no rejoin invalidation recorded: %+v", reps[victim].invalidations)
+	if query("alice") {
+		t.Fatal("rejoin kept a horizon holding an endpoint (bob) of a caught-up Befriend")
 	}
-	if rejoin.All {
-		t.Fatalf("rejoin invalidation escalated to global for %d dirty edges: %+v",
-			len(rejoin.Edges), rejoin)
-	}
-	want := map[[2]string]bool{{"carol", "dave"}: true, {"carol", "erin"}: true}
-	for _, e := range rejoin.Edges {
-		if !want[e] {
-			t.Fatalf("rejoin invalidation carries unexpected edge %v (want only the caught-up dirty edges)", e)
-		}
-		delete(want, e)
-	}
-	if len(want) != 0 {
-		t.Fatalf("rejoin invalidation missing caught-up edges %v", want)
+	if n := reps[victim].globalInvalidations(); n != 0 {
+		t.Fatalf("victim received %d global invalidations, want 0", n)
 	}
 }

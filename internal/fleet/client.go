@@ -4,10 +4,10 @@
 // the replica owning each seeker (consistent hashing, so exactly one
 // replica pays a seeker's horizon expansion), health checking ejects
 // dead replicas and spills their seekers across the survivors in ring
-// order, and a write-path broadcaster batches compacted Befriend
-// dirty-edge sets to every replica's /v2/invalidate endpoint so the
-// per-replica seeker caches stay edge-scoped-consistent without global
-// flushes.
+// order, and a write-path heartbeat (an edge-less POST /v2/invalidate)
+// tells every replica to fold the writes it was forwarded into its
+// snapshot, dropping — by its own dirty-edge tracking — exactly the
+// cached horizons they could affect.
 //
 // The pieces compose left to right:
 //
@@ -16,7 +16,7 @@
 //	              hedged requests for tail latency)
 //	Pool        — replica registry + /healthz prober + failover router
 //	              (itself a search.Searcher)
-//	Broadcaster — coalesces dirty edges and fans /v2/invalidate out
+//	Broadcaster — coalesces writes into one compaction heartbeat
 //	RepLog      — the replication log every write goes through first
 //	              (one of the two logs behind the unexported
 //	              mutationLog seam; the other is the HA quorum's)
@@ -29,13 +29,11 @@
 //	              same delivery catch-up replays for a replica that
 //	              missed it. No log attached, no writes.
 //
-// Soundness of the invalidation broadcast is argued in docs/fleet.md:
-// the front-end serializes mutations, every replica applies the same
-// stream in the same order, and a broadcast both folds pending writes
-// into each replica's snapshot and drops exactly the cached horizons
-// whose member sets contain a dirty edge's endpoint — the same
-// edge-scoped rule the single-process cache uses (docs/sharding.md),
-// applied across processes.
+// Soundness of the heartbeat is argued in docs/fleet.md: the front-end
+// serializes mutations, every replica applies the same stream in the
+// same order, and a replica only ever compacts edges it noted itself —
+// the single-process edge-scoped rule (docs/sharding.md), run in every
+// process.
 package fleet
 
 import (
@@ -490,9 +488,9 @@ func (c *Client) postStamped(ctx context.Context, path string, in interface{}) (
 	return out.AppliedLSN, nil
 }
 
-// Invalidate sends one invalidation batch to the replica's
-// /v2/invalidate endpoint and returns the number of cached horizons it
-// dropped.
+// Invalidate POSTs the replica's /v2/invalidate — with no edges and all
+// false, the compaction heartbeat — and returns the number of cached
+// horizons the named edges (or all) dropped.
 func (c *Client) Invalidate(ctx context.Context, edges [][2]string, all bool) (int, error) {
 	var out server.InvalidateResponse
 	if err := c.post(ctx, "/v2/invalidate", server.InvalidateRequest{Edges: edges, All: all}, &out); err != nil {

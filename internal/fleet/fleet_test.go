@@ -373,17 +373,14 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// TestBroadcasterCoalesces checks a burst of noted edges rides one
-// batched /v2/invalidate per replica, deduplicated.
+// TestBroadcasterCoalesces checks a burst of noted writes rides one
+// edge-less /v2/invalidate per replica, and that the Befriend count
+// cuts the window short.
 func TestBroadcasterCoalesces(t *testing.T) {
-	type call struct {
-		Edges [][2]string `json:"edges"`
-		All   bool        `json:"all"`
-	}
 	var mu sync.Mutex
-	var calls []call
+	var calls []invalidateCall
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var c call
+		var c invalidateCall
 		json.NewDecoder(r.Body).Decode(&c)
 		mu.Lock()
 		calls = append(calls, c)
@@ -392,81 +389,60 @@ func TestBroadcasterCoalesces(t *testing.T) {
 		w.Write([]byte(`{"dropped":0}`))
 	}))
 	defer ts.Close()
-
-	b := NewBroadcaster([]*Client{newTestClient(t, ts.URL, ClientConfig{})}, BroadcasterConfig{Window: 20 * time.Millisecond})
-	defer b.Close()
-	for i := 0; i < 10; i++ {
-		b.NoteEdge("alice", "bob") // duplicates
-		b.NoteEdge("bob", "alice") // reversed duplicates
-	}
-	b.NoteEdge("carol", "dave")
-	waitFor(t, time.Second, func() bool {
+	seen := func() int {
 		mu.Lock()
 		defer mu.Unlock()
-		return len(calls) > 0
-	})
+		return len(calls)
+	}
+	// start builds a broadcaster whose heartbeat targets the one replica.
+	start := func(cfg BroadcasterConfig) *Broadcaster {
+		clients := []*Client{newTestClient(t, ts.URL, ClientConfig{})}
+		pool, err := NewPool(clients, PoolConfig{HealthInterval: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := NewBroadcaster(clients, cfg)
+		front, err := NewFrontend(pool, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(front.Close)
+		return b
+	}
+
+	b := start(BroadcasterConfig{Window: 20 * time.Millisecond})
+	for i := 0; i < 10; i++ {
+		b.NoteWrite(true)
+		b.NoteWrite(false)
+	}
+	waitFor(t, time.Second, func() bool { return seen() > 0 })
+	if n := seen(); n != 1 {
+		t.Fatalf("%d heartbeats for one burst, want 1 (coalescing)", n)
+	}
 	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 {
-		t.Fatalf("%d broadcasts for one burst, want 1 (coalescing)", len(calls))
+	if c := calls[0]; len(c.Edges) != 0 || c.All {
+		t.Fatalf("heartbeat = %+v, want no edges and no global drop", c)
 	}
-	if len(calls[0].Edges) != 2 {
-		t.Fatalf("broadcast edges = %v, want 2 distinct", calls[0].Edges)
-	}
-	if calls[0].All {
-		t.Fatal("ordinary batch escalated to global")
-	}
-	st := b.Stats()
-	if st.Counters.Batches != 1 || st.Counters.Edges != 2 {
+	mu.Unlock()
+	if st := b.Stats(); st.Counters.Batches != 1 || st.Counters.Failures != 0 || st.LagMS != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-}
 
-// TestBroadcasterEscalatesAfterMiss checks a replica that failed a
-// broadcast gets a global invalidation on its next successful one.
-func TestBroadcasterEscalatesAfterMiss(t *testing.T) {
-	var fail atomic.Bool
-	type call struct {
-		All bool `json:"all"`
+	// Early flush: under a window that never elapses in this test, the
+	// heartbeat goes out once MaxBatchEdges Befriends were noted — tags
+	// do not count.
+	b = start(BroadcasterConfig{Window: time.Hour, MaxBatchEdges: 3})
+	b.NoteWrite(true)
+	b.NoteWrite(true)
+	for i := 0; i < 5; i++ {
+		b.NoteWrite(false)
 	}
-	var mu sync.Mutex
-	var calls []call
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if fail.Load() {
-			http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
-			return
-		}
-		var c call
-		json.NewDecoder(r.Body).Decode(&c)
-		mu.Lock()
-		calls = append(calls, c)
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"dropped":0}`))
-	}))
-	defer ts.Close()
-
-	b := NewBroadcaster([]*Client{newTestClient(t, ts.URL, ClientConfig{})}, BroadcasterConfig{Window: 5 * time.Millisecond})
-	defer b.Close()
-
-	fail.Store(true)
-	b.NoteEdge("a", "b")
-	b.Flush(context.Background())
-	if got := b.Stats().Counters.Failures; got != 1 {
-		t.Fatalf("failures = %d, want 1", got)
+	time.Sleep(50 * time.Millisecond)
+	if n := seen(); n != 1 {
+		t.Fatalf("%d heartbeats below the Befriend bound, want still 1", n)
 	}
-
-	fail.Store(false)
-	b.NoteEdge("c", "d")
-	b.Flush(context.Background())
-	mu.Lock()
-	defer mu.Unlock()
-	if len(calls) != 1 || !calls[0].All {
-		t.Fatalf("post-miss calls = %+v, want one global invalidation", calls)
-	}
-	if b.Stats().Counters.Escalations != 1 {
-		t.Fatalf("escalations = %d, want 1", b.Stats().Counters.Escalations)
-	}
+	b.NoteWrite(true)
+	waitFor(t, time.Second, func() bool { return seen() == 2 })
 }
 
 // TestFrontendMutationsAndStats drives the full glue: mutations forward

@@ -18,7 +18,7 @@ import (
 )
 
 // DefaultCatchupTimeout bounds one replica's replication log catch-up
-// attempt (stream + apply + rejoin invalidation).
+// attempt (stream + apply + closing heartbeat).
 const DefaultCatchupTimeout = 30 * time.Second
 
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
@@ -27,8 +27,8 @@ const DefaultCatchupTimeout = 30 * time.Second
 // and mutations are forwarded — serialized, so every replica applies
 // the identical stream in the identical order, which is what makes
 // replica snapshots and the name→id dictionaries they derive agree —
-// to every replica, with the dirty edges handed to the Broadcaster for
-// batched fleet-wide cache invalidation.
+// to every replica, with the Broadcaster told a compaction heartbeat is
+// owed.
 //
 // There is one write path and it runs through a log (UseRepLog, or
 // UseQuorum for HA front-ends; until one is attached the front-end
@@ -37,8 +37,8 @@ const DefaultCatchupTimeout = 30 * time.Second
 // acknowledge with their applied LSN, and an ejected replica is
 // readmitted only after catch-up: the pool's rejoin gate streams the
 // records the replica missed from the log, in order, and finishes with
-// one invalidation scoped to exactly the caught-up dirty edges — so a
-// readmitted replica can never serve answers derived from a stale graph.
+// the heartbeat that folds them in — so a readmitted replica can never
+// serve answers derived from a stale graph.
 type Frontend struct {
 	pool  *Pool
 	bcast *Broadcaster
@@ -78,11 +78,10 @@ type Frontend struct {
 	NewReplicaClient func(url string) (*Client, error)
 }
 
-// NewFrontend glues a pool and a broadcaster into a serving backend and
-// registers the pool hooks: an ejected replica's broadcasts escalate to
-// a global invalidation, and readmission is gated on catch-up from
-// construction — a front-end never flips a replica live on probe
-// successes alone.
+// NewFrontend glues a pool and a broadcaster into a serving backend:
+// the heartbeat takes its targets from the pool, and readmission is
+// gated on catch-up from construction — a front-end never flips a
+// replica live on probe successes alone.
 func NewFrontend(pool *Pool, bcast *Broadcaster) (*Frontend, error) {
 	if pool == nil || bcast == nil {
 		return nil, errors.New("fleet: frontend needs a pool and a broadcaster")
@@ -93,7 +92,9 @@ func NewFrontend(pool *Pool, bcast *Broadcaster) (*Frontend, error) {
 		MutationTimeout: DefaultTimeout,
 		CatchupTimeout:  DefaultCatchupTimeout,
 	}
-	pool.OnEject(bcast.MarkMissed)
+	bcast.mu.Lock()
+	bcast.pool = pool
+	bcast.mu.Unlock()
 	pool.SetRejoinGate(f.catchUp)
 	return f, nil
 }
@@ -278,7 +279,6 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 				// surface the mismatch; catch-up refuses it too.
 				st.counters.MissedMutation()
 				st.eject(err)
-				f.bcast.MarkMissed(i)
 				continue
 			}
 			st.noteApplied(ack)
@@ -294,7 +294,6 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 			if st.isLive() {
 				st.counters.MissedMutation()
 				st.eject(err)
-				f.bcast.MarkMissed(i)
 			}
 			continue
 		}
@@ -321,7 +320,6 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 		} else {
 			st.fail(err)
 		}
-		f.bcast.MarkMissed(i)
 	}
 	if lastInvalid != nil {
 		return lastInvalid
@@ -336,8 +334,8 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 }
 
 // Befriend validates and durably logs the friendship mutation, forwards
-// it to every replica and notes the dirty edge for the next
-// invalidation broadcast.
+// it to every replica and schedules the compaction heartbeat that makes
+// it queryable fleet-wide.
 func (f *Frontend) Befriend(a, b string, weight float64) error {
 	return f.BefriendCtx(context.Background(), a, b, weight)
 }
@@ -348,8 +346,7 @@ func (f *Frontend) BefriendCtx(ctx context.Context, a, b string, weight float64)
 	return f.mutate(ctx, social.Mutation{Kind: social.KindBefriend, User: a, Friend: b, Weight: weight})
 }
 
-// Tag forwards the tagging mutation to every replica and schedules the
-// compaction heartbeat that makes it queryable fleet-wide.
+// Tag is Befriend for a tagging mutation.
 func (f *Frontend) Tag(user, item, tag string) error {
 	return f.TagCtx(context.Background(), user, item, tag)
 }
@@ -398,11 +395,7 @@ func (f *Frontend) mutate(ctx context.Context, m social.Mutation) error {
 	if err := f.forward(ctx, m, log.Head()); err != nil {
 		return err
 	}
-	if m.Kind == social.KindBefriend {
-		f.bcast.NoteEdge(m.User, m.Friend)
-	} else {
-		f.bcast.NoteWrite()
-	}
+	f.bcast.NoteWrite(m.Kind == social.KindBefriend)
 	return nil
 }
 
@@ -425,8 +418,9 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 }
 
 // catchUp is the pool's rejoin gate: bring replica i from its applied
-// LSN to the replication log head, then send one invalidation scoped to
-// exactly the dirty edges of the caught-up records. Runs concurrently
+// LSN to the replication log head, then send it one heartbeat so it
+// folds the caught-up records in — dropping, by its own dirty-edge
+// tracking, exactly the horizons they could affect. Runs concurrently
 // with foreground writes — the loop re-reads the head until the replica
 // has it, and the LSN ordering rule keeps the two delivery paths
 // (catch-up stream, direct fan-out to a catching-up replica) from ever
@@ -457,8 +451,6 @@ func (f *Frontend) catchUp(i int) error {
 	}
 
 	replayed := 0
-	edgeSeen := make(map[[2]string]struct{})
-	var edges [][2]string
 	for {
 		_, err := log.ReadFrom(applied+1, func(rec wal.Record) error {
 			if rec.LSN <= applied {
@@ -476,16 +468,6 @@ func (f *Frontend) catchUp(i int) error {
 			// A deterministic rejection still advances the replica's
 			// cursor — every replica skips the same record identically.
 			applied = max(rec.LSN, ack)
-			if m.Kind == social.KindBefriend {
-				key := [2]string{m.User, m.Friend}
-				if m.Friend < m.User {
-					key = [2]string{m.Friend, m.User}
-				}
-				if _, ok := edgeSeen[key]; !ok {
-					edgeSeen[key] = struct{}{}
-					edges = append(edges, key)
-				}
-			}
 			replayed++
 			f.pool.state(i).noteApplied(applied)
 			return nil
@@ -510,26 +492,13 @@ func (f *Frontend) catchUp(i int) error {
 		// from where the replica now is.
 	}
 
-	// One rejoin invalidation: edge-scoped to exactly the caught-up dirty
-	// edges (escalating to global only past the broadcast batch bound),
-	// and — records or not — the compaction heartbeat that folds the
-	// replayed writes into the replica's queryable snapshot. Only after
-	// it succeeds is the escalated-global debt for missed broadcasts
-	// withdrawn: everything a missed broadcast would have dropped is
-	// covered by the replica's own dirty tracking (for writes it applied
-	// itself) plus this edge set (for writes it missed).
-	all := false
-	if len(edges) > f.bcast.cfg.MaxBatchEdges {
-		all, edges = true, nil
-	}
-	// Capture the miss sequence before the invalidation: a broadcast that
-	// fails for this replica after this point is NOT covered by it, and
-	// the guarded clear below must leave that debt standing.
-	seq := f.bcast.MissedSeq(i)
-	if _, err := c.Invalidate(ctx, edges, all); err != nil {
+	// The closing heartbeat — records or not, so a write-quiet fleet
+	// settles too: whatever the replica applied and has not folded in yet
+	// (replayed just now, or before a heartbeat it missed) becomes
+	// queryable before it serves a read.
+	if _, err := c.Invalidate(ctx, nil, false); err != nil {
 		return err
 	}
-	f.bcast.ClearMissedIf(i, seq)
 	c.Counters().Catchup(replayed)
 	return nil
 }
@@ -550,7 +519,7 @@ func (f *Frontend) Users() []string {
 	return nil
 }
 
-// Flush synchronously broadcasts pending invalidations — the fleet
+// Flush synchronously sends the owed compaction heartbeat — the fleet
 // equivalent of social.Service.Flush.
 func (f *Frontend) Flush() error {
 	f.bcast.Flush(context.Background())

@@ -54,7 +54,6 @@ type replicaState struct {
 	consecOKs   int
 	lastErr     string
 	lastProbe   time.Time
-	onEject     func() // notified once per ejection (broadcaster hook)
 	gate        func() // when set, readmission runs the rejoin gate instead of flipping live
 	catchingUp  bool   // a rejoin gate run is in flight
 	appliedLSN  uint64 // replica's replication cursor, from acks and probes
@@ -182,9 +181,6 @@ func (r *replicaState) fail(err error) bool {
 	if r.live && r.consecFails >= r.failAfter {
 		r.live = false
 		r.counters.Ejection()
-		if r.onEject != nil && !r.retired {
-			r.onEject()
-		}
 		return true
 	}
 	return false
@@ -207,9 +203,6 @@ func (r *replicaState) eject(err error) {
 	if r.live {
 		r.live = false
 		r.counters.Ejection()
-		if r.onEject != nil && !r.retired {
-			r.onEject()
-		}
 	}
 }
 
@@ -303,8 +296,7 @@ func (r *replicaState) finishGate(err error) {
 // epoch N ring decisions with epoch N+1 member arrays mid-flight.
 // Member arrays are append-only across views (a slot, once assigned,
 // always names the same member), which is what keeps slot indices
-// stable across resizes for the health, broadcast, and replication
-// planes.
+// stable across resizes for the health and replication planes.
 type topology struct {
 	epoch   uint64
 	ring    *shard.Ring
@@ -338,9 +330,8 @@ type Pool struct {
 	cfg  PoolConfig
 
 	// adminMu serializes membership changes (Admit/Activate/Retire) and
-	// hook installation; the read path never takes it.
+	// gate installation; the read path never takes it.
 	adminMu    sync.Mutex
-	ejectHook  func(replica int)
 	rejoinGate func(replica int) error
 
 	// lagBound, when set, supplies the log bound every successful probe
@@ -434,31 +425,13 @@ func (p *Pool) Retired(i int) bool {
 	return i < len(t.retired) && t.retired[i]
 }
 
-// applyHooksLocked wires the registered hooks into one state. Callers
-// hold adminMu.
-func (p *Pool) applyHooksLocked(slot int, st *replicaState) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if p.ejectHook != nil {
-		hook := p.ejectHook
-		st.onEject = func() { hook(slot) }
-	}
-	if p.rejoinGate != nil {
-		gate := p.rejoinGate
+// applyGateLocked wires the registered rejoin gate into one state.
+// Callers hold adminMu.
+func (p *Pool) applyGateLocked(slot int, st *replicaState) {
+	if gate := p.rejoinGate; gate != nil {
+		st.mu.Lock()
 		st.gate = func() { st.finishGate(gate(slot)) }
-	}
-}
-
-// OnEject registers a hook called (once per transition, with the
-// replica slot) whenever a replica is ejected. The Broadcaster uses it
-// to mark the replica as having missed invalidation traffic. Applies
-// to current members and everyone admitted later.
-func (p *Pool) OnEject(hook func(replica int)) {
-	p.adminMu.Lock()
-	defer p.adminMu.Unlock()
-	p.ejectHook = hook
-	for i, st := range p.view().states {
-		p.applyHooksLocked(i, st)
+		st.mu.Unlock()
 	}
 }
 
@@ -474,7 +447,7 @@ func (p *Pool) SetRejoinGate(gate func(replica int) error) {
 	defer p.adminMu.Unlock()
 	p.rejoinGate = gate
 	for i, st := range p.view().states {
-		p.applyHooksLocked(i, st)
+		p.applyGateLocked(i, st)
 	}
 }
 
@@ -499,7 +472,7 @@ func (p *Pool) Admit(c *Client) (int, error) {
 		reviveAfter: p.cfg.ReviveAfter,
 		counters:    c.Counters(),
 	}
-	p.applyHooksLocked(slot, st)
+	p.applyGateLocked(slot, st)
 	t := &topology{
 		epoch:   old.epoch + 1,
 		ring:    old.ring,
@@ -681,7 +654,7 @@ func (p *Pool) Close() {
 // including retired ones — slot indices are stable).
 func (p *Pool) Replicas() int { return len(p.view().clients) }
 
-// Client returns replica i's client (stats, broadcaster wiring).
+// Client returns replica i's client.
 func (p *Pool) Client(i int) *Client { return p.view().clients[i] }
 
 // Live reports whether replica i is currently in rotation.

@@ -93,7 +93,7 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 
 	// Drive the rejoin gate inline rather than waiting for the prober's
 	// streak: catchUp streams the suffix from the joiner's cursor to the
-	// moving head and finishes with the scoped invalidation. catchingUp
+	// moving head and finishes with the closing heartbeat. catchingUp
 	// is claimed first so a concurrent probe-started gate run (possible
 	// only if a previous join attempt already released the hold) cannot
 	// double-stream.
@@ -134,9 +134,8 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 	return slot, nil
 }
 
-// adoptClient resolves url to a member slot, admitting a new one (to
-// both the pool and the broadcaster, keeping their slot indexes
-// aligned) unless a non-retired slot already serves that url.
+// adoptClient resolves url to a member slot, admitting a new one unless
+// a non-retired slot already serves that url.
 func (f *Frontend) adoptClient(url string) (c *Client, slot int, fresh bool, err error) {
 	for i := 0; i < f.pool.Replicas(); i++ {
 		if !f.pool.Retired(i) && f.pool.Client(i).URL() == url {
@@ -152,11 +151,6 @@ func (f *Frontend) adoptClient(url string) (c *Client, slot int, fresh bool, err
 	}
 	if slot, err = f.pool.Admit(c); err != nil {
 		return nil, 0, false, err
-	}
-	if bslot := f.bcast.AddClient(c); bslot != slot {
-		// Pool and broadcaster were built over different member lists;
-		// nothing sound can be broadcast to this joiner.
-		return nil, 0, false, fmt.Errorf("fleet: pool slot %d and broadcaster slot %d diverge", slot, bslot)
 	}
 	return c, slot, true, nil
 }
@@ -287,7 +281,6 @@ func (f *Frontend) RetireReplica(ctx context.Context, slot int) error {
 	if err := f.pool.Retire(slot); err != nil {
 		return err
 	}
-	f.bcast.Disable(slot)
 	sp.SetInt("epoch", int64(f.pool.Epoch()))
 	return nil
 }

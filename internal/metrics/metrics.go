@@ -4,8 +4,8 @@
 // plus small aggregation helpers for latency distributions and the
 // serving-path counters /v1/stats exposes: cache effectiveness (hits,
 // misses, invalidations, evictions), per-replica fleet routing
-// (requests, failovers, hedges, health transitions) and invalidation
-// broadcast progress.
+// (requests, failovers, hedges, health transitions) and compaction
+// heartbeat progress.
 package metrics
 
 import (
@@ -178,46 +178,29 @@ type ReplicaSnapshot struct {
 	CatchupRecords  int64
 }
 
-// BroadcastCounters accumulates write-path invalidation broadcast
-// events (see internal/fleet.Broadcaster). Safe for concurrent use;
-// the zero value is ready.
+// BroadcastCounters accumulates compaction heartbeat events (see
+// internal/fleet.Broadcaster). Safe for concurrent use; the zero value
+// is ready.
 type BroadcastCounters struct {
-	batches     atomic.Int64
-	edges       atomic.Int64
-	failures    atomic.Int64
-	escalations atomic.Int64
+	batches  atomic.Int64
+	failures atomic.Int64
 }
 
-// Batch records one coalesced batch fanned out to the fleet carrying n
-// dirty edges.
-func (c *BroadcastCounters) Batch(n int) {
-	c.batches.Add(1)
-	c.edges.Add(int64(n))
-}
+// Batch records one coalesced heartbeat fanned out to the fleet.
+func (c *BroadcastCounters) Batch() { c.batches.Add(1) }
 
-// Failure records a replica that did not acknowledge a batch.
+// Failure records a replica that did not acknowledge a heartbeat.
 func (c *BroadcastCounters) Failure() { c.failures.Add(1) }
-
-// Escalation records a per-replica batch promoted to a global
-// invalidation because the replica previously missed one.
-func (c *BroadcastCounters) Escalation() { c.escalations.Add(1) }
 
 // Snapshot returns a point-in-time copy for reporting.
 func (c *BroadcastCounters) Snapshot() BroadcastSnapshot {
-	return BroadcastSnapshot{
-		Batches:     c.batches.Load(),
-		Edges:       c.edges.Load(),
-		Failures:    c.failures.Load(),
-		Escalations: c.escalations.Load(),
-	}
+	return BroadcastSnapshot{Batches: c.batches.Load(), Failures: c.failures.Load()}
 }
 
 // BroadcastSnapshot is a point-in-time view of BroadcastCounters.
 type BroadcastSnapshot struct {
-	Batches     int64
-	Edges       int64
-	Failures    int64
-	Escalations int64
+	Batches  int64
+	Failures int64
 }
 
 // PrecisionAtK is the fraction of returned items that belong to the

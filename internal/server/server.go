@@ -1261,10 +1261,11 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// InvalidateRequest is the /v2/invalidate body: a batch of friendship
-// edges (by user name) whose cached horizons must drop, or all=true to
-// drop everything. Pending writes are folded into the snapshot first
-// either way, so a broadcast is also the fleet's compaction heartbeat.
+// InvalidateRequest is the /v2/invalidate body. Pending writes are
+// folded into the snapshot first — an empty body is the fleet's
+// compaction heartbeat — then the operator's cache drop, if any: the
+// horizons the named friendship edges (by user name) could affect, or
+// all=true for everything.
 type InvalidateRequest struct {
 	Edges [][2]string `json:"edges"`
 	All   bool        `json:"all"`

@@ -435,19 +435,16 @@ func (s *Service) Flush() error {
 	return s.compactLocked()
 }
 
-// ApplyInvalidation is the replica-side half of the fleet's write-path
-// invalidation broadcast (see internal/fleet.Broadcaster and the
-// server's /v2/invalidate endpoint): it folds pending writes into the
-// queryable snapshot — which already performs edge-scoped invalidation
-// for the dirty edges this process tracked itself — and then drops, by
-// name, the cached horizons the broadcast edges could affect. The
-// explicit edge list matters when this process did not observe the
-// mutations (a replica fed by an out-of-band channel, or one that was
-// ejected while the fleet kept writing); names unknown locally are
-// skipped, since no id — and therefore no cached horizon member set —
-// can reference them. With all set the whole cache is logically
-// dropped instead (the escalation path for a replica that missed a
-// broadcast). Returns the number of entries invalidated.
+// ApplyInvalidation serves the server's /v2/invalidate endpoint. It
+// folds pending writes into the queryable snapshot — which performs the
+// edge-scoped invalidation for the edges this process noted when it
+// applied them; called with no edges and all false that is all it does,
+// and that call is the fleet's compaction heartbeat (see
+// internal/fleet.Broadcaster). Edges and all are an operator's cache
+// drop on top: the cached horizons the named edges could affect (names
+// unknown locally are skipped, since no id — and therefore no cached
+// horizon member set — can reference them), or with all set the whole
+// cache. Returns the number of entries invalidated.
 func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

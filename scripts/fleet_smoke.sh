@@ -89,7 +89,7 @@ for i in $(seq 0 $((NUSERS - 1))); do
   befriend "u$i" "u$(((i + 1) % NUSERS))" 0.8
   tag "u$i" "item$i" "pizza"
 done
-sleep 0.5 # let the invalidation broadcast fold the writes in fleet-wide
+sleep 0.5 # let the compaction heartbeat fold the writes in fleet-wide
 
 echo "== recording pre-kill answers"
 for i in $(seq 0 $((NUSERS - 1))); do
@@ -137,7 +137,7 @@ if ! echo "$STATS" | grep -Eq '"Failovers":[1-9]'; then
   exit 1
 fi
 if ! echo "$STATS" | grep -Eq '"Batches":[1-9]'; then
-  echo "FAIL: /v1/stats reports no invalidation broadcasts: $STATS" >&2
+  echo "FAIL: /v1/stats reports no compaction heartbeats: $STATS" >&2
   exit 1
 fi
 
@@ -164,8 +164,8 @@ if [ "$MISSED" != "yes" ]; then
   exit 1
 fi
 
-# A stopped replica stalls each broadcast fan-out for its timeout, so
-# the survivors' compaction heartbeat lags: wait until the final write
+# Until the stopped replica is ejected it is still a heartbeat target
+# and stalls each fan-out for its timeout: wait until the final write
 # (tag stopped9 by u9) is queryable before snapshotting.
 QUIESCED=no
 for _ in $(seq 1 80); do
@@ -367,7 +367,7 @@ if [ "$GROWNQ" != "yes" ]; then
   echo "FAIL: writes at size 5 never became queryable" >&2
   exit 1
 fi
-sleep 0.3 # all five ride the same broadcast batch; give stragglers their ack window
+sleep 0.3 # all five ride the same heartbeat; give stragglers their ack window
 echo "== recording pre-shrink answers"
 for i in $(seq 0 $((NUSERS - 1))); do
   rs_query "u$i" >"$WORK/rs-preshrink-u$i.json"
