@@ -58,6 +58,44 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesStableAcrossMerge: a snapshot is written from
+// Triples(), which a store derives from its tag-major lists, so a store
+// that reached its state through a chain of merges — shuffled batches,
+// repeated triples among them — must write the bytes a store built in
+// one go over the same relation writes.
+func TestSnapshotBytesStableAcrossMerge(t *testing.T) {
+	g, built := sampleData(t, 4)
+	var pieces []tagstore.Triple // counts split into ones, so batches repeat triples
+	for _, tr := range built.Triples() {
+		for ; tr.Count > 0; tr.Count-- {
+			pieces = append(pieces, tagstore.Triple{User: tr.User, Item: tr.Item, Tag: tr.Tag, Count: 1})
+		}
+	}
+	rng := rand.New(rand.NewSource(4))
+	rng.Shuffle(len(pieces), func(a, b int) { pieces[a], pieces[b] = pieces[b], pieces[a] })
+	merged, err := tagstore.NewBuilder(built.NumUsers(), built.NumItems(), built.NumTags()).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for len(pieces) > 0 {
+		n := min(len(pieces), 1+rng.Intn(200))
+		if merged, err = merged.Merge(pieces[:n], built.NumUsers(), built.NumItems(), built.NumTags()); err != nil {
+			t.Fatal(err)
+		}
+		pieces = pieces[n:]
+	}
+	var want, got bytes.Buffer
+	if err := Write(&want, g, built); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&got, g, merged); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("the merged store wrote %d bytes, the built one %d, and they differ", got.Len(), want.Len())
+	}
+}
+
 func TestRoundTripEmpty(t *testing.T) {
 	g, err := graph.NewBuilder(0).Build()
 	if err != nil {

@@ -24,16 +24,31 @@ func benchStore(b *testing.B) *tagstore.Store {
 // snapshot load pays, and what every compaction paid before Merge.
 func BenchmarkBuilderBuild(b *testing.B) {
 	s := benchStore(b)
+	trs := s.Triples()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb := tagstore.NewBuilder(s.NumUsers(), s.NumItems(), s.NumTags())
-		for _, tr := range s.Triples() {
+		for _, tr := range trs {
 			tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
 		}
 		if _, err := tb.Build(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+var sinkTriples []tagstore.Triple
+
+// BenchmarkTriples writes the relation out in canonical order, the
+// O(triples) step a checkpoint, an export or an item-index build pays
+// now that a store does not keep that array.
+func BenchmarkTriples(b *testing.B) {
+	s := benchStore(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkTriples = s.Triples()
 	}
 }
 

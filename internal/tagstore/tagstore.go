@@ -5,12 +5,17 @@
 //   - sequential access: per-tag global posting lists sorted by descending
 //     tag frequency, consumed front-to-back by threshold algorithms;
 //   - random access: per-(user,tag) lists and point lookups tf(u, i, t),
-//     both binary searches over flat sorted arrays, consumed by the
+//     a binary search over the tag's sorted users, consumed by the
 //     network-aware algorithm as the social frontier visits each user;
 //   - the tag-pivoted join: per tag, the users who used it and their
 //     (user,tag) lists back to back, consumed when a whole materialized
 //     horizon is merged at once — one scan of the tag's users replaces a
 //     binary search per horizon user.
+//
+// The tag-pivoted lists are the only copy of the relation a Store
+// holds: the other structures index or aggregate it, and Triples()
+// writes it out in canonical order for a snapshot, an export or an
+// index build.
 //
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
@@ -88,23 +93,21 @@ func (b *Builder) Build() (*Store, error) {
 // Store is the immutable tagging store.
 type Store struct {
 	numUsers, numItems, numTags int
-	// canonical triples sorted by (user, tag, item)
-	triples []Triple
+	numTriples                  int // distinct (user, item, tag) triples
 
 	// global per-tag posting lists sorted by (TF desc, Item asc)
 	global [][]Posting
 	// maxTF[t] = largest global TF of any item under tag t (0 if none)
 	maxTF []int32
 
-	// Per-user tag CSR over the triples: user u's distinct tags are
-	// utTags[utStart[u]:utStart[u+1]] (sorted ascending), and the tag at
-	// index j — run j — owns triples[utOff[j]:utOff[j+1]], the (user, tag)
-	// pair's items in ascending order. TF and the next merge read it.
+	// Per-user tag CSR: user u's distinct tags are
+	// utTags[utStart[u]:utStart[u+1]] (sorted ascending), one entry per
+	// (user, tag) pair. UserTags and Triples read it.
 	utStart []int32 // len numUsers+1
-	utTags  []TagID // one per run
-	utOff   []int32 // len(utTags)+1
+	utTags  []TagID
 
-	// The per-(user, tag) posting lists, tag-major: whatever a query
+	// The per-(user, tag) posting lists, tag-major, and the one place
+	// the (user, item, tag, count) tuples are stored: whatever a query
 	// reads of them lies in its own tags' entries. A merge shares the
 	// entry of every tag its delta does not mention with the store it
 	// started from, as it does with global.
@@ -135,11 +138,13 @@ type tagLists struct {
 // summed) over a universe that may have grown. s is left untouched and
 // stays valid for readers still holding it: the new store copies what
 // changed and shares the rest — the global and the per-user posting
-// lists of the tags delta does not mention — which is safe because
-// neither store is written again.
-// The cost is sorting delta plus one linear copy of s's triples; nothing
-// is hashed, and only the lists of the tags delta mentions are
-// re-ordered. With nothing to fold in, Merge returns s itself.
+// lists of the tags delta does not mention, and with an empty delta
+// everything but the headers the grown universe lengthens — which is
+// safe because neither store is written again.
+// The cost is sorting delta, rewriting the lists of the tags it mentions
+// and one linear copy of the two tag indexes (utTags, itTags/itTF);
+// nothing is hashed and no triple delta leaves alone is moved. With
+// nothing to fold in, Merge returns s itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
 		return s, nil
@@ -166,9 +171,9 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 			return nil, fmt.Errorf("tagstore: non-positive count %d", tr.Count)
 		}
 	}
-	// Offsets into the triples are int32.
-	if len(s.triples)+len(delta) > math.MaxInt32 {
-		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", len(s.triples)+len(delta), math.MaxInt32)
+	// Offsets into a tag's postings are int32.
+	if s.numTriples+len(delta) > math.MaxInt32 {
+		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", s.numTriples+len(delta), math.MaxInt32)
 	}
 
 	d := slices.Clone(delta)
@@ -177,7 +182,7 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if err != nil {
 		return nil, err
 	}
-	n := &Store{numUsers: numUsers, numItems: numItems, numTags: numTags, totalAnnotations: s.totalAnnotations}
+	n := &Store{numUsers: numUsers, numItems: numItems, numTags: numTags, numTriples: s.numTriples, totalAnnotations: s.totalAnnotations}
 	agg := make([]tagItem, len(d))
 	for k, tr := range d {
 		agg[k] = tagItem{item: tr.Item, tag: tr.Tag, tf: tr.Count}
@@ -187,11 +192,10 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
 		return nil, err
 	}
-	touched, err := n.mergeUsers(s, d)
-	if err != nil {
+	n.mergeUsers(s, d)
+	if err := n.mergeTagLists(s, d); err != nil {
 		return nil, err
 	}
-	n.mergeTagLists(s, d, touched)
 	if err := n.mergeItems(s, agg); err != nil {
 		return nil, err
 	}
@@ -290,8 +294,12 @@ func seekGrown(start []int32, tags []TagID, n int, id int32, t TagID) (int32, bo
 
 // shiftStarts returns the start array of a CSR grown from oldN owners
 // and oldLen entries to n owners: owners lists, in ascending order, the
-// owner of every entry inserted.
+// owner of every entry inserted. With nothing inserted and no owner
+// gained that is old itself.
 func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
+	if len(owners) == 0 && len(old) == n+1 {
+		return old
+	}
 	start := make([]int32, n+1)
 	k := 0
 	for id := range start {
@@ -307,91 +315,47 @@ func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
 	return start
 }
 
-// mergeUsers fills n.triples and the per-user CSR from s plus the
-// canonical delta d, and returns the number each run of d — each
-// (user, tag) pair it mentions — has in n. Runs of s that d does not
-// touch are block-copied with their offsets shifted; a touched run is
-// merged by item.
-func (n *Store) mergeUsers(s *Store, d []Triple) ([]int32, error) {
-	// Count the runs first: a snapshot lives as long as the service, so
-	// its arrays get the capacity they need and no more.
-	runs := len(s.utTags)
+// mergeUsers fills the per-user tag CSR from s's plus the canonical
+// delta d: the (user, tag) pairs of d that s lacks are inserted into a
+// copy of s.utTags, and a d that brings none shares it.
+func (n *Store) mergeUsers(s *Store, d []Triple) {
+	// Of every pair s lacks, at most one per triple of d: its user, its
+	// tag, and where in s.utTags the tag goes.
+	owners, at, tags := make([]int32, 0, len(d)), make([]int32, 0, len(d)), make([]TagID, 0, len(d))
 	for k, tr := range d {
-		if k == 0 || tr.User != d[k-1].User || tr.Tag != d[k-1].Tag {
-			runs++
+		if k > 0 && tr.User == d[k-1].User && tr.Tag == d[k-1].Tag {
+			continue
+		}
+		if r, found := seekGrown(s.utStart, s.utTags, s.numUsers, tr.User, tr.Tag); !found {
+			owners, at, tags = append(owners, tr.User), append(at, r), append(tags, tr.Tag)
 		}
 	}
-	n.triples = make([]Triple, 0, len(s.triples)+len(d))
-	n.utTags = make([]TagID, 0, runs)
-	n.utOff = make([]int32, 0, runs+1)
-
-	next := int32(0) // first run of s not carried over yet
-	carry := func(upTo int32) {
-		if upTo == next {
-			return
-		}
-		lo, hi := s.utOff[next], s.utOff[upTo]
-		shift := int32(len(n.triples)) - lo
-		n.triples = append(n.triples, s.triples[lo:hi]...)
-		n.utTags = append(n.utTags, s.utTags[next:upTo]...)
-		for _, off := range s.utOff[next:upTo] {
-			n.utOff = append(n.utOff, off+shift)
-		}
-		next = upTo
+	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, owners)
+	n.utTags = s.utTags
+	if len(owners) == 0 {
+		return
 	}
-	// At most every run of d is one s lacks.
-	touched := make([]int32, 0, runs-len(s.utTags))
-	newRunUsers := make([]int32, 0, runs-len(s.utTags))
-	for a := 0; a < len(d); {
-		u, t := d[a].User, d[a].Tag
-		b := a + 1
-		for b < len(d) && d[b].User == u && d[b].Tag == t {
-			b++
-		}
-		r, found := seekGrown(s.utStart, s.utTags, s.numUsers, u, t)
-		carry(r)
-		var old []Triple
-		if found {
-			old = s.triples[s.utOff[r]:s.utOff[r+1]]
-			next = r + 1
-		} else {
-			newRunUsers = append(newRunUsers, u)
-		}
-		touched = append(touched, int32(len(n.utTags)))
-		n.utTags = append(n.utTags, t)
-		n.utOff = append(n.utOff, int32(len(n.triples)))
-		for _, tr := range d[a:b] {
-			for len(old) > 0 && old[0].Item < tr.Item {
-				n.triples, old = append(n.triples, old[0]), old[1:]
-			}
-			if len(old) > 0 && old[0].Item == tr.Item {
-				sum, err := addTF(old[0].Count, tr.Count)
-				if err != nil {
-					return nil, err
-				}
-				tr.Count, old = sum, old[1:]
-			}
-			n.triples = append(n.triples, tr)
-		}
-		n.triples = append(n.triples, old...)
-		a = b
+	// A snapshot lives as long as the service, so the array gets the
+	// capacity it needs and no more.
+	n.utTags = make([]TagID, 0, len(s.utTags)+len(owners))
+	next := int32(0) // first entry of s not carried over yet
+	for k, r := range at {
+		n.utTags = append(append(n.utTags, s.utTags[next:r]...), tags[k])
+		next = r
 	}
-	carry(int32(len(s.utTags)))
-	n.utOff = append(n.utOff, int32(len(n.triples)))
-	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, newRunUsers)
-	return touched, nil
+	n.utTags = append(n.utTags, s.utTags[next:]...)
 }
 
-// mergeTagLists fills the tag-major posting lists once the per-user CSR
-// is in place; touched[k] is the run of n that holds the k-th (user,
-// tag) pair of the canonical delta d. A tag d does not mention keeps the
-// lists it has in s. A tag it does gets new arrays — s's are never
+// mergeTagLists fills the tag-major posting lists, the relation itself,
+// from s's plus the canonical delta d. A tag d does not mention keeps
+// the lists it has in s. A tag it does gets new arrays — s's are never
 // written — into which the lists of the users d leaves alone are
-// block-copied from s with their offsets shifted, and the lists d
-// touches are written from n's merged runs and sorted. d's (user, tag)
-// order brings each tag its touched users in ascending order, so the
-// pass needs one cursor per tag into s's lists.
-func (n *Store) mergeTagLists(s *Store, d []Triple, touched []int32) {
+// block-copied from s with their offsets shifted, and the list of a
+// (user, tag) pair d touches is that pair's old list, if it had one,
+// plus its run of d, summed by item and sorted. d's (user, tag) order
+// brings each tag its touched users in ascending order, so the pass
+// needs one cursor per tag into s's lists.
+func (n *Store) mergeTagLists(s *Store, d []Triple) error {
 	was := make([]tagLists, n.numTags) // s's lists over the grown universe
 	copy(was, s.byTag)
 	n.byTag = slices.Clone(was)
@@ -437,18 +401,23 @@ func (n *Store) mergeTagLists(s *Store, d []Triple, touched []int32) {
 		users[t] += count
 		rest[t] -= count
 	}
-	for a, k := 0, 0; a < len(d); k++ {
+	var byItem []UserPosting // scratch: a touched pair's old list in item order, as its run of d is
+	for a, b := 0, 0; a < len(d); a = b {
 		u, t := d[a].User, d[a].Tag
-		for a < len(d) && d[a].User == u && d[a].Tag == t {
-			a++
+		for b < len(d) && d[b].User == u && d[b].Tag == t {
+			b++
 		}
 		// With nothing of s's left under t — every pair of a Build —
-		// there is nothing to place u in.
-		if rest[t] > 0 {
-			old := was[t].users
-			p, found := slices.BinarySearch(old[len(old)-int(rest[t]):], u)
+		// there is nothing to place u in and no old list.
+		var old []UserPosting
+		if w := &was[t]; rest[t] > 0 {
+			p, found := slices.BinarySearch(w.users[len(w.users)-int(rest[t]):], u)
 			carry(t, int32(p))
 			if found {
+				q := len(w.users) - int(rest[t])
+				byItem = append(byItem[:0], w.post[w.off[q]:w.off[q+1]]...)
+				slices.SortFunc(byItem, func(a, b UserPosting) int { return cmp.Compare(a.Item, b.Item) })
+				old = byItem
 				rest[t]--
 			}
 		}
@@ -456,9 +425,22 @@ func (n *Store) mergeTagLists(s *Store, d []Triple, touched []int32) {
 		l.users[users[t]], l.off[users[t]] = u, posts[t]
 		users[t]++
 		run := l.post[posts[t]:posts[t]]
-		for _, tr := range n.triples[n.utOff[touched[k]]:n.utOff[touched[k]+1]] {
+		n.numTriples -= len(old)
+		for _, tr := range d[a:b] {
+			for len(old) > 0 && old[0].Item < tr.Item {
+				run, old = append(run, old[0]), old[1:]
+			}
+			if len(old) > 0 && old[0].Item == tr.Item {
+				sum, err := addTF(old[0].TF, tr.Count)
+				if err != nil {
+					return err
+				}
+				tr.Count, old = sum, old[1:]
+			}
 			run = append(run, UserPosting{Item: tr.Item, TF: tr.Count})
 		}
+		run = append(run, old...)
+		n.numTriples += len(run)
 		posts[t] += int32(len(run))
 		if len(run) > 1 { // most lists hold one posting
 			slices.SortFunc(run, func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
@@ -472,12 +454,18 @@ func (n *Store) mergeTagLists(s *Store, d []Triple, touched []int32) {
 			l.off[users[t]] = posts[t]
 		}
 	}
+	return nil
 }
 
 // mergeItems patches the per-item CSR in one pass over s's, and turns
 // every agg entry (sorted by item, tag) from "frequency added" into
-// "global frequency before and after".
+// "global frequency before and after". An empty agg shares s's arrays.
 func (n *Store) mergeItems(s *Store, agg []tagItem) error {
+	if len(agg) == 0 {
+		n.itStart = shiftStarts(s.itStart, s.numItems, len(s.itTags), n.numItems, nil)
+		n.itTags, n.itTF = s.itTags, s.itTF
+		return nil
+	}
 	n.itTags = make([]TagID, 0, len(s.itTags)+len(agg))
 	n.itTF = make([]int32, 0, len(s.itTags)+len(agg))
 	next := int32(0) // first entry of s not carried over yet
@@ -567,14 +555,30 @@ func (s *Store) NumItems() int { return s.numItems }
 func (s *Store) NumTags() int { return s.numTags }
 
 // NumTriples reports the number of distinct (user, item, tag) triples.
-func (s *Store) NumTriples() int { return len(s.triples) }
+func (s *Store) NumTriples() int { return s.numTriples }
 
 // TotalAnnotations reports the sum of all counts.
 func (s *Store) TotalAnnotations() int64 { return s.totalAnnotations }
 
-// Triples returns the canonical sorted triples. The slice aliases
-// internal storage and must not be modified.
-func (s *Store) Triples() []Triple { return s.triples }
+// Triples returns the relation sorted by (user, tag, item), written out
+// anew on every call from the tag-major lists: users in ascending order
+// meet each tag's lists in the order the tag stores them, so a cursor
+// per tag finds every list without a search.
+func (s *Store) Triples() []Triple {
+	trs := make([]Triple, 0, s.numTriples)
+	seen := make([]int32, s.numTags) // users of each tag already written
+	for u := int32(0); int(u) < s.numUsers; u++ {
+		for _, t := range s.UserTags(u) {
+			l, p, from := &s.byTag[t], seen[t], len(trs)
+			seen[t]++
+			for _, up := range l.post[l.off[p]:l.off[p+1]] {
+				trs = append(trs, Triple{User: u, Item: up.Item, Tag: t, Count: up.TF})
+			}
+			slices.SortFunc(trs[from:], byUserTagItem)
+		}
+	}
+	return trs
+}
 
 // GlobalList returns the global posting list of tag t, sorted by
 // descending total frequency. The slice aliases internal storage.
@@ -611,20 +615,15 @@ func (s *Store) UserTags(u int32) []TagID {
 }
 
 // TF returns tf(u, i, t): how many times user u applied tag t to item i.
-// The (user, tag) run is found by a binary search over u's tag segment
-// and then searched by item in the canonical triples, which keep the run
-// in item order.
+// It is UserList's search and a scan of that list, which is short and
+// in frequency order, not item order.
 func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
-	j, ok := seekGrown(s.utStart, s.utTags, s.numUsers, u, t)
-	if !ok {
-		return 0
+	for _, p := range s.UserList(u, t) {
+		if p.Item == i {
+			return p.TF
+		}
 	}
-	run := s.triples[s.utOff[j]:s.utOff[j+1]]
-	k, ok := slices.BinarySearchFunc(run, i, func(tr Triple, i ItemID) int { return cmp.Compare(tr.Item, i) })
-	if !ok {
-		return 0
-	}
-	return run[k].Count
+	return 0
 }
 
 // GlobalTF returns the total frequency of tag t on item i across users:
@@ -653,17 +652,17 @@ func (s *Store) ComputeStats() Stats {
 		Users:       s.numUsers,
 		Items:       s.numItems,
 		Tags:        s.numTags,
-		Triples:     len(s.triples),
+		Triples:     s.numTriples,
 		Annotations: s.totalAnnotations,
 	}
 	if s.numUsers > 0 {
-		st.AvgTriplesPerUser = float64(len(s.triples)) / float64(s.numUsers)
+		st.AvgTriplesPerUser = float64(s.numTriples) / float64(s.numUsers)
 	}
-	items := make(map[ItemID]struct{})
-	for _, tr := range s.triples {
-		items[tr.Item] = struct{}{}
+	for i := range s.numItems {
+		if s.itStart[i] < s.itStart[i+1] {
+			st.DistinctItemsTagged++
+		}
 	}
-	st.DistinctItemsTagged = len(items)
 	for t := range s.global {
 		if len(s.global[t]) > 0 {
 			st.DistinctTagsUsed++

@@ -353,9 +353,9 @@ func randomMergeScript(rng *rand.Rand) []byte {
 // checkMergeScript folds the script's batches into a store one Merge at
 // a time and, after each, holds the result against two references: a
 // Build over the union of everything folded so far (deep equality of
-// every array, the tag-major posting lists included), a map model of
-// the relation read back through every accessor, and the structure of
-// the tag-major lists against the store's own canonical triples.
+// every array, the tag-major posting lists included, and of Triples()),
+// a map model of the relation read back through every accessor, and the
+// structure of the tag-major lists against the store's own Triples().
 func checkMergeScript(t *testing.T, data []byte) {
 	t.Helper()
 	batches, grow := mergeScript(data)
@@ -389,8 +389,36 @@ func checkMergeScript(t *testing.T, data []byte) {
 		if !reflect.DeepEqual(store, want) {
 			t.Fatalf("round %d: merged store differs from Build over the union\n got %+v\nwant %+v", round, store, want)
 		}
+		checkTriples(t, store, want)
 		checkAgainstModel(t, store, union, nu, ni, nt)
 		checkTagLists(t, store)
+	}
+}
+
+// checkTriples holds Triples(), which a store writes out from its
+// tag-major lists on demand, to its contract: exactly what a Build over
+// the same relation writes out, strictly ascending in (user, tag, item),
+// every count positive and the one TF reports, NumTriples() of them and
+// TotalAnnotations() in all.
+func checkTriples(t *testing.T, s, want *Store) {
+	t.Helper()
+	trs := s.Triples()
+	if !slices.Equal(trs, want.Triples()) {
+		t.Fatalf("Triples() = %v, a Build over the union gives %v", trs, want.Triples())
+	}
+	var total int64
+	for k, tr := range trs {
+		if k > 0 && byUserTagItem(trs[k-1], tr) >= 0 {
+			t.Fatalf("Triples() not strictly ascending at %d: %v then %v", k, trs[k-1], tr)
+		}
+		if tr.Count <= 0 || s.TF(tr.User, tr.Item, tr.Tag) != tr.Count {
+			t.Fatalf("Triples() holds %v, TF says %d", tr, s.TF(tr.User, tr.Item, tr.Tag))
+		}
+		total += int64(tr.Count)
+	}
+	if len(trs) != s.NumTriples() || total != s.TotalAnnotations() {
+		t.Fatalf("Triples() holds %d triples and %d annotations, the store counts %d and %d",
+			len(trs), total, s.NumTriples(), s.TotalAnnotations())
 	}
 }
 
@@ -602,6 +630,38 @@ func TestMergeSharesUntouchedTagLists(t *testing.T) {
 		}
 		checkTagLists(t, merged)
 	}
+}
+
+// TestMergeUniverseGrowthSharesArrays: a batch that only grows the
+// universe — a Befriend that interns a new user, an item or tag
+// registered and not used yet — copies nothing the growth does not
+// lengthen: the new store has the very arrays of the old one.
+func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
+	old := smallStore(t)
+	grown, err := old.Merge(nil, old.NumUsers()+2, old.NumItems()+1, old.NumTags()+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grown == old || grown.NumUsers() != 5 || grown.NumItems() != 5 || grown.NumTags() != 4 {
+		t.Fatalf("grown store is %d×%d×%d", grown.NumUsers(), grown.NumItems(), grown.NumTags())
+	}
+	if &grown.utTags[0] != &old.utTags[0] || &grown.itTags[0] != &old.itTags[0] || &grown.itTF[0] != &old.itTF[0] {
+		t.Fatal("utTags, itTags or itTF was copied, not shared")
+	}
+	for tag, was := range old.byTag { // every tag of smallStore has a list
+		is := grown.byTag[tag]
+		if &is.users[0] != &was.users[0] || &is.off[0] != &was.off[0] || &is.post[0] != &was.post[0] {
+			t.Fatalf("the lists of tag %d were copied, not shared", tag)
+		}
+		if &grown.global[tag][0] != &old.global[tag][0] {
+			t.Fatalf("the global list of tag %d was copied, not shared", tag)
+		}
+	}
+	if len(grown.UserTags(4)) != 0 || grown.GlobalTF(4, 3) != 0 || grown.UserList(4, 3) != nil || grown.MaxTF(3) != 0 {
+		t.Fatal("the new ids own something")
+	}
+	checkTriples(t, grown, old)
+	checkTagLists(t, grown)
 }
 
 // TestNoUniverseLimit: stores used to pack (user, item, tag) into 21
