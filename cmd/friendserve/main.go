@@ -5,9 +5,7 @@
 // Usage:
 //
 //	friendserve [-addr :8080] [-dir /var/lib/friendsearch] [-demo]
-//	            [-cache-size 256] [-cache-shards 4] [-cache-ttl 0]
-//	            [-cache-min-horizon 0] [-cache-min-misses 0]
-//	            [-drain 500ms]
+//	            [-cache-size 256] [-drain 500ms]
 //	            [-admit] [-admit-window 8] [-admit-max-window 256]
 //	            [-admit-queue 128] [-admit-queue-deadline 500ms]
 //	            [-log-format text] [-pprof] [-trace-sample 16]
@@ -78,9 +76,9 @@
 // the process keeps serving for -drain so load balancers notice, then
 // in-flight requests get 10s to finish.
 //
-// The -cache-* flags tune the sharded seeker-horizon cache: total entry
-// budget, shard count, entry TTL, and the admission thresholds (minimum
-// horizon size, minimum miss streak). -cache-size -1 disables caching.
+// -cache-size bounds the seeker-horizon cache, which stripes its lock
+// by that capacity (one stripe per 64 entries); -cache-size -1 disables
+// caching.
 //
 // -admit enables adaptive overload control (docs/overload.md): an AIMD
 // concurrency window with a deadline-budgeted FIFO queue in front of
@@ -123,7 +121,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/quorum"
 	"repro/internal/server"
 	"repro/internal/social"
@@ -138,11 +135,7 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	dir := flag.String("dir", "", "durable state directory (empty: in-memory)")
 	demo := flag.Bool("demo", false, "preload a small demo corpus")
-	cacheSize := flag.Int("cache-size", 0, "total seeker-cache entries across shards (0 = default, negative disables)")
-	cacheShards := flag.Int("cache-shards", 0, "seeker-cache shard count (0 = default)")
-	cacheTTL := flag.Duration("cache-ttl", 0, "seeker-cache entry TTL (0 = never expire)")
-	cacheMinHorizon := flag.Int("cache-min-horizon", 0, "do not cache horizons smaller than this many users")
-	cacheMinMisses := flag.Int("cache-min-misses", 0, "cache a seeker only after this many misses")
+	cacheSize := flag.Int("cache-size", 0, "seeker-cache entries (0 = default, negative disables)")
 	drain := flag.Duration("drain", 500*time.Millisecond, "keep serving this long after /readyz flips to 503 on shutdown")
 	replica := flag.Bool("replica", false, "serve as a fleet replica (compaction deferred to the front-end's heartbeat)")
 	joinURL := flag.String("join", "", "replica: ask this front-end to adopt this process into the fleet once serving (elastic join)")
@@ -229,12 +222,6 @@ func main() {
 	} else {
 		svcCfg := social.DefaultServiceConfig()
 		svcCfg.SeekerCacheSize = *cacheSize
-		svcCfg.CacheShards = *cacheShards
-		svcCfg.CachePolicy = qcache.Policy{
-			TTL:             *cacheTTL,
-			MinHorizonUsers: *cacheMinHorizon,
-			MinMisses:       *cacheMinMisses,
-		}
 		if *replica {
 			svcCfg.AutoCompactEvery = replicaCompactEvery
 		}

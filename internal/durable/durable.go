@@ -119,7 +119,7 @@ type journal struct {
 // the snapshot does not cover through the service's own apply path,
 // then attach the journal so every later mutation is logged first.
 func Open(dir string, cfg Config) (*social.Service, error) {
-	if cfg.Service.IsZero() {
+	if cfg.Service == (social.ServiceConfig{}) {
 		cfg.Service = social.DefaultServiceConfig()
 	}
 	if cfg.CheckpointEvery < 0 {

@@ -552,7 +552,7 @@ func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error
 }
 
 // CachedSeekers lists the replica's resident cached seekers (GET
-// /v2/cache/seekers), hottest first per shard — the enumeration half
+// /v2/cache/seekers), hottest first per cache stripe — the enumeration half
 // of the resize pre-warm.
 func (c *Client) CachedSeekers(ctx context.Context) ([]string, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)

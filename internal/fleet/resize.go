@@ -229,7 +229,7 @@ func (f *Frontend) warmJoiner(ctx context.Context, joiner *Client, slot int) (in
 }
 
 // MaxWarmBatch bounds one resize's pre-warm transfer; seekers beyond it
-// (coldest last — CachedSeekers returns hottest-first per shard) warm
+// (coldest last — CachedSeekers returns hottest-first per stripe) warm
 // on first query instead.
 const MaxWarmBatch = 16384
 

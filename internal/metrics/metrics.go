@@ -19,12 +19,11 @@ import (
 // CacheCounters accumulates cache-effectiveness events. All methods are
 // safe for concurrent use; the zero value is ready.
 type CacheCounters struct {
-	hits            atomic.Int64
-	misses          atomic.Int64
-	invalidations   atomic.Int64
-	evictions       atomic.Int64
-	expirations     atomic.Int64
-	admissionDenied atomic.Int64
+	hits          atomic.Int64
+	misses        atomic.Int64
+	invalidations atomic.Int64
+	evictions     atomic.Int64
+	expirations   atomic.Int64
 }
 
 // Hit records a cache hit.
@@ -40,49 +39,31 @@ func (c *CacheCounters) Invalidation(n int) { c.invalidations.Add(int64(n)) }
 // Eviction records n entries dropped by the capacity policy.
 func (c *CacheCounters) Eviction(n int) { c.evictions.Add(int64(n)) }
 
-// Expiration records n entries dropped by the TTL policy.
+// Expiration records n entries dropped for being older than a lookup's
+// age bound.
 func (c *CacheCounters) Expiration(n int) { c.expirations.Add(int64(n)) }
-
-// AdmissionDenied records an insert refused by the admission policy
-// (entry too small, or the key not yet hot enough to cache).
-func (c *CacheCounters) AdmissionDenied() { c.admissionDenied.Add(1) }
 
 // Snapshot returns a consistent-enough copy for reporting. Counters are
 // read individually; a concurrent writer may land between reads, which
 // is acceptable for observability.
 func (c *CacheCounters) Snapshot() CacheSnapshot {
 	return CacheSnapshot{
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
-		Invalidations:   c.invalidations.Load(),
-		Evictions:       c.evictions.Load(),
-		Expirations:     c.expirations.Load(),
-		AdmissionDenied: c.admissionDenied.Load(),
+		Hits:          c.hits.Load(),
+		Misses:        c.misses.Load(),
+		Invalidations: c.invalidations.Load(),
+		Evictions:     c.evictions.Load(),
+		Expirations:   c.expirations.Load(),
 	}
 }
 
 // CacheSnapshot is a point-in-time view of CacheCounters, shaped for
 // JSON stats endpoints.
 type CacheSnapshot struct {
-	Hits            int64
-	Misses          int64
-	Invalidations   int64
-	Evictions       int64
-	Expirations     int64
-	AdmissionDenied int64
-}
-
-// Add returns the element-wise sum of two snapshots; shard fleets use it
-// to aggregate per-shard counters into one fleet-wide view.
-func (s CacheSnapshot) Add(o CacheSnapshot) CacheSnapshot {
-	return CacheSnapshot{
-		Hits:            s.Hits + o.Hits,
-		Misses:          s.Misses + o.Misses,
-		Invalidations:   s.Invalidations + o.Invalidations,
-		Evictions:       s.Evictions + o.Evictions,
-		Expirations:     s.Expirations + o.Expirations,
-		AdmissionDenied: s.AdmissionDenied + o.AdmissionDenied,
-	}
+	Hits          int64
+	Misses        int64
+	Invalidations int64
+	Evictions     int64
+	Expirations   int64
 }
 
 // HitRate returns hits/(hits+misses), or 0 before any lookup.

@@ -53,8 +53,8 @@ func servingHorizons(b *testing.B, n int) (horizons []*core.SeekerHorizon, users
 
 // BenchmarkPutEvict times what the cache adds to a miss once it is
 // full: one Put of a seeker that is not resident, which evicts the LRU
-// tail. 64 entries is one shard of social's default cache (256 over 4
-// shards); the cost does not depend on the horizon's size.
+// tail. 64 entries is one stripe, as in social's default cache (256
+// entries, 4 stripes); the cost does not depend on the horizon's size.
 func BenchmarkPutEvict(b *testing.B) {
 	const capacity = 64
 	horizons, _ := servingHorizons(b, 4*capacity)
@@ -80,11 +80,11 @@ func BenchmarkPutEvict(b *testing.B) {
 
 // BenchmarkInvalidateEdges times the scan at its worst: every resident
 // horizon is searched to its last member and none is dropped, because
-// the batch's endpoints are random odd ids (see servingHorizons). That
-// is the longest one batch can hold the shard lock. 64 entries is one
-// default shard, 4,096 is 64 of them; 256 edges is the most a
-// compaction scopes (social.DefaultEdgeScopeLimit) before it falls back
-// to Invalidate.
+// the batch's endpoints are random odd ids (see servingHorizons). 64
+// entries is one stripe, the longest one batch holds a stripe lock;
+// 4,096 is 64 stripes, each scanned under its own lock in turn. 256
+// edges is the most a compaction scopes (social.DefaultEdgeScopeLimit)
+// before it falls back to Invalidate.
 func BenchmarkInvalidateEdges(b *testing.B) {
 	sizes := []int{64, 4096}
 	horizons, users := servingHorizons(b, sizes[len(sizes)-1])
@@ -93,10 +93,12 @@ func BenchmarkInvalidateEdges(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		members := 0
 		for i, h := range horizons[:entries] {
 			c.Put(graph.UserID(i), c.Generation(), h)
-			members += h.Size()
+		}
+		members := 0
+		for _, u := range c.Seekers() {
+			members += horizons[u].Size()
 		}
 		for _, edges := range []int{1, 16, 256} {
 			rng := rand.New(rand.NewSource(int64(edges)))

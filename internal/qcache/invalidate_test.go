@@ -77,12 +77,12 @@ func TestInvalidateEdgeScopedToMembers(t *testing.T) {
 	if ngen != gen+1 {
 		t.Fatalf("generation %d after edge invalidation, want %d", ngen, gen+1)
 	}
-	if _, ok := c.Get(0, ngen); ok {
+	if _, ok := c.Lookup(0, ngen, 0); ok {
 		t.Fatal("affected horizon served after edge invalidation")
 	}
 	// The survivor stays a hit under the NEW generation: that is the
 	// whole point of edge scoping.
-	if _, ok := c.Get(5, ngen); !ok {
+	if _, ok := c.Lookup(5, ngen, 0); !ok {
 		t.Fatal("unaffected horizon dropped by edge invalidation")
 	}
 	s := c.Counters()
@@ -127,7 +127,7 @@ func TestInvalidateEdgesBatchOneGeneration(t *testing.T) {
 	if got := c.Generation(); got != gen+1 {
 		t.Fatalf("batch invalidation bumped generation to %d, want %d", got, gen+1)
 	}
-	if _, ok := c.Get(6, c.Generation()); !ok {
+	if _, ok := c.Lookup(6, c.Generation(), 0); !ok {
 		t.Fatal("survivor dropped")
 	}
 	if c.Len() != 1 {
@@ -153,7 +153,7 @@ func TestLargeHorizonIsScopedNotWildcard(t *testing.T) {
 	if n := c.InvalidateEdge(comp+5, comp+6); n != 0 {
 		t.Fatalf("edge in the other component dropped %d entries, want 0", n)
 	}
-	if _, ok := c.Get(0, c.Generation()); !ok {
+	if _, ok := c.Lookup(0, c.Generation(), 0); !ok {
 		t.Fatal("large horizon dropped by an edge that cannot reach it")
 	}
 	if n := c.InvalidateEdge(comp-1, comp+6); n != 1 {
@@ -176,7 +176,7 @@ func TestMemberIndexFollowsEvictionAndRefresh(t *testing.T) {
 	c.Put(3, gen, horizonFor(t, e, 3))
 	c.Put(0, gen, horizonFor(t, e, 0)) // refresh in place
 	c.Put(6, gen, horizonFor(t, e, 6)) // evicts seeker 3 (LRU tail)
-	if _, ok := c.Get(3, gen); ok {
+	if _, ok := c.Lookup(3, gen, 0); ok {
 		t.Fatal("evicted entry still resident")
 	}
 	if n := c.InvalidateEdge(4, 5); n != 0 {
@@ -198,121 +198,30 @@ func TestMemberIndexFollowsEvictionAndRefresh(t *testing.T) {
 	}
 }
 
+// TestTTLExpiry: an entry's time to live is the age bound of the lookup
+// that reads it (the per-query max_cache_age_ms), the only expiry there
+// is. An entry older than the bound misses, is reaped and counts as an
+// expiration; a looser bound still hits.
 func TestTTLExpiry(t *testing.T) {
 	e := componentsEngine(t, 1, 8)
-	now := time.Unix(1000, 0)
-	clock := func() time.Time { return now }
-	c, err := NewWithPolicy(4, Policy{TTL: time.Minute, Now: clock})
+	c, err := New(4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen := c.Generation()
 	c.Put(0, gen, horizonFor(t, e, 0))
-	now = now.Add(59 * time.Second)
-	if _, ok := c.Get(0, gen); !ok {
-		t.Fatal("entry expired before TTL")
+	c.Put(1, gen, horizonFor(t, e, 1))
+	time.Sleep(5 * time.Millisecond)
+	if _, ok := c.Lookup(0, gen, time.Hour); !ok {
+		t.Fatal("entry younger than the bound refused")
 	}
-	now = now.Add(2 * time.Second) // 61s since insert
-	if _, ok := c.Get(0, gen); ok {
-		t.Fatal("entry served past TTL")
+	if _, ok := c.Lookup(1, gen, time.Millisecond); ok {
+		t.Fatal("entry older than the bound served")
 	}
-	if c.Len() != 0 {
-		t.Fatal("expired entry not reaped")
+	if c.Len() != 1 {
+		t.Fatalf("len = %d, want the expired entry reaped", c.Len())
 	}
-	s := c.Counters()
-	if s.Expirations != 1 {
-		t.Fatalf("expirations = %d, want 1", s.Expirations)
-	}
-}
-
-func TestLookupMaxAgeTightensTTL(t *testing.T) {
-	e := componentsEngine(t, 1, 8)
-	now := time.Unix(1000, 0)
-	c, err := NewWithPolicy(4, Policy{TTL: time.Hour, Now: func() time.Time { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	c.Put(0, gen, horizonFor(t, e, 0))
-	now = now.Add(10 * time.Second)
-	if _, ok := c.Lookup(0, gen, time.Minute); !ok {
-		t.Fatal("fresh-enough entry refused")
-	}
-	if _, ok := c.Lookup(0, gen, 5*time.Second); ok {
-		t.Fatal("entry older than the per-query bound served")
-	}
-	// A maxAge looser than the policy TTL must not extend entry life.
-	c2, err := NewWithPolicy(4, Policy{TTL: 5 * time.Second, Now: func() time.Time { return now }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen2 := c2.Generation()
-	c2.Put(0, gen2, horizonFor(t, e, 0))
-	now = now.Add(10 * time.Second)
-	if _, ok := c2.Lookup(0, gen2, time.Hour); ok {
-		t.Fatal("per-query bound extended the policy TTL")
-	}
-}
-
-func TestAdmissionMinHorizonUsers(t *testing.T) {
-	e := componentsEngine(t, 2, 4) // components of 4 users
-	c, err := NewWithPolicy(4, Policy{MinHorizonUsers: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	if c.Put(0, gen, horizonFor(t, e, 0)) {
-		t.Fatal("undersized horizon admitted")
-	}
-	if got := c.Counters().AdmissionDenied; got != 1 {
-		t.Fatalf("admission rejections = %d, want 1", got)
-	}
-	c2, err := NewWithPolicy(4, Policy{MinHorizonUsers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c2.Put(0, c2.Generation(), horizonFor(t, e, 0)) {
-		t.Fatal("qualifying horizon refused")
-	}
-}
-
-func TestAdmissionMinMisses(t *testing.T) {
-	e := componentsEngine(t, 1, 8)
-	c, err := NewWithPolicy(4, Policy{MinMisses: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	c.Get(0, gen) // miss #1
-	if c.Put(0, gen, horizonFor(t, e, 0)) {
-		t.Fatal("seeker admitted after a single miss")
-	}
-	c.Get(0, gen) // miss #2
-	if !c.Put(0, gen, horizonFor(t, e, 0)) {
-		t.Fatal("seeker refused after reaching the miss threshold")
-	}
-	if _, ok := c.Get(0, gen); !ok {
-		t.Fatal("admitted entry not served")
-	}
-	// Admission resets the streak: after invalidation the seeker must
-	// miss MinMisses times again.
-	c.InvalidateEdge(0, 1)
-	ngen := c.Generation()
-	c.Get(0, ngen) // miss #1 of the new streak
-	if c.Put(0, ngen, horizonFor(t, e, 0)) {
-		t.Fatal("streak not reset by admission")
-	}
-}
-
-func TestPolicyValidation(t *testing.T) {
-	bad := []Policy{
-		{TTL: -time.Second},
-		{MinHorizonUsers: -1},
-		{MinMisses: -1},
-	}
-	for i, p := range bad {
-		if _, err := NewWithPolicy(4, p); err == nil {
-			t.Errorf("policy %d accepted: %+v", i, p)
-		}
+	if s := c.Counters(); s.Expirations != 1 || s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("counters = %+v, want 1 expiration, 1 hit, 1 miss", s)
 	}
 }

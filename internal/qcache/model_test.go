@@ -147,16 +147,6 @@ func (m *scanModel) invalidateEdges(w *scanWorld, edges [][2]graph.UserID) int {
 	return before - len(m.lru)
 }
 
-func (m *scanModel) invalidateSeeker(seeker graph.UserID) bool {
-	i := m.find(seeker)
-	if i < 0 {
-		return false
-	}
-	m.lru = slices.Delete(m.lru, i, i+1)
-	m.counters.Invalidations++
-	return true
-}
-
 const (
 	scanRecord   = 5  // bytes per script record: op, a, b, c, d
 	scanSeekers  = 12 // seeker ids the script uses: twice the capacity, so Puts refresh and evict
@@ -177,8 +167,7 @@ const (
 //	    so whether anything drops hangs on one endpoint — often the
 //	    lowest or the highest of the batch
 //	6   Invalidate
-//	7   InvalidateSeeker(a mod 12)
-//	8–9 Lookup(a mod 12) — under a superseded generation when b mod 4 = 0
+//	7–9 Lookup(a mod 12) — under a superseded generation when b mod 4 = 0
 //
 // and after every record the returned value, the generation, the
 // survivors in LRU order and the counters must agree; at the end every
@@ -239,9 +228,7 @@ func checkScanScript(t *testing.T, data []byte) {
 			c.Invalidate()
 			m.gen++
 			m.floor = m.gen
-		case 7:
-			got, want = c.InvalidateSeeker(seeker), m.invalidateSeeker(seeker)
-		case 8, 9:
+		case 7, 8, 9:
 			gen := c.Generation()
 			if b%4 == 0 {
 				gen--
@@ -312,7 +299,7 @@ func scanSeeds() [][]byte {
 }
 
 // TestInvalidationMatchesModel: through Puts, refreshes, evictions,
-// full and per-seeker invalidations and lookups, an edge batch of 1 to
+// full invalidations and lookups, an edge batch of 1 to
 // 512 endpoints — duplicates, self-pairs and ids no horizon holds
 // included — drops exactly the resident entries whose horizon holds an
 // endpoint, over horizons of 1 to 3,000 users, full and truncated.

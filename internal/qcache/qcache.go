@@ -34,17 +34,10 @@
 // not invalidate: callers bump the generation only when friend edges
 // reach the queryable snapshot.
 //
-// # Admission and expiry
-//
-// Policy adds serving-fleet hygiene: TTL expires entries by age (so a
-// quiet seeker's horizon does not pin memory forever), MinHorizonUsers
-// refuses to cache horizons too small to be worth the slot (they are
-// cheap to rematerialize), and MinMisses caches a seeker only after it
-// has missed that many times (one-shot seekers never enter). Cache
-// effectiveness is observable through metrics.CacheCounters (hits,
-// misses, invalidations, evictions, expirations, admission rejections),
-// which internal/social surfaces in its Stats and the HTTP server
-// exposes on /v1/stats.
+// Cache effectiveness is observable through metrics.CacheCounters
+// (hits, misses, invalidations, evictions, expirations), which
+// internal/social surfaces in its Stats and the HTTP server exposes on
+// /v1/stats.
 package qcache
 
 import (
@@ -52,6 +45,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -59,48 +53,45 @@ import (
 	"repro/internal/metrics"
 )
 
-// Policy tunes admission and expiry. The zero value admits everything
-// and never expires — the behaviour before policies existed.
-type Policy struct {
-	// TTL expires entries older than this on lookup (0 = never).
-	TTL time.Duration
-	// MinHorizonUsers refuses to cache horizons with fewer materialized
-	// users than this (0 or 1 = admit all sizes).
-	MinHorizonUsers int
-	// MinMisses admits a seeker only after it has missed this many times
-	// since its last cached entry (≤ 1 = admit on first miss).
-	MinMisses int
-	// Now is the clock (nil = time.Now); injectable for tests.
-	Now func() time.Time
-}
-
-// Validate checks policy ranges.
-func (p Policy) Validate() error {
-	if p.TTL < 0 {
-		return fmt.Errorf("qcache: negative TTL %v", p.TTL)
-	}
-	if p.MinHorizonUsers < 0 || p.MinMisses < 0 {
-		return fmt.Errorf("qcache: negative admission threshold")
-	}
-	return nil
-}
+// stripeEntries is the most entries one lock stripe holds. An
+// invalidation scan holds a stripe's lock for time linear in the
+// stripe's resident users, so the capacity sets the stripe count rather
+// than a knob: 256 entries are 4 stripes of 64, and any capacity up to
+// 64 is one stripe — one exact LRU.
+const stripeEntries = 64
 
 // Cache is a generation-stamped LRU of seeker horizons with edge-scoped
 // invalidation. It is safe for concurrent use.
+//
+// It is split into ⌈capacity/64⌉ lock stripes, each an independent LRU
+// of at most ⌈capacity/stripes⌉ entries; a seeker's stripe is a
+// multiplicative hash of its id. The generation and the staleness floor
+// are the whole cache's. The invariant that keeps a racing Put from
+// installing a stale horizon: an invalidation bumps the generation
+// before it scans any stripe, and Put checks the generation and links
+// the entry under the same stripe lock — so a Put either runs before
+// the scan reaches its stripe (and is scanned) or after it (and sees
+// the new generation and is refused).
 type Cache struct {
-	capacity int
-	policy   Policy
-	now      func() time.Time
+	// gen and floor are written only under mu; floor is stored before
+	// gen, so a reader that sees a generation also sees its floor.
+	gen   atomic.Uint64
+	floor atomic.Uint64 // entries stamped below floor are stale (full invalidation)
 
-	mu        sync.Mutex
-	gen       uint64
-	floor     uint64     // entries stamped below floor are stale (full invalidation)
-	lru       *list.List // of *entry, front = most recently used
-	index     map[graph.UserID]*list.Element
-	misses    map[graph.UserID]int // per-seeker miss streaks (MinMisses > 1 only)
-	endpoints []graph.UserID       // scratch for InvalidateEdges, reused across calls
-	free      []*entry             // recycled entries, bounded by capacity
-	counters  metrics.CacheCounters
+	mu        sync.Mutex     // serializes invalidations
+	endpoints []graph.UserID // scratch for InvalidateEdges, reused across calls
+
+	stripes  []stripe
+	counters metrics.CacheCounters
+}
+
+// stripe is one independently locked LRU.
+type stripe struct {
+	mu       sync.Mutex
+	capacity int
+	lru      *list.List // of *entry, front = most recently used
+	index    map[graph.UserID]*list.Element
+	free     []*entry // recycled entries, bounded by capacity
 }
 
 type entry struct {
@@ -110,45 +101,35 @@ type entry struct {
 	horizon *core.SeekerHorizon
 }
 
-// New builds a cache bounded to capacity entries (≥ 1) with the zero
-// Policy (admit everything, never expire).
+// New builds a cache bounded to capacity entries (≥ 1).
 func New(capacity int) (*Cache, error) {
-	return NewWithPolicy(capacity, Policy{})
-}
-
-// NewWithPolicy builds a cache bounded to capacity entries (≥ 1) under
-// the given admission/expiry policy.
-func NewWithPolicy(capacity int, policy Policy) (*Cache, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("qcache: capacity %d must be >= 1", capacity)
 	}
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	now := policy.Now
-	if now == nil {
-		now = time.Now
-	}
-	c := &Cache{
-		capacity: capacity,
-		policy:   policy,
-		now:      now,
-		lru:      list.New(),
-		index:    make(map[graph.UserID]*list.Element),
-	}
-	if policy.MinMisses > 1 {
-		c.misses = make(map[graph.UserID]int)
+	n := (capacity + stripeEntries - 1) / stripeEntries
+	c := &Cache{stripes: make([]stripe, n)}
+	for i := range c.stripes {
+		c.stripes[i] = stripe{
+			capacity: (capacity + n - 1) / n,
+			lru:      list.New(),
+			index:    make(map[graph.UserID]*list.Element),
+		}
 	}
 	return c, nil
+}
+
+// stripeOf returns the seeker's stripe: a Fibonacci hash of the id,
+// reduced to the stripe count by a multiply-shift.
+func (c *Cache) stripeOf(seeker graph.UserID) *stripe {
+	h := uint64(uint32(seeker) * 0x9e3779b9)
+	return &c.stripes[h*uint64(len(c.stripes))>>32]
 }
 
 // Generation returns the current cache generation. Capture it before
 // materializing a horizon and pass it to Put: the pair brackets the
 // materialization so a concurrent graph mutation voids the insert.
 func (c *Cache) Generation() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.gen
+	return c.gen.Load()
 }
 
 // Invalidate bumps the generation and raises the staleness floor,
@@ -158,8 +139,9 @@ func (c *Cache) Generation() uint64 {
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
-	c.floor = c.gen
+	next := c.gen.Load() + 1
+	c.floor.Store(next)
+	c.gen.Store(next)
 }
 
 // InvalidateEdge drops the cached horizons a friendship mutation on
@@ -172,18 +154,15 @@ func (c *Cache) InvalidateEdge(u, v graph.UserID) int {
 }
 
 // InvalidateEdges is InvalidateEdge for a batch of mutated edges under
-// one lock acquisition and one generation bump — what a compaction that
-// folded many Befriends calls. It walks the LRU once, asking each
-// resident horizon whether it holds any endpoint of the batch: work
-// proportional to the cache's resident users, paid per friendship-
-// folding compaction instead of per Put and per eviction.
+// one generation bump — what a compaction that folded many Befriends
+// calls. It walks each stripe's LRU once under that stripe's lock,
+// asking each resident horizon whether it holds any endpoint of the
+// batch: work proportional to the cache's resident users, paid per
+// friendship-folding compaction instead of per Put and per eviction.
 func (c *Cache) InvalidateEdges(edges [][2]graph.UserID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gen++
-	if c.lru.Len() == 0 {
-		return 0
-	}
+	c.gen.Add(1) // before any stripe is scanned: see Cache
 	ends := c.endpoints[:0]
 	for _, e := range edges {
 		ends = append(ends, e[0], e[1])
@@ -192,196 +171,130 @@ func (c *Cache) InvalidateEdges(edges [][2]graph.UserID) int {
 	ends = slices.Compact(ends)
 	c.endpoints = ends
 	n := 0
-	for el := c.lru.Front(); el != nil; {
-		next := el.Next()
-		if el.Value.(*entry).horizon.HasAny(ends) {
-			c.removeLocked(el)
-			n++
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		for el := s.lru.Front(); el != nil; {
+			next := el.Next()
+			if el.Value.(*entry).horizon.HasAny(ends) {
+				s.remove(el)
+				n++
+			}
+			el = next
 		}
-		el = next
+		s.mu.Unlock()
 	}
 	c.counters.Invalidation(n)
 	return n
 }
 
-// Get returns the seeker's cached horizon if present, unexpired, and
-// valid under generation gen — the one the caller captured when pinning
-// its engine snapshot, so a hit is guaranteed consistent with that
-// snapshot. See Lookup for the age-bounded variant.
-func (c *Cache) Get(seeker graph.UserID, gen uint64) (*core.SeekerHorizon, bool) {
-	return c.Lookup(seeker, gen, 0)
-}
-
-// Lookup is Get with a per-query freshness bound: a maxAge > 0 tighter
-// than the policy TTL treats older entries as expired for this lookup
-// only (they are reaped, since the policy TTL would only keep them
-// dying slower). Entries below the staleness floor are reaped and
+// Lookup returns the seeker's cached horizon if present and valid under
+// generation gen — the one the caller captured when pinning its engine
+// snapshot, so a hit is guaranteed consistent with that snapshot. A
+// maxAge > 0 treats entries older than that as expired for this lookup
+// (they are reaped). Entries below the staleness floor are reaped and
 // counted as invalidations; expired ones as expirations; any non-hit is
 // reported as a miss.
 func (c *Cache) Lookup(seeker graph.UserID, gen uint64, maxAge time.Duration) (*core.SeekerHorizon, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
+	s := c.stripeOf(seeker)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gen != c.gen.Load() {
 		// The caller pinned a superseded snapshot; nothing we hold is
 		// certified consistent with it.
-		c.missLocked(seeker)
+		c.counters.Miss()
 		return nil, false
 	}
-	el, ok := c.index[seeker]
+	el, ok := s.index[seeker]
 	if !ok {
-		c.missLocked(seeker)
+		c.counters.Miss()
 		return nil, false
 	}
 	e := el.Value.(*entry)
-	if e.gen < c.floor {
-		c.removeLocked(el)
+	if e.gen < c.floor.Load() {
+		s.remove(el)
 		c.counters.Invalidation(1)
-		c.missLocked(seeker)
+		c.counters.Miss()
 		return nil, false
 	}
-	ttl := c.policy.TTL
-	if maxAge > 0 && (ttl == 0 || maxAge < ttl) {
-		ttl = maxAge
-	}
-	if ttl > 0 && c.now().Sub(e.at) > ttl {
-		c.removeLocked(el)
+	if maxAge > 0 && time.Since(e.at) > maxAge {
+		s.remove(el)
 		c.counters.Expiration(1)
-		c.missLocked(seeker)
+		c.counters.Miss()
 		return nil, false
 	}
-	c.lru.MoveToFront(el)
+	s.lru.MoveToFront(el)
 	c.counters.Hit()
 	return e.horizon, true
 }
 
-// missLocked counts a miss and advances the seeker's admission streak.
-// Callers hold c.mu.
-func (c *Cache) missLocked(seeker graph.UserID) {
-	c.counters.Miss()
-	if c.misses != nil {
-		// Bound the streak table: it only holds seekers missed since
-		// their last admission, but an adversarial key stream could grow
-		// it without bound — reset wholesale past a generous multiple of
-		// the capacity (streaks restart, costing at most MinMisses extra
-		// misses per live seeker).
-		if len(c.misses) > 8*c.capacity+1024 {
-			clear(c.misses)
-		}
-		c.misses[seeker]++
-	}
-}
-
 // Put installs a horizon materialized under generation gen, evicting
-// from the LRU tail to stay within capacity. It reports whether the
-// entry was accepted: a horizon whose generation is no longer current
-// was computed from a superseded graph and is dropped, and the
-// admission policy may refuse horizons too small or seekers too cold
-// to be worth a slot.
+// from the stripe's LRU tail to stay within capacity. It reports
+// whether the entry was accepted: a horizon whose generation is no
+// longer current was computed from a superseded graph and is dropped.
 func (c *Cache) Put(seeker graph.UserID, gen uint64, h *core.SeekerHorizon) bool {
-	return c.put(seeker, gen, h, true)
-}
-
-// Warm is Put minus the admission policy: it installs a horizon that
-// earned its slot elsewhere — a resize pre-warm transfers horizons that
-// were already resident on the replica previously owning the seeker, so
-// re-running cold-start admission (miss streaks, size floors) here
-// would refuse exactly the entries the transfer exists to save. The
-// generation check still applies: a horizon from a superseded snapshot
-// is dropped.
-func (c *Cache) Warm(seeker graph.UserID, gen uint64, h *core.SeekerHorizon) bool {
-	return c.put(seeker, gen, h, false)
-}
-
-func (c *Cache) put(seeker graph.UserID, gen uint64, h *core.SeekerHorizon, admit bool) bool {
 	if h == nil {
 		return false
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if gen != c.gen {
+	s := c.stripeOf(seeker)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if gen != c.gen.Load() {
 		return false
 	}
-	if admit && c.policy.MinHorizonUsers > 1 && h.Size() < c.policy.MinHorizonUsers {
-		c.counters.AdmissionDenied()
-		return false
-	}
-	if c.misses != nil {
-		if admit && c.misses[seeker] < c.policy.MinMisses {
-			c.counters.AdmissionDenied()
-			return false
-		}
-		delete(c.misses, seeker)
-	}
-	if el, ok := c.index[seeker]; ok {
+	if el, ok := s.index[seeker]; ok {
 		// Refresh in place (a concurrent duplicate materialization).
 		e := el.Value.(*entry)
 		e.horizon = h
 		e.gen = gen
-		e.at = c.now()
-		c.lru.MoveToFront(el)
+		e.at = time.Now()
+		s.lru.MoveToFront(el)
 		return true
 	}
 	var e *entry
-	if n := len(c.free); n > 0 {
-		e = c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
+	if n := len(s.free); n > 0 {
+		e = s.free[n-1]
+		s.free[n-1] = nil
+		s.free = s.free[:n-1]
 	} else {
 		e = &entry{}
 	}
-	e.seeker, e.gen, e.at, e.horizon = seeker, gen, c.now(), h
-	c.index[seeker] = c.lru.PushFront(e)
-	for c.lru.Len() > c.capacity {
-		c.removeLocked(c.lru.Back())
+	e.seeker, e.gen, e.at, e.horizon = seeker, gen, time.Now(), h
+	s.index[seeker] = s.lru.PushFront(e)
+	for s.lru.Len() > s.capacity {
+		s.remove(s.lru.Back())
 		c.counters.Eviction(1)
 	}
 	return true
 }
 
-// Seekers returns the seekers with resident horizons, hottest (most
-// recently used) first — the order a pre-warm transfer should replay
-// them in, so a bounded receiver keeps the valuable ones.
+// Seekers returns the seekers with resident horizons, stripe by stripe
+// and hottest (most recently used) first within each — the order a
+// pre-warm transfer should replay them in, so a bounded receiver keeps
+// the valuable ones.
 func (c *Cache) Seekers() []graph.UserID {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]graph.UserID, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		out = append(out, el.Value.(*entry).seeker)
+	var out []graph.UserID
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		for el := s.lru.Front(); el != nil; el = el.Next() {
+			out = append(out, el.Value.(*entry).seeker)
+		}
+		s.mu.Unlock()
 	}
 	return out
 }
 
-// InvalidateSeeker drops one seeker's entry (current or stale),
-// reporting whether one was removed.
-func (c *Cache) InvalidateSeeker(seeker graph.UserID) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.index[seeker]
-	if !ok {
-		return false
-	}
-	c.removeLocked(el)
-	c.counters.Invalidation(1)
-	return true
-}
-
-// Purge empties the cache without touching the generation or counting
-// invalidations (e.g. to release memory).
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.Init()
-	c.index = make(map[graph.UserID]*list.Element)
-	if c.misses != nil {
-		clear(c.misses)
-	}
-}
-
 // Len returns the number of resident entries, stale ones included.
 func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lru.Len()
+	n := 0
+	for i := range c.stripes {
+		s := &c.stripes[i]
+		s.mu.Lock()
+		n += s.lru.Len()
+		s.mu.Unlock()
+	}
+	return n
 }
 
 // Counters returns a snapshot of the effectiveness counters.
@@ -389,16 +302,16 @@ func (c *Cache) Counters() metrics.CacheSnapshot {
 	return c.counters.Snapshot()
 }
 
-// removeLocked unlinks an element and recycles its entry shell. Only
-// the shell is reused: the horizon it pointed at may still be held by
+// remove unlinks an element and recycles its entry shell. Only the
+// shell is reused: the horizon it pointed at may still be held by
 // in-flight readers, so it is unreferenced here but never written to.
-// Callers hold c.mu.
-func (c *Cache) removeLocked(el *list.Element) {
+// Callers hold s.mu.
+func (s *stripe) remove(el *list.Element) {
 	e := el.Value.(*entry)
-	c.lru.Remove(el)
-	delete(c.index, e.seeker)
+	s.lru.Remove(el)
+	delete(s.index, e.seeker)
 	e.horizon = nil
-	if len(c.free) < c.capacity {
-		c.free = append(c.free, e)
+	if len(s.free) < s.capacity {
+		s.free = append(s.free, e)
 	}
 }

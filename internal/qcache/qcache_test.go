@@ -30,8 +30,18 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("capacity %d accepted", capacity)
 		}
 	}
-	if _, err := New(1); err != nil {
-		t.Fatal(err)
+	// ⌈capacity/64⌉ stripes of ⌈capacity/stripes⌉ entries each.
+	for _, tc := range []struct{ capacity, stripes, per int }{
+		{1, 1, 1}, {64, 1, 64}, {65, 2, 33}, {150, 3, 50}, {256, 4, 64}, {4096, 64, 64},
+	} {
+		c, err := New(tc.capacity)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.stripes) != tc.stripes || c.stripes[0].capacity != tc.per {
+			t.Errorf("capacity %d: %d stripes of %d, want %d of %d",
+				tc.capacity, len(c.stripes), c.stripes[0].capacity, tc.stripes, tc.per)
+		}
 	}
 }
 
@@ -42,20 +52,20 @@ func TestHitMissAndLRUOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := c.Generation()
-	if _, ok := c.Get(0, gen); ok {
+	if _, ok := c.Lookup(0, gen, 0); ok {
 		t.Fatal("hit on empty cache")
 	}
 	c.Put(0, gen, horizonFor(t, e, 0))
 	c.Put(1, gen, horizonFor(t, e, 1))
-	if h, ok := c.Get(0, gen); !ok || h.Seeker() != 0 {
-		t.Fatalf("Get(0) = %v, %v", h, ok)
+	if h, ok := c.Lookup(0, gen, 0); !ok || h.Seeker() != 0 {
+		t.Fatalf("Lookup(0) = %v, %v", h, ok)
 	}
 	// 1 is now least recently used; inserting 2 evicts it.
 	c.Put(2, gen, horizonFor(t, e, 2))
-	if _, ok := c.Get(1, gen); ok {
+	if _, ok := c.Lookup(1, gen, 0); ok {
 		t.Fatal("evicted entry still resident")
 	}
-	if _, ok := c.Get(0, gen); !ok {
+	if _, ok := c.Lookup(0, gen, 0); !ok {
 		t.Fatal("recently used entry evicted")
 	}
 	s := c.Counters()
@@ -72,11 +82,11 @@ func TestGenerationInvalidation(t *testing.T) {
 	}
 	gen := c.Generation()
 	c.Put(3, gen, horizonFor(t, e, 3))
-	if _, ok := c.Get(3, gen); !ok {
+	if _, ok := c.Lookup(3, gen, 0); !ok {
 		t.Fatal("fresh entry missed")
 	}
 	c.Invalidate()
-	if _, ok := c.Get(3, c.Generation()); ok {
+	if _, ok := c.Lookup(3, c.Generation(), 0); ok {
 		t.Fatal("stale entry served after Invalidate")
 	}
 	if c.Len() != 0 {
@@ -99,7 +109,7 @@ func TestPutRefusesStaleGeneration(t *testing.T) {
 	if c.Put(2, gen, horizonFor(t, e, 2)) {
 		t.Fatal("Put accepted a horizon from a superseded generation")
 	}
-	if _, ok := c.Get(2, c.Generation()); ok {
+	if _, ok := c.Lookup(2, c.Generation(), 0); ok {
 		t.Fatal("stale horizon resident")
 	}
 	if !c.Put(2, c.Generation(), horizonFor(t, e, 2)) {
@@ -125,43 +135,6 @@ func TestPutNilAndRefresh(t *testing.T) {
 	}
 }
 
-func TestInvalidateSeeker(t *testing.T) {
-	e := testEngine(t, 8)
-	c, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	c.Put(0, gen, horizonFor(t, e, 0))
-	c.Put(1, gen, horizonFor(t, e, 1))
-	if !c.InvalidateSeeker(0) {
-		t.Fatal("resident entry not invalidated")
-	}
-	if c.InvalidateSeeker(0) {
-		t.Fatal("absent entry reported invalidated")
-	}
-	if _, ok := c.Get(1, gen); !ok {
-		t.Fatal("unrelated entry dropped")
-	}
-}
-
-func TestPurge(t *testing.T) {
-	e := testEngine(t, 8)
-	c, err := New(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := c.Generation()
-	c.Put(0, gen, horizonFor(t, e, 0))
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len = %d after Purge", c.Len())
-	}
-	if c.Generation() != gen {
-		t.Fatal("Purge moved the generation")
-	}
-}
-
 // TestConcurrentUse exercises the cache under racing readers, writers,
 // and invalidators; run with -race.
 func TestConcurrentUse(t *testing.T) {
@@ -181,10 +154,10 @@ func TestConcurrentUse(t *testing.T) {
 				case 0:
 					c.Invalidate()
 				case 1:
-					c.InvalidateSeeker(seeker)
+					c.InvalidateEdge(seeker, seeker+1)
 				default:
 					gen := c.Generation()
-					if _, ok := c.Get(seeker, gen); !ok {
+					if _, ok := c.Lookup(seeker, gen, 0); !ok {
 						c.Put(seeker, gen, horizonFor(t, e, seeker))
 					}
 				}

@@ -20,7 +20,9 @@ import (
 // affected by every mutation while component-B horizons never are. The
 // "graph version" of component A is tracked in the harness; horizons
 // are pre-materialized per (seeker, version) so a served horizon's
-// version is recoverable by pointer identity.
+// version is recoverable by pointer identity. The cache has four lock
+// stripes and the eight seekers land in all of them, so Puts race scans
+// that have and have not reached their stripe yet.
 func TestEdgeInvalidationNeverServesStale(t *testing.T) {
 	const (
 		versions = 64
@@ -28,13 +30,20 @@ func TestEdgeInvalidationNeverServesStale(t *testing.T) {
 		lookups  = 400
 	)
 	e := componentsEngine(t, 2, 4)
-	c, err := New(16)
+	c, err := New(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	seekersA := []graph.UserID{0, 1, 2, 3}
 	seekersB := []graph.UserID{4, 5, 6, 7}
+	used := make(map[*stripe]bool)
+	for _, s := range append(append([]graph.UserID(nil), seekersA...), seekersB...) {
+		used[c.stripeOf(s)] = true
+	}
+	if len(used) != len(c.stripes) {
+		t.Fatalf("seekers use %d of %d stripes", len(used), len(c.stripes))
+	}
 
 	// Pre-materialize distinct horizon objects per (seeker, version) and
 	// index them by identity. Read-only during the stress phase.

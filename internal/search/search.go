@@ -188,10 +188,10 @@ type Request struct {
 	// one-shot seekers a caller knows will not repeat, and as the
 	// ground-truth path when auditing cache consistency.
 	NoCache bool
-	// MaxCacheAgeMS tightens the serving cache's TTL for this query: a
+	// MaxCacheAgeMS bounds the age of a cached horizon for this query: a
 	// cached horizon older than this many milliseconds is treated as a
-	// miss (and re-materialized fresh). 0 defers to the server's cache
-	// policy; it cannot loosen that policy. Negative is invalid.
+	// miss (and re-materialized fresh). 0 accepts any age. Negative is
+	// invalid.
 	MaxCacheAgeMS int64
 	// Explain asks the engine to report how it answered the query.
 	Explain bool
@@ -339,9 +339,6 @@ type Explain struct {
 	// stamped with (both zero when no horizon or no cache was involved).
 	CacheHit        bool   `json:"cache_hit"`
 	CacheGeneration uint64 `json:"cache_generation"`
-	// CacheShard is the index of the cache shard that owns this seeker
-	// (0 on unsharded or cacheless deployments).
-	CacheShard int `json:"cache_shard"`
 	// UsersSettled, SequentialAccesses and RandomAccesses are the
 	// engine's hardware-independent cost counters for this execution.
 	UsersSettled       int   `json:"users_settled"`

@@ -68,13 +68,12 @@
 // voids the rest of the batch. Malformed envelopes (bad JSON, no
 // queries, too many queries, oversized bodies) are rejected with 400
 // before anything executes. Backends serve searches through a
-// mutation-aware, sharded per-seeker horizon cache (see internal/qcache
-// and internal/shard) with edge-scoped invalidation: a compacted
-// friendship mutation drops only the cached horizons that could contain
-// its endpoints. Aggregated hit/miss/invalidation/eviction/expiration
-// counters appear under SeekerCache in /v1/stats, with per-shard
-// breakdowns under SeekerCacheShards; the v2 per-query knobs "no_cache"
-// and "max_cache_age_ms" bypass or age-bound the cache for one query.
+// mutation-aware per-seeker horizon cache (see internal/qcache) with
+// edge-scoped invalidation: a compacted friendship mutation drops only
+// the cached horizons that could contain its endpoints. Hit/miss/
+// invalidation/eviction/expiration counters appear under SeekerCache
+// in /v1/stats; the v2 per-query knobs "no_cache" and
+// "max_cache_age_ms" bypass or age-bound the cache for one query.
 //
 // Client errors (validation, unknown names, malformed JSON) map to
 // 400; wrong methods to 405; a request whose context is cancelled —
@@ -1379,7 +1378,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheSeekers lists the seekers with resident cached horizons
-// (hottest first per shard) — the enumeration half of the pre-warm
+// (hottest first per cache stripe) — the enumeration half of the pre-warm
 // plane a resize orchestrator drives.
 func (s *Server) handleCacheSeekers(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodGet) {
@@ -1399,8 +1398,8 @@ func (s *Server) handleCacheSeekers(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleCacheWarm materializes the given seekers' horizons into the
-// cache, bypassing cold-start admission — the install half of the
-// pre-warm plane. Unknown seekers are skipped, not errors.
+// cache — the install half of the pre-warm plane. Unknown seekers are
+// skipped, not errors.
 func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return

@@ -1,20 +1,16 @@
-// Package shard is the sharded serving spine: it partitions seekers
-// across N shards by consistent hashing (Ring) so each shard owns its
-// seekers' cached horizons (Caches); one level up, internal/fleet
-// routes whole requests across replica processes over the same Ring.
+// Package shard is the consistent-hash ring internal/fleet routes
+// seekers across replica processes with.
 //
 // Consistent hashing — a ring of virtual nodes rather than a plain
-// modulus — is deliberate: shard ownership is stable under fleet
-// resizing (growing from N to N+1 shards remaps only ~1/(N+1) of the
-// seekers), which is the property the later multi-process fleet needs
-// to warm new replicas without cold-starting every cache at once.
+// modulus — is deliberate: ownership is stable under fleet resizing
+// (growing from N to N+1 slots remaps only ~1/(N+1) of the seekers),
+// which is what lets an elastic resize warm exactly the moved slice
+// instead of cold-starting every replica's cache at once.
 package shard
 
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/graph"
 )
 
 // DefaultVirtualNodes is the number of ring points per shard. 64 keeps
@@ -115,22 +111,6 @@ func (r *Ring) HasSlot(slot int) bool {
 	return i < len(r.slots) && r.slots[i] == slot
 }
 
-// Owner returns the shard owning an arbitrary pre-hashed key: the first
-// ring point at or clockwise-after the key's hash.
-func (r *Ring) Owner(key uint64) int {
-	h := fnv1a(key)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	if i == len(r.points) {
-		i = 0
-	}
-	return r.points[i].shard
-}
-
-// OwnerUser returns the shard owning a seeker id.
-func (r *Ring) OwnerUser(u graph.UserID) int {
-	return r.Owner(uint64(uint32(u)))
-}
-
 // OwnerString returns the shard owning a string key (a name-level
 // seeker a router sees before id resolution).
 func (r *Ring) OwnerString(s string) int {
@@ -201,9 +181,8 @@ const (
 
 // fnv1a hashes the 8 bytes of v, little-endian, then avalanches the
 // result. The finalizer matters: plain FNV-1a has weak diffusion on
-// the highly structured inputs this ring hashes — sequential user ids
-// and (shard, vnode) labels — leaving the ring's shard sequence nearly
-// periodic, which both skews load and, worse, concentrates a dead
+// the highly structured (slot, vnode) labels this ring hashes, leaving
+// the ring's shard sequence nearly periodic, which both skews load and, worse, concentrates a dead
 // shard's failover spill (SuccessorsString) onto a single survivor.
 func fnv1a(v uint64) uint64 {
 	h := uint64(fnvOffset)

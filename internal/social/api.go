@@ -138,17 +138,16 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 	// view yet) falls back wholesale to the locked path, which sees
 	// every name. Consistency without the lock comes from the view
 	// being immutable: its dictionaries, engine snapshot and cache
-	// generations were captured together, and qcache's exact-generation
+	// generation were captured together, and qcache's exact-generation
 	// matching turns a stale pinned generation into a clean miss rather
 	// than a stale answer.
 	var (
-		uid        int32
-		eng        *core.Engine
-		cache      *qcache.Cache
-		cacheShard int
-		gen        uint64
-		v          *queryView
-		viewOK     bool
+		uid    int32
+		eng    *core.Engine
+		cache  *qcache.Cache
+		gen    uint64
+		v      *queryView
+		viewOK bool
 	)
 	if v = s.view.Load(); v != nil {
 		if id, ok := v.users.ID(req.Seeker); ok {
@@ -165,10 +164,8 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 			if resolved {
 				uid = id
 				eng = v.eng
-				if v.gens != nil && !req.NoCache {
-					cacheShard = s.caches.ShardFor(uid)
-					cache = s.caches.Shard(cacheShard)
-					gen = v.gens[cacheShard]
+				if s.cache != nil && !req.NoCache {
+					cache, gen = s.cache, v.gen
 				}
 				viewOK = true
 			}
@@ -201,10 +198,8 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 			s.mu.Unlock()
 			return err
 		}
-		if s.caches != nil && !req.NoCache {
-			cacheShard = s.caches.ShardFor(uid)
-			cache = s.caches.Shard(cacheShard)
-			gen = cache.Generation()
+		if s.cache != nil && !req.NoCache {
+			cache, gen = s.cache, s.cache.Generation()
 		}
 		s.mu.Unlock()
 	}
@@ -228,7 +223,7 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 		bst = nil // NoCache promises a fresh horizon; no burst reuse
 	}
 
-	sc.ex = search.Explain{Mode: req.Mode.String(), Beta: qeng.Beta(), CacheShard: cacheShard}
+	sc.ex = search.Explain{Mode: req.Mode.String(), Beta: qeng.Beta()}
 	q := core.Query{Seeker: uid, Tags: sc.tagIDs, K: req.K + req.Offset}
 	if err := s.execute(ctx, qeng, q, req, cache, gen, bst, &sc.ex, &sc.ans); err != nil {
 		return err
@@ -304,8 +299,8 @@ func (s *Service) lockedItemName(id int32) (string, bool) {
 
 // execute runs the id-space query against the pinned snapshot in the
 // requested mode, filling the execution half of ex as it goes. cache is
-// the seeker's owning cache shard (nil when caching is disabled or the
-// request opted out); ans is the caller's reused answer.
+// the seeker cache (nil when caching is disabled or the request opted
+// out); ans is the caller's reused answer.
 func (s *Service) execute(ctx context.Context, eng *core.Engine, q core.Query, req search.Request, cache *qcache.Cache, gen uint64, bst *burst, ex *search.Explain, ans *core.Answer) error {
 	maxAge := time.Duration(req.MaxCacheAgeMS) * time.Millisecond
 	switch req.Mode {
@@ -350,14 +345,14 @@ func (s *Service) execute(ctx context.Context, eng *core.Engine, q core.Query, r
 }
 
 // horizonAnswer executes a SocialMerge-family query through the
-// seeker's cache shard when one was pinned. gen is the shard generation
+// seeker cache when one was pinned. gen is the cache generation
 // captured with the snapshot: a cached horizon is used only when valid
 // under that generation (and younger than maxAge, when positive), and a
 // freshly materialized one is offered back under the same stamp
 // (refused if the graph moved meanwhile).
 func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Query, cache *qcache.Cache, gen uint64, maxAge time.Duration, opts core.Options, bst *burst, ex *search.Explain, ans *core.Answer) error {
 	if cache == nil {
-		// No cache shard pinned. A same-seeker batch burst still gets to
+		// No cache pinned. A same-seeker batch burst still gets to
 		// amortize the expansion: the worker carries the horizon of its
 		// previous request and the answers are identical either way (the
 		// materialized stream replays the live expansion's entries and
@@ -414,11 +409,11 @@ func (s *Service) materializeSpan(ctx context.Context, eng *core.Engine, seeker 
 // per-request error reporting. Requests are grouped by seeker and each
 // group runs back-to-back on one worker, so a burst of same-seeker
 // queries pays for at most one horizon expansion — through the cache
-// shard when caching is on, or worker-carried burst state when it is
-// off. Cancellation is honoured at three levels: requests not yet
-// handed to a worker fail immediately with ctx.Err(), workers skip
-// queued requests once the context is done, and in-flight executions
-// abort at the engine's next checkpoint.
+// when caching is on, or worker-carried burst state when it is off.
+// Cancellation is honoured at three levels: requests not yet handed to
+// a worker fail immediately with ctx.Err(), workers skip queued
+// requests once the context is done, and in-flight executions abort at
+// the engine's next checkpoint.
 func (s *Service) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
 	if ctx == nil {
 		ctx = context.Background()

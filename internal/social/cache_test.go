@@ -30,6 +30,35 @@ func TestSeekerCacheHitsAccumulate(t *testing.T) {
 	}
 }
 
+// TestWarmSeekersIsNotQueryTraffic: a resize pre-warm installs horizons
+// without moving the hit and miss counters /v1/stats reports as query
+// traffic — neither for the seekers it warms nor for those it skips
+// because they are resident already.
+func TestWarmSeekersIsNotQueryTraffic(t *testing.T) {
+	svc := pizzaWorld(t, 0)
+	ctx := context.Background()
+	seekers := []string{"alice", "bob", "carol", "alice", "nobody"}
+	for round, want := range []int{3, 0} {
+		n, err := svc.WarmSeekers(ctx, seekers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := svc.Stats()
+		if n != want || st.SeekerCacheEntries != 3 {
+			t.Fatalf("warm round %d installed %d horizons (%d resident), want %d (3)", round, n, st.SeekerCacheEntries, want)
+		}
+		if st.SeekerCache.Hits != 0 || st.SeekerCache.Misses != 0 {
+			t.Fatalf("warm round %d counted as queries: %+v", round, st.SeekerCache)
+		}
+	}
+	if _, err := searchExact(svc, "alice", []string{"pizza"}, 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := svc.Stats(); st.SeekerCache.Hits != 1 || st.SeekerCache.Misses != 0 {
+		t.Fatalf("first query after the warm: %+v, want one hit", st.SeekerCache)
+	}
+}
+
 func TestSeekerCacheInvalidatedByBefriend(t *testing.T) {
 	svc := pizzaWorld(t, 0) // compact on every write: mutations visible immediately
 	res, err := searchExact(svc, "alice", []string{"pizza"}, 5)

@@ -34,11 +34,11 @@ func Restore(cfg ServiceConfig, g *graph.Graph, st *tagstore.Store, names *vocab
 	if err != nil {
 		return nil, err
 	}
-	caches, err := newSeekerCaches(cfg)
+	cache, err := newSeekerCache(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Service{cfg: cfg, caches: caches, names: names, overlay: o, engine: eng}, nil
+	return &Service{cfg: cfg, cache: cache, names: names, overlay: o, engine: eng}, nil
 }
 
 // loadState checks that an exported state is whole and that its

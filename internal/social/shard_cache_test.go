@@ -118,18 +118,6 @@ func TestEdgeScopedInvalidationSparesUnrelatedSeekers(t *testing.T) {
 	if ex := do(comUser(0, 0)); ex.CacheHit {
 		t.Errorf("mutated community served a stale horizon: %+v", ex)
 	}
-	// Per-shard stats must account for every resident entry.
-	st := svc.Stats()
-	if len(st.SeekerCacheShards) != DefaultCacheShards {
-		t.Fatalf("%d shard snapshots, want %d", len(st.SeekerCacheShards), DefaultCacheShards)
-	}
-	total := 0
-	for _, sh := range st.SeekerCacheShards {
-		total += sh.Entries
-	}
-	if total != st.SeekerCacheEntries {
-		t.Fatalf("shard entries sum %d != fleet entries %d", total, st.SeekerCacheEntries)
-	}
 }
 
 // TestNoCacheBypassesSeekerCache: a NoCache request must neither read
@@ -175,9 +163,8 @@ func TestCachedPathMatchesColdExactAfterMutations(t *testing.T) {
 	const users, steps = 18, 300
 	cfg := DefaultServiceConfig()
 	cfg.Proximity = proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}
-	cfg.AutoCompactEvery = 3 // non-trivial compaction cadence
-	cfg.SeekerCacheSize = 64
-	cfg.CacheShards = 3
+	cfg.AutoCompactEvery = 3  // non-trivial compaction cadence
+	cfg.SeekerCacheSize = 150 // three lock stripes
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -236,22 +223,21 @@ func TestCachedPathMatchesColdExactAfterMutations(t *testing.T) {
 		}
 	}
 	if st := svc.Stats(); st.SeekerCache.Hits == 0 || st.SeekerCache.Invalidations == 0 {
-		t.Fatalf("stream did not exercise the sharded cache: %+v", st.SeekerCache)
+		t.Fatalf("stream did not exercise the cache: %+v", st.SeekerCache)
 	}
 }
 
 // TestShardedCacheConcurrentMutations is the -race stress test across
-// shards: concurrent Befriends, tag writes and cached lookups
-// interleave, then — once writers quiesce — every seeker's cached-path
-// answer must equal a cold ModeExact answer (no stale horizon is ever
-// left serveable).
+// the cache's lock stripes: concurrent Befriends, tag writes and cached
+// lookups interleave, then — once writers quiesce — every seeker's
+// cached-path answer must equal a cold ModeExact answer (no stale
+// horizon is ever left serveable).
 func TestShardedCacheConcurrentMutations(t *testing.T) {
 	const users = 16
 	cfg := DefaultServiceConfig()
 	cfg.Proximity = proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}
 	cfg.AutoCompactEvery = 2
-	cfg.SeekerCacheSize = 64
-	cfg.CacheShards = 4
+	cfg.SeekerCacheSize = 256 // four lock stripes
 	svc, err := NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +281,7 @@ func TestShardedCacheConcurrentMutations(t *testing.T) {
 			}
 		}(w)
 	}
-	for w := 0; w < 4; w++ { // readers across all shards
+	for w := 0; w < 4; w++ { // readers across all stripes
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()

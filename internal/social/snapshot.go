@@ -85,8 +85,8 @@ func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *voca
 	s.dirtySet = nil
 	s.edgeOverflow = false
 	s.appliedLSN = lsn
-	if s.caches != nil {
-		s.caches.Invalidate()
+	if s.cache != nil {
+		s.cache.Invalidate()
 	}
 	s.publishLocked()
 	if s.journal != nil {

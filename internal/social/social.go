@@ -29,7 +29,6 @@ package social
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"sync/atomic"
 
@@ -40,7 +39,6 @@ import (
 	"repro/internal/proximity"
 	"repro/internal/qcache"
 	"repro/internal/search"
-	"repro/internal/shard"
 	"repro/internal/vocab"
 )
 
@@ -49,11 +47,6 @@ import (
 const (
 	DefaultSeekerCacheSize = 256
 	DefaultBatchWorkers    = 4
-	// DefaultCacheShards partitions the seeker cache: each shard is
-	// independently locked and owns its seekers' horizons, so lookup
-	// contention and invalidation work shrink with the shard count
-	// (the fleet-wide default from internal/shard).
-	DefaultCacheShards = shard.DefaultShards
 	// DefaultEdgeScopeLimit caps the number of distinct mutated friend
 	// edges one compaction invalidates by scope; past it the service
 	// falls back to one global invalidation (cheaper than enumerating).
@@ -72,27 +65,17 @@ type ServiceConfig struct {
 	// simplest semantics, highest write cost).
 	AutoCompactEvery int
 	// SeekerCacheSize bounds the per-seeker horizon cache (see
-	// internal/qcache): 0 means DefaultSeekerCacheSize, negative
-	// disables caching entirely (every search re-expands the graph).
-	// Caching trades eager full-horizon expansion on a miss for reuse
-	// on hits; workloads dominated by one-shot seekers should disable
-	// it or set MaxHorizonUsers.
+	// internal/qcache, which stripes its lock by this capacity): 0 means
+	// DefaultSeekerCacheSize, negative disables caching entirely (every
+	// search re-expands the graph). Caching trades eager full-horizon
+	// expansion on a miss for reuse on hits; workloads dominated by
+	// one-shot seekers should disable it or set MaxHorizonUsers.
 	SeekerCacheSize int
-	// CacheShards partitions the seeker cache into this many
-	// independently locked shards by consistent hashing over the seeker
-	// id (0 = DefaultCacheShards). SeekerCacheSize is the TOTAL budget
-	// across shards.
-	CacheShards int
-	// CachePolicy tunes cache admission and expiry (TTL, minimum
-	// horizon size, miss-streak admission; see qcache.Policy). The zero
-	// value admits everything and never expires.
-	CachePolicy qcache.Policy
 	// EdgeScopeLimit caps how many distinct mutated friend edges one
 	// compaction invalidates by scope (dropping only cached horizons
 	// that contain an endpoint) before falling back to a global
 	// invalidation. 0 = DefaultEdgeScopeLimit; negative disables edge
-	// scoping entirely (every friend compaction invalidates globally —
-	// the pre-sharding behaviour).
+	// scoping entirely (every friend compaction invalidates globally).
 	EdgeScopeLimit int
 	// MaxHorizonUsers truncates materialized horizons to this many
 	// users (0 = full horizon, exact answers). A positive bound caps
@@ -102,13 +85,6 @@ type ServiceConfig struct {
 	// BatchWorkers bounds the worker pool DoBatch runs queries on
 	// (0 means DefaultBatchWorkers).
 	BatchWorkers int
-}
-
-// IsZero reports whether the config is entirely unset, so embedders
-// (internal/durable) can substitute defaults. ServiceConfig stopped
-// being ==-comparable when the cache policy gained a clock field.
-func (c ServiceConfig) IsZero() bool {
-	return reflect.ValueOf(c).IsZero()
 }
 
 // DefaultServiceConfig returns the practical defaults described above.
@@ -128,8 +104,8 @@ func DefaultServiceConfig() ServiceConfig {
 // Searches reuse cached seeker horizons (internal/qcache) that are
 // invalidated whenever friendship edges reach the snapshot.
 type Service struct {
-	cfg    ServiceConfig
-	caches *shard.Caches // nil when caching is disabled
+	cfg   ServiceConfig
+	cache *qcache.Cache // nil when caching is disabled
 
 	// scratch recycles per-query working storage (see doScratch) so the
 	// warm read path allocates nothing.
@@ -137,7 +113,7 @@ type Service struct {
 
 	// view is the lock-free read-path snapshot: frozen name
 	// dictionaries, the engine snapshot they describe, and the cache
-	// shard generations pinned with it — everything doIntoScratch used
+	// generation pinned with it — everything doIntoScratch used
 	// to take s.mu for. It is republished (atomically swapped) by every
 	// compaction; queries that miss a name in the (possibly slightly
 	// stale) frozen dictionaries fall back to the locked path. See
@@ -200,15 +176,6 @@ func normalizeConfig(cfg ServiceConfig) (ServiceConfig, error) {
 	if cfg.SeekerCacheSize == 0 {
 		cfg.SeekerCacheSize = DefaultSeekerCacheSize
 	}
-	if cfg.CacheShards == 0 {
-		cfg.CacheShards = DefaultCacheShards
-	}
-	if cfg.CacheShards < 0 {
-		return cfg, fmt.Errorf("social: negative CacheShards")
-	}
-	if err := cfg.CachePolicy.Validate(); err != nil {
-		return cfg, err
-	}
 	if cfg.EdgeScopeLimit == 0 {
 		cfg.EdgeScopeLimit = DefaultEdgeScopeLimit
 	}
@@ -224,17 +191,13 @@ func normalizeConfig(cfg ServiceConfig) (ServiceConfig, error) {
 	return cfg, nil
 }
 
-// newSeekerCaches builds the sharded horizon cache the config asks for
-// (nil when disabled).
-func newSeekerCaches(cfg ServiceConfig) (*shard.Caches, error) {
+// newSeekerCache builds the horizon cache the config asks for (nil
+// when disabled).
+func newSeekerCache(cfg ServiceConfig) (*qcache.Cache, error) {
 	if cfg.SeekerCacheSize < 0 {
 		return nil, nil
 	}
-	return shard.NewCaches(shard.CacheConfig{
-		Shards:   cfg.CacheShards,
-		Capacity: cfg.SeekerCacheSize,
-		Policy:   cfg.CachePolicy,
-	})
+	return qcache.New(cfg.SeekerCacheSize)
 }
 
 // NewService builds an empty service.
@@ -243,11 +206,11 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	caches, err := newSeekerCaches(cfg)
+	cache, err := newSeekerCache(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{cfg: cfg, caches: caches, names: vocab.NewSet()}
+	s := &Service{cfg: cfg, cache: cache, names: vocab.NewSet()}
 	if err := s.initEmpty(); err != nil {
 		return nil, err
 	}
@@ -274,22 +237,22 @@ func (s *Service) initEmpty() error {
 
 // queryView is the immutable snapshot the lock-free read path works
 // against: frozen name dictionaries consistent with (or trailing) eng,
-// the engine snapshot itself, and the cache generation observed per
-// shard when the view was published. The generations are what make
-// pinning safe without s.mu: qcache.Lookup/Put demand an exact
-// generation match, so a view published before an invalidation simply
-// misses (and its Puts are refused) instead of serving a stale horizon.
+// the engine snapshot itself, and the cache generation observed when
+// the view was published. The generation is what makes pinning safe
+// without s.mu: qcache.Lookup/Put demand an exact generation match, so
+// a view published before an invalidation simply misses (and its Puts
+// are refused) instead of serving a stale horizon.
 type queryView struct {
 	users *vocab.Dict
 	items *vocab.Dict
 	tags  *vocab.Dict
 	eng   *core.Engine
-	gens  []uint64 // per cache shard; nil when caching is disabled
+	gen   uint64 // 0 when caching is disabled
 }
 
 // publishLocked snapshots the current queryable state into an
 // atomically swapped view. Called at the end of every compaction (and
-// of ApplyInvalidation, which bumps cache generations after
+// of ApplyInvalidation, which bumps the cache generation after
 // compacting). Callers hold s.mu — or, in initEmpty, have exclusive
 // access.
 //
@@ -316,12 +279,8 @@ func (s *Service) publishLocked() {
 		v.items = s.names.Items.Clone()
 		v.tags = s.names.Tags.Clone()
 	}
-	if s.caches != nil {
-		n := s.caches.NumShards()
-		v.gens = make([]uint64, n)
-		for i := 0; i < n; i++ {
-			v.gens[i] = s.caches.Shard(i).Generation()
-		}
+	if s.cache != nil {
+		v.gen = s.cache.Generation()
 	}
 	s.view.Store(v)
 }
@@ -375,11 +334,11 @@ func (s *Service) compactLocked() error {
 		s.dirtyEdges = nil
 		s.dirtySet = nil
 		s.edgeOverflow = false
-		if s.caches != nil {
+		if s.cache != nil {
 			if overflow || len(edges) == 0 {
-				s.caches.Invalidate()
+				s.cache.Invalidate()
 			} else {
-				s.caches.InvalidateEdges(edges)
+				s.cache.InvalidateEdges(edges)
 			}
 		}
 	}
@@ -391,7 +350,7 @@ func (s *Service) compactLocked() error {
 // compaction's scoped invalidation. Callers hold s.mu.
 func (s *Service) noteFriendEdge(a, b graph.UserID) {
 	s.friendsDirty = true
-	if s.caches == nil {
+	if s.cache == nil {
 		return // nothing to invalidate
 	}
 	if s.edgeOverflow || s.cfg.EdgeScopeLimit < 0 {
@@ -451,12 +410,12 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	if err := s.compactLocked(); err != nil {
 		return 0, err
 	}
-	if s.caches == nil {
+	if s.cache == nil {
 		return 0, nil
 	}
 	if all {
-		n := s.caches.Len()
-		s.caches.Invalidate()
+		n := s.cache.Len()
+		s.cache.Invalidate()
 		s.publishLocked()
 		return n, nil
 	}
@@ -475,7 +434,7 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	if len(ids) == 0 {
 		return 0, nil
 	}
-	n := s.caches.InvalidateEdges(ids)
+	n := s.cache.InvalidateEdges(ids)
 	s.publishLocked()
 	return n, nil
 }
@@ -495,16 +454,11 @@ type Stats struct {
 	// AppliedLSN is the replication cursor (0 outside fleet-replica
 	// posture): the highest replication log LSN processed.
 	AppliedLSN uint64
-	// SeekerCache reports the horizon cache fleet's aggregated
-	// effectiveness counters (all zero when caching is disabled).
+	// SeekerCache reports the horizon cache's effectiveness counters
+	// (all zero when caching is disabled).
 	SeekerCache metrics.CacheSnapshot
-	// SeekerCacheEntries is the number of resident cache entries across
-	// all shards.
+	// SeekerCacheEntries is the number of resident cache entries.
 	SeekerCacheEntries int
-	// SeekerCacheShards reports each cache shard's entry count and
-	// counters (nil when caching is disabled), so hot and cold shards
-	// are observable per shard.
-	SeekerCacheShards []shard.Snapshot
 	// JournalStats carries the durability counters of a journaled
 	// service (RecoveredRecords, SnapshotBarrier, LogSegments,
 	// WritesSinceCheckpoint, flat on the JSON and /metrics wires). Nil
@@ -526,10 +480,9 @@ func (s *Service) Stats() Stats {
 		Compactions:   s.overlay.Compactions(),
 		AppliedLSN:    s.appliedLSN,
 	}
-	if s.caches != nil {
-		st.SeekerCache = s.caches.Counters()
-		st.SeekerCacheEntries = s.caches.Len()
-		st.SeekerCacheShards = s.caches.PerShard()
+	if s.cache != nil {
+		st.SeekerCache = s.cache.Counters()
+		st.SeekerCacheEntries = s.cache.Len()
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()

@@ -2,6 +2,8 @@ package social
 
 import (
 	"context"
+
+	"repro/internal/graph"
 )
 
 // Cache warming: the fleet's elastic-resize pre-warm plane. Before a
@@ -13,13 +15,13 @@ import (
 // elsewhere.
 
 // CachedSeekers returns the names of every seeker with a resident
-// cached horizon, hottest first within each cache shard. Nil when
+// cached horizon, hottest first within each cache stripe. Nil when
 // caching is disabled.
 func (s *Service) CachedSeekers() []string {
-	if s.caches == nil {
+	if s.cache == nil {
 		return nil
 	}
-	ids := s.caches.Seekers()
+	ids := s.cache.Seekers()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	names := make([]string, 0, len(ids))
@@ -32,34 +34,37 @@ func (s *Service) CachedSeekers() []string {
 }
 
 // WarmSeekers materializes and caches the horizons of the named
-// seekers, bypassing cold-start admission (qcache.Cache.Warm): the
-// entries earned residency on the replica that previously owned them.
-// Unknown names are skipped — the joiner may trail the source by a few
-// records; those seekers simply warm on first query. Returns how many
-// horizons were installed; stops early (with the count so far) when ctx
-// is cancelled.
+// seekers that are not resident already. It is orchestrator traffic,
+// not queries: it reads residency from one Seekers snapshot rather
+// than through Lookup, so the cache's hit and miss counters do not
+// move. Unknown names are skipped — the joiner may trail the source by
+// a few records; those seekers simply warm on first query. Returns how
+// many horizons were installed; stops early (with the count so far)
+// when ctx is cancelled.
 func (s *Service) WarmSeekers(ctx context.Context, seekers []string) (int, error) {
-	if s.caches == nil || len(seekers) == 0 {
+	if s.cache == nil || len(seekers) == 0 {
 		return 0, nil
 	}
-	// Pin the engine snapshot AND the per-shard generations under one
-	// lock hold (the same pairing publishLocked gives the read path):
-	// generations only move under s.mu, so a horizon materialized from
-	// this engine is consistent with these generations, and any later
-	// invalidation bumps the generation and makes Warm refuse it.
+	// Pin the engine snapshot, the generation and the resident set under
+	// one lock hold (the same pairing publishLocked gives the read path):
+	// the generation only moves under s.mu, so a horizon materialized
+	// from this engine is consistent with it, and any later invalidation
+	// bumps the generation and makes Put refuse the horizon.
 	s.mu.Lock()
 	eng, err := s.engine.Current()
 	if err != nil {
 		s.mu.Unlock()
 		return 0, err
 	}
-	gens := make([]uint64, s.caches.NumShards())
-	for i := range gens {
-		gens[i] = s.caches.Shard(i).Generation()
+	gen := s.cache.Generation()
+	resident := make(map[graph.UserID]bool)
+	for _, id := range s.cache.Seekers() {
+		resident[id] = true
 	}
-	ids := make([]int32, 0, len(seekers))
+	ids := make([]graph.UserID, 0, len(seekers))
 	for _, name := range seekers {
-		if id, ok := s.names.Users.ID(name); ok {
+		if id, ok := s.names.Users.ID(name); ok && !resident[id] {
+			resident[id] = true
 			ids = append(ids, id)
 		}
 	}
@@ -70,17 +75,11 @@ func (s *Service) WarmSeekers(ctx context.Context, seekers []string) (int, error
 		if err := ctx.Err(); err != nil {
 			return warmed, err
 		}
-		shard := s.caches.ShardFor(id)
-		cache := s.caches.Shard(shard)
-		gen := gens[shard]
-		if _, hit := cache.Get(id, gen); hit {
-			continue
-		}
 		h, err := s.materializeSpan(ctx, eng, id)
 		if err != nil {
 			return warmed, err
 		}
-		if cache.Warm(id, gen, h) {
+		if s.cache.Put(id, gen, h) {
 			warmed++
 		}
 	}
