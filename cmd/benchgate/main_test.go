@@ -53,23 +53,31 @@ func TestGate(t *testing.T) {
 		"BenchmarkServingCachedSearch": 2000000, // +5% observed: within a 15% budget
 		"BenchmarkServingBatchSearch":  1150000, // +4.3%
 	}}
-	if verdicts, failed := gate(base, samples, 15); failed {
+	verdicts, failed := gate(base, samples, 15)
+	if failed {
 		t.Fatalf("within-threshold run failed the gate: %+v", verdicts)
 	}
-
-	base.Benchmarks["BenchmarkServingBatchSearch"] = 1000000 // +20% observed
-	verdicts, failed := gate(base, samples, 15)
-	if !failed {
-		t.Fatal("20% regression passed a 15% gate")
-	}
-	var failedNames []string
 	for _, v := range verdicts {
-		if v.fail {
-			failedNames = append(failedNames, v.name)
+		if v.slow {
+			t.Fatalf("within-threshold benchmark reported slow: %+v", v)
 		}
 	}
-	if len(failedNames) != 1 || failedNames[0] != "BenchmarkServingBatchSearch" {
-		t.Fatalf("failed benchmarks = %v", failedNames)
+
+	// A median past the threshold is reported, not failed: the baseline
+	// is another day's run.
+	base.Benchmarks["BenchmarkServingBatchSearch"] = 1000000 // +20% observed
+	verdicts, failed = gate(base, samples, 15)
+	if failed {
+		t.Fatal("an absolute 20% slowdown failed the gate")
+	}
+	var slowNames []string
+	for _, v := range verdicts {
+		if v.slow {
+			slowNames = append(slowNames, v.name)
+		}
+	}
+	if len(slowNames) != 1 || slowNames[0] != "BenchmarkServingBatchSearch" {
+		t.Fatalf("slow benchmarks = %v", slowNames)
 	}
 
 	// A baselined benchmark missing from the input must fail the gate.
@@ -92,6 +100,43 @@ func TestGate(t *testing.T) {
 	}
 	if news != 2 {
 		t.Fatalf("new benchmarks reported = %d, want 2", news)
+	}
+}
+
+// TestCheckGatesWithinRunNumbersOnly: a machine half again as slow as
+// the baseline's moves every absolute median past the threshold, and
+// the run still passes while its ratio, overhead and allocs hold; a
+// broken ratio in the same run fails it.
+func TestCheckGatesWithinRunNumbersOnly(t *testing.T) {
+	base := Baseline{
+		Benchmarks: map[string]float64{
+			"BenchmarkCached": 200, "BenchmarkCold": 1000,
+			"BenchmarkLoopback": 3000, "BenchmarkBatch": 1000,
+		},
+		Ratios:    []RatioGate{{Name: "cached-vs-cold", Num: "BenchmarkCached", Den: "BenchmarkCold", Max: 0.7}},
+		Overheads: []OverheadGate{{Name: "hop", Of: "BenchmarkLoopback", Over: "BenchmarkBatch"}},
+		Allocs:    map[string]float64{"BenchmarkCached": 0},
+	}
+	// Every median at least 50% slower. The hop's operands both gain
+	// 1500 ns, so the hop itself costs what it did.
+	samples := map[string][]float64{
+		"BenchmarkCached":   {300, 310, 290},
+		"BenchmarkCold":     {1500, 1490, 1510},
+		"BenchmarkLoopback": {4500, 4490, 4510},
+		"BenchmarkBatch":    {2500, 2490, 2510},
+	}
+	allocs := map[string][]float64{"BenchmarkCached": {0, 0, 0}}
+	lines, failed := check(base, samples, allocs, 15)
+	if failed {
+		t.Fatalf("absolute slowdowns with every within-run gate in bounds failed:\n%s", strings.Join(lines, "\n"))
+	}
+	if infos := strings.Count(strings.Join(lines, "\n"), "INFO "); infos != 4 {
+		t.Fatalf("%d INFO lines, want one per slower benchmark:\n%s", infos, strings.Join(lines, "\n"))
+	}
+
+	samples["BenchmarkCached"] = []float64{1200, 1210, 1190} // 0.8 of cold
+	if lines, failed := check(base, samples, allocs, 15); !failed {
+		t.Fatalf("a ratio over its limit passed:\n%s", strings.Join(lines, "\n"))
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -71,6 +72,67 @@ func TestCancelledContextAbortsQueries(t *testing.T) {
 	}
 	if _, err := e.SocialMergeWithHorizon(q, h, opts); !errors.Is(err, context.Canceled) {
 		t.Errorf("SocialMergeWithHorizon: err = %v, want context.Canceled", err)
+	}
+}
+
+// doneFromSecondCall is a context whose Done channel is open on the
+// first call and closed from the second on: a merge polling it passes
+// its first checkpoint and stops at the next.
+type doneFromSecondCall struct {
+	context.Context
+	calls int
+}
+
+func (c *doneFromSecondCall) Done() <-chan struct{} {
+	c.calls++
+	if c.calls < 2 {
+		return nil
+	}
+	done := make(chan struct{})
+	close(done)
+	return done
+}
+
+func (c *doneFromSecondCall) Err() error {
+	if c.calls < 2 {
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestAbortedRefineLeavesPooledRunClean: a RefineScores join stopped
+// mid-sweep returns its run to the pool with the top-k selection still
+// deferred to a finish that never ran. The merges that reuse the run
+// must not inherit that: each non-refine merge after such an abort
+// answers exactly what a fresh engine does — results, Exact, accesses
+// and users settled.
+func TestAbortedRefineLeavesPooledRunClean(t *testing.T) {
+	const users = 600 // more than the join's 64-user checkpoint stride
+	q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}
+	want, err := lineEngine(t, users).SocialMerge(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := lineEngine(t, users)
+	h, err := e.MaterializeHorizon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Size() <= 64 {
+		t.Fatalf("horizon of %d users never reaches the join's second checkpoint", h.Size())
+	}
+	for i := 0; i < 10; i++ {
+		ctx := &doneFromSecondCall{Context: context.Background()}
+		if _, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("refine join: err = %v, want context.Canceled at its second checkpoint", err)
+		}
+		got, err := e.SocialMerge(q, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("merge %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, want)
+		}
 	}
 }
 

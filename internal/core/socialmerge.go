@@ -99,7 +99,7 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 }
 
 // mergeRun is the per-query working state of SocialMerge: the candidate
-// table with its incremental top-k, the per-tag cursors, and the access
+// table with its top-k, the per-tag cursors, and the access
 // accounting. Runs are recycled through the engine's pool so the warm
 // read path performs no allocation; everything here is either reset or
 // overwritten by acquireRun.
@@ -109,7 +109,7 @@ type mergeRun struct {
 	beta float64
 	tags []tagstore.TagID // deduped query tags (reused buffer)
 
-	table topk.Table // candidates + incremental top-k/τ
+	table topk.Table // candidates + top-k/τ
 
 	lists [][]tagstore.Posting // global lists per query tag
 	pos   []int                // cursor per query tag
@@ -126,6 +126,13 @@ type mergeRun struct {
 	// attempt, at which point repairRems reconstructs the state the slow
 	// path would have had.
 	refineFast bool
+
+	// selectAtFinish marks a RefineScores run before finish: it settles
+	// every user its source yields and tests τ nowhere on the way, so
+	// raised lower bounds are not promoted and finish builds the top k
+	// once (topk.Table.Select). finish clears it, after which the β < 1
+	// and truncated-horizon steps promote incrementally again.
+	selectAtFinish bool
 
 	// Amortized certification: the O(|candidates|) canStop test runs
 	// only when the frontier bound has decayed materially since the
@@ -197,6 +204,7 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 	r.cutoffFired = false
 	r.prunedAny = false
 	r.refineFast = opts.RefineScores && r.beta == 1
+	r.selectAtFinish = opts.RefineScores
 	r.lastCheckBound = 0
 	r.sinceLastCheck = 0
 	r.cachedTau = 0
@@ -264,7 +272,7 @@ func (r *mergeRun) ensureCandidate(item tagstore.ItemID) int32 {
 	c := r.table.At(idx)
 	c.Rem = gsum
 	c.Lower = (1 - r.beta) * float64(gsum)
-	if c.Lower > 0 {
+	if c.Lower > 0 && !r.selectAtFinish {
 		r.table.Promote(idx)
 	}
 	return idx
@@ -304,7 +312,9 @@ func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
 		c.Rem -= int64(up.TF)
 		// σ, β and tf are all positive here, so Lower > 0 and the
 		// candidate is promotable.
-		r.table.Promote(idx)
+		if !r.selectAtFinish {
+			r.table.Promote(idx)
+		}
 	}
 }
 
@@ -482,6 +492,10 @@ func (r *mergeRun) mainLoop(src userSource, seeker graph.UserID, opts Options) (
 // drained graph frontier). It reports whether the final state is
 // certified.
 func (r *mergeRun) finish(residual float64, opts Options) (bool, error) {
+	if r.selectAtFinish {
+		r.table.Select()
+		r.selectAtFinish = false
+	}
 	if r.refineFast {
 		// β = 1 exact refine. With a zero residual (full horizon drained)
 		// the stop test holds vacuously: the unseen bound and every

@@ -2,9 +2,10 @@ package topk
 
 // Cand is one tracked candidate of a Table: the NRA bookkeeping pair
 // (confirmed lower bound, upper-bound remainder key) plus the table's
-// internal heap position. Callers mutate Lower and Rem directly and
-// must call Table.Promote after raising Lower so the incremental top-k
-// stays consistent.
+// internal heap position. Callers mutate Lower and Rem directly; after
+// raising Lower they either call Table.Promote, keeping the top-k
+// current, or call Table.Select once before reading Tau, InTopK or the
+// results.
 type Cand struct {
 	Item  int32
 	Lower float64 // confirmed score mass
@@ -13,16 +14,18 @@ type Cand struct {
 }
 
 // InTopK reports whether the candidate currently sits in the table's
-// incremental top-k set.
+// top-k set.
 func (c *Cand) InTopK() bool { return c.pos >= 0 }
 
-// Table is the slice-backed replacement for the map-based candidate
-// bookkeeping on the query hot path: a dense epoch-stamped slot array
+// Table is the slice-backed candidate bookkeeping of the query hot
+// path: a dense epoch-stamped slot array
 // gives O(1) item lookup without hashing, candidates live in one
 // contiguous slice (cache-friendly to scan during certification), and
-// a bounded min-heap over candidate indexes maintains the running top-k
-// set and its threshold τ incrementally — O(log k) per score increase
-// instead of a full heap rebuild per stop check.
+// a bounded min-heap over candidate indexes holds the top-k set and its
+// threshold τ. A caller that tests τ while scores grow keeps the heap
+// current with Promote — O(log k) per score increase instead of a full
+// rebuild per stop check; one that reads it only at the end raises
+// scores freely and builds the heap once with Select.
 //
 // All storage is retained across Reset calls, so a pooled Table runs
 // allocation-free once warm. A Table is not safe for concurrent use;
@@ -65,14 +68,6 @@ func (t *Table) Reset(universe, k int) {
 // Len reports the number of distinct candidates observed.
 func (t *Table) Len() int { return len(t.cands) }
 
-// Lookup returns the candidate index for an item, or -1 if unseen.
-func (t *Table) Lookup(item int32) int32 {
-	if t.stamp[item] != t.epoch {
-		return -1
-	}
-	return t.slot[item]
-}
-
 // Ensure returns the candidate index for an item, creating a zero-value
 // candidate (Lower 0, Rem 0, outside the top-k) on first sight.
 func (t *Table) Ensure(item int32) (idx int32, created bool) {
@@ -95,9 +90,9 @@ func (t *Table) At(idx int32) *Cand { return &t.cands[idx] }
 // internal storage and is invalidated by Ensure/Reset.
 func (t *Table) All() []Cand { return t.cands }
 
-// Tau returns the incremental threshold: the k-th best confirmed lower
-// bound, or 0 while fewer than k positive candidates exist. Because
-// lower bounds only grow, Tau is non-decreasing over a run.
+// Tau returns the threshold: the k-th best confirmed lower bound, or 0
+// while fewer than k positive candidates exist. Because lower bounds
+// only grow, Tau is non-decreasing while every raise is promoted.
 func (t *Table) Tau() float64 {
 	if len(t.heap) < t.k {
 		return 0
@@ -105,8 +100,22 @@ func (t *Table) Tau() float64 {
 	return t.cands[t.heap[0]].Lower
 }
 
-// TopLen reports the current top-k member count (≤ k).
-func (t *Table) TopLen() int { return len(t.heap) }
+// Select rebuilds the top-k set from scratch over every candidate with
+// Lower > 0, whatever Promote calls did or did not happen before. Under
+// the total order (score desc, item asc) the top k is unique, so the
+// members, Tau, InTopK and AppendTopResults come out as per-raise
+// promotion would have left them. Promote may resume after it.
+func (t *Table) Select() {
+	for _, idx := range t.heap {
+		t.cands[idx].pos = -1
+	}
+	t.heap = t.heap[:0]
+	for i := range t.cands {
+		if t.cands[i].Lower > 0 {
+			t.Promote(int32(i))
+		}
+	}
+}
 
 // Promote restores the top-k invariant after the candidate's Lower
 // increased. Call it only for candidates with Lower > 0 — zero-lower

@@ -1,0 +1,81 @@
+package topk
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestTableSelectMatchesPromote: a table promoted after every raise and
+// one raised without promotion and then Selected hold the top k that
+// TopKExact finds in the dense score vector — the same results, Tau and
+// membership — and both still do after raising resumes with Promote on
+// the selected table, the hand-off a merge makes when it starts testing
+// τ. Increments of 1 or 2 over a small universe make ties at the k-th
+// score common, so the item-id tie-break decides membership.
+func TestTableSelectMatchesPromote(t *testing.T) {
+	const universe = 40
+	a, b := NewTable(), NewTable()
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, k := range []int{1, 3, 10} {
+			a.Reset(universe, k)
+			b.Reset(universe, k)
+			scores := make([]float64, universe)
+			raise := func(promoteB bool) {
+				item := int32(rng.Intn(universe))
+				ia, _ := a.Ensure(item)
+				ib, _ := b.Ensure(item)
+				inc := float64(rng.Intn(3)) // 0: seen but not raised
+				if inc == 0 {
+					return
+				}
+				scores[item] += inc
+				a.At(ia).Lower += inc
+				a.Promote(ia)
+				b.At(ib).Lower += inc
+				if promoteB {
+					b.Promote(ib)
+				}
+			}
+			for range rng.Intn(80) {
+				raise(false)
+			}
+			b.Select()
+			where := fmt.Sprintf("seed %d, k %d", seed, k)
+			checkTable(t, where+", promoted", a, scores, k)
+			checkTable(t, where+", selected", b, scores, k)
+			for range rng.Intn(40) {
+				raise(true)
+			}
+			checkTable(t, where+", promoted on", a, scores, k)
+			checkTable(t, where+", selected then promoted", b, scores, k)
+		}
+	}
+}
+
+// checkTable compares a table's top k with TopKExact over scores.
+func checkTable(t *testing.T, where string, tb *Table, scores []float64, k int) {
+	t.Helper()
+	want := TopKExact(scores, k)
+	if got := tb.AppendTopResults(nil); !slices.Equal(got, want) {
+		t.Fatalf("%s: results %v, want %v", where, got, want)
+	}
+	wantTau := 0.0
+	if len(want) == k {
+		wantTau = want[k-1].Score
+	}
+	if got := tb.Tau(); got != wantTau {
+		t.Fatalf("%s: Tau %g, want %g", where, got, wantTau)
+	}
+	member := make(map[int32]bool, len(want))
+	for _, r := range want {
+		member[r.Item] = true
+	}
+	for _, c := range tb.All() {
+		if c.InTopK() != member[c.Item] {
+			t.Fatalf("%s: item %d (lower %g) InTopK %v, want %v", where, c.Item, c.Lower, c.InTopK(), member[c.Item])
+		}
+	}
+}

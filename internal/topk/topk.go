@@ -1,7 +1,7 @@
 // Package topk provides the building blocks shared by all top-k query
 // algorithms in this repository: a bounded result heap, a candidate table
-// that tracks [lower, upper] score intervals per item (the NRA
-// bookkeeping), and an access accountant that records the
+// that keeps each item's confirmed lower bound and its top-k set (the
+// NRA bookkeeping), and an access accountant that records the
 // hardware-independent cost measures reported in the experiments.
 package topk
 

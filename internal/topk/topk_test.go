@@ -89,57 +89,6 @@ func TestTopKExact(t *testing.T) {
 	}
 }
 
-func TestCandidates(t *testing.T) {
-	c := NewCandidates()
-	c.Add(5, 1.5)
-	c.Add(2, 0.5)
-	c.Add(5, 1.0)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
-	}
-	if c.Lower(5) != 2.5 || c.Lower(2) != 0.5 || c.Lower(99) != 0 {
-		t.Fatalf("Lower values wrong: %g %g %g", c.Lower(5), c.Lower(2), c.Lower(99))
-	}
-	if got := c.Items(); !reflect.DeepEqual(got, []int32{2, 5}) {
-		t.Fatalf("Items = %v", got)
-	}
-	item, upper, ok := c.BestUnconfirmed(1.0, nil)
-	if !ok || item != 5 || upper != 3.5 {
-		t.Fatalf("BestUnconfirmed = %d,%g,%v", item, upper, ok)
-	}
-	item, upper, ok = c.BestUnconfirmed(1.0, map[int32]bool{5: true})
-	if !ok || item != 2 || upper != 1.5 {
-		t.Fatalf("BestUnconfirmed with confirmed = %d,%g,%v", item, upper, ok)
-	}
-	_, _, ok = c.BestUnconfirmed(1.0, map[int32]bool{2: true, 5: true})
-	if ok {
-		t.Fatal("BestUnconfirmed reported a candidate when all confirmed")
-	}
-}
-
-func TestCandidatesBestUnconfirmedTie(t *testing.T) {
-	c := NewCandidates()
-	c.Add(8, 1)
-	c.Add(3, 1)
-	item, _, ok := c.BestUnconfirmed(0, nil)
-	if !ok || item != 3 {
-		t.Fatalf("tie should pick smaller id, got %d", item)
-	}
-}
-
-func TestCandidatesFillHeap(t *testing.T) {
-	c := NewCandidates()
-	c.Add(1, 3)
-	c.Add(2, 5)
-	c.Add(3, 1)
-	h := NewHeap(2)
-	c.FillHeap(h)
-	want := []Result{{2, 5}, {1, 3}}
-	if got := h.Results(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FillHeap results = %v, want %v", got, want)
-	}
-}
-
 func TestAccess(t *testing.T) {
 	a := Access{Sequential: 3, Random: 4, UsersExpanded: 2}
 	b := Access{Sequential: 1, Random: 1, UsersExpanded: 1}
