@@ -59,6 +59,49 @@ func TestCachedReadPathZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestFreshEngineCachedMergeZeroAlloc: every compaction builds a new
+// core.Engine, and the first cached query on it must find the merge's
+// working state (candidate table, rank array, cursors) warm from the
+// engines before it, allocating nothing but the engine itself.
+func TestFreshEngineCachedMergeZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	svc, _ := servingService(t, 0)
+	g, st, _, err := svc.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{Proximity: proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.1}, Beta: 1}
+	eng, err := core.NewEngine(g, st, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := eng.MaterializeHorizon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0, 1}, K: 10}
+	opts := core.Options{RefineScores: true}
+	var ans core.Answer
+	if err := eng.SocialMergeWithHorizonInto(q, h, opts, &ans); err != nil {
+		t.Fatal(err)
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	avg := testing.AllocsPerRun(10, func() {
+		fresh, err := core.NewEngine(g, st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.SocialMergeWithHorizonInto(q, h, opts, &ans); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 1 {
+		t.Fatalf("a new engine and its first cached merge allocated %.2f times, want 1 (the engine)", avg)
+	}
+}
+
 // TestPropertyFlatHorizonMatchesPointerPath: on random graphs mutated
 // in random rounds, a ModeExact answer served from the flat
 // materialized horizon (cache miss installing it, then a cache hit

@@ -75,10 +75,6 @@ type Engine struct {
 	landmarks *proximity.LandmarkIndex
 	neighbors *NeighborhoodIndex
 	items     *ItemIndex
-
-	// runs recycles SocialMerge working state (candidate table, cursor
-	// slices, tag buffers) so the warm read path allocates nothing.
-	runs runPool
 }
 
 // Config configures engine construction.

@@ -19,6 +19,10 @@ type SeekerHorizon struct {
 	seeker   graph.UserID
 	list     []proximity.Entry
 	residual float64
+	// alpha and minSigma are the proximity parameters the list was
+	// expanded under: AffectedBy replays the expansion's relaxation test
+	// with them.
+	alpha, minSigma float64
 }
 
 // MaterializeHorizon expands the seeker's neighbourhood once and
@@ -58,7 +62,12 @@ func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID,
 			break // horizon exhausted
 		}
 	}
-	h := &SeekerHorizon{seeker: seeker, list: make([]proximity.Entry, len(staged))}
+	h := &SeekerHorizon{
+		seeker:   seeker,
+		list:     make([]proximity.Entry, len(staged)),
+		alpha:    e.prox.Alpha,
+		minSigma: e.prox.MinSigma,
+	}
 	copy(h.list, staged)
 	h.residual = it.PeekBound()
 	return h, nil
@@ -78,29 +87,29 @@ func (h *SeekerHorizon) Residual() float64 { return h.residual }
 // materialized ones. sorted must be ascending — an unsorted argument
 // gives wrong answers, not a panic. The list is read in place, one pass
 // whatever the number of ids: each member is tested against a 4 KiB
-// filter of the ids' hashes on the stack, and only the few that pass
-// (under 2% at 512 ids) are binary-searched in sorted. Searching every
-// member instead costs 50–60 ns each once the ids are many and real
-// (nine unpredictable branches), ten times the pass over the list.
+// filter of the ids' hashes, and only the few that pass (under 2% at
+// 512 ids) are binary-searched in sorted. Searching every member
+// instead costs 50–60 ns each once the ids are many and real (nine
+// unpredictable branches), ten times the pass over the list.
 //
-// Serving caches ask this to scope invalidation to a mutated edge:
-// because proximity is a hop-damped max path product, a friendship
-// mutation on edge (u, v) can only change this horizon if u or v is
-// among its members — any path from the seeker through the mutated edge
-// reaches u or v first, at a proximity the materialized prefix (or its
-// residual bound) already dominates.
+// This is the member rule, which AffectedBy applies to a truncated
+// horizon: a friendship mutation on edge (u, v) can only change a
+// truncated horizon if u or v is among its members, because any path
+// from the seeker through the edge reaches u or v first, at a proximity
+// the materialized prefix (or its residual bound) already dominates.
 func (h *SeekerHorizon) HasAny(sorted []graph.UserID) bool {
 	if len(sorted) == 0 {
 		return false
 	}
-	var filter [1 << (horizonFilterShift - 6)]uint64
-	for _, u := range sorted {
-		b := horizonFilterBit(u)
-		filter[b>>6] |= 1 << (b & 63)
-	}
+	var f endpointFilter
+	f.set(sorted)
+	return h.hasAny(&f, sorted)
+}
+
+func (h *SeekerHorizon) hasAny(f *endpointFilter, sorted []graph.UserID) bool {
 	for i := range h.list {
 		u := h.list[i].User
-		if b := horizonFilterBit(u); filter[b>>6]&(1<<(b&63)) == 0 {
+		if !f.has(u) {
 			continue
 		}
 		if _, ok := slices.BinarySearch(sorted, u); ok {
@@ -110,18 +119,130 @@ func (h *SeekerHorizon) HasAny(sorted []graph.UserID) bool {
 	return false
 }
 
-// horizonFilterShift sizes HasAny's filter: 2^15 bits. horizonFilterBit
-// is a user's bit in it, by multiplicative hashing so that ids sharing
-// low bits (or parity) spread out.
+// EdgeBatch is a batch of folded friendships, each with the weight the
+// graph holds for it after the fold, prepared once for AffectedBy to
+// test every cached horizon against: the endpoints sorted and
+// de-duplicated, their 4 KiB filter, and each edge's endpoints as
+// positions among them. The zero value is an empty batch. A batch is
+// scratch for one caller at a time.
+type EdgeBatch struct {
+	ends   []graph.UserID
+	edges  []batchEdge
+	sigma  []float64 // per endpoint, its σ in the horizon under test; -1 outside it
+	filter endpointFilter
+}
+
+// batchEdge is one folded edge: its endpoints as indexes into
+// EdgeBatch.ends and its weight.
+type batchEdge struct {
+	u, v int32
+	w    float64
+}
+
+// Reset loads the batch with edges, reusing its storage.
+func (b *EdgeBatch) Reset(edges []graph.Edge) {
+	b.ends = b.ends[:0]
+	for _, e := range edges {
+		b.ends = append(b.ends, e.U, e.V)
+	}
+	slices.Sort(b.ends)
+	b.ends = slices.Compact(b.ends)
+	b.filter.set(b.ends)
+	b.edges = b.edges[:0]
+	for _, e := range edges {
+		u, _ := slices.BinarySearch(b.ends, e.U)
+		v, _ := slices.BinarySearch(b.ends, e.V)
+		b.edges = append(b.edges, batchEdge{u: int32(u), v: int32(v), w: e.Weight})
+	}
+	b.sigma = slices.Grow(b.sigma[:0], len(b.ends))[:len(b.ends)]
+}
+
+// AffectedBy reports whether folding the batch's edges into the graph
+// this horizon was expanded from can change it. A truncated horizon
+// (residual > 0) answers by the member rule (HasAny). A full one is
+// affected only if some edge (u, v) of weight w, in either direction,
+// has u among its members and a candidate c = σ_u·w·α — the expression
+// proximity.Iterator.Next relaxes, in its order — with c ≥ MinSigma and
+// either v outside the horizon or c ≥ σ_v. Equality counts: a candidate
+// equal to σ_v leaves the proximity as it is but can be pushed before
+// v's old best path and change v's Hops.
+//
+// Why that suffices, for a whole batch at once (the proof is in
+// docs/adr/001-edge-scoped-invalidation.md): if no edge passes, the old
+// proximities are a fixed point of the new graph, and with no folded
+// edge tying an endpoint's σ the expansion settles the same users in
+// the same order from the same predecessors — the horizon equals a
+// fresh materialization entry for entry.
+//
+// The scan is one pass over the list against the batch's filter,
+// recording the σ of every endpoint it finds, then one pass over the
+// edges.
+func (h *SeekerHorizon) AffectedBy(b *EdgeBatch) bool {
+	if h.residual > 0 {
+		return h.hasAny(&b.filter, b.ends)
+	}
+	sigma := b.sigma
+	for i := range sigma {
+		sigma[i] = -1
+	}
+	for i := range h.list {
+		u := h.list[i].User
+		if !b.filter.has(u) {
+			continue
+		}
+		if j, ok := slices.BinarySearch(b.ends, u); ok {
+			sigma[j] = h.list[i].Prox
+		}
+	}
+	for _, e := range b.edges {
+		if h.raises(sigma[e.u], sigma[e.v], e.w) || h.raises(sigma[e.v], sigma[e.u], e.w) {
+			return true
+		}
+	}
+	return false
+}
+
+// raises reports whether an edge of weight w out of a user at proximity
+// from can raise, or tie, the user at proximity to (negative: outside
+// the horizon).
+func (h *SeekerHorizon) raises(from, to, w float64) bool {
+	if from < 0 {
+		return false
+	}
+	c := from * w * h.alpha
+	return c >= h.minSigma && (to < 0 || c >= to)
+}
+
+// endpointFilter is a 2^15-bit filter of user ids: HasAny and
+// AffectedBy test a member against it before they binary-search the
+// endpoints.
+type endpointFilter [1 << (horizonFilterShift - 6)]uint64
+
 const horizonFilterShift = 15
 
+// set makes the filter hold exactly ids.
+func (f *endpointFilter) set(ids []graph.UserID) {
+	clear(f[:])
+	for _, u := range ids {
+		b := horizonFilterBit(u)
+		f[b>>6] |= 1 << (b & 63)
+	}
+}
+
+func (f *endpointFilter) has(u graph.UserID) bool {
+	b := horizonFilterBit(u)
+	return f[b>>6]&(1<<(b&63)) != 0
+}
+
+// horizonFilterBit is a user's bit in the filter, by multiplicative
+// hashing so that ids sharing low bits (or parity) spread out.
 func horizonFilterBit(u graph.UserID) uint32 {
 	return uint32(u) * 0x9E3779B1 >> (32 - horizonFilterShift)
 }
 
-// MemoryBytes is the resident size of the horizon: the 40-byte struct
+// MemoryBytes is the resident size of the horizon: the 56-byte struct
 // and its exact-size list of 16-byte entries.
-func (h *SeekerHorizon) MemoryBytes() int { return 40 + cap(h.list)*16 }
+func (h *SeekerHorizon) MemoryBytes() int { return 56 + cap(h.list)*16 }
 
 // SocialMergeWithHorizon answers the query using a previously
 // materialized horizon instead of expanding the graph. The horizon must

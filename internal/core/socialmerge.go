@@ -72,7 +72,7 @@ func (e *Engine) SocialMergeInto(q Query, opts Options, ans *Answer) error {
 // exactly once.
 func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts Options, ans *Answer) error {
 	run := e.acquireRun(q, opts)
-	defer e.releaseRun(run)
+	defer releaseRun(run)
 	var certified bool
 	var err error
 	switch {
@@ -100,7 +100,7 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 
 // mergeRun is the per-query working state of SocialMerge: the candidate
 // table with its top-k, the per-tag cursors, and the access
-// accounting. Runs are recycled through the engine's pool so the warm
+// accounting. Runs are recycled through runPool so the warm
 // read path performs no allocation; everything here is either reset or
 // overwritten by acquireRun.
 type mergeRun struct {
@@ -162,14 +162,19 @@ type mergeRun struct {
 // postings; n is 0 when the user never used the tag.
 type listSlot struct{ off, n int32 }
 
-// acquireRun checks a recycled run out of the engine pool and resets it
-// for the query. All retained storage (tag buffer, cursor slices, the
-// candidate table's arrays) is reused.
+// runPool recycles SocialMerge working state (candidate table, cursor
+// slices, tag buffers, the join's rank array) so the warm read path
+// allocates nothing. It is the package's, not an engine's: every
+// compaction builds a new Engine, and the first merges on it reuse the
+// arrays the last engine's merges grew instead of allocating their own.
+var runPool = sync.Pool{New: func() any { return new(mergeRun) }}
+
+// acquireRun checks a recycled run out of the pool and resets it for
+// the query. All retained storage (tag buffer, cursor slices, the
+// candidate table's arrays) is reused; what is sized by the universe
+// grows to this engine's.
 func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
-	r, _ := e.runs.Get().(*mergeRun)
-	if r == nil {
-		r = &mergeRun{}
-	}
+	r := runPool.Get().(*mergeRun)
 	r.e = e
 	r.k = q.K
 	r.beta = e.beta
@@ -211,16 +216,16 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 	return r
 }
 
-func (e *Engine) releaseRun(r *mergeRun) {
-	clear(r.lists) // do not pin posting lists while pooled
+// releaseRun returns a run to the pool holding no reference into the
+// engine's snapshot: a pooled run must not keep a superseded engine, its
+// store or its posting lists reachable.
+func releaseRun(r *mergeRun) {
+	r.e = nil
+	clear(r.lists)
 	clear(r.posts)
 	r.msrc = materializedSource{}
-	e.runs.Put(r)
+	runPool.Put(r)
 }
-
-// runPool is the engine-scoped mergeRun pool type; a dedicated type
-// keeps the Engine declaration readable.
-type runPool = sync.Pool
 
 // barSum returns Σ_t bar(t): the sum over query tags of the frequency at
 // the current global-list cursor (0 for exhausted lists). Any item never

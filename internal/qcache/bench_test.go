@@ -79,12 +79,16 @@ func BenchmarkPutEvict(b *testing.B) {
 }
 
 // BenchmarkInvalidateEdges times the scan at its worst: every resident
-// horizon is searched to its last member and none is dropped, because
-// the batch's endpoints are random odd ids (see servingHorizons). 64
-// entries is one stripe, the longest one batch holds a stripe lock;
-// 4,096 is 64 stripes, each scanned under its own lock in turn. 256
-// edges is the most a compaction scopes (social.DefaultEdgeScopeLimit)
-// before it falls back to Invalidate.
+// horizon is read to its last member and none is dropped. Two kinds of
+// batch do that. In "absent" the endpoints are random odd ids, in no
+// horizon (see servingHorizons). In "members" they are random real
+// users, each a member of about a sixth of the horizons, so the scan
+// records their σ and tests every edge — but at weight 0.05 no edge can
+// raise anyone: σ_u·0.05·0.6 stays under the 0.05 floor however close u
+// is. 64 entries is one stripe, the longest one batch holds a stripe
+// lock; 4,096 is 64 stripes, each scanned under its own lock in turn.
+// 256 edges is the most a compaction scopes
+// (social.DefaultEdgeScopeLimit) before it falls back to Invalidate.
 func BenchmarkInvalidateEdges(b *testing.B) {
 	sizes := []int{64, 4096}
 	horizons, users := servingHorizons(b, sizes[len(sizes)-1])
@@ -100,21 +104,31 @@ func BenchmarkInvalidateEdges(b *testing.B) {
 		for _, u := range c.Seekers() {
 			members += horizons[u].Size()
 		}
-		for _, edges := range []int{1, 16, 256} {
-			rng := rand.New(rand.NewSource(int64(edges)))
-			batch := make([][2]graph.UserID, edges)
-			for i := range batch {
-				batch[i] = [2]graph.UserID{graph.UserID(2*rng.Intn(users/2) + 1), graph.UserID(2*rng.Intn(users/2) + 1)}
-			}
-			b.Run(fmt.Sprintf("%dentries/%dedges", entries, edges), func(b *testing.B) {
-				b.ReportAllocs()
-				for n := 0; n < b.N; n++ {
-					if dropped := c.InvalidateEdges(batch); dropped != 0 {
-						b.Fatalf("dropped %d entries", dropped)
+		for _, kind := range []struct {
+			name   string
+			parity int
+			weight float64
+		}{{"absent", 1, 1}, {"members", 0, 0.05}} {
+			for _, edges := range []int{1, 16, 256} {
+				rng := rand.New(rand.NewSource(int64(edges)))
+				batch := make([]graph.Edge, edges)
+				for i := range batch {
+					batch[i] = graph.Edge{
+						U:      graph.UserID(2*rng.Intn(users/2) + kind.parity),
+						V:      graph.UserID(2*rng.Intn(users/2) + kind.parity),
+						Weight: kind.weight,
 					}
 				}
-				b.ReportMetric(float64(members), "members-scanned/op")
-			})
+				b.Run(fmt.Sprintf("%dentries/%dedges-%s", entries, edges, kind.name), func(b *testing.B) {
+					b.ReportAllocs()
+					for n := 0; n < b.N; n++ {
+						if dropped := c.InvalidateEdges(batch); dropped != 0 {
+							b.Fatalf("dropped %d entries", dropped)
+						}
+					}
+					b.ReportMetric(float64(members), "members-scanned/op")
+				})
+			}
 		}
 	}
 }

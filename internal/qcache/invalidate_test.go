@@ -26,6 +26,12 @@ func componentsEngine(t testing.TB, components, comp int) *core.Engine {
 // default no-damping, no-floor proximity) a horizon is its whole line
 // however long that is.
 func linesEngine(t testing.TB, sizes []int, weight float64) *core.Engine {
+	return weightedLinesEngine(t, sizes, func(int) float64 { return weight }, core.DefaultConfig())
+}
+
+// weightedLinesEngine is linesEngine with edge (u, u+1) at weight(u),
+// under cfg.
+func weightedLinesEngine(t testing.TB, sizes []int, weight func(u int) float64, cfg core.Config) *core.Engine {
 	t.Helper()
 	n := 0
 	for _, size := range sizes {
@@ -35,7 +41,7 @@ func linesEngine(t testing.TB, sizes []int, weight float64) *core.Engine {
 	base := 0
 	for _, size := range sizes {
 		for u := base; u < base+size-1; u++ {
-			gb.AddEdge(graph.UserID(u), graph.UserID(u+1), weight)
+			gb.AddEdge(graph.UserID(u), graph.UserID(u+1), weight(u))
 		}
 		base += size
 	}
@@ -51,7 +57,7 @@ func linesEngine(t testing.TB, sizes []int, weight float64) *core.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := core.NewEngine(g, store, core.DefaultConfig())
+	e, err := core.NewEngine(g, store, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +127,7 @@ func TestInvalidateEdgesBatchOneGeneration(t *testing.T) {
 	c.Put(0, gen, horizonFor(t, e, 0))
 	c.Put(3, gen, horizonFor(t, e, 3))
 	c.Put(6, gen, horizonFor(t, e, 6))
-	if n := c.InvalidateEdges([][2]graph.UserID{{0, 1}, {4, 5}}); n != 2 {
+	if n := c.InvalidateEdges([]graph.Edge{{U: 0, V: 1, Weight: 1}, {U: 4, V: 5, Weight: 1}}); n != 2 {
 		t.Fatalf("dropped %d entries, want 2", n)
 	}
 	if got := c.Generation(); got != gen+1 {

@@ -1,6 +1,7 @@
 package qcache
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -12,16 +13,21 @@ import (
 	"repro/internal/proximity"
 )
 
-// scanWorld is what the invalidation scripts run over: disjoint
-// unit-weight lines of 1 to 3,000 users (so a full horizon is its whole
-// component) and a pool of horizons over them, full and truncated the
-// way MaxHorizonUsers truncates, each beside the member set an
-// expansion of the same graph gives without going through core.
+// scanWorld is what the invalidation scripts run over: disjoint lines of
+// 1 to 3,000 users whose edges weigh 1 except every 32nd, which weighs
+// 0.5, under no damping and a floor of 2^-60 — so every proximity is an
+// exact power of two, many tie, and the floor cuts the longest line's
+// horizons from some seekers and not from others. A pool of horizons
+// over them, full and truncated the way MaxHorizonUsers truncates, sits
+// beside what an expansion of the same graph gives without going through
+// core: each member's proximity, and whether more users were left.
 type scanWorld struct {
-	absent  int // ids below this are in the graph but in no horizon
-	users   int // ids at or past this are in no graph
-	pool    []*core.SeekerHorizon
-	members []map[graph.UserID]struct{}
+	absent    int // ids below this are in the graph but in no horizon
+	users     int // ids at or past this are in no graph
+	params    proximity.Params
+	pool      []*core.SeekerHorizon
+	sigma     []map[graph.UserID]float64
+	truncated []bool
 }
 
 var (
@@ -31,14 +37,21 @@ var (
 
 func loadScanWorld(t testing.TB) *scanWorld {
 	scanWorldOnce.Do(func() {
+		w := &theScanWorld
+		w.params = proximity.Params{Alpha: 1, SelfWeight: 1, MinSigma: math.Ldexp(1, -60)}
 		sizes := []int{1200, 1, 2, 9, 60, 500, 3000} // no seeker comes from the first line
-		theScanWorld.absent = sizes[0]
+		w.absent = sizes[0]
 		starts := make([]int, len(sizes))
 		for i, size := range sizes {
-			starts[i] = theScanWorld.users
-			theScanWorld.users += size
+			starts[i] = w.users
+			w.users += size
 		}
-		e := linesEngine(t, sizes, 1)
+		e := weightedLinesEngine(t, sizes, func(u int) float64 {
+			if u%32 == 31 {
+				return 0.5
+			}
+			return 1
+		}, core.Config{Proximity: w.params, Beta: 1})
 		rng := rand.New(rand.NewSource(20))
 		for k := 0; k < 48; k++ {
 			comp := 1 + k%(len(sizes)-1)
@@ -51,29 +64,60 @@ func loadScanWorld(t testing.TB) *scanWorld {
 			if err != nil {
 				t.Fatal(err)
 			}
-			it, err := proximity.NewIterator(e.Graph(), seeker, core.DefaultConfig().Proximity)
+			it, err := proximity.NewIterator(e.Graph(), seeker, w.params)
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := make(map[graph.UserID]struct{})
-			for maxUsers == 0 || len(set) < maxUsers {
+			sigma := make(map[graph.UserID]float64)
+			for maxUsers == 0 || len(sigma) < maxUsers {
 				entry, ok := it.Next()
 				if !ok {
 					break
 				}
-				set[entry.User] = struct{}{}
+				sigma[entry.User] = entry.Prox
 			}
-			if len(set) != h.Size() {
-				t.Fatalf("horizon %d: %d users materialized, %d expanded", k, h.Size(), len(set))
+			_, more := it.Next()
+			if len(sigma) != h.Size() {
+				t.Fatalf("horizon %d: %d users materialized, %d expanded", k, h.Size(), len(sigma))
 			}
-			theScanWorld.pool = append(theScanWorld.pool, h)
-			theScanWorld.members = append(theScanWorld.members, set)
+			w.pool = append(w.pool, h)
+			w.sigma = append(w.sigma, sigma)
+			w.truncated = append(w.truncated, more)
 		}
 	})
 	if len(theScanWorld.pool) == 0 {
 		t.Fatal("scan world failed to build")
 	}
 	return &theScanWorld
+}
+
+// affects is the invalidation rule from its definition: a truncated
+// horizon is affected by an edge with an endpoint among its members; a
+// full one by an edge (u, v) of weight w, either way round, with u a
+// member, c = σ_u·w·α ≥ MinSigma and v either no member or at σ_v ≤ c.
+func (w *scanWorld) affects(horizon int, edges []graph.Edge) bool {
+	sigma := w.sigma[horizon]
+	raises := func(from, to graph.UserID, weight float64) bool {
+		sf, ok := sigma[from]
+		if !ok {
+			return false
+		}
+		c := sf * weight * w.params.Alpha
+		st, member := sigma[to]
+		return c >= w.params.MinSigma && (!member || c >= st)
+	}
+	for _, e := range edges {
+		_, uIn := sigma[e.U]
+		_, vIn := sigma[e.V]
+		if w.truncated[horizon] {
+			if uIn || vIn {
+				return true
+			}
+		} else if raises(e.U, e.V, e.Weight) || raises(e.V, e.U, e.Weight) {
+			return true
+		}
+	}
+	return false
 }
 
 // modelEntry is one resident entry of the reference cache.
@@ -84,8 +128,7 @@ type modelEntry struct {
 }
 
 // scanModel is the brute-force reference: a slice in LRU order (hottest
-// first) and the rule "an edge batch drops an entry iff its member set
-// holds one of the batch's endpoints".
+// first) and the rule scanWorld.affects.
 type scanModel struct {
 	capacity   int
 	gen, floor uint64
@@ -130,21 +173,47 @@ func (m *scanModel) lookup(seeker graph.UserID, gen uint64) (int, bool) {
 	return e.horizon, true
 }
 
-func (m *scanModel) invalidateEdges(w *scanWorld, edges [][2]graph.UserID) int {
+func (m *scanModel) invalidateEdges(w *scanWorld, edges []graph.Edge) int {
 	m.gen++
 	before := len(m.lru)
-	m.lru = slices.DeleteFunc(m.lru, func(e modelEntry) bool {
-		for _, edge := range edges {
-			for _, end := range edge {
-				if _, ok := w.members[e.horizon][end]; ok {
-					return true
-				}
-			}
-		}
-		return false
-	})
+	m.lru = slices.DeleteFunc(m.lru, func(e modelEntry) bool { return w.affects(e.horizon, edges) })
 	m.counters.Invalidations += int64(before - len(m.lru))
 	return before - len(m.lru)
+}
+
+// drawWeight picks an edge's weight: 1, 0.5, a uniform draw in (0, 1],
+// or a tie. The tie is taken in the horizon of a resident entry (any
+// pooled one when none is): with both endpoints members, the weight
+// that carries the closer one's σ exactly onto the other's; with one,
+// the weight that carries its σ exactly onto the floor, or half that,
+// just under it. Proximities here are powers of two, so the quotients
+// are exact.
+func (m *scanModel) drawWeight(w *scanWorld, rng *rand.Rand, u, v graph.UserID) float64 {
+	switch rng.Intn(4) {
+	case 0:
+		return 1
+	case 1:
+		return 0.5
+	case 2:
+		return 1 - rng.Float64()
+	}
+	k := rng.Intn(len(w.pool))
+	if len(m.lru) > 0 {
+		k = m.lru[rng.Intn(len(m.lru))].horizon
+	}
+	su, uIn := w.sigma[k][u]
+	sv, vIn := w.sigma[k][v]
+	if uIn && vIn {
+		return min(su, sv) / max(su, sv)
+	}
+	if !uIn && !vIn {
+		return 1
+	}
+	onto := w.params.MinSigma / max(su, sv) // the one absent reads 0
+	if rng.Intn(2) == 0 {
+		onto /= 2
+	}
+	return onto
 }
 
 const (
@@ -159,13 +228,15 @@ const (
 //	0–2 Put(a mod 12, pool[b]) under the current generation — a refresh
 //	    when the seeker is resident, an eviction when the cache is full
 //	3   the same Put under a superseded generation (refused)
-//	4   InvalidateEdge(ab, cd): two 16-bit ids, reaching past the graph
+//	4   InvalidateEdge(ab, cd): two 16-bit ids, reaching past the graph,
+//	    at weight 1
 //	5   InvalidateEdges of 1, 2, 3, 8, 16, 100 or 256 edges (by a) drawn
 //	    from a generator seeded by b, c, d: every fifth a self-pair, every
-//	    seventh a repeat of the one before; when d is odd every id but
-//	    one is an id no horizon holds, below or above the ones they do,
-//	    so whether anything drops hangs on one endpoint — often the
-//	    lowest or the highest of the batch
+//	    seventh a repeat of the one before, every other one joining
+//	    neighbours on a line; weights from drawWeight. When d is odd
+//	    every id but one is an id no horizon holds, below or above the
+//	    ones they do, so whether anything drops hangs on one endpoint —
+//	    often the lowest or the highest of the batch
 //	6   Invalidate
 //	7–9 Lookup(a mod 12) — under a superseded generation when b mod 4 = 0
 //
@@ -195,9 +266,9 @@ func checkScanScript(t *testing.T, data []byte) {
 			got, want = c.Put(seeker, gen, w.pool[b%len(w.pool)]), m.put(seeker, gen, b%len(w.pool))
 		case 4:
 			u, v := graph.UserID(ab%span), graph.UserID(cd%span)
-			got, want = c.InvalidateEdge(u, v), m.invalidateEdges(w, [][2]graph.UserID{{u, v}})
+			got, want = c.InvalidateEdge(u, v), m.invalidateEdges(w, []graph.Edge{{U: u, V: v, Weight: 1}})
 		case 5:
-			edges := make([][2]graph.UserID, []int{1, 2, 3, 8, 16, 100, 256}[a%7])
+			edges := make([]graph.Edge, []int{1, 2, 3, 8, 16, 100, 256}[a%7])
 			rng := rand.New(rand.NewSource(int64(b)<<16 | int64(cd)))
 			draw := func() graph.UserID { return graph.UserID(rng.Intn(span)) }
 			if cd%2 == 1 {
@@ -215,13 +286,22 @@ func checkScanScript(t *testing.T, data []byte) {
 					edges[i] = edges[i-1]
 				case i%5 == 4:
 					u := draw()
-					edges[i] = [2]graph.UserID{u, u}
+					edges[i] = graph.Edge{U: u, V: u}
+				case i%2 == 0:
+					u := draw()
+					edges[i] = graph.Edge{U: u, V: max(0, u+graph.UserID(rng.Intn(7)-3))}
 				default:
-					edges[i] = [2]graph.UserID{draw(), draw()}
+					edges[i] = graph.Edge{U: draw(), V: draw()}
 				}
+				edges[i].Weight = m.drawWeight(w, rng, edges[i].U, edges[i].V)
 			}
 			if cd%2 == 1 {
-				edges[rng.Intn(len(edges))][rng.Intn(2)] = graph.UserID(rng.Intn(span))
+				e := &edges[rng.Intn(len(edges))]
+				if rng.Intn(2) == 0 {
+					e.U = draw()
+				}
+				e.V = graph.UserID(rng.Intn(span))
+				e.Weight = m.drawWeight(w, rng, e.U, e.V)
 			}
 			got, want = c.InvalidateEdges(edges), m.invalidateEdges(w, edges)
 		case 6:
@@ -299,10 +379,11 @@ func scanSeeds() [][]byte {
 }
 
 // TestInvalidationMatchesModel: through Puts, refreshes, evictions,
-// full invalidations and lookups, an edge batch of 1 to
-// 512 endpoints — duplicates, self-pairs and ids no horizon holds
-// included — drops exactly the resident entries whose horizon holds an
-// endpoint, over horizons of 1 to 3,000 users, full and truncated.
+// full invalidations and lookups, an edge batch of 1 to 512 endpoints —
+// duplicates, self-pairs, ids no horizon holds, neighbours on a line,
+// weights that tie a member's σ or the floor exactly — drops exactly
+// the resident entries the rule from its definition drops, over
+// horizons of 1 to 3,000 users, full and truncated.
 func TestInvalidationMatchesModel(t *testing.T) {
 	for _, data := range scanSeeds() {
 		checkScanScript(t, data)

@@ -11,14 +11,16 @@
 //   - Invalidate bumps the cache generation, logically dropping every
 //     cached entry in O(1) — the hammer for events that change the
 //     friendship graph wholesale (a snapshot swap, a bulk load).
-//   - InvalidateEdge(u, v) drops only the entries whose horizon could be
-//     affected by a friendship mutation on edge (u, v): those whose
-//     members include u or v. Because proximity is a hop-damped maximum
-//     path product, any path from a seeker through the mutated edge
-//     reaches u or v first, so a horizon containing neither is provably
-//     unchanged (see core.SeekerHorizon.HasAny). The horizon is its own
-//     member set: invalidation scans the resident horizons for the
-//     batch's endpoints, once per compaction that folded a friendship,
+//   - InvalidateEdges drops only the entries whose horizon a batch of
+//     friendship mutations could change. Proximity is a hop-damped
+//     maximum path product with a support floor, so an edge (u, v) of
+//     weight w can only change a horizon through an endpoint whose
+//     proximity it raises (or ties): the entry is dropped when σ_u·w·α
+//     reaches the floor and v is outside the horizon or below that
+//     candidate, either way round (see core.SeekerHorizon.AffectedBy; a
+//     truncated horizon keeps the rule "an endpoint is a member"). The
+//     horizon holds every σ the test reads: invalidation scans the
+//     resident horizons, once per compaction that folded a friendship,
 //     so a Put does no per-member work and the cache holds nothing per
 //     member.
 //
@@ -43,7 +45,6 @@ package qcache
 import (
 	"container/list"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,8 +79,8 @@ type Cache struct {
 	gen   atomic.Uint64
 	floor atomic.Uint64 // entries stamped below floor are stale (full invalidation)
 
-	mu        sync.Mutex     // serializes invalidations
-	endpoints []graph.UserID // scratch for InvalidateEdges, reused across calls
+	mu    sync.Mutex     // serializes invalidations
+	batch core.EdgeBatch // scratch for InvalidateEdges, reused across calls
 
 	stripes  []stripe
 	counters metrics.CacheCounters
@@ -144,39 +145,36 @@ func (c *Cache) Invalidate() {
 	c.gen.Store(next)
 }
 
-// InvalidateEdge drops the cached horizons a friendship mutation on
-// edge (u, v) could affect — those whose members include u or v — and
-// bumps the generation so in-flight materializations from the
-// superseded graph cannot be installed. It returns the number of
-// entries dropped.
+// InvalidateEdge is InvalidateEdges for one edge (u, v) of weight 1,
+// the largest a friendship can have: whatever weight the graph holds
+// for the edge, a horizon this keeps is one the real weight keeps too.
 func (c *Cache) InvalidateEdge(u, v graph.UserID) int {
-	return c.InvalidateEdges([][2]graph.UserID{{u, v}})
+	return c.InvalidateEdges([]graph.Edge{{U: u, V: v, Weight: 1}})
 }
 
-// InvalidateEdges is InvalidateEdge for a batch of mutated edges under
-// one generation bump — what a compaction that folded many Befriends
-// calls. It walks each stripe's LRU once under that stripe's lock,
-// asking each resident horizon whether it holds any endpoint of the
-// batch: work proportional to the cache's resident users, paid per
+// InvalidateEdges drops the cached horizons that folding the given
+// edges into the graph could change (see core.SeekerHorizon.AffectedBy)
+// and bumps the generation so in-flight materializations from the
+// superseded graph cannot be installed — one bump for the batch, which
+// is what a compaction that folded many Befriends calls. Each edge's
+// weight must be the one the graph holds for it after the fold (the
+// larger of the old and the new). It walks each stripe's LRU once under
+// that stripe's lock, asking each resident horizon about the batch:
+// work proportional to the cache's resident users, paid per
 // friendship-folding compaction instead of per Put and per eviction.
-func (c *Cache) InvalidateEdges(edges [][2]graph.UserID) int {
+// It returns the number of entries dropped.
+func (c *Cache) InvalidateEdges(edges []graph.Edge) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.gen.Add(1) // before any stripe is scanned: see Cache
-	ends := c.endpoints[:0]
-	for _, e := range edges {
-		ends = append(ends, e[0], e[1])
-	}
-	slices.Sort(ends)
-	ends = slices.Compact(ends)
-	c.endpoints = ends
+	c.batch.Reset(edges)
 	n := 0
 	for i := range c.stripes {
 		s := &c.stripes[i]
 		s.mu.Lock()
 		for el := s.lru.Front(); el != nil; {
 			next := el.Next()
-			if el.Value.(*entry).horizon.HasAny(ends) {
+			if el.Value.(*entry).horizon.AffectedBy(&c.batch) {
 				s.remove(el)
 				n++
 			}

@@ -71,7 +71,7 @@ func TestEdgeInvalidationNeverServesStale(t *testing.T) {
 		for v := 1; v < versions; v++ {
 			svcMu.Lock()
 			graphVer = v
-			c.InvalidateEdges([][2]graph.UserID{{0, 1}})
+			c.InvalidateEdges([]graph.Edge{{U: 0, V: 1, Weight: 1}})
 			svcMu.Unlock()
 		}
 	}()

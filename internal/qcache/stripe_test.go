@@ -11,14 +11,15 @@ import (
 )
 
 // stripeWorld is a 256-entry cache (four stripes) holding the horizons
-// of 64 seekers on 16 disjoint 4-user lines. The batch's edges lie in
-// lines 0–7, so seekers 0–31 are affected and 32–63 are not, and every
-// stripe holds some of each.
+// of 64 seekers on 16 disjoint 4-user lines of weight 0.5. The batch's
+// edges lie in lines 0–7 at weight 1, which raises an edge's farther
+// endpoint from every seeker on its line, so seekers 0–31 are affected
+// and 32–63 are not, and every stripe holds some of each.
 type stripeWorld struct {
 	c        *Cache
 	gen      uint64 // the generation every horizon was Put under
 	horizons []*core.SeekerHorizon
-	batch    [][2]graph.UserID
+	batch    []graph.Edge
 }
 
 const stripeSeekers, stripeAffected = 64, 32
@@ -42,7 +43,7 @@ func newStripeWorld(t *testing.T) *stripeWorld {
 		}
 	}
 	for line := graph.UserID(0); line < stripeAffected/4; line++ {
-		w.batch = append(w.batch, [2]graph.UserID{4 * line, 4*line + 1})
+		w.batch = append(w.batch, graph.Edge{U: 4 * line, V: 4*line + 1, Weight: 1})
 	}
 	for i := range c.stripes {
 		var affected, spared bool

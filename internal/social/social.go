@@ -151,10 +151,11 @@ type Service struct {
 	appliedLSN uint64
 	// dirtyEdges accumulates the distinct friend edges written since
 	// the last compaction, for edge-scoped cache invalidation (dirtySet
-	// dedups re-declarations of the same edge); edgeOverflow is set
-	// when more than EdgeScopeLimit distinct edges accumulated and the
-	// next compaction must invalidate globally instead.
-	dirtyEdges   [][2]graph.UserID
+	// dedups re-declarations of the same edge; the compaction fills in
+	// each weight); edgeOverflow is set when more than EdgeScopeLimit
+	// distinct edges accumulated and the next compaction must invalidate
+	// globally instead.
+	dirtyEdges   []graph.Edge
 	dirtySet     map[[2]graph.UserID]struct{}
 	edgeOverflow bool
 }
@@ -314,14 +315,17 @@ func (s *Service) noteWrite() error {
 
 // compactLocked folds pending writes into the queryable snapshot and,
 // when friendship edges were among them, invalidates the cached seeker
-// horizons those edges could affect: a horizon is dropped only when its
-// member set contains a mutated edge's endpoint (edge-scoped
-// invalidation; see qcache.InvalidateEdges for why that is sufficient
-// under the max-path-product proximity). When more than EdgeScopeLimit
-// edges accumulated — or edge scoping is disabled — the service falls
-// back to one global invalidation. Tag-only compactions leave the
-// cache untouched — tags live in the store, not the graph, so horizons
-// stay exact. Callers hold s.mu.
+// horizons those edges could change: each mutated edge goes to
+// qcache.InvalidateEdges with the weight the compacted graph holds for
+// it — the larger of the old and the declared one, which is what the
+// next expansion relaxes — and a horizon is dropped only when some edge
+// can raise (or tie) the proximity of one of its endpoints (see
+// core.SeekerHorizon.AffectedBy). An edge the graph does not hold
+// counts at weight 1, the largest there is. When more than
+// EdgeScopeLimit edges accumulated — or edge scoping is disabled — the
+// service falls back to one global invalidation. Tag-only compactions
+// leave the cache untouched — tags live in the store, not the graph, so
+// horizons stay exact. Callers hold s.mu.
 func (s *Service) compactLocked() error {
 	if err := s.engine.Compact(); err != nil {
 		return err
@@ -338,6 +342,14 @@ func (s *Service) compactLocked() error {
 			if overflow || len(edges) == 0 {
 				s.cache.Invalidate()
 			} else {
+				g, _ := s.overlay.Snapshot()
+				for i, e := range edges {
+					w, ok := g.EdgeWeight(e.U, e.V)
+					if !ok {
+						w = 1
+					}
+					edges[i].Weight = w
+				}
 				s.cache.InvalidateEdges(edges)
 			}
 		}
@@ -376,7 +388,7 @@ func (s *Service) noteFriendEdge(a, b graph.UserID) {
 		s.dirtySet = make(map[[2]graph.UserID]struct{})
 	}
 	s.dirtySet[key] = struct{}{}
-	s.dirtyEdges = append(s.dirtyEdges, key)
+	s.dirtyEdges = append(s.dirtyEdges, graph.Edge{U: key[0], V: key[1]})
 }
 
 // AppliedLSN returns the replication cursor: the highest replication
@@ -400,10 +412,11 @@ func (s *Service) Flush() error {
 // applied them; called with no edges and all false that is all it does,
 // and that call is the fleet's compaction heartbeat (see
 // internal/fleet.Broadcaster). Edges and all are an operator's cache
-// drop on top: the cached horizons the named edges could affect (names
-// unknown locally are skipped, since no id — and therefore no cached
-// horizon member set — can reference them), or with all set the whole
-// cache. Returns the number of entries invalidated.
+// drop on top: the cached horizons the named edges could affect at
+// weight 1, the largest a friendship can have (names unknown locally
+// are skipped, since no id — and therefore no cached horizon — can
+// reference them), or with all set the whole cache. Returns the number
+// of entries invalidated.
 func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -419,7 +432,7 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 		s.publishLocked()
 		return n, nil
 	}
-	ids := make([][2]graph.UserID, 0, len(edges))
+	ids := make([]graph.Edge, 0, len(edges))
 	for _, e := range edges {
 		ua, ok := s.names.Users.ID(e[0])
 		if !ok {
@@ -429,7 +442,7 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 		if !ok {
 			continue
 		}
-		ids = append(ids, [2]graph.UserID{ua, ub})
+		ids = append(ids, graph.Edge{U: ua, V: ub, Weight: 1})
 	}
 	if len(ids) == 0 {
 		return 0, nil
