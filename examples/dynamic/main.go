@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	oe, err := overlay.NewEngine(o, cfg, 0)
+	eng, err := core.NewEngine(ds.Graph, ds.Store, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func main() {
 	show := func(label string) core.Answer {
 		// RefineScores: report exact scores so answers are comparable
 		// across snapshots (plain runs report certified lower bounds).
-		ans, err := oe.SocialMerge(q, core.Options{RefineScores: true})
+		ans, err := eng.SocialMerge(q, core.Options{RefineScores: true})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,14 +71,20 @@ func main() {
 	fw := wts[0]
 	newItem := o.AddItem()
 	for i := 0; i < 12; i++ {
-		if err := oe.Tag(friend, newItem, tags[i%2]); err != nil {
+		if err := o.Tag(friend, newItem, tags[i%2]); err != nil {
 			log.Fatal(err)
 		}
 	}
 	fmt.Printf("friend %d (weight %.2f) tags new item %d twelve times with tags %v\n",
 		friend, fw, newItem, tags)
 	show("before compaction (unchanged — mutations are pending)")
-	if err := oe.Compact(); err != nil {
+	// Compaction folds the pending mutations into a new immutable
+	// snapshot; queries see it once an engine is built over it.
+	if err := o.Compact(); err != nil {
+		log.Fatal(err)
+	}
+	g, st := o.Snapshot()
+	if eng, err = core.NewEngine(g, st, cfg); err != nil {
 		log.Fatal(err)
 	}
 	after := show("after compaction")

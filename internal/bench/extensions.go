@@ -21,7 +21,7 @@ func runExt2(cfg Config, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	oe, err := overlay.NewEngine(o, evalEngineConfig(), 0)
+	eng, err := core.NewEngine(ds.Graph, ds.Store, evalEngineConfig())
 	if err != nil {
 		return err
 	}
@@ -40,18 +40,22 @@ func runExt2(cfg Config, w io.Writer) error {
 		for i := 0; i < 500; i++ {
 			u := int32((batch*7919 + i*104729) % users)
 			v := int32((batch*31 + i*7919 + 1) % users)
-			if err := oe.Tag(u, int32((i*613)%items), int32((i*389)%tags)); err != nil {
+			if err := o.Tag(u, int32((i*613)%items), int32((i*389)%tags)); err != nil {
 				return err
 			}
 			if u != v && i%5 == 0 {
-				if err := oe.Befriend(u, v, 0.3); err != nil {
+				if err := o.Befriend(u, v, 0.3); err != nil {
 					return err
 				}
 			}
 		}
 		_, pending := o.Pending()
 		start := time.Now()
-		if err := oe.Compact(); err != nil {
+		if err := o.Compact(); err != nil {
+			return err
+		}
+		g, st := o.Snapshot()
+		if eng, err = core.NewEngine(g, st, evalEngineConfig()); err != nil {
 			return err
 		}
 		compactMS := float64(time.Since(start).Microseconds()) / 1000
@@ -60,7 +64,7 @@ func runExt2(cfg Config, w io.Writer) error {
 		n := 0
 		for _, s := range specs[:min(10, len(specs))] {
 			q := core.Query{Seeker: s.Seeker, Tags: s.Tags, K: 10}
-			if _, err := oe.SocialMerge(q, core.Options{}); err != nil {
+			if _, err := eng.SocialMerge(q, core.Options{}); err != nil {
 				return err
 			}
 			n++

@@ -23,9 +23,6 @@ import (
 type Overlay struct {
 	mu sync.Mutex
 
-	baseGraph *graph.Graph
-	baseStore *tagstore.Store
-
 	// pending deltas since the last compaction
 	pendingEdges   []graph.Edge
 	pendingTriples []tagstore.Triple
@@ -49,8 +46,6 @@ func New(g *graph.Graph, s *tagstore.Store) (*Overlay, error) {
 		return nil, fmt.Errorf("overlay: graph has %d users, store has %d", g.NumUsers(), s.NumUsers())
 	}
 	return &Overlay{
-		baseGraph: g,
-		baseStore: s,
 		snapGraph: g,
 		snapStore: s,
 		numUsers:  g.NumUsers(),

@@ -1,11 +1,10 @@
 package overlay
 
 import (
-	"math"
+	"fmt"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/tagstore"
 )
@@ -192,121 +191,41 @@ func TestDuplicateEdgeMaxWins(t *testing.T) {
 	}
 }
 
-func TestEngineQueriesSeeUpdatesAfterCompact(t *testing.T) {
-	g, s := base(t)
-	o, err := New(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(o, core.DefaultConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
-	ans, err := e.SocialMerge(q, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// base: friend u1 tagged item 0 → one result, score 0.5
-	if len(ans.Results) != 1 || math.Abs(ans.Results[0].Score-0.5) > 1e-12 {
-		t.Fatalf("base answer = %v", ans.Results)
-	}
-	// user 2 tags item 1, then befriends user 0 directly
-	if err := e.Tag(2, 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Befriend(0, 2, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	// not compacted yet: same answer
-	ans, err = e.SocialMerge(q, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Results) != 1 {
-		t.Fatalf("uncompacted answer changed: %v", ans.Results)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	ans, err = e.SocialMerge(q, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Results) != 2 {
-		t.Fatalf("post-compaction answer = %v, want 2 results", ans.Results)
-	}
-	// new result: item 1 with score 0.8
-	found := false
-	for _, r := range ans.Results {
-		if r.Item == 1 && math.Abs(r.Score-0.8) < 1e-12 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("new tagging not reflected: %v", ans.Results)
-	}
-	// all three algorithms agree on the snapshot
-	if _, err := e.ExactSocial(q); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.GlobalTopK(q); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEngineAutoCompaction(t *testing.T) {
-	g, s := base(t)
-	o, err := New(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(o, core.DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if err := e.Tag(0, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if o.Compactions() != 1 {
-		t.Fatalf("Compactions = %d, want 1 after 3 mutations with threshold 3", o.Compactions())
-	}
-	_, ss := o.Snapshot()
-	if ss.TF(0, 1, 0) != 3 {
-		t.Fatalf("TF = %d, want 3", ss.TF(0, 1, 0))
-	}
-}
-
+// TestConcurrentMutateAndQuery: writers, compactions and snapshot
+// readers interleave (under -race); every snapshot a reader sees is a
+// consistent pair, and the final compaction holds every write.
 func TestConcurrentMutateAndQuery(t *testing.T) {
 	g, s := base(t)
 	o, err := New(g, s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewEngine(o, core.DefaultConfig(), 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const workers, iters = 4, 20
 	var wg sync.WaitGroup
-	errs := make(chan error, 64)
-	for w := 0; w < 4; w++ {
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 20; i++ {
+			for i := 0; i < iters; i++ {
 				if w%2 == 0 {
-					if err := e.Tag(graph.UserID(w%3), tagstore.ItemID(i%2), 0); err != nil {
+					if err := o.Tag(graph.UserID(w%3), tagstore.ItemID(i%2), 0); err != nil {
 						errs <- err
 						return
+					}
+					if i%5 == 4 {
+						if err := o.Compact(); err != nil {
+							errs <- err
+							return
+						}
 					}
 				} else {
-					q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 3}
-					if _, err := e.SocialMerge(q, core.Options{}); err != nil {
-						errs <- err
+					sg, ss := o.Snapshot()
+					if sg.NumUsers() != ss.NumUsers() {
+						errs <- fmt.Errorf("torn snapshot: %d graph users, %d store users", sg.NumUsers(), ss.NumUsers())
 						return
 					}
+					o.Pending()
 				}
 			}
 		}(w)
@@ -316,55 +235,16 @@ func TestConcurrentMutateAndQuery(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if err := e.Compact(); err != nil {
+	if err := o.Compact(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestTagOnlyCompactReachesEngine: a compaction without friendships
-// keeps the graph it had, so the engine must notice the new store on
-// its own; and one without tags keeps the store.
-func TestTagOnlyCompactReachesEngine(t *testing.T) {
-	g, s := base(t)
-	o, err := New(g, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := NewEngine(o, core.DefaultConfig(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := core.Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
-	if ans, err := e.SocialMerge(q, core.Options{}); err != nil || len(ans.Results) != 1 {
-		t.Fatalf("base answer = %v, %v", ans.Results, err)
-	}
-	if err := e.Tag(1, 1, 0); err != nil { // friend u1 tags a second item
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if sg, ss := o.Snapshot(); sg != g || ss == s {
-		t.Fatalf("tag-only compaction: graph reused %v, store replaced %v; want both", sg == g, ss != s)
-	}
-	ans, err := e.SocialMerge(q, core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ans.Results) != 2 {
-		t.Fatalf("answer after a tag-only compaction = %v, want 2 results", ans.Results)
-	}
-	_, tagged := o.Snapshot()
-	if err := e.Befriend(0, 2, 0.8); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if sg, ss := o.Snapshot(); sg == g || ss != tagged {
-		t.Fatalf("friend-only compaction: graph replaced %v, store reused %v; want both", sg != g, ss == tagged)
-	}
-	if o.Compactions() != 2 {
-		t.Fatalf("Compactions() = %d, want 2", o.Compactions())
+	// Writers 0 and 2 tag items 0 and 1 ten times each, as users 0 and 2.
+	_, ss := o.Snapshot()
+	for _, u := range []graph.UserID{0, 2} {
+		for item := tagstore.ItemID(0); item < 2; item++ {
+			if tf := ss.TF(u, item, 0); tf != iters/2 {
+				t.Fatalf("TF(%d, %d, 0) = %d, want %d", u, item, tf, iters/2)
+			}
+		}
 	}
 }

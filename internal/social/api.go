@@ -134,47 +134,45 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 	// Resolve names and pin the engine snapshot and cache generation
 	// together, preferably from the atomically published view — the
 	// lock-free fast path. The view's frozen dictionaries may trail the
-	// live ones, so any miss (name added since the last clone, or no
-	// view yet) falls back wholesale to the locked path, which sees
-	// every name. Consistency without the lock comes from the view
-	// being immutable: its dictionaries, engine snapshot and cache
-	// generation were captured together, and qcache's exact-generation
-	// matching turns a stale pinned generation into a clean miss rather
-	// than a stale answer.
+	// live ones, so any miss (a name added since the last clone) falls
+	// back wholesale to the locked path, which sees every name.
+	// Consistency without the lock comes from the view being immutable:
+	// its dictionaries, engine snapshot and cache generation were
+	// captured together, and qcache's exact-generation matching turns a
+	// stale pinned generation into a clean miss rather than a stale
+	// answer.
 	var (
 		uid    int32
 		eng    *core.Engine
 		cache  *qcache.Cache
 		gen    uint64
-		v      *queryView
 		viewOK bool
 	)
-	if v = s.view.Load(); v != nil {
-		if id, ok := v.users.ID(req.Seeker); ok {
-			sc.tagIDs = sc.tagIDs[:0]
-			resolved := true
-			for _, t := range req.Tags {
-				tid, ok := v.tags.ID(t)
-				if !ok {
-					resolved = false
-					break
-				}
-				sc.tagIDs = append(sc.tagIDs, tid)
+	v := s.view.Load()
+	if id, ok := v.users.ID(req.Seeker); ok {
+		sc.tagIDs = sc.tagIDs[:0]
+		resolved := true
+		for _, t := range req.Tags {
+			tid, ok := v.tags.ID(t)
+			if !ok {
+				resolved = false
+				break
 			}
-			if resolved {
-				uid = id
-				eng = v.eng
-				if s.cache != nil && !req.NoCache {
-					cache, gen = s.cache, v.gen
-				}
-				viewOK = true
+			sc.tagIDs = append(sc.tagIDs, tid)
+		}
+		if resolved {
+			uid = id
+			eng = v.eng
+			if s.cache != nil && !req.NoCache {
+				cache, gen = s.cache, v.gen
 			}
+			viewOK = true
 		}
 	}
 	if !viewOK {
 		// Slow path: resolve against the live dictionaries and pin the
-		// snapshot triple under the lock, exactly as before the view
-		// existed. This is also where genuinely unknown names become
+		// current view's engine and the cache generation under the
+		// lock. This is also where genuinely unknown names become
 		// errors.
 		s.mu.Lock()
 		id, ok := s.names.Users.ID(req.Seeker)
@@ -192,12 +190,7 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 			}
 			sc.tagIDs = append(sc.tagIDs, tid)
 		}
-		var err error
-		eng, err = s.engine.Current()
-		if err != nil {
-			s.mu.Unlock()
-			return err
-		}
+		eng = s.view.Load().eng
 		if s.cache != nil && !req.NoCache {
 			cache, gen = s.cache, s.cache.Generation()
 		}

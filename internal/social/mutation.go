@@ -196,11 +196,11 @@ func (s *Service) advanceCursor(lsn uint64) {
 func (s *Service) applyLocked(m Mutation) error {
 	switch m.Kind {
 	case KindBefriend:
-		ua, err := intern(s.names.Users, m.User, s.overlay.AddUser)
+		ua, err := s.intern(&s.names.Users, m.User, s.overlay.AddUser)
 		if err != nil {
 			return err
 		}
-		ub, err := intern(s.names.Users, m.Friend, s.overlay.AddUser)
+		ub, err := s.intern(&s.names.Users, m.Friend, s.overlay.AddUser)
 		if err != nil {
 			return err
 		}
@@ -209,15 +209,15 @@ func (s *Service) applyLocked(m Mutation) error {
 		}
 		s.noteFriendEdge(ua, ub)
 	case KindTag:
-		u, err := intern(s.names.Users, m.User, s.overlay.AddUser)
+		u, err := s.intern(&s.names.Users, m.User, s.overlay.AddUser)
 		if err != nil {
 			return err
 		}
-		i, err := intern(s.names.Items, m.Item, s.overlay.AddItem)
+		i, err := s.intern(&s.names.Items, m.Item, s.overlay.AddItem)
 		if err != nil {
 			return err
 		}
-		tg, err := intern(s.names.Tags, m.Tag, s.overlay.AddTag)
+		tg, err := s.intern(&s.names.Tags, m.Tag, s.overlay.AddTag)
 		if err != nil {
 			return err
 		}
@@ -230,11 +230,19 @@ func (s *Service) applyLocked(m Mutation) error {
 	return s.noteWrite()
 }
 
-// intern resolves a name in one of the three dictionaries, growing the
-// matching overlay universe when the name is new. Callers hold s.mu.
-func intern(d *vocab.Dict, name string, grow func() int32) (int32, error) {
+// intern resolves a name in one of the three live dictionaries, growing
+// the matching overlay universe when the name is new. It is the only
+// writer of live dictionaries: install publishes them to the lock-free
+// view in place, so a live dictionary the current view still holds is
+// replaced by a clone before its first Add. Callers hold s.mu.
+func (s *Service) intern(live **vocab.Dict, name string, grow func() int32) (int32, error) {
+	d := *live
 	if id, ok := d.ID(name); ok {
 		return id, nil
+	}
+	if v := s.view.Load(); d == v.users || d == v.items || d == v.tags {
+		d = d.Clone()
+		*live = d
 	}
 	id, err := d.Add(name)
 	if err != nil {

@@ -67,28 +67,20 @@ func (s *Service) SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Se
 // failure latches ErrBroken (memory is ahead of disk); reopening
 // recovers the pre-import state and the join restarts from scratch.
 func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error {
-	o, eng, err := loadState(s.cfg, g, st, names)
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.broken {
 		return ErrBroken
 	}
-	s.names = names
-	s.overlay = o
-	s.engine = eng
+	if err := s.install(g, st, names); err != nil {
+		return err
+	}
 	s.writes.Store(0)
 	s.friendsDirty = false
 	s.dirtyEdges = nil
 	s.dirtySet = nil
 	s.edgeOverflow = false
 	s.appliedLSN = lsn
-	if s.cache != nil {
-		s.cache.Invalidate()
-	}
-	s.publishLocked()
 	if s.journal != nil {
 		if err := s.checkpointLocked(); err != nil {
 			s.broken = true

@@ -1,9 +1,12 @@
 // Package social is the batteries-included facade of the library: a
 // mutable social tagging service addressed by names instead of dense
-// ids. It wires together the vocabulary layer (string ↔ id), the
-// overlay (dynamic updates + compaction), the core engine (certified
-// top-k), and the serving cache — the API a downstream application
-// embeds.
+// ids. It wires together the vocabulary layer (string ↔ id), an
+// overlay.Overlay (pending updates + compaction), the core engine
+// (certified top-k) and the serving cache — the API a downstream
+// application embeds. The service is the only owner of its engine: it
+// builds one core.Engine per compacted (graph, store) pair and
+// publishes it, with the name dictionaries, in a lock-free view that
+// every query reads.
 //
 //	svc, _ := social.NewService(social.DefaultServiceConfig())
 //	svc.Befriend("alice", "bob", 0.9)
@@ -39,6 +42,7 @@ import (
 	"repro/internal/proximity"
 	"repro/internal/qcache"
 	"repro/internal/search"
+	"repro/internal/tagstore"
 	"repro/internal/vocab"
 )
 
@@ -73,7 +77,8 @@ type ServiceConfig struct {
 	SeekerCacheSize int
 	// EdgeScopeLimit caps how many distinct mutated friend edges one
 	// compaction invalidates by scope (dropping only cached horizons
-	// that contain an endpoint) before falling back to a global
+	// in which some edge can raise or tie an endpoint's proximity; see
+	// core.SeekerHorizon.AffectedBy) before falling back to a global
 	// invalidation. 0 = DefaultEdgeScopeLimit; negative disables edge
 	// scoping entirely (every friend compaction invalidates globally).
 	EdgeScopeLimit int
@@ -114,10 +119,11 @@ type Service struct {
 	// view is the lock-free read-path snapshot: frozen name
 	// dictionaries, the engine snapshot they describe, and the cache
 	// generation pinned with it — everything doIntoScratch used
-	// to take s.mu for. It is republished (atomically swapped) by every
-	// compaction; queries that miss a name in the (possibly slightly
-	// stale) frozen dictionaries fall back to the locked path. See
-	// publishLocked.
+	// to take s.mu for. It is the only holder of the current
+	// core.Engine, never nil once the service is built, and republished
+	// (atomically swapped) by install and every compaction; queries that
+	// miss a name in the (possibly slightly stale) frozen dictionaries
+	// fall back to the locked path. See install and publishLocked.
 	view atomic.Pointer[queryView]
 
 	// degradeHook, when set, is consulted with every normalized request
@@ -140,7 +146,6 @@ type Service struct {
 	mu      sync.Mutex
 	names   *vocab.Set
 	overlay *overlay.Overlay
-	engine  *overlay.Engine
 	// broken latches once a journaled mutation was appended but failed
 	// to apply (see ErrBroken).
 	broken       bool
@@ -211,29 +216,60 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Service{cfg: cfg, cache: cache, names: vocab.NewSet()}
-	if err := s.initEmpty(); err != nil {
+	// Start from empty immutable bases; universes grow via the overlay.
+	s := &Service{cfg: cfg, cache: cache}
+	if err := s.install(newEmptyGraph(), newEmptyStore(), vocab.NewSet()); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-func (s *Service) initEmpty() error {
-	// Start from empty immutable bases; universes grow via the overlay.
-	gb := newEmptyGraph()
-	st := newEmptyStore()
-	o, err := overlay.New(gb, st)
+// install makes (g, st, names) the service's whole state — the one way
+// NewService, Restore and ImportSnapshot give a service its state. It
+// checks that the state is whole and that the vocabularies agree with
+// the structural universes, wraps g and st in a fresh overlay, builds
+// the engine, drops every cached horizon when it replaces an earlier
+// universe, and publishes a view. The view aliases names' dictionaries
+// rather than cloning them (intern clones a live dictionary before its
+// first Add instead), so a restored replica pays no second copy of its
+// vocabulary. Ownership of all three arguments passes to the service.
+// Callers hold s.mu, or have exclusive access.
+func (s *Service) install(g *graph.Graph, st *tagstore.Store, names *vocab.Set) error {
+	if g == nil || st == nil || names == nil || names.Users == nil || names.Items == nil || names.Tags == nil {
+		return fmt.Errorf("social: nil state in snapshot")
+	}
+	if names.Users.Len() != g.NumUsers() {
+		return fmt.Errorf("social: %d user names for %d graph users", names.Users.Len(), g.NumUsers())
+	}
+	if names.Items.Len() != st.NumItems() {
+		return fmt.Errorf("social: %d item names for %d store items", names.Items.Len(), st.NumItems())
+	}
+	if names.Tags.Len() != st.NumTags() {
+		return fmt.Errorf("social: %d tag names for %d store tags", names.Tags.Len(), st.NumTags())
+	}
+	o, err := overlay.New(g, st)
 	if err != nil {
 		return err
 	}
-	eng, err := overlay.NewEngine(o, core.Config{Proximity: s.cfg.Proximity, Beta: s.cfg.Beta}, 0)
+	eng, err := s.newEngine(g, st)
 	if err != nil {
 		return err
 	}
-	s.overlay = o
-	s.engine = eng
-	s.publishLocked()
+	s.names, s.overlay = names, o
+	v := &queryView{users: names.Users, items: names.Items, tags: names.Tags, eng: eng}
+	if s.cache != nil {
+		if s.view.Load() != nil {
+			s.cache.Invalidate() // the horizons describe the old universe
+		}
+		v.gen = s.cache.Generation()
+	}
+	s.view.Store(v)
 	return nil
+}
+
+// newEngine builds the query engine over one compacted snapshot.
+func (s *Service) newEngine(g *graph.Graph, st *tagstore.Store) (*core.Engine, error) {
+	return core.NewEngine(g, st, core.Config{Proximity: s.cfg.Proximity, Beta: s.cfg.Beta})
 }
 
 // queryView is the immutable snapshot the lock-free read path works
@@ -251,34 +287,24 @@ type queryView struct {
 	gen   uint64 // 0 when caching is disabled
 }
 
-// publishLocked snapshots the current queryable state into an
-// atomically swapped view. Called at the end of every compaction (and
+// publishLocked republishes the view over eng within the universe the
+// current view describes. Called at the end of every compaction (and
 // of ApplyInvalidation, which bumps the cache generation after
-// compacting). Callers hold s.mu — or, in initEmpty, have exclusive
-// access.
+// compacting); install publishes a new universe's first view. Callers
+// hold s.mu.
 //
 // The frozen dictionaries are reused across publishes until the live
 // dictionary outgrows them by ~12.5% (plus a small absolute slack), so
 // the total cloning cost stays linear in the vocabulary size even when
 // every write compacts. A reader that misses a recently added name in
 // a trailing frozen dictionary falls back to the locked path.
-func (s *Service) publishLocked() {
-	eng, err := s.engine.Current()
-	if err != nil {
-		// No queryable snapshot; readers take the locked path.
-		s.view.Store(nil)
-		return
-	}
+func (s *Service) publishLocked(eng *core.Engine) {
 	old := s.view.Load()
-	v := &queryView{eng: eng}
-	if old != nil {
-		v.users = refreshFrozen(old.users, s.names.Users)
-		v.items = refreshFrozen(old.items, s.names.Items)
-		v.tags = refreshFrozen(old.tags, s.names.Tags)
-	} else {
-		v.users = s.names.Users.Clone()
-		v.items = s.names.Items.Clone()
-		v.tags = s.names.Tags.Clone()
+	v := &queryView{
+		users: refreshFrozen(old.users, s.names.Users),
+		items: refreshFrozen(old.items, s.names.Items),
+		tags:  refreshFrozen(old.tags, s.names.Tags),
+		eng:   eng,
 	}
 	if s.cache != nil {
 		v.gen = s.cache.Generation()
@@ -287,8 +313,9 @@ func (s *Service) publishLocked() {
 }
 
 // refreshFrozen returns frozen when it still covers enough of live
-// (dictionaries are append-only, so a prefix clone never goes wrong —
-// only stale), and a fresh clone once live has outgrown it.
+// (within one universe dictionaries are append-only, so a prefix clone
+// never goes wrong — only stale), and a fresh clone once live has
+// outgrown it.
 func refreshFrozen(frozen, live *vocab.Dict) *vocab.Dict {
 	if frozen != nil && live.Len() <= frozen.Len()+frozen.Len()/8+64 {
 		return frozen
@@ -325,10 +352,20 @@ func (s *Service) noteWrite() error {
 // EdgeScopeLimit edges accumulated — or edge scoping is disabled — the
 // service falls back to one global invalidation. Tag-only compactions
 // leave the cache untouched — tags live in the store, not the graph, so
-// horizons stay exact. Callers hold s.mu.
+// horizons stay exact. A compaction that changed the (graph, store)
+// pair gets a new engine — Overlay.Compact keeps the graph of a batch
+// without friendships and the store of one without tags, so both are
+// compared. Callers hold s.mu.
 func (s *Service) compactLocked() error {
-	if err := s.engine.Compact(); err != nil {
+	if err := s.overlay.Compact(); err != nil {
 		return err
+	}
+	eng := s.view.Load().eng
+	if g, st := s.overlay.Snapshot(); g != eng.Graph() || st != eng.Store() {
+		var err error
+		if eng, err = s.newEngine(g, st); err != nil {
+			return err
+		}
 	}
 	s.writes.Store(0)
 	if s.friendsDirty {
@@ -342,7 +379,7 @@ func (s *Service) compactLocked() error {
 			if overflow || len(edges) == 0 {
 				s.cache.Invalidate()
 			} else {
-				g, _ := s.overlay.Snapshot()
+				g := eng.Graph()
 				for i, e := range edges {
 					w, ok := g.EdgeWeight(e.U, e.V)
 					if !ok {
@@ -354,7 +391,7 @@ func (s *Service) compactLocked() error {
 			}
 		}
 	}
-	s.publishLocked()
+	s.publishLocked(eng)
 	return nil
 }
 
@@ -429,7 +466,7 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	if all {
 		n := s.cache.Len()
 		s.cache.Invalidate()
-		s.publishLocked()
+		s.publishLocked(s.view.Load().eng)
 		return n, nil
 	}
 	ids := make([]graph.Edge, 0, len(edges))
@@ -448,7 +485,7 @@ func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 		return 0, nil
 	}
 	n := s.cache.InvalidateEdges(ids)
-	s.publishLocked()
+	s.publishLocked(s.view.Load().eng)
 	return n, nil
 }
 

@@ -85,44 +85,73 @@ func TestSearchValidation(t *testing.T) {
 	}
 }
 
+// TestWritesVisibleAfterAutoCompaction: pending writes stay invisible
+// until the compaction policy folds them in, and then every kind of
+// batch reaches Do — one with only tags keeps the engine's graph and
+// replaces its store, one with only friendships (between known users)
+// does the reverse, and the service must notice either change.
 func TestWritesVisibleAfterAutoCompaction(t *testing.T) {
-	svc := pizzaWorld(t, 3)
-	// two writes pending: invisible
-	if err := svc.Befriend("alice", "erin", 0.9); err != nil {
-		t.Fatal(err)
+	type write struct {
+		befriend bool
+		a, b     string // users, or user and item
+		weight   float64
 	}
-	if err := svc.Tag("erin", "sliceplace", "pizza"); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name               string
+		writes             []write // the last one triggers the compaction
+		item               string
+		score              float64
+		newGraph, newStore bool
+	}{
+		// erin at weight 0.9, two taggings → 1.8
+		{"mixed", []write{{true, "alice", "erin", 0.9}, {false, "erin", "sliceplace", 0}, {false, "erin", "sliceplace", 0}},
+			"sliceplace", 1.8, true, true},
+		// bob at weight 0.9, two taggings → 1.8
+		{"tags only", []write{{false, "bob", "dominos", 0}, {false, "bob", "dominos", 0}},
+			"dominos", 1.8, false, true},
+		// frank becomes alice's friend at 0.5 (carol's 0.7·0.2 is lower)
+		{"friendships only", []write{{true, "alice", "frank", 0.5}, {true, "carol", "frank", 0.2}},
+			"chain", 0.5, true, false},
 	}
-	res, err := searchExact(svc, "alice", []string{"pizza"}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range res {
-		if r.Item == "sliceplace" {
-			t.Fatal("pending write visible before compaction")
-		}
-	}
-	// third write triggers auto-compaction
-	if err := svc.Tag("erin", "sliceplace", "pizza"); err != nil {
-		t.Fatal(err)
-	}
-	res, err = searchExact(svc, "alice", []string{"pizza"}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range res {
-		if r.Item == "sliceplace" {
-			found = true
-			// erin at weight 0.9, two taggings → 1.8
-			if math.Abs(r.Score-1.8) > 1e-12 {
-				t.Fatalf("sliceplace score = %g, want 1.8", r.Score)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc := pizzaWorld(t, len(tc.writes))
+			before := svc.view.Load().eng
+			for i, w := range tc.writes {
+				var err error
+				if w.befriend {
+					err = svc.Befriend(w.a, w.b, w.weight)
+				} else {
+					err = svc.Tag(w.a, w.b, "pizza")
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := searchExact(svc, "alice", []string{"pizza"}, 5)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got *search.Result
+				for j := range res {
+					if res[j].Item == tc.item {
+						got = &res[j]
+					}
+				}
+				switch {
+				case i < len(tc.writes)-1 && got != nil:
+					t.Fatalf("pending write %d visible before compaction: %v", i, res)
+				case i == len(tc.writes)-1 && got == nil:
+					t.Fatalf("compacted writes invisible: %v", res)
+				case got != nil && math.Abs(got.Score-tc.score) > 1e-12:
+					t.Fatalf("%s score = %g, want %g", tc.item, got.Score, tc.score)
+				}
 			}
-		}
-	}
-	if !found {
-		t.Fatalf("auto-compacted write invisible: %v", res)
+			after := svc.view.Load().eng
+			if (after.Graph() != before.Graph()) != tc.newGraph || (after.Store() != before.Store()) != tc.newStore {
+				t.Fatalf("graph replaced %v, store replaced %v; want %v, %v",
+					after.Graph() != before.Graph(), after.Store() != before.Store(), tc.newGraph, tc.newStore)
+			}
+		})
 	}
 }
 

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/search"
+	"repro/internal/vocab"
 )
 
 // TestViewConcurrentWritersAndReaders hammers the lock-free read path
@@ -186,5 +189,176 @@ func TestDegradeHook(t *testing.T) {
 	}
 	if resp.Degraded {
 		t.Fatal("cleared hook still degrading")
+	}
+}
+
+// restoredPizza exports pizzaWorld's state with the users interned in
+// the given order and restores a service from it, returning the
+// restored service and the dictionaries Restore received.
+func restoredPizza(t *testing.T, cfg ServiceConfig, users ...string) (*Service, *vocab.Set) {
+	t.Helper()
+	src := pizzaWorld(t, 0)
+	for _, u := range users {
+		if err := src.Tag(u, "own-"+u, "own"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g, st, names, err := src.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc, err := Restore(cfg, g, st, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return svc, names
+}
+
+// TestImportNeverServesStaleDictionaries: an import replaces the whole
+// universe, dictionaries included, so a service whose view held full
+// dictionaries of an earlier universe must answer every query exactly
+// as the snapshot's source does — even when the source interned the
+// same names in a different order.
+func TestImportNeverServesStaleDictionaries(t *testing.T) {
+	ctx := context.Background()
+	// The importer's universe: pizzaWorld's names, restored and flushed.
+	dst, _ := restoredPizza(t, DefaultServiceConfig())
+	if err := dst.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// The source's universe: the same names, interned in another order.
+	cfg := DefaultServiceConfig()
+	cfg.AutoCompactEvery = 0
+	src, err := NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range []error{
+		src.Befriend("frank", "dave", 0.6),
+		src.Befriend("bob", "alice", 0.5),
+		src.Befriend("carol", "frank", 0.9),
+		src.Tag("alice", "chain", "pizza"),
+		src.Tag("bob", "marios", "pizza"),
+		src.Tag("dave", "luigis", "pizza"),
+		src.Tag("frank", "luigis", "pizza"),
+		src.Tag("carol", "chain", "pizza"),
+	} {
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	g, st, names, lsn, err := src.SnapshotWithCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.ImportSnapshot(g, st, names, lsn); err != nil {
+		t.Fatal(err)
+	}
+	for _, seeker := range src.Users() {
+		req := search.Request{Seeker: seeker, Tags: []string{"pizza"}, K: 5, Mode: search.ModeExact}
+		want, err := src.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dst.Do(ctx, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Results, want.Results) {
+			t.Fatalf("seeker %s: imported %+v, source %+v", seeker, got.Results, want.Results)
+		}
+	}
+}
+
+// TestRestoredViewReadsWithoutLock: Restore publishes a view at once,
+// and the view reads the very dictionaries Restore received, so a
+// restored replica's first query takes no lock and its vocabulary has
+// no second copy.
+func TestRestoredViewReadsWithoutLock(t *testing.T) {
+	svc, names := restoredPizza(t, DefaultServiceConfig())
+	v := svc.view.Load()
+	if v == nil || v.users != names.Users || v.items != names.Items || v.tags != names.Tags {
+		t.Fatal("restored view does not alias the restored dictionaries")
+	}
+	svc.mu.Lock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := svc.Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		svc.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		svc.mu.Unlock()
+		t.Fatal("a restored service's query waited for the service lock")
+	}
+}
+
+// TestConcurrentInterningOnRestoredView: writers intern new names while
+// readers query through a view that aliases the restored dictionaries
+// (under -race). The first new name clones a dictionary rather than
+// growing the one the view reads, which stays exactly as restored.
+func TestConcurrentInterningOnRestoredView(t *testing.T) {
+	cfg := DefaultServiceConfig()
+	cfg.AutoCompactEvery = 5
+	svc, names := restoredPizza(t, cfg, "alice", "bob")
+	restored := []*vocab.Dict{names.Users, names.Items, names.Tags}
+	lens := []int{names.Users.Len(), names.Items.Len(), names.Tags.Len()}
+
+	const writers, readers, iters = 2, 4, 200
+	var wg sync.WaitGroup
+	errc := make(chan error, writers+readers)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				u := fmt.Sprintf("new-%d-%d", w, i)
+				if err := svc.Befriend("alice", u, 0.5); err != nil {
+					errc <- err
+					return
+				}
+				if err := svc.Tag(u, fmt.Sprintf("item-%d-%d", w, i), fmt.Sprintf("tag-%d", i%7)); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			var resp search.Response
+			seekers := []string{"alice", "bob", "carol", "dave"}
+			for i := 0; i < iters; i++ {
+				req := search.Request{Seeker: seekers[(r+i)%len(seekers)], Tags: []string{"pizza", "own"}, K: 5}
+				if err := svc.DoInto(context.Background(), req, &resp); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	for i, d := range restored {
+		if d.Len() != lens[i] {
+			t.Fatal("interning grew a dictionary the view was reading")
+		}
+	}
+	if err := svc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := svc.Do(context.Background(), search.Request{Seeker: fmt.Sprintf("new-%d-%d", writers-1, iters-1), Tags: []string{"tag-3"}, K: 3})
+	if err != nil || len(resp.Results) == 0 {
+		t.Fatalf("late-added seeker: %+v, %v", resp.Results, err)
 	}
 }

@@ -51,11 +51,7 @@ func (s *Service) WarmSeekers(ctx context.Context, seekers []string) (int, error
 	// from this engine is consistent with it, and any later invalidation
 	// bumps the generation and makes Put refuse the horizon.
 	s.mu.Lock()
-	eng, err := s.engine.Current()
-	if err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
+	eng := s.view.Load().eng
 	gen := s.cache.Generation()
 	resident := make(map[graph.UserID]bool)
 	for _, id := range s.cache.Seekers() {
