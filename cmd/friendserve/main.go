@@ -38,8 +38,8 @@
 // consistent-hash ring (failing over in ring order when health checks
 // eject a replica), forwards mutations to every replica in one order,
 // and coalesces them into compaction heartbeats. A -replica process
-// defers compaction to that heartbeat, where its own dirty-edge
-// tracking keeps its seeker cache edge-scoped-consistent; run it
+// defers compaction to that heartbeat, where the friendships pending in
+// its own overlay keep its seeker cache edge-scoped-consistent; run it
 // standalone only for debugging.
 //
 // A front-end always writes through a replication log, so -replicas

@@ -14,7 +14,7 @@ import (
 const (
 	DefaultBroadcastWindow = 25 * time.Millisecond
 	// DefaultMaxBatchEdges is the replicas' own edge-scope limit: a
-	// heartbeat goes out early just before a replica's dirty-edge set
+	// heartbeat goes out early just before a replica's pending friendships
 	// would overflow into a global invalidation at its next compaction.
 	DefaultMaxBatchEdges    = social.DefaultEdgeScopeLimit
 	DefaultBroadcastTimeout = 5 * time.Second

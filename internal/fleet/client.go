@@ -6,8 +6,8 @@
 // dead replicas and spills their seekers across the survivors in ring
 // order, and a write-path heartbeat (an edge-less POST /v2/invalidate)
 // tells every replica to fold the writes it was forwarded into its
-// snapshot, dropping — by its own dirty-edge tracking — exactly the
-// cached horizons they could affect.
+// snapshot, dropping — by the friendships pending in its own overlay —
+// exactly the cached horizons they could affect.
 //
 // The pieces compose left to right:
 //

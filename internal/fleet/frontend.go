@@ -419,12 +419,12 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 
 // catchUp is the pool's rejoin gate: bring replica i from its applied
 // LSN to the replication log head, then send it one heartbeat so it
-// folds the caught-up records in — dropping, by its own dirty-edge
-// tracking, exactly the horizons they could affect. Runs concurrently
-// with foreground writes — the loop re-reads the head until the replica
-// has it, and the LSN ordering rule keeps the two delivery paths
-// (catch-up stream, direct fan-out to a catching-up replica) from ever
-// applying a record twice or out of order.
+// folds the caught-up records in — dropping, by the friendships pending
+// in its own overlay, exactly the horizons they could affect. Runs
+// concurrently with foreground writes — the loop re-reads the head
+// until the replica has it, and the LSN ordering rule keeps the two
+// delivery paths (catch-up stream, direct fan-out to a catching-up
+// replica) from ever applying a record twice or out of order.
 func (f *Frontend) catchUp(i int) error {
 	log := f.attached()
 	if log == nil {

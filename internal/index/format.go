@@ -120,13 +120,19 @@ func Read(r io.Reader) (*graph.Graph, *tagstore.Store, error) {
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(trailer) {
 		return nil, nil, ErrCorrupt
 	}
-	return decodePayload(bufio.NewReader(bytesReader(payload)))
+	return decodePayload(payload)
 }
 
+// minEdgeBytes is the smallest encoding of one edge: two one-byte
+// varints and the eight weight bytes.
+const minEdgeBytes = 10
+
 // decodePayload parses the format body (everything between the start of
-// the file and the trailer). The reader must be limited to exactly the
-// payload bytes; trailing garbage is rejected.
-func decodePayload(br *bufio.Reader) (*graph.Graph, *tagstore.Store, error) {
+// the file and the trailer); trailing garbage is rejected. The checksum
+// does not make the counts the body claims true, so nothing is
+// preallocated beyond what the payload's length can hold.
+func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
+	br := bufio.NewReader(bytesReader(payload))
 	var m [4]byte
 	if _, err := io.ReadFull(br, m[:]); err != nil {
 		return nil, nil, fmt.Errorf("index: reading magic: %w", err)
@@ -154,7 +160,7 @@ func decodePayload(br *bufio.Reader) (*graph.Graph, *tagstore.Store, error) {
 	// (U, V)), so the graph is assembled straight into its flat CSR
 	// arrays — no dedup map, no re-sort. FromSortedEdges validates
 	// canonical form, so a corrupt stream still fails cleanly.
-	edges := make([]graph.Edge, 0, int(numEdges))
+	edges := make([]graph.Edge, 0, min(numEdges, uint64(len(payload)/minEdgeBytes)))
 	prevU := int32(0)
 	for i := uint64(0); i < numEdges; i++ {
 		du, err := getUvarint(br)

@@ -2,11 +2,13 @@ package index
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -211,6 +213,34 @@ func TestFileRoundTrip(t *testing.T) {
 	if _, _, err := ReadFile(filepath.Join(t.TempDir(), "missing.frnd")); err == nil {
 		t.Fatal("missing file accepted")
 	}
+}
+
+// TestReadBoundsAllocationByPayload: the checksum does not vouch for
+// the counts a body claims. A correctly checksummed stream of a few
+// bytes that claims 2^26 edges must fail without reserving memory for
+// them.
+func TestReadBoundsAllocationByPayload(t *testing.T) {
+	raw := append(magic[:], Version)
+	raw = binary.AppendUvarint(raw, 2)     // users
+	raw = binary.AppendUvarint(raw, 1<<26) // edges, of which none follow
+	raw = append(raw, 0, 0, 0, 0)          // trailer
+	fixTrailer(raw)
+	var err error
+	if n := allocated(func() { _, _, err = Read(bytes.NewReader(raw)) }); n > 64<<20 {
+		t.Fatalf("decoding %d bytes allocated %d MB", len(raw), n>>20)
+	}
+	if err == nil {
+		t.Fatal("a stream claiming 2^26 edges and holding none was accepted")
+	}
+}
+
+// allocated reports the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // fixTrailer recomputes the checksum so structural validation (not CRC)

@@ -12,7 +12,9 @@
 package overlay
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -76,6 +78,22 @@ func (o *Overlay) Compactions() int {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.compactions
+}
+
+// PendingFriendships returns the distinct friendships awaiting
+// compaction, each once with U < V whatever order and however often it
+// was declared, sorted. Weights are not reported: Compact keeps the
+// largest of the declared and the held one, which the compacted graph
+// answers.
+func (o *Overlay) PendingFriendships() []graph.Edge {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	edges := make([]graph.Edge, len(o.pendingEdges))
+	for i, e := range o.pendingEdges {
+		edges[i] = graph.Edge{U: min(e.U, e.V), V: max(e.U, e.V)}
+	}
+	slices.SortFunc(edges, func(a, b graph.Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	return slices.Compact(edges)
 }
 
 // AddUser grows the user universe by one and returns the new id.
@@ -148,8 +166,8 @@ func (o *Overlay) Tag(user graph.UserID, item tagstore.ItemID, tag tagstore.TagI
 // snapshot (graph.Graph.Merge, tagstore.Store.Merge): the cost is
 // O(delta·log delta), the lists of the tags the batch mentions, and one
 // linear copy of the indexes of the side that changed — the graph's
-// CSR for friendships; for tags the store's per-user and per-item tag
-// indexes, not the tagging relation itself. A batch without friendships
+// CSR for friendships; for tags the store's per-item tag index, not the
+// tagging relation itself. A batch without friendships
 // keeps the graph and one without tags keeps the store, unless it grew
 // the universe (a Befriend that brought a new user): then the store is
 // a new one that shares every array the growth does not lengthen.

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -188,6 +189,41 @@ func TestDuplicateEdgeMaxWins(t *testing.T) {
 	sg, _ = o.Snapshot()
 	if w, _ := sg.EdgeWeight(0, 1); w != 0.9 {
 		t.Fatalf("weakened weight = %g, want 0.9 preserved", w)
+	}
+}
+
+// TestPendingFriendships: an edge declared in both orders and more than
+// once is reported once, as U < V and without a weight; a tag is not a
+// friendship; a compaction leaves nothing pending.
+func TestPendingFriendships(t *testing.T) {
+	g, s := base(t)
+	o, err := New(g, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := o.PendingFriendships(); len(got) != 0 {
+		t.Fatalf("fresh overlay: %v pending", got)
+	}
+	for _, e := range []graph.Edge{{U: 2, V: 1, Weight: 0.3}, {U: 1, V: 2, Weight: 0.8}, {U: 2, V: 1, Weight: 0.5}, {U: 0, V: 2, Weight: 1}} {
+		if err := o.Befriend(e.U, e.V, e.Weight); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := o.Tag(0, 1, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []graph.Edge{{U: 0, V: 2}, {U: 1, V: 2}}
+	if got := o.PendingFriendships(); !slices.Equal(got, want) {
+		t.Fatalf("PendingFriendships = %v, want %v", got, want)
+	}
+	if err := o.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.PendingFriendships(); len(got) != 0 {
+		t.Fatalf("after Compact: %v pending", got)
+	}
+	if sg, _ := o.Snapshot(); !sg.HasEdge(1, 2) || !sg.HasEdge(0, 2) {
+		t.Fatal("compaction lost a pending friendship")
 	}
 }
 

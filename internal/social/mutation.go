@@ -207,7 +207,6 @@ func (s *Service) applyLocked(m Mutation) error {
 		if err := s.overlay.Befriend(ua, ub, m.Weight); err != nil {
 			return err
 		}
-		s.noteFriendEdge(ua, ub)
 	case KindTag:
 		u, err := s.intern(&s.names.Users, m.User, s.overlay.AddUser)
 		if err != nil {

@@ -76,10 +76,6 @@ func (s *Service) ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *voca
 		return err
 	}
 	s.writes.Store(0)
-	s.friendsDirty = false
-	s.dirtyEdges = nil
-	s.dirtySet = nil
-	s.edgeOverflow = false
 	s.appliedLSN = lsn
 	if s.journal != nil {
 		if err := s.checkpointLocked(); err != nil {
@@ -185,9 +181,14 @@ func readSection(br *bufio.Reader) ([]byte, error) {
 	if n > maxSection {
 		return nil, fmt.Errorf("social: snapshot section of %d bytes exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
+	// The claimed length is not trusted with an allocation: the section
+	// grows only as its bytes arrive.
+	b, err := io.ReadAll(io.LimitReader(br, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if uint64(len(b)) < n {
+		return nil, fmt.Errorf("social: snapshot section of %d bytes ends after %d: %w", n, len(b), io.ErrUnexpectedEOF)
 	}
 	return b, nil
 }

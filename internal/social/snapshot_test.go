@@ -3,6 +3,8 @@ package social
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"runtime"
 	"testing"
 
 	"repro/internal/search"
@@ -121,5 +123,25 @@ func TestSnapshotStreamRejectsCorruption(t *testing.T) {
 	flipped[len(flipped)/2] ^= 0xFF
 	if _, _, _, _, err := ReadSnapshotStream(bytes.NewReader(flipped)); err == nil {
 		t.Skip("bit flip landed in a don't-care byte") // vocab bytes have no checksum
+	}
+}
+
+// TestSnapshotStreamBoundsAllocationBySection: a section's length prefix
+// is a claim, not a reservation. A stream of a dozen bytes that claims a
+// 1 GiB section must fail without allocating it.
+func TestSnapshotStreamBoundsAllocationBySection(t *testing.T) {
+	raw := append(snapshotMagic[:], SnapshotStreamVersion)
+	raw = binary.AppendUvarint(raw, 0)     // lsn
+	raw = binary.AppendUvarint(raw, 1<<30) // index section length
+	raw = append(raw, "FRND"...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, _, _, err := ReadSnapshotStream(bytes.NewReader(raw))
+	runtime.ReadMemStats(&after)
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<20 {
+		t.Fatalf("decoding %d bytes allocated %d MB", len(raw), n>>20)
+	}
+	if err == nil {
+		t.Fatal("a stream claiming a 1 GiB section and holding 4 bytes was accepted")
 	}
 }

@@ -148,21 +148,11 @@ type Service struct {
 	overlay *overlay.Overlay
 	// broken latches once a journaled mutation was appended but failed
 	// to apply (see ErrBroken).
-	broken       bool
-	friendsDirty bool // friend edges written since the last compaction
+	broken bool
 	// appliedLSN is the replication cursor: the highest fleet replication
 	// log LSN this service has processed (see BefriendAt/TagAt). 0 until
 	// the first LSN-stamped mutation arrives; untouched by plain writes.
 	appliedLSN uint64
-	// dirtyEdges accumulates the distinct friend edges written since
-	// the last compaction, for edge-scoped cache invalidation (dirtySet
-	// dedups re-declarations of the same edge; the compaction fills in
-	// each weight); edgeOverflow is set when more than EdgeScopeLimit
-	// distinct edges accumulated and the next compaction must invalidate
-	// globally instead.
-	dirtyEdges   []graph.Edge
-	dirtySet     map[[2]graph.UserID]struct{}
-	edgeOverflow bool
 }
 
 // normalizeConfig validates cfg and fills serving-path defaults.
@@ -342,21 +332,26 @@ func (s *Service) noteWrite() error {
 
 // compactLocked folds pending writes into the queryable snapshot and,
 // when friendship edges were among them, invalidates the cached seeker
-// horizons those edges could change: each mutated edge goes to
+// horizons those edges could change: each distinct pending edge (the
+// overlay's PendingFriendships, read before Compact empties it) goes to
 // qcache.InvalidateEdges with the weight the compacted graph holds for
 // it — the larger of the old and the declared one, which is what the
 // next expansion relaxes — and a horizon is dropped only when some edge
 // can raise (or tie) the proximity of one of its endpoints (see
 // core.SeekerHorizon.AffectedBy). An edge the graph does not hold
 // counts at weight 1, the largest there is. When more than
-// EdgeScopeLimit edges accumulated — or edge scoping is disabled — the
-// service falls back to one global invalidation. Tag-only compactions
-// leave the cache untouched — tags live in the store, not the graph, so
-// horizons stay exact. A compaction that changed the (graph, store)
-// pair gets a new engine — Overlay.Compact keeps the graph of a batch
-// without friendships and the store of one without tags, so both are
-// compared. Callers hold s.mu.
+// EdgeScopeLimit distinct edges are pending — or edge scoping is
+// disabled — the service falls back to one global invalidation.
+// Tag-only compactions leave the cache untouched — tags live in the
+// store, not the graph, so horizons stay exact. A compaction that
+// changed the (graph, store) pair gets a new engine — Overlay.Compact
+// keeps the graph of a batch without friendships and the store of one
+// without tags, so both are compared. Callers hold s.mu.
 func (s *Service) compactLocked() error {
+	var edges []graph.Edge
+	if s.cache != nil {
+		edges = s.overlay.PendingFriendships()
+	}
 	if err := s.overlay.Compact(); err != nil {
 		return err
 	}
@@ -368,64 +363,23 @@ func (s *Service) compactLocked() error {
 		}
 	}
 	s.writes.Store(0)
-	if s.friendsDirty {
-		s.friendsDirty = false
-		edges := s.dirtyEdges
-		overflow := s.edgeOverflow
-		s.dirtyEdges = nil
-		s.dirtySet = nil
-		s.edgeOverflow = false
-		if s.cache != nil {
-			if overflow || len(edges) == 0 {
-				s.cache.Invalidate()
-			} else {
-				g := eng.Graph()
-				for i, e := range edges {
-					w, ok := g.EdgeWeight(e.U, e.V)
-					if !ok {
-						w = 1
-					}
-					edges[i].Weight = w
-				}
-				s.cache.InvalidateEdges(edges)
+	switch {
+	case len(edges) == 0: // no friendships folded, or no cache
+	case s.cfg.EdgeScopeLimit < 0 || len(edges) > s.cfg.EdgeScopeLimit:
+		s.cache.Invalidate()
+	default:
+		g := eng.Graph()
+		for i, e := range edges {
+			w, ok := g.EdgeWeight(e.U, e.V)
+			if !ok {
+				w = 1
 			}
+			edges[i].Weight = w
 		}
+		s.cache.InvalidateEdges(edges)
 	}
 	s.publishLocked(eng)
 	return nil
-}
-
-// noteFriendEdge records a mutated friend edge for the next
-// compaction's scoped invalidation. Callers hold s.mu.
-func (s *Service) noteFriendEdge(a, b graph.UserID) {
-	s.friendsDirty = true
-	if s.cache == nil {
-		return // nothing to invalidate
-	}
-	if s.edgeOverflow || s.cfg.EdgeScopeLimit < 0 {
-		s.edgeOverflow = true
-		return
-	}
-	// Dedup: re-declaring an edge (in either direction) must not count
-	// against the distinct-edge cap.
-	key := [2]graph.UserID{a, b}
-	if b < a {
-		key = [2]graph.UserID{b, a}
-	}
-	if _, seen := s.dirtySet[key]; seen {
-		return
-	}
-	if len(s.dirtyEdges) >= s.cfg.EdgeScopeLimit {
-		s.dirtyEdges = nil
-		s.dirtySet = nil
-		s.edgeOverflow = true
-		return
-	}
-	if s.dirtySet == nil {
-		s.dirtySet = make(map[[2]graph.UserID]struct{})
-	}
-	s.dirtySet[key] = struct{}{}
-	s.dirtyEdges = append(s.dirtyEdges, graph.Edge{U: key[0], V: key[1]})
 }
 
 // AppliedLSN returns the replication cursor: the highest replication

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // ItemID is a dense item identifier in [0, NumItems).
@@ -100,12 +101,6 @@ type Store struct {
 	// maxTF[t] = largest global TF of any item under tag t (0 if none)
 	maxTF []int32
 
-	// Per-user tag CSR: user u's distinct tags are
-	// utTags[utStart[u]:utStart[u+1]] (sorted ascending), one entry per
-	// (user, tag) pair. UserTags and Triples read it.
-	utStart []int32 // len numUsers+1
-	utTags  []TagID
-
 	// The per-(user, tag) posting lists, tag-major, and the one place
 	// the (user, item, tag, count) tuples are stored: whatever a query
 	// reads of them lies in its own tags' entries. A merge shares the
@@ -122,6 +117,13 @@ type Store struct {
 	itTF    []int32
 
 	totalAnnotations int64
+
+	// The per-user tag CSR UserTags reads, built by its first call: user
+	// u's distinct tags are userTags[userStart[u]:userStart[u+1]]. No
+	// query and no merge reads it, so a served store never holds one.
+	userOnce  sync.Once
+	userStart []int32 // len numUsers+1
+	userTags  []TagID
 }
 
 // tagLists holds one tag's per-user posting lists: users lists, in
@@ -142,8 +144,8 @@ type tagLists struct {
 // everything but the headers the grown universe lengthens — which is
 // safe because neither store is written again.
 // The cost is sorting delta, rewriting the lists of the tags it mentions
-// and one linear copy of the two tag indexes (utTags, itTags/itTF);
-// nothing is hashed and no triple delta leaves alone is moved. With
+// and one linear copy of the per-item tag index (itTags/itTF); nothing
+// is hashed and no triple delta leaves alone is moved. With
 // nothing to fold in, Merge returns s itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
@@ -192,7 +194,6 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
 		return nil, err
 	}
-	n.mergeUsers(s, d)
 	if err := n.mergeTagLists(s, d); err != nil {
 		return nil, err
 	}
@@ -313,37 +314,6 @@ func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
 		start[id] = int32(base + k)
 	}
 	return start
-}
-
-// mergeUsers fills the per-user tag CSR from s's plus the canonical
-// delta d: the (user, tag) pairs of d that s lacks are inserted into a
-// copy of s.utTags, and a d that brings none shares it.
-func (n *Store) mergeUsers(s *Store, d []Triple) {
-	// Of every pair s lacks, at most one per triple of d: its user, its
-	// tag, and where in s.utTags the tag goes.
-	owners, at, tags := make([]int32, 0, len(d)), make([]int32, 0, len(d)), make([]TagID, 0, len(d))
-	for k, tr := range d {
-		if k > 0 && tr.User == d[k-1].User && tr.Tag == d[k-1].Tag {
-			continue
-		}
-		if r, found := seekGrown(s.utStart, s.utTags, s.numUsers, tr.User, tr.Tag); !found {
-			owners, at, tags = append(owners, tr.User), append(at, r), append(tags, tr.Tag)
-		}
-	}
-	n.utStart = shiftStarts(s.utStart, s.numUsers, len(s.utTags), n.numUsers, owners)
-	n.utTags = s.utTags
-	if len(owners) == 0 {
-		return
-	}
-	// A snapshot lives as long as the service, so the array gets the
-	// capacity it needs and no more.
-	n.utTags = make([]TagID, 0, len(s.utTags)+len(owners))
-	next := int32(0) // first entry of s not carried over yet
-	for k, r := range at {
-		n.utTags = append(append(n.utTags, s.utTags[next:r]...), tags[k])
-		next = r
-	}
-	n.utTags = append(n.utTags, s.utTags[next:]...)
 }
 
 // mergeTagLists fills the tag-major posting lists, the relation itself,
@@ -560,15 +530,43 @@ func (s *Store) NumTriples() int { return s.numTriples }
 // TotalAnnotations reports the sum of all counts.
 func (s *Store) TotalAnnotations() int64 { return s.totalAnnotations }
 
+// userTagIndex builds the per-user tag CSR, exactly sized, by a
+// counting sort of the tag-major lists by user: visiting the tags in
+// ascending order appends each user's tags in order.
+func (s *Store) userTagIndex() (start []int32, tags []TagID) {
+	start = make([]int32, s.numUsers+1)
+	for _, l := range s.byTag {
+		for _, u := range l.users {
+			start[u+1]++
+		}
+	}
+	for u := range s.numUsers {
+		start[u+1] += start[u]
+	}
+	tags = make([]TagID, start[s.numUsers])
+	// start[u] is u's fill cursor, and ends at u's end — u+1's start —
+	// so the array shifts back by one owner afterwards.
+	for t, l := range s.byTag {
+		for _, u := range l.users {
+			tags[start[u]] = TagID(t)
+			start[u]++
+		}
+	}
+	copy(start[1:], start[:s.numUsers])
+	start[0] = 0
+	return start, tags
+}
+
 // Triples returns the relation sorted by (user, tag, item), written out
 // anew on every call from the tag-major lists: users in ascending order
-// meet each tag's lists in the order the tag stores them, so a cursor
-// per tag finds every list without a search.
+// (a transient userTagIndex) meet each tag's lists in the order the tag
+// stores them, so a cursor per tag finds every list without a search.
 func (s *Store) Triples() []Triple {
+	start, tags := s.userTagIndex()
 	trs := make([]Triple, 0, s.numTriples)
 	seen := make([]int32, s.numTags) // users of each tag already written
 	for u := int32(0); int(u) < s.numUsers; u++ {
-		for _, t := range s.UserTags(u) {
+		for _, t := range tags[start[u]:start[u+1]] {
 			l, p, from := &s.byTag[t], seen[t], len(trs)
 			seen[t]++
 			for _, up := range l.post[l.off[p]:l.off[p+1]] {
@@ -609,9 +607,10 @@ func (s *Store) TagLists(t TagID) (users, off []int32, post []UserPosting) {
 }
 
 // UserTags returns the sorted distinct tags user u has used. The slice
-// aliases internal storage.
+// aliases internal storage, an index the first call builds (once).
 func (s *Store) UserTags(u int32) []TagID {
-	return s.utTags[s.utStart[u]:s.utStart[u+1]]
+	s.userOnce.Do(func() { s.userStart, s.userTags = s.userTagIndex() })
+	return s.userTags[s.userStart[u]:s.userStart[u+1]]
 }
 
 // TF returns tf(u, i, t): how many times user u applied tag t to item i.

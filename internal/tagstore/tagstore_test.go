@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -137,6 +138,56 @@ func TestUserTags(t *testing.T) {
 	}
 	if got := s.UserTags(2); !reflect.DeepEqual(got, []TagID{2}) {
 		t.Fatalf("UserTags(2) = %v", got)
+	}
+}
+
+// TestUserIndexOnlyForUserTags: Build, Merge, Triples and ComputeStats
+// leave a store without a per-user tag index — no query reads one —
+// and the first UserTags call builds it exactly sized.
+func TestUserIndexOnlyForUserTags(t *testing.T) {
+	s := smallStore(t)
+	merged, err := s.Merge([]Triple{{User: 3, Item: 4, Tag: 3, Count: 1}, {User: 0, Item: 2, Tag: 2, Count: 1}}, 4, 5, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, st := range map[string]*Store{"built": s, "merged": merged} {
+		st.Triples()
+		st.ComputeStats()
+		if st.userStart != nil || st.userTags != nil {
+			t.Fatalf("%s store holds a per-user tag index", name)
+		}
+	}
+	if got := merged.UserTags(0); !reflect.DeepEqual(got, []TagID{0, 1, 2}) {
+		t.Fatalf("UserTags(0) = %v, want [0 1 2]", got)
+	}
+	if start, tags := merged.userStart, merged.userTags; len(start) != 5 || cap(start) != 5 || len(tags) != 7 || cap(tags) != 7 {
+		t.Fatalf("index sized %d/%d starts, %d/%d tags; want 5 and 7 (user, tag) pairs",
+			len(start), cap(start), len(tags), cap(tags))
+	}
+	if s.userStart != nil {
+		t.Fatal("UserTags on the merged store built the index of the store it started from")
+	}
+}
+
+// TestUserTagsConcurrentFirstCalls: racing first calls build the index
+// once, and every caller reads the same slices.
+func TestUserTagsConcurrentFirstCalls(t *testing.T) {
+	s := smallStore(t)
+	const callers = 8
+	got := make([][]TagID, callers)
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[c] = s.UserTags(1)
+		}()
+	}
+	wg.Wait()
+	for c := range got {
+		if !reflect.DeepEqual(got[c], []TagID{0, 1}) || &got[c][0] != &got[0][0] {
+			t.Fatalf("caller %d read %v at %p, caller 0 %v at %p", c, got[c], &got[c][0], got[0], &got[0][0])
+		}
 	}
 }
 
@@ -385,6 +436,11 @@ func checkMergeScript(t *testing.T, data []byte) {
 		want, err := b.Build()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if store.userStart != nil {
+			// An empty delta returned the last round's store, whose
+			// per-user tag index checkAgainstModel's UserTags built.
+			want.userOnce.Do(func() { want.userStart, want.userTags = want.userTagIndex() })
 		}
 		if !reflect.DeepEqual(store, want) {
 			t.Fatalf("round %d: merged store differs from Build over the union\n got %+v\nwant %+v", round, store, want)
@@ -645,8 +701,8 @@ func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
 	if grown == old || grown.NumUsers() != 5 || grown.NumItems() != 5 || grown.NumTags() != 4 {
 		t.Fatalf("grown store is %d×%d×%d", grown.NumUsers(), grown.NumItems(), grown.NumTags())
 	}
-	if &grown.utTags[0] != &old.utTags[0] || &grown.itTags[0] != &old.itTags[0] || &grown.itTF[0] != &old.itTF[0] {
-		t.Fatal("utTags, itTags or itTF was copied, not shared")
+	if &grown.itTags[0] != &old.itTags[0] || &grown.itTF[0] != &old.itTF[0] {
+		t.Fatal("itTags or itTF was copied, not shared")
 	}
 	for tag, was := range old.byTag { // every tag of smallStore has a list
 		is := grown.byTag[tag]

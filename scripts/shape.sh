@@ -2,7 +2,7 @@
 # shape.sh — the numbers docs/adr/006-one-replica-type.md's before/after
 # table tracks, so a new column is quoted instead of counted by hand:
 # non-test Go outside benchmarks/ (everything, and per package for the
-# seven the table follows), packages under internal/, the types that
+# eight the table follows), packages under internal/, the types that
 # assert search.Searcher, and the settings an operator or embedder can
 # set: friendserve flags and the independently settable values of
 # social.ServiceConfig (a field of struct type counts its fields, a
@@ -13,7 +13,7 @@ cd "$(dirname "$0")/.."
 lines() { find "$@" -name '*.go' -not -name '*_test.go' -not -path './benchmarks/*' | xargs cat | wc -l; }
 
 echo "non-test Go lines outside benchmarks/: $(lines .)"
-for pkg in social durable server shard fleet qcache overlay; do
+for pkg in social durable server shard fleet qcache overlay tagstore; do
   echo "lines, internal/$pkg: $(lines "internal/$pkg")"
 done
 echo "packages under internal/: $(ls internal | wc -l)"
