@@ -36,7 +36,9 @@ func BuildNeighborhoods(g *graph.Graph, l int, params proximity.Params) (*Neighb
 		residual: make([]float64, n),
 	}
 	for u := 0; u < n; u++ {
-		it, err := proximity.NewIterator(g, graph.UserID(u), params)
+		// Pooled: a fresh iterator would allocate two arrays the size of
+		// the graph for every user.
+		it, err := proximity.AcquireIterator(g, graph.UserID(u), params)
 		if err != nil {
 			return nil, err
 		}
@@ -50,6 +52,7 @@ func BuildNeighborhoods(g *graph.Graph, l int, params proximity.Params) (*Neighb
 		}
 		idx.lists[u] = list
 		idx.residual[u] = it.PeekBound()
+		it.Release()
 	}
 	return idx, nil
 }

@@ -121,6 +121,7 @@ func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, errors.New("graph: negative user count")
 	}
+	maxWeight := 0.0
 	for i, e := range edges {
 		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
 			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, n)
@@ -137,6 +138,7 @@ func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 				return nil, fmt.Errorf("graph: edges not strictly sorted at (%d,%d)", e.U, e.V)
 			}
 		}
+		maxWeight = max(maxWeight, e.Weight)
 	}
 	offsets := make([]int32, n+1)
 	for _, e := range edges {
@@ -159,17 +161,22 @@ func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 		adj[p], wts[p] = e.U, e.Weight
 		cursor[e.V]++
 	}
-	return &Graph{numUsers: n, offsets: offsets, adj: adj, weights: wts}, nil
+	return &Graph{numUsers: n, offsets: offsets, adj: adj, weights: wts, maxWeight: maxWeight}, nil
 }
 
 // Graph is an immutable weighted undirected graph in CSR form.
 // The zero value is an empty graph.
 type Graph struct {
-	numUsers int
-	offsets  []int32 // len numUsers+1
-	adj      []UserID
-	weights  []float64
+	numUsers  int
+	offsets   []int32 // len numUsers+1
+	adj       []UserID
+	weights   []float64
+	maxWeight float64 // the largest of weights; 0 without edges
 }
+
+// MaxWeight reports the largest edge weight, 0 for a graph without
+// edges: no path product grows by more than this factor per hop.
+func (g *Graph) MaxWeight() float64 { return g.maxWeight }
 
 // CSR exposes the flat adjacency arrays: offsets (len NumUsers+1) into
 // adj/weights. The slices alias internal storage and must not be

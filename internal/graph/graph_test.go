@@ -473,3 +473,51 @@ func TestMergeRejectsBadDelta(t *testing.T) {
 		t.Error("fewer users: accepted")
 	}
 }
+
+// TestMaxWeight: every way of making a graph reports its largest weight —
+// Build, a Merge that raises it, one that does not (a pair re-declared
+// lower included), one that hands back the graph itself — and a graph
+// without edges reports 0.
+func TestMaxWeight(t *testing.T) {
+	if w := new(Graph).MaxWeight(); w != 0 {
+		t.Fatalf("zero Graph: MaxWeight %g, want 0", w)
+	}
+	empty, err := NewBuilder(3).Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := empty.MaxWeight(); w != 0 {
+		t.Fatalf("edgeless graph: MaxWeight %g, want 0", w)
+	}
+	g := triangle(t) // 0.5, 0.25, 0.75
+	if w := g.MaxWeight(); w != 0.75 {
+		t.Fatalf("Build: MaxWeight %g, want 0.75", w)
+	}
+	for _, step := range []struct {
+		name  string
+		delta []Edge
+		users int
+		want  float64
+	}{
+		{"not raised", []Edge{{U: 0, V: 1, Weight: 0.6}, {U: 2, V: 3, Weight: 0.4}}, 4, 0.75},
+		{"raised", []Edge{{U: 3, V: 0, Weight: 0.9}}, 4, 0.9},
+		{"the max re-declared lower", []Edge{{U: 0, V: 3, Weight: 0.1}}, 4, 0.9},
+		{"raised to 1 by a new user", []Edge{{U: 4, V: 1, Weight: 1}}, 5, 1},
+	} {
+		next, err := g.Merge(step.delta, step.users)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := next.MaxWeight(); w != step.want {
+			t.Fatalf("Merge %s: MaxWeight %g, want %g", step.name, w, step.want)
+		}
+		g = next
+	}
+	same, err := g.Merge(nil, g.NumUsers())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same != g || same.MaxWeight() != 1 {
+		t.Fatalf("empty Merge: got a new graph (%v) or MaxWeight %g, want g itself at 1", same != g, same.MaxWeight())
+	}
+}

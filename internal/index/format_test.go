@@ -52,6 +52,9 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(g.Edges(), g2.Edges()) {
 		t.Fatal("graph edges differ after round trip")
 	}
+	if g.MaxWeight() == 0 || g2.MaxWeight() != g.MaxWeight() {
+		t.Fatalf("MaxWeight %g after the round trip, %g before", g2.MaxWeight(), g.MaxWeight())
+	}
 	if !reflect.DeepEqual(s.Triples(), s2.Triples()) {
 		t.Fatal("triples differ after round trip")
 	}
