@@ -13,9 +13,11 @@ package repro
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/fleet"
 	"repro/internal/gen"
@@ -23,7 +25,6 @@ import (
 	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/social"
-	"repro/internal/vocab"
 )
 
 // servingWorkload is the number of queries per benchmark op;
@@ -45,20 +46,10 @@ func servingService(b testing.TB, cacheSize int) (*social.Service, []search.Requ
 	if err != nil {
 		b.Fatal(err)
 	}
-	names := vocab.NewSet()
-	for u := 0; u < ds.Graph.NumUsers(); u++ {
-		names.Users.MustAdd(fmt.Sprintf("u%d", u))
-	}
-	for i := 0; i < ds.Store.NumItems(); i++ {
-		names.Items.MustAdd(fmt.Sprintf("i%d", i))
-	}
-	for tg := 0; tg < ds.Store.NumTags(); tg++ {
-		names.Tags.MustAdd(fmt.Sprintf("t%d", tg))
-	}
 	cfg := social.DefaultServiceConfig()
 	cfg.Proximity = proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.1}
 	cfg.SeekerCacheSize = cacheSize
-	svc, err := social.Restore(cfg, ds.Graph, ds.Store, names)
+	svc, err := social.Restore(cfg, ds.Graph, ds.Store, corpusNames(ds))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -111,6 +102,50 @@ func BenchmarkServingCachedSearch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runSequential(b, svc, reqs, &resp)
+	}
+}
+
+// servingModeRounds is how many times BenchmarkServingModes runs each
+// mode's sub-benchmark.
+const servingModeRounds = 15
+
+// BenchmarkServingModes: the cached sequential workload in each /v2
+// mode on one warm service. Every mode runs the one exact path, so
+// benchgate pins auto/exact and approx/exact near 1 and each mode at 0
+// allocs/op: a mode that grows a path of its own shows up as a ratio or
+// an allocation. Two things keep machine noise out of the ratios:
+//   - the modes are interleaved: the three sub-benchmarks take turns
+//     for servingModeRounds rounds, so a load swing lands on every mode
+//     alike (the testing package names a repeat "exact#01", ..., and
+//     benchgate folds the repeats into samples of one benchmark);
+//   - a sub-benchmark reports its fastest op as ns/op, not the mean. On
+//     a shared 2 vCPU VM the machine's speed swung about 2x every
+//     10-50 ms, and the fastest of a few hundred ops filters that out.
+func BenchmarkServingModes(b *testing.B) {
+	svc, reqs := servingService(b, 0)
+	modes := []search.Mode{search.ModeExact, search.ModeAuto, search.ModeApprox}
+	perMode := make([][]search.Request, len(modes))
+	var resp search.Response
+	for i, mode := range modes {
+		perMode[i] = append([]search.Request(nil), reqs...)
+		for j := range perMode[i] {
+			perMode[i][j].Mode = mode
+		}
+		runSequential(b, svc, perMode[i], &resp) // warm the cache and the arenas
+	}
+	for round := 0; round < servingModeRounds; round++ {
+		for i, mode := range modes {
+			b.Run(mode.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				fastest := time.Duration(math.MaxInt64)
+				for n := 0; n < b.N; n++ {
+					start := time.Now()
+					runSequential(b, svc, perMode[i], &resp)
+					fastest = min(fastest, time.Since(start))
+				}
+				b.ReportMetric(float64(fastest), "ns/op")
+			})
+		}
 	}
 }
 

@@ -13,7 +13,9 @@
 // Modes: auto (default — the cost-based planner picks the algorithm),
 // exact (refined exact scores), approx (early termination). -algo
 // forces one engine algorithm (SocialMerge, ContextMerge, SocialTA,
-// GlobalTopK) in auto mode. -explain dumps how the query was answered.
+// GlobalTopK) in auto mode; the serving /v2 API has no such knob, its
+// modes all run the exact merge. -explain dumps how the query was
+// answered.
 // Ctrl-C cancels a running query mid-expansion.
 package main
 
@@ -130,12 +132,15 @@ func run(args []string, stdout io.Writer) error {
 		Tags:     []string{*tagsArg}, // Normalize splits the commas
 		K:        *k,
 		Mode:     m,
-		AlgHint:  *algo,
 		MinScore: *minScore,
 		Offset:   *offset,
 	}
 	if err := req.Normalize(); err != nil {
 		return err
+	}
+	hint, ok := planner.ParseAlgorithm(*algo)
+	if *algo != "" && !ok {
+		return fmt.Errorf("unknown algorithm %q (want SocialMerge, ContextMerge, SocialTA or GlobalTopK)", *algo)
 	}
 	tags, err := parseTags(strings.Join(req.Tags, ","))
 	if err != nil {
@@ -149,23 +154,19 @@ func run(args []string, stdout io.Writer) error {
 	ex := search.Explain{Mode: req.Mode.String(), Beta: engine.Beta()}
 
 	alg, opts := planner.SocialMerge, core.Options{Ctx: ctx}
+	var plan *planner.Plan // set when the planner chose alg
 	switch {
 	case req.Mode == search.ModeExact:
 		opts.RefineScores = true
 	case req.Mode == search.ModeApprox:
-	case req.AlgHint != "":
-		alg, _ = planner.ParseAlgorithm(req.AlgHint) // Normalize vetted the spelling
+	case *algo != "":
+		alg = hint
 		if !p.Available(alg) {
 			return fmt.Errorf("algorithm %s unavailable on this engine (GlobalTopK needs -beta 0)", alg)
 		}
 	default:
-		plan := p.Plan(q)
-		alg = plan.Alg
-		ex.Planned = true
-		ex.Estimates = make(map[string]float64, len(plan.Est))
-		for a, est := range plan.Est {
-			ex.Estimates[a.String()] = est
-		}
+		pl := p.Plan(q)
+		alg, plan = pl.Alg, &pl
 	}
 	ex.Algorithm = alg.String()
 
@@ -194,7 +195,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 	printSummary(stdout, ex.Mode, ex.Algorithm, *seeker, *tagsArg, *k, ans, elapsed)
 	if *explain {
-		printExplain(stdout, &ex)
+		printExplain(stdout, &ex, plan)
 	}
 	printResults(stdout, results)
 	return nil
@@ -241,13 +242,15 @@ func printSummary(w io.Writer, mode, alg string, seeker int, tags string, k int,
 		elapsed, ans.UsersSettled, ans.Access.Sequential, ans.Access.Random)
 }
 
-func printExplain(w io.Writer, ex *search.Explain) {
-	fmt.Fprintf(w, "planned=%v", ex.Planned)
-	if len(ex.Estimates) > 0 {
+// printExplain dumps ex and, when the planner chose the algorithm, its
+// plan's estimates.
+func printExplain(w io.Writer, ex *search.Explain, plan *planner.Plan) {
+	fmt.Fprintf(w, "planned=%v", plan != nil)
+	if plan != nil && len(plan.Est) > 0 {
 		fmt.Fprint(w, " estimates={")
 		first := true
-		for _, alg := range search.AlgHints {
-			if est, ok := ex.Estimates[alg]; ok {
+		for alg := planner.SocialMerge; alg <= planner.GlobalTopK; alg++ {
+			if est, ok := plan.Est[alg]; ok {
 				if !first {
 					fmt.Fprint(w, " ")
 				}

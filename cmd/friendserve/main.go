@@ -84,16 +84,16 @@
 // concurrency window with a deadline-budgeted FIFO queue in front of
 // every query and unstamped mutation. Requests past the budget are
 // shed with 429 + Retry-After; under queue pressure the server first
-// sheds Explain work, then degrades mode:auto queries to the certified
-// approximate path. LSN-stamped replication applies are never shed.
+// sheds Explain work, answers untouched, before it sheds requests.
+// LSN-stamped replication applies are never shed.
 // Works in every mode — on a replica it protects that replica's
 // engine; on the front-end it bounds fleet-wide fan-out.
 //
 // Observability (docs/observability.md): every process carries an
 // always-on tracing plane. Requests get W3C-traceparent trace/span
 // ids (minted at the front-end, propagated to replicas and quorum
-// peers), 1-in-N head sampling plus tail capture of slow, shed,
-// degraded and failed requests into an in-process flight recorder at
+// peers), 1-in-N head sampling plus tail capture of slow, shed and
+// failed requests into an in-process flight recorder at
 // GET /debug/traces, a slow-query log at GET /debug/slowlog, and
 // Prometheus text-format metrics at GET /metrics. -trace-sample sets
 // the head-sampling rate (1 = trace everything, negative disables),

@@ -22,7 +22,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/planner"
 	"repro/internal/proximity"
 	"repro/internal/search"
 	"repro/internal/server"
@@ -168,19 +167,131 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 	}
 }
 
-// TestV2ModeEquivalence: over a randomized corpus served via HTTP, a
-// /v2 query with mode=exact returns exactly what the ExactSocial oracle
-// computes on the same snapshot, and mode=auto returns what the
-// cost-based planner path computes — same chosen algorithm, same
-// results — so the v2 modes are faithful names for the engine paths
-// they promise.
+// TestV2ModeEquivalence: every /v2 mode runs the one serving path. On
+// unbounded horizons, /v2/search and /v2/search/batch answer auto (sent
+// as the default, no mode), exact and approx with what the ExactSocial
+// oracle computes on the same snapshot, through seeded rounds of
+// friendship and tag mutations. On a service that truncates horizons
+// (MaxHorizonUsers) there is no oracle, and the three modes must give
+// byte-identical results and Explain apart from the echoed mode.
 func TestV2ModeEquivalence(t *testing.T) {
-	ds := equivCorpus(t, 42)
+	modes := []string{"", "exact", "approx"}
 	prox := proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}
-	cfg := social.DefaultServiceConfig()
-	cfg.Proximity = prox
 
-	// Name the generated id-space corpus and restore it as a service.
+	t.Run("unbounded", func(t *testing.T) {
+		ds := equivCorpus(t, 42)
+		cfg := social.DefaultServiceConfig()
+		cfg.Proximity = prox
+		svc, srv := v2Service(t, ds, cfg)
+		rng := rand.New(rand.NewSource(7))
+		for round := 0; round < 4; round++ {
+			if round > 0 {
+				for op := 0; op < 25; op++ {
+					u := fmt.Sprintf("u%d", rng.Intn(ds.Graph.NumUsers()))
+					var err error
+					if rng.Intn(2) == 0 {
+						err = svc.Befriend(u, fmt.Sprintf("u%d", rng.Intn(ds.Graph.NumUsers())), 0.3+0.7*rng.Float64())
+					} else {
+						err = svc.Tag(u, fmt.Sprintf("i%d", rng.Intn(ds.Store.NumItems())), fmt.Sprintf("t%d", rng.Intn(ds.Store.NumTags())))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := svc.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g, st, names, err := svc.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng, err := core.NewEngine(g, st, core.Config{Proximity: prox, Beta: cfg.Beta})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var batch []server.V2Query
+			var want [][]search.Result
+			for trial := 0; trial < 6; trial++ {
+				seeker, tag, k := rng.Intn(g.NumUsers()), rng.Intn(st.NumTags()), 1+rng.Intn(8)
+				oracle, err := eng.ExactSocial(core.Query{Seeker: graph.UserID(seeker), Tags: []tagstore.TagID{tagstore.TagID(tag)}, K: k})
+				if err != nil {
+					t.Fatal(err)
+				}
+				exact := make([]search.Result, len(oracle.Results))
+				for i, r := range oracle.Results {
+					name, _ := names.Items.Name(r.Item)
+					exact[i] = search.Result{Item: name, Score: r.Score}
+				}
+				for _, mode := range modes {
+					q := server.V2Query{Seeker: fmt.Sprintf("u%d", seeker), Tags: []string{fmt.Sprintf("t%d", tag)}, K: k, Mode: mode, Explain: true}
+					var resp server.V2SearchResponse
+					postV2(t, srv, "/v2/search", q, &resp)
+					label := fmt.Sprintf("round %d trial %d mode %q", round, trial, mode)
+					checkExactAnswer(t, label, mode, resp.Results, resp.Explain, exact)
+					batch, want = append(batch, q), append(want, exact)
+				}
+			}
+			var resp server.V2BatchResponse
+			postV2(t, srv, "/v2/search/batch", server.V2BatchRequest{Queries: batch}, &resp)
+			for i, e := range resp.Results {
+				if e.Error != "" {
+					t.Fatalf("round %d batch entry %d: %s", round, i, e.Error)
+				}
+				checkExactAnswer(t, fmt.Sprintf("round %d batch entry %d", round, i), batch[i].Mode, e.Results, e.Explain, want[i])
+			}
+		}
+	})
+
+	t.Run("truncated", func(t *testing.T) {
+		ds := equivCorpus(t, 42)
+		cfg := social.DefaultServiceConfig()
+		cfg.Proximity = prox
+		cfg.MaxHorizonUsers = 12
+		_, srv := v2Service(t, ds, cfg)
+		rng := rand.New(rand.NewSource(11))
+		truncated := 0
+		for trial := 0; trial < 8; trial++ {
+			q := server.V2Query{
+				Seeker: fmt.Sprintf("u%d", rng.Intn(ds.Graph.NumUsers())),
+				Tags:   []string{fmt.Sprintf("t%d", rng.Intn(ds.Store.NumTags()))},
+				K:      1 + rng.Intn(8), Explain: true,
+			}
+			// Warm the seeker's horizon, so every mode below is a cache hit
+			// and Explain may not differ in CacheHit.
+			postV2(t, srv, "/v2/search", q, &server.V2SearchResponse{})
+			var answers []string
+			var batch server.V2BatchRequest
+			for _, mode := range modes {
+				q.Mode = mode
+				var resp server.V2SearchResponse
+				postV2(t, srv, "/v2/search", q, &resp)
+				if resp.Explain.HorizonResidual > 0 {
+					truncated++
+				}
+				answers = append(answers, modelessAnswer(t, resp.Results, resp.Explain))
+				batch.Queries = append(batch.Queries, q)
+			}
+			var resp server.V2BatchResponse
+			postV2(t, srv, "/v2/search/batch", batch, &resp)
+			for _, e := range resp.Results {
+				answers = append(answers, modelessAnswer(t, e.Results, e.Explain))
+			}
+			for i, a := range answers {
+				if a != answers[0] {
+					t.Fatalf("trial %d: answer %d differs from auto's\n got %s\nwant %s", trial, i, a, answers[0])
+				}
+			}
+		}
+		if truncated == 0 {
+			t.Fatal("no query reached a truncated horizon")
+		}
+	})
+}
+
+// corpusNames names a generated id-space corpus: users u<id>, items
+// i<id>, tags t<id>.
+func corpusNames(ds *gen.Dataset) *vocab.Set {
 	names := vocab.NewSet()
 	for i := 0; i < ds.Graph.NumUsers(); i++ {
 		names.Users.MustAdd(fmt.Sprintf("u%d", i))
@@ -191,7 +302,14 @@ func TestV2ModeEquivalence(t *testing.T) {
 	for i := 0; i < ds.Store.NumTags(); i++ {
 		names.Tags.MustAdd(fmt.Sprintf("t%d", i))
 	}
-	svc, err := social.Restore(cfg, ds.Graph, ds.Store, names)
+	return names
+}
+
+// v2Service restores a named generated corpus as a service behind an
+// HTTP server.
+func v2Service(t *testing.T, ds *gen.Dataset, cfg social.ServiceConfig) (*social.Service, *server.Server) {
+	t.Helper()
+	svc, err := social.Restore(cfg, ds.Graph, ds.Store, corpusNames(ds))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,100 +317,64 @@ func TestV2ModeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := core.NewEngine(ds.Graph, ds.Store, core.Config{Proximity: prox, Beta: cfg.Beta})
+	return svc, srv
+}
+
+// postV2 posts body as JSON to path and decodes a 200 answer into out.
+func postV2(t *testing.T, srv http.Handler, path string, body, out interface{}) {
+	t.Helper()
+	raw, err := json.Marshal(body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := planner.New(eng)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// checkExactAnswer holds one served answer to the oracle's: same items
+// in the same order, same scores, certified Exact, the mode echoed.
+func checkExactAnswer(t *testing.T, label, mode string, got []search.Result, ex *search.Explain, want []search.Result) {
+	t.Helper()
+	m, err := search.ParseMode(mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	post := func(body map[string]interface{}) (results []struct {
-		Item  string  `json:"item"`
-		Score float64 `json:"score"`
-	}, algorithm string) {
-		t.Helper()
-		raw, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req := httptest.NewRequest(http.MethodPost, "/v2/search", bytes.NewReader(raw))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK {
-			t.Fatalf("/v2/search: %d %s", rec.Code, rec.Body)
-		}
-		var resp struct {
-			Results []struct {
-				Item  string  `json:"item"`
-				Score float64 `json:"score"`
-			} `json:"results"`
-			Explain *struct {
-				Algorithm string `json:"algorithm"`
-			} `json:"explain"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Explain == nil {
-			t.Fatal("explain missing")
-		}
-		return resp.Results, resp.Explain.Algorithm
+	if ex == nil || !ex.Exact || ex.Mode != m.String() {
+		t.Fatalf("%s: explain %+v, want exact in mode %s", label, ex, m)
 	}
-
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 8; trial++ {
-		seeker := rng.Intn(ds.Graph.NumUsers())
-		tag := rng.Intn(ds.Store.NumTags())
-		k := 1 + rng.Intn(8)
-		q := core.Query{Seeker: graph.UserID(seeker), Tags: []tagstore.TagID{tagstore.TagID(tag)}, K: k}
-		body := map[string]interface{}{
-			"seeker": fmt.Sprintf("u%d", seeker), "tags": []string{fmt.Sprintf("t%d", tag)},
-			"k": k, "explain": true,
-		}
-
-		// mode=exact must reproduce the ExactSocial oracle: same items,
-		// same exact scores.
-		body["mode"] = "exact"
-		got, _ := post(body)
-		oracle, err := eng.ExactSocial(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(oracle.Results) {
-			t.Fatalf("trial %d exact: %d results, oracle %d", trial, len(got), len(oracle.Results))
-		}
-		for i, r := range got {
-			want := oracle.Results[i]
-			if r.Item != fmt.Sprintf("i%d", want.Item) || !approxEqual(r.Score, want.Score) {
-				t.Fatalf("trial %d exact rank %d: got %v, oracle item %d score %g",
-					trial, i, r, want.Item, want.Score)
-			}
-		}
-
-		// mode=auto must follow the planner path: the same algorithm the
-		// planner picks, and that algorithm's answer.
-		body["mode"] = "auto"
-		got, alg := post(body)
-		ans, plan, err := pl.Execute(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if alg != plan.Alg.String() {
-			t.Fatalf("trial %d auto: served by %s, planner picked %s", trial, alg, plan.Alg)
-		}
-		if len(got) != len(ans.Results) {
-			t.Fatalf("trial %d auto: %d results, planner %d", trial, len(got), len(ans.Results))
-		}
-		for i, r := range got {
-			want := ans.Results[i]
-			if r.Item != fmt.Sprintf("i%d", want.Item) || !approxEqual(r.Score, want.Score) {
-				t.Fatalf("trial %d auto rank %d: got %v, planner item %d score %g",
-					trial, i, r, want.Item, want.Score)
-			}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, oracle %d", label, len(got), len(want))
+	}
+	for i, r := range got {
+		if r.Item != want[i].Item || !approxEqual(r.Score, want[i].Score) {
+			t.Fatalf("%s rank %d: got %+v, oracle %+v", label, i, r, want[i])
 		}
 	}
+}
+
+// modelessAnswer renders results and Explain as JSON with the echoed
+// mode blanked.
+func modelessAnswer(t *testing.T, results []search.Result, ex *search.Explain) string {
+	t.Helper()
+	if ex == nil {
+		t.Fatal("explain missing")
+	}
+	e := *ex
+	e.Mode = ""
+	raw, err := json.Marshal(struct {
+		Results []search.Result
+		Explain search.Explain
+	}{results, e})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(raw)
 }
 
 func approxEqual(a, b float64) bool {

@@ -1,7 +1,7 @@
 // Quickstart: build a small social tagging world through the
 // name-addressed service, then answer a personalized top-k query with
-// the canonical request/response API — comparing planned and
-// pure-global executions, and dumping the Explain report that shows how
+// the canonical request/response API — comparing the social and
+// pure-global rankings, and dumping the Explain report that shows how
 // the engine answered.
 //
 // Run with:
@@ -67,17 +67,17 @@ func main() {
 	fmt.Println("alice asks: where should I eat pizza?")
 	fmt.Println()
 
-	// Planned execution with an explainable answer.
+	// The default mode with an explainable answer.
 	resp, err := svc.Do(ctx, search.Request{
 		Seeker:  "alice",
 		Tags:    []string{"pizza"},
 		K:       3,
-		Explain: true, // Mode defaults to auto: the planner chooses
+		Explain: true, // Mode defaults to auto, which runs the exact join
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println("auto mode (the planner chooses):")
+	fmt.Println("auto mode (runs the exact join):")
 	printResults(resp.Results)
 	printExplain(resp.Explain)
 
@@ -104,13 +104,10 @@ func printResults(rs []search.Result) {
 }
 
 func printExplain(ex *search.Explain) {
-	fmt.Printf("  explain: algorithm=%s planned=%v exact=%v\n", ex.Algorithm, ex.Planned, ex.Exact)
+	fmt.Printf("  explain: algorithm=%s exact=%v\n", ex.Algorithm, ex.Exact)
 	fmt.Printf("           horizon=%d users, cache_hit=%v (generation %d)\n",
 		ex.HorizonUsers, ex.CacheHit, ex.CacheGeneration)
 	fmt.Printf("           certified score bound=%.3f, settled=%d, accesses seq=%d rand=%d\n",
 		ex.ScoreBound, ex.UsersSettled, ex.SequentialAccesses, ex.RandomAccesses)
-	if len(ex.Estimates) > 0 {
-		fmt.Printf("           planner estimates: %v\n", ex.Estimates)
-	}
 	fmt.Println()
 }

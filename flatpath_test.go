@@ -25,8 +25,9 @@ import (
 
 // TestCachedReadPathZeroAlloc: after the seeker cache and the arenas
 // are warm, a full serving workload through DoInto must perform zero
-// heap allocations. This is the programmatic twin of benchgate's
-// allocs/op gate on BenchmarkServingCachedSearch.
+// heap allocations, in every mode. This is the programmatic twin of
+// benchgate's allocs/op gates on BenchmarkServingCachedSearch and
+// BenchmarkServingModes.
 func TestCachedReadPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -34,28 +35,35 @@ func TestCachedReadPathZeroAlloc(t *testing.T) {
 	svc, reqs := servingService(t, 0)
 	var resp search.Response
 	ctx := context.Background()
-	// Two warm passes: the first fills the seeker cache, the second
-	// exercises every pooled arena so all reusable buffers exist at
-	// their steady-state capacity.
-	for pass := 0; pass < 2; pass++ {
-		for i := range reqs {
-			if err := svc.DoInto(ctx, reqs[i], &resp); err != nil {
-				t.Fatal(err)
+	for _, mode := range []search.Mode{search.ModeExact, search.ModeAuto, search.ModeApprox} {
+		t.Run(mode.String(), func(t *testing.T) {
+			for i := range reqs {
+				reqs[i].Mode = mode
 			}
-		}
-	}
-	// Any GC cycle may empty a sync.Pool; pin collection off so a
-	// mid-measurement collection cannot charge a pool refill to us.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	avg := testing.AllocsPerRun(10, func() {
-		for i := range reqs {
-			if err := svc.DoInto(ctx, reqs[i], &resp); err != nil {
-				t.Fatal(err)
+			// Two warm passes: the first fills the seeker cache, the second
+			// exercises every pooled arena so all reusable buffers exist at
+			// their steady-state capacity.
+			for pass := 0; pass < 2; pass++ {
+				for i := range reqs {
+					if err := svc.DoInto(ctx, reqs[i], &resp); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("warm cached read path allocated %.2f times per %d-query workload, want 0", avg, len(reqs))
+			// Any GC cycle may empty a sync.Pool; pin collection off so a
+			// mid-measurement collection cannot charge a pool refill to us.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			avg := testing.AllocsPerRun(10, func() {
+				for i := range reqs {
+					if err := svc.DoInto(ctx, reqs[i], &resp); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if avg != 0 {
+				t.Fatalf("warm cached read path in mode %s allocated %.2f times per %d-query workload, want 0", mode, avg, len(reqs))
+			}
+		})
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package admission implements per-replica adaptive overload control:
 // an AIMD concurrency window, a bounded FIFO admission queue with
-// per-request deadline budgets, and a brownout ladder that degrades
-// work gracefully before shedding it.
+// per-request deadline budgets, and a brownout ladder that sheds
+// optional work before shedding requests.
 //
 // The control loop is TCP-shaped (modeled on congestion-window fetchers
 // like ndn-dpdk's fetch-algo): every completion that lands within its
@@ -22,10 +22,9 @@
 // rejected.
 //
 // Brownout is driven by measured queue state, not configuration guesses:
-// as the queue deepens past thresholds, first Explain work is shed
-// (level 1), then mode:auto queries are degraded to approx (level 2) —
-// answers stay honest because the engine certifies a score bound for
-// every approximate execution. See docs/overload.md.
+// as the queue deepens past a threshold, Explain work is shed (level 1)
+// while answers stay untouched; past that, the queue sheds requests.
+// See docs/overload.md.
 package admission
 
 import (
@@ -59,14 +58,10 @@ const (
 	// LevelShedExplain strips Explain from requests: under pressure the
 	// observability garnish goes first, answers stay untouched.
 	LevelShedExplain
-	// LevelDegrade additionally rewrites mode:auto to approx — the
-	// cheapest execution path, with a certified score bound keeping the
-	// degraded answer honest. Explicit mode:exact is always honoured.
-	LevelDegrade
 )
 
 // Config tunes a Controller. The zero value of every field means "use
-// the default"; set a threshold negative to disable that rung.
+// the default"; set ExplainShedAt negative to disable the rung.
 type Config struct {
 	// MinWindow / MaxWindow bound the AIMD concurrency window
 	// (defaults 1 and 256). InitialWindow is the starting window
@@ -86,14 +81,12 @@ type Config struct {
 	// (default 100ms) so one burst counts once.
 	DecreaseFactor   float64
 	RecoveryInterval time.Duration
-	// ExplainShedAt / DegradeAt are the queue depths (not fractions) at
-	// which the brownout ladder engages (defaults QueueLimit/8 and
-	// QueueLimit/4, each at least 1 resp. 2; negative disables the rung).
-	// LevelHold is how long an engaged rung stays sticky after the
-	// trigger condition clears (default 1s) — hysteresis, so the ladder
-	// does not flap per request.
+	// ExplainShedAt is the queue depth (not a fraction) at which the
+	// brownout rung engages (default QueueLimit/8, at least 1; negative
+	// disables it). LevelHold is how long the engaged rung stays sticky
+	// after the trigger condition clears (default 1s) — hysteresis, so
+	// the ladder does not flap per request.
 	ExplainShedAt int
-	DegradeAt     int
 	LevelHold     time.Duration
 	// LatencyWindow sizes the rotating latency histogram backing the
 	// wait estimator and /v1/stats quantiles (default 10s).
@@ -135,9 +128,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ExplainShedAt == 0 {
 		c.ExplainShedAt = max(1, c.QueueLimit/8)
-	}
-	if c.DegradeAt == 0 {
-		c.DegradeAt = max(2, c.QueueLimit/4)
 	}
 	if c.LevelHold == 0 {
 		c.LevelHold = time.Second
@@ -189,7 +179,6 @@ type Controller struct {
 	timeouts         atomic.Int64
 	errored          atomic.Int64
 	explainShed      atomic.Int64
-	degraded         atomic.Int64
 }
 
 // New builds a controller from cfg (zero fields take defaults).
@@ -451,9 +440,7 @@ func (c *Controller) popNewestLocked(class Class) *waiter {
 func (c *Controller) levelLocked(now time.Time) Level {
 	depth := len(c.queue)
 	inst := LevelNormal
-	if c.cfg.DegradeAt >= 0 && depth >= c.cfg.DegradeAt {
-		inst = LevelDegrade
-	} else if c.cfg.ExplainShedAt >= 0 && depth >= c.cfg.ExplainShedAt {
+	if c.cfg.ExplainShedAt >= 0 && depth >= c.cfg.ExplainShedAt {
 		inst = LevelShedExplain
 	}
 	switch {
@@ -475,30 +462,14 @@ func (c *Controller) Level() Level {
 	return c.levelLocked(now)
 }
 
-// Apply applies the brownout ladder for level lvl to req in place:
-// at LevelShedExplain the Explain flag is stripped, at LevelDegrade
-// mode:auto is additionally rewritten to approx. It returns true when
-// the execution mode was degraded (the response must then carry
-// Degraded plus a certified score bound). Counters are recorded on the
-// controller.
-func (c *Controller) Apply(lvl Level, req *search.Request) bool {
+// Apply applies the brownout ladder for level lvl to req in place: at
+// LevelShedExplain the Explain flag is stripped (counted on the
+// controller).
+func (c *Controller) Apply(lvl Level, req *search.Request) {
 	if lvl >= LevelShedExplain && req.Explain {
 		req.Explain = false
 		c.explainShed.Add(1)
 	}
-	if lvl >= LevelDegrade && req.Mode == search.ModeAuto {
-		req.Mode = search.ModeApprox
-		c.degraded.Add(1)
-		return true
-	}
-	return false
-}
-
-// DegradeRequest is the embedder-facing hook (social.SetDegradeHook /
-// exec.SetDegradeHook): it consults the current level and applies the
-// ladder.
-func (c *Controller) DegradeRequest(req *search.Request) bool {
-	return c.Apply(c.Level(), req)
 }
 
 // Snapshot is a point-in-time view of the controller for /v1/stats.
@@ -522,7 +493,6 @@ type Snapshot struct {
 	Timeouts         int64
 	Errors           int64
 	ExplainShed      int64
-	Degraded         int64
 
 	Latency metrics.HistogramSnapshot
 }
@@ -552,7 +522,6 @@ func (c *Controller) Snapshot() Snapshot {
 	s.Timeouts = c.timeouts.Load()
 	s.Errors = c.errored.Load()
 	s.ExplainShed = c.explainShed.Load()
-	s.Degraded = c.degraded.Load()
 	s.Latency = c.latency.Snapshot()
 	return s
 }

@@ -224,7 +224,7 @@ func TestBrownoutLadderAndHysteresis(t *testing.T) {
 	clk := newFakeClock()
 	c := New(Config{
 		MinWindow: 1, MaxWindow: 1, InitialWindow: 1,
-		QueueLimit: 8, ExplainShedAt: 1, DegradeAt: 2,
+		QueueLimit: 8, ExplainShedAt: 2,
 		LevelHold: time.Second, Clock: clk.now,
 	})
 
@@ -246,22 +246,28 @@ func TestBrownoutLadderAndHysteresis(t *testing.T) {
 		}()
 		want := i + 1
 		waitFor(t, "queue to deepen", func() bool { return c.Snapshot().Queued == want })
+		if lvl := c.Level(); want == 1 && lvl != LevelNormal {
+			t.Fatalf("level at depth 1 = %v, want LevelNormal", lvl)
+		}
 	}
-	if lvl := c.Level(); lvl != LevelDegrade {
-		t.Fatalf("level at depth 2 = %v, want LevelDegrade", lvl)
+	if lvl := c.Level(); lvl != LevelShedExplain {
+		t.Fatalf("level at depth 2 = %v, want LevelShedExplain", lvl)
 	}
 
-	// Apply: Explain stripped, auto downgraded to approx; exact honoured.
+	// Apply: Explain stripped, everything else untouched; below the rung
+	// nothing changes.
 	req := search.Request{Seeker: "u", Mode: search.ModeAuto, Explain: true}
-	if !c.Apply(LevelDegrade, &req) {
-		t.Fatal("Apply(LevelDegrade) on mode:auto should report degradation")
+	c.Apply(LevelShedExplain, &req)
+	if req.Explain || req.Mode != search.ModeAuto {
+		t.Fatalf("Apply left req = %+v, want only explain stripped", req)
 	}
-	if req.Explain || req.Mode != search.ModeApprox {
-		t.Fatalf("Apply left req = %+v, want explain stripped, mode approx", req)
+	calm := search.Request{Seeker: "u", Explain: true}
+	c.Apply(LevelNormal, &calm)
+	if !calm.Explain {
+		t.Fatal("Apply(LevelNormal) stripped Explain")
 	}
-	exact := search.Request{Seeker: "u", Mode: search.ModeExact}
-	if c.Apply(LevelDegrade, &exact) || exact.Mode != search.ModeExact {
-		t.Fatal("Apply must honour explicit mode:exact")
+	if s := c.Snapshot(); s.ExplainShed != 1 {
+		t.Fatalf("ExplainShed = %d, want 1", s.ExplainShed)
 	}
 
 	// Drain the queue; the level stays sticky for LevelHold, then decays.
@@ -270,8 +276,8 @@ func TestBrownoutLadderAndHysteresis(t *testing.T) {
 		<-results
 	}
 	tk.Release(nil)
-	if lvl := c.Level(); lvl != LevelDegrade {
-		t.Fatalf("level immediately after calm = %v, want sticky LevelDegrade", lvl)
+	if lvl := c.Level(); lvl != LevelShedExplain {
+		t.Fatalf("level immediately after calm = %v, want sticky LevelShedExplain", lvl)
 	}
 	clk.advance(2 * time.Second)
 	if lvl := c.Level(); lvl != LevelNormal {

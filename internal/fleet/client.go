@@ -162,7 +162,6 @@ func toWire(req search.Request) server.V2Query {
 		K:             req.K,
 		Beta:          req.Beta,
 		Mode:          req.Mode.String(),
-		AlgHint:       req.AlgHint,
 		MinScore:      req.MinScore,
 		Offset:        req.Offset,
 		NoCache:       req.NoCache,
@@ -360,10 +359,7 @@ func (c *Client) searchOnce(ctx context.Context, req search.Request) (search.Res
 	if out.Results == nil {
 		out.Results = []search.Result{}
 	}
-	return search.Response{
-		Results: out.Results, Explain: out.Explain,
-		Degraded: out.Degraded, ScoreBound: out.ScoreBound,
-	}, nil
+	return search.Response{Results: out.Results, Explain: out.Explain}, nil
 }
 
 // entryErr reconstructs the typed error a batch entry carried on the
@@ -420,10 +416,7 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 		if results == nil {
 			results = []search.Result{}
 		}
-		out[i] = search.BatchResult{Response: search.Response{
-			Results: results, Explain: e.Explain,
-			Degraded: e.Degraded, ScoreBound: e.ScoreBound,
-		}}
+		out[i] = search.BatchResult{Response: search.Response{Results: results, Explain: e.Explain}}
 	}
 	return out
 }

@@ -145,14 +145,14 @@ func TestClientSearchWireGolden(t *testing.T) {
 	beta := 0.25
 	full := search.Request{
 		Seeker: "alice", Tags: []string{"pizza", "pasta"}, K: 3, Beta: &beta, Mode: search.ModeExact,
-		AlgHint: "SocialMerge", MinScore: 0.5, Offset: 2, NoCache: true, MaxCacheAgeMS: 1500, Explain: true,
+		MinScore: 0.5, Offset: 2, NoCache: true, MaxCacheAgeMS: 1500, Explain: true,
 	}
 	bare := search.Request{Seeker: "bob"}
 	ctx := context.Background()
 	c.Do(ctx, full)
 	c.Do(ctx, bare)
 	c.DoBatch(ctx, []search.Request{full, bare})
-	const fullJSON = `{"seeker":"alice","tags":["pizza","pasta"],"k":3,"beta":0.25,"mode":"exact","alg_hint":"SocialMerge",` +
+	const fullJSON = `{"seeker":"alice","tags":["pizza","pasta"],"k":3,"beta":0.25,"mode":"exact",` +
 		`"min_score":0.5,"offset":2,"no_cache":true,"max_cache_age_ms":1500,"explain":true}`
 	const bareJSON = `{"seeker":"bob","tags":null,"k":0,"mode":"auto"}`
 	want := []string{

@@ -10,7 +10,7 @@
 //
 // The headline metric is throughput-at-SLO: sweep offered QPS and
 // report, per step, the goodput (on-SLO successes per second) plus the
-// latency quantiles, shed fraction and degraded fraction. See
+// latency quantiles and shed fraction. See
 // cmd/loadtest for the CLI and scripts/overload_smoke.sh for the CI
 // assertion run.
 package loadgen
@@ -123,18 +123,16 @@ type Report struct {
 	Sent    int64 `json:"sent"`
 	Dropped int64 `json:"dropped"` // arrivals past MaxOutstanding
 
-	OK          int64 `json:"ok"`       // success within SLO
-	Late        int64 `json:"late"`     // success past SLO
-	Degraded    int64 `json:"degraded"` // successes carrying Degraded (subset of OK+Late)
-	Shed        int64 `json:"shed"`     // ErrOverloaded
+	OK          int64 `json:"ok"`   // success within SLO
+	Late        int64 `json:"late"` // success past SLO
+	Shed        int64 `json:"shed"` // ErrOverloaded
 	Unavailable int64 `json:"unavailable"`
 	Invalid     int64 `json:"invalid"`
 	Timeout     int64 `json:"timeout"` // ctx deadline/cancel
 	OtherErrors int64 `json:"other_errors"`
 
-	Goodput     float64 `json:"goodput_qps"` // OK per second
-	ShedPct     float64 `json:"shed_pct"`
-	DegradedPct float64 `json:"degraded_pct"`
+	Goodput float64 `json:"goodput_qps"` // OK per second
+	ShedPct float64 `json:"shed_pct"`
 
 	P50  time.Duration `json:"p50_ns"`
 	P99  time.Duration `json:"p99_ns"`
@@ -145,7 +143,7 @@ type Report struct {
 // counters aggregates outcomes lock-free across arrival goroutines.
 type counters struct {
 	sent, dropped                              atomic.Int64
-	ok, late, degraded                         atomic.Int64
+	ok, late                                   atomic.Int64
 	shed, unavailable, invalid, timeout, other atomic.Int64
 }
 
@@ -236,7 +234,6 @@ func fire(ctx context.Context, target Target, cfg Config, kind reqKind, seed int
 	cnt.sent.Add(1)
 	start := time.Now()
 	var err error
-	degraded := false
 	switch kind {
 	case kindWrite:
 		// Writes re-declare edges inside the existing corpus, so the
@@ -256,12 +253,9 @@ func fire(ctx context.Context, target Target, cfg Config, kind reqKind, seed int
 			if r.Err != nil && err == nil {
 				err = r.Err
 			}
-			degraded = degraded || r.Response.Degraded
 		}
 	default:
-		var resp search.Response
-		resp, err = target.Do(rctx, randQuery(rng, cfg))
-		degraded = resp.Degraded
+		_, err = target.Do(rctx, randQuery(rng, cfg))
 	}
 	lat := time.Since(start)
 
@@ -272,9 +266,6 @@ func fire(ctx context.Context, target Target, cfg Config, kind reqKind, seed int
 			cnt.ok.Add(1)
 		} else {
 			cnt.late.Add(1)
-		}
-		if degraded {
-			cnt.degraded.Add(1)
 		}
 	case errors.Is(err, search.ErrOverloaded):
 		cnt.shed.Add(1)
@@ -313,7 +304,6 @@ func buildReport(cfg Config, elapsed time.Duration, offered int64, cnt *counters
 
 		OK:          cnt.ok.Load(),
 		Late:        cnt.late.Load(),
-		Degraded:    cnt.degraded.Load(),
 		Shed:        cnt.shed.Load(),
 		Unavailable: cnt.unavailable.Load(),
 		Invalid:     cnt.invalid.Load(),
@@ -327,9 +317,6 @@ func buildReport(cfg Config, elapsed time.Duration, offered int64, cnt *counters
 	}
 	if r.Sent > 0 {
 		r.ShedPct = 100 * float64(r.Shed) / float64(r.Sent)
-	}
-	if done := r.OK + r.Late; done > 0 {
-		r.DegradedPct = 100 * float64(r.Degraded) / float64(done)
 	}
 	return r
 }

@@ -11,12 +11,11 @@ import (
 
 // stubTarget answers instantly with a canned outcome per class.
 type stubTarget struct {
-	calls    atomic.Int64
-	writes   atomic.Int64
-	batches  atomic.Int64
-	err      error
-	degraded bool
-	delay    time.Duration
+	calls   atomic.Int64
+	writes  atomic.Int64
+	batches atomic.Int64
+	err     error
+	delay   time.Duration
 }
 
 func (s *stubTarget) Do(ctx context.Context, req search.Request) (search.Response, error) {
@@ -31,7 +30,7 @@ func (s *stubTarget) Do(ctx context.Context, req search.Request) (search.Respons
 	if s.err != nil {
 		return search.Response{}, s.err
 	}
-	return search.Response{Results: []search.Result{{Item: "x", Score: 1}}, Degraded: s.degraded}, nil
+	return search.Response{Results: []search.Result{{Item: "x", Score: 1}}}, nil
 }
 
 func (s *stubTarget) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
@@ -96,20 +95,6 @@ func TestRunClassifiesSheds(t *testing.T) {
 	}
 	if rep.ShedPct < 99 {
 		t.Fatalf("ShedPct = %v, want ~100", rep.ShedPct)
-	}
-}
-
-func TestRunCountsDegraded(t *testing.T) {
-	st := &stubTarget{degraded: true}
-	rep, err := Run(context.Background(), st, baseCfg(100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Degraded != rep.OK+rep.Late || rep.Degraded == 0 {
-		t.Fatalf("Degraded = %d of %d successes, want all", rep.Degraded, rep.OK+rep.Late)
-	}
-	if rep.DegradedPct < 99 {
-		t.Fatalf("DegradedPct = %v, want ~100", rep.DegradedPct)
 	}
 }
 

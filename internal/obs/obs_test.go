@@ -230,24 +230,19 @@ func TestTailCaptureUnsampled(t *testing.T) {
 	tr := NewTracer(Config{Node: "n", SampleEvery: -1})
 	cases := []struct {
 		status int
-		mark   bool
 		tail   bool
 	}{
-		{http.StatusOK, false, false},
-		{http.StatusInternalServerError, false, true},
-		{http.StatusTooManyRequests, false, true},
-		{499, false, true},
-		{http.StatusOK, true, true}, // degraded via MarkDegraded
+		{http.StatusOK, false},
+		{http.StatusInternalServerError, true},
+		{http.StatusTooManyRequests, true},
+		{499, true},
 	}
 	want := 0
 	for _, c := range cases {
-		ctx, rq := tr.StartRequest(context.Background(), "", http.MethodGet, "/v2/search")
-		if c.mark {
-			MarkDegraded(ctx)
-		}
+		_, rq := tr.StartRequest(context.Background(), "", http.MethodGet, "/v2/search")
 		info := rq.Finish(c.status)
 		if info.Tail != c.tail {
-			t.Fatalf("status %d mark=%v: Tail = %v, want %v", c.status, c.mark, info.Tail, c.tail)
+			t.Fatalf("status %d: Tail = %v, want %v", c.status, info.Tail, c.tail)
 		}
 		if c.tail {
 			want++
@@ -257,9 +252,6 @@ func TestTailCaptureUnsampled(t *testing.T) {
 			}
 			if len(rec.Spans) != 1 || rec.Sampled {
 				t.Fatalf("synthesized record = %+v, want one span, unsampled", rec)
-			}
-			if c.mark && !rec.Degraded {
-				t.Fatal("degraded mark lost in tail capture")
 			}
 		}
 	}
@@ -359,7 +351,6 @@ func TestUntracedPathZeroAlloc(t *testing.T) {
 			t.Fatal("wire spans on untraced ctx")
 		}
 		MergeRemote(c, nil)
-		MarkDegraded(c)
 	})
 	if allocs != 0 {
 		t.Fatalf("untraced span path allocates %v per op, want 0", allocs)

@@ -309,14 +309,6 @@ func (tr *Trace) nodeLocked() string {
 	return ""
 }
 
-// MarkDegraded records that the request's answer was served degraded
-// (brownout), so tail capture picks it up even when unsampled.
-func MarkDegraded(ctx context.Context) {
-	if rq, _ := ctx.Value(reqKey{}).(*Request); rq != nil {
-		rq.degraded.Store(true)
-	}
-}
-
 // RequestFromContext returns the per-request tracing handle installed
 // by Tracer.StartRequest (nil when the server has no tracer).
 func RequestFromContext(ctx context.Context) *Request {

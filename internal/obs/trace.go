@@ -1,11 +1,11 @@
 // Package obs is the serving stack's observability plane: W3C
 // traceparent-style request tracing with pooled, sampling-gated spans;
 // an in-process flight recorder (a fixed-size ring of completed
-// traces, head-sampled plus tail-captured slow/shed/degraded/error
-// requests); a slow-query log that keeps the engine's Explain payload
-// for offending queries; a Prometheus text-format exposition writer
-// over the existing stats structs; structured (text or JSON) logging;
-// and build/runtime identification.
+// traces, head-sampled plus tail-captured slow/shed/error requests); a
+// slow-query log that keeps the engine's Explain payload for offending
+// queries; a Prometheus text-format exposition writer over the existing
+// stats structs; structured (text or JSON) logging; and build/runtime
+// identification.
 //
 // The package is engineered around the repo's allocation discipline:
 // when no trace rides the context — tracing disabled, or the request

@@ -111,9 +111,6 @@ type Request struct {
 	start  time.Time
 	method string
 	name   string
-	// degraded is set by MarkDegraded from handler code so tail capture
-	// sees brownout-degraded answers even unsampled.
-	degraded atomic.Bool
 }
 
 // Sampled reports whether the request is head-sampled (full span
@@ -174,14 +171,13 @@ type FinishInfo struct {
 	Status     int
 	DurationMS float64
 	Sampled    bool
-	Tail       bool // tail-captured: slow, error/shed status, or degraded
-	Degraded   bool
+	Tail       bool // tail-captured: slow or error/shed status
 }
 
 // Finish completes the request: a sampled trace is exported into the
 // flight recorder (and its spans recycled); an unsampled request that
-// tripped tail capture — slow, degraded, or an error/shed/cancel
-// status — is recorded as a synthesized single-span trace.
+// tripped tail capture — slow, or an error/shed/cancel status — is
+// recorded as a synthesized single-span trace.
 func (rq *Request) Finish(status int) FinishInfo {
 	if rq == nil {
 		return FinishInfo{}
@@ -190,8 +186,7 @@ func (rq *Request) Finish(status int) FinishInfo {
 	now := time.Now()
 	dur := now.Sub(rq.start)
 	slow := t.cfg.SlowThreshold > 0 && dur >= t.cfg.SlowThreshold
-	degraded := rq.degraded.Load()
-	tail := slow || degraded || status >= 500 ||
+	tail := slow || status >= 500 ||
 		status == http.StatusTooManyRequests || status == 499
 	info := FinishInfo{
 		TraceID:    rq.id.String(),
@@ -199,7 +194,6 @@ func (rq *Request) Finish(status int) FinishInfo {
 		DurationMS: durationMS(dur),
 		Sampled:    rq.tr != nil,
 		Tail:       tail,
-		Degraded:   degraded,
 	}
 	rec := TraceRecord{
 		ID:         info.TraceID,
@@ -210,7 +204,6 @@ func (rq *Request) Finish(status int) FinishInfo {
 		Status:     status,
 		Sampled:    info.Sampled,
 		Slow:       slow,
-		Degraded:   degraded,
 	}
 	switch {
 	case rq.tr != nil:
@@ -302,7 +295,6 @@ type TraceRecord struct {
 	Status       int        `json:"status"`
 	Sampled      bool       `json:"sampled"`
 	Slow         bool       `json:"slow,omitempty"`
-	Degraded     bool       `json:"degraded,omitempty"`
 	DroppedSpans int        `json:"dropped_spans,omitempty"`
 	Spans        []SpanData `json:"spans"`
 }
@@ -316,7 +308,6 @@ type TraceSummary struct {
 	Status     int       `json:"status"`
 	Sampled    bool      `json:"sampled"`
 	Slow       bool      `json:"slow,omitempty"`
-	Degraded   bool      `json:"degraded,omitempty"`
 	Spans      int       `json:"spans"`
 }
 
@@ -349,7 +340,7 @@ func (r *recorder) list() []TraceSummary {
 		out = append(out, TraceSummary{
 			ID: rec.ID, Name: rec.Name, Start: rec.Start,
 			DurationMS: rec.DurationMS, Status: rec.Status,
-			Sampled: rec.Sampled, Slow: rec.Slow, Degraded: rec.Degraded,
+			Sampled: rec.Sampled, Slow: rec.Slow,
 			Spans: len(rec.Spans),
 		})
 	}

@@ -89,7 +89,7 @@ func invalidf(format string, args ...interface{}) error {
 // WrapInvalid marks err as a client-side request error — making
 // errors.Is(err, ErrInvalid) true — without changing its message.
 // Implementations use it for request-content failures Normalize cannot
-// see (unknown names, malformed ids, an unsatisfiable AlgHint) so
+// see (unknown names, malformed ids) so
 // transports keep a clean client/server error split while legacy error
 // texts stay byte-identical.
 func WrapInvalid(err error) error {
@@ -108,17 +108,15 @@ func (e invalidErr) Unwrap() error        { return e.error }
 type Mode int
 
 const (
-	// ModeAuto lets the cost-based planner (internal/planner) choose the
-	// cheapest exact algorithm for the query; the seeker-horizon cache
-	// accelerates it when the plan is horizon-compatible. The zero value,
-	// so requests that say nothing get planned execution.
+	// ModeAuto is the zero value, so requests that say nothing get it.
+	// It runs the same path as ModeExact.
 	ModeAuto Mode = iota
 	// ModeExact runs the refine path: exact scores, certified answers
 	// (equivalent to the ExactSocial oracle when horizons are unbounded).
 	ModeExact
-	// ModeApprox runs the cheapest serving path: certified lower-bound
-	// scores with early termination, and truncated horizons when the
-	// service bounds them.
+	// ModeApprox promises only certified lower-bound scores. It runs the
+	// same path as ModeExact, so its answers are exact today; the mode
+	// stays on the wire so a cheaper stop can later be given to it alone.
 	ModeApprox
 )
 
@@ -151,10 +149,6 @@ func ParseMode(s string) (Mode, error) {
 	}
 }
 
-// AlgHints lists the algorithm names accepted in Request.AlgHint, in
-// the spelling internal/planner uses.
-var AlgHints = []string{"SocialMerge", "ContextMerge", "SocialTA", "GlobalTopK"}
-
 // Request is one top-k search request. The zero value of every optional
 // field means "use the engine default", so Request{Seeker: s, Tags: t}
 // is a complete query.
@@ -171,12 +165,8 @@ type Request struct {
 	// Beta, when non-nil, overrides the engine's social/global blend for
 	// this query only (must lie in [0,1]).
 	Beta *float64
-	// Mode selects planned (auto), exact-score, or approximate execution.
+	// Mode selects auto, exact-score, or approximate execution.
 	Mode Mode
-	// AlgHint forces a specific engine algorithm in ModeAuto (one of
-	// AlgHints); empty lets the planner decide. Ignored by the other
-	// modes.
-	AlgHint string
 	// MinScore drops results scoring strictly below it (0 keeps all).
 	MinScore float64
 	// Offset skips the first Offset results (simple paging). Capped at
@@ -198,8 +188,7 @@ type Request struct {
 }
 
 // Normalize validates the request and canonicalizes it in place: tags
-// are split/trimmed, K defaulting and capping applied, AlgHint spelled
-// canonically. It is the single place query admission policy lives;
+// are split/trimmed, K defaulting and capping applied. It is the single place query admission policy lives;
 // every Searcher implementation calls it before executing. All errors
 // wrap ErrInvalid.
 func (r *Request) Normalize() error {
@@ -223,19 +212,6 @@ func (r *Request) Normalize() error {
 	}
 	if r.Mode < ModeAuto || r.Mode > ModeApprox {
 		return invalidf("unknown mode %d", int(r.Mode))
-	}
-	if r.AlgHint != "" {
-		canonical := ""
-		for _, h := range AlgHints {
-			if strings.EqualFold(h, strings.TrimSpace(r.AlgHint)) {
-				canonical = h
-				break
-			}
-		}
-		if canonical == "" {
-			return invalidf("unknown alg hint %q (want one of %s)", r.AlgHint, strings.Join(AlgHints, ", "))
-		}
-		r.AlgHint = canonical
 	}
 	if r.MinScore < 0 {
 		return invalidf("negative min score %g", r.MinScore)
@@ -309,17 +285,11 @@ type Result struct {
 // Explain reports how a query was answered. All counters describe the
 // single execution that produced the response.
 type Explain struct {
-	// Algorithm is the engine algorithm that ran (planner spelling:
-	// SocialMerge, ContextMerge, SocialTA, GlobalTopK, ExactSocial).
+	// Algorithm is the engine algorithm that ran (SocialMerge for every
+	// served query).
 	Algorithm string `json:"algorithm"`
 	// Mode is the execution mode after normalization.
 	Mode string `json:"mode"`
-	// Planned reports whether the cost-based planner chose the
-	// algorithm (false when the mode or an AlgHint dictated it).
-	Planned bool `json:"planned"`
-	// Estimates are the planner's predicted access counts per considered
-	// algorithm (present only for planned executions).
-	Estimates map[string]float64 `json:"estimates,omitempty"`
 	// Beta is the social/global blend the query ran under.
 	Beta float64 `json:"beta"`
 	// Exact reports whether the answer set is certified exact.
@@ -344,9 +314,6 @@ type Explain struct {
 	UsersSettled       int   `json:"users_settled"`
 	SequentialAccesses int64 `json:"sequential_accesses"`
 	RandomAccesses     int64 `json:"random_accesses"`
-	// Degraded reports that overload brownout rewrote the request
-	// (mode:auto forced to approx) before this execution.
-	Degraded bool `json:"degraded,omitempty"`
 }
 
 // Response answers one Request.
@@ -356,16 +323,6 @@ type Response struct {
 	Results []Result `json:"results"`
 	// Explain is present iff the request asked for it.
 	Explain *Explain `json:"explain,omitempty"`
-	// Degraded reports that overload brownout answered this query on a
-	// cheaper path than requested (mode:auto forced to approx). The
-	// answer is still honest: every returned score is exact and
-	// ScoreBound certifies what may be missing.
-	Degraded bool `json:"degraded,omitempty"`
-	// ScoreBound is the certified lower bound on any result the degraded
-	// execution could have missed (the engine's certification threshold
-	// τ). Populated only on degraded responses, so clients get the
-	// honesty certificate even when brownout shed the Explain work.
-	ScoreBound float64 `json:"score_bound,omitempty"`
 }
 
 // BatchResult is the outcome of one request of a DoBatch call: Response

@@ -70,7 +70,6 @@ func TestNormalizeKnobRanges(t *testing.T) {
 		mk(func(r *Request) { b := -0.1; r.Beta = &b }),
 		mk(func(r *Request) { b := 1.1; r.Beta = &b }),
 		mk(func(r *Request) { r.Mode = Mode(99) }),
-		mk(func(r *Request) { r.AlgHint = "QuantumMerge" }),
 		mk(func(r *Request) { r.MinScore = -1 }),
 		mk(func(r *Request) { r.Offset = -1 }),
 		// Offset shares K's cap: implementations fetch K+Offset results,
@@ -87,15 +86,11 @@ func TestNormalizeKnobRanges(t *testing.T) {
 		b := 0.5
 		r.Beta = &b
 		r.Mode = ModeApprox
-		r.AlgHint = "socialmerge"
 		r.MinScore = 0.25
 		r.Offset = 3
 	})
 	if err := ok.Normalize(); err != nil {
 		t.Fatal(err)
-	}
-	if ok.AlgHint != "SocialMerge" {
-		t.Fatalf("alg hint canonicalized to %q", ok.AlgHint)
 	}
 }
 

@@ -16,7 +16,7 @@
 //	POST /v1/search/batch  {"queries":[{"seeker":"alice","tags":["pizza"],"k":5},...]}
 //	                                                                → {"results":[{"results":[...]},{"error":"..."},...]}
 //	POST /v2/search        {"seeker":"alice","tags":["pizza"],"k":5,
-//	                        "beta":0.7,"mode":"auto","alg_hint":"",
+//	                        "beta":0.7,"mode":"auto",
 //	                        "min_score":0,"offset":0,"no_cache":false,
 //	                        "max_cache_age_ms":0,"explain":true}
 //	                                                                → {"results":[{"item":"x","score":1.2}],"explain":{...}}
@@ -54,10 +54,10 @@
 // {"applied_lsn":N}. Unstamped mutations are byte-compatible with v1.
 //
 // The v2 surface exposes the full search.Request: per-query β blending,
-// execution mode (auto: cost-based planner; exact: refined scores;
-// approx: early termination), an algorithm hint, score filtering,
-// offset paging, and explainable answers (chosen algorithm, horizon
-// size, seeker-cache hit/generation, certified score bound). The v1
+// execution mode (auto, exact and approx all run the exact merge today;
+// explain echoes the mode), score filtering, offset paging, and
+// explainable answers (algorithm, horizon size, seeker-cache
+// hit/generation, certified score bound). The v1
 // endpoints are thin adapters that build a search.Request internally
 // (ModeExact — their historical semantics); their wire format is
 // unchanged.
@@ -265,7 +265,8 @@ type Server struct {
 	// admission, when set, fronts every search (read class) and every
 	// unstamped mutation (write class) with the AIMD admission
 	// controller: shed requests answer 429 with Retry-After, and the
-	// brownout ladder degrades admitted queries under pressure.
+	// brownout ladder strips Explain from admitted queries under
+	// pressure.
 	// LSN-stamped replicated mutations bypass admission — the fleet
 	// replication apply path must never be shed, or a loaded replica
 	// would be ejected as divergent instead of merely slow.
@@ -463,7 +464,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		s.accessLog.Log("request",
 			"trace", info.TraceID, "method", r.Method, "path", r.URL.Path,
 			"status", info.Status, "dur_ms", info.DurationMS,
-			"sampled", info.Sampled, "degraded", info.Degraded)
+			"sampled", info.Sampled)
 	}
 }
 
@@ -1002,7 +1003,6 @@ type V2Query struct {
 	K             int      `json:"k"`
 	Beta          *float64 `json:"beta,omitempty"`
 	Mode          string   `json:"mode,omitempty"`
-	AlgHint       string   `json:"alg_hint,omitempty"`
 	MinScore      float64  `json:"min_score,omitempty"`
 	Offset        int      `json:"offset,omitempty"`
 	NoCache       bool     `json:"no_cache,omitempty"`
@@ -1023,7 +1023,6 @@ func (q V2Query) request() (search.Request, error) {
 		K:             q.K,
 		Beta:          q.Beta,
 		Mode:          mode,
-		AlgHint:       q.AlgHint,
 		MinScore:      q.MinScore,
 		Offset:        q.Offset,
 		NoCache:       q.NoCache,
@@ -1039,12 +1038,7 @@ func (q V2Query) request() (search.Request, error) {
 type V2SearchResponse struct {
 	Results []search.Result `json:"results"`
 	Explain *search.Explain `json:"explain,omitempty"`
-	// Degraded marks answers the overload brownout served on a cheaper
-	// path than requested; ScoreBound is the certified honesty bound of
-	// such an answer (see search.Response).
-	Degraded   bool           `json:"degraded,omitempty"`
-	ScoreBound float64        `json:"score_bound,omitempty"`
-	Spans      []obs.SpanData `json:"spans,omitempty"`
+	Spans   []obs.SpanData  `json:"spans,omitempty"`
 }
 
 func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
@@ -1065,10 +1059,7 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	degraded := s.applyBrownout(tk.Level, &req)
-	if degraded {
-		obs.MarkDegraded(r.Context())
-	}
+	s.applyBrownout(tk.Level, &req)
 	wantExplain := req.Explain
 	s.forceExplain(r.Context(), &req)
 	start := time.Now()
@@ -1079,50 +1070,22 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Capture (and on a force-injected Explain, strip) the decision
-	// record before markDegraded consults resp.Explain for the honesty
-	// bound — client-visible bytes must not depend on sampling.
+	// record — client-visible bytes must not depend on sampling.
 	s.noteSlowQuery(r.Context(), req, &resp, time.Since(start))
 	if !wantExplain {
 		resp.Explain = nil
 	}
-	markDegraded(&resp, degraded)
 	s.writeJSON(w, r, V2SearchResponse{
 		Results: resp.Results, Explain: resp.Explain,
-		Degraded: resp.Degraded, ScoreBound: resp.ScoreBound,
 		Spans: obs.WireSpans(r.Context()),
 	})
 }
 
 // applyBrownout applies the admission brownout ladder to a request (a
-// no-op without a controller). It reports whether the execution mode
-// was degraded; the caller must then mark the response with markDegraded
-// so the client sees Degraded plus the certified bound.
-func (s *Server) applyBrownout(lvl admission.Level, req *search.Request) bool {
-	if s.admission == nil {
-		return false
-	}
-	return s.admission.Apply(lvl, req)
-}
-
-// markDegraded stamps a response whose request this server degraded.
-// The certified bound comes from the engine when it reported one (every
-// approx execution does); otherwise the last returned score — an upper
-// bound on the certification threshold — stands in, so a degraded
-// response never goes out without its honesty certificate.
-func markDegraded(resp *search.Response, degraded bool) {
-	if !degraded {
-		return
-	}
-	resp.Degraded = true
-	if resp.ScoreBound == 0 {
-		if resp.Explain != nil {
-			resp.ScoreBound = resp.Explain.ScoreBound
-		} else if n := len(resp.Results); n > 0 {
-			resp.ScoreBound = resp.Results[n-1].Score
-		}
-	}
-	if resp.Explain != nil {
-		resp.Explain.Degraded = true
+// no-op without a controller).
+func (s *Server) applyBrownout(lvl admission.Level, req *search.Request) {
+	if s.admission != nil {
+		s.admission.Apply(lvl, req)
 	}
 }
 
@@ -1133,11 +1096,9 @@ type V2BatchRequest struct {
 
 // V2BatchEntry answers one v2 batch query.
 type V2BatchEntry struct {
-	Results    []search.Result `json:"results"`
-	Explain    *search.Explain `json:"explain,omitempty"`
-	Degraded   bool            `json:"degraded,omitempty"`
-	ScoreBound float64         `json:"score_bound,omitempty"`
-	Error      string          `json:"error,omitempty"`
+	Results []search.Result `json:"results"`
+	Explain *search.Explain `json:"explain,omitempty"`
+	Error   string          `json:"error,omitempty"`
 	// ErrorKind carries the error's class across the wire ("invalid",
 	// "overloaded", "unavailable"; empty for unclassified failures) so a
 	// fleet front-end relaying this entry can reconstruct the typed
@@ -1221,7 +1182,6 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var batch []search.BatchResult
-	degraded := make([]bool, len(runnable))
 	if len(runnable) > 0 {
 		tk, ok := s.admit(w, r, admission.Read)
 		if !ok {
@@ -1230,10 +1190,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 		// One ticket covers the whole envelope (the batch is one unit of
 		// admitted work); the brownout decision applies per query.
 		for i := range runnable {
-			degraded[i] = s.applyBrownout(tk.Level, &runnable[i])
-			if degraded[i] {
-				obs.MarkDegraded(r.Context())
-			}
+			s.applyBrownout(tk.Level, &runnable[i])
 		}
 		batch = s.backend.DoBatch(r.Context(), runnable)
 		tk.Release(batchOutcome(batch))
@@ -1251,11 +1208,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = V2BatchEntry{Error: br.Err.Error(), ErrorKind: kind, RetryAfterMS: retryMS}
 			continue
 		}
-		markDegraded(&br.Response, degraded[j])
-		resp.Results[i] = V2BatchEntry{
-			Results: br.Response.Results, Explain: br.Response.Explain,
-			Degraded: br.Response.Degraded, ScoreBound: br.Response.ScoreBound,
-		}
+		resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
 	}
 	s.writeJSON(w, r, resp)
 }

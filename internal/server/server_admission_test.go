@@ -205,27 +205,6 @@ func TestStatsUnchangedWithoutAdmission(t *testing.T) {
 	}
 }
 
-func TestMarkDegradedFillsScoreBound(t *testing.T) {
-	resp := search.Response{Results: []search.Result{{Item: "a", Score: 0.9}, {Item: "b", Score: 0.4}}}
-	markDegraded(&resp, false)
-	if resp.Degraded || resp.ScoreBound != 0 {
-		t.Fatalf("non-degraded response mutated: %+v", resp)
-	}
-	markDegraded(&resp, true)
-	if !resp.Degraded || resp.ScoreBound != 0.4 {
-		t.Fatalf("degraded marking = %+v, want Degraded with bound 0.4 (last score)", resp)
-	}
-
-	withEx := search.Response{
-		Results: []search.Result{{Item: "a", Score: 0.9}},
-		Explain: &search.Explain{ScoreBound: 0.7},
-	}
-	markDegraded(&withEx, true)
-	if withEx.ScoreBound != 0.7 || !withEx.Explain.Degraded {
-		t.Fatalf("explain-backed marking = %+v, want bound 0.7 and Explain.Degraded", withEx)
-	}
-}
-
 func TestReplicatedApplyBypassesAdmission(t *testing.T) {
 	s, _, ctrl := newAdmissionServer(t, admission.Config{
 		MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 1,

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/planner"
 	"repro/internal/qcache"
 	"repro/internal/search"
 )
@@ -27,7 +26,6 @@ type doScratch struct {
 	ans    core.Answer
 	named  []search.Result
 	ex     search.Explain
-	req    search.Request // hook staging: &req here must not escape doInto's frame
 }
 
 // burst carries one worker's horizon across a same-seeker run of batch
@@ -41,17 +39,11 @@ type burst struct {
 
 // Do answers one request. The request is validated and canonicalized by
 // search.Request.Normalize — the single place k defaulting, tag
-// normalization and knob range checks live. Execution depends on
-// req.Mode:
-//
-//   - ModeExact: the refine path — exact scores via the seeker-horizon
-//     cache; with unbounded horizons the answer equals the ExactSocial
-//     oracle's. This is what the /v1 search endpoints run.
-//   - ModeAuto: the cost-based planner picks the cheapest exact
-//     algorithm (or req.AlgHint forces one); a SocialMerge plan runs
-//     through the horizon cache. Scores are certified lower bounds.
-//   - ModeApprox: horizon-cached SocialMerge with early termination —
-//     the cheapest serving path.
+// normalization and knob range checks live. Every mode runs the same
+// path: the paper's network-aware merge with refined scores over the
+// seeker's horizon, through the seeker-horizon cache. With unbounded
+// horizons the answer equals the ExactSocial oracle's, whatever
+// req.Mode says; the mode is only echoed in the Explain record.
 //
 // A non-nil req.Beta re-blends social and global scoring for this query
 // only. Cancellation: ctx is checked before name resolution and at the
@@ -99,23 +91,10 @@ func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.R
 		sc = &doScratch{}
 	}
 
-	// Brownout hook (see SetDegradeHook): consulted after normalization
-	// so the ladder sees the canonical request; it may downgrade the
-	// execution mode in place. The request is staged in the pooled
-	// scratch for the call — handing the hook &req directly would make
-	// every request escape to the heap, hook installed or not, breaking
-	// the zero-allocation warm path.
-	degraded := false
-	if h, _ := s.degradeHook.Load().(func(*search.Request) bool); h != nil {
-		sc.req = req
-		degraded = h(&sc.req)
-		req = sc.req
-		sc.req = search.Request{}
-	}
 	// One span per executed query on a sampled trace; the nil-span fast
 	// path keeps the warm read path allocation-free when untraced.
 	ctx, sp := obs.StartSpan(ctx, "social.execute")
-	err := s.doIntoScratch(ctx, req, resp, bst, sc, degraded)
+	err := s.doIntoScratch(ctx, req, resp, bst, sc)
 	if sp != nil {
 		sp.SetAttr("seeker", req.Seeker)
 		sp.SetAttr("algorithm", sc.ex.Algorithm)
@@ -130,7 +109,7 @@ func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.R
 	return err
 }
 
-func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *search.Response, bst *burst, sc *doScratch, degraded bool) error {
+func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *search.Response, bst *burst, sc *doScratch) error {
 	// Resolve names and pin the engine snapshot and cache generation
 	// together, preferably from the atomically published view — the
 	// lock-free fast path. The view's frozen dictionaries may trail the
@@ -216,9 +195,10 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 		bst = nil // NoCache promises a fresh horizon; no burst reuse
 	}
 
-	sc.ex = search.Explain{Mode: req.Mode.String(), Beta: qeng.Beta()}
+	sc.ex = search.Explain{Algorithm: "SocialMerge", Mode: req.Mode.String(), Beta: qeng.Beta()}
 	q := core.Query{Seeker: uid, Tags: sc.tagIDs, K: req.K + req.Offset}
-	if err := s.execute(ctx, qeng, q, req, cache, gen, bst, &sc.ex, &sc.ans); err != nil {
+	maxAge := time.Duration(req.MaxCacheAgeMS) * time.Millisecond
+	if err := s.horizonAnswer(ctx, qeng, q, cache, gen, maxAge, bst, &sc.ex, &sc.ans); err != nil {
 		return err
 	}
 	sc.ex.Exact = sc.ans.Exact
@@ -265,14 +245,6 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 	if n := len(results); n > 0 {
 		sc.ex.ScoreBound = results[n-1].Score
 	}
-	// Degraded responses carry the certified bound (the k-th returned
-	// score — see ScoreBound's contract); clear both on reuse otherwise.
-	resp.Degraded, resp.ScoreBound = false, 0
-	if degraded {
-		sc.ex.Degraded = true
-		resp.Degraded = true
-		resp.ScoreBound = sc.ex.ScoreBound
-	}
 	resp.Explain = nil
 	if req.Explain {
 		ex := sc.ex
@@ -290,60 +262,15 @@ func (s *Service) lockedItemName(id int32) (string, bool) {
 	return s.names.Items.Name(id)
 }
 
-// execute runs the id-space query against the pinned snapshot in the
-// requested mode, filling the execution half of ex as it goes. cache is
-// the seeker cache (nil when caching is disabled or the request opted
-// out); ans is the caller's reused answer.
-func (s *Service) execute(ctx context.Context, eng *core.Engine, q core.Query, req search.Request, cache *qcache.Cache, gen uint64, bst *burst, ex *search.Explain, ans *core.Answer) error {
-	maxAge := time.Duration(req.MaxCacheAgeMS) * time.Millisecond
-	switch req.Mode {
-	case search.ModeExact:
-		ex.Algorithm = planner.SocialMerge.String()
-		return s.horizonAnswer(ctx, eng, q, cache, gen, maxAge, core.Options{RefineScores: true, Ctx: ctx}, bst, ex, ans)
-	case search.ModeApprox:
-		ex.Algorithm = planner.SocialMerge.String()
-		return s.horizonAnswer(ctx, eng, q, cache, gen, maxAge, core.Options{Ctx: ctx}, bst, ex, ans)
-	}
-	// ModeAuto: plan (or obey the hint), then run — SocialMerge plans go
-	// through the horizon cache, everything else runs directly.
-	p, err := planner.New(eng)
-	if err != nil {
-		return err
-	}
-	var alg planner.Algorithm
-	if req.AlgHint != "" {
-		alg, _ = planner.ParseAlgorithm(req.AlgHint) // Normalize vetted the spelling
-		if !p.Available(alg) {
-			return search.WrapInvalid(fmt.Errorf("social: algorithm %s unavailable on this engine (SocialTA needs an item index, GlobalTopK needs beta = 0)", alg))
-		}
-	} else {
-		plan := p.Plan(q)
-		alg = plan.Alg
-		ex.Planned = true
-		ex.Estimates = make(map[string]float64, len(plan.Est))
-		for a, est := range plan.Est {
-			ex.Estimates[a.String()] = est
-		}
-	}
-	ex.Algorithm = alg.String()
-	if alg == planner.SocialMerge {
-		return s.horizonAnswer(ctx, eng, q, cache, gen, maxAge, core.Options{Ctx: ctx}, bst, ex, ans)
-	}
-	a, err := p.Run(ctx, alg, q)
-	if err != nil {
-		return err
-	}
-	*ans = a
-	return nil
-}
-
-// horizonAnswer executes a SocialMerge-family query through the
-// seeker cache when one was pinned. gen is the cache generation
-// captured with the snapshot: a cached horizon is used only when valid
-// under that generation (and younger than maxAge, when positive), and a
-// freshly materialized one is offered back under the same stamp
-// (refused if the graph moved meanwhile).
-func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Query, cache *qcache.Cache, gen uint64, maxAge time.Duration, opts core.Options, bst *burst, ex *search.Explain, ans *core.Answer) error {
+// horizonAnswer runs the merge with refined scores, through the seeker
+// cache when one was pinned, filling the horizon half of ex; ans is the
+// caller's reused answer. gen is the cache generation captured with the
+// snapshot: a cached horizon is used only when valid under that
+// generation (and younger than maxAge, when positive), and a freshly
+// materialized one is offered back under the same stamp (refused if the
+// graph moved meanwhile).
+func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Query, cache *qcache.Cache, gen uint64, maxAge time.Duration, bst *burst, ex *search.Explain, ans *core.Answer) error {
+	opts := core.Options{RefineScores: true, Ctx: ctx}
 	if cache == nil {
 		// No cache pinned. A same-seeker batch burst still gets to
 		// amortize the expansion: the worker carries the horizon of its

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -50,9 +49,9 @@ func TestDoModesAgreeOnItemSets(t *testing.T) {
 	svc := apiWorld(t, cfg)
 	ctx := context.Background()
 
-	// All modes answer the same item *set*; order may differ under
-	// near-ties because auto/approx report certified lower bounds.
-	sets := map[string][]string{}
+	// Every mode runs the same exact path: same results, same scores, an
+	// Exact answer, and the mode echoed in Explain.
+	answers := map[string]string{}
 	for _, mode := range []search.Mode{search.ModeAuto, search.ModeExact, search.ModeApprox} {
 		resp, err := svc.Do(ctx, search.Request{
 			Seeker: "alice", Tags: []string{"pizza"}, K: 2, Mode: mode, Explain: true,
@@ -60,19 +59,14 @@ func TestDoModesAgreeOnItemSets(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
-		items := make([]string, len(resp.Results))
-		for i, r := range resp.Results {
-			items[i] = r.Item
-		}
-		sort.Strings(items)
-		sets[mode.String()] = items
-		if resp.Explain == nil || resp.Explain.Mode != mode.String() {
+		answers[mode.String()] = fmt.Sprint(resp.Results)
+		if resp.Explain == nil || resp.Explain.Mode != mode.String() || !resp.Explain.Exact {
 			t.Fatalf("%v: explain %+v", mode, resp.Explain)
 		}
 	}
-	for mode, items := range sets {
-		if fmt.Sprint(items) != fmt.Sprint(sets["exact"]) {
-			t.Fatalf("mode %s item set %v != exact %v", mode, items, sets["exact"])
+	for mode, got := range answers {
+		if got != answers["exact"] {
+			t.Fatalf("mode %s answered %s, exact %s", mode, got, answers["exact"])
 		}
 	}
 }

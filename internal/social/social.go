@@ -41,7 +41,6 @@ import (
 	"repro/internal/overlay"
 	"repro/internal/proximity"
 	"repro/internal/qcache"
-	"repro/internal/search"
 	"repro/internal/tagstore"
 	"repro/internal/vocab"
 )
@@ -125,13 +124,6 @@ type Service struct {
 	// miss a name in the (possibly slightly stale) frozen dictionaries
 	// fall back to the locked path. See install and publishLocked.
 	view atomic.Pointer[queryView]
-
-	// degradeHook, when set, is consulted with every normalized request
-	// before execution — the overload brownout's entry point for
-	// embedders driving the service directly (the HTTP server applies
-	// its ladder itself). Returning true marks the response Degraded
-	// with its certified score bound.
-	degradeHook atomic.Value // func(*search.Request) bool
 
 	// journal, when attached (AttachJournal, before the service is
 	// shared), makes the service durable: the funnel appends every
@@ -311,15 +303,6 @@ func refreshFrozen(frozen, live *vocab.Dict) *vocab.Dict {
 		return frozen
 	}
 	return live.Clone()
-}
-
-// SetDegradeHook installs (or, with nil, clears) the brownout hook
-// consulted once per query after normalization. The hook may rewrite
-// the request in place (the admission controller downgrades ModeAuto
-// to ModeApprox); returning true marks the response Degraded and
-// stamps its certified ScoreBound. Safe for concurrent use with Do.
-func (s *Service) SetDegradeHook(h func(*search.Request) bool) {
-	s.degradeHook.Store(h)
 }
 
 // noteWrite applies the auto-compaction policy. Callers hold s.mu.

@@ -135,63 +135,6 @@ func TestViewFallbackSeesUnflushedNames(t *testing.T) {
 	}
 }
 
-// TestDegradeHook: the hook fires per query, can rewrite the mode, and
-// its verdict is reflected as Degraded plus a certified score bound.
-func TestDegradeHook(t *testing.T) {
-	svc, err := NewService(DefaultServiceConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Befriend("alice", "bob", 0.9); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Tag("bob", "luigis", "pizza"); err != nil {
-		t.Fatal(err)
-	}
-	if err := svc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	svc.SetDegradeHook(func(req *search.Request) bool {
-		if req.Mode == search.ModeAuto {
-			req.Mode = search.ModeApprox
-			return true
-		}
-		return false
-	})
-	resp, err := svc.Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Explain: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Degraded {
-		t.Fatal("degraded query not marked Degraded")
-	}
-	if resp.ScoreBound == 0 {
-		t.Fatal("degraded response missing certified ScoreBound")
-	}
-	if resp.Explain == nil || !resp.Explain.Degraded {
-		t.Fatalf("explain not marked degraded: %+v", resp.Explain)
-	}
-
-	// Explicit exact mode is not degraded; the response flags reset.
-	resp, err = svc.Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded || resp.ScoreBound != 0 {
-		t.Fatalf("exact-mode response wrongly degraded: %+v", resp)
-	}
-
-	svc.SetDegradeHook(nil)
-	resp, err = svc.Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Degraded {
-		t.Fatal("cleared hook still degrading")
-	}
-}
-
 // restoredPizza exports pizzaWorld's state with the users interned in
 // the given order and restores a service from it, returning the
 // restored service and the dictionaries Restore received.

@@ -2,15 +2,13 @@
 # Overload smoke test (run by CI, and runnable locally): launches a
 # 3-replica fleet behind a front-end with adaptive admission control,
 # calibrates its capacity with the open-loop harness, then drives 2×
-# that capacity for ~20s and asserts the brownout contract:
+# that capacity for ~20s and asserts the overload contract:
 #   (a) the server sheds (429 + Retry-After on the wire; the stats
 #       counters prove the admission controller did it, not a proxy),
 #   (b) p99 of ADMITTED requests stays bounded near the queue deadline
 #       — overload makes answers scarce, not slow,
 #   (c) on-deadline goodput keeps a floor relative to measured capacity
-#       (the server keeps doing useful work while shedding the excess),
-#   (d) brownout degraded answers (mode auto → certified approximate)
-#       are visible in the stats.
+#       (the server keeps doing useful work while shedding the excess).
 # It then restarts the fleet WITHOUT admission control, calibrates that
 # topology's own capacity, and asserts that driving 2× violates the
 # latency SLO — the control group that shows the controller is what
@@ -97,17 +95,13 @@ echo "== driving 2× capacity ($DRIVE qps) for 18s against the admitting fleet"
 "$LOAD" -url "$BASE" -qps "$DRIVE" -duration 18s -slo "$SLO" \
   -min-stat-shed 1 -max-admitted-p99 400ms -min-stat-ok "$MINOK" \
   -out "$WORK/overload.json"
-grep -E '"(shed|ok|late|degraded|timeout)"' "$WORK/overload.json" | sed 's/^/   /'
+grep -E '"(shed|ok|late|timeout)"' "$WORK/overload.json" | sed 's/^/   /'
 
-echo "== sheds and brownout degrades must be visible in /v1/stats"
+echo "== sheds must be visible in /v1/stats"
 STATS=$(curl -fsS --max-time 10 "$BASE/v1/stats")
 echo "$STATS" >"$WORK/stats-overload.json"
 if ! echo "$STATS" | grep -Eq '"Shed(QueueFull|Budget|Deadline)":[1-9]'; then
   echo "FAIL: overload run produced no admission sheds: $STATS" >&2
-  exit 1
-fi
-if ! echo "$STATS" | grep -Eq '"Degraded":[1-9]'; then
-  echo "FAIL: overload run produced no brownout-degraded answers: $STATS" >&2
   exit 1
 fi
 
