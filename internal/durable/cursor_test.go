@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/social"
 )
 
 // TestDurableCursorSurvivesRestart exercises cursor persistence under
@@ -39,9 +41,9 @@ func TestDurableCursorSurvivesRestart(t *testing.T) {
 		lsn := uint64(i)
 		var err error
 		if i%2 == 0 {
-			err = svc.TagAt(lsn, fmt.Sprintf("u%d", i%17), fmt.Sprintf("item%d", i%5), "tag")
+			err = svc.Apply(social.Mutation{Kind: social.KindTag, LSN: lsn, User: fmt.Sprintf("u%d", i%17), Item: fmt.Sprintf("item%d", i%5), Tag: "tag"})
 		} else {
-			err = svc.BefriendAt(lsn, fmt.Sprintf("u%d", i%17), fmt.Sprintf("v%d", i%13), 0.5)
+			err = svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: lsn, User: fmt.Sprintf("u%d", i%17), Friend: fmt.Sprintf("v%d", i%13), Weight: 0.5})
 		}
 		if err != nil {
 			t.Fatalf("stamped apply lsn %d: %v", lsn, err)
@@ -62,10 +64,10 @@ func TestDurableCursorSurvivesRestart(t *testing.T) {
 	}
 	// Resuming means a redelivery of the suffix head is deduped, and the
 	// true next record is accepted.
-	if err := re.TagAt(n, "u0", "item0", "tag"); err != nil {
+	if err := re.Apply(social.Mutation{Kind: social.KindTag, LSN: n, User: "u0", Item: "item0", Tag: "tag"}); err != nil {
 		t.Fatalf("redelivered record after restart: %v", err)
 	}
-	if err := re.BefriendAt(n+1, "u1", "v2", 0.5); err != nil {
+	if err := re.Apply(social.Mutation{Kind: social.KindBefriend, LSN: n + 1, User: "u1", Friend: "v2", Weight: 0.5}); err != nil {
 		t.Fatalf("next record after restart: %v", err)
 	}
 	if err := re.Close(); err != nil {
@@ -85,7 +87,7 @@ func TestDurableCursorSurvivesCheckpointTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 50; i++ {
-		if err := svc.BefriendAt(uint64(i), fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i), 0.5); err != nil {
+		if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: uint64(i), User: fmt.Sprintf("a%d", i), Friend: fmt.Sprintf("b%d", i), Weight: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -107,7 +109,7 @@ func TestDurableCursorSurvivesCheckpointTruncation(t *testing.T) {
 	if got := re.AppliedLSN(); got != 50 {
 		t.Fatalf("reopened cursor = %d, want 50 (carried by the manifest)", got)
 	}
-	if err := re.BefriendAt(51, "x", "y", 0.5); err != nil {
+	if err := re.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 51, User: "x", Friend: "y", Weight: 0.5}); err != nil {
 		t.Fatalf("next record after checkpointed restart: %v", err)
 	}
 }

@@ -12,7 +12,7 @@
 // Directory layout under the service root:
 //
 //	wal/                     segmented write-ahead log
-//	snapshot-<lsn>/          data.frnd + users.txt/items.txt/tags.txt
+//	snapshot-<lsn>-<gen>/    data.frnd + users.txt/items.txt/tags.txt
 //	MANIFEST                 points at the live snapshot (atomic rename)
 //
 // Recovery contract. Open loads the snapshot named by MANIFEST (or
@@ -53,7 +53,7 @@ const (
 	// elected leader, and every record after it up to the next RecTerm
 	// was appended under that leadership. It never appears in a single
 	// process's crash-safety log; replicas skip it with a cursor
-	// advance (SkipLSN), never an apply.
+	// advance (a skip entry of an apply page), never an apply.
 	RecTerm wal.Type = 3
 	// RecBefriendAt / RecTagAt are the LSN-stamped variants a durable
 	// REPLICA writes to its own crash-safety log when a mutation arrives
@@ -109,6 +109,9 @@ type journal struct {
 	// since the last checkpoint.
 	checkpointEvery int
 	writes          int
+	// gen is the live snapshot's generation (0: none yet, or one a v1/v2
+	// MANIFEST names); each checkpoint writes the next.
+	gen uint64
 	// recovery statistics from Open, for observability
 	recoveredRecords int
 	snapshotBarrier  uint64
@@ -129,7 +132,7 @@ func Open(dir string, cfg Config) (*social.Service, error) {
 		return nil, err
 	}
 
-	barrier, cursor, snapDir, err := readManifest(dir)
+	man, snapDir, err := readManifest(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +148,7 @@ func Open(dir string, cfg Config) (*social.Service, error) {
 	// The snapshot's state already covers the fleet stream up to the
 	// cursor the manifest recorded; stamped records replayed below may
 	// advance it further.
-	if err := svc.Replay(social.Mutation{LSN: cursor}); err != nil {
+	if err := svc.Replay(social.Mutation{LSN: man.cursor}); err != nil {
 		return nil, err
 	}
 
@@ -158,8 +161,8 @@ func Open(dir string, cfg Config) (*social.Service, error) {
 	if err != nil {
 		return nil, err
 	}
-	j := &journal{dir: dir, log: log, checkpointEvery: cfg.CheckpointEvery, snapshotBarrier: barrier}
-	if j.recoveredRecords, err = replay(dir, barrier, svc); err != nil {
+	j := &journal{dir: dir, log: log, checkpointEvery: cfg.CheckpointEvery, snapshotBarrier: man.barrier, gen: man.gen}
+	if j.recoveredRecords, err = replay(dir, man.barrier, svc); err != nil {
 		log.Close()
 		return nil, err
 	}
@@ -199,21 +202,21 @@ func replay(dir string, barrier uint64, svc *social.Service) (int, error) {
 // advances past. The LSN of a plain record rides in the log's framing,
 // not the payload: a reader that needs it stamps m.LSN from r.LSN.
 func DecodeMutation(r wal.Record) (m social.Mutation, err error) {
+	data := r.Data
+	if r.Type == RecBefriendAt || r.Type == RecTagAt {
+		if m.LSN, data, err = unstamp(data); err != nil {
+			return m, err
+		}
+	}
 	switch r.Type {
-	case RecBefriend:
+	case RecBefriend, RecBefriendAt:
 		m.Kind = social.KindBefriend
-		m.User, m.Friend, m.Weight, err = DecodeBefriend(r.Data)
-	case RecTag:
+		m.User, m.Friend, m.Weight, err = DecodeBefriend(data)
+	case RecTag, RecTagAt:
 		m.Kind = social.KindTag
-		m.User, m.Item, m.Tag, err = DecodeTag(r.Data)
-	case RecBefriendAt:
-		m.Kind = social.KindBefriend
-		m.LSN, m.User, m.Friend, m.Weight, err = DecodeBefriendAt(r.Data)
-	case RecTagAt:
-		m.Kind = social.KindTag
-		m.LSN, m.User, m.Item, m.Tag, err = DecodeTagAt(r.Data)
+		m.User, m.Item, m.Tag, err = DecodeTag(data)
 	case RecTerm:
-		_, _, err = DecodeTerm(r.Data)
+		_, _, err = DecodeTerm(data)
 	default:
 		err = fmt.Errorf("unknown record type %d", r.Type)
 	}
@@ -232,13 +235,13 @@ func EncodeMutation(m social.Mutation) (wal.Type, []byte, error) {
 	case m.Kind == social.KindBefriend && m.LSN == 0:
 		return RecBefriend, EncodeBefriend(m.User, m.Friend, m.Weight), nil
 	case m.Kind == social.KindBefriend:
-		return RecBefriendAt, EncodeBefriendAt(m.LSN, m.User, m.Friend, m.Weight), nil
+		return RecBefriendAt, stamp(m.LSN, EncodeBefriend(m.User, m.Friend, m.Weight)), nil
 	case m.Kind == social.KindTag && m.LSN == 0:
 		return RecTag, EncodeTag(m.User, m.Item, m.Tag), nil
 	case m.Kind == social.KindTag:
-		return RecTagAt, EncodeTagAt(m.LSN, m.User, m.Item, m.Tag), nil
+		return RecTagAt, stamp(m.LSN, EncodeTag(m.User, m.Item, m.Tag)), nil
 	}
-	return 0, nil, fmt.Errorf("durable: no record type for mutation kind %d", m.Kind)
+	return 0, nil, fmt.Errorf("durable: no record type for mutation kind %q", m.Kind)
 }
 
 func (j *journal) Append(m social.Mutation) (checkpointDue bool, err error) {
@@ -255,9 +258,12 @@ func (j *journal) Append(m social.Mutation) (checkpointDue bool, err error) {
 
 // Checkpoint writes the state as a fresh snapshot directory, flips
 // MANIFEST to it, and truncates the log prefix it covers — in that
-// order, each step atomic (see the package comment).
+// order, each step atomic (see the package comment). The directory
+// takes the next generation, so a checkpoint at the log position of
+// the live one (nothing logged since) never collides with it.
 func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Set, cursor uint64) error {
 	barrier := j.log.NextLSN() // first LSN NOT covered by this snapshot
+	man := manifest{barrier: barrier, cursor: cursor, gen: j.gen + 1}
 
 	tmp := filepath.Join(j.dir, fmt.Sprintf(".tmp-%d", barrier))
 	if err := os.RemoveAll(tmp); err != nil {
@@ -272,16 +278,22 @@ func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Se
 	if err := names.WriteDir(tmp); err != nil {
 		return err
 	}
-	final := snapshotDirName(barrier)
+	final := man.snapDir()
+	// A directory by that name is a leftover of a checkpoint that failed
+	// before its MANIFEST flip; the live snapshot has another generation.
+	if err := os.RemoveAll(filepath.Join(j.dir, final)); err != nil {
+		return err
+	}
 	if err := os.Rename(tmp, filepath.Join(j.dir, final)); err != nil {
 		return err
 	}
 	// The replication cursor is part of the checkpointed state: the log
 	// prefix holding the stamped records that advanced it is about to be
 	// truncated, so the manifest must carry it across restarts.
-	if err := writeManifest(j.dir, barrier, cursor); err != nil {
+	if err := writeManifest(j.dir, man); err != nil {
 		return err
 	}
+	j.gen = man.gen
 	// The log prefix below the barrier is now redundant. Rotation puts
 	// the barrier at a segment boundary so truncation can drop it all.
 	if err := j.log.Rotate(); err != nil {
@@ -332,56 +344,67 @@ func cleanStale(dir, live string) error {
 	return nil
 }
 
-func snapshotDirName(barrier uint64) string {
-	return fmt.Sprintf("%s%016x", snapshotPrefix, barrier)
+// manifest is what MANIFEST records: the live snapshot's barrier (the
+// first log LSN it does not cover), the replication cursor it covers,
+// and its generation.
+type manifest struct {
+	barrier, cursor, gen uint64
 }
 
-// readManifest returns the live snapshot barrier, the replication
-// cursor recorded with it, and the snapshot directory name, or
-// (1, 0, "", nil) for a fresh directory. Both manifest versions load:
-// v1 ("v1\n<barrier>\n", written before cursor persistence existed)
-// reads as cursor 0, v2 adds the cursor line.
-func readManifest(dir string) (uint64, uint64, string, error) {
+// snapDir names the snapshot directory after the log position it
+// covers and its generation. Generation 0 is a directory a v1 or v2
+// MANIFEST names, written before generations existed.
+func (m manifest) snapDir() string {
+	if m.gen == 0 {
+		return fmt.Sprintf("%s%016x", snapshotPrefix, m.barrier)
+	}
+	return fmt.Sprintf("%s%016x-%d", snapshotPrefix, m.barrier, m.gen)
+}
+
+// readManifest returns the live manifest and its snapshot directory
+// name, or ({barrier 1}, "", nil) for a fresh directory. Every manifest
+// version loads: v1 ("v1\n<barrier>\n") holds the barrier, v2 adds the
+// replication cursor and v3 the generation; a field an older version
+// lacks reads as 0.
+func readManifest(dir string) (manifest, string, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if errors.Is(err, os.ErrNotExist) {
-		return 1, 0, "", nil
+		return manifest{barrier: 1}, "", nil
 	}
 	if err != nil {
-		return 0, 0, "", err
+		return manifest{}, "", err
 	}
 	lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
-	var cursor uint64
-	switch {
-	case len(lines) == 2 && lines[0] == "v1":
-		// cursor stays 0: the stream is re-deduplicated from the start
-	case len(lines) == 3 && lines[0] == "v2":
-		cursor, err = strconv.ParseUint(lines[2], 10, 64)
-		if err != nil {
-			return 0, 0, "", fmt.Errorf("durable: malformed MANIFEST cursor: %w", err)
+	var m manifest
+	fields := map[string][]*uint64{
+		"v1": {&m.barrier},
+		"v2": {&m.barrier, &m.cursor},
+		"v3": {&m.barrier, &m.cursor, &m.gen},
+	}[lines[0]]
+	if fields == nil || len(lines) != len(fields)+1 {
+		return manifest{}, "", fmt.Errorf("durable: malformed MANIFEST %q", raw)
+	}
+	for i, f := range fields {
+		if *f, err = strconv.ParseUint(lines[i+1], 10, 64); err != nil {
+			return manifest{}, "", fmt.Errorf("durable: malformed MANIFEST line %d: %w", i+2, err)
 		}
-	default:
-		return 0, 0, "", fmt.Errorf("durable: malformed MANIFEST %q", raw)
 	}
-	barrier, err := strconv.ParseUint(lines[1], 10, 64)
-	if err != nil {
-		return 0, 0, "", fmt.Errorf("durable: malformed MANIFEST barrier: %w", err)
-	}
-	snapDir := snapshotDirName(barrier)
+	snapDir := m.snapDir()
 	if _, err := os.Stat(filepath.Join(dir, snapDir)); err != nil {
-		return 0, 0, "", fmt.Errorf("durable: MANIFEST names missing snapshot %s: %w", snapDir, err)
+		return manifest{}, "", fmt.Errorf("durable: MANIFEST names missing snapshot %s: %w", snapDir, err)
 	}
-	return barrier, cursor, snapDir, nil
+	return m, snapDir, nil
 }
 
-// writeManifest atomically points MANIFEST at the snapshot with the
-// given barrier, recording the replication cursor the snapshot covers.
-func writeManifest(dir string, barrier, cursor uint64) error {
+// writeManifest atomically points MANIFEST at the snapshot m describes,
+// in the v3 form.
+func writeManifest(dir string, m manifest) error {
 	tmp := filepath.Join(dir, manifestName+".tmp")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(f, "v2\n%d\n%d\n", barrier, cursor); err != nil {
+	if _, err := fmt.Fprintf(f, "v3\n%d\n%d\n%d\n", m.barrier, m.cursor, m.gen); err != nil {
 		f.Close()
 		return err
 	}

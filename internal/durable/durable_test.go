@@ -205,8 +205,7 @@ func TestManifestPointsAtMissingSnapshot(t *testing.T) {
 	s.Close()
 
 	// Damage: remove the snapshot dir but keep MANIFEST.
-	barrier := uint64(10)
-	if err := os.RemoveAll(filepath.Join(dir, snapshotDirName(barrier))); err != nil {
+	if err := os.RemoveAll(filepath.Join(dir, manifest{barrier: 10, gen: 1}.snapDir())); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Open(dir, DefaultConfig()); err == nil {
@@ -226,7 +225,7 @@ func TestCorruptSnapshotIndexRejected(t *testing.T) {
 	}
 	s.Close()
 
-	path := filepath.Join(dir, snapshotDirName(10), "data.frnd")
+	path := filepath.Join(dir, manifest{barrier: 10, gen: 1}.snapDir(), "data.frnd")
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -58,50 +58,22 @@ func DecodeBefriend(buf []byte) (a, b string, weight float64, err error) {
 	return a, b, weight, nil
 }
 
-// EncodeBefriendAt encodes a RecBefriendAt record: a befriend payload
-// prefixed with the fleet replication log LSN it was stamped with. One
-// record carries both so the mutation and its cursor advance are
-// crash-atomic — two separate appends could tear between them and
-// double-apply a non-idempotent mutation on replay.
-func EncodeBefriendAt(lsn uint64, a, b string, weight float64) []byte {
-	buf := make([]byte, 0, 10+len(a)+len(b)+2+8)
-	buf = binary.AppendUvarint(buf, lsn)
-	return append(buf, EncodeBefriend(a, b, weight)...)
+// stamp prefixes a record payload with the fleet replication log LSN
+// it was stamped with: the RecBefriendAt and RecTagAt forms. One record
+// carries both so the mutation and its cursor advance are crash-atomic
+// — two separate appends could tear between them and double-apply a
+// non-idempotent mutation on replay.
+func stamp(lsn uint64, payload []byte) []byte {
+	return append(binary.AppendUvarint(make([]byte, 0, 10+len(payload)), lsn), payload...)
 }
 
-// DecodeBefriendAt decodes a RecBefriendAt record payload.
-func DecodeBefriendAt(buf []byte) (lsn uint64, a, b string, weight float64, err error) {
+// unstamp splits a stamped payload into its LSN and the plain payload.
+func unstamp(buf []byte) (uint64, []byte, error) {
 	lsn, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return 0, "", "", 0, fmt.Errorf("durable: bad lsn varint in stamped befriend record")
+	if used <= 0 || lsn == 0 {
+		return 0, nil, fmt.Errorf("durable: bad lsn in stamped record")
 	}
-	if lsn == 0 {
-		return 0, "", "", 0, fmt.Errorf("durable: stamped befriend record with lsn 0")
-	}
-	a, b, weight, err = DecodeBefriend(buf[used:])
-	return lsn, a, b, weight, err
-}
-
-// EncodeTagAt encodes a RecTagAt record: a tag payload prefixed with
-// its fleet replication log LSN (see EncodeBefriendAt for why the LSN
-// rides inside the record).
-func EncodeTagAt(lsn uint64, user, item, tag string) []byte {
-	buf := make([]byte, 0, 10+len(user)+len(item)+len(tag)+3)
-	buf = binary.AppendUvarint(buf, lsn)
-	return append(buf, EncodeTag(user, item, tag)...)
-}
-
-// DecodeTagAt decodes a RecTagAt record payload.
-func DecodeTagAt(buf []byte) (lsn uint64, user, item, tag string, err error) {
-	lsn, used := binary.Uvarint(buf)
-	if used <= 0 {
-		return 0, "", "", "", fmt.Errorf("durable: bad lsn varint in stamped tag record")
-	}
-	if lsn == 0 {
-		return 0, "", "", "", fmt.Errorf("durable: stamped tag record with lsn 0")
-	}
-	user, item, tag, err = DecodeTag(buf[used:])
-	return lsn, user, item, tag, err
+	return lsn, buf[used:], nil
 }
 
 func EncodeTag(user, item, tag string) []byte {

@@ -103,15 +103,23 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 			t.Errorf("%s: recovered %d records past barrier %d to cursor %d, want 6 / 7 / 7",
 				form, st.RecoveredRecords, st.SnapshotBarrier, s.AppliedLSN())
 		}
-		// The next checkpoint rewrites either form as v2, and it reopens.
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
+		// The next checkpoint migrates either form to a v3 MANIFEST at
+		// generation 1. A second one at the same log position — nothing
+		// logged between, as when a re-bootstrap import lands on an idle
+		// replica — takes generation 2 instead of colliding with it.
+		for gen := uint64(1); gen <= 2; gen++ {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatalf("%s: checkpoint %d: %v", form, gen, err)
+			}
+			if m, _, err := readManifest(dir); err != nil || m.cursor != 7 || m.gen != gen {
+				t.Errorf("%s: manifest after checkpoint %d: %+v, err %v; want cursor 7, generation %d", form, gen, m, err, gen)
+			}
+		}
+		if raw, err := os.ReadFile(filepath.Join(dir, manifestName)); err != nil || !bytes.HasPrefix(raw, []byte("v3\n")) {
+			t.Errorf("%s: MANIFEST after checkpoint = %q, %v; want the v3 form", form, raw, err)
 		}
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
-		}
-		if _, cursor, _, err := readManifest(dir); err != nil || cursor != 7 {
-			t.Errorf("%s: manifest after checkpoint: cursor %d, err %v", form, cursor, err)
 		}
 		re, err := Open(dir, cfg)
 		if err != nil {
@@ -129,7 +137,15 @@ func TestRecoversParentWrittenDirectory(t *testing.T) {
 // being written into .tmp-N, snapshot renamed but MANIFEST not flipped,
 // MANIFEST flipped but log not truncated — and requires Open to recover
 // exactly the pre-crash state from each, and to clean the leftovers.
+// It does so twice: for a checkpoint after the log moved, and for a
+// second checkpoint at the log position of the first.
 func TestCrashAtEveryCheckpointStep(t *testing.T) {
+	for _, samePosition := range []bool{false, true} {
+		crashAtEveryCheckpointStep(t, samePosition)
+	}
+}
+
+func crashAtEveryCheckpointStep(t *testing.T, samePosition bool) {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery = 0
 	cfg.SegmentBytes = 256
@@ -139,23 +155,34 @@ func TestCrashAtEveryCheckpointStep(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedMutations(t, s)
+	writes := func() {
+		for i := 1; i <= 6; i++ {
+			if err := s.Apply(social.Mutation{Kind: social.KindTag, LSN: uint64(i), User: fmt.Sprintf("u%d", i), Item: "marios", Tag: "pizza"}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if samePosition {
+		writes()
+	}
 	if err := s.Checkpoint(); err != nil { // an older checkpoint to fall back to
 		t.Fatal(err)
 	}
-	for i := 1; i <= 6; i++ {
-		if err := s.TagAt(uint64(i), fmt.Sprintf("u%d", i), "marios", "pizza"); err != nil {
-			t.Fatal(err)
-		}
+	if !samePosition {
+		writes()
 	}
 	want := exportBytes(t, s)
 	before := t.TempDir() // the directory as the second checkpoint finds it
 	copyTree(t, live, before)
 	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("same position %v: second checkpoint: %v", samePosition, err)
 	}
 	barrier := s.Stats().SnapshotBarrier
 	s.Close()
-	newSnap := snapshotDirName(barrier)
+	man, newSnap, err := readManifest(live)
+	if err != nil || man.gen != 2 {
+		t.Fatalf("same position %v: manifest %+v, err %v; want generation 2", samePosition, man, err)
+	}
 
 	steps := []struct {
 		name  string
@@ -186,13 +213,17 @@ func TestCrashAtEveryCheckpointStep(t *testing.T) {
 		step.build(dir)
 		re, err := Open(dir, cfg)
 		if err != nil {
-			t.Fatalf("crash %s: %v", step.name, err)
+			t.Fatalf("same position %v, crash %s: %v", samePosition, step.name, err)
 		}
 		if got := exportBytes(t, re); !bytes.Equal(got, want) {
-			t.Errorf("crash %s: recovered state differs from the pre-crash state", step.name)
+			t.Errorf("same position %v, crash %s: recovered state differs from the pre-crash state", samePosition, step.name)
 		}
 		if got := re.AppliedLSN(); got != 6 {
-			t.Errorf("crash %s: cursor %d, want 6", step.name, got)
+			t.Errorf("same position %v, crash %s: cursor %d, want 6", samePosition, step.name, got)
+		}
+		// The next checkpoint succeeds whatever generation the crash left.
+		if err := re.Checkpoint(); err != nil {
+			t.Errorf("same position %v, crash %s: checkpoint after recovery: %v", samePosition, step.name, err)
 		}
 		re.Close()
 		entries, err := os.ReadDir(dir)
@@ -206,7 +237,7 @@ func TestCrashAtEveryCheckpointStep(t *testing.T) {
 			}
 		}
 		if snaps != 1 {
-			t.Errorf("crash %s: %d snapshot/temp directories survive Open, want only the live one", step.name, snaps)
+			t.Errorf("same position %v, crash %s: %d snapshot/temp directories survive, want only the live one", samePosition, step.name, snaps)
 		}
 	}
 }
@@ -243,17 +274,8 @@ func TestJournaledMatchesVolatile(t *testing.T) {
 		// stream is the fleet log as far as it was delivered: record lsn
 		// is stream[lsn-1], a zero Kind being a cursor skip.
 		var stream []social.Mutation
-		deliver := func(s *social.Service, m social.Mutation) error {
-			switch m.Kind {
-			case social.KindBefriend:
-				return s.BefriendAt(m.LSN, m.User, m.Friend, m.Weight)
-			case social.KindTag:
-				return s.TagAt(m.LSN, m.User, m.Item, m.Tag)
-			}
-			return s.SkipLSN(m.LSN)
-		}
 		both := func(step int, m social.Mutation) {
-			e1, e2 := deliver(durable, m), deliver(volatile, m)
+			e1, e2 := durable.Apply(m), volatile.Apply(m)
 			if (e1 == nil) != (e2 == nil) {
 				t.Fatalf("seed %d step %d: %+v: journaled err %v, volatile err %v", seed, step, m, e1, e2)
 			}
@@ -296,11 +318,11 @@ func TestJournaledMatchesVolatile(t *testing.T) {
 				// it — unless an auto-checkpoint already folded it into a
 				// snapshot, which no crash can tear.
 				inFlight := social.Mutation{Kind: social.KindTag, User: "torn-user", Item: "torn-item", Tag: "torn-tag"}
-				if err := deliver(durable, inFlight); err != nil {
+				if err := durable.Apply(inFlight); err != nil {
 					t.Fatal(err)
 				}
 				if tear = durable.Stats().WritesSinceCheckpoint > 0; !tear {
-					deliver(volatile, inFlight)
+					volatile.Apply(inFlight)
 				}
 			}
 			durable.Close()
@@ -315,22 +337,11 @@ func TestJournaledMatchesVolatile(t *testing.T) {
 			// the replica re-skips them identically.
 			for lsn := durable.AppliedLSN() + 1; lsn <= volatile.AppliedLSN(); lsn++ {
 				m := stream[lsn-1]
-				if err := deliver(durable, m); (err == nil) != (m.Kind == 0) {
+				if err := durable.Apply(m); (err == nil) != (m.Kind == "") {
 					t.Fatalf("seed %d step %d: re-streamed lsn %d (%+v): err %v — a journaled record was lost", seed, step, lsn, m, err)
 				}
 			}
 			compare(step)
-		}
-
-		// A checkpoint is named after the log position it covers, so a
-		// second one at the same position collides with the first (a known
-		// hole, recorded in ROADMAP): checkpoint and import only once the
-		// log has moved (with CheckpointEvery 1 it never has).
-		logMoved := func(step int) bool {
-			if durable.Stats().WritesSinceCheckpoint == 0 {
-				both(step, social.Mutation{Kind: social.KindTag, User: name("u", 8), Item: name("i", 10), Tag: name("t", 3)})
-			}
-			return durable.Stats().WritesSinceCheckpoint > 0
 		}
 
 		steps := 60 + rng.Intn(60)
@@ -354,9 +365,6 @@ func TestJournaledMatchesVolatile(t *testing.T) {
 				m.LSN = uint64(len(stream)) + 2 + uint64(rng.Intn(3))
 				both(step, m)
 			case op < 17:
-				if !logMoved(step) {
-					continue
-				}
 				if err := durable.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
@@ -364,9 +372,6 @@ func TestJournaledMatchesVolatile(t *testing.T) {
 					t.Fatal(err)
 				}
 			case op < 18: // bootstrap both from one exported snapshot
-				if !logMoved(step) {
-					continue
-				}
 				raw := exportBytes(t, volatile)
 				for _, s := range []*social.Service{durable, volatile} {
 					g, st, names, lsn, err := social.ReadSnapshotStream(bytes.NewReader(raw))

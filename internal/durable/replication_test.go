@@ -20,16 +20,16 @@ func TestDurableReplicationDedupDoesNotDoubleLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatalf("redelivered record: %v", err)
 	}
-	if err := svc.TagAt(2, "bob", "luigis", "pizza"); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindTag, LSN: 2, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.TagAt(2, "bob", "luigis", "pizza"); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindTag, LSN: 2, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatalf("redelivered record: %v", err)
 	}
 	if got := svc.AppliedLSN(); got != 2 {
@@ -37,10 +37,10 @@ func TestDurableReplicationDedupDoesNotDoubleLog(t *testing.T) {
 	}
 
 	// A gap is refused cleanly: the service keeps working.
-	if err := svc.BefriendAt(9, "x", "y", 0.5); !errors.Is(err, social.ErrReplicationGap) {
+	if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 9, User: "x", Friend: "y", Weight: 0.5}); !errors.Is(err, social.ErrReplicationGap) {
 		t.Fatalf("gap err = %v, want social.ErrReplicationGap", err)
 	}
-	if err := svc.TagAt(3, "bob", "luigis", "italian"); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindTag, LSN: 3, User: "bob", Item: "luigis", Tag: "italian"}); err != nil {
 		t.Fatalf("after refused gap: %v", err)
 	}
 	if err := svc.Close(); err != nil {
@@ -78,21 +78,21 @@ func TestDurableDeterministicRejectionAdvancesCursor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.BefriendAt(2, "alice", "alice", 0.5); err == nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: 2, User: "alice", Friend: "alice", Weight: 0.5}); err == nil {
 		t.Fatal("self-edge record accepted")
 	}
 	if got := svc.AppliedLSN(); got != 2 {
 		t.Fatalf("cursor after rejected record = %d, want 2 (processed in lockstep)", got)
 	}
 	// The stream continues: record 3 is not a gap.
-	if err := svc.TagAt(3, "bob", "luigis", "pizza"); err != nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindTag, LSN: 3, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatalf("record after rejected one: %v", err)
 	}
 	// A name with a line break is a durable-side rejection too.
-	if err := svc.TagAt(4, "bo\nb", "x", "y"); err == nil {
+	if err := svc.Apply(social.Mutation{Kind: social.KindTag, LSN: 4, User: "bo\nb", Item: "x", Tag: "y"}); err == nil {
 		t.Fatal("line-break name accepted")
 	}
 	if got := svc.AppliedLSN(); got != 4 {
@@ -115,7 +115,7 @@ func TestDurableDeterministicRejectionAdvancesCursor(t *testing.T) {
 	if got := re.AppliedLSN(); got != 3 {
 		t.Fatalf("reopened cursor = %d, want 3 (last stamped record)", got)
 	}
-	if err := re.TagAt(4, "bo\nb", "x", "y"); err == nil {
+	if err := re.Apply(social.Mutation{Kind: social.KindTag, LSN: 4, User: "bo\nb", Item: "x", Tag: "y"}); err == nil {
 		t.Fatal("re-streamed line-break name accepted")
 	}
 	if got := re.AppliedLSN(); got != 4 {

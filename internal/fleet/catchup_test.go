@@ -34,9 +34,8 @@ type invalidateCall struct {
 // the SIGSTOP/SIGCONT shape of the readmission bug, which httptest
 // Close cannot model. Independently, its /v2/invalidate can be made to
 // fail the next dropBeats heartbeats (503) or to hang every heartbeat
-// until the caller gives up. It also records every heartbeat and every
-// replication apply (/v1/friend, /v1/tag, /v1/skip, as "path body") it
-// lets through.
+// until the caller gives up. It also records every heartbeat and the
+// body of every apply page (POST /v2/apply) it lets through.
 type toggleReplica struct {
 	svc       *social.Service
 	ts        *httptest.Server
@@ -72,7 +71,7 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
 			return
 		}
-		if r.URL.Path == "/v2/invalidate" || strings.HasPrefix(r.URL.Path, "/v1/") && r.Method == http.MethodPost {
+		if r.URL.Path == "/v2/invalidate" || r.URL.Path == "/v2/apply" {
 			raw, _ := io.ReadAll(r.Body)
 			tr.mu.Lock()
 			if r.URL.Path == "/v2/invalidate" {
@@ -80,7 +79,7 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 				json.Unmarshal(raw, &call)
 				tr.invalidations = append(tr.invalidations, call)
 			} else {
-				tr.applies = append(tr.applies, r.URL.Path+" "+string(raw))
+				tr.applies = append(tr.applies, string(raw))
 			}
 			tr.mu.Unlock()
 			r.Body = io.NopCloser(bytes.NewReader(raw))
@@ -117,11 +116,25 @@ func (tr *toggleReplica) globalInvalidations() int {
 	return n
 }
 
-// appliesSeen returns a copy of the recorded replication applies.
+// appliesSeen returns a copy of the recorded apply page bodies.
 func (tr *toggleReplica) appliesSeen() []string {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return append([]string(nil), tr.applies...)
+}
+
+// recordsIn flattens apply page bodies into the records they carried.
+func recordsIn(t *testing.T, pages []string) []social.Mutation {
+	t.Helper()
+	var out []social.Mutation
+	for _, body := range pages {
+		var page server.ApplyRequest
+		if err := json.Unmarshal([]byte(body), &page); err != nil {
+			t.Fatalf("apply page %q: %v", body, err)
+		}
+		out = append(out, page.Records...)
+	}
+	return out
 }
 
 // newCatchupFleet builds an n-replica fleet over toggle replicas with
@@ -598,7 +611,7 @@ func TestEpochMismatchRefusesReplica(t *testing.T) {
 	// Replica 0 lives in a future epoch: cursor far beyond this log.
 	victim := 0
 	for lsn := uint64(1); lsn <= 5; lsn++ {
-		if err := reps[victim].svc.BefriendAt(lsn, fmt.Sprintf("e%d", lsn), fmt.Sprintf("f%d", lsn), 0.5); err != nil {
+		if err := reps[victim].svc.Apply(social.Mutation{Kind: social.KindBefriend, LSN: lsn, User: fmt.Sprintf("e%d", lsn), Friend: fmt.Sprintf("f%d", lsn), Weight: 0.5}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -54,6 +54,7 @@ import (
 	"repro/internal/quorum"
 	"repro/internal/search"
 	"repro/internal/server"
+	"repro/internal/social"
 )
 
 // Client defaults, substituted for zero config fields.
@@ -170,17 +171,10 @@ func toWire(req search.Request) server.V2Query {
 	}
 }
 
-// post sends one JSON request and decodes the response into out. Status
-// and transport handling is the single place wire errors are
-// classified: 2xx decodes, 400 becomes ErrInvalid (the replica rejected
-// the request content — retrying elsewhere cannot help), everything
-// else — connection failures, 5xx, unexpected statuses — becomes
-// ErrUnavailable, the failover-eligible class. A failure owned by the
-// CALLER's context — cancellation or an expired caller deadline —
-// surfaces as that ctx error instead, so a client hanging up or asking
-// for less time than the query needs never feeds replica health state
-// or triggers failover. Only the per-attempt timeout this client adds
-// on top counts against the replica.
+// post sends one JSON request under the per-attempt timeout and
+// decodes the response into out (nil: discard it). Only the per-attempt
+// timeout this client adds counts against the replica; a failure owned
+// by the caller's context surfaces as that ctx error (see send).
 func (c *Client) post(parent context.Context, path string, in, out interface{}) error {
 	body, err := json.Marshal(in)
 	if err != nil {
@@ -195,50 +189,106 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 	sp.SetAttr("path", path)
 	ctx, cancel := context.WithTimeout(parent, c.cfg.Timeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	hreq, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
 	if err != nil {
-		return fmt.Errorf("fleet: building %s request: %w", path, err)
+		return err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
 	obs.Inject(parent, hreq.Header)
+	resp, err := c.send(parent, hreq)
+	if err != nil {
+		return err
+	}
+	return c.receive(resp, out)
+}
+
+// get fetches path under the per-attempt timeout, decodes its JSON
+// answer into out (nil: discard it) and returns the response headers.
+func (c *Client) get(parent context.Context, path string, out interface{}) (http.Header, error) {
+	ctx, cancel := context.WithTimeout(parent, c.cfg.Timeout)
+	defer cancel()
+	hreq, err := c.newRequest(ctx, http.MethodGet, path, nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.send(parent, hreq)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Header, c.receive(resp, out)
+}
+
+// newRequest builds a request for one replica endpoint; a body is sent
+// as JSON unless the caller sets another Content-Type.
+func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
+	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	if err != nil {
+		return nil, fmt.Errorf("fleet: building %s request: %w", path, err)
+	}
+	if body != nil {
+		hreq.Header.Set("Content-Type", "application/json")
+	}
+	return hreq, nil
+}
+
+// send issues one request and is the single place wire errors are
+// classified: a 2xx response is returned for the caller to read and
+// close; 400 becomes ErrInvalid (the replica rejected the request
+// content — retrying elsewhere cannot help), 409 ErrBehind, 307 a
+// NotLeaderError, 429 an overload carrying its backoff hint, and
+// everything else — connection failures, 5xx, unexpected statuses —
+// ErrUnavailable, the failover-eligible class. A failure owned by the
+// CALLER's context (parent) — cancellation or an expired caller
+// deadline — surfaces as that ctx error instead, so a client hanging up
+// or asking for less time than the request needs never feeds replica
+// health state or triggers failover.
+func (c *Client) send(parent context.Context, hreq *http.Request) (*http.Response, error) {
+	path := hreq.URL.Path
 	resp, err := c.hc.Do(hreq)
 	if err != nil {
 		if perr := parent.Err(); perr != nil {
-			return perr
+			return nil, perr
 		}
-		return unavailablef("%s %s: %v", c.base, path, err)
+		return nil, unavailablef("%s %s: %v", c.base, path, err)
+	}
+	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
+		return resp, nil
 	}
 	defer resp.Body.Close()
-	switch {
-	case resp.StatusCode >= 200 && resp.StatusCode < 300:
-		if out == nil || resp.StatusCode == http.StatusNoContent {
-			io.Copy(io.Discard, resp.Body)
-			return nil
-		}
-		if err := decodeBody(resp.Body, out); err != nil {
-			return unavailablef("%s %s: decoding response: %v", c.base, path, err)
-		}
-		return nil
-	case resp.StatusCode == http.StatusBadRequest:
-		return search.WrapInvalid(fmt.Errorf("%s %s: %s", c.base, path, wireErrMessage(resp.Body)))
-	case resp.StatusCode == http.StatusConflict:
-		return fmt.Errorf("%w: %s %s: %s", ErrBehind, c.base, path, wireErrMessage(resp.Body))
-	case resp.StatusCode == http.StatusTemporaryRedirect:
+	switch resp.StatusCode {
+	case http.StatusBadRequest:
+		return nil, search.WrapInvalid(fmt.Errorf("%s %s: %s", c.base, path, wireErrMessage(resp.Body)))
+	case http.StatusConflict:
+		return nil, fmt.Errorf("%w: %s %s: %s", ErrBehind, c.base, path, wireErrMessage(resp.Body))
+	case http.StatusTemporaryRedirect:
 		// An HA follower refusing a write: the Location header names the
 		// leader's copy of this endpoint. Surface it as NotLeaderError so
 		// leader-tracking callers re-aim instead of failing over.
-		return &quorum.NotLeaderError{LeaderURL: strings.TrimSuffix(resp.Header.Get("Location"), path)}
-	case resp.StatusCode == http.StatusTooManyRequests:
+		return nil, &quorum.NotLeaderError{LeaderURL: strings.TrimSuffix(resp.Header.Get("Location"), path)}
+	case http.StatusTooManyRequests:
 		// The replica shed the request: it is healthy but at capacity.
 		// This class is deliberately NOT ErrUnavailable — failing over
 		// would aim the overload at the ring successors — so routers
 		// return it to the caller, who retries the same replica after
 		// the advertised backoff.
-		return search.Overloadedf(parseRetryAfter(resp.Header.Get("Retry-After")),
+		return nil, search.Overloadedf(parseRetryAfter(resp.Header.Get("Retry-After")),
 			"%s %s: %s", c.base, path, wireErrMessage(resp.Body))
 	default:
-		return unavailablef("%s %s: status %d: %s", c.base, path, resp.StatusCode, wireErrMessage(resp.Body))
+		return nil, unavailablef("%s %s: status %d: %s", c.base, path, resp.StatusCode, wireErrMessage(resp.Body))
 	}
+}
+
+// receive decodes a 2xx response's JSON body into out (nil, or a 204:
+// discard it) and closes it; an undecodable answer is ErrUnavailable.
+func (c *Client) receive(resp *http.Response, out interface{}) error {
+	defer resp.Body.Close()
+	if out == nil || resp.StatusCode == http.StatusNoContent {
+		io.Copy(io.Discard, resp.Body)
+		return nil
+	}
+	if err := decodeBody(resp.Body, out); err != nil {
+		return unavailablef("%s %s: decoding response: %v", c.base, resp.Request.URL.Path, err)
+	}
+	return nil
 }
 
 // decodeBody decodes the JSON value a 2xx body holds and then reads the
@@ -426,59 +476,35 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 // cursor (the X-Applied-LSN header, 0 when the replica does not report
 // one) — health probes double as replication lag probes.
 func (c *Client) Healthz(ctx context.Context) (uint64, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
+	h, err := c.get(ctx, "/healthz", nil)
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return 0, unavailablef("%s /healthz: %v", c.base, err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return 0, unavailablef("%s /healthz: status %d", c.base, resp.StatusCode)
-	}
-	applied, _ := strconv.ParseUint(resp.Header.Get("X-Applied-LSN"), 10, 64)
+	applied, _ := strconv.ParseUint(h.Get("X-Applied-LSN"), 10, 64)
 	return applied, nil
 }
 
-// Befriend forwards one friendship mutation to the replica, stamped
-// with its replication log sequence number: the replica applies it with
-// idempotent dedup and strict ordering (out-of-order records fail with
-// ErrBehind) and the returned LSN is the replica's cursor after the
-// record was processed. (lsn 0 is a client's plain mutation, as
-// cmd/loadtest aims at a front door: answered 204, cursor 0.)
+// Befriend and Tag send one mutation to the replica. They are kept only
+// because benchmarks/fleetbench (its fleet.rpc_write_us probe) compiles
+// against them. lsn 0 sends the plain /v1 write cmd/loadtest aims at a
+// front door (answered 204, cursor 0); lsn > 0 sends a one-record apply
+// page (deliver) and returns the replica's cursor after it.
 func (c *Client) Befriend(ctx context.Context, a, b string, weight float64, lsn uint64) (uint64, error) {
-	return c.postStamped(ctx, "/v1/friend", server.FriendRequest{A: a, B: b, Weight: weight, LSN: lsn})
+	return c.write(ctx, "/v1/friend", server.FriendRequest{A: a, B: b, Weight: weight},
+		social.Mutation{Kind: social.KindBefriend, LSN: lsn, User: a, Friend: b, Weight: weight})
 }
 
-// Tag forwards one tagging mutation to the replica; lsn as in Befriend.
+// Tag is Befriend for a tagging mutation.
 func (c *Client) Tag(ctx context.Context, user, item, tag string, lsn uint64) (uint64, error) {
-	return c.postStamped(ctx, "/v1/tag", server.TagRequest{User: user, Item: item, Tag: tag, LSN: lsn})
+	return c.write(ctx, "/v1/tag", server.TagRequest{User: user, Item: item, Tag: tag},
+		social.Mutation{Kind: social.KindTag, LSN: lsn, User: user, Item: item, Tag: tag})
 }
 
-// Skip advances the replica's replication cursor past a record that is
-// a no-op for it (POST /v1/skip): a quorum RecTerm leadership record,
-// or a mutation every replica deterministically rejects. Same dedup
-// and ordering contract as the stamped mutation calls; returns the
-// replica's cursor after the skip.
-func (c *Client) Skip(ctx context.Context, lsn uint64) (uint64, error) {
-	return c.postStamped(ctx, "/v1/skip", server.SkipRequest{LSN: lsn})
-}
-
-// postStamped sends one replication apply and returns the cursor the
-// replica acknowledged, folding the replica's span data for a traced
-// apply into the live trace.
-func (c *Client) postStamped(ctx context.Context, path string, in interface{}) (uint64, error) {
-	var out server.AppliedResponse
-	if err := c.post(ctx, path, in, &out); err != nil {
-		return 0, err
+func (c *Client) write(ctx context.Context, path string, plain interface{}, m social.Mutation) (uint64, error) {
+	if m.LSN == 0 {
+		return 0, c.post(ctx, path, plain, nil)
 	}
-	obs.MergeRemote(ctx, out.Spans)
-	return out.AppliedLSN, nil
+	return deliver(ctx, c, []social.Mutation{m})
 }
 
 // Invalidate POSTs the replica's /v2/invalidate — with no edges and all
@@ -499,22 +525,18 @@ func (c *Client) Invalidate(ctx context.Context, edges [][2]string, all bool) (i
 // layered on — a bootstrap transfer legitimately outlives the RPC
 // budget — so the caller's ctx is the only bound.
 func (c *Client) SnapshotReader(ctx context.Context) (io.ReadCloser, uint64, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v2/snapshot", nil)
+	hreq, err := c.newRequest(ctx, http.MethodGet, "/v2/snapshot", nil)
 	if err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.send(ctx, hreq)
 	if err != nil {
-		return nil, 0, unavailablef("%s /v2/snapshot: %v", c.base, err)
+		return nil, 0, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, 0, unavailablef("%s /v2/snapshot: status %d: %s", c.base, resp.StatusCode, wireErrMessage(resp.Body))
-	}
-	lsn, err := strconv.ParseUint(resp.Header.Get("X-Snapshot-LSN"), 10, 64)
+	lsn, err := strconv.ParseUint(resp.Header.Get(server.SnapshotLSNHeader), 10, 64)
 	if err != nil {
 		resp.Body.Close()
-		return nil, 0, unavailablef("%s /v2/snapshot: bad X-Snapshot-LSN %q", c.base, resp.Header.Get("X-Snapshot-LSN"))
+		return nil, 0, unavailablef("%s /v2/snapshot: bad %s %q", c.base, server.SnapshotLSNHeader, resp.Header.Get(server.SnapshotLSNHeader))
 	}
 	return resp.Body, lsn, nil
 }
@@ -524,22 +546,18 @@ func (c *Client) SnapshotReader(ctx context.Context) (io.ReadCloser, uint64, err
 // cursor after the import (the stream's pinned LSN). Caller's ctx is
 // the only time bound (see SnapshotReader).
 func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error) {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/snapshot", r)
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/snapshot", r)
 	if err != nil {
 		return 0, err
 	}
 	hreq.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.send(ctx, hreq)
 	if err != nil {
-		return 0, unavailablef("%s /v2/snapshot: %v", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, unavailablef("%s /v2/snapshot: status %d: %s", c.base, resp.StatusCode, wireErrMessage(resp.Body))
+		return 0, err
 	}
 	var out server.AppliedResponse
-	if err := decodeBody(resp.Body, &out); err != nil {
-		return 0, unavailablef("%s /v2/snapshot: decoding response: %v", c.base, err)
+	if err := c.receive(resp, &out); err != nil {
+		return 0, err
 	}
 	return out.AppliedLSN, nil
 }
@@ -548,25 +566,11 @@ func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error
 // /v2/cache/seekers), hottest first per cache stripe — the enumeration half
 // of the resize pre-warm.
 func (c *Client) CachedSeekers(ctx context.Context) ([]string, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v2/cache/seekers", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, unavailablef("%s /v2/cache/seekers: %v", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, unavailablef("%s /v2/cache/seekers: status %d", c.base, resp.StatusCode)
-	}
 	var out struct {
 		Seekers []string `json:"seekers"`
 	}
-	if err := decodeBody(resp.Body, &out); err != nil {
-		return nil, unavailablef("%s /v2/cache/seekers: decoding response: %v", c.base, err)
+	if _, err := c.get(ctx, "/v2/cache/seekers", &out); err != nil {
+		return nil, err
 	}
 	return out.Seekers, nil
 }
@@ -576,56 +580,36 @@ func (c *Client) CachedSeekers(ctx context.Context) ([]string, error) {
 // were installed. Caller's ctx is the only time bound — warming a large
 // slice legitimately outlives one RPC budget.
 func (c *Client) WarmSeekers(ctx context.Context, seekers []string) (int, error) {
-	in := struct {
+	body, err := json.Marshal(struct {
 		Seekers []string `json:"seekers"`
-	}{Seekers: seekers}
-	body, err := json.Marshal(in)
+	}{Seekers: seekers})
 	if err != nil {
 		return 0, err
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v2/cache/warm", bytes.NewReader(body))
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/cache/warm", bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.send(ctx, hreq)
 	if err != nil {
-		return 0, unavailablef("%s /v2/cache/warm: %v", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return 0, unavailablef("%s /v2/cache/warm: status %d: %s", c.base, resp.StatusCode, wireErrMessage(resp.Body))
+		return 0, err
 	}
 	var out struct {
 		Warmed int `json:"warmed"`
 	}
-	if err := decodeBody(resp.Body, &out); err != nil {
-		return 0, unavailablef("%s /v2/cache/warm: decoding response: %v", c.base, err)
+	if err := c.receive(resp, &out); err != nil {
+		return 0, err
 	}
 	return out.Warmed, nil
 }
 
 // Users fetches the replica's known user names.
 func (c *Client) Users(ctx context.Context) ([]string, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.cfg.Timeout)
-	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/users", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(hreq)
-	if err != nil {
-		return nil, unavailablef("%s /v1/users: %v", c.base, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, unavailablef("%s /v1/users: status %d", c.base, resp.StatusCode)
-	}
 	var out struct {
 		Users []string `json:"users"`
 	}
-	if err := decodeBody(resp.Body, &out); err != nil {
-		return nil, unavailablef("%s /v1/users: decoding response: %v", c.base, err)
+	if _, err := c.get(ctx, "/v1/users", &out); err != nil {
+		return nil, err
 	}
 	return out.Users, nil
 }

@@ -3,19 +3,21 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/durable"
 	"repro/internal/search"
+	"repro/internal/social"
 	"repro/internal/wal"
 )
 
 // TestDeliverByRecordType drives the one record-delivery function over
 // every record type the replication log can hold: each decodes to the
-// replication apply it names — a leadership record to a cursor skip —
-// and a type the codec does not know never reaches the replica.
+// apply page entry it names — a leadership record to a skip entry — and
+// a type the codec does not know never reaches the replica.
 func TestDeliverByRecordType(t *testing.T) {
 	rep := newToggleReplica(t)
 	c := newTestClient(t, rep.ts.URL, ClientConfig{})
@@ -23,14 +25,14 @@ func TestDeliverByRecordType(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		rec  wal.Record
-		want string // the request the replica must see; "": refused at decode
+		want string // the page the replica must see; "": refused at decode
 	}{
 		{"befriend", wal.Record{LSN: 1, Type: durable.RecBefriend, Data: durable.EncodeBefriend("alice", "bob", 0.9)},
-			`/v1/friend {"a":"alice","b":"bob","weight":0.9,"lsn":1}`},
+			`{"records":[{"kind":"befriend","lsn":1,"user":"alice","friend":"bob","weight":0.9}]}`},
 		{"tag", wal.Record{LSN: 2, Type: durable.RecTag, Data: durable.EncodeTag("bob", "luigis", "pizza")},
-			`/v1/tag {"user":"bob","item":"luigis","tag":"pizza","lsn":2}`},
+			`{"records":[{"kind":"tag","lsn":2,"user":"bob","item":"luigis","tag":"pizza"}]}`},
 		{"term", wal.Record{LSN: 3, Type: durable.RecTerm, Data: durable.EncodeTerm(7, "fe1")},
-			`/v1/skip {"lsn":3}`},
+			`{"records":[{"lsn":3}]}`},
 		{"unknown", wal.Record{LSN: 4, Type: 99}, ""},
 	} {
 		before := len(rep.appliesSeen())
@@ -45,7 +47,7 @@ func TestDeliverByRecordType(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		m.LSN = tc.rec.LSN
-		ack, err := deliver(ctx, c, m)
+		ack, err := deliver(ctx, c, []social.Mutation{m})
 		if err != nil || ack != tc.rec.LSN {
 			t.Fatalf("%s: deliver = cursor %d, %v; want cursor %d", tc.name, ack, err, tc.rec.LSN)
 		}
@@ -56,12 +58,15 @@ func TestDeliverByRecordType(t *testing.T) {
 	if got := rep.svc.AppliedLSN(); got != 3 {
 		t.Fatalf("replica cursor = %d after befriend, tag, skip; want 3", got)
 	}
+	if n := len(rep.appliesSeen()); n != 3 {
+		t.Fatalf("replica saw %d apply pages, want 3 (the unknown record never left)", n)
+	}
 }
 
 // TestCatchUpSendsWhatFanOutSent is the differential behind "one record
-// delivery": for the records a replica missed, the requests catch-up
-// sends it are byte-identical (path and body) to the ones the
-// foreground fan-out sent the replica that was up.
+// delivery": for the records a replica missed, catch-up delivers it the
+// records the foreground fan-out delivered the replica that was up —
+// the same LSNs, content and order, whatever the page boundaries.
 func TestCatchUpSendsWhatFanOutSent(t *testing.T) {
 	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	const victim, survivor = 0, 1
@@ -77,17 +82,63 @@ func TestCatchUpSendsWhatFanOutSent(t *testing.T) {
 	if err := front.Befriend("carol", "dave", 0.375); err != nil {
 		t.Fatal(err)
 	}
+	if err := front.Tag("carol", "marios", "pasta"); err != nil {
+		t.Fatal(err)
+	}
 	caughtUpFrom := len(reps[victim].appliesSeen())
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
 
-	fanOut := reps[survivor].appliesSeen()[missedFrom:]
-	catchUp := reps[victim].appliesSeen()[caughtUpFrom:]
-	if len(fanOut) != 2 {
-		t.Fatalf("fan-out sent the survivor %q, want the two missed records", fanOut)
+	fanOut := recordsIn(t, reps[survivor].appliesSeen()[missedFrom:])
+	catchUp := recordsIn(t, reps[victim].appliesSeen()[caughtUpFrom:])
+	if len(fanOut) != 3 {
+		t.Fatalf("fan-out sent the survivor %+v, want the three missed records", fanOut)
 	}
 	if !slices.Equal(catchUp, fanOut) {
-		t.Fatalf("catch-up sent %q\nfan-out sent %q", catchUp, fanOut)
+		t.Fatalf("catch-up sent %+v\nfan-out sent %+v", catchUp, fanOut)
+	}
+	if pages := len(reps[victim].appliesSeen()) - caughtUpFrom; pages != 1 {
+		t.Fatalf("catch-up took %d apply pages for 3 records, want 1", pages)
+	}
+}
+
+// TestCatchUpPagesMissedRecords: a replica 3,000 records behind the
+// log is caught up in ⌈3000/1024⌉ = 3 apply requests, not 3,000, and
+// holds every record, in order.
+func TestCatchUpPagesMissedRecords(t *testing.T) {
+	const missed = 3000
+	dir := t.TempDir()
+	// The history of an earlier front-end run, written straight into the
+	// log: the fresh replica has none of it.
+	lg, err := wal.Open(dir, wal.Options{Sync: wal.SyncManual})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < missed; i++ {
+		if _, err := lg.Append(durable.RecTag, durable.EncodeTag(fmt.Sprintf("u%d", i%50), fmt.Sprintf("i%d", i), "pizza")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	front, pool, reps, _ := newCatchupFleet(t, 1, dir)
+	waitFor(t, 20*time.Second, func() bool { return pool.Live(0) && reps[0].svc.AppliedLSN() == missed })
+	pages := reps[0].appliesSeen()
+	if len(pages) > 3 {
+		t.Fatalf("catch-up of %d records took %d apply requests, want at most 3", missed, len(pages))
+	}
+	recs := recordsIn(t, pages)
+	if len(recs) != missed {
+		t.Fatalf("catch-up delivered %d records, want %d", len(recs), missed)
+	}
+	for i, m := range recs {
+		if want := fmt.Sprintf("i%d", i); m.LSN != uint64(i+1) || m.Item != want {
+			t.Fatalf("record %d = %+v, want lsn %d item %s", i, m, i+1, want)
+		}
+	}
+	if vs := front.StatsAny().(Stats).Replicas[0]; vs.Counters.CatchupRecords != missed {
+		t.Fatalf("counters = %+v, want a catch-up of %d records", vs.Counters, missed)
 	}
 }
 

@@ -218,6 +218,35 @@ func TestClientErrorClassification(t *testing.T) {
 	}
 }
 
+// TestClientClassifiesEveryCall: the calls outside the search path share
+// post's classification — a request the replica refuses as invalid is
+// ErrInvalid, never the failover class — and a refusal of a GET still
+// reads as unavailable.
+func TestClientClassifiesEveryCall(t *testing.T) {
+	_, ts := newReplica(t)
+	c := newTestClient(t, ts.URL, ClientConfig{})
+	ctx := context.Background()
+	seekers := make([]string, server.MaxWarmSeekers+1)
+	for i := range seekers {
+		seekers[i] = "s"
+	}
+	_, err := c.WarmSeekers(ctx, seekers)
+	if !errors.Is(err, search.ErrInvalid) || errors.Is(err, search.ErrUnavailable) {
+		t.Fatalf("warming %d seekers: %v, want ErrInvalid", len(seekers), err)
+	}
+	boom := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, `{"error":"internal"}`, http.StatusInternalServerError)
+	}))
+	defer boom.Close()
+	cb := newTestClient(t, boom.URL, ClientConfig{})
+	if _, err := cb.Users(ctx); !errors.Is(err, search.ErrUnavailable) {
+		t.Fatalf("users on a 500: %v, want ErrUnavailable", err)
+	}
+	if _, _, err := cb.SnapshotReader(ctx); !errors.Is(err, search.ErrUnavailable) {
+		t.Fatalf("snapshot export on a 500: %v, want ErrUnavailable", err)
+	}
+}
+
 // TestClientHedging holds the first attempt hostage and checks the
 // hedge answers, and that the counters record it.
 func TestClientHedging(t *testing.T) {

@@ -221,22 +221,29 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 	return f.pool.DoBatch(ctx, reqs)
 }
 
-// deliver hands one log record — the mutation it holds, stamped with
-// its LSN — to one replica and returns the cursor the replica
-// acknowledged. It is the only sender of replication applies: fan-out
-// and catch-up both go through it, so a record reaches a replica as the
-// same request whichever path carries it.
-func deliver(ctx context.Context, c *Client, m social.Mutation) (uint64, error) {
-	switch m.Kind {
-	case social.KindBefriend:
-		return c.Befriend(ctx, m.User, m.Friend, m.Weight, m.LSN)
-	case social.KindTag:
-		return c.Tag(ctx, m.User, m.Item, m.Tag, m.LSN)
+// deliver hands one page of LSN-consecutive log records (a zero Kind,
+// a quorum leadership record, is a skip) to one replica over POST
+// /v2/apply and returns the cursor it acknowledged. It is the only
+// sender of replication records: fan-out sends one-record pages and
+// catch-up packs what it streams from the log. Records the replica
+// rejected deterministically come back as ErrInvalid beside the cursor.
+func deliver(ctx context.Context, c *Client, page []social.Mutation) (uint64, error) {
+	var out server.AppliedResponse
+	if err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: page}, &out); err != nil {
+		if errors.Is(err, search.ErrInvalid) {
+			// The page itself was refused and nothing of it applied: not
+			// the rejection class, which callers count as processed.
+			return 0, fmt.Errorf("fleet: apply page refused: %v", err)
+		}
+		return 0, err
 	}
-	// The zero Kind: a record that carries no mutation (a quorum
-	// leadership record). The replica just advances its cursor past it,
-	// keeping LSN arithmetic in lockstep with the log.
-	return c.Skip(ctx, m.LSN)
+	obs.MergeRemote(ctx, out.Spans)
+	if len(out.Rejected) > 0 {
+		first := out.Rejected[0]
+		return out.AppliedLSN, search.WrapInvalid(fmt.Errorf("%s /v2/apply: %d of %d records rejected, first lsn %d: %s",
+			c.base, len(out.Rejected), len(page), first.LSN, first.Error))
+	}
+	return out.AppliedLSN, nil
 }
 
 // forward fans one logged mutation (m.LSN is the LSN it was appended
@@ -271,7 +278,7 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 		// it), so a client hang-up cannot abort the fan-out half-way into
 		// divergence.
 		ctx, cancel := context.WithTimeout(ctx, f.MutationTimeout)
-		ack, err := deliver(ctx, f.pool.Client(i), m)
+		ack, err := deliver(ctx, f.pool.Client(i), []social.Mutation{m})
 		cancel()
 		if err == nil {
 			if err := checkEpoch(ack, head); err != nil {
@@ -337,32 +344,22 @@ func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) 
 // it to every replica and schedules the compaction heartbeat that makes
 // it queryable fleet-wide.
 func (f *Frontend) Befriend(a, b string, weight float64) error {
-	return f.BefriendCtx(context.Background(), a, b, weight)
-}
-
-// BefriendCtx is Befriend carrying the request context's trace through
-// the append and fan-out path (server.Frontend's mutation surface).
-func (f *Frontend) BefriendCtx(ctx context.Context, a, b string, weight float64) error {
-	return f.mutate(ctx, social.Mutation{Kind: social.KindBefriend, User: a, Friend: b, Weight: weight})
+	return f.Mutate(context.Background(), social.Mutation{Kind: social.KindBefriend, User: a, Friend: b, Weight: weight})
 }
 
 // Tag is Befriend for a tagging mutation.
 func (f *Frontend) Tag(user, item, tag string) error {
-	return f.TagCtx(context.Background(), user, item, tag)
+	return f.Mutate(context.Background(), social.Mutation{Kind: social.KindTag, User: user, Item: item, Tag: tag})
 }
 
-// TagCtx is Tag carrying the request context's trace.
-func (f *Frontend) TagCtx(ctx context.Context, user, item, tag string) error {
-	return f.mutate(ctx, social.Mutation{Kind: social.KindTag, User: user, Item: item, Tag: tag})
-}
-
-// mutate is the front-end's one mutation path, the replica funnel's
+// Mutate is the front-end's one mutation path (server.Frontend's write
+// surface, carrying the request context's trace), the replica funnel's
 // mirror image: validate, append to the log, deliver that record, tell
-// the broadcaster. Cancellation is stripped up front: once the record
-// is durably logged the fan-out must run to completion whether or not
-// the client is still listening, or replicas would diverge on a
-// hang-up.
-func (f *Frontend) mutate(ctx context.Context, m social.Mutation) error {
+// the broadcaster. m.LSN is the log's to assign. Cancellation is
+// stripped up front: once the record is durably logged the fan-out
+// must run to completion whether or not the client is still listening,
+// or replicas would diverge on a hang-up.
+func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	ctx = context.WithoutCancel(ctx)
 	log := f.attached()
 	if log == nil {
@@ -420,7 +417,9 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 // catchUp is the pool's rejoin gate: bring replica i from its applied
 // LSN to the replication log head, then send it one heartbeat so it
 // folds the caught-up records in — dropping, by the friendships pending
-// in its own overlay, exactly the horizons they could affect. Runs
+// in its own overlay, exactly the horizons they could affect. The
+// records go out in apply pages of up to server.MaxReplogPageRecords,
+// so N missed records cost ⌈N/1024⌉ requests, not N. Runs
 // concurrently with foreground writes — the loop re-reads the head
 // until the replica has it, and the LSN ordering rule keeps the two
 // delivery paths (catch-up stream, direct fan-out to a catching-up
@@ -451,6 +450,21 @@ func (f *Frontend) catchUp(i int) error {
 	}
 
 	replayed := 0
+	var page []social.Mutation
+	size := 0
+	send := func() error {
+		ack, err := deliver(ctx, c, page)
+		if err != nil && !errors.Is(err, search.ErrInvalid) {
+			return err
+		}
+		// A deterministic rejection still advances the replica's cursor —
+		// every replica skips the same record identically.
+		applied = max(page[len(page)-1].LSN, ack)
+		replayed += len(page)
+		f.pool.state(i).noteApplied(applied)
+		page, size = page[:0], 0
+		return nil
+	}
 	for {
 		_, err := log.ReadFrom(applied+1, func(rec wal.Record) error {
 			if rec.LSN <= applied {
@@ -461,17 +475,21 @@ func (f *Frontend) catchUp(i int) error {
 				return fmt.Errorf("fleet: replog lsn %d: %w", rec.LSN, err)
 			}
 			m.LSN = rec.LSN
-			ack, err := deliver(ctx, c, m)
-			if err != nil && !errors.Is(err, search.ErrInvalid) {
-				return err
+			// A page stays within the record and body bounds of one
+			// request; a record's bytes are counted as if every name byte
+			// were escaped (\u00XX).
+			bytes := 96 + 6*(len(m.User)+len(m.Friend)+len(m.Item)+len(m.Tag))
+			if len(page) == server.MaxReplogPageRecords || len(page) > 0 && size+bytes > server.MaxBodyBytes {
+				if err := send(); err != nil {
+					return err
+				}
 			}
-			// A deterministic rejection still advances the replica's
-			// cursor — every replica skips the same record identically.
-			applied = max(rec.LSN, ack)
-			replayed++
-			f.pool.state(i).noteApplied(applied)
+			page, size = append(page, m), size+bytes
 			return nil
 		})
+		if err == nil && len(page) > 0 {
+			err = send()
+		}
 		if err != nil {
 			return err
 		}

@@ -29,10 +29,8 @@ func (noopBackend) Users() []string                            { return nil }
 // noopReplica is noopBackend in the Replica role.
 type noopReplica struct{ noopBackend }
 
-func (noopReplica) BefriendAt(lsn uint64, a, b string, weight float64) error { return nil }
-func (noopReplica) TagAt(lsn uint64, user, item, tag string) error           { return nil }
-func (noopReplica) SkipLSN(lsn uint64) error                                 { return nil }
-func (noopReplica) AppliedLSN() uint64                                       { return 0 }
+func (noopReplica) Apply(m social.Mutation) error { return nil }
+func (noopReplica) AppliedLSN() uint64            { return 0 }
 func (noopReplica) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	return 0, nil
 }
@@ -51,11 +49,8 @@ func (noopReplica) Stats() social.Stats { return social.Stats{} }
 // noopFrontend is noopBackend in the Frontend role.
 type noopFrontend struct{ noopBackend }
 
-func (noopFrontend) BefriendCtx(ctx context.Context, a, b string, weight float64) error {
-	return nil
-}
-func (noopFrontend) TagCtx(ctx context.Context, user, item, tag string) error { return nil }
-func (noopFrontend) QuorumRole() (role, leaderURL string, term uint64)        { return "", "", 0 }
+func (noopFrontend) Mutate(ctx context.Context, m social.Mutation) error { return nil }
+func (noopFrontend) QuorumRole() (role, leaderURL string, term uint64)   { return "", "", 0 }
 func (noopFrontend) ReplogPage(from uint64, max int) (ReplogPage, error) {
 	return ReplogPage{From: from}, nil
 }

@@ -5,13 +5,12 @@
 // in New: Replica (*social.Service, volatile or journaled — the
 // replication apply path, snapshots, the cache plane) or Frontend
 // (*fleet.Frontend — the replication log, quorum role, elastic resize).
-// Endpoints of a role the backend does not play answer 400/404.
+// Endpoints of a role the backend does not play answer 404.
 //
 // Endpoints (all JSON):
 //
 //	POST /v1/friend        {"a":"alice","b":"bob","weight":0.9}     → 204
 //	POST /v1/tag           {"user":"bob","item":"x","tag":"pizza"}  → 204
-//	POST /v1/skip          {"lsn":7}                                → {"applied_lsn":7}
 //	GET  /v1/search?seeker=alice&tags=pizza,italian&k=5             → {"results":[...]}
 //	POST /v1/search/batch  {"queries":[{"seeker":"alice","tags":["pizza"],"k":5},...]}
 //	                                                                → {"results":[{"results":[...]},{"error":"..."},...]}
@@ -23,6 +22,9 @@
 //	POST /v2/search/batch  {"queries":[{...v2 query...},...]}       → {"results":[{"results":[...],"explain":{...}},{"error":"..."},...]}
 //	POST /v2/invalidate    {"edges":[["alice","bob"],...],"all":false}
 //	                                                                → {"dropped":2}
+//	POST /v2/apply         {"records":[{"lsn":7,"kind":"befriend","user":"alice","friend":"bob","weight":0.9},
+//	                        {"lsn":8,"kind":"tag","user":"bob","item":"x","tag":"pizza"},{"lsn":9}]}
+//	                                                                → {"applied_lsn":9,"rejected":[...]}
 //	GET  /v2/replog?from=7                                          → {"from":7,"head":42,"records":[...]}
 //	GET  /v2/snapshot                                               → binary snapshot stream pinned at the
 //	                                                                  replication cursor (X-Snapshot-LSN)
@@ -46,12 +48,10 @@
 //	                                                                  X-Build-Version/X-Go-Version identity)
 //	GET  /readyz                                                    → 200 "ok" | 503 "draining"
 //
-// Replication (fleet replicas): the /v1 mutation bodies accept an
-// optional "lsn" stamping the mutation with its fleet replication log
-// sequence number; stamped mutations are applied with idempotent dedup
-// and strict ordering (an out-of-order record answers 409 and the
-// front-end streams the gap first), and answer the replica's cursor as
-// {"applied_lsn":N}. Unstamped mutations are byte-compatible with v1.
+// Replication (fleet replicas): a log record reaches a replica in one
+// form, an entry of a POST /v2/apply page of LSN-consecutive
+// social.Mutation records (no "kind": a skip), applied in order with
+// idempotent dedup and strict ordering (see handleApply).
 //
 // The v2 surface exposes the full search.Request: per-query β blending,
 // execution mode (auto, exact and approx all run the exact merge today;
@@ -117,18 +117,15 @@ type Backend interface {
 
 // Replica is the role of a backend that holds the state itself and
 // applies the fleet's replication stream: *social.Service, volatile or
-// journaled. Its endpoints answer 400 (stamped /v1 mutations, /v1/skip)
-// or 404 (/v2/invalidate, /v2/snapshot, /v2/cache/*) on a backend that
-// is not one.
+// journaled. Its endpoints (/v2/apply, /v2/invalidate, /v2/snapshot,
+// /v2/cache/*) answer 404 on a backend that is not one.
 type Replica interface {
-	// BefriendAt and TagAt apply a mutation stamped with its replication
-	// log LSN ("lsn" on the /v1 mutation wire) with idempotent dedup (at
-	// or below the cursor: no-op) and strict ordering (ahead of cursor+1:
-	// social.ErrReplicationGap, 409 on the wire). SkipLSN (POST /v1/skip)
-	// advances the cursor past a record that is a fleet-wide no-op.
-	BefriendAt(lsn uint64, a, b string, weight float64) error
-	TagAt(lsn uint64, user, item, tag string) error
-	SkipLSN(lsn uint64) error
+	// Apply (each record of a POST /v2/apply page) applies one
+	// replication record with idempotent dedup (at or below the cursor:
+	// no-op) and strict ordering (ahead of cursor+1:
+	// social.ErrReplicationGap, 409 on the wire); a record of the zero
+	// Kind only advances the cursor.
+	Apply(m social.Mutation) error
 	// AppliedLSN is the replication cursor; /healthz reports it (header
 	// X-Applied-LSN), so fleet health probes double as lag probes.
 	AppliedLSN() uint64
@@ -158,13 +155,11 @@ var _ Replica = (*social.Service)(nil)
 // fleet of replicas: *fleet.Frontend. /v2/replog and /v2/fleet/resize
 // answer 404 on a backend that is not one.
 type Frontend interface {
-	// BefriendCtx and TagCtx replace Befriend/Tag for unstamped
-	// mutations, so the request context — carrying the trace — reaches
-	// the quorum append and replica fan-out path; cancellation is
-	// stripped there (a client hang-up must never abort a replication
-	// fan-out half-way).
-	BefriendCtx(ctx context.Context, a, b string, weight float64) error
-	TagCtx(ctx context.Context, user, item, tag string) error
+	// Mutate replaces Befriend/Tag for /v1 mutations, so the request
+	// context — carrying the trace — reaches the quorum append and
+	// replica fan-out path; cancellation is stripped there (a client
+	// hang-up must never abort a replication fan-out half-way).
+	Mutate(ctx context.Context, m social.Mutation) error
 	// QuorumRole is an HA front-end's quorum role, believed leader URL
 	// and term, reported on /healthz (X-Quorum-Role / -Leader / -Term) so
 	// finding the leader is one HEAD request; role "" means no quorum.
@@ -241,8 +236,9 @@ const maxSnapshotBodyBytes = 4 << 30
 // MaxReplogPageRecords caps one /v2/replog page.
 const MaxReplogPageRecords = 1024
 
-// maxBodyBytes bounds mutation request bodies.
-const maxBodyBytes = 1 << 20
+// MaxBodyBytes bounds a JSON request body: a mutation, a batch query
+// envelope, an apply page.
+const MaxBodyBytes = 1 << 20
 
 // MaxBatchQueries bounds the number of queries accepted by one batch
 // request (v1 and v2 alike).
@@ -263,13 +259,12 @@ type Server struct {
 	mux      *http.ServeMux
 	logf     func(format string, args ...interface{})
 	// admission, when set, fronts every search (read class) and every
-	// unstamped mutation (write class) with the AIMD admission
-	// controller: shed requests answer 429 with Retry-After, and the
-	// brownout ladder strips Explain from admitted queries under
-	// pressure.
-	// LSN-stamped replicated mutations bypass admission — the fleet
-	// replication apply path must never be shed, or a loaded replica
-	// would be ejected as divergent instead of merely slow.
+	// /v1 mutation (write class) with the AIMD admission controller: shed
+	// requests answer 429 with Retry-After, and the brownout ladder
+	// strips Explain from admitted queries under pressure.
+	// /v2/apply bypasses admission — the fleet replication apply path
+	// must never be shed, or a loaded replica would be ejected as
+	// divergent instead of merely slow.
 	admission *admission.Controller
 	// tracer, when set, fronts every serving request with the obs plane:
 	// trace adoption/minting, span collection on sampled requests, tail
@@ -306,11 +301,11 @@ func New(b Backend) (*Server, error) {
 	s.ready.Store(true)
 	s.mux.HandleFunc("/v1/friend", s.handleFriend)
 	s.mux.HandleFunc("/v1/tag", s.handleTag)
-	s.mux.HandleFunc("/v1/skip", s.handleSkip)
 	s.mux.HandleFunc("/v1/search", s.handleSearchV1)
 	s.mux.HandleFunc("/v1/search/batch", s.handleSearchBatchV1)
 	s.mux.HandleFunc("/v2/search", s.handleSearchV2)
 	s.mux.HandleFunc("/v2/search/batch", s.handleSearchBatchV2)
+	s.mux.HandleFunc("/v2/apply", s.handleApply)
 	s.mux.HandleFunc("/v2/invalidate", s.handleInvalidate)
 	s.mux.HandleFunc("/v2/replog", s.handleReplog)
 	s.mux.HandleFunc("/v2/snapshot", s.handleSnapshot)
@@ -386,7 +381,7 @@ func (s *Server) EnablePprof() {
 }
 
 // SetAdmission installs an admission controller in front of the search
-// and unstamped-mutation handlers (nil disables, the default). See the
+// and /v1 mutation handlers (nil disables, the default). See the
 // admission field for what is and is not gated.
 func (s *Server) SetAdmission(c *admission.Controller) { s.admission = c }
 
@@ -565,13 +560,14 @@ func retryAfterSeconds(err error) int {
 
 // decodeBody strictly decodes a JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
 	}
-	// Reject trailing garbage after the JSON value.
-	if dec.More() {
+	// Reject anything but whitespace after the JSON value (More alone
+	// lets a stray closing bracket through).
+	if _, err := dec.Token(); err != io.EOF {
 		return errors.New("request body holds more than one JSON value")
 	}
 	return nil
@@ -593,59 +589,32 @@ type FriendRequest struct {
 	A      string  `json:"a"`
 	B      string  `json:"b"`
 	Weight float64 `json:"weight"`
-	// LSN, when positive, stamps the mutation with its fleet replication
-	// log sequence number: a Replica backend applies it with idempotent
-	// dedup and strict ordering, and the response
-	// reports the replica's cursor. 0 (or absent) is a plain mutation —
-	// the wire format unchanged since v1.
-	LSN uint64 `json:"lsn"`
 }
 
-// AppliedResponse answers an LSN-stamped mutation: the replica's
-// replication cursor after processing the record. Spans carries this
-// process's span data when the mutation arrived as part of a sampled
-// distributed trace (see obs.WireSpans); plain mutations never see it.
-type AppliedResponse struct {
-	AppliedLSN uint64         `json:"applied_lsn"`
-	Spans      []obs.SpanData `json:"spans,omitempty"`
+// TagRequest is the /v1/tag body.
+type TagRequest struct {
+	User string `json:"user"`
+	Item string `json:"item"`
+	Tag  string `json:"tag"`
 }
 
-// handleMutation is the shared body of /v1/friend and /v1/tag once the
-// request is decoded. A stamped mutation (lsn > 0) is the replication
-// apply path: it goes to a Replica backend, is never shed (see the
-// admission field), and answers the post-apply cursor — or 409 for a
-// replication gap (the sender must stream the missing records first),
-// and on any other failure the CURSOR decides the class: a cursor that
-// advanced to the record's LSN means a deterministic rejection every
-// replica repeats identically (400, the sender counts the record
-// processed), while a cursor left behind means an internal failure (a
-// full disk, a broken log) that retrying may fix (500, never counted
-// processed). A plain mutation is admitted as a write and answers 204.
-func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, lsn uint64, stamped func(Replica) error, plain func() error) {
-	if lsn > 0 {
-		if s.replica == nil {
-			s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
-			return
-		}
-		if err := stamped(s.replica); err != nil {
-			switch {
-			case errors.Is(err, social.ErrReplicationGap):
-				s.writeErr(w, http.StatusConflict, err)
-			case s.replica.AppliedLSN() >= lsn:
-				s.writeErr(w, http.StatusBadRequest, err)
-			default:
-				s.writeErr(w, http.StatusInternalServerError, err)
-			}
-			return
-		}
-		s.writeJSON(w, r, AppliedResponse{AppliedLSN: s.replica.AppliedLSN(), Spans: obs.WireSpans(r.Context())})
+// handleMutation is the shared body of /v1/friend and /v1/tag: it
+// decodes the request into req, admits the mutation as a write, runs it
+// — a front-end gets the request context (its trace), any other backend
+// a plain call — and answers 204.
+func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, req interface{}, mutate func() error) {
+	if !s.requireMethod(w, r, http.MethodPost) {
+		return
+	}
+	if err := decodeBody(w, r, req); err != nil {
+		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
 	tk, ok := s.admit(w, r, admission.Write)
 	if !ok {
 		return
 	}
-	err := plain()
+	err := mutate()
 	tk.Release(err)
 	if err != nil {
 		s.writeMutationErr(w, r, err)
@@ -655,29 +624,30 @@ func (s *Server) handleMutation(w http.ResponseWriter, r *http.Request, lsn uint
 }
 
 func (s *Server) handleFriend(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
 	var req FriendRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.handleMutation(w, r, req.LSN,
-		func(rep Replica) error { return rep.BefriendAt(req.LSN, req.A, req.B, req.Weight) },
-		func() error {
-			if s.frontend != nil {
-				return s.frontend.BefriendCtx(r.Context(), req.A, req.B, req.Weight)
-			}
-			return s.backend.Befriend(req.A, req.B, req.Weight)
-		})
+	s.handleMutation(w, r, &req, func() error {
+		if s.frontend != nil {
+			return s.frontend.Mutate(r.Context(), social.Mutation{Kind: social.KindBefriend, User: req.A, Friend: req.B, Weight: req.Weight})
+		}
+		return s.backend.Befriend(req.A, req.B, req.Weight)
+	})
 }
 
-// writeMutationErr answers a failed unstamped mutation. A quorum
-// follower's refusal becomes a 307 redirect at the elected leader
-// (same path, method and body preserved by the 307 semantics) when the
-// leader is known, and a 503 mid-election when it is not; everything
-// else goes through mutationErrStatus.
+func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
+	var req TagRequest
+	s.handleMutation(w, r, &req, func() error {
+		if s.frontend != nil {
+			return s.frontend.Mutate(r.Context(), social.Mutation{Kind: social.KindTag, User: req.User, Item: req.Item, Tag: req.Tag})
+		}
+		return s.backend.Tag(req.User, req.Item, req.Tag)
+	})
+}
+
+// writeMutationErr answers a failed /v1 mutation. A quorum follower's
+// refusal becomes a 307 redirect at the elected leader (same path,
+// method and body preserved by the 307 semantics) when the leader is
+// known, and a 503 mid-election when it is not; everything else goes
+// through mutationErrStatus.
 func (s *Server) writeMutationErr(w http.ResponseWriter, r *http.Request, err error) {
 	var nle *quorum.NotLeaderError
 	if errors.As(err, &nle) {
@@ -692,12 +662,12 @@ func (s *Server) writeMutationErr(w http.ResponseWriter, r *http.Request, err er
 	s.writeErr(w, mutationErrStatus(err), err)
 }
 
-// mutationErrStatus maps an unstamped mutation error to its HTTP
-// status: an admission shed is 429 (retry the same endpoint after
-// backoff); a serving-substrate failure (search.ErrUnavailable — a
-// fleet front-end with no live replica, or none reachable) is 503, the
-// retry-later class a load balancer must not confuse with a validation
-// rejection; everything else keeps v1's historical 400.
+// mutationErrStatus maps a /v1 mutation error to its HTTP status: an
+// admission shed is 429 (retry the same endpoint after backoff); a
+// serving-substrate failure (search.ErrUnavailable — a fleet front-end
+// with no live replica, or none reachable) is 503, the retry-later
+// class a load balancer must not confuse with a validation rejection;
+// everything else keeps v1's historical 400.
 func mutationErrStatus(err error) int {
 	switch {
 	case errors.Is(err, search.ErrOverloaded):
@@ -709,71 +679,87 @@ func mutationErrStatus(err error) int {
 	}
 }
 
-// TagRequest is the /v1/tag body.
-type TagRequest struct {
-	User string `json:"user"`
-	Item string `json:"item"`
-	Tag  string `json:"tag"`
-	// LSN: see FriendRequest.LSN.
-	LSN uint64 `json:"lsn"`
+// ApplyRequest is the POST /v2/apply body: a page of replication log
+// records, LSN-consecutive, at most MaxReplogPageRecords of them.
+type ApplyRequest struct {
+	Records []social.Mutation `json:"records"`
 }
 
-func (s *Server) handleTag(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req TagRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	s.handleMutation(w, r, req.LSN,
-		func(rep Replica) error { return rep.TagAt(req.LSN, req.User, req.Item, req.Tag) },
-		func() error {
-			if s.frontend != nil {
-				return s.frontend.TagCtx(r.Context(), req.User, req.Item, req.Tag)
-			}
-			return s.backend.Tag(req.User, req.Item, req.Tag)
-		})
+// ApplyRejection names a record of an apply page the replica rejected
+// deterministically: processed — the cursor moved past it, as on every
+// replica — and nothing applied.
+type ApplyRejection struct {
+	LSN   uint64 `json:"lsn"`
+	Error string `json:"error"`
 }
 
-// SkipRequest is the /v1/skip body: the replication LSN to mark
-// processed without applying anything.
-type SkipRequest struct {
-	LSN uint64 `json:"lsn"`
+// AppliedResponse answers an apply page or a snapshot import: the
+// replica's cursor afterwards and the page's rejected records. Spans
+// carries this process's span data for a page that arrived as part of
+// a sampled distributed trace (see obs.WireSpans).
+type AppliedResponse struct {
+	AppliedLSN uint64           `json:"applied_lsn"`
+	Rejected   []ApplyRejection `json:"rejected,omitempty"`
+	Spans      []obs.SpanData   `json:"spans,omitempty"`
 }
 
-// handleSkip advances a replica's replication cursor past a record
-// that is a no-op for it (a RecTerm leadership record, or a mutation
-// every replica deterministically rejects). Same cursor discipline as
-// the stamped mutation path: dedup at or below the cursor, 409 on a
-// gap. Never shed — it is part of the replication apply path.
-func (s *Server) handleSkip(w http.ResponseWriter, r *http.Request) {
+// handleApply is the replication entry point: it applies a page of log
+// records in order through Replica.Apply, and is never shed (see the
+// admission field). A malformed page — bad JSON, an unknown kind, a
+// zero or non-consecutive LSN, too many records — is a 400 and a page
+// starting past cursor+1 a 409 (the sender streams the gap first);
+// neither applies anything, as records are consecutive and a gap can
+// only open before the first. On any other failure the CURSOR decides:
+// one that advanced to the record's LSN means a deterministic rejection
+// every replica repeats identically, listed while the page goes on; one
+// left behind means an internal failure (a full disk, a broken log)
+// that retrying may fix — 500, with only the records before it applied.
+func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
 	if s.replica == nil {
-		s.writeErr(w, http.StatusBadRequest, errors.New("backend does not track replication LSNs"))
+		s.writeErr(w, http.StatusNotFound, errors.New("backend does not apply replication records"))
 		return
 	}
-	var req SkipRequest
+	var req ApplyRequest
 	if err := decodeBody(w, r, &req); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.LSN == 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("skip needs a positive lsn"))
+	recs := req.Records
+	if len(recs) == 0 || len(recs) > MaxReplogPageRecords {
+		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("apply page holds %d records, want 1 to %d", len(recs), MaxReplogPageRecords))
 		return
 	}
-	if err := s.replica.SkipLSN(req.LSN); err != nil {
-		if errors.Is(err, social.ErrReplicationGap) {
-			s.writeErr(w, http.StatusConflict, err)
+	for i, m := range recs {
+		if m.LSN == 0 || i > 0 && m.LSN != recs[i-1].LSN+1 {
+			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: lsn %d does not continue the page", i, m.LSN))
 			return
 		}
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
+		if !m.Kind.Known() {
+			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: unknown kind %q", i, m.Kind))
+			return
+		}
 	}
-	s.writeJSON(w, r, AppliedResponse{AppliedLSN: s.replica.AppliedLSN()})
+	var resp AppliedResponse
+	for _, m := range recs {
+		err := s.replica.Apply(m)
+		switch {
+		case err == nil:
+		case errors.Is(err, social.ErrReplicationGap):
+			s.writeErr(w, http.StatusConflict, err)
+			return
+		case s.replica.AppliedLSN() >= m.LSN:
+			resp.Rejected = append(resp.Rejected, ApplyRejection{LSN: m.LSN, Error: err.Error()})
+		default:
+			s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("lsn %d: %w", m.LSN, err))
+			return
+		}
+	}
+	resp.AppliedLSN = s.replica.AppliedLSN()
+	resp.Spans = obs.WireSpans(r.Context())
+	s.writeJSON(w, r, resp)
 }
 
 // V1Result is one result on the /v1 wire, whose JSON keys are

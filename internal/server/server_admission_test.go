@@ -216,15 +216,14 @@ func TestReplicatedApplyBypassesAdmission(t *testing.T) {
 	}
 	defer tk.Release(nil)
 
-	// An LSN-stamped mutation (the fleet replication path) must apply
-	// even with the window and queue full — shedding it would eject the
-	// replica as divergent.
-	lsn := uint64(1)
-	rec := doJSON(t, s, http.MethodPost, "/v1/friend", FriendRequest{A: "alice", B: "erin", Weight: 0.5, LSN: lsn})
+	// An apply page (the fleet replication path) must apply even with
+	// the window and queue full — shedding it would eject the replica as
+	// divergent.
+	rec := applyPage(t, s, befriendAt(1, "alice", "erin", 0.5))
 	if rec.Code != http.StatusOK {
-		t.Fatalf("stamped mutation under overload: status %d body %s, want 200 with cursor", rec.Code, rec.Body)
+		t.Fatalf("apply page under overload: status %d body %s, want 200 with cursor", rec.Code, rec.Body)
 	}
 	if shed := ctrl.Snapshot().Shed(); shed != 0 {
-		t.Fatalf("stamped mutation shed (%d), must bypass admission", shed)
+		t.Fatalf("apply page shed (%d), must bypass admission", shed)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/quorum"
+	"repro/internal/social"
 )
 
 // followerBackend refuses unstamped mutations the way an HA follower
@@ -15,10 +16,7 @@ type followerBackend struct {
 	leaderURL string
 }
 
-func (b followerBackend) BefriendCtx(ctx context.Context, a, b2 string, weight float64) error {
-	return &quorum.NotLeaderError{LeaderID: "fe2", LeaderURL: b.leaderURL}
-}
-func (b followerBackend) TagCtx(ctx context.Context, user, item, tag string) error {
+func (b followerBackend) Mutate(ctx context.Context, m social.Mutation) error {
 	return &quorum.NotLeaderError{LeaderID: "fe2", LeaderURL: b.leaderURL}
 }
 func (b followerBackend) QuorumRole() (string, string, uint64) {
@@ -95,59 +93,42 @@ func TestHealthzQuorumHeaders(t *testing.T) {
 	}
 }
 
-// TestSkipEndpoint drives /v1/skip: in-order skips advance the cursor
-// like stamped mutations, duplicates are idempotent, gaps answer 409,
-// zero and non-LSN backends answer 400, GET answers 405.
+// TestSkipEndpoint drives the skip entry of an apply page (a record
+// without "kind", the form a quorum leadership record takes): in-order
+// skips advance the cursor like any record, duplicates are idempotent,
+// gaps answer 409, and /v1/skip — the endpoint skips once had — is
+// unrouted.
 func TestSkipEndpoint(t *testing.T) {
 	s, svc := newTestServer(t)
 
-	rec := doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
+	rec := postRaw(s, "/v2/apply", `{"records":[{"lsn":1}]}`)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("skip 1: status %d body %s", rec.Code, rec.Body)
 	}
 	var ack AppliedResponse
 	decode(t, rec, &ack)
-	if ack.AppliedLSN != 1 {
-		t.Fatalf("applied_lsn = %d, want 1", ack.AppliedLSN)
+	if ack.AppliedLSN != 1 || len(svc.Users()) != 0 {
+		t.Fatalf("applied_lsn = %d, users %v; want 1 and nothing applied", ack.AppliedLSN, svc.Users())
 	}
 
-	// Idempotent redelivery.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
+	// Idempotent redelivery; a skip interleaves with applies on one
+	// cursor.
+	rec = applyPage(t, s, social.Mutation{LSN: 1}, befriendAt(2, "alice", "bob", 0.9), social.Mutation{LSN: 3})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("skip 1 redelivered: status %d body %s", rec.Code, rec.Body)
+		t.Fatalf("skip, befriend, skip: status %d body %s", rec.Code, rec.Body)
 	}
-
-	// A skipped record interleaves with stamped applies on one cursor.
-	rec = doJSON(t, s, http.MethodPost, "/v1/friend",
-		FriendRequest{A: "alice", B: "bob", Weight: 0.9, LSN: 2})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("stamped friend after skip: status %d body %s", rec.Code, rec.Body)
-	}
-	if got := svc.AppliedLSN(); got != 2 {
-		t.Fatalf("cursor = %d, want 2", got)
+	if got := svc.AppliedLSN(); got != 3 {
+		t.Fatalf("cursor = %d, want 3", got)
 	}
 
 	// Gap.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{LSN: 9})
-	if rec.Code != http.StatusConflict {
+	if rec = applyPage(t, s, social.Mutation{LSN: 9}); rec.Code != http.StatusConflict {
 		t.Fatalf("gap skip: status %d, want 409; body %s", rec.Code, rec.Body)
 	}
-
-	// Zero LSN, wrong method, LSN-less backend.
-	rec = doJSON(t, s, http.MethodPost, "/v1/skip", SkipRequest{})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("skip 0: status %d, want 400", rec.Code)
+	if rec = postRaw(s, "/v1/skip", `{"lsn":4}`); rec.Code != http.StatusNotFound {
+		t.Fatalf("POST /v1/skip: status %d, want 404 (unrouted)", rec.Code)
 	}
-	rec = doJSON(t, s, http.MethodGet, "/v1/skip", nil)
-	if rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET skip: status %d, want 405", rec.Code)
-	}
-	bare, err := New(unavailableBackend{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec = doJSON(t, bare, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("skip on LSN-less backend: status %d, want 400", rec.Code)
+	if got := svc.AppliedLSN(); got != 3 {
+		t.Fatalf("cursor = %d after a gap and /v1/skip, want 3", got)
 	}
 }

@@ -3,13 +3,14 @@ package server
 import (
 	"net/http"
 	"testing"
+
+	"repro/internal/social"
 )
 
 // TestEndpointsOfTheAbsentRole pins what a backend answers on the
 // endpoints of the role it does not play: a replica has no replication
-// log or fleet to resize, a front-end holds no state to stamp, skip,
-// snapshot, warm or invalidate. The codes are the ones the optional
-// interfaces answered before the roles replaced them.
+// log or fleet to resize, a front-end holds no state to apply records
+// to, snapshot, warm or invalidate.
 func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -21,9 +22,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	}{
 		{"replica: replog", noopReplica{}, http.MethodGet, "/v2/replog?from=1", nil, http.StatusNotFound},
 		{"replica: resize", noopReplica{}, http.MethodPost, "/v2/fleet/resize", FleetResizeRequest{Join: []string{"http://r:1"}}, http.StatusNotFound},
-		{"frontend: skip", noopFrontend{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}, http.StatusBadRequest},
-		{"frontend: stamped friend", noopFrontend{}, http.MethodPost, "/v1/friend", FriendRequest{A: "a", B: "b", Weight: 0.5, LSN: 1}, http.StatusBadRequest},
-		{"frontend: stamped tag", noopFrontend{}, http.MethodPost, "/v1/tag", TagRequest{User: "u", Item: "i", Tag: "t", LSN: 1}, http.StatusBadRequest},
+		{"frontend: apply", noopFrontend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}, http.StatusNotFound},
 		{"frontend: snapshot export", noopFrontend{}, http.MethodGet, "/v2/snapshot", nil, http.StatusNotFound},
 		{"frontend: snapshot import", noopFrontend{}, http.MethodPost, "/v2/snapshot", nil, http.StatusNotFound},
 		{"frontend: cache seekers", noopFrontend{}, http.MethodGet, "/v2/cache/seekers", nil, http.StatusNotFound},
@@ -31,7 +30,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		{"frontend: invalidate", noopFrontend{}, http.MethodPost, "/v2/invalidate", map[string]bool{"all": true}, http.StatusNotFound},
 		// A backend with neither role answers all of them the same way.
 		{"plain: replog", noopBackend{}, http.MethodGet, "/v2/replog", nil, http.StatusNotFound},
-		{"plain: skip", noopBackend{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}, http.StatusBadRequest},
+		{"plain: apply", noopBackend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}, http.StatusNotFound},
 		{"plain: stats", noopBackend{}, http.MethodGet, "/v1/stats", nil, http.StatusNotFound},
 	}
 	for _, tc := range cases {
@@ -52,7 +51,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		body    interface{}
 	}{
 		{noopFrontend{}, http.MethodGet, "/v2/replog", nil},
-		{noopReplica{}, http.MethodPost, "/v1/skip", SkipRequest{LSN: 1}},
+		{noopReplica{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}},
 		{noopReplica{}, http.MethodGet, "/v2/cache/seekers", nil},
 	} {
 		s, _ := New(tc.backend)

@@ -355,7 +355,7 @@ func TestBatchClientErrors(t *testing.T) {
 	seedHTTP(t, s)
 	tooMany := `{"queries":[` + strings.Repeat(`{"seeker":"alice","tags":["pizza"]},`, MaxBatchQueries) +
 		`{"seeker":"alice","tags":["pizza"]}]}`
-	oversized := `{"queries":[{"seeker":"` + strings.Repeat("x", maxBodyBytes+1) + `","tags":["pizza"]}]}`
+	oversized := `{"queries":[{"seeker":"` + strings.Repeat("x", MaxBodyBytes+1) + `","tags":["pizza"]}]}`
 	cases := []struct {
 		name   string
 		method string

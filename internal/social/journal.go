@@ -68,7 +68,7 @@ func (s *Service) AttachJournal(j Journal) {
 // journaled, possibly under an older rule, and replay must reproduce
 // the state it produced then), no journal append. A Mutation carrying
 // only an LSN restores a checkpointed cursor. Recovery only — live
-// writes go through Befriend, Tag and their stamped variants.
+// writes go through Apply.
 func (s *Service) Replay(m Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

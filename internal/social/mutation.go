@@ -9,33 +9,42 @@ import (
 	"repro/internal/vocab"
 )
 
-// MutationKind names what a Mutation changes.
-type MutationKind uint8
+// MutationKind names what a Mutation changes, spelled as the
+// replication wire (POST /v2/apply) spells it.
+type MutationKind string
 
 const (
-	// kindSkip (the zero Kind) carries only an LSN: the record is
-	// processed — the cursor moves — and nothing is applied.
-	kindSkip MutationKind = iota
+	// kindSkip (the zero Kind, absent on the wire) carries only an LSN:
+	// the record is processed — the cursor moves — and nothing is
+	// applied.
+	kindSkip MutationKind = ""
 	// KindBefriend declares or strengthens the friendship User–Friend
 	// with Weight.
-	KindBefriend
+	KindBefriend MutationKind = "befriend"
 	// KindTag records that User annotated Item with Tag.
-	KindTag
+	KindTag MutationKind = "tag"
 )
 
+// Known reports whether k is a kind a record may carry: befriend, tag
+// or the skip.
+func (k MutationKind) Known() bool {
+	return k == kindSkip || k == KindBefriend || k == KindTag
+}
+
 // Mutation is one state change in the form every layer shares: the
-// public mutators build one, Validate vets it, a Journal logs it, and
-// recovery hands it back to Replay.
+// public mutators build one, Validate vets it, a Journal logs it,
+// recovery hands it back to Replay, and a replication page carries it
+// to a replica as JSON.
 type Mutation struct {
-	Kind MutationKind
+	Kind MutationKind `json:"kind,omitempty"`
 	// LSN, when positive, is the fleet replication log sequence number
 	// the mutation was stamped with; 0 is a plain local write.
-	LSN    uint64
-	User   string
-	Friend string  // KindBefriend
-	Weight float64 // KindBefriend, in (0, 1]
-	Item   string  // KindTag
-	Tag    string  // KindTag
+	LSN    uint64  `json:"lsn"`
+	User   string  `json:"user,omitempty"`
+	Friend string  `json:"friend,omitempty"` // KindBefriend
+	Weight float64 `json:"weight,omitempty"` // KindBefriend, in (0, 1]
+	Item   string  `json:"item,omitempty"`   // KindTag
+	Tag    string  `json:"tag,omitempty"`    // KindTag
 }
 
 // Validate is the one rule every mutation is held to, by the funnel
@@ -60,7 +69,7 @@ func (m Mutation) Validate() error {
 	case KindTag:
 		return validateNames(m.User, m.Item, m.Tag)
 	}
-	return search.WrapInvalid(fmt.Errorf("social: mutation kind %d carries nothing to apply", m.Kind))
+	return search.WrapInvalid(fmt.Errorf("social: mutation kind %q carries nothing to apply", m.Kind))
 }
 
 func validateNames(names ...string) error {
@@ -85,43 +94,32 @@ var ErrReplicationGap = errors.New("social: replication gap")
 // Befriend declares (or strengthens) a friendship between two users,
 // creating them as needed. Weight ∈ (0, 1].
 func (s *Service) Befriend(a, b string, weight float64) error {
-	return s.BefriendAt(0, a, b, weight)
+	return s.Apply(Mutation{Kind: KindBefriend, User: a, Friend: b, Weight: weight})
 }
 
 // Tag records that a user annotated an item with a tag, creating any of
 // the three as needed.
 func (s *Service) Tag(user, item, tag string) error {
-	return s.TagAt(0, user, item, tag)
+	return s.Apply(Mutation{Kind: KindTag, User: user, Item: item, Tag: tag})
 }
 
-// BefriendAt is the apply-from-replication-log entry point: it applies
-// the friendship mutation stamped with fleet replication log LSN lsn,
-// with idempotent dedup (a record at or below the cursor is a no-op)
-// and strict ordering (a record further ahead than cursor+1 is refused
-// with ErrReplicationGap). lsn 0 means "not replicated" and is Befriend.
-func (s *Service) BefriendAt(lsn uint64, a, b string, weight float64) error {
-	return s.mutate(Mutation{Kind: KindBefriend, LSN: lsn, User: a, Friend: b, Weight: weight})
-}
-
-// TagAt is BefriendAt's tagging sibling.
+// TagAt applies a tagging record stamped with replication LSN lsn. It
+// is kept only because benchmarks/fleetbench (its social.write_us
+// probe) compiles against it; everything else calls Apply.
 func (s *Service) TagAt(lsn uint64, user, item, tag string) error {
-	return s.mutate(Mutation{Kind: KindTag, LSN: lsn, User: user, Item: item, Tag: tag})
+	return s.Apply(Mutation{Kind: KindTag, LSN: lsn, User: user, Item: item, Tag: tag})
 }
 
-// SkipLSN marks replication record lsn processed without applying or
-// journaling anything, under the same cursor discipline as BefriendAt.
-// It is the cursor advance for records that are fleet-wide no-ops on a
-// replica: the quorum log's leadership records, and mutations another
-// replica already rejected deterministically.
-func (s *Service) SkipLSN(lsn uint64) error {
-	return s.mutate(Mutation{LSN: lsn})
-}
-
-// mutate is the mutation funnel — the only way live state changes:
+// Apply is the mutation funnel — the only way live state changes, and
+// the replica's replication entry point (each record of a POST
+// /v2/apply page). A record with an LSN is a replication record: it is
+// applied with idempotent dedup and strict ordering, and a zero Kind
+// only advances the cursor past it (a quorum leadership record). LSN 0
+// is a plain local write. In order:
 //
 //  1. cursor discipline: a stamped record at or below the cursor is
-//     already processed (nil), one past cursor+1 is a gap; a skip ends
-//     here with the cursor moved;
+//     already processed (nil), one past cursor+1 is a gap
+//     (ErrReplicationGap); a skip ends here with the cursor moved;
 //  2. validation, once, before anything changes. A stamped record that
 //     fails it still counts as processed: every replica rejects the
 //     identical record identically, and skipping it in lockstep —
@@ -133,7 +131,7 @@ func (s *Service) SkipLSN(lsn uint64) error {
 //     already passed, so on a journaled service a failure here means
 //     log and memory disagree: the service latches ErrBroken;
 //  5. the journal's checkpoint policy.
-func (s *Service) mutate(m Mutation) error {
+func (s *Service) Apply(m Mutation) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if m.LSN != 0 {
@@ -224,7 +222,7 @@ func (s *Service) applyLocked(m Mutation) error {
 			return err
 		}
 	default:
-		return fmt.Errorf("social: mutation kind %d carries nothing to apply", m.Kind)
+		return fmt.Errorf("social: mutation kind %q carries nothing to apply", m.Kind)
 	}
 	return s.noteWrite()
 }

@@ -90,12 +90,6 @@ func TestRejectedMutationsChangeNothing(t *testing.T) {
 		)
 	}
 
-	apply := func(svc *Service, m Mutation) error {
-		if m.Kind == KindBefriend {
-			return svc.BefriendAt(m.LSN, m.User, m.Friend, m.Weight)
-		}
-		return svc.TagAt(m.LSN, m.User, m.Item, m.Tag)
-	}
 	newPair := func() (volatile, journaled *Service, j *recordingJournal) {
 		var err error
 		if volatile, err = NewService(DefaultServiceConfig()); err != nil {
@@ -130,7 +124,7 @@ func TestRejectedMutationsChangeNothing(t *testing.T) {
 			for _, svc := range []*Service{volatile, journaled} {
 				before := sizesOf(t, svc)
 				cursor := svc.AppliedLSN()
-				err := apply(svc, m)
+				err := svc.Apply(m)
 				if !errors.Is(err, search.ErrInvalid) {
 					t.Fatalf("%s (stamped=%v): err = %v, want ErrInvalid", tc.name, stamped, err)
 				}
@@ -150,7 +144,7 @@ func TestRejectedMutationsChangeNothing(t *testing.T) {
 			if i%5 == 0 {
 				lsn++
 				for _, svc := range []*Service{volatile, journaled} {
-					if err := svc.TagAt(lsn, fmt.Sprintf("u%d", i), fmt.Sprintf("i%d", i), "pizza"); err != nil {
+					if err := svc.Apply(Mutation{Kind: KindTag, LSN: lsn, User: fmt.Sprintf("u%d", i), Item: fmt.Sprintf("i%d", i), Tag: "pizza"}); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -184,14 +178,14 @@ func TestJournalAppendFailureAppliesNothing(t *testing.T) {
 	}
 	j := &recordingJournal{}
 	svc.AttachJournal(j)
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	diskFull := errors.New("no space left on device")
 	j.failAppend = diskFull
 	before := sizesOf(t, svc)
-	if err := svc.TagAt(2, "carol", "marios", "pizza"); !errors.Is(err, diskFull) {
-		t.Fatalf("TagAt on a full disk: %v, want the journal's error", err)
+	if err := svc.Apply(Mutation{Kind: KindTag, LSN: 2, User: "carol", Item: "marios", Tag: "pizza"}); !errors.Is(err, diskFull) {
+		t.Fatalf("stamped tag on a full disk: %v, want the journal's error", err)
 	}
 	if err := svc.Befriend("carol", "dave", 0.5); !errors.Is(err, diskFull) {
 		t.Fatalf("Befriend on a full disk: %v, want the journal's error", err)
@@ -203,7 +197,7 @@ func TestJournalAppendFailureAppliesNothing(t *testing.T) {
 		t.Fatalf("cursor = %d after a failed append, want 1 (the record was not processed)", got)
 	}
 	j.failAppend = nil
-	if err := svc.TagAt(2, "carol", "marios", "pizza"); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindTag, LSN: 2, User: "carol", Item: "marios", Tag: "pizza"}); err != nil {
 		t.Fatalf("retry after the disk recovered: %v", err)
 	}
 	if got := len(j.appended); got != 2 {
@@ -223,7 +217,7 @@ func TestApplyFailureAfterAppendLatchesBroken(t *testing.T) {
 	}
 	j := &recordingJournal{}
 	svc.AttachJournal(j)
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	// Corrupt the invariant apply depends on: a name with no id in the
@@ -246,7 +240,7 @@ func TestApplyFailureAfterAppendLatchesBroken(t *testing.T) {
 	if j.checkpoints != 0 {
 		t.Fatalf("a broken service checkpointed %d times", j.checkpoints)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatalf("redelivered record on a broken service: %v, want the dedup no-op", err)
 	}
 

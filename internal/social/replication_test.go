@@ -8,7 +8,7 @@ import (
 	"repro/internal/search"
 )
 
-// TestReplicationCursorDiscipline pins the BefriendAt/TagAt contract:
+// TestReplicationCursorDiscipline pins Apply's contract for stamped records:
 // in-order records apply and advance the cursor, duplicates are
 // idempotent no-ops, and a record ahead of cursor+1 is refused with
 // ErrReplicationGap without touching state.
@@ -20,10 +20,10 @@ func TestReplicationCursorDiscipline(t *testing.T) {
 	if got := svc.AppliedLSN(); got != 0 {
 		t.Fatalf("fresh cursor = %d, want 0", got)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.TagAt(2, "bob", "luigis", "pizza"); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindTag, LSN: 2, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.AppliedLSN(); got != 2 {
@@ -31,7 +31,7 @@ func TestReplicationCursorDiscipline(t *testing.T) {
 	}
 
 	// Gap: record 5 cannot apply at cursor 2, and nothing changes.
-	if err := svc.BefriendAt(5, "carol", "dave", 0.5); !errors.Is(err, ErrReplicationGap) {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 5, User: "carol", Friend: "dave", Weight: 0.5}); !errors.Is(err, ErrReplicationGap) {
 		t.Fatalf("gap err = %v, want ErrReplicationGap", err)
 	}
 	if got := svc.AppliedLSN(); got != 2 {
@@ -42,10 +42,10 @@ func TestReplicationCursorDiscipline(t *testing.T) {
 	}
 
 	// Duplicate: re-delivering record 2 (or 1) is a silent no-op.
-	if err := svc.TagAt(2, "bob", "luigis", "pizza"); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindTag, LSN: 2, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatalf("duplicate record err = %v, want nil", err)
 	}
-	if err := svc.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatalf("duplicate record err = %v, want nil", err)
 	}
 	if err := svc.Flush(); err != nil {
@@ -62,7 +62,7 @@ func TestReplicationCursorDiscipline(t *testing.T) {
 	}
 
 	// lsn 0 is a plain mutation: applies, cursor untouched.
-	if err := svc.BefriendAt(0, "erin", "frank", 0.4); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 0, User: "erin", Friend: "frank", Weight: 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := svc.AppliedLSN(); got != 2 {
@@ -80,13 +80,13 @@ func TestReplicationCursorAdvancesOnDeterministicRejection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.BefriendAt(1, "alice", "alice", 0.5); err == nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "alice", Weight: 0.5}); err == nil {
 		t.Fatal("self-edge record accepted")
 	}
 	if got := svc.AppliedLSN(); got != 1 {
 		t.Fatalf("cursor after rejected record = %d, want 1 (processed)", got)
 	}
-	if err := svc.BefriendAt(2, "alice", "bob", 0.5); err != nil {
+	if err := svc.Apply(Mutation{Kind: KindBefriend, LSN: 2, User: "alice", Friend: "bob", Weight: 0.5}); err != nil {
 		t.Fatalf("record after rejected one: %v", err)
 	}
 	if got := svc.AppliedLSN(); got != 2 {
@@ -126,21 +126,21 @@ func TestReplicatedStreamMatchesDirect(t *testing.T) {
 			if err := direct.Befriend(m.a, m.b, m.w); err != nil {
 				t.Fatal(err)
 			}
-			if err := replicated.BefriendAt(lsn, m.a, m.b, m.w); err != nil {
+			if err := replicated.Apply(Mutation{Kind: KindBefriend, LSN: lsn, User: m.a, Friend: m.b, Weight: m.w}); err != nil {
 				t.Fatal(err)
 			}
 			// Redelivery (an at-least-once transport) must be harmless.
-			if err := replicated.BefriendAt(lsn, m.a, m.b, m.w); err != nil {
+			if err := replicated.Apply(Mutation{Kind: KindBefriend, LSN: lsn, User: m.a, Friend: m.b, Weight: m.w}); err != nil {
 				t.Fatal(err)
 			}
 		} else {
 			if err := direct.Tag(m.a, m.b, m.c); err != nil {
 				t.Fatal(err)
 			}
-			if err := replicated.TagAt(lsn, m.a, m.b, m.c); err != nil {
+			if err := replicated.Apply(Mutation{Kind: KindTag, LSN: lsn, User: m.a, Item: m.b, Tag: m.c}); err != nil {
 				t.Fatal(err)
 			}
-			if err := replicated.TagAt(lsn, m.a, m.b, m.c); err != nil {
+			if err := replicated.Apply(Mutation{Kind: KindTag, LSN: lsn, User: m.a, Item: m.b, Tag: m.c}); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -20,13 +20,13 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.BefriendAt(1, "alice", "bob", 0.9); err != nil {
+	if err := src.Apply(Mutation{Kind: KindBefriend, LSN: 1, User: "alice", Friend: "bob", Weight: 0.9}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.TagAt(2, "bob", "luigis", "pizza"); err != nil {
+	if err := src.Apply(Mutation{Kind: KindTag, LSN: 2, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := src.TagAt(3, "bob", "marios", "pizza"); err != nil {
+	if err := src.Apply(Mutation{Kind: KindTag, LSN: 3, User: "bob", Item: "marios", Tag: "pizza"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -87,10 +87,10 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	}
 
 	// The replication stream resumes after the pin.
-	if err := dst.TagAt(3, "bob", "luigis", "pizza"); err != nil {
+	if err := dst.Apply(Mutation{Kind: KindTag, LSN: 3, User: "bob", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatalf("stale redelivery: %v (want deduped nil or gap-free accept)", err)
 	}
-	if err := dst.TagAt(4, "alice", "luigis", "pizza"); err != nil {
+	if err := dst.Apply(Mutation{Kind: KindTag, LSN: 4, User: "alice", Item: "luigis", Tag: "pizza"}); err != nil {
 		t.Fatalf("suffix record after import: %v", err)
 	}
 }

@@ -20,8 +20,8 @@
 //
 // Service is the one replica type. Its state — graph, store,
 // vocabulary, replication cursor — changes only through the mutation
-// funnel in mutation.go, which all five public mutators (Befriend, Tag,
-// BefriendAt, TagAt, SkipLSN) call: cursor discipline, one validation
+// funnel in mutation.go, Apply, which the plain mutators Befriend and
+// Tag also call: cursor discipline, one validation
 // before anything changes, an append to the attached Journal if there
 // is one, the apply, the compaction policy. Durability is a property of
 // that type, not a second type: internal/durable.Open returns a
@@ -142,7 +142,7 @@ type Service struct {
 	// to apply (see ErrBroken).
 	broken bool
 	// appliedLSN is the replication cursor: the highest fleet replication
-	// log LSN this service has processed (see BefriendAt/TagAt). 0 until
+	// log LSN this service has processed (see Apply). 0 until
 	// the first LSN-stamped mutation arrives; untouched by plain writes.
 	appliedLSN uint64
 }

@@ -3,7 +3,8 @@
 # table tracks, so a new column is quoted instead of counted by hand:
 # non-test Go outside benchmarks/ (everything, and per package for the
 # ten the table follows), packages under internal/, the types that
-# assert search.Searcher, and the settings an operator or embedder can
+# assert search.Searcher, the routes and replica methods of the serving
+# surface, and the settings an operator or embedder can
 # set: friendserve flags and the independently settable values of
 # social.ServiceConfig (a field of struct type counts its fields, a
 # func-typed field counts none).
@@ -20,6 +21,17 @@ echo "packages under internal/: $(ls internal | wc -l)"
 searchers=$(grep -rhoE --include='*.go' --exclude='*_test.go' --exclude-dir=benchmarks \
   'search\.Searcher += +\(\*[A-Za-z]+\)' . | grep -oE '[A-Za-z]+\)$' | tr -d ')' | sort | paste -sd' ')
 echo "types asserting search.Searcher: $(wc -w <<<"$searchers") ($searchers)"
+
+# The serving surface: the routes server.New registers (the opt-in
+# debug and quorum mounts aside) and the methods of server.Replica, the
+# ways a log record can reach a replica.
+routes=$(awk '/^func New\(/ { in_new = 1 } in_new && /^}/ { exit } in_new' internal/server/server.go |
+  grep -oE 'HandleFunc\("[^"]+"' | cut -d'"' -f2 | paste -sd' ')
+echo "routes server.New registers: $(wc -w <<<"$routes") ($routes)"
+methods=$(awk '$1 == "type" && $2 == "Replica" && $3 == "interface" { in_if = 1; next }
+  in_if && /^}/ { exit }
+  in_if && /^\t[A-Z][A-Za-z0-9]*\(/ { sub(/^\t/, ""); sub(/\(.*/, ""); print }' internal/server/server.go | paste -sd' ')
+echo "methods of server.Replica: $(wc -w <<<"$methods") ($methods)"
 
 echo "friendserve flags: $(grep -cE 'flag\.(String|Bool|Int|Int64|Uint|Float64|Duration)\("' cmd/friendserve/main.go)"
 
