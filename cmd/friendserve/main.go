@@ -36,18 +36,19 @@
 // /healthz//readyz; one -replicas front-end owns the public address,
 // routes each seeker's queries to the replica owning it on a
 // consistent-hash ring (failing over in ring order when health checks
-// eject a replica), forwards mutations to every replica in one order,
-// and coalesces them into compaction heartbeats. A -replica process
-// defers compaction to that heartbeat, where the friendships pending in
-// its own overlay keep its seeker cache edge-scoped-consistent; run it
-// standalone only for debugging.
+// eject a replica), commits mutations to its log in one order, and
+// streams them to every replica on its compaction heartbeat. A
+// -replica process defers compaction to that heartbeat, where the
+// friendships pending in its own overlay keep its seeker cache
+// edge-scoped-consistent; run it standalone only for debugging.
 //
 // A front-end always writes through a replication log, so -replicas
 // requires -replog-dir: every mutation is LSN-stamped and durably
-// logged there before fan-out, and a replica ejected by health checking
-// is readmitted only after it has streamed and applied every record it
-// missed (catch-up gating, bounded by -catchup-timeout), so a rejoining
-// replica never serves answers derived from a stale graph.
+// logged there before it is acknowledged, and a replica ejected by
+// health checking is readmitted only after it has streamed and applied
+// every record it missed (catch-up gating, bounded by
+// -catchup-timeout), so a rejoining replica never serves answers
+// derived from a stale graph.
 //
 // With -join a -replica process asks a running front-end to adopt it
 // into the fleet under traffic (docs/fleet.md "Elastic resize"): once
@@ -150,7 +151,7 @@ func main() {
 	frontendID := flag.String("frontend-id", "", "HA front-end: this node's stable quorum id (must be a key of -peers)")
 	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; enables the quorum-replicated replication log (requires -replicas and -frontend-id)")
 	catchupTimeout := flag.Duration("catchup-timeout", 0, "front-end: bound on one replica's replication log catch-up (0 = default 30s)")
-	mutationTimeout := flag.Duration("mutation-timeout", 0, "front-end: bound on one replica's acknowledgement of one forwarded mutation (0 = default 10s)")
+	mutationTimeout := flag.Duration("mutation-timeout", 0, "front-end: bound on the quorum majority acknowledgement of one write and on the /v1/users fan-out (0 = default 10s)")
 	admit := flag.Bool("admit", false, "enable adaptive admission control (AIMD window + brownout; see docs/overload.md)")
 	admitWindow := flag.Int("admit-window", 0, "admission: initial concurrency window (0 = default)")
 	admitMaxWindow := flag.Int("admit-max-window", 0, "admission: concurrency window ceiling (0 = default)")

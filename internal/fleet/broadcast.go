@@ -23,28 +23,28 @@ const (
 // BroadcasterConfig tunes the compaction heartbeat.
 type BroadcasterConfig struct {
 	// Window is the coalescing window: writes noted within it ride one
-	// heartbeat, so a burst of writes costs one fleet-wide POST instead
-	// of one per write (0 = DefaultBroadcastWindow).
+	// heartbeat — one apply page and one invalidate per replica
+	// (0 = DefaultBroadcastWindow).
 	Window time.Duration
 	// MaxBatchEdges sends the heartbeat early once this many Befriends
 	// were noted since the last one, bounding how much cached state one
 	// replica compaction drops at once (0 = DefaultMaxBatchEdges).
 	MaxBatchEdges int
-	// Timeout bounds one replica's acknowledgement of one heartbeat
-	// (0 = DefaultBroadcastTimeout).
+	// Timeout bounds one replica's share of one heartbeat: its apply
+	// pages and the invalidate (0 = DefaultBroadcastTimeout).
 	Timeout time.Duration
 }
 
-// Broadcaster is the fleet's compaction heartbeat: a dirty flag, a
-// coalescing window and a fan-out of an edge-less POST /v2/invalidate
-// that makes each replica fold its forwarded-but-pending writes into
-// the queryable snapshot. It carries no edges and keeps no per-replica
-// state: a replica's compaction drops the cached horizons of exactly
-// the Befriends the replica noted when it applied them, and every
-// record reaches every replica through the log (fan-out or catch-up),
-// so a replica only ever compacts edges it noted itself. A lost
-// heartbeat therefore only delays visibility — the broadcaster stays
-// dirty and retries after one window; see docs/fleet.md.
+// Broadcaster is the fleet's compaction heartbeat, which carries the
+// log's records: a dirty flag, a coalescing window, and a fan-out that
+// streams each replica the records past its cursor (Frontend.stream),
+// then sends an edge-less POST /v2/invalidate that folds them into the
+// queryable snapshot. It carries no edges: a replica's compaction
+// drops the cached horizons of exactly the Befriends it noted when it
+// applied them, and every record reaches every replica through the
+// same stream, so a replica only ever compacts edges it noted itself.
+// A lost heartbeat therefore only delays visibility — the broadcaster
+// stays dirty and retries after one window; see docs/fleet.md.
 type Broadcaster struct {
 	cfg BroadcasterConfig
 
@@ -53,7 +53,7 @@ type Broadcaster struct {
 	flushMu sync.Mutex
 
 	mu        sync.Mutex
-	pool      *Pool     // whose admissible members a heartbeat targets (NewFrontend)
+	front     *Frontend // whose pool members a heartbeat streams (NewFrontend)
 	dirty     bool      // an acked write is not yet folded in on every target
 	oldest    time.Time // arrival of the oldest such write
 	befriends int       // Befriends noted since the last heartbeat was taken
@@ -66,8 +66,8 @@ type Broadcaster struct {
 }
 
 // NewBroadcaster starts a heartbeat loop; Close drains and stops it. The
-// replica list is not kept: heartbeat targets are the members of the
-// pool the broadcaster is handed to NewFrontend with.
+// replica list is not kept: the front-end the broadcaster is handed to
+// (NewFrontend) supplies the targets and the records.
 func NewBroadcaster(_ []*Client, cfg BroadcasterConfig) *Broadcaster {
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultBroadcastWindow
@@ -147,11 +147,11 @@ func (b *Broadcaster) loop() {
 	}
 }
 
-// flushOnce sends one heartbeat to the members forward delivers to
-// (ejected ones are settled by catch-up's closing heartbeat instead);
-// concurrent notes start the next one. If any target failed, the
-// broadcaster re-arms — still dirty since the same oldest write — and
-// the loop retries after one window.
+// flushOnce streams the admissible members (live, or with a rejoin gate
+// running) through the last held record and folds it in; concurrent
+// notes start the next heartbeat. If a target failed without being
+// ejected, the broadcaster re-arms — still dirty since the same oldest
+// write — and the loop retries after one window.
 func (b *Broadcaster) flushOnce(ctx context.Context) {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
@@ -161,32 +161,33 @@ func (b *Broadcaster) flushOnce(ctx context.Context) {
 		return
 	}
 	b.dirty, b.befriends = false, 0
-	oldest, pool := b.oldest, b.pool
+	oldest, f := b.oldest, b.front
 	b.mu.Unlock()
 
 	b.counters.Batch()
-	if pool == nil {
+	if f == nil {
 		return
 	}
+	upto := f.heldEnd()
 	var failed atomic.Bool
 	var wg sync.WaitGroup
-	t := pool.view()
-	for i, st := range t.states {
+	for i, st := range f.pool.view().states {
 		if !st.admissible() {
 			continue
 		}
 		wg.Add(1)
-		go func(c *Client) {
+		go func(i int) {
 			defer wg.Done()
 			sctx, cancel := context.WithTimeout(ctx, b.cfg.Timeout)
 			defer cancel()
-			if _, err := c.Invalidate(sctx, nil, false); err != nil {
+			if err := f.beat(sctx, i, upto); err != nil {
 				b.counters.Failure()
 				failed.Store(true)
 			}
-		}(t.clients[i])
+		}(i)
 	}
 	wg.Wait()
+	f.settle(upto)
 	if failed.Load() {
 		b.mu.Lock()
 		b.dirty, b.oldest = true, oldest
@@ -195,9 +196,11 @@ func (b *Broadcaster) flushOnce(ctx context.Context) {
 	}
 }
 
-// Flush synchronously sends the owed heartbeat, if any. Callers that
-// need read-your-writes across the fleet (tests, admin tooling) quiesce
-// with it; the serving path never waits on it.
+// Flush synchronously sends the owed heartbeat, if any: when it
+// returns, every live replica has applied and folded in every write
+// acked before the call. Callers that need read-your-writes across the
+// fleet (tests, admin tooling) quiesce with it; the serving path never
+// waits on it.
 func (b *Broadcaster) Flush(ctx context.Context) {
 	b.flushOnce(ctx)
 }

@@ -34,14 +34,16 @@ type invalidateCall struct {
 // the SIGSTOP/SIGCONT shape of the readmission bug, which httptest
 // Close cannot model. Independently, its /v2/invalidate can be made to
 // fail the next dropBeats heartbeats (503) or to hang every heartbeat
-// until the caller gives up. It also records every heartbeat and the
-// body of every apply page (POST /v2/apply) it lets through.
+// until the caller gives up, and its /v2/apply to fail the next
+// dropApplies pages (503). It also records every heartbeat and the body
+// of every apply page it lets through.
 type toggleReplica struct {
-	svc       *social.Service
-	ts        *httptest.Server
-	down      atomic.Bool
-	dropBeats atomic.Int32
-	hangBeats atomic.Bool
+	svc         *social.Service
+	ts          *httptest.Server
+	down        atomic.Bool
+	dropBeats   atomic.Int32
+	dropApplies atomic.Int32
+	hangBeats   atomic.Bool
 
 	mu            sync.Mutex
 	invalidations []invalidateCall
@@ -67,7 +69,8 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 			<-r.Context().Done()
 			return
 		}
-		if tr.down.Load() || r.URL.Path == "/v2/invalidate" && tr.dropBeat() {
+		if tr.down.Load() || r.URL.Path == "/v2/invalidate" && take(&tr.dropBeats) ||
+			r.URL.Path == "/v2/apply" && take(&tr.dropApplies) {
 			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
 			return
 		}
@@ -90,16 +93,33 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 	return tr
 }
 
-// dropBeat consumes one owed heartbeat failure, if any.
-func (tr *toggleReplica) dropBeat() bool {
+// take consumes one owed failure from n, if any.
+func take(n *atomic.Int32) bool {
 	for {
-		n := tr.dropBeats.Load()
-		if n <= 0 {
+		v := n.Load()
+		if v <= 0 {
 			return false
 		}
-		if tr.dropBeats.CompareAndSwap(n, n-1) {
+		if n.CompareAndSwap(v, v-1) {
 			return true
 		}
+	}
+}
+
+// restart models the replica process restarting over volatile state:
+// same address, empty service, cursor zero.
+func (tr *toggleReplica) restart(t *testing.T) {
+	t.Helper()
+	fresh, err := social.NewService(social.DefaultServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, st, names, _, err := fresh.SnapshotWithCursor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.svc.ImportSnapshot(g, st, names, 0); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -214,9 +234,9 @@ func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
 
 // TestCatchUpRacesConcurrentWrites runs a replica ejection + rejoin
 // while a foreground writer keeps mutating through the front-end: the
-// catch-up stream and the direct fan-out race on the same replica, and
-// the LSN ordering rule must keep the result bit-identical to a
-// reference service fed the same stream. Run under -race.
+// gate's stream and the heartbeat's race on the same replica, and the
+// cursor rule must keep the result bit-identical to a reference service
+// fed the same stream. Run under -race.
 func TestCatchUpRacesConcurrentWrites(t *testing.T) {
 	front, pool, reps, clients := newCatchupFleet(t, 3, t.TempDir())
 	ref, err := social.NewService(social.DefaultServiceConfig())
@@ -525,9 +545,10 @@ func TestProbeObservesCursorReset(t *testing.T) {
 
 // TestProbeDoesNotLowerCursorAckedInFlight interleaves, by hand, the
 // race behind the "victim replog lag = 1 after quiesce" flake: the
-// probe reads X-Applied-LSN = K, a fan-out ack notes K+1 before the
+// probe reads X-Applied-LSN = K, an apply ack notes K+1 before the
 // probe's reply is processed, and the stale K must not win — neither in
-// the tracked cursor (ReplogLag) nor in the value lagEject is handed.
+// the tracked cursor (ReplogLag) nor as a fall below an acked cursor,
+// which the prober ejects as a restart.
 func TestProbeDoesNotLowerCursorAckedInFlight(t *testing.T) {
 	const k = 7
 	var st replicaState
@@ -550,10 +571,11 @@ func TestProbeDoesNotLowerCursorAckedInFlight(t *testing.T) {
 }
 
 // TestLiveReplicaDivergenceEjectsImmediately pins the decisive-eject
-// rule: a live replica that misses ONE stamped mutation (here: a
-// transient 503 on the write, with probes healthy throughout) must not
-// ride out FailAfter serving a stale graph — it is ejected on the
-// spot, caught up, and readmitted fresh.
+// rule: a live replica that fails ONE apply page (here: a transient 503
+// on /v2/apply, with probes healthy throughout) must not ride out
+// FailAfter serving a stale graph — the heartbeat that failed against
+// it ejects it on the spot, and catch-up readmits it holding the record
+// it missed.
 func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 	var reps []*toggleReplica
 	var clients []*Client
@@ -562,8 +584,8 @@ func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 		reps = append(reps, tr)
 		clients = append(clients, newTestClient(t, tr.ts.URL, ClientConfig{}))
 	}
-	// FailAfter 3: under the old cumulative rule, a single missed write
-	// with healthy probes in between would never eject.
+	// FailAfter 3: under the cumulative rule, one failed page with
+	// healthy probes around it would never eject.
 	pool, err := NewPool(clients, PoolConfig{
 		HealthInterval: 10 * time.Millisecond,
 		FailAfter:      3,
@@ -583,29 +605,74 @@ func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)
 	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	victim := 0
-	// One write while the victim's HTTP surface blips: mutation misses,
-	// probes may interleave successes — the eject must happen anyway.
-	reps[victim].down.Store(true)
+	reps[victim].dropApplies.Store(1)
 	if err := front.Befriend("carol", "dave", 0.8); err != nil {
 		t.Fatal(err)
 	}
-	reps[victim].down.Store(false)
-	// The miss itself must have ejected the replica (decisively), and
-	// catch-up must bring it back holding the record it missed.
 	waitFor(t, 5*time.Second, func() bool {
-		return pool.Live(victim) && reps[victim].svc.AppliedLSN() == 2
+		return reps[victim].dropApplies.Load() == 0 && pool.Live(victim) && reps[victim].svc.AppliedLSN() == 2
 	})
 	vs := front.StatsAny().(Stats).Replicas[victim]
 	if vs.Counters.Ejections < 1 || vs.Counters.Catchups < 1 {
-		t.Fatalf("victim counters = %+v, want the miss to eject and catch-up to repair", vs.Counters)
+		t.Fatalf("victim counters = %+v, want the failed page to eject and catch-up to repair", vs.Counters)
 	}
+}
+
+// TestWriteQuietRestartEjectsAndCatchesUp: a live replica that restarts
+// while nothing is written — state gone, cursor back at zero — owes no
+// heartbeat a failed page, so only the probe can notice: it sees the
+// cursor fall below one the replica acknowledged and ejects it, and
+// catch-up readmits it holding the full prefix.
+func TestWriteQuietRestartEjectsAndCatchesUp(t *testing.T) {
+	front, pool, reps, clients := newCatchupFleet(t, 2, t.TempDir())
+	ref, err := social.NewService(social.DefaultServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nUsers = 6
+	user := func(i int) string { return fmt.Sprintf("u%d", i) }
+	for i := 0; i < nUsers; i++ {
+		a, b := user(i), user((i+1)%nUsers)
+		for _, err := range []error{
+			ref.Befriend(a, b, 0.7), front.Befriend(a, b, 0.7),
+			ref.Tag(b, "i"+b, "t0"), front.Tag(b, "i"+b, "t0"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	const head = 2 * nUsers
+	victim := 0
+	if got := pool.state(victim).applied(); got != head {
+		t.Fatalf("tracked cursor = %d after Flush, want %d", got, head)
+	}
+
+	reps[victim].restart(t)
+	waitFor(t, 5*time.Second, func() bool {
+		vs := front.StatsAny().(Stats).Replicas[victim]
+		return vs.Counters.Ejections >= 1 && vs.Live && reps[victim].svc.AppliedLSN() == head
+	})
+	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.CatchupRecords != head {
+		t.Fatalf("victim counters = %+v, want a catch-up of the full prefix (%d records)", vs.Counters, head)
+	}
+	compareReplicaToReference(t, context.Background(), clients[victim], ref, nUsers, 1)
 }
 
 // TestEpochMismatchRefusesReplica pins the fresh-log-over-running-
 // replicas detection: a replica whose cursor is beyond the log head is
-// ejected (its "acks" are dedup no-ops) and catch-up refuses to
-// readmit it.
+// ejected by the heartbeat (its acks are dedup no-ops) and catch-up
+// refuses to readmit it.
 func TestEpochMismatchRefusesReplica(t *testing.T) {
 	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	// Replica 0 lives in a future epoch: cursor far beyond this log.
@@ -684,6 +751,9 @@ func TestRejoinInvalidationIsEdgeScoped(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
 	must(front.Befriend("bob", "carol", 0.8))
 	must(front.Befriend("carol", "dave", 0.7))
+	// The heartbeat passes the victim by before it is back, so only
+	// its catch-up delivers the two records.
+	must(front.Flush())
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
 	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.CatchupRecords != 2 {

@@ -4,10 +4,11 @@
 // the replica owning each seeker (consistent hashing, so exactly one
 // replica pays a seeker's horizon expansion), health checking ejects
 // dead replicas and spills their seekers across the survivors in ring
-// order, and a write-path heartbeat (an edge-less POST /v2/invalidate)
-// tells every replica to fold the writes it was forwarded into its
-// snapshot, dropping — by the friendships pending in its own overlay —
-// exactly the cached horizons they could affect.
+// order, and a compaction heartbeat streams every replica the log
+// records past its cursor, then (an edge-less POST /v2/invalidate)
+// tells it to fold them into its snapshot, dropping — by the
+// friendships pending in its own overlay — exactly the cached horizons
+// they could affect.
 //
 // The pieces compose left to right:
 //
@@ -16,7 +17,8 @@
 //	              hedged requests for tail latency)
 //	Pool        — replica registry + /healthz prober + failover router
 //	              (itself a search.Searcher)
-//	Broadcaster — coalesces writes into one compaction heartbeat
+//	Broadcaster — coalesces writes into one compaction heartbeat,
+//	              which carries their records
 //	RepLog      — the replication log every write goes through first
 //	              (one of the two logs behind the unexported
 //	              mutationLog seam; the other is the HA quorum's)
@@ -24,14 +26,14 @@
 //	              Pool + Broadcaster + log together, so cmd/friendserve
 //	              -replicas serves the same API as a single process;
 //	              its one mutation path validates with the replicas'
-//	              own rule (social.Mutation.Validate), appends the
-//	              record to the log, and delivers that record — the
-//	              same delivery catch-up replays for a replica that
-//	              missed it. No log attached, no writes.
+//	              own rule (social.Mutation.Validate), commits the
+//	              record to the log and acks; the heartbeat and
+//	              catch-up deliver it by the one per-replica stream.
+//	              No log attached, no writes.
 //
-// Soundness of the heartbeat is argued in docs/fleet.md: the front-end
-// serializes mutations, every replica applies the same stream in the
-// same order, and a replica only ever compacts edges it noted itself —
+// Soundness of the heartbeat is argued in docs/fleet.md: the log orders
+// mutations, every replica applies the same stream in the same order,
+// and a replica only ever compacts edges it noted itself —
 // the single-process edge-scoped rule (docs/sharding.md), run in every
 // process.
 package fleet
@@ -69,14 +71,6 @@ const (
 func unavailablef(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: %s", search.ErrUnavailable, fmt.Sprintf(format, args...))
 }
-
-// ErrBehind reports a replica that refused an LSN-stamped mutation
-// because it has not yet applied the preceding records (409 on the
-// wire, social.ErrReplicationGap on the replica). The write path treats
-// it as "deferred to catch-up" for a replica already rejoining, and as
-// divergence evidence — fail the replica's health state so catch-up
-// starts — for one that claims to be live.
-var ErrBehind = errors.New("fleet: replica behind the replication log")
 
 // ClientConfig tunes a replica client.
 type ClientConfig struct {
@@ -233,10 +227,10 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 // send issues one request and is the single place wire errors are
 // classified: a 2xx response is returned for the caller to read and
 // close; 400 becomes ErrInvalid (the replica rejected the request
-// content — retrying elsewhere cannot help), 409 ErrBehind, 307 a
-// NotLeaderError, 429 an overload carrying its backoff hint, and
-// everything else — connection failures, 5xx, unexpected statuses —
-// ErrUnavailable, the failover-eligible class. A failure owned by the
+// content — retrying elsewhere cannot help), 307 a NotLeaderError, 429
+// an overload carrying its backoff hint, and everything else —
+// connection failures, 5xx, a gap-refused apply page (409), unexpected
+// statuses — ErrUnavailable, the failover-eligible class. A failure owned by the
 // CALLER's context (parent) — cancellation or an expired caller
 // deadline — surfaces as that ctx error instead, so a client hanging up
 // or asking for less time than the request needs never feeds replica
@@ -257,8 +251,6 @@ func (c *Client) send(parent context.Context, hreq *http.Request) (*http.Respons
 	switch resp.StatusCode {
 	case http.StatusBadRequest:
 		return nil, search.WrapInvalid(fmt.Errorf("%s %s: %s", c.base, path, wireErrMessage(resp.Body)))
-	case http.StatusConflict:
-		return nil, fmt.Errorf("%w: %s %s: %s", ErrBehind, c.base, path, wireErrMessage(resp.Body))
 	case http.StatusTemporaryRedirect:
 		// An HA follower refusing a write: the Location header names the
 		// leader's copy of this endpoint. Surface it as NotLeaderError so
@@ -488,7 +480,7 @@ func (c *Client) Healthz(ctx context.Context) (uint64, error) {
 // because benchmarks/fleetbench (its fleet.rpc_write_us probe) compiles
 // against them. lsn 0 sends the plain /v1 write cmd/loadtest aims at a
 // front door (answered 204, cursor 0); lsn > 0 sends a one-record apply
-// page (deliver) and returns the replica's cursor after it.
+// page and returns the replica's cursor after it.
 func (c *Client) Befriend(ctx context.Context, a, b string, weight float64, lsn uint64) (uint64, error) {
 	return c.write(ctx, "/v1/friend", server.FriendRequest{A: a, B: b, Weight: weight},
 		social.Mutation{Kind: social.KindBefriend, LSN: lsn, User: a, Friend: b, Weight: weight})
@@ -504,7 +496,9 @@ func (c *Client) write(ctx context.Context, path string, plain interface{}, m so
 	if m.LSN == 0 {
 		return 0, c.post(ctx, path, plain, nil)
 	}
-	return deliver(ctx, c, []social.Mutation{m})
+	var out server.AppliedResponse
+	err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: []social.Mutation{m}}, &out)
+	return out.AppliedLSN, err
 }
 
 // Invalidate POSTs the replica's /v2/invalidate — with no edges and all

@@ -63,47 +63,54 @@ func TestDeliverByRecordType(t *testing.T) {
 	}
 }
 
-// TestCatchUpSendsWhatFanOutSent is the differential behind "one record
-// delivery": for the records a replica missed, catch-up delivers it the
-// records the foreground fan-out delivered the replica that was up —
-// the same LSNs, content and order, whatever the page boundaries.
-func TestCatchUpSendsWhatFanOutSent(t *testing.T) {
+// TestCatchUpSendsWhatHeartbeatSent is the differential behind "one
+// record delivery": for the records a replica missed, catch-up sends it
+// byte-identical apply pages to the ones the heartbeat sent the replica
+// that was up — the held records and the log's are the same records.
+func TestCatchUpSendsWhatHeartbeatSent(t *testing.T) {
 	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	const victim, survivor = 0, 1
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)
 	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	reps[victim].down.Store(true)
 	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
 	missedFrom := len(reps[survivor].appliesSeen())
-	if err := front.Tag("bob", "luigis", "pizza"); err != nil {
-		t.Fatal(err)
+	// Hold the heartbeat back so the three writes ride one of it.
+	front.bcast.flushMu.Lock()
+	for _, err := range []error{
+		front.Tag("bob", "luigis", "pizza"),
+		front.Befriend("carol", "dave", 0.375),
+		front.Tag("carol", "marios", "pasta"),
+	} {
+		if err != nil {
+			front.bcast.flushMu.Unlock()
+			t.Fatal(err)
+		}
 	}
-	if err := front.Befriend("carol", "dave", 0.375); err != nil {
-		t.Fatal(err)
-	}
-	if err := front.Tag("carol", "marios", "pasta"); err != nil {
+	front.bcast.flushMu.Unlock()
+	if err := front.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	caughtUpFrom := len(reps[victim].appliesSeen())
 	reps[victim].down.Store(false)
 	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
 
-	fanOut := recordsIn(t, reps[survivor].appliesSeen()[missedFrom:])
-	catchUp := recordsIn(t, reps[victim].appliesSeen()[caughtUpFrom:])
-	if len(fanOut) != 3 {
-		t.Fatalf("fan-out sent the survivor %+v, want the three missed records", fanOut)
+	heartbeat := reps[survivor].appliesSeen()[missedFrom:]
+	catchUp := reps[victim].appliesSeen()[caughtUpFrom:]
+	if len(heartbeat) != 1 || len(recordsIn(t, heartbeat)) != 3 {
+		t.Fatalf("the heartbeat sent the survivor %q, want one page of the three missed records", heartbeat)
 	}
-	if !slices.Equal(catchUp, fanOut) {
-		t.Fatalf("catch-up sent %+v\nfan-out sent %+v", catchUp, fanOut)
-	}
-	if pages := len(reps[victim].appliesSeen()) - caughtUpFrom; pages != 1 {
-		t.Fatalf("catch-up took %d apply pages for 3 records, want 1", pages)
+	if !slices.Equal(catchUp, heartbeat) {
+		t.Fatalf("catch-up sent %q\nthe heartbeat sent %q", catchUp, heartbeat)
 	}
 }
 
 // TestCatchUpPagesMissedRecords: a replica 3,000 records behind the
-// log is caught up in ⌈3000/1024⌉ = 3 apply requests, not 3,000, and
+// log is streamed up in ⌈3000/1024⌉ = 3 apply requests, not 3,000, and
 // holds every record, in order.
 func TestCatchUpPagesMissedRecords(t *testing.T) {
 	const missed = 3000
@@ -137,8 +144,10 @@ func TestCatchUpPagesMissedRecords(t *testing.T) {
 			t.Fatalf("record %d = %+v, want lsn %d item %s", i, m, i+1, want)
 		}
 	}
-	if vs := front.StatsAny().(Stats).Replicas[0]; vs.Counters.CatchupRecords != missed {
-		t.Fatalf("counters = %+v, want a catch-up of %d records", vs.Counters, missed)
+	// The fleet was live throughout: the heartbeat UseRepLog owes it
+	// carried the stream, and no rejoin gate ran.
+	if vs := front.StatsAny().(Stats).Replicas[0]; vs.AppliedLSN != missed || vs.Counters.Catchups != 0 {
+		t.Fatalf("replica stats = %+v, want cursor %d reached without a rejoin", vs, missed)
 	}
 }
 

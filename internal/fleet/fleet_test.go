@@ -72,7 +72,7 @@ func TestClientValidation(t *testing.T) {
 }
 
 // TestClientRoundTrip drives a real replica over the wire: mutations
-// forward, /v2/invalidate compacts, searches answer, and explain
+// apply, /v2/invalidate compacts, searches answer, and explain
 // survives the JSON round trip.
 func TestClientRoundTrip(t *testing.T) {
 	_, ts := newReplica(t)
@@ -474,9 +474,10 @@ func TestBroadcasterCoalesces(t *testing.T) {
 	waitFor(t, time.Second, func() bool { return seen() == 2 })
 }
 
-// TestFrontendMutationsAndStats drives the full glue: mutations forward
-// to every replica, the broadcast makes them queryable, and StatsAny
-// reports per-replica and broadcast counters.
+// TestFrontendMutationsAndStats drives the full glue: mutations commit
+// to the log, the heartbeat streams them to every replica and makes
+// them queryable, and StatsAny reports per-replica and broadcast
+// counters.
 func TestFrontendMutationsAndStats(t *testing.T) {
 	var svcs []*social.Service
 	var clients []*Client

@@ -22,23 +22,15 @@ import (
 const DefaultCatchupTimeout = 30 * time.Second
 
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
-// queries go through the Pool
-// (consistent-hash routing, health-checked failover, optional hedging)
-// and mutations are forwarded — serialized, so every replica applies
-// the identical stream in the identical order, which is what makes
-// replica snapshots and the name→id dictionaries they derive agree —
-// to every replica, with the Broadcaster told a compaction heartbeat is
-// owed.
-//
-// There is one write path and it runs through a log (UseRepLog, or
-// UseQuorum for HA front-ends; until one is attached the front-end
-// serves reads and refuses writes): every mutation is validated,
-// LSN-stamped and appended to the log *before* fan-out, replicas
-// acknowledge with their applied LSN, and an ejected replica is
-// readmitted only after catch-up: the pool's rejoin gate streams the
-// records the replica missed from the log, in order, and finishes with
-// the heartbeat that folds them in — so a readmitted replica can never
-// serve answers derived from a stale graph.
+// queries go through the Pool (consistent-hash routing, health-checked
+// failover, optional hedging); mutations are validated, LSN-stamped and
+// committed to a log (UseRepLog, or UseQuorum for HA front-ends; none
+// attached, no writes) and acknowledged there, contacting no replica.
+// Records reach replicas one way, a stream from each replica's cursor
+// (stream): the compaction heartbeat streams every admissible replica
+// and folds the records in, and the pool's rejoin gate streams an
+// ejected replica to the log's bound before readmitting it, so a
+// readmitted replica never serves answers from a stale graph.
 type Frontend struct {
 	pool  *Pool
 	bcast *Broadcaster
@@ -52,23 +44,25 @@ type Frontend struct {
 	// qnode is the attached log's quorum node when this front-end is one
 	// of 2–3 HA peers (UseQuorum): writes are accepted only while it
 	// holds leadership (followers answer NotLeaderError → 307 on the
-	// wire), every record is majority-acknowledged before fan-out, and
-	// replica catch-up streams the log's committed prefix only.
+	// wire), every record is majority-acknowledged before it is acked,
+	// and replicas are only ever streamed the committed prefix.
 	qnode *quorum.Node
-	// ready opens the write path: true from UseRepLog on; under a quorum
-	// false from construction and from every leadership loss, true once
-	// the takeover reconcile has brought the live replicas' cursors to
-	// the committed prefix. Writes before that would mass-gap-reject the
-	// fleet (the takeover term record occupies an LSN replicas have not
-	// streamed yet).
-	ready atomic.Bool
 
-	// writeMu serializes the mutation path. One writer at a time is the
-	// fleet's ordering guarantee; read traffic never takes this lock.
+	// writeMu serializes the mutation path, so records are held in LSN
+	// order. Read traffic never takes this lock.
 	writeMu sync.Mutex
 
-	// MutationTimeout bounds one replica's acknowledgement of one
-	// forwarded mutation.
+	// held is the log's tail as this front-end committed it since a
+	// heartbeat last settled it: LSNs heldBase+1 … heldBase+len. A
+	// replica at or past heldBase is streamed from here, one behind it
+	// from the log — which wal reads by rescanning a segment from its
+	// start, so a fleet keeping up never reads the log.
+	heldMu   sync.Mutex
+	heldBase uint64
+	held     []social.Mutation
+
+	// MutationTimeout bounds the quorum majority acknowledgement of one
+	// write and the Users fan-out.
 	MutationTimeout time.Duration
 	// CatchupTimeout bounds one replica's whole catch-up attempt.
 	CatchupTimeout time.Duration
@@ -79,9 +73,9 @@ type Frontend struct {
 }
 
 // NewFrontend glues a pool and a broadcaster into a serving backend:
-// the heartbeat takes its targets from the pool, and readmission is
-// gated on catch-up from construction — a front-end never flips a
-// replica live on probe successes alone.
+// the heartbeat streams the pool's members, and readmission is gated on
+// catch-up from construction — a front-end never flips a replica live
+// on probe successes alone.
 func NewFrontend(pool *Pool, bcast *Broadcaster) (*Frontend, error) {
 	if pool == nil || bcast == nil {
 		return nil, errors.New("fleet: frontend needs a pool and a broadcaster")
@@ -93,7 +87,7 @@ func NewFrontend(pool *Pool, bcast *Broadcaster) (*Frontend, error) {
 		CatchupTimeout:  DefaultCatchupTimeout,
 	}
 	bcast.mu.Lock()
-	bcast.pool = pool
+	bcast.front = f
 	bcast.mu.Unlock()
 	pool.SetRejoinGate(f.catchUp)
 	return f, nil
@@ -110,30 +104,17 @@ func (f *Frontend) attached() mutationLog {
 	return log
 }
 
-// attach publishes the log and starts divergence ejection against it
-// (replicaState.lagging has the reasoning), on the streaming node only:
-// quorum followers never fan out writes, so a replica lagging a
-// follower's view of the commit is the leader's business, not grounds
-// for ejection there. The baseline is the deliverable bound — an
-// uncommitted suffix is invisible to replicas by design.
 func (f *Frontend) attach(log mutationLog) error {
 	if !f.log.CompareAndSwap(nil, log) {
 		return errors.New("fleet: a replication log is already attached (UseRepLog and UseQuorum are mutually exclusive)")
 	}
-	f.pool.SetLagBound(func() uint64 {
-		if log.leading() != nil {
-			return 0
-		}
-		return log.deliverable()
-	})
 	return nil
 }
 
 // UseRepLog attaches the single-front-end replication log. Call before
 // serving traffic. The log may hold history from an earlier front-end
-// run; replicas behind it (all of them, for fresh in-memory replicas)
-// are brought up to head by the same catch-up path that serves
-// readmission.
+// run; the heartbeat owes the replicas behind it (all of them, for
+// fresh in-memory replicas) a stream to its head.
 func (f *Frontend) UseRepLog(rl *RepLog) error {
 	if rl == nil {
 		return errors.New("fleet: nil replication log")
@@ -143,16 +124,15 @@ func (f *Frontend) UseRepLog(rl *RepLog) error {
 		return err
 	}
 	f.replog = rl
-	f.ready.Store(true)
+	f.owe(rl.Head())
 	return nil
 }
 
 // UseQuorum attaches a quorum node in place of a local replication log:
 // the consensus log (committed prefix) plays the replog's role in
-// catch-up, fan-out ordering and observability, and this front-end
-// accepts writes only while the node holds leadership. Mutually
-// exclusive with UseRepLog; call before the node is Started and before
-// serving traffic.
+// delivery and observability, and this front-end accepts writes only
+// while the node holds leadership. Mutually exclusive with UseRepLog;
+// call before the node is Started and before serving traffic.
 func (f *Frontend) UseQuorum(n *quorum.Node) error {
 	if n == nil {
 		return errors.New("fleet: nil quorum node")
@@ -161,49 +141,81 @@ func (f *Frontend) UseQuorum(n *quorum.Node) error {
 		return err
 	}
 	f.qnode = n
+	// On a takeover, once the term record commits — and the inherited
+	// prefix beneath it — every replica is owed a stream through it.
+	// Writes are not held back meanwhile: they commit behind it anyway.
 	n.OnRoleChange(func(leader bool, term uint64) {
-		if !leader {
-			f.ready.Store(false)
-			return
+		head := n.Head()
+		for leader && n.CommitLSN() < head {
+			leader = n.IsLeader() && n.Term() == term
+			time.Sleep(10 * time.Millisecond)
 		}
-		f.reconcile(term)
+		if leader {
+			f.owe(head)
+		}
 	})
 	return nil
 }
 
-// reconcile runs on leadership takeover: wait for the takeover term
-// record to commit (which commits the whole inherited prefix under it),
-// stream every live replica up to the committed prefix — term records
-// and all, via the same catch-up path ejected replicas use — and only
-// then open the write path. Retries until it succeeds or leadership is
-// lost; meanwhile writes answer 503 ("leadership settling") rather
-// than mass-ejecting replicas on takeover-gap rejections.
-func (f *Frontend) reconcile(term uint64) {
-	stillLeading := func() bool {
-		return f.qnode.IsLeader() && f.qnode.Term() == term
+// owe makes every replica owed the log through lsn, unless the held
+// tail already reaches past it: the tail restarts at lsn — a replica
+// behind it is streamed from the log — and a heartbeat is scheduled.
+func (f *Frontend) owe(lsn uint64) {
+	f.heldMu.Lock()
+	owed := lsn > f.heldBase+uint64(len(f.held))
+	if owed {
+		f.heldBase, f.held = lsn, nil
 	}
-	// The write path is closed, so the head is stable: it is exactly the
-	// inherited prefix plus our term record.
-	takeoverHead := f.qnode.Head()
-	for stillLeading() && f.qnode.CommitLSN() < takeoverHead {
-		time.Sleep(10 * time.Millisecond)
+	f.heldMu.Unlock()
+	if owed {
+		f.bcast.NoteWrite(false)
 	}
-	for stillLeading() {
-		settled := true
-		for i := 0; i < f.pool.Replicas(); i++ {
-			if !f.pool.Live(i) {
-				continue // the rejoin gate owns ejected replicas
-			}
-			if err := f.catchUp(i); err != nil {
-				settled = false
-			}
-		}
-		if settled {
-			f.ready.Store(true)
-			return
-		}
-		time.Sleep(100 * time.Millisecond)
+}
+
+// hold appends one committed record to the held tail. A record that
+// does not extend it (the first after a takeover) restarts it: the
+// replicas behind it are streamed from the log.
+func (f *Frontend) hold(m social.Mutation) {
+	f.heldMu.Lock()
+	if m.LSN != f.heldBase+uint64(len(f.held))+1 {
+		f.heldBase, f.held = m.LSN-1, nil
 	}
+	f.held = append(f.held, m)
+	f.heldMu.Unlock()
+}
+
+// heldEnd is the LSN of the last held record — every record acked so
+// far, and every record owed since the last settle, is at or below it.
+func (f *Frontend) heldEnd() uint64 {
+	f.heldMu.Lock()
+	defer f.heldMu.Unlock()
+	return f.heldBase + uint64(len(f.held))
+}
+
+// heldAfter returns the held records past cursor, or behind = true when
+// cursor is below the held tail and only the log has what follows it.
+func (f *Frontend) heldAfter(cursor uint64) (recs []social.Mutation, behind bool) {
+	f.heldMu.Lock()
+	defer f.heldMu.Unlock()
+	if cursor < f.heldBase {
+		return nil, true
+	}
+	// Held records are never written again (settle reslices, hold only
+	// appends), so the caller may read them outside the lock.
+	n := uint64(len(f.held))
+	return f.held[min(cursor-f.heldBase, n):n:n], false
+}
+
+// settle drops the held records through lsn once a heartbeat has
+// streamed them: every live replica holds them now, and any other
+// replica catches up from the log.
+func (f *Frontend) settle(lsn uint64) {
+	f.heldMu.Lock()
+	if lsn > f.heldBase {
+		n := min(lsn-f.heldBase, uint64(len(f.held)))
+		f.heldBase, f.held = f.heldBase+n, f.held[n:]
+	}
+	f.heldMu.Unlock()
 }
 
 var (
@@ -223,126 +235,116 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 
 // deliver hands one page of LSN-consecutive log records (a zero Kind,
 // a quorum leadership record, is a skip) to one replica over POST
-// /v2/apply and returns the cursor it acknowledged. It is the only
-// sender of replication records: fan-out sends one-record pages and
-// catch-up packs what it streams from the log. Records the replica
-// rejected deterministically come back as ErrInvalid beside the cursor.
+// /v2/apply and returns the cursor it acknowledged. A record the
+// replica rejects deterministically still advances its cursor — every
+// replica skips it identically — so it counts as delivered. Its one
+// caller is stream.
 func deliver(ctx context.Context, c *Client, page []social.Mutation) (uint64, error) {
 	var out server.AppliedResponse
 	if err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: page}, &out); err != nil {
-		if errors.Is(err, search.ErrInvalid) {
-			// The page itself was refused and nothing of it applied: not
-			// the rejection class, which callers count as processed.
-			return 0, fmt.Errorf("fleet: apply page refused: %v", err)
-		}
 		return 0, err
 	}
 	obs.MergeRemote(ctx, out.Spans)
-	if len(out.Rejected) > 0 {
-		first := out.Rejected[0]
-		return out.AppliedLSN, search.WrapInvalid(fmt.Errorf("%s /v2/apply: %d of %d records rejected, first lsn %d: %s",
-			c.base, len(out.Rejected), len(page), first.LSN, first.Error))
-	}
 	return out.AppliedLSN, nil
 }
 
-// forward fans one logged mutation (m.LSN is the LSN it was appended
-// under; head the log head, for the epoch check) out to the fleet.
+// stream is the one way records reach a replica: it sends replica i,
+// in apply pages of up to server.MaxReplogPageRecords, the records past
+// its tracked cursor — the held ones when it has reached the held tail,
+// else the log's — and returns how many it sent. The log is read past
+// the tail only when the tail falls short of upto (a record
+// mid-append). The heartbeat, the rejoin gate, JoinReplica and a
+// takeover all stream this way, concurrently when they race: a replica
+// dedups records at or below its cursor, and a page never starts past
+// the tracked cursor, which never runs ahead of the replica's own.
 //
-// Ejected replicas are skipped outright (their missed mutations are in
-// the log and arrive via catch-up, counted in MissedMutations — the
-// stats-visible record of divergence), replicas mid-catch-up are
-// included — the LSN ordering rule makes that safe: the record either
-// applies cleanly or is refused with ErrBehind and left to the catch-up
-// stream — and a *live* replica answering ErrBehind is divergence
-// evidence that feeds its health state so ejection and catch-up follow.
-func (f *Frontend) forward(ctx context.Context, m social.Mutation, head uint64) error {
-	ctx, fsp := obs.StartSpan(ctx, "fleet.forward")
-	defer fsp.End()
-	fsp.SetInt("lsn", int64(m.LSN))
-	applied := 0
-	var lastUnavailable, lastInvalid error
-	for i := 0; i < f.pool.Replicas(); i++ {
-		if f.pool.Retired(i) {
-			continue
-		}
-		st := f.pool.state(i)
-		if !st.admissible() {
-			st.counters.MissedMutation()
-			continue
-		}
-		// One timeout per replica, not one shared across the fan-out: a
-		// blackholed replica must cost its own deadline, never starve
-		// the later replicas into spurious failures. The parent ctx
-		// carries only trace values, never cancellation (mutate strips
-		// it), so a client hang-up cannot abort the fan-out half-way into
-		// divergence.
-		ctx, cancel := context.WithTimeout(ctx, f.MutationTimeout)
-		ack, err := deliver(ctx, f.pool.Client(i), []social.Mutation{m})
-		cancel()
-		if err == nil {
-			if err := checkEpoch(ack, head); err != nil {
-				// The "success" was a dedup no-op: eject the replica and
-				// surface the mismatch; catch-up refuses it too.
-				st.counters.MissedMutation()
-				st.eject(err)
-				continue
-			}
+// A page fails — the error is returned — when the replica refuses it,
+// acknowledges less than all of it, or answers with a cursor beyond
+// anything the log issued (checkEpoch).
+func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint64) (int, error) {
+	st, c := f.pool.state(i), f.pool.Client(i)
+	cursor := st.applied()
+	if err := checkEpoch(cursor, log.Head()); err != nil || cursor >= upto {
+		return 0, err
+	}
+	sent, size := 0, 0
+	var page []social.Mutation
+	send := func() error {
+		last := page[len(page)-1].LSN
+		switch ack, err := deliver(ctx, c, page); {
+		case err != nil:
+			return err
+		case ack < last:
+			return fmt.Errorf("fleet: %s acknowledged lsn %d of a page through lsn %d", c.URL(), ack, last)
+		case ack > log.Head():
+			return checkEpoch(ack, log.Head())
+		default:
 			st.noteApplied(ack)
-			applied++
-			st.ok()
-			continue
 		}
-		if errors.Is(err, ErrBehind) {
-			// The record is durably in the log; catch-up delivers it. A
-			// replica mid-catch-up answering this is routine; one that
-			// claims to be live has PROVABLY missed history — eject it now
-			// (FailAfter is for ambiguous evidence, not known divergence).
-			if st.isLive() {
-				st.counters.MissedMutation()
-				st.eject(err)
+		sent += len(page)
+		page, size = page[:0], 0
+		return nil
+	}
+	add := func(m social.Mutation) error {
+		// A page stays within the record and body bounds of one request;
+		// a record's bytes are counted as if every name byte were escaped
+		// (\u00XX).
+		bytes := 96 + 6*(len(m.User)+len(m.Friend)+len(m.Item)+len(m.Tag))
+		if len(page) == server.MaxReplogPageRecords || len(page) > 0 && size+bytes > server.MaxBodyBytes {
+			if err := send(); err != nil {
+				return err
 			}
-			continue
 		}
-		if errors.Is(err, search.ErrInvalid) {
-			// The record is already durably logged (mutate pre-validates,
-			// so this is belt-and-braces): the replica
-			// processed-and-rejected it deterministically, advancing its
-			// cursor, and the rest of the fleet must do the same in
-			// lockstep — keep fanning out, report the rejection at the end.
-			lastInvalid = err
-			st.ok()
-			st.noteApplied(m.LSN)
-			continue
-		}
-		st.counters.MissedMutation()
-		lastUnavailable = err
-		if st.isLive() {
-			// A live replica that failed a stamped mutation has missed it
-			// for certain — even an overload answer: replicas exempt the
-			// replication apply path from admission. Don't wait out
-			// FailAfter probes while it serves a stale graph: eject now,
-			// let catch-up repair and readmit.
-			st.eject(err)
-		} else {
-			st.fail(err)
+		page, size = append(page, m), size+bytes
+		return nil
+	}
+
+	recs, behind := f.heldAfter(cursor)
+	if behind || len(recs) == 0 {
+		if _, err := log.ReadFrom(cursor+1, func(rec wal.Record) error {
+			m, err := durable.DecodeMutation(rec)
+			if err != nil {
+				return fmt.Errorf("fleet: replog lsn %d: %w", rec.LSN, err)
+			}
+			m.LSN = rec.LSN
+			return add(m)
+		}); err != nil {
+			return sent, err
 		}
 	}
-	if lastInvalid != nil {
-		return lastInvalid
-	}
-	if applied == 0 {
-		if lastUnavailable != nil {
-			return lastUnavailable
+	for _, m := range recs {
+		if err := add(m); err != nil {
+			return sent, err
 		}
-		return unavailablef("no replicas")
 	}
-	return nil
+	if len(page) > 0 {
+		return sent, send()
+	}
+	return sent, nil
 }
 
-// Befriend validates and durably logs the friendship mutation, forwards
-// it to every replica and schedules the compaction heartbeat that makes
-// it queryable fleet-wide.
+// beat is one heartbeat's work at replica i: on the node that streams,
+// the records through upto, then the edge-less /v2/invalidate that
+// folds them in. A failure is returned, and the heartbeat is owed
+// again — except a failed page to a replica whose rejoin gate is not
+// running: that replica has provably missed a record, so it is ejected
+// at once and owes no retry; catch-up repairs it.
+func (f *Frontend) beat(ctx context.Context, i int, upto uint64) error {
+	if log := f.attached(); log != nil && log.leading() == nil {
+		if _, err := f.stream(ctx, log, i, upto); err != nil {
+			if st := f.pool.state(i); st.isLive() || !st.admissible() {
+				st.eject(err)
+				return nil
+			}
+			return err
+		}
+	}
+	_, err := f.pool.Client(i).Invalidate(ctx, nil, false)
+	return err
+}
+
+// Befriend validates and commits the friendship mutation; the next
+// compaction heartbeat delivers it and makes it queryable fleet-wide.
 func (f *Frontend) Befriend(a, b string, weight float64) error {
 	return f.Mutate(context.Background(), social.Mutation{Kind: social.KindBefriend, User: a, Friend: b, Weight: weight})
 }
@@ -353,12 +355,13 @@ func (f *Frontend) Tag(user, item, tag string) error {
 }
 
 // Mutate is the front-end's one mutation path (server.Frontend's write
-// surface, carrying the request context's trace), the replica funnel's
-// mirror image: validate, append to the log, deliver that record, tell
-// the broadcaster. m.LSN is the log's to assign. Cancellation is
-// stripped up front: once the record is durably logged the fan-out
-// must run to completion whether or not the client is still listening,
-// or replicas would diverge on a hang-up.
+// surface, carrying the request context's trace): validate, check
+// leadership and that some replica is live, commit to the log, hold the
+// record for the heartbeat, ack. m.LSN is the log's to assign. The ack
+// means committed: the write is durable and reaches every replica from
+// the log, and a replica failure can no longer fail it. Cancellation is
+// stripped up front: a client hang-up must not cut a quorum commit wait
+// short after the record was appended.
 func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	ctx = context.WithoutCancel(ctx)
 	log := f.attached()
@@ -367,9 +370,10 @@ func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	}
 	f.writeMu.Lock()
 	defer f.writeMu.Unlock()
-	// The record is appended before fan-out, so anything a replica would
-	// deterministically reject must be caught first — the log must never
-	// grow a record the fleet cannot apply. The rule is the replicas' own.
+	// The record is committed before any replica sees it, so anything a
+	// replica would deterministically reject must be caught first — the
+	// log must never grow a record the fleet cannot apply. The rule is
+	// the replicas' own.
 	if err := m.Validate(); err != nil {
 		return err
 	}
@@ -380,18 +384,13 @@ func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	if err := log.leading(); err != nil {
 		return err
 	}
-	if !f.ready.Load() {
-		return unavailablef("leadership settling: replica reconcile in progress")
-	}
 	if !f.pool.anyLive() {
 		return unavailablef("no live replica to accept the write")
 	}
 	if m.LSN, err = log.append(ctx, rec, payload); err != nil {
 		return err
 	}
-	if err := f.forward(ctx, m, log.Head()); err != nil {
-		return err
-	}
+	f.hold(m)
 	f.bcast.NoteWrite(m.Kind == social.KindBefriend)
 	return nil
 }
@@ -414,16 +413,13 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 	return cursor, nil
 }
 
-// catchUp is the pool's rejoin gate: bring replica i from its applied
-// LSN to the replication log head, then send it one heartbeat so it
-// folds the caught-up records in — dropping, by the friendships pending
-// in its own overlay, exactly the horizons they could affect. The
-// records go out in apply pages of up to server.MaxReplogPageRecords,
-// so N missed records cost ⌈N/1024⌉ requests, not N. Runs
-// concurrently with foreground writes — the loop re-reads the head
-// until the replica has it, and the LSN ordering rule keeps the two
-// delivery paths (catch-up stream, direct fan-out to a catching-up
-// replica) from ever applying a record twice or out of order.
+// catchUp is the pool's rejoin gate: stream replica i from its own
+// cursor to the log's deliverable bound, then send it one heartbeat so
+// it folds the caught-up records in — dropping, by the friendships
+// pending in its own overlay, exactly the horizons they could affect.
+// N missed records cost ⌈N/1024⌉ requests. Runs concurrently with
+// writes and heartbeats; the loop re-reads the bound until the replica
+// has it.
 func (f *Frontend) catchUp(i int) error {
 	log := f.attached()
 	if log == nil {
@@ -431,7 +427,6 @@ func (f *Frontend) catchUp(i int) error {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), f.CatchupTimeout)
 	defer cancel()
-	c := f.pool.Client(i)
 	applied, err := f.probeCursor(ctx, log, i)
 	if err != nil {
 		return err
@@ -449,80 +444,32 @@ func (f *Frontend) catchUp(i int) error {
 		return nil
 	}
 
-	replayed := 0
-	var page []social.Mutation
-	size := 0
-	send := func() error {
-		ack, err := deliver(ctx, c, page)
-		if err != nil && !errors.Is(err, search.ErrInvalid) {
-			return err
-		}
-		// A deterministic rejection still advances the replica's cursor —
-		// every replica skips the same record identically.
-		applied = max(page[len(page)-1].LSN, ack)
-		replayed += len(page)
-		f.pool.state(i).noteApplied(applied)
-		page, size = page[:0], 0
-		return nil
-	}
-	for {
-		_, err := log.ReadFrom(applied+1, func(rec wal.Record) error {
-			if rec.LSN <= applied {
-				return nil // another delivery path got there first
-			}
-			m, err := durable.DecodeMutation(rec)
-			if err != nil {
-				return fmt.Errorf("fleet: replog lsn %d: %w", rec.LSN, err)
-			}
-			m.LSN = rec.LSN
-			// A page stays within the record and body bounds of one
-			// request; a record's bytes are counted as if every name byte
-			// were escaped (\u00XX).
-			bytes := 96 + 6*(len(m.User)+len(m.Friend)+len(m.Item)+len(m.Tag))
-			if len(page) == server.MaxReplogPageRecords || len(page) > 0 && size+bytes > server.MaxBodyBytes {
-				if err := send(); err != nil {
-					return err
-				}
-			}
-			page, size = append(page, m), size+bytes
-			return nil
-		})
-		if err == nil && len(page) > 0 {
-			err = send()
-		}
+	// Exit only against the CURRENT bound, never one an earlier pass
+	// captured. Until this gate finishes the replica stays admissible, so
+	// every heartbeat streams it too; a record committed after the exit
+	// check is held, noted, and streamed by the next heartbeat.
+	st, replayed := f.pool.state(i), 0
+	for upto := log.deliverable(); st.applied() < upto; upto = log.deliverable() {
+		n, err := f.stream(ctx, log, i, upto)
+		replayed += n
 		if err != nil {
 			return err
 		}
-		// Exit only against the CURRENT bound, never the one the pass
-		// captured: a record appended after the pass started may already
-		// have been gap-rejected at fan-out (the replica's cursor was
-		// behind), so only the catch-up stream will ever deliver it. Any
-		// record that can gap-reject was appended before this check reads
-		// the head; conversely, once the replica holds the current head,
-		// every later record reaches it directly (cursor == lsn-1 at
-		// fan-out time — writes are serialized), so no gap can form after
-		// the loop exits. In quorum mode the moving target is the commit
-		// LSN, for the same reason.
-		if applied >= log.deliverable() {
-			break
-		}
-		// The head moved while we streamed (foreground writes); go again
-		// from where the replica now is.
 	}
 
 	// The closing heartbeat — records or not, so a write-quiet fleet
 	// settles too: whatever the replica applied and has not folded in yet
 	// (replayed just now, or before a heartbeat it missed) becomes
 	// queryable before it serves a read.
-	if _, err := c.Invalidate(ctx, nil, false); err != nil {
+	if _, err := f.pool.Client(i).Invalidate(ctx, nil, false); err != nil {
 		return err
 	}
-	c.Counters().Catchup(replayed)
+	f.pool.Client(i).Counters().Catchup(replayed)
 	return nil
 }
 
 // Users asks the first live replica (replicas agree on the user set, up
-// to in-flight forwards).
+// to the records the next heartbeat streams).
 func (f *Frontend) Users() []string {
 	ctx, cancel := context.WithTimeout(context.Background(), f.MutationTimeout)
 	defer cancel()

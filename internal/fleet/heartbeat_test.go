@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/search"
 	"repro/internal/social"
+	"repro/internal/wal"
 )
 
 // TestHeartbeatSkipsEjectedReplica: an ejected replica is not a
@@ -90,11 +92,12 @@ func heartbeatSettled(b *Broadcaster) bool {
 }
 
 // TestHeartbeatLossDifferential runs seeded scripts of {Befriend, Tag,
-// kill, revive, drop the next heartbeat at one replica, quiesce} over
-// real replicas and demands, at every quiesce, that each live replica —
-// queried directly, its cache warm from the previous quiesce — answers
-// mode=exact bit-identically to an in-process reference fed the same
-// stream: whichever heartbeats were lost or skipped, every replica
+// kill, revive, drop the next heartbeat at one replica, drop the next
+// apply page at one replica, quiesce} over real replicas and demands,
+// at every quiesce, that each live replica — queried directly, its
+// cache warm from the previous quiesce — answers mode=exact
+// bit-identically to an in-process reference fed the same stream:
+// whichever heartbeats or pages were lost or skipped, every replica
 // dropped exactly the horizons its own compactions had to.
 func TestHeartbeatLossDifferential(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
@@ -126,6 +129,16 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 	serving := func() (out []int) {
 		for i, r := range reps {
 			if !r.down.Load() && pool.Live(i) {
+				out = append(out, i)
+			}
+		}
+		return out
+	}
+	// steady lists the serving replicas no pending page drop will eject:
+	// kills and drops leave one, so the writes always find a live replica.
+	steady := func() (out []int) {
+		for _, i := range serving() {
+			if reps[i].dropApplies.Load() == 0 {
 				out = append(out, i)
 			}
 		}
@@ -170,14 +183,18 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 			u, it, tg := user(rng.Intn(nUsers)), fmt.Sprintf("i%d", rng.Intn(nItems)), fmt.Sprintf("t%d", rng.Intn(nTags))
 			must(step, ref.Tag(u, it, tg))
 			must(step, front.Tag(u, it, tg))
-		case p < 70: // kill, keeping one serving replica for the writes
-			if up := serving(); len(up) >= 2 {
+		case p < 70: // kill
+			if up := steady(); len(up) >= 2 {
 				reps[up[rng.Intn(len(up))]].down.Store(true)
 			}
 		case p < 78: // revive
 			reps[rng.Intn(nReplicas)].down.Store(false)
-		case p < 88:
+		case p < 83:
 			reps[rng.Intn(nReplicas)].dropBeats.Add(1)
+		case p < 88:
+			if up := steady(); len(up) >= 2 {
+				reps[up[rng.Intn(len(up))]].dropApplies.Add(1)
+			}
 		default:
 			quiesce(step)
 		}
@@ -186,4 +203,102 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 		r.down.Store(false)
 	}
 	quiesce(steps)
+}
+
+// TestWriteAcksAtCommitDuringApplyOutage is the regression test for a
+// committed write answered as failed: with every replica's /v2/apply
+// down, a write used to answer 503 although its record was already in
+// the log — and catch-up delivered it later anyway, so a client that
+// retried applied the Tag twice. The write acks at commit now, and once
+// the replicas are back each holds it exactly once.
+func TestWriteAcksAtCommitDuringApplyOutage(t *testing.T) {
+	front, pool, reps, clients := newCatchupFleet(t, 2, t.TempDir())
+	ref, err := social.NewService(social.DefaultServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{ref.Befriend("u0", "u1", 0.9), front.Befriend("u0", "u1", 0.9), front.Flush()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := front.StatsAny().(Stats).Replog.Head
+	for _, r := range reps {
+		r.dropApplies.Store(1 << 20)
+	}
+	if err := front.Tag("u1", "luigis", "t0"); err != nil {
+		t.Fatalf("tag during an apply outage: %v, want an ack (the record is committed)", err)
+	}
+	if err := ref.Tag("u1", "luigis", "t0"); err != nil {
+		t.Fatal(err)
+	}
+	// The heartbeat's failed pages eject both replicas; revived, they
+	// catch up.
+	waitFor(t, 5*time.Second, func() bool { return !pool.Live(0) && !pool.Live(1) })
+	for _, r := range reps {
+		r.dropApplies.Store(0)
+	}
+	waitFor(t, 10*time.Second, func() bool { return pool.Live(0) && pool.Live(1) })
+	if err := ref.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := front.StatsAny().(Stats).Replog.Head; got != head+1 {
+		t.Fatalf("log head = %d after one Tag, want %d: the Tag logged once", got, head+1)
+	}
+	for _, c := range clients {
+		compareReplicaToReference(t, context.Background(), c, ref, 2, 1)
+	}
+}
+
+// countingLog is a RepLog that counts its reads.
+type countingLog struct {
+	*RepLog
+	reads atomic.Int64
+}
+
+func (l *countingLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error) {
+	l.reads.Add(1)
+	return l.RepLog.ReadFrom(from, fn)
+}
+
+// TestSteadyHeartbeatsReadNoLog: with every replica live and keeping
+// up, the heartbeat streams the records the front-end holds — the log,
+// which wal reads by rescanning a segment from its start, is never
+// read, however the heartbeats interleave with the writes.
+func TestSteadyHeartbeatsReadNoLog(t *testing.T) {
+	front, _, reps, _ := newCatchupFleet(t, 3, "")
+	rl, err := OpenRepLog(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rl.minApplied = front.pool.minApplied
+	log := &countingLog{RepLog: rl}
+	if err := front.attach(log); err != nil {
+		t.Fatal(err)
+	}
+	const writes = 200
+	for i := 0; i < writes; i++ {
+		if err := front.Tag(fmt.Sprintf("u%d", i%7), fmt.Sprintf("i%d", i), "t0"); err != nil {
+			t.Fatal(err)
+		}
+		if i%16 == 0 {
+			if err := front.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := front.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range reps {
+		if got := r.svc.AppliedLSN(); got != writes {
+			t.Fatalf("replica %d cursor = %d, want %d", i, got, writes)
+		}
+	}
+	if n := log.reads.Load(); n != 0 {
+		t.Fatalf("%d writes and their heartbeats read the log %d times, want 0", writes, n)
+	}
 }

@@ -195,8 +195,8 @@ func TestClientDeadlineShrinksAttempt(t *testing.T) {
 // the FRONT-END answer the client 429 with the same hint — on the
 // query path and per entry in a batch (error_kind "overloaded" +
 // retry_after_ms on the wire) — and never ejects the replica or fails
-// over onto ring successors. (Mutation fan-out is always LSN-stamped,
-// and replicas never shed the replication apply path.)
+// over onto ring successors. (Replicas never shed the replication
+// apply path.)
 func TestFrontendPropagatesRetryAfterOnFanout(t *testing.T) {
 	ts, _, _ := shedServer(t, "7")
 	c := newTestClient(t, ts.URL, ClientConfig{})

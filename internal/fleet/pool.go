@@ -48,7 +48,7 @@ type PoolConfig struct {
 type replicaState struct {
 	mu          sync.Mutex
 	live        bool
-	retired     bool // permanently out: no probes, routing, or fan-out
+	retired     bool // permanently out: no probes, routing, or records
 	holdGate    bool // admitted but awaiting bootstrap: don't start the gate yet
 	consecFails int
 	consecOKs   int
@@ -60,10 +60,6 @@ type replicaState struct {
 	failAfter   int
 	reviveAfter int
 	counters    *metrics.ReplicaCounters
-
-	// The lag test's memory (see lagging): the log bound and this
-	// replica's cursor as of the previous probe sweep that consulted it.
-	lagBound, lagCursor uint64
 }
 
 func (r *replicaState) isLive() bool {
@@ -72,12 +68,12 @@ func (r *replicaState) isLive() bool {
 	return r.live && !r.retired
 }
 
-// admissible reports whether the replica should receive forwarded
-// mutations: live, or mid-rejoin (a catching-up replica is reachable
-// and the LSN ordering rule makes direct fan-out to it safe — it either
-// applies the record cleanly or defers it to the catch-up stream).
-// Admitted-but-not-yet-activated joiners are admissible the same way a
-// catching-up replica is; retired replicas never are.
+// admissible reports whether the heartbeat should stream the replica:
+// live, or mid-rejoin (a catching-up replica is reachable, and the
+// cursor rule makes the heartbeat's stream racing the gate's safe — a
+// record at or below the replica's cursor is a dedup no-op). A joiner
+// whose gate runs is admissible the same way; retired replicas never
+// are.
 func (r *replicaState) admissible() bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -85,7 +81,7 @@ func (r *replicaState) admissible() bool {
 }
 
 // noteApplied advances the tracked replication cursor (monotonic —
-// mutation acks can only move it forward).
+// apply acks can only move it forward).
 func (r *replicaState) noteApplied(lsn uint64) {
 	r.mu.Lock()
 	if lsn > r.appliedLSN {
@@ -116,11 +112,10 @@ func (r *replicaState) applied() uint64 {
 // the tracked one and returns the result. before is the tracked cursor
 // when the probe was sent. If it has not moved since, the report stands
 // even when lower — that is a restarted replica, the reset setApplied
-// exists for. If a mutation ack advanced it while the probe was in
-// flight, the report is the older of the two observations and may only
-// raise the cursor: lowering it would show a caught-up replica as
-// lagging until the next sweep, and hand that stale value to the lag
-// test.
+// exists for, and the prober ejects it. If an apply ack advanced it
+// while the probe was in flight, the report is the older of the two
+// observations and may only raise the cursor: lowering it would show a
+// caught-up replica as lagging, and eject it as restarted.
 func (r *replicaState) probeApplied(before, reported uint64) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -133,11 +128,10 @@ func (r *replicaState) probeApplied(before, reported uint64) uint64 {
 // checkEpoch refuses a replica cursor beyond anything the log ever
 // issued: a replication epoch mismatch (e.g. the front-end was restarted
 // with a fresh -replog-dir over running replicas). Such a replica
-// answers every stamped write with a dedup no-op "success" — every write
-// would silently vanish — and "catching it up" would dedup-skip its way
-// to the head the same way. The write path ejects it on the ack and the
-// rejoin gate refuses it, so it stays out until an operator resolves the
-// epoch (restore the original log, or restart the replica clean).
+// answers every apply page with a dedup no-op "success" — every write
+// would silently vanish. The heartbeat's stream ejects it and the rejoin
+// gate refuses it, so it stays out until an operator resolves the epoch
+// (restore the original log, or restart the replica clean).
 func checkEpoch(cursor, head uint64) error {
 	if cursor > head {
 		return fmt.Errorf("fleet: replication epoch mismatch: replica cursor %d beyond log head %d", cursor, head)
@@ -145,32 +139,9 @@ func checkEpoch(cursor, head uint64) error {
 	return nil
 }
 
-// lagging is the divergence test the prober runs on each successful
-// probe of a live replica: it records this sweep's log bound and cursor
-// and reports whether the cursor sits two or more records below the
-// bound that already existed at the previous sweep — without
-// progressing since that sweep. Such a replica has silently lost or
-// stopped applying history (a restart the fan-out never noticed, a
-// wedged apply loop); ejecting it lets catch-up repair it. The
-// thresholds are what make this flap-free: writes are serialized, so at
-// most ONE record is ever mid-fan-out — a live replica lagging by
-// exactly one may just be a slow ack, but a lag of two is impossible
-// without a miss (which the write path would have ejected for) or a
-// restart. A cursor that is merely behind but advancing is just slow
-// (an in-flight fan-out, a scheduling hiccup) and must not flap the
-// ring; the no-progress condition is belt-and-braces against delivery
-// paths this analysis missed.
-func (r *replicaState) lagging(bound, cursor uint64) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	lag := cursor+1 < r.lagBound && cursor <= r.lagCursor
-	r.lagBound, r.lagCursor = bound, cursor
-	return lag
-}
-
-// fail records one failure (probe or query) and reports whether the
-// replica just transitioned to ejected.
-func (r *replicaState) fail(err error) bool {
+// fail records one failure (probe or query), ejecting the replica at
+// FailAfter consecutive ones.
+func (r *replicaState) fail(err error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.consecOKs = 0
@@ -181,16 +152,14 @@ func (r *replicaState) fail(err error) bool {
 	if r.live && r.consecFails >= r.failAfter {
 		r.live = false
 		r.counters.Ejection()
-		return true
 	}
-	return false
 }
 
 // eject forces the replica out of rotation immediately, bypassing the
-// FailAfter threshold. The replication write path uses it on KNOWN
-// divergence — a live replica that missed (or gap-rejected) a stamped
-// mutation is not "maybe flaky", it is provably behind, and it must
-// not serve another query until catch-up repairs it. FailAfter remains
+// FailAfter threshold. Delivery uses it on KNOWN divergence — a live
+// replica that failed an apply page, or reports a cursor below one it
+// acknowledged, is not "maybe flaky", it is provably behind, and it
+// must not serve another query until catch-up repairs it. FailAfter remains
 // the threshold for ambiguous evidence (probe failures, query
 // transport errors).
 func (r *replicaState) eject(err error) {
@@ -216,7 +185,6 @@ func (r *replicaState) retire() {
 	r.retired = true
 	r.live = false
 	r.catchingUp = false
-	r.lagBound = 0
 }
 
 // releaseGate ends the post-admission bootstrap hold: the next
@@ -228,17 +196,17 @@ func (r *replicaState) releaseGate() {
 	r.mu.Unlock()
 }
 
-// ok records one success (probe or query) and reports whether the
-// replica just transitioned back to live. With a rejoin gate
-// configured, probe successes alone never readmit: eligibility starts
-// (at most) one gate run, and only its successful completion — the
-// replica has streamed and applied the replication log through the
-// head — flips live (see finishGate).
-func (r *replicaState) ok() bool {
+// ok records one success (probe or query), readmitting the replica at
+// ReviveAfter consecutive ones. With a rejoin gate configured, probe
+// successes alone never readmit: eligibility starts (at most) one gate
+// run, and only its successful completion — the replica has streamed
+// and applied the replication log through the head — flips live (see
+// finishGate).
+func (r *replicaState) ok() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.retired {
-		return false
+		return
 	}
 	r.consecFails = 0
 	r.consecOKs++
@@ -253,20 +221,18 @@ func (r *replicaState) ok() bool {
 			// Admitted, healthy, but the join orchestration has not yet
 			// bootstrapped it — flipping live (or streaming the whole log)
 			// now would defeat the snapshot transfer.
-			return false
+			return
 		}
 		if r.gate != nil {
 			if !r.catchingUp {
 				r.catchingUp = true
 				go r.gate()
 			}
-			return false
+			return
 		}
 		r.live = true
 		r.counters.Readmission()
-		return true
 	}
-	return false
 }
 
 // finishGate completes a rejoin gate run: on success the replica goes
@@ -306,11 +272,6 @@ type topology struct {
 	retired []bool // slot permanently removed (implies !inRing)
 }
 
-// ringSlots returns the in-ring slot labels, ascending.
-func (t *topology) ringSlots() []int {
-	return t.ring.Slots()
-}
-
 // Pool is a health-checked registry of replica clients that implements
 // search.Searcher with consistent-hash routing and failover: each
 // seeker's queries go to the replica owning it on the ring; when that
@@ -319,8 +280,8 @@ func (t *topology) ringSlots() []int {
 // answers, so a dead replica's seekers spill across the survivors.
 //
 // Membership is elastic: Admit registers a new replica outside the
-// ring (it is probed and receives stamped fan-out, pinning the
-// replication log's truncation barrier, but serves no reads), Activate
+// ring (it is probed and pins the replication log's truncation
+// barrier, but serves no reads), Activate
 // splices its slot into the ring once it is bootstrapped and warm, and
 // Retire removes a slot from every plane. Each change publishes a new
 // immutable topology under the next epoch; in-flight queries keep the
@@ -333,11 +294,6 @@ type Pool struct {
 	// gate installation; the read path never takes it.
 	adminMu    sync.Mutex
 	rejoinGate func(replica int) error
-
-	// lagBound, when set, supplies the log bound every successful probe
-	// of a live replica is tested against (see SetLagBound). Atomic: the
-	// prober is already running when the Frontend installs it.
-	lagBound atomic.Pointer[func() uint64]
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -452,10 +408,10 @@ func (p *Pool) SetRejoinGate(gate func(replica int) error) {
 }
 
 // Admit registers a new replica as the next slot, OUTSIDE the routing
-// ring: it is probed for health, receives LSN-stamped fan-out (safe
-// under the ordering rule), and its zero cursor pins the replication
-// log's truncation barrier — exactly what a joiner bootstrapping from
-// a snapshot needs — but it serves no reads and its gate is held until
+// ring: it is probed for health, and its zero cursor pins the
+// replication log's truncation barrier — exactly what a joiner
+// bootstrapping from a snapshot needs — but it serves no reads, the
+// heartbeat does not stream it, and its gate is held until
 // ReleaseGate. Returns the new slot index.
 func (p *Pool) Admit(c *Client) (int, error) {
 	if c == nil {
@@ -530,7 +486,7 @@ func (p *Pool) Activate(i int) error {
 
 // Retire removes slot i from every plane under a new epoch: read
 // routing (its keys move to ring successors — and only its keys),
-// mutation fan-out, health probing, and the truncation barrier.
+// record delivery, health probing, and the truncation barrier.
 // One-way; the last in-ring slot cannot be retired.
 func (p *Pool) Retire(i int) error {
 	p.adminMu.Lock()
@@ -611,15 +567,6 @@ func (p *Pool) RingRemoving(slot int) (*shard.Ring, error) {
 	return shard.NewRingOf(slots, p.cfg.VirtualNodes)
 }
 
-// SetLagBound configures divergence detection on the probe path: each
-// live replica's self-reported cursor is tested (lagging) against the
-// log bound fn returns — 0 while nothing is deliverable or another node
-// streams to the replicas; nobody lags 0 — and a lagging replica is
-// ejected for catch-up to repair and readmit.
-func (p *Pool) SetLagBound(fn func() uint64) {
-	p.lagBound.Store(&fn)
-}
-
 // minApplied returns the minimum replication cursor across non-retired
 // replicas — the fleet's truncation barrier input. A just-admitted
 // joiner counts (its zero cursor pins the barrier through bootstrap);
@@ -693,15 +640,14 @@ func (p *Pool) probeAll() {
 			st.mu.Lock()
 			st.lastProbe = time.Now()
 			st.mu.Unlock()
-			if err != nil {
+			switch {
+			case err != nil:
 				st.fail(err)
-			} else {
-				applied = st.probeApplied(before, applied)
-				if bound := p.lagBound.Load(); bound != nil && st.isLive() && st.lagging((*bound)(), applied) {
-					st.eject(fmt.Errorf("fleet: replica cursor %d lags the replication log", applied))
-				} else {
-					st.ok()
-				}
+			case st.probeApplied(before, applied) < before && st.isLive():
+				// The replica lost history it acknowledged: it restarted.
+				st.eject(fmt.Errorf("fleet: replica cursor fell from %d to %d (restarted)", before, applied))
+			default:
+				st.ok()
 			}
 		}(i)
 	}

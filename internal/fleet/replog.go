@@ -13,15 +13,16 @@ import (
 
 // RepLog is the fleet's replication log: an LSN-stamped durable record
 // of every mutation the front-end accepted, appended *before* the
-// fan-out to replicas. It is the source a rejoining replica catches up
-// from — the record of exactly the history an ejected replica missed —
+// write is acknowledged. It is the source a replica behind the
+// front-end's held tail is streamed from — the record of exactly the
+// history an ejected replica missed —
 // and reuses internal/wal's segmented CRC-protected format and
 // internal/durable's record codec, so one framing and one payload
 // encoding serve both single-process crash-safety and fleet
 // replication.
 //
 // The log is opened with wal.SyncAlways: a front-end crash must never
-// lose a record that was fanned out, or a restarted front-end would
+// lose a record it acknowledged, or a restarted front-end would
 // reissue its LSN for a different mutation and replicas would
 // dedup-skip the new write. Reclamation is governed by the truncation
 // barrier (SetBarrier at the fleet's minimum applied LSN + 1): sealed
@@ -149,8 +150,8 @@ func (q quorumLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, err
 }
 
 // append appends to the consensus log and waits for the majority ack.
-// Only after it returns does the record exist for the fleet — fan-out
-// of an uncommitted record could surface a write a new leader later
+// Only after it returns does the record exist for the fleet — streaming
+// an uncommitted record could surface a write a new leader later
 // disowns.
 func (q quorumLog) append(ctx context.Context, t wal.Type, payload []byte) (uint64, error) {
 	// The span covers append → majority replicate → commit; the caller's

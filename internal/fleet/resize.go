@@ -15,17 +15,17 @@ import (
 // restart and without restreaming the whole replication log:
 //
 //  1. Admit — the joiner becomes a slot outside the routing ring. It is
-//     probed and receives LSN-stamped fan-out, and its zero cursor pins
-//     the replication log's truncation barrier, so the suffix it is
-//     about to need cannot be reclaimed mid-join.
+//     probed, and its zero cursor pins the replication log's truncation
+//     barrier, so the suffix it is about to need cannot be reclaimed
+//     mid-join.
 //  2. Bootstrap — a state snapshot pinned at some LSN L streams from a
 //     live replica into the joiner (GET→POST /v2/snapshot), replacing
 //     full history with one bulk transfer. A durable joiner that
 //     already holds a persisted cursor above the log's truncation
 //     barrier skips this step and resumes from its cursor instead.
 //  3. Catch-up — the ordinary rejoin gate streams the replog suffix
-//     (L, head], with the moving-head exit guaranteeing no gap when it
-//     declares the joiner caught up.
+//     (L, head]; it exits against the current bound, and the heartbeat
+//     streams the joiner every record committed after that.
 //  4. Pre-warm — the joiner materializes exactly the cached seeker
 //     horizons that the grown ring will move onto it (shard.MovedKeys
 //     over the current owners' resident seekers), so activation does

@@ -117,8 +117,8 @@ func TestElasticJoinAndRetireUnderTraffic(t *testing.T) {
 		}
 	}
 
-	// Writes after the join reach the joiner through ordinary stamped
-	// fan-out.
+	// Writes after the join reach the joiner through the heartbeat's
+	// stream, like every member's.
 	for i := 0; i < nUsers; i++ {
 		mutate(i)
 	}
@@ -131,15 +131,14 @@ func TestElasticJoinAndRetireUnderTraffic(t *testing.T) {
 	checkAnswers("after post-join writes")
 
 	// Shrink 3 → 2: retire slot 0, draining its cached slice to the ring
-	// successors. While it is a live member the prober keeps lag memory
-	// for it.
-	lagSeen := func(slot int) bool {
+	// successors. While it is a member the prober sweeps it.
+	lastProbe := func(slot int) time.Time {
 		st := pool.state(slot)
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		return st.lagBound != 0
+		return st.lastProbe
 	}
-	waitFor(t, 5*time.Second, func() bool { return lagSeen(0) })
+	waitFor(t, 5*time.Second, func() bool { return !lastProbe(0).IsZero() })
 	epoch = front.FleetEpoch()
 	if err := front.RetireReplica(ctx, 0); err != nil {
 		t.Fatalf("RetireReplica: %v", err)
@@ -167,12 +166,13 @@ func TestElasticJoinAndRetireUnderTraffic(t *testing.T) {
 	if got := reps[0].svc.AppliedLSN(); got != frozen {
 		t.Fatalf("retired replica cursor advanced %d → %d", frozen, got)
 	}
-	// Nor is it probed for lag (its memory went with the slot) or counted
-	// in the truncation barrier's minimum, which its frozen cursor would
-	// otherwise pin.
+	// Nor is it probed, or counted in the truncation barrier's minimum,
+	// which its frozen cursor would otherwise pin.
+	probed := lastProbe(0)
+	time.Sleep(50 * time.Millisecond) // five probe intervals
 	pool.probeAll()
-	if lagSeen(0) {
-		t.Fatal("retired slot still carries lag memory after a probe sweep")
+	if !lastProbe(0).Equal(probed) {
+		t.Fatal("retired slot still probed")
 	}
 	if got, head := pool.minApplied(), front.StatsAny().(Stats).Replog.Head; got != head || frozen >= head {
 		t.Fatalf("minApplied = %d with head %d and the retired slot frozen at %d; want the head", got, head, frozen)

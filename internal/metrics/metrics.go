@@ -80,16 +80,15 @@ func (s CacheSnapshot) HitRate() float64 {
 // for other replicas' seekers, hedged attempts, and health transitions.
 // All methods are safe for concurrent use; the zero value is ready.
 type ReplicaCounters struct {
-	requests        atomic.Int64
-	failures        atomic.Int64
-	failovers       atomic.Int64
-	hedgesLaunched  atomic.Int64
-	hedgesWon       atomic.Int64
-	ejections       atomic.Int64
-	readmissions    atomic.Int64
-	missedMutations atomic.Int64
-	catchups        atomic.Int64
-	catchupRecords  atomic.Int64
+	requests       atomic.Int64
+	failures       atomic.Int64
+	failovers      atomic.Int64
+	hedgesLaunched atomic.Int64
+	hedgesWon      atomic.Int64
+	ejections      atomic.Int64
+	readmissions   atomic.Int64
+	catchups       atomic.Int64
+	catchupRecords atomic.Int64
 }
 
 // Request records one request routed to the replica.
@@ -115,12 +114,6 @@ func (c *ReplicaCounters) Ejection() { c.ejections.Add(1) }
 // Readmission records the health checker restoring the replica.
 func (c *ReplicaCounters) Readmission() { c.readmissions.Add(1) }
 
-// MissedMutation records a forwarded mutation this replica did not
-// apply (unreachable, or skipped while out of rotation) — the
-// divergence the replication log's catch-up repairs, made visible so
-// operators can see it building before it is repaired.
-func (c *ReplicaCounters) MissedMutation() { c.missedMutations.Add(1) }
-
 // Catchup records one completed replication-log catch-up that replayed
 // n missed records into the replica before readmission.
 func (c *ReplicaCounters) Catchup(n int) {
@@ -131,32 +124,30 @@ func (c *ReplicaCounters) Catchup(n int) {
 // Snapshot returns a point-in-time copy for reporting.
 func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 	return ReplicaSnapshot{
-		Requests:        c.requests.Load(),
-		Failures:        c.failures.Load(),
-		Failovers:       c.failovers.Load(),
-		HedgesLaunched:  c.hedgesLaunched.Load(),
-		HedgesWon:       c.hedgesWon.Load(),
-		Ejections:       c.ejections.Load(),
-		Readmissions:    c.readmissions.Load(),
-		MissedMutations: c.missedMutations.Load(),
-		Catchups:        c.catchups.Load(),
-		CatchupRecords:  c.catchupRecords.Load(),
+		Requests:       c.requests.Load(),
+		Failures:       c.failures.Load(),
+		Failovers:      c.failovers.Load(),
+		HedgesLaunched: c.hedgesLaunched.Load(),
+		HedgesWon:      c.hedgesWon.Load(),
+		Ejections:      c.ejections.Load(),
+		Readmissions:   c.readmissions.Load(),
+		Catchups:       c.catchups.Load(),
+		CatchupRecords: c.catchupRecords.Load(),
 	}
 }
 
 // ReplicaSnapshot is a point-in-time view of ReplicaCounters, shaped
 // for JSON stats endpoints.
 type ReplicaSnapshot struct {
-	Requests        int64
-	Failures        int64
-	Failovers       int64
-	HedgesLaunched  int64
-	HedgesWon       int64
-	Ejections       int64
-	Readmissions    int64
-	MissedMutations int64
-	Catchups        int64
-	CatchupRecords  int64
+	Requests       int64
+	Failures       int64
+	Failovers      int64
+	HedgesLaunched int64
+	HedgesWon      int64
+	Ejections      int64
+	Readmissions   int64
+	Catchups       int64
+	CatchupRecords int64
 }
 
 // BroadcastCounters accumulates compaction heartbeat events (see

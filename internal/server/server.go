@@ -944,41 +944,61 @@ func (s *Server) handleSearchBatchV1(w http.ResponseWriter, r *http.Request) {
 		}
 		reqs[i] = search.Request{Seeker: q.Seeker, Tags: tags, K: k, Mode: search.ModeExact}
 	}
-	// Execute only the well-formed queries, preserving input positions.
+	batch, ok := s.runBatch(w, r, reqs, errs)
+	if !ok {
+		return
+	}
+	resp := BatchResponse{Results: make([]BatchEntry, len(reqs))}
+	for i, br := range batch {
+		switch {
+		case errs[i] != nil:
+			resp.Results[i] = BatchEntry{Error: errs[i].Error()}
+		case br.Err != nil:
+			resp.Results[i] = BatchEntry{Error: br.Err.Error()}
+		default:
+			resp.Results[i] = BatchEntry{Results: v1Results(br.Response.Results)}
+		}
+	}
+	s.writeJSON(w, r, resp)
+}
+
+// runBatch is both batch handlers' execution: the queries that passed
+// validation (errs[i] == nil) run as one backend batch under one
+// admission ticket — the batch is one unit of admitted work, the
+// brownout decision applies per query — and come back by input
+// position (entry i is zero where errs[i] is set). The backend is
+// skipped entirely when nothing survived validation (a durable backend
+// folds pending writes even for an empty batch). ok is false when
+// admission refused the batch; the response is written then.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error) ([]search.BatchResult, bool) {
 	var runnable []search.Request
 	var positions []int
+	var out []search.BatchResult
 	for i := range reqs {
 		if errs[i] == nil {
 			runnable = append(runnable, reqs[i])
 			positions = append(positions, i)
 		}
 	}
-	// Skip the backend entirely when nothing survived validation (a
-	// durable backend folds pending writes even for an empty batch).
-	var batch []search.BatchResult
 	if len(runnable) > 0 {
 		tk, ok := s.admit(w, r, admission.Read)
 		if !ok {
-			return
+			return nil, false
 		}
-		batch = s.backend.DoBatch(r.Context(), runnable)
-		tk.Release(batchOutcome(batch))
-	}
-	resp := BatchResponse{Results: make([]BatchEntry, len(reqs))}
-	for i, err := range errs {
-		if err != nil {
-			resp.Results[i] = BatchEntry{Error: err.Error()}
+		for i := range runnable {
+			s.applyBrownout(tk.Level, &runnable[i])
 		}
+		out = s.backend.DoBatch(r.Context(), runnable)
+		tk.Release(batchOutcome(out))
 	}
-	for j, br := range batch {
-		i := positions[j]
-		if br.Err != nil {
-			resp.Results[i] = BatchEntry{Error: br.Err.Error()}
-			continue
-		}
-		resp.Results[i] = BatchEntry{Results: v1Results(br.Response.Results)}
+	if len(out) == len(reqs) {
+		return out, true // every query ran: positions are the identity
 	}
-	s.writeJSON(w, r, resp)
+	byPos := make([]search.BatchResult, len(reqs))
+	for j, br := range out {
+		byPos[positions[j]] = br
+	}
+	return byPos, true
 }
 
 // V2Query is the wire form of one search.Request. The server only
@@ -1159,42 +1179,21 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	for i, q := range body.Queries {
 		reqs[i], errs[i] = q.request()
 	}
-	var runnable []search.Request
-	var positions []int
-	for i := range reqs {
-		if errs[i] == nil {
-			runnable = append(runnable, reqs[i])
-			positions = append(positions, i)
-		}
-	}
-	var batch []search.BatchResult
-	if len(runnable) > 0 {
-		tk, ok := s.admit(w, r, admission.Read)
-		if !ok {
-			return
-		}
-		// One ticket covers the whole envelope (the batch is one unit of
-		// admitted work); the brownout decision applies per query.
-		for i := range runnable {
-			s.applyBrownout(tk.Level, &runnable[i])
-		}
-		batch = s.backend.DoBatch(r.Context(), runnable)
-		tk.Release(batchOutcome(batch))
+	batch, ok := s.runBatch(w, r, reqs, errs)
+	if !ok {
+		return
 	}
 	resp := V2BatchResponse{Results: make([]V2BatchEntry, len(reqs)), Spans: obs.WireSpans(r.Context())}
-	for i, err := range errs {
-		if err != nil {
-			resp.Results[i] = V2BatchEntry{Error: fmt.Sprintf("query %d: %v", i, err), ErrorKind: ErrKindInvalid}
-		}
-	}
-	for j, br := range batch {
-		i := positions[j]
-		if br.Err != nil {
+	for i, br := range batch {
+		switch {
+		case errs[i] != nil:
+			resp.Results[i] = V2BatchEntry{Error: fmt.Sprintf("query %d: %v", i, errs[i]), ErrorKind: ErrKindInvalid}
+		case br.Err != nil:
 			kind, retryMS := classifyWireErr(br.Err)
 			resp.Results[i] = V2BatchEntry{Error: br.Err.Error(), ErrorKind: kind, RetryAfterMS: retryMS}
-			continue
+		default:
+			resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
 		}
-		resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
 	}
 	s.writeJSON(w, r, resp)
 }
