@@ -102,14 +102,24 @@ func (c *doneFromSecondCall) Err() error {
 
 // TestAbortedRefineLeavesPooledRunClean: a RefineScores join stopped
 // mid-sweep returns its run to the pool with the top-k selection still
-// deferred to a finish that never ran. The merges that reuse the run
-// must not inherit that: each non-refine merge after such an abort
-// answers exactly what a fresh engine does — results, Exact, accesses
-// and users settled.
+// deferred to a finish that never ran, and with the scores of the users
+// it did sweep in its dense per-item scratch. The merges that reuse the
+// run must not inherit either: each non-refine merge and each refine
+// join after such an abort answers exactly what a fresh engine does —
+// results, Exact, accesses and users settled.
 func TestAbortedRefineLeavesPooledRunClean(t *testing.T) {
 	const users = 600 // more than the join's 64-user checkpoint stride
 	q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}
-	want, err := lineEngine(t, users).SocialMerge(q, Options{})
+	fresh := lineEngine(t, users)
+	want, err := fresh.SocialMerge(q, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshH, err := fresh.MaterializeHorizon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJoin, err := fresh.SocialMergeWithHorizon(q, freshH, Options{RefineScores: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,17 +131,29 @@ func TestAbortedRefineLeavesPooledRunClean(t *testing.T) {
 	if h.Size() <= 64 {
 		t.Fatalf("horizon of %d users never reaches the join's second checkpoint", h.Size())
 	}
-	for i := 0; i < 10; i++ {
+	abort := func() {
+		t.Helper()
 		ctx := &doneFromSecondCall{Context: context.Background()}
 		if _, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, Ctx: ctx}); !errors.Is(err, context.Canceled) {
 			t.Fatalf("refine join: err = %v, want context.Canceled at its second checkpoint", err)
 		}
+	}
+	for i := 0; i < 10; i++ {
+		abort()
 		got, err := e.SocialMerge(q, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("merge %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, want)
+		}
+		abort()
+		got, err = e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, wantJoin) {
+			t.Fatalf("refine join %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, wantJoin)
 		}
 	}
 }

@@ -101,6 +101,8 @@ func TestRefineScoresSettlesWholeHorizon(t *testing.T) {
 // lazy expansion returns — results, Exact and every access counter —
 // for β = 1, a blend and pure-global scoring, with a repeated query tag,
 // and for truncated horizons, which reach the residual certification.
+// Each query also runs with k = every item, so every candidate with a
+// positive score is compared, not only the top few.
 // Each corpus is queried as built and again after a chain of merges, so
 // the join also reads posting lists a merge wrote beside ones it shared.
 func TestRefineJoinMatchesSettleLoop(t *testing.T) {
@@ -166,31 +168,35 @@ func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
 	for s := 0; s < e.Graph().NumUsers(); s++ {
 		first := tag()
 		q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(8)}
+		all := q
+		all.K = e.Store().NumItems()
 		for _, maxUsers := range [...]int{0, 1 + rng.Intn(6)} {
 			h, err := e.MaterializeHorizon(q.Seeker, maxUsers)
 			if err != nil {
 				t.Fatal(err)
 			}
-			join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(join, loop) {
-				t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
-			}
-			if h.Residual() > 0 {
-				continue
-			}
-			lazy, err := e.SocialMerge(q, Options{RefineScores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(join, lazy) {
-				t.Fatalf("β=%g %+v over its whole horizon of %d:\njoin %+v\nlazy %+v", beta, q, h.Size(), join, lazy)
+			for _, q := range [...]Query{q, all} {
+				join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(join, loop) {
+					t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
+				}
+				if h.Residual() > 0 {
+					continue
+				}
+				lazy, err := e.SocialMerge(q, Options{RefineScores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(join, lazy) {
+					t.Fatalf("β=%g %+v over its whole horizon of %d:\njoin %+v\nlazy %+v", beta, q, h.Size(), join, lazy)
+				}
 			}
 		}
 	}

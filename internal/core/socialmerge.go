@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
@@ -156,6 +157,12 @@ type mergeRun struct {
 	rank  []int32
 	slots []listSlot
 	posts [][]tagstore.UserPosting
+
+	// Scratch of sweepDense, indexed by item: score[i] is item i's
+	// social score so far and bit i of seen marks an item some posting
+	// touched. Both are all zero between queries.
+	score []float64
+	seen  []uint64
 }
 
 // listSlot locates one (user, tag) posting list inside its tag's
@@ -163,10 +170,11 @@ type mergeRun struct {
 type listSlot struct{ off, n int32 }
 
 // runPool recycles SocialMerge working state (candidate table, cursor
-// slices, tag buffers, the join's rank array) so the warm read path
-// allocates nothing. It is the package's, not an engine's: every
-// compaction builds a new Engine, and the first merges on it reuse the
-// arrays the last engine's merges grew instead of allocating their own.
+// slices, tag buffers, the join's rank, slot and per-item score arrays)
+// so the warm read path allocates nothing. It is the package's, not an
+// engine's: every compaction builds a new Engine, and the first merges
+// on it reuse the arrays the last engine's merges grew instead of
+// allocating their own.
 var runPool = sync.Pool{New: func() any { return new(mergeRun) }}
 
 // acquireRun checks a recycled run out of the pool and resets it for
@@ -364,6 +372,12 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	for _, entry := range h.list {
 		r.rank[entry.User] = 0
 	}
+	if r.refineFast && h.residual == 0 {
+		if err := r.sweepDense(h, nt, opts); err != nil {
+			return false, err
+		}
+		return r.finish(h.residual, opts)
+	}
 	for k, entry := range h.list {
 		if k%64 == 0 {
 			if err := ctxErr(opts.Ctx); err != nil {
@@ -378,6 +392,61 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 		r.userSettled()
 	}
 	return r.finish(h.residual, opts)
+}
+
+// sweepDense is joinHorizon's sweep for β = 1 exact refine over an
+// untruncated horizon, where a candidate is only ever raised and nothing
+// reads the table before finish. Each posting adds β·σ·tf into
+// score[item] instead of reaching its candidate through the table's
+// stamp and slot arrays; then one walk of the seen bitmap hands every
+// touched item to the table in item order. Every item receives the addends settleList would have given its
+// candidate, in the same order (rank, query tag, list position) and from
+// the same 0, so each Lower comes out bit-identical; only the table's
+// insertion order differs, which nothing after Select observes. A
+// truncated horizon keeps the settleList sweep: it also needs each
+// candidate's Rem = −Σ tf for repairRems.
+func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
+	n := r.e.store.NumItems()
+	if len(r.score) < n {
+		r.score = make([]float64, n)
+		r.seen = make([]uint64, (n+63)/64)
+	}
+	score, seen := r.score, r.seen
+	for k, entry := range h.list {
+		if k%64 == 0 {
+			if err := ctxErr(opts.Ctx); err != nil {
+				clear(score)
+				clear(seen)
+				return err
+			}
+		}
+		w := r.beta * entry.Prox
+		for i, slot := range r.slots[k*nt : (k+1)*nt] {
+			if slot.n == 0 {
+				continue
+			}
+			list := r.posts[i][slot.off : slot.off+slot.n]
+			r.acc.Sequential += int64(len(list))
+			for _, up := range list {
+				score[up.Item] += w * float64(up.TF)
+				seen[up.Item>>6] |= 1 << (up.Item & 63)
+			}
+		}
+		r.userSettled()
+	}
+	for b, word := range seen[:(n+63)/64] {
+		if word == 0 {
+			continue
+		}
+		seen[b] = 0
+		for ; word != 0; word &= word - 1 {
+			item := int32(b<<6 | bits.TrailingZeros64(word))
+			idx, _ := r.table.Ensure(item)
+			c := r.table.At(idx)
+			c.Lower, score[item] = score[item], 0
+		}
+	}
+	return nil
 }
 
 // repairRems switches a β = 1 fast-path run back to fully initialized
