@@ -1,18 +1,38 @@
 package core
 
 import (
+	"os"
+	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/proximity"
 )
 
+// benchScale is the corpus scale the engine benchmarks generate at:
+// the BENCH_SCALE environment variable, or 5 — the corpus fleetbench
+// serves, 10,000 users — when it is unset. docs/perf.md ("Engine rows
+// by corpus scale") runs them at 5, 25 and 50.
+func benchScale(b *testing.B) float64 {
+	v := os.Getenv("BENCH_SCALE")
+	if v == "" {
+		return 5
+	}
+	s, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(s > 0) {
+		b.Fatalf("BENCH_SCALE=%q: want a positive number", v)
+	}
+	return s
+}
+
 // servingWorkload is the shape fleetbench's reads have: the tier-1
-// corpus under the serving defaults for proximity and β, and 192
-// queries with two neighbourhood-biased tags from uniform seekers.
+// corpus (at benchScale) under the serving defaults for proximity and
+// β, and 192 queries with two neighbourhood-biased tags from uniform
+// seekers.
 func servingWorkload(b *testing.B) (*Engine, []gen.QuerySpec) {
 	b.Helper()
-	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
+	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -36,17 +56,21 @@ func servingWorkload(b *testing.B) (*Engine, []gen.QuerySpec) {
 // merge: one full expansion of a seeker's horizon into the form qcache
 // keeps. B/op is what the miss leaves behind for the collector — the
 // horizon has to own its memory, so the floor is the struct plus an
-// exact-size list (16 B a user).
+// exact-size list (16 B a user). The users metrics are the served
+// horizons' mean, 90th percentile and largest size.
 func BenchmarkMaterializeHorizon(b *testing.B) {
 	e, specs := servingWorkload(b)
 	users := 0
-	for _, s := range specs { // warm the iterator pool to the largest horizon
+	sizes := make([]int, len(specs))
+	for i, s := range specs { // warm the iterator pool to the largest horizon
 		h, err := e.MaterializeHorizon(s.Seeker, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
 		users += h.Size()
+		sizes[i] = h.Size()
 	}
+	slices.Sort(sizes)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -55,6 +79,8 @@ func BenchmarkMaterializeHorizon(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(users)/float64(len(specs)), "users")
+	b.ReportMetric(float64(sizes[len(sizes)*9/10]), "p90-users")
+	b.ReportMetric(float64(sizes[len(sizes)-1]), "max-users")
 }
 
 // BenchmarkRefineHorizonMerge times one exact (RefineScores) query,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,12 @@ func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
 	beta := e.beta
 	rng := rand.New(rand.NewSource(seed))
 	tag := func() tagstore.TagID { return tagstore.TagID(rng.Intn(e.Store().NumTags())) }
+	type checked struct {
+		q    Query
+		h    *SeekerHorizon
+		want Answer
+	}
+	var runs []checked
 	for s := 0; s < e.Graph().NumUsers(); s++ {
 		first := tag()
 		q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(8)}
@@ -187,6 +194,7 @@ func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
 				if !reflect.DeepEqual(join, loop) {
 					t.Fatalf("β=%g %+v over %d of its horizon (residual %g):\njoin %+v\nloop %+v", beta, q, h.Size(), h.Residual(), join, loop)
 				}
+				runs = append(runs, checked{q, h, loop})
 				if h.Residual() > 0 {
 					continue
 				}
@@ -199,5 +207,24 @@ func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
 				}
 			}
 		}
+	}
+	// The same joins back to back on one goroutine, so they share one
+	// pooled run: largest horizon first, then smallest first. A slot row
+	// one query leaves behind — the sink's or a real rank's — would be
+	// read by a smaller horizon after a larger one.
+	slices.SortStableFunc(runs, func(a, b checked) int { return b.h.Size() - a.h.Size() })
+	for range 2 {
+		prev := 0
+		for _, c := range runs {
+			join, err := e.SocialMergeWithHorizon(c.q, c.h, Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(join, c.want) {
+				t.Fatalf("β=%g %+v over %d of its horizon, after one over %d:\njoin %+v\nloop %+v", beta, c.q, c.h.Size(), prev, join, c.want)
+			}
+			prev = c.h.Size()
+		}
+		slices.Reverse(runs)
 	}
 }

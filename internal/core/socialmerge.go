@@ -152,8 +152,10 @@ type mergeRun struct {
 
 	// Scratch of joinHorizon. rank[u] is 1 + the horizon position of
 	// user u, 0 for everyone outside; it is all zero between queries.
-	// slots[k·|tags|+i] is where the list of the horizon's k-th user
-	// under the i-th query tag lies in posts[i], that tag's postings.
+	// slots[k·|tags|+i] is where the list of the user of rank k under
+	// the i-th query tag lies in posts[i], that tag's postings. Row 0
+	// is a sink: the slot scan stores every tag user's list into the
+	// row of its rank, and users outside the horizon land there.
 	rank  []int32
 	slots []listSlot
 	posts [][]tagstore.UserPosting
@@ -337,9 +339,12 @@ func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
 // the arithmetic mainLoop would put them through and the accounting
 // comes out equal. What differs is how a user's lists are found. Each
 // query tag's user list is scanned once against the horizon's rank
-// marks and the hits land in a rank × tag slot array; the sweep over
-// ranks then settles the slots that are set and nothing else, where
-// settleUser searches every (user, tag) pair and mostly finds nothing.
+// marks into a rank × tag slot array. The scan stores every user's
+// slot without testing the mark — about one tag user in six is in the
+// horizon, a branch no predictor learns — and the users outside, rank
+// 0, all land in the sink row 0. The sweep over ranks 1..|horizon| then
+// settles the slots that are set and nothing else, where settleUser
+// searches every (user, tag) pair and mostly finds nothing.
 // The store keeps a tag's lists back to back, so everything the sweep
 // reads lies in the query tags' own postings.
 func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
@@ -351,22 +356,21 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	if len(r.rank) < st.NumUsers() {
 		r.rank = make([]int32, st.NumUsers())
 	}
-	if cap(r.slots) < len(h.list)*nt {
-		r.slots = make([]listSlot, len(h.list)*nt)
+	if cap(r.slots) < (len(h.list)+1)*nt {
+		r.slots = make([]listSlot, (len(h.list)+1)*nt)
 	}
-	r.slots = r.slots[:len(h.list)*nt]
+	r.slots = r.slots[:(len(h.list)+1)*nt]
 	clear(r.slots)
 	r.posts = r.posts[:0]
 	for k, entry := range h.list {
 		r.rank[entry.User] = int32(k) + 1
 	}
+	slots := r.slots
 	for i, t := range tags {
 		users, off, post := st.TagLists(t)
 		r.posts = append(r.posts, post)
 		for p, u := range users {
-			if k := r.rank[u]; k != 0 {
-				r.slots[int(k-1)*nt+i] = listSlot{off: off[p], n: off[p+1] - off[p]}
-			}
+			slots[int(r.rank[u])*nt+i] = listSlot{off: off[p], n: off[p+1] - off[p]}
 		}
 	}
 	for _, entry := range h.list {
@@ -384,7 +388,7 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 				return false, err
 			}
 		}
-		for i, slot := range r.slots[k*nt : (k+1)*nt] {
+		for i, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
 			if slot.n != 0 {
 				r.settleList(r.posts[i][slot.off:slot.off+slot.n], entry.Prox)
 			}
@@ -421,7 +425,7 @@ func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 			}
 		}
 		w := r.beta * entry.Prox
-		for i, slot := range r.slots[k*nt : (k+1)*nt] {
+		for i, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
 			if slot.n == 0 {
 				continue
 			}

@@ -2,6 +2,8 @@ package overlay
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"repro/internal/gen"
@@ -9,13 +11,29 @@ import (
 	"repro/internal/tagstore"
 )
 
+// benchScale is the corpus scale benchCompact generates at: the
+// BENCH_SCALE environment variable, or 5 when it is unset. It reads the
+// same variable as internal/core's engine benchmarks.
+func benchScale(b *testing.B) float64 {
+	v := os.Getenv("BENCH_SCALE")
+	if v == "" {
+		return 5
+	}
+	s, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(s > 0) {
+		b.Fatalf("BENCH_SCALE=%q: want a positive number", v)
+	}
+	return s
+}
+
 // benchCompact times one compaction of a batch of 64 writes — tags of
 // them Tag calls with Zipf-drawn tags, the rest Befriend calls — into
-// the corpus fleetbench serves (10,000 users, ~1.1M triples). Every
-// iteration compacts a fresh batch into the same base, so ns/op is what
-// one heartbeat costs one replica.
+// the generated corpus, by default the one fleetbench serves (scale 5:
+// 10,000 users, ~1.1M triples; benchScale). Every iteration compacts a
+// fresh batch into the same base, so ns/op is what one heartbeat costs
+// one replica.
 func benchCompact(b *testing.B, tags int) {
-	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
+	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,15 +19,19 @@
 // correct and instance-optimal in the number of users settled.
 //
 // The cost per settled user is one pop of the frontier heap plus the
-// relaxation of the user's row, and the rows dominate: on the fleetbench
-// corpus at the serving parameters an expansion settles about 1,600
-// users and scans about 36,000 edges. Two things keep it down. A user
-// whose σ times the graph's largest weight (graph.Graph.MaxWeight) times
-// α is below MinSigma can push no candidate to the floor, so its row is
-// not read at all; that is about nine settled users in ten there, and
-// most of the scans. And the heap pops bottom-up: the hole left at the
-// root walks to a leaf along the better child, one comparison a level,
-// and the last item sifts up from that leaf.
+// relaxation of the user's row. On the fleetbench corpus at the serving
+// parameters an expansion settles 1,568 users, pushes and pops 1,640
+// items (72 of the pops find a user already settled), holds up to about
+// 1,484 items at once, and reads about 5,240 edges. The rows are cheap
+// because of the floor: a user whose σ times the graph's largest weight
+// (graph.Graph.MaxWeight) times α is below MinSigma can push no
+// candidate to it, so its row is not read at all — about nine settled
+// users in ten there. What is left is the heap, about ten levels deep.
+// It pops bottom-up: the hole left at the root walks to a leaf along
+// the better child, one comparison a level, and the last item sifts up
+// from that leaf. Which child is better is a coin flip, so the walk
+// adds the comparison's outcome to the child index instead of branching
+// on it.
 //
 // The package also provides batch computation, random-walk-with-restart
 // proximity (an alternative σ used in ablations), and landmark sketches
@@ -274,10 +278,11 @@ type frontierItem struct {
 	h int32
 }
 
-// frontierHeap is an allocation-light max-heap on proximity with id
-// tie-breaking for determinism. A hand-rolled heap avoids the
+// frontierHeap is an allocation-light binary max-heap on proximity
+// with id tie-breaking for determinism. A hand-rolled heap avoids the
 // per-operation interface boxing of container/heap, which matters on
-// the query hot path.
+// the query hot path: an expansion on the fleetbench corpus pops 1,640
+// items from a heap of up to about 1,484.
 type frontierHeap struct {
 	items []frontierItem
 }
@@ -313,7 +318,12 @@ func (f *frontierHeap) push(it frontierItem) {
 // moves down to a leaf along the better child — one comparison a level,
 // where sifting the last item down takes two — and the last item then
 // sifts up from that leaf. It came from the bottom, so it rarely climbs
-// far.
+// far. The better child is picked by adding the comparison's outcome
+// (b2i) to the left child's index, not by a branch: which child wins is
+// a coin flip no predictor learns, so a branch on it mispredicts about
+// every other level. The c+1 < last test stays a branch; it fails only
+// at the bottom level. before is a strict total order, so any valid
+// heap pops the same sequence, and how the walk picks cannot change it.
 func (f *frontierHeap) pop() frontierItem {
 	items := f.items
 	top := items[0]
@@ -326,8 +336,8 @@ func (f *frontierHeap) pop() frontierItem {
 	}
 	i := 0
 	for c := 1; c < last; c = 2*i + 1 {
-		if c+1 < last && before(items[c+1], items[c]) {
-			c++
+		if c+1 < last {
+			c += b2i(before(items[c+1], items[c]))
 		}
 		items[i] = items[c]
 		i = c
@@ -342,6 +352,16 @@ func (f *frontierHeap) pop() frontierItem {
 	}
 	items[i] = x
 	return top
+}
+
+// b2i is 1 for true and 0 for false. The compiler turns it into a flag
+// set (SETcc), not a jump, so the choice it feeds costs no prediction.
+func b2i(b bool) int {
+	var n int
+	if b {
+		n = 1
+	}
+	return n
 }
 
 // All computes σ(seeker, v) for every user in one batch. It is the

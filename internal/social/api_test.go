@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -260,23 +261,43 @@ func TestDoBatchPreCancelled(t *testing.T) {
 	}
 }
 
+// cancelOnCheck is a context that cancels itself on its n-th Err check.
+// Every query the batch starts checks Err at least once first, so the
+// cancellation lands after at most n queries have started, on any
+// machine however fast, while the dispatcher is still feeding the worker.
+type cancelOnCheck struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int64
+}
+
+func (c *cancelOnCheck) Err() error {
+	if c.left.Add(-1) == 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestDoBatchMidFlightCancel: cancelling while a single-worker batch of
 // slow queries is in flight fails the unstarted queries with ctx.Err()
 // and returns promptly.
 func TestDoBatchMidFlightCancel(t *testing.T) {
 	svc := slowWorld(t, 3000)
-	ctx, cancel := context.WithCancel(context.Background())
-	const n = 256
+	inner, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const n, checks = 256, 64
+	ctx := &cancelOnCheck{Context: inner, cancel: cancel}
+	ctx.left.Store(checks)
 	reqs := make([]search.Request, n)
 	for i := range reqs {
 		// Distinct seekers: every query pays a full horizon expansion.
 		reqs[i] = search.Request{Seeker: fmt.Sprintf("u%d", i), Tags: []string{"t"}, K: 3}
 	}
-	go func() {
-		time.Sleep(2 * time.Millisecond)
-		cancel()
-	}()
+	start := time.Now()
 	out := svc.DoBatch(ctx, reqs)
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Fatalf("cancelled batch took %s", elapsed)
+	}
 
 	cancelled := 0
 	for i, br := range out {
@@ -291,8 +312,10 @@ func TestDoBatchMidFlightCancel(t *testing.T) {
 			t.Fatalf("query %d: unexpected error %v", i, br.Err)
 		}
 	}
-	if cancelled == 0 {
-		t.Skip("batch finished before cancellation landed (machine too fast for the timing window)")
+	// At most `checks` queries can have started before the cancel; every
+	// later one must fail with ctx.Err().
+	if cancelled < n-checks {
+		t.Fatalf("%d/%d queries cancelled, want at least %d", cancelled, n, n-checks)
 	}
 	t.Logf("%d/%d queries cancelled", cancelled, n)
 }
