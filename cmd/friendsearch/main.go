@@ -176,9 +176,8 @@ func run(args []string, stdout io.Writer) error {
 		// Over a materialized horizon, as the serving path runs it, so
 		// -explain can report the horizon the query consumed.
 		var h *core.SeekerHorizon
-		if h, err = engine.MaterializeHorizonCtx(ctx, q.Seeker, 0); err == nil {
+		if h, err = engine.MaterializeHorizonCtx(ctx, q.Seeker); err == nil {
 			ex.HorizonUsers = h.Size()
-			ex.HorizonResidual = h.Residual()
 			ans, err = engine.SocialMergeWithHorizon(q, h, opts)
 		}
 	} else {
@@ -261,8 +260,8 @@ func printExplain(w io.Writer, ex *search.Explain, plan *planner.Plan) {
 		fmt.Fprint(w, "}")
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintf(w, "horizon=%d residual=%.4f score_bound=%.4f beta=%.2f\n",
-		ex.HorizonUsers, ex.HorizonResidual, ex.ScoreBound, ex.Beta)
+	fmt.Fprintf(w, "horizon=%d score_bound=%.4f beta=%.2f\n",
+		ex.HorizonUsers, ex.ScoreBound, ex.Beta)
 }
 
 func printResults(w io.Writer, rs []search.Result) {

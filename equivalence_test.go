@@ -171,9 +171,9 @@ func TestPropertyAllAlgorithmsAgree(t *testing.T) {
 // unbounded horizons, /v2/search and /v2/search/batch answer auto (sent
 // as the default, no mode), exact and approx with what the ExactSocial
 // oracle computes on the same snapshot, through seeded rounds of
-// friendship and tag mutations. On a service that truncates horizons
-// (MaxHorizonUsers) there is no oracle, and the three modes must give
-// byte-identical results and Explain apart from the echoed mode.
+// friendship and tag mutations, and the three modes, single and in a
+// batch, give byte-identical results and Explain apart from the echoed
+// mode.
 func TestV2ModeEquivalence(t *testing.T) {
 	modes := []string{"", "exact", "approx"}
 	prox := proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}
@@ -212,6 +212,7 @@ func TestV2ModeEquivalence(t *testing.T) {
 			}
 			var batch []server.V2Query
 			var want [][]search.Result
+			var modeless []string
 			for trial := 0; trial < 6; trial++ {
 				seeker, tag, k := rng.Intn(g.NumUsers()), rng.Intn(st.NumTags()), 1+rng.Intn(8)
 				oracle, err := eng.ExactSocial(core.Query{Seeker: graph.UserID(seeker), Tags: []tagstore.TagID{tagstore.TagID(tag)}, K: k})
@@ -223,13 +224,21 @@ func TestV2ModeEquivalence(t *testing.T) {
 					name, _ := names.Items.Name(r.Item)
 					exact[i] = search.Result{Item: name, Score: r.Score}
 				}
+				q := server.V2Query{Seeker: fmt.Sprintf("u%d", seeker), Tags: []string{fmt.Sprintf("t%d", tag)}, K: k, Explain: true}
+				// Warm the seeker's horizon, so every mode below is a cache
+				// hit and Explain may not differ in CacheHit.
+				postV2(t, srv, "/v2/search", q, &server.V2SearchResponse{})
 				for _, mode := range modes {
-					q := server.V2Query{Seeker: fmt.Sprintf("u%d", seeker), Tags: []string{fmt.Sprintf("t%d", tag)}, K: k, Mode: mode, Explain: true}
+					q.Mode = mode
 					var resp server.V2SearchResponse
 					postV2(t, srv, "/v2/search", q, &resp)
 					label := fmt.Sprintf("round %d trial %d mode %q", round, trial, mode)
 					checkExactAnswer(t, label, mode, resp.Results, resp.Explain, exact)
-					batch, want = append(batch, q), append(want, exact)
+					a := modelessAnswer(t, resp.Results, resp.Explain)
+					if mode != "" && a != modeless[len(modeless)-1] {
+						t.Fatalf("%s differs from auto's\n got %s\nwant %s", label, a, modeless[len(modeless)-1])
+					}
+					batch, want, modeless = append(batch, q), append(want, exact), append(modeless, a)
 				}
 			}
 			var resp server.V2BatchResponse
@@ -238,53 +247,12 @@ func TestV2ModeEquivalence(t *testing.T) {
 				if e.Error != "" {
 					t.Fatalf("round %d batch entry %d: %s", round, i, e.Error)
 				}
-				checkExactAnswer(t, fmt.Sprintf("round %d batch entry %d", round, i), batch[i].Mode, e.Results, e.Explain, want[i])
-			}
-		}
-	})
-
-	t.Run("truncated", func(t *testing.T) {
-		ds := equivCorpus(t, 42)
-		cfg := social.DefaultServiceConfig()
-		cfg.Proximity = prox
-		cfg.MaxHorizonUsers = 12
-		_, srv := v2Service(t, ds, cfg)
-		rng := rand.New(rand.NewSource(11))
-		truncated := 0
-		for trial := 0; trial < 8; trial++ {
-			q := server.V2Query{
-				Seeker: fmt.Sprintf("u%d", rng.Intn(ds.Graph.NumUsers())),
-				Tags:   []string{fmt.Sprintf("t%d", rng.Intn(ds.Store.NumTags()))},
-				K:      1 + rng.Intn(8), Explain: true,
-			}
-			// Warm the seeker's horizon, so every mode below is a cache hit
-			// and Explain may not differ in CacheHit.
-			postV2(t, srv, "/v2/search", q, &server.V2SearchResponse{})
-			var answers []string
-			var batch server.V2BatchRequest
-			for _, mode := range modes {
-				q.Mode = mode
-				var resp server.V2SearchResponse
-				postV2(t, srv, "/v2/search", q, &resp)
-				if resp.Explain.HorizonResidual > 0 {
-					truncated++
-				}
-				answers = append(answers, modelessAnswer(t, resp.Results, resp.Explain))
-				batch.Queries = append(batch.Queries, q)
-			}
-			var resp server.V2BatchResponse
-			postV2(t, srv, "/v2/search/batch", batch, &resp)
-			for _, e := range resp.Results {
-				answers = append(answers, modelessAnswer(t, e.Results, e.Explain))
-			}
-			for i, a := range answers {
-				if a != answers[0] {
-					t.Fatalf("trial %d: answer %d differs from auto's\n got %s\nwant %s", trial, i, a, answers[0])
+				label := fmt.Sprintf("round %d batch entry %d", round, i)
+				checkExactAnswer(t, label, batch[i].Mode, e.Results, e.Explain, want[i])
+				if a := modelessAnswer(t, e.Results, e.Explain); a != modeless[i] {
+					t.Fatalf("%s differs from its single query\n got %s\nwant %s", label, a, modeless[i])
 				}
 			}
-		}
-		if truncated == 0 {
-			t.Fatal("no query reached a truncated horizon")
 		}
 	})
 }

@@ -117,11 +117,9 @@ func TestFreshEngineCachedMergeZeroAlloc(t *testing.T) {
 // answer from the lazy pointer-graph expansion (NoCache) bit-for-bit:
 // same items, same float64 scores, same certified ScoreBound, same
 // Exact flag, same access accounting. Queries repeat a tag and name one
-// nobody in the horizon used; the variants cover β < 1 and truncated
-// horizons (MaxHorizonUsers, where the lazy path is no reference and
-// the per-user probe over the same horizon takes its place, see
-// crossCheckKernels). Each round ends with a concurrent DoInto storm so
-// `go test -race` exercises the pooled arenas under contention.
+// nobody in the horizon used; the variants cover β < 1. Each round
+// ends with a concurrent DoInto storm so `go test -race` exercises the
+// pooled arenas under contention.
 func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 	const (
 		users = 24
@@ -130,17 +128,12 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 	)
 	ctx := context.Background()
 	user := func(i int) string { return fmt.Sprintf("u%d", i) }
-	variants := []struct {
-		beta       float64
-		maxHorizon int
-	}{{1, 0}, {1, 0}, {0.6, 0}, {1, 6}, {0.6, 6}}
-	for vi, variant := range variants {
+	for vi, beta := range []float64{1, 1, 0.6} {
 		seed := int64(vi + 1)
 		rng := rand.New(rand.NewSource(seed))
 		cfg := social.DefaultServiceConfig()
 		cfg.Proximity = proximity.Params{Alpha: 0.7, SelfWeight: 1, MinSigma: 0.02}
-		cfg.Beta = variant.beta
-		cfg.MaxHorizonUsers = variant.maxHorizon
+		cfg.Beta = beta
 		cfg.AutoCompactEvery = 0 // every write compacts and invalidates
 		cfg.SeekerCacheSize = 256
 		svc, err := social.NewService(cfg)
@@ -220,13 +213,11 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ptr := miss // a truncated horizon has no lazy twin: hold the hit to the miss
-				if variant.maxHorizon == 0 {
-					ptrReq := base
-					ptrReq.NoCache = true
-					if ptr, err = svc.Do(ctx, ptrReq); err != nil { // lazy pointer-graph expansion
-						t.Fatal(err)
-					}
+				ptrReq := base
+				ptrReq.NoCache = true
+				ptr, err := svc.Do(ctx, ptrReq) // lazy pointer-graph expansion
+				if err != nil {
+					t.Fatal(err)
 				}
 				for _, flat := range [...]struct {
 					name string
@@ -293,9 +284,8 @@ func TestPropertyFlatHorizonMatchesPointerPath(t *testing.T) {
 // store many Store.Merge calls away from a Build: the tag-pivoted join,
 // the per-user probe over the same materialized horizon (a MaxUsers
 // budget past the horizon's end never fires but keeps the merge on the
-// settle-one-user loop), and, where the horizon is complete, the lazy
-// expansion. Answers, Exact flags and access counters must all be
-// equal; the truncated horizons reach the residual certification.
+// settle-one-user loop), and the lazy expansion. Answers, Exact flags
+// and access counters must all be equal.
 func crossCheckKernels(t *testing.T, svc *social.Service, cfg social.ServiceConfig, rng *rand.Rand) {
 	t.Helper()
 	g, st, _, err := svc.Snapshot()
@@ -314,32 +304,27 @@ func crossCheckKernels(t *testing.T, svc *social.Service, cfg social.ServiceConf
 		}
 		first := tag()
 		q := core.Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{first, tag(), first}, K: 1 + rng.Intn(10)}
-		for _, maxUsers := range [...]int{0, 1 + rng.Intn(8)} {
-			h, err := eng.MaterializeHorizon(q.Seeker, maxUsers)
-			if err != nil {
-				t.Fatal(err)
-			}
-			join, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			probe, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true, MaxUsers: h.Size() + 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(join, probe) {
-				t.Fatalf("%+v over %d of its horizon (residual %g):\n join %+v\nprobe %+v", q, h.Size(), h.Residual(), join, probe)
-			}
-			if h.Residual() > 0 {
-				continue
-			}
-			lazy, err := eng.SocialMerge(q, core.Options{RefineScores: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(join, lazy) {
-				t.Fatalf("%+v over its whole horizon of %d:\njoin %+v\nlazy %+v", q, h.Size(), join, lazy)
-			}
+		h, err := eng.MaterializeHorizon(q.Seeker, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		join, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe, err := eng.SocialMergeWithHorizon(q, h, core.Options{RefineScores: true, MaxUsers: h.Size() + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(join, probe) {
+			t.Fatalf("%+v over its horizon of %d:\n join %+v\nprobe %+v", q, h.Size(), join, probe)
+		}
+		lazy, err := eng.SocialMerge(q, core.Options{RefineScores: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(join, lazy) {
+			t.Fatalf("%+v over its horizon of %d:\njoin %+v\nlazy %+v", q, h.Size(), join, lazy)
 		}
 	}
 }

@@ -63,7 +63,7 @@ func TestCancelledContextAbortsQueries(t *testing.T) {
 	if _, err := e.GlobalTopKCtx(ctx, q); !errors.Is(err, context.Canceled) {
 		t.Errorf("GlobalTopKCtx: err = %v, want context.Canceled", err)
 	}
-	if _, err := e.MaterializeHorizonCtx(ctx, 0, 0); !errors.Is(err, context.Canceled) {
+	if _, err := e.MaterializeHorizonCtx(ctx, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("MaterializeHorizonCtx: err = %v, want context.Canceled", err)
 	}
 	h, err := e.MaterializeHorizon(0, 0)

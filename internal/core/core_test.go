@@ -389,6 +389,17 @@ func TestSocialMergeOptionsRequireIndexes(t *testing.T) {
 	if _, err := e.SocialMerge(q, Options{UseNeighborhoods: true}); err == nil {
 		t.Fatal("UseNeighborhoods without index accepted")
 	}
+	// A refine run drains its source and cannot certify against the
+	// residual a neighbourhood list leaves, so the pair is refused even
+	// with the index attached.
+	idx, err := BuildNeighborhoods(e.Graph(), 1, e.ProximityParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.AttachNeighborhoods(idx)
+	if _, err := e.SocialMerge(q, Options{UseNeighborhoods: true, RefineScores: true}); err != errUnsupportedOption {
+		t.Fatalf("RefineScores with UseNeighborhoods: err = %v, want %v", err, errUnsupportedOption)
+	}
 }
 
 func TestSocialMergeNeighborhoodFullHorizonExact(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"repro/internal/graph"
@@ -11,32 +10,36 @@ import (
 )
 
 // SeekerHorizon is the materialized social neighbourhood of one seeker:
-// the proximity-ordered users inside the horizon plus the residual
-// bound beyond the materialized prefix. It is the single-seeker
-// counterpart of NeighborhoodIndex, intended for query-time caching
-// (see internal/qcache): one expansion, many queries.
+// every user inside the proximity horizon, in proximity order. It is
+// the single-seeker counterpart of NeighborhoodIndex, intended for
+// query-time caching (see internal/qcache): one expansion, many
+// queries. A horizon is always complete (the proximity params' MinSigma
+// floor is what bounds it): no user lies beyond it for a merge to
+// certify against.
 type SeekerHorizon struct {
-	seeker   graph.UserID
-	list     []proximity.Entry
-	residual float64
+	seeker graph.UserID
+	list   []proximity.Entry
 	// alpha and minSigma are the proximity parameters the list was
 	// expanded under: AffectedBy replays the expansion's relaxation test
 	// with them.
 	alpha, minSigma float64
 }
 
-// MaterializeHorizon expands the seeker's neighbourhood once and
-// returns it in reusable form. maxUsers bounds the materialized prefix
-// (0 means no bound: materialize the full horizon, which the proximity
-// params' MinSigma floor keeps finite on connected graphs).
+// MaterializeHorizon expands the seeker's full horizon once and returns
+// it in reusable form. maxUsers must be 0: a horizon is never
+// truncated, and the parameter stays only for callers written against
+// the older signature.
 func (e *Engine) MaterializeHorizon(seeker graph.UserID, maxUsers int) (*SeekerHorizon, error) {
-	return e.MaterializeHorizonCtx(nil, seeker, maxUsers)
+	if maxUsers != 0 {
+		return nil, fmt.Errorf("core: horizon truncation (maxUsers %d) is not supported", maxUsers)
+	}
+	return e.MaterializeHorizonCtx(nil, seeker)
 }
 
 // MaterializeHorizonCtx is MaterializeHorizon with cancellation
 // checkpoints: a non-nil ctx that is cancelled mid-expansion aborts the
 // (potentially graph-wide) walk promptly with ctx.Err().
-func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID, maxUsers int) (*SeekerHorizon, error) {
+func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID) (*SeekerHorizon, error) {
 	it, err := proximity.AcquireIterator(e.g, seeker, e.prox)
 	if err != nil {
 		return nil, err
@@ -46,16 +49,12 @@ func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID,
 	// the horizon must own its list (readers hold it after the cache
 	// evicts it), but growing that list by append would allocate a dozen
 	// times and keep a quarter of the bytes.
-	limit := maxUsers
-	if limit <= 0 {
-		limit = math.MaxInt
-	}
+	const step = 256 // users between cancellation checkpoints
 	var staged []proximity.Entry
-	for len(staged) < limit {
+	for {
 		if err := ctxErr(ctx); err != nil {
 			return nil, err
 		}
-		step := min(256, limit-len(staged)) // users between cancellation checkpoints
 		settled := len(staged)
 		staged = it.Settle(step)
 		if len(staged)-settled < step {
@@ -69,7 +68,6 @@ func (e *Engine) MaterializeHorizonCtx(ctx context.Context, seeker graph.UserID,
 		minSigma: e.prox.MinSigma,
 	}
 	copy(h.list, staged)
-	h.residual = it.PeekBound()
 	return h, nil
 }
 
@@ -78,46 +76,6 @@ func (h *SeekerHorizon) Seeker() graph.UserID { return h.seeker }
 
 // Size returns the number of materialized users.
 func (h *SeekerHorizon) Size() int { return len(h.list) }
-
-// Residual returns the proximity bound on users beyond the prefix
-// (0 when the full horizon was materialized).
-func (h *SeekerHorizon) Residual() float64 { return h.residual }
-
-// HasAny reports whether any of the given users is among the
-// materialized ones. sorted must be ascending — an unsorted argument
-// gives wrong answers, not a panic. The list is read in place, one pass
-// whatever the number of ids: each member is tested against a 4 KiB
-// filter of the ids' hashes, and only the few that pass (under 2% at
-// 512 ids) are binary-searched in sorted. Searching every member
-// instead costs 50–60 ns each once the ids are many and real (nine
-// unpredictable branches), ten times the pass over the list.
-//
-// This is the member rule, which AffectedBy applies to a truncated
-// horizon: a friendship mutation on edge (u, v) can only change a
-// truncated horizon if u or v is among its members, because any path
-// from the seeker through the edge reaches u or v first, at a proximity
-// the materialized prefix (or its residual bound) already dominates.
-func (h *SeekerHorizon) HasAny(sorted []graph.UserID) bool {
-	if len(sorted) == 0 {
-		return false
-	}
-	var f endpointFilter
-	f.set(sorted)
-	return h.hasAny(&f, sorted)
-}
-
-func (h *SeekerHorizon) hasAny(f *endpointFilter, sorted []graph.UserID) bool {
-	for i := range h.list {
-		u := h.list[i].User
-		if !f.has(u) {
-			continue
-		}
-		if _, ok := slices.BinarySearch(sorted, u); ok {
-			return true
-		}
-	}
-	return false
-}
 
 // EdgeBatch is a batch of folded friendships, each with the weight the
 // graph holds for it after the fold, prepared once for AffectedBy to
@@ -158,10 +116,9 @@ func (b *EdgeBatch) Reset(edges []graph.Edge) {
 }
 
 // AffectedBy reports whether folding the batch's edges into the graph
-// this horizon was expanded from can change it. A truncated horizon
-// (residual > 0) answers by the member rule (HasAny). A full one is
-// affected only if some edge (u, v) of weight w, in either direction,
-// has u among its members and a candidate c = σ_u·w·α — the expression
+// this horizon was expanded from can change it: it is affected only if
+// some edge (u, v) of weight w, in either direction, has u among its
+// members and a candidate c = σ_u·w·α — the expression
 // proximity.Iterator.Next relaxes, in its order — with c ≥ MinSigma and
 // either v outside the horizon or c ≥ σ_v. Equality counts: a candidate
 // equal to σ_v leaves the proximity as it is but can be pushed before
@@ -178,9 +135,6 @@ func (b *EdgeBatch) Reset(edges []graph.Edge) {
 // recording the σ of every endpoint it finds, then one pass over the
 // edges.
 func (h *SeekerHorizon) AffectedBy(b *EdgeBatch) bool {
-	if h.residual > 0 {
-		return h.hasAny(&b.filter, b.ends)
-	}
 	sigma := b.sigma
 	for i := range sigma {
 		sigma[i] = -1
@@ -213,9 +167,8 @@ func (h *SeekerHorizon) raises(from, to, w float64) bool {
 	return c >= h.minSigma && (to < 0 || c >= to)
 }
 
-// endpointFilter is a 2^15-bit filter of user ids: HasAny and
-// AffectedBy test a member against it before they binary-search the
-// endpoints.
+// endpointFilter is a 2^15-bit filter of user ids: AffectedBy tests a
+// member against it before it binary-searches the endpoints.
 type endpointFilter [1 << (horizonFilterShift - 6)]uint64
 
 const horizonFilterShift = 15
@@ -240,16 +193,14 @@ func horizonFilterBit(u graph.UserID) uint32 {
 	return uint32(u) * 0x9E3779B1 >> (32 - horizonFilterShift)
 }
 
-// MemoryBytes is the resident size of the horizon: the 56-byte struct
+// MemoryBytes is the resident size of the horizon: the 48-byte struct
 // and its exact-size list of 16-byte entries.
-func (h *SeekerHorizon) MemoryBytes() int { return 56 + cap(h.list)*16 }
+func (h *SeekerHorizon) MemoryBytes() int { return 48 + cap(h.list)*16 }
 
 // SocialMergeWithHorizon answers the query using a previously
 // materialized horizon instead of expanding the graph. The horizon must
 // belong to the query's seeker and must have been materialized with the
-// engine's proximity parameters; certification semantics match
-// Options.UseNeighborhoods (a truncated horizon can make the answer
-// approximate).
+// engine's proximity parameters.
 func (e *Engine) SocialMergeWithHorizon(q Query, h *SeekerHorizon, opts Options) (Answer, error) {
 	var ans Answer
 	if err := e.SocialMergeWithHorizonInto(q, h, opts, &ans); err != nil {

@@ -54,6 +54,12 @@ func (e *Engine) SocialMergeInto(q Query, opts Options, ans *Answer) error {
 	if opts.UseNeighborhoods && e.neighbors == nil {
 		return errNoNeighborhoods
 	}
+	if opts.UseNeighborhoods && opts.RefineScores {
+		// Refinement drains the source; a neighbourhood list that ends
+		// short of the horizon would leave a residual the β = 1 refine
+		// run has no remainders to certify against.
+		return errUnsupportedOption
+	}
 	if err := e.validateQuery(q); err != nil {
 		return err
 	}
@@ -81,7 +87,7 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 		// Nothing can stop this merge short of the horizon's last user.
 		certified, err = run.joinHorizon(h, opts)
 	case h != nil:
-		run.msrc = materializedSource{list: h.list, residual: h.residual}
+		run.msrc = materializedSource{list: h.list}
 		certified, err = run.mainLoop(&run.msrc, q.Seeker, opts)
 	default:
 		certified, err = run.mainLoop(src, q.Seeker, opts)
@@ -121,18 +127,16 @@ type mergeRun struct {
 	prunedAny   bool
 
 	// refineFast marks the β = 1 exact-refine execution: the (1−β)
-	// global component is identically zero, so candidate creation skips
-	// the per-tag global random accesses and the sorted-access rounds —
-	// they only matter if a truncated horizon forces a certification
-	// attempt, at which point repairRems reconstructs the state the slow
-	// path would have had.
+	// global component is identically zero and every source it drains is
+	// complete, so nothing is left to certify — candidate creation skips
+	// the per-tag global random accesses and the sorted-access rounds.
 	refineFast bool
 
 	// selectAtFinish marks a RefineScores run before finish: it settles
 	// every user its source yields and tests τ nowhere on the way, so
 	// raised lower bounds are not promoted and finish builds the top k
 	// once (topk.Table.Select). finish clears it, after which the β < 1
-	// and truncated-horizon steps promote incrementally again.
+	// sorted-access rounds promote incrementally again.
 	selectAtFinish bool
 
 	// Amortized certification: the O(|candidates|) canStop test runs
@@ -271,8 +275,8 @@ func (r *mergeRun) advanceCursors() bool {
 // ensureCandidate returns the table index for an item, creating the
 // candidate on first sight: the creation random-accesses the item's
 // global frequency under every query tag, initializing rem and the
-// exact (1−β)-weighted global score part. The β = 1 fast path defers
-// that work (see refineFast / repairRems).
+// exact (1−β)-weighted global score part. The β = 1 fast path skips
+// that work (see refineFast).
 func (r *mergeRun) ensureCandidate(item tagstore.ItemID) int32 {
 	idx, created := r.table.Ensure(item)
 	if !created || r.refineFast {
@@ -376,11 +380,11 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	for _, entry := range h.list {
 		r.rank[entry.User] = 0
 	}
-	if r.refineFast && h.residual == 0 {
+	if r.refineFast {
 		if err := r.sweepDense(h, nt, opts); err != nil {
 			return false, err
 		}
-		return r.finish(h.residual, opts)
+		return r.finish(0, opts)
 	}
 	for k, entry := range h.list {
 		if k%64 == 0 {
@@ -395,20 +399,18 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 		}
 		r.userSettled()
 	}
-	return r.finish(h.residual, opts)
+	return r.finish(0, opts)
 }
 
-// sweepDense is joinHorizon's sweep for β = 1 exact refine over an
-// untruncated horizon, where a candidate is only ever raised and nothing
-// reads the table before finish. Each posting adds β·σ·tf into
-// score[item] instead of reaching its candidate through the table's
-// stamp and slot arrays; then one walk of the seen bitmap hands every
-// touched item to the table in item order. Every item receives the addends settleList would have given its
-// candidate, in the same order (rank, query tag, list position) and from
-// the same 0, so each Lower comes out bit-identical; only the table's
-// insertion order differs, which nothing after Select observes. A
-// truncated horizon keeps the settleList sweep: it also needs each
-// candidate's Rem = −Σ tf for repairRems.
+// sweepDense is joinHorizon's sweep for β = 1 exact refine, where a
+// candidate is only ever raised and nothing reads the table before
+// finish. Each posting adds β·σ·tf into score[item] instead of reaching
+// its candidate through the table's stamp and slot arrays; then one
+// walk of the seen bitmap hands every touched item to the table in item
+// order. Every item receives the addends settleList would have given
+// its candidate, in the same order (rank, query tag, list position) and
+// from the same 0, so each Lower comes out bit-identical; only the
+// table's insertion order differs, which nothing after Select observes.
 func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 	n := r.e.store.NumItems()
 	if len(r.score) < n {
@@ -451,27 +453,6 @@ func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 		}
 	}
 	return nil
-}
-
-// repairRems switches a β = 1 fast-path run back to fully initialized
-// candidates: every tracked candidate gains its deferred Σ_t gtf(i,t)
-// remainder mass (with the same random-access accounting the slow path
-// would have paid at creation). Lower bounds need no repair — the
-// (1−β) global component is zero. After the call, newly discovered
-// candidates initialize fully again.
-func (r *mergeRun) repairRems() {
-	r.refineFast = false
-	all := r.table.All()
-	for i := range all {
-		c := &all[i]
-		var gsum int64
-		for _, t := range r.tags {
-			g := r.e.store.GlobalTF(c.Item, t)
-			r.acc.Random++
-			gsum += int64(g)
-		}
-		c.Rem += gsum
-	}
 }
 
 const certEps = 1e-12
@@ -575,30 +556,16 @@ func (r *mergeRun) finish(residual float64, opts Options) (bool, error) {
 		r.selectAtFinish = false
 	}
 	if r.refineFast {
-		// β = 1 exact refine. With a zero residual (full horizon drained)
-		// the stop test holds vacuously: the unseen bound and every
-		// remainder term carry a σ·β factor of zero. Only a truncated
-		// horizon needs the real test — rebuild exactly the state the
-		// slow path would have had (remainders and the settled-many
-		// sorted-access rounds), then certify against the residual.
-		if residual > 0 && !r.cutoffFired {
-			r.repairRems()
-			for i := 0; i < r.settled; i++ {
-				r.advanceCursors()
-			}
-			if r.canStop(residual) {
-				return true, nil
-			}
-			// Draining the global lists cannot shrink the residual term,
-			// so the answer is inherently approximate.
-			r.cutoffFired = true
-		}
+		// β = 1 exact refine drains a complete source (a neighbourhood
+		// list is rejected up front), so the residual is 0 unless a
+		// cutoff fired, and the stop test holds vacuously: the unseen
+		// bound and every remainder term carry a σ·β factor of zero.
 		return true, nil
 	}
 	if residual > 0 && !r.cutoffFired {
-		// A truncated materialized source ran out with users possibly
-		// remaining beyond its horizon. Attempt one certification with
-		// the residual bound; if it fails, the answer is inherently
+		// A neighbourhood list (Options.UseNeighborhoods) ran out with
+		// users possibly remaining beyond it. Attempt one certification
+		// with the residual bound; if it fails, the answer is inherently
 		// approximate — draining the global lists cannot shrink the
 		// residual term, so treat it as a cutoff rather than scanning
 		// everything for nothing.

@@ -18,16 +18,14 @@ import (
 // 0.5, under no damping and a floor of 2^-60 — so every proximity is an
 // exact power of two, many tie, and the floor cuts the longest line's
 // horizons from some seekers and not from others. A pool of horizons
-// over them, full and truncated the way MaxHorizonUsers truncates, sits
-// beside what an expansion of the same graph gives without going through
-// core: each member's proximity, and whether more users were left.
+// over them sits beside what an expansion of the same graph gives
+// without going through core: each member's proximity.
 type scanWorld struct {
-	absent    int // ids below this are in the graph but in no horizon
-	users     int // ids at or past this are in no graph
-	params    proximity.Params
-	pool      []*core.SeekerHorizon
-	sigma     []map[graph.UserID]float64
-	truncated []bool
+	absent int // ids below this are in the graph but in no horizon
+	users  int // ids at or past this are in no graph
+	params proximity.Params
+	pool   []*core.SeekerHorizon
+	sigma  []map[graph.UserID]float64
 }
 
 var (
@@ -56,11 +54,7 @@ func loadScanWorld(t testing.TB) *scanWorld {
 		for k := 0; k < 48; k++ {
 			comp := 1 + k%(len(sizes)-1)
 			seeker := graph.UserID(starts[comp] + rng.Intn(sizes[comp]))
-			maxUsers := 0
-			if k%2 == 1 {
-				maxUsers = 1 + rng.Intn(sizes[comp])
-			}
-			h, err := e.MaterializeHorizon(seeker, maxUsers)
+			h, err := e.MaterializeHorizon(seeker, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,20 +63,14 @@ func loadScanWorld(t testing.TB) *scanWorld {
 				t.Fatal(err)
 			}
 			sigma := make(map[graph.UserID]float64)
-			for maxUsers == 0 || len(sigma) < maxUsers {
-				entry, ok := it.Next()
-				if !ok {
-					break
-				}
+			for entry, ok := it.Next(); ok; entry, ok = it.Next() {
 				sigma[entry.User] = entry.Prox
 			}
-			_, more := it.Next()
 			if len(sigma) != h.Size() {
 				t.Fatalf("horizon %d: %d users materialized, %d expanded", k, h.Size(), len(sigma))
 			}
 			w.pool = append(w.pool, h)
 			w.sigma = append(w.sigma, sigma)
-			w.truncated = append(w.truncated, more)
 		}
 	})
 	if len(theScanWorld.pool) == 0 {
@@ -91,9 +79,8 @@ func loadScanWorld(t testing.TB) *scanWorld {
 	return &theScanWorld
 }
 
-// affects is the invalidation rule from its definition: a truncated
-// horizon is affected by an edge with an endpoint among its members; a
-// full one by an edge (u, v) of weight w, either way round, with u a
+// affects is the invalidation rule from its definition: a horizon is
+// affected by an edge (u, v) of weight w, either way round, with u a
 // member, c = σ_u·w·α ≥ MinSigma and v either no member or at σ_v ≤ c.
 func (w *scanWorld) affects(horizon int, edges []graph.Edge) bool {
 	sigma := w.sigma[horizon]
@@ -107,13 +94,7 @@ func (w *scanWorld) affects(horizon int, edges []graph.Edge) bool {
 		return c >= w.params.MinSigma && (!member || c >= st)
 	}
 	for _, e := range edges {
-		_, uIn := sigma[e.U]
-		_, vIn := sigma[e.V]
-		if w.truncated[horizon] {
-			if uIn || vIn {
-				return true
-			}
-		} else if raises(e.U, e.V, e.Weight) || raises(e.V, e.U, e.Weight) {
+		if raises(e.U, e.V, e.Weight) || raises(e.V, e.U, e.Weight) {
 			return true
 		}
 	}
@@ -383,7 +364,7 @@ func scanSeeds() [][]byte {
 // duplicates, self-pairs, ids no horizon holds, neighbours on a line,
 // weights that tie a member's σ or the floor exactly — drops exactly
 // the resident entries the rule from its definition drops, over
-// horizons of 1 to 3,000 users, full and truncated.
+// horizons of 1 to 3,000 users.
 func TestInvalidationMatchesModel(t *testing.T) {
 	for _, data := range scanSeeds() {
 		checkScanScript(t, data)

@@ -17,9 +17,8 @@
 //     weight w can only change a horizon through an endpoint whose
 //     proximity it raises (or ties): the entry is dropped when σ_u·w·α
 //     reaches the floor and v is outside the horizon or below that
-//     candidate, either way round (see core.SeekerHorizon.AffectedBy; a
-//     truncated horizon keeps the rule "an endpoint is a member"). The
-//     horizon holds every σ the test reads: invalidation scans the
+//     candidate, either way round (see core.SeekerHorizon.AffectedBy).
+//     The horizon holds every σ the test reads: invalidation scans the
 //     resident horizons, once per compaction that folded a friendship,
 //     so a Put does no per-member work and the cache holds nothing per
 //     member.

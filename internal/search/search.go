@@ -301,9 +301,6 @@ type Explain struct {
 	// HorizonUsers is the size of the materialized seeker horizon the
 	// query consumed (0 when execution did not go through a horizon).
 	HorizonUsers int `json:"horizon_users"`
-	// HorizonResidual is the proximity bound on users beyond the
-	// materialized horizon (0 for a complete horizon).
-	HorizonResidual float64 `json:"horizon_residual"`
 	// CacheHit reports whether the seeker horizon came from the serving
 	// cache; CacheGeneration is the cache generation the horizon is
 	// stamped with (both zero when no horizon or no cache was involved).

@@ -286,7 +286,6 @@ func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Qu
 				bst.eng, bst.seeker, bst.h = eng, q.Seeker, h
 			}
 			ex.HorizonUsers = bst.h.Size()
-			ex.HorizonResidual = bst.h.Residual()
 			return eng.SocialMergeWithHorizonInto(q, bst.h, opts, ans)
 		}
 		// Single query, caching disabled (or opted out): run the lazy
@@ -305,7 +304,6 @@ func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Qu
 	ex.CacheHit = hit
 	ex.CacheGeneration = gen
 	ex.HorizonUsers = h.Size()
-	ex.HorizonResidual = h.Residual()
 	return eng.SocialMergeWithHorizonInto(q, h, opts, ans)
 }
 
@@ -314,7 +312,7 @@ func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Qu
 // a trace.
 func (s *Service) materializeSpan(ctx context.Context, eng *core.Engine, seeker graph.UserID) (*core.SeekerHorizon, error) {
 	_, sp := obs.StartSpan(ctx, "horizon.materialize")
-	h, err := eng.MaterializeHorizonCtx(ctx, seeker, s.cfg.MaxHorizonUsers)
+	h, err := eng.MaterializeHorizonCtx(ctx, seeker)
 	if sp != nil {
 		if h != nil {
 			sp.SetInt("users", int64(h.Size()))

@@ -16,27 +16,23 @@ import (
 
 // keepVariant is one configuration the keeping rule is checked under.
 type keepVariant struct {
-	prox       proximity.Params
-	weights    []float64 // Befriend weights are drawn from these; nil: uniform in [0.1, 1)
-	maxHorizon int
+	prox    proximity.Params
+	weights []float64 // Befriend weights are drawn from these; nil: uniform in [0.1, 1)
 }
 
 // keepVariants: dyadic proximity — α and every weight a sum of few
 // powers of two, so path products are exact and ties between paths are
-// common — and a serving-like α of 0.6, each with full horizons and with
-// MaxHorizonUsers truncating them.
+// common — and a serving-like α of 0.6.
 var keepVariants = []keepVariant{
-	{proximity.Params{Alpha: 0.5, SelfWeight: 1, MinSigma: 1.0 / 64}, []float64{1, 0.75, 0.5, 0.25}, 0},
-	{proximity.Params{Alpha: 0.5, SelfWeight: 1, MinSigma: 1.0 / 64}, []float64{1, 0.75, 0.5, 0.25}, 5},
-	{proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}, nil, 0},
-	{proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}, nil, 6},
+	{proximity.Params{Alpha: 0.5, SelfWeight: 1, MinSigma: 1.0 / 64}, []float64{1, 0.75, 0.5, 0.25}},
+	{proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}, nil},
 }
 
 // keepHarness drives a cached service and a cache-less twin through the
 // same writes, compacting only where it is told to. After every
 // compaction it checks that each horizon the cache kept equals a fresh
-// expansion of the new snapshot — users, proximity bits, hops, residual
-// — and that every user's answer equals the twin's, before it queries
+// expansion of the new snapshot — users, proximity bits, hops — and
+// that every user's answer equals the twin's, before it queries
 // everyone again and so re-warms what was dropped.
 type keepHarness struct {
 	t        testing.TB
@@ -45,8 +41,9 @@ type keepHarness struct {
 	ends     []string // endpoints befriended since the last compaction
 	newUsers int
 	// kept counts the horizons compactions kept; keptMembers, those of
-	// them holding an endpoint of a folded edge (the member rule drops
-	// them); dropped, the ones dropped.
+	// them holding an endpoint of a folded edge (a rule that drops every
+	// horizon an endpoint is a member of would drop them); dropped, the
+	// ones dropped.
 	kept, keptMembers, dropped int
 }
 
@@ -56,7 +53,6 @@ func newKeepHarness(t testing.TB, v keepVariant) *keepHarness {
 		cfg.Proximity = v.prox
 		cfg.AutoCompactEvery = 1 << 30
 		cfg.SeekerCacheSize = cacheSize
-		cfg.MaxHorizonUsers = v.maxHorizon
 		svc, err := NewService(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -120,21 +116,25 @@ func (h *keepHarness) compact() []graph.UserID {
 	ends = slices.Compact(ends)
 	kept := h.svc.cache.Seekers()
 	h.dropped += before - len(kept)
+	g := h.graph()
 	for _, seeker := range kept {
 		cached, ok := h.svc.cache.Lookup(seeker, h.svc.cache.Generation(), 0)
 		if !ok {
 			h.t.Fatalf("seeker %d is resident but not served after an edge-scoped compaction", seeker)
 		}
-		fresh, err := eng.MaterializeHorizon(seeker, h.v.maxHorizon)
+		fresh, err := eng.MaterializeHorizon(seeker, 0)
 		if err != nil {
 			h.t.Fatal(err)
 		}
 		if !reflect.DeepEqual(cached, fresh) {
-			h.t.Fatalf("seeker %d: the compaction of %v kept a horizon of %d users (residual %g) where the new graph gives %d (residual %g):\n kept %+v\nfresh %+v",
-				seeker, ends, cached.Size(), cached.Residual(), fresh.Size(), fresh.Residual(), cached, fresh)
+			h.t.Fatalf("seeker %d: the compaction of %v kept a horizon of %d users where the new graph gives %d:\n kept %+v\nfresh %+v",
+				seeker, ends, cached.Size(), fresh.Size(), cached, fresh)
 		}
 		h.kept++
-		if cached.HasAny(ends) {
+		if slices.ContainsFunc(h.expand(g, seeker), func(e proximity.Entry) bool {
+			_, ok := slices.BinarySearch(ends, e.User)
+			return ok
+		}) {
 			h.keptMembers++
 		}
 	}
@@ -143,8 +143,7 @@ func (h *keepHarness) compact() []graph.UserID {
 }
 
 // checkAnswers asks every user one exact query on both services. The
-// twin has no cache, so its DoBatch materializes each horizon afresh,
-// truncated by MaxHorizonUsers as the cached path's are.
+// twin has no cache, so its DoBatch materializes each horizon afresh.
 func (h *keepHarness) checkAnswers() {
 	h.t.Helper()
 	ctx := context.Background()
@@ -259,14 +258,7 @@ func (h *keepHarness) tie(seeker string, users []string, rng *rand.Rand) {
 	if int(id) >= g.NumUsers() {
 		return // interned since the last compaction: no horizon yet
 	}
-	it, err := proximity.NewIterator(g, id, h.v.prox)
-	if err != nil {
-		h.t.Fatal(err)
-	}
-	var list []proximity.Entry
-	for e, ok := it.Next(); ok; e, ok = it.Next() {
-		list = append(list, e)
-	}
+	list := h.expand(g, id)
 	type option struct {
 		x, y graph.UserID // y < 0: a new user
 		w    float64
@@ -306,6 +298,21 @@ func (h *keepHarness) tie(seeker string, users []string, rng *rand.Rand) {
 	h.befriend(users[o.x], other, o.w)
 }
 
+// expand is seeker's horizon in g, expanded with the proximity
+// iterator directly.
+func (h *keepHarness) expand(g *graph.Graph, seeker graph.UserID) []proximity.Entry {
+	h.t.Helper()
+	it, err := proximity.NewIterator(g, seeker, h.v.prox)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	var list []proximity.Entry
+	for e, ok := it.Next(); ok; e, ok = it.Next() {
+		list = append(list, e)
+	}
+	return list
+}
+
 const keepRecord = 3 // bytes per script record: kind, a, b
 
 // checkKeepScript runs one script: byte 0 picks the variant, byte 1
@@ -337,7 +344,7 @@ func keepScript(rng *rand.Rand, variant int) []byte {
 	return data
 }
 
-// keepSeeds are the seeded scripts, four per variant: the differential
+// keepSeeds are the seeded scripts, eight per variant: the differential
 // test runs them and the fuzz target starts from them.
 func keepSeeds() [][]byte {
 	var seeds [][]byte
@@ -350,11 +357,11 @@ func keepSeeds() [][]byte {
 // TestCompactionKeepsUnchangedHorizons is the soundness differential of
 // proximity-scoped invalidation: rounds of Befriend batches — raises,
 // lower re-declarations, new users, edges between non-members, exact
-// ties with a member's proximity or the floor — folded by compactions
-// on services with full and with truncated horizons. Every horizon a
-// compaction keeps must equal a fresh expansion of the new snapshot, and
-// every answer the cache-less twin's. It also checks the scripts keep
-// horizons the member rule drops, or it would not be testing the rule.
+// ties with a member's proximity or the floor — folded by compactions.
+// Every horizon a compaction keeps must equal a fresh expansion of the
+// new snapshot, and every answer the cache-less twin's. It also checks
+// the scripts keep horizons an endpoint is a member of, or it would not
+// be testing the rule beyond membership.
 func TestCompactionKeepsUnchangedHorizons(t *testing.T) {
 	var kept, keptMembers, dropped int
 	for _, data := range keepSeeds() {

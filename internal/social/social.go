@@ -72,7 +72,7 @@ type ServiceConfig struct {
 	// DefaultSeekerCacheSize, negative disables caching entirely (every
 	// search re-expands the graph). Caching trades eager full-horizon
 	// expansion on a miss for reuse on hits; workloads dominated by
-	// one-shot seekers should disable it or set MaxHorizonUsers.
+	// one-shot seekers should disable it.
 	SeekerCacheSize int
 	// EdgeScopeLimit caps how many distinct mutated friend edges one
 	// compaction invalidates by scope (dropping only cached horizons
@@ -81,11 +81,6 @@ type ServiceConfig struct {
 	// invalidation. 0 = DefaultEdgeScopeLimit; negative disables edge
 	// scoping entirely (every friend compaction invalidates globally).
 	EdgeScopeLimit int
-	// MaxHorizonUsers truncates materialized horizons to this many
-	// users (0 = full horizon, exact answers). A positive bound caps
-	// cache-miss cost and entry size; answers for seekers whose
-	// neighbourhood exceeds the bound may become approximate.
-	MaxHorizonUsers int
 	// BatchWorkers bounds the worker pool DoBatch runs queries on
 	// (0 means DefaultBatchWorkers).
 	BatchWorkers int
@@ -172,9 +167,6 @@ func normalizeConfig(cfg ServiceConfig) (ServiceConfig, error) {
 	}
 	if cfg.BatchWorkers < 0 {
 		return cfg, fmt.Errorf("social: negative BatchWorkers")
-	}
-	if cfg.MaxHorizonUsers < 0 {
-		return cfg, fmt.Errorf("social: negative MaxHorizonUsers")
 	}
 	return cfg, nil
 }
