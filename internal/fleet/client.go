@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -170,7 +171,7 @@ func toWire(req search.Request) server.V2Query {
 // timeout this client adds counts against the replica; a failure owned
 // by the caller's context surfaces as that ctx error (see send).
 func (c *Client) post(parent context.Context, path string, in, out interface{}) error {
-	body, err := json.Marshal(in)
+	body, err := encodeRequest(in)
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s request: %w", path, err)
 	}
@@ -271,36 +272,94 @@ func (c *Client) send(parent context.Context, hreq *http.Request) (*http.Respons
 
 // receive decodes a 2xx response's JSON body into out (nil, or a 204:
 // discard it) and closes it; an undecodable answer is ErrUnavailable.
+// The body is read to its end first, so the transport keeps the
+// connection, into a pooled buffer the decoded value does not keep.
 func (c *Client) receive(resp *http.Response, out interface{}) error {
 	defer resp.Body.Close()
 	if out == nil || resp.StatusCode == http.StatusNoContent {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	if err := decodeBody(resp.Body, out); err != nil {
+	bp := bodyBufs.Get().(*[]byte)
+	body, err := readAll((*bp)[:0], resp.Body, resp.ContentLength)
+	if err == nil {
+		err = decodeAnswer(body, out)
+	}
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyBufs.Put(bp)
+	}
+	if err != nil {
 		return unavailablef("%s %s: decoding response: %v", c.base, resp.Request.URL.Path, err)
 	}
 	return nil
 }
 
-// decodeBody decodes the JSON value a 2xx body holds and then reads the
-// body to its end. The decoder stops at the value's closing brace; a
-// chunked answer's terminating chunk lies past it, and the transport
-// discards a connection whose body is closed with that unread. The
-// servers send nothing after the value, so the bound only keeps a
-// misbehaving peer from holding the caller; the limiting readers are
-// pooled so that a search RPC allocates no more than before.
-func decodeBody(body io.Reader, out interface{}) error {
-	err := json.NewDecoder(body).Decode(out)
-	rest := drainReaders.Get().(*io.LimitedReader)
-	rest.R, rest.N = body, 64<<10
-	io.Copy(io.Discard, rest)
-	rest.R = nil
-	drainReaders.Put(rest)
-	return err
+// maxPooledBody caps the buffers bodyBufs keeps, so that one huge
+// answer does not pin its memory.
+const maxPooledBody = 64 << 10
+
+// bodyBufs pools the buffers request and response bodies pass through.
+var bodyBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// readAll appends r's bytes up to EOF to buf, growing it once to size
+// when the length is declared and no larger than the servers' own
+// bound on a request body.
+func readAll(buf []byte, r io.Reader, size int64) ([]byte, error) {
+	if size > 0 && size <= server.MaxBodyBytes {
+		buf = slices.Grow(buf, int(size)+1)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
-var drainReaders = sync.Pool{New: func() interface{} { return new(io.LimitedReader) }}
+// encodeRequest encodes a request body: the two search queries by
+// server's hand codec, anything else by encoding/json. The body is
+// the caller's: the transport may still read it after the response.
+func encodeRequest(in interface{}) ([]byte, error) {
+	bp := bodyBufs.Get().(*[]byte)
+	var b []byte
+	var err error
+	switch v := in.(type) {
+	case *server.V2Query:
+		b, err = server.AppendQuery((*bp)[:0], v)
+	case *server.V2BatchRequest:
+		b, err = server.AppendBatchRequest((*bp)[:0], v)
+	default:
+		bodyBufs.Put(bp)
+		return json.Marshal(in)
+	}
+	body := append([]byte(nil), b...)
+	if cap(b) <= maxPooledBody {
+		*bp = b
+		bodyBufs.Put(bp)
+	}
+	return body, err
+}
+
+// decodeAnswer decodes a response body: the two search answers by
+// server's hand codec, anything else by encoding/json.
+func decodeAnswer(body []byte, out interface{}) error {
+	switch v := out.(type) {
+	case *server.V2SearchResponse:
+		return server.DecodeSearchResponse(body, v)
+	case *server.V2BatchResponse:
+		return server.DecodeBatchResponse(body, v)
+	default:
+		return json.Unmarshal(body, out)
+	}
+}
 
 // parseRetryAfter reads a Retry-After header (delta-seconds form; the
 // only form our servers emit) into a duration, 0 when absent or
@@ -391,8 +450,9 @@ func (c *Client) Do(ctx context.Context, req search.Request) (search.Response, e
 }
 
 func (c *Client) searchOnce(ctx context.Context, req search.Request) (search.Response, error) {
+	q := toWire(req)
 	var out server.V2SearchResponse
-	if err := c.post(ctx, "/v2/search", toWire(req), &out); err != nil {
+	if err := c.post(ctx, "/v2/search", &q, &out); err != nil {
 		return search.Response{}, err
 	}
 	// On a sampled trace the replica's span data rides the response; fold
@@ -435,7 +495,7 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 		wire.Queries[i] = toWire(r)
 	}
 	var resp server.V2BatchResponse
-	if err := c.post(ctx, "/v2/search/batch", wire, &resp); err != nil {
+	if err := c.post(ctx, "/v2/search/batch", &wire, &resp); err != nil {
 		for i := range out {
 			out[i] = search.BatchResult{Err: err}
 		}

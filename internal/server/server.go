@@ -92,6 +92,7 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -503,21 +504,50 @@ func (s *Server) writeErr(w http.ResponseWriter, status int, err error) {
 	}
 }
 
-// writeJSON sends a 200 JSON response — unless the request context is
-// already cancelled, in which case it aborts with 499 instead of
-// encoding a body nobody will read. The Content-Type header is set
-// before the status line, and encode failures (a client that hung up
-// mid-body, an unencodable value) are logged, never swallowed.
+// writeJSON sends v as a 200 JSON response, encoded as json.Encoder
+// encodes it (see writeBody).
 func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v interface{}) {
+	s.writeBody(w, r, func(dst []byte) ([]byte, error) {
+		b, err := json.Marshal(v)
+		return append(append(dst, b...), '\n'), err
+	})
+}
+
+// wireBufs pools the buffers responses are encoded into.
+var wireBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// writeBody sends the JSON body encode appends as a 200 response with
+// its Content-Length — unless the request context is already
+// cancelled, in which case it aborts with 499 instead of encoding a
+// body nobody will read. The body is encoded before the status line,
+// so a value that cannot be encoded (a NaN score) answers 500 with an
+// error body; that and a client that hung up mid-body are logged,
+// never swallowed.
+func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, encode func(dst []byte) ([]byte, error)) {
 	if err := r.Context().Err(); err != nil {
 		w.WriteHeader(StatusClientClosedRequest)
 		s.logf("server: %s %s aborted: %v", r.Method, r.URL.Path, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+	bp := wireBufs.Get().(*[]byte)
+	body, err := encode((*bp)[:0])
+	defer func() {
+		if cap(body) <= maxPooledBytes {
+			*bp = body
+			wireBufs.Put(bp)
+		}
+	}()
+	if err != nil {
 		s.logf("server: encoding %s %s response: %v", r.Method, r.URL.Path, err)
+		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(body); err != nil {
+		s.logf("server: writing %s %s response: %v", r.Method, r.URL.Path, err)
 	}
 }
 
@@ -1081,10 +1111,11 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !wantExplain {
 		resp.Explain = nil
 	}
-	s.writeJSON(w, r, V2SearchResponse{
+	out := V2SearchResponse{
 		Results: resp.Results, Explain: resp.Explain,
 		Spans: obs.WireSpans(r.Context()),
-	})
+	}
+	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendSearchResponse(dst, &out) })
 }
 
 // applyBrownout applies the admission brownout ladder to a request (a
@@ -1195,7 +1226,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
 		}
 	}
-	s.writeJSON(w, r, resp)
+	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendBatchResponse(dst, &resp) })
 }
 
 // InvalidateRequest is the /v2/invalidate body. Pending writes are
