@@ -122,6 +122,56 @@ func TestRefineJoinMatchesSettleLoop(t *testing.T) {
 	}
 }
 
+// TestJoinOnlyRunSkipsItemIndex: a run that serves only β = 1 exact
+// joins answers as the pooled path does and never sizes the candidate
+// table's item index (stamp and slot, 8 B an item); the first merge
+// that looks candidates up by item, the settle loop, sizes it.
+func TestJoinOnlyRunSkipsItemIndex(t *testing.T) {
+	e, _ := randomCorpusEngine(t, 3, Config{
+		Proximity: proximity.Params{Alpha: 0.7, SelfWeight: 1, MinSigma: 0.05},
+		Beta:      1,
+	})
+	// The table's index is unexported; its length is all this reads.
+	index := func(r *mergeRun) (stamp, slot int) {
+		tb := reflect.ValueOf(&r.table).Elem()
+		return tb.FieldByName("stamp").Len(), tb.FieldByName("slot").Len()
+	}
+	var r mergeRun
+	var got Answer
+	for s := 0; s < e.Graph().NumUsers(); s++ {
+		q := Query{Seeker: graph.UserID(s), Tags: []tagstore.TagID{tagstore.TagID(s % 20), 3}, K: 1 + s%12}
+		h, err := e.MaterializeHorizon(q.Seeker, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := Options{RefineScores: true}
+		if err := r.merge(e, q, nil, h, opts, &got); err != nil {
+			t.Fatal(err)
+		}
+		want, err := e.SocialMergeWithHorizon(q, h, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%+v:\nrun    %+v\npooled %+v", q, got, want)
+		}
+		if stamp, slot := index(&r); stamp != 0 || slot != 0 {
+			t.Fatalf("after the join for seeker %d the run's item index holds %d stamps and %d slots, want none", s, stamp, slot)
+		}
+	}
+	q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 5}
+	h, err := e.MaterializeHorizon(q.Seeker, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.merge(e, q, nil, h, Options{RefineScores: true, MaxUsers: h.Size() + 1}, &got); err != nil {
+		t.Fatal(err)
+	}
+	if stamp, slot := index(&r); stamp != e.Store().NumItems() || slot != stamp {
+		t.Fatalf("after the settle loop the run's item index holds %d stamps and %d slots, want %d", stamp, slot, e.Store().NumItems())
+	}
+}
+
 // mergedCorpus folds three batches into ds, one merge each: a new user
 // who befriends two old ones and tags under an old tag; a new tag used
 // by the new user and two old ones; and a (user, tag) pair that did not

@@ -78,19 +78,36 @@ func (e *Engine) SocialMergeInto(q Query, opts Options, ans *Answer) error {
 // query must already be validated: each external entry point validates
 // exactly once.
 func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts Options, ans *Answer) error {
-	run := e.acquireRun(q, opts)
+	run := runPool.Get().(*mergeRun)
 	defer releaseRun(run)
+	return run.merge(e, q, src, h, opts, ans)
+}
+
+// merge is socialMergeRun on a given run: it resets the run for the
+// query, picks the path and writes the answer.
+func (r *mergeRun) merge(e *Engine, q Query, src userSource, h *SeekerHorizon, opts Options, ans *Answer) error {
+	r.reset(e, q, opts)
+	// Nothing can stop this merge short of the horizon's last user.
+	join := h != nil && opts.RefineScores && opts.Theta == 0 && opts.MaxHops == 0 && opts.MaxUsers == 0
+	universe := e.store.NumItems()
+	if join && r.refineFast {
+		// sweepDense Offers each touched item's final score: no
+		// candidate is ever looked up by item, and nothing is left for
+		// finish to select.
+		universe = 0
+		r.selectAtFinish = false
+	}
+	r.table.Reset(universe, q.K)
 	var certified bool
 	var err error
 	switch {
-	case h != nil && opts.RefineScores && opts.Theta == 0 && opts.MaxHops == 0 && opts.MaxUsers == 0:
-		// Nothing can stop this merge short of the horizon's last user.
-		certified, err = run.joinHorizon(h, opts)
+	case join:
+		certified, err = r.joinHorizon(h, opts)
 	case h != nil:
-		run.msrc = materializedSource{list: h.list}
-		certified, err = run.mainLoop(&run.msrc, q.Seeker, opts)
+		r.msrc = materializedSource{list: h.list}
+		certified, err = r.mainLoop(&r.msrc, q.Seeker, opts)
 	default:
-		certified, err = run.mainLoop(src, q.Seeker, opts)
+		certified, err = r.mainLoop(src, q.Seeker, opts)
 	}
 	if err != nil {
 		return err
@@ -98,10 +115,10 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 
 	// Certified termination with approximation knobs enabled is still
 	// exact as long as no cutoff or prune actually fired.
-	ans.Results = run.table.AppendTopResults(ans.Results[:0])
-	ans.Exact = certified && !run.cutoffFired && !run.prunedAny
-	ans.Access = run.acc
-	ans.UsersSettled = run.settled
+	ans.Results = r.table.AppendTopResults(ans.Results[:0])
+	ans.Exact = certified && !r.cutoffFired && !r.prunedAny
+	ans.Access = r.acc
+	ans.UsersSettled = r.settled
 	return nil
 }
 
@@ -109,7 +126,7 @@ func (e *Engine) socialMergeRun(q Query, src userSource, h *SeekerHorizon, opts 
 // table with its top-k, the per-tag cursors, and the access
 // accounting. Runs are recycled through runPool so the warm
 // read path performs no allocation; everything here is either reset or
-// overwritten by acquireRun.
+// overwritten by reset and merge.
 type mergeRun struct {
 	e    *Engine
 	k    int
@@ -136,7 +153,8 @@ type mergeRun struct {
 	// every user its source yields and tests τ nowhere on the way, so
 	// raised lower bounds are not promoted and finish builds the top k
 	// once (topk.Table.Select). finish clears it, after which the β < 1
-	// sorted-access rounds promote incrementally again.
+	// sorted-access rounds promote incrementally again. The β = 1 join
+	// never sets it: sweepDense offers final scores to the table.
 	selectAtFinish bool
 
 	// Amortized certification: the O(|candidates|) canStop test runs
@@ -183,12 +201,12 @@ type listSlot struct{ off, n int32 }
 // allocating their own.
 var runPool = sync.Pool{New: func() any { return new(mergeRun) }}
 
-// acquireRun checks a recycled run out of the pool and resets it for
-// the query. All retained storage (tag buffer, cursor slices, the
-// candidate table's arrays) is reused; what is sized by the universe
-// grows to this engine's.
-func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
-	r := runPool.Get().(*mergeRun)
+// reset prepares a recycled run for the query. All retained storage
+// (tag buffer, cursor slices, the candidate table's arrays) is reused;
+// what is sized by the universe grows to this engine's when a path
+// first needs it. The candidate table is reset by merge, which knows
+// whether the path looks candidates up by item.
+func (r *mergeRun) reset(e *Engine, q Query, opts Options) {
 	r.e = e
 	r.k = q.K
 	r.beta = e.beta
@@ -217,7 +235,6 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 		r.lists[i] = e.store.GlobalList(t)
 		r.pos[i] = 0
 	}
-	r.table.Reset(e.store.NumItems(), q.K)
 	r.acc = topk.Access{}
 	r.settled = 0
 	r.cutoffFired = false
@@ -227,7 +244,6 @@ func (e *Engine) acquireRun(q Query, opts Options) *mergeRun {
 	r.lastCheckBound = 0
 	r.sinceLastCheck = 0
 	r.cachedTau = 0
-	return r
 }
 
 // releaseRun returns a run to the pool holding no reference into the
@@ -406,11 +422,12 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 // candidate is only ever raised and nothing reads the table before
 // finish. Each posting adds β·σ·tf into score[item] instead of reaching
 // its candidate through the table's stamp and slot arrays; then one
-// walk of the seen bitmap hands every touched item to the table in item
-// order. Every item receives the addends settleList would have given
-// its candidate, in the same order (rank, query tag, list position) and
-// from the same 0, so each Lower comes out bit-identical; only the
-// table's insertion order differs, which nothing after Select observes.
+// walk of the seen bitmap offers each touched item's final score to the
+// table, which keeps only the top k. Every item receives the addends
+// settleList would have given its candidate, in the same order (rank,
+// query tag, list position) and from the same 0, so each score comes
+// out bit-identical, and the top k under (score desc, item asc) is
+// unique whichever touched items became candidates on the way.
 func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 	n := r.e.store.NumItems()
 	if len(r.score) < n {
@@ -440,6 +457,11 @@ func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 		}
 		r.userSettled()
 	}
+	// The walk goes up in item order, so an item never wins a tie
+	// against one the table holds: it can enter only while fewer than k
+	// are held (τ reads 0) or with a score strictly above τ, and the
+	// rest skip Offer.
+	tau := 0.0
 	for b, word := range seen[:(n+63)/64] {
 		if word == 0 {
 			continue
@@ -447,9 +469,12 @@ func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 		seen[b] = 0
 		for ; word != 0; word &= word - 1 {
 			item := int32(b<<6 | bits.TrailingZeros64(word))
-			idx, _ := r.table.Ensure(item)
-			c := r.table.At(idx)
-			c.Lower, score[item] = score[item], 0
+			s := score[item]
+			score[item] = 0
+			if s > tau {
+				r.table.Offer(item, s)
+				tau = r.table.Tau()
+			}
 		}
 	}
 	return nil

@@ -25,7 +25,9 @@ func (c *Cand) InTopK() bool { return c.pos >= 0 }
 // threshold τ. A caller that tests τ while scores grow keeps the heap
 // current with Promote — O(log k) per score increase instead of a full
 // rebuild per stop check; one that reads it only at the end raises
-// scores freely and builds the heap once with Select.
+// scores freely and builds the heap once with Select; one whose scores
+// are final when they reach the table Offers them, and the table keeps
+// only the k it must.
 //
 // All storage is retained across Reset calls, so a pooled Table runs
 // allocation-free once warm. A Table is not safe for concurrent use;
@@ -45,7 +47,9 @@ func NewTable() *Table { return &Table{} }
 
 // Reset prepares the table for a universe of `universe` items and a
 // top-k of size k (≥ 1). It is O(1) amortized: slots are invalidated by
-// bumping the epoch, not by clearing.
+// bumping the epoch, not by clearing. The item index grows to the
+// universe here and only Ensure reads it; a caller that only Offers
+// passes 0 and keeps the index at whatever size it already had.
 func (t *Table) Reset(universe, k int) {
 	if k < 1 {
 		k = 1
@@ -65,7 +69,8 @@ func (t *Table) Reset(universe, k int) {
 	}
 }
 
-// Len reports the number of distinct candidates observed.
+// Len reports the number of candidates held: every item Ensure has
+// seen, and at most k after Offers.
 func (t *Table) Len() int { return len(t.cands) }
 
 // Ensure returns the candidate index for an item, creating a zero-value
@@ -114,6 +119,34 @@ func (t *Table) Select() {
 		if t.cands[i].Lower > 0 {
 			t.Promote(int32(i))
 		}
+	}
+}
+
+// Offer hands the table an item whose score is final, keeping only the
+// top k; offer each item at most once between Resets. The item becomes
+// a member while fewer than k are held, or when it beats the root (the
+// worst member) under (score desc, item asc), which it then evicts,
+// reusing the root's candidate slot. So the table never holds more than
+// k candidates, and it ends holding the top k of everything offered, in
+// any offer order. Like Select, it passes over lower ≤ 0. Offer reads
+// and writes no item index, so a table fed only by Offer may be Reset
+// for a universe of 0; do not mix it with Ensure or Promote between two
+// Resets.
+func (t *Table) Offer(item int32, lower float64) {
+	if !(lower > 0) {
+		return
+	}
+	if len(t.heap) < t.k {
+		idx := int32(len(t.cands))
+		t.cands = append(t.cands, Cand{Item: item, Lower: lower, pos: int32(len(t.heap))})
+		t.heap = append(t.heap, idx)
+		t.siftUp(len(t.heap) - 1)
+		return
+	}
+	root := &t.cands[t.heap[0]]
+	if lower > root.Lower || (lower == root.Lower && item < root.Item) {
+		*root = Cand{Item: item, Lower: lower, pos: 0}
+		t.siftDown(0)
 	}
 }
 

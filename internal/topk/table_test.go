@@ -55,6 +55,47 @@ func TestTableSelectMatchesPromote(t *testing.T) {
 	}
 }
 
+// TestTableOfferMatchesSelect: a table fed each item's final score
+// through Offer holds the top k that TopKExact finds — the same results,
+// Tau and membership — and never more than k candidates, whether the
+// items arrive in ascending id order, as the join's bitmap walk offers
+// them, or in random order. Scores of 0 to 3 over a small universe make
+// ties at the k-th score common, so the item-id tie-break decides
+// membership, and zero scores are offered too. The table is Reset for a
+// universe of 0: Offer must not touch the item index.
+func TestTableOfferMatchesSelect(t *testing.T) {
+	const universe = 40
+	tb := NewTable()
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for _, k := range []int{1, 3, 10} {
+			scores := make([]float64, universe)
+			for i := range scores {
+				if rng.Intn(2) == 0 {
+					scores[i] = float64(rng.Intn(4))
+				}
+			}
+			for _, order := range []string{"ascending", "random"} {
+				items := make([]int32, universe)
+				for i := range items {
+					items[i] = int32(i)
+				}
+				if order == "random" {
+					rng.Shuffle(len(items), func(i, j int) { items[i], items[j] = items[j], items[i] })
+				}
+				tb.Reset(0, k)
+				for _, item := range items {
+					tb.Offer(item, scores[item])
+					if tb.Len() > k {
+						t.Fatalf("seed %d, k %d, %s: %d candidates held", seed, k, order, tb.Len())
+					}
+				}
+				checkTable(t, fmt.Sprintf("seed %d, k %d, offered in %s order", seed, k, order), tb, scores, k)
+			}
+		}
+	}
+}
+
 // checkTable compares a table's top k with TopKExact over scores.
 func checkTable(t *testing.T, where string, tb *Table, scores []float64, k int) {
 	t.Helper()
