@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"os"
 	"slices"
 	"strconv"
 	"testing"
 
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/proximity"
 )
 
@@ -60,6 +62,45 @@ func servingWorkload(b *testing.B) (*Engine, []gen.QuerySpec) {
 // horizons' mean, 90th percentile and largest size.
 func BenchmarkMaterializeHorizon(b *testing.B) {
 	e, specs := servingWorkload(b)
+	benchMaterialize(b, e, specs)
+}
+
+// BenchmarkMaterializeHorizonTied is BenchmarkMaterializeHorizon on the
+// serving corpus with every weight set to 0.5, so each σ is a power of
+// α/2 and every proximity band of the expansion is one run of ties,
+// ordered by user id alone. At α 1 a horizon holds nearly every user,
+// so that case expands from fewer seekers to keep a fixed -benchtime
+// short.
+func BenchmarkMaterializeHorizonTied(b *testing.B) {
+	e, specs := servingWorkload(b)
+	edges := e.g.Edges()
+	for i := range edges {
+		edges[i].Weight = 0.5
+	}
+	g, err := graph.FromSortedEdges(e.g.NumUsers(), edges)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		alpha   float64
+		seekers int
+	}{{0.6, len(specs)}, {1, 16}} {
+		tied, err := NewEngine(g, e.store, Config{
+			Proximity: proximity.Params{Alpha: c.alpha, SelfWeight: 1, MinSigma: 0.05},
+			Beta:      1,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("alpha=%g", c.alpha), func(b *testing.B) {
+			benchMaterialize(b, tied, specs[:c.seekers])
+		})
+	}
+}
+
+// benchMaterialize materializes the specs' seekers' horizons on e in
+// turn, after one warm-up pass over all of them.
+func benchMaterialize(b *testing.B, e *Engine, specs []gen.QuerySpec) {
 	users := 0
 	sizes := make([]int, len(specs))
 	for i, s := range specs { // warm the iterator pool to the largest horizon

@@ -15,7 +15,11 @@ package graph
 // The implementation uses a hand-rolled binary heap of value entries:
 // the standard library's container/heap boxes every push into an
 // interface value, and the resulting per-relaxation allocation dominates
-// the run time on large graphs.
+// the run time on large graphs. It keeps this plain heap rather than the
+// iterator's band frontier on purpose: it is the independent batch
+// reference behind ExactSocial, proximity.All and the landmarks, which
+// the iterator is tested against, and one shared frontier could hide a
+// bug in both.
 func (g *Graph) MaxProductDistances(src UserID, alpha, selfWeight float64) []float64 {
 	n := g.NumUsers()
 	prox := make([]float64, n)

@@ -18,20 +18,25 @@
 // non-increasing along the frontier and the lazy Dijkstra expansion is
 // correct and instance-optimal in the number of users settled.
 //
-// The cost per settled user is one pop of the frontier heap plus the
+// The cost per settled user is one pop of the frontier plus the
 // relaxation of the user's row. On the fleetbench corpus at the serving
 // parameters an expansion settles 1,568 users, pushes and pops 1,640
-// items (72 of the pops find a user already settled), holds up to about
-// 1,484 items at once, and reads about 5,240 edges. The rows are cheap
-// because of the floor: a user whose σ times the graph's largest weight
-// (graph.Graph.MaxWeight) times α is below MinSigma can push no
-// candidate to it, so its row is not read at all — about nine settled
-// users in ten there. What is left is the heap, about ten levels deep.
-// It pops bottom-up: the hole left at the root walks to a leaf along
-// the better child, one comparison a level, and the last item sifts up
-// from that leaf. Which child is better is a coin flip, so the walk
-// adds the comparison's outcome to the child index instead of branching
-// on it.
+// items (72 of the pops find a user already settled) and reads about
+// 5,240 edges. The rows are cheap because of the floor: a user whose σ
+// times the graph's largest weight (graph.Graph.MaxWeight) times α is
+// below MinSigma can push no candidate to it, so its row is not read at
+// all — about nine settled users in ten there. What is left is the
+// frontier, and it is not a heap. One hop multiplies σ by at most λ =
+// α·MaxWeight, 0.48 at the serving parameters, so the frontier is cut
+// into proximity bands a factor λ apart (five above the serving floor):
+// a user settled from one band pushes only into later ones, so each
+// band is complete when the expansion reaches it. It is sorted once
+// then, by a radix sort on σ's bits with equal σ ordered by id, and
+// handed out in order: a few linear passes per band, where a heap paid
+// a log n walk per item. A push that does land in the open band — λ ≥ 1,
+// with α 1 and a weight-1 edge — goes to a small overflow heap merged
+// with the sorted run, so the order is exact for every parameter
+// setting (bandFrontier).
 //
 // The package also provides batch computation, random-walk-with-restart
 // proximity (an alternative σ used in ablations), and landmark sketches
@@ -105,7 +110,7 @@ type Iterator struct {
 	epoch    uint32
 	touched  []uint32  // stamp: best[v] is valid for this expansion
 	best     []float64 // tentative proximity; < 0 once settled
-	pq       frontierHeap
+	pq       bandFrontier
 	staged   []Entry // Settle's output buffer, recycled with the iterator
 	expanded int
 }
@@ -136,7 +141,7 @@ func (it *Iterator) reset(g *graph.Graph, seeker graph.UserID, params Params) er
 		clear(it.touched)
 		it.epoch = 1
 	}
-	it.pq.items = it.pq.items[:0]
+	it.pq.reset(params.SelfWeight, params.Alpha*g.MaxWeight(), params.MinSigma)
 	it.staged = it.staged[:0]
 	it.expanded = 0
 	it.touched[seeker] = it.epoch
@@ -161,9 +166,9 @@ func NewIterator(g *graph.Graph, seeker graph.UserID, params Params) (*Iterator,
 var iterPool = sync.Pool{New: func() interface{} { return new(Iterator) }}
 
 // AcquireIterator is NewIterator backed by a package pool: the per-user
-// state arrays and the frontier heap are recycled, so a warm expansion
-// performs no allocation. Callers must Release the iterator when done
-// (and must not use it afterwards).
+// state arrays and the frontier's buffers are recycled, so a warm
+// expansion performs no allocation. Callers must Release the iterator
+// when done (and must not use it afterwards).
 func AcquireIterator(g *graph.Graph, seeker graph.UserID, params Params) (*Iterator, error) {
 	it := iterPool.Get().(*Iterator)
 	if err := it.reset(g, seeker, params); err != nil {
@@ -189,15 +194,13 @@ func (it *Iterator) isSettled(u graph.UserID) bool {
 // region inside the horizon (σ ≥ MinSigma) is exhausted. The first call
 // always yields the seeker itself (with proximity SelfWeight).
 func (it *Iterator) Next() (e Entry, ok bool) {
-	for it.pq.len() > 0 {
-		item := it.pq.pop()
+	for {
+		item, ok := it.pq.pop()
+		if !ok {
+			return Entry{}, false
+		}
 		if it.isSettled(item.u) {
 			continue
-		}
-		if item.p < it.params.MinSigma {
-			// Everything left is below the floor: σ is defined 0 there.
-			it.pq.items = it.pq.items[:0]
-			return Entry{}, false
 		}
 		it.best[item.u] = settledMark
 		it.expanded++
@@ -214,7 +217,8 @@ func (it *Iterator) Next() (e Entry, ok bool) {
 			if cand < it.params.MinSigma {
 				// Below the horizon floor: σ is defined 0 there, and path
 				// products only shrink, so the frontier never needs it.
-				// Filtering at push time keeps the heap small.
+				// Filtering at push time keeps the frontier small, and
+				// nothing below the floor is ever pushed.
 				continue
 			}
 			if it.touched[v] == it.epoch {
@@ -229,7 +233,6 @@ func (it *Iterator) Next() (e Entry, ok bool) {
 		}
 		return Entry{User: item.u, Prox: item.p, Hops: item.h}, true
 	}
-	return Entry{}, false
 }
 
 // Settle advances the expansion by up to n users, appending them to a
@@ -251,118 +254,25 @@ func (it *Iterator) Settle(n int) []Entry {
 }
 
 // PeekBound returns a certified upper bound on the proximity of every
-// user not yet returned by Next. When the frontier is empty or entirely
-// below the horizon floor the bound is 0 (σ is defined 0 there).
+// user not yet returned by Next. When the frontier is empty the bound is
+// 0: nothing below the horizon floor is ever pushed, and σ is defined 0
+// there.
 func (it *Iterator) PeekBound() float64 {
-	for it.pq.len() > 0 {
-		top := it.pq.peek()
-		if it.isSettled(top.u) {
-			it.pq.pop() // drop stale entry lazily
-			continue
-		}
-		if top.p < it.params.MinSigma {
+	for {
+		top, ok := it.pq.peek()
+		if !ok {
 			return 0
 		}
-		return top.p
+		if !it.isSettled(top.u) {
+			return top.p
+		}
+		it.pq.pop() // drop stale entry lazily
 	}
-	return 0
 }
 
 // Expanded reports how many users have been settled so far; experiments
 // use it as a hardware-independent cost measure.
 func (it *Iterator) Expanded() int { return it.expanded }
-
-type frontierItem struct {
-	u graph.UserID
-	p float64
-	h int32
-}
-
-// frontierHeap is an allocation-light binary max-heap on proximity
-// with id tie-breaking for determinism. A hand-rolled heap avoids the
-// per-operation interface boxing of container/heap, which matters on
-// the query hot path: an expansion on the fleetbench corpus pops 1,640
-// items from a heap of up to about 1,484.
-type frontierHeap struct {
-	items []frontierItem
-}
-
-func (f *frontierHeap) len() int           { return len(f.items) }
-func (f *frontierHeap) peek() frontierItem { return f.items[0] }
-
-// before reports whether a pops ahead of b: the higher proximity, then
-// the lower id. No two items in a heap are equal — a push needs a
-// strictly better proximity for its user — so this is a strict total
-// order and the pop sequence does not depend on the heap's layout.
-func before(a, b frontierItem) bool {
-	if a.p != b.p {
-		return a.p > b.p
-	}
-	return a.u < b.u
-}
-
-func (f *frontierHeap) push(it frontierItem) {
-	f.items = append(f.items, it)
-	i := len(f.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(f.items[i], f.items[parent]) {
-			break
-		}
-		f.items[i], f.items[parent] = f.items[parent], f.items[i]
-		i = parent
-	}
-}
-
-// pop removes the top item bottom-up: the hole it leaves at the root
-// moves down to a leaf along the better child — one comparison a level,
-// where sifting the last item down takes two — and the last item then
-// sifts up from that leaf. It came from the bottom, so it rarely climbs
-// far. The better child is picked by adding the comparison's outcome
-// (b2i) to the left child's index, not by a branch: which child wins is
-// a coin flip no predictor learns, so a branch on it mispredicts about
-// every other level. The c+1 < last test stays a branch; it fails only
-// at the bottom level. before is a strict total order, so any valid
-// heap pops the same sequence, and how the walk picks cannot change it.
-func (f *frontierHeap) pop() frontierItem {
-	items := f.items
-	top := items[0]
-	last := len(items) - 1
-	x := items[last]
-	items = items[:last]
-	f.items = items
-	if last == 0 {
-		return top
-	}
-	i := 0
-	for c := 1; c < last; c = 2*i + 1 {
-		if c+1 < last {
-			c += b2i(before(items[c+1], items[c]))
-		}
-		items[i] = items[c]
-		i = c
-	}
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !before(x, items[parent]) {
-			break
-		}
-		items[i] = items[parent]
-		i = parent
-	}
-	items[i] = x
-	return top
-}
-
-// b2i is 1 for true and 0 for false. The compiler turns it into a flag
-// set (SETcc), not a jump, so the choice it feeds costs no prediction.
-func b2i(b bool) int {
-	var n int
-	if b {
-		n = 1
-	}
-	return n
-}
 
 // All computes σ(seeker, v) for every user in one batch. It is the
 // reference implementation the iterator is validated against and the

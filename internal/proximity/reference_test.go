@@ -1,10 +1,12 @@
 package proximity
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -218,4 +220,44 @@ func FuzzIteratorMatchesReference(f *testing.F) {
 		ps := referenceParams()
 		checkAgainstReference(t, g, graph.UserID(int(knobs/8)%users), ps[int(knobs)%len(ps)], calls)
 	})
+}
+
+// TestServingCorpusMatchesReference runs the reference comparison at
+// serving size: the fleetbench corpus (scale 5, 10,000 users) under the
+// serving floor, expanded in MaterializeHorizon's steps of 256 users.
+// As generated, its continuous weights give distinct proximities and
+// bands of thousands, which take the radix sort. With every weight set
+// to 0.5, each proximity is a power of α/2, so every band is one run of
+// ties ordered by id alone; at α 1 a horizon holds nearly every user,
+// and the reference's linear scan per step makes one seeker enough.
+func TestServingCorpusMatchesReference(t *testing.T) {
+	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := ds.Graph.Edges()
+	for i := range edges {
+		edges[i].Weight = 0.5
+	}
+	tied, err := graph.FromSortedEdges(ds.Graph.NumUsers(), edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := make([]int, 40) // 40 × 256 covers every user
+	for i := range steps {
+		steps[i] = 256
+	}
+	three := []graph.UserID{0, 4999, 9998}
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		alpha   float64
+		seekers []graph.UserID
+	}{{"as generated", ds.Graph, 0.6, three}, {"tied", tied, 0.6, three}, {"tied", tied, 1, three[1:2]}} {
+		t.Run(fmt.Sprintf("%s alpha=%g", c.name, c.alpha), func(t *testing.T) {
+			for _, seeker := range c.seekers {
+				checkAgainstReference(t, c.g, seeker, Params{Alpha: c.alpha, SelfWeight: 1, MinSigma: 0.05}, steps)
+			}
+		})
+	}
 }
