@@ -68,6 +68,12 @@ func Generate(p CorpusParams, seed int64) (*Dataset, error) {
 
 	n := p.Graph.NumUsers
 	b := tagstore.NewBuilder(n, p.NumItems, p.NumTags)
+	// Users draw TriplesPerUser triples on average, and the total strays
+	// from n times that by about √n·TriplesPerUser/3.5: from the 2,000
+	// users of scale 1 up, a 1/32 margin is over four standard deviations,
+	// so the builder does not regrow.
+	want := n * p.TriplesPerUser
+	b.Grow(want + want/32)
 	// userItems[u] collects items u has tagged, the pool friends copy
 	// from. Users are processed in id order; homophily copies look at
 	// already-processed friends, which suffices to correlate

@@ -202,6 +202,8 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	// numTriples is untrusted, so the builder is not grown by it: a
+	// header may claim far more triples than the payload holds.
 	tb := tagstore.NewBuilder(int(su), int(numItems), int(numTags))
 	prevUser, prevTag := int32(0), int32(0)
 	for i := uint64(0); i < numTriples; i++ {

@@ -4,16 +4,34 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
+	"os"
 	"slices"
+	"strconv"
 	"testing"
 
 	"repro/internal/gen"
 	"repro/internal/tagstore"
 )
 
-// The corpus fleetbench serves: 10,000 users, ~1.1M triples.
+// benchScale is the corpus scale the store benchmarks generate at: the
+// BENCH_SCALE environment variable, or 5 when it is unset. It reads the
+// same variable as internal/core's engine benchmarks.
+func benchScale(b *testing.B) float64 {
+	v := os.Getenv("BENCH_SCALE")
+	if v == "" {
+		return 5
+	}
+	s, err := strconv.ParseFloat(v, 64)
+	if err != nil || !(s > 0) {
+		b.Fatalf("BENCH_SCALE=%q: want a positive number", v)
+	}
+	return s
+}
+
+// The corpus fleetbench serves at the default scale 5: 10,000 users,
+// ~1.1M triples.
 func benchStore(b *testing.B) *tagstore.Store {
-	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
+	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -21,20 +39,41 @@ func benchStore(b *testing.B) *tagstore.Store {
 }
 
 // BenchmarkBuilderBuild is a from-scratch build: what a restart or a
-// snapshot load pays, and what every compaction paid before Merge.
+// snapshot load pays, and what every compaction paid before Merge. It
+// feeds the builder the relation in two orders: canonical, as
+// Triples() writes it out, already sorted by (user, tag, item); and
+// generation, user-major with each user's triples shuffled, the way
+// gen.Generate and load add them.
 func BenchmarkBuilderBuild(b *testing.B) {
 	s := benchStore(b)
-	trs := s.Triples()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tb := tagstore.NewBuilder(s.NumUsers(), s.NumItems(), s.NumTags())
-		for _, tr := range trs {
-			tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
+	canonical := s.Triples()
+	generation := slices.Clone(canonical)
+	rng := rand.New(rand.NewSource(1))
+	for lo := 0; lo < len(generation); {
+		hi := lo
+		for hi < len(generation) && generation[hi].User == generation[lo].User {
+			hi++
 		}
-		if _, err := tb.Build(); err != nil {
-			b.Fatal(err)
-		}
+		run := generation[lo:hi]
+		rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+		lo = hi
+	}
+	for _, c := range []struct {
+		name string
+		trs  []tagstore.Triple
+	}{{"canonical", canonical}, {"generation", generation}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tb := tagstore.NewBuilder(s.NumUsers(), s.NumItems(), s.NumTags())
+				for _, tr := range c.trs {
+					tb.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
+				}
+				if _, err := tb.Build(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -20,13 +20,19 @@
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
 // Store.Merge makes the next one from a store and a batch of new
-// triples; both run the same merge, Build from an empty store.
+// triples; both run the same merge, Build from an empty store. The
+// merge sorts three times — the triples, their per-(item, tag) sums
+// and those in global-list order — and a sort of at least 4,096
+// elements is LSD radix passes over a key packed from the universe
+// widths, so a Build costs O(T·⌈bits/15⌉) in its T triples rather than
+// O(T log T); a compaction's short batch stays on pdqsort.
 package tagstore
 
 import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 )
@@ -84,11 +90,28 @@ func (b *Builder) AddCount(user int32, item ItemID, tag TagID, count int32) {
 	b.triples = append(b.triples, Triple{User: user, Item: item, Tag: tag, Count: count})
 }
 
+// Grow grows the builder's capacity, if necessary, to guarantee space
+// for another n triples: after Grow(n), at least n triples can be added
+// without another allocation. If n is negative, Grow panics.
+func (b *Builder) Grow(n int) {
+	b.triples = slices.Grow(b.triples, n)
+}
+
 // Build validates and freezes the store: the accumulated triples are
 // merged into an empty store, the same way compaction folds a batch of
-// writes into a live one.
+// writes into a live one. The merge sorts the builder's own triples in
+// place and sums their duplicates, so afterwards the builder holds the
+// same relation in canonical order and may be added to and built again;
+// a Build that fails leaves it empty.
 func (b *Builder) Build() (*Store, error) {
-	return new(Store).merge(b.triples, b.numUsers, b.numItems, b.numTags)
+	s, err := new(Store).merge(b.triples, b.numUsers, b.numItems, b.numTags)
+	if err != nil {
+		b.triples = nil
+		return nil, err
+	}
+	// From an empty store every summed triple is one of s's.
+	b.triples = b.triples[:s.numTriples]
+	return s, nil
 }
 
 // Store is the immutable tagging store.
@@ -143,23 +166,28 @@ type tagLists struct {
 // lists of the tags delta does not mention, and with an empty delta
 // everything but the headers the grown universe lengthens — which is
 // safe because neither store is written again.
-// The cost is sorting delta, rewriting the lists of the tags it mentions
-// and one linear copy of the per-item tag index (itTags/itTF); nothing
-// is hashed and no triple delta leaves alone is moved. With
-// nothing to fold in, Merge returns s itself.
+// The cost is sorting a copy of delta, rewriting the lists of the tags
+// it mentions and one linear copy of the per-item tag index
+// (itTags/itTF); nothing is hashed and no triple delta leaves alone is
+// moved. With nothing to fold in, Merge returns s itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
 		return s, nil
 	}
-	return s.merge(delta, numUsers, numItems, numTags)
+	return s.merge(slices.Clone(delta), numUsers, numItems, numTags)
 }
 
-func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
+// merge folds delta into s, sorting and summing delta in place. Its
+// three sorts — the triples by (user, tag, item), their (item, tag)
+// aggregates, and those by (tag, tf desc, item) for the global lists —
+// are radixSort's, over keys packed from the universe widths: linear in
+// the triples for a Build, pdqsort for a compaction's short batch.
+func (s *Store) merge(d []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if numUsers < s.numUsers || numItems < s.numItems || numTags < s.numTags {
 		return nil, fmt.Errorf("tagstore: universe (%d users, %d items, %d tags) smaller than the store's (%d, %d, %d)",
 			numUsers, numItems, numTags, s.numUsers, s.numItems, s.numTags)
 	}
-	for _, tr := range delta {
+	for _, tr := range d {
 		if tr.User < 0 || int(tr.User) >= numUsers {
 			return nil, fmt.Errorf("tagstore: user %d outside [0,%d)", tr.User, numUsers)
 		}
@@ -174,12 +202,14 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 		}
 	}
 	// Offsets into a tag's postings are int32.
-	if s.numTriples+len(delta) > math.MaxInt32 {
-		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", s.numTriples+len(delta), math.MaxInt32)
+	if s.numTriples+len(d) > math.MaxInt32 {
+		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", s.numTriples+len(d), math.MaxInt32)
 	}
 
-	d := slices.Clone(delta)
-	slices.SortFunc(d, byUserTagItem)
+	ib, tb := idBits(numItems), idBits(numTags)
+	radixSort(d, nil, idBits(numUsers)+tb+ib, func(tr Triple) uint64 {
+		return uint64(tr.User)<<(tb+ib) | uint64(tr.Tag)<<ib | uint64(tr.Item)
+	}, byUserTagItem)
 	d, err := coalesce(d, byUserTagItem, func(tr *Triple) *int32 { return &tr.Count })
 	if err != nil {
 		return nil, err
@@ -190,7 +220,9 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 		agg[k] = tagItem{item: tr.Item, tag: tr.Tag, tf: tr.Count}
 		n.totalAnnotations += int64(tr.Count)
 	}
-	slices.SortFunc(agg, byItemTag)
+	scratch := radixSort(agg, nil, ib+tb, func(e tagItem) uint64 {
+		return uint64(e.item)<<tb | uint64(e.tag)
+	}, byItemTag)
 	if agg, err = coalesce(agg, byItemTag, func(e *tagItem) *int32 { return &e.tf }); err != nil {
 		return nil, err
 	}
@@ -200,17 +232,16 @@ func (s *Store) merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 	if err := n.mergeItems(s, agg); err != nil {
 		return nil, err
 	}
-	n.mergeGlobal(s, agg)
+	n.mergeGlobal(s, agg, scratch)
 	return n, nil
 }
 
 // tagItem is what a delta adds to one (tag, item) pair: tf holds the
-// added frequency until mergeItems turns it into the new global one and
-// records the previous one in old.
+// added frequency until mergeItems turns it into the new global one.
 type tagItem struct {
-	item    ItemID
-	tag     TagID
-	old, tf int32
+	item ItemID
+	tag  TagID
+	tf   int32
 }
 
 func (e tagItem) posting() Posting { return Posting{Item: e.item, TF: e.tf} }
@@ -429,7 +460,7 @@ func (n *Store) mergeTagLists(s *Store, d []Triple) error {
 
 // mergeItems patches the per-item CSR in one pass over s's, and turns
 // every agg entry (sorted by item, tag) from "frequency added" into
-// "global frequency before and after". An empty agg shares s's arrays.
+// "global frequency after". An empty agg shares s's arrays.
 func (n *Store) mergeItems(s *Store, agg []tagItem) error {
 	if len(agg) == 0 {
 		n.itStart = shiftStarts(s.itStart, s.numItems, len(s.itTags), n.numItems, nil)
@@ -449,14 +480,15 @@ func (n *Store) mergeItems(s *Store, agg []tagItem) error {
 		e := &agg[k]
 		p, found := seekGrown(s.itStart, s.itTags, s.numItems, e.item, e.tag)
 		carry(p)
+		var was int32
 		if found {
-			e.old = s.itTF[p]
+			was = s.itTF[p]
 			next = p + 1
 		} else {
 			newEntryItems = append(newEntryItems, e.item)
 		}
 		var err error
-		if e.tf, err = addTF(e.old, e.tf); err != nil {
+		if e.tf, err = addTF(was, e.tf); err != nil {
 			return err
 		}
 		n.itTags = append(n.itTags, e.tag)
@@ -469,13 +501,24 @@ func (n *Store) mergeItems(s *Store, agg []tagItem) error {
 
 // mergeGlobal shares s's global list of every tag agg does not mention
 // and rebuilds the others: the postings whose frequency changed are
-// taken out of the old list and merged back in at their new rank.
-func (n *Store) mergeGlobal(s *Store, agg []tagItem) {
+// taken out of the old list and merged back in at their new rank, found
+// there by the frequency s's item index gives them. agg is sorted by
+// (tag, tf desc, item) on scratch, the (item, tag) sort's: the key
+// stores tf complemented within the width of the largest.
+func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
 	n.global = make([][]Posting, n.numTags)
 	copy(n.global, s.global)
 	n.maxTF = make([]int32, n.numTags)
 	copy(n.maxTF, s.maxTF)
-	slices.SortFunc(agg, func(a, b tagItem) int {
+	var top int32
+	for _, e := range agg {
+		top = max(top, e.tf)
+	}
+	ib, fb := idBits(n.numItems), bits.Len32(uint32(top))
+	low := uint64(1)<<fb - 1
+	radixSort(agg, scratch, idBits(n.numTags)+fb+ib, func(e tagItem) uint64 {
+		return uint64(e.tag)<<(fb+ib) | (low-uint64(e.tf))<<ib | uint64(e.item)
+	}, func(a, b tagItem) int {
 		if a.tag != b.tag {
 			return cmp.Compare(a.tag, b.tag)
 		}
@@ -491,9 +534,12 @@ func (n *Store) mergeGlobal(s *Store, agg []tagItem) {
 		old := n.global[t] // nil for a tag s did not have
 		moved = moved[:0]
 		for _, e := range agg[a:b] {
-			if e.old > 0 {
-				p, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: e.old}, byTFDesc)
-				moved = append(moved, p)
+			if len(old) == 0 { // a Build's, or a new tag's
+				break
+			}
+			if p, found := seekGrown(s.itStart, s.itTags, s.numItems, e.item, t); found {
+				q, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: s.itTF[p]}, byTFDesc)
+				moved = append(moved, q)
 			}
 		}
 		slices.Sort(moved)
