@@ -171,7 +171,7 @@ func toWire(req search.Request) server.V2Query {
 // timeout this client adds counts against the replica; a failure owned
 // by the caller's context surfaces as that ctx error (see send).
 func (c *Client) post(parent context.Context, path string, in, out interface{}) error {
-	body, err := encodeRequest(in)
+	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s request: %w", path, err)
 	}
@@ -299,7 +299,7 @@ func (c *Client) receive(resp *http.Response, out interface{}) error {
 // answer does not pin its memory.
 const maxPooledBody = 64 << 10
 
-// bodyBufs pools the buffers request and response bodies pass through.
+// bodyBufs pools the buffers response bodies are read into.
 var bodyBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
 
 // readAll appends r's bytes up to EOF to buf, growing it once to size
@@ -322,30 +322,6 @@ func readAll(buf []byte, r io.Reader, size int64) ([]byte, error) {
 			return buf, err
 		}
 	}
-}
-
-// encodeRequest encodes a request body: the two search queries by
-// server's hand codec, anything else by encoding/json. The body is
-// the caller's: the transport may still read it after the response.
-func encodeRequest(in interface{}) ([]byte, error) {
-	bp := bodyBufs.Get().(*[]byte)
-	var b []byte
-	var err error
-	switch v := in.(type) {
-	case *server.V2Query:
-		b, err = server.AppendQuery((*bp)[:0], v)
-	case *server.V2BatchRequest:
-		b, err = server.AppendBatchRequest((*bp)[:0], v)
-	default:
-		bodyBufs.Put(bp)
-		return json.Marshal(in)
-	}
-	body := append([]byte(nil), b...)
-	if cap(b) <= maxPooledBody {
-		*bp = b
-		bodyBufs.Put(bp)
-	}
-	return body, err
 }
 
 // decodeAnswer decodes a response body: the two search answers by

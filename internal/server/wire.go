@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"reflect"
 	"strconv"
@@ -15,25 +14,27 @@ import (
 	"repro/internal/search"
 )
 
-// The /v2 search messages — the queries a fleet front-end sends and
-// the answers a replica returns — cross the fleet hop on every read,
-// so they have a hand-written JSON codec instead of encoding/json's
-// reflection. Its contract:
+// The /v2 search answers a replica returns cross the fleet hop on
+// every read, so they have a hand-written JSON codec instead of
+// encoding/json's reflection. Its contract:
 //
-//   - The Append functions emit exactly the bytes encoding/json emits
-//     for the same value (json.Encoder's trailing newline included for
-//     the two responses, none for the two requests, as json.Marshal),
-//     and fail where it fails: a NaN or infinite float. The rare
-//     sub-values, explain and spans, are handed to json.Marshal.
-//   - The Decode functions accept only input json.Unmarshal accepts,
-//     and produce the value it produces. They skip unknown keys, so a
-//     newer replica can add a field, and reject what would need
-//     encoding/json's looser rules to match: a repeated key, or one
-//     that differs from a field name only in case.
+//   - The Append functions emit exactly the bytes json.Encoder emits
+//     for the same value, trailing newline included, and fail where it
+//     fails: a NaN or infinite float. The rare sub-values, explain and
+//     spans, are handed to json.Marshal.
+//   - The Decode functions decode exactly as json.Unmarshal decodes:
+//     they accept what it accepts and produce the value it produces.
+//     They read in one pass only the shape the Append functions write
+//     for a plain answer — {"item":S,"score":N} results whose strings
+//     need no unescaping, and for a batch, entries holding results only
+//     — and hand any other body whole to json.Unmarshal: explain,
+//     spans, error entries, escaped strings, other spacing, a missing
+//     newline, a field a newer replica adds.
 //
-// FuzzSearchWire holds the codec to both halves against encoding/json.
-// Request decoding on the server stays with encoding/json: its
-// strictness (unknown fields, trailing values) is part of the API.
+// FuzzSearchWire holds both halves to encoding/json. The queries a
+// front-end sends are json.Marshal's, and the server decodes them with
+// encoding/json: its strictness (unknown fields, trailing values) is
+// part of the API.
 
 // maxPooledBytes caps what a pooled buffer may hold when it goes back
 // to its pool, so that one huge answer does not pin its memory.
@@ -127,71 +128,6 @@ func appendResults(dst []byte, rs []search.Result) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// AppendQuery appends q as json.Marshal encodes it.
-func AppendQuery(dst []byte, q *V2Query) ([]byte, error) {
-	dst = appendString(append(dst, `{"seeker":`...), q.Seeker)
-	dst = append(dst, `,"tags":`...)
-	if q.Tags == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, t := range q.Tags {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendString(dst, t)
-		}
-		dst = append(dst, ']')
-	}
-	dst = strconv.AppendInt(append(dst, `,"k":`...), int64(q.K), 10)
-	var err error
-	if q.Beta != nil {
-		if dst, err = appendFloat(append(dst, `,"beta":`...), *q.Beta); err != nil {
-			return dst, err
-		}
-	}
-	if q.Mode != "" {
-		dst = appendString(append(dst, `,"mode":`...), q.Mode)
-	}
-	if q.MinScore != 0 {
-		if dst, err = appendFloat(append(dst, `,"min_score":`...), q.MinScore); err != nil {
-			return dst, err
-		}
-	}
-	if q.Offset != 0 {
-		dst = strconv.AppendInt(append(dst, `,"offset":`...), int64(q.Offset), 10)
-	}
-	if q.NoCache {
-		dst = append(dst, `,"no_cache":true`...)
-	}
-	if q.MaxCacheAgeMS != 0 {
-		dst = strconv.AppendInt(append(dst, `,"max_cache_age_ms":`...), q.MaxCacheAgeMS, 10)
-	}
-	if q.Explain {
-		dst = append(dst, `,"explain":true`...)
-	}
-	return append(dst, '}'), nil
-}
-
-// AppendBatchRequest appends r as json.Marshal encodes it.
-func AppendBatchRequest(dst []byte, r *V2BatchRequest) ([]byte, error) {
-	dst = append(dst, `{"queries":`...)
-	if r.Queries == nil {
-		return append(dst, "null}"...), nil
-	}
-	dst = append(dst, '[')
-	for i := range r.Queries {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		var err error
-		if dst, err = AppendQuery(dst, &r.Queries[i]); err != nil {
-			return dst, err
-		}
-	}
-	return append(dst, "]}"...), nil
-}
-
 // appendMarshal appends v's json.Marshal encoding.
 func appendMarshal(dst []byte, v interface{}) ([]byte, error) {
 	b, err := json.Marshal(v)
@@ -275,80 +211,51 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // DecodeSearchResponse parses a /v2/search answer into r, which it
-// zeroes first.
+// zeroes first, as json.Unmarshal would.
 func DecodeSearchResponse(data []byte, r *V2SearchResponse) error {
+	*r = V2SearchResponse{}
 	d := newWireDecoder(data)
 	defer d.release()
-	*r = V2SearchResponse{}
-	haveResults := false
-	err := d.topLevel(func(key string) error {
-		switch key {
-		case "results":
-			haveResults = true
-			return d.resultList()
-		case "explain":
-			return d.delegate(&r.Explain)
-		default:
-			return d.delegate(&r.Spans)
-		}
-	}, "results", "explain", "spans")
-	if err != nil {
-		return err
+	if !d.lit(`{"results":`) || !d.resultList() || !d.end() {
+		return json.Unmarshal(data, r)
 	}
-	if haveResults {
-		r.Results = make([]search.Result, len(d.results))
-		copy(r.Results, d.results)
-	}
+	r.Results = make([]search.Result, len(d.results))
+	copy(r.Results, d.results)
 	return nil
 }
 
 // DecodeBatchResponse parses a /v2/search/batch answer into r, which
-// it zeroes first. Every entry's results share one backing array, each
-// capped at its own length.
+// it zeroes first, as json.Unmarshal would. An answer read in one pass
+// shares one backing array among its entries' results, each capped at
+// its own length.
 func DecodeBatchResponse(data []byte, r *V2BatchResponse) error {
+	*r = V2BatchResponse{}
 	d := newWireDecoder(data)
 	defer d.release()
-	*r = V2BatchResponse{}
-	haveResults := false
-	err := d.topLevel(func(key string) error {
-		if key == "results" {
-			haveResults = true
-			return d.entryList()
-		}
-		return d.delegate(&r.Spans)
-	}, "results", "spans")
-	if err != nil || !haveResults {
-		return err
+	if !d.entryList() || !d.end() {
+		return json.Unmarshal(data, r)
 	}
 	backing := make([]search.Result, len(d.results))
 	copy(backing, d.results)
-	r.Results = make([]V2BatchEntry, len(d.entries))
-	copy(r.Results, d.entries)
-	for i, rr := range d.ranges {
-		if rr.n >= 0 {
-			r.Results[i].Results = backing[rr.lo : rr.lo+rr.n : rr.lo+rr.n]
-		}
+	r.Results = make([]V2BatchEntry, len(d.ends))
+	lo := 0
+	for i, hi := range d.ends {
+		r.Results[i].Results = backing[lo:hi:hi]
+		lo = hi
 	}
 	return nil
 }
 
-// maxSkipDepth bounds the nesting of a skipped value, well inside
-// encoding/json's own limit.
-const maxSkipDepth = 512
-
-// wireDecoder is one pass over an answer. The body is copied once into
-// s, so an item string is a substring of it unless it needs
-// unescaping; results and entries gather in scratch that is copied out
-// at its exact size, and the decoder is pooled with its scratch.
+// wireDecoder is one pass over an answer in its encoder's shape. The
+// body is copied once into s, so every item string is a substring of
+// it; results gather in scratch that is copied out at its exact size,
+// and the decoder is pooled with its scratch.
 type wireDecoder struct {
 	s       string
 	i       int
 	results []search.Result
-	entries []V2BatchEntry
-	ranges  []resultRange // entries[j]'s results are results[lo:lo+n]; n < 0: nil
+	ends    []int // batch entry j's results end at results[ends[j]]
 }
-
-type resultRange struct{ lo, n int }
 
 var wireDecoders = sync.Pool{New: func() interface{} { return new(wireDecoder) }}
 
@@ -362,365 +269,112 @@ func newWireDecoder(data []byte) *wireDecoder {
 // pools the decoder unless its scratch outgrew maxPooledBytes.
 func (d *wireDecoder) release() {
 	clear(d.results)
-	clear(d.entries)
-	d.results, d.entries, d.ranges = d.results[:0], d.entries[:0], d.ranges[:0]
-	d.s = ""
-	if cap(d.results)*int(unsafe.Sizeof(search.Result{})) <= maxPooledBytes &&
-		cap(d.entries)*int(unsafe.Sizeof(V2BatchEntry{})) <= maxPooledBytes {
+	d.results, d.ends, d.s = d.results[:0], d.ends[:0], ""
+	if cap(d.results)*int(unsafe.Sizeof(search.Result{}))+cap(d.ends)*int(unsafe.Sizeof(0)) <= maxPooledBytes {
 		wireDecoders.Put(d)
 	}
 }
 
-func (d *wireDecoder) fail(what string) error {
-	return fmt.Errorf("server: malformed answer at byte %d: %s", d.i, what)
-}
-
-func (d *wireDecoder) ws() {
-	for d.i < len(d.s) {
-		if c := d.s[d.i]; c > ' ' || c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return
-		}
-		d.i++
-	}
-}
-
-// peek returns the next non-space byte, 0 at the end.
-func (d *wireDecoder) peek() byte {
-	d.ws()
-	if d.i < len(d.s) {
-		return d.s[d.i]
-	}
-	return 0
-}
-
-// null consumes a null literal if one is next.
-func (d *wireDecoder) null() bool {
-	if d.peek() == 'n' && strings.HasPrefix(d.s[d.i:], "null") {
-		d.i += 4
+// lit consumes p if the input continues with it.
+func (d *wireDecoder) lit(p string) bool {
+	if strings.HasPrefix(d.s[d.i:], p) {
+		d.i += len(p)
 		return true
 	}
 	return false
 }
 
-// topLevel parses the one object the body holds and nothing after it.
-func (d *wireDecoder) topLevel(field func(key string) error, known ...string) error {
-	if err := d.object(field, known...); err != nil {
-		return err
-	}
-	if d.ws(); d.i < len(d.s) {
-		return d.fail("data after the answer")
-	}
-	return nil
-}
+// end consumes the closing brace and json.Encoder's newline, which
+// must end the body.
+func (d *wireDecoder) end() bool { return d.lit("}\n") && d.i == len(d.s) }
 
-// object parses an object, handing each known key's value to field
-// and skipping the values of unknown keys. A null value is consumed
-// here: every field starts at its zero value and appears at most once,
-// so null, which encoding/json decodes as "leave it" or "set it to
-// nil", leaves it zero.
-func (d *wireDecoder) object(field func(key string) error, known ...string) error {
-	if err := d.open('{'); err != nil {
-		return err
+// entryList reads a batch answer up to its closing brace: entries that
+// hold results only.
+func (d *wireDecoder) entryList() bool {
+	if !d.lit(`{"results":[`) {
+		return false
 	}
-	var seen uint32
-	for first := true; ; first = false {
-		key, more, err := d.member(first)
-		if err != nil || !more {
-			return err
+	if d.lit("]") {
+		return true
+	}
+	for {
+		if !d.lit(`{"results":`) || !d.resultList() || !d.lit("}") {
+			return false
 		}
-		k := indexOf(known, key)
-		if k < 0 {
-			if err := d.unknown(key, known); err != nil {
-				return err
-			}
-			continue
+		d.ends = append(d.ends, len(d.results))
+		if d.lit("]") {
+			return true
 		}
-		if seen&(1<<k) != 0 {
-			return d.fail("repeated key " + strconv.Quote(key))
-		}
-		seen |= 1 << k
-		if d.null() {
-			continue
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-	}
-}
-
-func indexOf(known []string, key string) int {
-	for k, name := range known {
-		if key == name {
-			return k
-		}
-	}
-	return -1
-}
-
-// unknown skips an unknown key's value. encoding/json matches a key to
-// a field case-insensitively, with Unicode folding; such keys are
-// refused, and so is any non-ASCII key.
-func (d *wireDecoder) unknown(key string, known []string) error {
-	for i := 0; i < len(key); i++ {
-		if key[i] >= utf8.RuneSelf {
-			return d.fail("non-ASCII key")
-		}
-	}
-	for _, name := range known {
-		if strings.EqualFold(key, name) {
-			return d.fail("key " + strconv.Quote(key) + " differs from " + name + " in case")
-		}
-	}
-	return d.skip(0)
-}
-
-// member starts the next member of an object: false at its closing
-// brace, else the key, with the colon consumed.
-func (d *wireDecoder) member(first bool) (string, bool, error) {
-	switch c := d.peek(); {
-	case c == '}' && first:
-		d.i++
-		return "", false, nil
-	case first:
-	case c == ',':
-		d.i++
-	case c == '}':
-		d.i++
-		return "", false, nil
-	default:
-		return "", false, d.fail("want , or }")
-	}
-	key, err := d.str()
-	if err != nil {
-		return "", false, err
-	}
-	if d.peek() != ':' {
-		return "", false, d.fail("want :")
-	}
-	d.i++
-	return key, true, nil
-}
-
-// elem starts the next element of an array: false at its closing
-// bracket.
-func (d *wireDecoder) elem(first bool) (bool, error) {
-	switch c := d.peek(); {
-	case c == ']' && first:
-		d.i++
-		return false, nil
-	case first:
-		return true, nil
-	case c == ',':
-		d.i++
-		return true, nil
-	case c == ']':
-		d.i++
-		return false, nil
-	default:
-		return false, d.fail("want , or ]")
-	}
-}
-
-func (d *wireDecoder) open(c byte) error {
-	if d.peek() != c {
-		return d.fail("want " + string(c))
-	}
-	d.i++
-	return nil
-}
-
-// resultList appends an array of results to d.results.
-func (d *wireDecoder) resultList() error {
-	if err := d.open('['); err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		more, err := d.elem(first)
-		if err != nil || !more {
-			return err
-		}
-		var r search.Result
-		if !d.null() {
-			err := d.object(func(key string) error {
-				var err error
-				if key == "item" {
-					r.Item, err = d.str()
-				} else {
-					r.Score, err = d.float()
-				}
-				return err
-			}, "item", "score")
-			if err != nil {
-				return err
-			}
-		}
-		d.results = append(d.results, r)
-	}
-}
-
-// entryList appends an array of batch entries to d.entries.
-func (d *wireDecoder) entryList() error {
-	if err := d.open('['); err != nil {
-		return err
-	}
-	for first := true; ; first = false {
-		more, err := d.elem(first)
-		if err != nil || !more {
-			return err
-		}
-		var e V2BatchEntry
-		rr := resultRange{n: -1}
-		if !d.null() {
-			err := d.object(func(key string) error {
-				var err error
-				switch key {
-				case "explain":
-					e.Explain, err = d.explain()
-				case "results":
-					rr.lo = len(d.results)
-					err = d.resultList()
-					rr.n = len(d.results) - rr.lo
-				case "error":
-					e.Error, err = d.str()
-				case "error_kind":
-					e.ErrorKind, err = d.str()
-				case "retry_after_ms":
-					e.RetryAfterMS, err = d.int64()
-				}
-				return err
-			}, "results", "explain", "error", "error_kind", "retry_after_ms")
-			if err != nil {
-				return err
-			}
-		}
-		d.entries = append(d.entries, e)
-		d.ranges = append(d.ranges, rr)
-	}
-}
-
-// delegate decodes a rare sub-value (explain, spans) with
-// encoding/json.
-func (d *wireDecoder) delegate(v interface{}) error {
-	d.ws()
-	start := d.i
-	if err := d.skip(0); err != nil {
-		return err
-	}
-	return json.Unmarshal([]byte(d.s[start:d.i]), v)
-}
-
-// explain decodes an entry's explain; its own variable keeps the
-// entry it lands in from escaping to the heap.
-func (d *wireDecoder) explain() (*search.Explain, error) {
-	var ex *search.Explain
-	err := d.delegate(&ex)
-	return ex, err
-}
-
-// str parses a string. One with no escape and valid UTF-8 is returned
-// as a substring of the body; any other is unquoted by encoding/json,
-// which knows the rest (surrogates, invalid UTF-8 becoming U+FFFD).
-func (d *wireDecoder) str() (string, error) {
-	start := d.i
-	plain, err := d.skipString()
-	if err != nil {
-		return "", err
-	}
-	if plain {
-		return d.s[start+1 : d.i-1], nil
-	}
-	var v string
-	err = json.Unmarshal([]byte(d.s[start:d.i]), &v)
-	return v, err
-}
-
-// skipString moves past a string, reporting whether its bytes are its
-// value.
-func (d *wireDecoder) skipString() (plain bool, err error) {
-	if d.peek() != '"' {
-		return false, d.fail("want a string")
-	}
-	plain = true
-	for j := d.i + 1; j < len(d.s); {
-		c := d.s[j]
-		if !stringSpecial[c] {
-			j++
-			continue
-		}
-		switch {
-		case c == '"':
-			d.i = j + 1
-			return plain, nil
-		case c == '\\':
-			plain = false
-			if j+1 >= len(d.s) {
-				j++
-				continue
-			}
-			switch d.s[j+1] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				j += 2
-			case 'u':
-				if j+6 > len(d.s) || !isHex4(d.s[j+2:j+6]) {
-					d.i = j
-					return false, d.fail("bad \\u escape")
-				}
-				j += 6
-			default:
-				d.i = j
-				return false, d.fail("bad escape")
-			}
-		case c < 0x20:
-			d.i = j
-			return false, d.fail("control byte in string")
-		default:
-			r, size := utf8.DecodeRuneInString(d.s[j:])
-			if r == utf8.RuneError && size == 1 {
-				plain = false
-			}
-			j += size
-		}
-	}
-	d.i = len(d.s)
-	return false, d.fail("unterminated string")
-}
-
-// stringSpecial marks the bytes skipString must look at: the quote,
-// the backslash, control bytes and the start of any multi-byte rune.
-var stringSpecial = func() (t [256]bool) {
-	for c := range t {
-		t[c] = c < 0x20 || c == '"' || c == '\\' || c >= utf8.RuneSelf
-	}
-	return t
-}()
-
-func isHex4(s string) bool {
-	for i := 0; i < 4; i++ {
-		c := s[i]
-		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+		if !d.lit(",") {
 			return false
 		}
 	}
-	return true
 }
 
-// number moves past a number literal, as JSON's grammar has it, and
-// returns it.
-func (d *wireDecoder) number() (string, error) {
-	d.ws()
-	s, start := d.s, d.i
-	j := start
+// resultList appends an array of {"item":S,"score":N} to d.results.
+func (d *wireDecoder) resultList() bool {
+	if !d.lit("[") {
+		return false
+	}
+	if d.lit("]") {
+		return true
+	}
+	for {
+		if !d.lit(`{"item":`) {
+			return false
+		}
+		item, ok := d.str()
+		if !ok || !d.lit(`,"score":`) {
+			return false
+		}
+		score, ok := d.number()
+		if !ok || !d.lit("}") {
+			return false
+		}
+		d.results = append(d.results, search.Result{Item: item, Score: score})
+		if d.lit("]") {
+			return true
+		}
+		if !d.lit(",") {
+			return false
+		}
+	}
+}
+
+// str reads a string whose bytes are its value: no escape, no control
+// byte, valid UTF-8.
+func (d *wireDecoder) str() (string, bool) {
+	if !d.lit(`"`) {
+		return "", false
+	}
+	for j := d.i; j < len(d.s); j++ {
+		switch c := d.s[j]; {
+		case c == '"':
+			v := d.s[d.i:j]
+			d.i = j + 1
+			return v, utf8.ValidString(v)
+		case c < 0x20 || c == '\\':
+			return "", false
+		}
+	}
+	return "", false
+}
+
+// number reads a JSON number literal as json.Unmarshal reads it into
+// a float64.
+func (d *wireDecoder) number() (float64, bool) {
+	s, j := d.s, d.i
 	if j < len(s) && s[j] == '-' {
 		j++
 	}
 	if j < len(s) && s[j] == '0' {
 		j++
 	} else if j = digits(s, j); j < 0 {
-		return "", d.fail("want a number")
+		return 0, false
 	}
 	if j < len(s) && s[j] == '.' {
 		if j = digits(s, j+1); j < 0 {
-			return "", d.fail("want a fraction")
+			return 0, false
 		}
 	}
 	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
@@ -729,11 +383,12 @@ func (d *wireDecoder) number() (string, error) {
 			j++
 		}
 		if j = digits(s, j); j < 0 {
-			return "", d.fail("want an exponent")
+			return 0, false
 		}
 	}
+	f, err := strconv.ParseFloat(s[d.i:j], 64)
 	d.i = j
-	return s[start:j], nil
+	return f, err == nil
 }
 
 // digits returns the end of the run of digits at s[j:], -1 if there is
@@ -747,77 +402,4 @@ func digits(s string, j int) int {
 		return -1
 	}
 	return k
-}
-
-// float parses a number as encoding/json parses it into a float64:
-// out of range is an error.
-func (d *wireDecoder) float() (float64, error) {
-	lit, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	f, err := strconv.ParseFloat(lit, 64)
-	if err != nil {
-		return 0, d.fail("number " + lit + " out of range")
-	}
-	return f, nil
-}
-
-// int64 parses a number as encoding/json parses it into an int64: an
-// integer literal in range.
-func (d *wireDecoder) int64() (int64, error) {
-	lit, err := d.number()
-	if err != nil {
-		return 0, err
-	}
-	n, err := strconv.ParseInt(lit, 10, 64)
-	if err != nil {
-		return 0, d.fail("number " + lit + " is not an int64")
-	}
-	return n, nil
-}
-
-// skip moves past any one value, checking its syntax.
-func (d *wireDecoder) skip(depth int) error {
-	if depth > maxSkipDepth {
-		return d.fail("nested too deep")
-	}
-	switch c := d.peek(); c {
-	case '{':
-		d.i++
-		for first := true; ; first = false {
-			_, more, err := d.member(first)
-			if err != nil || !more {
-				return err
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-		}
-	case '[':
-		d.i++
-		for first := true; ; first = false {
-			more, err := d.elem(first)
-			if err != nil || !more {
-				return err
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-		}
-	case '"':
-		_, err := d.skipString()
-		return err
-	case 't', 'f', 'n':
-		for _, lit := range [...]string{"true", "false", "null"} {
-			if strings.HasPrefix(d.s[d.i:], lit) {
-				d.i += len(lit)
-				return nil
-			}
-		}
-		return d.fail("bad literal")
-	default:
-		_, err := d.number()
-		return err
-	}
 }

@@ -17,14 +17,15 @@ import (
 	"repro/internal/search"
 )
 
-// FuzzSearchWire holds the hand codec to encoding/json. body is
+// FuzzSearchWire holds the answer codec to encoding/json. body is
 // arbitrary bytes for the decoders; gen drives a generator of answers
-// and queries for the encoders. Four properties:
-//   - the encoders' bytes equal json.Encoder's (answers) and
-//     json.Marshal's (queries), and they fail exactly where it fails;
+// for the encoders. Three properties:
+//   - the encoders' bytes equal json.Encoder's, and they fail exactly
+//     where it fails;
 //   - the decoders never panic;
-//   - whatever they accept, json.Unmarshal accepts into an equal value;
-//   - they accept everything the encoders emit.
+//   - each decoder accepts exactly what json.Unmarshal accepts, with
+//     its error, and produces an equal value, on arbitrary bytes and on
+//     everything the encoders emit.
 func FuzzSearchWire(f *testing.F) {
 	for _, seed := range []struct {
 		body string
@@ -45,16 +46,19 @@ func FuzzSearchWire(f *testing.F) {
 		{"{\"results\":[{\"item\":\"\xff\",\"score\":1E+2}]}", []byte{5, 0x85, '&', '\n', 0x1f, 0x7f, 0}},
 		{`{"results":[{"item":"a","score":1.5e400}]}`, []byte{9, 10, 11, 12}},
 		{`{"results":[{"retry_after_ms":1.0}]}`, []byte{4, 13, 14}},
+		{"{\"results\":[{\"item\":\"item-00042\",\"score\":0.4375},{\"item\":\"é\",\"score\":-2E-7}]}\n", []byte{7, 1, 2, 3}},
+		{"{\"results\":[{\"results\":[{\"item\":\"x\",\"score\":0.5}]},{\"results\":[]}]}\n", []byte{3, 1, 0, 2, 1}},
+		{"{\"results\":[{\"item\":\"a\",\"score\":1e400}]}\n", []byte{1, 2, 3}},
 	} {
 		f.Add([]byte(seed.body), seed.gen)
 	}
 	f.Fuzz(func(t *testing.T, body, gen []byte) {
-		checkDecoders(t, body, false)
+		checkDecoders(t, body)
 		g := &wireGen{data: gen}
 		single := V2SearchResponse{Results: g.results(), Explain: g.explain(), Spans: g.spans()}
 		checkEncoded(t, "search response", &single, func(dst []byte) ([]byte, error) {
 			return AppendSearchResponse(dst, &single)
-		}, true)
+		})
 		batch := V2BatchResponse{Spans: g.spans()}
 		if n := int(g.byte() % 5); n > 0 {
 			batch.Results = make([]V2BatchEntry, n-1)
@@ -64,34 +68,17 @@ func FuzzSearchWire(f *testing.F) {
 		}
 		checkEncoded(t, "batch response", &batch, func(dst []byte) ([]byte, error) {
 			return AppendBatchResponse(dst, &batch)
-		}, true)
-		q := g.query()
-		checkEncoded(t, "query", &q, func(dst []byte) ([]byte, error) { return AppendQuery(dst, &q) }, false)
-		var br V2BatchRequest
-		if n := int(g.byte() % 4); n > 0 {
-			br.Queries = make([]V2Query, n-1)
-			for i := range br.Queries {
-				br.Queries[i] = g.query()
-			}
-		}
-		checkEncoded(t, "batch request", &br, func(dst []byte) ([]byte, error) { return AppendBatchRequest(dst, &br) }, false)
+		})
 	})
 }
 
-// checkEncoded compares the hand encoding of v with encoding/json's:
-// json.Encoder's for an answer, which is then decoded back, and
-// json.Marshal's for a query.
-func checkEncoded(t *testing.T, what string, v interface{}, appendTo func([]byte) ([]byte, error), answer bool) {
+// checkEncoded compares the hand encoding of v with json.Encoder's,
+// then decodes it back.
+func checkEncoded(t *testing.T, what string, v interface{}, appendTo func([]byte) ([]byte, error)) {
 	t.Helper()
-	var want []byte
-	var wantErr error
-	if answer {
-		var buf bytes.Buffer
-		wantErr = json.NewEncoder(&buf).Encode(v)
-		want = buf.Bytes()
-	} else {
-		want, wantErr = json.Marshal(v)
-	}
+	var buf bytes.Buffer
+	wantErr := json.NewEncoder(&buf).Encode(v)
+	want := buf.Bytes()
 	got, err := appendTo([]byte("prefix"))
 	if (err != nil) != (wantErr != nil) {
 		t.Fatalf("%s: hand encoder error %v, encoding/json error %v", what, err, wantErr)
@@ -102,38 +89,31 @@ func checkEncoded(t *testing.T, what string, v interface{}, appendTo func([]byte
 	if !bytes.HasPrefix(got, []byte("prefix")) || !bytes.Equal(got[len("prefix"):], want) {
 		t.Fatalf("%s: hand encoder wrote\n%q\nencoding/json wrote\n%q", what, got, want)
 	}
-	if answer {
-		checkDecoders(t, want, true)
-	}
+	checkDecoders(t, want)
 }
 
-// checkDecoders decodes body with both hand decoders and checks each
-// acceptance against json.Unmarshal; mustAccept asks that the decoder
-// for body's type accept it.
-func checkDecoders(t *testing.T, body []byte, mustAccept bool) {
+// checkDecoders decodes body with both decoders, each into a value
+// holding stale data, and requires json.Unmarshal's outcome: the same
+// error, or none, and a reflect.DeepEqual value.
+func checkDecoders(t *testing.T, body []byte) {
 	t.Helper()
-	var single, singleWant V2SearchResponse
-	singleErr := DecodeSearchResponse(body, &single)
-	if singleErr == nil {
-		if err := json.Unmarshal(body, &singleWant); err != nil {
-			t.Fatalf("search response decoder accepted %q, which json.Unmarshal rejects: %v", body, err)
-		}
-		if !reflect.DeepEqual(single, singleWant) {
-			t.Fatalf("search response %q: hand decoder got %#v, json.Unmarshal %#v", body, single, singleWant)
-		}
+	single := V2SearchResponse{Results: []search.Result{{Item: "stale"}}, Spans: []obs.SpanData{{Name: "stale"}}}
+	var singleWant V2SearchResponse
+	err, wantErr := DecodeSearchResponse(body, &single), json.Unmarshal(body, &singleWant)
+	checkDecoded(t, "search response", body, err, wantErr, single, singleWant)
+	batch := V2BatchResponse{Results: []V2BatchEntry{{Error: "stale"}}}
+	var batchWant V2BatchResponse
+	err, wantErr = DecodeBatchResponse(body, &batch), json.Unmarshal(body, &batchWant)
+	checkDecoded(t, "batch response", body, err, wantErr, batch, batchWant)
+}
+
+func checkDecoded(t *testing.T, what string, body []byte, err, wantErr error, got, want interface{}) {
+	t.Helper()
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s %q: decoder error %v, json.Unmarshal error %v", what, body, err, wantErr)
 	}
-	var batch, batchWant V2BatchResponse
-	batchErr := DecodeBatchResponse(body, &batch)
-	if batchErr == nil {
-		if err := json.Unmarshal(body, &batchWant); err != nil {
-			t.Fatalf("batch response decoder accepted %q, which json.Unmarshal rejects: %v", body, err)
-		}
-		if !reflect.DeepEqual(batch, batchWant) {
-			t.Fatalf("batch response %q: hand decoder got %#v, json.Unmarshal %#v", body, batch, batchWant)
-		}
-	}
-	if mustAccept && singleErr != nil && batchErr != nil {
-		t.Fatalf("decoders rejected encoded answer %q: %v / %v", body, singleErr, batchErr)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s %q: decoder got %#v, json.Unmarshal %#v", what, body, got, want)
 	}
 }
 
@@ -242,37 +222,55 @@ func (g *wireGen) spans() []obs.SpanData {
 	return spans
 }
 
-func (g *wireGen) query() V2Query {
-	q := V2Query{Seeker: g.str(), K: int(g.int64()), Mode: g.str(), MinScore: g.float(),
-		Offset: int(g.int64()), NoCache: g.byte()&1 == 1, MaxCacheAgeMS: g.int64(), Explain: g.byte()&1 == 1}
-	if n := int(g.byte() % 4); n > 0 {
-		q.Tags = make([]string, n-1)
-		for i := range q.Tags {
-			q.Tags[i] = g.str()
-		}
-	}
-	if g.byte()&1 == 1 {
-		beta := g.float()
-		q.Beta = &beta
-	}
-	return q
-}
-
-// TestSearchWireRejects: inputs json.Unmarshal would read differently,
-// or not at all, are refused rather than guessed at.
-func TestSearchWireRejects(t *testing.T) {
+// TestSearchWireMatchesUnmarshal: every body decodes exactly as
+// json.Unmarshal decodes it, those it refuses and those it reads more
+// loosely than the encoder writes (a case-folded or repeated key, deep
+// nesting in an unknown field) as well as the encoder's own shapes and
+// the bodies that leave them at one byte.
+func TestSearchWireMatchesUnmarshal(t *testing.T) {
 	for _, body := range []string{
+		// Refused.
 		``, `null`, `[]`, `{"results":[]}x`, "{\"results\":[]}\x00", `{"results":[],}`, `{"results":[{"item":"a","score":1,}]}`,
-		`{"Results":[]}`, `{"results":[],"results":[]}`, `{"results":[{"item":"a","item":"b"}]}`,
 		`{"results":[{"item":"a","score":1e400}]}`, `{"results":[{"item":"a","score":01}]}`,
 		`{"results":[{"item":"a","score":"1"}]}`, "{\"results\":[{\"item\":\"a\x01\"}]}", `{"results":[{"item":"\q"}]}`,
-		`{"results":[{"retry_after_ms":1.5}]}`, `{"reſults":[]}`, `{"x":` + strings.Repeat("[", 600) + strings.Repeat("]", 600) + `}`,
-		`{"results":[{"item":"a","score":nul}]}`, `{"results":[{"item":"a","score":-}]}`, `{"results":[{"item":"a","score":1.}]}`,
+		`{"results":[{"retry_after_ms":1.5}]}`, `{"results":[{"item":"a","score":nul}]}`, `{"results":[{"item":"a","score":-}]}`,
+		`{"results":[{"item":"a","score":1.}]}`, "{\"results\":[{\"item\":\"a\",\"score\":1e400}]}\n",
+		"{\"results\":[{\"item\":\"a\",\"score\":1.}]}\n", "{\"results\":[{\"item\":\"a\x01\",\"score\":1}]}\n",
+		// Accepted, loosely.
+		`{"Results":[]}`, `{"results":[],"results":[]}`, `{"results":[{"item":"a","item":"b"}]}`, `{"reſults":[]}`,
+		`{"x":` + strings.Repeat("[", 600) + strings.Repeat("]", 600) + `}`,
+		// The encoder's shapes, and one byte off them.
+		"{\"results\":[]}\n", "{\"results\":[{\"item\":\"a\",\"score\":1}]}\n",
+		"{\"results\":[{\"item\":\"café😀\",\"score\":-0.5e-7},{\"item\":\"\",\"score\":1E+2}]}\n",
+		"{\"results\":[{\"results\":[]},{\"results\":[{\"item\":\"a\",\"score\":0.25}]}]}\n",
+		"{\"results\":null}\n", "{\"results\":[{\"results\":null}]}\n",
+		"{\"results\":[{\"item\":\"a\\u003cb\",\"score\":1}]}\n", "{\"results\":[{\"item\":\"\xff\",\"score\":1}]}\n",
+		"{\"results\":[{\"item\":\"a\",\"score\":1}],\"explain\":{\"mode\":\"exact\",\"beta\":0.5}}\n",
+		"{\"results\":[{\"item\":\"a\",\"score\":1}],\"spans\":[{\"span_id\":\"1\",\"name\":\"n\",\"start\":\"2026-01-02T03:04:05Z\",\"duration_ms\":1.5}]}\n",
+		"{\"results\":[{\"error\":\"query 0: bad\",\"error_kind\":\"invalid\"},{\"results\":[],\"retry_after_ms\":25}]}\n",
+		`{"results":[{"item":"a","score":1}]}`, "{\"results\":[{\"item\":\"a\",\"score\":1}]}\n\n",
+		"{\"results\": [{\"item\":\"a\",\"score\":1}]}\n", "{\"results\":[{\"item\":\"a\" ,\"score\":1}]}\n",
+		"{\"results\":[{\"score\":1,\"item\":\"a\"}]}\n", "{\"results\":[{\"item\":\"a\",\"score\":1,\"rank\":2}]}\n",
+		"{\"results\":[{\"item\":\"a\",\"score\":1}]}\r\n", "{\"results\":[{\"item\":\"a\",\"score\":1}}\n",
+		"{\"results\":[{\"item\":\"a\",\"score\":1}]", "{\"results\":[{\"item\":\"a\",\"score\":1}]}\nx",
 	} {
-		var single V2SearchResponse
-		var batch V2BatchResponse
-		if DecodeSearchResponse([]byte(body), &single) == nil && DecodeBatchResponse([]byte(body), &batch) == nil {
-			t.Errorf("both decoders accepted %q", body)
+		checkDecoders(t, []byte(body))
+	}
+	for _, score := range []string{"0", "-0", "1", "0.25", "-0.5e-7", "1E+2", "5e-324", "1.7976931348623157e308", "123456789.125",
+		"01", "-", "1.", ".5", "+1", "1e", "1e+", "1.5e400", "0x10", "1_0", "Infinity", "NaN", "00", "-01", "1.e5", "true", `"1"`} {
+		checkDecoders(t, []byte(`{"results":[{"item":"a","score":`+score+"}]}\n"))
+		checkDecoders(t, []byte(`{"results":[{"results":[{"item":"a","score":`+score+"}]}]}\n"))
+	}
+	// The entries of a batch share one array: appending to one must not
+	// overwrite the next.
+	var batch V2BatchResponse
+	body := "{\"results\":[{\"results\":[{\"item\":\"a\",\"score\":1}]},{\"results\":[]},{\"results\":[{\"item\":\"b\",\"score\":2}]}]}\n"
+	if err := DecodeBatchResponse([]byte(body), &batch); err != nil {
+		t.Fatal(err)
+	}
+	for i, e := range batch.Results {
+		if cap(e.Results) != len(e.Results) {
+			t.Errorf("entry %d: cap %d, len %d", i, cap(e.Results), len(e.Results))
 		}
 	}
 }
