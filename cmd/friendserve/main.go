@@ -32,7 +32,7 @@
 //	     'localhost:8080/v2/search'
 //
 // Fleet topology (see docs/fleet.md): N -replica processes each hold
-// the full dataset and serve the whole API plus /v2/invalidate and
+// the full dataset and serve the whole API plus /v2/apply and
 // /healthz//readyz; one -replicas front-end owns the public address,
 // routes each seeker's queries to the replica owning it on a
 // consistent-hash ring (failing over in ring order when health checks

@@ -171,7 +171,6 @@ func newLiveHAFrontend(t *testing.T) string {
 	pool, err := fleet.NewPool(clients, fleet.PoolConfig{
 		HealthInterval: 10 * time.Millisecond,
 		FailAfter:      1,
-		ReviveAfter:    1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,9 +20,11 @@
 // snapshot's barrier. Under wal.SyncAlways every acknowledged mutation
 // survives any crash; a torn tail (the unacknowledged final record) is
 // discarded by the log layer. Checkpointing is crash-safe at every
-// step: the snapshot directory appears atomically via rename, MANIFEST
+// step: the snapshot's files and directory are synced, the directory
+// appears atomically via rename (and the rename is synced), MANIFEST
 // flips atomically afterwards, and log truncation runs last — a crash
-// between any two steps leaves a state Open still recovers exactly.
+// or power loss between any two steps leaves a state Open still
+// recovers exactly.
 package durable
 
 import (
@@ -278,6 +280,12 @@ func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Se
 	if err := names.WriteDir(tmp); err != nil {
 		return err
 	}
+	// The snapshot reaches the disk before MANIFEST names it and the log
+	// it replaces is truncated: its files and entries now, the state
+	// directory's entry for it after the rename.
+	if err := syncSnapshot(tmp); err != nil {
+		return err
+	}
 	final := man.snapDir()
 	// A directory by that name is a leftover of a checkpoint that failed
 	// before its MANIFEST flip; the live snapshot has another generation.
@@ -285,6 +293,9 @@ func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Se
 		return err
 	}
 	if err := os.Rename(tmp, filepath.Join(j.dir, final)); err != nil {
+		return err
+	}
+	if err := syncPath(j.dir); err != nil {
 		return err
 	}
 	// The replication cursor is part of the checkpointed state: the log
@@ -308,6 +319,34 @@ func (j *journal) Checkpoint(g *graph.Graph, st *tagstore.Store, names *vocab.Se
 	j.writes = 0
 	j.snapshotBarrier = barrier
 	return nil
+}
+
+// syncSnapshot fsyncs every file of the snapshot directory dir, then
+// dir itself.
+func syncSnapshot(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if err := syncPath(filepath.Join(dir, e.Name())); err != nil {
+			return err
+		}
+	}
+	return syncPath(dir)
+}
+
+// syncPath fsyncs one file or directory.
+func syncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (j *journal) Sync() error { return j.log.Sync() }

@@ -16,35 +16,35 @@ const (
 	// DefaultMaxBatchEdges is the replicas' own edge-scope limit: a
 	// heartbeat goes out early just before a replica's pending friendships
 	// would overflow into a global invalidation at its next compaction.
-	DefaultMaxBatchEdges    = social.DefaultEdgeScopeLimit
-	DefaultBroadcastTimeout = 5 * time.Second
+	DefaultMaxBatchEdges = social.DefaultEdgeScopeLimit
 )
+
+// beatTimeout bounds one replica's share of one heartbeat: its apply
+// pages.
+const beatTimeout = 5 * time.Second
 
 // BroadcasterConfig tunes the compaction heartbeat.
 type BroadcasterConfig struct {
 	// Window is the coalescing window: writes noted within it ride one
-	// heartbeat — one apply page and one invalidate per replica
-	// (0 = DefaultBroadcastWindow).
+	// heartbeat — one apply page per replica for up to
+	// server.MaxReplogPageRecords records (0 = DefaultBroadcastWindow).
 	Window time.Duration
 	// MaxBatchEdges sends the heartbeat early once this many Befriends
 	// were noted since the last one, bounding how much cached state one
 	// replica compaction drops at once (0 = DefaultMaxBatchEdges).
 	MaxBatchEdges int
-	// Timeout bounds one replica's share of one heartbeat: its apply
-	// pages and the invalidate (0 = DefaultBroadcastTimeout).
-	Timeout time.Duration
 }
 
 // Broadcaster is the fleet's compaction heartbeat, which carries the
 // log's records: a dirty flag, a coalescing window, and a fan-out that
-// streams each replica the records past its cursor (Frontend.stream),
-// then sends an edge-less POST /v2/invalidate that folds them into the
-// queryable snapshot. It carries no edges: a replica's compaction
+// streams each replica the records past its cursor (Frontend.stream) in
+// POST /v2/apply pages, the last of which folds them into the queryable
+// snapshot. It carries no edges: a replica's compaction
 // drops the cached horizons of exactly the Befriends it noted when it
 // applied them, and every record reaches every replica through the
 // same stream, so a replica only ever compacts edges it noted itself.
-// A lost heartbeat therefore only delays visibility — the broadcaster
-// stays dirty and retries after one window; see docs/fleet.md.
+// A live replica that loses a page is ejected and repaired by catch-up;
+// see docs/fleet.md.
 type Broadcaster struct {
 	cfg BroadcasterConfig
 
@@ -74,9 +74,6 @@ func NewBroadcaster(_ []*Client, cfg BroadcasterConfig) *Broadcaster {
 	}
 	if cfg.MaxBatchEdges <= 0 {
 		cfg.MaxBatchEdges = DefaultMaxBatchEdges
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultBroadcastTimeout
 	}
 	b := &Broadcaster{
 		cfg:  cfg,
@@ -149,9 +146,11 @@ func (b *Broadcaster) loop() {
 
 // flushOnce streams the admissible members (live, or with a rejoin gate
 // running) through the last held record and folds it in; concurrent
-// notes start the next heartbeat. If a target failed without being
-// ejected, the broadcaster re-arms — still dirty since the same oldest
-// write — and the loop retries after one window.
+// notes start the next heartbeat. Every failed target counts; if one is
+// still admissible afterwards (its rejoin gate runs), the broadcaster
+// re-arms — still dirty since the same oldest write — and the loop
+// retries after one window. An ejected one owes no retry: catch-up
+// repairs it.
 func (b *Broadcaster) flushOnce(ctx context.Context) {
 	b.flushMu.Lock()
 	defer b.flushMu.Unlock()
@@ -176,15 +175,17 @@ func (b *Broadcaster) flushOnce(ctx context.Context) {
 			continue
 		}
 		wg.Add(1)
-		go func(i int) {
+		go func(i int, st *replicaState) {
 			defer wg.Done()
-			sctx, cancel := context.WithTimeout(ctx, b.cfg.Timeout)
+			sctx, cancel := context.WithTimeout(ctx, beatTimeout)
 			defer cancel()
 			if err := f.beat(sctx, i, upto); err != nil {
 				b.counters.Failure()
-				failed.Store(true)
+				if st.admissible() {
+					failed.Store(true)
+				}
 			}
-		}(i)
+		}(i, st)
 	}
 	wg.Wait()
 	f.settle(upto)

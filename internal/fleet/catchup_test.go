@@ -18,36 +18,30 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/social"
 )
 
-// invalidateCall is one recorded /v2/invalidate body.
-type invalidateCall struct {
-	Edges [][2]string `json:"edges"`
-	All   bool        `json:"all"`
-}
-
 // toggleReplica is a fleet replica whose HTTP surface can be forced
 // down (503 on every request) and back up without losing its state —
 // the SIGSTOP/SIGCONT shape of the readmission bug, which httptest
-// Close cannot model. Independently, its /v2/invalidate can be made to
-// fail the next dropBeats heartbeats (503) or to hang every heartbeat
-// until the caller gives up, and its /v2/apply to fail the next
-// dropApplies pages (503). It also records every heartbeat and the body
-// of every apply page it lets through.
+// Close cannot model. Independently, its /v2/apply can be made to fail
+// the next dropFolds pages that ask for a fold, or the next dropApplies
+// pages of any kind (503), or to hang every page that asks for a fold
+// until the caller gives up. It also records the body of every apply
+// page it lets through.
 type toggleReplica struct {
 	svc         *social.Service
 	ts          *httptest.Server
 	down        atomic.Bool
-	dropBeats   atomic.Int32
+	dropFolds   atomic.Int32
 	dropApplies atomic.Int32
-	hangBeats   atomic.Bool
+	hangFolds   atomic.Bool
 
-	mu            sync.Mutex
-	invalidations []invalidateCall
-	applies       []string
+	mu      sync.Mutex
+	applies []string
 }
 
 func newToggleReplica(t *testing.T) *toggleReplica {
@@ -64,28 +58,27 @@ func newToggleReplica(t *testing.T) *toggleReplica {
 	}
 	tr := &toggleReplica{svc: svc}
 	tr.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v2/invalidate" && tr.hangBeats.Load() {
-			io.Copy(io.Discard, r.Body) // the server notices a hang-up only past the body
+		apply := r.URL.Path == "/v2/apply"
+		var raw []byte
+		var page server.ApplyRequest
+		if apply {
+			// Reading the body also lets the server notice a hang-up.
+			raw, _ = io.ReadAll(r.Body)
+			json.Unmarshal(raw, &page)
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+		}
+		if page.Fold && tr.hangFolds.Load() {
 			<-r.Context().Done()
 			return
 		}
-		if tr.down.Load() || r.URL.Path == "/v2/invalidate" && take(&tr.dropBeats) ||
-			r.URL.Path == "/v2/apply" && take(&tr.dropApplies) {
+		if tr.down.Load() || page.Fold && take(&tr.dropFolds) || apply && take(&tr.dropApplies) {
 			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
 			return
 		}
-		if r.URL.Path == "/v2/invalidate" || r.URL.Path == "/v2/apply" {
-			raw, _ := io.ReadAll(r.Body)
+		if apply {
 			tr.mu.Lock()
-			if r.URL.Path == "/v2/invalidate" {
-				var call invalidateCall
-				json.Unmarshal(raw, &call)
-				tr.invalidations = append(tr.invalidations, call)
-			} else {
-				tr.applies = append(tr.applies, string(raw))
-			}
+			tr.applies = append(tr.applies, string(raw))
 			tr.mu.Unlock()
-			r.Body = io.NopCloser(bytes.NewReader(raw))
 		}
 		srv.ServeHTTP(w, r)
 	}))
@@ -123,19 +116,6 @@ func (tr *toggleReplica) restart(t *testing.T) {
 	}
 }
 
-// globalInvalidations counts recorded all=true invalidation broadcasts.
-func (tr *toggleReplica) globalInvalidations() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	n := 0
-	for _, c := range tr.invalidations {
-		if c.All {
-			n++
-		}
-	}
-	return n
-}
-
 // appliesSeen returns a copy of the recorded apply page bodies.
 func (tr *toggleReplica) appliesSeen() []string {
 	tr.mu.Lock()
@@ -158,7 +138,7 @@ func recordsIn(t *testing.T, pages []string) []social.Mutation {
 }
 
 // newCatchupFleet builds an n-replica fleet over toggle replicas with
-// fast health probing (FailAfter/ReviveAfter 1) and a replication log
+// fast health probing (FailAfter 1, a 10 ms probe) and a replication log
 // in replogDir ("": a bare front-end no log is attached to, which
 // refuses writes).
 func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, []*toggleReplica, []*Client) {
@@ -173,7 +153,6 @@ func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, [
 	pool, err := NewPool(clients, PoolConfig{
 		HealthInterval: 10 * time.Millisecond,
 		FailAfter:      1,
-		ReviveAfter:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -196,39 +175,31 @@ func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, [
 	return front, pool, reps, clients
 }
 
-// TestReadmissionFiresImmediateInvalidation is the regression test for
-// the write-quiet rejoin bug: a replica that missed heartbeats used to
-// be settled only at the *next* fleet write — with zero post-rejoin
-// writes, never. The rejoin itself must settle it: catch-up's closing
-// heartbeat goes out even when it replayed zero records.
-func TestReadmissionFiresImmediateInvalidation(t *testing.T) {
+// TestWriteQuietReadmissionFolds is the regression test for the
+// write-quiet rejoin bug: a replica that missed a heartbeat's fold used
+// to be settled only at the *next* fleet write — with zero later
+// writes, never. The dropped fold page ejects the replica, and the
+// catch-up that readmits it streams the record again with a fold: it
+// rejoins with nothing pending, though nothing more is written.
+func TestWriteQuietReadmissionFolds(t *testing.T) {
 	front, pool, reps, _ := newCatchupFleet(t, 2, t.TempDir())
 	victim := 0
-	reps[victim].down.Store(true)
-	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
-	reps[victim].down.Store(false)
-	waitFor(t, 5*time.Second, func() bool { return pool.Live(victim) })
-
-	// Zero writes anywhere: readmission came with a heartbeat anyway.
-	reps[victim].mu.Lock()
-	calls := append([]invalidateCall(nil), reps[victim].invalidations...)
-	reps[victim].mu.Unlock()
-	if len(calls) == 0 {
-		t.Fatal("write-quiet rejoin delivered no invalidation")
-	}
-	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.Catchups < 1 || vs.Counters.CatchupRecords != 0 {
-		t.Fatalf("victim counters = %+v, want a completed catch-up of zero records", vs.Counters)
-	}
-	// An ejection leaves no debt behind: no later heartbeat drops the
-	// victim's whole cache.
+	reps[victim].dropFolds.Store(1)
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)
 	}
 	if err := front.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if n := reps[victim].globalInvalidations(); n != 0 {
-		t.Fatalf("victim received %d global invalidations after a settled rejoin, want 0", n)
+	waitFor(t, 5*time.Second, func() bool {
+		vs := front.StatsAny().(Stats).Replicas[victim]
+		return reps[victim].dropFolds.Load() == 0 && vs.Counters.Ejections == 1 && pool.Live(victim)
+	})
+	if st := reps[victim].svc.Stats(); st.PendingWrites != 0 || reps[victim].svc.AppliedLSN() != 1 {
+		t.Fatalf("rejoined victim: stats %+v, cursor %d; want the record applied and nothing pending", st, reps[victim].svc.AppliedLSN())
+	}
+	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.Catchups < 1 || vs.Counters.CatchupRecords != 1 {
+		t.Fatalf("victim counters = %+v, want a completed catch-up of the one record", vs.Counters)
 	}
 }
 
@@ -589,7 +560,6 @@ func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 	pool, err := NewPool(clients, PoolConfig{
 		HealthInterval: 10 * time.Millisecond,
 		FailAfter:      3,
-		ReviveAfter:    1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -766,7 +736,100 @@ func TestRejoinInvalidationIsEdgeScoped(t *testing.T) {
 	if query("alice") {
 		t.Fatal("rejoin kept a horizon holding an endpoint (bob) of a caught-up Befriend")
 	}
-	if n := reps[victim].globalInvalidations(); n != 0 {
-		t.Fatalf("victim received %d global invalidations, want 0", n)
+}
+
+// TestJournaledReplicaRestartedAtTheBound: a journaled replica that
+// restarts from its journal already holds every record through the
+// front-end's bound, so catch-up readmits it without a request. The
+// replayed records wait unfolded in its overlay, and its own first read
+// folds them (a journaled service folds before it reads), so it answers
+// with them.
+func TestJournaledReplicaRestartedAtTheBound(t *testing.T) {
+	dir := t.TempDir()
+	cfg := durable.DefaultConfig()
+	cfg.Service.AutoCompactEvery = 1 << 30 // the fold is the stream's
+	var svc *social.Service
+	var handler atomic.Value
+	open := func() {
+		t.Helper()
+		var err error
+		if svc, err = durable.Open(dir, cfg); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(svc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handler.Store(http.Handler(srv))
+	}
+	open()
+	t.Cleanup(func() { svc.Close() })
+	var down atomic.Bool
+	var applies atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if down.Load() {
+			http.Error(w, `{"error":"replica down"}`, http.StatusServiceUnavailable)
+			return
+		}
+		if r.URL.Path == "/v2/apply" {
+			applies.Add(1)
+		}
+		handler.Load().(http.Handler).ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	client := newTestClient(t, ts.URL, ClientConfig{})
+	pool, err := NewPool([]*Client{client}, PoolConfig{HealthInterval: 10 * time.Millisecond, FailAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := NewFrontend(pool, NewBroadcaster([]*Client{client}, BroadcasterConfig{Window: 2 * time.Millisecond}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	useTempRepLog(t, front)
+	t.Cleanup(front.Close)
+
+	ref, err := social.NewService(social.DefaultServiceConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nUsers = 4
+	for i := 0; i < nUsers; i++ {
+		a, b := fmt.Sprintf("u%d", i), fmt.Sprintf("u%d", (i+1)%nUsers)
+		for _, err := range []error{
+			ref.Befriend(a, b, 0.7), front.Befriend(a, b, 0.7),
+			ref.Tag(b, "i"+b, "t0"), front.Tag(b, "i"+b, "t0"),
+		} {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, err := range []error{ref.Flush(), front.Flush()} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	const bound = 2 * nUsers
+	compareReplicaToReference(t, context.Background(), client, ref, nUsers, 1)
+
+	down.Store(true)
+	waitFor(t, 5*time.Second, func() bool { return !pool.Live(0) })
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open()
+	if got, st := svc.AppliedLSN(), svc.Stats(); got != bound || st.PendingWrites == 0 {
+		t.Fatalf("reopened replica: cursor %d, stats %+v; want cursor %d with the replayed records pending", got, st, bound)
+	}
+	sent := applies.Load()
+	down.Store(false)
+	waitFor(t, 5*time.Second, func() bool { return pool.Live(0) })
+	if vs := front.StatsAny().(Stats).Replicas[0]; vs.Counters.Catchups < 1 || vs.Counters.CatchupRecords != 0 {
+		t.Fatalf("replica counters = %+v, want a catch-up of zero records", vs.Counters)
+	}
+	compareReplicaToReference(t, context.Background(), client, ref, nUsers, 1)
+	if n := applies.Load() - sent; n != 0 {
+		t.Fatalf("%d apply requests reached the restarted replica, want 0", n)
 	}
 }

@@ -5,7 +5,7 @@
 // replica pays a seeker's horizon expansion), health checking ejects
 // dead replicas and spills their seekers across the survivors in ring
 // order, and a compaction heartbeat streams every replica the log
-// records past its cursor, then (an edge-less POST /v2/invalidate)
+// records past its cursor in POST /v2/apply pages, the last of which
 // tells it to fold them into its snapshot, dropping — by the
 // friendships pending in its own overlay — exactly the cached horizons
 // they could affect.
@@ -134,7 +134,7 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 		base: baseURL,
 		// Redirects are protocol, not plumbing: an HA follower answers
 		// writes with 307 + the leader's address, and the caller decides
-		// whether to chase it (HAClient does, with its own retry budget).
+		// whether to chase it (any 307-following HTTP client does).
 		hc: &http.Client{Transport: rt, CheckRedirect: func(*http.Request, []*http.Request) error {
 			return http.ErrUseLastResponse
 		}},
@@ -535,17 +535,6 @@ func (c *Client) write(ctx context.Context, path string, plain interface{}, m so
 	var out server.AppliedResponse
 	err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: []social.Mutation{m}}, &out)
 	return out.AppliedLSN, err
-}
-
-// Invalidate POSTs the replica's /v2/invalidate — with no edges and all
-// false, the compaction heartbeat — and returns the number of cached
-// horizons the named edges (or all) dropped.
-func (c *Client) Invalidate(ctx context.Context, edges [][2]string, all bool) (int, error) {
-	var out server.InvalidateResponse
-	if err := c.post(ctx, "/v2/invalidate", server.InvalidateRequest{Edges: edges, All: all}, &out); err != nil {
-		return 0, err
-	}
-	return out.Dropped, nil
 }
 
 // SnapshotReader opens the replica's bootstrap export (GET

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/search"
+	"repro/internal/server"
 	"repro/internal/social"
 	"repro/internal/wal"
 )
@@ -47,7 +49,7 @@ func TestDeliverByRecordType(t *testing.T) {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		m.LSN = tc.rec.LSN
-		ack, err := deliver(ctx, c, []social.Mutation{m})
+		ack, err := deliver(ctx, c, []social.Mutation{m}, false)
 		if err != nil || ack != tc.rec.LSN {
 			t.Fatalf("%s: deliver = cursor %d, %v; want cursor %d", tc.name, ack, err, tc.rec.LSN)
 		}
@@ -60,6 +62,17 @@ func TestDeliverByRecordType(t *testing.T) {
 	}
 	if n := len(rep.appliesSeen()); n != 3 {
 		t.Fatalf("replica saw %d apply pages, want 3 (the unknown record never left)", n)
+	}
+	// A page that asks for the fold says so on the wire, and the replica
+	// folds what it applied before it answers.
+	if ack, err := deliver(ctx, c, []social.Mutation{{LSN: 4}}, true); err != nil || ack != 4 {
+		t.Fatalf("fold page: deliver = cursor %d, %v; want cursor 4", ack, err)
+	}
+	if got, want := rep.appliesSeen()[3], `{"records":[{"lsn":4}],"fold":true}`; got != want {
+		t.Errorf("fold page: replica saw %q, want %q", got, want)
+	}
+	if st := rep.svc.Stats(); st.PendingWrites != 0 {
+		t.Fatalf("replica stats = %+v after a fold page, want nothing pending", st)
 	}
 }
 
@@ -111,7 +124,8 @@ func TestCatchUpSendsWhatHeartbeatSent(t *testing.T) {
 
 // TestCatchUpPagesMissedRecords: a replica 3,000 records behind the
 // log is streamed up in ⌈3000/1024⌉ = 3 apply requests, not 3,000, and
-// holds every record, in order.
+// holds every record, in order. Only the last page asks for the fold,
+// so the stream costs the replica one compaction.
 func TestCatchUpPagesMissedRecords(t *testing.T) {
 	const missed = 3000
 	dir := t.TempDir()
@@ -130,10 +144,23 @@ func TestCatchUpPagesMissedRecords(t *testing.T) {
 		t.Fatal(err)
 	}
 	front, pool, reps, _ := newCatchupFleet(t, 1, dir)
-	waitFor(t, 20*time.Second, func() bool { return pool.Live(0) && reps[0].svc.AppliedLSN() == missed })
+	// The tracked cursor moves at the last page's answer: after its fold.
+	waitFor(t, 20*time.Second, func() bool { return pool.Live(0) && pool.state(0).applied() == missed })
 	pages := reps[0].appliesSeen()
-	if len(pages) > 3 {
-		t.Fatalf("catch-up of %d records took %d apply requests, want at most 3", missed, len(pages))
+	if len(pages) != 3 {
+		t.Fatalf("catch-up of %d records took %d apply requests, want 3", missed, len(pages))
+	}
+	for i, body := range pages {
+		var page server.ApplyRequest
+		if err := json.Unmarshal([]byte(body), &page); err != nil {
+			t.Fatal(err)
+		}
+		if last := i == len(pages)-1; page.Fold != last {
+			t.Fatalf("page %d of %d: fold = %v, want %v (only the last page folds)", i+1, len(pages), page.Fold, last)
+		}
+	}
+	if st := reps[0].svc.Stats(); st.PendingWrites != 0 {
+		t.Fatalf("replica stats = %+v after the stream, want nothing pending", st)
 	}
 	recs := recordsIn(t, pages)
 	if len(recs) != missed {

@@ -4,12 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -72,8 +72,8 @@ func TestClientValidation(t *testing.T) {
 }
 
 // TestClientRoundTrip drives a real replica over the wire: mutations
-// apply, /v2/invalidate compacts, searches answer, and explain
-// survives the JSON round trip.
+// apply, an apply page asking for the fold compacts, searches answer,
+// and explain survives the JSON round trip.
 func TestClientRoundTrip(t *testing.T) {
 	_, ts := newReplica(t)
 	c := newTestClient(t, ts.URL, ClientConfig{})
@@ -90,10 +90,10 @@ func TestClientRoundTrip(t *testing.T) {
 	if ack, err := c.Tag(ctx, "bob", "marios", "pasta", 0); err != nil || ack != 0 {
 		t.Fatalf("plain tag = cursor %d, %v; want 0, nil", ack, err)
 	}
-	// Before the broadcast heartbeat the writes are pending, not
-	// queryable; the invalidation call is what folds them in.
-	if _, err := c.Invalidate(ctx, [][2]string{{"alice", "bob"}}, false); err != nil {
-		t.Fatal(err)
+	// Before the heartbeat the writes are pending, not queryable; a page
+	// asking for the fold (here one skip record) folds them in.
+	if ack, err := deliver(ctx, c, []social.Mutation{{LSN: 3}}, true); err != nil || ack != 3 {
+		t.Fatalf("fold page ack = %d, %v; want cursor 3", ack, err)
 	}
 	resp, err := c.Do(ctx, search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact, Explain: true})
 	if err != nil {
@@ -373,7 +373,7 @@ func TestPoolProber(t *testing.T) {
 	defer ts.Close()
 	pool, err := NewPool(
 		[]*Client{newTestClient(t, ts.URL, ClientConfig{})},
-		PoolConfig{HealthInterval: 10 * time.Millisecond, FailAfter: 2, ReviveAfter: 2},
+		PoolConfig{HealthInterval: 10 * time.Millisecond, FailAfter: 2},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -402,76 +402,98 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 	t.Fatal("condition not reached in time")
 }
 
-// TestBroadcasterCoalesces checks a burst of noted writes rides one
-// edge-less /v2/invalidate per replica, and that the Befriend count
-// cuts the window short.
+// TestBroadcasterCoalesces pins what one heartbeat costs each replica:
+// notes within the window ride one heartbeat, which sends nothing to a
+// replica already at the bound; and a burst of up to
+// server.MaxReplogPageRecords records rides exactly one /v2/apply
+// request per replica, which asks for the fold — sent early once the
+// Befriend count fills, tags not counting.
 func TestBroadcasterCoalesces(t *testing.T) {
-	var mu sync.Mutex
-	var calls []invalidateCall
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var c invalidateCall
-		json.NewDecoder(r.Body).Decode(&c)
-		mu.Lock()
-		calls = append(calls, c)
-		mu.Unlock()
-		w.Header().Set("Content-Type", "application/json")
-		w.Write([]byte(`{"dropped":0}`))
-	}))
-	defer ts.Close()
-	seen := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(calls)
-	}
-	// start builds a broadcaster whose heartbeat targets the one replica.
-	start := func(cfg BroadcasterConfig) *Broadcaster {
-		clients := []*Client{newTestClient(t, ts.URL, ClientConfig{})}
+	// start builds a two-replica front-end with a replication log.
+	start := func(cfg BroadcasterConfig) (*Frontend, []*toggleReplica) {
+		var reps []*toggleReplica
+		var clients []*Client
+		for i := 0; i < 2; i++ {
+			tr := newToggleReplica(t)
+			reps = append(reps, tr)
+			clients = append(clients, newTestClient(t, tr.ts.URL, ClientConfig{}))
+		}
 		pool, err := NewPool(clients, PoolConfig{HealthInterval: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := NewBroadcaster(clients, cfg)
-		front, err := NewFrontend(pool, b)
+		front, err := NewFrontend(pool, NewBroadcaster(clients, cfg))
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(front.Close)
-		return b
+		useTempRepLog(t, front)
+		return front, reps
+	}
+	seen := func(reps []*toggleReplica) (n int) {
+		for _, r := range reps {
+			n += len(r.appliesSeen())
+		}
+		return n
 	}
 
-	b := start(BroadcasterConfig{Window: 20 * time.Millisecond})
+	front, reps := start(BroadcasterConfig{Window: 20 * time.Millisecond})
 	for i := 0; i < 10; i++ {
-		b.NoteWrite(true)
-		b.NoteWrite(false)
+		front.bcast.NoteWrite(true)
+		front.bcast.NoteWrite(false)
 	}
-	waitFor(t, time.Second, func() bool { return seen() > 0 })
-	if n := seen(); n != 1 {
-		t.Fatalf("%d heartbeats for one burst, want 1 (coalescing)", n)
+	waitFor(t, time.Second, func() bool { return front.bcast.Stats().Counters.Batches > 0 })
+	time.Sleep(50 * time.Millisecond)
+	if st := front.bcast.Stats(); st.Counters.Batches != 1 || st.Counters.Failures != 0 || st.LagMS != 0 {
+		t.Fatalf("stats = %+v, want one heartbeat for the burst (coalescing), no failure, no lag", st)
 	}
-	mu.Lock()
-	if c := calls[0]; len(c.Edges) != 0 || c.All {
-		t.Fatalf("heartbeat = %+v, want no edges and no global drop", c)
-	}
-	mu.Unlock()
-	if st := b.Stats(); st.Counters.Batches != 1 || st.Counters.Failures != 0 || st.LagMS != 0 {
-		t.Fatalf("stats = %+v", st)
+	if n := seen(reps); n != 0 {
+		t.Fatalf("a heartbeat with no records owed sent %d requests, want 0", n)
 	}
 
 	// Early flush: under a window that never elapses in this test, the
-	// heartbeat goes out once MaxBatchEdges Befriends were noted — tags
-	// do not count.
-	b = start(BroadcasterConfig{Window: time.Hour, MaxBatchEdges: 3})
-	b.NoteWrite(true)
-	b.NoteWrite(true)
-	for i := 0; i < 5; i++ {
-		b.NoteWrite(false)
+	// heartbeat goes out once MaxBatchEdges Befriends were noted.
+	front, reps = start(BroadcasterConfig{Window: time.Hour, MaxBatchEdges: 3})
+	const records = server.MaxReplogPageRecords
+	for _, err := range []error{front.Befriend("u0", "u1", 0.5), front.Befriend("u1", "u2", 0.5)} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < records-3; i++ {
+		if err := front.Tag(fmt.Sprintf("u%d", i%3), fmt.Sprintf("i%d", i), "t0"); err != nil {
+			t.Fatal(err)
+		}
 	}
 	time.Sleep(50 * time.Millisecond)
-	if n := seen(); n != 1 {
-		t.Fatalf("%d heartbeats below the Befriend bound, want still 1", n)
+	if n := seen(reps); n != 0 {
+		t.Fatalf("%d requests below the Befriend bound, want 0", n)
 	}
-	b.NoteWrite(true)
-	waitFor(t, time.Second, func() bool { return seen() == 2 })
+	if err := front.Befriend("u2", "u0", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		return front.pool.state(0).applied() == records && front.pool.state(1).applied() == records
+	})
+	for i, r := range reps {
+		pages := r.appliesSeen()
+		if len(pages) != 1 {
+			t.Fatalf("replica %d received %d requests for %d records, want 1", i, len(pages), records)
+		}
+		var page server.ApplyRequest
+		if err := json.Unmarshal([]byte(pages[0]), &page); err != nil {
+			t.Fatal(err)
+		}
+		if !page.Fold || len(page.Records) != records {
+			t.Fatalf("replica %d page: fold %v, %d records; want the fold and all %d records", i, page.Fold, len(page.Records), records)
+		}
+		if st := r.svc.Stats(); st.PendingWrites != 0 {
+			t.Fatalf("replica %d stats = %+v, want nothing pending", i, st)
+		}
+	}
+	if st := front.bcast.Stats(); st.Counters.Batches != 1 || st.Counters.Failures != 0 {
+		t.Fatalf("stats = %+v, want the one early heartbeat", st)
+	}
 }
 
 // TestFrontendMutationsAndStats drives the full glue: mutations commit
@@ -569,7 +591,7 @@ func TestClientReusesOneConnection(t *testing.T) {
 	if _, err := seed.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := seed.Invalidate(ctx, nil, true); err != nil {
+	if err := svc.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	one := search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact, Explain: true}

@@ -18,7 +18,7 @@ import (
 )
 
 // DefaultCatchupTimeout bounds one replica's replication log catch-up
-// attempt (stream + apply + closing heartbeat).
+// attempt (its whole stream).
 const DefaultCatchupTimeout = 30 * time.Second
 
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
@@ -27,10 +27,10 @@ const DefaultCatchupTimeout = 30 * time.Second
 // committed to a log (UseRepLog, or UseQuorum for HA front-ends; none
 // attached, no writes) and acknowledged there, contacting no replica.
 // Records reach replicas one way, a stream from each replica's cursor
-// (stream): the compaction heartbeat streams every admissible replica
-// and folds the records in, and the pool's rejoin gate streams an
-// ejected replica to the log's bound before readmitting it, so a
-// readmitted replica never serves answers from a stale graph.
+// (stream), whose last apply page folds them in: the compaction
+// heartbeat streams every admissible replica, and the pool's rejoin
+// gate streams an ejected replica to the log's bound before readmitting
+// it, so a readmitted replica never serves answers from a stale graph.
 type Frontend struct {
 	pool  *Pool
 	bcast *Broadcaster
@@ -237,11 +237,12 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 // a quorum leadership record, is a skip) to one replica over POST
 // /v2/apply and returns the cursor it acknowledged. A record the
 // replica rejects deterministically still advances its cursor — every
-// replica skips it identically — so it counts as delivered. Its one
-// caller is stream.
-func deliver(ctx context.Context, c *Client, page []social.Mutation) (uint64, error) {
+// replica skips it identically — so it counts as delivered. With fold
+// set the replica folds what it applied into its queryable snapshot
+// before it answers. Its one caller is stream.
+func deliver(ctx context.Context, c *Client, page []social.Mutation, fold bool) (uint64, error) {
 	var out server.AppliedResponse
-	if err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: page}, &out); err != nil {
+	if err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: page, Fold: fold}, &out); err != nil {
 		return 0, err
 	}
 	obs.MergeRemote(ctx, out.Spans)
@@ -251,7 +252,10 @@ func deliver(ctx context.Context, c *Client, page []social.Mutation) (uint64, er
 // stream is the one way records reach a replica: it sends replica i,
 // in apply pages of up to server.MaxReplogPageRecords, the records past
 // its tracked cursor — the held ones when it has reached the held tail,
-// else the log's — and returns how many it sent. The log is read past
+// else the log's — and returns how many it sent. The last page asks the
+// replica to fold, so no record the stream carried is left unfolded
+// when it returns; pages cut earlier at the record or body bound do
+// not, so a stream folds once. The log is read past
 // the tail only when the tail falls short of upto (a record
 // mid-append). The heartbeat, the rejoin gate, JoinReplica and a
 // takeover all stream this way, concurrently when they race: a replica
@@ -269,9 +273,9 @@ func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint
 	}
 	sent, size := 0, 0
 	var page []social.Mutation
-	send := func() error {
+	send := func(fold bool) error {
 		last := page[len(page)-1].LSN
-		switch ack, err := deliver(ctx, c, page); {
+		switch ack, err := deliver(ctx, c, page, fold); {
 		case err != nil:
 			return err
 		case ack < last:
@@ -291,7 +295,7 @@ func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint
 		// (\u00XX).
 		bytes := 96 + 6*(len(m.User)+len(m.Friend)+len(m.Item)+len(m.Tag))
 		if len(page) == server.MaxReplogPageRecords || len(page) > 0 && size+bytes > server.MaxBodyBytes {
-			if err := send(); err != nil {
+			if err := send(false); err != nil {
 				return err
 			}
 		}
@@ -318,28 +322,27 @@ func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint
 		}
 	}
 	if len(page) > 0 {
-		return sent, send()
+		return sent, send(true)
 	}
 	return sent, nil
 }
 
 // beat is one heartbeat's work at replica i: on the node that streams,
-// the records through upto, then the edge-less /v2/invalidate that
-// folds them in. A failure is returned, and the heartbeat is owed
-// again — except a failed page to a replica whose rejoin gate is not
-// running: that replica has provably missed a record, so it is ejected
-// at once and owes no retry; catch-up repairs it.
+// the records through upto, the last page folding them in — one
+// request for up to server.MaxReplogPageRecords records, none for a
+// replica already there. A failed page is returned, and ejects a live
+// replica at once: it has provably missed a record or its fold, and
+// catch-up repairs it. A replica whose rejoin gate runs stays
+// admissible, and the heartbeat is owed again (see flushOnce).
 func (f *Frontend) beat(ctx context.Context, i int, upto uint64) error {
-	if log := f.attached(); log != nil && log.leading() == nil {
-		if _, err := f.stream(ctx, log, i, upto); err != nil {
-			if st := f.pool.state(i); st.isLive() || !st.admissible() {
-				st.eject(err)
-				return nil
-			}
-			return err
-		}
+	log := f.attached()
+	if log == nil || log.leading() != nil {
+		return nil
 	}
-	_, err := f.pool.Client(i).Invalidate(ctx, nil, false)
+	_, err := f.stream(ctx, log, i, upto)
+	if st := f.pool.state(i); err != nil && (st.isLive() || !st.admissible()) {
+		st.eject(err)
+	}
 	return err
 }
 
@@ -414,10 +417,13 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 }
 
 // catchUp is the pool's rejoin gate: stream replica i from its own
-// cursor to the log's deliverable bound, then send it one heartbeat so
-// it folds the caught-up records in — dropping, by the friendships
-// pending in its own overlay, exactly the horizons they could affect.
-// N missed records cost ⌈N/1024⌉ requests. Runs concurrently with
+// cursor to the log's deliverable bound. The stream's last page folds
+// the caught-up records in — dropping, by the friendships pending in
+// the replica's own overlay, exactly the horizons they could affect.
+// N missed records cost ⌈N/1024⌉ requests, a replica already at the
+// bound none: every stream that applied a record to it folded it (a
+// journaled replica restarted from its journal folds on its first
+// read). Runs concurrently with
 // writes and heartbeats; the loop re-reads the bound until the replica
 // has it.
 func (f *Frontend) catchUp(i int) error {
@@ -457,13 +463,6 @@ func (f *Frontend) catchUp(i int) error {
 		}
 	}
 
-	// The closing heartbeat — records or not, so a write-quiet fleet
-	// settles too: whatever the replica applied and has not folded in yet
-	// (replayed just now, or before a heartbeat it missed) becomes
-	// queryable before it serves a read.
-	if _, err := f.pool.Client(i).Invalidate(ctx, nil, false); err != nil {
-		return err
-	}
 	f.pool.Client(i).Counters().Catchup(replayed)
 	return nil
 }

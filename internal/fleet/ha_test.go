@@ -1,19 +1,25 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/quorum"
 	"repro/internal/server"
+	"repro/internal/social"
 	"repro/internal/wal"
 )
 
@@ -77,7 +83,6 @@ func newHAFleet(t *testing.T, n int, reps []*toggleReplica) []*haFE {
 		pool, err := NewPool(clients, PoolConfig{
 			HealthInterval: 10 * time.Millisecond,
 			FailAfter:      1,
-			ReviveAfter:    1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -168,14 +173,6 @@ func waitHALeader(t *testing.T, fes []*haFE) *haFE {
 	return nil
 }
 
-func feURLs(fes []*haFE) []string {
-	urls := make([]string, len(fes))
-	for i, fe := range fes {
-		urls[i] = fe.ts.URL
-	}
-	return urls
-}
-
 // committedLog flattens a node's committed prefix for byte-level
 // comparison across survivors.
 func committedLog(t *testing.T, n *quorum.Node) []string {
@@ -213,10 +210,42 @@ func waitReplicaConvergence(t *testing.T, reps []*toggleReplica, lsn uint64) {
 	t.Fatal("replicas did not converge within 10s")
 }
 
+// haWrite sends one plain front-door mutation to the HA front-ends the
+// way any 307-following HTTP client does: Go's default client re-sends
+// the body to the leader a follower names. A refused attempt — a dead
+// front-end, a follower that names no leader yet or a dead one — moves
+// on to the next front-end until the election settles.
+func haWrite(t *testing.T, fes []*haFE, path string, body interface{}) {
+	t.Helper()
+	raw, err := json.Marshal(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; ; i = (i + 1) % len(fes) {
+		resp, err := http.Post(fes[i].ts.URL+path, "application/json", bytes.NewReader(raw))
+		if err == nil {
+			msg, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			switch {
+			case resp.StatusCode == http.StatusNoContent:
+				return
+			case resp.StatusCode < 500 && resp.StatusCode != http.StatusTemporaryRedirect:
+				t.Fatalf("POST %s %s: status %d %s", path, raw, resp.StatusCode, msg)
+			}
+			err = fmt.Errorf("status %d %s", resp.StatusCode, msg)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("POST %s %s: no front-end accepted the write: %v", path, raw, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
 // TestHAFleetSurvivesLeaderKill is the tentpole end-to-end: a 3-FE/3-
-// replica fleet takes writes through the HA client, loses its leader
-// mid-stream, elects a successor, keeps accepting writes, and ends
-// with every acked mutation applied on every replica and the two
+// replica fleet takes writes through a 307-following client, loses its
+// leader mid-stream, elects a successor, keeps accepting writes, and
+// ends with every acked mutation applied on every replica and the two
 // survivors holding byte-identical committed quorum logs.
 func TestHAFleetSurvivesLeaderKill(t *testing.T) {
 	var reps []*toggleReplica
@@ -226,30 +255,19 @@ func TestHAFleetSurvivesLeaderKill(t *testing.T) {
 	fes := newHAFleet(t, 3, reps)
 	leader := waitHALeader(t, fes)
 
-	ha, err := NewHAClient(feURLs(fes), ClientConfig{Timeout: 2 * time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if err := ha.Befriend(ctx, "alice", "bob", 0.9); err != nil {
-		t.Fatal(err)
-	}
+	haWrite(t, fes, "/v1/friend", server.FriendRequest{A: "alice", B: "bob", Weight: 0.9})
 	const before, after = 12, 12
 	for i := 0; i < before; i++ {
-		if err := ha.Tag(ctx, "bob", fmt.Sprintf("item%02d", i), "good"); err != nil {
-			t.Fatalf("pre-kill tag %d: %v", i, err)
-		}
+		haWrite(t, fes, "/v1/tag", server.TagRequest{User: "bob", Item: fmt.Sprintf("item%02d", i), Tag: "good"})
 	}
 
 	leader.kill()
 	t.Logf("killed leader %s", leader.id)
 
-	// Acked writes must keep landing across the election; the HA client
-	// owns riding out the window.
+	// Acked writes must keep landing across the election; the writer
+	// rides out the window by retrying.
 	for i := before; i < before+after; i++ {
-		if err := ha.Tag(ctx, "bob", fmt.Sprintf("item%02d", i), "good"); err != nil {
-			t.Fatalf("post-kill tag %d: %v", i, err)
-		}
+		haWrite(t, fes, "/v1/tag", server.TagRequest{User: "bob", Item: fmt.Sprintf("item%02d", i), Tag: "good"})
 	}
 	successor := waitHALeader(t, fes)
 	if successor == leader {
@@ -283,8 +301,8 @@ func TestHAFleetSurvivesLeaderKill(t *testing.T) {
 			survivors[0].id, logA, survivors[1].id, logB)
 	}
 
-	// Byte-identical serving: every replica holds the same users, and a
-	// search through the HA client sees the post-kill writes.
+	// Byte-identical serving: every replica holds the same users, and
+	// any surviving front-end answers reads that see them.
 	want := reps[0].svc.Users()
 	sort.Strings(want)
 	for i, tr := range reps[1:] {
@@ -294,7 +312,7 @@ func TestHAFleetSurvivesLeaderKill(t *testing.T) {
 			t.Fatalf("replica %d users %v != replica 0 users %v", i+1, got, want)
 		}
 	}
-	users, err := ha.Users(ctx)
+	users, err := newTestClient(t, survivors[0].ts.URL, ClientConfig{Timeout: 2 * time.Second}).Users(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,13 +323,13 @@ func TestHAFleetSurvivesLeaderKill(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("HA Users() = %v, missing bob", users)
+		t.Fatalf("survivor %s Users() = %v, missing bob", survivors[0].id, users)
 	}
 }
 
 // TestHAClientFollowsRedirect pins the write-routing contract: a write
-// aimed at a follower is answered with the leader's address and the HA
-// client re-aims instead of failing.
+// aimed at a follower is answered with the leader's address, and a
+// plain redirect-following client lands it in the leader's log.
 func TestHAClientFollowsRedirect(t *testing.T) {
 	var reps []*toggleReplica
 	for i := 0; i < 2; i++ {
@@ -345,23 +363,29 @@ func TestHAClientFollowsRedirect(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	// The HA client pinned to the follower chases the redirect and
-	// remembers where it landed.
-	ha, err := NewHAClient(feURLs(fes), ClientConfig{Timeout: 2 * time.Second})
+	// A plain POST aimed at the follower follows the 307: the write
+	// lands in the leader's log.
+	head := leader.node.Head()
+	body := []byte(`{"a":"carol","b":"dave","weight":0.7}`)
+	resp, err := http.Post(fes[followerIdx].ts.URL+"/v1/friend", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ha.mu.Lock()
-	ha.write = followerIdx
-	ha.mu.Unlock()
-	if err := ha.Befriend(context.Background(), "carol", "dave", 0.7); err != nil {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("redirect-following POST to follower %s: status %d, want 204", fes[followerIdx].id, resp.StatusCode)
+	}
+	var landed []string
+	if _, err := leader.node.ReadCommitted(head+1, func(rec wal.Record) error {
+		if m, err := durable.DecodeMutation(rec); err == nil && m.Kind == social.KindBefriend {
+			landed = append(landed, m.User+"-"+m.Friend)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	ha.mu.Lock()
-	landed := ha.write
-	ha.mu.Unlock()
-	if landed != leaderIdx {
-		t.Fatalf("HA client write index = %d (%s), want leader %d (%s)",
-			landed, fes[landed].id, leaderIdx, fes[leaderIdx].id)
+	if !slices.Contains(landed, "carol-dave") {
+		t.Fatalf("leader %s log past lsn %d holds befriends %v, want carol-dave", leader.id, head, landed)
 	}
 }

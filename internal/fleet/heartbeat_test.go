@@ -14,12 +14,12 @@ import (
 )
 
 // TestHeartbeatSkipsEjectedReplica: an ejected replica is not a
-// heartbeat target, so one that blackholes /v2/invalidate cannot hold
-// the live replicas' write visibility hostage for the broadcast timeout.
+// heartbeat target, so one that blackholes its fold pages cannot hold
+// the live replicas' write visibility hostage for the heartbeat timeout.
 func TestHeartbeatSkipsEjectedReplica(t *testing.T) {
 	front, pool, reps, clients := newCatchupFleet(t, 3, t.TempDir())
 	victim := 0
-	reps[victim].hangBeats.Store(true)
+	reps[victim].hangFolds.Store(true)
 	reps[victim].down.Store(true)
 	waitFor(t, 5*time.Second, func() bool { return !pool.Live(victim) })
 
@@ -33,8 +33,8 @@ func TestHeartbeatSkipsEjectedReplica(t *testing.T) {
 	if err := front.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if took := time.Since(start); took > DefaultBroadcastTimeout/5 {
-		t.Fatalf("Flush took %v with one ejected replica hanging on /v2/invalidate (timeout %v)", took, DefaultBroadcastTimeout)
+	if took := time.Since(start); took > beatTimeout/5 {
+		t.Fatalf("Flush took %v with one ejected replica hanging on fold pages (timeout %v)", took, beatTimeout)
 	}
 	for i := 1; i < 3; i++ {
 		resp, err := clients[i].Do(context.Background(), search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact})
@@ -47,9 +47,11 @@ func TestHeartbeatSkipsEjectedReplica(t *testing.T) {
 	}
 }
 
-// TestHeartbeatRetriesAfterFailure: a live replica that fails one
-// heartbeat is retried after a window, not left on a stale snapshot
-// until the next fleet write.
+// TestHeartbeatRetriesAfterFailure: a live replica that loses a
+// heartbeat's fold page is not left on a stale snapshot until the next
+// fleet write. The failed page ejects it at once (a failure the
+// broadcaster counts), and the catch-up that readmits it streams the
+// records again with a fold, though nothing more is written.
 func TestHeartbeatRetriesAfterFailure(t *testing.T) {
 	front, pool, reps, clients := newCatchupFleet(t, 2, t.TempDir())
 	ref, err := social.NewService(social.DefaultServiceConfig())
@@ -57,7 +59,7 @@ func TestHeartbeatRetriesAfterFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	victim := 0
-	reps[victim].dropBeats.Store(1)
+	reps[victim].dropFolds.Store(1)
 	for _, err := range []error{
 		ref.Befriend("u0", "u1", 0.9), front.Befriend("u0", "u1", 0.9),
 		ref.Tag("u1", "luigis", "t0"), front.Tag("u1", "luigis", "t0"),
@@ -67,13 +69,16 @@ func TestHeartbeatRetriesAfterFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Nothing more is written. The victim stays live throughout (a failed
-	// heartbeat is not a health signal) and must converge on its own.
 	waitFor(t, 5*time.Second, func() bool {
-		return reps[victim].dropBeats.Load() == 0 && reps[victim].svc.Stats().PendingWrites == 0
+		vs := front.StatsAny().(Stats).Replicas[victim]
+		return reps[victim].dropFolds.Load() == 0 && vs.Counters.Ejections == 1 &&
+			pool.Live(victim) && reps[victim].svc.AppliedLSN() == 2
 	})
-	if !pool.Live(victim) {
-		t.Fatal("a failed heartbeat ejected the replica")
+	if st := reps[victim].svc.Stats(); st.PendingWrites != 0 {
+		t.Fatalf("readmitted replica stats = %+v, want nothing pending", st)
+	}
+	if vs := front.StatsAny().(Stats).Replicas[victim]; vs.Counters.Catchups < 1 {
+		t.Fatalf("victim counters = %+v, want catch-up to have readmitted it", vs.Counters)
 	}
 	compareReplicaToReference(t, context.Background(), clients[victim], ref, 2, 1)
 	waitFor(t, 5*time.Second, func() bool {
@@ -92,7 +97,7 @@ func heartbeatSettled(b *Broadcaster) bool {
 }
 
 // TestHeartbeatLossDifferential runs seeded scripts of {Befriend, Tag,
-// kill, revive, drop the next heartbeat at one replica, drop the next
+// kill, revive, drop the next fold page at one replica, drop the next
 // apply page at one replica, quiesce} over real replicas and demands,
 // at every quiesce, that each live replica — queried directly, its
 // cache warm from the previous quiesce — answers mode=exact
@@ -134,11 +139,20 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 		}
 		return out
 	}
-	// steady lists the serving replicas no pending page drop will eject:
-	// kills and drops leave one, so the writes always find a live replica.
+	// armed marks the replicas a page or fold page drop was armed on
+	// since the last quiesce. The drop ejects a live replica once its
+	// page fails, which is after the counter reads zero again, so only
+	// a quiesce — whose heartbeats have all returned — clears the mark.
+	armed := make([]bool, nReplicas)
+	arm := func(i int, drops *atomic.Int32) {
+		armed[i] = true
+		drops.Add(1)
+	}
+	// steady lists the serving replicas no armed drop will eject: kills
+	// and drops leave one, so the writes always find a live replica.
 	steady := func() (out []int) {
 		for _, i := range serving() {
-			if reps[i].dropApplies.Load() == 0 {
+			if !armed[i] {
 				out = append(out, i)
 			}
 		}
@@ -146,8 +160,8 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 	}
 	quiesce := func(step int) {
 		t.Helper()
-		// Revived replicas finish catching up (a dropped closing heartbeat
-		// fails one attempt; the next probe retries) ...
+		// Revived replicas finish catching up (a dropped page fails one
+		// attempt; the next probe retries) ...
 		waitFor(t, 10*time.Second, func() bool {
 			for i, r := range reps {
 				if !r.down.Load() && !pool.Live(i) {
@@ -163,6 +177,9 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 		}
 		for _, i := range serving() {
 			compareReplicaToReference(t, ctx, clients[i], ref, nUsers, nTags)
+		}
+		for i, r := range reps {
+			armed[i] = r.dropApplies.Load() != 0 || r.dropFolds.Load() != 0
 		}
 	}
 
@@ -190,10 +207,14 @@ func heartbeatLossScript(t *testing.T, seed int64, steps int) {
 		case p < 78: // revive
 			reps[rng.Intn(nReplicas)].down.Store(false)
 		case p < 83:
-			reps[rng.Intn(nReplicas)].dropBeats.Add(1)
+			if up := steady(); len(up) >= 2 {
+				i := up[rng.Intn(len(up))]
+				arm(i, &reps[i].dropFolds)
+			}
 		case p < 88:
 			if up := steady(); len(up) >= 2 {
-				reps[up[rng.Intn(len(up))]].dropApplies.Add(1)
+				i := up[rng.Intn(len(up))]
+				arm(i, &reps[i].dropApplies)
 			}
 		default:
 			quiesce(step)

@@ -17,9 +17,16 @@ import (
 // Pool defaults, substituted for zero config fields.
 const (
 	DefaultHealthInterval = time.Second
-	DefaultHealthTimeout  = 2 * time.Second
 	DefaultFailAfter      = 3
-	DefaultReviveAfter    = 2
+)
+
+const (
+	// probeTimeout bounds one /healthz probe.
+	probeTimeout = 2 * time.Second
+	// reviveAfter is the streak of successful probes after which an
+	// ejected replica is readmitted (or, with a rejoin gate, its gate
+	// starts).
+	reviveAfter = 2
 )
 
 // PoolConfig tunes the replica pool.
@@ -28,17 +35,10 @@ type PoolConfig struct {
 	// (0 = DefaultHealthInterval; negative disables the prober — tests
 	// drive health transitions through query failures alone).
 	HealthInterval time.Duration
-	// HealthTimeout bounds one probe (0 = DefaultHealthTimeout).
-	HealthTimeout time.Duration
 	// FailAfter ejects a replica after this many consecutive failures —
 	// probe failures and query transport failures both count
 	// (0 = DefaultFailAfter).
 	FailAfter int
-	// ReviveAfter re-admits an ejected replica after this many
-	// consecutive successful probes (0 = DefaultReviveAfter).
-	ReviveAfter int
-	// VirtualNodes configures the routing ring (0 = ring default).
-	VirtualNodes int
 }
 
 // replicaState is the health bookkeeping for one replica. The mutex
@@ -58,7 +58,6 @@ type replicaState struct {
 	catchingUp  bool   // a rejoin gate run is in flight
 	appliedLSN  uint64 // replica's replication cursor, from acks and probes
 	failAfter   int
-	reviveAfter int
 	counters    *metrics.ReplicaCounters
 }
 
@@ -197,7 +196,7 @@ func (r *replicaState) releaseGate() {
 }
 
 // ok records one success (probe or query), readmitting the replica at
-// ReviveAfter consecutive ones. With a rejoin gate configured, probe
+// reviveAfter consecutive ones. With a rejoin gate configured, probe
 // successes alone never readmit: eligibility starts (at most) one gate
 // run, and only its successful completion — the replica has streamed
 // and applied the replication log through the head — flips live (see
@@ -216,7 +215,7 @@ func (r *replicaState) ok() {
 	if r.live || r.gate == nil {
 		r.lastErr = ""
 	}
-	if !r.live && r.consecOKs >= r.reviveAfter {
+	if !r.live && r.consecOKs >= reviveAfter {
 		if r.holdGate {
 			// Admitted, healthy, but the join orchestration has not yet
 			// bootstrapped it — flipping live (or streaming the whole log)
@@ -316,19 +315,13 @@ func NewPool(clients []*Client, cfg PoolConfig) (*Pool, error) {
 	if cfg.HealthInterval == 0 {
 		cfg.HealthInterval = DefaultHealthInterval
 	}
-	if cfg.HealthTimeout == 0 {
-		cfg.HealthTimeout = DefaultHealthTimeout
-	}
 	if cfg.FailAfter == 0 {
 		cfg.FailAfter = DefaultFailAfter
 	}
-	if cfg.ReviveAfter == 0 {
-		cfg.ReviveAfter = DefaultReviveAfter
-	}
-	if cfg.FailAfter < 0 || cfg.ReviveAfter < 0 || cfg.HealthTimeout < 0 {
+	if cfg.FailAfter < 0 {
 		return nil, errors.New("fleet: negative pool config value")
 	}
-	ring, err := shard.NewRing(len(clients), cfg.VirtualNodes)
+	ring, err := shard.NewRing(len(clients))
 	if err != nil {
 		return nil, err
 	}
@@ -342,10 +335,9 @@ func NewPool(clients []*Client, cfg PoolConfig) (*Pool, error) {
 	}
 	for i, c := range clients {
 		t.states[i] = &replicaState{
-			live:        true,
-			failAfter:   cfg.FailAfter,
-			reviveAfter: cfg.ReviveAfter,
-			counters:    c.Counters(),
+			live:      true,
+			failAfter: cfg.FailAfter,
+			counters:  c.Counters(),
 		}
 		t.inRing[i] = true
 	}
@@ -422,11 +414,10 @@ func (p *Pool) Admit(c *Client) (int, error) {
 	old := p.view()
 	slot := len(old.clients)
 	st := &replicaState{
-		live:        false,
-		holdGate:    true,
-		failAfter:   p.cfg.FailAfter,
-		reviveAfter: p.cfg.ReviveAfter,
-		counters:    c.Counters(),
+		live:      false,
+		holdGate:  true,
+		failAfter: p.cfg.FailAfter,
+		counters:  c.Counters(),
 	}
 	p.applyGateLocked(slot, st)
 	t := &topology{
@@ -467,7 +458,7 @@ func (p *Pool) Activate(i int) error {
 		return nil
 	}
 	slots := append(old.ring.Slots(), i)
-	ring, err := shard.NewRingOf(slots, p.cfg.VirtualNodes)
+	ring, err := shard.NewRingOf(slots)
 	if err != nil {
 		return err
 	}
@@ -510,7 +501,7 @@ func (p *Pool) Retire(i int) error {
 			return errors.New("fleet: cannot retire the last in-ring replica")
 		}
 		var err error
-		if ring, err = shard.NewRingOf(slots, p.cfg.VirtualNodes); err != nil {
+		if ring, err = shard.NewRingOf(slots); err != nil {
 			return err
 		}
 	}
@@ -543,7 +534,7 @@ func (p *Pool) RingAdding(slot int) (*shard.Ring, error) {
 	if t.ring.HasSlot(slot) {
 		return t.ring, nil
 	}
-	return shard.NewRingOf(append(t.ring.Slots(), slot), p.cfg.VirtualNodes)
+	return shard.NewRingOf(append(t.ring.Slots(), slot))
 }
 
 // RingRemoving returns the candidate ring that Retire(slot) would
@@ -564,7 +555,7 @@ func (p *Pool) RingRemoving(slot int) (*shard.Ring, error) {
 	if len(slots) == 0 {
 		return nil, errors.New("fleet: cannot remove the last in-ring replica")
 	}
-	return shard.NewRingOf(slots, p.cfg.VirtualNodes)
+	return shard.NewRingOf(slots)
 }
 
 // minApplied returns the minimum replication cursor across non-retired
@@ -632,7 +623,7 @@ func (p *Pool) probeAll() {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			ctx, cancel := context.WithTimeout(context.Background(), p.cfg.HealthTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			defer cancel()
 			st := t.states[i]
 			before := st.applied()

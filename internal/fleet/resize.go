@@ -93,7 +93,7 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 
 	// Drive the rejoin gate inline rather than waiting for the prober's
 	// streak: catchUp streams the suffix from the joiner's cursor to the
-	// moving head and finishes with the closing heartbeat. catchingUp
+	// moving head, its last page folding it in. catchingUp
 	// is claimed first so a concurrent probe-started gate run (possible
 	// only if a previous join attempt already released the hold) cannot
 	// double-stream.

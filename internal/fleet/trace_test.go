@@ -58,7 +58,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 		if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Invalidate(ctx, [][2]string{{"alice", "bob"}}, false); err != nil {
+		if _, err := deliver(ctx, c, []social.Mutation{{LSN: 3}}, true); err != nil {
 			t.Fatal(err)
 		}
 	}

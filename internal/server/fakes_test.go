@@ -31,9 +31,7 @@ type noopReplica struct{ noopBackend }
 
 func (noopReplica) Apply(m social.Mutation) error { return nil }
 func (noopReplica) AppliedLSN() uint64            { return 0 }
-func (noopReplica) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
-	return 0, nil
-}
+func (noopReplica) Flush() error                  { return nil }
 func (noopReplica) SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error) {
 	return nil, nil, nil, 0, nil
 }

@@ -20,10 +20,9 @@
 //	                        "max_cache_age_ms":0,"explain":true}
 //	                                                                → {"results":[{"item":"x","score":1.2}],"explain":{...}}
 //	POST /v2/search/batch  {"queries":[{...v2 query...},...]}       → {"results":[{"results":[...],"explain":{...}},{"error":"..."},...]}
-//	POST /v2/invalidate    {"edges":[["alice","bob"],...],"all":false}
-//	                                                                → {"dropped":2}
 //	POST /v2/apply         {"records":[{"lsn":7,"kind":"befriend","user":"alice","friend":"bob","weight":0.9},
-//	                        {"lsn":8,"kind":"tag","user":"bob","item":"x","tag":"pizza"},{"lsn":9}]}
+//	                        {"lsn":8,"kind":"tag","user":"bob","item":"x","tag":"pizza"},{"lsn":9}],
+//	                        "fold":true}
 //	                                                                → {"applied_lsn":9,"rejected":[...]}
 //	GET  /v2/replog?from=7                                          → {"from":7,"head":42,"records":[...]}
 //	GET  /v2/snapshot                                               → binary snapshot stream pinned at the
@@ -51,7 +50,9 @@
 // Replication (fleet replicas): a log record reaches a replica in one
 // form, an entry of a POST /v2/apply page of LSN-consecutive
 // social.Mutation records (no "kind": a skip), applied in order with
-// idempotent dedup and strict ordering (see handleApply).
+// idempotent dedup and strict ordering (see handleApply). The last page
+// of a stream carries "fold": the replica folds what it applied into
+// its queryable snapshot before it answers.
 //
 // The v2 surface exposes the full search.Request: per-query β blending,
 // execution mode (auto, exact and approx all run the exact merge today;
@@ -118,8 +119,8 @@ type Backend interface {
 
 // Replica is the role of a backend that holds the state itself and
 // applies the fleet's replication stream: *social.Service, volatile or
-// journaled. Its endpoints (/v2/apply, /v2/invalidate, /v2/snapshot,
-// /v2/cache/*) answer 404 on a backend that is not one.
+// journaled. Its endpoints (/v2/apply, /v2/snapshot, /v2/cache/*)
+// answer 404 on a backend that is not one.
 type Replica interface {
 	// Apply (each record of a POST /v2/apply page) applies one
 	// replication record with idempotent dedup (at or below the cursor:
@@ -130,10 +131,10 @@ type Replica interface {
 	// AppliedLSN is the replication cursor; /healthz reports it (header
 	// X-Applied-LSN), so fleet health probes double as lag probes.
 	AppliedLSN() uint64
-	// ApplyInvalidation (POST /v2/invalidate) folds pending writes into
-	// the queryable snapshot and drops the cached seeker horizons the
-	// given friendship edges could affect (all = drop everything).
-	ApplyInvalidation(edges [][2]string, all bool) (int, error)
+	// Flush (an apply page with "fold" set, after its records) folds
+	// the applied records into the queryable snapshot, dropping the
+	// cached seeker horizons their friendships could affect.
+	Flush() error
 	// SnapshotWithCursor and ImportSnapshot (GET/POST /v2/snapshot)
 	// export the compacted state pinned at the replication cursor, and
 	// replace the entire state with such an export — how a joining
@@ -307,7 +308,6 @@ func New(b Backend) (*Server, error) {
 	s.mux.HandleFunc("/v2/search", s.handleSearchV2)
 	s.mux.HandleFunc("/v2/search/batch", s.handleSearchBatchV2)
 	s.mux.HandleFunc("/v2/apply", s.handleApply)
-	s.mux.HandleFunc("/v2/invalidate", s.handleInvalidate)
 	s.mux.HandleFunc("/v2/replog", s.handleReplog)
 	s.mux.HandleFunc("/v2/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("/v2/cache/seekers", s.handleCacheSeekers)
@@ -710,9 +710,13 @@ func mutationErrStatus(err error) int {
 }
 
 // ApplyRequest is the POST /v2/apply body: a page of replication log
-// records, LSN-consecutive, at most MaxReplogPageRecords of them.
+// records, LSN-consecutive, at most MaxReplogPageRecords of them. Fold
+// asks the replica to fold what it applied into its queryable snapshot
+// once the page is applied; the sender sets it on the last page of a
+// stream.
 type ApplyRequest struct {
 	Records []social.Mutation `json:"records"`
+	Fold    bool              `json:"fold,omitempty"`
 }
 
 // ApplyRejection names a record of an apply page the replica rejected
@@ -744,6 +748,8 @@ type AppliedResponse struct {
 // every replica repeats identically, listed while the page goes on; one
 // left behind means an internal failure (a full disk, a broken log)
 // that retrying may fix — 500, with only the records before it applied.
+// A page with fold set is then folded in (Replica.Flush); a fold that
+// fails is a 500 too.
 func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
@@ -784,6 +790,12 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 			resp.Rejected = append(resp.Rejected, ApplyRejection{LSN: m.LSN, Error: err.Error()})
 		default:
 			s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("lsn %d: %w", m.LSN, err))
+			return
+		}
+	}
+	if req.Fold {
+		if err := s.replica.Flush(); err != nil {
+			s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("fold: %w", err))
 			return
 		}
 	}
@@ -1227,43 +1239,6 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendBatchResponse(dst, &resp) })
-}
-
-// InvalidateRequest is the /v2/invalidate body. Pending writes are
-// folded into the snapshot first — an empty body is the fleet's
-// compaction heartbeat — then the operator's cache drop, if any: the
-// horizons the named friendship edges (by user name) could affect, or
-// all=true for everything.
-type InvalidateRequest struct {
-	Edges [][2]string `json:"edges"`
-	All   bool        `json:"all"`
-}
-
-// InvalidateResponse is the /v2/invalidate response body.
-type InvalidateResponse struct {
-	// Dropped is the number of cached horizons invalidated.
-	Dropped int `json:"dropped"`
-}
-
-func (s *Server) handleInvalidate(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	if s.replica == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend does not support invalidation broadcast"))
-		return
-	}
-	var req InvalidateRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	dropped, err := s.replica.ApplyInvalidation(req.Edges, req.All)
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, r, InvalidateResponse{Dropped: dropped})
 }
 
 // handleReplog pages through the fleet replication log:

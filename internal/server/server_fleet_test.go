@@ -44,10 +44,12 @@ func TestReadyz(t *testing.T) {
 	}
 }
 
-// TestInvalidateEndpoint drives the broadcast-receiving side: pending
-// writes become queryable, edge-scoped entries drop, the cache survives
-// unrelated edges, and all=true drops everything.
-func TestInvalidateEndpoint(t *testing.T) {
+// TestApplyFold drives the fold an apply page asks for: the records of
+// a page without "fold" stay pending (a replica in fleet posture
+// answers from its last folded snapshot), a page with it folds them and
+// its own records in before it answers, and a fold that fails is a 500
+// with the page's records applied.
+func TestApplyFold(t *testing.T) {
 	cfg := social.DefaultServiceConfig()
 	cfg.AutoCompactEvery = 1 << 30 // fleet replica posture: manual compaction
 	svc, err := social.NewService(cfg)
@@ -58,67 +60,53 @@ func TestInvalidateEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seedHTTP(t, s)
-
-	// The seed is pending: a search cannot succeed until an
-	// invalidation broadcast folds it into the snapshot.
-	if rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil); rec.Code == http.StatusOK {
-		t.Fatalf("pre-broadcast search succeeded; replica posture must defer visibility to the broadcast")
+	searchCode := func() int {
+		return doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil).Code
 	}
-	rec := doJSON(t, s, http.MethodPost, "/v2/invalidate", map[string]interface{}{"edges": [][2]string{{"alice", "bob"}}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("/v2/invalidate: status %d body %s", rec.Code, rec.Body)
+	if rec := applyPage(t, s, befriendAt(1, "alice", "bob", 0.9), tagAt(2, "bob", "luigis", "pizza")); rec.Code != http.StatusOK {
+		t.Fatalf("page without fold: status %d body %s", rec.Code, rec.Body)
 	}
-	if rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil); rec.Code != http.StatusOK {
-		t.Fatalf("post-broadcast search: status %d body %s", rec.Code, rec.Body)
+	if code := searchCode(); code == http.StatusOK {
+		t.Fatal("search succeeded before a fold; replica posture must defer visibility to the fold")
+	}
+	if st := svc.Stats(); st.PendingWrites == 0 {
+		t.Fatalf("stats = %+v after a page without fold, want pending writes", st)
 	}
 
-	// Warm a cached horizon, then check an edge-scoped drop: an edge
-	// touching the seeker's horizon drops it, a disjoint edge does not.
-	warm := func() {
-		t.Helper()
-		if rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil); rec.Code != http.StatusOK {
-			t.Fatalf("warm search: status %d", rec.Code)
-		}
-	}
-	warm()
-	before := svc.Stats().SeekerCache.Invalidations
-	rec = doJSON(t, s, http.MethodPost, "/v2/invalidate", map[string]interface{}{"edges": [][2]string{{"nobody1", "nobody2"}}})
+	rec := doJSON(t, s, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 3}}, Fold: true})
 	if rec.Code != http.StatusOK {
-		t.Fatalf("disjoint invalidate: status %d", rec.Code)
+		t.Fatalf("page with fold: status %d body %s", rec.Code, rec.Body)
 	}
-	if got := svc.Stats().SeekerCache.Invalidations; got != before {
-		t.Fatalf("disjoint edge invalidated %d entries, want 0", got-before)
+	var resp AppliedResponse
+	decode(t, rec, &resp)
+	if resp.AppliedLSN != 3 {
+		t.Fatalf("applied_lsn = %d, want 3", resp.AppliedLSN)
 	}
-	rec = doJSON(t, s, http.MethodPost, "/v2/invalidate", map[string]interface{}{"edges": [][2]string{{"bob", "carol"}}})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("scoped invalidate: status %d", rec.Code)
+	if st := svc.Stats(); st.PendingWrites != 0 {
+		t.Fatalf("stats = %+v after a page with fold, want nothing pending", st)
 	}
-	var dropped InvalidateResponse
-	decode(t, rec, &dropped)
-	if dropped.Dropped < 1 {
-		t.Fatalf("scoped invalidate dropped %d, want >=1 (alice's horizon contains bob)", dropped.Dropped)
+	if code := searchCode(); code != http.StatusOK {
+		t.Fatalf("search after the fold: status %d", code)
 	}
 
-	// all=true: everything goes.
-	warm()
-	rec = doJSON(t, s, http.MethodPost, "/v2/invalidate", map[string]interface{}{"all": true})
-	if rec.Code != http.StatusOK {
-		t.Fatalf("global invalidate: status %d", rec.Code)
+	rep := &foldFailReplica{}
+	s2, err := New(rep)
+	if err != nil {
+		t.Fatal(err)
 	}
-	decode(t, rec, &dropped)
-	if dropped.Dropped < 1 {
-		t.Fatalf("global invalidate dropped %d, want >=1", dropped.Dropped)
+	rec = doJSON(t, s2, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}, Fold: true})
+	if rec.Code != http.StatusInternalServerError || rep.applied != 1 {
+		t.Fatalf("failed fold: status %d, cursor %d; want 500 with the page applied (cursor 1)", rec.Code, rep.applied)
 	}
-
-	// Malformed body and wrong method are client errors.
-	if rec := doJSON(t, s, http.MethodPost, "/v2/invalidate", "not an object"); rec.Code != http.StatusBadRequest {
-		t.Fatalf("malformed invalidate: status %d", rec.Code)
-	}
-	if rec := doJSON(t, s, http.MethodGet, "/v2/invalidate", nil); rec.Code != http.StatusMethodNotAllowed {
-		t.Fatalf("GET invalidate: status %d", rec.Code)
+	if rec := applyPage(t, s2, social.Mutation{LSN: 2}); rec.Code != http.StatusOK {
+		t.Fatalf("page without fold on the same replica: status %d, want 200 (no fold asked)", rec.Code)
 	}
 }
+
+// foldFailReplica applies records but cannot fold them.
+type foldFailReplica struct{ cursorReplica }
+
+func (*foldFailReplica) Flush() error { return errors.New("disk full") }
 
 // statsAnyBackend is a front-end whose stats are a payload the server
 // does not know, and whose searches can be made unavailable.

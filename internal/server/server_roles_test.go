@@ -10,7 +10,8 @@ import (
 // TestEndpointsOfTheAbsentRole pins what a backend answers on the
 // endpoints of the role it does not play: a replica has no replication
 // log or fleet to resize, a front-end holds no state to apply records
-// to, snapshot, warm or invalidate.
+// to, snapshot or warm — and /v2/invalidate is gone from both: the
+// last apply page of a stream asks for the fold.
 func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -27,7 +28,8 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		{"frontend: snapshot import", noopFrontend{}, http.MethodPost, "/v2/snapshot", nil, http.StatusNotFound},
 		{"frontend: cache seekers", noopFrontend{}, http.MethodGet, "/v2/cache/seekers", nil, http.StatusNotFound},
 		{"frontend: cache warm", noopFrontend{}, http.MethodPost, "/v2/cache/warm", map[string][]string{"seekers": {"a"}}, http.StatusNotFound},
-		{"frontend: invalidate", noopFrontend{}, http.MethodPost, "/v2/invalidate", map[string]bool{"all": true}, http.StatusNotFound},
+		{"frontend: fold", noopFrontend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}, Fold: true}, http.StatusNotFound},
+		{"replica: invalidate", noopReplica{}, http.MethodPost, "/v2/invalidate", map[string]bool{"all": true}, http.StatusNotFound},
 		// A backend with neither role answers all of them the same way.
 		{"plain: replog", noopBackend{}, http.MethodGet, "/v2/replog", nil, http.StatusNotFound},
 		{"plain: apply", noopBackend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}, http.StatusNotFound},
@@ -52,6 +54,7 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	}{
 		{noopFrontend{}, http.MethodGet, "/v2/replog", nil},
 		{noopReplica{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}},
+		{noopReplica{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}, Fold: true}},
 		{noopReplica{}, http.MethodGet, "/v2/cache/seekers", nil},
 	} {
 		s, _ := New(tc.backend)

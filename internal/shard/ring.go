@@ -13,10 +13,10 @@ import (
 	"sort"
 )
 
-// DefaultVirtualNodes is the number of ring points per shard. 64 keeps
-// the load imbalance between shards within a few percent while the
-// ring stays small enough that building and searching it is noise.
-const DefaultVirtualNodes = 64
+// virtualNodes is the number of ring points per shard. 64 keeps the
+// load imbalance between shards within a few percent while the ring
+// stays small enough that building and searching it is noise.
+const virtualNodes = 64
 
 // Ring maps keys to shard slots by consistent hashing. A slot is a
 // stable integer label: the classic NewRing labels them 0..N-1, while
@@ -36,10 +36,9 @@ type ringPoint struct {
 	shard int
 }
 
-// NewRing builds a ring over the given number of shards (≥ 1) with
-// vnodes virtual nodes per shard (0 = DefaultVirtualNodes). The slots
-// are labelled 0..shards-1.
-func NewRing(shards, vnodes int) (*Ring, error) {
+// NewRing builds a ring over the given number of shards (≥ 1). The
+// slots are labelled 0..shards-1.
+func NewRing(shards int) (*Ring, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("shard: %d shards, need >= 1", shards)
 	}
@@ -47,23 +46,16 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	for s := range slots {
 		slots[s] = s
 	}
-	return NewRingOf(slots, vnodes)
+	return NewRingOf(slots)
 }
 
 // NewRingOf builds a ring over an arbitrary set of slot labels (≥ 1
-// distinct, non-negative) with vnodes virtual nodes per slot
-// (0 = DefaultVirtualNodes). Two rings sharing a slot label place that
+// distinct, non-negative). Two rings sharing a slot label place that
 // slot's points identically, which is what makes resizes minimal: keys
 // only ever move to an added slot or away from a removed one.
-func NewRingOf(slots []int, vnodes int) (*Ring, error) {
+func NewRingOf(slots []int) (*Ring, error) {
 	if len(slots) < 1 {
 		return nil, fmt.Errorf("shard: empty slot set, need >= 1")
-	}
-	if vnodes < 0 {
-		return nil, fmt.Errorf("shard: negative virtual node count %d", vnodes)
-	}
-	if vnodes == 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	sorted := append([]int(nil), slots...)
 	sort.Ints(sorted)
@@ -79,10 +71,10 @@ func NewRingOf(slots []int, vnodes int) (*Ring, error) {
 		shards:  len(sorted),
 		slots:   sorted,
 		maxSlot: sorted[len(sorted)-1],
-		points:  make([]ringPoint, 0, len(sorted)*vnodes),
+		points:  make([]ringPoint, 0, len(sorted)*virtualNodes),
 	}
 	for _, s := range sorted {
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			// Hash the (slot, vnode) pair as a little label; FNV keeps
 			// the ring deterministic across processes and restarts.
 			h := fnv1a(uint64(s)<<32 | uint64(v))

@@ -6,20 +6,17 @@ import (
 )
 
 func TestRingValidation(t *testing.T) {
-	if _, err := NewRing(0, 0); err == nil {
+	if _, err := NewRing(0); err == nil {
 		t.Error("0 shards accepted")
-	}
-	if _, err := NewRing(4, -1); err == nil {
-		t.Error("negative vnodes accepted")
 	}
 }
 
 func TestRingDeterministicAndStable(t *testing.T) {
-	r1, err := NewRing(8, 0)
+	r1, err := NewRing(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := NewRing(8, 0)
+	r2, _ := NewRing(8)
 	for i := 0; i < 1000; i++ {
 		if key := fmt.Sprintf("seeker-%d", i); r1.OwnerString(key) != r2.OwnerString(key) {
 			t.Fatalf("ring not deterministic for %q", key)
@@ -32,7 +29,7 @@ func TestRingDeterministicAndStable(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	const shards, users = 8, 10000
-	r, err := NewRing(shards, 0)
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,8 +53,8 @@ func TestRingSpreadsLoad(t *testing.T) {
 // lacks.
 func TestRingResizeStability(t *testing.T) {
 	const users = 10000
-	r8, _ := NewRing(8, 0)
-	r9, _ := NewRing(9, 0)
+	r8, _ := NewRing(8)
+	r9, _ := NewRing(9)
 	moved := 0
 	for i := 0; i < users; i++ {
 		if key := fmt.Sprintf("seeker-%d", i); r8.OwnerString(key) != r9.OwnerString(key) {
@@ -75,7 +72,7 @@ func TestRingResizeStability(t *testing.T) {
 	// keys, and a dead owner's keys spill across ALL survivors, each
 	// catching within 3x of its fair share of the spill.
 	for _, shards := range []int{3, 5} {
-		r, err := NewRing(shards, 0)
+		r, err := NewRing(shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,11 +125,11 @@ func TestRingOfMinimalMovement(t *testing.T) {
 	}
 	const keys = 20000
 	for _, tc := range cases {
-		oldRing, err := NewRingOf(tc.old, 0)
+		oldRing, err := NewRingOf(tc.old)
 		if err != nil {
 			t.Fatal(err)
 		}
-		newRing, err := NewRingOf(tc.new, 0)
+		newRing, err := NewRingOf(tc.new)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,16 +176,16 @@ func TestRingOfMinimalMovement(t *testing.T) {
 }
 
 func TestRingOfValidation(t *testing.T) {
-	if _, err := NewRingOf(nil, 0); err == nil {
+	if _, err := NewRingOf(nil); err == nil {
 		t.Error("empty slot set accepted")
 	}
-	if _, err := NewRingOf([]int{0, 1, 1}, 0); err == nil {
+	if _, err := NewRingOf([]int{0, 1, 1}); err == nil {
 		t.Error("duplicate slot accepted")
 	}
-	if _, err := NewRingOf([]int{-1, 0}, 0); err == nil {
+	if _, err := NewRingOf([]int{-1, 0}); err == nil {
 		t.Error("negative slot accepted")
 	}
-	r, err := NewRingOf([]int{0, 2, 5}, 0)
+	r, err := NewRingOf([]int{0, 2, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,8 +207,8 @@ func TestRingOfValidation(t *testing.T) {
 		t.Fatalf("successors over sparse slots: %v", succ)
 	}
 	// Equal-labelled rings agree regardless of construction path.
-	classic, _ := NewRing(3, 0)
-	viaSlots, _ := NewRingOf([]int{0, 1, 2}, 0)
+	classic, _ := NewRing(3)
+	viaSlots, _ := NewRingOf([]int{0, 1, 2})
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("k%d", i)
 		if classic.OwnerString(key) != viaSlots.OwnerString(key) {
@@ -225,7 +222,7 @@ func TestRingOfValidation(t *testing.T) {
 // spreads a dead owner's keys across several survivors (ring geometry,
 // not owner+1).
 func TestRingSuccessors(t *testing.T) {
-	r, err := NewRing(5, 0)
+	r, err := NewRing(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +243,7 @@ func TestRingSuccessors(t *testing.T) {
 			}
 			seen[s] = true
 		}
-		r2, _ := NewRing(5, 0)
+		r2, _ := NewRing(5)
 		succ2 := r2.SuccessorsString(key)
 		for j := range succ {
 			if succ[j] != succ2[j] {

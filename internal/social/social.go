@@ -372,17 +372,16 @@ func (s *Service) Flush() error {
 	return s.compactLocked()
 }
 
-// ApplyInvalidation serves the server's /v2/invalidate endpoint. It
-// folds pending writes into the queryable snapshot — which performs the
-// edge-scoped invalidation for the edges this process noted when it
-// applied them; called with no edges and all false that is all it does,
-// and that call is the fleet's compaction heartbeat (see
-// internal/fleet.Broadcaster). Edges and all are an operator's cache
-// drop on top: the cached horizons the named edges could affect at
-// weight 1, the largest a friendship can have (names unknown locally
-// are skipped, since no id — and therefore no cached horizon — can
-// reference them), or with all set the whole cache. Returns the number
-// of entries invalidated.
+// ApplyInvalidation folds pending writes into the queryable snapshot —
+// which performs the edge-scoped invalidation for the edges this
+// process noted when it applied them — and then drops cached horizons:
+// those the named edges could affect at weight 1, the largest a
+// friendship can have (names unknown locally are skipped, since no id —
+// and therefore no cached horizon — can reference them), or with all
+// set the whole cache. Returns the number of entries invalidated. It
+// serves no endpoint (the fleet folds through Flush, which the last
+// apply page of a stream asks for); benchmarks/fleetbench's ledger
+// calls it to empty the replicas' caches before each cold-read rung.
 func (s *Service) ApplyInvalidation(edges [][2]string, all bool) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
