@@ -175,9 +175,10 @@ type mergeRun struct {
 	// Scratch of joinHorizon. rank[u] is 1 + the horizon position of
 	// user u, 0 for everyone outside; it is all zero between queries.
 	// slots[k·|tags|+i] is where the list of the user of rank k under
-	// the i-th query tag lies in posts[i], that tag's postings. Row 0
-	// is a sink: the slot scan stores every tag user's list into the
-	// row of its rank, and users outside the horizon land there.
+	// the i-th query tag lies in posts, the postings of the query tags'
+	// blocks. Row 0 is a sink: the slot scan stores every tag user's
+	// list into the row of its rank, and users outside the horizon land
+	// there.
 	rank  []int32
 	slots []listSlot
 	posts [][]tagstore.UserPosting
@@ -189,9 +190,10 @@ type mergeRun struct {
 	seen  []uint64
 }
 
-// listSlot locates one (user, tag) posting list inside its tag's
-// postings; n is 0 when the user never used the tag.
-type listSlot struct{ off, n int32 }
+// listSlot locates one (user, tag) posting list: n postings from off in
+// posts[block], its block's postings; n is 0 when the user never used
+// the tag.
+type listSlot struct{ block, off, n int32 }
 
 // runPool recycles SocialMerge working state (candidate table, cursor
 // slices, tag buffers, the join's rank, slot and per-item score arrays)
@@ -365,8 +367,9 @@ func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
 // 0, all land in the sink row 0. The sweep over ranks 1..|horizon| then
 // settles the slots that are set and nothing else, where settleUser
 // searches every (user, tag) pair and mostly finds nothing.
-// The store keeps a tag's lists back to back, so everything the sweep
-// reads lies in the query tags' own postings.
+// The store keeps a tag's lists back to back in blocks of consecutive
+// users, so everything the sweep reads lies in the query tags' own
+// blocks, and a slot names its block.
 func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	st, tags := r.e.store, r.tags
 	if r.beta == 0 {
@@ -387,10 +390,14 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	}
 	slots := r.slots
 	for i, t := range tags {
-		users, off, post := st.TagLists(t)
-		r.posts = append(r.posts, post)
-		for p, u := range users {
-			slots[int(r.rank[u])*nt+i] = listSlot{off: off[p], n: off[p+1] - off[p]}
+		for _, b := range st.TagBlocks(t) {
+			users, end, post := b.Lists()
+			block, off := int32(len(r.posts)), int32(0)
+			r.posts = append(r.posts, post)
+			for p, u := range users {
+				slots[int(r.rank[u])*nt+i] = listSlot{block: block, off: off, n: end[p] - off}
+				off = end[p]
+			}
 		}
 	}
 	for _, entry := range h.list {
@@ -408,9 +415,9 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 				return false, err
 			}
 		}
-		for i, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
+		for _, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
 			if slot.n != 0 {
-				r.settleList(r.posts[i][slot.off:slot.off+slot.n], entry.Prox)
+				r.settleList(r.posts[slot.block][slot.off:slot.off+slot.n], entry.Prox)
 			}
 		}
 		r.userSettled()
@@ -444,11 +451,11 @@ func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
 			}
 		}
 		w := r.beta * entry.Prox
-		for i, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
+		for _, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
 			if slot.n == 0 {
 				continue
 			}
-			list := r.posts[i][slot.off : slot.off+slot.n]
+			list := r.posts[slot.block][slot.off : slot.off+slot.n]
 			r.acc.Sequential += int64(len(list))
 			for _, up := range list {
 				score[up.Item] += w * float64(up.TF)

@@ -53,29 +53,28 @@ func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
 
 // Build validates and freezes the accumulated edges into a Graph.
 func (b *Builder) Build() (*Graph, error) {
-	return mergeEdges(nil, b.edges, b.numUsers)
+	d, err := canonical(b.edges)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(d, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	merged := d[:0]
+	for _, e := range d {
+		if last := len(merged) - 1; last >= 0 && merged[last].U == e.U && merged[last].V == e.V {
+			merged[last].Weight = max(merged[last].Weight, e.Weight)
+			continue
+		}
+		merged = append(merged, e)
+	}
+	return FromSortedEdges(b.numUsers, merged)
 }
 
-// Merge returns a graph over numUsers vertices, no fewer than g has,
-// that holds g's edges plus delta, the larger weight winning where a
-// pair repeats. g is left untouched; with nothing to add Merge returns
-// g itself. The cost is sorting delta plus a linear pass over g.
-func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
-	if numUsers < g.numUsers {
-		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.numUsers)
-	}
-	if len(delta) == 0 && numUsers == g.numUsers {
-		return g, nil
-	}
-	return mergeEdges(g.Edges(), delta, numUsers)
-}
-
-// mergeEdges merges canonical edges (what Edges returns) with arbitrary
-// ones into the canonical form FromSortedEdges builds from; vertex
-// ranges are left for it to check.
-func mergeEdges(canon, delta []Edge, numUsers int) (*Graph, error) {
-	d := make([]Edge, len(delta))
-	for i, e := range delta {
+// canonical returns a copy of edges with each one's ends ordered U < V,
+// rejecting self-loops and weights outside (0, 1]; vertex ranges are
+// left to the caller.
+func canonical(edges []Edge) ([]Edge, error) {
+	d := make([]Edge, len(edges))
+	for i, e := range edges {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop on user %d", e.U)
 		}
@@ -87,22 +86,116 @@ func mergeEdges(canon, delta []Edge, numUsers int) (*Graph, error) {
 		}
 		d[i] = e
 	}
+	return d, nil
+}
+
+// Merge returns a graph over numUsers vertices, no fewer than g has,
+// that holds g's edges plus delta, the larger weight winning where a
+// pair repeats. g is left untouched; with nothing to add Merge returns
+// g itself. The new CSR is g's patched in one pass: the rows delta
+// touches are merged with delta's sorted entries for them, and every
+// stretch of rows between them is copied whole with its offsets
+// shifted. The cost is sorting delta plus one copy of the CSR.
+func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
+	if numUsers < g.numUsers {
+		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.numUsers)
+	}
+	if len(delta) == 0 && numUsers == g.numUsers {
+		return g, nil
+	}
+	c, err := canonical(delta)
+	if err != nil {
+		return nil, err
+	}
+	// Both directions of every edge, by (row, neighbour), a pair declared
+	// more than once keeping its largest weight.
+	d := make([]Edge, 0, 2*len(c))
+	maxWeight := g.maxWeight
+	for _, e := range c {
+		if e.U < 0 || int(e.V) >= numUsers {
+			return nil, fmt.Errorf("graph: edge (%d,%d) out of range [0,%d)", e.U, e.V, numUsers)
+		}
+		d = append(d, e, Edge{U: e.V, V: e.U, Weight: e.Weight})
+		maxWeight = max(maxWeight, e.Weight)
+	}
 	slices.SortFunc(d, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-	merged := make([]Edge, 0, len(canon)+len(d))
+	w, added := 0, 0
 	for _, e := range d {
-		for len(canon) > 0 && (canon[0].U < e.U || canon[0].U == e.U && canon[0].V < e.V) {
-			merged, canon = append(merged, canon[0]), canon[1:]
-		}
-		if len(canon) > 0 && canon[0].U == e.U && canon[0].V == e.V {
-			e.Weight, canon = max(e.Weight, canon[0].Weight), canon[1:]
-		}
-		if last := len(merged) - 1; last >= 0 && merged[last].U == e.U && merged[last].V == e.V {
-			merged[last].Weight = max(merged[last].Weight, e.Weight)
+		if w > 0 && d[w-1].U == e.U && d[w-1].V == e.V {
+			d[w-1].Weight = max(d[w-1].Weight, e.Weight)
 			continue
 		}
-		merged = append(merged, e)
+		d[w] = e
+		w++
+		if _, ok := g.edgeAt(e.U, e.V); !ok {
+			added++
+		}
 	}
-	return FromSortedEdges(numUsers, append(merged, canon...))
+	d = d[:w]
+	n := &Graph{
+		numUsers:  numUsers,
+		offsets:   make([]int32, numUsers+1),
+		adj:       make([]UserID, 0, len(g.adj)+added),
+		weights:   make([]float64, 0, len(g.adj)+added),
+		maxWeight: maxWeight,
+	}
+	next := UserID(0) // first row not written yet
+	copyRows := func(to UserID) {
+		lo, hi := g.rowStart(next), g.rowStart(to)
+		shift := int32(len(n.adj)) - lo
+		for u := next; u < to; u++ {
+			n.offsets[u] = g.rowStart(u) + shift
+		}
+		n.adj = append(n.adj, g.adj[lo:hi]...)
+		n.weights = append(n.weights, g.weights[lo:hi]...)
+		next = to
+	}
+	for a, b := 0, 0; a < len(d); a = b {
+		u := d[a].U
+		for b < len(d) && d[b].U == u {
+			b++
+		}
+		copyRows(u)
+		n.offsets[u] = int32(len(n.adj))
+		var nbrs []UserID
+		var wts []float64
+		if int(u) < g.numUsers {
+			nbrs, wts = g.Neighbors(u)
+		}
+		for _, e := range d[a:b] {
+			for len(nbrs) > 0 && nbrs[0] < e.V {
+				n.adj, n.weights = append(n.adj, nbrs[0]), append(n.weights, wts[0])
+				nbrs, wts = nbrs[1:], wts[1:]
+			}
+			if len(nbrs) > 0 && nbrs[0] == e.V {
+				e.Weight = max(e.Weight, wts[0])
+				nbrs, wts = nbrs[1:], wts[1:]
+			}
+			n.adj, n.weights = append(n.adj, e.V), append(n.weights, e.Weight)
+		}
+		n.adj, n.weights = append(n.adj, nbrs...), append(n.weights, wts...)
+		next = u + 1
+	}
+	copyRows(UserID(numUsers))
+	n.offsets[numUsers] = int32(len(n.adj))
+	return n, nil
+}
+
+// rowStart is where row u starts in g's adjacency; a row past g's
+// vertices is empty and starts at the end.
+func (g *Graph) rowStart(u UserID) int32 {
+	if int(u) >= g.numUsers {
+		return int32(len(g.adj))
+	}
+	return g.offsets[u]
+}
+
+// edgeAt is EdgeWeight for a u that may lie past g's vertices.
+func (g *Graph) edgeAt(u, v UserID) (float64, bool) {
+	if int(u) >= g.numUsers {
+		return 0, false
+	}
+	return g.EdgeWeight(u, v)
 }
 
 // FromSortedEdges builds a Graph directly from edges that are already

@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -455,6 +458,104 @@ func TestMergeMatchesBuild(t *testing.T) {
 			}
 		}
 	}
+}
+
+// mergeByEdgeList is how Merge worked before it patched the CSR, kept
+// as the reference FuzzMergeMatchesEdgeList holds it to: expand the
+// graph to its canonical edge list, merge the sorted delta into a
+// second list, the larger weight winning, and build the CSR anew.
+func mergeByEdgeList(g *Graph, delta []Edge, numUsers int) (*Graph, error) {
+	if numUsers < g.NumUsers() {
+		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.NumUsers())
+	}
+	d, err := canonical(delta)
+	if err != nil {
+		return nil, err
+	}
+	slices.SortFunc(d, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+	canon := g.Edges()
+	merged := make([]Edge, 0, len(canon)+len(d))
+	for _, e := range d {
+		for len(canon) > 0 && (canon[0].U < e.U || canon[0].U == e.U && canon[0].V < e.V) {
+			merged, canon = append(merged, canon[0]), canon[1:]
+		}
+		if len(canon) > 0 && canon[0].U == e.U && canon[0].V == e.V {
+			e.Weight, canon = max(e.Weight, canon[0].Weight), canon[1:]
+		}
+		if last := len(merged) - 1; last >= 0 && merged[last].U == e.U && merged[last].V == e.V {
+			merged[last].Weight = max(merged[last].Weight, e.Weight)
+			continue
+		}
+		merged = append(merged, e)
+	}
+	return FromSortedEdges(numUsers, append(merged, canon...))
+}
+
+// mergeBatches decodes a fuzz input into batches of edges: the first
+// byte sizes the starting universe, then each three bytes are an edge
+// (u, v, weight) over ids that may fall one past the universe and
+// weights that may be 0, except that a weight byte of 0xFF closes the
+// batch and grows the universe by u mod 3.
+func mergeBatches(data []byte) (users int, batches [][]Edge, grow []int) {
+	if len(data) == 0 {
+		return 0, nil, nil
+	}
+	users, data = int(data[0]%8), data[1:]
+	batches, grow = [][]Edge{nil}, []int{0}
+	for ; len(data) >= 3; data = data[3:] {
+		if data[2] == 0xFF {
+			grow[len(grow)-1] = int(data[0] % 3)
+			batches, grow = append(batches, nil), append(grow, 0)
+			continue
+		}
+		last := len(batches) - 1
+		batches[last] = append(batches[last], Edge{U: UserID(data[0] % 12), V: UserID(data[1] % 12), Weight: float64(data[2]%5) / 4})
+	}
+	return users, batches, grow
+}
+
+// FuzzMergeMatchesEdgeList: Merge, which patches the CSR row by row,
+// gives the very graph (offsets, adjacency, weights and largest weight)
+// the edge-list round trip gives, batch after batch, and rejects the
+// batches it rejects.
+func FuzzMergeMatchesEdgeList(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 2, 1, 2, 4, 0, 0, 0xFF, 2, 3, 1, 0, 3, 2, 3, 0, 4})
+	f.Add([]byte{0, 0, 0, 0xFF, 1, 0, 0xFF, 0, 1, 4, 1, 0, 2, 1, 0, 3})
+	f.Add([]byte{5, 0, 1, 1, 1, 0, 3, 0, 1, 2, 4, 4, 4, 0, 9, 1})
+	rng := rand.New(rand.NewSource(1))
+	for range 20 {
+		data := []byte{byte(rng.Intn(8))}
+		for k := rng.Intn(40); k > 0; k-- {
+			data = append(data, byte(rng.Intn(12)), byte(rng.Intn(12)), byte(1+rng.Intn(4)))
+			if rng.Intn(8) == 0 {
+				data = append(data, byte(rng.Intn(3)), 0, 0xFF)
+			}
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		users, batches, grow := mergeBatches(data)
+		g, err := NewBuilder(users).Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for round, delta := range batches {
+			users += grow[round]
+			got, err := g.Merge(delta, users)
+			want, wantErr := mergeByEdgeList(g, delta, users)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("round %d: Merge says %v, the edge-list merge %v", round, err, wantErr)
+			}
+			if err != nil {
+				users = g.NumUsers()
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("round %d: Merge gives\n%+v\nthe edge-list merge\n%+v", round, got, want)
+			}
+			g = got
+		}
+	})
 }
 
 func TestMergeRejectsBadDelta(t *testing.T) {

@@ -31,7 +31,10 @@ func benchScale(b *testing.B) float64 {
 // the generated corpus, by default the one fleetbench serves (scale 5:
 // 10,000 users, ~1.1M triples; benchScale). Every iteration compacts a
 // fresh batch into the same base, so ns/op is what one heartbeat costs
-// one replica.
+// one replica. Besides B/op, which counts the merge's scratch too, it
+// reports what the new snapshot keeps of its own, by structure: the
+// tag blocks, item blocks, global lists and tables of the store
+// (tagstore.Store.OwnBytes) and the graph's CSR arrays.
 func benchCompact(b *testing.B, tags int) {
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
 	if err != nil {
@@ -40,6 +43,8 @@ func benchCompact(b *testing.B, tags int) {
 	rng := rand.New(rand.NewSource(1))
 	tagZ := rand.NewZipf(rng, 1.1, 1, uint64(ds.Store.NumTags()-1))
 	users := ds.Graph.NumUsers()
+	var own tagstore.Footprint
+	var graphBytes int64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,7 +68,38 @@ func benchCompact(b *testing.B, tags int) {
 		if err := o.Compact(); err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		g, s := o.Snapshot()
+		f := s.OwnBytes(ds.Store)
+		own.TagBlocks += f.TagBlocks
+		own.ItemBlocks += f.ItemBlocks
+		own.Global += f.Global
+		own.Headers += f.Headers
+		graphBytes += csrOwnBytes(g, ds.Graph)
+		b.StartTimer()
 	}
+	n := float64(b.N)
+	b.ReportMetric(float64(own.TagBlocks)/n, "tagblocks-B/op")
+	b.ReportMetric(float64(own.ItemBlocks)/n, "itemblocks-B/op")
+	b.ReportMetric(float64(own.Global)/n, "global-B/op")
+	b.ReportMetric(float64(own.Headers)/n, "headers-B/op")
+	b.ReportMetric(float64(graphBytes)/n, "graph-B/op")
+}
+
+// csrOwnBytes is the bytes of g's CSR arrays that it does not share
+// with parent.
+func csrOwnBytes(g, parent *graph.Graph) int64 {
+	off, adj, wts := g.CSR()
+	pOff, pAdj, pWts := parent.CSR()
+	var n int64
+	if len(off) > 0 && (len(pOff) == 0 || &off[0] != &pOff[0]) {
+		n += 4 * int64(len(off))
+	}
+	if len(adj) > 0 && (len(pAdj) == 0 || &adj[0] != &pAdj[0]) {
+		n += 4*int64(len(adj)) + 8*int64(len(wts))
+	}
+	_ = pWts
+	return n
 }
 
 func BenchmarkCompact64Tags(b *testing.B)  { benchCompact(b, 64) }

@@ -164,13 +164,13 @@ func (o *Overlay) Tag(user graph.UserID, item tagstore.ItemID, tag tagstore.TagI
 // fresh immutable snapshot structures. It is idempotent when nothing is
 // pending. The pending batch is sorted and merged into the current
 // snapshot (graph.Graph.Merge, tagstore.Store.Merge): the cost is
-// O(delta·log delta), the lists of the tags the batch mentions, and one
-// linear copy of the indexes of the side that changed — the graph's
-// CSR for friendships; for tags the store's per-item tag index, not the
-// tagging relation itself. A batch without friendships
-// keeps the graph and one without tags keeps the store, unless it grew
-// the universe (a Befriend that brought a new user): then the store is
-// a new one that shares every array the growth does not lengthen.
+// O(delta·log delta), for friendships one linear copy of the graph's
+// CSR, and for tags the store's blocks the batch touches, the global
+// lists of the tags it mentions and the tables that point at them —
+// not the tagging relation itself. A batch without friendships keeps
+// the graph and one without tags keeps the store, unless it grew the
+// universe (a Befriend that brought a new user): then the store is a
+// new one that shares every block and list.
 func (o *Overlay) Compact() error {
 	o.mu.Lock()
 	defer o.mu.Unlock()

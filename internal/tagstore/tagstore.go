@@ -17,15 +17,32 @@
 // writes it out in canonical order for a snapshot, an export or an
 // index build.
 //
+// Layout. A tag's per-user lists are cut into blocks of consecutive
+// users (Block), each about 4 KB of postings: Build packs a tag's lists
+// greedily into blocks of at most blockPosts postings, and a list longer
+// than that is a block of its own, so no list straddles two blocks. The
+// per-item tag index behind GlobalTF is cut the same way, into blocks of
+// a fixed 64 items, so finding an item's block is a shift, and the
+// per-tag entries (block table, global list, maxTF) into pages of 64
+// tags. Build lays each tag's blocks, and the item index's, out back
+// to back in one backing array; the tables are all a read-only store
+// adds.
+//
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
 // Store.Merge makes the next one from a store and a batch of new
-// triples; both run the same merge, Build from an empty store. The
-// merge sorts three times — the triples, their per-(item, tag) sums
-// and those in global-list order — and a sort of at least 4,096
-// elements is LSD radix passes over a key packed from the universe
-// widths, so a Build costs O(T·⌈bits/15⌉) in its T triples rather than
-// O(T log T); a compaction's short batch stays on pdqsort.
+// triples; both run the same merge, Build from an empty store. A merge
+// is copy-on-write at block grain: it copies the block table of each
+// tag its batch touches, the blocks and pages the batch touches and the
+// touched tags' global lists, and shares every other block, list and
+// page with the store it started from. A touched block that outgrows
+// blockPosts splits in two at the list boundary nearest its middle,
+// so each half has room to grow again. The merge sorts three times —
+// the triples tag-major, their per-(item, tag) sums and those in
+// global-list order — and a sort of at least 4,096 elements is LSD
+// radix passes over a key packed from the universe widths, so a Build
+// costs O(T·⌈bits/15⌉) in its T triples rather than O(T log T); a
+// compaction's short batch stays on pdqsort.
 package tagstore
 
 import (
@@ -34,7 +51,9 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
+	"unsafe"
 )
 
 // ItemID is a dense item identifier in [0, NumItems).
@@ -101,8 +120,8 @@ func (b *Builder) Grow(n int) {
 // merged into an empty store, the same way compaction folds a batch of
 // writes into a live one. The merge sorts the builder's own triples in
 // place and sums their duplicates, so afterwards the builder holds the
-// same relation in canonical order and may be added to and built again;
-// a Build that fails leaves it empty.
+// same relation, in (tag, user, item) order, and may be added to and
+// built again; a Build that fails leaves it empty.
 func (b *Builder) Build() (*Store, error) {
 	s, err := new(Store).merge(b.triples, b.numUsers, b.numItems, b.numTags)
 	if err != nil {
@@ -114,30 +133,32 @@ func (b *Builder) Build() (*Store, error) {
 	return s, nil
 }
 
+// blockPosts is how many postings Build packs into one block of a
+// tag's per-user lists: 512, 4 KB. Only merge reads it; it is a
+// variable so that tests can cut stores into blocks of a few postings.
+var blockPosts = 512
+
+// The item index is cut into blocks of itemBlockItems items, and the
+// per-tag entries into pages of tagPageTags tags.
+const (
+	itemBlockShift = 6
+	itemBlockItems = 1 << itemBlockShift
+	tagPageShift   = 6
+	tagPageTags    = 1 << tagPageShift
+)
+
 // Store is the immutable tagging store.
 type Store struct {
 	numUsers, numItems, numTags int
 	numTriples                  int // distinct (user, item, tag) triples
 
-	// global per-tag posting lists sorted by (TF desc, Item asc)
-	global [][]Posting
-	// maxTF[t] = largest global TF of any item under tag t (0 if none)
-	maxTF []int32
+	// What the store holds per tag, in pages of tagPageTags tags: tag
+	// t's entry is tagPages[t>>tagPageShift][t&(tagPageTags-1)] (tag).
+	tagPages [][]tagEntry // len ⌈numTags/tagPageTags⌉
 
-	// The per-(user, tag) posting lists, tag-major, and the one place
-	// the (user, item, tag, count) tuples are stored: whatever a query
-	// reads of them lies in its own tags' entries. A merge shares the
-	// entry of every tag its delta does not mention with the store it
-	// started from, as it does with global.
-	byTag []tagLists // len numTags
-
-	// Per-item tag CSR for gtf(i, t): item i's tags are
-	// itTags[itStart[i]:itStart[i+1]] (sorted ascending) with their
-	// global frequencies in itTF. Replaces the packed-key global point
-	// map on the candidate-creation path.
-	itStart []int32 // len numItems+1
-	itTags  []TagID
-	itTF    []int32
+	// The per-item tag index behind gtf(i, t), in blocks of
+	// itemBlockItems items: item i lies in items[i>>itemBlockShift].
+	items []itemBlock // len ⌈numItems/itemBlockItems⌉
 
 	totalAnnotations int64
 
@@ -149,27 +170,108 @@ type Store struct {
 	userTags  []TagID
 }
 
-// tagLists holds one tag's per-user posting lists: users lists, in
-// ascending order, everyone who used the tag, and the p-th of them owns
-// post[off[p]:off[p+1]], sorted by (TF desc, Item asc). All three are
-// nil for a tag nobody used.
-type tagLists struct {
+// tagEntry is what a store holds for one tag.
+type tagEntry struct {
+	// The per-(user, tag) posting lists in blocks, nil for a tag nobody
+	// used: the one place the (user, item, tag, count) tuples are
+	// stored, so whatever a query reads of them lies in its own tags'
+	// blocks.
+	blocks []Block
+	// firsts[k] is the first user of blocks[k]: what UserList searches.
+	firsts []int32
+	// The global posting list, sorted by (TF desc, Item asc).
+	global []Posting
+	// The largest global TF of any item under the tag (0 if none).
+	maxTF int32
+}
+
+// noTags is the page of tags nobody used, which every store shares.
+var noTags = make([]tagEntry, tagPageTags)
+
+// tag returns tag t's entry.
+func (s *Store) tag(t TagID) *tagEntry {
+	return &s.tagPages[t>>tagPageShift][t&(tagPageTags-1)]
+}
+
+// entry returns tag t's entry in n for writing. n starts out sharing
+// every page with s, the store it is merged from, or with every store
+// (noTags); the first write to such a page copies it.
+func (n *Store) entry(s *Store, t TagID) *tagEntry {
+	p := t >> tagPageShift
+	if page := n.tagPages[p]; &page[0] == &noTags[0] || int(p) < len(s.tagPages) && &page[0] == &s.tagPages[p][0] {
+		n.tagPages[p] = slices.Clone(page)
+	}
+	return &n.tagPages[p][t&(tagPageTags-1)]
+}
+
+// Block holds the per-user posting lists of consecutive users of one
+// tag: users, in ascending order, and the p-th user's list, sorted by
+// (TF desc, Item asc), is post[end[p-1]:end[p]] (from 0 for p = 0). A
+// block holds at least one list, and at most blockPosts postings unless
+// it holds exactly one.
+type Block struct {
 	users []int32
-	off   []int32 // len(users)+1
+	end   []int32 // len(users)
 	post  []UserPosting
 }
+
+// Lists returns the block's users in ascending order, the end of each
+// one's list in post, and the postings. The slices alias internal
+// storage.
+func (b *Block) Lists() (users, end []int32, post []UserPosting) {
+	return b.users, b.end, b.post
+}
+
+// list returns the p-th user's list.
+func (b *Block) list(p int) []UserPosting {
+	lo := int32(0)
+	if p > 0 {
+		lo = b.end[p-1]
+	}
+	return b.post[lo:b.end[p]]
+}
+
+// owner returns the block that holds user u's list, if u has one,
+// given the first user of every block: the last block whose first user
+// is at most u, or the first block.
+func owner(firsts []int32, u int32) int {
+	lo, hi := 1, len(firsts)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if firsts[mid] <= u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
+}
+
+// itemBlock is the tag index of itemBlockItems consecutive items: the
+// j-th item's tags, ascending, are tags[start[j]:start[j+1]], with their
+// global frequencies in tf. An item past the universe owns nothing.
+type itemBlock struct {
+	start []int32 // len itemBlockItems+1
+	tags  []TagID
+	tf    []int32
+}
+
+// noItems is the block of items nobody tagged, which every store
+// shares.
+var noItems = itemBlock{start: make([]int32, itemBlockItems+1)}
 
 // Merge returns a store holding s's triples plus delta (duplicates
 // summed) over a universe that may have grown. s is left untouched and
 // stays valid for readers still holding it: the new store copies what
-// changed and shares the rest — the global and the per-user posting
-// lists of the tags delta does not mention, and with an empty delta
-// everything but the headers the grown universe lengthens — which is
-// safe because neither store is written again.
-// The cost is sorting a copy of delta, rewriting the lists of the tags
-// it mentions and one linear copy of the per-item tag index
-// (itTags/itTF); nothing is hashed and no triple delta leaves alone is
-// moved. With nothing to fold in, Merge returns s itself.
+// changed and shares the rest — every block of per-user lists and of
+// the item index that delta does not touch, and the global list of
+// every tag it does not mention — which is safe because neither store
+// is written again. The cost is sorting a copy of delta, rewriting the
+// blocks it touches, the global lists of the tags it mentions, and the
+// tables: the block table of each tag it mentions and the store's
+// per-tag and per-item-block headers. Nothing is hashed and no block
+// delta leaves alone is moved. With nothing to fold in, Merge returns s
+// itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
 		return s, nil
@@ -178,10 +280,12 @@ func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, 
 }
 
 // merge folds delta into s, sorting and summing delta in place. Its
-// three sorts — the triples by (user, tag, item), their (item, tag)
+// sorts — the triples by (tag, user, item), their (item, tag)
 // aggregates, and those by (tag, tf desc, item) for the global lists —
 // are radixSort's, over keys packed from the universe widths: linear in
 // the triples for a Build, pdqsort for a compaction's short batch.
+// Triples already in canonical (user, tag, item) order, a snapshot
+// load's, take one stable pass by tag instead of the first sort.
 func (s *Store) merge(d []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if numUsers < s.numUsers || numItems < s.numItems || numTags < s.numTags {
 		return nil, fmt.Errorf("tagstore: universe (%d users, %d items, %d tags) smaller than the store's (%d, %d, %d)",
@@ -206,11 +310,15 @@ func (s *Store) merge(d []Triple, numUsers, numItems, numTags int) (*Store, erro
 		return nil, fmt.Errorf("tagstore: %d triples, a store indexes at most %d", s.numTriples+len(d), math.MaxInt32)
 	}
 
-	ib, tb := idBits(numItems), idBits(numTags)
-	radixSort(d, nil, idBits(numUsers)+tb+ib, func(tr Triple) uint64 {
-		return uint64(tr.User)<<(tb+ib) | uint64(tr.Tag)<<ib | uint64(tr.Item)
-	}, byUserTagItem)
-	d, err := coalesce(d, byUserTagItem, func(tr *Triple) *int32 { return &tr.Count })
+	ib, tb, ub := idBits(numItems), idBits(numTags), idBits(numUsers)
+	if len(d) >= radixMin && slices.IsSortedFunc(d, byUserTagItem) {
+		radixPasses(d, nil, tb, func(tr Triple) uint64 { return uint64(tr.Tag) })
+	} else {
+		radixSort(d, nil, tb+ub+ib, func(tr Triple) uint64 {
+			return uint64(tr.Tag)<<(ub+ib) | uint64(tr.User)<<ib | uint64(tr.Item)
+		}, byTagUserItem)
+	}
+	d, err := coalesce(d, byTagUserItem, func(tr *Triple) *int32 { return &tr.Count })
 	if err != nil {
 		return nil, err
 	}
@@ -252,6 +360,16 @@ func byUserTagItem(a, b Triple) int {
 	}
 	if a.Tag != b.Tag {
 		return cmp.Compare(a.Tag, b.Tag)
+	}
+	return cmp.Compare(a.Item, b.Item)
+}
+
+func byTagUserItem(a, b Triple) int {
+	if a.Tag != b.Tag {
+		return cmp.Compare(a.Tag, b.Tag)
+	}
+	if a.User != b.User {
+		return cmp.Compare(a.User, b.User)
 	}
 	return cmp.Compare(a.Item, b.Item)
 }
@@ -315,188 +433,300 @@ func seek(start []int32, tags []TagID, id int32, t TagID) (int32, bool) {
 	return lo, lo < end && tags[lo] == t
 }
 
-// seekGrown is seek for an id that may lie beyond the n owners the CSR
-// was built for; such an id owns nothing yet.
-func seekGrown(start []int32, tags []TagID, n int, id int32, t TagID) (int32, bool) {
-	if int(id) >= n {
-		return int32(len(tags)), false
-	}
-	return seek(start, tags, id, t)
-}
-
-// shiftStarts returns the start array of a CSR grown from oldN owners
-// and oldLen entries to n owners: owners lists, in ascending order, the
-// owner of every entry inserted. With nothing inserted and no owner
-// gained that is old itself.
-func shiftStarts(old []int32, oldN, oldLen, n int, owners []int32) []int32 {
-	if len(owners) == 0 && len(old) == n+1 {
-		return old
-	}
-	start := make([]int32, n+1)
-	k := 0
-	for id := range start {
-		for k < len(owners) && int(owners[k]) < id {
-			k++
-		}
-		base := oldLen
-		if id < oldN {
-			base = int(old[id])
-		}
-		start[id] = int32(base + k)
-	}
-	return start
-}
-
 // mergeTagLists fills the tag-major posting lists, the relation itself,
-// from s's plus the canonical delta d. A tag d does not mention keeps
-// the lists it has in s. A tag it does gets new arrays — s's are never
-// written — into which the lists of the users d leaves alone are
-// block-copied from s with their offsets shifted, and the list of a
-// (user, tag) pair d touches is that pair's old list, if it had one,
-// plus its run of d, summed by item and sorted. d's (user, tag) order
-// brings each tag its touched users in ascending order, so the pass
-// needs one cursor per tag into s's lists.
+// from s's plus d, sorted by (tag, user, item). A tag d does not
+// mention keeps its block table in s. For one it does, d's triples
+// under it go, a user's at a time, to the blocks that own their users
+// (owner); every block none lands in is shared, and every one some do
+// is rewritten — s's are never written.
 func (n *Store) mergeTagLists(s *Store, d []Triple) error {
-	was := make([]tagLists, n.numTags) // s's lists over the grown universe
-	copy(was, s.byTag)
-	n.byTag = slices.Clone(was)
-	// A tag gains at most a user per run of d under it and a posting per
-	// triple. What a repeated pair or triple leaves unused is trimmed off
-	// at the end and stays as a few bytes of spare capacity, gone when
-	// the tag is next written: that sizes from lengths again.
-	newUsers, newPosts := make([]int, n.numTags), make([]int, n.numTags)
-	for k, tr := range d {
-		if k == 0 || tr.User != d[k-1].User || tr.Tag != d[k-1].Tag {
-			newUsers[tr.Tag]++
-		}
-		newPosts[tr.Tag]++
+	n.tagPages = make([][]tagEntry, (n.numTags+tagPageTags-1)>>tagPageShift)
+	for p := copy(n.tagPages, s.tagPages); p < len(n.tagPages); p++ {
+		n.tagPages[p] = noTags
 	}
-	for t, gain := range newUsers {
-		if gain > 0 {
-			n.byTag[t] = tagLists{
-				users: make([]int32, len(was[t].users)+gain),
-				off:   make([]int32, len(was[t].users)+gain+1),
-				post:  make([]UserPosting, len(was[t].post)+newPosts[t]),
-			}
-		}
-	}
-	// Per tag: the last rest[t] users of s's lists are not carried over
-	// yet, and n's lists hold users[t] users and posts[t] postings so far.
-	rest, users, posts := make([]int32, n.numTags), make([]int32, n.numTags), make([]int32, n.numTags)
-	for t := range s.byTag {
-		rest[t] = int32(len(was[t].users))
-	}
-	carry := func(t TagID, count int32) {
-		if count == 0 {
-			return
-		}
-		old, l := &was[t], &n.byTag[t]
-		lo := int32(len(old.users)) - rest[t]
-		hi := lo + count
-		copy(l.users[users[t]:], old.users[lo:hi])
-		shift := posts[t] - old.off[lo]
-		for p, off := range old.off[lo:hi] {
-			l.off[int(users[t])+p] = off + shift
-		}
-		posts[t] += int32(copy(l.post[posts[t]:], old.post[old.off[lo]:old.off[hi]]))
-		users[t] += count
-		rest[t] -= count
-	}
-	var byItem []UserPosting // scratch: a touched pair's old list in item order, as its run of d is
+	m := tagMerge{n: n}
 	for a, b := 0, 0; a < len(d); a = b {
-		u, t := d[a].User, d[a].Tag
-		for b < len(d) && d[b].User == u && d[b].Tag == t {
+		t := d[a].Tag
+		for b < len(d) && d[b].Tag == t {
 			b++
 		}
-		// With nothing of s's left under t — every pair of a Build —
-		// there is nothing to place u in and no old list.
-		var old []UserPosting
-		if w := &was[t]; rest[t] > 0 {
-			p, found := slices.BinarySearch(w.users[len(w.users)-int(rest[t]):], u)
-			carry(t, int32(p))
-			if found {
-				q := len(w.users) - int(rest[t])
-				byItem = append(byItem[:0], w.post[w.off[q]:w.off[q+1]]...)
-				slices.SortFunc(byItem, func(a, b UserPosting) int { return cmp.Compare(a.Item, b.Item) })
-				old = byItem
-				rest[t]--
-			}
+		blocks, err := m.merge(n.tag(t).blocks, d[a:b])
+		if err != nil {
+			return err
 		}
-		l := &n.byTag[t]
-		l.users[users[t]], l.off[users[t]] = u, posts[t]
-		users[t]++
-		run := l.post[posts[t]:posts[t]]
-		n.numTriples -= len(old)
-		for _, tr := range d[a:b] {
-			for len(old) > 0 && old[0].Item < tr.Item {
-				run, old = append(run, old[0]), old[1:]
-			}
-			if len(old) > 0 && old[0].Item == tr.Item {
-				sum, err := addTF(old[0].TF, tr.Count)
-				if err != nil {
-					return err
-				}
-				tr.Count, old = sum, old[1:]
-			}
-			run = append(run, UserPosting{Item: tr.Item, TF: tr.Count})
-		}
-		run = append(run, old...)
-		n.numTriples += len(run)
-		posts[t] += int32(len(run))
-		if len(run) > 1 { // most lists hold one posting
-			slices.SortFunc(run, func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
-		}
-	}
-	for t, gain := range newUsers {
-		if gain > 0 {
-			carry(TagID(t), rest[t])
-			l := &n.byTag[t]
-			l.users, l.off, l.post = l.users[:users[t]], l.off[:users[t]+1], l.post[:posts[t]]
-			l.off[users[t]] = posts[t]
+		e := n.entry(s, t)
+		e.blocks, e.firsts = blocks, make([]int32, len(blocks))
+		for k, b := range blocks {
+			e.firsts[k] = b.users[0]
 		}
 	}
 	return nil
 }
 
-// mergeItems patches the per-item CSR in one pass over s's, and turns
-// every agg entry (sorted by item, tag) from "frequency added" into
-// "global frequency after". An empty agg shares s's arrays.
-func (n *Store) mergeItems(s *Store, agg []tagItem) error {
-	if len(agg) == 0 {
-		n.itStart = shiftStarts(s.itStart, s.numItems, len(s.itTags), n.numItems, nil)
-		n.itTags, n.itTF = s.itTags, s.itTF
-		return nil
+// tagMerge rewrites the touched blocks of one tag after another. The
+// lists of a tag's rewritten blocks are written back to back into
+// users, end and post, arrays of their own, with end[p] the end of the
+// p-th list in post; block then cuts them into blocks.
+type tagMerge struct {
+	n     *Store
+	users []int32
+	end   []int32
+	post  []UserPosting
+	next  int32         // start in post of the first list no block holds yet
+	out   []Block       // scratch: the table being built
+	spans [][3]int      // scratch: the touched blocks, as (block, first triple, end triple)
+	items []UserPosting // scratch: a touched pair's old list in item order
+}
+
+// noBlocks is the table a tag nobody used starts from: one empty block.
+var noBlocks [1]Block
+
+// merge returns the block table of a tag whose old one is old after its
+// triples trs, sorted by (user, item), are folded in. A tag nobody used
+// before starts from a single empty block, and its lists are packed
+// greedily; a rewritten old block splits in halves while it is too
+// large.
+func (m *tagMerge) merge(old []Block, trs []Triple) ([]Block, error) {
+	fresh := len(old) == 0
+	if fresh {
+		old = noBlocks[:]
 	}
-	n.itTags = make([]TagID, 0, len(s.itTags)+len(agg))
-	n.itTF = make([]int32, 0, len(s.itTags)+len(agg))
-	next := int32(0) // first entry of s not carried over yet
-	carry := func(upTo int32) {
-		n.itTags = append(n.itTags, s.itTags[next:upTo]...)
-		n.itTF = append(n.itTF, s.itTF[next:upTo]...)
-		next = upTo
-	}
-	var newEntryItems []int32
-	for k := range agg {
-		e := &agg[k]
-		p, found := seekGrown(s.itStart, s.itTags, s.numItems, e.item, e.tag)
-		carry(p)
-		var was int32
-		if found {
-			was = s.itTF[p]
-			next = p + 1
-		} else {
-			newEntryItems = append(newEntryItems, e.item)
+	m.spans = m.spans[:0]
+	nu, np := 0, len(trs)
+	for k, tr := range trs {
+		if k == 0 || tr.User != trs[k-1].User {
+			nu++
 		}
-		var err error
-		if e.tf, err = addTF(was, e.tf); err != nil {
+	}
+	for r, k := 0, 0; r < len(trs); k++ {
+		e := len(trs)
+		if k+1 < len(old) {
+			first := old[k+1].users[0]
+			e = r + sort.Search(len(trs)-r, func(i int) bool { return trs[r+i].User >= first })
+		}
+		if e > r {
+			m.spans = append(m.spans, [3]int{k, r, e})
+			nu += len(old[k].users)
+			np += len(old[k].post)
+		}
+		r = e
+	}
+	m.users, m.end, m.post, m.next = make([]int32, 0, nu), make([]int32, 0, nu), make([]UserPosting, 0, np), 0
+	m.out = m.out[:0]
+	k := 0
+	for _, sp := range m.spans {
+		m.out = append(m.out, old[k:sp[0]]...)
+		k = sp[0] + 1
+		from := len(m.users)
+		if err := m.rewrite(&old[k-1], trs[sp[1]:sp[2]]); err != nil {
+			return nil, err
+		}
+		if fresh {
+			m.greedy(from, len(m.users))
+		} else {
+			m.halves(from, len(m.users))
+		}
+	}
+	m.out = append(m.out, old[k:]...)
+	return slices.Clone(m.out), nil
+}
+
+// rewrite writes block b's lists with trs, sorted by (user, item),
+// folded in: a list no triple touches is carried over, a touched one is
+// its old list, if the user had one, plus the user's triples, summed by
+// item and sorted.
+func (m *tagMerge) rewrite(b *Block, trs []Triple) error {
+	p := 0 // b's first list not written yet
+	for a, c := 0, 0; a < len(trs); a = c {
+		u := trs[a].User
+		for c < len(trs) && trs[c].User == u {
+			c++
+		}
+		q, found := slices.BinarySearch(b.users[p:], u)
+		m.carry(b, p, p+q)
+		p += q
+		var old []UserPosting
+		if found {
+			m.items = append(m.items[:0], b.list(p)...)
+			slices.SortFunc(m.items, func(a, b UserPosting) int { return cmp.Compare(a.Item, b.Item) })
+			old = m.items
+			p++
+		}
+		if err := m.fold(trs[a:c], old); err != nil {
 			return err
 		}
-		n.itTags = append(n.itTags, e.tag)
-		n.itTF = append(n.itTF, e.tf)
 	}
-	carry(int32(len(s.itTags)))
-	n.itStart = shiftStarts(s.itStart, s.numItems, len(s.itTags), n.numItems, newEntryItems)
+	m.carry(b, p, len(b.users))
 	return nil
+}
+
+// carry copies lists [p, q) of block b.
+func (m *tagMerge) carry(b *Block, p, q int) {
+	if p == q {
+		return
+	}
+	lo := int32(0)
+	if p > 0 {
+		lo = b.end[p-1]
+	}
+	shift := int32(len(m.post)) - lo
+	m.users = append(m.users, b.users[p:q]...)
+	for _, e := range b.end[p:q] {
+		m.end = append(m.end, e+shift)
+	}
+	m.post = append(m.post, b.post[lo:b.end[q-1]]...)
+}
+
+// fold writes the list of one user under the tag: old, the user's list
+// before in item order, plus run, the user's triples in item order,
+// summed by item and sorted.
+func (m *tagMerge) fold(run []Triple, old []UserPosting) error {
+	from := len(m.post)
+	m.n.numTriples -= len(old)
+	for _, tr := range run {
+		for len(old) > 0 && old[0].Item < tr.Item {
+			m.post, old = append(m.post, old[0]), old[1:]
+		}
+		if len(old) > 0 && old[0].Item == tr.Item {
+			sum, err := addTF(old[0].TF, tr.Count)
+			if err != nil {
+				return err
+			}
+			tr.Count, old = sum, old[1:]
+		}
+		m.post = append(m.post, UserPosting{Item: tr.Item, TF: tr.Count})
+	}
+	m.post = append(m.post, old...)
+	list := m.post[from:]
+	m.n.numTriples += len(list)
+	if len(list) > 1 { // most lists hold one posting
+		slices.SortFunc(list, func(a, b UserPosting) int { return byTFDesc(Posting(a), Posting(b)) })
+	}
+	m.users = append(m.users, run[0].User)
+	m.end = append(m.end, int32(len(m.post)))
+	return nil
+}
+
+// greedy cuts lists [p, q) into blocks as Build does: each block takes
+// lists while they fit in blockPosts postings, and a longer list is a
+// block of its own.
+func (m *tagMerge) greedy(p, q int) {
+	for x := p + 1; x < q; x++ {
+		if m.end[x]-m.next > int32(blockPosts) {
+			m.block(p, x)
+			p = x
+		}
+	}
+	m.block(p, q)
+}
+
+// halves cuts lists [p, q), a rewritten block, into blocks: while a
+// part holds more than blockPosts postings and more than one list, it
+// splits at the list boundary nearest its middle, so each half has room
+// to grow again.
+func (m *tagMerge) halves(p, q int) {
+	size := m.end[q-1] - m.next
+	if q-p == 1 || size <= int32(blockPosts) {
+		m.block(p, q)
+		return
+	}
+	mid := m.next + size/2
+	// The boundary after list x lies at end[x], for x in [p, q-1).
+	x := p + sort.Search(q-1-p, func(i int) bool { return m.end[p+i] >= mid })
+	if x == q-1 || x > p && mid-m.end[x-1] <= m.end[x]-mid {
+		x--
+	}
+	m.halves(p, x+1)
+	m.halves(x+1, q)
+}
+
+// block appends lists [p, q) to the table as one block; the blocks of a
+// tag are made in list order, so the block starts at next.
+func (m *tagMerge) block(p, q int) {
+	base, top := m.next, m.end[q-1]
+	for x := p; x < q; x++ {
+		m.end[x] -= base
+	}
+	m.next = top
+	m.out = append(m.out, Block{users: m.users[p:q], end: m.end[p:q], post: m.post[base:top]})
+}
+
+// mergeItems writes the item index: the blocks agg (sorted by item,
+// tag) touches are s's with agg's entries folded in, every other block
+// is s's or, past s's universe, noItems. It also turns every agg entry
+// from "frequency added" into "global frequency after".
+func (n *Store) mergeItems(s *Store, agg []tagItem) error {
+	n.items = make([]itemBlock, (n.numItems+itemBlockItems-1)>>itemBlockShift)
+	for k := copy(n.items, s.items); k < len(n.items); k++ {
+		n.items[k] = noItems
+	}
+	touched, size := 0, len(agg)
+	for k := range agg {
+		if b := agg[k].item >> itemBlockShift; k == 0 || b != agg[k-1].item>>itemBlockShift {
+			touched++
+			size += len(n.items[b].tags)
+		}
+	}
+	tags, tf := make([]TagID, 0, size), make([]int32, 0, size)
+	starts := make([]int32, touched*(itemBlockItems+1))
+	for a, c := 0, 0; a < len(agg); a = c {
+		b := agg[a].item >> itemBlockShift
+		for c < len(agg) && agg[c].item>>itemBlockShift == b {
+			c++
+		}
+		old, lo := &n.items[b], len(tags)
+		start := starts[:itemBlockItems+1]
+		starts = starts[itemBlockItems+1:]
+		next := int32(0) // first entry of old not carried over yet
+		carry := func(upTo int32) {
+			tags = append(tags, old.tags[next:upTo]...)
+			tf = append(tf, old.tf[next:upTo]...)
+			next = upTo
+		}
+		// start[j+1] counts the entries inserted for item j until the
+		// prefix sum below turns it into item j+1's shift.
+		for k := range agg[a:c] {
+			e := &agg[a+k]
+			j := e.item & (itemBlockItems - 1)
+			p, found := seek(old.start, old.tags, j, e.tag)
+			carry(p)
+			var was int32
+			if found {
+				was = old.tf[p]
+				next = p + 1
+			} else {
+				start[j+1]++
+			}
+			var err error
+			if e.tf, err = addTF(was, e.tf); err != nil {
+				return err
+			}
+			tags = append(tags, e.tag)
+			tf = append(tf, e.tf)
+		}
+		carry(int32(len(old.tags)))
+		shift := int32(0)
+		for j := range start {
+			shift += start[j]
+			start[j] = old.start[j] + shift
+		}
+		n.items[b] = itemBlock{start: start, tags: tags[lo:], tf: tf[lo:]}
+	}
+	return nil
+}
+
+// oldTF is s's global frequency of tag t on item i, for an item that
+// may lie beyond s's universe, and whether s had the pair.
+func (s *Store) oldTF(i ItemID, t TagID) (int32, bool) {
+	if int(i) >= s.numItems {
+		return 0, false
+	}
+	b := &s.items[i>>itemBlockShift]
+	p, found := seek(b.start, b.tags, i&(itemBlockItems-1), t)
+	if !found {
+		return 0, false
+	}
+	return b.tf[p], true
 }
 
 // mergeGlobal shares s's global list of every tag agg does not mention
@@ -506,10 +736,6 @@ func (n *Store) mergeItems(s *Store, agg []tagItem) error {
 // (tag, tf desc, item) on scratch, the (item, tag) sort's: the key
 // stores tf complemented within the width of the largest.
 func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
-	n.global = make([][]Posting, n.numTags)
-	copy(n.global, s.global)
-	n.maxTF = make([]int32, n.numTags)
-	copy(n.maxTF, s.maxTF)
 	var top int32
 	for _, e := range agg {
 		top = max(top, e.tf)
@@ -531,14 +757,14 @@ func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
 		for b < len(agg) && agg[b].tag == t {
 			b++
 		}
-		old := n.global[t] // nil for a tag s did not have
+		old := n.tag(t).global // nil for a tag s did not have
 		moved = moved[:0]
 		for _, e := range agg[a:b] {
 			if len(old) == 0 { // a Build's, or a new tag's
 				break
 			}
-			if p, found := seekGrown(s.itStart, s.itTags, s.numItems, e.item, t); found {
-				q, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: s.itTF[p]}, byTFDesc)
+			if was, found := s.oldTF(e.item, t); found {
+				q, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: was}, byTFDesc)
 				moved = append(moved, q)
 			}
 		}
@@ -556,7 +782,8 @@ func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
 				j++
 			}
 		}
-		n.global[t], n.maxTF[t] = lst, lst[0].TF
+		e := n.entry(s, t)
+		e.global, e.maxTF = lst, lst[0].TF
 		a = b
 	}
 }
@@ -581,9 +808,11 @@ func (s *Store) TotalAnnotations() int64 { return s.totalAnnotations }
 // ascending order appends each user's tags in order.
 func (s *Store) userTagIndex() (start []int32, tags []TagID) {
 	start = make([]int32, s.numUsers+1)
-	for _, l := range s.byTag {
-		for _, u := range l.users {
-			start[u+1]++
+	for t := range TagID(s.numTags) {
+		for _, b := range s.tag(t).blocks {
+			for _, u := range b.users {
+				start[u+1]++
+			}
 		}
 	}
 	for u := range s.numUsers {
@@ -592,10 +821,12 @@ func (s *Store) userTagIndex() (start []int32, tags []TagID) {
 	tags = make([]TagID, start[s.numUsers])
 	// start[u] is u's fill cursor, and ends at u's end — u+1's start —
 	// so the array shifts back by one owner afterwards.
-	for t, l := range s.byTag {
-		for _, u := range l.users {
-			tags[start[u]] = TagID(t)
-			start[u]++
+	for t := range TagID(s.numTags) {
+		for _, b := range s.tag(t).blocks {
+			for _, u := range b.users {
+				tags[start[u]] = t
+				start[u]++
+			}
 		}
 	}
 	copy(start[1:], start[:s.numUsers])
@@ -610,13 +841,17 @@ func (s *Store) userTagIndex() (start []int32, tags []TagID) {
 func (s *Store) Triples() []Triple {
 	start, tags := s.userTagIndex()
 	trs := make([]Triple, 0, s.numTriples)
-	seen := make([]int32, s.numTags) // users of each tag already written
+	type cursor struct{ block, p int32 }
+	seen := make([]cursor, s.numTags) // the next list of each tag to write
 	for u := int32(0); int(u) < s.numUsers; u++ {
 		for _, t := range tags[start[u]:start[u+1]] {
-			l, p, from := &s.byTag[t], seen[t], len(trs)
-			seen[t]++
-			for _, up := range l.post[l.off[p]:l.off[p+1]] {
+			c := &seen[t]
+			b, from := &s.tag(t).blocks[c.block], len(trs)
+			for _, up := range b.list(int(c.p)) {
 				trs = append(trs, Triple{User: u, Item: up.Item, Tag: t, Count: up.TF})
+			}
+			if c.p++; int(c.p) == len(b.users) {
+				c.block, c.p = c.block+1, 0
 			}
 			slices.SortFunc(trs[from:], byUserTagItem)
 		}
@@ -626,31 +861,33 @@ func (s *Store) Triples() []Triple {
 
 // GlobalList returns the global posting list of tag t, sorted by
 // descending total frequency. The slice aliases internal storage.
-func (s *Store) GlobalList(t TagID) []Posting { return s.global[t] }
+func (s *Store) GlobalList(t TagID) []Posting { return s.tag(t).global }
 
 // MaxTF returns the largest global frequency under tag t; it is the
 // per-list score ceiling threshold algorithms use.
-func (s *Store) MaxTF(t TagID) int32 { return s.maxTF[t] }
+func (s *Store) MaxTF(t TagID) int32 { return s.tag(t).maxTF }
 
 // UserList returns the posting list of (user u, tag t), sorted by
-// descending frequency, or nil when u never used t. The lookup is a
-// binary search over the tag's ascending users, an array every lookup
-// under that tag shares.
+// descending frequency, or nil when u never used t. The lookup is two
+// binary searches: over the first users of the tag's blocks, an array
+// of its own, then over the users of the one block that would hold u's
+// list.
 func (s *Store) UserList(u int32, t TagID) []UserPosting {
-	l := &s.byTag[t]
-	if p, ok := slices.BinarySearch(l.users, u); ok {
-		return l.post[l.off[p]:l.off[p+1]]
+	e := s.tag(t)
+	if len(e.blocks) == 0 {
+		return nil
+	}
+	b := &e.blocks[owner(e.firsts, u)]
+	if p, ok := slices.BinarySearch(b.users, u); ok {
+		return b.list(p)
 	}
 	return nil
 }
 
-// TagLists returns every posting list under tag t: the users who used
-// it in ascending order, and the p-th user's list — the one UserList
-// returns — is post[off[p]:off[p+1]]. The slices alias internal storage.
-func (s *Store) TagLists(t TagID) (users, off []int32, post []UserPosting) {
-	l := &s.byTag[t]
-	return l.users, l.off, l.post
-}
+// TagBlocks returns every posting list under tag t, as blocks of
+// consecutive users in ascending order: the lists UserList returns, each
+// in exactly one block. The slice aliases internal storage.
+func (s *Store) TagBlocks(t TagID) []Block { return s.tag(t).blocks }
 
 // UserTags returns the sorted distinct tags user u has used. The slice
 // aliases internal storage, an index the first call builds (once).
@@ -672,12 +909,79 @@ func (s *Store) TF(u int32, i ItemID, t TagID) int32 {
 }
 
 // GlobalTF returns the total frequency of tag t on item i across users:
-// a binary search over item i's sorted tag segment in the flat CSR.
+// a shift finds item i's block, and a binary search its sorted tags.
 func (s *Store) GlobalTF(i ItemID, t TagID) int32 {
-	if j, ok := seek(s.itStart, s.itTags, i, t); ok {
-		return s.itTF[j]
+	b := &s.items[i>>itemBlockShift]
+	if j, ok := seek(b.start, b.tags, i&(itemBlockItems-1), t); ok {
+		return b.tf[j]
 	}
 	return 0
+}
+
+// Footprint is a store's memory by structure, in bytes of array
+// elements: lengths, not capacities.
+type Footprint struct {
+	TagBlocks  int64 // the per-user lists: users, list ends, postings
+	ItemBlocks int64 // the item index behind GlobalTF
+	Global     int64 // the global posting lists
+	Headers    int64 // the tables: per-tag headers, block tables, maxTF
+}
+
+// OwnBytes reports the memory of s that it does not share with parent —
+// after s = parent.Merge(...), what the merge allocated and s keeps. A
+// nil parent shares nothing. Every store shares the item block of
+// untagged items, so it counts for none.
+func (s *Store) OwnBytes(parent *Store) Footprint {
+	var f Footprint
+	if s == parent {
+		return f
+	}
+	if parent == nil {
+		parent = new(Store)
+	}
+	f.Headers = int64(len(s.tagPages))*int64(unsafe.Sizeof([]tagEntry(nil))) +
+		int64(len(s.items))*int64(unsafe.Sizeof(itemBlock{}))
+	for p, page := range s.tagPages {
+		if &page[0] == &noTags[0] || p < len(parent.tagPages) && &page[0] == &parent.tagPages[p][0] {
+			continue
+		}
+		f.Headers += int64(len(page)) * int64(unsafe.Sizeof(tagEntry{}))
+		for k := range page {
+			var was tagEntry
+			if p < len(parent.tagPages) {
+				was = parent.tagPages[p][k]
+			}
+			f.add(&page[k], &was)
+		}
+	}
+	for k, b := range s.items {
+		if &b.start[0] == &noItems.start[0] || k < len(parent.items) && &b.start[0] == &parent.items[k].start[0] {
+			continue
+		}
+		f.ItemBlocks += 4 * int64(len(b.start)+len(b.tags)+len(b.tf))
+	}
+	return f
+}
+
+// add adds what entry e, its tag's in the store OwnBytes measures, does
+// not share with was, the tag's in the parent.
+func (f *Footprint) add(e, was *tagEntry) {
+	if len(e.global) > 0 && (len(was.global) == 0 || &e.global[0] != &was.global[0]) {
+		f.Global += 8 * int64(len(e.global))
+	}
+	if len(e.blocks) == 0 || len(was.blocks) > 0 && &e.blocks[0] == &was.blocks[0] {
+		return
+	}
+	f.Headers += int64(len(e.blocks))*int64(unsafe.Sizeof(Block{})) + 4*int64(len(e.firsts))
+	had := make(map[*int32]bool, len(was.blocks))
+	for _, b := range was.blocks {
+		had[&b.users[0]] = true
+	}
+	for _, b := range e.blocks {
+		if !had[&b.users[0]] {
+			f.TagBlocks += 4*int64(len(b.users)+len(b.end)) + 8*int64(len(b.post))
+		}
+	}
 }
 
 // Stats summarizes the corpus; it backs Table 1.
@@ -704,16 +1008,15 @@ func (s *Store) ComputeStats() Stats {
 		st.AvgTriplesPerUser = float64(s.numTriples) / float64(s.numUsers)
 	}
 	for i := range s.numItems {
-		if s.itStart[i] < s.itStart[i+1] {
+		b := &s.items[i>>itemBlockShift]
+		if j := i & (itemBlockItems - 1); b.start[j] < b.start[j+1] {
 			st.DistinctItemsTagged++
 		}
 	}
-	for t := range s.global {
-		if len(s.global[t]) > 0 {
+	for t := range TagID(s.numTags) {
+		if g := s.tag(t).global; len(g) > 0 {
 			st.DistinctTagsUsed++
-		}
-		if len(s.global[t]) > st.MaxGlobalListLen {
-			st.MaxGlobalListLen = len(s.global[t])
+			st.MaxGlobalListLen = max(st.MaxGlobalListLen, len(g))
 		}
 	}
 	return st

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // smallStore: 3 users, 4 items, 3 tags.
@@ -402,11 +403,13 @@ func randomMergeScript(rng *rand.Rand) []byte {
 }
 
 // checkMergeScript folds the script's batches into a store one Merge at
-// a time and, after each, holds the result against two references: a
-// Build over the union of everything folded so far (deep equality of
-// every array, the tag-major posting lists included, and of Triples()),
-// a map model of the relation read back through every accessor, and the
-// structure of the tag-major lists against the store's own Triples().
+// a time and, after each, holds the result against three references: a
+// Build over the union of everything folded so far (the same counts,
+// global lists, item index and per-user lists, list for list, and the
+// same Triples()), a map model of the relation read back through every
+// accessor, and the structure of the tag-major lists against the
+// store's own Triples(); the blocks of both stores are held to their
+// bounds.
 func checkMergeScript(t *testing.T, data []byte) {
 	t.Helper()
 	batches, grow := mergeScript(data)
@@ -437,17 +440,86 @@ func checkMergeScript(t *testing.T, data []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if store.userStart != nil {
-			// An empty delta returned the last round's store, whose
-			// per-user tag index checkAgainstModel's UserTags built.
-			want.userOnce.Do(func() { want.userStart, want.userTags = want.userTagIndex() })
-		}
-		if !reflect.DeepEqual(store, want) {
-			t.Fatalf("round %d: merged store differs from Build over the union\n got %+v\nwant %+v", round, store, want)
-		}
+		checkSameStore(t, store, want)
+		checkBlocks(t, store, false)
+		checkBlocks(t, want, true)
 		checkTriples(t, store, want)
 		checkAgainstModel(t, store, union, nu, ni, nt)
 		checkTagLists(t, store)
+	}
+}
+
+// checkSameStore holds s to want, a Build over the same relation: the
+// same counts, global lists, item index and, list for list, per-user
+// lists. The blocks those lists are cut into may differ: a merge splits
+// a block that outgrows blockPosts in halves, where Build packs.
+func checkSameStore(t *testing.T, s, want *Store) {
+	t.Helper()
+	if s.numUsers != want.numUsers || s.numItems != want.numItems || s.numTags != want.numTags ||
+		s.numTriples != want.numTriples || s.totalAnnotations != want.totalAnnotations {
+		t.Fatalf("merged store is %d×%d×%d with %d triples and %d annotations, a Build over the union %d×%d×%d, %d and %d",
+			s.numUsers, s.numItems, s.numTags, s.numTriples, s.totalAnnotations,
+			want.numUsers, want.numItems, want.numTags, want.numTriples, want.totalAnnotations)
+	}
+	if !reflect.DeepEqual(s.items, want.items) {
+		t.Fatalf("item index differs from a Build over the union\n got %+v\nwant %+v", s.items, want.items)
+	}
+	for tag := TagID(0); int(tag) < s.numTags; tag++ {
+		if g, w := s.GlobalList(tag), want.GlobalList(tag); !reflect.DeepEqual(g, w) || s.MaxTF(tag) != want.MaxTF(tag) {
+			t.Fatalf("tag %d: global list %v (max %d), a Build over the union %v (max %d)", tag, g, s.MaxTF(tag), w, want.MaxTF(tag))
+		}
+		users, off, post := s.TagLists(tag)
+		wu, wo, wp := want.TagLists(tag)
+		if !reflect.DeepEqual(users, wu) || !reflect.DeepEqual(off, wo) || !reflect.DeepEqual(post, wp) {
+			t.Fatalf("tag %d: lists %v %v %v, a Build over the union %v %v %v", tag, users, off, post, wu, wo, wp)
+		}
+	}
+}
+
+// checkBlocks holds every tag's blocks to their bounds: a block holds
+// at least one list, and more than blockPosts postings only as a single
+// list; its users ascend, on from the previous block's, and its list
+// ends rise from above 0 to its postings' length, so every list lies in
+// one block. A built store's blocks are also packed: no block could
+// have taken the next one's first list.
+func checkBlocks(t *testing.T, s *Store, built bool) {
+	t.Helper()
+	for tag := range TagID(s.numTags) {
+		blocks, last := s.TagBlocks(tag), int32(-1)
+		for k, b := range blocks {
+			if len(b.users) == 0 || len(b.end) != len(b.users) || int(b.end[len(b.end)-1]) != len(b.post) {
+				t.Fatalf("tag %d block %d: %d users, %d list ends, %d postings", tag, k, len(b.users), len(b.end), len(b.post))
+			}
+			for p, u := range b.users {
+				if u <= last || len(b.list(p)) == 0 {
+					t.Fatalf("tag %d block %d: users %v after %d, ends %v", tag, k, b.users, last, b.end)
+				}
+				last = u
+			}
+			if len(b.post) > blockPosts && len(b.users) > 1 {
+				t.Fatalf("tag %d block %d: %d lists hold %d postings, over the %d a block holds", tag, k, len(b.users), len(b.post), blockPosts)
+			}
+			if built && k+1 < len(blocks) && len(b.post)+len(blocks[k+1].list(0)) <= blockPosts {
+				t.Fatalf("tag %d block %d: %d postings, and the next block's first list of %d would have fit", tag, k, len(b.post), len(blocks[k+1].list(0)))
+			}
+		}
+	}
+}
+
+// blockSizes are the blockPosts the merge harness runs at: blocks of a
+// few postings, which the scripts' short lists fill and split, and the
+// size the store is built with.
+var blockSizes = []int{2, 5, blockPosts}
+
+// checkMergeScriptBlocks runs checkMergeScript at every one of
+// blockSizes.
+func checkMergeScriptBlocks(t *testing.T, data []byte) {
+	t.Helper()
+	defer func(size int) { blockPosts = size }(blockPosts)
+	for _, size := range blockSizes {
+		blockPosts = size
+		t.Logf("blockPosts %d", size)
+		checkMergeScript(t, data)
 	}
 }
 
@@ -608,12 +680,14 @@ func mergeSeeds() [][]byte {
 }
 
 // TestMergeMatchesBuild: folding delta batches into a store one after
-// another gives, after every batch, the store a Build over the union
-// gives — duplicate triples, TF-reordering increments, brand-new ids,
-// empty deltas and bare universe growth included.
+// another gives, after every batch, the relation a Build over the union
+// gives, in blocks within their bounds — duplicate triples,
+// TF-reordering increments, brand-new ids, empty deltas and bare
+// universe growth included, with blocks of a few postings and of the
+// default size.
 func TestMergeMatchesBuild(t *testing.T) {
 	for _, data := range mergeSeeds() {
-		checkMergeScript(t, data)
+		checkMergeScriptBlocks(t, data)
 	}
 }
 
@@ -625,7 +699,7 @@ func FuzzStoreMerge(f *testing.F) {
 		if len(data) > 4096 {
 			t.Skip() // the model check is cubic in the universe, linear in the script
 		}
-		checkMergeScript(t, data)
+		checkMergeScriptBlocks(t, data)
 	})
 }
 
@@ -651,8 +725,8 @@ func TestMergeLeavesOldStoreIntact(t *testing.T) {
 }
 
 // TestMergeSharesUntouchedTagLists: a merge hands the new store the very
-// arrays of every tag its delta does not mention, and builds a
-// mentioned tag's without writing the old ones — whether the delta
+// block table of every tag its delta does not mention, and builds a
+// mentioned tag's without writing the old one — whether the delta
 // reorders a list, adds a user to the tag, or brings a tag the store
 // never had.
 func TestMergeSharesUntouchedTagLists(t *testing.T) {
@@ -663,35 +737,39 @@ func TestMergeSharesUntouchedTagLists(t *testing.T) {
 	}
 	for name, delta := range deltas {
 		old := smallStore(t)
-		before := make([]tagLists, len(old.byTag)) // a deep copy
-		for t, l := range old.byTag {
-			before[t] = tagLists{users: slices.Clone(l.users), off: slices.Clone(l.off), post: slices.Clone(l.post)}
+		before := make([][]Block, old.NumTags()) // a deep copy
+		for t := range before {
+			for _, b := range old.TagBlocks(TagID(t)) {
+				before[t] = append(before[t], Block{users: slices.Clone(b.users), end: slices.Clone(b.end), post: slices.Clone(b.post)})
+			}
 		}
 		merged, err := old.Merge(delta, 4, 5, 4)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !reflect.DeepEqual(old.byTag, before) {
-			t.Fatalf("%s: Merge wrote the lists of the store it started from:\n got %+v\nwant %+v", name, old.byTag, before)
+		for tag, want := range before {
+			if got := old.TagBlocks(TagID(tag)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: Merge wrote the lists of tag %d of the store it started from:\n got %+v\nwant %+v", name, tag, got, want)
+			}
 		}
 		mentioned := make(map[TagID]bool)
 		for _, tr := range delta {
 			mentioned[tr.Tag] = true
 		}
-		for tag, was := range old.byTag { // every tag of smallStore has a list
-			is := merged.byTag[tag]
-			if !mentioned[TagID(tag)] && (&is.users[0] != &was.users[0] || &is.off[0] != &was.off[0] || &is.post[0] != &was.post[0]) {
-				t.Fatalf("%s: the lists of tag %d, which the delta does not mention, were copied, not shared", name, tag)
+		for tag := range TagID(old.NumTags()) { // every tag of smallStore has a list
+			if is, was := merged.TagBlocks(tag), old.TagBlocks(tag); !mentioned[tag] && &is[0] != &was[0] {
+				t.Fatalf("%s: the block table of tag %d, which the delta does not mention, was copied, not shared", name, tag)
 			}
 		}
 		checkTagLists(t, merged)
+		checkBlocks(t, merged, false)
 	}
 }
 
 // TestMergeUniverseGrowthSharesArrays: a batch that only grows the
 // universe — a Befriend that interns a new user, an item or tag
 // registered and not used yet — copies nothing the growth does not
-// lengthen: the new store has the very arrays of the old one.
+// lengthen: the new store has the very blocks and lists of the old one.
 func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
 	old := smallStore(t)
 	grown, err := old.Merge(nil, old.NumUsers()+2, old.NumItems()+1, old.NumTags()+1)
@@ -701,23 +779,138 @@ func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
 	if grown == old || grown.NumUsers() != 5 || grown.NumItems() != 5 || grown.NumTags() != 4 {
 		t.Fatalf("grown store is %d×%d×%d", grown.NumUsers(), grown.NumItems(), grown.NumTags())
 	}
-	if &grown.itTags[0] != &old.itTags[0] || &grown.itTF[0] != &old.itTF[0] {
-		t.Fatal("itTags or itTF was copied, not shared")
-	}
-	for tag, was := range old.byTag { // every tag of smallStore has a list
-		is := grown.byTag[tag]
-		if &is.users[0] != &was.users[0] || &is.off[0] != &was.off[0] || &is.post[0] != &was.post[0] {
-			t.Fatalf("the lists of tag %d were copied, not shared", tag)
+	for k, was := range old.items {
+		if is := grown.items[k]; &is.start[0] != &was.start[0] || &is.tags[0] != &was.tags[0] || &is.tf[0] != &was.tf[0] {
+			t.Fatalf("item block %d was copied, not shared", k)
 		}
-		if &grown.global[tag][0] != &old.global[tag][0] {
+	}
+	for tag := range TagID(old.NumTags()) { // every tag of smallStore has a list
+		if &grown.TagBlocks(tag)[0] != &old.TagBlocks(tag)[0] {
+			t.Fatalf("the block table of tag %d was copied, not shared", tag)
+		}
+		if &grown.GlobalList(tag)[0] != &old.GlobalList(tag)[0] {
 			t.Fatalf("the global list of tag %d was copied, not shared", tag)
 		}
 	}
 	if len(grown.UserTags(4)) != 0 || grown.GlobalTF(4, 3) != 0 || grown.UserList(4, 3) != nil || grown.MaxTF(3) != 0 {
 		t.Fatal("the new ids own something")
 	}
+	if f := grown.OwnBytes(old); f.TagBlocks != 0 || f.ItemBlocks != 0 || f.Global != 0 {
+		t.Fatalf("growing the universe copied %+v", f)
+	}
 	checkTriples(t, grown, old)
 	checkTagLists(t, grown)
+}
+
+// TestMergeCopiesOnlyTouchedBlocks: a merge of k triples into a store of
+// many blocks shares every block it does not touch — a block of a tag's
+// lists that owns none of the batch's users under that tag, an item
+// block none of its items is in — with the store it started from, and
+// what the new store owns is the touched blocks, grown by at most the
+// batch, their tags' global lists and the tables.
+func TestMergeCopiesOnlyTouchedBlocks(t *testing.T) {
+	const users, items, tags = 3000, 20000, 400
+	rng := rand.New(rand.NewSource(1))
+	tagZ := rand.NewZipf(rng, 1.1, 1, tags-1)
+	b := NewBuilder(users, items, tags)
+	for range 200_000 {
+		b.Add(int32(rng.Intn(users)), ItemID(rng.Intn(items)), TagID(tagZ.Uint64()))
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	trs := s.Triples()
+	for _, k := range []int{1, 8, 64} {
+		delta := make([]Triple, k)
+		for j := range delta {
+			if j%2 == 0 { // a triple the store has: an existing list grows
+				delta[j] = trs[rng.Intn(len(trs))]
+				delta[j].Count = 1
+			} else {
+				delta[j] = Triple{User: int32(rng.Intn(users)), Item: ItemID(rng.Intn(items)), Tag: TagID(tagZ.Uint64()), Count: 1}
+			}
+		}
+		merged, err := s.Merge(delta, users, items, tags)
+		if err != nil {
+			t.Fatal(err)
+		}
+		touched := make(map[[2]int]bool) // (tag, block) of s
+		touchedItems := make(map[int]bool)
+		mentioned := make(map[TagID]bool)
+		for _, tr := range delta {
+			if e := s.tag(tr.Tag); len(e.blocks) > 0 {
+				touched[[2]int{int(tr.Tag), owner(e.firsts, tr.User)}] = true
+			}
+			touchedItems[int(tr.Item>>itemBlockShift)] = true
+			mentioned[tr.Tag] = true
+		}
+		var blockBound, itemBound, globalBound, headers int64
+		headers = int64(len(merged.tagPages))*int64(unsafe.Sizeof([]tagEntry(nil))) + int64(len(merged.items))*int64(unsafe.Sizeof(itemBlock{}))
+		pages := make(map[TagID]bool)
+		for tag := range TagID(tags) {
+			blocks, kept := s.TagBlocks(tag), make(map[*int32]bool)
+			for _, b := range merged.TagBlocks(tag) {
+				kept[&b.users[0]] = true
+			}
+			for j, b := range blocks {
+				if !touched[[2]int{int(tag), j}] {
+					if !kept[&b.users[0]] {
+						t.Fatalf("k=%d: tag %d's block %d, which the batch does not touch, was copied", k, tag, j)
+					}
+					continue
+				}
+				blockBound += 4*int64(len(b.users)+len(b.end)) + 8*int64(len(b.post))
+			}
+			if mentioned[tag] {
+				pages[tag>>tagPageShift] = true
+				headers += int64(len(merged.TagBlocks(tag))) * int64(unsafe.Sizeof(Block{})+4) // a block and its first user
+				globalBound += 8 * int64(len(merged.GlobalList(tag)))
+			}
+		}
+		headers += int64(len(pages)) * tagPageTags * int64(unsafe.Sizeof(tagEntry{}))
+		for j, b := range s.items {
+			if !touchedItems[j] {
+				if &merged.items[j].start[0] != &b.start[0] {
+					t.Fatalf("k=%d: item block %d, which the batch does not touch, was copied", k, j)
+				}
+				continue
+			}
+			itemBound += 4 * int64(len(b.start)+len(b.tags)+len(b.tf))
+		}
+		blockBound += 16 * int64(k) // a posting, and maybe a new user with its list end, per triple
+		itemBound += 8 * int64(k)   // a tag and its frequency per triple
+		f := merged.OwnBytes(s)
+		t.Logf("k=%d: %d of %d tag blocks, %d of %d item blocks and %d of %d tag pages touched; owns %+v",
+			k, len(touched), countBlocks(s), len(touchedItems), len(s.items), len(pages), len(s.tagPages), f)
+		if f.TagBlocks > blockBound || f.ItemBlocks > itemBound || f.Global > globalBound || f.Headers > headers {
+			t.Fatalf("k=%d: the merged store owns %+v, over the touched blocks' %d and %d bytes, the global lists' %d and the tables' %d",
+				k, f, blockBound, itemBound, globalBound, headers)
+		}
+		checkSameStore(t, merged, mustBuild(t, users, items, tags, append(slices.Clone(trs), delta...)))
+		checkBlocks(t, merged, false)
+	}
+}
+
+func countBlocks(s *Store) int {
+	n := 0
+	for tag := range TagID(s.NumTags()) {
+		n += len(s.TagBlocks(tag))
+	}
+	return n
+}
+
+func mustBuild(t *testing.T, users, items, tags int, trs []Triple) *Store {
+	t.Helper()
+	b := NewBuilder(users, items, tags)
+	for _, tr := range trs {
+		b.AddCount(tr.User, tr.Item, tr.Tag, tr.Count)
+	}
+	s, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // TestNoUniverseLimit: stores used to pack (user, item, tag) into 21
