@@ -73,14 +73,7 @@ func BenchmarkMaterializeHorizon(b *testing.B) {
 // short.
 func BenchmarkMaterializeHorizonTied(b *testing.B) {
 	e, specs := servingWorkload(b)
-	edges := e.g.Edges()
-	for i := range edges {
-		edges[i].Weight = 0.5
-	}
-	g, err := graph.FromSortedEdges(e.g.NumUsers(), edges)
-	if err != nil {
-		b.Fatal(err)
-	}
+	g := tiedGraph(b, e.g)
 	for _, c := range []struct {
 		alpha   float64
 		seekers int
@@ -96,6 +89,20 @@ func BenchmarkMaterializeHorizonTied(b *testing.B) {
 			benchMaterialize(b, tied, specs[:c.seekers])
 		})
 	}
+}
+
+// tiedGraph is g with every weight set to 0.5.
+func tiedGraph(tb testing.TB, g *graph.Graph) *graph.Graph {
+	tb.Helper()
+	edges := g.Edges()
+	for i := range edges {
+		edges[i].Weight = 0.5
+	}
+	tied, err := graph.FromSortedEdges(g.NumUsers(), edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return tied
 }
 
 // benchMaterialize materializes the specs' seekers' horizons on e in

@@ -1,7 +1,11 @@
 // Package graph implements the weighted undirected social graph that
 // underlies the social search engine. The graph is stored in compressed
-// sparse row (CSR) form for cache-friendly traversal: all adjacency lists
-// live in two flat arrays indexed by a per-vertex offset table.
+// sparse row (CSR) form cut into pages: a page holds the rows of a fixed
+// number of consecutive vertices (their offsets, neighbour ids and
+// weights), and one page table points at the pages. A traversal reads a
+// row as one contiguous slice, as from a flat CSR; a merge rewrites only
+// the pages whose rows change and shares every other page with the
+// graph it came from.
 //
 // Vertices are dense user identifiers in [0, NumUsers). Edge weights are
 // friendship strengths in (0, 1]; a weight of 1 is a maximally strong tie.
@@ -16,6 +20,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"unsafe"
 )
 
 // UserID is a dense vertex identifier in [0, NumUsers).
@@ -78,7 +83,7 @@ func canonical(edges []Edge) ([]Edge, error) {
 		if e.U == e.V {
 			return nil, fmt.Errorf("graph: self-loop on user %d", e.U)
 		}
-		if e.Weight <= 0 || e.Weight > 1 {
+		if !(e.Weight > 0 && e.Weight <= 1) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) weight %g outside (0,1]", e.U, e.V, e.Weight)
 		}
 		if e.U > e.V {
@@ -92,10 +97,11 @@ func canonical(edges []Edge) ([]Edge, error) {
 // Merge returns a graph over numUsers vertices, no fewer than g has,
 // that holds g's edges plus delta, the larger weight winning where a
 // pair repeats. g is left untouched; with nothing to add Merge returns
-// g itself. The new CSR is g's patched in one pass: the rows delta
-// touches are merged with delta's sorted entries for them, and every
-// stretch of rows between them is copied whole with its offsets
-// shifted. The cost is sorting delta plus one copy of the CSR.
+// g itself. The new graph starts from a copy of g's page table and
+// rewrites only the pages that hold a row delta touches, and those the
+// growth to numUsers lengthens or adds; every other page stays g's. The
+// cost is sorting delta plus one copy of the page table and of each
+// rewritten page.
 func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
 	if numUsers < g.numUsers {
 		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.numUsers)
@@ -119,7 +125,7 @@ func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
 		maxWeight = max(maxWeight, e.Weight)
 	}
 	slices.SortFunc(d, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
-	w, added := 0, 0
+	w := 0
 	for _, e := range d {
 		if w > 0 && d[w-1].U == e.U && d[w-1].V == e.V {
 			d[w-1].Weight = max(d[w-1].Weight, e.Weight)
@@ -127,88 +133,95 @@ func (g *Graph) Merge(delta []Edge, numUsers int) (*Graph, error) {
 		}
 		d[w] = e
 		w++
-		if _, ok := g.edgeAt(e.U, e.V); !ok {
-			added++
-		}
 	}
 	d = d[:w]
+	shift := g.shift
+	if g.numUsers == 0 { // no pages to share: take the built page size
+		shift = pageShift
+	}
 	n := &Graph{
 		numUsers:  numUsers,
-		offsets:   make([]int32, numUsers+1),
-		adj:       make([]UserID, 0, len(g.adj)+added),
-		weights:   make([]float64, 0, len(g.adj)+added),
+		shift:     shift,
+		pages:     make([]page, (numUsers+1<<shift-1)>>shift),
 		maxWeight: maxWeight,
 	}
-	next := UserID(0) // first row not written yet
-	copyRows := func(to UserID) {
-		lo, hi := g.rowStart(next), g.rowStart(to)
-		shift := int32(len(n.adj)) - lo
-		for u := next; u < to; u++ {
-			n.offsets[u] = g.rowStart(u) + shift
-		}
-		n.adj = append(n.adj, g.adj[lo:hi]...)
-		n.weights = append(n.weights, g.weights[lo:hi]...)
-		next = to
-	}
+	copy(n.pages, g.pages)
+	added := 0 // adjacency entries delta adds: two per new edge
 	for a, b := 0, 0; a < len(d); a = b {
-		u := d[a].U
-		for b < len(d) && d[b].U == u {
+		p := int(d[a].U) >> shift
+		for b < len(d) && int(d[b].U)>>shift == p {
 			b++
 		}
-		copyRows(u)
-		n.offsets[u] = int32(len(n.adj))
+		var k int
+		n.pages[p], k = g.mergePage(n, p, d[a:b])
+		added += k
+	}
+	// Growth lengthens g's last page if it is short and adds pages past
+	// it; those delta did not rewrite are g's rows padded with empty ones.
+	for p := g.numUsers >> shift; p < len(n.pages); p++ {
+		if len(n.pages[p].offsets) != n.pageLen(p)+1 {
+			n.pages[p], _ = g.mergePage(n, p, nil)
+		}
+	}
+	n.numEdges = g.numEdges + added/2
+	return n, nil
+}
+
+// mergePage builds page p of n, which is g merged with a delta, from
+// g's rows and d, the delta's entries for the page's rows: both
+// directions, sorted by (U, V), each pair once. A row past g's vertices
+// starts empty. It also reports how many entries d added that g's rows
+// lacked.
+func (g *Graph) mergePage(n *Graph, p int, d []Edge) (page, int) {
+	lo := p << n.shift
+	size := len(d)
+	if p < len(g.pages) {
+		size += len(g.pages[p].adj)
+	}
+	pg := page{
+		offsets: make([]int32, n.pageLen(p)+1),
+		adj:     make([]UserID, 0, size),
+		weights: make([]float64, 0, size),
+	}
+	added := 0
+	for r := 1; r < len(pg.offsets); r++ {
+		u := UserID(lo + r - 1)
 		var nbrs []UserID
 		var wts []float64
 		if int(u) < g.numUsers {
 			nbrs, wts = g.Neighbors(u)
 		}
-		for _, e := range d[a:b] {
+		for ; len(d) > 0 && d[0].U == u; d = d[1:] {
+			e := d[0]
 			for len(nbrs) > 0 && nbrs[0] < e.V {
-				n.adj, n.weights = append(n.adj, nbrs[0]), append(n.weights, wts[0])
+				pg.adj, pg.weights = append(pg.adj, nbrs[0]), append(pg.weights, wts[0])
 				nbrs, wts = nbrs[1:], wts[1:]
 			}
 			if len(nbrs) > 0 && nbrs[0] == e.V {
 				e.Weight = max(e.Weight, wts[0])
 				nbrs, wts = nbrs[1:], wts[1:]
+			} else {
+				added++
 			}
-			n.adj, n.weights = append(n.adj, e.V), append(n.weights, e.Weight)
+			pg.adj, pg.weights = append(pg.adj, e.V), append(pg.weights, e.Weight)
 		}
-		n.adj, n.weights = append(n.adj, nbrs...), append(n.weights, wts...)
-		next = u + 1
+		pg.adj, pg.weights = append(pg.adj, nbrs...), append(pg.weights, wts...)
+		pg.offsets[r] = int32(len(pg.adj))
 	}
-	copyRows(UserID(numUsers))
-	n.offsets[numUsers] = int32(len(n.adj))
-	return n, nil
-}
-
-// rowStart is where row u starts in g's adjacency; a row past g's
-// vertices is empty and starts at the end.
-func (g *Graph) rowStart(u UserID) int32 {
-	if int(u) >= g.numUsers {
-		return int32(len(g.adj))
-	}
-	return g.offsets[u]
-}
-
-// edgeAt is EdgeWeight for a u that may lie past g's vertices.
-func (g *Graph) edgeAt(u, v UserID) (float64, bool) {
-	if int(u) >= g.numUsers {
-		return 0, false
-	}
-	return g.EdgeWeight(u, v)
+	return pg, added
 }
 
 // FromSortedEdges builds a Graph directly from edges that are already
 // canonical: each undirected edge reported exactly once with U < V,
 // strictly sorted by (U, V). This is the flat load path for the on-disk
 // format (internal/index), whose writer emits canonical edges — it
-// constructs the CSR arrays in two linear passes with no deduplication
-// map and no re-sort. Per-vertex adjacency comes
-// out sorted by construction: row u receives its smaller neighbours
-// (from edges ending at u, which precede u's own run in the input
-// order) before its larger ones (from u's own run), both ascending.
-// Violations of canonical form are rejected, so a corrupt or hand-built
-// input falls back to the Builder path cleanly.
+// lays the rows out in two linear passes with no deduplication map and
+// no re-sort, all pages over one backing array per field. Per-vertex
+// adjacency comes out sorted by construction: row u receives its
+// smaller neighbours (from edges ending at u, which precede u's own run
+// in the input order) before its larger ones (from u's own run), both
+// ascending. Violations of canonical form are rejected, so a corrupt or
+// hand-built input falls back to the Builder path cleanly.
 func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 	n := numUsers
 	if n < 0 {
@@ -222,7 +235,7 @@ func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 		if e.U >= e.V {
 			return nil, fmt.Errorf("graph: edge (%d,%d) not canonical (want U < V)", e.U, e.V)
 		}
-		if e.Weight <= 0 || e.Weight > 1 {
+		if !(e.Weight > 0 && e.Weight <= 1) {
 			return nil, fmt.Errorf("graph: edge (%d,%d) weight %g outside (0,1]", e.U, e.V, e.Weight)
 		}
 		if i > 0 {
@@ -254,46 +267,106 @@ func FromSortedEdges(numUsers int, edges []Edge) (*Graph, error) {
 		adj[p], wts[p] = e.U, e.Weight
 		cursor[e.V]++
 	}
-	return &Graph{numUsers: n, offsets: offsets, adj: adj, weights: wts, maxWeight: maxWeight}, nil
+	// Cut the flat rows into pages: each page's offsets count from its
+	// own first row, in one shared array of n+pages entries.
+	g := &Graph{numUsers: n, shift: pageShift, numEdges: len(edges), maxWeight: maxWeight}
+	g.pages = make([]page, (n+1<<g.shift-1)>>g.shift)
+	rel := make([]int32, n+len(g.pages))
+	for p := range g.pages {
+		lo := p << g.shift
+		hi := lo + g.pageLen(p)
+		base, end := offsets[lo], offsets[hi]
+		off := rel[: hi-lo+1 : hi-lo+1]
+		rel = rel[hi-lo+1:]
+		for r := range off {
+			off[r] = offsets[lo+r] - base
+		}
+		g.pages[p] = page{offsets: off, adj: adj[base:end:end], weights: wts[base:end:end]}
+	}
+	return g, nil
 }
 
-// Graph is an immutable weighted undirected graph in CSR form.
-// The zero value is an empty graph.
+// pageShift is the log2 of how many consecutive rows Build and
+// FromSortedEdges put in one page: 16. A merge rewrites whole pages, 16
+// rows for every row a delta touches, and the page table costs one page
+// header per 16 rows. A power of two lets a row find its page by a
+// shift: a division by the page size cost an expansion that reads every
+// row 3–5% (2 vCPU Xeon VM). It is a variable only so that tests can cut
+// graphs into pages of one to four rows; a graph keeps the page size it
+// was built with.
+var pageShift uint = 4
+
+// Graph is an immutable weighted undirected graph: CSR rows cut into
+// pages of consecutive vertices. The zero value is an empty graph.
 type Graph struct {
 	numUsers  int
-	offsets   []int32 // len numUsers+1
-	adj       []UserID
-	weights   []float64
-	maxWeight float64 // the largest of weights; 0 without edges
+	shift     uint   // a page holds 1<<shift rows; the last may hold fewer
+	pages     []page // page p holds rows [p<<shift, min((p+1)<<shift, numUsers))
+	numEdges  int
+	maxWeight float64 // the largest weight; 0 without edges
+}
+
+// page is the CSR of one page's rows: row r of the page has the
+// neighbours adj[offsets[r]:offsets[r+1]], ascending, and their
+// weights. A page is never written after it is made, so graphs merged
+// from one another share it.
+type page struct {
+	offsets []int32 // len rows+1, from 0
+	adj     []UserID
+	weights []float64
+}
+
+// pageLen is how many rows page p holds.
+func (g *Graph) pageLen(p int) int { return min(1<<g.shift, g.numUsers-p<<g.shift) }
+
+// locate returns the page that holds row u and the row's place in it.
+func (g *Graph) locate(u UserID) (*page, int) {
+	return &g.pages[uint32(u)>>g.shift], int(uint32(u) & (1<<g.shift - 1))
+}
+
+// OwnBytes reports the memory of g that it does not share with parent —
+// after g = parent.Merge(...), what the merge allocated and g keeps:
+// its page table and the pages it rewrote, in bytes of array elements
+// (lengths, not capacities). A nil parent shares nothing.
+func (g *Graph) OwnBytes(parent *Graph) int64 {
+	if g == parent {
+		return 0
+	}
+	if parent == nil {
+		parent = new(Graph)
+	}
+	n := int64(len(g.pages)) * int64(unsafe.Sizeof(page{}))
+	for p, pg := range g.pages {
+		if p < len(parent.pages) && &pg.offsets[0] == &parent.pages[p].offsets[0] {
+			continue
+		}
+		n += 4*int64(len(pg.offsets)+len(pg.adj)) + 8*int64(len(pg.weights))
+	}
+	return n
 }
 
 // MaxWeight reports the largest edge weight, 0 for a graph without
 // edges: no path product grows by more than this factor per hop.
 func (g *Graph) MaxWeight() float64 { return g.maxWeight }
 
-// CSR exposes the flat adjacency arrays: offsets (len NumUsers+1) into
-// adj/weights. The slices alias internal storage and must not be
-// modified; they are the zero-copy export for paged/on-disk layouts.
-func (g *Graph) CSR() (offsets []int32, adj []UserID, weights []float64) {
-	return g.offsets, g.adj, g.weights
-}
-
 // NumUsers reports the number of vertices.
 func (g *Graph) NumUsers() int { return g.numUsers }
 
 // NumEdges reports the number of undirected edges.
-func (g *Graph) NumEdges() int { return len(g.adj) / 2 }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // Degree reports the number of neighbours of u.
 func (g *Graph) Degree(u UserID) int {
-	return int(g.offsets[u+1] - g.offsets[u])
+	pg, r := g.locate(u)
+	return int(pg.offsets[r+1] - pg.offsets[r])
 }
 
 // Neighbors returns the sorted neighbour ids of u and their weights.
 // The returned slices alias internal storage and must not be modified.
 func (g *Graph) Neighbors(u UserID) ([]UserID, []float64) {
-	lo, hi := g.offsets[u], g.offsets[u+1]
-	return g.adj[lo:hi], g.weights[lo:hi]
+	pg, r := g.locate(u)
+	lo, hi := pg.offsets[r], pg.offsets[r+1]
+	return pg.adj[lo:hi], pg.weights[lo:hi]
 }
 
 // EdgeWeight reports the weight of edge (u, v), or 0 and false when the

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 // path builds the path graph 0-1-2-...-(n-1) with uniform weight w.
@@ -82,12 +83,17 @@ func TestBuildRejectsOutOfRange(t *testing.T) {
 	}
 }
 
+// TestBuildRejectsBadWeight: Build and the load path, FromSortedEdges,
+// reject a weight outside (0, 1], NaN included.
 func TestBuildRejectsBadWeight(t *testing.T) {
-	for _, w := range []float64{0, -0.5, 1.5, math.NaN()} {
+	for _, w := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
 		b := NewBuilder(2)
 		b.AddEdge(0, 1, w)
-		if _, err := b.Build(); err == nil && !math.IsNaN(w) {
-			t.Fatalf("weight %g accepted", w)
+		if _, err := b.Build(); err == nil {
+			t.Errorf("Build: weight %g accepted", w)
+		}
+		if _, err := FromSortedEdges(2, []Edge{{U: 0, V: 1, Weight: w}}); err == nil {
+			t.Errorf("FromSortedEdges: weight %g accepted", w)
 		}
 	}
 }
@@ -397,8 +403,14 @@ func TestPropertyComponentsPartition(t *testing.T) {
 // union gives — edges declared twice or in either direction, weights
 // that raise an existing edge and weights that do not, brand-new users,
 // empty batches — and the graph a map of the largest weight per pair
-// describes.
+// describes, at every one of pageShifts.
 func TestMergeMatchesBuild(t *testing.T) {
+	atPageSizes(t, func(rows int) {
+		t.Run(fmt.Sprintf("rows=%d", rows), checkMergeMatchesBuild)
+	})
+}
+
+func checkMergeMatchesBuild(t *testing.T) {
 	pair := func(u, v UserID) [2]UserID { return [2]UserID{min(u, v), max(u, v)} }
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -460,10 +472,10 @@ func TestMergeMatchesBuild(t *testing.T) {
 	}
 }
 
-// mergeByEdgeList is how Merge worked before it patched the CSR, kept
-// as the reference FuzzMergeMatchesEdgeList holds it to: expand the
-// graph to its canonical edge list, merge the sorted delta into a
-// second list, the larger weight winning, and build the CSR anew.
+// mergeByEdgeList is the reference FuzzMergeMatchesEdgeList holds Merge
+// to: expand the graph to its canonical edge list, merge the sorted
+// delta into a second list, the larger weight winning, and build the
+// graph anew.
 func mergeByEdgeList(g *Graph, delta []Edge, numUsers int) (*Graph, error) {
 	if numUsers < g.NumUsers() {
 		return nil, fmt.Errorf("graph: %d users, fewer than the graph's %d", numUsers, g.NumUsers())
@@ -514,10 +526,10 @@ func mergeBatches(data []byte) (users int, batches [][]Edge, grow []int) {
 	return users, batches, grow
 }
 
-// FuzzMergeMatchesEdgeList: Merge, which patches the CSR row by row,
-// gives the very graph (offsets, adjacency, weights and largest weight)
-// the edge-list round trip gives, batch after batch, and rejects the
-// batches it rejects.
+// FuzzMergeMatchesEdgeList: Merge, which rewrites the pages of the rows
+// a batch touches, gives the very graph (pages, adjacency, weights and
+// largest weight) the edge-list round trip gives, batch after batch and
+// at every one of pageShifts, and rejects the batches it rejects.
 func FuzzMergeMatchesEdgeList(f *testing.F) {
 	f.Add([]byte{3, 0, 1, 2, 1, 2, 4, 0, 0, 0xFF, 2, 3, 1, 0, 3, 2, 3, 0, 4})
 	f.Add([]byte{0, 0, 0, 0xFF, 1, 0, 0xFF, 0, 1, 4, 1, 0, 2, 1, 0, 3})
@@ -534,28 +546,87 @@ func FuzzMergeMatchesEdgeList(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		users, batches, grow := mergeBatches(data)
-		g, err := NewBuilder(users).Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for round, delta := range batches {
-			users += grow[round]
-			got, err := g.Merge(delta, users)
-			want, wantErr := mergeByEdgeList(g, delta, users)
-			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("round %d: Merge says %v, the edge-list merge %v", round, err, wantErr)
-			}
+		atPageSizes(t, func(rows int) {
+			users, batches, grow := mergeBatches(data)
+			g, err := NewBuilder(users).Build()
 			if err != nil {
-				users = g.NumUsers()
-				continue
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("round %d: Merge gives\n%+v\nthe edge-list merge\n%+v", round, got, want)
+			for round, delta := range batches {
+				users += grow[round]
+				got, err := g.Merge(delta, users)
+				want, wantErr := mergeByEdgeList(g, delta, users)
+				if (err == nil) != (wantErr == nil) {
+					t.Fatalf("pages of %d rows, round %d: Merge says %v, the edge-list merge %v", rows, round, err, wantErr)
+				}
+				if err != nil {
+					users = g.NumUsers()
+					continue
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("pages of %d rows, round %d: Merge gives\n%+v\nthe edge-list merge\n%+v", rows, round, got, want)
+				}
+				g = got
 			}
-			g = got
-		}
+		})
 	})
+}
+
+// pageShifts are the pageShift the merge tests run at: pages of one,
+// two and four rows, over which the tests' few users spread, and the
+// size graphs are built with.
+var pageShifts = []uint{0, 1, 2, pageShift}
+
+// atPageSizes runs f with graphs built at each of pageShifts; f gets
+// the rows a page holds.
+func atPageSizes(t testing.TB, f func(rows int)) {
+	t.Helper()
+	defer func(shift uint) { pageShift = shift }(pageShift)
+	for _, shift := range pageShifts {
+		pageShift = shift
+		f(1 << shift)
+	}
+}
+
+// TestMergeSharesUntouchedPages: a merge rewrites the pages holding a
+// row its delta touches and those growth lengthens or adds, shares
+// every other page with its parent and leaves the parent as it was;
+// OwnBytes counts the new page table and the rewritten pages.
+func TestMergeSharesUntouchedPages(t *testing.T) {
+	defer func(shift uint) { pageShift = shift }(pageShift)
+	pageShift = 2
+	g := path(t, 18, 0.5) // pages of rows 0-3, 4-7, 8-11, 12-15 and 16-17
+	edges := g.Edges()
+	header := int64(unsafe.Sizeof(page{}))
+	// 5 pages; offsets 4·5+3, 34 adjacency entries of 4+8 bytes.
+	if got, want := g.OwnBytes(nil), 5*header+4*23+12*34; got != want {
+		t.Fatalf("built graph: OwnBytes(nil) %d, want %d", got, want)
+	}
+	m, err := g.Merge([]Edge{{U: 5, V: 9, Weight: 0.8}, {U: 7, V: 6, Weight: 0.9}}, 22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten := map[int]bool{1: true, 2: true, 4: true, 5: true} // rows 5-7, 9; growth to 22 users
+	if len(m.pages) != 6 {
+		t.Fatalf("%d pages, want 6", len(m.pages))
+	}
+	for p := range m.pages {
+		shared := p < len(g.pages) && &m.pages[p].offsets[0] == &g.pages[p].offsets[0]
+		if shared == rewritten[p] {
+			t.Errorf("page %d: shared %v, want %v", p, shared, !rewritten[p])
+		}
+	}
+	if !reflect.DeepEqual(g.Edges(), edges) || g.NumUsers() != 18 {
+		t.Fatal("Merge changed its parent")
+	}
+	// Pages 1 and 2 hold 9 entries each over 5 offsets, page 4 rows
+	// 16-19 with 3 entries, page 5 rows 20-21 with none.
+	if got, want := m.OwnBytes(g), 6*header+2*(4*5+12*9)+(4*5+12*3)+4*3; got != want {
+		t.Fatalf("OwnBytes(parent) %d, want %d", got, want)
+	}
+	if got := m.OwnBytes(m); got != 0 {
+		t.Fatalf("OwnBytes(itself) %d, want 0", got)
+	}
 }
 
 func TestMergeRejectsBadDelta(t *testing.T) {
@@ -565,9 +636,13 @@ func TestMergeRejectsBadDelta(t *testing.T) {
 		"out of range":    {U: 0, V: 7, Weight: 0.5},
 		"negative weight": {U: 0, V: 1, Weight: -1}, // on an existing, heavier edge
 		"weight above 1":  {U: 0, V: 1, Weight: 1.5},
+		"NaN weight":      {U: 0, V: 1, Weight: math.NaN()},
+		"NaN on new pair": {U: 0, V: 3, Weight: math.NaN()},
 	} {
-		if _, err := g.Merge([]Edge{e}, g.NumUsers()); err == nil {
-			t.Errorf("%s: accepted", name)
+		for _, users := range []int{g.NumUsers(), g.NumUsers() + 1} {
+			if _, err := g.Merge([]Edge{e}, users); err == nil {
+				t.Errorf("%s: accepted at %d users", name, users)
+			}
 		}
 	}
 	if _, err := g.Merge(nil, g.NumUsers()-1); err == nil {

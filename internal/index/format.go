@@ -152,14 +152,17 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	if _, err := fit(0, numUsers, "user count"); err != nil {
+		return nil, nil, err
+	}
 	numEdges, err := getUvarint(br)
 	if err != nil {
 		return nil, nil, err
 	}
 	// The writer emits canonical edges (each once, U < V, sorted by
-	// (U, V)), so the graph is assembled straight into its flat CSR
-	// arrays — no dedup map, no re-sort. FromSortedEdges validates
-	// canonical form, so a corrupt stream still fails cleanly.
+	// (U, V)), so the graph is assembled straight into its row pages —
+	// no dedup map, no re-sort. FromSortedEdges validates canonical
+	// form, so a corrupt stream still fails cleanly.
 	edges := make([]graph.Edge, 0, min(numEdges, uint64(len(payload)/minEdgeBytes)))
 	prevU := int32(0)
 	for i := uint64(0); i < numEdges; i++ {
@@ -175,10 +178,17 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 		if _, err := io.ReadFull(br, wb[:]); err != nil {
 			return nil, nil, err
 		}
-		u := prevU + int32(du)
+		u, err := fit(prevU, du, "edge start")
+		if err != nil {
+			return nil, nil, err
+		}
 		prevU = u
+		vid, err := fit(0, v, "edge end")
+		if err != nil {
+			return nil, nil, err
+		}
 		edges = append(edges, graph.Edge{
-			U: u, V: int32(v),
+			U: u, V: vid,
 			Weight: math.Float64frombits(binary.LittleEndian.Uint64(wb[:])),
 		})
 	}
@@ -196,6 +206,12 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 	}
 	numTags, err := getUvarint(br)
 	if err != nil {
+		return nil, nil, err
+	}
+	if _, err := fit(0, numItems, "item count"); err != nil {
+		return nil, nil, err
+	}
+	if _, err := fit(0, numTags, "tag count"); err != nil {
 		return nil, nil, err
 	}
 	numTriples, err := getUvarint(br)
@@ -226,10 +242,24 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 		if du != 0 {
 			prevTag = 0
 		}
-		user := prevUser + int32(du)
-		tag := prevTag + int32(dt)
+		user, err := fit(prevUser, du, "triple user")
+		if err != nil {
+			return nil, nil, err
+		}
+		tag, err := fit(prevTag, dt, "triple tag")
+		if err != nil {
+			return nil, nil, err
+		}
+		itemID, err := fit(0, item, "triple item")
+		if err != nil {
+			return nil, nil, err
+		}
+		n, err := fit(0, count, "triple count")
+		if err != nil {
+			return nil, nil, err
+		}
 		prevUser, prevTag = user, tag
-		tb.AddCount(user, int32(item), tag, int32(count))
+		tb.AddCount(user, itemID, tag, n)
 	}
 
 	// Reject trailing garbage between the parsed payload and trailer.
@@ -246,6 +276,17 @@ func decodePayload(payload []byte) (*graph.Graph, *tagstore.Store, error) {
 		return nil, nil, fmt.Errorf("index: rebuilding store: %w", err)
 	}
 	return g, store, nil
+}
+
+// fit returns prev+d, a decoded id, count or universe size, as an
+// int32. The format's varints run to 2⁶⁴−1, and a payload the checksum
+// passes may still hold one past the int32 range, which narrowing would
+// wrap into a different id that can be valid; such a value is an error.
+func fit(prev int32, d uint64, what string) (int32, error) {
+	if d > math.MaxInt32 || int64(prev)+int64(d) > math.MaxInt32 {
+		return 0, fmt.Errorf("index: %s %d+%d past the int32 range", what, prev, d)
+	}
+	return prev + int32(d), nil
 }
 
 // WriteFile serializes to a file path.

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -189,6 +191,59 @@ func TestReadRejectsTruncation(t *testing.T) {
 	for _, n := range []int{0, 3, 8, len(raw) / 2, len(raw) - 1} {
 		if _, _, err := Read(bytes.NewReader(raw[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes accepted", n)
+		}
+	}
+}
+
+// TestReadRejectsValuesPastInt32: a payload whose checksum holds but
+// one of whose ids, counts or universe sizes lies past the int32 range
+// is rejected with an error naming the field, where narrowing would
+// read 2³²+1 as 1 and decode a different, valid dataset. The universe
+// cases end right after the bad size, so that only the range check can
+// name it and nothing is sized by it.
+func TestReadRejectsValuesPastInt32(t *testing.T) {
+	const big = 1<<32 + 1
+	uv := func(xs ...uint64) []byte {
+		var b []byte
+		for _, x := range xs {
+			b = binary.AppendUvarint(b, x)
+		}
+		return b
+	}
+	w := binary.LittleEndian.AppendUint64(nil, math.Float64bits(0.5))
+	seal := func(parts ...[]byte) []byte {
+		raw := append(append([]byte(nil), magic[:]...), Version)
+		for _, p := range parts {
+			raw = append(raw, p...)
+		}
+		raw = append(raw, 0, 0, 0, 0)
+		fixTrailer(raw)
+		return raw
+	}
+	// 3 users, edges (0,1) and (1,2), 2 items, 2 tags, triple (0, 1, 1)×2.
+	good := seal(uv(3, 2), uv(0, 1), w, uv(1, 2), w, uv(3, 2, 2, 1), uv(0, 1, 1, 2))
+	if _, _, err := Read(bytes.NewReader(good)); err != nil {
+		t.Fatalf("well-formed payload: %v", err)
+	}
+	noTriples := uv(3, 2, 2, 0)
+	oneEdge := uv(3, 1)
+	for _, c := range []struct {
+		field string
+		raw   []byte
+	}{
+		{"edge end", seal(oneEdge, uv(0, big), w, noTriples)},
+		{"edge start", seal(oneEdge, uv(big, 2), w, noTriples)},
+		{"edge start", seal(uv(3, 2), uv(1, 2), w, uv(math.MaxInt32, 2), w, noTriples)},
+		{"triple user", seal(uv(3, 0), uv(3, 2, 2, 1), uv(big, 0, 0, 1))},
+		{"triple tag", seal(uv(3, 0), uv(3, 2, 2, 1), uv(0, big, 0, 1))},
+		{"triple item", seal(uv(3, 0), uv(3, 2, 2, 1), uv(0, 0, big, 1))},
+		{"triple count", seal(uv(3, 0), uv(3, 2, 2, 1), uv(0, 0, 0, big))},
+		{"user count", seal(uv(big))},
+		{"item count", seal(uv(3, 0), uv(3, big, 2))},
+		{"tag count", seal(uv(3, 0), uv(3, 2, big))},
+	} {
+		if _, _, err := Read(bytes.NewReader(c.raw)); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s past int32: Read error %v, want one naming the %s", c.field, err, c.field)
 		}
 	}
 }

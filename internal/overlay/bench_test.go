@@ -34,7 +34,8 @@ func benchScale(b *testing.B) float64 {
 // one replica. Besides B/op, which counts the merge's scratch too, it
 // reports what the new snapshot keeps of its own, by structure: the
 // tag blocks, item blocks, global lists and tables of the store
-// (tagstore.Store.OwnBytes) and the graph's CSR arrays.
+// (tagstore.Store.OwnBytes) and the graph's page table and rewritten
+// pages (graph.Graph.OwnBytes).
 func benchCompact(b *testing.B, tags int) {
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
 	if err != nil {
@@ -75,7 +76,7 @@ func benchCompact(b *testing.B, tags int) {
 		own.ItemBlocks += f.ItemBlocks
 		own.Global += f.Global
 		own.Headers += f.Headers
-		graphBytes += csrOwnBytes(g, ds.Graph)
+		graphBytes += g.OwnBytes(ds.Graph)
 		b.StartTimer()
 	}
 	n := float64(b.N)
@@ -84,22 +85,6 @@ func benchCompact(b *testing.B, tags int) {
 	b.ReportMetric(float64(own.Global)/n, "global-B/op")
 	b.ReportMetric(float64(own.Headers)/n, "headers-B/op")
 	b.ReportMetric(float64(graphBytes)/n, "graph-B/op")
-}
-
-// csrOwnBytes is the bytes of g's CSR arrays that it does not share
-// with parent.
-func csrOwnBytes(g, parent *graph.Graph) int64 {
-	off, adj, wts := g.CSR()
-	pOff, pAdj, pWts := parent.CSR()
-	var n int64
-	if len(off) > 0 && (len(pOff) == 0 || &off[0] != &pOff[0]) {
-		n += 4 * int64(len(off))
-	}
-	if len(adj) > 0 && (len(pAdj) == 0 || &adj[0] != &pAdj[0]) {
-		n += 4*int64(len(adj)) + 8*int64(len(wts))
-	}
-	_ = pWts
-	return n
 }
 
 func BenchmarkCompact64Tags(b *testing.B)  { benchCompact(b, 64) }

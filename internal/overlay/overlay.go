@@ -134,7 +134,7 @@ func (o *Overlay) Befriend(u, v graph.UserID, weight float64) error {
 	if u == v {
 		return fmt.Errorf("overlay: self-friendship for user %d", u)
 	}
-	if weight <= 0 || weight > 1 {
+	if !(weight > 0 && weight <= 1) {
 		return fmt.Errorf("overlay: weight %g outside (0,1]", weight)
 	}
 	o.pendingEdges = append(o.pendingEdges, graph.Edge{U: u, V: v, Weight: weight})
@@ -164,10 +164,10 @@ func (o *Overlay) Tag(user graph.UserID, item tagstore.ItemID, tag tagstore.TagI
 // fresh immutable snapshot structures. It is idempotent when nothing is
 // pending. The pending batch is sorted and merged into the current
 // snapshot (graph.Graph.Merge, tagstore.Store.Merge): the cost is
-// O(delta·log delta), for friendships one linear copy of the graph's
-// CSR, and for tags the store's blocks the batch touches, the global
-// lists of the tags it mentions and the tables that point at them —
-// not the tagging relation itself. A batch without friendships keeps
+// O(delta·log delta), for friendships the graph's page table and the
+// pages of rows the batch touches, and for tags the store's blocks the
+// batch touches, the global lists of the tags it mentions and the
+// tables that point at them — not the tagging relation itself. A batch without friendships keeps
 // the graph and one without tags keeps the store, unless it grew the
 // universe (a Befriend that brought a new user): then the store is a
 // new one that shares every block and list.

@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"testing"
@@ -150,6 +151,9 @@ func TestMutationValidation(t *testing.T) {
 	}
 	if err := o.Befriend(0, 1, 1.5); err == nil {
 		t.Fatal("weight > 1 accepted")
+	}
+	if err := o.Befriend(0, 1, math.NaN()); err == nil {
+		t.Fatal("NaN weight accepted")
 	}
 	if err := o.Tag(9, 0, 0); err == nil {
 		t.Fatal("out-of-range user accepted")

@@ -14,8 +14,12 @@ import (
 	"repro/internal/vocab"
 )
 
-// answerGolden is the SHA-256 of goldenAnswers' transcript.
-const answerGolden = "491ba8ae5a7d49fcf81b63e4ec86445bf851be754f6239393d7f85f12ae7489d"
+// answerGolden is the SHA-256 of goldenAnswers' transcript at the
+// serving configuration, and answerGoldenBeta at β 0.6.
+const (
+	answerGolden     = "491ba8ae5a7d49fcf81b63e4ec86445bf851be754f6239393d7f85f12ae7489d"
+	answerGoldenBeta = "5c2bb9def2b430ccf510683bf3dcc83048edc999a39354d519268877a627e238"
+)
 
 // TestEngineAnswerGolden pins the engine's answers and access counters
 // bit for bit: 192 two-tag serving queries on the scale-5 corpus (seed
@@ -24,15 +28,28 @@ const answerGolden = "491ba8ae5a7d49fcf81b63e4ec86445bf851be754f6239393d7f85f12a
 // a result, a score's bits or an Explain counter changes the hash; a
 // change that means to move them records the new constant.
 func TestEngineAnswerGolden(t *testing.T) {
-	if got := goldenAnswers(t); got != answerGolden {
+	if got := goldenAnswers(t, DefaultServiceConfig()); got != answerGolden {
 		t.Fatalf("answer hash = %s, want %s", got, answerGolden)
 	}
 }
 
-// goldenAnswers runs the golden workload and hashes, per answer, every
-// result's item and score bits and Explain's horizon size, exactness,
-// cache hit, users settled and access counts.
-func goldenAnswers(t *testing.T) string {
+// TestEngineAnswerGoldenBeta is TestEngineAnswerGolden at β 0.6, where
+// the global frequencies score too: the exact merge then takes a round
+// of sorted access on the global lists after every settled user, which
+// the β = 1 path skips.
+func TestEngineAnswerGoldenBeta(t *testing.T) {
+	cfg := DefaultServiceConfig()
+	cfg.Beta = 0.6
+	if got := goldenAnswers(t, cfg); got != answerGoldenBeta {
+		t.Fatalf("answer hash at β 0.6 = %s, want %s", got, answerGoldenBeta)
+	}
+}
+
+// goldenAnswers runs the golden workload on a service configured by cfg
+// and hashes, per answer, every result's item and score bits and
+// Explain's horizon size, exactness, cache hit, users settled and
+// access counts.
+func goldenAnswers(t *testing.T, cfg ServiceConfig) string {
 	t.Helper()
 	ds, err := gen.Generate(gen.DeliciousParams().Scale(5), 42)
 	if err != nil {
@@ -54,7 +71,7 @@ func goldenAnswers(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := Restore(DefaultServiceConfig(), ds.Graph, ds.Store, names)
+	svc, err := Restore(cfg, ds.Graph, ds.Store, names)
 	if err != nil {
 		t.Fatal(err)
 	}
