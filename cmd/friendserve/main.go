@@ -48,7 +48,10 @@
 // health checking is readmitted only after it has streamed and applied
 // every record it missed (catch-up gating, bounded by
 // -catchup-timeout), so a rejoining replica never serves answers
-// derived from a stale graph.
+// derived from a stale graph. Without -peers the log is a one-member
+// quorum (docs/adr/004): the front-end leads it from start, with no
+// election, and a restart over the same -replog-dir resumes at the
+// next LSN.
 //
 // With -join a -replica process asks a running front-end to adopt it
 // into the fleet under traffic (docs/fleet.md "Elastic resize"): once
@@ -67,11 +70,13 @@
 // node's -frontend-id must appear among them; the URL set is fixed
 // for the process lifetime); -replog-dir holds this node's copy of
 // the consensus log, and an existing single-front-end replication
-// log in that directory is adopted in place as the committed prefix.
-// The elected leader accepts writes and fans them out only after a
+// log in that directory is adopted in place as the committed prefix
+// (a directory that served in a quorum never reopens without its
+// peers). The elected leader acknowledges a write only after a
 // majority acknowledges the append; followers serve reads from the
 // same replica ring and answer writes with a 307 redirect naming the
-// leader. All three flags ride on -replicas mode.
+// leader. HA front-ends refuse elastic resize: each owns its pool. All
+// three flags ride on -replicas mode.
 //
 // All modes drain gracefully on SIGTERM/SIGINT: /readyz flips to 503,
 // the process keeps serving for -drain so load balancers notice, then
@@ -147,9 +152,9 @@ func main() {
 	failAfter := flag.Int("fail-after", 0, "front-end: consecutive failures before ejecting a replica (0 = default)")
 	bcastWindow := flag.Duration("bcast-window", 0, "front-end: compaction heartbeat coalescing window (0 = default)")
 	bcastMaxEdges := flag.Int("bcast-max-edges", 0, "front-end: send the heartbeat early once this many Befriends were written since the last (0 = default)")
-	replogDir := flag.String("replog-dir", "", "front-end: replication log directory (required with -replicas): every write is logged here before fan-out, and ejected replicas catch up from it before readmission")
+	replogDir := flag.String("replog-dir", "", "front-end: replication log directory (required with -replicas): a one-member log without -peers, this node's copy of the quorum log with them; every write is committed here before it is acknowledged, and replicas catch up from it")
 	frontendID := flag.String("frontend-id", "", "HA front-end: this node's stable quorum id (must be a key of -peers)")
-	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; enables the quorum-replicated replication log (requires -replicas and -frontend-id)")
+	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; replicates the log across them (requires -replicas and -frontend-id; without it the log has one member)")
 	catchupTimeout := flag.Duration("catchup-timeout", 0, "front-end: bound on one replica's replication log catch-up (0 = default 30s)")
 	mutationTimeout := flag.Duration("mutation-timeout", 0, "front-end: bound on the quorum majority acknowledgement of one write and on the /v1/users fan-out (0 = default 10s)")
 	admit := flag.Bool("admit", false, "enable adaptive admission control (AIMD window + brownout; see docs/overload.md)")
@@ -408,6 +413,8 @@ func parsePeers(s string) (map[string]string, error) {
 	return out, nil
 }
 
+// buildFrontend returns the front-end and, when its log has peers, the
+// quorum node the caller mounts and starts.
 func buildFrontend(o frontendOpts) (*fleet.Frontend, *quorum.Node, error) {
 	var clients []*fleet.Client
 	for _, u := range strings.Split(o.urls, ",") {
@@ -448,47 +455,42 @@ func buildFrontend(o frontendOpts) (*fleet.Frontend, *quorum.Node, error) {
 	if o.catchupTimeout > 0 {
 		front.CatchupTimeout = o.catchupTimeout
 	}
+	// The replog directory holds a one-member log without -peers, else
+	// this node's copy of the quorum log (an existing one-member log is
+	// adopted as the committed prefix).
+	var peerMap map[string]string
 	if o.peers != "" {
-		// HA mode: the replog directory holds this node's copy of the
-		// quorum-replicated log (an existing single-front-end replog is
-		// adopted as the committed prefix).
-		peerMap, err := parsePeers(o.peers)
-		if err != nil {
+		if peerMap, err = parsePeers(o.peers); err != nil {
 			front.Close()
 			return nil, nil, err
 		}
-		logf := o.logf
-		if logf == nil {
-			logf = log.Printf
-		}
-		node, err := quorum.Open(quorum.Config{
-			ID:    o.frontendID,
-			Peers: peerMap,
-			Dir:   o.replogDir,
-			Logf:  logf,
-		})
-		if err != nil {
-			front.Close()
-			return nil, nil, err
-		}
-		if err := front.UseQuorum(node); err != nil {
-			node.Close()
-			front.Close()
-			return nil, nil, err
-		}
-		return front, node, nil
 	}
-	rl, err := fleet.OpenRepLog(o.replogDir)
+	logf := o.logf
+	if logf == nil {
+		logf = log.Printf
+	}
+	node, err := quorum.Open(quorum.Config{
+		ID:    o.frontendID,
+		Peers: peerMap,
+		Dir:   o.replogDir,
+		Logf:  logf,
+	})
 	if err != nil {
 		front.Close()
 		return nil, nil, err
 	}
-	if err := front.UseRepLog(rl); err != nil {
-		rl.Close()
+	if err := front.UseQuorum(node); err != nil {
+		node.Close()
 		front.Close()
 		return nil, nil, err
 	}
-	return front, nil, nil
+	if node.Members() == 1 {
+		// One member takes office at once and mounts no quorum routes: a
+		// stranger's vote request at a higher term would depose it.
+		node.Start()
+		return front, nil, nil
+	}
+	return front, node, nil
 }
 
 func buildBackend(dir string, cfg social.ServiceConfig, replica bool) (server.Backend, func(), error) {

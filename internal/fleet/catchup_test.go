@@ -163,13 +163,7 @@ func newCatchupFleet(t *testing.T, n int, replogDir string) (*Frontend, *Pool, [
 		t.Fatal(err)
 	}
 	if replogDir != "" {
-		rl, err := OpenRepLog(replogDir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := front.UseRepLog(rl); err != nil {
-			t.Fatal(err)
-		}
+		useLog(t, front, replogDir)
 	}
 	t.Cleanup(front.Close)
 	return front, pool, reps, clients
@@ -569,7 +563,7 @@ func TestLiveReplicaDivergenceEjectsImmediately(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	useTempRepLog(t, front)
+	useLog(t, front, t.TempDir())
 	t.Cleanup(front.Close)
 
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
@@ -786,7 +780,7 @@ func TestJournaledReplicaRestartedAtTheBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	useTempRepLog(t, front)
+	useLog(t, front, t.TempDir())
 	t.Cleanup(front.Close)
 
 	ref, err := social.NewService(social.DefaultServiceConfig())

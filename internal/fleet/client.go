@@ -19,11 +19,9 @@
 //	              (itself a search.Searcher)
 //	Broadcaster — coalesces writes into one compaction heartbeat,
 //	              which carries their records
-//	RepLog      — the replication log every write goes through first
-//	              (one of the two logs behind the unexported
-//	              mutationLog seam; the other is the HA quorum's)
 //	Frontend    — server.Backend (in the server.Frontend role) gluing
-//	              Pool + Broadcaster + log together, so cmd/friendserve
+//	              Pool + Broadcaster + its log (a quorum.Node: one
+//	              member, or an HA member) together, so cmd/friendserve
 //	              -replicas serves the same API as a single process;
 //	              its one mutation path validates with the replicas'
 //	              own rule (social.Mutation.Validate), commits the

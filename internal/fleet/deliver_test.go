@@ -171,14 +171,14 @@ func TestCatchUpPagesMissedRecords(t *testing.T) {
 			t.Fatalf("record %d = %+v, want lsn %d item %s", i, m, i+1, want)
 		}
 	}
-	// The fleet was live throughout: the heartbeat UseRepLog owes it
+	// The fleet was live throughout: the heartbeat UseQuorum owes it
 	// carried the stream, and no rejoin gate ran.
 	if vs := front.StatsAny().(Stats).Replicas[0]; vs.AppliedLSN != missed || vs.Counters.Catchups != 0 {
 		t.Fatalf("replica stats = %+v, want cursor %d reached without a rejoin", vs, missed)
 	}
 }
 
-// TestFrontendWithoutLogRefusesWrites: until UseRepLog or UseQuorum has
+// TestFrontendWithoutLogRefusesWrites: until UseQuorum has
 // run there is no write path — mutations answer the unavailable class
 // (503 on the wire) and reach no replica — while reads are served.
 func TestFrontendWithoutLogRefusesWrites(t *testing.T) {

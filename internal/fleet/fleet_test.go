@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/quorum"
 	"repro/internal/search"
 	"repro/internal/server"
 	"repro/internal/social"
@@ -38,16 +39,18 @@ func newReplica(t *testing.T) (*social.Service, *httptest.Server) {
 	return svc, ts
 }
 
-// useTempRepLog attaches a fresh replication log in a test directory.
-func useTempRepLog(t *testing.T, front *Frontend) {
+// useLog attaches a started one-member log in dir.
+func useLog(t *testing.T, front *Frontend, dir string) *quorum.Node {
 	t.Helper()
-	rl, err := OpenRepLog(t.TempDir())
+	n, err := quorum.Open(quorum.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := front.UseRepLog(rl); err != nil {
+	n.Start()
+	if err := front.UseQuorum(n); err != nil {
 		t.Fatal(err)
 	}
+	return n
 }
 
 func newTestClient(t *testing.T, url string, cfg ClientConfig) *Client {
@@ -427,7 +430,7 @@ func TestBroadcasterCoalesces(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(front.Close)
-		useTempRepLog(t, front)
+		useLog(t, front, t.TempDir())
 		return front, reps
 	}
 	seen := func(reps []*toggleReplica) (n int) {
@@ -518,7 +521,7 @@ func TestFrontendMutationsAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
-	useTempRepLog(t, front)
+	useLog(t, front, t.TempDir())
 
 	if err := front.Befriend("alice", "bob", 0.9); err != nil {
 		t.Fatal(err)

@@ -24,8 +24,9 @@ const DefaultCatchupTimeout = 30 * time.Second
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
 // queries go through the Pool (consistent-hash routing, health-checked
 // failover, optional hedging); mutations are validated, LSN-stamped and
-// committed to a log (UseRepLog, or UseQuorum for HA front-ends; none
-// attached, no writes) and acknowledged there, contacting no replica.
+// committed to the attached quorum log (UseQuorum — one member for a
+// single front-end; none attached, no writes) and acknowledged there,
+// contacting no replica.
 // Records reach replicas one way, a stream from each replica's cursor
 // (stream), whose last apply page folds them in: the compaction
 // heartbeat streams every admissible replica, and the pool's rejoin
@@ -35,18 +36,13 @@ type Frontend struct {
 	pool  *Pool
 	bcast *Broadcaster
 
-	// log is the attached mutationLog, published once (attach) and read
-	// through attached(): the rejoin gate may already run when it is set.
-	log atomic.Value
-	// replog is the attached log when it is the single-front-end one —
-	// what elastic resize requires (resize.go); nil otherwise.
-	replog *RepLog
-	// qnode is the attached log's quorum node when this front-end is one
-	// of 2–3 HA peers (UseQuorum): writes are accepted only while it
-	// holds leadership (followers answer NotLeaderError → 307 on the
-	// wire), every record is majority-acknowledged before it is acked,
-	// and replicas are only ever streamed the committed prefix.
-	qnode *quorum.Node
+	// node is the attached log, published once (UseQuorum): the rejoin
+	// gate may already run when it is set. Writes are accepted only
+	// while it leads — always, with one member; an HA follower answers
+	// NotLeaderError (307 on the wire) — every record is committed
+	// before it is acked, and replicas are only ever streamed the
+	// committed prefix.
+	node atomic.Pointer[quorum.Node]
 
 	// writeMu serializes the mutation path, so records are held in LSN
 	// order. Read traffic never takes this lock.
@@ -60,6 +56,10 @@ type Frontend struct {
 	heldMu   sync.Mutex
 	heldBase uint64
 	held     []social.Mutation
+
+	// logReads counts stream's reads of the log: a fleet keeping up
+	// reads none.
+	logReads atomic.Int64
 
 	// MutationTimeout bounds the quorum majority acknowledgement of one
 	// write and the Users fan-out.
@@ -95,52 +95,22 @@ func NewFrontend(pool *Pool, bcast *Broadcaster) (*Frontend, error) {
 
 // errNoLog refuses writes and readmissions on a front-end no log has
 // been attached to yet.
-var errNoLog = unavailablef("no replication log attached (UseRepLog or UseQuorum)")
+var errNoLog = unavailablef("no replication log attached (UseQuorum)")
 
-// attached returns the log behind the write path, nil before UseRepLog
-// or UseQuorum.
-func (f *Frontend) attached() mutationLog {
-	log, _ := f.log.Load().(mutationLog)
-	return log
-}
-
-func (f *Frontend) attach(log mutationLog) error {
-	if !f.log.CompareAndSwap(nil, log) {
-		return errors.New("fleet: a replication log is already attached (UseRepLog and UseQuorum are mutually exclusive)")
-	}
-	return nil
-}
-
-// UseRepLog attaches the single-front-end replication log. Call before
-// serving traffic. The log may hold history from an earlier front-end
-// run; the heartbeat owes the replicas behind it (all of them, for
-// fresh in-memory replicas) a stream to its head.
-func (f *Frontend) UseRepLog(rl *RepLog) error {
-	if rl == nil {
-		return errors.New("fleet: nil replication log")
-	}
-	rl.minApplied = f.pool.minApplied
-	if err := f.attach(rl); err != nil {
-		return err
-	}
-	f.replog = rl
-	f.owe(rl.Head())
-	return nil
-}
-
-// UseQuorum attaches a quorum node in place of a local replication log:
-// the consensus log (committed prefix) plays the replog's role in
-// delivery and observability, and this front-end accepts writes only
-// while the node holds leadership. Mutually exclusive with UseRepLog;
-// call before the node is Started and before serving traffic.
+// UseQuorum attaches the front-end's log, once, before serving traffic:
+// a one-member node for a single front-end, or this front-end's member
+// of a 2–3 node HA quorum, which accepts writes only while it leads.
+// The log pins its truncation at the fleet's minimum applied LSN. It may
+// hold history from an earlier run: the heartbeat owes the replicas
+// behind its committed prefix (all of them, for fresh in-memory
+// replicas) a stream to it. Attach before Start, or (a one-member node)
+// after it.
 func (f *Frontend) UseQuorum(n *quorum.Node) error {
-	if n == nil {
-		return errors.New("fleet: nil quorum node")
+	if !f.node.CompareAndSwap(nil, n) {
+		return errors.New("fleet: a replication log is already attached")
 	}
-	if err := f.attach(quorumLog{Node: n, f: f}); err != nil {
-		return err
-	}
-	f.qnode = n
+	n.PinLog(f.pool.minApplied)
+	f.owe(n.CommitLSN())
 	// On a takeover, once the term record commits — and the inherited
 	// prefix beneath it — every replica is owed a stream through it.
 	// Writes are not held back meanwhile: they commit behind it anyway.
@@ -265,7 +235,7 @@ func deliver(ctx context.Context, c *Client, page []social.Mutation, fold bool) 
 // A page fails — the error is returned — when the replica refuses it,
 // acknowledges less than all of it, or answers with a cursor beyond
 // anything the log issued (checkEpoch).
-func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint64) (int, error) {
+func (f *Frontend) stream(ctx context.Context, log *quorum.Node, i int, upto uint64) (int, error) {
 	st, c := f.pool.state(i), f.pool.Client(i)
 	cursor := st.applied()
 	if err := checkEpoch(cursor, log.Head()); err != nil || cursor >= upto {
@@ -305,7 +275,8 @@ func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint
 
 	recs, behind := f.heldAfter(cursor)
 	if behind || len(recs) == 0 {
-		if _, err := log.ReadFrom(cursor+1, func(rec wal.Record) error {
+		f.logReads.Add(1)
+		if _, err := log.ReadCommitted(cursor+1, func(rec wal.Record) error {
 			m, err := durable.DecodeMutation(rec)
 			if err != nil {
 				return fmt.Errorf("fleet: replog lsn %d: %w", rec.LSN, err)
@@ -335,8 +306,8 @@ func (f *Frontend) stream(ctx context.Context, log mutationLog, i int, upto uint
 // catch-up repairs it. A replica whose rejoin gate runs stays
 // admissible, and the heartbeat is owed again (see flushOnce).
 func (f *Frontend) beat(ctx context.Context, i int, upto uint64) error {
-	log := f.attached()
-	if log == nil || log.leading() != nil {
+	log := f.node.Load()
+	if log == nil || !log.IsLeader() {
 		return nil
 	}
 	_, err := f.stream(ctx, log, i, upto)
@@ -367,7 +338,7 @@ func (f *Frontend) Tag(user, item, tag string) error {
 // short after the record was appended.
 func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	ctx = context.WithoutCancel(ctx)
-	log := f.attached()
+	log := f.node.Load()
 	if log == nil {
 		return errNoLog
 	}
@@ -384,18 +355,42 @@ func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 	if err != nil {
 		return err
 	}
-	if err := log.leading(); err != nil {
-		return err
+	if !log.IsLeader() {
+		return log.NotLeader()
 	}
 	if !f.pool.anyLive() {
 		return unavailablef("no live replica to accept the write")
 	}
-	if m.LSN, err = log.append(ctx, rec, payload); err != nil {
+	if m.LSN, err = f.commit(ctx, log, rec, payload); err != nil {
 		return err
 	}
 	f.hold(m)
 	f.bcast.NoteWrite(m.Kind == social.KindBefriend)
 	return nil
+}
+
+// commit appends one record to the log and waits for the majority ack
+// (none, on a one-member node). Only after it returns does the record
+// exist for the fleet — streaming an uncommitted record could surface a
+// write a new leader later disowns. The caller's ctx carries trace
+// values only (cancellation already stripped), so the append runs under
+// its own timeout.
+func (f *Frontend) commit(ctx context.Context, log *quorum.Node, t wal.Type, payload []byte) (uint64, error) {
+	ctx, sp := obs.StartSpan(ctx, "quorum.commit")
+	defer sp.End()
+	ctx, cancel := context.WithTimeout(ctx, f.MutationTimeout)
+	defer cancel()
+	lsn, err := log.Append(ctx, t, payload)
+	if err != nil {
+		var nle *quorum.NotLeaderError
+		if errors.As(err, &nle) {
+			return 0, err
+		}
+		return 0, unavailablef("quorum append: %v", err)
+	}
+	sp.SetInt("lsn", int64(lsn))
+	sp.SetInt("term", int64(log.Term()))
+	return lsn, nil
 }
 
 // probeCursor asks replica i itself where it is and makes that the
@@ -404,7 +399,7 @@ func (f *Frontend) Mutate(ctx context.Context, m social.Mutation) error {
 // remembers — so the tracked value is overwritten, not maxed: the
 // truncation barrier must observe the reset. A cursor from another
 // replication epoch is refused (checkEpoch).
-func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uint64, error) {
+func (f *Frontend) probeCursor(ctx context.Context, log *quorum.Node, i int) (uint64, error) {
 	cursor, err := f.pool.Client(i).Healthz(ctx)
 	if err != nil {
 		return 0, err
@@ -427,7 +422,7 @@ func (f *Frontend) probeCursor(ctx context.Context, log mutationLog, i int) (uin
 // writes and heartbeats; the loop re-reads the bound until the replica
 // has it.
 func (f *Frontend) catchUp(i int) error {
-	log := f.attached()
+	log := f.node.Load()
 	if log == nil {
 		return errNoLog
 	}
@@ -438,13 +433,13 @@ func (f *Frontend) catchUp(i int) error {
 		return err
 	}
 
-	if log.leading() != nil {
+	if !log.IsLeader() {
 		// Follower gate: streaming records to replicas is the leader's
 		// job (one writer, one delivery order). This follower only
 		// verifies the replica has reached the committed prefix as this
 		// node knows it before letting it back into the read ring; until
 		// then the gate fails and the next probe sweep retries.
-		if commit := log.deliverable(); applied < commit {
+		if commit := log.CommitLSN(); applied < commit {
 			return unavailablef("replica cursor %d behind quorum commit %d (the leader streams catch-up)", applied, commit)
 		}
 		return nil
@@ -455,7 +450,7 @@ func (f *Frontend) catchUp(i int) error {
 	// every heartbeat streams it too; a record committed after the exit
 	// check is held, noted, and streamed by the next heartbeat.
 	st, replayed := f.pool.state(i), 0
-	for upto := log.deliverable(); st.applied() < upto; upto = log.deliverable() {
+	for upto := log.CommitLSN(); st.applied() < upto; upto = log.CommitLSN() {
 		n, err := f.stream(ctx, log, i, upto)
 		replayed += n
 		if err != nil {
@@ -498,12 +493,12 @@ func (f *Frontend) Flush() error {
 // auditors comparing HA peers' logs must see streams that can only
 // agree.
 func (f *Frontend) ReplogPage(from uint64, max int) (server.ReplogPage, error) {
-	log := f.attached()
+	log := f.node.Load()
 	if log == nil {
 		return server.ReplogPage{}, server.ErrNoReplog
 	}
 	page := server.ReplogPage{From: from}
-	head, err := log.ReadFrom(from, func(rec wal.Record) error {
+	head, err := log.ReadCommitted(from, func(rec wal.Record) error {
 		if len(page.Records) >= max {
 			return errPageFull
 		}
@@ -548,48 +543,45 @@ type Stats struct {
 // StatsAny is server.Frontend's stats surface.
 func (f *Frontend) StatsAny() interface{} {
 	st := Stats{Replicas: f.pool.Stats(), Broadcast: f.bcast.Stats()}
-	if log := f.attached(); log != nil {
-		// Replica lag is measured against the deliverable bound — the
-		// only part of the log replicas are ever streamed.
-		bound := log.deliverable()
+	if log := f.node.Load(); log != nil {
+		// Replica lag is measured against the commit LSN — the only part
+		// of the log replicas are ever streamed.
+		qs := log.Stats()
 		for i := range st.Replicas {
-			if bound > st.Replicas[i].AppliedLSN {
-				st.Replicas[i].ReplogLag = bound - st.Replicas[i].AppliedLSN
+			if qs.CommitLSN > st.Replicas[i].AppliedLSN {
+				st.Replicas[i].ReplogLag = qs.CommitLSN - st.Replicas[i].AppliedLSN
 			}
 		}
-		rs := log.stats()
-		rs.MinAppliedLSN = f.pool.minApplied()
-		st.Replog = &rs
-	}
-	if f.qnode != nil {
-		qs := f.qnode.Stats()
-		st.Quorum = &qs
+		st.Replog = &ReplogStats{Head: qs.Head, Barrier: log.Barrier(), Segments: qs.Segments, MinAppliedLSN: f.pool.minApplied()}
+		if qs.Members > 1 {
+			st.Quorum = &qs
+		}
 	}
 	return st
 }
 
 // QuorumRole is server.Frontend's role surface for HA front-ends: the
 // node's role, believed leader URL, and term ride on /healthz headers.
-// Without a quorum node the role is empty and the server omits the
-// headers.
+// Without peers the role is empty and the server omits the headers.
 func (f *Frontend) QuorumRole() (role, leaderURL string, term uint64) {
-	if f.qnode == nil {
+	log := f.node.Load()
+	if log == nil || log.Members() == 1 {
 		return "", "", 0
 	}
-	_, leaderURL = f.qnode.Leader()
+	_, leaderURL = log.Leader()
 	role = "follower"
-	if f.qnode.IsLeader() {
+	if log.IsLeader() {
 		role = "leader"
 	}
-	return role, leaderURL, f.qnode.Term()
+	return role, leaderURL, log.Term()
 }
 
 // Close stops the pool's prober, drains the broadcaster and closes the
-// replication log (or quorum node).
+// log.
 func (f *Frontend) Close() {
 	f.pool.Close()
 	f.bcast.Close()
-	if log := f.attached(); log != nil {
+	if log := f.node.Load(); log != nil {
 		log.Close()
 	}
 }

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/search"
 	"repro/internal/social"
-	"repro/internal/wal"
 )
 
 // TestHeartbeatSkipsEjectedReplica: an ejected replica is not a
@@ -274,32 +273,13 @@ func TestWriteAcksAtCommitDuringApplyOutage(t *testing.T) {
 	}
 }
 
-// countingLog is a RepLog that counts its reads.
-type countingLog struct {
-	*RepLog
-	reads atomic.Int64
-}
-
-func (l *countingLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error) {
-	l.reads.Add(1)
-	return l.RepLog.ReadFrom(from, fn)
-}
-
 // TestSteadyHeartbeatsReadNoLog: with every replica live and keeping
 // up, the heartbeat streams the records the front-end holds — the log,
 // which wal reads by rescanning a segment from its start, is never
 // read, however the heartbeats interleave with the writes.
 func TestSteadyHeartbeatsReadNoLog(t *testing.T) {
 	front, _, reps, _ := newCatchupFleet(t, 3, "")
-	rl, err := OpenRepLog(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl.minApplied = front.pool.minApplied
-	log := &countingLog{RepLog: rl}
-	if err := front.attach(log); err != nil {
-		t.Fatal(err)
-	}
+	useLog(t, front, t.TempDir())
 	const writes = 200
 	for i := 0; i < writes; i++ {
 		if err := front.Tag(fmt.Sprintf("u%d", i%7), fmt.Sprintf("i%d", i), "t0"); err != nil {
@@ -319,7 +299,7 @@ func TestSteadyHeartbeatsReadNoLog(t *testing.T) {
 			t.Fatalf("replica %d cursor = %d, want %d", i, got, writes)
 		}
 	}
-	if n := log.reads.Load(); n != 0 {
+	if n := front.logReads.Load(); n != 0 {
 		t.Fatalf("%d writes and their heartbeats read the log %d times, want 0", writes, n)
 	}
 }

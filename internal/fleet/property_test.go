@@ -52,7 +52,7 @@ func TestFleetMatchesSingleProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer front.Close()
-	useTempRepLog(t, front)
+	useLog(t, front, t.TempDir())
 
 	const nUsers, nItems, nTags = 24, 30, 5
 	user := func(i int) string { return fmt.Sprintf("u%d", i) }

@@ -38,21 +38,23 @@ import (
 // new epoch. The replica process itself keeps running — it just stops
 // being part of the fleet.
 //
-// Both operations require the single-front-end replication log
-// (UseRepLog): the log is what lets a joiner bootstrap from a snapshot
-// plus a suffix. Quorum-replicated HA front-ends each own a static pool
-// today; resizing them is a deployment-level operation.
+// Both operations require a log without peers: the log is what lets a
+// joiner bootstrap from a snapshot plus a suffix, and the pool they
+// change is this front-end's own. HA front-ends each own a static pool
+// and membership is not replicated, so resizing them is a
+// deployment-level operation.
 
 // ErrNoElasticLog rejects resize operations on a front-end without a
-// replication log.
-var ErrNoElasticLog = errors.New("fleet: elastic resize requires the replication log (UseRepLog)")
+// log, or whose log has peers.
+var ErrNoElasticLog = errors.New("fleet: elastic resize requires a one-member replication log")
 
 // JoinReplica adopts the replica serving at url into the fleet and
 // returns its slot. Idempotent on retry: a url already admitted (and
 // not retired) resumes the join from wherever the previous attempt
 // stopped rather than admitting a duplicate slot.
 func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
-	if f.replog == nil {
+	log := f.node.Load()
+	if log == nil || log.Members() > 1 {
 		return 0, ErrNoElasticLog
 	}
 	ctx, sp := obs.StartSpan(ctx, "fleet.join")
@@ -71,7 +73,7 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 	// The joiner's own cursor decides the bootstrap path. Probe it
 	// directly — the pool's tracked value may not have seen the replica
 	// yet.
-	cursor, err := f.probeCursor(ctx, f.replog, slot)
+	cursor, err := f.probeCursor(ctx, log, slot)
 	if err != nil {
 		return slot, fmt.Errorf("fleet: joiner %s: %w", url, err)
 	}
@@ -81,7 +83,7 @@ func (f *Frontend) JoinReplica(ctx context.Context, url string) (int, error) {
 	// already holds a prefix the log can still extend (a restarted
 	// durable replica resuming from its cursor WAL: every record past its
 	// cursor is still in the log, so catch-up alone closes the gap).
-	if cursor == 0 || cursor+1 < f.replog.Barrier() {
+	if cursor == 0 || cursor+1 < log.Barrier() {
 		lsn, err := f.bootstrapSnapshot(ctx, c, slot)
 		if err != nil {
 			return slot, err
@@ -237,7 +239,7 @@ const MaxWarmBatch = 16384
 // and removes it from the fleet under a new topology epoch. The drained
 // replica keeps running; it is simply no longer a member. One-way.
 func (f *Frontend) RetireReplica(ctx context.Context, slot int) error {
-	if f.replog == nil {
+	if log := f.node.Load(); log == nil || log.Members() > 1 {
 		return ErrNoElasticLog
 	}
 	ctx, sp := obs.StartSpan(ctx, "fleet.drain")

@@ -3,6 +3,7 @@ package overlay
 import (
 	"math/rand"
 	"os"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -65,6 +66,10 @@ func benchCompact(b *testing.B, tags int) {
 				b.Fatal(err)
 			}
 		}
+		// Collect the previous iteration's garbage here, untimed: at
+		// scale 50 the corpus makes a cycle cost milliseconds, which
+		// would otherwise land in some timed Compacts and not others.
+		runtime.GC()
 		b.StartTimer()
 		if err := o.Compact(); err != nil {
 			b.Fatal(err)

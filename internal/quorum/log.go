@@ -2,6 +2,8 @@ package quorum
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 
 	"repro/internal/durable"
@@ -15,7 +17,7 @@ import (
 // place. Instead, RecTerm records mark leadership changes, and every
 // record's term is the term of the nearest RecTerm at or before it
 // (records from a pre-quorum log, before the first RecTerm, carry
-// term 0).
+// term 0, or a persisted base's term once their RecTerm is truncated).
 type qlog struct {
 	wal *wal.Log
 
@@ -32,15 +34,20 @@ type termSpan struct {
 	term  uint64
 }
 
+// segmentBytes is the log's segment size (0: the wal default); tests
+// shrink it to seal segments.
+var segmentBytes int64
+
 // openQLog opens (creating if necessary) the consensus log in dir and
-// rebuilds the term index from its RecTerm records.
-func openQLog(dir string) (*qlog, error) {
-	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways})
+// rebuilds the term index from its RecTerm records and base (zero:
+// none).
+func openQLog(dir string, base termSpan) (*qlog, error) {
+	l, err := wal.Open(dir, wal.Options{Sync: wal.SyncAlways, SegmentBytes: segmentBytes})
 	if err != nil {
 		return nil, fmt.Errorf("quorum: opening consensus log: %w", err)
 	}
 	q := &qlog{wal: l}
-	head, err := l.ReadFrom(1, func(rec wal.Record) error {
+	head, err := l.ReadFrom(l.Start(0), func(rec wal.Record) error {
 		if rec.Type != durable.RecTerm {
 			return nil
 		}
@@ -51,6 +58,10 @@ func openQLog(dir string) (*qlog, error) {
 		q.spans = append(q.spans, termSpan{start: rec.LSN, term: term})
 		return nil
 	})
+	if base.term > 0 {
+		i := sort.Search(len(q.spans), func(i int) bool { return q.spans[i].start > base.start })
+		q.spans = slices.Insert(q.spans, i, base)
+	}
 	if err != nil {
 		l.Close()
 		return nil, err

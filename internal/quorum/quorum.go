@@ -14,8 +14,13 @@
 // successor resumes exactly from it — no acknowledged LSN is ever
 // lost or reordered.
 //
-// What it is not: there is no snapshot/install-log path (the quorum
-// log is never prefix-truncated while peers lag), no membership
+// A node without peers is a one-member quorum, the single front-end's
+// log: it leads from Start at its persisted term (0), writes no RecTerm
+// and commits as it appends, so its log stays a PR 5 replication log.
+//
+// What it is not: there is no snapshot/install-log path (the leader
+// truncates below its slowest follower only; followers never
+// truncate), no membership
 // change protocol (the peer set is fixed at process start), and no
 // read leases (reads are served by every front-end from the replica
 // ring, which PR 5's invalidation protocol already keeps sound).
@@ -26,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -80,6 +86,7 @@ type Config struct {
 	ID string
 	// Peers maps node id → base URL for every cluster member,
 	// including this node. The set is fixed for the process lifetime.
+	// Empty: a one-member node, whose only member is itself.
 	Peers map[string]string
 	// Dir holds the consensus log segments and the term/vote state
 	// file. Promoting a PR 5 single-front-end replication log is
@@ -101,8 +108,8 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.ID == "" {
-		return errors.New("quorum: config needs an ID")
+	if len(c.Peers) == 0 {
+		c.Peers = map[string]string{c.ID: ""}
 	}
 	if _, ok := c.Peers[c.ID]; !ok {
 		return fmt.Errorf("quorum: own id %q missing from peer set", c.ID)
@@ -166,6 +173,11 @@ type Node struct {
 
 	commitCond *sync.Cond // signals commit advance, step-down, close
 
+	// pin is PinLog's; base the term index entry last persisted for a
+	// truncated prefix.
+	pin  func() uint64
+	base termSpan
+
 	// traced maps an in-flight traced Append's LSN to its trace
 	// context while the leader awaits commit, so the detached per-peer
 	// replication pushes can tag that entry on the wire and merge the
@@ -189,13 +201,16 @@ func Open(cfg Config) (*Node, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
 	}
-	log, err := openQLog(cfg.Dir)
+	ps, err := loadState(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := loadState(cfg.Dir)
+	if len(cfg.Peers) == 1 && ps.Term > 0 {
+		return nil, fmt.Errorf("quorum: %s served in a quorum (term %d); a one-member node reopens only a term-0 log", cfg.Dir, ps.Term)
+	}
+	base := termSpan{start: ps.BaseLSN, term: ps.BaseTerm}
+	log, err := openQLog(cfg.Dir, base)
 	if err != nil {
-		log.close()
 		return nil, err
 	}
 	n := &Node{
@@ -209,6 +224,7 @@ func Open(cfg Config) (*Node, error) {
 		peers:     make(map[string]*peer),
 		traced:    make(map[uint64]tracedAppend),
 		stop:      make(chan struct{}),
+		base:      base,
 	}
 	n.commitCond = sync.NewCond(&n.mu)
 	for id, url := range cfg.Peers {
@@ -222,8 +238,19 @@ func Open(cfg Config) (*Node, error) {
 
 // Start launches the election timer and, per peer, a replication
 // loop. Call after the node's HTTP listener is accepting, so peers'
-// RPCs can land.
+// RPCs can land. A one-member node is its own majority: it takes
+// office before Start returns, at its persisted term, and starts no
+// goroutine.
 func (n *Node) Start() {
+	if len(n.peers) == 0 {
+		n.mu.Lock()
+		n.role, n.leaderID, n.leaderURL = Leader, n.cfg.ID, n.cfg.Peers[n.cfg.ID]
+		n.commit = n.log.headLSN()
+		term := n.term
+		n.mu.Unlock()
+		n.fireRoleChange(true, term)
+		return
+	}
 	n.wg.Add(1)
 	go n.run()
 	for _, p := range n.peers {
@@ -298,6 +325,22 @@ func (n *Node) CommitLSN() uint64 {
 // Head returns the local log head, which may run ahead of CommitLSN.
 func (n *Node) Head() uint64 { return n.log.headLSN() }
 
+// Members is the size of the peer set, this node included.
+func (n *Node) Members() int { return len(n.cfg.Peers) }
+
+// Barrier is the lowest LSN the last truncation sweep kept (0 before
+// the first): every record from it on is still in the log.
+func (n *Node) Barrier() uint64 { return n.log.wal.Barrier() }
+
+// PinLog registers pin, the highest LSN every consumer of the committed
+// log outside the quorum has applied — a fleet's minimum replica
+// cursor. Until it is set the log is never truncated.
+func (n *Node) PinLog(pin func() uint64) {
+	n.mu.Lock()
+	n.pin = pin
+	n.mu.Unlock()
+}
+
 // NotLeader builds the redirect error for the currently believed
 // leader; used by write paths outside this package.
 func (n *Node) NotLeader() error {
@@ -343,8 +386,8 @@ func (n *Node) Append(ctx context.Context, t wal.Type, data []byte) (uint64, err
 	// A traced mutation's replication happens on detached per-peer
 	// goroutines; park its trace context keyed by LSN so pushPeer can
 	// carry it on the wire and merge follower spans back. Untraced
-	// appends (the common case) skip the map entirely.
-	if tp := obs.Traceparent(ctx); tp != "" {
+	// appends (the common case) and a one-member node skip the map.
+	if tp := obs.Traceparent(ctx); tp != "" && len(n.peers) > 0 {
 		n.traced[lsn] = tracedAppend{tp: tp, tr: obs.FromContext(ctx)}
 		defer func() {
 			n.mu.Lock()
@@ -357,7 +400,52 @@ func (n *Node) Append(ctx context.Context, t wal.Type, data []byte) (uint64, err
 	for _, p := range n.peers {
 		p.poke()
 	}
-	return lsn, n.waitCommitted(ctx, lsn, term)
+	if err := n.waitCommitted(ctx, lsn, term); err != nil {
+		return lsn, err
+	}
+	if lsn%truncateEvery == 0 {
+		n.truncate()
+	}
+	return lsn, nil
+}
+
+// truncateEvery is how many appends ride between truncation sweeps.
+const truncateEvery = 1024
+
+// truncate is the leader's sweep: it reclaims the sealed segments
+// through the lower of the pin and the slowest follower's match index.
+// Errors are advisory: the next sweep retries.
+func (n *Node) truncate() {
+	n.mu.Lock()
+	pin := n.pin
+	n.mu.Unlock()
+	if pin == nil {
+		return
+	}
+	through := pin() // outside n.mu: the pin takes its owner's locks
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.role != Leader {
+		return
+	}
+	through = min(through, n.commit)
+	for _, p := range n.peers {
+		p.mu.Lock()
+		through = min(through, p.match)
+		p.mu.Unlock()
+	}
+	// The RecTerm labelling the oldest kept records may go: persist the
+	// first kept record's term (0 is the term index's default).
+	first := n.log.wal.Start(through)
+	if t := n.log.termOf(first); t > 0 && first > n.base.start {
+		n.base = termSpan{start: first, term: t}
+		if err := n.saveStateLocked(); err != nil {
+			n.cfg.Logf("quorum[%s]: persisting truncation base: %v", n.cfg.ID, err)
+			return
+		}
+	}
+	n.log.wal.SetBarrier(through + 1)
+	_ = n.log.wal.TruncateThrough(through)
 }
 
 // tracedAppend is one blocked traced Append: the wire form of its
@@ -371,8 +459,14 @@ type tracedAppend struct {
 }
 
 // waitCommitted blocks until commit ≥ lsn while we remain leader of
-// term, or fails on ctx expiry / step-down / close.
+// term, or fails on ctx expiry / step-down / close. A record already
+// committed — always, on a one-member node — returns at once.
 func (n *Node) waitCommitted(ctx context.Context, lsn, term uint64) error {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.commit >= lsn {
+		return nil
+	}
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
@@ -382,8 +476,6 @@ func (n *Node) waitCommitted(ctx context.Context, lsn, term uint64) error {
 		case <-done:
 		}
 	}()
-	n.mu.Lock()
-	defer n.mu.Unlock()
 	for {
 		if n.commit >= lsn {
 			return nil
@@ -455,7 +547,7 @@ func (n *Node) campaign() {
 	n.leaderID, n.leaderURL = "", ""
 	n.lastHeard = time.Now()
 	term := n.term
-	if err := saveState(n.cfg.Dir, persistentState{Term: n.term, VotedFor: n.votedFor}); err != nil {
+	if err := n.saveStateLocked(); err != nil {
 		n.cfg.Logf("quorum[%s]: persisting candidate state: %v", n.cfg.ID, err)
 		n.role = Follower
 		n.mu.Unlock()
@@ -560,7 +652,7 @@ func (n *Node) stepDown(newTerm uint64, leaderID, leaderURL string) {
 	if newTerm > n.term {
 		n.term = newTerm
 		n.votedFor = ""
-		if err := saveState(n.cfg.Dir, persistentState{Term: n.term, VotedFor: n.votedFor}); err != nil {
+		if err := n.saveStateLocked(); err != nil {
 			n.cfg.Logf("quorum[%s]: persisting step-down state: %v", n.cfg.ID, err)
 		}
 	}
@@ -717,15 +809,14 @@ func (n *Node) maybeCommitLocked() {
 	if n.role != Leader {
 		return
 	}
-	matches := make([]uint64, 0, len(n.peers)+1)
-	matches = append(matches, n.log.headLSN())
+	matches := append(make([]uint64, 0, 8), n.log.headLSN())
 	for _, p := range n.peers {
 		p.mu.Lock()
 		matches = append(matches, p.match)
 		p.mu.Unlock()
 	}
-	sort.Slice(matches, func(i, j int) bool { return matches[i] > matches[j] })
-	candidate := matches[n.majority()-1]
+	slices.Sort(matches)
+	candidate := matches[len(matches)-n.majority()]
 	if candidate > n.commit && n.log.termOf(candidate) == n.term {
 		n.commit = candidate
 		n.commitCond.Broadcast()
@@ -749,7 +840,7 @@ func (n *Node) handleVote(req voteRequest) voteResponse {
 		} else {
 			n.role = Follower
 		}
-		if err := saveState(n.cfg.Dir, persistentState{Term: n.term, VotedFor: n.votedFor}); err != nil {
+		if err := n.saveStateLocked(); err != nil {
 			n.cfg.Logf("quorum[%s]: persisting term bump: %v", n.cfg.ID, err)
 			return voteResponse{Term: n.term}
 		}
@@ -762,7 +853,7 @@ func (n *Node) handleVote(req voteRequest) voteResponse {
 	upToDate := req.LastTerm > lastTerm || (req.LastTerm == lastTerm && req.LastLSN >= lastLSN)
 	if (n.votedFor == "" || n.votedFor == req.Candidate) && upToDate {
 		n.votedFor = req.Candidate
-		if err := saveState(n.cfg.Dir, persistentState{Term: n.term, VotedFor: n.votedFor}); err != nil {
+		if err := n.saveStateLocked(); err != nil {
 			n.cfg.Logf("quorum[%s]: persisting vote: %v", n.cfg.ID, err)
 			return voteResponse{Term: n.term}
 		}
@@ -786,7 +877,7 @@ func (n *Node) handleAppend(req appendRequest) appendResponse {
 	if req.Term > n.term {
 		n.term = req.Term
 		n.votedFor = ""
-		if err := saveState(n.cfg.Dir, persistentState{Term: n.term, VotedFor: n.votedFor}); err != nil {
+		if err := n.saveStateLocked(); err != nil {
 			n.cfg.Logf("quorum[%s]: persisting term bump: %v", n.cfg.ID, err)
 		}
 	}

@@ -51,7 +51,9 @@ type cluster struct {
 	nodes map[string]*Node
 }
 
-func newCluster(t *testing.T, n int) *cluster {
+// newCluster starts n nodes; seed, when set, first writes each node's
+// log directory (a promoted single-front-end log).
+func newCluster(t *testing.T, n int, seed func(dir string)) *cluster {
 	t.Helper()
 	c := &cluster{
 		t:       t,
@@ -74,6 +76,9 @@ func newCluster(t *testing.T, n int) *cluster {
 		c.dirs[id] = filepath.Join(root, id)
 	}
 	for _, id := range c.ids {
+		if seed != nil {
+			seed(c.dirs[id])
+		}
 		c.start(id)
 	}
 	t.Cleanup(func() {
@@ -219,7 +224,7 @@ func wantPayloads(t *testing.T, nd *Node, id string, want []string) {
 }
 
 func TestSingleNodeElectsAndCommits(t *testing.T) {
-	c := newCluster(t, 1)
+	c := newCluster(t, 1, nil)
 	id := c.waitLeader()
 	nd := c.node(id)
 	want := appendN(t, nd, "solo", 5)
@@ -230,7 +235,7 @@ func TestSingleNodeElectsAndCommits(t *testing.T) {
 }
 
 func TestThreeNodeReplicationConverges(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, 3, nil)
 	leader := c.waitLeader()
 	want := appendN(t, c.node(leader), "rec", 20)
 	for _, id := range c.ids {
@@ -253,7 +258,7 @@ func TestThreeNodeReplicationConverges(t *testing.T) {
 }
 
 func TestLeaderDeathFailsOver(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, 3, nil)
 	first := c.waitLeader()
 	want := appendN(t, c.node(first), "pre", 10)
 	c.kill(first)
@@ -281,7 +286,7 @@ func TestLeaderDeathFailsOver(t *testing.T) {
 }
 
 func TestUncommittedSuffixIsTruncated(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, 3, nil)
 	leader := c.waitLeader()
 	want := appendN(t, c.node(leader), "base", 5)
 	for _, id := range c.ids {
@@ -294,7 +299,7 @@ func TestUncommittedSuffixIsTruncated(t *testing.T) {
 	// what a crash between local append and majority ack leaves
 	// behind.
 	c.kill(leader)
-	orphan, err := openQLog(c.dirs[leader])
+	orphan, err := openQLog(c.dirs[leader], termSpan{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +338,7 @@ func TestUncommittedSuffixIsTruncated(t *testing.T) {
 // on detached per-peer goroutines that never see the request context —
 // so /debug/traces/{id} shows the full quorum picture.
 func TestTracedAppendCarriesFollowerSpans(t *testing.T) {
-	c := newCluster(t, 3)
+	c := newCluster(t, 3, nil)
 	lead := c.node(c.waitLeader())
 
 	tr := obs.NewTracer(obs.Config{Node: "front", SampleEvery: 1})

@@ -19,11 +19,14 @@ import (
 const maxEntriesPerAppend = 512
 
 // persistentState is the term/vote pair Raft requires to survive
-// restarts: forgetting a vote could hand out two votes in one term and
-// elect two leaders.
+// restarts (forgetting a vote could hand out two votes in one term and
+// elect two leaders) and a truncated log's first kept record's term,
+// whose RecTerm may be gone.
 type persistentState struct {
 	Term     uint64 `json:"term"`
 	VotedFor string `json:"voted_for"`
+	BaseLSN  uint64 `json:"base_lsn,omitempty"`
+	BaseTerm uint64 `json:"base_term,omitempty"`
 }
 
 const stateFile = "quorum-state.json"
@@ -43,10 +46,12 @@ func loadState(dir string) (persistentState, error) {
 	return ps, nil
 }
 
-// saveState durably replaces the state file (write temp, fsync,
-// rename) before the vote or term bump it records takes effect.
-func saveState(dir string, ps persistentState) error {
-	buf, err := json.Marshal(ps)
+// saveStateLocked durably replaces the state file (write temp, fsync,
+// rename) before the vote, term bump or truncation it records takes
+// effect. Callers hold n.mu.
+func (n *Node) saveStateLocked() error {
+	dir := n.cfg.Dir
+	buf, err := json.Marshal(persistentState{Term: n.term, VotedFor: n.votedFor, BaseLSN: n.base.start, BaseTerm: n.base.term})
 	if err != nil {
 		return err
 	}

@@ -113,6 +113,10 @@ type Log struct {
 	nextLSN     uint64
 	dirSynced   bool
 	barrier     uint64 // records with LSN >= barrier survive TruncateThrough (0 = none)
+
+	// frame is Append's scratch for a frame's length, type and checksum,
+	// so an append allocates nothing.
+	frame [binary.MaxVarintLen64 + 1 + 4]byte
 }
 
 type segmentInfo struct {
@@ -278,24 +282,19 @@ func (l *Log) Append(t Type, data []byte) (uint64, error) {
 	}
 	lsn := l.nextLSN
 
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(data)))
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{byte(t)})
-	crc.Write(data)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc.Sum32())
+	n := binary.PutUvarint(l.frame[:], uint64(len(data)))
+	l.frame[n] = byte(t)
+	head := l.frame[:n+1]
+	crc := l.frame[n+1 : n+5]
+	binary.LittleEndian.PutUint32(crc, crc32.Update(crc32.Update(0, crc32.IEEETable, head[n:]), crc32.IEEETable, data))
 
-	if _, err := l.bw.Write(lenBuf[:n]); err != nil {
-		return 0, err
-	}
-	if err := l.bw.WriteByte(byte(t)); err != nil {
+	if _, err := l.bw.Write(head); err != nil {
 		return 0, err
 	}
 	if _, err := l.bw.Write(data); err != nil {
 		return 0, err
 	}
-	if _, err := l.bw.Write(crcBuf[:]); err != nil {
+	if _, err := l.bw.Write(crc); err != nil {
 		return 0, err
 	}
 	l.activeBytes += int64(n) + 1 + int64(len(data)) + 4
@@ -363,6 +362,24 @@ func (l *Log) NextLSN() uint64 {
 	return l.nextLSN
 }
 
+// Start returns the LSN the log starts at once TruncateThrough(lsn) has
+// run, barrier aside; Start(0) is where it starts now.
+func (l *Log) Start(lsn uint64) uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.segs[l.keptFromLocked(lsn)].firstLSN
+}
+
+// keptFromLocked is the index of the oldest segment TruncateThrough(lsn)
+// keeps: the first whose last record is > lsn, or the active one.
+func (l *Log) keptFromLocked(lsn uint64) int {
+	i := 0
+	for i < len(l.segs)-1 && l.segs[i+1].firstLSN-1 <= lsn {
+		i++
+	}
+	return i
+}
+
 // Segments returns the number of live segment files.
 func (l *Log) Segments() int {
 	l.mu.Lock()
@@ -385,17 +402,11 @@ func (l *Log) TruncateThrough(lsn uint64) error {
 	if l.barrier > 0 && lsn >= l.barrier {
 		lsn = l.barrier - 1
 	}
-	keepFrom := 0
-	for i := 0; i < len(l.segs)-1; i++ {
-		// Segment i spans [firstLSN, segs[i+1].firstLSN); removable when
-		// its last record is ≤ lsn.
-		if l.segs[i+1].firstLSN-1 <= lsn {
-			if err := os.Remove(l.segs[i].path); err != nil {
-				return err
-			}
-			keepFrom = i + 1
-		} else {
-			break
+	keepFrom := l.keptFromLocked(lsn)
+	for i, seg := range l.segs[:keepFrom] {
+		if err := os.Remove(seg.path); err != nil {
+			l.segs = append([]segmentInfo(nil), l.segs[i:]...)
+			return err
 		}
 	}
 	l.segs = append([]segmentInfo(nil), l.segs[keepFrom:]...)

@@ -16,6 +16,13 @@
 #   (e) post-rejoin answers — now routed to the readmitted replica —
 #       are byte-identical to the answers the survivors gave while it
 #       was stopped (the stale-after-readmission regression).
+# It drains the front-end with SIGTERM and restarts it over the same
+# -replog-dir, asserting that its one-member log
+#   (e1) leads at once: the first write after /readyz succeeds with no
+#        election wait, and /healthz carries no quorum headers,
+#   (e2) issues the old head + 1 as that write's LSN (via /v2/replog),
+#        and
+#   (e3) answers stay byte-identical.
 # A resize phase then stands up a fresh 3-replica fleet and grows it
 # to 5 via -join self-registration, shrinking back to 3 over
 # POST /v2/fleet/resize, asserting
@@ -235,6 +242,11 @@ for i in $(seq 0 $((NUSERS - 1))); do
   fi
 done
 
+replog_head() {
+  curl -fsS --max-time 10 "$BASE/v2/replog?from=1" | python3 -c 'import json, sys; print(json.load(sys.stdin)["head"])'
+}
+HEAD_BEFORE=$(replog_head)
+
 echo "== graceful drain: SIGTERM flips /readyz before shutdown"
 FRONT_PID="${PIDS[3]}"
 kill -TERM "$FRONT_PID"
@@ -249,6 +261,39 @@ if [ "$DRAINED" != "yes" ]; then
   echo "FAIL: front-end never reported draining on SIGTERM" >&2
   exit 1
 fi
+
+echo "== restart over the same -replog-dir: the one-member log leads at once"
+wait "$FRONT_PID" 2>/dev/null || true
+"$BIN" -replicas "http://127.0.0.1:${REPLICA_PORTS[0]},http://127.0.0.1:${REPLICA_PORTS[1]},http://127.0.0.1:${REPLICA_PORTS[2]}" \
+  -addr "127.0.0.1:$FRONT_PORT" -health-interval 150ms -fail-after 2 -bcast-window 20ms \
+  -replog-dir "$WORK/replog" -catchup-timeout 20s -mutation-timeout 1s \
+  >"$WORK/frontend-restarted.log" 2>&1 &
+RESTARTED_PID="$!"
+PIDS+=("$RESTARTED_PID")
+wait_ready "$FRONT_PORT"
+# No retry: a front-end still electing itself would answer 503. The tag
+# is not pizza, so the answers compared below do not change.
+tag "u0" "restarted0" "sushi"
+if curl -fsS --max-time 10 -D - -o /dev/null "$BASE/healthz" | grep -qi '^x-quorum-'; then
+  echo "FAIL: a one-member front-end reports quorum headers on /healthz" >&2
+  exit 1
+fi
+NEXT=$(curl -fsS --max-time 10 "$BASE/v2/replog?from=$((HEAD_BEFORE + 1))" |
+  python3 -c 'import json, sys; p = json.load(sys.stdin); print(p["records"][0]["lsn"] if p["records"] else 0, p["head"])')
+if [ "$NEXT" != "$((HEAD_BEFORE + 1)) $((HEAD_BEFORE + 1))" ]; then
+  echo "FAIL: after the restart the first write's lsn and the head read '$NEXT', want $((HEAD_BEFORE + 1)) twice" >&2
+  exit 1
+fi
+for i in $(seq 0 $((NUSERS - 1))); do
+  query "u$i" >"$WORK/restarted-u$i.json"
+  if ! cmp -s "$WORK/rejoined-u$i.json" "$WORK/restarted-u$i.json"; then
+    echo "FAIL: seeker u$i answered differently after the front-end restart" >&2
+    diff "$WORK/rejoined-u$i.json" "$WORK/restarted-u$i.json" >&2 || true
+    exit 1
+  fi
+done
+kill -TERM "$RESTARTED_PID"
+wait "$RESTARTED_PID" 2>/dev/null || true
 
 echo "== resize phase: grow 3 -> 5 -> 3 under traffic (elastic join/retire)"
 RS_FRONT_PORT=18100
