@@ -79,8 +79,11 @@ func hottestTags(s *tagstore.Store, n int) []tagstore.TagID {
 	var all []tc
 	for t := 0; t < s.NumTags(); t++ {
 		var sum int64
-		for _, p := range s.GlobalList(tagstore.TagID(t)) {
-			sum += int64(p.TF)
+		blocks, _ := s.GlobalBlocks(tagstore.TagID(t))
+		for _, b := range blocks {
+			for _, p := range b {
+				sum += int64(p.TF)
+			}
 		}
 		if sum > 0 {
 			all = append(all, tc{tagstore.TagID(t), sum})

@@ -41,11 +41,10 @@ func (e *Engine) ContextMerge(q Query, opts Options) (Answer, error) {
 		beta:  e.beta,
 		tags:  tags,
 		cands: make(map[tagstore.ItemID]*candidate),
-		lists: make([][]tagstore.Posting, len(tags)),
-		pos:   make([]int, len(tags)),
+		lists: make([]globalCursor, len(tags)),
 	}
 	for i, t := range tags {
-		run.lists[i] = e.store.GlobalList(t)
+		run.lists[i] = e.globalCursor(t)
 	}
 
 	// Phase 1: materialize the ball.
@@ -150,8 +149,7 @@ type cmRun struct {
 	tags  []tagstore.TagID
 	cands map[tagstore.ItemID]*candidate
 
-	lists [][]tagstore.Posting // global lists (candidate discovery + β<1 mass)
-	pos   []int
+	lists []globalCursor // global lists (candidate discovery + β<1 mass)
 
 	cursors  cmHeap
 	remTotal float64 // Σ over live cursors of σ·(undelivered tf): social uncertainty
@@ -202,8 +200,8 @@ func (r *cmRun) ensureCandidate(item tagstore.ItemID) *candidate {
 func (r *cmRun) barSum() float64 {
 	var sum float64
 	for i := range r.lists {
-		if r.pos[i] < len(r.lists[i]) {
-			sum += float64(r.lists[i][r.pos[i]].TF)
+		if !r.lists[i].done() {
+			sum += float64(r.lists[i].head().TF)
 		}
 	}
 	return sum
@@ -212,11 +210,10 @@ func (r *cmRun) barSum() float64 {
 func (r *cmRun) advanceGlobalCursors() bool {
 	moved := false
 	for i := range r.lists {
-		if r.pos[i] >= len(r.lists[i]) {
+		if r.lists[i].done() {
 			continue
 		}
-		p := r.lists[i][r.pos[i]]
-		r.pos[i]++
+		p := r.lists[i].next()
 		r.acc.Sequential++
 		moved = true
 		r.ensureCandidate(p.Item)

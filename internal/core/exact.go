@@ -55,9 +55,12 @@ func (e *Engine) ExactSocialCtx(ctx context.Context, q Query) (Answer, error) {
 	}
 	if e.beta < 1 {
 		for _, t := range tags {
-			for _, gp := range e.store.GlobalList(t) {
-				scores[gp.Item] += (1 - e.beta) * float64(gp.TF)
-				acc.Sequential++
+			blocks, _ := e.store.GlobalBlocks(t)
+			for _, b := range blocks {
+				for _, gp := range b {
+					scores[gp.Item] += (1 - e.beta) * float64(gp.TF)
+					acc.Sequential++
+				}
 			}
 		}
 	}

@@ -29,10 +29,9 @@ func (e *Engine) GlobalTopKCtx(ctx context.Context, q Query) (Answer, error) {
 	tags := dedupTags(q.Tags)
 
 	var acc topk.Access
-	lists := make([][]tagstore.Posting, len(tags))
-	pos := make([]int, len(tags))
+	lists := make([]globalCursor, len(tags))
 	for i, t := range tags {
-		lists[i] = e.store.GlobalList(t)
+		lists[i] = e.globalCursor(t)
 	}
 	h := topk.NewHeap(q.K)
 	seen := make(map[tagstore.ItemID]bool)
@@ -41,8 +40,8 @@ func (e *Engine) GlobalTopKCtx(ctx context.Context, q Query) (Answer, error) {
 		var sum float64
 		active := false
 		for i := range lists {
-			if pos[i] < len(lists[i]) {
-				sum += float64(lists[i][pos[i]].TF)
+			if !lists[i].done() {
+				sum += float64(lists[i].head().TF)
 				active = true
 			}
 		}
@@ -64,11 +63,10 @@ func (e *Engine) GlobalTopKCtx(ctx context.Context, q Query) (Answer, error) {
 		}
 		// One round of sorted access across all lists.
 		for i := range lists {
-			if pos[i] >= len(lists[i]) {
+			if lists[i].done() {
 				continue
 			}
-			p := lists[i][pos[i]]
-			pos[i]++
+			p := lists[i].next()
 			acc.Sequential++
 			if seen[p.Item] {
 				continue
@@ -97,9 +95,46 @@ func (e *Engine) GlobalScoreAll(tags []tagstore.TagID) map[tagstore.ItemID]float
 	tags = dedupTags(tags)
 	scores := make(map[tagstore.ItemID]float64)
 	for _, t := range tags {
-		for _, p := range e.store.GlobalList(t) {
-			scores[p.Item] += float64(p.TF)
+		blocks, _ := e.store.GlobalBlocks(t)
+		for _, b := range blocks {
+			for _, p := range b {
+				scores[p.Item] += float64(p.TF)
+			}
 		}
 	}
 	return scores
+}
+
+// globalCursor walks one tag's global posting list front to back over
+// its blocks (tagstore.Store.GlobalBlocks): the next posting is cur[0],
+// cur being the rest of the block the cursor is in, and the list is
+// spent once cur is empty — no block is empty.
+type globalCursor struct {
+	cur  []tagstore.Posting
+	rest [][]tagstore.Posting // the blocks after cur's
+}
+
+// globalCursor returns a cursor at the head of tag t's global list.
+func (e *Engine) globalCursor(t tagstore.TagID) globalCursor {
+	blocks, _ := e.store.GlobalBlocks(t)
+	if len(blocks) == 0 {
+		return globalCursor{}
+	}
+	return globalCursor{cur: blocks[0], rest: blocks[1:]}
+}
+
+// done reports whether the list is spent.
+func (c *globalCursor) done() bool { return len(c.cur) == 0 }
+
+// head returns the next posting of a list that is not spent.
+func (c *globalCursor) head() tagstore.Posting { return c.cur[0] }
+
+// next returns the next posting of a list that is not spent and moves
+// past it.
+func (c *globalCursor) next() tagstore.Posting {
+	p := c.cur[0]
+	if c.cur = c.cur[1:]; len(c.cur) == 0 && len(c.rest) > 0 {
+		c.cur, c.rest = c.rest[0], c.rest[1:]
+	}
+	return p
 }

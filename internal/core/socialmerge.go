@@ -135,8 +135,7 @@ type mergeRun struct {
 
 	table topk.Table // candidates + top-k/τ
 
-	lists [][]tagstore.Posting // global lists per query tag
-	pos   []int                // cursor per query tag
+	lists []globalCursor // global list cursor per query tag
 
 	acc         topk.Access
 	settled     int
@@ -228,14 +227,11 @@ func (r *mergeRun) reset(e *Engine, q Query, opts Options) {
 		}
 	}
 	if cap(r.lists) < len(r.tags) {
-		r.lists = make([][]tagstore.Posting, len(r.tags))
-		r.pos = make([]int, len(r.tags))
+		r.lists = make([]globalCursor, len(r.tags))
 	}
 	r.lists = r.lists[:len(r.tags)]
-	r.pos = r.pos[:len(r.tags)]
 	for i, t := range r.tags {
-		r.lists[i] = e.store.GlobalList(t)
-		r.pos[i] = 0
+		r.lists[i] = e.globalCursor(t)
 	}
 	r.acc = topk.Access{}
 	r.settled = 0
@@ -265,8 +261,8 @@ func releaseRun(r *mergeRun) {
 func (r *mergeRun) barSum() float64 {
 	var sum float64
 	for i := range r.lists {
-		if r.pos[i] < len(r.lists[i]) {
-			sum += float64(r.lists[i][r.pos[i]].TF)
+		if !r.lists[i].done() {
+			sum += float64(r.lists[i].head().TF)
 		}
 	}
 	return sum
@@ -278,11 +274,10 @@ func (r *mergeRun) barSum() float64 {
 func (r *mergeRun) advanceCursors() bool {
 	moved := false
 	for i := range r.lists {
-		if r.pos[i] >= len(r.lists[i]) {
+		if r.lists[i].done() {
 			continue
 		}
-		p := r.lists[i][r.pos[i]]
-		r.pos[i]++
+		p := r.lists[i].next()
 		r.acc.Sequential++
 		moved = true
 		r.ensureCandidate(p.Item)

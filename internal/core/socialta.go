@@ -81,10 +81,9 @@ func (e *Engine) SocialTA(q Query, opts Options) (Answer, error) {
 		}
 	}
 
-	lists := make([][]tagstore.Posting, len(tags))
-	pos := make([]int, len(tags))
+	lists := make([]globalCursor, len(tags))
 	for i, t := range tags {
-		lists[i] = e.store.GlobalList(t)
+		lists[i] = e.globalCursor(t)
 	}
 	scored := make(map[tagstore.ItemID]bool)
 	h := topk.NewHeap(q.K)
@@ -92,8 +91,8 @@ func (e *Engine) SocialTA(q Query, opts Options) (Answer, error) {
 	barSum := func() float64 {
 		var s float64
 		for i := range lists {
-			if pos[i] < len(lists[i]) {
-				s += float64(lists[i][pos[i]].TF)
+			if !lists[i].done() {
+				s += float64(lists[i].head().TF)
 			}
 		}
 		return s
@@ -143,11 +142,10 @@ func (e *Engine) SocialTA(q Query, opts Options) (Answer, error) {
 		}
 		moved := false
 		for i := range lists {
-			if pos[i] >= len(lists[i]) {
+			if lists[i].done() {
 				continue
 			}
-			p := lists[i][pos[i]]
-			pos[i]++
+			p := lists[i].next()
 			acc.Sequential++
 			moved = true
 			scoreItem(p.Item)

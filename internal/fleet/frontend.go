@@ -491,29 +491,37 @@ func (f *Frontend) Flush() error {
 // from. Under a quorum that is the COMMITTED prefix only: the
 // uncommitted suffix may be disowned by a leader change, and external
 // auditors comparing HA peers' logs must see streams that can only
-// agree.
+// agree. A from below the retained log start, a prefix the truncation
+// barrier reclaimed, gets the page from the first retained record, and
+// the page's From says where that is.
 func (f *Frontend) ReplogPage(from uint64, max int) (server.ReplogPage, error) {
 	log := f.node.Load()
 	if log == nil {
 		return server.ReplogPage{}, server.ErrNoReplog
 	}
-	page := server.ReplogPage{From: from}
-	head, err := log.ReadCommitted(from, func(rec wal.Record) error {
-		if len(page.Records) >= max {
-			return errPageFull
-		}
-		page.Records = append(page.Records, server.ReplogRecord{
-			LSN:  rec.LSN,
-			Type: uint8(rec.Type),
-			Data: append([]byte(nil), rec.Data...),
+	for {
+		page := server.ReplogPage{From: from}
+		head, err := log.ReadCommitted(from, func(rec wal.Record) error {
+			if len(page.Records) >= max {
+				return errPageFull
+			}
+			page.Records = append(page.Records, server.ReplogRecord{
+				LSN:  rec.LSN,
+				Type: uint8(rec.Type),
+				Data: append([]byte(nil), rec.Data...),
+			})
+			return nil
 		})
-		return nil
-	})
-	if err != nil && !errors.Is(err, errPageFull) {
-		return server.ReplogPage{}, err
+		if errors.Is(err, wal.ErrTruncated) {
+			from = log.LogStart()
+			continue
+		}
+		if err != nil && !errors.Is(err, errPageFull) {
+			return server.ReplogPage{}, err
+		}
+		page.Head = head
+		return page, nil
 	}
-	page.Head = head
-	return page, nil
 }
 
 // errPageFull halts a ReplogPage read once max records are collected.

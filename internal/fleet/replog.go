@@ -37,8 +37,9 @@ func (r *RepLog) AppendTag(user, item, tag string) (uint64, error) {
 	return r.node.Append(context.Background(), durable.RecTag, durable.EncodeTag(user, item, tag))
 }
 
-// ReadFrom is the node's ReadCommitted. Kept for benchmarks/fleetbench
-// until ROADMAP item 3.
+// ReadFrom is the node's ReadCommitted: a from below the retained log
+// start fails with wal.ErrTruncated, damage with wal.ErrCorrupt. Kept
+// for benchmarks/fleetbench until ROADMAP item 3.
 func (r *RepLog) ReadFrom(from uint64, fn func(wal.Record) error) (uint64, error) {
 	return r.node.ReadCommitted(from, fn)
 }

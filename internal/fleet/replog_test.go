@@ -157,6 +157,35 @@ func TestLogTruncationBarrier(t *testing.T) {
 		t.Fatalf("%d segments after the sweep, %d before", rs.Segments, before)
 	}
 
+	// GET /v2/replog over the truncated log: a from below the retained
+	// start gets the page from the first record kept, with From saying
+	// so; one inside the retained log starts where asked; one past the
+	// head is empty.
+	start := logStart(t, dir)
+	for _, c := range []struct{ from, want uint64 }{{1, start}, {start + 7, start + 7}, {seeded + 5, seeded + 5}} {
+		page, err := front.ReplogPage(c.from, 16)
+		if err != nil {
+			t.Fatalf("ReplogPage(%d): %v", c.from, err)
+		}
+		if page.From != c.want || page.Head != seeded+1 {
+			t.Fatalf("ReplogPage(%d) = from %d, head %d; want from %d, head %d", c.from, page.From, page.Head, c.want, seeded+1)
+		}
+		if c.want > seeded+1 {
+			if len(page.Records) != 0 {
+				t.Fatalf("ReplogPage(%d) past the head holds %d records", c.from, len(page.Records))
+			}
+			continue
+		}
+		for k, rec := range page.Records {
+			if rec.LSN != c.want+uint64(k) {
+				t.Fatalf("ReplogPage(%d): record %d has lsn %d, want %d", c.from, k, rec.LSN, c.want+uint64(k))
+			}
+		}
+		if len(page.Records) != 16 {
+			t.Fatalf("ReplogPage(%d) holds %d records, want 16", c.from, len(page.Records))
+		}
+	}
+
 	reps[1].down.Store(false)
 	waitFor(t, 10*time.Second, func() bool { return reps[1].svc.AppliedLSN() == seeded+1 })
 }

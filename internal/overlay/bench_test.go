@@ -94,3 +94,57 @@ func benchCompact(b *testing.B, tags int) {
 
 func BenchmarkCompact64Tags(b *testing.B)  { benchCompact(b, 64) }
 func BenchmarkCompact64Mixed(b *testing.B) { benchCompact(b, 51) }
+
+// BenchmarkChurnOwnBytes replays the write side of fleetbench's
+// mixed_churn on one replica: 4 folds of 64 writes into the generated
+// corpus (benchScale), every fifth write a Befriend between two uniform
+// users and the others Tags of a uniform user and item with a Zipf 1.1
+// tag — 205 Tags and 51 Befriends in all. It reports what the last
+// snapshot owns beside the corpus, by structure: Store.OwnBytes and
+// Graph.OwnBytes against the base, and their sum. Every iteration
+// replays the same writes, so the metrics are exact, not averages.
+func BenchmarkChurnOwnBytes(b *testing.B) {
+	const folds, writes = 4, 64
+	ds, err := gen.Generate(gen.DeliciousParams().Scale(benchScale(b)), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	users, items := ds.Graph.NumUsers(), ds.Store.NumItems()
+	var own tagstore.Footprint
+	var graphBytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(1))
+		tagZ := rand.NewZipf(rng, 1.1, 1, uint64(ds.Store.NumTags()-1))
+		o, err := New(ds.Graph, ds.Store)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for w := 0; w < folds*writes; w++ {
+			if w%5 == 4 {
+				u := graph.UserID(rng.Intn(users))
+				err = o.Befriend(u, (u+1+graph.UserID(rng.Intn(users-1)))%graph.UserID(users), 0.5)
+			} else {
+				err = o.Tag(graph.UserID(rng.Intn(users)), tagstore.ItemID(rng.Intn(items)), tagstore.TagID(tagZ.Uint64()))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			if (w+1)%writes == 0 {
+				if err := o.Compact(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		g, s := o.Snapshot()
+		own = s.OwnBytes(ds.Store)
+		graphBytes = g.OwnBytes(ds.Graph)
+	}
+	b.ReportMetric(float64(own.TagBlocks), "tagblocks-B")
+	b.ReportMetric(float64(own.ItemBlocks), "itemblocks-B")
+	b.ReportMetric(float64(own.Global), "global-B")
+	b.ReportMetric(float64(own.Headers), "headers-B")
+	b.ReportMetric(float64(graphBytes), "graph-B")
+	b.ReportMetric(float64(own.TagBlocks+own.ItemBlocks+own.Global+own.Headers+graphBytes), "own-B")
+}

@@ -152,7 +152,8 @@ func (p *Planner) FeaturesOf(q core.Query) Features {
 			continue
 		}
 		seen[t] = true
-		listLen += float64(len(p.e.Store().GlobalList(t)))
+		_, n := p.e.Store().GlobalBlocks(t)
+		listLen += float64(n)
 	}
 	ball := deg * (1 + p.avgDegree)
 	if max := float64(g.NumUsers()); ball > max {

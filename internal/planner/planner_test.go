@@ -261,7 +261,9 @@ func TestFeaturesOf(t *testing.T) {
 	if f.Degree != float64(ds.Graph.Degree(3)) {
 		t.Fatalf("Degree = %g, want %d", f.Degree, ds.Graph.Degree(3))
 	}
-	wantLen := float64(len(ds.Store.GlobalList(1)) + len(ds.Store.GlobalList(2)))
+	_, n1 := ds.Store.GlobalBlocks(1)
+	_, n2 := ds.Store.GlobalBlocks(2)
+	wantLen := float64(n1 + n2)
 	if f.ListLen != wantLen {
 		t.Fatalf("ListLen = %g, want %g (duplicate tags deduped)", f.ListLen, wantLen)
 	}

@@ -328,6 +328,9 @@ func (n *Node) Head() uint64 { return n.log.headLSN() }
 // Members is the size of the peer set, this node included.
 func (n *Node) Members() int { return len(n.cfg.Peers) }
 
+// LogStart is the LSN of the first record the log retains.
+func (n *Node) LogStart() uint64 { return n.log.wal.Start(0) }
+
 // Barrier is the lowest LSN the last truncation sweep kept (0 before
 // the first): every record from it on is still in the log.
 func (n *Node) Barrier() uint64 { return n.log.wal.Barrier() }
@@ -351,7 +354,8 @@ func (n *Node) NotLeader() error {
 // ReadCommitted streams committed records with LSN ≥ from into fn and
 // returns the commit LSN the read was bounded by. Uncommitted suffix
 // records are never surfaced — consumers (replica catch-up, log
-// audits) only ever observe the stable prefix.
+// audits) only ever observe the stable prefix. A from below LogStart
+// fails with wal.ErrTruncated.
 func (n *Node) ReadCommitted(from uint64, fn func(rec wal.Record) error) (uint64, error) {
 	commit := n.CommitLSN()
 	if from > commit {

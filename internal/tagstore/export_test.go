@@ -32,3 +32,13 @@ func (s *Store) TagLists(t TagID) (users, off []int32, post []UserPosting) {
 	}
 	return users, off, post
 }
+
+// globalList writes tag t's global blocks out as one list, the layout
+// it had before it was cut into blocks; nil for a tag nobody used.
+func (s *Store) globalList(t TagID) []Posting {
+	var lst []Posting
+	for _, b := range s.tag(t).global {
+		lst = append(lst, b...)
+	}
+	return lst
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // storeHash is a SHA-256 over every array a built store serves: its
-// universe and counts, Triples(), each tag's TagLists, GlobalList and
-// MaxTF, and the item index behind GlobalTF.
+// universe and counts, Triples(), each tag's TagLists, global list
+// (its GlobalBlocks read one after another) and MaxTF, and the item index behind GlobalTF.
 func storeHash(s *tagstore.Store) string {
 	h := sha256.New()
 	put := func(vs ...int32) { binary.Write(h, binary.LittleEndian, vs) }
@@ -29,10 +29,12 @@ func storeHash(s *tagstore.Store) string {
 		for _, p := range post {
 			put(p.Item, p.TF)
 		}
-		gl := s.GlobalList(t)
-		putLen(int64(len(gl)))
-		for _, p := range gl {
-			put(p.Item, p.TF)
+		blocks, n := s.GlobalBlocks(t)
+		putLen(int64(n))
+		for _, b := range blocks {
+			for _, p := range b {
+				put(p.Item, p.TF)
+			}
 		}
 		put(s.MaxTF(t))
 	}

@@ -22,27 +22,31 @@
 // greedily into blocks of at most blockPosts postings, and a list longer
 // than that is a block of its own, so no list straddles two blocks. The
 // per-item tag index behind GlobalTF is cut the same way, into blocks of
-// a fixed 64 items, so finding an item's block is a shift, and the
-// per-tag entries (block table, global list, maxTF) into pages of 64
-// tags. Build lays each tag's blocks, and the item index's, out back
-// to back in one backing array; the tables are all a read-only store
-// adds.
+// a fixed 64 items, so finding an item's block is a shift. A tag's
+// global list is cut into blocks of at most globalPosts postings in
+// list order (GlobalBlocks), which a reader walks with a (block,
+// offset) cursor. The per-tag entries (the two block tables, the
+// global list's length, maxTF) lie in pages of 64 tags. Build lays each
+// tag's blocks of either kind, and the item index's, out back to back
+// in one backing array; the tables are all a read-only store adds.
 //
 // A Store is immutable: all query-time structures are read-only and
 // safe for concurrent use. Builder.Build makes one from scratch and
 // Store.Merge makes the next one from a store and a batch of new
 // triples; both run the same merge, Build from an empty store. A merge
-// is copy-on-write at block grain: it copies the block table of each
-// tag its batch touches, the blocks and pages the batch touches and the
-// touched tags' global lists, and shares every other block, list and
-// page with the store it started from. A touched block that outgrows
-// blockPosts splits in two at the list boundary nearest its middle,
-// so each half has room to grow again. The merge sorts three times —
-// the triples tag-major, their per-(item, tag) sums and those in
-// global-list order — and a sort of at least 4,096 elements is LSD
-// radix passes over a key packed from the universe widths, so a Build
-// costs O(T·⌈bits/15⌉) in its T triples rather than O(T log T); a
-// compaction's short batch stays on pdqsort.
+// is copy-on-write at block grain: it copies the block tables of each
+// tag its batch touches and the blocks and pages the batch touches, and
+// shares every other block and page with the store it started from. A
+// touched global block is one a re-ranked posting leaves or lands in,
+// each found by a binary search over the blocks' first postings. A
+// touched block that outgrows its limit splits in two — a per-user one
+// at the list boundary nearest its middle — so each half has room to
+// grow again, and a global block left empty is dropped. The merge
+// sorts three times — the triples tag-major, their per-(item, tag)
+// sums and those in global-list order — and a sort of at least 4,096
+// elements is LSD radix passes over a key packed from the universe
+// widths, so a Build costs O(T·⌈bits/15⌉) in its T triples rather than
+// O(T log T); a compaction's short batch stays on pdqsort.
 package tagstore
 
 import (
@@ -138,6 +142,11 @@ func (b *Builder) Build() (*Store, error) {
 // variable so that tests can cut stores into blocks of a few postings.
 var blockPosts = 512
 
+// globalPosts is how many postings a block of a tag's global list holds
+// at most: 128, 1 KB. Only merge reads it; it is a variable for the
+// same tests.
+var globalPosts = 128
+
 // The item index is cut into blocks of itemBlockItems items, and the
 // per-tag entries into pages of tagPageTags tags.
 const (
@@ -179,8 +188,10 @@ type tagEntry struct {
 	blocks []Block
 	// firsts[k] is the first user of blocks[k]: what UserList searches.
 	firsts []int32
-	// The global posting list, sorted by (TF desc, Item asc).
-	global []Posting
+	// The global posting list, sorted by (TF desc, Item asc), in blocks
+	// of at most globalPosts postings, none empty; glen postings in all.
+	global [][]Posting
+	glen   int32
 	// The largest global TF of any item under the tag (0 if none).
 	maxTF int32
 }
@@ -263,15 +274,13 @@ var noItems = itemBlock{start: make([]int32, itemBlockItems+1)}
 // Merge returns a store holding s's triples plus delta (duplicates
 // summed) over a universe that may have grown. s is left untouched and
 // stays valid for readers still holding it: the new store copies what
-// changed and shares the rest — every block of per-user lists and of
-// the item index that delta does not touch, and the global list of
-// every tag it does not mention — which is safe because neither store
-// is written again. The cost is sorting a copy of delta, rewriting the
-// blocks it touches, the global lists of the tags it mentions, and the
-// tables: the block table of each tag it mentions and the store's
-// per-tag and per-item-block headers. Nothing is hashed and no block
-// delta leaves alone is moved. With nothing to fold in, Merge returns s
-// itself.
+// changed and shares the rest — every block of per-user lists, of
+// global lists and of the item index that delta does not touch — which
+// is safe because neither store is written again. The cost is sorting
+// a copy of delta, rewriting the blocks it touches, and the tables: the
+// two block tables of each tag it mentions and the store's per-tag and
+// per-item-block headers. Nothing is hashed and no block delta leaves
+// alone is moved. With nothing to fold in, Merge returns s itself.
 func (s *Store) Merge(delta []Triple, numUsers, numItems, numTags int) (*Store, error) {
 	if len(delta) == 0 && numUsers == s.numUsers && numItems == s.numItems && numTags == s.numTags {
 		return s, nil
@@ -730,10 +739,8 @@ func (s *Store) oldTF(i ItemID, t TagID) (int32, bool) {
 }
 
 // mergeGlobal shares s's global list of every tag agg does not mention
-// and rebuilds the others: the postings whose frequency changed are
-// taken out of the old list and merged back in at their new rank, found
-// there by the frequency s's item index gives them. agg is sorted by
-// (tag, tf desc, item) on scratch, the (item, tag) sort's: the key
+// and rewrites the others at block grain (globalMerge). agg is sorted
+// by (tag, tf desc, item) on scratch, the (item, tag) sort's: the key
 // stores tf complemented within the width of the largest.
 func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
 	var top int32
@@ -750,42 +757,115 @@ func (n *Store) mergeGlobal(s *Store, agg, scratch []tagItem) {
 		}
 		return byTFDesc(a.posting(), b.posting())
 	})
-	var moved []int // where the re-ranked postings sat in the old list
+	var m globalMerge
+	if s.numTriples > 0 { // a Build's tags are all new and need no scratch
+		m = globalMerge{gone: make([][2]int, 0, len(agg)), lands: make([]int, 0, len(agg)), touched: make([]int, 0, 2*len(agg))}
+	}
 	for a := 0; a < len(agg); {
 		t := agg[a].tag
 		b := a + 1
 		for b < len(agg) && agg[b].tag == t {
 			b++
 		}
-		old := n.tag(t).global // nil for a tag s did not have
-		moved = moved[:0]
-		for _, e := range agg[a:b] {
-			if len(old) == 0 { // a Build's, or a new tag's
-				break
-			}
-			if was, found := s.oldTF(e.item, t); found {
-				q, _ := slices.BinarySearchFunc(old, Posting{Item: e.item, TF: was}, byTFDesc)
-				moved = append(moved, q)
-			}
+		e := n.entry(s, t)
+		e.global, e.glen = m.merge(s, t, e.global, e.glen, agg[a:b])
+		e.maxTF = e.global[0][0].TF
+		a = b
+	}
+}
+
+// globalMerge rewrites the touched blocks of one tag's global list
+// after another.
+type globalMerge struct {
+	gone    [][2]int    // scratch: where the re-ranked postings sat, as (block, offset)
+	lands   []int       // scratch: the block each new posting lands in
+	touched []int       // scratch: the blocks either names, ascending
+	out     [][]Posting // scratch: the table being built
+}
+
+// merge returns the block table of a tag whose old table is old, of n
+// postings, once the postings add — sorted by (tf desc, item), each
+// with its frequency after — are in, and the list's new length. A tag
+// nobody used before, every tag of a Build, lays its list out in one
+// array cut into full blocks. Otherwise each posting whose frequency
+// changed leaves the block its old one lies in, found by the frequency
+// s's item index gives it, and lands in the block that owns its new
+// rank: only those blocks are rewritten, into one array, halved while
+// they hold more than globalPosts postings and dropped when empty.
+func (m *globalMerge) merge(s *Store, t TagID, old [][]Posting, n int32, add []tagItem) ([][]Posting, int32) {
+	m.out = m.out[:0]
+	if len(old) == 0 {
+		lst := make([]Posting, len(add))
+		for k, e := range add {
+			lst[k] = e.posting()
 		}
-		slices.Sort(moved)
-		lst := make([]Posting, 0, len(old)-len(moved)+b-a)
-		for i, m, j := 0, 0, a; i < len(old) || j < b; {
+		for len(lst) > 0 {
+			k := min(len(lst), globalPosts)
+			m.out, lst = append(m.out, lst[:k:k]), lst[k:]
+		}
+		return slices.Clone(m.out), int32(len(add))
+	}
+	m.gone, m.lands, m.touched = m.gone[:0], m.lands[:0], m.touched[:0]
+	for _, e := range add {
+		if was, found := s.oldTF(e.item, t); found {
+			p := Posting{Item: e.item, TF: was}
+			k := globalOwner(old, p)
+			q, _ := slices.BinarySearchFunc(old[k], p, byTFDesc)
+			m.gone = append(m.gone, [2]int{k, q})
+			m.touched = append(m.touched, k)
+		}
+		k := globalOwner(old, e.posting())
+		m.lands = append(m.lands, k)
+		m.touched = append(m.touched, k)
+	}
+	slices.SortFunc(m.gone, func(a, b [2]int) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+	slices.Sort(m.touched)
+	m.touched = slices.Compact(m.touched)
+	size := len(add) - len(m.gone)
+	for _, k := range m.touched {
+		size += len(old[k])
+	}
+	post := make([]Posting, 0, size)
+	next, g, j := 0, 0, 0 // the first old block not in the table yet, and the cursors into gone and add
+	for _, k := range m.touched {
+		m.out = append(m.out, old[next:k]...)
+		next = k + 1
+		from, blk := len(post), old[k]
+		for i := 0; i < len(blk) || j < len(add) && m.lands[j] == k; {
 			switch {
-			case m < len(moved) && moved[m] == i:
-				i, m = i+1, m+1
-			case j == b || i < len(old) && byTFDesc(old[i], agg[j].posting()) < 0:
-				lst = append(lst, old[i])
+			case g < len(m.gone) && m.gone[g] == [2]int{k, i}:
+				i, g = i+1, g+1
+			case j == len(add) || m.lands[j] != k || i < len(blk) && byTFDesc(blk[i], add[j].posting()) < 0:
+				post = append(post, blk[i])
 				i++
 			default:
-				lst = append(lst, agg[j].posting())
+				post = append(post, add[j].posting())
 				j++
 			}
 		}
-		e := n.entry(s, t)
-		e.global, e.maxTF = lst, lst[0].TF
-		a = b
+		m.halves(post[from:])
 	}
+	m.out = append(m.out, old[next:]...)
+	return slices.Clone(m.out), n - int32(len(m.gone)) + int32(len(add))
+}
+
+// halves appends a rewritten block to the table: while a part holds
+// more than globalPosts postings it splits in halves, so each has room
+// to grow again, and a block left empty is dropped.
+func (m *globalMerge) halves(p []Posting) {
+	if len(p) > globalPosts {
+		m.halves(p[:len(p)/2])
+		m.halves(p[len(p)/2:])
+	} else if len(p) > 0 {
+		m.out = append(m.out, p[:len(p):len(p)])
+	}
+}
+
+// globalOwner returns the block of a global list that owns posting p —
+// holds it, or would hold it at its rank: the last block whose first
+// posting is at most p, or the first block.
+func globalOwner(blocks [][]Posting, p Posting) int {
+	return sort.Search(len(blocks)-1, func(k int) bool { return byTFDesc(blocks[k+1][0], p) > 0 })
 }
 
 // NumUsers reports the user universe size.
@@ -859,9 +939,15 @@ func (s *Store) Triples() []Triple {
 	return trs
 }
 
-// GlobalList returns the global posting list of tag t, sorted by
-// descending total frequency. The slice aliases internal storage.
-func (s *Store) GlobalList(t TagID) []Posting { return s.tag(t).global }
+// GlobalBlocks returns the global posting list of tag t, sorted by
+// descending total frequency, as blocks — read one after another they
+// are the list, and none is empty — and the list's length. A reader
+// walks it with a (block, offset) cursor. The slices alias internal
+// storage.
+func (s *Store) GlobalBlocks(t TagID) (blocks [][]Posting, n int) {
+	e := s.tag(t)
+	return e.global, int(e.glen)
+}
 
 // MaxTF returns the largest global frequency under tag t; it is the
 // per-list score ceiling threshold algorithms use.
@@ -923,8 +1009,8 @@ func (s *Store) GlobalTF(i ItemID, t TagID) int32 {
 type Footprint struct {
 	TagBlocks  int64 // the per-user lists: users, list ends, postings
 	ItemBlocks int64 // the item index behind GlobalTF
-	Global     int64 // the global posting lists
-	Headers    int64 // the tables: per-tag headers, block tables, maxTF
+	Global     int64 // the global posting lists: their blocks and block tables
+	Headers    int64 // the tables: per-tag headers, the per-user lists' block tables, maxTF
 }
 
 // OwnBytes reports the memory of s that it does not share with parent —
@@ -967,7 +1053,16 @@ func (s *Store) OwnBytes(parent *Store) Footprint {
 // not share with was, the tag's in the parent.
 func (f *Footprint) add(e, was *tagEntry) {
 	if len(e.global) > 0 && (len(was.global) == 0 || &e.global[0] != &was.global[0]) {
-		f.Global += 8 * int64(len(e.global))
+		f.Global += int64(len(e.global)) * int64(unsafe.Sizeof([]Posting(nil)))
+		had := make(map[*Posting]bool, len(was.global))
+		for _, b := range was.global {
+			had[&b[0]] = true
+		}
+		for _, b := range e.global {
+			if !had[&b[0]] {
+				f.Global += 8 * int64(len(b))
+			}
+		}
 	}
 	if len(e.blocks) == 0 || len(was.blocks) > 0 && &e.blocks[0] == &was.blocks[0] {
 		return
@@ -1014,9 +1109,9 @@ func (s *Store) ComputeStats() Stats {
 		}
 	}
 	for t := range TagID(s.numTags) {
-		if g := s.tag(t).global; len(g) > 0 {
+		if n := int(s.tag(t).glen); n > 0 {
 			st.DistinctTagsUsed++
-			st.MaxGlobalListLen = max(st.MaxGlobalListLen, len(g))
+			st.MaxGlobalListLen = max(st.MaxGlobalListLen, n)
 		}
 	}
 	return st

@@ -85,19 +85,19 @@ func TestDuplicateTriplesSum(t *testing.T) {
 func TestGlobalListSortedByTF(t *testing.T) {
 	s := smallStore(t)
 	// tag 0: item 0 has tf 2+1=3, item 1 has tf 1.
-	got := s.GlobalList(0)
+	got := s.globalList(0)
 	want := []Posting{{Item: 0, TF: 3}, {Item: 1, TF: 1}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GlobalList(0) = %v, want %v", got, want)
+		t.Fatalf("global list of tag 0 = %v, want %v", got, want)
 	}
 	if s.MaxTF(0) != 3 {
 		t.Fatalf("MaxTF(0) = %d, want 3", s.MaxTF(0))
 	}
 	// tag 1: item 2 tf 3, item 1 tf 1
-	got = s.GlobalList(1)
+	got = s.globalList(1)
 	want = []Posting{{Item: 2, TF: 3}, {Item: 1, TF: 1}}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("GlobalList(1) = %v, want %v", got, want)
+		t.Fatalf("global list of tag 1 = %v, want %v", got, want)
 	}
 }
 
@@ -110,7 +110,7 @@ func TestGlobalListTieBreakByItem(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.GlobalList(0)
+	got := s.globalList(0)
 	want := []Posting{{Item: 0, TF: 1}, {Item: 1, TF: 1}, {Item: 2, TF: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie-break order = %v, want %v", got, want)
@@ -269,7 +269,7 @@ func TestPropertyGlobalEqualsSumOfUserLists(t *testing.T) {
 				}
 			}
 			global := make(map[ItemID]int32)
-			for _, p := range s.GlobalList(tag) {
+			for _, p := range s.globalList(tag) {
 				global[p.Item] = p.TF
 			}
 			if len(fromUsers) != len(global) {
@@ -333,7 +333,7 @@ func TestPropertyMaxTFIsListHead(t *testing.T) {
 			return false
 		}
 		for tag := TagID(0); int(tag) < nt; tag++ {
-			lst := s.GlobalList(tag)
+			lst := s.globalList(tag)
 			if len(lst) == 0 {
 				if s.MaxTF(tag) != 0 {
 					return false
@@ -443,6 +443,8 @@ func checkMergeScript(t *testing.T, data []byte) {
 		checkSameStore(t, store, want)
 		checkBlocks(t, store, false)
 		checkBlocks(t, want, true)
+		checkGlobalBlocks(t, store, false)
+		checkGlobalBlocks(t, want, true)
 		checkTriples(t, store, want)
 		checkAgainstModel(t, store, union, nu, ni, nt)
 		checkTagLists(t, store)
@@ -450,9 +452,10 @@ func checkMergeScript(t *testing.T, data []byte) {
 }
 
 // checkSameStore holds s to want, a Build over the same relation: the
-// same counts, global lists, item index and, list for list, per-user
-// lists. The blocks those lists are cut into may differ: a merge splits
-// a block that outgrows blockPosts in halves, where Build packs.
+// same counts, global lists posting for posting, item index and, list
+// for list, per-user lists. The blocks those lists are cut into may
+// differ: a merge splits a block that outgrows its limit in halves,
+// where Build packs.
 func checkSameStore(t *testing.T, s, want *Store) {
 	t.Helper()
 	if s.numUsers != want.numUsers || s.numItems != want.numItems || s.numTags != want.numTags ||
@@ -465,7 +468,7 @@ func checkSameStore(t *testing.T, s, want *Store) {
 		t.Fatalf("item index differs from a Build over the union\n got %+v\nwant %+v", s.items, want.items)
 	}
 	for tag := TagID(0); int(tag) < s.numTags; tag++ {
-		if g, w := s.GlobalList(tag), want.GlobalList(tag); !reflect.DeepEqual(g, w) || s.MaxTF(tag) != want.MaxTF(tag) {
+		if g, w := s.globalList(tag), want.globalList(tag); !reflect.DeepEqual(g, w) || s.MaxTF(tag) != want.MaxTF(tag) {
 			t.Fatalf("tag %d: global list %v (max %d), a Build over the union %v (max %d)", tag, g, s.MaxTF(tag), w, want.MaxTF(tag))
 		}
 		users, off, post := s.TagLists(tag)
@@ -506,19 +509,48 @@ func checkBlocks(t *testing.T, s *Store, built bool) {
 	}
 }
 
-// blockSizes are the blockPosts the merge harness runs at: blocks of a
-// few postings, which the scripts' short lists fill and split, and the
-// size the store is built with.
-var blockSizes = []int{2, 5, blockPosts}
+// checkGlobalBlocks holds every tag's global blocks to their bounds:
+// none is empty, none holds more than globalPosts postings, the length
+// the store keeps is their sum, and the order is strictly (TF desc,
+// item asc) within and across blocks. A built store's blocks are also
+// full: only the last may hold fewer than globalPosts.
+func checkGlobalBlocks(t *testing.T, s *Store, built bool) {
+	t.Helper()
+	for tag := range TagID(s.numTags) {
+		blocks, n := s.GlobalBlocks(tag)
+		var last *Posting
+		sum := 0
+		for k, b := range blocks {
+			if len(b) == 0 || len(b) > globalPosts || built && k+1 < len(blocks) && len(b) != globalPosts {
+				t.Fatalf("tag %d global block %d of %d holds %d postings, the limit is %d", tag, k, len(blocks), len(b), globalPosts)
+			}
+			for i := range b {
+				if last != nil && byTFDesc(*last, b[i]) >= 0 {
+					t.Fatalf("tag %d global block %d: %v after %v", tag, k, b[i], *last)
+				}
+				last = &b[i]
+			}
+			sum += len(b)
+		}
+		if sum != n {
+			t.Fatalf("tag %d: global blocks hold %d postings, the store counts %d", tag, sum, n)
+		}
+	}
+}
+
+// blockSizes are the (blockPosts, globalPosts) the merge harness runs
+// at: blocks of a few postings, which the scripts' short lists fill and
+// split, and the sizes the store is built with.
+var blockSizes = [][2]int{{2, 2}, {5, 5}, {blockPosts, globalPosts}}
 
 // checkMergeScriptBlocks runs checkMergeScript at every one of
 // blockSizes.
 func checkMergeScriptBlocks(t *testing.T, data []byte) {
 	t.Helper()
-	defer func(size int) { blockPosts = size }(blockPosts)
+	defer func(user, global int) { blockPosts, globalPosts = user, global }(blockPosts, globalPosts)
 	for _, size := range blockSizes {
-		blockPosts = size
-		t.Logf("blockPosts %d", size)
+		blockPosts, globalPosts = size[0], size[1]
+		t.Logf("blockPosts %d, globalPosts %d", size[0], size[1])
 		checkMergeScript(t, data)
 	}
 }
@@ -649,8 +681,8 @@ func checkAgainstModel(t *testing.T, s *Store, union []Triple, nu, ni, nt int) {
 			}
 		}
 		sort.SliceStable(lst, func(a, b int) bool { return lst[a].TF > lst[b].TF })
-		if got := s.GlobalList(tag); !reflect.DeepEqual(got, lst) {
-			t.Fatalf("GlobalList(%d) = %v, want %v", tag, got, lst)
+		if got := s.globalList(tag); !reflect.DeepEqual(got, lst) {
+			t.Fatalf("global list of tag %d = %v, want %v", tag, got, lst)
 		}
 		var head int32
 		if len(lst) > 0 {
@@ -716,10 +748,10 @@ func TestMergeLeavesOldStoreIntact(t *testing.T) {
 	if !reflect.DeepEqual(old, want) {
 		t.Fatalf("Merge changed the store it started from:\n got %+v\nwant %+v", old, want)
 	}
-	if got := merged.GlobalList(0); !reflect.DeepEqual(got, []Posting{{Item: 1, TF: 6}, {Item: 0, TF: 3}}) {
-		t.Fatalf("merged GlobalList(0) = %v", got)
+	if got := merged.globalList(0); !reflect.DeepEqual(got, []Posting{{Item: 1, TF: 6}, {Item: 0, TF: 3}}) {
+		t.Fatalf("merged global list of tag 0 = %v", got)
 	}
-	if &merged.GlobalList(1)[0] != &old.GlobalList(1)[0] {
+	if &merged.tag(1).global[0] != &old.tag(1).global[0] {
 		t.Fatal("the untouched tag's list was copied, not shared")
 	}
 }
@@ -788,7 +820,7 @@ func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
 		if &grown.TagBlocks(tag)[0] != &old.TagBlocks(tag)[0] {
 			t.Fatalf("the block table of tag %d was copied, not shared", tag)
 		}
-		if &grown.GlobalList(tag)[0] != &old.GlobalList(tag)[0] {
+		if &grown.tag(tag).global[0] != &old.tag(tag).global[0] {
 			t.Fatalf("the global list of tag %d was copied, not shared", tag)
 		}
 	}
@@ -804,10 +836,11 @@ func TestMergeUniverseGrowthSharesArrays(t *testing.T) {
 
 // TestMergeCopiesOnlyTouchedBlocks: a merge of k triples into a store of
 // many blocks shares every block it does not touch — a block of a tag's
-// lists that owns none of the batch's users under that tag, an item
-// block none of its items is in — with the store it started from, and
-// what the new store owns is the touched blocks, grown by at most the
-// batch, their tags' global lists and the tables.
+// lists that owns none of the batch's users under that tag, a block of
+// a global list that none of the batch's (item, tag) postings leaves or
+// lands in, an item block none of its items is in — with the store it
+// started from, and what the new store owns is the touched blocks,
+// grown by at most the batch, and the tables.
 func TestMergeCopiesOnlyTouchedBlocks(t *testing.T) {
 	const users, items, tags = 3000, 20000, 400
 	rng := rand.New(rand.NewSource(1))
@@ -838,12 +871,26 @@ func TestMergeCopiesOnlyTouchedBlocks(t *testing.T) {
 		touched := make(map[[2]int]bool) // (tag, block) of s
 		touchedItems := make(map[int]bool)
 		mentioned := make(map[TagID]bool)
+		added := make(map[[2]int32]int32) // (item, tag): the frequency the batch adds
 		for _, tr := range delta {
 			if e := s.tag(tr.Tag); len(e.blocks) > 0 {
 				touched[[2]int{int(tr.Tag), owner(e.firsts, tr.User)}] = true
 			}
 			touchedItems[int(tr.Item>>itemBlockShift)] = true
 			mentioned[tr.Tag] = true
+			added[[2]int32{tr.Item, tr.Tag}] += tr.Count
+		}
+		touchedGlobal := make(map[[2]int]bool) // (tag, global block) of s: a posting leaves or lands in it
+		for it, c := range added {
+			blocks, _ := s.GlobalBlocks(it[1])
+			if len(blocks) == 0 {
+				continue
+			}
+			was := s.GlobalTF(it[0], it[1])
+			if was > 0 {
+				touchedGlobal[[2]int{int(it[1]), globalOwner(blocks, Posting{Item: it[0], TF: was})}] = true
+			}
+			touchedGlobal[[2]int{int(it[1]), globalOwner(blocks, Posting{Item: it[0], TF: was + c})}] = true
 		}
 		var blockBound, itemBound, globalBound, headers int64
 		headers = int64(len(merged.tagPages))*int64(unsafe.Sizeof([]tagEntry(nil))) + int64(len(merged.items))*int64(unsafe.Sizeof(itemBlock{}))
@@ -862,10 +909,23 @@ func TestMergeCopiesOnlyTouchedBlocks(t *testing.T) {
 				}
 				blockBound += 4*int64(len(b.users)+len(b.end)) + 8*int64(len(b.post))
 			}
+			globals, keptGlobal := s.tag(tag).global, make(map[*Posting]bool)
+			for _, b := range merged.tag(tag).global {
+				keptGlobal[&b[0]] = true
+			}
+			for j, b := range globals {
+				if !touchedGlobal[[2]int{int(tag), j}] {
+					if !keptGlobal[&b[0]] {
+						t.Fatalf("k=%d: tag %d's global block %d, which the batch does not touch, was copied", k, tag, j)
+					}
+					continue
+				}
+				globalBound += 8 * int64(len(b))
+			}
 			if mentioned[tag] {
 				pages[tag>>tagPageShift] = true
 				headers += int64(len(merged.TagBlocks(tag))) * int64(unsafe.Sizeof(Block{})+4) // a block and its first user
-				globalBound += 8 * int64(len(merged.GlobalList(tag)))
+				globalBound += int64(len(merged.tag(tag).global)) * int64(unsafe.Sizeof([]Posting(nil)))
 			}
 		}
 		headers += int64(len(pages)) * tagPageTags * int64(unsafe.Sizeof(tagEntry{}))
@@ -880,15 +940,17 @@ func TestMergeCopiesOnlyTouchedBlocks(t *testing.T) {
 		}
 		blockBound += 16 * int64(k) // a posting, and maybe a new user with its list end, per triple
 		itemBound += 8 * int64(k)   // a tag and its frequency per triple
+		globalBound += 8 * int64(len(added))
 		f := merged.OwnBytes(s)
-		t.Logf("k=%d: %d of %d tag blocks, %d of %d item blocks and %d of %d tag pages touched; owns %+v",
-			k, len(touched), countBlocks(s), len(touchedItems), len(s.items), len(pages), len(s.tagPages), f)
+		t.Logf("k=%d: %d of %d tag blocks, %d global blocks, %d of %d item blocks and %d of %d tag pages touched; owns %+v",
+			k, len(touched), countBlocks(s), len(touchedGlobal), len(touchedItems), len(s.items), len(pages), len(s.tagPages), f)
 		if f.TagBlocks > blockBound || f.ItemBlocks > itemBound || f.Global > globalBound || f.Headers > headers {
-			t.Fatalf("k=%d: the merged store owns %+v, over the touched blocks' %d and %d bytes, the global lists' %d and the tables' %d",
+			t.Fatalf("k=%d: the merged store owns %+v, over the touched blocks' %d and %d bytes, the touched global blocks' and their tables' %d and the tables' %d",
 				k, f, blockBound, itemBound, globalBound, headers)
 		}
 		checkSameStore(t, merged, mustBuild(t, users, items, tags, append(slices.Clone(trs), delta...)))
 		checkBlocks(t, merged, false)
+		checkGlobalBlocks(t, merged, false)
 	}
 }
 

@@ -84,6 +84,11 @@ func (o *Options) normalize() {
 // bad frame in a non-last segment, or a bad segment header).
 var ErrCorrupt = errors.New("wal: corrupt log")
 
+// ErrTruncated reports a read from an LSN below the retained log start:
+// the records were reclaimed (TruncateThrough), not damaged, and the
+// read can start over from Start(0).
+var ErrTruncated = errors.New("wal: lsn precedes the retained log start")
+
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
@@ -460,7 +465,7 @@ func (l *Log) Barrier() uint64 {
 // an externally truncated tail — is reported as ErrCorrupt, never
 // silently skipped: a replication catch-up must fail cleanly rather
 // than hand a replica a torn prefix it would mistake for the full
-// stream.
+// stream. A from below the retained log start is ErrTruncated.
 func (l *Log) ReadFrom(from uint64, fn func(Record) error) (head uint64, err error) {
 	return l.ReadThrough(from, ^uint64(0), fn)
 }
@@ -470,8 +475,8 @@ func (l *Log) ReadFrom(from uint64, fn func(Record) error) (head uint64, err err
 // the call started. A replicated log uses it for committed-prefix
 // reads — streaming exactly the quorum-acknowledged range while later,
 // possibly still-uncommitted, appends stay invisible to the reader.
-// The same ErrCorrupt contract as ReadFrom applies to the requested
-// range.
+// The same ErrCorrupt and ErrTruncated contract as ReadFrom applies to
+// the requested range.
 func (l *Log) ReadThrough(from, through uint64, fn func(Record) error) (head uint64, err error) {
 	if from == 0 {
 		from = 1
@@ -496,8 +501,11 @@ func (l *Log) ReadThrough(from, through uint64, fn func(Record) error) (head uin
 	if from > upper {
 		return head, nil
 	}
-	if len(segs) == 0 || from < segs[0].firstLSN {
-		return head, fmt.Errorf("%w: lsn %d precedes the retained log start", ErrCorrupt, from)
+	if len(segs) == 0 {
+		return head, fmt.Errorf("%w: no segment holds lsn %d", ErrCorrupt, from)
+	}
+	if from < segs[0].firstLSN {
+		return head, fmt.Errorf("%w: lsn %d, the log starts at lsn %d", ErrTruncated, from, segs[0].firstLSN)
 	}
 	delivered := from - 1 // highest LSN handed to fn so far
 	for i, seg := range segs {
