@@ -184,9 +184,10 @@ func BenchmarkExt7_HTTPSearch(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	body := []byte(`{"seeker":"u0","tags":["go"],"k":5}`)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req := httptest.NewRequest(http.MethodGet, "/v1/search?seeker=u0&tags=go&k=5", nil)
+		req := httptest.NewRequest(http.MethodPost, "/v2/search", bytes.NewReader(body))
 		rec := httptest.NewRecorder()
 		srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {

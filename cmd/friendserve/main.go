@@ -25,9 +25,9 @@
 // it the service is in-memory. -demo preloads a small example corpus so
 // the API can be explored immediately:
 //
-//	curl -s 'localhost:8080/v1/search?seeker=alice&tags=pizza&k=3'
+//	curl -s -d '{"seeker":"alice","tags":["pizza"],"k":3}' 'localhost:8080/v2/search'
 //	curl -s -d '{"queries":[{"seeker":"alice","tags":["pizza"],"k":3}]}' \
-//	     'localhost:8080/v1/search/batch'
+//	     'localhost:8080/v2/search/batch'
 //	curl -s -d '{"seeker":"alice","tags":["pizza"],"k":3,"mode":"auto","explain":true}' \
 //	     'localhost:8080/v2/search'
 //

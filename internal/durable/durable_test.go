@@ -42,7 +42,7 @@ func seedMutations(t *testing.T, m mutator) {
 	}
 }
 
-// searchExact runs the ModeExact query the /v1 search surface runs.
+// searchExact runs a ModeExact query.
 func searchExact(s *social.Service, seeker string, tags []string, k int) ([]search.Result, error) {
 	resp, err := s.Do(context.Background(), search.Request{Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact})
 	return resp.Results, err

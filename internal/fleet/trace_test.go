@@ -83,7 +83,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				rctx, rq := feTracer.StartRequest(context.Background(), "", http.MethodPost, "/v1/search/batch")
+				rctx, rq := feTracer.StartRequest(context.Background(), "", http.MethodPost, "/v2/search/batch")
 				out := pool.DoBatch(rctx, batch)
 				for _, r := range out {
 					if r.Err != nil {
@@ -128,7 +128,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 	// Phase 2: one shared trace, all workers batching concurrently —
 	// the span list takes concurrent appends and remote merges, and the
 	// cap must hold without losing the trace.
-	sctx, srq := feTracer.StartRequest(context.Background(), "", http.MethodPost, "/v1/search/batch")
+	sctx, srq := feTracer.StartRequest(context.Background(), "", http.MethodPost, "/v2/search/batch")
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {

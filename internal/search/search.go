@@ -195,7 +195,7 @@ func (r *Request) Normalize() error {
 	if strings.TrimSpace(r.Seeker) == "" {
 		return invalidf("missing seeker")
 	}
-	r.Tags = NormalizeTags(r.Tags)
+	r.Tags = normalizeTags(r.Tags)
 	if len(r.Tags) == 0 {
 		return invalidf("missing tags")
 	}
@@ -228,12 +228,12 @@ func (r *Request) Normalize() error {
 	return nil
 }
 
-// NormalizeTags is the tag normalization every entry point shares:
-// comma-joined entries are split, whitespace trimmed, blanks dropped.
+// normalizeTags is Normalize's tag step: comma-joined entries are
+// split, whitespace trimmed, blanks dropped.
 // Already-clean input (no commas, no padding, no blanks — the common
 // case for programmatic callers) is returned unchanged, so the serving
 // hot path pays no allocation here.
-func NormalizeTags(chunks []string) []string {
+func normalizeTags(chunks []string) []string {
 	clean := true
 	for _, c := range chunks {
 		if c == "" || strings.ContainsRune(c, ',') || strings.TrimSpace(c) != c {

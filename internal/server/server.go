@@ -11,9 +11,6 @@
 //
 //	POST /v1/friend        {"a":"alice","b":"bob","weight":0.9}     → 204
 //	POST /v1/tag           {"user":"bob","item":"x","tag":"pizza"}  → 204
-//	GET  /v1/search?seeker=alice&tags=pizza,italian&k=5             → {"results":[...]}
-//	POST /v1/search/batch  {"queries":[{"seeker":"alice","tags":["pizza"],"k":5},...]}
-//	                                                                → {"results":[{"results":[...]},{"error":"..."},...]}
 //	POST /v2/search        {"seeker":"alice","tags":["pizza"],"k":5,
 //	                        "beta":0.7,"mode":"auto",
 //	                        "min_score":0,"offset":0,"no_cache":false,
@@ -54,14 +51,12 @@
 // of a stream carries "fold": the replica folds what it applied into
 // its queryable snapshot before it answers.
 //
-// The v2 surface exposes the full search.Request: per-query β blending,
-// execution mode (auto, exact and approx all run the exact merge today;
-// explain echoes the mode), score filtering, offset paging, and
-// explainable answers (algorithm, horizon size, seeker-cache
-// hit/generation, certified score bound). The v1
-// endpoints are thin adapters that build a search.Request internally
-// (ModeExact — their historical semantics); their wire format is
-// unchanged.
+// Search has one wire, /v2, which exposes the full search.Request:
+// per-query β blending, execution mode (auto, exact and approx all run
+// the exact merge today; explain echoes the mode), score filtering,
+// offset paging, and explainable answers (algorithm, horizon size,
+// seeker-cache hit/generation, certified score bound). The /v1 routes
+// are the write path and the operator surface only.
 //
 // Batch endpoints execute up to MaxBatchQueries queries on the
 // backend's bounded worker pool and report errors per query: the i-th
@@ -242,8 +237,8 @@ const MaxReplogPageRecords = 1024
 // envelope, an apply page.
 const MaxBodyBytes = 1 << 20
 
-// MaxBatchQueries bounds the number of queries accepted by one batch
-// request (v1 and v2 alike).
+// MaxBatchQueries bounds the number of queries accepted by one
+// /v2/search/batch request.
 const MaxBatchQueries = 256
 
 // StatusClientClosedRequest is the non-standard status (nginx's 499)
@@ -303,8 +298,6 @@ func New(b Backend) (*Server, error) {
 	s.ready.Store(true)
 	s.mux.HandleFunc("/v1/friend", s.handleFriend)
 	s.mux.HandleFunc("/v1/tag", s.handleTag)
-	s.mux.HandleFunc("/v1/search", s.handleSearchV1)
-	s.mux.HandleFunc("/v1/search/batch", s.handleSearchBatchV1)
 	s.mux.HandleFunc("/v2/search", s.handleSearchV2)
 	s.mux.HandleFunc("/v2/search/batch", s.handleSearchBatchV2)
 	s.mux.HandleFunc("/v2/apply", s.handleApply)
@@ -804,61 +797,6 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, r, resp)
 }
 
-// V1Result is one result on the /v1 wire, whose JSON keys are
-// capitalized (Item, Score), as they have been since v1 shipped.
-type V1Result struct {
-	Item  string
-	Score float64
-}
-
-// SearchResponse is the /v1/search response body.
-type SearchResponse struct {
-	Results []V1Result `json:"results"`
-}
-
-// handleSearchV1 is the v1 single-query endpoint: a thin adapter that
-// builds a ModeExact search.Request (the v1 semantics) from the query
-// string. Wire format is unchanged from v1's introduction.
-func (s *Server) handleSearchV1(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	q := r.URL.Query()
-	seeker := q.Get("seeker")
-	if seeker == "" {
-		s.writeErr(w, http.StatusBadRequest, errors.New("missing seeker parameter"))
-		return
-	}
-	tags := search.NormalizeTags(q["tags"])
-	if len(tags) == 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("missing tags parameter"))
-		return
-	}
-	k := 0 // Normalize substitutes the default
-	if ks := q.Get("k"); ks != "" {
-		var err error
-		if k, err = strconv.Atoi(ks); err != nil || k < 0 {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad k %q", ks))
-			return
-		}
-	}
-	tk, ok := s.admit(w, r, admission.Read)
-	if !ok {
-		return
-	}
-	req := search.Request{Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact}
-	s.forceExplain(r.Context(), &req)
-	start := time.Now()
-	resp, err := s.backend.Do(r.Context(), req)
-	tk.Release(err)
-	if err != nil {
-		s.writeErr(w, searchErrStatus(err), err)
-		return
-	}
-	s.noteSlowQuery(r.Context(), req, &resp, time.Since(start))
-	s.writeJSON(w, r, SearchResponse{Results: v1Results(resp.Results)})
-}
-
 // forceExplain turns on Explain for a sampled traced query the client
 // did not ask to explain, so the trace and the slow-query log capture
 // the engine's decision record. The caller strips the payload from the
@@ -899,52 +837,15 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 	}
 }
 
-// v1Results converts canonical results to the v1 wire type.
-func v1Results(rs []search.Result) []V1Result {
-	out := make([]V1Result, len(rs))
-	for i, r := range rs {
-		out[i] = V1Result{Item: r.Item, Score: r.Score}
-	}
-	return out
-}
-
-// batchQuery is one query of a v1 batch request. K is a pointer so an
-// absent k (defaulted) is distinguishable from an explicit value.
-type batchQuery struct {
-	Seeker string   `json:"seeker"`
-	Tags   []string `json:"tags"`
-	K      *int     `json:"k"`
-}
-
-// batchRequest is the /v1/search/batch request body.
-type batchRequest struct {
-	Queries []batchQuery `json:"queries"`
-}
-
-// BatchEntry answers one v1 batch query: on success Results is the
-// answer (an empty array when nothing matched, never null); on failure
-// Error is set and Results is null.
-type BatchEntry struct {
-	Results []V1Result `json:"results"`
-	Error   string     `json:"error,omitempty"`
-}
-
-// BatchResponse is the /v1/search/batch response body; entry i answers
-// query i.
-type BatchResponse struct {
-	Results []BatchEntry `json:"results"`
-}
-
 // decodeBatchEnvelope decodes a batch request body into v and
-// bounds-checks the query count (read via count, since v1 and v2 use
-// different envelope types). It reports whether the envelope was
+// bounds-checks the query count. It reports whether the envelope was
 // accepted; on rejection the 400 response has already been written.
-func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v interface{}, count func() int) bool {
+func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v *V2BatchRequest) bool {
 	if err := decodeBody(w, r, v); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
-	n := count()
+	n := len(v.Queries)
 	if n == 0 {
 		s.writeErr(w, http.StatusBadRequest, errors.New("batch holds no queries"))
 		return false
@@ -957,54 +858,7 @@ func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v i
 	return true
 }
 
-func (s *Server) handleSearchBatchV1(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	var req batchRequest
-	if !s.decodeBatchEnvelope(w, r, &req, func() int { return len(req.Queries) }) {
-		return
-	}
-	// Adapt each query to a ModeExact search.Request, keeping v1's
-	// per-query error messages. Per-query validation failures become
-	// per-query errors, not batch failures.
-	reqs := make([]search.Request, len(req.Queries))
-	errs := make([]error, len(req.Queries))
-	for i, q := range req.Queries {
-		tags := search.NormalizeTags(q.Tags)
-		k := 0 // Normalize substitutes the default
-		if q.K != nil {
-			k = *q.K
-		}
-		switch {
-		case q.Seeker == "":
-			errs[i] = fmt.Errorf("query %d: missing seeker", i)
-		case len(tags) == 0:
-			errs[i] = fmt.Errorf("query %d: missing tags", i)
-		case k < 0:
-			errs[i] = fmt.Errorf("query %d: bad k %d", i, k)
-		}
-		reqs[i] = search.Request{Seeker: q.Seeker, Tags: tags, K: k, Mode: search.ModeExact}
-	}
-	batch, ok := s.runBatch(w, r, reqs, errs)
-	if !ok {
-		return
-	}
-	resp := BatchResponse{Results: make([]BatchEntry, len(reqs))}
-	for i, br := range batch {
-		switch {
-		case errs[i] != nil:
-			resp.Results[i] = BatchEntry{Error: errs[i].Error()}
-		case br.Err != nil:
-			resp.Results[i] = BatchEntry{Error: br.Err.Error()}
-		default:
-			resp.Results[i] = BatchEntry{Results: v1Results(br.Response.Results)}
-		}
-	}
-	s.writeJSON(w, r, resp)
-}
-
-// runBatch is both batch handlers' execution: the queries that passed
+// runBatch is handleSearchBatchV2's execution: the queries that passed
 // validation (errs[i] == nil) run as one backend batch under one
 // admission ticket — the batch is one unit of admitted work, the
 // brownout decision applies per query — and come back by input
@@ -1214,7 +1068,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var body V2BatchRequest
-	if !s.decodeBatchEnvelope(w, r, &body, func() int { return len(body.Queries) }) {
+	if !s.decodeBatchEnvelope(w, r, &body) {
 		return
 	}
 	reqs := make([]search.Request, len(body.Queries))

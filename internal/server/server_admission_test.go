@@ -80,7 +80,7 @@ func TestShedAnswers429WithRetryAfter(t *testing.T) {
 	waitQueued(t, ctrl, 1)
 
 	before := cb.dos.Load()
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 3})
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("shed status = %d body %s, want 429", rec.Code, rec.Body)
 	}
@@ -112,7 +112,8 @@ func TestDeadlineExpiredWhileQueuedIs499NoEngineWork(t *testing.T) {
 	before := cb.dos.Load()
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	req := httptest.NewRequest(http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v2/search",
+		strings.NewReader(`{"seeker":"alice","tags":["pizza"],"k":3}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req) // queues behind tk, then the ctx deadline fires
 
@@ -160,7 +161,7 @@ func TestWriteAdmittedWhileReadsQueueFull(t *testing.T) {
 func TestStatsEnvelopeWithAdmission(t *testing.T) {
 	s, _, ctrl := newAdmissionServer(t, admission.Config{})
 	// Produce some traffic so the counters are nonzero.
-	if rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil); rec.Code != http.StatusOK {
+	if rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 3}); rec.Code != http.StatusOK {
 		t.Fatalf("search: %d %s", rec.Code, rec.Body)
 	}
 	rec := doJSON(t, s, http.MethodGet, "/v1/stats", nil)

@@ -61,7 +61,7 @@ func TestApplyFold(t *testing.T) {
 		t.Fatal(err)
 	}
 	searchCode := func() int {
-		return doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil).Code
+		return doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 3}).Code
 	}
 	if rec := applyPage(t, s, befriendAt(1, "alice", "bob", 0.9), tagAt(2, "bob", "luigis", "pizza")); rec.Code != http.StatusOK {
 		t.Fatalf("page without fold: status %d body %s", rec.Code, rec.Body)
@@ -193,7 +193,8 @@ func TestGracefulDrain(t *testing.T) {
 	// Fire the in-flight request, then trigger shutdown while it runs.
 	inflight := make(chan error, 1)
 	go func() {
-		resp, err := http.Get(base + "/v1/search?seeker=alice&tags=pizza&k=3")
+		resp, err := http.Post(base+"/v2/search", "application/json",
+			strings.NewReader(`{"seeker":"alice","tags":["pizza"],"k":3}`))
 		if err != nil {
 			inflight <- err
 			return

@@ -43,18 +43,18 @@ func hammer(t *testing.T, s *Server) {
 						return
 					}
 				case 2:
-					rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil)
+					rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 3})
 					if rec.Code != http.StatusOK {
 						errs <- fmt.Sprintf("search: %d %s", rec.Code, rec.Body)
 						return
 					}
-					var resp SearchResponse
+					var resp V2SearchResponse
 					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 						errs <- fmt.Sprintf("search body: %v", err)
 						return
 					}
 				default:
-					rec := doJSON(t, s, http.MethodPost, "/v1/search/batch", map[string]interface{}{
+					rec := doJSON(t, s, http.MethodPost, "/v2/search/batch", map[string]interface{}{
 						"queries": []map[string]interface{}{
 							{"seeker": "alice", "tags": []string{"pizza"}, "k": 3},
 							{"seeker": "bob", "tags": []string{"pizza", "italian"}, "k": 2},
@@ -64,7 +64,7 @@ func hammer(t *testing.T, s *Server) {
 						errs <- fmt.Sprintf("batch: %d %s", rec.Code, rec.Body)
 						return
 					}
-					var resp BatchResponse
+					var resp V2BatchResponse
 					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 						errs <- fmt.Sprintf("batch body: %v", err)
 						return

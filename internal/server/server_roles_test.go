@@ -11,7 +11,8 @@ import (
 // endpoints of the role it does not play: a replica has no replication
 // log or fleet to resize, a front-end holds no state to apply records
 // to, snapshot or warm — and /v2/invalidate is gone from both: the
-// last apply page of a stream asks for the fold.
+// last apply page of a stream asks for the fold. /v1/search and
+// /v1/search/batch are gone from both too: /v2 is the one search wire.
 func TestEndpointsOfTheAbsentRole(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -30,6 +31,12 @@ func TestEndpointsOfTheAbsentRole(t *testing.T) {
 		{"frontend: cache warm", noopFrontend{}, http.MethodPost, "/v2/cache/warm", map[string][]string{"seekers": {"a"}}, http.StatusNotFound},
 		{"frontend: fold", noopFrontend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}, Fold: true}, http.StatusNotFound},
 		{"replica: invalidate", noopReplica{}, http.MethodPost, "/v2/invalidate", map[string]bool{"all": true}, http.StatusNotFound},
+		// Search has one wire, /v2: the /v1 search routes are gone for
+		// every role.
+		{"replica: v1 search", noopReplica{}, http.MethodGet, "/v1/search?seeker=a&tags=t&k=3", nil, http.StatusNotFound},
+		{"replica: v1 search batch", noopReplica{}, http.MethodPost, "/v1/search/batch", V2BatchRequest{Queries: []V2Query{{Seeker: "a", Tags: []string{"t"}}}}, http.StatusNotFound},
+		{"frontend: v1 search", noopFrontend{}, http.MethodGet, "/v1/search?seeker=a&tags=t&k=3", nil, http.StatusNotFound},
+		{"frontend: v1 search batch", noopFrontend{}, http.MethodPost, "/v1/search/batch", V2BatchRequest{Queries: []V2Query{{Seeker: "a", Tags: []string{"t"}}}}, http.StatusNotFound},
 		// A backend with neither role answers all of them the same way.
 		{"plain: replog", noopBackend{}, http.MethodGet, "/v2/replog", nil, http.StatusNotFound},
 		{"plain: apply", noopBackend{}, http.MethodPost, "/v2/apply", ApplyRequest{Records: []social.Mutation{{LSN: 1}}}, http.StatusNotFound},

@@ -80,14 +80,14 @@ func TestEndToEndFlow(t *testing.T) {
 	s, _ := newTestServer(t)
 	seedHTTP(t, s)
 
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=2", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 2})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search: status %d body %s", rec.Code, rec.Body)
 	}
 	if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
 		t.Fatalf("content type %q", ct)
 	}
-	var resp SearchResponse
+	var resp V2SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -115,19 +115,19 @@ func TestEndToEndFlow(t *testing.T) {
 	}
 }
 
-func TestSearchMultiTagAndRepeatedParams(t *testing.T) {
+func TestSearchMultiTag(t *testing.T) {
 	s, _ := newTestServer(t)
 	seedHTTP(t, s)
-	// Comma-separated and repeated tags params both work, whitespace is
-	// trimmed, and the default k applies.
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza,%20italian", nil)
+	// A comma-joined tags entry and separate entries answer alike,
+	// whitespace is trimmed, and the default k applies.
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza, italian"}})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d body %s", rec.Code, rec.Body)
 	}
-	var a SearchResponse
+	var a V2SearchResponse
 	json.Unmarshal(rec.Body.Bytes(), &a)
-	rec = doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&tags=italian", nil)
-	var b SearchResponse
+	rec = doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza", "italian"}})
+	var b V2SearchResponse
 	json.Unmarshal(rec.Body.Bytes(), &b)
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("comma form %+v != repeated form %+v", a, b)
@@ -149,19 +149,15 @@ func TestClientErrors(t *testing.T) {
 	}{
 		{"friend wrong method", http.MethodGet, "/v1/friend", "", http.StatusMethodNotAllowed},
 		{"tag wrong method", http.MethodGet, "/v1/tag", "", http.StatusMethodNotAllowed},
-		{"search wrong method", http.MethodPost, "/v1/search?seeker=a&tags=b", "", http.StatusMethodNotAllowed},
+		{"search wrong method", http.MethodGet, "/v2/search", "", http.StatusMethodNotAllowed},
 		{"friend bad json", http.MethodPost, "/v1/friend", "{", http.StatusBadRequest},
 		{"friend unknown field", http.MethodPost, "/v1/friend", `{"a":"x","b":"y","weight":0.5,"extra":1}`, http.StatusBadRequest},
 		{"friend trailing garbage", http.MethodPost, "/v1/friend", `{"a":"x","b":"y","weight":0.5}{}`, http.StatusBadRequest},
 		{"friend bad weight", http.MethodPost, "/v1/friend", `{"a":"x","b":"y","weight":7}`, http.StatusBadRequest},
 		{"tag empty name", http.MethodPost, "/v1/tag", `{"user":"","item":"i","tag":"t"}`, http.StatusBadRequest},
-		{"search missing seeker", http.MethodGet, "/v1/search?tags=pizza", "", http.StatusBadRequest},
-		{"search missing tags", http.MethodGet, "/v1/search?seeker=alice", "", http.StatusBadRequest},
-		{"search blank tags", http.MethodGet, "/v1/search?seeker=alice&tags=,%20,", "", http.StatusBadRequest},
-		{"search bad k", http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=zero", "", http.StatusBadRequest},
-		{"search negative k", http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=-1", "", http.StatusBadRequest},
-		{"search unknown seeker", http.MethodGet, "/v1/search?seeker=nobody&tags=pizza", "", http.StatusBadRequest},
-		{"search unknown tag", http.MethodGet, "/v1/search?seeker=alice&tags=quantum", "", http.StatusBadRequest},
+		{"search blank tags", http.MethodPost, "/v2/search", `{"seeker":"alice","tags":[", ,"]}`, http.StatusBadRequest},
+		{"search k not a number", http.MethodPost, "/v2/search", `{"seeker":"alice","tags":["pizza"],"k":"zero"}`, http.StatusBadRequest},
+		{"search unknown tag", http.MethodPost, "/v2/search", `{"seeker":"alice","tags":["quantum"]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
@@ -187,7 +183,7 @@ func TestDurableBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	seedHTTP(t, s)
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=1", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 1})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search on durable backend: %d %s", rec.Code, rec.Body)
 	}
@@ -204,7 +200,7 @@ func TestEmptySearchReturnsEmptyArrayNotNull(t *testing.T) {
 	// dave exists after this tag but has no friends: result may be empty
 	// once none of his ball tagged anything.
 	doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "dave", Item: "thing", Tag: "pizza"})
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=dave&tags=italian&k=3", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "dave", Tags: []string{"italian"}, K: 3})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d", rec.Code)
 	}
@@ -231,7 +227,7 @@ func TestConcurrentRequests(t *testing.T) {
 						return
 					}
 				} else {
-					rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=3", nil)
+					rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 3})
 					if rec.Code != http.StatusOK {
 						errs <- fmt.Sprintf("search: %d %s", rec.Code, rec.Body)
 						return
@@ -273,15 +269,15 @@ func TestSearchBatchEndpoint(t *testing.T) {
 		"queries": []map[string]interface{}{
 			{"seeker": "alice", "tags": []string{"pizza"}, "k": 2},
 			{"seeker": "nobody", "tags": []string{"pizza"}},
-			{"seeker": "alice", "tags": []string{" pizza ", ""}},     // normalized like GET
+			{"seeker": "alice", "tags": []string{" pizza ", ""}},     // normalized like a single query
 			{"seeker": "carol", "tags": []string{"italian"}, "k": 3}, // empty but valid answer
 		},
 	}
-	rec := doJSON(t, s, http.MethodPost, "/v1/search/batch", body)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search/batch", body)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d body %s", rec.Code, rec.Body)
 	}
-	var resp BatchResponse
+	var resp V2BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +297,8 @@ func TestSearchBatchEndpoint(t *testing.T) {
 		t.Fatalf("query 3: %+v", resp.Results[3])
 	}
 	// Batch answer 0 must match the single-query endpoint.
-	rec = doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza&k=2", nil)
-	var single SearchResponse
+	rec = doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "alice", Tags: []string{"pizza"}, K: 2})
+	var single V2SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +308,7 @@ func TestSearchBatchEndpoint(t *testing.T) {
 	// A success entry with no matches encodes as an empty array, never
 	// null (dave is isolated, so his italian search matches nothing).
 	doJSON(t, s, http.MethodPost, "/v1/tag", TagRequest{User: "dave", Item: "thing", Tag: "pizza"})
-	rec = doJSON(t, s, http.MethodPost, "/v1/search/batch", map[string]interface{}{
+	rec = doJSON(t, s, http.MethodPost, "/v2/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{{"seeker": "dave", "tags": []string{"italian"}}},
 	})
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `"results":[]`) {
@@ -330,7 +326,7 @@ func TestSearchBatchCacheCountersOnStats(t *testing.T) {
 			{"seeker": "alice", "tags": []string{"pizza"}, "k": 1},
 		},
 	}
-	if rec := doJSON(t, s, http.MethodPost, "/v1/search/batch", body); rec.Code != http.StatusOK {
+	if rec := doJSON(t, s, http.MethodPost, "/v2/search/batch", body); rec.Code != http.StatusOK {
 		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
 	}
 	rec := doJSON(t, s, http.MethodGet, "/v1/stats", nil)
@@ -373,7 +369,7 @@ func TestBatchClientErrors(t *testing.T) {
 		{"queries wrong type", http.MethodPost, `{"queries":"alice"}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
-		req := httptest.NewRequest(tc.method, "/v1/search/batch", strings.NewReader(tc.body))
+		req := httptest.NewRequest(tc.method, "/v2/search/batch", strings.NewReader(tc.body))
 		rec := httptest.NewRecorder()
 		s.ServeHTTP(rec, req)
 		if rec.Code != tc.want {
@@ -385,7 +381,7 @@ func TestBatchClientErrors(t *testing.T) {
 	// k of 0 is NOT an error: search.Request.Normalize substitutes the
 	// default, the same policy as an absent k (negative k stays a
 	// per-query error everywhere).
-	rec := doJSON(t, s, http.MethodPost, "/v1/search/batch", map[string]interface{}{
+	rec := doJSON(t, s, http.MethodPost, "/v2/search/batch", map[string]interface{}{
 		"queries": []map[string]interface{}{
 			{"seeker": "", "tags": []string{"pizza"}},
 			{"seeker": "alice"},
@@ -397,7 +393,7 @@ func TestBatchClientErrors(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("mixed batch: status %d body %s", rec.Code, rec.Body)
 	}
-	var resp BatchResponse
+	var resp V2BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestV2Batch(t *testing.T) {
 	if resp.Results[3].Error != "" {
 		t.Fatalf("entry 3: %+v", resp.Results[3])
 	}
-	// Envelope checks mirror v1.
+	// Envelope checks (TestBatchClientErrors has the full set).
 	for _, tc := range []struct {
 		name, body string
 	}{
@@ -208,33 +208,6 @@ func TestV2Batch(t *testing.T) {
 	}
 }
 
-// TestV1V2Agree: the v1 adapter and a ModeExact v2 request answer
-// identically (modulo wire casing), since both build the same
-// search.Request underneath.
-func TestV1V2Agree(t *testing.T) {
-	s, _ := newTestServer(t)
-	seedHTTP(t, s)
-	rec1 := doJSON(t, s, http.MethodGet, "/v1/search?seeker=alice&tags=pizza,italian&k=3", nil)
-	rec2 := doJSON(t, s, http.MethodPost, "/v2/search",
-		map[string]interface{}{"seeker": "alice", "tags": []string{"pizza,italian"}, "k": 3, "mode": "exact"})
-	var v1 SearchResponse
-	var v2 V2SearchResponse
-	if err := json.Unmarshal(rec1.Body.Bytes(), &v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(rec2.Body.Bytes(), &v2); err != nil {
-		t.Fatal(err)
-	}
-	if len(v1.Results) != len(v2.Results) || len(v1.Results) == 0 {
-		t.Fatalf("v1 %+v vs v2 %+v", v1.Results, v2.Results)
-	}
-	for i := range v1.Results {
-		if v1.Results[i].Item != v2.Results[i].Item || v1.Results[i].Score != v2.Results[i].Score {
-			t.Fatalf("rank %d: v1 %+v vs v2 %+v", i, v1.Results[i], v2.Results[i])
-		}
-	}
-}
-
 // TestCancelledRequestAborts: a request whose context is already
 // cancelled is answered with 499 and no JSON body.
 func TestCancelledRequestAborts(t *testing.T) {
@@ -242,19 +215,12 @@ func TestCancelledRequestAborts(t *testing.T) {
 	seedHTTP(t, s)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	req := httptest.NewRequest(http.MethodGet, "/v1/search?seeker=alice&tags=pizza", nil).WithContext(ctx)
+	req := httptest.NewRequest(http.MethodPost, "/v2/search",
+		strings.NewReader(`{"seeker":"alice","tags":["pizza"]}`)).WithContext(ctx)
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("status %d, want %d (body %s)", rec.Code, StatusClientClosedRequest, rec.Body)
-	}
-
-	req = httptest.NewRequest(http.MethodPost, "/v2/search",
-		strings.NewReader(`{"seeker":"alice","tags":["pizza"]}`)).WithContext(ctx)
-	rec = httptest.NewRecorder()
-	s.ServeHTTP(rec, req)
-	if rec.Code != StatusClientClosedRequest {
-		t.Fatalf("v2 status %d, want %d (body %s)", rec.Code, StatusClientClosedRequest, rec.Body)
 	}
 }
 
@@ -267,7 +233,7 @@ func TestBackendIsCanonicalSearcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=x&tags=y", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "x", Tags: []string{"y"}})
 	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "stub-item") {
 		t.Fatalf("stub backend: %d %s", rec.Code, rec.Body)
 	}
@@ -299,7 +265,7 @@ func TestBackendFailureIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := doJSON(t, s, http.MethodGet, "/v1/search?seeker=x&tags=y", nil)
+	rec := doJSON(t, s, http.MethodPost, "/v2/search", V2Query{Seeker: "x", Tags: []string{"y"}})
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("backend failure: status %d, want 500 (body %s)", rec.Code, rec.Body)
 	}

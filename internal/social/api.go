@@ -28,15 +28,6 @@ type doScratch struct {
 	ex     search.Explain
 }
 
-// burst carries one worker's horizon across a same-seeker run of batch
-// requests when caching is off: the first request materializes, the
-// rest reuse — one graph pass amortized over the burst.
-type burst struct {
-	eng    *core.Engine
-	seeker graph.UserID
-	h      *core.SeekerHorizon
-}
-
 // Do answers one request. The request is validated and canonicalized by
 // search.Request.Normalize — the single place k defaulting, tag
 // normalization and knob range checks live. Every mode runs the same
@@ -63,10 +54,6 @@ func (s *Service) Do(ctx context.Context, req search.Request) (search.Response, 
 // the engine working state, the horizon adapter and the result
 // translation all come from pools or the response itself.
 func (s *Service) DoInto(ctx context.Context, req search.Request, resp *search.Response) error {
-	return s.doInto(ctx, req, resp, nil)
-}
-
-func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.Response, bst *burst) error {
 	if err := req.Normalize(); err != nil {
 		return err
 	}
@@ -94,7 +81,7 @@ func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.R
 	// One span per executed query on a sampled trace; the nil-span fast
 	// path keeps the warm read path allocation-free when untraced.
 	ctx, sp := obs.StartSpan(ctx, "social.execute")
-	err := s.doIntoScratch(ctx, req, resp, bst, sc)
+	err := s.doIntoScratch(ctx, req, resp, sc)
 	if sp != nil {
 		sp.SetAttr("seeker", req.Seeker)
 		sp.SetAttr("algorithm", sc.ex.Algorithm)
@@ -109,7 +96,7 @@ func (s *Service) doInto(ctx context.Context, req search.Request, resp *search.R
 	return err
 }
 
-func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *search.Response, bst *burst, sc *doScratch) error {
+func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *search.Response, sc *doScratch) error {
 	// Resolve names and pin the engine snapshot and cache generation
 	// together, preferably from the atomically published view — the
 	// lock-free fast path. The view's frozen dictionaries may trail the
@@ -191,14 +178,11 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 			return err
 		}
 	}
-	if req.NoCache {
-		bst = nil // NoCache promises a fresh horizon; no burst reuse
-	}
 
 	sc.ex = search.Explain{Algorithm: "SocialMerge", Mode: req.Mode.String(), Beta: qeng.Beta()}
 	q := core.Query{Seeker: uid, Tags: sc.tagIDs, K: req.K + req.Offset}
 	maxAge := time.Duration(req.MaxCacheAgeMS) * time.Millisecond
-	if err := s.horizonAnswer(ctx, qeng, q, cache, gen, maxAge, bst, &sc.ex, &sc.ans); err != nil {
+	if err := s.horizonAnswer(ctx, qeng, q, cache, gen, maxAge, &sc.ex, &sc.ans); err != nil {
 		return err
 	}
 	sc.ex.Exact = sc.ans.Exact
@@ -269,26 +253,10 @@ func (s *Service) lockedItemName(id int32) (string, bool) {
 // generation (and younger than maxAge, when positive), and a freshly
 // materialized one is offered back under the same stamp (refused if the
 // graph moved meanwhile).
-func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Query, cache *qcache.Cache, gen uint64, maxAge time.Duration, bst *burst, ex *search.Explain, ans *core.Answer) error {
+func (s *Service) horizonAnswer(ctx context.Context, eng *core.Engine, q core.Query, cache *qcache.Cache, gen uint64, maxAge time.Duration, ex *search.Explain, ans *core.Answer) error {
 	opts := core.Options{RefineScores: true, Ctx: ctx}
 	if cache == nil {
-		// No cache pinned. A same-seeker batch burst still gets to
-		// amortize the expansion: the worker carries the horizon of its
-		// previous request and the answers are identical either way (the
-		// materialized stream replays the live expansion's entries and
-		// bounds verbatim).
-		if bst != nil {
-			if bst.h == nil || bst.eng != eng || bst.seeker != q.Seeker {
-				h, err := s.materializeSpan(ctx, eng, q.Seeker)
-				if err != nil {
-					return err
-				}
-				bst.eng, bst.seeker, bst.h = eng, q.Seeker, h
-			}
-			ex.HorizonUsers = bst.h.Size()
-			return eng.SocialMergeWithHorizonInto(q, bst.h, opts, ans)
-		}
-		// Single query, caching disabled (or opted out): run the lazy
+		// Caching disabled (or opted out), batched or not: run the lazy
 		// incremental expansion — cheaper than materializing a full
 		// horizon nobody will reuse.
 		return eng.SocialMergeInto(q, opts, ans)
@@ -325,9 +293,10 @@ func (s *Service) materializeSpan(ctx context.Context, eng *core.Engine, seeker 
 // DoBatch answers many requests concurrently on a pool of
 // cfg.BatchWorkers workers, returning outcomes in input order with
 // per-request error reporting. Requests are grouped by seeker and each
-// group runs back-to-back on one worker, so a burst of same-seeker
-// queries pays for at most one horizon expansion — through the cache
-// when caching is on, or worker-carried burst state when it is off.
+// group runs back-to-back on one worker, so with caching on a run of
+// same-seeker queries pays for at most one horizon expansion: the first
+// puts the horizon in the cache, the rest hit it. With caching off (or
+// NoCache) each request runs the lazy expansion on its own, as Do does.
 // Cancellation is honoured at three levels: requests not yet handed to
 // a worker fail immediately with ctx.Err(), workers skip queued
 // requests once the context is done, and in-flight executions abort at
@@ -360,14 +329,13 @@ func (s *Service) DoBatch(ctx context.Context, reqs []search.Request) []search.B
 		go func() {
 			defer wg.Done()
 			for idxs := range jobs {
-				var bst burst
 				for _, i := range idxs {
 					if err := ctx.Err(); err != nil {
 						out[i] = search.BatchResult{Err: err}
 						continue
 					}
 					var resp search.Response
-					err := s.doInto(ctx, reqs[i], &resp, &bst)
+					err := s.DoInto(ctx, reqs[i], &resp)
 					if err != nil {
 						out[i] = search.BatchResult{Err: err}
 					} else {

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -270,6 +271,100 @@ func TestDoBatchMatchesSequential(t *testing.T) {
 	}
 	if got := svc.DoBatch(context.Background(), nil); len(got) != 0 {
 		t.Fatalf("nil batch returned %+v", got)
+	}
+}
+
+// TestCacheOffDoBatchMatchesDo: with the seeker cache off (or opted out
+// of per request with NoCache), a batch query runs the same lazy
+// expansion as a single one, so every DoBatch entry — same-seeker runs
+// on one worker included — carries the items and score bits of Do on
+// that request.
+func TestCacheOffDoBatchMatchesDo(t *testing.T) {
+	mk := func(cacheSize int) *Service {
+		cfg := DefaultServiceConfig()
+		cfg.Proximity = proximity.Params{Alpha: 0.6, SelfWeight: 1, MinSigma: 0.01}
+		cfg.AutoCompactEvery = 1 << 20
+		cfg.SeekerCacheSize = cacheSize
+		cfg.BatchWorkers = 2
+		svc, err := NewService(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(11))
+		for i := 0; i < 60; i++ {
+			a, b := rng.Intn(16), rng.Intn(16)
+			if a != b {
+				if err := svc.Befriend(fmt.Sprintf("u%d", a), fmt.Sprintf("u%d", b), 0.1+0.9*rng.Float64()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Tag(fmt.Sprintf("u%d", rng.Intn(16)), fmt.Sprintf("i%d", rng.Intn(24)), fmt.Sprintf("t%d", rng.Intn(4))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := svc.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return svc
+	}
+	rng := rand.New(rand.NewSource(5))
+	var reqs []search.Request
+	for len(reqs) < 48 {
+		// Runs of one seeker, so a worker answers several in a row.
+		seeker := fmt.Sprintf("u%d", rng.Intn(16))
+		for n := 1 + rng.Intn(4); n > 0; n-- {
+			req := search.Request{
+				Seeker: seeker,
+				Tags:   []string{fmt.Sprintf("t%d", rng.Intn(4)), fmt.Sprintf("t%d", rng.Intn(4))},
+				K:      1 + rng.Intn(6),
+			}
+			if rng.Intn(3) == 0 {
+				beta := rng.Float64()
+				req.Beta = &beta
+			}
+			reqs = append(reqs, req)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		svc     *Service
+		noCache bool
+	}{
+		{"cache off", mk(-1), false},
+		{"no_cache", mk(8), true},
+	} {
+		batch := make([]search.Request, len(reqs))
+		for i, r := range reqs {
+			r.NoCache = c.noCache
+			batch[i] = r
+		}
+		out := c.svc.DoBatch(context.Background(), batch)
+		answered := 0
+		for i, r := range batch {
+			want, err := c.svc.Do(context.Background(), r)
+			if (err == nil) != (out[i].Err == nil) {
+				t.Fatalf("%s: query %d: batch err %v, Do err %v", c.name, i, out[i].Err, err)
+			}
+			if err != nil {
+				continue
+			}
+			answered++
+			got := out[i].Response.Results
+			if len(got) != len(want.Results) {
+				t.Fatalf("%s: query %d: batch %+v != Do %+v", c.name, i, got, want.Results)
+			}
+			for j := range got {
+				if got[j].Item != want.Results[j].Item || math.Float64bits(got[j].Score) != math.Float64bits(want.Results[j].Score) {
+					t.Fatalf("%s: query %d rank %d: batch %+v != Do %+v", c.name, i, j, got[j], want.Results[j])
+				}
+			}
+		}
+		if answered < len(batch)/2 {
+			t.Fatalf("%s: only %d of %d queries answered; the corpus does not exercise the merge", c.name, answered, len(batch))
+		}
+		if st := c.svc.Stats(); st.SeekerCache.Hits != 0 || st.SeekerCache.Misses != 0 {
+			t.Fatalf("%s: cache recorded traffic: %+v", c.name, st.SeekerCache)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 	"repro/internal/search"
 )
 
-// searchExact runs the ModeExact query the /v1 search surface runs.
+// searchExact runs a ModeExact query.
 func searchExact(svc *Service, seeker string, tags []string, k int) ([]search.Result, error) {
 	resp, err := svc.Do(context.Background(), search.Request{Seeker: seeker, Tags: tags, K: k, Mode: search.ModeExact})
 	return resp.Results, err

@@ -1,10 +1,14 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -111,6 +115,43 @@ func TestBitFlipInTailFrameDropsOnlyThatFrame(t *testing.T) {
 	l.Close()
 }
 
+// TestDamagedLengthIsCaughtBeforeAllocation: a torn tail whose length
+// varint claims more bytes than the segment holds (here 60 MiB, under
+// the 64 MiB record limit) is a torn frame, found without allocating
+// the claimed size — by Replay and by Open, which truncates it.
+func TestDamagedLengthIsCaughtBeforeAllocation(t *testing.T) {
+	dir, paths := writeLog(t, 3, 1<<20)
+	last := paths[len(paths)-1]
+	raw, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	intact := int64(len(raw))
+	raw = binary.AppendUvarint(raw, 60<<20)
+	raw = append(raw, 1, 2, 3, 4, 5, 6, 7, 8)
+	if err := os.WriteFile(last, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if recs := collect(t, dir); len(recs) != 3 {
+		t.Fatalf("replayed %d records, want the 3 before the damaged frame", len(recs))
+	}
+	l, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	runtime.ReadMemStats(&ms)
+	if got := ms.TotalAlloc - before; got > 8<<20 {
+		t.Fatalf("replay and open allocated %d bytes for a frame the segment cannot hold", got)
+	}
+	if got := fileSize(t, last); got != intact {
+		t.Fatalf("Open left the segment at %d bytes, want the intact %d", got, intact)
+	}
+}
+
 func TestCorruptionInNonLastSegmentIsFatal(t *testing.T) {
 	dir, paths := writeLog(t, 40, 128)
 	if len(paths) < 3 {
@@ -154,10 +195,31 @@ func TestHeaderDamageIsFatal(t *testing.T) {
 			if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := Replay(dir, func(Record) error { return nil }); err == nil {
-				t.Fatal("Replay accepted a damaged header")
+			if _, err := Replay(dir, func(Record) error { return nil }); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Replay of a damaged header: err = %v, want ErrCorrupt", err)
 			}
 		})
+	}
+}
+
+// TestOtherVersionIsNotCorruption: an intact header (its checksum
+// matches) that names another format version is reported as such, not
+// as corruption — while a damaged version byte, whose checksum fails,
+// is corruption (TestHeaderDamageIsFatal).
+func TestOtherVersionIsNotCorruption(t *testing.T) {
+	dir, paths := writeLog(t, 3, 1<<20)
+	raw, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[4] = version + 1
+	binary.LittleEndian.PutUint32(raw[13:], crc32.ChecksumIEEE(raw[:13]))
+	if err := os.WriteFile(paths[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Replay(dir, func(Record) error { return nil })
+	if err == nil || errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "unsupported version") {
+		t.Fatalf("Replay of another version: err = %v, want unsupported version", err)
 	}
 }
 

@@ -57,7 +57,12 @@ func scanSegment(seg segmentInfo, fn func(Record) error) (endLSN uint64, tailOK 
 		return 0, false, err
 	}
 	defer f.Close()
-	br := bufio.NewReaderSize(f, 1<<16)
+	st, err := f.Stat()
+	if err != nil {
+		return 0, false, err
+	}
+	cr := &countingReader{r: f}
+	br := bufio.NewReaderSize(cr, 1<<16)
 
 	if err := checkHeader(br, seg); err != nil {
 		return 0, false, err
@@ -66,7 +71,7 @@ func scanSegment(seg segmentInfo, fn func(Record) error) (endLSN uint64, tailOK 
 	lsn := seg.firstLSN
 	var payload []byte
 	for {
-		rec, ok, err := readFrame(br, &payload)
+		rec, ok, err := readFrame(br, &payload, st.Size()-cr.n+int64(br.Buffered()))
 		if err != nil {
 			return 0, false, err
 		}
@@ -92,26 +97,32 @@ func checkHeader(br *bufio.Reader, seg segmentInfo) error {
 	if [4]byte(hdr[:4]) != segMagic {
 		return fmt.Errorf("%w: bad magic in %s", ErrCorrupt, seg.path)
 	}
+	// The checksum comes before the version: a damaged version byte is
+	// corruption, and only an intact header can name another version.
+	if binary.LittleEndian.Uint32(hdr[13:]) != crc32.ChecksumIEEE(hdr[:13]) {
+		return fmt.Errorf("%w: header checksum mismatch in %s", ErrCorrupt, seg.path)
+	}
 	if hdr[4] != version {
 		return fmt.Errorf("wal: unsupported version %d in %s", hdr[4], seg.path)
 	}
 	if binary.LittleEndian.Uint64(hdr[5:13]) != seg.firstLSN {
 		return fmt.Errorf("%w: header lsn disagrees with filename in %s", ErrCorrupt, seg.path)
 	}
-	if binary.LittleEndian.Uint32(hdr[13:]) != crc32.ChecksumIEEE(hdr[:13]) {
-		return fmt.Errorf("%w: header checksum mismatch in %s", ErrCorrupt, seg.path)
-	}
 	return nil
 }
 
-// readFrame decodes one frame. Return conventions:
+// readFrame decodes one frame from the next left bytes of the segment.
+// Return conventions:
 //   - (rec, true, nil): an intact frame.
 //   - (nil, true, nil): clean EOF at a frame boundary.
-//   - (nil, false, nil): torn/corrupt frame (incomplete bytes or CRC
-//     mismatch) — the caller decides whether that is tolerable.
+//   - (nil, false, nil): torn/corrupt frame (incomplete bytes, a length
+//     past the segment's end, or CRC mismatch) — the caller decides
+//     whether that is tolerable.
 //
-// *payload is reused across calls to avoid per-frame allocation.
-func readFrame(br *bufio.Reader, payload *[]byte) (*Record, bool, error) {
+// *payload is reused across calls to avoid per-frame allocation; a
+// damaged length is caught against left before anything is allocated
+// for it.
+func readFrame(br *bufio.Reader, payload *[]byte, left int64) (*Record, bool, error) {
 	// A frame boundary is the only place clean EOF can occur.
 	if _, err := br.Peek(1); err == io.EOF {
 		return nil, true, nil
@@ -120,8 +131,8 @@ func readFrame(br *bufio.Reader, payload *[]byte) (*Record, bool, error) {
 	if err != nil {
 		return nil, false, nil // partial length varint: torn
 	}
-	if size > maxPayload {
-		return nil, false, nil // absurd length: treat as damage
+	if size > maxPayload || int64(size)+1+4 > left {
+		return nil, false, nil // absurd length, or more than the file holds: damage
 	}
 	need := int(size) + 1 + 4 // type + payload + crc
 	if cap(*payload) < need {
@@ -147,6 +158,10 @@ func segmentPrefixLen(seg segmentInfo, endLSN uint64) (int64, error) {
 		return 0, err
 	}
 	defer f.Close()
+	st, err := f.Stat()
+	if err != nil {
+		return 0, err
+	}
 	cr := &countingReader{r: f}
 	br := bufio.NewReaderSize(cr, 1<<16)
 
@@ -157,7 +172,7 @@ func segmentPrefixLen(seg segmentInfo, endLSN uint64) (int64, error) {
 	lsn := seg.firstLSN
 	var payload []byte
 	for lsn < endLSN {
-		rec, ok, err := readFrame(br, &payload)
+		rec, ok, err := readFrame(br, &payload, st.Size()-good)
 		if err != nil || !ok || rec == nil {
 			return 0, fmt.Errorf("%w: segment %s shrank during recovery", ErrCorrupt, seg.path)
 		}

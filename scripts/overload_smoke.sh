@@ -111,7 +111,8 @@ echo "== a shed must answer 429 with Retry-After while saturated"
 BGLOAD=$!
 GOT429=no
 for _ in $(seq 1 100); do
-  HDRS=$(curl -s --max-time 2 -o /dev/null -D - "$BASE/v1/search?seeker=u0001&tags=tag01&k=5" || true)
+  HDRS=$(curl -s --max-time 2 -o /dev/null -D - -H 'Content-Type: application/json' \
+    -d '{"seeker":"u0001","tags":["tag01"],"k":5}' "$BASE/v2/search" || true)
   if echo "$HDRS" | head -1 | grep -q 429; then
     if ! echo "$HDRS" | grep -qi '^retry-after:'; then
       echo "FAIL: 429 without a Retry-After header:" >&2
