@@ -85,8 +85,8 @@ type OverheadGate struct {
 //
 // A sub-benchmark run again under the same name gets a "#NN" suffix
 // from the testing package; the suffix is dropped, so every run is one
-// more sample of the same benchmark (BenchmarkServingModes interleaves
-// its modes that way).
+// more sample of the same benchmark (a benchmark that interleaves its
+// sub-benchmarks in rounds reports them that way).
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:#\d+)?(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // allocField matches the allocs/op field -benchmem appends.

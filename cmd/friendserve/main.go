@@ -6,15 +6,15 @@
 //
 //	friendserve [-addr :8080] [-dir /var/lib/friendsearch] [-demo]
 //	            [-cache-size 256] [-drain 500ms]
-//	            [-admit] [-admit-window 8] [-admit-max-window 256]
-//	            [-admit-queue 128] [-admit-queue-deadline 500ms]
+//	            [-admit] [-admit-max-window 256] [-admit-queue 128]
+//	            [-admit-queue-deadline 500ms]
 //	            [-log-format text] [-pprof] [-trace-sample 16]
 //	            [-trace-slow 250ms] [-trace-recorder 256]
 //	friendserve -replica [-addr :8081] [-join http://fe:8080]
 //	            [-advertise http://host:8081] ...
 //	friendserve -replicas http://a:8081,http://b:8082 [-addr :8080]
 //	            -replog-dir /var/lib/friendsearch/replog
-//	            [-hedge 0] [-health-interval 1s] [-fail-after 3]
+//	            [-health-interval 1s] [-fail-after 3]
 //	            [-bcast-window 25ms] [-bcast-max-edges 512]
 //	            [-catchup-timeout 30s] [-mutation-timeout 10s]
 //	friendserve -replicas ... -replog-dir DIR -frontend-id fe1 \
@@ -147,7 +147,6 @@ func main() {
 	joinURL := flag.String("join", "", "replica: ask this front-end to adopt this process into the fleet once serving (elastic join)")
 	advertise := flag.String("advertise", "", "replica: base URL the front-end reaches this replica at (default: http://127.0.0.1 + the -addr port)")
 	replicas := flag.String("replicas", "", "comma-separated replica base URLs: serve as the fleet front-end")
-	hedge := flag.Duration("hedge", 0, "front-end: duplicate a single query not answered within this delay (0 disables)")
 	healthInterval := flag.Duration("health-interval", 0, "front-end: replica /healthz probe period (0 = default)")
 	failAfter := flag.Int("fail-after", 0, "front-end: consecutive failures before ejecting a replica (0 = default)")
 	bcastWindow := flag.Duration("bcast-window", 0, "front-end: compaction heartbeat coalescing window (0 = default)")
@@ -157,8 +156,7 @@ func main() {
 	peers := flag.String("peers", "", "HA front-end: comma-separated id=url pairs for every quorum member including this node; replicates the log across them (requires -replicas and -frontend-id; without it the log has one member)")
 	catchupTimeout := flag.Duration("catchup-timeout", 0, "front-end: bound on one replica's replication log catch-up (0 = default 30s)")
 	mutationTimeout := flag.Duration("mutation-timeout", 0, "front-end: bound on the quorum majority acknowledgement of one write and on the /v1/users fan-out (0 = default 10s)")
-	admit := flag.Bool("admit", false, "enable adaptive admission control (AIMD window + brownout; see docs/overload.md)")
-	admitWindow := flag.Int("admit-window", 0, "admission: initial concurrency window (0 = default)")
+	admit := flag.Bool("admit", false, "enable adaptive admission control (AIMD window + bounded queue; see docs/overload.md)")
 	admitMaxWindow := flag.Int("admit-max-window", 0, "admission: concurrency window ceiling (0 = default)")
 	admitQueue := flag.Int("admit-queue", 0, "admission: bounded wait-queue length (0 = default)")
 	admitQueueDeadline := flag.Duration("admit-queue-deadline", 0, "admission: max time a request may wait queued (0 = default)")
@@ -203,7 +201,6 @@ func main() {
 	if *replicas != "" {
 		front, node, err := buildFrontend(frontendOpts{
 			urls:            *replicas,
-			hedge:           *hedge,
 			healthInterval:  *healthInterval,
 			failAfter:       *failAfter,
 			bcastWindow:     *bcastWindow,
@@ -286,14 +283,13 @@ func main() {
 	}
 	if *admit {
 		ctrl := admission.New(admission.Config{
-			InitialWindow: *admitWindow,
 			MaxWindow:     *admitMaxWindow,
 			QueueLimit:    *admitQueue,
 			QueueDeadline: *admitQueueDeadline,
 		})
 		srv.SetAdmission(ctrl)
-		log.Printf("admission control on (window=%d max=%d queue=%d deadline=%v; 0 = package default)",
-			*admitWindow, *admitMaxWindow, *admitQueue, *admitQueueDeadline)
+		log.Printf("admission control on (max window=%d queue=%d deadline=%v; 0 = package default)",
+			*admitMaxWindow, *admitQueue, *admitQueueDeadline)
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -376,7 +372,6 @@ func selfJoin(ctx context.Context, frontURL, selfURL string) {
 
 type frontendOpts struct {
 	urls            string
-	hedge           time.Duration
 	healthInterval  time.Duration
 	failAfter       int
 	bcastWindow     time.Duration
@@ -421,7 +416,7 @@ func buildFrontend(o frontendOpts) (*fleet.Frontend, *quorum.Node, error) {
 		if u = strings.TrimSpace(u); u == "" {
 			continue
 		}
-		c, err := fleet.NewClient(u, fleet.ClientConfig{HedgeDelay: o.hedge})
+		c, err := fleet.NewClient(u, fleet.ClientConfig{})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -446,11 +441,6 @@ func buildFrontend(o frontendOpts) (*fleet.Frontend, *quorum.Node, error) {
 	}
 	if o.mutationTimeout > 0 {
 		front.MutationTimeout = o.mutationTimeout
-	}
-	// Elastically joined replicas get the same client config as the
-	// configured fleet.
-	front.NewReplicaClient = func(u string) (*fleet.Client, error) {
-		return fleet.NewClient(u, fleet.ClientConfig{HedgeDelay: o.hedge})
 	}
 	if o.catchupTimeout > 0 {
 		front.CatchupTimeout = o.catchupTimeout

@@ -42,6 +42,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/loadgen"
 	"repro/internal/search"
+	"repro/internal/server"
 )
 
 func main() {
@@ -87,8 +88,9 @@ func main() {
 	if idle > 2048 {
 		idle = 2048
 	}
+	clientTimeout := pickClientTimeout(*timeout, *slo)
 	client, err := fleet.NewClient(*url, fleet.ClientConfig{
-		Timeout:      pickClientTimeout(*timeout, *slo),
+		Timeout:      clientTimeout,
 		MaxIdleConns: idle,
 	})
 	if err != nil {
@@ -102,6 +104,9 @@ func main() {
 	corpus := makeCorpus(*seekers, *tags)
 	if *seedCorpus {
 		if err := corpus.declare(ctx, target); err != nil {
+			log.Fatalf("seeding corpus on %s: %v", *url, err)
+		}
+		if err := corpus.awaitQueryable(ctx, target, clientTimeout); err != nil {
 			log.Fatalf("seeding corpus on %s: %v", *url, err)
 		}
 	}
@@ -295,6 +300,43 @@ func (c corpus) declare(ctx context.Context, t *clientTarget) error {
 			if err := t.Tag(ctx, c.users[(i*5+1)%n], item, c.tags[(i+1)%len(c.tags)]); err != nil {
 				return err
 			}
+		}
+	}
+	return nil
+}
+
+// awaitQueryable polls /v2/search/batch until every declared seeker
+// answers a query over every corpus tag. The target acknowledges a
+// write once it is logged, but a fleet replica knows the write's names
+// only after the next heartbeat folds it, and each replica folds on
+// its own stream, so a run started at once would count its first reads
+// invalid. The wait is bounded by d (0: the client's default timeout).
+func (c corpus) awaitQueryable(ctx context.Context, t *clientTarget, d time.Duration) error {
+	if d <= 0 {
+		d = fleet.DefaultTimeout
+	}
+	ctx, cancel := context.WithTimeout(ctx, d)
+	defer cancel()
+	reqs := make([]search.Request, len(c.users))
+	for i, u := range c.users {
+		reqs[i] = search.Request{Seeker: u, Tags: c.tags, K: 1}
+	}
+	for len(reqs) > 0 {
+		n := min(len(reqs), server.MaxBatchQueries)
+		var err error
+		for _, r := range t.DoBatch(ctx, reqs[:n]) {
+			if err = r.Err; err != nil {
+				break
+			}
+		}
+		if err == nil {
+			reqs = reqs[n:]
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return fmt.Errorf("declared corpus not queryable within %v: %w", d, err)
+		case <-time.After(5 * time.Millisecond):
 		}
 	}
 	return nil

@@ -257,6 +257,53 @@ func TestV2ModeEquivalence(t *testing.T) {
 	})
 }
 
+// TestServingModesAgree: on the serving benchmarks' corpus and
+// workload, auto, exact and approx run the one exact path, so every
+// request answers the same items with the same score bits (the JSON
+// form of a float64 round-trips exactly) and the same Explain apart
+// from the echoed mode: Exact, ScoreBound, HorizonUsers, UsersSettled
+// and the access counts. Cold (cache off) and over warm cached
+// horizons. Timing the modes against each other could only measure
+// the machine; a mode that grows a path of its own fails here.
+func TestServingModesAgree(t *testing.T) {
+	modes := []search.Mode{search.ModeExact, search.ModeAuto, search.ModeApprox}
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+	}{{"cold", -1}, {"cached", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, reqs := servingService(t, tc.cacheSize)
+			ctx := context.Background()
+			// One pass first, so every mode below finds the same cache state.
+			for _, req := range reqs {
+				if _, err := svc.Do(ctx, req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, req := range reqs {
+				req.Explain = true
+				var exact string
+				for _, mode := range modes {
+					req.Mode = mode
+					resp, err := svc.Do(ctx, req)
+					if err != nil {
+						t.Fatalf("request %d mode %s: %v", i, mode, err)
+					}
+					if ex := resp.Explain; ex == nil || !ex.Exact || ex.Mode != mode.String() {
+						t.Fatalf("request %d mode %s: explain %+v, want exact in that mode", i, mode, ex)
+					}
+					got := modelessAnswer(t, resp.Results, resp.Explain)
+					if mode == search.ModeExact {
+						exact = got
+					} else if got != exact {
+						t.Fatalf("request %d: mode %s differs from exact\n got %s\nwant %s", i, mode, got, exact)
+					}
+				}
+			}
+		})
+	}
+}
+
 // corpusNames names a generated id-space corpus: users u<id>, items
 // i<id>, tags t<id>.
 func corpusNames(ds *gen.Dataset) *vocab.Set {

@@ -26,8 +26,8 @@ import (
 // TestCachedReadPathZeroAlloc: after the seeker cache and the arenas
 // are warm, a full serving workload through DoInto must perform zero
 // heap allocations, in every mode. This is the programmatic twin of
-// benchgate's allocs/op gates on BenchmarkServingCachedSearch and
-// BenchmarkServingModes.
+// benchgate's allocs/op gate on BenchmarkServingCachedSearch, and the
+// only allocation check on the auto and approx modes.
 func TestCachedReadPathZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")

@@ -1,7 +1,6 @@
 // Package admission implements per-replica adaptive overload control:
 // an AIMD concurrency window, a bounded FIFO admission queue with
-// per-request deadline budgets, and a brownout ladder that sheds
-// optional work before shedding requests.
+// per-request deadline budgets.
 //
 // The control loop is TCP-shaped (modeled on congestion-window fetchers
 // like ndn-dpdk's fetch-algo): every completion that lands within its
@@ -19,12 +18,7 @@
 // estimated queue wait would consume its remaining budget. Writes are
 // never shed before reads of the same deadline class: a write arriving
 // at a full queue displaces the newest queued read instead of being
-// rejected.
-//
-// Brownout is driven by measured queue state, not configuration guesses:
-// as the queue deepens past a threshold, Explain work is shed (level 1)
-// while answers stay untouched; past that, the queue sheds requests.
-// See docs/overload.md.
+// rejected. See docs/overload.md.
 package admission
 
 import (
@@ -49,26 +43,24 @@ const (
 	Write
 )
 
-// Level is a rung of the brownout ladder.
-type Level int
-
+// The fixed shape of the AIMD loop: the window never falls below
+// minWindow and starts at initialWindow (clamped to MaxWindow); a
+// congestion signal multiplies it by decreaseFactor, at most once per
+// recoveryInterval so one burst counts once; latencyWindow sizes the
+// rotating latency histogram backing /v1/stats quantiles.
 const (
-	// LevelNormal serves requests exactly as asked.
-	LevelNormal Level = iota
-	// LevelShedExplain strips Explain from requests: under pressure the
-	// observability garnish goes first, answers stay untouched.
-	LevelShedExplain
+	minWindow        = 1
+	initialWindow    = 8
+	decreaseFactor   = 0.5
+	recoveryInterval = 100 * time.Millisecond
+	latencyWindow    = 10 * time.Second
 )
 
 // Config tunes a Controller. The zero value of every field means "use
-// the default"; set ExplainShedAt negative to disable the rung.
+// the default".
 type Config struct {
-	// MinWindow / MaxWindow bound the AIMD concurrency window
-	// (defaults 1 and 256). InitialWindow is the starting window
-	// (default 8).
-	MinWindow     int
-	MaxWindow     int
-	InitialWindow int
+	// MaxWindow bounds the AIMD concurrency window (default 256).
+	MaxWindow int
 	// QueueLimit bounds the FIFO admission queue (default 128).
 	QueueLimit int
 	// QueueDeadline caps every request's queueing+service budget. A
@@ -76,64 +68,20 @@ type Config struct {
 	// so a client with a lax timeout still gets shed instead of queued
 	// past the replica's SLO. Default 500ms.
 	QueueDeadline time.Duration
-	// DecreaseFactor is the multiplicative window shrink on congestion
-	// (default 0.5); RecoveryInterval is the minimum gap between shrinks
-	// (default 100ms) so one burst counts once.
-	DecreaseFactor   float64
-	RecoveryInterval time.Duration
-	// ExplainShedAt is the queue depth (not a fraction) at which the
-	// brownout rung engages (default QueueLimit/8, at least 1; negative
-	// disables it). LevelHold is how long the engaged rung stays sticky
-	// after the trigger condition clears (default 1s) — hysteresis, so
-	// the ladder does not flap per request.
-	ExplainShedAt int
-	LevelHold     time.Duration
-	// LatencyWindow sizes the rotating latency histogram backing the
-	// wait estimator and /v1/stats quantiles (default 10s).
-	LatencyWindow time.Duration
 	// Clock overrides time.Now in tests.
 	Clock func() time.Time
 }
 
 func (c Config) withDefaults() Config {
-	if c.MinWindow == 0 {
-		c.MinWindow = 1
-	}
 	if c.MaxWindow == 0 {
 		c.MaxWindow = 256
 	}
-	if c.MaxWindow < c.MinWindow {
-		c.MaxWindow = c.MinWindow
-	}
-	if c.InitialWindow == 0 {
-		c.InitialWindow = 8
-	}
-	if c.InitialWindow < c.MinWindow {
-		c.InitialWindow = c.MinWindow
-	}
-	if c.InitialWindow > c.MaxWindow {
-		c.InitialWindow = c.MaxWindow
-	}
+	c.MaxWindow = max(c.MaxWindow, minWindow)
 	if c.QueueLimit == 0 {
 		c.QueueLimit = 128
 	}
 	if c.QueueDeadline == 0 {
 		c.QueueDeadline = 500 * time.Millisecond
-	}
-	if c.DecreaseFactor == 0 {
-		c.DecreaseFactor = 0.5
-	}
-	if c.RecoveryInterval == 0 {
-		c.RecoveryInterval = 100 * time.Millisecond
-	}
-	if c.ExplainShedAt == 0 {
-		c.ExplainShedAt = max(1, c.QueueLimit/8)
-	}
-	if c.LevelHold == 0 {
-		c.LevelHold = time.Second
-	}
-	if c.LatencyWindow == 0 {
-		c.LatencyWindow = 10 * time.Second
 	}
 	return c
 }
@@ -160,8 +108,6 @@ type Controller struct {
 	queue        []*waiter
 	ewmaLatency  float64 // seconds; 0 until the first completion
 	lastDecrease time.Time
-	level        Level
-	levelSince   time.Time
 
 	latency *metrics.Histogram
 
@@ -178,7 +124,6 @@ type Controller struct {
 	lateDone         atomic.Int64
 	timeouts         atomic.Int64
 	errored          atomic.Int64
-	explainShed      atomic.Int64
 }
 
 // New builds a controller from cfg (zero fields take defaults).
@@ -186,8 +131,8 @@ func New(cfg Config) *Controller {
 	cfg = cfg.withDefaults()
 	c := &Controller{
 		cfg:     cfg,
-		window:  float64(cfg.InitialWindow),
-		latency: metrics.NewHistogram(cfg.LatencyWindow),
+		window:  float64(min(initialWindow, cfg.MaxWindow)),
+		latency: metrics.NewHistogram(latencyWindow),
 	}
 	return c
 }
@@ -206,9 +151,6 @@ type Ticket struct {
 	start    time.Time
 	deadline time.Time
 	active   bool
-	// Level is the brownout level at admission time; callers apply the
-	// ladder with Apply.
-	Level Level
 }
 
 // Acquire admits one request, queueing it when the AIMD window is full.
@@ -227,12 +169,11 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (Ticket, error) {
 	}
 
 	c.mu.Lock()
-	lvl := c.levelLocked(now)
 	if c.inflight < c.windowLocked() && len(c.queue) == 0 {
 		c.inflight++
 		c.mu.Unlock()
 		c.admitted.Add(1)
-		return Ticket{c: c, start: now, deadline: deadline, active: true, Level: lvl}, nil
+		return Ticket{c: c, start: now, deadline: deadline, active: true}, nil
 	}
 
 	// The window is full: this request must queue. Shed it now if its
@@ -267,9 +208,6 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (Ticket, error) {
 	}
 	w := &waiter{ch: make(chan error, 1), class: class, deadline: deadline}
 	c.queue = append(c.queue, w)
-	if lv := c.levelLocked(now); lv > lvl {
-		lvl = lv
-	}
 	c.mu.Unlock()
 
 	select {
@@ -278,7 +216,7 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (Ticket, error) {
 			return Ticket{}, err
 		}
 		c.admitted.Add(1)
-		return Ticket{c: c, start: c.clock(), deadline: deadline, active: true, Level: lvl}, nil
+		return Ticket{c: c, start: c.clock(), deadline: deadline, active: true}, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		if w.decided {
@@ -287,7 +225,7 @@ func (c *Controller) Acquire(ctx context.Context, class Class) (Ticket, error) {
 			c.mu.Unlock()
 			if err := <-w.ch; err == nil {
 				c.admitted.Add(1)
-				t := Ticket{c: c, start: c.clock(), deadline: deadline, active: true, Level: lvl}
+				t := Ticket{c: c, start: c.clock(), deadline: deadline, active: true}
 				t.Release(ctx.Err())
 			}
 			return Ticket{}, ctx.Err()
@@ -356,13 +294,9 @@ func (t *Ticket) Release(err error) {
 	c.mu.Unlock()
 }
 
-// windowLocked is the integer window (floor, at least MinWindow).
+// windowLocked is the integer window (floor, at least minWindow).
 func (c *Controller) windowLocked() int {
-	w := int(c.window)
-	if w < c.cfg.MinWindow {
-		w = c.cfg.MinWindow
-	}
-	return w
+	return max(int(c.window), minWindow)
 }
 
 // estWaitLocked estimates the queue wait at position pos: pos+1 requests
@@ -388,14 +322,11 @@ func (c *Controller) retryAfterLocked() time.Duration {
 // congestionLocked applies the multiplicative decrease, rate-limited to
 // once per recovery interval.
 func (c *Controller) congestionLocked(now time.Time) {
-	if !c.lastDecrease.IsZero() && now.Sub(c.lastDecrease) < c.cfg.RecoveryInterval {
+	if !c.lastDecrease.IsZero() && now.Sub(c.lastDecrease) < recoveryInterval {
 		return
 	}
 	c.lastDecrease = now
-	c.window *= c.cfg.DecreaseFactor
-	if minW := float64(c.cfg.MinWindow); c.window < minW {
-		c.window = minW
-	}
+	c.window = max(c.window*decreaseFactor, minWindow)
 }
 
 // popWaitersLocked admits queued requests that now fit the window,
@@ -434,50 +365,11 @@ func (c *Controller) popNewestLocked(class Class) *waiter {
 	return nil
 }
 
-// levelLocked computes the brownout level with sticky-down hysteresis:
-// rungs engage instantly when the queue deepens and release only after
-// LevelHold of calm.
-func (c *Controller) levelLocked(now time.Time) Level {
-	depth := len(c.queue)
-	inst := LevelNormal
-	if c.cfg.ExplainShedAt >= 0 && depth >= c.cfg.ExplainShedAt {
-		inst = LevelShedExplain
-	}
-	switch {
-	case inst >= c.level:
-		c.level = inst
-		c.levelSince = now
-	case now.Sub(c.levelSince) > c.cfg.LevelHold:
-		c.level = inst
-		c.levelSince = now
-	}
-	return c.level
-}
-
-// Level reports the current brownout level.
-func (c *Controller) Level() Level {
-	now := c.clock()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.levelLocked(now)
-}
-
-// Apply applies the brownout ladder for level lvl to req in place: at
-// LevelShedExplain the Explain flag is stripped (counted on the
-// controller).
-func (c *Controller) Apply(lvl Level, req *search.Request) {
-	if lvl >= LevelShedExplain && req.Explain {
-		req.Explain = false
-		c.explainShed.Add(1)
-	}
-}
-
 // Snapshot is a point-in-time view of the controller for /v1/stats.
 type Snapshot struct {
 	Window   float64
 	InFlight int
 	Queued   int
-	Level    int
 
 	Admitted      int64
 	ShedQueueFull int64
@@ -492,7 +384,6 @@ type Snapshot struct {
 	LateDone         int64
 	Timeouts         int64
 	Errors           int64
-	ExplainShed      int64
 
 	Latency metrics.HistogramSnapshot
 }
@@ -502,13 +393,11 @@ func (s Snapshot) Shed() int64 { return s.ShedQueueFull + s.ShedBudget + s.ShedD
 
 // Snapshot reports the controller's current state.
 func (c *Controller) Snapshot() Snapshot {
-	now := c.clock()
 	c.mu.Lock()
 	s := Snapshot{
 		Window:   c.window,
 		InFlight: c.inflight,
 		Queued:   len(c.queue),
-		Level:    int(c.levelLocked(now)),
 	}
 	c.mu.Unlock()
 	s.Admitted = c.admitted.Load()
@@ -521,7 +410,6 @@ func (c *Controller) Snapshot() Snapshot {
 	s.LateDone = c.lateDone.Load()
 	s.Timeouts = c.timeouts.Load()
 	s.Errors = c.errored.Load()
-	s.ExplainShed = c.explainShed.Load()
 	s.Latency = c.latency.Snapshot()
 	return s
 }

@@ -36,7 +36,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestAIMDGrowsAdditivelyShrinksMultiplicatively(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{InitialWindow: 8, Clock: clk.now})
+	c := New(Config{Clock: clk.now})
 
 	// On-deadline success: +1/window.
 	tk, err := c.Acquire(context.Background(), Read)
@@ -79,7 +79,7 @@ func TestAIMDGrowsAdditivelyShrinksMultiplicatively(t *testing.T) {
 
 func TestBudgetShedWhenQueueWaitExceedsDeadline(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueDeadline: 500 * time.Millisecond, Clock: clk.now})
+	c := New(Config{MaxWindow: 1, QueueDeadline: 500 * time.Millisecond, Clock: clk.now})
 
 	// Seed the latency estimate: one request that took a full second.
 	tk, err := c.Acquire(context.Background(), Read)
@@ -112,7 +112,7 @@ func TestBudgetShedWhenQueueWaitExceedsDeadline(t *testing.T) {
 
 func TestQueueFullWriteDisplacesNewestRead(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 1, Clock: clk.now})
+	c := New(Config{MaxWindow: 1, QueueLimit: 1, Clock: clk.now})
 
 	tk, err := c.Acquire(context.Background(), Read)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestQueueFullWriteDisplacesNewestRead(t *testing.T) {
 
 func TestCtxCancelWhileQueuedReturnsCtxErr(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MinWindow: 1, MaxWindow: 1, InitialWindow: 1, Clock: clk.now})
+	c := New(Config{MaxWindow: 1, Clock: clk.now})
 
 	tk, err := c.Acquire(context.Background(), Read)
 	if err != nil {
@@ -196,7 +196,7 @@ func TestCtxCancelWhileQueuedReturnsCtxErr(t *testing.T) {
 
 func TestExpiredDeadlineShedAtPop(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueDeadline: 100 * time.Millisecond, Clock: clk.now})
+	c := New(Config{MaxWindow: 1, QueueDeadline: 100 * time.Millisecond, Clock: clk.now})
 
 	tk, err := c.Acquire(context.Background(), Read)
 	if err != nil {
@@ -220,76 +220,11 @@ func TestExpiredDeadlineShedAtPop(t *testing.T) {
 	}
 }
 
-func TestBrownoutLadderAndHysteresis(t *testing.T) {
-	clk := newFakeClock()
-	c := New(Config{
-		MinWindow: 1, MaxWindow: 1, InitialWindow: 1,
-		QueueLimit: 8, ExplainShedAt: 2,
-		LevelHold: time.Second, Clock: clk.now,
-	})
-
-	tk, err := c.Acquire(context.Background(), Read)
-	if err != nil {
-		t.Fatalf("Acquire: %v", err)
-	}
-	if lvl := c.Level(); lvl != LevelNormal {
-		t.Fatalf("idle level = %v, want LevelNormal", lvl)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	results := make(chan error, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			_, err := c.Acquire(ctx, Read)
-			results <- err
-		}()
-		want := i + 1
-		waitFor(t, "queue to deepen", func() bool { return c.Snapshot().Queued == want })
-		if lvl := c.Level(); want == 1 && lvl != LevelNormal {
-			t.Fatalf("level at depth 1 = %v, want LevelNormal", lvl)
-		}
-	}
-	if lvl := c.Level(); lvl != LevelShedExplain {
-		t.Fatalf("level at depth 2 = %v, want LevelShedExplain", lvl)
-	}
-
-	// Apply: Explain stripped, everything else untouched; below the rung
-	// nothing changes.
-	req := search.Request{Seeker: "u", Mode: search.ModeAuto, Explain: true}
-	c.Apply(LevelShedExplain, &req)
-	if req.Explain || req.Mode != search.ModeAuto {
-		t.Fatalf("Apply left req = %+v, want only explain stripped", req)
-	}
-	calm := search.Request{Seeker: "u", Explain: true}
-	c.Apply(LevelNormal, &calm)
-	if !calm.Explain {
-		t.Fatal("Apply(LevelNormal) stripped Explain")
-	}
-	if s := c.Snapshot(); s.ExplainShed != 1 {
-		t.Fatalf("ExplainShed = %d, want 1", s.ExplainShed)
-	}
-
-	// Drain the queue; the level stays sticky for LevelHold, then decays.
-	cancel()
-	for i := 0; i < 2; i++ {
-		<-results
-	}
-	tk.Release(nil)
-	if lvl := c.Level(); lvl != LevelShedExplain {
-		t.Fatalf("level immediately after calm = %v, want sticky LevelShedExplain", lvl)
-	}
-	clk.advance(2 * time.Second)
-	if lvl := c.Level(); lvl != LevelNormal {
-		t.Fatalf("level after LevelHold of calm = %v, want LevelNormal", lvl)
-	}
-}
-
 func TestFastPathAdmitsWithinWindow(t *testing.T) {
 	clk := newFakeClock()
-	c := New(Config{InitialWindow: 4, Clock: clk.now})
+	c := New(Config{Clock: clk.now})
 	var tks []Ticket
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		tk, err := c.Acquire(context.Background(), Read)
 		if err != nil {
 			t.Fatalf("Acquire %d: %v", i, err)
@@ -297,8 +232,8 @@ func TestFastPathAdmitsWithinWindow(t *testing.T) {
 		tks = append(tks, tk)
 	}
 	s := c.Snapshot()
-	if s.InFlight != 4 || s.Queued != 0 || s.Admitted != 4 {
-		t.Fatalf("snapshot = %+v, want 4 in flight, none queued", s)
+	if s.InFlight != 8 || s.Queued != 0 || s.Admitted != 8 {
+		t.Fatalf("snapshot = %+v, want 8 in flight, none queued", s)
 	}
 	for i := range tks {
 		tks[i].Release(nil)

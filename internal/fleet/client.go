@@ -13,8 +13,7 @@
 // The pieces compose left to right:
 //
 //	Client      — search.Searcher over one replica's /v2 HTTP surface
-//	              (pooled connections, per-attempt timeout, optional
-//	              hedged requests for tail latency)
+//	              (pooled connections, per-attempt timeout)
 //	Pool        — replica registry + /healthz prober + failover router
 //	              (itself a search.Searcher)
 //	Broadcaster — coalesces writes into one compaction heartbeat,
@@ -76,12 +75,6 @@ type ClientConfig struct {
 	// Timeout bounds one HTTP attempt (0 = DefaultTimeout). The caller's
 	// ctx can cut it shorter, never longer.
 	Timeout time.Duration
-	// HedgeDelay, when positive, issues a duplicate of a single-query
-	// request that has not answered within the delay and takes whichever
-	// attempt finishes first. Search is read-only and idempotent, so the
-	// duplicate is safe; the cost is at most one extra request on the
-	// slow tail. 0 disables hedging.
-	HedgeDelay time.Duration
 	// MaxIdleConns bounds the pooled idle connections kept to the
 	// replica (0 = DefaultMaxIdleConns).
 	MaxIdleConns int
@@ -114,7 +107,7 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	if cfg.Timeout == 0 {
 		cfg.Timeout = DefaultTimeout
 	}
-	if cfg.Timeout < 0 || cfg.HedgeDelay < 0 || cfg.MaxIdleConns < 0 {
+	if cfg.Timeout < 0 || cfg.MaxIdleConns < 0 {
 		return nil, fmt.Errorf("fleet: negative client config value")
 	}
 	if cfg.MaxIdleConns == 0 {
@@ -173,9 +166,9 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s request: %w", path, err)
 	}
-	// One span per RPC attempt (a hedged request shows both attempts);
-	// on a sampled trace the replica stitches its own spans into ours
-	// through the response (see the wire response types' Spans fields).
+	// One span per RPC attempt; on a sampled trace the replica stitches
+	// its own spans into ours through the response (see the wire
+	// response types' Spans fields).
 	parent, sp := obs.StartSpan(parent, "fleet.rpc")
 	defer sp.End()
 	sp.SetAttr("replica", c.base)
@@ -362,68 +355,8 @@ func wireErrMessage(r io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
-// Do answers one request over POST /v2/search. With hedging configured,
-// a duplicate attempt launches after HedgeDelay and the first answer
-// wins (the loser is cancelled).
+// Do answers one request over POST /v2/search.
 func (c *Client) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	if c.cfg.HedgeDelay <= 0 {
-		return c.searchOnce(ctx, req)
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	type outcome struct {
-		resp   search.Response
-		err    error
-		hedged bool
-	}
-	ch := make(chan outcome, 2)
-	run := func(hedged bool) {
-		resp, err := c.searchOnce(ctx, req)
-		ch <- outcome{resp: resp, err: err, hedged: hedged}
-	}
-	go run(false)
-	timer := time.NewTimer(c.cfg.HedgeDelay)
-	defer timer.Stop()
-	pending := 1
-	hedged := false
-	var firstErr error
-	for {
-		select {
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				pending++
-				c.counters.HedgeLaunched()
-				go run(true)
-			}
-		case o := <-ch:
-			pending--
-			if o.err == nil {
-				if o.hedged {
-					c.counters.HedgeWon()
-				}
-				return o.resp, nil
-			}
-			if errors.Is(o.err, search.ErrOverloaded) {
-				// A shed is decisive: the replica is alive and refusing
-				// work, so a duplicate attempt would only add to the
-				// overload. Return it without waiting for (or launching)
-				// a hedge.
-				return search.Response{}, o.err
-			}
-			if firstErr == nil {
-				firstErr = o.err
-			}
-			if pending == 0 {
-				return search.Response{}, firstErr
-			}
-			// One attempt failed but another is in flight: drain the
-			// timer case by looping — the hedge may still answer.
-		}
-	}
-}
-
-func (c *Client) searchOnce(ctx context.Context, req search.Request) (search.Response, error) {
 	q := toWire(req)
 	var out server.V2SearchResponse
 	if err := c.post(ctx, "/v2/search", &q, &out); err != nil {

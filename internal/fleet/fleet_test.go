@@ -250,34 +250,6 @@ func TestClientClassifiesEveryCall(t *testing.T) {
 	}
 }
 
-// TestClientHedging holds the first attempt hostage and checks the
-// hedge answers, and that the counters record it.
-func TestClientHedging(t *testing.T) {
-	var calls atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			time.Sleep(400 * time.Millisecond) // only the first attempt is slow
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(map[string]interface{}{
-			"results": []map[string]interface{}{{"item": "x", "score": 1.0}},
-		})
-	}))
-	defer ts.Close()
-	c := newTestClient(t, ts.URL, ClientConfig{HedgeDelay: 30 * time.Millisecond})
-	resp, err := c.Do(context.Background(), search.Request{Seeker: "a", Tags: []string{"x"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resp.Results) != 1 || resp.Results[0].Item != "x" {
-		t.Fatalf("results = %+v", resp.Results)
-	}
-	snap := c.Counters().Snapshot()
-	if snap.HedgesLaunched != 1 || snap.HedgesWon != 1 {
-		t.Fatalf("hedge counters = %+v, want launched=1 won=1", snap)
-	}
-}
-
 // TestPoolFailover kills the replica owning a seeker and checks the
 // query spills to a live one, health state ejects the dead replica, and
 // the stats say so.

@@ -23,10 +23,10 @@ const DefaultCatchupTimeout = 30 * time.Second
 
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
 // queries go through the Pool (consistent-hash routing, health-checked
-// failover, optional hedging); mutations are validated, LSN-stamped and
-// committed to the attached quorum log (UseQuorum — one member for a
-// single front-end; none attached, no writes) and acknowledged there,
-// contacting no replica.
+// failover); mutations are validated, LSN-stamped and committed to the
+// attached quorum log (UseQuorum — one member for a single front-end;
+// none attached, no writes) and acknowledged there, contacting no
+// replica.
 // Records reach replicas one way, a stream from each replica's cursor
 // (stream), whose last apply page folds them in: the compaction
 // heartbeat streams every admissible replica, and the pool's rejoin
@@ -66,10 +66,6 @@ type Frontend struct {
 	MutationTimeout time.Duration
 	// CatchupTimeout bounds one replica's whole catch-up attempt.
 	CatchupTimeout time.Duration
-	// NewReplicaClient builds the client for a replica adopted by
-	// JoinReplica (nil: NewClient with default config). Set it when the
-	// fleet's clients carry non-default timeouts or hedging.
-	NewReplicaClient func(url string) (*Client, error)
 }
 
 // NewFrontend glues a pool and a broadcaster into a serving backend:

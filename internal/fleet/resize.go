@@ -144,11 +144,7 @@ func (f *Frontend) adoptClient(url string) (c *Client, slot int, fresh bool, err
 			return f.pool.Client(i), i, false, nil
 		}
 	}
-	factory := f.NewReplicaClient
-	if factory == nil {
-		factory = func(url string) (*Client, error) { return NewClient(url, ClientConfig{}) }
-	}
-	if c, err = factory(url); err != nil {
+	if c, err = NewClient(url, ClientConfig{}); err != nil {
 		return nil, 0, false, err
 	}
 	if slot, err = f.pool.Admit(c); err != nil {

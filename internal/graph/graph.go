@@ -52,10 +52,6 @@ func (b *Builder) AddEdge(u, v UserID, weight float64) {
 	b.edges = append(b.edges, Edge{U: u, V: v, Weight: weight})
 }
 
-// NumEdgesAdded reports how many AddEdge calls were recorded (before
-// dedup).
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
 // Build validates and freezes the accumulated edges into a Graph.
 func (b *Builder) Build() (*Graph, error) {
 	d, err := canonical(b.edges)

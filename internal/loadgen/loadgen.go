@@ -5,8 +5,8 @@
 // the previous answers) self-throttles exactly when the system slows
 // down, hiding the overload the harness exists to measure (the
 // coordinated-omission trap). Here arrivals keep coming at the offered
-// rate no matter how the target behaves, so queueing delay, shedding
-// and brownout all show up in the numbers.
+// rate no matter how the target behaves, so queueing delay and
+// shedding show up in the numbers.
 //
 // The headline metric is throughput-at-SLO: sweep offered QPS and
 // report, per step, the goodput (on-SLO successes per second) plus the
@@ -44,10 +44,6 @@ type Mix struct {
 	Write int `json:"write"`
 	Batch int `json:"batch"`
 }
-
-// DefaultMix is read-heavy with a write trickle, the serving posture
-// the paper's workloads assume.
-func DefaultMix() Mix { return Mix{Read: 90, Write: 5, Batch: 5} }
 
 // Config tunes one fixed-rate run.
 type Config struct {

@@ -182,8 +182,8 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return snap
 }
 
-// quantileRank is the 1-based rank of the q-quantile under the same
-// nearest-rank convention Percentile uses.
+// quantileRank is the 1-based rank of the q-quantile, nearest rank on
+// the lower side.
 func quantileRank(total int64, q float64) int64 {
 	r := int64(q*float64(total-1)) + 1
 	if r < 1 {

@@ -151,19 +151,3 @@ func TestHistIndexUpperRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestPercentile(t *testing.T) {
-	sorted := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	if got := Percentile(sorted, 0.5); got != 5 {
-		t.Fatalf("Percentile(0.5) = %v, want 5", got)
-	}
-	if got := Percentile(sorted, 0.99); got != 9 {
-		t.Fatalf("Percentile(0.99) = %v, want 9 (nearest-rank floor)", got)
-	}
-	if got := Percentile(sorted, 1); got != 10 {
-		t.Fatalf("Percentile(1) = %v, want 10", got)
-	}
-	if got := Percentile(nil, 0.5); got != 0 {
-		t.Fatalf("Percentile(nil) = %v, want 0", got)
-	}
-}

@@ -1,16 +1,13 @@
-// Package metrics implements the result-quality measures the evaluation
-// reports when comparing approximate answers against the exact ones:
-// precision@k, recall@k, NDCG@k, Kendall's tau and mean reciprocal rank,
-// plus small aggregation helpers for latency distributions and the
-// serving-path counters /v1/stats exposes: cache effectiveness (hits,
-// misses, invalidations, evictions), per-replica fleet routing
-// (requests, failovers, hedges, health transitions) and compaction
-// heartbeat progress.
+// Package metrics implements the result-quality measures the experiments
+// report when comparing an answer against a reference top-k (precision@k
+// and NDCG@k), the rotating latency histogram, and the serving-path
+// counters /v1/stats exposes: cache effectiveness (hits, misses,
+// invalidations, evictions), per-replica fleet routing (requests,
+// failovers, health transitions) and compaction heartbeat progress.
 package metrics
 
 import (
 	"math"
-	"sort"
 	"sync/atomic"
 
 	"repro/internal/topk"
@@ -77,14 +74,12 @@ func (s CacheSnapshot) HitRate() float64 {
 
 // ReplicaCounters accumulates one fleet replica's serving events on the
 // front-end side: routed requests, transport failures, failovers served
-// for other replicas' seekers, hedged attempts, and health transitions.
+// for other replicas' seekers, and health transitions.
 // All methods are safe for concurrent use; the zero value is ready.
 type ReplicaCounters struct {
 	requests       atomic.Int64
 	failures       atomic.Int64
 	failovers      atomic.Int64
-	hedgesLaunched atomic.Int64
-	hedgesWon      atomic.Int64
 	ejections      atomic.Int64
 	readmissions   atomic.Int64
 	catchups       atomic.Int64
@@ -101,12 +96,6 @@ func (c *ReplicaCounters) Failure() { c.failures.Add(1) }
 // Failover records a request this replica served because the seeker's
 // primary owner was unavailable.
 func (c *ReplicaCounters) Failover() { c.failovers.Add(1) }
-
-// HedgeLaunched records a duplicate request issued against the tail.
-func (c *ReplicaCounters) HedgeLaunched() { c.hedgesLaunched.Add(1) }
-
-// HedgeWon records a hedged duplicate that answered first.
-func (c *ReplicaCounters) HedgeWon() { c.hedgesWon.Add(1) }
 
 // Ejection records the health checker removing the replica from rotation.
 func (c *ReplicaCounters) Ejection() { c.ejections.Add(1) }
@@ -127,8 +116,6 @@ func (c *ReplicaCounters) Snapshot() ReplicaSnapshot {
 		Requests:       c.requests.Load(),
 		Failures:       c.failures.Load(),
 		Failovers:      c.failovers.Load(),
-		HedgesLaunched: c.hedgesLaunched.Load(),
-		HedgesWon:      c.hedgesWon.Load(),
 		Ejections:      c.ejections.Load(),
 		Readmissions:   c.readmissions.Load(),
 		Catchups:       c.catchups.Load(),
@@ -142,8 +129,6 @@ type ReplicaSnapshot struct {
 	Requests       int64
 	Failures       int64
 	Failovers      int64
-	HedgesLaunched int64
-	HedgesWon      int64
 	Ejections      int64
 	Readmissions   int64
 	Catchups       int64
@@ -198,24 +183,6 @@ func PrecisionAtK(got, want []topk.Result) float64 {
 	return float64(hit) / float64(len(got))
 }
 
-// RecallAtK is the fraction of the reference top-k found in the answer.
-func RecallAtK(got, want []topk.Result) float64 {
-	if len(want) == 0 {
-		return 1
-	}
-	rel := make(map[int32]bool, len(want))
-	for _, r := range want {
-		rel[r.Item] = true
-	}
-	hit := 0
-	for _, r := range got {
-		if rel[r.Item] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(want))
-}
-
 // NDCGAtK computes normalized discounted cumulative gain of the answer
 // against graded relevance equal to the reference scores. Items outside
 // the reference contribute zero gain. Returns 1 for a perfect ranking.
@@ -241,112 +208,4 @@ func NDCGAtK(got, want []topk.Result) float64 {
 		return 1
 	}
 	return dcg / idcg
-}
-
-// KendallTau computes the rank-correlation τ between two orderings of
-// the same item set, counting a discordant pair whenever the relative
-// order differs. Items present in only one list are ignored. Returns a
-// value in [-1, 1]; 1 means identical order. Returns 1 when fewer than
-// two common items exist.
-func KendallTau(a, b []topk.Result) float64 {
-	posB := make(map[int32]int, len(b))
-	for i, r := range b {
-		posB[r.Item] = i
-	}
-	var common []int // positions in b of items shared, in a's order
-	for _, r := range a {
-		if p, ok := posB[r.Item]; ok {
-			common = append(common, p)
-		}
-	}
-	n := len(common)
-	if n < 2 {
-		return 1
-	}
-	concordant, discordant := 0, 0
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if common[i] < common[j] {
-				concordant++
-			} else {
-				discordant++
-			}
-		}
-	}
-	return float64(concordant-discordant) / float64(n*(n-1)/2)
-}
-
-// MRR returns the mean reciprocal rank of the reference's best item in
-// the answer (1 if first, 0.5 if second, 0 when absent).
-func MRR(got, want []topk.Result) float64 {
-	if len(want) == 0 {
-		return 1
-	}
-	best := want[0].Item
-	for i, r := range got {
-		if r.Item == best {
-			return 1 / float64(i+1)
-		}
-	}
-	return 0
-}
-
-// Summary aggregates a sample of float64 observations.
-type Summary struct {
-	Count  int
-	Mean   float64
-	P50    float64
-	P95    float64
-	P99    float64
-	P999   float64
-	Max    float64
-	StdDev float64
-}
-
-// Summarize computes mean/median/p95/p99/p999/max/stddev of the sample.
-// An empty sample yields the zero Summary.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	s := make([]float64, len(xs))
-	copy(s, xs)
-	sort.Float64s(s)
-	var sum float64
-	for _, x := range s {
-		sum += x
-	}
-	mean := sum / float64(len(s))
-	var varSum float64
-	for _, x := range s {
-		d := x - mean
-		varSum += d * d
-	}
-	return Summary{
-		Count:  len(s),
-		Mean:   mean,
-		P50:    Percentile(s, 0.50),
-		P95:    Percentile(s, 0.95),
-		P99:    Percentile(s, 0.99),
-		P999:   Percentile(s, 0.999),
-		Max:    s[len(s)-1],
-		StdDev: math.Sqrt(varSum / float64(len(s))),
-	}
-}
-
-// Percentile returns the q-quantile (q in [0,1]) of an ascending-sorted
-// sample using nearest-rank on the lower side — the same convention the
-// old internal percentile helper used, now exported so the load harness
-// shares one definition of "p99" with the stats endpoints.
-func Percentile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	} else if q > 1 {
-		q = 1
-	}
-	idx := int(q * float64(len(sorted)-1))
-	return sorted[idx]
 }

@@ -34,19 +34,6 @@ func TestPrecisionAtK(t *testing.T) {
 	}
 }
 
-func TestRecallAtK(t *testing.T) {
-	want := rs(1, 2, 3, 4)
-	if r := RecallAtK(rs(1, 2), want); r != 0.5 {
-		t.Fatalf("recall = %g, want 0.5", r)
-	}
-	if r := RecallAtK(rs(7), want); r != 0 {
-		t.Fatalf("recall = %g, want 0", r)
-	}
-	if r := RecallAtK(nil, nil); r != 1 {
-		t.Fatalf("empty recall = %g, want 1", r)
-	}
-}
-
 func TestNDCG(t *testing.T) {
 	want := rs(1, 2, 3)
 	if n := NDCGAtK(rs(1, 2, 3), want); math.Abs(n-1) > 1e-12 {
@@ -61,56 +48,6 @@ func TestNDCG(t *testing.T) {
 	}
 	if n := NDCGAtK(rs(9, 8), want); n != 0 {
 		t.Fatalf("irrelevant NDCG = %g, want 0", n)
-	}
-}
-
-func TestKendallTau(t *testing.T) {
-	a := rs(1, 2, 3, 4)
-	if tau := KendallTau(a, rs(1, 2, 3, 4)); tau != 1 {
-		t.Fatalf("identical tau = %g", tau)
-	}
-	if tau := KendallTau(a, rs(4, 3, 2, 1)); tau != -1 {
-		t.Fatalf("reversed tau = %g", tau)
-	}
-	if tau := KendallTau(a, rs(9)); tau != 1 {
-		t.Fatalf("degenerate tau = %g, want 1", tau)
-	}
-	// swap one adjacent pair: τ = 1 - 2·(1)/(C(4,2)) = 1 - 2/6
-	if tau := KendallTau(a, rs(2, 1, 3, 4)); math.Abs(tau-(1-2.0/6)) > 1e-12 {
-		t.Fatalf("one-swap tau = %g", tau)
-	}
-}
-
-func TestMRR(t *testing.T) {
-	want := rs(5, 6)
-	if m := MRR(rs(5, 1, 2), want); m != 1 {
-		t.Fatalf("MRR = %g, want 1", m)
-	}
-	if m := MRR(rs(1, 5), want); m != 0.5 {
-		t.Fatalf("MRR = %g, want 0.5", m)
-	}
-	if m := MRR(rs(1, 2), want); m != 0 {
-		t.Fatalf("MRR = %g, want 0", m)
-	}
-	if m := MRR(nil, nil); m != 1 {
-		t.Fatalf("empty MRR = %g, want 1", m)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 100})
-	if s.Count != 5 || s.Max != 100 || s.P50 != 3 {
-		t.Fatalf("summary wrong: %+v", s)
-	}
-	if math.Abs(s.Mean-22) > 1e-12 {
-		t.Fatalf("mean = %g, want 22", s.Mean)
-	}
-	if s.StdDev <= 0 {
-		t.Fatalf("stddev = %g", s.StdDev)
-	}
-	z := Summarize(nil)
-	if z.Count != 0 || z.Mean != 0 {
-		t.Fatalf("empty summary = %+v", z)
 	}
 }
 
@@ -136,16 +73,7 @@ func TestPropertyMetricRanges(t *testing.T) {
 		if p := PrecisionAtK(got, want); p < 0 || p > 1 {
 			return false
 		}
-		if r := RecallAtK(got, want); r < 0 || r > 1 {
-			return false
-		}
 		if n := NDCGAtK(got, want); n < 0 || n > 1+1e-12 {
-			return false
-		}
-		if tau := KendallTau(got, want); tau < -1-1e-12 || tau > 1+1e-12 {
-			return false
-		}
-		if m := MRR(got, want); m < 0 || m > 1 {
 			return false
 		}
 		return true
@@ -171,10 +99,7 @@ func TestPropertySelfComparisonPerfect(t *testing.T) {
 		}
 		topk.SortResults(out)
 		return PrecisionAtK(out, out) == 1 &&
-			RecallAtK(out, out) == 1 &&
-			math.Abs(NDCGAtK(out, out)-1) < 1e-12 &&
-			KendallTau(out, out) == 1 &&
-			MRR(out, out) == 1
+			math.Abs(NDCGAtK(out, out)-1) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)

@@ -168,7 +168,7 @@ func TestSpanTreeAndPropagation(t *testing.T) {
 	cctx, child := StartSpan(ctx, "fleet.rpc")
 	child.SetAttr("replica", "http://r1")
 	child.SetInt("attempt", 1)
-	child.SetBool("hedged", false)
+	child.SetBool("failover", false)
 	MergeRemote(cctx, []SpanData{{SpanID: "aaaa", Name: "social.execute", Node: "r1"}})
 	child.End()
 	rq.Finish(http.StatusOK)
@@ -187,14 +187,14 @@ func TestSpanTreeAndPropagation(t *testing.T) {
 	for _, a := range rec.Spans[1].Attrs {
 		attrs[a.Key] = a.Value
 	}
-	if attrs["replica"] != "http://r1" || attrs["attempt"] != "1" || attrs["hedged"] != "false" {
+	if attrs["replica"] != "http://r1" || attrs["attempt"] != "1" || attrs["failover"] != "false" {
 		t.Fatalf("child attrs = %v", rec.Spans[1].Attrs)
 	}
 	if rec.Spans[2].Node != "r1" || rec.Spans[2].Name != "social.execute" {
 		t.Fatalf("remote span not exported last: %+v", rec.Spans[2])
 	}
 
-	// A finished trace must drop late merges (hedge losers).
+	// A finished trace must drop late merges (attempts that outlived it).
 	MergeRemote(cctx, []SpanData{{SpanID: "bbbb"}})
 	if rec2, _ := tr.TraceByID(rq.TraceID()); len(rec2.Spans) != 3 {
 		t.Fatal("MergeRemote after finish mutated the recorded trace")

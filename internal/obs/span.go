@@ -250,7 +250,8 @@ func Inject(ctx context.Context, h http.Header) {
 
 // MergeRemote folds span data returned by a downstream process (a
 // replica answering a traced request) into the context's trace. Safe
-// to call from hedged or raced attempts: merges into a finished trace
+// to call from an attempt that outlived its request (a failover's
+// abandoned first try, a cancelled call): merges into a finished trace
 // are dropped, and the span cap applies. Callers that outlive the
 // request (detached replication pushes) must capture the *Trace with
 // FromContext while the request is live and use Trace.Merge instead —

@@ -257,8 +257,7 @@ type Server struct {
 	logf     func(format string, args ...interface{})
 	// admission, when set, fronts every search (read class) and every
 	// /v1 mutation (write class) with the AIMD admission controller: shed
-	// requests answer 429 with Retry-After, and the brownout ladder
-	// strips Explain from admitted queries under pressure.
+	// requests answer 429 with Retry-After.
 	// /v2/apply bypasses admission — the fleet replication apply path
 	// must never be shed, or a loaded replica would be ejected as
 	// divergent instead of merely slow.
@@ -396,9 +395,6 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, class admission.C
 	tk, err := s.admission.Acquire(ctx, class)
 	if sp != nil {
 		sp.SetBool("shed", err != nil)
-		if err == nil {
-			sp.SetInt("level", int64(tk.Level))
-		}
 		sp.End()
 	}
 	if err != nil {
@@ -860,11 +856,10 @@ func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v *
 
 // runBatch is handleSearchBatchV2's execution: the queries that passed
 // validation (errs[i] == nil) run as one backend batch under one
-// admission ticket — the batch is one unit of admitted work, the
-// brownout decision applies per query — and come back by input
-// position (entry i is zero where errs[i] is set). The backend is
-// skipped entirely when nothing survived validation (a durable backend
-// folds pending writes even for an empty batch). ok is false when
+// admission ticket — the batch is one unit of admitted work — and come
+// back by input position (entry i is zero where errs[i] is set). The
+// backend is skipped entirely when nothing survived validation (a
+// durable backend folds pending writes even for an empty batch). ok is false when
 // admission refused the batch; the response is written then.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error) ([]search.BatchResult, bool) {
 	var runnable []search.Request
@@ -880,9 +875,6 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.
 		tk, ok := s.admit(w, r, admission.Read)
 		if !ok {
 			return nil, false
-		}
-		for i := range runnable {
-			s.applyBrownout(tk.Level, &runnable[i])
 		}
 		out = s.backend.DoBatch(r.Context(), runnable)
 		tk.Release(batchOutcome(out))
@@ -961,7 +953,6 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.applyBrownout(tk.Level, &req)
 	wantExplain := req.Explain
 	s.forceExplain(r.Context(), &req)
 	start := time.Now()
@@ -982,14 +973,6 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 		Spans: obs.WireSpans(r.Context()),
 	}
 	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendSearchResponse(dst, &out) })
-}
-
-// applyBrownout applies the admission brownout ladder to a request (a
-// no-op without a controller).
-func (s *Server) applyBrownout(lvl admission.Level, req *search.Request) {
-	if s.admission != nil {
-		s.admission.Apply(lvl, req)
-	}
 }
 
 // V2BatchRequest is the /v2/search/batch request body.

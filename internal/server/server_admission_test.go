@@ -60,7 +60,7 @@ func waitQueued(t *testing.T, ctrl *admission.Controller, n int) {
 
 func TestShedAnswers429WithRetryAfter(t *testing.T) {
 	s, cb, ctrl := newAdmissionServer(t, admission.Config{
-		MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 1,
+		MaxWindow: 1, QueueLimit: 1,
 	})
 
 	// Occupy the single window slot and fill the queue.
@@ -102,7 +102,7 @@ func TestShedAnswers429WithRetryAfter(t *testing.T) {
 
 func TestDeadlineExpiredWhileQueuedIs499NoEngineWork(t *testing.T) {
 	s, cb, ctrl := newAdmissionServer(t, admission.Config{
-		MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 8,
+		MaxWindow: 1, QueueLimit: 8,
 	})
 	tk, err := ctrl.Acquire(context.Background(), admission.Read)
 	if err != nil {
@@ -131,7 +131,7 @@ func TestDeadlineExpiredWhileQueuedIs499NoEngineWork(t *testing.T) {
 
 func TestWriteAdmittedWhileReadsQueueFull(t *testing.T) {
 	s, _, ctrl := newAdmissionServer(t, admission.Config{
-		MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 1,
+		MaxWindow: 1, QueueLimit: 1,
 	})
 	tk, err := ctrl.Acquire(context.Background(), admission.Read)
 	if err != nil {
@@ -208,7 +208,7 @@ func TestStatsUnchangedWithoutAdmission(t *testing.T) {
 
 func TestReplicatedApplyBypassesAdmission(t *testing.T) {
 	s, _, ctrl := newAdmissionServer(t, admission.Config{
-		MinWindow: 1, MaxWindow: 1, InitialWindow: 1, QueueLimit: 1,
+		MaxWindow: 1, QueueLimit: 1,
 	})
 	// Saturate the controller completely.
 	tk, err := ctrl.Acquire(context.Background(), admission.Read)

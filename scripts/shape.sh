@@ -5,9 +5,11 @@
 # ten the table follows), packages under internal/, the types that
 # assert search.Searcher, the routes and replica methods of the serving
 # surface, and the settings an operator or embedder can
-# set: friendserve flags and the independently settable values of
+# set: friendserve flags, the independently settable values of
 # social.ServiceConfig (a field of struct type counts its fields, a
-# func-typed field counts none).
+# func-typed field counts none), and the exported fields of the other
+# config surfaces (admission.Config, fleet's ClientConfig, PoolConfig,
+# BroadcasterConfig and Frontend; a test seam such as a Clock counts).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,3 +58,8 @@ for ty in $(fields internal/social/social.go ServiceConfig); do
   fi
 done
 echo "independently settable social.ServiceConfig values: $settable"
+
+for spec in admission.Config fleet.ClientConfig fleet.PoolConfig fleet.BroadcasterConfig fleet.Frontend; do
+  file=$(grep -l "^type ${spec#*.} struct" "internal/${spec%%.*}"/*.go)
+  echo "settable fields of $spec: $(fields "$file" "${spec#*.}" | wc -l)"
+done
