@@ -82,12 +82,7 @@ type OverheadGate struct {
 // benchLine matches one result line of `go test -bench` output, e.g.
 //
 //	BenchmarkServingCachedSearch-8   500   2100000 ns/op   12 B/op ...
-//
-// A sub-benchmark run again under the same name gets a "#NN" suffix
-// from the testing package; the suffix is dropped, so every run is one
-// more sample of the same benchmark (a benchmark that interleaves its
-// sub-benchmarks in rounds reports them that way).
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:#\d+)?(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
 // allocField matches the allocs/op field -benchmem appends.
 var allocField = regexp.MustCompile(`\s([0-9]+) allocs/op`)

@@ -44,31 +44,6 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
-// TestParseBenchFoldsRepeatedSubBenchmarks: the testing package names a
-// repeated sub-benchmark "name#01", "name#02", ...; each is one more
-// sample of "name".
-func TestParseBenchFoldsRepeatedSubBenchmarks(t *testing.T) {
-	out := `BenchmarkServingModes/exact-2   50   100 ns/op   0 B/op   0 allocs/op
-BenchmarkServingModes/auto-2    50   110 ns/op   0 B/op   0 allocs/op
-BenchmarkServingModes/exact#01-2   50   300 ns/op   0 B/op   0 allocs/op
-BenchmarkServingModes/auto#01-2    50   290 ns/op   0 B/op   1 allocs/op
-BenchmarkServingModes/exact#02   50   200 ns/op
-`
-	samples, allocs, err := parseBench(strings.NewReader(out))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := samples["BenchmarkServingModes/exact"]; len(got) != 3 || median(got) != 200 {
-		t.Fatalf("exact samples = %v, want 100, 300, 200", got)
-	}
-	if got := allocs["BenchmarkServingModes/auto"]; len(got) != 2 {
-		t.Fatalf("auto alloc samples = %v, want two", got)
-	}
-	if len(samples) != 2 {
-		t.Fatalf("benchmarks = %v, want exact and auto only", samples)
-	}
-}
-
 func TestGate(t *testing.T) {
 	samples, _, err := parseBench(strings.NewReader(sampleOutput))
 	if err != nil {

@@ -89,9 +89,8 @@
 // -admit enables adaptive overload control (docs/overload.md): an AIMD
 // concurrency window with a deadline-budgeted FIFO queue in front of
 // every query and unstamped mutation. Requests past the budget are
-// shed with 429 + Retry-After; under queue pressure the server first
-// sheds Explain work, answers untouched, before it sheds requests.
-// LSN-stamped replication applies are never shed.
+// shed with 429 + Retry-After. LSN-stamped replication applies are
+// never shed.
 // Works in every mode — on a replica it protects that replica's
 // engine; on the front-end it bounds fleet-wide fan-out.
 //

@@ -99,9 +99,9 @@ func (s *Service) DoInto(ctx context.Context, req search.Request, resp *search.R
 func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *search.Response, sc *doScratch) error {
 	// Resolve names and pin the engine snapshot and cache generation
 	// together, preferably from the atomically published view — the
-	// lock-free fast path. The view's frozen dictionaries may trail the
-	// live ones, so any miss (a name added since the last clone) falls
-	// back wholesale to the locked path, which sees every name.
+	// lock-free fast path. The view's dictionaries are clones taken at
+	// the last publish, so any miss (a name added since) falls back
+	// wholesale to the locked path, which sees every name.
 	// Consistency without the lock comes from the view being immutable:
 	// its dictionaries, engine snapshot and cache generation were
 	// captured together, and qcache's exact-generation matching turns a
@@ -192,7 +192,7 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 
 	// Translate ids back to names. The dictionaries are append-only, so
 	// every id in the snapshot already has a name; on the fast path the
-	// frozen items dictionary covers all but ids minted after its clone,
+	// view's items clone covers all but ids minted after the publish,
 	// and those few retry against the live dictionary under the lock.
 	sc.named = sc.named[:0]
 	if viewOK {
@@ -238,8 +238,7 @@ func (s *Service) doIntoScratch(ctx context.Context, req search.Request, resp *s
 }
 
 // lockedItemName resolves one item id against the live dictionary —
-// the fast path's fallback for ids minted after the view's frozen
-// clone.
+// the fast path's fallback for ids minted after the view's clone.
 func (s *Service) lockedItemName(id int32) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -110,14 +110,14 @@ type Service struct {
 	// warm read path allocates nothing.
 	scratch sync.Pool
 
-	// view is the lock-free read-path snapshot: frozen name
+	// view is the lock-free read-path snapshot: clones of the name
 	// dictionaries, the engine snapshot they describe, and the cache
 	// generation pinned with it — everything doIntoScratch used
 	// to take s.mu for. It is the only holder of the current
 	// core.Engine, never nil once the service is built, and republished
 	// (atomically swapped) by install and every compaction; queries that
-	// miss a name in the (possibly slightly stale) frozen dictionaries
-	// fall back to the locked path. See install and publishLocked.
+	// miss a name minted since the last publish fall back to the locked
+	// path. See publishLocked.
 	view atomic.Pointer[queryView]
 
 	// journal, when attached (AttachJournal, before the service is
@@ -203,11 +203,10 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 // checks that the state is whole and that the vocabularies agree with
 // the structural universes, wraps g and st in a fresh overlay, builds
 // the engine, drops every cached horizon when it replaces an earlier
-// universe, and publishes a view. The view aliases names' dictionaries
-// rather than cloning them (intern clones a live dictionary before its
-// first Add instead), so a restored replica pays no second copy of its
-// vocabulary. Ownership of all three arguments passes to the service.
-// Callers hold s.mu, or have exclusive access.
+// universe, and publishes a view over O(1) clones of names'
+// dictionaries (see vocab.Dict.Clone), so a restored replica pays no
+// second copy of its vocabulary. Ownership of all three arguments
+// passes to the service. Callers hold s.mu, or have exclusive access.
 func (s *Service) install(g *graph.Graph, st *tagstore.Store, names *vocab.Set) error {
 	if g == nil || st == nil || names == nil || names.Users == nil || names.Items == nil || names.Tags == nil {
 		return fmt.Errorf("social: nil state in snapshot")
@@ -230,14 +229,10 @@ func (s *Service) install(g *graph.Graph, st *tagstore.Store, names *vocab.Set) 
 		return err
 	}
 	s.names, s.overlay = names, o
-	v := &queryView{users: names.Users, items: names.Items, tags: names.Tags, eng: eng}
-	if s.cache != nil {
-		if s.view.Load() != nil {
-			s.cache.Invalidate() // the horizons describe the old universe
-		}
-		v.gen = s.cache.Generation()
+	if s.cache != nil && s.view.Load() != nil {
+		s.cache.Invalidate() // the horizons describe the old universe
 	}
-	s.view.Store(v)
+	s.publishLocked(eng)
 	return nil
 }
 
@@ -247,9 +242,9 @@ func (s *Service) newEngine(g *graph.Graph, st *tagstore.Store) (*core.Engine, e
 }
 
 // queryView is the immutable snapshot the lock-free read path works
-// against: frozen name dictionaries consistent with (or trailing) eng,
-// the engine snapshot itself, and the cache generation observed when
-// the view was published. The generation is what makes pinning safe
+// against: clones of the name dictionaries taken when eng was
+// published, the engine snapshot itself, and the cache generation
+// observed then. The generation is what makes pinning safe
 // without s.mu: qcache.Lookup/Put demand an exact generation match, so
 // a view published before an invalidation simply misses (and its Puts
 // are refused) instead of serving a stale horizon.
@@ -261,40 +256,25 @@ type queryView struct {
 	gen   uint64 // 0 when caching is disabled
 }
 
-// publishLocked republishes the view over eng within the universe the
-// current view describes. Called at the end of every compaction (and
-// of ApplyInvalidation, which bumps the cache generation after
-// compacting); install publishes a new universe's first view. Callers
-// hold s.mu.
-//
-// The frozen dictionaries are reused across publishes until the live
-// dictionary outgrows them by ~12.5% (plus a small absolute slack), so
-// the total cloning cost stays linear in the vocabulary size even when
-// every write compacts. A reader that misses a recently added name in
-// a trailing frozen dictionary falls back to the locked path.
+// publishLocked publishes a view over eng with fresh clones of the
+// live dictionaries. Called by install for a new universe's first
+// view, at the end of every compaction and by ApplyInvalidation,
+// which bumps the cache generation after compacting. A clone costs
+// O(1) and shares the live dictionary's storage (vocab.Dict.Clone), so
+// every publish takes one. Names minted since the last publish are
+// past the clones' length: a reader that misses one falls back to the
+// locked path. Callers hold s.mu.
 func (s *Service) publishLocked(eng *core.Engine) {
-	old := s.view.Load()
 	v := &queryView{
-		users: refreshFrozen(old.users, s.names.Users),
-		items: refreshFrozen(old.items, s.names.Items),
-		tags:  refreshFrozen(old.tags, s.names.Tags),
+		users: s.names.Users.Clone(),
+		items: s.names.Items.Clone(),
+		tags:  s.names.Tags.Clone(),
 		eng:   eng,
 	}
 	if s.cache != nil {
 		v.gen = s.cache.Generation()
 	}
 	s.view.Store(v)
-}
-
-// refreshFrozen returns frozen when it still covers enough of live
-// (within one universe dictionaries are append-only, so a prefix clone
-// never goes wrong — only stale), and a fresh clone once live has
-// outgrown it.
-func refreshFrozen(frozen, live *vocab.Dict) *vocab.Dict {
-	if frozen != nil && live.Len() <= frozen.Len()+frozen.Len()/8+64 {
-		return frozen
-	}
-	return live.Clone()
 }
 
 // noteWrite applies the auto-compaction policy. Callers hold s.mu.

@@ -94,7 +94,7 @@ func TestViewConcurrentWritersAndReaders(t *testing.T) {
 }
 
 // TestViewFallbackSeesUnflushedNames: a name interned but absent from
-// the published view's frozen dictionaries must still be resolved by
+// the published view's dictionary clones must still be resolved by
 // the locked fallback (it is not "unknown"), while a genuinely unknown
 // name keeps erroring with ErrInvalid.
 func TestViewFallbackSeesUnflushedNames(t *testing.T) {
@@ -114,8 +114,8 @@ func TestViewFallbackSeesUnflushedNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// carol is interned after the view was published: the frozen
-	// dictionary misses her, the live one resolves her. The engine
+	// carol is interned after the view was published: the view's
+	// clone misses her, the live one resolves her. The engine
 	// snapshot predates her, so the query errors — but NOT with the
 	// unknown-user ErrInvalid, which is what proves the fallback ran.
 	if err := svc.Befriend("alice", "carol", 0.5); err != nil {
@@ -214,14 +214,19 @@ func TestImportNeverServesStaleDictionaries(t *testing.T) {
 }
 
 // TestRestoredViewReadsWithoutLock: Restore publishes a view at once,
-// and the view reads the very dictionaries Restore received, so a
-// restored replica's first query takes no lock and its vocabulary has
-// no second copy.
+// and the view's clones share the storage of the dictionaries Restore
+// received, so a restored replica's first query takes no lock and its
+// vocabulary has no second copy.
 func TestRestoredViewReadsWithoutLock(t *testing.T) {
 	svc, names := restoredPizza(t, DefaultServiceConfig())
 	v := svc.view.Load()
-	if v == nil || v.users != names.Users || v.items != names.Items || v.tags != names.Tags {
-		t.Fatal("restored view does not alias the restored dictionaries")
+	if v == nil {
+		t.Fatal("no view after Restore")
+	}
+	for _, p := range [][2]*vocab.Dict{{v.users, names.Users}, {v.items, names.Items}, {v.tags, names.Tags}} {
+		if got, want := p[0].Names(), p[1].Names(); len(got) != len(want) || &got[0] != &want[0] {
+			t.Fatal("restored view does not share the restored dictionaries' names")
+		}
 	}
 	svc.mu.Lock()
 	done := make(chan error, 1)
@@ -242,15 +247,20 @@ func TestRestoredViewReadsWithoutLock(t *testing.T) {
 }
 
 // TestConcurrentInterningOnRestoredView: writers intern new names while
-// readers query through a view that aliases the restored dictionaries
-// (under -race). The first new name clones a dictionary rather than
-// growing the one the view reads, which stays exactly as restored.
+// readers query through a view whose clones share the restored
+// dictionaries' storage (under -race). Interning grows the live
+// dictionaries; the first view's clones stay exactly as restored.
 func TestConcurrentInterningOnRestoredView(t *testing.T) {
 	cfg := DefaultServiceConfig()
 	cfg.AutoCompactEvery = 5
 	svc, names := restoredPizza(t, cfg, "alice", "bob")
-	restored := []*vocab.Dict{names.Users, names.Items, names.Tags}
-	lens := []int{names.Users.Len(), names.Items.Len(), names.Tags.Len()}
+	v := svc.view.Load()
+	restored := []*vocab.Dict{v.users, v.items, v.tags}
+	before := [][]string{
+		append([]string(nil), names.Users.Names()...),
+		append([]string(nil), names.Items.Names()...),
+		append([]string(nil), names.Tags.Names()...),
+	}
 
 	const writers, readers, iters = 2, 4, 200
 	var wg sync.WaitGroup
@@ -293,8 +303,13 @@ func TestConcurrentInterningOnRestoredView(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, d := range restored {
-		if d.Len() != lens[i] {
-			t.Fatal("interning grew a dictionary the view was reading")
+		if !reflect.DeepEqual(d.Names(), before[i]) {
+			t.Fatal("interning changed a dictionary the view was reading")
+		}
+		for id, name := range before[i] {
+			if got, ok := d.ID(name); !ok || got != int32(id) {
+				t.Fatalf("view clone lost %q: %d, %v", name, got, ok)
+			}
 		}
 	}
 	if err := svc.Flush(); err != nil {
