@@ -661,6 +661,10 @@ func (t *topology) anyLive() bool {
 
 func (p *Pool) anyLive() bool { return p.view().anyLive() }
 
+// prefBuf is the replica count whose preference order Do walks in an
+// array on its stack; a larger fleet allocates the list.
+const prefBuf = 16
+
 // ReplicaFor returns the slot of the replica that owns a seeker when
 // every replica is healthy.
 func (p *Pool) ReplicaFor(seeker string) int {
@@ -686,7 +690,8 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 	sp.SetAttr("seeker", req.Seeker)
 	t := p.view()
 	sp.SetInt("epoch", int64(t.epoch))
-	pref := t.ring.SuccessorsString(req.Seeker)
+	var buf [prefBuf]int
+	pref := t.ring.AppendSuccessors(buf[:0], req.Seeker)
 	anyLive := t.anyLive()
 	var lastErr error
 	for rank, idx := range pref {
@@ -736,13 +741,8 @@ func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.Batc
 	sp.SetInt("queries", int64(len(reqs)))
 	t := p.view()
 	sp.SetInt("epoch", int64(t.epoch))
-	// rank[i] is how far down request i's preference list routing has
-	// walked; pending holds the requests still needing an answer.
-	rank := make([]int, len(reqs))
-	pending := make([]int, len(reqs))
-	for i := range reqs {
-		pending[i] = i
-	}
+	rt := newBatchRoute(t, len(reqs))
+	rank, pending := rt.rank, rt.pending
 	for round := 0; round <= len(t.clients) && len(pending) > 0; round++ {
 		// A dead caller context makes every further attempt futile (and,
 		// worse, would count against replica health): fail what is left.
@@ -752,35 +752,17 @@ func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.Batc
 			}
 			return out
 		}
-		anyLive := t.anyLive()
-		subs := make(map[int][]int) // replica -> request indices
-		var exhausted []int
-		for _, i := range pending {
-			pref := t.ring.SuccessorsString(reqs[i].Seeker)
-			// Advance past ejected replicas (while any replica is live)
-			// and past preferences already tried.
-			idx := -1
-			for rank[i] < len(pref) {
-				cand := pref[rank[i]]
-				if !anyLive || t.states[cand].isLive() {
-					idx = cand
-					break
-				}
-				rank[i]++
-			}
-			if idx < 0 {
-				exhausted = append(exhausted, i)
-				continue
-			}
-			subs[idx] = append(subs[idx], i)
-		}
-		for _, i := range exhausted {
-			out[i] = search.BatchResult{Err: unavailablef("no live replica for seeker %q", reqs[i].Seeker)}
-		}
+		rt.route(t, reqs, pending, out)
 		var wg sync.WaitGroup
 		var mu sync.Mutex
 		var retry []int
-		for idx, members := range subs {
+		lo := 0
+		for idx, hi := range rt.ends[:len(t.clients)] {
+			group := rt.members[lo:hi]
+			lo = hi
+			if len(group) == 0 {
+				continue
+			}
 			wg.Add(1)
 			go func(idx int, members []int) {
 				defer wg.Done()
@@ -816,12 +798,73 @@ func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.Batc
 					retry = append(retry, i)
 				}
 				mu.Unlock()
-			}(idx, members)
+			}(idx, group)
 		}
 		wg.Wait()
 		pending = retry
 	}
 	return out
+}
+
+// batchRoute is DoBatch's routing state. Its arrays are sized once
+// per batch, so routing a query allocates nothing: rank[i] is how far
+// down request i's preference list routing has walked and dest[i] the
+// replica it goes to this round, pending starts as every request, and
+// a round's routed requests sit in members grouped by replica, replica
+// idx's group ending at ends[idx].
+type batchRoute struct {
+	rank, dest, pending, members, ends, pref []int
+}
+
+func newBatchRoute(t *topology, n int) batchRoute {
+	idxs := make([]int, 4*n)
+	rt := batchRoute{
+		rank:    idxs[:n:n],
+		dest:    idxs[n : 2*n : 2*n],
+		pending: idxs[2*n : 3*n : 3*n],
+		members: idxs[3*n:],
+		ends:    make([]int, len(t.clients)+1),
+		pref:    make([]int, 0, t.ring.Shards()),
+	}
+	for i := range rt.pending {
+		rt.pending[i] = i
+	}
+	return rt
+}
+
+// route sends each pending request to its first preference at or past
+// its rank that is live (any, when no replica is), failing in out the
+// requests with no preference left, and groups the rest by replica in
+// the order they are pending.
+func (rt *batchRoute) route(t *topology, reqs []search.Request, pending []int, out []search.BatchResult) {
+	anyLive := t.anyLive()
+	clear(rt.ends)
+	for _, i := range pending {
+		rt.pref = t.ring.AppendSuccessors(rt.pref[:0], reqs[i].Seeker)
+		rt.dest[i] = -1
+		for ; rt.rank[i] < len(rt.pref); rt.rank[i]++ {
+			if cand := rt.pref[rt.rank[i]]; !anyLive || t.states[cand].isLive() {
+				rt.dest[i] = cand
+				break
+			}
+		}
+		if rt.dest[i] < 0 {
+			out[i] = search.BatchResult{Err: unavailablef("no live replica for seeker %q", reqs[i].Seeker)}
+			continue
+		}
+		rt.ends[rt.dest[i]+1]++
+	}
+	// ends[idx+1] counts replica idx's requests; summed, ends[idx] is
+	// where its group starts, and placing the group moves it to the end.
+	for idx := 1; idx < len(rt.ends); idx++ {
+		rt.ends[idx] += rt.ends[idx-1]
+	}
+	for _, i := range pending {
+		if d := rt.dest[i]; d >= 0 {
+			rt.members[rt.ends[d]] = i
+			rt.ends[d]++
+		}
+	}
 }
 
 // ReplicaStats is one replica's observable pool state.

@@ -21,13 +21,18 @@ import (
 	"time"
 )
 
-// Result count policy, applied by Normalize.
+// Result count and tag policy, applied by Normalize.
 const (
 	// DefaultK is substituted when a request leaves K zero.
 	DefaultK = 10
 	// MaxK caps the result count of a single request; larger values are
 	// clamped, never rejected, so a greedy client degrades gracefully.
 	MaxK = 1000
+	// MaxTags caps the distinct tags of a single request, a tag named
+	// twice counting once; a request over it is rejected, since the
+	// engine's work per query grows with its tags. The served workloads
+	// ask one or two tags.
+	MaxTags = 64
 )
 
 // ErrInvalid tags every validation failure produced by Normalize, so
@@ -188,7 +193,8 @@ type Request struct {
 }
 
 // Normalize validates the request and canonicalizes it in place: tags
-// are split/trimmed, K defaulting and capping applied. It is the single place query admission policy lives;
+// are split/trimmed and capped at MaxTags distinct, K defaulting and
+// capping applied. It is the single place query admission policy lives;
 // every Searcher implementation calls it before executing. All errors
 // wrap ErrInvalid.
 func (r *Request) Normalize() error {
@@ -198,6 +204,9 @@ func (r *Request) Normalize() error {
 	r.Tags = normalizeTags(r.Tags)
 	if len(r.Tags) == 0 {
 		return invalidf("missing tags")
+	}
+	if tooManyTags(r.Tags) {
+		return invalidf("more than %d distinct tags", MaxTags)
 	}
 	switch {
 	case r.K < 0:
@@ -253,6 +262,23 @@ func normalizeTags(chunks []string) []string {
 		}
 	}
 	return tags
+}
+
+// tooManyTags reports whether tags names more than MaxTags distinct
+// tags. It counts only a list longer than the cap, and stops at the
+// first tag past it.
+func tooManyTags(tags []string) bool {
+	if len(tags) <= MaxTags {
+		return false
+	}
+	seen := make(map[string]struct{}, MaxTags+1)
+	for _, t := range tags {
+		seen[t] = struct{}{}
+		if len(seen) > MaxTags {
+			return true
+		}
+	}
+	return false
 }
 
 // Window applies the post-execution result policy — MinScore filtering,

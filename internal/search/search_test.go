@@ -2,7 +2,9 @@ package search
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -152,5 +154,38 @@ func TestNormalizeCacheKnobs(t *testing.T) {
 	ok := Request{Seeker: "s", Tags: []string{"t"}, NoCache: true, MaxCacheAgeMS: 1500}
 	if err := ok.Normalize(); err != nil {
 		t.Fatalf("valid cache knobs rejected: %v", err)
+	}
+}
+
+// TestNormalizeTagCap: MaxTags bounds the distinct tags after the
+// comma split, so a tag named twice counts once and a comma-joined
+// entry counts each of its tags.
+func TestNormalizeTagCap(t *testing.T) {
+	distinct := func(n int) []string {
+		tags := make([]string, n)
+		for i := range tags {
+			tags[i] = fmt.Sprintf("t%d", i)
+		}
+		return tags
+	}
+	for _, tc := range []struct {
+		name string
+		tags []string
+		ok   bool
+	}{
+		{"at the cap", distinct(MaxTags), true},
+		{"one past the cap", distinct(MaxTags + 1), false},
+		{"one tag named many times", strings.Split(strings.Repeat("pizza,", 5*MaxTags), ","), true},
+		{"the cap, each named twice", append(distinct(MaxTags), distinct(MaxTags)...), true},
+		{"one past the cap in one comma-joined entry", []string{strings.Join(distinct(MaxTags+1), ",")}, false},
+	} {
+		r := Request{Seeker: "alice", Tags: tc.tags}
+		err := r.Normalize()
+		if tc.ok && err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		}
+		if !tc.ok && (!errors.Is(err, ErrInvalid) || !strings.Contains(err.Error(), fmt.Sprintf("more than %d distinct tags", MaxTags))) {
+			t.Errorf("%s: err = %v, want ErrInvalid naming the cap", tc.name, err)
+		}
 	}
 }

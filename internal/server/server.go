@@ -55,8 +55,10 @@
 // per-query β blending, execution mode (auto, exact and approx all run
 // the exact merge today; explain echoes the mode), score filtering,
 // offset paging, and explainable answers (algorithm, horizon size,
-// seeker-cache hit/generation, certified score bound). The /v1 routes
-// are the write path and the operator surface only.
+// seeker-cache hit/generation, certified score bound). A query names
+// at most search.MaxTags (64) distinct tags; one over the cap is a 400,
+// or an "invalid" entry in a batch. The /v1 routes are the write path
+// and the operator surface only.
 //
 // Batch endpoints execute up to MaxBatchQueries queries on the
 // backend's bounded worker pool and report errors per query: the i-th
@@ -86,6 +88,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -824,7 +827,7 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 			Time:       time.Now().Add(-dur),
 			TraceID:    obs.RequestFromContext(ctx).TraceID(),
 			Seeker:     req.Seeker,
-			Tags:       req.Tags,
+			Tags:       slices.Clone(req.Tags), // req.Tags is the pooled body's
 			K:          req.K,
 			Mode:       req.Mode.String(),
 			DurationMS: float64(dur) / float64(time.Millisecond),
@@ -833,15 +836,15 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 	}
 }
 
-// decodeBatchEnvelope decodes a batch request body into v and
+// decodeBatchEnvelope decodes a batch request body into b.batch and
 // bounds-checks the query count. It reports whether the envelope was
 // accepted; on rejection the 400 response has already been written.
-func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v *V2BatchRequest) bool {
-	if err := decodeBody(w, r, v); err != nil {
+func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, b *searchBody) bool {
+	if err := b.decodeBatch(w, r); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
-	n := len(v.Queries)
+	n := len(b.batch.Queries)
 	if n == 0 {
 		s.writeErr(w, http.StatusBadRequest, errors.New("batch holds no queries"))
 		return false
@@ -862,8 +865,8 @@ func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, v *
 // durable backend folds pending writes even for an empty batch). ok is false when
 // admission refused the batch; the response is written then.
 func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error) ([]search.BatchResult, bool) {
-	var runnable []search.Request
-	var positions []int
+	runnable := make([]search.Request, 0, len(reqs))
+	positions := make([]int, 0, len(reqs))
 	var out []search.BatchResult
 	for i := range reqs {
 		if errs[i] == nil {
@@ -939,12 +942,13 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var q V2Query
-	if err := decodeBody(w, r, &q); err != nil {
+	body := newSearchBody()
+	defer body.release()
+	if err := body.decodeQuery(w, r); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	req, err := q.request()
+	req, err := body.query.request()
 	if err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
@@ -1050,14 +1054,16 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	if !s.requireMethod(w, r, http.MethodPost) {
 		return
 	}
-	var body V2BatchRequest
-	if !s.decodeBatchEnvelope(w, r, &body) {
+	body := newSearchBody()
+	defer body.release()
+	if !s.decodeBatchEnvelope(w, r, body) {
 		return
 	}
-	reqs := make([]search.Request, len(body.Queries))
-	errs := make([]error, len(body.Queries))
-	for i, q := range body.Queries {
-		reqs[i], errs[i] = q.request()
+	qs := body.batch.Queries
+	reqs := make([]search.Request, len(qs))
+	errs := make([]error, len(qs))
+	for i := range qs {
+		reqs[i], errs[i] = qs[i].request()
 	}
 	batch, ok := s.runBatch(w, r, reqs, errs)
 	if !ok {

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"math"
+	"net/http"
 	"reflect"
 	"strconv"
 	"strings"
@@ -34,10 +35,12 @@ import (
 // FuzzSearchWire holds both halves to encoding/json. The queries a
 // front-end sends are json.Marshal's, and the server decodes them with
 // encoding/json: its strictness (unknown fields, trailing values) is
-// part of the API.
+// part of the API. It decodes them into pooled targets (searchBody),
+// which FuzzSearchBodyReuse holds to a fresh decode.
 
-// maxPooledBytes caps what a pooled buffer may hold when it goes back
-// to its pool, so that one huge answer does not pin its memory.
+// maxPooledBytes caps what a pooled buffer or decode target may hold
+// when it goes back to its pool, so that one huge answer or request
+// does not pin its memory.
 const maxPooledBytes = 64 << 10
 
 // AppendSearchResponse appends r as json.Encoder encodes it.
@@ -208,6 +211,112 @@ func appendString(dst []byte, s string) []byte {
 		start = i
 	}
 	return append(append(dst, s[start:]...), '"')
+}
+
+// searchBody is a pooled decode target for the /v2 search request
+// bodies. encoding/json decodes an array into the slice it finds,
+// growing it only past its capacity, so a target that keeps its query
+// array and every query's tag array across requests decodes a batch
+// without growing either: what it allocates is the body's strings, and
+// a β for each query that sets one.
+//
+// A decode leaves exactly the value and error a fresh decodeBody
+// into a zero value leaves. json decodes an object into the struct it
+// finds, setting only the fields the object names, so every query slot
+// is zero, but for its kept tag array, before a decode (reset zeroes
+// them); and a kept array json never touched is set back to the nil a
+// fresh decode leaves (json's own empty array has capacity 0).
+//
+// The decoded value aliases the target until release: a handler that
+// keeps any of it past its return (noteSlowQuery) copies what it keeps.
+type searchBody struct {
+	batch   V2BatchRequest
+	query   V2Query
+	queries []V2Query  // batch.Queries' array, kept across uses
+	tags    [][]string // tags[i]: query i's Tags array, kept across uses
+}
+
+var searchBodies = sync.Pool{New: func() interface{} { return new(searchBody) }}
+
+func newSearchBody() *searchBody { return searchBodies.Get().(*searchBody) }
+
+// decodeQuery decodes a /v2/search body into b.query.
+func (b *searchBody) decodeQuery(w http.ResponseWriter, r *http.Request) error {
+	b.query.Tags = b.tagArray(0)
+	err := decodeBody(w, r, &b.query)
+	b.settle(0, &b.query.Tags)
+	return err
+}
+
+// decodeBatch decodes a /v2/search/batch body into b.batch.
+func (b *searchBody) decodeBatch(w http.ResponseWriter, r *http.Request) error {
+	qs := b.queries[:cap(b.queries)]
+	for i := range qs {
+		qs[i].Tags = b.tagArray(i)
+	}
+	b.batch.Queries = b.queries[:0]
+	err := decodeBody(w, r, &b.batch)
+	if cap(b.batch.Queries) > cap(b.queries) {
+		b.queries = b.batch.Queries[:0]
+	}
+	for i := range b.batch.Queries {
+		b.settle(i, &b.batch.Queries[i].Tags)
+	}
+	b.batch.Queries = untouched(b.batch.Queries)
+	return err
+}
+
+// tagArray returns query i's kept tag array, empty.
+func (b *searchBody) tagArray(i int) []string {
+	if i < len(b.tags) {
+		return b.tags[i][:0]
+	}
+	return nil
+}
+
+// settle keeps the array json decoded query i's tags into, if it grew
+// one, and sets an untouched kept array back to nil.
+func (b *searchBody) settle(i int, tags *[]string) {
+	if cap(*tags) > cap(b.tagArray(i)) {
+		for len(b.tags) <= i {
+			b.tags = append(b.tags, nil)
+		}
+		b.tags[i] = (*tags)[:0]
+	}
+	*tags = untouched(*tags)
+}
+
+// untouched returns nil for a kept array json left empty, where a fresh
+// decode leaves the field nil, and s otherwise.
+func untouched[T any](s []T) []T {
+	if len(s) == 0 && cap(s) > 0 {
+		return nil
+	}
+	return s
+}
+
+// release pools b once reset has zeroed it, unless it grew too big.
+func (b *searchBody) release() {
+	if b.reset() {
+		searchBodies.Put(b)
+	}
+}
+
+// reset zeroes the target, whose strings must not be pinned by a
+// pooled value, and reports whether it is small enough to pool: no
+// query's tag array past search.MaxTags, the whole within
+// maxPooledBytes.
+func (b *searchBody) reset() bool {
+	size := cap(b.queries)*int(unsafe.Sizeof(V2Query{})) + cap(b.tags)*int(unsafe.Sizeof([]string(nil)))
+	small := true
+	for _, tg := range b.tags {
+		clear(tg[:cap(tg)])
+		size += cap(tg) * int(unsafe.Sizeof(""))
+		small = small && cap(tg) <= search.MaxTags
+	}
+	clear(b.queries[:cap(b.queries)])
+	b.batch, b.query = V2BatchRequest{}, V2Query{}
+	return small && size <= maxPooledBytes
 }
 
 // DecodeSearchResponse parses a /v2/search answer into r, which it

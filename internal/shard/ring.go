@@ -109,26 +109,36 @@ func (r *Ring) OwnerString(s string) int {
 	return r.points[r.startString(s)].shard
 }
 
-// SuccessorsString returns every shard index exactly once, ordered by
-// clockwise ring traversal from the key's hash — the owner first, then
-// the shards a fleet router spills to when earlier choices are
-// unhealthy. Walking the ring (instead of owner+1, owner+2, …) keeps
-// the spill deterministic per key while spreading one dead shard's
-// keys across the survivors by ring geometry rather than dumping them
-// all on a single neighbour.
-func (r *Ring) SuccessorsString(s string) []int {
-	out := make([]int, 0, r.shards)
-	seen := make([]bool, r.maxSlot+1)
+// AppendSuccessors appends every shard exactly once to dst, ordered
+// by clockwise ring traversal from the key's hash — the owner first,
+// then the shards a fleet router spills to when earlier choices are
+// unhealthy — and returns the extended slice. Walking the ring
+// (instead of owner+1, owner+2, …) keeps the spill deterministic per
+// key while spreading one dead shard's keys across the survivors by
+// ring geometry rather than dumping them all on a single neighbour.
+// The walk allocates nothing when dst has room for Shards() more
+// entries and every slot label is below stackSlots.
+func (r *Ring) AppendSuccessors(dst []int, s string) []int {
+	var stack [stackSlots]bool
+	seen := stack[:]
+	if r.maxSlot >= stackSlots {
+		seen = make([]bool, r.maxSlot+1)
+	}
 	start := r.startString(s)
-	for i := 0; i < len(r.points) && len(out) < r.shards; i++ {
+	for i, n := 0, 0; i < len(r.points) && n < r.shards; i++ {
 		p := r.points[(start+i)%len(r.points)]
 		if !seen[p.shard] {
 			seen[p.shard] = true
-			out = append(out, p.shard)
+			dst = append(dst, p.shard)
+			n++
 		}
 	}
-	return out
+	return dst
 }
+
+// stackSlots bounds the slot labels AppendSuccessors tracks in an
+// array on its stack; a ring with a larger label allocates its set.
+const stackSlots = 64
 
 // MovedKeys computes the ring-slice diff of a resize: which of the
 // given string keys change owner between old and new, grouped by their
@@ -175,7 +185,7 @@ const (
 // result. The finalizer matters: plain FNV-1a has weak diffusion on
 // the highly structured (slot, vnode) labels this ring hashes, leaving
 // the ring's shard sequence nearly periodic, which both skews load and, worse, concentrates a dead
-// shard's failover spill (SuccessorsString) onto a single survivor.
+// shard's failover spill (AppendSuccessors) onto a single survivor.
 func fnv1a(v uint64) uint64 {
 	h := uint64(fnvOffset)
 	for i := 0; i < 8; i++ {

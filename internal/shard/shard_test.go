@@ -2,6 +2,8 @@ package shard
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -83,7 +85,7 @@ func TestRingResizeStability(t *testing.T) {
 			spill[s] = make(map[int]int)
 		}
 		for i := 0; i < keys; i++ {
-			succ := r.SuccessorsString(fmt.Sprintf("seeker-%d", i))
+			succ := r.AppendSuccessors(nil, fmt.Sprintf("seeker-%d", i))
 			owned[succ[0]]++
 			spill[succ[0]][succ[1]]++
 		}
@@ -202,7 +204,7 @@ func TestRingOfValidation(t *testing.T) {
 			t.Fatalf("HasSlot(%d) = true", s)
 		}
 	}
-	succ := r.SuccessorsString("alice")
+	succ := r.AppendSuccessors(nil, "alice")
 	if len(succ) != 3 {
 		t.Fatalf("successors over sparse slots: %v", succ)
 	}
@@ -229,7 +231,7 @@ func TestRingSuccessors(t *testing.T) {
 	spill := make(map[int]int)
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("user-%d", i)
-		succ := r.SuccessorsString(key)
+		succ := r.AppendSuccessors(nil, key)
 		if len(succ) != 5 {
 			t.Fatalf("%q: %d successors, want 5", key, len(succ))
 		}
@@ -244,7 +246,7 @@ func TestRingSuccessors(t *testing.T) {
 			seen[s] = true
 		}
 		r2, _ := NewRing(5)
-		succ2 := r2.SuccessorsString(key)
+		succ2 := r2.AppendSuccessors(nil, key)
 		for j := range succ {
 			if succ[j] != succ2[j] {
 				t.Fatalf("%q: successor order differs across identical rings (%v vs %v)", key, succ, succ2)
@@ -256,5 +258,65 @@ func TestRingSuccessors(t *testing.T) {
 	}
 	if len(spill) < 2 {
 		t.Fatalf("shard 0's keys all spill to one shard (%v); want ring-geometry spread", spill)
+	}
+}
+
+// successorsReference is the preference order as the ring defined it
+// before the walk took a caller's buffer: a fresh list and a fresh
+// seen set per call.
+func successorsReference(r *Ring, s string) []int {
+	out := make([]int, 0, r.shards)
+	seen := make([]bool, r.maxSlot+1)
+	start := r.startString(s)
+	for i := 0; i < len(r.points) && len(out) < r.shards; i++ {
+		p := r.points[(start+i)%len(r.points)]
+		if !seen[p.shard] {
+			seen[p.shard] = true
+			out = append(out, p.shard)
+		}
+	}
+	return out
+}
+
+// TestAppendSuccessorsMatchesReference: on random rings whose slot
+// labels lie below, across and above the stack-held seen set's bound,
+// the walk into a caller's buffer equals the reference order for
+// random keys, appends after what the buffer holds, and allocates
+// nothing when the buffer has room and every label is below the bound.
+func TestAppendSuccessorsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	below, above := 0, 0
+	for trial := 0; trial < 60; trial++ {
+		// Labels drawn from [0, span): a third of the trials stay far
+		// below stackSlots, a third reach it and a third span past it.
+		span := []int{stackSlots / 4, stackSlots, 4 * stackSlots}[trial%3]
+		perm := rng.Perm(span)
+		slots := perm[:1+rng.Intn(min(span, 12))]
+		r, err := NewRingOf(slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]int, 0, r.Shards()+1)
+		for k := 0; k < 200; k++ {
+			key := fmt.Sprintf("key-%d-%d", trial, rng.Int63())
+			want := successorsReference(r, key)
+			if got := r.AppendSuccessors(buf[:0], key); !slices.Equal(got, want) {
+				t.Fatalf("slots %v, key %q: AppendSuccessors %v, reference %v", slots, key, got, want)
+			}
+			if got := r.AppendSuccessors(append(buf[:0], -1), key); got[0] != -1 || !slices.Equal(got[1:], want) {
+				t.Fatalf("slots %v, key %q: appended after -1 gives %v, want -1 then %v", slots, key, got, want)
+			}
+		}
+		if r.maxSlot >= stackSlots {
+			above++
+			continue
+		}
+		below++
+		if allocs := testing.AllocsPerRun(50, func() { buf = r.AppendSuccessors(buf[:0], "alice") }); allocs != 0 {
+			t.Fatalf("slots %v (all below %d): %v allocs per walk into a buffer with room, want 0", slots, stackSlots, allocs)
+		}
+	}
+	if below == 0 || above == 0 {
+		t.Fatalf("%d rings below the stack bound and %d above it, want some of each", below, above)
 	}
 }

@@ -300,6 +300,10 @@ func (s *Service) materializeSpan(ctx context.Context, eng *core.Engine, seeker 
 // a worker fail immediately with ctx.Err(), workers skip queued
 // requests once the context is done, and in-flight executions abort at
 // the engine's next checkpoint.
+//
+// The answers share one backing array, each entry's results capped at
+// their own length: a worker gathers its answers in pooled storage and
+// the batch copies them out once every worker is done.
 func (s *Service) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
 	if ctx == nil {
 		ctx = context.Background()
@@ -308,51 +312,62 @@ func (s *Service) DoBatch(ctx context.Context, reqs []search.Request) []search.B
 	if len(reqs) == 0 {
 		return out
 	}
-	// Group request indexes by seeker, preserving first-seen order.
-	groups := make(map[string][]int, len(reqs))
-	order := make([]string, 0, len(reqs))
+	// Group requests by seeker in first-seen order: heads lists each
+	// group's first request and next[i] the request after i in its group
+	// (-1 ends it); last maps a seeker to its group's latest request.
+	links := make([]int, 2*len(reqs))
+	next, heads := links[:len(reqs)], links[len(reqs):len(reqs)]
+	last := make(map[string]int, len(reqs))
 	for i, r := range reqs {
-		if _, ok := groups[r.Seeker]; !ok {
-			order = append(order, r.Seeker)
+		next[i] = -1
+		if j, ok := last[r.Seeker]; ok {
+			next[j] = i
+		} else {
+			heads = append(heads, i)
 		}
-		groups[r.Seeker] = append(groups[r.Seeker], i)
+		last[r.Seeker] = i
 	}
 	workers := s.cfg.BatchWorkers
-	if workers > len(order) {
-		workers = len(order)
+	if workers > len(heads) {
+		workers = len(heads)
 	}
-	jobs := make(chan []int)
+	gathered := make([]*batchGather, workers)
+	jobs := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range gathered {
+		g := batchGathers.Get().(*batchGather)
+		gathered[w] = g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for idxs := range jobs {
-				for _, i := range idxs {
+			for head := range jobs {
+				for i := head; i >= 0; i = next[i] {
 					if err := ctx.Err(); err != nil {
 						out[i] = search.BatchResult{Err: err}
 						continue
 					}
-					var resp search.Response
-					err := s.DoInto(ctx, reqs[i], &resp)
-					if err != nil {
+					if err := s.DoInto(ctx, reqs[i], &g.resp); err != nil {
 						out[i] = search.BatchResult{Err: err}
-					} else {
-						out[i] = search.BatchResult{Response: resp}
+						continue
 					}
+					// The slice stays valid if a later append moves the
+					// gathered results: the old array is left as it is.
+					lo := len(g.results)
+					g.results = append(g.results, g.resp.Results...)
+					out[i] = search.BatchResult{Response: search.Response{Results: g.results[lo:], Explain: g.resp.Explain}}
 				}
 			}
 		}()
 	}
 dispatch:
-	for gi, seeker := range order {
+	for gi, head := range heads {
 		select {
-		case jobs <- groups[seeker]:
+		case jobs <- head:
 		case <-ctx.Done():
 			// Everything not yet dispatched fails without executing.
-			for _, sk := range order[gi:] {
-				for _, j := range groups[sk] {
-					out[j] = search.BatchResult{Err: ctx.Err()}
+			for _, h := range heads[gi:] {
+				for i := h; i >= 0; i = next[i] {
+					out[i] = search.BatchResult{Err: ctx.Err()}
 				}
 			}
 			break dispatch
@@ -360,5 +375,48 @@ dispatch:
 	}
 	close(jobs)
 	wg.Wait()
+
+	total := 0
+	for i := range out {
+		total += len(out[i].Response.Results)
+	}
+	backing := make([]search.Result, total)
+	lo := 0
+	for i := range out {
+		if out[i].Err == nil {
+			hi := lo + copy(backing[lo:], out[i].Response.Results)
+			out[i].Response.Results = backing[lo:hi:hi]
+			lo = hi
+		}
+	}
+	for _, g := range gathered {
+		g.release()
+	}
 	return out
+}
+
+// batchGather is one DoBatch worker's pooled storage: the response
+// DoInto refills for each query and the results the worker gathers
+// until the batch copies them out.
+type batchGather struct {
+	resp    search.Response
+	results []search.Result
+}
+
+var batchGathers = sync.Pool{New: func() interface{} { return new(batchGather) }}
+
+// maxPooledResults caps the results a pooled batchGather keeps room
+// for, so that one huge batch does not pin its memory.
+const maxPooledResults = 4096
+
+// release clears the gathered results, whose item names must not be
+// pinned by a pooled buffer, and pools g unless it outgrew
+// maxPooledResults.
+func (g *batchGather) release() {
+	clear(g.resp.Results[:cap(g.resp.Results)])
+	clear(g.results[:cap(g.results)])
+	g.resp.Results, g.resp.Explain, g.results = g.resp.Results[:0], nil, g.results[:0]
+	if cap(g.resp.Results)+cap(g.results) <= maxPooledResults {
+		batchGathers.Put(g)
+	}
 }

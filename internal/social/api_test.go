@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/search"
 )
@@ -318,4 +319,47 @@ func TestDoBatchMidFlightCancel(t *testing.T) {
 		t.Fatalf("%d/%d queries cancelled, want at least %d", cancelled, n, n-checks)
 	}
 	t.Logf("%d/%d queries cancelled", cancelled, n)
+}
+
+// TestDoBatchSharesOneBackingArray: a batch's answers sit in one array,
+// in input order, each entry capped at its own length (an append to one
+// never reaches the next) and never nil. Every answer, and every
+// failure, equals Do's.
+func TestDoBatchSharesOneBackingArray(t *testing.T) {
+	cfg := DefaultServiceConfig()
+	cfg.AutoCompactEvery = 0
+	svc := apiWorld(t, cfg)
+	ctx := context.Background()
+	reqs := []search.Request{
+		{Seeker: "alice", Tags: []string{"pizza"}},
+		{Seeker: "dave", Tags: []string{"italian"}},
+		{Seeker: "carol", Tags: []string{"sushi"}}, // unknown tag
+		{Seeker: "alice", Tags: []string{"pizza", "italian"}, K: 1},
+		{Seeker: "bob", Tags: []string{"pizza"}},
+		{Seeker: "alice", Tags: []string{"italian"}},
+	}
+	out := svc.DoBatch(ctx, reqs)
+	var prev []search.Result
+	for i, br := range out {
+		want, wantErr := svc.Do(ctx, reqs[i])
+		if fmt.Sprint(br.Err) != fmt.Sprint(wantErr) || fmt.Sprint(br.Response) != fmt.Sprint(want) {
+			t.Fatalf("entry %d: %+v (err %v), Do answers %+v (err %v)", i, br.Response, br.Err, want, wantErr)
+		}
+		if br.Err != nil {
+			continue
+		}
+		rs := br.Response.Results
+		if rs == nil || cap(rs) != len(rs) {
+			t.Fatalf("entry %d: results %v with capacity %d, want non-nil at capacity %d", i, rs, cap(rs), len(rs))
+		}
+		if len(prev) > 0 && len(rs) > 0 {
+			end := unsafe.Add(unsafe.Pointer(unsafe.SliceData(prev)), len(prev)*int(unsafe.Sizeof(search.Result{})))
+			if end != unsafe.Pointer(&rs[0]) {
+				t.Fatalf("entry %d does not follow the previous answered entry in one array", i)
+			}
+		}
+		if len(rs) > 0 {
+			prev = rs
+		}
+	}
 }
