@@ -127,43 +127,73 @@ func BenchmarkServingBatchSearch(b *testing.B) {
 // pins the remote path's overhead ratio so a serialization or routing
 // regression fails CI even on different hardware.
 func BenchmarkServingFleetLoopback(b *testing.B) {
+	run := fleetLoopback(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+// fleetLoopbackAllocCeiling bounds TestFleetLoopbackAllocs. Ten runs
+// read 389-390 allocations per batch, and 615-616 before the search
+// request bodies were read in one pass; the ceiling leaves room for
+// another Go release's net/http, and one more allocation per query on
+// either hop (64) crosses it.
+const fleetLoopbackAllocCeiling = 420
+
+// TestFleetLoopbackAllocs gates the fleet hop in a count, which does
+// not read the machine as the fleet-loopback-over-batch time gate does:
+// the allocations of one warm 64-query Pool.DoBatch over
+// BenchmarkServingFleetLoopback's three replicas, client and servers
+// together. testing.AllocsPerRun runs it at GOMAXPROCS 1, so the
+// replicas' sync.Pools do not miss when a worker lands on another P.
+func TestFleetLoopbackAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	run := fleetLoopback(t)
+	if got := testing.AllocsPerRun(100, run); got > fleetLoopbackAllocCeiling {
+		t.Fatalf("a 64-query batch over the loopback fleet allocates %v, want at most %d", got, fleetLoopbackAllocCeiling)
+	}
+}
+
+// fleetLoopback builds the loopback fleet and returns one warm run of
+// the 64-query workload through it as one Pool.DoBatch.
+func fleetLoopback(tb testing.TB) (run func()) {
 	var clients []*fleet.Client
 	var reqs []search.Request
 	for i := 0; i < 3; i++ {
 		// servingService is deterministic (fixed gen + rng seeds), so
 		// three calls build three identical replicas.
-		svc, rs := servingService(b, 0)
+		svc, rs := servingService(tb, 0)
 		reqs = rs
 		srv, err := server.New(svc)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		ts := httptest.NewServer(srv)
-		defer ts.Close()
+		tb.Cleanup(ts.Close)
 		c, err := fleet.NewClient(ts.URL, fleet.ClientConfig{})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		clients = append(clients, c)
 	}
 	pool, err := fleet.NewPool(clients, fleet.PoolConfig{HealthInterval: -1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	defer pool.Close()
+	tb.Cleanup(pool.Close)
 	ctx := context.Background()
-	run := func() {
+	run = func() {
 		for _, r := range pool.DoBatch(ctx, reqs) {
 			if r.Err != nil {
-				b.Fatal(r.Err)
+				tb.Fatal(r.Err)
 			}
 		}
 	}
 	run() // warm every replica's cache
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		run()
-	}
+	return run
 }
 
 // churnService builds a world of disjoint communities (chains of

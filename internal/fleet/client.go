@@ -43,10 +43,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/metrics"
@@ -271,48 +269,16 @@ func (c *Client) receive(resp *http.Response, out interface{}) error {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	bp := bodyBufs.Get().(*[]byte)
-	body, err := readAll((*bp)[:0], resp.Body, resp.ContentLength)
-	if err == nil {
-		err = decodeAnswer(body, out)
-	}
-	if cap(body) <= maxPooledBody {
-		*bp = body
-		bodyBufs.Put(bp)
-	}
+	err := server.ReadBody(resp.Body, resp.ContentLength, func(body []byte, err error) error {
+		if err != nil {
+			return err
+		}
+		return decodeAnswer(body, out)
+	})
 	if err != nil {
 		return unavailablef("%s %s: decoding response: %v", c.base, resp.Request.URL.Path, err)
 	}
 	return nil
-}
-
-// maxPooledBody caps the buffers bodyBufs keeps, so that one huge
-// answer does not pin its memory.
-const maxPooledBody = 64 << 10
-
-// bodyBufs pools the buffers response bodies are read into.
-var bodyBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
-
-// readAll appends r's bytes up to EOF to buf, growing it once to size
-// when the length is declared and no larger than the servers' own
-// bound on a request body.
-func readAll(buf []byte, r io.Reader, size int64) ([]byte, error) {
-	if size > 0 && size <= server.MaxBodyBytes {
-		buf = slices.Grow(buf, int(size)+1)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			return buf, nil
-		}
-		if err != nil {
-			return buf, err
-		}
-	}
 }
 
 // decodeAnswer decodes a response body: the two search answers by

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -687,7 +688,11 @@ func (p *Pool) ReplicaFor(seeker string) int {
 func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, error) {
 	ctx, sp := obs.StartSpan(ctx, "fleet.route")
 	defer sp.End()
-	sp.SetAttr("seeker", req.Seeker)
+	if sp != nil {
+		// The trace outlives the request; its seeker may alias the
+		// request body.
+		sp.SetAttr("seeker", strings.Clone(req.Seeker))
+	}
 	t := p.view()
 	sp.SetInt("epoch", int64(t.epoch))
 	var buf [prefBuf]int

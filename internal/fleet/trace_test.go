@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/search"
@@ -162,4 +163,57 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRouteSpanCopiesTheSeeker: the seeker attribute of a sampled
+// Pool.Do's fleet.route span is a copy, not a substring of the request
+// body the seeker was read from, which the recorded trace would
+// otherwise keep alive.
+func TestRouteSpanCopiesTheSeeker(t *testing.T) {
+	_, ts := newTracedReplica(t, "r1")
+	c := newTestClient(t, ts.URL, ClientConfig{})
+	ctx := context.Background()
+	if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := deliver(ctx, c, []social.Mutation{{LSN: 3}}, true); err != nil {
+		t.Fatal(err)
+	}
+	pool, err := NewPool([]*Client{c}, PoolConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(pool.Close)
+
+	tracer := obs.NewTracer(obs.Config{SampleEvery: 1})
+	body := []byte(`{"seeker":"alice","tags":["pizza"]}`)
+	seeker := unsafe.String(&body[11], 5)
+	rctx, rq := tracer.StartRequest(ctx, "", http.MethodPost, "/v2/search")
+	if _, err := pool.Do(rctx, search.Request{Seeker: seeker, Tags: []string{"pizza"}, K: 3}); err != nil {
+		t.Fatal(err)
+	}
+	rq.Finish(http.StatusOK)
+	rec, ok := tracer.TraceByID(rq.TraceID())
+	if !ok {
+		t.Fatal("the sampled trace was not recorded")
+	}
+	for _, sp := range rec.Spans {
+		for _, a := range sp.Attrs {
+			if sp.Name != "fleet.route" || a.Key != "seeker" {
+				continue
+			}
+			lo := uintptr(unsafe.Pointer(&body[0]))
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(a.Value))); lo <= p && p < lo+uintptr(len(body)) {
+				t.Fatalf("fleet.route's seeker attribute %q points into the request body", a.Value)
+			}
+			if a.Value != "alice" {
+				t.Fatalf("fleet.route's seeker attribute %q, want alice", a.Value)
+			}
+			return
+		}
+	}
+	t.Fatalf("no fleet.route span recorded the seeker: %+v", rec.Spans)
 }

@@ -582,7 +582,12 @@ func retryAfterSeconds(err error) int {
 
 // decodeBody strictly decodes a JSON request body into v.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
+	return decodeJSON(http.MaxBytesReader(w, r.Body, MaxBodyBytes), v)
+}
+
+// decodeJSON strictly decodes the one JSON value rd holds into v.
+func decodeJSON(rd io.Reader, v interface{}) error {
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("decoding request body: %w", err)
@@ -823,11 +828,17 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 		}
 	}
 	if th := s.tracer.SlowThreshold(); th > 0 && dur >= th {
+		// The record outlives the request, whose strings may alias its
+		// body (see searchBody): keep copies.
+		tags := slices.Clone(req.Tags)
+		for i := range tags {
+			tags[i] = strings.Clone(tags[i])
+		}
 		s.tracer.RecordSlow(obs.SlowQuery{
 			Time:       time.Now().Add(-dur),
 			TraceID:    obs.RequestFromContext(ctx).TraceID(),
-			Seeker:     req.Seeker,
-			Tags:       slices.Clone(req.Tags), // req.Tags is the pooled body's
+			Seeker:     strings.Clone(req.Seeker),
+			Tags:       tags,
 			K:          req.K,
 			Mode:       req.Mode.String(),
 			DurationMS: float64(dur) / float64(time.Millisecond),
@@ -840,7 +851,7 @@ func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *se
 // bounds-checks the query count. It reports whether the envelope was
 // accepted; on rejection the 400 response has already been written.
 func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, b *searchBody) bool {
-	if err := b.decodeBatch(w, r); err != nil {
+	if err := b.decode(w, r, true); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return false
 	}
@@ -944,7 +955,7 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	}
 	body := newSearchBody()
 	defer body.release()
-	if err := body.decodeQuery(w, r); err != nil {
+	if err := body.decode(w, r, false); err != nil {
 		s.writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -33,10 +36,15 @@ import (
 //     newline, a field a newer replica adds.
 //
 // FuzzSearchWire holds both halves to encoding/json. The queries a
-// front-end sends are json.Marshal's, and the server decodes them with
-// encoding/json: its strictness (unknown fields, trailing values) is
-// part of the API. It decodes them into pooled targets (searchBody),
-// which FuzzSearchBodyReuse holds to a fresh decode.
+// front-end sends are json.Marshal's, and the server reads the two
+// search request bodies with the same one-pass-or-json contract
+// (searchBody.decode): a body in the shape json.Marshal writes for a
+// query that sets no option but k and mode is read in one pass, with
+// every string a substring of the body's one copy; any other body goes
+// whole to encoding/json, whose strictness (unknown fields, trailing
+// values, the 400 texts) is part of the API. FuzzSearchRequestWire
+// holds the reader to encoding/json, and FuzzSearchBodyReuse holds a
+// reused pooled target (searchBody) to a fresh decode.
 
 // maxPooledBytes caps what a pooled buffer or decode target may hold
 // when it goes back to its pool, so that one huge answer or request
@@ -214,21 +222,22 @@ func appendString(dst []byte, s string) []byte {
 }
 
 // searchBody is a pooled decode target for the /v2 search request
-// bodies. encoding/json decodes an array into the slice it finds,
-// growing it only past its capacity, so a target that keeps its query
-// array and every query's tag array across requests decodes a batch
-// without growing either: what it allocates is the body's strings, and
-// a β for each query that sets one.
+// bodies. It keeps its query array and every query's tag array across
+// requests, so a decode fills arrays it already has: the one pass
+// (readQuery, readBatch) appends into them, and encoding/json decodes
+// an array into the slice it finds, growing it only past its capacity.
 //
 // A decode leaves exactly the value and error a fresh decodeBody
 // into a zero value leaves. json decodes an object into the struct it
 // finds, setting only the fields the object names, so every query slot
-// is zero, but for its kept tag array, before a decode (reset zeroes
-// them); and a kept array json never touched is set back to the nil a
-// fresh decode leaves (json's own empty array has capacity 0).
+// is zeroed, but for its kept tag array, before json decodes into it;
+// and a kept array json never touched is set back to the nil a fresh
+// decode leaves (json's own empty array has capacity 0).
 //
-// The decoded value aliases the target until release: a handler that
-// keeps any of it past its return (noteSlowQuery) copies what it keeps.
+// The decoded value aliases the target and the body's one string copy
+// until release: a handler, or anything it calls, that keeps a string
+// of it past the request copies the string (strings.Clone), or the
+// whole body stays pinned.
 type searchBody struct {
 	batch   V2BatchRequest
 	query   V2Query
@@ -240,22 +249,89 @@ var searchBodies = sync.Pool{New: func() interface{} { return new(searchBody) }}
 
 func newSearchBody() *searchBody { return searchBodies.Get().(*searchBody) }
 
-// decodeQuery decodes a /v2/search body into b.query.
-func (b *searchBody) decodeQuery(w http.ResponseWriter, r *http.Request) error {
-	b.query.Tags = b.tagArray(0)
-	err := decodeBody(w, r, &b.query)
-	b.settle(0, &b.query.Tags)
-	return err
+// decode reads a /v2/search body into b.query, or a /v2/search/batch
+// body into b.batch. The body is read to its end and copied once into
+// a string; a body in json.Marshal's shape for the request type is
+// read from it in one pass, every string a substring of the copy. Any
+// other body, and one whose read failed, goes whole to encoding/json,
+// which reads the bytes read and then the read error, as decodeBody
+// would have read them from the request.
+func (b *searchBody) decode(w http.ResponseWriter, r *http.Request, batch bool) error {
+	return ReadBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength, func(data []byte, err error) error {
+		if err == nil {
+			d := wireDecoder{s: string(data)}
+			if batch && b.readBatch(&d) || !batch && b.readQuery(&d) {
+				return nil
+			}
+		}
+		var rd io.Reader = bytes.NewReader(data)
+		if err != nil {
+			rd = io.MultiReader(rd, errReader{err})
+		}
+		if !batch {
+			b.query = V2Query{Tags: b.tagArray(0)}
+			err = decodeJSON(rd, &b.query)
+			b.settle(0, &b.query.Tags)
+			return err
+		}
+		qs := b.queries[:cap(b.queries)]
+		for i := range qs {
+			qs[i] = V2Query{Tags: b.tagArray(i)}
+		}
+		b.batch.Queries = b.queries[:0]
+		err = decodeJSON(rd, &b.batch)
+		b.keepQueries()
+		return err
+	})
 }
 
-// decodeBatch decodes a /v2/search/batch body into b.batch.
-func (b *searchBody) decodeBatch(w http.ResponseWriter, r *http.Request) error {
-	qs := b.queries[:cap(b.queries)]
-	for i := range qs {
-		qs[i].Tags = b.tagArray(i)
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// readQuery reads a whole /v2/search body in one pass into b.query.
+func (b *searchBody) readQuery(d *wireDecoder) bool {
+	q, ok := d.query(b.tagArray(0))
+	if !ok || d.i != len(d.s) {
+		return false
 	}
-	b.batch.Queries = b.queries[:0]
-	err := decodeBody(w, r, &b.batch)
+	b.query = q
+	b.settle(0, &b.query.Tags)
+	return true
+}
+
+// readBatch reads a whole /v2/search/batch body in one pass into
+// b.batch: {"queries":[…]} of at least one query.
+func (b *searchBody) readBatch(d *wireDecoder) bool {
+	if !d.lit(`{"queries":[`) {
+		return false
+	}
+	qs := b.queries[:0]
+	for {
+		q, ok := d.query(b.tagArray(len(qs)))
+		if !ok {
+			return false
+		}
+		qs = append(qs, q)
+		if d.lit("]}") {
+			break
+		}
+		if !d.lit(",") {
+			return false
+		}
+	}
+	if d.i != len(d.s) {
+		return false
+	}
+	b.batch.Queries = qs
+	b.keepQueries()
+	return true
+}
+
+// keepQueries keeps the query and tag arrays the decode into b.batch
+// grew, and sets untouched kept arrays back to nil.
+func (b *searchBody) keepQueries() {
 	if cap(b.batch.Queries) > cap(b.queries) {
 		b.queries = b.batch.Queries[:0]
 	}
@@ -263,7 +339,6 @@ func (b *searchBody) decodeBatch(w http.ResponseWriter, r *http.Request) error {
 		b.settle(i, &b.batch.Queries[i].Tags)
 	}
 	b.batch.Queries = untouched(b.batch.Queries)
-	return err
 }
 
 // tagArray returns query i's kept tag array, empty.
@@ -274,7 +349,7 @@ func (b *searchBody) tagArray(i int) []string {
 	return nil
 }
 
-// settle keeps the array json decoded query i's tags into, if it grew
+// settle keeps the array query i's tags were decoded into, if it grew
 // one, and sets an untouched kept array back to nil.
 func (b *searchBody) settle(i int, tags *[]string) {
 	if cap(*tags) > cap(b.tagArray(i)) {
@@ -319,6 +394,40 @@ func (b *searchBody) reset() bool {
 	return small && size <= maxPooledBytes
 }
 
+// bodyBufs pools the buffers ReadBody reads into.
+var bodyBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
+
+// ReadBody reads r to its end into a pooled buffer, grown once to size
+// when the length is declared and no larger than MaxBodyBytes, and
+// hands use the bytes read and the read error: nil at EOF. The buffer
+// goes back to the pool when use returns, unless it outgrew
+// maxPooledBytes, so use must not keep the bytes.
+func ReadBody(r io.Reader, size int64, use func(body []byte, err error) error) error {
+	bp := bodyBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if size > 0 && size <= MaxBodyBytes {
+		buf = slices.Grow(buf, int(size)+1)
+	}
+	var err error
+	for err == nil {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		var n int
+		n, err = r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+	}
+	if err == io.EOF {
+		err = nil
+	}
+	err = use(buf, err)
+	if cap(buf) <= maxPooledBytes {
+		*bp = buf
+		bodyBufs.Put(bp)
+	}
+	return err
+}
+
 // DecodeSearchResponse parses a /v2/search answer into r, which it
 // zeroes first, as json.Unmarshal would.
 func DecodeSearchResponse(data []byte, r *V2SearchResponse) error {
@@ -355,10 +464,11 @@ func DecodeBatchResponse(data []byte, r *V2BatchResponse) error {
 	return nil
 }
 
-// wireDecoder is one pass over an answer in its encoder's shape. The
-// body is copied once into s, so every item string is a substring of
-// it; results gather in scratch that is copied out at its exact size,
-// and the decoder is pooled with its scratch.
+// wireDecoder is one pass over a body in its writer's shape: an answer
+// or a search request. The body is copied once into s, so every string
+// read is a substring of it. An answer's results gather in scratch that
+// is copied out at its exact size, and the decoder is pooled with its
+// scratch; a request's pass needs no scratch and runs on the stack.
 type wireDecoder struct {
 	s       string
 	i       int
@@ -467,6 +577,56 @@ func (d *wireDecoder) str() (string, bool) {
 		}
 	}
 	return "", false
+}
+
+// query reads one /v2 search query in the shape json.Marshal writes
+// for a V2Query that sets no option but k and mode, appending its tags
+// to tags: {"seeker":S,"tags":[S,…],"k":N,"mode":S}, with k and mode
+// optional and at least one tag.
+func (d *wireDecoder) query(tags []string) (q V2Query, ok bool) {
+	if !d.lit(`{"seeker":`) {
+		return q, false
+	}
+	if q.Seeker, ok = d.str(); !ok || !d.lit(`,"tags":[`) {
+		return q, false
+	}
+	for {
+		t, ok := d.str()
+		if !ok {
+			return q, false
+		}
+		tags = append(tags, t)
+		if d.lit("]") {
+			break
+		}
+		if !d.lit(",") {
+			return q, false
+		}
+	}
+	q.Tags = tags
+	if d.lit(`,"k":`) {
+		if q.K, ok = d.int(); !ok {
+			return q, false
+		}
+	}
+	if d.lit(`,"mode":`) {
+		if q.Mode, ok = d.str(); !ok {
+			return q, false
+		}
+	}
+	return q, d.lit("}")
+}
+
+// int reads a non-negative integer with no leading zero that fits an
+// int.
+func (d *wireDecoder) int() (int, bool) {
+	j := digits(d.s, d.i)
+	if j < 0 || d.s[d.i] == '0' && j > d.i+1 {
+		return 0, false
+	}
+	n, err := strconv.Atoi(d.s[d.i:j])
+	d.i = j
+	return n, err == nil
 }
 
 // number reads a JSON number literal as json.Unmarshal reads it into

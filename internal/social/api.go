@@ -3,6 +3,7 @@ package social
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -83,7 +84,9 @@ func (s *Service) DoInto(ctx context.Context, req search.Request, resp *search.R
 	ctx, sp := obs.StartSpan(ctx, "social.execute")
 	err := s.doIntoScratch(ctx, req, resp, sc)
 	if sp != nil {
-		sp.SetAttr("seeker", req.Seeker)
+		// The trace outlives the request; its seeker may alias the
+		// request body.
+		sp.SetAttr("seeker", strings.Clone(req.Seeker))
 		sp.SetAttr("algorithm", sc.ex.Algorithm)
 		sp.SetBool("cache_hit", sc.ex.CacheHit)
 		sp.SetInt("horizon_users", int64(sc.ex.HorizonUsers))
