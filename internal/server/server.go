@@ -88,7 +88,6 @@ import (
 	"log"
 	"net/http"
 	"net/http/pprof"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -96,13 +95,10 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/quorum"
 	"repro/internal/search"
 	"repro/internal/social"
-	"repro/internal/tagstore"
-	"repro/internal/vocab"
 )
 
 // Backend is the query and plain-mutation surface every backend has;
@@ -114,127 +110,6 @@ type Backend interface {
 	Tag(user, item, tag string) error
 	Users() []string
 }
-
-// Replica is the role of a backend that holds the state itself and
-// applies the fleet's replication stream: *social.Service, volatile or
-// journaled. Its endpoints (/v2/apply, /v2/snapshot, /v2/cache/*)
-// answer 404 on a backend that is not one.
-type Replica interface {
-	// Apply (each record of a POST /v2/apply page) applies one
-	// replication record with idempotent dedup (at or below the cursor:
-	// no-op) and strict ordering (ahead of cursor+1:
-	// social.ErrReplicationGap, 409 on the wire); a record of the zero
-	// Kind only advances the cursor.
-	Apply(m social.Mutation) error
-	// AppliedLSN is the replication cursor; /healthz reports it (header
-	// X-Applied-LSN), so fleet health probes double as lag probes.
-	AppliedLSN() uint64
-	// Flush (an apply page with "fold" set, after its records) folds
-	// the applied records into the queryable snapshot, dropping the
-	// cached seeker horizons their friendships could affect.
-	Flush() error
-	// SnapshotWithCursor and ImportSnapshot (GET/POST /v2/snapshot)
-	// export the compacted state pinned at the replication cursor, and
-	// replace the entire state with such an export — how a joining
-	// replica bootstraps before replaying the fleet log suffix.
-	SnapshotWithCursor() (*graph.Graph, *tagstore.Store, *vocab.Set, uint64, error)
-	ImportSnapshot(g *graph.Graph, st *tagstore.Store, names *vocab.Set, lsn uint64) error
-	// CachedSeekers and WarmSeekers (GET /v2/cache/seekers, POST
-	// /v2/cache/warm) list the seekers with resident cached horizons and
-	// materialize a given slice of seekers ahead of a traffic flip.
-	CachedSeekers() []string
-	WarmSeekers(ctx context.Context, seekers []string) (int, error)
-	Stats() social.Stats
-}
-
-// New resolves roles by a dynamic assertion, which would quietly turn a
-// role off if the one replica type drifted from the interface.
-var _ Replica = (*social.Service)(nil)
-
-// Frontend is the role of a backend that owns no state but fronts a
-// fleet of replicas: *fleet.Frontend. /v2/replog and /v2/fleet/resize
-// answer 404 on a backend that is not one.
-type Frontend interface {
-	// Mutate replaces Befriend/Tag for /v1 mutations, so the request
-	// context — carrying the trace — reaches the quorum append and
-	// replica fan-out path; cancellation is stripped there (a client
-	// hang-up must never abort a replication fan-out half-way).
-	Mutate(ctx context.Context, m social.Mutation) error
-	// QuorumRole is an HA front-end's quorum role, believed leader URL
-	// and term, reported on /healthz (X-Quorum-Role / -Leader / -Term) so
-	// finding the leader is one HEAD request; role "" means no quorum.
-	QuorumRole() (role, leaderURL string, term uint64)
-	// ReplogPage (GET /v2/replog) pages through the fleet replication
-	// log from a given LSN; ErrNoReplog when the log is disabled.
-	ReplogPage(from uint64, max int) (ReplogPage, error)
-	// JoinReplica, RetireReplica and FleetEpoch (POST /v2/fleet/resize)
-	// are elastic membership: joining adopts a running replica by URL
-	// (admit → snapshot bootstrap → log catch-up → cache pre-warm → ring
-	// activation under a new topology epoch); retiring drains a slot's
-	// cached working set to its ring successors and removes it.
-	JoinReplica(ctx context.Context, url string) (slot int, err error)
-	RetireReplica(ctx context.Context, slot int) error
-	FleetEpoch() uint64
-	// StatsAny is the front-end's counters, a type this package does
-	// not know.
-	StatsAny() interface{}
-}
-
-// ReplogRecord is one replication log record on the /v2/replog wire
-// (Data is base64 in JSON, the durable/wal record payload verbatim).
-type ReplogRecord struct {
-	LSN  uint64 `json:"lsn"`
-	Type uint8  `json:"type"`
-	Data []byte `json:"data"`
-}
-
-// ReplogPage is the GET /v2/replog response body: the records from the
-// requested LSN (capped at MaxReplogPageRecords per page) and the log
-// head at read time. A caller has the full stream once it has paged
-// through lsn == head.
-type ReplogPage struct {
-	From    uint64         `json:"from"`
-	Head    uint64         `json:"head"`
-	Records []ReplogRecord `json:"records"`
-}
-
-// ErrNoReplog is returned by a Frontend whose replication log is
-// disabled; the handler maps it to 404.
-var ErrNoReplog = errors.New("server: no replication log configured")
-
-// MaxWarmSeekers bounds one POST /v2/cache/warm request.
-const MaxWarmSeekers = 65536
-
-// FleetResizeRequest is the POST /v2/fleet/resize body: replica base
-// URLs to join and member slots to retire. Joins run first (in order),
-// then retires — so one request can grow-then-shrink atomically from
-// the caller's point of view.
-type FleetResizeRequest struct {
-	Join   []string `json:"join,omitempty"`
-	Retire []int    `json:"retire,omitempty"`
-}
-
-// FleetResizeResponse reports the slots joined and retired and the
-// topology epoch after the resize.
-type FleetResizeResponse struct {
-	Epoch   uint64 `json:"epoch"`
-	Joined  []int  `json:"joined"`
-	Retired []int  `json:"retired"`
-}
-
-// MaxResizeOps bounds one resize request's combined join+retire count.
-const MaxResizeOps = 64
-
-// SnapshotLSNHeader carries the pinned replication cursor of a
-// /v2/snapshot export (it also rides inside the stream; the header
-// lets an orchestrator log the pin without parsing the body).
-const SnapshotLSNHeader = "X-Snapshot-LSN"
-
-// maxSnapshotBodyBytes bounds POST /v2/snapshot import bodies.
-const maxSnapshotBodyBytes = 4 << 30
-
-// MaxReplogPageRecords caps one /v2/replog page.
-const MaxReplogPageRecords = 1024
 
 // MaxBodyBytes bounds a JSON request body: a mutation, a batch query
 // envelope, an apply page.
@@ -704,588 +579,6 @@ func mutationErrStatus(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
-}
-
-// ApplyRequest is the POST /v2/apply body: a page of replication log
-// records, LSN-consecutive, at most MaxReplogPageRecords of them. Fold
-// asks the replica to fold what it applied into its queryable snapshot
-// once the page is applied; the sender sets it on the last page of a
-// stream.
-type ApplyRequest struct {
-	Records []social.Mutation `json:"records"`
-	Fold    bool              `json:"fold,omitempty"`
-}
-
-// ApplyRejection names a record of an apply page the replica rejected
-// deterministically: processed — the cursor moved past it, as on every
-// replica — and nothing applied.
-type ApplyRejection struct {
-	LSN   uint64 `json:"lsn"`
-	Error string `json:"error"`
-}
-
-// AppliedResponse answers an apply page or a snapshot import: the
-// replica's cursor afterwards and the page's rejected records. Spans
-// carries this process's span data for a page that arrived as part of
-// a sampled distributed trace (see obs.WireSpans).
-type AppliedResponse struct {
-	AppliedLSN uint64           `json:"applied_lsn"`
-	Rejected   []ApplyRejection `json:"rejected,omitempty"`
-	Spans      []obs.SpanData   `json:"spans,omitempty"`
-}
-
-// handleApply is the replication entry point: it applies a page of log
-// records in order through Replica.Apply, and is never shed (see the
-// admission field). A malformed page — bad JSON, an unknown kind, a
-// zero or non-consecutive LSN, too many records — is a 400 and a page
-// starting past cursor+1 a 409 (the sender streams the gap first);
-// neither applies anything, as records are consecutive and a gap can
-// only open before the first. On any other failure the CURSOR decides:
-// one that advanced to the record's LSN means a deterministic rejection
-// every replica repeats identically, listed while the page goes on; one
-// left behind means an internal failure (a full disk, a broken log)
-// that retrying may fix — 500, with only the records before it applied.
-// A page with fold set is then folded in (Replica.Flush); a fold that
-// fails is a 500 too.
-func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	if s.replica == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend does not apply replication records"))
-		return
-	}
-	var req ApplyRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	recs := req.Records
-	if len(recs) == 0 || len(recs) > MaxReplogPageRecords {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("apply page holds %d records, want 1 to %d", len(recs), MaxReplogPageRecords))
-		return
-	}
-	for i, m := range recs {
-		if m.LSN == 0 || i > 0 && m.LSN != recs[i-1].LSN+1 {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: lsn %d does not continue the page", i, m.LSN))
-			return
-		}
-		if !m.Kind.Known() {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("record %d: unknown kind %q", i, m.Kind))
-			return
-		}
-	}
-	var resp AppliedResponse
-	for _, m := range recs {
-		err := s.replica.Apply(m)
-		switch {
-		case err == nil:
-		case errors.Is(err, social.ErrReplicationGap):
-			s.writeErr(w, http.StatusConflict, err)
-			return
-		case s.replica.AppliedLSN() >= m.LSN:
-			resp.Rejected = append(resp.Rejected, ApplyRejection{LSN: m.LSN, Error: err.Error()})
-		default:
-			s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("lsn %d: %w", m.LSN, err))
-			return
-		}
-	}
-	if req.Fold {
-		if err := s.replica.Flush(); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("fold: %w", err))
-			return
-		}
-	}
-	resp.AppliedLSN = s.replica.AppliedLSN()
-	resp.Spans = obs.WireSpans(r.Context())
-	s.writeJSON(w, r, resp)
-}
-
-// forceExplain turns on Explain for a sampled traced query the client
-// did not ask to explain, so the trace and the slow-query log capture
-// the engine's decision record. The caller strips the payload from the
-// response when the client did not request it (noteSlowQuery does both
-// jobs), keeping client-visible bytes independent of sampling.
-func (s *Server) forceExplain(ctx context.Context, req *search.Request) {
-	if s.tracer != nil && !req.Explain && obs.CurrentSpan(ctx) != nil {
-		req.Explain = true
-	}
-}
-
-// noteSlowQuery feeds the slow-query log when the query crossed the
-// tracer's slow threshold, annotates the current span with the explain
-// decision record, and strips a force-injected Explain payload off the
-// response.
-func (s *Server) noteSlowQuery(ctx context.Context, req search.Request, resp *search.Response, dur time.Duration) {
-	if s.tracer == nil {
-		return
-	}
-	if ex := resp.Explain; ex != nil {
-		if sp := obs.CurrentSpan(ctx); sp != nil {
-			sp.SetAttr("algorithm", ex.Algorithm)
-			sp.SetInt("horizon_users", int64(ex.HorizonUsers))
-			sp.SetBool("cache_hit", ex.CacheHit)
-		}
-	}
-	if th := s.tracer.SlowThreshold(); th > 0 && dur >= th {
-		// The record outlives the request, whose strings may alias its
-		// body (see searchBody): keep copies.
-		tags := slices.Clone(req.Tags)
-		for i := range tags {
-			tags[i] = strings.Clone(tags[i])
-		}
-		s.tracer.RecordSlow(obs.SlowQuery{
-			Time:       time.Now().Add(-dur),
-			TraceID:    obs.RequestFromContext(ctx).TraceID(),
-			Seeker:     strings.Clone(req.Seeker),
-			Tags:       tags,
-			K:          req.K,
-			Mode:       req.Mode.String(),
-			DurationMS: float64(dur) / float64(time.Millisecond),
-			Explain:    resp.Explain,
-		})
-	}
-}
-
-// decodeBatchEnvelope decodes a batch request body into b.batch and
-// bounds-checks the query count. It reports whether the envelope was
-// accepted; on rejection the 400 response has already been written.
-func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, b *searchBody) bool {
-	if err := b.decode(w, r, true); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return false
-	}
-	n := len(b.batch.Queries)
-	if n == 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("batch holds no queries"))
-		return false
-	}
-	if n > MaxBatchQueries {
-		s.writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("batch holds %d queries, limit is %d", n, MaxBatchQueries))
-		return false
-	}
-	return true
-}
-
-// runBatch is handleSearchBatchV2's execution: the queries that passed
-// validation (errs[i] == nil) run as one backend batch under one
-// admission ticket — the batch is one unit of admitted work — and come
-// back by input position (entry i is zero where errs[i] is set). The
-// backend is skipped entirely when nothing survived validation (a
-// durable backend folds pending writes even for an empty batch). ok is false when
-// admission refused the batch; the response is written then.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error) ([]search.BatchResult, bool) {
-	runnable := make([]search.Request, 0, len(reqs))
-	positions := make([]int, 0, len(reqs))
-	var out []search.BatchResult
-	for i := range reqs {
-		if errs[i] == nil {
-			runnable = append(runnable, reqs[i])
-			positions = append(positions, i)
-		}
-	}
-	if len(runnable) > 0 {
-		tk, ok := s.admit(w, r, admission.Read)
-		if !ok {
-			return nil, false
-		}
-		out = s.backend.DoBatch(r.Context(), runnable)
-		tk.Release(batchOutcome(out))
-	}
-	if len(out) == len(reqs) {
-		return out, true // every query ran: positions are the identity
-	}
-	byPos := make([]search.BatchResult, len(reqs))
-	for j, br := range out {
-		byPos[positions[j]] = br
-	}
-	return byPos, true
-}
-
-// V2Query is the wire form of one search.Request. The server only
-// decodes it; omitempty serves the fleet client, which encodes it.
-type V2Query struct {
-	Seeker        string   `json:"seeker"`
-	Tags          []string `json:"tags"`
-	K             int      `json:"k"`
-	Beta          *float64 `json:"beta,omitempty"`
-	Mode          string   `json:"mode,omitempty"`
-	MinScore      float64  `json:"min_score,omitempty"`
-	Offset        int      `json:"offset,omitempty"`
-	NoCache       bool     `json:"no_cache,omitempty"`
-	MaxCacheAgeMS int64    `json:"max_cache_age_ms,omitempty"`
-	Explain       bool     `json:"explain,omitempty"`
-}
-
-// request converts the wire query to a search.Request (mode parse
-// errors surface as ErrInvalid, like every other validation failure).
-func (q V2Query) request() (search.Request, error) {
-	mode, err := search.ParseMode(q.Mode)
-	if err != nil {
-		return search.Request{}, err
-	}
-	return search.Request{
-		Seeker:        q.Seeker,
-		Tags:          q.Tags,
-		K:             q.K,
-		Beta:          q.Beta,
-		Mode:          mode,
-		MinScore:      q.MinScore,
-		Offset:        q.Offset,
-		NoCache:       q.NoCache,
-		MaxCacheAgeMS: q.MaxCacheAgeMS,
-		Explain:       q.Explain,
-	}, nil
-}
-
-// V2SearchResponse is the /v2/search response body. Spans carries
-// this process's span data when the query arrived as part of a sampled
-// distributed trace — a front-end stitching a replica's work into its
-// own trace (see obs.WireSpans); client-initiated queries never see it.
-type V2SearchResponse struct {
-	Results []search.Result `json:"results"`
-	Explain *search.Explain `json:"explain,omitempty"`
-	Spans   []obs.SpanData  `json:"spans,omitempty"`
-}
-
-func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	body := newSearchBody()
-	defer body.release()
-	if err := body.decode(w, r, false); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	req, err := body.query.request()
-	if err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	tk, ok := s.admit(w, r, admission.Read)
-	if !ok {
-		return
-	}
-	wantExplain := req.Explain
-	s.forceExplain(r.Context(), &req)
-	start := time.Now()
-	resp, err := s.backend.Do(r.Context(), req)
-	tk.Release(err)
-	if err != nil {
-		s.writeErr(w, searchErrStatus(err), err)
-		return
-	}
-	// Capture (and on a force-injected Explain, strip) the decision
-	// record — client-visible bytes must not depend on sampling.
-	s.noteSlowQuery(r.Context(), req, &resp, time.Since(start))
-	if !wantExplain {
-		resp.Explain = nil
-	}
-	out := V2SearchResponse{
-		Results: resp.Results, Explain: resp.Explain,
-		Spans: obs.WireSpans(r.Context()),
-	}
-	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendSearchResponse(dst, &out) })
-}
-
-// V2BatchRequest is the /v2/search/batch request body.
-type V2BatchRequest struct {
-	Queries []V2Query `json:"queries"`
-}
-
-// V2BatchEntry answers one v2 batch query.
-type V2BatchEntry struct {
-	Results []search.Result `json:"results"`
-	Explain *search.Explain `json:"explain,omitempty"`
-	Error   string          `json:"error,omitempty"`
-	// ErrorKind carries the error's class across the wire ("invalid",
-	// "overloaded", "unavailable"; empty for unclassified failures) so a
-	// fleet front-end relaying this entry can reconstruct the typed
-	// error — a replica's shed (429) must stay a shed at the front door,
-	// never be flattened into a generic failure.
-	ErrorKind string `json:"error_kind,omitempty"`
-	// RetryAfterMS is the shed entry's backoff hint in milliseconds
-	// (only with ErrorKind "overloaded") — the per-entry form of the
-	// Retry-After header.
-	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
-}
-
-// Wire error classes for V2BatchEntry.ErrorKind.
-const (
-	ErrKindInvalid     = "invalid"
-	ErrKindOverloaded  = "overloaded"
-	ErrKindUnavailable = "unavailable"
-)
-
-// classifyWireErr reduces a per-entry error to its wire class and
-// backoff hint.
-func classifyWireErr(err error) (kind string, retryAfterMS int64) {
-	switch {
-	case errors.Is(err, search.ErrInvalid):
-		return ErrKindInvalid, 0
-	case errors.Is(err, search.ErrOverloaded):
-		var oe *search.OverloadError
-		if errors.As(err, &oe) {
-			retryAfterMS = oe.RetryAfter.Milliseconds()
-		}
-		return ErrKindOverloaded, retryAfterMS
-	case errors.Is(err, search.ErrUnavailable):
-		return ErrKindUnavailable, 0
-	default:
-		return "", 0
-	}
-}
-
-// batchOutcome reduces a batch's per-entry errors to one admission
-// outcome: success if anything succeeded, else the first error — so one
-// slow-but-served batch is an ack, not a congestion signal.
-func batchOutcome(batch []search.BatchResult) error {
-	var firstErr error
-	for _, br := range batch {
-		if br.Err == nil {
-			return nil
-		}
-		if firstErr == nil {
-			firstErr = br.Err
-		}
-	}
-	return firstErr
-}
-
-// V2BatchResponse is the /v2/search/batch response body; entry i
-// answers query i. Spans: see V2SearchResponse.
-type V2BatchResponse struct {
-	Results []V2BatchEntry `json:"results"`
-	Spans   []obs.SpanData `json:"spans,omitempty"`
-}
-
-func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	body := newSearchBody()
-	defer body.release()
-	if !s.decodeBatchEnvelope(w, r, body) {
-		return
-	}
-	qs := body.batch.Queries
-	reqs := make([]search.Request, len(qs))
-	errs := make([]error, len(qs))
-	for i := range qs {
-		reqs[i], errs[i] = qs[i].request()
-	}
-	batch, ok := s.runBatch(w, r, reqs, errs)
-	if !ok {
-		return
-	}
-	resp := V2BatchResponse{Results: make([]V2BatchEntry, len(reqs)), Spans: obs.WireSpans(r.Context())}
-	for i, br := range batch {
-		switch {
-		case errs[i] != nil:
-			resp.Results[i] = V2BatchEntry{Error: fmt.Sprintf("query %d: %v", i, errs[i]), ErrorKind: ErrKindInvalid}
-		case br.Err != nil:
-			kind, retryMS := classifyWireErr(br.Err)
-			resp.Results[i] = V2BatchEntry{Error: br.Err.Error(), ErrorKind: kind, RetryAfterMS: retryMS}
-		default:
-			resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
-		}
-	}
-	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendBatchResponse(dst, &resp) })
-}
-
-// handleReplog pages through the fleet replication log:
-// GET /v2/replog?from=LSN returns the records from that LSN (default 1,
-// at most MaxReplogPageRecords) plus the log head, so a reader streams
-// the log by paging until it has seen lsn == head.
-func (s *Server) handleReplog(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if s.frontend == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend has no replication log"))
-		return
-	}
-	from := uint64(1)
-	if fs := r.URL.Query().Get("from"); fs != "" {
-		v, err := strconv.ParseUint(fs, 10, 64)
-		if err != nil || v == 0 {
-			s.writeErr(w, http.StatusBadRequest, fmt.Errorf("bad from %q", fs))
-			return
-		}
-		from = v
-	}
-	page, err := s.frontend.ReplogPage(from, MaxReplogPageRecords)
-	if err != nil {
-		if errors.Is(err, ErrNoReplog) {
-			s.writeErr(w, http.StatusNotFound, err)
-			return
-		}
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	if page.Records == nil {
-		page.Records = []ReplogRecord{}
-	}
-	s.writeJSON(w, r, page)
-}
-
-// handleSnapshot serves the replica bootstrap plane. GET exports the
-// backend's compacted state as a binary stream pinned at the
-// replication cursor (social.WriteSnapshotStream form, cursor echoed in
-// X-Snapshot-LSN); POST replaces the backend's entire state with such a
-// stream. Mutations racing an export simply land after the pinned
-// cursor and reach the importer through the replication log suffix.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	switch r.Method {
-	case http.MethodGet:
-		if s.replica == nil {
-			s.writeErr(w, http.StatusNotFound, errors.New("backend does not export snapshots"))
-			return
-		}
-		g, st, names, lsn, err := s.replica.SnapshotWithCursor()
-		if err != nil {
-			s.writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set(SnapshotLSNHeader, strconv.FormatUint(lsn, 10))
-		if err := social.WriteSnapshotStream(w, g, st, names, lsn); err != nil && s.logf != nil {
-			s.logf("server: streaming snapshot: %v", err)
-		}
-	case http.MethodPost:
-		if s.replica == nil {
-			s.writeErr(w, http.StatusNotFound, errors.New("backend does not import snapshots"))
-			return
-		}
-		g, st, names, lsn, err := social.ReadSnapshotStream(io.LimitReader(r.Body, maxSnapshotBodyBytes))
-		if err != nil {
-			s.writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		if err := s.replica.ImportSnapshot(g, st, names, lsn); err != nil {
-			s.writeErr(w, http.StatusInternalServerError, err)
-			return
-		}
-		s.writeJSON(w, r, AppliedResponse{AppliedLSN: lsn})
-	default:
-		w.Header().Set("Allow", "GET, POST")
-		s.writeErr(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
-	}
-}
-
-// handleCacheSeekers lists the seekers with resident cached horizons
-// (hottest first per cache stripe) — the enumeration half of the pre-warm
-// plane a resize orchestrator drives.
-func (s *Server) handleCacheSeekers(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if s.replica == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend has no seeker cache plane"))
-		return
-	}
-	seekers := s.replica.CachedSeekers()
-	if seekers == nil {
-		seekers = []string{}
-	}
-	s.writeJSON(w, r, struct {
-		Seekers []string `json:"seekers"`
-	}{Seekers: seekers})
-}
-
-// handleCacheWarm materializes the given seekers' horizons into the
-// cache — the install half of the pre-warm plane. Unknown seekers are
-// skipped, not errors.
-func (s *Server) handleCacheWarm(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	if s.replica == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend has no seeker cache plane"))
-		return
-	}
-	var req struct {
-		Seekers []string `json:"seekers"`
-	}
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Seekers) > MaxWarmSeekers {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("%d seekers exceeds limit %d", len(req.Seekers), MaxWarmSeekers))
-		return
-	}
-	warmed, err := s.replica.WarmSeekers(r.Context(), req.Seekers)
-	if err != nil {
-		s.writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	s.writeJSON(w, r, struct {
-		Warmed int `json:"warmed"`
-	}{Warmed: warmed})
-}
-
-// handleFleetResize drives elastic membership on a fleet front-end:
-// joins run first (each is admit → snapshot bootstrap → catch-up →
-// pre-warm → activate), then retires (drain → remove). The first
-// failing operation aborts the rest; the response reports what
-// completed, so a retried request — joins are idempotent by URL,
-// retires by slot — finishes the remainder.
-func (s *Server) handleFleetResize(w http.ResponseWriter, r *http.Request) {
-	if !s.requireMethod(w, r, http.MethodPost) {
-		return
-	}
-	fr := s.frontend
-	if fr == nil {
-		s.writeErr(w, http.StatusNotFound, errors.New("backend is not a resizable fleet front-end"))
-		return
-	}
-	var req FleetResizeRequest
-	if err := decodeBody(w, r, &req); err != nil {
-		s.writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if len(req.Join)+len(req.Retire) == 0 {
-		s.writeErr(w, http.StatusBadRequest, errors.New("resize request names no joins or retires"))
-		return
-	}
-	if len(req.Join)+len(req.Retire) > MaxResizeOps {
-		s.writeErr(w, http.StatusBadRequest, fmt.Errorf("%d operations exceeds limit %d", len(req.Join)+len(req.Retire), MaxResizeOps))
-		return
-	}
-	resp := FleetResizeResponse{Joined: []int{}, Retired: []int{}}
-	fail := func(err error) {
-		resp.Epoch = fr.FleetEpoch()
-		status := http.StatusInternalServerError
-		if errors.Is(err, search.ErrUnavailable) {
-			status = http.StatusServiceUnavailable
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(status)
-		_ = json.NewEncoder(w).Encode(struct {
-			Error string `json:"error"`
-			FleetResizeResponse
-		}{Error: err.Error(), FleetResizeResponse: resp})
-	}
-	for _, url := range req.Join {
-		slot, err := fr.JoinReplica(r.Context(), url)
-		if err != nil {
-			fail(fmt.Errorf("join %s: %w", url, err))
-			return
-		}
-		resp.Joined = append(resp.Joined, slot)
-	}
-	for _, slot := range req.Retire {
-		if err := fr.RetireReplica(r.Context(), slot); err != nil {
-			fail(fmt.Errorf("retire slot %d: %w", slot, err))
-			return
-		}
-		resp.Retired = append(resp.Retired, slot)
-	}
-	resp.Epoch = fr.FleetEpoch()
-	s.writeJSON(w, r, resp)
 }
 
 func (s *Server) handleUsers(w http.ResponseWriter, r *http.Request) {

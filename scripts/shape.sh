@@ -32,7 +32,7 @@ routes=$(awk '/^func New\(/ { in_new = 1 } in_new && /^}/ { exit } in_new' inter
 echo "routes server.New registers: $(wc -w <<<"$routes") ($routes)"
 methods=$(awk '$1 == "type" && $2 == "Replica" && $3 == "interface" { in_if = 1; next }
   in_if && /^}/ { exit }
-  in_if && /^\t[A-Z][A-Za-z0-9]*\(/ { sub(/^\t/, ""); sub(/\(.*/, ""); print }' internal/server/server.go | paste -sd' ')
+  in_if && /^\t[A-Z][A-Za-z0-9]*\(/ { sub(/^\t/, ""); sub(/\(.*/, ""); print }' internal/server/replica.go | paste -sd' ')
 echo "methods of server.Replica: $(wc -w <<<"$methods") ($methods)"
 
 echo "friendserve flags: $(grep -cE 'flag\.(String|Bool|Int|Int64|Uint|Float64|Duration)\("' cmd/friendserve/main.go)"
