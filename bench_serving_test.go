@@ -119,6 +119,38 @@ func BenchmarkServingBatchSearch(b *testing.B) {
 	}
 }
 
+// servingBatchAllocCeiling bounds TestServingBatchSearchAllocs. Ten
+// runs read 14 allocations per batch; the ceiling leaves room for
+// another Go release, and one more allocation per query (64) crosses
+// it.
+const servingBatchAllocCeiling = 20
+
+// TestServingBatchSearchAllocs gates BenchmarkServingBatchSearch's
+// batch in a count that repeats: the allocations of one warm 64-query
+// social.Service.DoBatch. testing.AllocsPerRun runs it at GOMAXPROCS 1,
+// where the benchmark's allocs/op moves with the P each batch worker
+// lands on, and so with its pooled scratch.
+func TestServingBatchSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	svc, reqs := servingService(t, 0)
+	ctx := context.Background()
+	run := func() {
+		for _, r := range svc.DoBatch(ctx, reqs) {
+			if r.Err != nil {
+				t.Fatal(r.Err)
+			}
+		}
+	}
+	run() // warm the cache
+	got := testing.AllocsPerRun(100, run)
+	t.Logf("%v allocations per batch", got)
+	if got > servingBatchAllocCeiling {
+		t.Fatalf("a 64-query batch allocates %v, want at most %d", got, servingBatchAllocCeiling)
+	}
+}
+
 // BenchmarkServingFleetLoopback: the same 64-query workload as one
 // DoBatch through a 3-replica loopback fleet — front-end pool →
 // httptest replicas speaking the real /v2 wire format — with warm
@@ -135,11 +167,13 @@ func BenchmarkServingFleetLoopback(b *testing.B) {
 }
 
 // fleetLoopbackAllocCeiling bounds TestFleetLoopbackAllocs. Ten runs
-// read 389-390 allocations per batch, and 615-616 before the search
-// request bodies were read in one pass; the ceiling leaves room for
-// another Go release's net/http, and one more allocation per query on
-// either hop (64) crosses it.
-const fleetLoopbackAllocCeiling = 420
+// read 351-352 allocations per batch, 389-390 before the hop's requests
+// were built over a URL parsed once and a shared header, straight to
+// the transport, and 615-616 before the search request bodies were
+// read in one pass; the ceiling leaves room for another Go release's
+// net/http, and one more allocation per query on either hop (64)
+// crosses it.
+const fleetLoopbackAllocCeiling = 382
 
 // TestFleetLoopbackAllocs gates the fleet hop in a count, which does
 // not read the machine as the fleet-loopback-over-batch time gate does:
@@ -152,7 +186,9 @@ func TestFleetLoopbackAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	run := fleetLoopback(t)
-	if got := testing.AllocsPerRun(100, run); got > fleetLoopbackAllocCeiling {
+	got := testing.AllocsPerRun(100, run)
+	t.Logf("%v allocations per batch", got)
+	if got > fleetLoopbackAllocCeiling {
 		t.Fatalf("a 64-query batch over the loopback fleet allocates %v, want at most %d", got, fleetLoopbackAllocCeiling)
 	}
 }

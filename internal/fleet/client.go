@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -83,14 +84,40 @@ type ClientConfig struct {
 
 // Client speaks the /v1 + /v2 wire format of one replica process and
 // implements search.Searcher over it. Safe for concurrent use.
+//
+// Requests go straight to the RoundTripper. http.Client would add only
+// redirect bookkeeping, and the client follows no redirect: an HA
+// follower answers a write with 307 and the leader's address, and the
+// caller decides whether to chase it. Nor does it keep a cookie jar or
+// a client-wide timeout; each attempt runs under its own deadline.
 type Client struct {
-	base     string
-	hc       *http.Client
+	base string
+	rt   http.RoundTripper
+	// urls holds each replica endpoint's URL, parsed once; requests
+	// share them read-only.
+	urls     map[string]*url.URL
 	cfg      ClientConfig
 	counters *metrics.ReplicaCounters
 }
 
 var _ search.Searcher = (*Client)(nil)
+
+// replicaPaths are the replica endpoints a Client calls.
+var replicaPaths = []string{
+	"/v2/search", "/v2/search/batch", "/v2/apply", "/v1/friend", "/v1/tag",
+	"/healthz", "/v1/users", "/v2/snapshot", "/v2/cache/seekers", "/v2/cache/warm",
+}
+
+// The headers of the hop's requests, shared read-only by all of them: a
+// RoundTripper only reads a request's header, and one is copied only to
+// inject a traceparent. Accept-Encoding is what http.Transport adds to
+// a request that names none, so carrying it keeps the same header lines
+// on the wire and spares the transport a header map per request.
+var (
+	jsonHeader   = http.Header{"Content-Type": {"application/json"}, "Accept-Encoding": {"gzip"}}
+	getHeader    = http.Header{"Accept-Encoding": {"gzip"}}
+	streamHeader = http.Header{"Content-Type": {"application/octet-stream"}, "Accept-Encoding": {"gzip"}}
+)
 
 // NewClient builds a client for the replica at baseURL
 // (scheme://host:port, no trailing slash required).
@@ -111,6 +138,14 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxIdleConns == 0 {
 		cfg.MaxIdleConns = DefaultMaxIdleConns
 	}
+	urls := make(map[string]*url.URL, len(replicaPaths))
+	for _, p := range replicaPaths {
+		u, err := url.Parse(baseURL + p)
+		if err != nil {
+			return nil, fmt.Errorf("fleet: replica URL %q: %w", baseURL, err)
+		}
+		urls[p] = u
+	}
 	rt := cfg.Transport
 	if rt == nil {
 		rt = &http.Transport{
@@ -120,13 +155,9 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 		}
 	}
 	return &Client{
-		base: baseURL,
-		// Redirects are protocol, not plumbing: an HA follower answers
-		// writes with 307 + the leader's address, and the caller decides
-		// whether to chase it (any 307-following HTTP client does).
-		hc: &http.Client{Transport: rt, CheckRedirect: func(*http.Request, []*http.Request) error {
-			return http.ErrUseLastResponse
-		}},
+		base:     baseURL,
+		rt:       rt,
+		urls:     urls,
 		cfg:      cfg,
 		counters: &metrics.ReplicaCounters{},
 	}, nil
@@ -155,15 +186,24 @@ func toWire(req search.Request) server.V2Query {
 	}
 }
 
-// post sends one JSON request under the per-attempt timeout and
-// decodes the response into out (nil: discard it). Only the per-attempt
-// timeout this client adds counts against the replica; a failure owned
-// by the caller's context surfaces as that ctx error (see send).
-func (c *Client) post(parent context.Context, path string, in, out interface{}) error {
+// postJSON sends in as one JSON request (see post) and decodes the
+// answer into out (nil: discard it).
+func (c *Client) postJSON(parent context.Context, path string, in, out interface{}) error {
 	body, err := json.Marshal(in)
 	if err != nil {
 		return fmt.Errorf("fleet: encoding %s request: %w", path, err)
 	}
+	if out == nil {
+		return c.post(parent, path, body, nil)
+	}
+	return c.post(parent, path, body, func(answer []byte) error { return decodeAnswer(answer, out) })
+}
+
+// post sends one JSON request body under the per-attempt timeout and
+// hands the answer to use (see receive). Only the per-attempt timeout
+// this client adds counts against the replica; a failure owned by the
+// caller's context surfaces as that ctx error (see send).
+func (c *Client) post(parent context.Context, path string, body []byte, use func(answer []byte) error) error {
 	// One span per RPC attempt; on a sampled trace the replica stitches
 	// its own spans into ours through the response (see the wire
 	// response types' Spans fields).
@@ -173,16 +213,19 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 	sp.SetAttr("path", path)
 	ctx, cancel := context.WithTimeout(parent, c.cfg.Timeout)
 	defer cancel()
-	hreq, err := c.newRequest(ctx, http.MethodPost, path, bytes.NewReader(body))
+	hreq, err := c.newRequest(ctx, http.MethodPost, path, jsonHeader, body)
 	if err != nil {
 		return err
 	}
-	obs.Inject(parent, hreq.Header)
+	if tp := obs.Traceparent(parent); tp != "" {
+		hreq.Header = hreq.Header.Clone()
+		hreq.Header.Set(obs.TraceparentHeader, tp)
+	}
 	resp, err := c.send(parent, hreq)
 	if err != nil {
 		return err
 	}
-	return c.receive(resp, out)
+	return c.receive(resp, use)
 }
 
 // get fetches path under the per-attempt timeout, decodes its JSON
@@ -190,7 +233,7 @@ func (c *Client) post(parent context.Context, path string, in, out interface{}) 
 func (c *Client) get(parent context.Context, path string, out interface{}) (http.Header, error) {
 	ctx, cancel := context.WithTimeout(parent, c.cfg.Timeout)
 	defer cancel()
-	hreq, err := c.newRequest(ctx, http.MethodGet, path, nil)
+	hreq, err := c.newRequest(ctx, http.MethodGet, path, getHeader, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -198,20 +241,39 @@ func (c *Client) get(parent context.Context, path string, out interface{}) (http
 	if err != nil {
 		return nil, err
 	}
-	return resp.Header, c.receive(resp, out)
+	if out == nil {
+		return resp.Header, c.receive(resp, nil)
+	}
+	return resp.Header, c.receive(resp, func(answer []byte) error { return json.Unmarshal(answer, out) })
 }
 
-// newRequest builds a request for one replica endpoint; a body is sent
-// as JSON unless the caller sets another Content-Type.
-func (c *Client) newRequest(ctx context.Context, method, path string, body io.Reader) (*http.Request, error) {
-	hreq, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: building %s request: %w", path, err)
+// newRequest builds a request for one replica endpoint over the URL
+// NewClient parsed for path, the shared header h and, unless it is
+// empty, body, which the request only reads.
+func (c *Client) newRequest(ctx context.Context, method, path string, h http.Header, body []byte) (*http.Request, error) {
+	u := c.urls[path]
+	if u == nil {
+		return nil, fmt.Errorf("fleet: building %s request: not a replica endpoint", path)
 	}
-	if body != nil {
-		hreq.Header.Set("Content-Type", "application/json")
+	hreq := &http.Request{
+		Method:     method,
+		URL:        u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     h,
+		Host:       u.Host,
 	}
-	return hreq, nil
+	if len(body) > 0 {
+		// The body's type is one http.Transport knows to be in memory,
+		// so it writes the body with the header in one write.
+		hreq.ContentLength = int64(len(body))
+		hreq.Body = io.NopCloser(bytes.NewReader(body))
+		// The transport resends a request it could not write on a reused
+		// connection only if it can rewind the body.
+		hreq.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	}
+	return hreq.WithContext(ctx), nil
 }
 
 // send issues one request and is the single place wire errors are
@@ -224,15 +286,17 @@ func (c *Client) newRequest(ctx context.Context, method, path string, body io.Re
 // CALLER's context (parent) — cancellation or an expired caller
 // deadline — surfaces as that ctx error instead, so a client hanging up
 // or asking for less time than the request needs never feeds replica
-// health state or triggers failover.
+// health state or triggers failover. A transport error reads as
+// http.Client would report it, wrapped in a *url.Error.
 func (c *Client) send(parent context.Context, hreq *http.Request) (*http.Response, error) {
 	path := hreq.URL.Path
-	resp, err := c.hc.Do(hreq)
+	resp, err := c.rt.RoundTrip(hreq)
 	if err != nil {
 		if perr := parent.Err(); perr != nil {
 			return nil, perr
 		}
-		return nil, unavailablef("%s %s: %v", c.base, path, err)
+		op := hreq.Method[:1] + strings.ToLower(hreq.Method[1:])
+		return nil, unavailablef("%s %s: %v", c.base, path, &url.Error{Op: op, URL: hreq.URL.String(), Err: err})
 	}
 	if resp.StatusCode >= 200 && resp.StatusCode < 300 {
 		return resp, nil
@@ -259,13 +323,13 @@ func (c *Client) send(parent context.Context, hreq *http.Request) (*http.Respons
 	}
 }
 
-// receive decodes a 2xx response's JSON body into out (nil, or a 204:
-// discard it) and closes it; an undecodable answer is ErrUnavailable.
-// The body is read to its end first, so the transport keeps the
-// connection, into a pooled buffer the decoded value does not keep.
-func (c *Client) receive(resp *http.Response, out interface{}) error {
+// receive hands a 2xx response's body to use (nil, or a 204: discard
+// it) and closes it; an answer use refuses is ErrUnavailable. The body
+// is read to its end first, so the transport keeps the connection, into
+// a pooled buffer use must not keep.
+func (c *Client) receive(resp *http.Response, use func(answer []byte) error) error {
 	defer resp.Body.Close()
-	if out == nil || resp.StatusCode == http.StatusNoContent {
+	if use == nil || resp.StatusCode == http.StatusNoContent {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
@@ -273,7 +337,7 @@ func (c *Client) receive(resp *http.Response, out interface{}) error {
 		if err != nil {
 			return err
 		}
-		return decodeAnswer(body, out)
+		return use(body)
 	})
 	if err != nil {
 		return unavailablef("%s %s: decoding response: %v", c.base, resp.Request.URL.Path, err)
@@ -323,9 +387,8 @@ func wireErrMessage(r io.Reader) string {
 
 // Do answers one request over POST /v2/search.
 func (c *Client) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	q := toWire(req)
 	var out server.V2SearchResponse
-	if err := c.post(ctx, "/v2/search", &q, &out); err != nil {
+	if err := c.postJSON(ctx, "/v2/search", toWire(req), &out); err != nil {
 		return search.Response{}, err
 	}
 	// On a sampled trace the replica's span data rides the response; fold
@@ -368,32 +431,75 @@ func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.Ba
 		wire.Queries[i] = toWire(r)
 	}
 	var resp server.V2BatchResponse
-	if err := c.post(ctx, "/v2/search/batch", &wire, &resp); err != nil {
+	err := c.postJSON(ctx, "/v2/search/batch", &wire, &resp)
+	if err == nil {
+		err = c.batchResults(ctx, &resp, len(reqs), func(j int, br search.BatchResult) { out[j] = br })
+	}
+	if err != nil {
 		for i := range out {
 			out[i] = search.BatchResult{Err: err}
 		}
-		return out
 	}
+	return out
+}
+
+// batchResults hands set the result of each of a decoded batch answer's
+// n entries, or fails when the answer holds another count.
+func (c *Client) batchResults(ctx context.Context, resp *server.V2BatchResponse, n int, set func(j int, br search.BatchResult)) error {
 	obs.MergeRemote(ctx, resp.Spans)
-	if len(resp.Results) != len(reqs) {
-		err := unavailablef("%s /v2/search/batch: %d answers for %d queries", c.base, len(resp.Results), len(reqs))
-		for i := range out {
-			out[i] = search.BatchResult{Err: err}
-		}
-		return out
+	if len(resp.Results) != n {
+		return unavailablef("%s /v2/search/batch: %d answers for %d queries", c.base, len(resp.Results), n)
 	}
-	for i, e := range resp.Results {
+	for j, e := range resp.Results {
 		if e.Error != "" {
-			out[i] = search.BatchResult{Err: entryErr(e)}
+			set(j, search.BatchResult{Err: entryErr(e)})
 			continue
 		}
 		results := e.Results
 		if results == nil {
 			results = []search.Result{}
 		}
-		out[i] = search.BatchResult{Response: search.Response{Results: results, Explain: e.Explain}}
+		set(j, search.BatchResult{Response: search.Response{Results: results, Explain: e.Explain}})
 	}
-	return out
+	return nil
+}
+
+// forwardBatch posts the queries at members (queries[i] is query i's own
+// JSON) as one /v2/search/batch part and answers them: from a plain
+// answer, member j's entry verbatim into entries[members[j]] with a zero
+// result; from any other, the results DoBatch would decode into out.
+func (c *Client) forwardBatch(ctx context.Context, queries []string, members []int, out []search.BatchResult, entries [][]byte) {
+	size := len(`{"queries":[]}`) + len(members) - 1
+	for _, i := range members {
+		size += len(queries[i])
+	}
+	body := append(make([]byte, 0, size), `{"queries":[`...)
+	for j, i := range members {
+		if j > 0 {
+			body = append(body, ',')
+		}
+		body = append(body, queries[i]...)
+	}
+	body = append(body, "]}"...)
+	err := c.post(ctx, "/v2/search/batch", body, func(answer []byte) error {
+		// The entries outlive the pooled answer: they point into a copy.
+		if own := bytes.Clone(answer); server.SplitBatchAnswer(own, members, entries) {
+			for _, i := range members {
+				out[i] = search.BatchResult{}
+			}
+			return nil
+		}
+		var resp server.V2BatchResponse
+		if err := server.DecodeBatchResponse(answer, &resp); err != nil {
+			return err
+		}
+		return c.batchResults(ctx, &resp, len(members), func(j int, br search.BatchResult) { out[members[j]] = br })
+	})
+	if err != nil {
+		for _, i := range members {
+			out[i] = search.BatchResult{Err: err}
+		}
+	}
 }
 
 // Healthz probes GET /healthz. A nil error means the replica process is
@@ -427,10 +533,10 @@ func (c *Client) Tag(ctx context.Context, user, item, tag string, lsn uint64) (u
 
 func (c *Client) write(ctx context.Context, path string, plain interface{}, m social.Mutation) (uint64, error) {
 	if m.LSN == 0 {
-		return 0, c.post(ctx, path, plain, nil)
+		return 0, c.postJSON(ctx, path, plain, nil)
 	}
 	var out server.AppliedResponse
-	err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: []social.Mutation{m}}, &out)
+	err := c.postJSON(ctx, "/v2/apply", server.ApplyRequest{Records: []social.Mutation{m}}, &out)
 	return out.AppliedLSN, err
 }
 
@@ -441,7 +547,7 @@ func (c *Client) write(ctx context.Context, path string, plain interface{}, m so
 // layered on — a bootstrap transfer legitimately outlives the RPC
 // budget — so the caller's ctx is the only bound.
 func (c *Client) SnapshotReader(ctx context.Context) (io.ReadCloser, uint64, error) {
-	hreq, err := c.newRequest(ctx, http.MethodGet, "/v2/snapshot", nil)
+	hreq, err := c.newRequest(ctx, http.MethodGet, "/v2/snapshot", getHeader, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -462,17 +568,23 @@ func (c *Client) SnapshotReader(ctx context.Context) (io.ReadCloser, uint64, err
 // cursor after the import (the stream's pinned LSN). Caller's ctx is
 // the only time bound (see SnapshotReader).
 func (c *Client) ImportSnapshot(ctx context.Context, r io.Reader) (uint64, error) {
-	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/snapshot", r)
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/snapshot", streamHeader, nil)
 	if err != nil {
 		return 0, err
 	}
-	hreq.Header.Set("Content-Type", "application/octet-stream")
+	// A stream of unknown length, sent chunked, as http.NewRequest sends
+	// a reader it cannot size.
+	rc, ok := r.(io.ReadCloser)
+	if !ok {
+		rc = io.NopCloser(r)
+	}
+	hreq.Body = rc
 	resp, err := c.send(ctx, hreq)
 	if err != nil {
 		return 0, err
 	}
 	var out server.AppliedResponse
-	if err := c.receive(resp, &out); err != nil {
+	if err := c.receive(resp, func(answer []byte) error { return json.Unmarshal(answer, &out) }); err != nil {
 		return 0, err
 	}
 	return out.AppliedLSN, nil
@@ -502,7 +614,7 @@ func (c *Client) WarmSeekers(ctx context.Context, seekers []string) (int, error)
 	if err != nil {
 		return 0, err
 	}
-	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/cache/warm", bytes.NewReader(body))
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v2/cache/warm", jsonHeader, body)
 	if err != nil {
 		return 0, err
 	}
@@ -513,7 +625,7 @@ func (c *Client) WarmSeekers(ctx context.Context, seekers []string) (int, error)
 	var out struct {
 		Warmed int `json:"warmed"`
 	}
-	if err := c.receive(resp, &out); err != nil {
+	if err := c.receive(resp, func(answer []byte) error { return json.Unmarshal(answer, &out) }); err != nil {
 		return 0, err
 	}
 	return out.Warmed, nil

@@ -199,6 +199,45 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 	return f.pool.DoBatch(ctx, reqs)
 }
 
+// SearchBytes is server.Frontend's bytes path for one query: body, the
+// query's own JSON, goes to the seeker's owner (Pool.walk), and its
+// answer is appended to dst as it came. A failover, an attempt past the
+// owner, takes Do's path and encodes the answer it decodes, as the
+// front door's decode path does.
+func (f *Frontend) SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error) {
+	n := len(dst)
+	err := f.pool.walk(ctx, req.Seeker, func(ctx context.Context, c *Client, failover bool) error {
+		if !failover {
+			return c.post(ctx, "/v2/search", body, func(answer []byte) error {
+				dst = append(dst[:n], answer...)
+				return nil
+			})
+		}
+		resp, err := c.Do(ctx, req)
+		if err != nil {
+			return err
+		}
+		dst, err = server.AppendSearchResponse(dst[:n], &server.V2SearchResponse{Results: resp.Results})
+		return err
+	})
+	return dst, err
+}
+
+// SearchBatchBytes is server.Frontend's bytes path for a batch: each
+// replica gets its part as the queries' own JSON, and a plain answer's
+// entries come back verbatim (Pool.fanOut, Client.forwardBatch). A part
+// holding a failover, a query past its seeker's owner, takes DoBatch's
+// path.
+func (f *Frontend) SearchBatchBytes(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult {
+	return f.pool.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult, failover bool) {
+		if failover {
+			doPart(ctx, c, reqs, members, out)
+			return
+		}
+		c.forwardBatch(ctx, queries, members, out, entries)
+	})
+}
+
 // deliver hands one page of LSN-consecutive log records (a zero Kind,
 // a quorum leadership record, is a skip) to one replica over POST
 // /v2/apply and returns the cursor it acknowledged. A record the
@@ -208,7 +247,7 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 // before it answers. Its one caller is stream.
 func deliver(ctx context.Context, c *Client, page []social.Mutation, fold bool) (uint64, error) {
 	var out server.AppliedResponse
-	if err := c.post(ctx, "/v2/apply", server.ApplyRequest{Records: page, Fold: fold}, &out); err != nil {
+	if err := c.postJSON(ctx, "/v2/apply", server.ApplyRequest{Records: page, Fold: fold}, &out); err != nil {
 		return 0, err
 	}
 	obs.MergeRemote(ctx, out.Spans)

@@ -672,31 +672,45 @@ func (p *Pool) ReplicaFor(seeker string) int {
 	return p.view().ring.OwnerString(seeker)
 }
 
-// Do answers one request with failover: the seeker's preference order
-// is walked, skipping ejected replicas while any replica is live, and
-// every ErrUnavailable attempt both feeds the owner's health state and
-// moves on. Non-transport errors (validation, unknown names) return
-// immediately — no replica will answer those differently. A shed
-// (search.ErrOverloaded) also returns immediately and does NOT feed
-// health state: the replica is alive and protecting itself, and failing
-// over would dump its load onto the ring successors — the caller backs
-// off and retries the same route instead.
+// Do answers one request with failover (see walk).
+func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, error) {
+	var resp search.Response
+	err := p.walk(ctx, req.Seeker, func(ctx context.Context, c *Client, _ bool) (err error) {
+		resp, err = c.Do(ctx, req)
+		return err
+	})
+	if err != nil {
+		return search.Response{}, err
+	}
+	return resp, nil
+}
+
+// walk makes one request's attempts with failover: try runs once per
+// attempt, told whether the attempt is a failover (past the seeker's
+// owner). The seeker's preference order is walked, skipping ejected
+// replicas while any replica is live, and every ErrUnavailable attempt
+// both feeds the owner's health state and moves on. Non-transport errors (validation,
+// unknown names) return immediately — no replica will answer those
+// differently. A shed (search.ErrOverloaded) also returns immediately
+// and does NOT feed health state: the replica is alive and protecting
+// itself, and failing over would dump its load onto the ring successors
+// — the caller backs off and retries the same route instead.
 //
 // The topology is loaded ONCE per request (the epoch fence): a resize
 // publishing a new epoch mid-request never mixes two rings inside one
 // routing decision.
-func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, error) {
+func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Context, c *Client, failover bool) error) error {
 	ctx, sp := obs.StartSpan(ctx, "fleet.route")
 	defer sp.End()
 	if sp != nil {
 		// The trace outlives the request; its seeker may alias the
 		// request body.
-		sp.SetAttr("seeker", strings.Clone(req.Seeker))
+		sp.SetAttr("seeker", strings.Clone(seeker))
 	}
 	t := p.view()
 	sp.SetInt("epoch", int64(t.epoch))
 	var buf [prefBuf]int
-	pref := t.ring.AppendSuccessors(buf[:0], req.Seeker)
+	pref := t.ring.AppendSuccessors(buf[:0], seeker)
 	anyLive := t.anyLive()
 	var lastErr error
 	for rank, idx := range pref {
@@ -704,39 +718,60 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return search.Response{}, err
+			return err
 		}
 		c := t.clients[idx]
 		c.Counters().Request()
 		if rank > 0 {
 			c.Counters().Failover()
 		}
-		resp, err := c.Do(ctx, req)
+		err := try(ctx, c, rank > 0)
 		if err == nil {
 			t.states[idx].ok()
-			return resp, nil
+			return nil
 		}
 		if !errors.Is(err, search.ErrUnavailable) {
-			return search.Response{}, err
+			return err
 		}
 		c.Counters().Failure()
 		t.states[idx].fail(err)
 		lastErr = err
 	}
 	if lastErr == nil {
-		lastErr = unavailablef("no live replica for seeker %q", req.Seeker)
+		lastErr = unavailablef("no live replica for seeker %q", seeker)
 	}
-	return search.Response{}, lastErr
+	return lastErr
 }
 
-// DoBatch partitions the batch by each seeker's first live preference,
-// runs the sub-batches concurrently, and re-routes entries that failed
-// with ErrUnavailable to their next preference — up to one round per
+// DoBatch answers a batch with failover (see fanOut), each replica's
+// part over Client.DoBatch.
+func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
+	return p.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult, _ bool) {
+		doPart(ctx, c, reqs, members, out)
+	})
+}
+
+// doPart answers the requests at members over Client.DoBatch.
+func doPart(ctx context.Context, c *Client, reqs []search.Request, members []int, out []search.BatchResult) {
+	sub := make([]search.Request, len(members))
+	for j, i := range members {
+		sub[j] = reqs[i]
+	}
+	for j, br := range c.DoBatch(ctx, sub) {
+		out[members[j]] = br
+	}
+}
+
+// fanOut partitions the batch by each seeker's first live preference,
+// has part answer each replica's sub-batch concurrently (it sets out[i]
+// for each of its members; failover says whether one of them is past
+// its seeker's owner), and re-routes entries that failed with
+// ErrUnavailable to their next preference — up to one round per
 // replica, so a replica dying mid-batch costs its entries one retry,
 // not the whole batch. Entries a replica shed (search.ErrOverloaded)
-// are returned as-is, never re-routed — see Do. The whole batch runs
+// are returned as-is, never re-routed — see walk. The whole batch runs
 // under one topology view (the epoch fence).
-func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
+func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx context.Context, c *Client, members []int, out []search.BatchResult, failover bool)) []search.BatchResult {
 	out := make([]search.BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
@@ -772,25 +807,22 @@ func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.Batc
 			go func(idx int, members []int) {
 				defer wg.Done()
 				c := t.clients[idx]
-				sub := make([]search.Request, len(members))
-				for j, i := range members {
-					sub[j] = reqs[i]
+				failover := false
+				for _, i := range members {
 					c.Counters().Request()
 					if rank[i] > 0 {
 						c.Counters().Failover()
+						failover = true
 					}
 				}
-				res := c.DoBatch(ctx, sub)
+				part(ctx, c, members, out, failover)
 				var failed []int
-				for j, br := range res {
-					i := members[j]
-					if br.Err != nil && errors.Is(br.Err, search.ErrUnavailable) {
+				for _, i := range members {
+					// A failed entry's result is kept if retries run out.
+					if err := out[i].Err; err != nil && errors.Is(err, search.ErrUnavailable) {
 						c.Counters().Failure()
 						failed = append(failed, i)
-						out[i] = br // kept if retries run out
-						continue
 					}
-					out[i] = br
 				}
 				if len(failed) > 0 {
 					t.states[idx].fail(out[failed[0]].Err)

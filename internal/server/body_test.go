@@ -198,11 +198,35 @@ func FuzzSearchRequestWire(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body string, cut int) {
 		for _, batch := range []bool{false, true} {
-			got, gotErr := decodeWith(new(searchBody), batch, searchRequest(body, cut))
+			b := new(searchBody)
+			got, gotErr := decodeWith(b, batch, searchRequest(body, cut))
 			want, wantErr := decodeFresh(batch, searchRequest(body, cut))
 			sameDecode(t, fmt.Sprintf("%q cut at %d", body, cut), got, want, gotErr, wantErr)
+			checkForwarded(t, b, body, gotErr)
 		}
 	})
+}
+
+// checkForwarded: what a front-end forwards of a decoded body is the
+// body itself, and each query text of a batch the one pass read is
+// that query's JSON: it decodes to the query.
+func checkForwarded(t *testing.T, b *searchBody, body string, err error) {
+	t.Helper()
+	if err == nil && b.raw != body {
+		t.Fatalf("%q decoded, but raw holds %q", body, b.raw)
+	}
+	if len(b.texts) == 0 {
+		return
+	}
+	if err != nil || len(b.texts) != len(b.batch.Queries) {
+		t.Fatalf("%q: %d query texts for %d queries (error %v)", body, len(b.texts), len(b.batch.Queries), err)
+	}
+	for i, text := range b.texts {
+		var q V2Query
+		if err := decodeJSON(strings.NewReader(text), &q); err != nil || !reflect.DeepEqual(q, b.batch.Queries[i]) {
+			t.Fatalf("%q: query %d's text %q decodes to %#v (error %v), want %#v", body, i, text, q, err, b.batch.Queries[i])
+		}
+	}
 }
 
 // FuzzSearchBodyReuse: a pooled target that decoded body a, and was

@@ -56,6 +56,12 @@ func (noopFrontend) JoinReplica(ctx context.Context, url string) (int, error) { 
 func (noopFrontend) RetireReplica(ctx context.Context, slot int) error        { return nil }
 func (noopFrontend) FleetEpoch() uint64                                       { return 0 }
 func (noopFrontend) StatsAny() interface{}                                    { return nil }
+func (noopFrontend) SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error) {
+	return append(dst, "{\"results\":[]}\n"...), nil
+}
+func (f noopFrontend) SearchBatchBytes(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult {
+	return f.DoBatch(ctx, reqs)
+}
 
 var (
 	_ Backend  = noopBackend{}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"repro/internal/admission"
 	"repro/internal/obs"
@@ -82,13 +83,15 @@ func (s *Server) decodeBatchEnvelope(w http.ResponseWriter, r *http.Request, b *
 }
 
 // runBatch is handleSearchBatchV2's execution: the queries that passed
-// validation (errs[i] == nil) run as one backend batch under one
-// admission ticket — the batch is one unit of admitted work — and come
-// back by input position (entry i is zero where errs[i] is set). The
-// backend is skipped entirely when nothing survived validation (a
-// durable backend folds pending writes even for an empty batch). ok is false when
-// admission refused the batch; the response is written then.
-func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error) ([]search.BatchResult, bool) {
+// validation (errs[i] == nil) run through do as one backend batch under
+// one admission ticket — the batch is one unit of admitted work — and
+// come back by input position (entry i is zero where errs[i] is set).
+// do gets the runnable queries and their input positions. The backend
+// is skipped entirely when nothing survived validation (a durable
+// backend folds pending writes even for an empty batch). ok is false
+// when admission refused the batch; the response is written then.
+func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.Request, errs []error,
+	do func(runnable []search.Request, positions []int) []search.BatchResult) ([]search.BatchResult, bool) {
 	runnable := make([]search.Request, 0, len(reqs))
 	positions := make([]int, 0, len(reqs))
 	var out []search.BatchResult
@@ -103,7 +106,7 @@ func (s *Server) runBatch(w http.ResponseWriter, r *http.Request, reqs []search.
 		if !ok {
 			return nil, false
 		}
-		out = s.backend.DoBatch(r.Context(), runnable)
+		out = do(runnable, positions)
 		tk.Release(batchOutcome(out))
 	}
 	if len(out) == len(reqs) {
@@ -181,6 +184,10 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	if s.frontend != nil && !req.Explain && obs.CurrentSpan(r.Context()) == nil {
+		s.forwardSearch(w, r, tk, req, body.raw)
+		return
+	}
 	wantExplain := req.Explain
 	s.forceExplain(r.Context(), &req)
 	start := time.Now()
@@ -201,6 +208,29 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 		Spans: obs.WireSpans(r.Context()),
 	}
 	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendSearchResponse(dst, &out) })
+}
+
+// forwardSearch is handleSearchV2 on a front-end for a query that asks
+// for no explain on a request with no sampled trace: the owning replica
+// gets the body as the client sent it, and its answer goes back as it
+// came (Frontend.SearchBytes). Its slow-log record carries no explain,
+// as an unsampled request's does on the decode path.
+func (s *Server) forwardSearch(w http.ResponseWriter, r *http.Request, tk admission.Ticket, req search.Request, raw string) {
+	start := time.Now()
+	bp := wireBufs.Get().(*[]byte)
+	// The hop only reads the body, so its bytes may alias the string.
+	body := unsafe.Slice(unsafe.StringData(raw), len(raw))
+	answer, err := s.frontend.SearchBytes(r.Context(), req, body, (*bp)[:0])
+	tk.Release(err)
+	defer recycleWireBuf(bp, answer)
+	if err != nil {
+		s.writeErr(w, searchErrStatus(err), err)
+		return
+	}
+	s.noteSlowQuery(r.Context(), req, &search.Response{}, time.Since(start))
+	if !s.aborted(w, r) {
+		s.writeOK(w, r, answer)
+	}
 }
 
 // V2BatchRequest is the /v2/search/batch request body.
@@ -289,7 +319,32 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	for i := range qs {
 		reqs[i], errs[i] = qs[i].request()
 	}
-	batch, ok := s.runBatch(w, r, reqs, errs)
+	do := func(runnable []search.Request, _ []int) []search.BatchResult {
+		return s.backend.DoBatch(r.Context(), runnable)
+	}
+	// A batch the one pass read asks for no explain: on a front-end, with
+	// no sampled trace, it takes the bytes path, and entries[i] holds
+	// query i's entry as a replica wrote it.
+	var entries [][]byte
+	if s.frontend != nil && len(body.texts) > 0 && obs.CurrentSpan(r.Context()) == nil {
+		entries = make([][]byte, len(reqs))
+		do = func(runnable []search.Request, positions []int) []search.BatchResult {
+			if len(runnable) == len(reqs) {
+				return s.frontend.SearchBatchBytes(r.Context(), runnable, body.texts, entries)
+			}
+			texts := make([]string, len(positions))
+			raw := make([][]byte, len(positions))
+			for j, i := range positions {
+				texts[j] = body.texts[i]
+			}
+			out := s.frontend.SearchBatchBytes(r.Context(), runnable, texts, raw)
+			for j, i := range positions {
+				entries[i] = raw[j]
+			}
+			return out
+		}
+	}
+	batch, ok := s.runBatch(w, r, reqs, errs, do)
 	if !ok {
 		return
 	}
@@ -305,5 +360,5 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 			resp.Results[i] = V2BatchEntry{Results: br.Response.Results, Explain: br.Response.Explain}
 		}
 	}
-	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendBatchResponse(dst, &resp) })
+	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return appendBatchResponse(dst, &resp, entries) })
 }

@@ -391,30 +391,48 @@ var wireBufs = sync.Pool{New: func() interface{} { return new([]byte) }}
 // error body; that and a client that hung up mid-body are logged,
 // never swallowed.
 func (s *Server) writeBody(w http.ResponseWriter, r *http.Request, encode func(dst []byte) ([]byte, error)) {
-	if err := r.Context().Err(); err != nil {
-		w.WriteHeader(StatusClientClosedRequest)
-		s.logf("server: %s %s aborted: %v", r.Method, r.URL.Path, err)
+	if s.aborted(w, r) {
 		return
 	}
 	bp := wireBufs.Get().(*[]byte)
 	body, err := encode((*bp)[:0])
-	defer func() {
-		if cap(body) <= maxPooledBytes {
-			*bp = body
-			wireBufs.Put(bp)
-		}
-	}()
+	defer recycleWireBuf(bp, body)
 	if err != nil {
 		s.logf("server: encoding %s %s response: %v", r.Method, r.URL.Path, err)
 		s.writeErr(w, http.StatusInternalServerError, fmt.Errorf("encoding response: %w", err))
 		return
 	}
+	s.writeOK(w, r, body)
+}
+
+// aborted answers 499 and reports true when the request context is
+// cancelled: the client is gone.
+func (s *Server) aborted(w http.ResponseWriter, r *http.Request) bool {
+	err := r.Context().Err()
+	if err != nil {
+		w.WriteHeader(StatusClientClosedRequest)
+		s.logf("server: %s %s aborted: %v", r.Method, r.URL.Path, err)
+	}
+	return err != nil
+}
+
+// writeOK sends body as a 200 JSON response with its Content-Length.
+func (s *Server) writeOK(w http.ResponseWriter, r *http.Request, body []byte) {
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {
 		s.logf("server: writing %s %s response: %v", r.Method, r.URL.Path, err)
+	}
+}
+
+// recycleWireBuf pools body, grown from bp's buffer, unless it grew too
+// big.
+func recycleWireBuf(bp *[]byte, body []byte) {
+	if cap(body) <= maxPooledBytes {
+		*bp = body
+		wireBufs.Put(bp)
 	}
 }
 

@@ -122,6 +122,13 @@ func (b *statsAnyBackend) Do(ctx context.Context, req search.Request) (search.Re
 	return b.noopFrontend.Do(ctx, req)
 }
 
+func (b *statsAnyBackend) SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error) {
+	if _, err := b.Do(ctx, req); err != nil {
+		return dst, err
+	}
+	return b.noopFrontend.SearchBytes(ctx, req, body, dst)
+}
+
 func (b *statsAnyBackend) StatsAny() interface{} {
 	return map[string]int{"replicas": 3}
 }

@@ -35,16 +35,24 @@ import (
 //     spans, error entries, escaped strings, other spacing, a missing
 //     newline, a field a newer replica adds.
 //
-// FuzzSearchWire holds both halves to encoding/json. The queries a
-// front-end sends are json.Marshal's, and the server reads the two
-// search request bodies with the same one-pass-or-json contract
-// (searchBody.decode): a body in the shape json.Marshal writes for a
-// query that sets no option but k and mode is read in one pass, with
-// every string a substring of the body's one copy; any other body goes
-// whole to encoding/json, whose strictness (unknown fields, trailing
-// values, the 400 texts) is part of the API. FuzzSearchRequestWire
-// holds the reader to encoding/json, and FuzzSearchBodyReuse holds a
-// reused pooled target (searchBody) to a fresh decode.
+// FuzzSearchWire holds both halves to encoding/json. The server reads
+// the two search request bodies with the same one-pass-or-json
+// contract (searchBody.decode): a body in the shape json.Marshal writes
+// for a query that sets no option but k and mode is read in one pass,
+// with every string a substring of the body's one copy; any other body
+// goes whole to encoding/json, whose strictness (unknown fields,
+// trailing values, the 400 texts) is part of the API.
+// FuzzSearchRequestWire holds the reader to encoding/json, and
+// FuzzSearchBodyReuse holds a reused pooled target (searchBody) to a
+// fresh decode.
+//
+// A front-end's plain queries skip both codecs (the Frontend role's
+// bytes path): a replica gets the body the client sent, or for a batch
+// its queries' texts the one pass found, and its answer goes back as
+// written, a batch's entries split out by SplitBatchAnswer, a scanner
+// that decodes nothing. FuzzBatchSplice holds the splice to the decode
+// path. The queries a front-end sends on the decode path are
+// json.Marshal's.
 
 // maxPooledBytes caps what a pooled buffer or decode target may hold
 // when it goes back to its pool, so that one huge answer or request
@@ -67,6 +75,12 @@ func AppendSearchResponse(dst []byte, r *V2SearchResponse) ([]byte, error) {
 
 // AppendBatchResponse appends r as json.Encoder encodes it.
 func AppendBatchResponse(dst []byte, r *V2BatchResponse) ([]byte, error) {
+	return appendBatchResponse(dst, r, nil)
+}
+
+// appendBatchResponse is AppendBatchResponse with entry i written as
+// raw[i] where that is not nil: a replica's entry, passed on verbatim.
+func appendBatchResponse(dst []byte, r *V2BatchResponse, raw [][]byte) ([]byte, error) {
 	dst = append(dst, `{"results":`...)
 	if r.Results == nil {
 		dst = append(dst, "null"...)
@@ -75,6 +89,10 @@ func AppendBatchResponse(dst []byte, r *V2BatchResponse) ([]byte, error) {
 		for i := range r.Results {
 			if i > 0 {
 				dst = append(dst, ',')
+			}
+			if raw != nil && raw[i] != nil {
+				dst = append(dst, raw[i]...)
+				continue
 			}
 			var err error
 			if dst, err = appendBatchEntry(dst, &r.Results[i]); err != nil {
@@ -243,6 +261,11 @@ type searchBody struct {
 	query   V2Query
 	queries []V2Query  // batch.Queries' array, kept across uses
 	tags    [][]string // tags[i]: query i's Tags array, kept across uses
+	// raw is the body's one string copy, and texts[i] batch query i's
+	// JSON in it when the one pass read the batch (empty otherwise, its
+	// array kept across uses): what a front-end forwards.
+	raw   string
+	texts []string
 }
 
 var searchBodies = sync.Pool{New: func() interface{} { return new(searchBody) }}
@@ -258,11 +281,14 @@ func newSearchBody() *searchBody { return searchBodies.Get().(*searchBody) }
 // would have read them from the request.
 func (b *searchBody) decode(w http.ResponseWriter, r *http.Request, batch bool) error {
 	return ReadBody(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength, func(data []byte, err error) error {
+		b.texts = b.texts[:0]
 		if err == nil {
 			d := wireDecoder{s: string(data)}
+			b.raw = d.s
 			if batch && b.readBatch(&d) || !batch && b.readQuery(&d) {
 				return nil
 			}
+			b.texts = b.texts[:0]
 		}
 		var rd io.Reader = bytes.NewReader(data)
 		if err != nil {
@@ -302,18 +328,21 @@ func (b *searchBody) readQuery(d *wireDecoder) bool {
 }
 
 // readBatch reads a whole /v2/search/batch body in one pass into
-// b.batch: {"queries":[…]} of at least one query.
+// b.batch, and each query's text into b.texts: {"queries":[…]} of at
+// least one query.
 func (b *searchBody) readBatch(d *wireDecoder) bool {
 	if !d.lit(`{"queries":[`) {
 		return false
 	}
 	qs := b.queries[:0]
 	for {
+		start := d.i
 		q, ok := d.query(b.tagArray(len(qs)))
 		if !ok {
 			return false
 		}
 		qs = append(qs, q)
+		b.texts = append(b.texts, d.s[start:d.i])
 		if d.lit("]}") {
 			break
 		}
@@ -382,7 +411,8 @@ func (b *searchBody) release() {
 // query's tag array past search.MaxTags, the whole within
 // maxPooledBytes.
 func (b *searchBody) reset() bool {
-	size := cap(b.queries)*int(unsafe.Sizeof(V2Query{})) + cap(b.tags)*int(unsafe.Sizeof([]string(nil)))
+	size := cap(b.queries)*int(unsafe.Sizeof(V2Query{})) + cap(b.tags)*int(unsafe.Sizeof([]string(nil))) +
+		cap(b.texts)*int(unsafe.Sizeof(""))
 	small := true
 	for _, tg := range b.tags {
 		clear(tg[:cap(tg)])
@@ -390,7 +420,8 @@ func (b *searchBody) reset() bool {
 		small = small && cap(tg) <= search.MaxTags
 	}
 	clear(b.queries[:cap(b.queries)])
-	b.batch, b.query = V2BatchRequest{}, V2Query{}
+	clear(b.texts[:cap(b.texts)])
+	b.batch, b.query, b.raw, b.texts = V2BatchRequest{}, V2Query{}, "", b.texts[:0]
 	return small && size <= maxPooledBytes
 }
 
@@ -662,7 +693,7 @@ func (d *wireDecoder) number() (float64, bool) {
 
 // digits returns the end of the run of digits at s[j:], -1 if there is
 // none.
-func digits(s string, j int) int {
+func digits[T string | []byte](s T, j int) int {
 	k := j
 	for k < len(s) && '0' <= s[k] && s[k] <= '9' {
 		k++
@@ -671,4 +702,156 @@ func digits(s string, j int) int {
 		return -1
 	}
 	return k
+}
+
+// plainResults opens a plain answer, and each entry of a plain batch
+// answer.
+const plainResults = `{"results":[`
+
+// SplitBatchAnswer splits a replica's /v2/search/batch answer into its
+// entries without decoding them, storing entry j, verbatim, at
+// entries[positions[j]]. It takes only a plain answer: {"results":[E,…]}
+// and json.Encoder's newline, exactly len(positions) entries, each E
+// {"results":[I,…]} and each item I {"item":S,"score":N}, S a JSON
+// string and N a JSON number that fits a float64. A JSON decoder reads
+// those entries as DecodeBatchResponse reads the answer. On any other
+// answer (an error entry, null results, explain, spans, other spacing)
+// it leaves nil at those positions and reports false.
+//
+// An entry goes on as the replica wrote it: where that is not the
+// encoder's bytes (a score written 1.50), the entry holds the same
+// value, not the same bytes, as the decode path's.
+func SplitBatchAnswer(answer []byte, positions []int, entries [][]byte) bool {
+	a := answerScan{b: answer}
+	ok := a.lit(plainResults)
+	for j := 0; ok && j < len(positions); j++ {
+		if j > 0 && !a.lit(",") {
+			ok = false
+			break
+		}
+		start := a.i
+		ok = a.lit(plainResults) && a.items() && a.lit("}")
+		entries[positions[j]] = answer[start:a.i:a.i]
+	}
+	if !ok || !a.lit("]}\n") || a.i != len(answer) {
+		for _, p := range positions {
+			entries[p] = nil
+		}
+		return false
+	}
+	return true
+}
+
+// answerScan checks a batch answer's entries in one pass over its
+// bytes, decoding nothing.
+type answerScan struct {
+	b []byte
+	i int
+}
+
+// lit consumes p if the input continues with it.
+func (a *answerScan) lit(p string) bool {
+	if len(a.b)-a.i >= len(p) && string(a.b[a.i:a.i+len(p)]) == p {
+		a.i += len(p)
+		return true
+	}
+	return false
+}
+
+// items consumes the rest of a result list, up to its closing bracket.
+func (a *answerScan) items() bool {
+	if a.lit("]") {
+		return true
+	}
+	for {
+		if !a.lit(`{"item":`) || !a.str() || !a.lit(`,"score":`) || !a.num() || !a.lit("}") {
+			return false
+		}
+		if a.lit("]") {
+			return true
+		}
+		if !a.lit(",") {
+			return false
+		}
+	}
+}
+
+// str consumes a JSON string: no control byte, every escape one JSON
+// has.
+func (a *answerScan) str() bool {
+	if !a.lit(`"`) {
+		return false
+	}
+	b := a.b
+	for i := a.i; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			a.i = i + 1
+			return true
+		case c < 0x20:
+			return false
+		case c == '\\':
+			if i++; i == len(b) {
+				return false
+			}
+			switch b[i] {
+			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
+			case 'u':
+				if len(b)-i <= 4 || !isHex4(b[i+1:i+5]) {
+					return false
+				}
+				i += 4
+			default:
+				return false
+			}
+		}
+	}
+	return false
+}
+
+func isHex4(h []byte) bool {
+	for _, c := range h {
+		if !('0' <= c && c <= '9' || 'a' <= c && c <= 'f' || 'A' <= c && c <= 'F') {
+			return false
+		}
+	}
+	return true
+}
+
+// num consumes a JSON number literal that fits a float64. One with
+// neither an exponent nor more than 300 integer digits always does;
+// only the others are parsed.
+func (a *answerScan) num() bool {
+	b, j := a.b, a.i
+	if j < len(b) && b[j] == '-' {
+		j++
+	}
+	first := j
+	if j < len(b) && b[j] == '0' {
+		j++
+	} else if j = digits(b, j); j < 0 {
+		return false
+	}
+	check := j-first > 300
+	if j < len(b) && b[j] == '.' {
+		if j = digits(b, j+1); j < 0 {
+			return false
+		}
+	}
+	if j < len(b) && (b[j] == 'e' || b[j] == 'E') {
+		check = true
+		if j++; j < len(b) && (b[j] == '+' || b[j] == '-') {
+			j++
+		}
+		if j = digits(b, j); j < 0 {
+			return false
+		}
+	}
+	if check {
+		if _, err := strconv.ParseFloat(string(b[a.i:j]), 64); err != nil {
+			return false
+		}
+	}
+	a.i = j
+	return true
 }
