@@ -93,30 +93,23 @@ type ClientConfig struct {
 type Client struct {
 	base string
 	rt   http.RoundTripper
-	// urls holds each replica endpoint's URL, parsed once; requests
-	// share them read-only.
-	urls     map[string]*url.URL
-	cfg      ClientConfig
-	counters *metrics.ReplicaCounters
+	// searchURL and batchURL are the two search endpoints' URLs, parsed
+	// once; requests share them read-only.
+	searchURL, batchURL *url.URL
+	cfg                 ClientConfig
+	counters            *metrics.ReplicaCounters
 }
 
 var _ search.Searcher = (*Client)(nil)
 
-// replicaPaths are the replica endpoints a Client calls.
-var replicaPaths = []string{
-	"/v2/search", "/v2/search/batch", "/v2/apply", "/v1/friend", "/v1/tag",
-	"/healthz", "/v1/users", "/v2/snapshot", "/v2/cache/seekers", "/v2/cache/warm",
-}
-
 // The headers of the hop's requests, shared read-only by all of them: a
 // RoundTripper only reads a request's header, and one is copied only to
-// inject a traceparent. Accept-Encoding is what http.Transport adds to
-// a request that names none, so carrying it keeps the same header lines
-// on the wire and spares the transport a header map per request.
+// inject a traceparent. None asks for a compressed answer: the
+// transport NewClient builds does not decompress one (see NewClient).
 var (
-	jsonHeader   = http.Header{"Content-Type": {"application/json"}, "Accept-Encoding": {"gzip"}}
-	getHeader    = http.Header{"Accept-Encoding": {"gzip"}}
-	streamHeader = http.Header{"Content-Type": {"application/octet-stream"}, "Accept-Encoding": {"gzip"}}
+	jsonHeader   = http.Header{"Content-Type": {"application/json"}}
+	getHeader    = http.Header{}
+	streamHeader = http.Header{"Content-Type": {"application/octet-stream"}}
 )
 
 // NewClient builds a client for the replica at baseURL
@@ -138,28 +131,38 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	if cfg.MaxIdleConns == 0 {
 		cfg.MaxIdleConns = DefaultMaxIdleConns
 	}
-	urls := make(map[string]*url.URL, len(replicaPaths))
-	for _, p := range replicaPaths {
-		u, err := url.Parse(baseURL + p)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: replica URL %q: %w", baseURL, err)
-		}
-		urls[p] = u
+	searchURL, err := url.Parse(baseURL + "/v2/search")
+	if err != nil {
+		return nil, fmt.Errorf("fleet: replica URL %q: %w", baseURL, err)
+	}
+	// http.Client would send userinfo as Basic auth; requests here go
+	// straight to the RoundTripper, which does not.
+	if searchURL.User != nil {
+		return nil, fmt.Errorf("fleet: replica URL for %s carries credentials", searchURL.Host)
+	}
+	batchURL, err := url.Parse(baseURL + "/v2/search/batch")
+	if err != nil {
+		return nil, fmt.Errorf("fleet: replica URL %q: %w", baseURL, err)
 	}
 	rt := cfg.Transport
 	if rt == nil {
+		// The transport would otherwise ask for gzip and decompress the
+		// answer; the requests ask for no encoding, so the replica's
+		// answer bytes arrive as it wrote them.
 		rt = &http.Transport{
 			MaxIdleConns:        cfg.MaxIdleConns,
 			MaxIdleConnsPerHost: cfg.MaxIdleConns,
 			IdleConnTimeout:     90 * time.Second,
+			DisableCompression:  true,
 		}
 	}
 	return &Client{
-		base:     baseURL,
-		rt:       rt,
-		urls:     urls,
-		cfg:      cfg,
-		counters: &metrics.ReplicaCounters{},
+		base:      baseURL,
+		rt:        rt,
+		searchURL: searchURL,
+		batchURL:  batchURL,
+		cfg:       cfg,
+		counters:  &metrics.ReplicaCounters{},
 	}, nil
 }
 
@@ -247,13 +250,21 @@ func (c *Client) get(parent context.Context, path string, out interface{}) (http
 	return resp.Header, c.receive(resp, func(answer []byte) error { return json.Unmarshal(answer, out) })
 }
 
-// newRequest builds a request for one replica endpoint over the URL
-// NewClient parsed for path, the shared header h and, unless it is
-// empty, body, which the request only reads.
+// newRequest builds a request for the replica endpoint at path over
+// the shared header h and, unless it is empty, body, which the request
+// only reads. The search endpoints' URLs are the ones NewClient parsed.
 func (c *Client) newRequest(ctx context.Context, method, path string, h http.Header, body []byte) (*http.Request, error) {
-	u := c.urls[path]
-	if u == nil {
-		return nil, fmt.Errorf("fleet: building %s request: not a replica endpoint", path)
+	var u *url.URL
+	switch path {
+	case "/v2/search":
+		u = c.searchURL
+	case "/v2/search/batch":
+		u = c.batchURL
+	default:
+		var err error
+		if u, err = url.Parse(c.base + path); err != nil {
+			return nil, fmt.Errorf("fleet: building %s request: %w", path, err)
+		}
 	}
 	hreq := &http.Request{
 		Method:     method,

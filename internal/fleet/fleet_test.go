@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -71,6 +72,9 @@ func TestClientValidation(t *testing.T) {
 	}
 	if _, err := NewClient("http://x", ClientConfig{Timeout: -time.Second}); err == nil {
 		t.Error("negative timeout accepted")
+	}
+	if _, err := NewClient("http://u:secret@x", ClientConfig{}); err == nil || strings.Contains(err.Error(), "secret") {
+		t.Errorf("URL with credentials: %v, want an error without the password", err)
 	}
 }
 

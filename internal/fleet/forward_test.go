@@ -1,6 +1,8 @@
 package fleet
 
 import (
+	"compress/gzip"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -12,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/search"
 	"repro/internal/server"
 )
 
@@ -23,6 +26,7 @@ import (
 type fakeReplica struct {
 	ts     *httptest.Server
 	status atomic.Int32 // answer every search with this status, when set
+	alien  atomic.Bool  // answer every search 200 with a body that is no search answer
 	mu     sync.Mutex
 	bodies []string
 }
@@ -40,6 +44,10 @@ func (r *fakeReplica) serve(w http.ResponseWriter, req *http.Request) {
 	r.bodies = append(r.bodies, string(body))
 	r.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
+	if r.alien.Load() {
+		fmt.Fprint(w, `{"version":"other"}`+"\n")
+		return
+	}
 	switch status := int(r.status.Load()); status {
 	case 0:
 	case http.StatusTooManyRequests:
@@ -85,10 +93,11 @@ func (r *fakeReplica) received() []string {
 // door as bytes. Over replicas whose answers are valid JSON but not
 // their encoder's bytes, a plain query's and a plain batch's answers
 // reach the client verbatim, and the replicas receive the client's own
-// query bytes. An explain query, a sampled trace, an error entry and a
-// failover still take the decode path (the client sees 1.5), and a
-// replica's 400, 429 and 503 reach the client with the status and
-// body they have on the decode path.
+// query bytes, also on a failover. An explain query, a sampled trace
+// and an error entry still take the decode path (the client sees 1.5),
+// a 2xx answer that is no search answer fails over as one that does
+// not decode, and a replica's 400, 429 and 503 reach the client with
+// the status and body they have on the decode path.
 func TestFrontDoorAnswerPaths(t *testing.T) {
 	reps := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
 	var clients []*Client
@@ -217,11 +226,24 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 		t.Errorf("429 query: Retry-After %q, want 2", rec.Header().Get("Retry-After"))
 	}
 
-	// A failover, past an owner that answers 503, is decoded.
-	reps[0].status.Store(http.StatusServiceUnavailable)
-	expect("failover query", post(door, "/v2/search", query(a)), 200, `{"results":[{"item":"`+a+`","score":1.5}]}`+"\n")
-	expect("failover batch", post(door, "/v2/search/batch", `{"queries":[`+query(a)+`,`+query(owned[1])+`]}`), 200,
-		`{"results":[`+decoded(a)+`,`+plain(owned[1])+"]}\n")
+	// A failover, past an owner that answers 503 or a 200 that is no
+	// search answer, forwards the same bytes to the next replica.
+	next := pool.Ring().AppendSuccessors(nil, a)[1]
+	for _, alien := range []bool{false, true} {
+		reps[0].status.Store(http.StatusServiceUnavailable)
+		if alien {
+			reps[0].status.Store(0)
+			reps[0].alien.Store(true)
+		}
+		reps[next].received()
+		expect("failover query", post(door, "/v2/search", query(a)), 200, asWritten)
+		if got := reps[next].received(); len(got) != 1 || got[0] != query(a) {
+			t.Errorf("failover replica received %q, want the client's body %q", got, query(a))
+		}
+		expect("failover batch", post(door, "/v2/search/batch", `{"queries":[`+query(a)+`,`+query(owned[1])+`]}`), 200,
+			`{"results":[`+plain(a)+`,`+plain(owned[1])+"]}\n")
+	}
+	reps[0].alien.Store(false)
 
 	// With every replica down, the last one's 503 reaches the client.
 	for _, r := range reps {
@@ -232,4 +254,52 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 		`{"error":"search backend unavailable: `+last+` /v2/search: status 503: status 503 here"}`+"\n")
 	expect("503 batch", post(door, "/v2/search/batch", `{"queries":[`+query(a)+`]}`), 200,
 		`{"results":[{"results":null,"error":"search backend unavailable: no live replica for seeker \"`+a+`\"","error_kind":"unavailable"}]}`+"\n")
+}
+
+// TestClientAsksForNoEncoding puts a compressing proxy in front of a
+// replica: it gzips an answer whenever the request accepts gzip. The
+// client asks for no encoding, so the answer arrives as the replica
+// wrote it, on the bytes path and on the decode path.
+func TestClientAsksForNoEncoding(t *testing.T) {
+	rep := newFakeReplica(t)
+	var gzipped atomic.Int32
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		rec := httptest.NewRecorder()
+		rep.serve(rec, r)
+		w.Header().Set("Content-Type", "application/json")
+		if strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			gzipped.Add(1)
+			w.Header().Set("Content-Encoding", "gzip")
+			gz := gzip.NewWriter(w)
+			gz.Write(rec.Body.Bytes())
+			gz.Close()
+			return
+		}
+		w.Write(rec.Body.Bytes())
+	}))
+	t.Cleanup(proxy.Close)
+	c := newTestClient(t, proxy.URL, ClientConfig{})
+	pool, err := NewPool([]*Client{c}, PoolConfig{HealthInterval: -1, FailAfter: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := NewFrontend(pool, NewBroadcaster([]*Client{c}, BroadcasterConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(front.Close)
+	ctx := context.Background()
+
+	req := search.Request{Seeker: "s", Tags: []string{"t"}, K: 3}
+	got, err := front.SearchBytes(ctx, req, []byte(`{"seeker":"s","tags":["t"],"k":3}`), nil)
+	if want := `{"results":[{"item":"s","score":1.50}]}` + "\n"; err != nil || string(got) != want {
+		t.Errorf("bytes path: %q, %v; want %q", got, err, want)
+	}
+	resp, err := c.Do(ctx, req)
+	if err != nil || len(resp.Results) != 1 || resp.Results[0] != (search.Result{Item: "s", Score: 1.5}) {
+		t.Errorf("decode path: %+v, %v", resp, err)
+	}
+	if n := gzipped.Load(); n != 0 {
+		t.Errorf("%d requests asked for gzip", n)
+	}
 }

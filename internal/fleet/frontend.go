@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -200,40 +201,32 @@ func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.
 }
 
 // SearchBytes is server.Frontend's bytes path for one query: body, the
-// query's own JSON, goes to the seeker's owner (Pool.walk), and its
-// answer is appended to dst as it came. A failover, an attempt past the
-// owner, takes Do's path and encodes the answer it decodes, as the
-// front door's decode path does.
+// query's own JSON, goes to the seeker's replica (Pool.walk, failover
+// included), and its answer is appended to dst as it came. An answer
+// that does not open and close as a plain one is the replica's fault,
+// as an answer that does not decode is on Do's path.
 func (f *Frontend) SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error) {
 	n := len(dst)
-	err := f.pool.walk(ctx, req.Seeker, func(ctx context.Context, c *Client, failover bool) error {
-		if !failover {
-			return c.post(ctx, "/v2/search", body, func(answer []byte) error {
-				dst = append(dst[:n], answer...)
-				return nil
-			})
-		}
-		resp, err := c.Do(ctx, req)
-		if err != nil {
-			return err
-		}
-		dst, err = server.AppendSearchResponse(dst[:n], &server.V2SearchResponse{Results: resp.Results})
-		return err
+	err := f.pool.walk(ctx, req.Seeker, func(ctx context.Context, c *Client) error {
+		return c.post(ctx, "/v2/search", body, func(answer []byte) error {
+			if !bytes.HasPrefix(answer, []byte(`{"results":[`)) || !bytes.HasSuffix(answer, []byte("}\n")) {
+				return errNotPlain
+			}
+			dst = append(dst[:n], answer...)
+			return nil
+		})
 	})
 	return dst, err
 }
 
+// errNotPlain refuses a search answer that is not a plain one.
+var errNotPlain = errors.New("not a plain search answer")
+
 // SearchBatchBytes is server.Frontend's bytes path for a batch: each
 // replica gets its part as the queries' own JSON, and a plain answer's
-// entries come back verbatim (Pool.fanOut, Client.forwardBatch). A part
-// holding a failover, a query past its seeker's owner, takes DoBatch's
-// path.
+// entries come back verbatim (Pool.fanOut, Client.forwardBatch).
 func (f *Frontend) SearchBatchBytes(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult {
-	return f.pool.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult, failover bool) {
-		if failover {
-			doPart(ctx, c, reqs, members, out)
-			return
-		}
+	return f.pool.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult) {
 		c.forwardBatch(ctx, queries, members, out, entries)
 	})
 }

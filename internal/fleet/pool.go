@@ -675,7 +675,7 @@ func (p *Pool) ReplicaFor(seeker string) int {
 // Do answers one request with failover (see walk).
 func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, error) {
 	var resp search.Response
-	err := p.walk(ctx, req.Seeker, func(ctx context.Context, c *Client, _ bool) (err error) {
+	err := p.walk(ctx, req.Seeker, func(ctx context.Context, c *Client) (err error) {
 		resp, err = c.Do(ctx, req)
 		return err
 	})
@@ -686,12 +686,11 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 }
 
 // walk makes one request's attempts with failover: try runs once per
-// attempt, told whether the attempt is a failover (past the seeker's
-// owner). The seeker's preference order is walked, skipping ejected
+// attempt. The seeker's preference order is walked, skipping ejected
 // replicas while any replica is live, and every ErrUnavailable attempt
-// both feeds the owner's health state and moves on. Non-transport errors (validation,
-// unknown names) return immediately — no replica will answer those
-// differently. A shed (search.ErrOverloaded) also returns immediately
+// both feeds the owner's health state and moves on. Non-transport
+// errors (validation, unknown names) return immediately — no replica
+// will answer those differently. A shed (search.ErrOverloaded) also returns immediately
 // and does NOT feed health state: the replica is alive and protecting
 // itself, and failing over would dump its load onto the ring successors
 // — the caller backs off and retries the same route instead.
@@ -699,7 +698,7 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 // The topology is loaded ONCE per request (the epoch fence): a resize
 // publishing a new epoch mid-request never mixes two rings inside one
 // routing decision.
-func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Context, c *Client, failover bool) error) error {
+func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Context, c *Client) error) error {
 	ctx, sp := obs.StartSpan(ctx, "fleet.route")
 	defer sp.End()
 	if sp != nil {
@@ -725,7 +724,7 @@ func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Con
 		if rank > 0 {
 			c.Counters().Failover()
 		}
-		err := try(ctx, c, rank > 0)
+		err := try(ctx, c)
 		if err == nil {
 			t.states[idx].ok()
 			return nil
@@ -746,32 +745,26 @@ func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Con
 // DoBatch answers a batch with failover (see fanOut), each replica's
 // part over Client.DoBatch.
 func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	return p.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult, _ bool) {
-		doPart(ctx, c, reqs, members, out)
+	return p.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult) {
+		sub := make([]search.Request, len(members))
+		for j, i := range members {
+			sub[j] = reqs[i]
+		}
+		for j, br := range c.DoBatch(ctx, sub) {
+			out[members[j]] = br
+		}
 	})
-}
-
-// doPart answers the requests at members over Client.DoBatch.
-func doPart(ctx context.Context, c *Client, reqs []search.Request, members []int, out []search.BatchResult) {
-	sub := make([]search.Request, len(members))
-	for j, i := range members {
-		sub[j] = reqs[i]
-	}
-	for j, br := range c.DoBatch(ctx, sub) {
-		out[members[j]] = br
-	}
 }
 
 // fanOut partitions the batch by each seeker's first live preference,
 // has part answer each replica's sub-batch concurrently (it sets out[i]
-// for each of its members; failover says whether one of them is past
-// its seeker's owner), and re-routes entries that failed with
+// for each of its members), and re-routes entries that failed with
 // ErrUnavailable to their next preference — up to one round per
 // replica, so a replica dying mid-batch costs its entries one retry,
 // not the whole batch. Entries a replica shed (search.ErrOverloaded)
 // are returned as-is, never re-routed — see walk. The whole batch runs
 // under one topology view (the epoch fence).
-func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx context.Context, c *Client, members []int, out []search.BatchResult, failover bool)) []search.BatchResult {
+func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx context.Context, c *Client, members []int, out []search.BatchResult)) []search.BatchResult {
 	out := make([]search.BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
@@ -807,15 +800,13 @@ func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx 
 			go func(idx int, members []int) {
 				defer wg.Done()
 				c := t.clients[idx]
-				failover := false
 				for _, i := range members {
 					c.Counters().Request()
 					if rank[i] > 0 {
 						c.Counters().Failover()
-						failover = true
 					}
 				}
-				part(ctx, c, members, out, failover)
+				part(ctx, c, members, out)
 				var failed []int
 				for _, i := range members {
 					// A failed entry's result is kept if retries run out.
