@@ -104,12 +104,14 @@ var _ search.Searcher = (*Client)(nil)
 
 // The headers of the hop's requests, shared read-only by all of them: a
 // RoundTripper only reads a request's header, and one is copied only to
-// inject a traceparent. None asks for a compressed answer: the
-// transport NewClient builds does not decompress one (see NewClient).
+// inject a traceparent. Each asks for the identity encoding, so an
+// answer arrives as the replica wrote it, through any proxy, and
+// http.Transport adds no Accept-Encoding of its own: it would ask for
+// gzip and decompress the answer, at a header map per request.
 var (
-	jsonHeader   = http.Header{"Content-Type": {"application/json"}}
-	getHeader    = http.Header{}
-	streamHeader = http.Header{"Content-Type": {"application/octet-stream"}}
+	jsonHeader   = http.Header{"Content-Type": {"application/json"}, "Accept-Encoding": {"identity"}}
+	getHeader    = http.Header{"Accept-Encoding": {"identity"}}
+	streamHeader = http.Header{"Content-Type": {"application/octet-stream"}, "Accept-Encoding": {"identity"}}
 )
 
 // NewClient builds a client for the replica at baseURL
@@ -146,14 +148,10 @@ func NewClient(baseURL string, cfg ClientConfig) (*Client, error) {
 	}
 	rt := cfg.Transport
 	if rt == nil {
-		// The transport would otherwise ask for gzip and decompress the
-		// answer; the requests ask for no encoding, so the replica's
-		// answer bytes arrive as it wrote them.
 		rt = &http.Transport{
 			MaxIdleConns:        cfg.MaxIdleConns,
 			MaxIdleConnsPerHost: cfg.MaxIdleConns,
 			IdleConnTimeout:     90 * time.Second,
-			DisableCompression:  true,
 		}
 	}
 	return &Client{

@@ -258,8 +258,9 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 
 // TestClientAsksForNoEncoding puts a compressing proxy in front of a
 // replica: it gzips an answer whenever the request accepts gzip. The
-// client asks for no encoding, so the answer arrives as the replica
-// wrote it, on the bytes path and on the decode path.
+// client asks for the identity encoding, through its own transport and
+// a caller's, so the answer arrives as the replica wrote it, on the
+// bytes path and on the decode path.
 func TestClientAsksForNoEncoding(t *testing.T) {
 	rep := newFakeReplica(t)
 	var gzipped atomic.Int32
@@ -278,26 +279,28 @@ func TestClientAsksForNoEncoding(t *testing.T) {
 		w.Write(rec.Body.Bytes())
 	}))
 	t.Cleanup(proxy.Close)
-	c := newTestClient(t, proxy.URL, ClientConfig{})
-	pool, err := NewPool([]*Client{c}, PoolConfig{HealthInterval: -1, FailAfter: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front, err := NewFrontend(pool, NewBroadcaster([]*Client{c}, BroadcasterConfig{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(front.Close)
-	ctx := context.Background()
+	for _, tr := range []http.RoundTripper{nil, &http.Transport{}} {
+		c := newTestClient(t, proxy.URL, ClientConfig{Transport: tr})
+		pool, err := NewPool([]*Client{c}, PoolConfig{HealthInterval: -1, FailAfter: 1 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		front, err := NewFrontend(pool, NewBroadcaster([]*Client{c}, BroadcasterConfig{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(front.Close)
+		ctx := context.Background()
 
-	req := search.Request{Seeker: "s", Tags: []string{"t"}, K: 3}
-	got, err := front.SearchBytes(ctx, req, []byte(`{"seeker":"s","tags":["t"],"k":3}`), nil)
-	if want := `{"results":[{"item":"s","score":1.50}]}` + "\n"; err != nil || string(got) != want {
-		t.Errorf("bytes path: %q, %v; want %q", got, err, want)
-	}
-	resp, err := c.Do(ctx, req)
-	if err != nil || len(resp.Results) != 1 || resp.Results[0] != (search.Result{Item: "s", Score: 1.5}) {
-		t.Errorf("decode path: %+v, %v", resp, err)
+		req := search.Request{Seeker: "s", Tags: []string{"t"}, K: 3}
+		got, err := front.SearchBytes(ctx, req, []byte(`{"seeker":"s","tags":["t"],"k":3}`), nil)
+		if want := `{"results":[{"item":"s","score":1.50}]}` + "\n"; err != nil || string(got) != want {
+			t.Errorf("bytes path: %q, %v; want %q", got, err, want)
+		}
+		resp, err := c.Do(ctx, req)
+		if err != nil || len(resp.Results) != 1 || resp.Results[0] != (search.Result{Item: "s", Score: 1.5}) {
+			t.Errorf("decode path: %+v, %v", resp, err)
+		}
 	}
 	if n := gzipped.Load(); n != 0 {
 		t.Errorf("%d requests asked for gzip", n)
