@@ -690,10 +690,11 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 // replicas while any replica is live, and every ErrUnavailable attempt
 // both feeds the owner's health state and moves on. Non-transport
 // errors (validation, unknown names) return immediately — no replica
-// will answer those differently. A shed (search.ErrOverloaded) also returns immediately
-// and does NOT feed health state: the replica is alive and protecting
-// itself, and failing over would dump its load onto the ring successors
-// — the caller backs off and retries the same route instead.
+// will answer those differently. A shed (search.ErrOverloaded) also
+// returns immediately and does NOT feed health state: the replica is
+// alive and protecting itself, and failing over would dump its load
+// onto the ring successors — the caller backs off and retries the same
+// route instead.
 //
 // The topology is loaded ONCE per request (the epoch fence): a resize
 // publishing a new epoch mid-request never mixes two rings inside one
