@@ -167,13 +167,14 @@ func BenchmarkServingFleetLoopback(b *testing.B) {
 }
 
 // fleetLoopbackAllocCeiling bounds TestFleetLoopbackAllocs. Ten runs
-// read 351-352 allocations per batch, 389-390 before the hop's requests
-// were built over a URL parsed once and a shared header, straight to
-// the transport, and 615-616 before the search request bodies were
-// read in one pass; the ceiling leaves room for another Go release's
-// net/http, and one more allocation per query on either hop (64)
-// crosses it.
-const fleetLoopbackAllocCeiling = 382
+// read 348-349 allocations per batch, 351-352 before each replica's
+// answer shared one Content-Type value, 389-390 before the hop's
+// requests were built over a URL parsed once and a shared header,
+// straight to the transport, and 615-616 before the search request
+// bodies were read in one pass; the ceiling leaves room for another Go
+// release's net/http, and one more allocation per query on either hop
+// (64) crosses it.
+const fleetLoopbackAllocCeiling = 379
 
 // TestFleetLoopbackAllocs gates the fleet hop in a count, which does
 // not read the machine as the fleet-loopback-over-batch time gate does:

@@ -148,12 +148,15 @@ func benchMaterialize(b *testing.B, e *Engine, specs []gen.QuerySpec) {
 //     the oracle run).
 //
 // All return the same answers: TestRefineJoinMatchesSettleLoop holds
-// them to that.
+// them to that. Each case reports, per query, the horizon's users and
+// the join's counts: the users of the query tags its list pass scans,
+// the (user, tag) lists in the horizon and the postings they hold.
 func BenchmarkRefineHorizonMerge(b *testing.B) {
 	e, specs := servingWorkload(b)
 	queries := make([]Query, len(specs))
 	horizons := make([]*SeekerHorizon, len(specs))
-	users := 0
+	var users int
+	var counts joinCounts
 	for i, s := range specs {
 		queries[i] = Query{Seeker: s.Seeker, Tags: s.Tags, K: 10}
 		h, err := e.MaterializeHorizon(s.Seeker, 0)
@@ -162,6 +165,7 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 		}
 		horizons[i] = h
 		users += h.Size()
+		counts.add(e, queries[i], h)
 	}
 	run := func(name string, scratch []int64, one func(i int, ans *Answer) error) {
 		b.Run(name, func(b *testing.B) {
@@ -185,7 +189,11 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(users)/float64(len(queries)), "horizon-users")
+			per := func(n int) float64 { return float64(n) / float64(len(queries)) }
+			b.ReportMetric(per(users), "horizon-users")
+			b.ReportMetric(per(counts.tagUsers), "tag-users")
+			b.ReportMetric(per(counts.lists), "lists")
+			b.ReportMetric(per(counts.postings), "postings")
 		})
 	}
 	join := func(i int, ans *Answer) error {
@@ -199,4 +207,38 @@ func BenchmarkRefineHorizonMerge(b *testing.B) {
 	run("lazy", nil, func(i int, ans *Answer) error {
 		return e.SocialMergeInto(queries[i], Options{RefineScores: true}, ans)
 	})
+}
+
+// joinCounts sums what joinHorizon reads over queries: the users of
+// the query tags' blocks its list pass scans, the (user, tag) lists of
+// horizon users it sweeps and their postings, and Σ_t min(|users(t)|,
+// |horizon|), the in-horizon lists it makes room for.
+type joinCounts struct{ tagUsers, lists, postings, most int }
+
+// add counts query q over horizon h on e, its tags deduped.
+func (c *joinCounts) add(e *Engine, q Query, h *SeekerHorizon) {
+	in := make(map[int32]bool, len(h.list))
+	for _, entry := range h.list {
+		in[entry.User] = true
+	}
+	for i, t := range q.Tags {
+		if slices.Contains(q.Tags[:i], t) {
+			continue
+		}
+		users := 0
+		for _, b := range e.Store().TagBlocks(t) {
+			us, end, _ := b.Lists()
+			off := int32(0)
+			for p, u := range us {
+				if in[u] {
+					c.lists++
+					c.postings += int(end[p] - off)
+				}
+				off = end[p]
+			}
+			users += len(us)
+		}
+		c.tagUsers += users
+		c.most += min(users, len(h.list))
+	}
 }

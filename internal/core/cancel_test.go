@@ -75,17 +75,17 @@ func TestCancelledContextAbortsQueries(t *testing.T) {
 	}
 }
 
-// doneFromSecondCall is a context whose Done channel is open on the
-// first call and closed from the second on: a merge polling it passes
-// its first checkpoint and stops at the next.
-type doneFromSecondCall struct {
+// doneFromCall is a context whose Done channel is open on the first
+// from−1 calls and closed from the from-th on: a merge polling it
+// passes from−1 checkpoints and stops at the next.
+type doneFromCall struct {
 	context.Context
-	calls int
+	from, calls int
 }
 
-func (c *doneFromSecondCall) Done() <-chan struct{} {
+func (c *doneFromCall) Done() <-chan struct{} {
 	c.calls++
-	if c.calls < 2 {
+	if c.calls < c.from {
 		return nil
 	}
 	done := make(chan struct{})
@@ -93,69 +93,166 @@ func (c *doneFromSecondCall) Done() <-chan struct{} {
 	return done
 }
 
-func (c *doneFromSecondCall) Err() error {
-	if c.calls < 2 {
+func (c *doneFromCall) Err() error {
+	if c.calls < c.from {
 		return nil
 	}
 	return context.Canceled
 }
 
 // TestAbortedRefineLeavesPooledRunClean: a RefineScores join stopped
-// mid-sweep returns its run to the pool with the top-k selection still
-// deferred to a finish that never ran, and with the scores of the users
-// it did sweep in its dense per-item scratch. The merges that reuse the
-// run must not inherit either: each non-refine merge and each refine
-// join after such an abort answers exactly what a fresh engine does —
-// results, Exact, accesses and users settled.
+// part way returns its run to the pool with the top-k selection still
+// deferred to a finish that never ran, and perhaps with horizon users'
+// rank marks set or the scores of the users it did sweep in its dense
+// per-item scratch. The merges that reuse the run must not inherit any
+// of it: each non-refine merge and each refine join after such an
+// abort answers exactly what a fresh engine does — results, Exact,
+// accesses and users settled.
+//
+// The join polls its context once per 64 horizon users while it marks
+// ranks, then once per 64 ranks its sweep reaches. Over a line where
+// only user 0 tags, the abort at the second poll lands in the marking;
+// over a line where every user tags, an abort two polls after the
+// marking lands mid-sweep, with 64 users' scores swept.
 func TestAbortedRefineLeavesPooledRunClean(t *testing.T) {
 	const users = 600 // more than the join's 64-user checkpoint stride
-	q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}
-	fresh := lineEngine(t, users)
-	want, err := fresh.SocialMerge(q, Options{})
+	for _, c := range []struct {
+		name   string
+		engine func(testing.TB, int) *Engine
+		// from picks the poll the abort lands at, given the horizon.
+		from func(h *SeekerHorizon) int
+	}{
+		{"marking", lineEngine, func(*SeekerHorizon) int { return 2 }},
+		{"sweep", taggedLineEngine, func(h *SeekerHorizon) int { return (h.Size()+63)/64 + 2 }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			q := Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}
+			fresh := c.engine(t, users)
+			want, err := fresh.SocialMerge(q, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			freshH, err := fresh.MaterializeHorizon(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantJoin, err := fresh.SocialMergeWithHorizon(q, freshH, Options{RefineScores: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := c.engine(t, users)
+			h, err := e.MaterializeHorizon(0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h.Size() <= 64 {
+				t.Fatalf("horizon of %d users never reaches the join's second checkpoint", h.Size())
+			}
+			abort := func() {
+				t.Helper()
+				ctx := &doneFromCall{Context: context.Background(), from: c.from(h)}
+				if _, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, Ctx: ctx}); !errors.Is(err, context.Canceled) {
+					t.Fatalf("refine join: err = %v, want context.Canceled at its checkpoint %d", err, ctx.from)
+				}
+			}
+			for i := 0; i < 10; i++ {
+				abort()
+				got, err := e.SocialMerge(q, Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("merge %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, want)
+				}
+				abort()
+				got, err = e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, wantJoin) {
+					t.Fatalf("refine join %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, wantJoin)
+				}
+			}
+		})
+	}
+}
+
+// TestAbortedJoinLeavesNoRankMarks: a join stopped while it marks its
+// horizon's ranks clears the marks it set. A run's rank array serves
+// every engine its pool does, so a mark left behind would put a user
+// of the aborted query's horizon into the next query's on another
+// engine: here user 0, whose list the next query's horizon lacks.
+func TestAbortedJoinLeavesNoRankMarks(t *testing.T) {
+	const users = 600
+	line := lineEngine(t, users)
+	h, err := line.MaterializeHorizon(0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	freshH, err := fresh.MaterializeHorizon(0, 0)
+	// No edges: user 599's horizon is user 599 alone.
+	g, err := graph.NewBuilder(users).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantJoin, err := fresh.SocialMergeWithHorizon(q, freshH, Options{RefineScores: true})
+	tb := tagstore.NewBuilder(users, 2, 1)
+	tb.Add(0, 0, 0)
+	tb.Add(users-1, 1, 0)
+	store, err := tb.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := lineEngine(t, users)
-	h, err := e.MaterializeHorizon(0, 0)
+	lone, err := NewEngine(g, store, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Size() <= 64 {
-		t.Fatalf("horizon of %d users never reaches the join's second checkpoint", h.Size())
+	q := Query{Seeker: users - 1, Tags: []tagstore.TagID{0}, K: 2}
+	loneH, err := lone.MaterializeHorizon(q.Seeker, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	abort := func() {
-		t.Helper()
-		ctx := &doneFromSecondCall{Context: context.Background()}
-		if _, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, Ctx: ctx}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("refine join: err = %v, want context.Canceled at its second checkpoint", err)
-		}
+	refine := Options{RefineScores: true}
+	var want, got Answer
+	if err := new(mergeRun).merge(lone, q, nil, loneH, refine, &want); err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		abort()
-		got, err := e.SocialMerge(q, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("merge %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, want)
-		}
-		abort()
-		got, err = e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, wantJoin) {
-			t.Fatalf("refine join %d after an aborted refine join:\ngot  %+v\nwant %+v", i, got, wantJoin)
-		}
+	var r mergeRun
+	abort := Options{RefineScores: true, Ctx: &doneFromCall{Context: context.Background(), from: 2}}
+	if err := r.merge(line, Query{Seeker: 0, Tags: []tagstore.TagID{0}, K: 1}, nil, h, abort, &got); !errors.Is(err, context.Canceled) {
+		t.Fatalf("refine join: err = %v, want context.Canceled at its second checkpoint", err)
 	}
+	if err := r.merge(lone, q, nil, loneH, refine, &got); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("join after a join aborted while marking:\ngot  %+v\nwant %+v", got, want)
+	}
+}
+
+// taggedLineEngine is lineEngine with every user tagging: user u tags
+// item u mod 37 under tag 0.
+func taggedLineEngine(t testing.TB, n int) *Engine {
+	t.Helper()
+	gb := graph.NewBuilder(n)
+	for u := 0; u < n-1; u++ {
+		gb.AddEdge(graph.UserID(u), graph.UserID(u+1), 1)
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tagstore.NewBuilder(n, 37, 1)
+	for u := 0; u < n; u++ {
+		tb.Add(graph.UserID(u), tagstore.ItemID(u%37), 0)
+	}
+	store, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(g, store, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
 }
 
 // TestNilContextStillWorks: zero-value Options remain valid — the

@@ -11,6 +11,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/proximity"
+	"repro/internal/search"
 	"repro/internal/tagstore"
 )
 
@@ -270,5 +271,154 @@ func checkJoinMatchesSettleLoop(t *testing.T, e *Engine, seed int64) {
 			prev = c.h.Size()
 		}
 		slices.Reverse(runs)
+	}
+}
+
+// TestJoinMatchesSettleLoopAcrossBlocks: the join reads each query tag's
+// lists block by block, so a list's record names its block and its
+// offset there. Over tags whose lists span several blocks and horizons
+// that skip users inside every one of them, the join answers what the
+// settle loop over the same horizon does — results, Exact, accesses and
+// users settled — for β = 1, a blend and pure-global scoring, and for
+// every k from 1 to NumItems().
+func TestJoinMatchesSettleLoopAcrossBlocks(t *testing.T) {
+	const users, items, tags = 300, 90, 3
+	rng := rand.New(rand.NewSource(7))
+	// Two components: the users u with u%3 == 0 form one, the rest the
+	// other, so a horizon from either skips users of the other in
+	// every block.
+	gb := graph.NewBuilder(users)
+	for u := 0; u < users; u++ {
+		for range 2 {
+			v := rng.Intn(users)
+			if (v%3 == 0) == (u%3 == 0) && v != u {
+				gb.AddEdge(graph.UserID(u), graph.UserID(v), 0.3+0.7*rng.Float64())
+			}
+		}
+	}
+	g, err := gb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := tagstore.NewBuilder(users, items, tags)
+	for u := 0; u < users; u++ {
+		for range 8 {
+			tb.AddCount(int32(u), tagstore.ItemID(rng.Intn(items)), tagstore.TagID(rng.Intn(2)), 1+int32(rng.Intn(3)))
+		}
+		tb.Add(int32(u), tagstore.ItemID(u%items), 2)
+		tb.Add(int32(u), tagstore.ItemID(u*7%items), 2)
+	}
+	st, err := tb.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for tag := range tagstore.TagID(tags) {
+		if n := len(st.TagBlocks(tag)); n < 2 {
+			t.Fatalf("tag %d's lists lie in %d block, want several", tag, n)
+		}
+	}
+	for _, beta := range []float64{1, 0.6, 0} {
+		e, err := NewEngine(g, st, Config{
+			Proximity: proximity.Params{Alpha: 0.9, SelfWeight: 1, MinSigma: 0.001},
+			Beta:      beta,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seeker := range []graph.UserID{0, 1, 150, 299} {
+			h, err := e.MaterializeHorizon(seeker, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make(map[int32]bool, h.Size())
+			for _, entry := range h.list {
+				in[entry.User] = true
+			}
+			for tag := range tagstore.TagID(tags) {
+				for k, b := range st.TagBlocks(tag) {
+					us, _, _ := b.Lists()
+					if !slices.ContainsFunc(us, func(u int32) bool { return in[u] }) || !slices.ContainsFunc(us, func(u int32) bool { return !in[u] }) {
+						t.Fatalf("seeker %d's horizon holds none or all of the users of tag %d's block %d", seeker, tag, k)
+					}
+				}
+			}
+			for _, qt := range [][]tagstore.TagID{{0, 1, 0}, {1, 2}} {
+				for k := 1; k <= items; k++ {
+					q := Query{Seeker: seeker, Tags: qt, K: k}
+					join, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true})
+					if err != nil {
+						t.Fatal(err)
+					}
+					loop, err := e.SocialMergeWithHorizon(q, h, Options{RefineScores: true, MaxUsers: h.Size() + 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(join, loop) {
+						t.Fatalf("β=%g %+v over its horizon of %d:\njoin %+v\nloop %+v", beta, q, h.Size(), join, loop)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestJoinScratchIsBoundedByTagUsers: the join's scratch is sized by
+// the lists a query can find in its horizon, not by |horizon| × |tags|.
+// On a run outside the pool, a query naming search.MaxTags tags over a
+// horizon of every user leaves room for at most Σ_t min(|users(t)|,
+// |horizon|) + 1 finds of the list pass, as many sorted lists as it
+// found, and |horizon| + 1 counters.
+func TestJoinScratchIsBoundedByTagUsers(t *testing.T) {
+	ds, err := gen.Generate(gen.CorpusParams{
+		Name:           "bound",
+		Graph:          gen.GraphParams{Kind: gen.BarabasiAlbert, NumUsers: 400, M: 2, MinWeight: 0.2, MaxWeight: 1},
+		NumItems:       300,
+		NumTags:        3 * search.MaxTags,
+		TriplesPerUser: 40,
+		TagZipfS:       1.1,
+		ItemZipfS:      1.2,
+		Homophily:      0.4,
+	}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngine(ds.Graph, ds.Store, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := e.MaterializeHorizon(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Size() != ds.Store.NumUsers() {
+		t.Fatalf("horizon of %d users, want all %d", h.Size(), ds.Store.NumUsers())
+	}
+	users := func(tag tagstore.TagID) (n int) {
+		for _, b := range ds.Store.TagBlocks(tag) {
+			us, _, _ := b.Lists()
+			n += len(us)
+		}
+		return n
+	}
+	tags := make([]tagstore.TagID, ds.Store.NumTags())
+	for i := range tags {
+		tags[i] = tagstore.TagID(i)
+	}
+	slices.SortStableFunc(tags, func(a, b tagstore.TagID) int { return users(b) - users(a) })
+	q := Query{Seeker: 0, Tags: tags[:search.MaxTags], K: 10}
+	var r mergeRun
+	var ans Answer
+	if err := r.merge(e, q, nil, h, Options{RefineScores: true}, &ans); err != nil {
+		t.Fatal(err)
+	}
+	var c joinCounts
+	c.add(e, q, h)
+	t.Logf("room for %d finds and %d lists for %d lists (Σ min %d) and %d counters; a rank × tag array would hold %d slots",
+		len(r.found), len(r.list), c.lists, c.most, len(r.count), (h.Size()+1)*len(q.Tags))
+	if len(r.found) > c.most+1 || len(r.list) > c.lists {
+		t.Errorf("the join holds %d finds and %d lists, want at most %d + 1 and %d", len(r.found), len(r.list), c.most, c.lists)
+	}
+	if len(r.count) > h.Size()+1 {
+		t.Errorf("the join holds %d counters, want at most %d", len(r.count), h.Size()+1)
 	}
 }

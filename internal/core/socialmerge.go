@@ -173,14 +173,18 @@ type mergeRun struct {
 
 	// Scratch of joinHorizon. rank[u] is 1 + the horizon position of
 	// user u, 0 for everyone outside; it is all zero between queries.
-	// slots[k·|tags|+i] is where the list of the user of rank k under
-	// the i-th query tag lies in posts, the postings of the query tags'
-	// blocks. Row 0 is a sink: the slot scan stores every tag user's
-	// list into the row of its rank, and users outside the horizon land
-	// there.
-	rank  []int32
-	slots []listSlot
-	posts [][]tagstore.UserPosting
+	// blocks holds the query tags' blocks, in query tag order. found
+	// holds the list pass's finds, one per (user, query tag) list in the
+	// horizon, in block order, and bounds[b] how many of them lie in
+	// blocks 0..b. list is the lists sorted by rank, and count the
+	// counting sort's counter for each rank 0..|horizon|, all zero
+	// between queries.
+	rank   []int32
+	blocks []tagstore.Block
+	found  []tagUser
+	bounds []int32
+	list   []listRec
+	count  []int32
 
 	// Scratch of sweepDense, indexed by item: score[i] is item i's
 	// social score so far and bit i of seen marks an item some posting
@@ -189,17 +193,21 @@ type mergeRun struct {
 	seen  []uint64
 }
 
-// listSlot locates one (user, tag) posting list: n postings from off in
-// posts[block], its block's postings; n is 0 when the user never used
-// the tag.
-type listSlot struct{ block, off, n int32 }
+// listRec locates the posting list of the horizon user of rank rank
+// under one query tag: n postings from off in the postings of
+// blocks[block].
+type listRec struct{ rank, block, off, n int32 }
+
+// tagUser is a user the list pass found in a block: its rank mark and
+// its position among the block's users.
+type tagUser struct{ rank, pos int32 }
 
 // runPool recycles SocialMerge working state (candidate table, cursor
-// slices, tag buffers, the join's rank, slot and per-item score arrays)
-// so the warm read path allocates nothing. It is the package's, not an
-// engine's: every compaction builds a new Engine, and the first merges
-// on it reuse the arrays the last engine's merges grew instead of
-// allocating their own.
+// slices, tag buffers, the join's rank, find, list and per-item score
+// arrays) so the warm read path allocates nothing. It is the package's,
+// not an engine's: every compaction builds a new Engine, and the first
+// merges on it reuse the arrays the last engine's merges grew instead
+// of allocating their own.
 var runPool = sync.Pool{New: func() any { return new(mergeRun) }}
 
 // reset prepares a recycled run for the query. All retained storage
@@ -250,7 +258,7 @@ func (r *mergeRun) reset(e *Engine, q Query, opts Options) {
 func releaseRun(r *mergeRun) {
 	r.e = nil
 	clear(r.lists)
-	clear(r.posts)
+	clear(r.blocks)
 	r.msrc = materializedSource{}
 	runPool.Put(r)
 }
@@ -354,70 +362,155 @@ func (r *mergeRun) settleList(list []tagstore.UserPosting, sigma float64) {
 // materialized horizon: same users, same tag order within a user, same
 // posting order within a list, so every candidate's bounds go through
 // the arithmetic mainLoop would put them through and the accounting
-// comes out equal. What differs is how a user's lists are found. Each
-// query tag's user list is scanned once against the horizon's rank
-// marks into a rank × tag slot array. The scan stores every user's
-// slot without testing the mark — about one tag user in six is in the
-// horizon, a branch no predictor learns — and the users outside, rank
-// 0, all land in the sink row 0. The sweep over ranks 1..|horizon| then
-// settles the slots that are set and nothing else, where settleUser
-// searches every (user, tag) pair and mostly finds nothing.
-// The store keeps a tag's lists back to back in blocks of consecutive
-// users, so everything the sweep reads lies in the query tags' own
-// blocks, and a slot names its block.
+// comes out equal. What differs is how a user's lists are found. The
+// store keeps a tag's lists back to back in blocks of consecutive
+// users, so one pass over each query tag's blocks, in query order,
+// meets every list the sweep needs. The pass writes a find for every
+// tag user against the horizon's rank marks and advances past it only
+// when the rank is not 0 — about one tag user in six is in the
+// horizon, a branch no predictor learns — so the users outside all
+// land in the one slot past the end and the finds in the horizon lie
+// back to back. A stable counting sort by rank then puts their lists
+// in (rank, query tag) order, and the sweep reads them in turn, where
+// settleUser searches every (user, tag) pair and mostly finds nothing.
+// The join polls its context once per 64 horizon users while it marks
+// ranks, and once per 64 ranks its sweep reaches.
 func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 	st, tags := r.e.store, r.tags
 	if r.beta == 0 {
 		tags = nil // as in settleUser
 	}
-	nt := len(tags)
 	if len(r.rank) < st.NumUsers() {
 		r.rank = make([]int32, st.NumUsers())
 	}
-	if cap(r.slots) < (len(h.list)+1)*nt {
-		r.slots = make([]listSlot, (len(h.list)+1)*nt)
+	// Tag t holds at most min(|users(t)|, |horizon|) in-horizon lists.
+	most := 0
+	r.blocks = r.blocks[:0]
+	for _, t := range tags {
+		blocks, users := st.TagBlocks(t), 0
+		for i := range blocks {
+			u, _, _ := blocks[i].Lists()
+			users += len(u)
+		}
+		r.blocks = append(r.blocks, blocks...)
+		most += min(users, len(h.list))
 	}
-	r.slots = r.slots[:(len(h.list)+1)*nt]
-	clear(r.slots)
-	r.posts = r.posts[:0]
-	for k, entry := range h.list {
-		r.rank[entry.User] = int32(k) + 1
+	if len(r.found) < most+1 {
+		r.found = make([]tagUser, most+1)
 	}
-	slots := r.slots
-	for i, t := range tags {
-		for _, b := range st.TagBlocks(t) {
-			users, end, post := b.Lists()
-			block, off := int32(len(r.posts)), int32(0)
-			r.posts = append(r.posts, post)
-			for p, u := range users {
-				slots[int(r.rank[u])*nt+i] = listSlot{block: block, off: off, n: end[p] - off}
-				off = end[p]
+	if len(r.bounds) < len(r.blocks) {
+		r.bounds = make([]int32, len(r.blocks))
+	}
+	if len(r.count) < len(h.list)+1 {
+		r.count = make([]int32, len(h.list)+1)
+	}
+	rank := r.rank
+	for lo := 0; lo < len(h.list); lo += 64 {
+		if err := ctxErr(opts.Ctx); err != nil {
+			for _, entry := range h.list[:lo] {
+				rank[entry.User] = 0
 			}
+			return false, err
+		}
+		for k, entry := range h.list[lo:min(lo+64, len(h.list))] {
+			rank[entry.User] = int32(lo+k) + 1
 		}
 	}
+	bounds := r.bounds[:len(r.blocks)]
+	m := r.listPass(r.found[:most+1], bounds)
 	for _, entry := range h.list {
-		r.rank[entry.User] = 0
+		rank[entry.User] = 0
 	}
+	if len(r.list) < m {
+		r.list = make([]listRec, m)
+	}
+	list := r.sortByRank(r.found[:m], bounds, r.list[:m], r.count[:len(h.list)+1])
 	if r.refineFast {
-		if err := r.sweepDense(h, nt, opts); err != nil {
+		if err := r.sweepDense(h, list, opts); err != nil {
 			return false, err
 		}
 		return r.finish(0, opts)
 	}
+	j := 0
 	for k, entry := range h.list {
 		if k%64 == 0 {
 			if err := ctxErr(opts.Ctx); err != nil {
 				return false, err
 			}
 		}
-		for _, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
-			if slot.n != 0 {
-				r.settleList(r.posts[slot.block][slot.off:slot.off+slot.n], entry.Prox)
-			}
+		for ; j < len(list) && list[j].rank == int32(k)+1; j++ {
+			rec := list[j]
+			r.settleList(r.postings(rec), entry.Prox)
 		}
 		r.userSettled()
 	}
 	return r.finish(0, opts)
+}
+
+// listPass writes into found a find for every user of the run's blocks
+// and returns how many of them have a rank mark, whose finds it leaves
+// back to back at the front, block by block; bounds[b] is how many lie
+// in blocks 0..b. found has room for them and one more: where an
+// outside user's find lands.
+func (r *mergeRun) listPass(found []tagUser, bounds []int32) int {
+	m := 0
+	for b := range r.blocks {
+		users, _, _ := r.blocks[b].Lists()
+		m = findUsers(found, m, r.rank, users)
+		bounds[b] = int32(m)
+	}
+	return m
+}
+
+// findUsers is listPass over one block's users, its finds written from
+// found[m] on. It is kept out of line: inlined into listPass's loops,
+// the compiler keeps its loop counter on the stack, and every user then
+// waits on a store and a load of it.
+//
+//go:noinline
+func findUsers(found []tagUser, m int, rank, users []int32) int {
+	for p, u := range users {
+		rk := rank[u]
+		found[m] = tagUser{rank: rk, pos: int32(p)}
+		m += int(uint32(-rk) >> 31)
+	}
+	return m
+}
+
+// sortByRank writes the lists of found, whose blocks bounds marks as
+// listPass left them, into list in rank order, and within a rank in the
+// order found holds them, and returns list. count has a counter for
+// every rank of found and is left all zero.
+func (r *mergeRun) sortByRank(found []tagUser, bounds []int32, list []listRec, count []int32) []listRec {
+	for _, f := range found {
+		count[f.rank]++
+	}
+	at := int32(0)
+	for k, n := range count {
+		count[k] = at
+		at += n
+	}
+	i := 0
+	for b, to := range bounds {
+		_, end, _ := r.blocks[b].Lists()
+		for _, f := range found[i:to] {
+			off := int32(0)
+			if f.pos > 0 {
+				off = end[f.pos-1]
+			}
+			list[count[f.rank]] = listRec{rank: f.rank, block: int32(b), off: off, n: end[f.pos] - off}
+			count[f.rank]++
+		}
+		i = int(to)
+	}
+	clear(count)
+	return list
+}
+
+// postings returns the posting list rec locates.
+func (r *mergeRun) postings(rec listRec) []tagstore.UserPosting {
+	_, _, post := r.blocks[rec.block].Lists()
+	return post[rec.off : rec.off+rec.n]
 }
 
 // sweepDense is joinHorizon's sweep for β = 1 exact refine, where a
@@ -430,35 +523,35 @@ func (r *mergeRun) joinHorizon(h *SeekerHorizon, opts Options) (bool, error) {
 // query tag, list position) and from the same 0, so each score comes
 // out bit-identical, and the top k under (score desc, item asc) is
 // unique whichever touched items became candidates on the way.
-func (r *mergeRun) sweepDense(h *SeekerHorizon, nt int, opts Options) error {
+func (r *mergeRun) sweepDense(h *SeekerHorizon, list []listRec, opts Options) error {
 	n := r.e.store.NumItems()
 	if len(r.score) < n {
 		r.score = make([]float64, n)
 		r.seen = make([]uint64, (n+63)/64)
 	}
 	score, seen := r.score, r.seen
-	for k, entry := range h.list {
-		if k%64 == 0 {
+	stride := int32(-1) // the 64-rank stride of the last record swept
+	for _, rec := range list {
+		if (rec.rank-1)>>6 != stride {
+			stride = (rec.rank - 1) >> 6
 			if err := ctxErr(opts.Ctx); err != nil {
 				clear(score)
 				clear(seen)
 				return err
 			}
 		}
-		w := r.beta * entry.Prox
-		for _, slot := range r.slots[(k+1)*nt : (k+2)*nt] {
-			if slot.n == 0 {
-				continue
-			}
-			list := r.posts[slot.block][slot.off : slot.off+slot.n]
-			r.acc.Sequential += int64(len(list))
-			for _, up := range list {
-				score[up.Item] += w * float64(up.TF)
-				seen[up.Item>>6] |= 1 << (up.Item & 63)
-			}
+		w := r.beta * h.list[rec.rank-1].Prox
+		postings := r.postings(rec)
+		r.acc.Sequential += int64(len(postings))
+		for _, up := range postings {
+			score[up.Item] += w * float64(up.TF)
+			seen[up.Item>>6] |= 1 << (up.Item & 63)
 		}
-		r.userSettled()
 	}
+	// userSettled for every horizon user at once: the β = 1 refine run
+	// takes no sorted-access round.
+	r.settled += len(h.list)
+	r.acc.UsersExpanded += int64(len(h.list))
 	// The walk goes up in item order, so an item never wins a tie
 	// against one the table holds: it can enter only while fewer than k
 	// are held (τ reads 0) or with a score strictly above τ, and the

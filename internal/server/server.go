@@ -416,10 +416,16 @@ func (s *Server) aborted(w http.ResponseWriter, r *http.Request) bool {
 	return err != nil
 }
 
+// jsonContentType is the Content-Type value writeOK shares between
+// responses, read-only: Header.Set would allocate a slice per response.
+// Its capacity is its length, so an Add on one response's header copies
+// it rather than writing into the next response's.
+var jsonContentType = []string{"application/json"}
+
 // writeOK sends body as a 200 JSON response with its Content-Length.
 func (s *Server) writeOK(w http.ResponseWriter, r *http.Request, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {

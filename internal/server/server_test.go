@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -73,6 +74,28 @@ func seedHTTP(t *testing.T, s *Server) {
 func TestNewRejectsNilBackend(t *testing.T) {
 	if _, err := New(nil); err == nil {
 		t.Fatal("nil backend accepted")
+	}
+}
+
+// TestWriteOKSharesNoHeaderState: writeOK gives every response the one
+// shared Content-Type value, so a handler or middleware that adds to a
+// response's Content-Type after writeOK must not reach the next one.
+func TestWriteOKSharesNoHeaderState(t *testing.T) {
+	s, _ := newTestServer(t)
+	req := httptest.NewRequest(http.MethodPost, "/v2/search", nil)
+	first := httptest.NewRecorder()
+	s.writeOK(first, req, []byte("{}\n"))
+	first.Header().Add("Content-Type", "text/plain")
+	if got := first.Header().Values("Content-Type"); !reflect.DeepEqual(got, []string{"application/json", "text/plain"}) {
+		t.Fatalf("first response's Content-Type after Add = %q", got)
+	}
+	next := httptest.NewRecorder()
+	s.writeOK(next, req, []byte("{}\n"))
+	if got := next.Header().Values("Content-Type"); !reflect.DeepEqual(got, []string{"application/json"}) {
+		t.Fatalf("next response's Content-Type = %q, want only application/json", got)
+	}
+	if got := next.Result().Header.Values("Content-Type"); !reflect.DeepEqual(got, []string{"application/json"}) {
+		t.Fatalf("next response's sent Content-Type = %q, want only application/json", got)
 	}
 }
 
