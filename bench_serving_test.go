@@ -12,6 +12,7 @@ package repro
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
@@ -152,7 +153,8 @@ func TestServingBatchSearchAllocs(t *testing.T) {
 }
 
 // BenchmarkServingFleetLoopback: the same 64-query workload as one
-// DoBatch through a 3-replica loopback fleet — front-end pool →
+// batch through a 3-replica loopback fleet — a front-end's
+// SearchBatchBytes, the path a front door serves a batch by, over
 // httptest replicas speaking the real /v2 wire format — with warm
 // caches. Comparing against BenchmarkServingBatchSearch shows what the
 // network hop (HTTP, JSON, routing) costs on identical work; benchgate
@@ -167,18 +169,14 @@ func BenchmarkServingFleetLoopback(b *testing.B) {
 }
 
 // fleetLoopbackAllocCeiling bounds TestFleetLoopbackAllocs. Ten runs
-// read 348-349 allocations per batch, 351-352 before each replica's
-// answer shared one Content-Type value, 389-390 before the hop's
-// requests were built over a URL parsed once and a shared header,
-// straight to the transport, and 615-616 before the search request
-// bodies were read in one pass; the ceiling leaves room for another Go
-// release's net/http, and one more allocation per query on either hop
-// (64) crosses it.
-const fleetLoopbackAllocCeiling = 379
+// read 327-328 allocations per batch; the ceiling leaves room for
+// another Go release's net/http, and one more allocation per query on
+// either hop (64) crosses it.
+const fleetLoopbackAllocCeiling = 358
 
 // TestFleetLoopbackAllocs gates the fleet hop in a count, which does
 // not read the machine as the fleet-loopback-over-batch time gate does:
-// the allocations of one warm 64-query Pool.DoBatch over
+// the allocations of one warm 64-query Frontend.SearchBatchBytes over
 // BenchmarkServingFleetLoopback's three replicas, client and servers
 // together. testing.AllocsPerRun runs it at GOMAXPROCS 1, so the
 // replicas' sync.Pools do not miss when a worker lands on another P.
@@ -195,7 +193,8 @@ func TestFleetLoopbackAllocs(t *testing.T) {
 }
 
 // fleetLoopback builds the loopback fleet and returns one warm run of
-// the 64-query workload through it as one Pool.DoBatch.
+// the 64-query workload through it as one Frontend.SearchBatchBytes,
+// its queries marshalled once up front as a front door reads them.
 func fleetLoopback(tb testing.TB) (run func()) {
 	var clients []*fleet.Client
 	var reqs []search.Request
@@ -220,12 +219,25 @@ func fleetLoopback(tb testing.TB) (run func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(pool.Close)
+	front, err := fleet.NewFrontend(pool, fleet.NewBroadcaster(clients, fleet.BroadcasterConfig{}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(front.Close)
+	queries := make([]string, len(reqs))
+	for i, r := range reqs {
+		q, err := json.Marshal(server.V2Query{Seeker: r.Seeker, Tags: r.Tags, K: r.K, Mode: r.Mode.String()})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		queries[i] = string(q)
+	}
 	ctx := context.Background()
 	run = func() {
-		for _, r := range pool.DoBatch(ctx, reqs) {
-			if r.Err != nil {
-				tb.Fatal(r.Err)
+		entries := make([][]byte, len(reqs))
+		for i, r := range front.SearchBatchBytes(ctx, reqs, queries, entries) {
+			if r.Err != nil || entries[i] == nil {
+				tb.Fatalf("query %d: %v, entry %q", i, r.Err, entries[i])
 			}
 		}
 	}

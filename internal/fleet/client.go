@@ -15,7 +15,7 @@
 //	Client      — search.Searcher over one replica's /v2 HTTP surface
 //	              (pooled connections, per-attempt timeout)
 //	Pool        — replica registry + /healthz prober + failover router
-//	              (itself a search.Searcher)
+//	              for the front-end's search bytes
 //	Broadcaster — coalesces writes into one compaction heartbeat,
 //	              which carries their records
 //	Frontend    — server.Backend (in the server.Frontend role) gluing
@@ -197,7 +197,7 @@ func (c *Client) postJSON(parent context.Context, path string, in, out interface
 	if out == nil {
 		return c.post(parent, path, body, nil)
 	}
-	return c.post(parent, path, body, func(answer []byte) error { return decodeAnswer(answer, out) })
+	return c.post(parent, path, body, func(answer []byte) error { return json.Unmarshal(answer, out) })
 }
 
 // post sends one JSON request body under the per-attempt timeout and
@@ -205,9 +205,8 @@ func (c *Client) postJSON(parent context.Context, path string, in, out interface
 // this client adds counts against the replica; a failure owned by the
 // caller's context surfaces as that ctx error (see send).
 func (c *Client) post(parent context.Context, path string, body []byte, use func(answer []byte) error) error {
-	// One span per RPC attempt; on a sampled trace the replica stitches
-	// its own spans into ours through the response (see the wire
-	// response types' Spans fields).
+	// One span per RPC attempt; on a sampled trace the replica returns
+	// its own spans in a response header, stitched into ours here.
 	parent, sp := obs.StartSpan(parent, "fleet.rpc")
 	defer sp.End()
 	sp.SetAttr("replica", c.base)
@@ -225,6 +224,9 @@ func (c *Client) post(parent context.Context, path string, body []byte, use func
 	resp, err := c.send(parent, hreq)
 	if err != nil {
 		return err
+	}
+	if sp != nil {
+		obs.MergeSpansHeader(parent, resp.Header)
 	}
 	return c.receive(resp, use)
 }
@@ -354,19 +356,6 @@ func (c *Client) receive(resp *http.Response, use func(answer []byte) error) err
 	return nil
 }
 
-// decodeAnswer decodes a response body: the two search answers by
-// server's hand codec, anything else by encoding/json.
-func decodeAnswer(body []byte, out interface{}) error {
-	switch v := out.(type) {
-	case *server.V2SearchResponse:
-		return server.DecodeSearchResponse(body, v)
-	case *server.V2BatchResponse:
-		return server.DecodeBatchResponse(body, v)
-	default:
-		return json.Unmarshal(body, out)
-	}
-}
-
 // parseRetryAfter reads a Retry-After header (delta-seconds form; the
 // only form our servers emit) into a duration, 0 when absent or
 // malformed.
@@ -394,15 +383,44 @@ func wireErrMessage(r io.Reader) string {
 	return strings.TrimSpace(string(raw))
 }
 
+// search posts body, one query's JSON, to /v2/search and appends the
+// answer to dst as it came. An answer that does not open and close as a
+// plain one is the replica's fault, as one that does not decode is.
+func (c *Client) search(ctx context.Context, body, dst []byte) ([]byte, error) {
+	n := len(dst)
+	err := c.post(ctx, "/v2/search", body, func(answer []byte) error {
+		if !bytes.HasPrefix(answer, []byte(`{"results":[`)) || !bytes.HasSuffix(answer, []byte("}\n")) {
+			return errNotPlain
+		}
+		dst = append(dst[:n], answer...)
+		return nil
+	})
+	return dst, err
+}
+
+// errNotPlain refuses a search answer that is not a plain one.
+var errNotPlain = errors.New("not a plain search answer")
+
 // Do answers one request over POST /v2/search.
 func (c *Client) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	var out server.V2SearchResponse
-	if err := c.postJSON(ctx, "/v2/search", toWire(req), &out); err != nil {
+	return answerQuery(req, func(body []byte) ([]byte, error) { return c.search(ctx, body, nil) })
+}
+
+// answerQuery is a Do: send posts req's JSON to a replica and returns
+// the answer, which answerQuery decodes.
+func answerQuery(req search.Request, send func(body []byte) ([]byte, error)) (search.Response, error) {
+	body, err := json.Marshal(toWire(req))
+	if err != nil {
+		return search.Response{}, fmt.Errorf("fleet: encoding query: %w", err)
+	}
+	answer, err := send(body)
+	if err != nil {
 		return search.Response{}, err
 	}
-	// On a sampled trace the replica's span data rides the response; fold
-	// it into the live trace here, so it never surfaces to the caller.
-	obs.MergeRemote(ctx, out.Spans)
+	var out server.V2SearchResponse
+	if err := json.Unmarshal(answer, &out); err != nil {
+		return search.Response{}, unavailablef("decoding /v2/search answer: %v", err)
+	}
 	if out.Results == nil {
 		out.Results = []search.Result{}
 	}
@@ -429,54 +447,62 @@ func entryErr(e server.V2BatchEntry) error {
 
 // DoBatch answers many requests over POST /v2/search/batch. Per-query
 // errors come back per entry; a whole-batch transport failure marks
-// every entry ErrUnavailable so a pool can re-route the batch.
+// every entry ErrUnavailable.
 func (c *Client) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
+	return answerBatch(reqs, func(queries []string, entries [][]byte) []search.BatchResult {
+		out := make([]search.BatchResult, len(reqs))
+		members := make([]int, len(reqs))
+		for i := range members {
+			members[i] = i
+		}
+		c.forwardBatch(ctx, queries, members, out, entries)
+		return out
+	})
+}
+
+// answerBatch is a DoBatch: send answers the queries' JSON, setting
+// entries[i] to query i's entry as a replica wrote it, and answerBatch
+// decodes the entries of the queries that did not fail.
+func answerBatch(reqs []search.Request, send func(queries []string, entries [][]byte) []search.BatchResult) []search.BatchResult {
 	out := make([]search.BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
-	wire := server.V2BatchRequest{Queries: make([]server.V2Query, len(reqs))}
+	queries := make([]string, len(reqs))
 	for i, r := range reqs {
-		wire.Queries[i] = toWire(r)
+		q, err := json.Marshal(toWire(r))
+		if err != nil {
+			err = fmt.Errorf("fleet: encoding query %d: %w", i, err)
+			for j := range out {
+				out[j] = search.BatchResult{Err: err}
+			}
+			return out
+		}
+		queries[i] = string(q)
 	}
-	var resp server.V2BatchResponse
-	err := c.postJSON(ctx, "/v2/search/batch", &wire, &resp)
-	if err == nil {
-		err = c.batchResults(ctx, &resp, len(reqs), func(j int, br search.BatchResult) { out[j] = br })
-	}
-	if err != nil {
-		for i := range out {
-			out[i] = search.BatchResult{Err: err}
+	entries := make([][]byte, len(reqs))
+	out = send(queries, entries)
+	for i, raw := range entries {
+		var e server.V2BatchEntry
+		switch {
+		case out[i].Err != nil || raw == nil:
+		case json.Unmarshal(raw, &e) != nil:
+			out[i].Err = unavailablef("decoding /v2/search/batch entry %d", i)
+		default:
+			if e.Results == nil {
+				e.Results = []search.Result{}
+			}
+			out[i].Response = search.Response{Results: e.Results, Explain: e.Explain}
 		}
 	}
 	return out
 }
 
-// batchResults hands set the result of each of a decoded batch answer's
-// n entries, or fails when the answer holds another count.
-func (c *Client) batchResults(ctx context.Context, resp *server.V2BatchResponse, n int, set func(j int, br search.BatchResult)) error {
-	obs.MergeRemote(ctx, resp.Spans)
-	if len(resp.Results) != n {
-		return unavailablef("%s /v2/search/batch: %d answers for %d queries", c.base, len(resp.Results), n)
-	}
-	for j, e := range resp.Results {
-		if e.Error != "" {
-			set(j, search.BatchResult{Err: entryErr(e)})
-			continue
-		}
-		results := e.Results
-		if results == nil {
-			results = []search.Result{}
-		}
-		set(j, search.BatchResult{Response: search.Response{Results: results, Explain: e.Explain}})
-	}
-	return nil
-}
-
 // forwardBatch posts the queries at members (queries[i] is query i's own
-// JSON) as one /v2/search/batch part and answers them: from a plain
-// answer, member j's entry verbatim into entries[members[j]] with a zero
-// result; from any other, the results DoBatch would decode into out.
+// JSON) as one /v2/search/batch part and answers them: member j's entry
+// goes verbatim into entries[members[j]], and its result carries the
+// entry's error, if any (server.SplitBatchAnswer). Where the part
+// failed, the result is the error and the entry nil.
 func (c *Client) forwardBatch(ctx context.Context, queries []string, members []int, out []search.BatchResult, entries [][]byte) {
 	size := len(`{"queries":[]}`) + len(members) - 1
 	for _, i := range members {
@@ -492,21 +518,21 @@ func (c *Client) forwardBatch(ctx context.Context, queries []string, members []i
 	body = append(body, "]}"...)
 	err := c.post(ctx, "/v2/search/batch", body, func(answer []byte) error {
 		// The entries outlive the pooled answer: they point into a copy.
-		if own := bytes.Clone(answer); server.SplitBatchAnswer(own, members, entries) {
-			for _, i := range members {
-				out[i] = search.BatchResult{}
-			}
-			return nil
-		}
-		var resp server.V2BatchResponse
-		if err := server.DecodeBatchResponse(answer, &resp); err != nil {
+		failed, err := server.SplitBatchAnswer(bytes.Clone(answer), members, entries)
+		if err != nil {
 			return err
 		}
-		return c.batchResults(ctx, &resp, len(members), func(j int, br search.BatchResult) { out[members[j]] = br })
+		for j, i := range members {
+			out[i] = search.BatchResult{}
+			if failed != nil && failed[j].Error != "" {
+				out[i].Err = entryErr(failed[j])
+			}
+		}
+		return nil
 	})
 	if err != nil {
 		for _, i := range members {
-			out[i] = search.BatchResult{Err: err}
+			out[i], entries[i] = search.BatchResult{Err: err}, nil
 		}
 	}
 }

@@ -255,8 +255,9 @@ func TestClientClassifiesEveryCall(t *testing.T) {
 }
 
 // TestPoolFailover kills the replica owning a seeker and checks the
-// query spills to a live one, health state ejects the dead replica, and
-// the stats say so.
+// query, sent as its JSON through the front-end's search path, spills
+// to a live one, health state ejects the dead replica, and the stats
+// say so.
 func TestPoolFailover(t *testing.T) {
 	ctx := context.Background()
 	var svcs []*social.Service
@@ -272,7 +273,11 @@ func TestPoolFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer pool.Close()
+	front, err := NewFrontend(pool, NewBroadcaster(clients, BroadcasterConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer front.Close()
 
 	// Seed every replica identically and make it queryable.
 	for _, svc := range svcs {
@@ -287,13 +292,13 @@ func TestPoolFailover(t *testing.T) {
 		}
 	}
 	req := search.Request{Seeker: "alice", Tags: []string{"pizza"}, K: 3, Mode: search.ModeExact}
-	if _, err := pool.Do(ctx, req); err != nil {
+	if _, err := front.Do(ctx, req); err != nil {
 		t.Fatal(err)
 	}
 
 	owner := pool.ReplicaFor("alice")
 	servers[owner].Close()
-	resp, err := pool.Do(ctx, req)
+	resp, err := front.Do(ctx, req)
 	if err != nil {
 		t.Fatalf("failover Do: %v", err)
 	}
@@ -318,7 +323,7 @@ func TestPoolFailover(t *testing.T) {
 	}
 
 	// Batches spill too, with every entry answered.
-	out := pool.DoBatch(ctx, []search.Request{req, req, req})
+	out := front.DoBatch(ctx, []search.Request{req, req, req})
 	for i, br := range out {
 		if br.Err != nil {
 			t.Fatalf("batch[%d] after failover: %v", i, br.Err)
@@ -332,7 +337,7 @@ func TestPoolFailover(t *testing.T) {
 			ts.Close()
 		}
 	}
-	if _, err := pool.Do(ctx, req); !errors.Is(err, search.ErrUnavailable) {
+	if _, err := front.Do(ctx, req); !errors.Is(err, search.ErrUnavailable) {
 		t.Fatalf("all-dead Do error = %v, want ErrUnavailable", err)
 	}
 }

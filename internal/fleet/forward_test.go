@@ -21,12 +21,13 @@ import (
 // fakeReplica answers /v2 searches with valid JSON that is not its
 // encoder's bytes: every score is written with a trailing zero
 // ("score":1.50), where an encoder writes 1.5. A front door that
-// decodes and encodes an answer writes 1.5; one that passes the answer
-// on writes 1.50. It records each request body it receives.
+// decoded and encoded an answer would write 1.5; one that passes the
+// answer on writes 1.50. It records each request body it receives.
 type fakeReplica struct {
 	ts     *httptest.Server
 	status atomic.Int32 // answer every search with this status, when set
 	alien  atomic.Bool  // answer every search 200 with a body that is no search answer
+	down   atomic.Bool  // answer every batch query with an unavailable error entry
 	mu     sync.Mutex
 	bodies []string
 }
@@ -76,6 +77,9 @@ func (r *fakeReplica) serve(w http.ResponseWriter, req *http.Request) {
 			if strings.HasPrefix(q.Seeker, "bad") {
 				entries[i] = `{"results":null,"error":"no such seeker","error_kind":"invalid"}`
 			}
+			if r.down.Load() {
+				entries[i] = `{"results":null,"error":"replica down","error_kind":"unavailable"}`
+			}
 		}
 		fmt.Fprintf(w, "{\"results\":[%s]}\n", strings.Join(entries, ","))
 	}
@@ -89,15 +93,14 @@ func (r *fakeReplica) received() []string {
 	return out
 }
 
-// TestFrontDoorAnswerPaths shows which search requests cross the front
-// door as bytes. Over replicas whose answers are valid JSON but not
-// their encoder's bytes, a plain query's and a plain batch's answers
-// reach the client verbatim, and the replicas receive the client's own
-// query bytes, also on a failover. An explain query, a sampled trace
-// and an error entry still take the decode path (the client sees 1.5),
-// a 2xx answer that is no search answer fails over as one that does
-// not decode, and a replica's 400, 429 and 503 reach the client with
-// the status and body they have on the decode path.
+// TestFrontDoorAnswerPaths shows that every search request crosses the
+// front door as bytes. Over replicas whose answers are valid JSON but
+// not their encoder's bytes, the answers reach the client verbatim —
+// plain queries and batches, explain, a sampled trace's, and a batch
+// whose part holds an error entry — and the replicas receive the
+// client's own query bytes, also on a failover. A 2xx answer that is
+// no search answer fails over, and a replica's 400, 429 and 503 reach
+// the client with their status and a body of the front door's own.
 func TestFrontDoorAnswerPaths(t *testing.T) {
 	reps := []*fakeReplica{newFakeReplica(t), newFakeReplica(t), newFakeReplica(t)}
 	var clients []*Client
@@ -149,7 +152,6 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 	}
 	query := func(seeker string) string { return `{"seeker":"` + seeker + `","tags":["t"],"k":3,"mode":"exact"}` }
 	plain := func(seeker string) string { return `{"results":[{"item":"` + seeker + `","score":2.50}]}` }
-	decoded := func(seeker string) string { return `{"results":[{"item":"` + seeker + `","score":2.5}]}` }
 	for _, r := range reps {
 		r.received()
 	}
@@ -179,6 +181,14 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 		}
 	}
 
+	// A batch encoding/json read (spacing, an option the one pass does
+	// not take) sends each query as json.Marshal writes it.
+	expect("json-read batch", post(door, "/v2/search/batch", `{"queries": [ {"seeker": "`+a+`", "tags": ["t"], "beta": 0.5} ]}`), 200,
+		`{"results":[`+plain(a)+"]}\n")
+	if got, want := reps[0].received(), `{"queries":[{"seeker":"`+a+`","tags":["t"],"k":0,"beta":0.5}]}`; len(got) != 1 || got[0] != want {
+		t.Errorf("owner received %q, want %q", got, want)
+	}
+
 	// Concurrent plain reads share the client's parsed URLs and headers,
 	// and a batch's parts fill its entries from their own goroutines.
 	var wg sync.WaitGroup
@@ -194,19 +204,38 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Explain, and any query of a sampled trace, are decoded.
+	// Explain, and any query of a sampled trace, pass on verbatim too.
 	expect("explain", post(door, "/v2/search", `{"seeker":"`+a+`","tags":["t"],"explain":true}`), 200,
-		`{"results":[{"item":"`+a+`","score":1.5}],"explain":{"algorithm":"exact-join","mode":"exact","beta":0,"exact":false,"score_bound":0,"horizon_users":3,`+
-			`"cache_hit":false,"cache_generation":0,"users_settled":0,"sequential_accesses":0,"random_accesses":0}}`+"\n")
-	expect("sampled query", post(traced, "/v2/search", query(a)), 200, `{"results":[{"item":"`+a+`","score":1.5}]}`+"\n")
-	expect("sampled batch", post(traced, "/v2/search/batch", `{"queries":[`+query(a)+`]}`), 200, `{"results":[`+decoded(a)+"]}\n")
+		`{"results":[{"item":"`+a+`","score":1.50}],"explain":{"algorithm":"exact-join","mode":"exact","horizon_users":3}}`+"\n")
+	expect("sampled query", post(traced, "/v2/search", query(a)), 200, asWritten)
+	expect("sampled batch", post(traced, "/v2/search/batch", `{"queries":[`+query(a)+`]}`), 200, `{"results":[`+plain(a)+"]}\n")
 
-	// An error entry sends its part down the decode path; the other
-	// parts stay verbatim.
+	// An error entry passes on verbatim, and so do the other entries of
+	// its part.
 	expect("error entry", post(door, "/v2/search/batch", `{"queries":[`+query(owned[1])+`,`+query(bad)+`,`+query(a)+`]}`), 200,
-		`{"results":[`+plain(owned[1])+`,{"results":null,"error":"no such seeker","error_kind":"invalid"},`+decoded(a)+"]}\n")
+		`{"results":[`+plain(owned[1])+`,{"results":null,"error":"no such seeker","error_kind":"invalid"},`+plain(a)+"]}\n")
 
-	// A replica's refusal reaches the client as on the decode path.
+	// An unavailable entry fails over: its query goes to the next
+	// replica, whose entry the client gets. With every replica down, the
+	// query has no replica left, as when every part fails with a 503.
+	next := pool.Ring().AppendSuccessors(nil, a)[1]
+	reps[0].down.Store(true)
+	reps[next].received()
+	expect("unavailable entry", post(door, "/v2/search/batch", `{"queries":[`+query(a)+`,`+query(owned[1])+`]}`), 200,
+		`{"results":[`+plain(a)+`,`+plain(owned[1])+"]}\n")
+	if got := reps[next].received(); len(got) == 0 || got[0] != `{"queries":[`+query(a)+`]}` {
+		t.Errorf("failover replica received %q, want the query of the down entry", got)
+	}
+	for _, r := range reps {
+		r.down.Store(true)
+	}
+	expect("all down", post(door, "/v2/search/batch", `{"queries":[`+query(a)+`]}`), 200,
+		`{"results":[{"results":null,"error":"search backend unavailable: no live replica for seeker \"`+a+`\"","error_kind":"unavailable"}]}`+"\n")
+	for _, r := range reps {
+		r.down.Store(false)
+	}
+
+	// A replica's refusal reaches the client as the front door's error.
 	url0 := reps[0].ts.URL
 	for _, c := range []struct {
 		status int
@@ -228,7 +257,6 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 
 	// A failover, past an owner that answers 503 or a 200 that is no
 	// search answer, forwards the same bytes to the next replica.
-	next := pool.Ring().AppendSuccessors(nil, a)[1]
 	for _, alien := range []bool{false, true} {
 		reps[0].status.Store(http.StatusServiceUnavailable)
 		if alien {
@@ -259,8 +287,8 @@ func TestFrontDoorAnswerPaths(t *testing.T) {
 // TestClientAsksForNoEncoding puts a compressing proxy in front of a
 // replica: it gzips an answer whenever the request accepts gzip. The
 // client asks for the identity encoding, through its own transport and
-// a caller's, so the answer arrives as the replica wrote it, on the
-// bytes path and on the decode path.
+// a caller's, so the answer arrives as the replica wrote it, to the
+// front-end's search path and to the client's own Do.
 func TestClientAsksForNoEncoding(t *testing.T) {
 	rep := newFakeReplica(t)
 	var gzipped atomic.Int32
@@ -295,11 +323,11 @@ func TestClientAsksForNoEncoding(t *testing.T) {
 		req := search.Request{Seeker: "s", Tags: []string{"t"}, K: 3}
 		got, err := front.SearchBytes(ctx, req, []byte(`{"seeker":"s","tags":["t"],"k":3}`), nil)
 		if want := `{"results":[{"item":"s","score":1.50}]}` + "\n"; err != nil || string(got) != want {
-			t.Errorf("bytes path: %q, %v; want %q", got, err, want)
+			t.Errorf("front-end: %q, %v; want %q", got, err, want)
 		}
 		resp, err := c.Do(ctx, req)
 		if err != nil || len(resp.Results) != 1 || resp.Results[0] != (search.Result{Item: "s", Score: 1.5}) {
-			t.Errorf("decode path: %+v, %v", resp, err)
+			t.Errorf("client Do: %+v, %v", resp, err)
 		}
 	}
 	if n := gzipped.Load(); n != 0 {

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -23,11 +22,12 @@ import (
 const DefaultCatchupTimeout = 30 * time.Second
 
 // Frontend is the fleet's server.Backend, in the server.Frontend role:
-// queries go through the Pool (consistent-hash routing, health-checked
-// failover); mutations are validated, LSN-stamped and committed to the
-// attached quorum log (UseQuorum — one member for a single front-end;
-// none attached, no writes) and acknowledged there, contacting no
-// replica.
+// queries go through the Pool as their own JSON (consistent-hash
+// routing, health-checked failover), and answers come back as the
+// replicas wrote them; mutations are validated, LSN-stamped and
+// committed to the attached quorum log (UseQuorum — one member for a
+// single front-end; none attached, no writes) and acknowledged there,
+// contacting no replica.
 // Records reach replicas one way, a stream from each replica's cursor
 // (stream), whose last apply page folds them in: the compaction
 // heartbeat streams every admissible replica, and the pool's rejoin
@@ -190,45 +190,31 @@ var (
 	_ server.Frontend = (*Frontend)(nil)
 )
 
-// Do routes one query through the pool.
+// Do is server.Backend's query surface: SearchBytes, its answer
+// decoded.
 func (f *Frontend) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	return f.pool.Do(ctx, req)
+	return answerQuery(req, func(body []byte) ([]byte, error) { return f.SearchBytes(ctx, req, body, nil) })
 }
 
-// DoBatch routes a batch through the pool.
+// DoBatch is Do for a batch, over SearchBatchBytes.
 func (f *Frontend) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	return f.pool.DoBatch(ctx, reqs)
+	return answerBatch(reqs, func(queries []string, entries [][]byte) []search.BatchResult {
+		return f.SearchBatchBytes(ctx, reqs, queries, entries)
+	})
 }
 
-// SearchBytes is server.Frontend's bytes path for one query: body, the
+// SearchBytes is server.Frontend's search path for one query: body, the
 // query's own JSON, goes to the seeker's replica (Pool.walk, failover
-// included), and its answer is appended to dst as it came. An answer
-// that does not open and close as a plain one is the replica's fault,
-// as an answer that does not decode is on Do's path.
+// included), and its answer is appended to dst as it came.
 func (f *Frontend) SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error) {
-	n := len(dst)
-	err := f.pool.walk(ctx, req.Seeker, func(ctx context.Context, c *Client) error {
-		return c.post(ctx, "/v2/search", body, func(answer []byte) error {
-			if !bytes.HasPrefix(answer, []byte(`{"results":[`)) || !bytes.HasSuffix(answer, []byte("}\n")) {
-				return errNotPlain
-			}
-			dst = append(dst[:n], answer...)
-			return nil
-		})
-	})
-	return dst, err
+	return f.pool.walk(ctx, req.Seeker, body, dst)
 }
 
-// errNotPlain refuses a search answer that is not a plain one.
-var errNotPlain = errors.New("not a plain search answer")
-
-// SearchBatchBytes is server.Frontend's bytes path for a batch: each
-// replica gets its part as the queries' own JSON, and a plain answer's
-// entries come back verbatim (Pool.fanOut, Client.forwardBatch).
+// SearchBatchBytes is server.Frontend's search path for a batch: each
+// replica gets its part as the queries' own JSON, and its entries come
+// back verbatim (Pool.fanOut, Client.forwardBatch).
 func (f *Frontend) SearchBatchBytes(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult {
-	return f.pool.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult) {
-		c.forwardBatch(ctx, queries, members, out, entries)
-	})
+	return f.pool.fanOut(ctx, reqs, queries, entries)
 }
 
 // deliver hands one page of LSN-consecutive log records (a zero Kind,
@@ -240,11 +226,8 @@ func (f *Frontend) SearchBatchBytes(ctx context.Context, reqs []search.Request, 
 // before it answers. Its one caller is stream.
 func deliver(ctx context.Context, c *Client, page []social.Mutation, fold bool) (uint64, error) {
 	var out server.AppliedResponse
-	if err := c.postJSON(ctx, "/v2/apply", server.ApplyRequest{Records: page, Fold: fold}, &out); err != nil {
-		return 0, err
-	}
-	obs.MergeRemote(ctx, out.Spans)
-	return out.AppliedLSN, nil
+	err := c.postJSON(ctx, "/v2/apply", server.ApplyRequest{Records: page, Fold: fold}, &out)
+	return out.AppliedLSN, err
 }
 
 // stream is the one way records reach a replica: it sends replica i,

@@ -32,7 +32,7 @@ func shedServer(t *testing.T, retryAfter string) (*httptest.Server, *atomic.Bool
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		_, _ = w.Write([]byte(`{"results":[{"item":"x","score":1}]}`))
+		_, _ = w.Write([]byte(`{"results":[{"item":"x","score":1}]}` + "\n"))
 	}))
 	t.Cleanup(ts.Close)
 	return ts, shedding, calls
@@ -81,25 +81,19 @@ func TestClient429WithoutHeader(t *testing.T) {
 	}
 }
 
-// TestPoolNoFailoverOnShed: Pool.Do must return the shed verbatim
-// rather than spill the query to a sibling (which is the unavailable
+// TestPoolNoFailoverOnShed: the front-end's search path must return the
+// shed verbatim rather than spill the query to a sibling (which is the unavailable
 // class's cure, and under overload would only propagate the overload),
 // and the shed must not poison the replica's health state.
 func TestPoolNoFailoverOnShed(t *testing.T) {
 	ctx := context.Background()
 	tsA, sheddingA, callsA := shedServer(t, "1")
 	tsB, sheddingB, callsB := shedServer(t, "1")
-	pool, err := NewPool(
-		[]*Client{newTestClient(t, tsA.URL, ClientConfig{}), newTestClient(t, tsB.URL, ClientConfig{})},
-		PoolConfig{HealthInterval: -1, FailAfter: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	front := newShedFrontend(t, tsA, tsB)
 
 	req := search.Request{Seeker: "alice", Tags: []string{"x"}, K: 3}
-	_, err = pool.Do(ctx, req)
+	body := []byte(`{"seeker":"alice","tags":["x"],"k":3}`)
+	_, err := front.SearchBytes(ctx, req, body, nil)
 	if !errors.Is(err, search.ErrOverloaded) {
 		t.Fatalf("pool err = %v, want ErrOverloaded", err)
 	}
@@ -112,9 +106,29 @@ func TestPoolNoFailoverOnShed(t *testing.T) {
 	// proves sheds never fed the health accounting.
 	sheddingA.Store(false)
 	sheddingB.Store(false)
-	if _, err := pool.Do(ctx, req); err != nil {
+	if _, err := front.SearchBytes(ctx, req, body, nil); err != nil {
 		t.Fatalf("retry after shed failed: %v (was the replica ejected?)", err)
 	}
+}
+
+// newShedFrontend is a front-end with no log over the shed servers, the
+// health prober off, ejecting a replica at its first failure.
+func newShedFrontend(t *testing.T, servers ...*httptest.Server) *Frontend {
+	t.Helper()
+	var clients []*Client
+	for _, ts := range servers {
+		clients = append(clients, newTestClient(t, ts.URL, ClientConfig{}))
+	}
+	pool, err := NewPool(clients, PoolConfig{HealthInterval: -1, FailAfter: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := NewFrontend(pool, NewBroadcaster(clients, BroadcasterConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(front.Close)
+	return front
 }
 
 // TestPoolBatchNoRerouteOnShed: shed batch entries keep their
@@ -123,19 +137,15 @@ func TestPoolBatchNoRerouteOnShed(t *testing.T) {
 	ctx := context.Background()
 	tsA, _, callsA := shedServer(t, "1")
 	tsB, _, callsB := shedServer(t, "1")
-	pool, err := NewPool(
-		[]*Client{newTestClient(t, tsA.URL, ClientConfig{}), newTestClient(t, tsB.URL, ClientConfig{})},
-		PoolConfig{HealthInterval: -1, FailAfter: 1},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pool.Close()
+	front := newShedFrontend(t, tsA, tsB)
 
-	out := pool.DoBatch(ctx, []search.Request{
+	reqs := []search.Request{
 		{Seeker: "alice", Tags: []string{"x"}, K: 3},
 		{Seeker: "bob", Tags: []string{"x"}, K: 3},
-	})
+	}
+	queries := []string{`{"seeker":"alice","tags":["x"],"k":3}`, `{"seeker":"bob","tags":["x"],"k":3}`}
+	entries := make([][]byte, len(reqs))
+	out := front.SearchBatchBytes(ctx, reqs, queries, entries)
 	for i, r := range out {
 		if !errors.Is(r.Err, search.ErrOverloaded) {
 			t.Fatalf("batch[%d].Err = %v, want ErrOverloaded", i, r.Err)

@@ -272,8 +272,8 @@ type topology struct {
 	retired []bool // slot permanently removed (implies !inRing)
 }
 
-// Pool is a health-checked registry of replica clients that implements
-// search.Searcher with consistent-hash routing and failover: each
+// Pool is a health-checked registry of replica clients that routes
+// search bytes with consistent hashing and failover (walk, fanOut): each
 // seeker's queries go to the replica owning it on the ring; when that
 // replica is ejected (or an attempt fails with ErrUnavailable), the
 // query walks the seeker's ring-successor order until a live replica
@@ -299,8 +299,6 @@ type Pool struct {
 	wg   sync.WaitGroup
 	once sync.Once
 }
-
-var _ search.Searcher = (*Pool)(nil)
 
 // NewPool builds a pool over the clients (≥ 1) and starts the health
 // prober. Close stops it.
@@ -662,7 +660,7 @@ func (t *topology) anyLive() bool {
 
 func (p *Pool) anyLive() bool { return p.view().anyLive() }
 
-// prefBuf is the replica count whose preference order Do walks in an
+// prefBuf is the replica count whose preference order walk walks in an
 // array on its stack; a larger fleet allocates the list.
 const prefBuf = 16
 
@@ -672,23 +670,11 @@ func (p *Pool) ReplicaFor(seeker string) int {
 	return p.view().ring.OwnerString(seeker)
 }
 
-// Do answers one request with failover (see walk).
-func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, error) {
-	var resp search.Response
-	err := p.walk(ctx, req.Seeker, func(ctx context.Context, c *Client) (err error) {
-		resp, err = c.Do(ctx, req)
-		return err
-	})
-	if err != nil {
-		return search.Response{}, err
-	}
-	return resp, nil
-}
-
-// walk makes one request's attempts with failover: try runs once per
-// attempt. The seeker's preference order is walked, skipping ejected
-// replicas while any replica is live, and every ErrUnavailable attempt
-// both feeds the owner's health state and moves on. Non-transport
+// walk posts body, one query's JSON, to the seeker's replica with
+// failover, and appends its answer to dst (Client.search). The seeker's
+// preference order is walked, skipping ejected replicas while any
+// replica is live, and every ErrUnavailable attempt both feeds the
+// owner's health state and moves on. Non-transport
 // errors (validation, unknown names) return immediately — no replica
 // will answer those differently. A shed (search.ErrOverloaded) also
 // returns immediately and does NOT feed health state: the replica is
@@ -699,7 +685,7 @@ func (p *Pool) Do(ctx context.Context, req search.Request) (search.Response, err
 // The topology is loaded ONCE per request (the epoch fence): a resize
 // publishing a new epoch mid-request never mixes two rings inside one
 // routing decision.
-func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Context, c *Client) error) error {
+func (p *Pool) walk(ctx context.Context, seeker string, body, dst []byte) ([]byte, error) {
 	ctx, sp := obs.StartSpan(ctx, "fleet.route")
 	defer sp.End()
 	if sp != nil {
@@ -718,20 +704,20 @@ func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Con
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return dst, err
 		}
 		c := t.clients[idx]
 		c.Counters().Request()
 		if rank > 0 {
 			c.Counters().Failover()
 		}
-		err := try(ctx, c)
+		answer, err := c.search(ctx, body, dst)
 		if err == nil {
 			t.states[idx].ok()
-			return nil
+			return answer, nil
 		}
 		if !errors.Is(err, search.ErrUnavailable) {
-			return err
+			return dst, err
 		}
 		c.Counters().Failure()
 		t.states[idx].fail(err)
@@ -740,32 +726,19 @@ func (p *Pool) walk(ctx context.Context, seeker string, try func(ctx context.Con
 	if lastErr == nil {
 		lastErr = unavailablef("no live replica for seeker %q", seeker)
 	}
-	return lastErr
+	return dst, lastErr
 }
 
-// DoBatch answers a batch with failover (see fanOut), each replica's
-// part over Client.DoBatch.
-func (p *Pool) DoBatch(ctx context.Context, reqs []search.Request) []search.BatchResult {
-	return p.fanOut(ctx, reqs, func(ctx context.Context, c *Client, members []int, out []search.BatchResult) {
-		sub := make([]search.Request, len(members))
-		for j, i := range members {
-			sub[j] = reqs[i]
-		}
-		for j, br := range c.DoBatch(ctx, sub) {
-			out[members[j]] = br
-		}
-	})
-}
-
-// fanOut partitions the batch by each seeker's first live preference,
-// has part answer each replica's sub-batch concurrently (it sets out[i]
-// for each of its members), and re-routes entries that failed with
-// ErrUnavailable to their next preference — up to one round per
-// replica, so a replica dying mid-batch costs its entries one retry,
-// not the whole batch. Entries a replica shed (search.ErrOverloaded)
+// fanOut answers a batch with failover, queries[i] being reqs[i]'s
+// JSON: it partitions the batch by each seeker's first live preference,
+// forwards each replica its part concurrently (Client.forwardBatch:
+// entries[i] is query i's entry verbatim, or nil where no replica
+// answered it), and re-routes entries that failed with ErrUnavailable
+// to their next preference — up to one round per replica, so a replica
+// dying mid-batch costs its entries one retry, not the whole batch. Entries a replica shed (search.ErrOverloaded)
 // are returned as-is, never re-routed — see walk. The whole batch runs
 // under one topology view (the epoch fence).
-func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx context.Context, c *Client, members []int, out []search.BatchResult)) []search.BatchResult {
+func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult {
 	out := make([]search.BatchResult, len(reqs))
 	if len(reqs) == 0 {
 		return out
@@ -778,6 +751,10 @@ func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx 
 	rt := newBatchRoute(t, len(reqs))
 	rank, pending := rt.rank, rt.pending
 	for round := 0; round <= len(t.clients) && len(pending) > 0; round++ {
+		// A re-routed entry's failed answer is not its answer.
+		for _, i := range pending {
+			entries[i] = nil
+		}
 		// A dead caller context makes every further attempt futile (and,
 		// worse, would count against replica health): fail what is left.
 		if err := ctx.Err(); err != nil {
@@ -807,7 +784,7 @@ func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx 
 						c.Counters().Failover()
 					}
 				}
-				part(ctx, c, members, out)
+				c.forwardBatch(ctx, queries, members, out, entries)
 				var failed []int
 				for _, i := range members {
 					// A failed entry's result is kept if retries run out.
@@ -835,7 +812,7 @@ func (p *Pool) fanOut(ctx context.Context, reqs []search.Request, part func(ctx 
 	return out
 }
 
-// batchRoute is DoBatch's routing state. Its arrays are sized once
+// batchRoute is fanOut's routing state. Its arrays are sized once
 // per batch, so routing a query allocates nothing: rank[i] is how far
 // down request i's preference list routing has walked and dest[i] the
 // replica it goes to this round, pending starts as every request, and

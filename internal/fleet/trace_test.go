@@ -2,8 +2,10 @@ package fleet
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -36,12 +38,12 @@ func newTracedReplica(t *testing.T, node string) (*obs.Tracer, *httptest.Server)
 	return tracer, ts
 }
 
-// TestTracePropagationUnderBatchStorm drives concurrent DoBatch storms
-// through a pool of traced replicas (run under -race in CI): every
-// storm request is a sampled trace at the front-end, propagates its
-// traceparent to the replicas, and stitches the replicas' spans back
-// into its own trace. Pins both thread safety of concurrent span
-// collection and end-to-end span continuity.
+// TestTracePropagationUnderBatchStorm drives concurrent batch storms
+// through a front-end over traced replicas (run under -race in CI):
+// every storm request is a sampled trace at the front-end, propagates
+// its traceparent to the replicas, and stitches the spans they return
+// in their answers' header back into its own trace. Pins both thread
+// safety of concurrent span collection and end-to-end span continuity.
 func TestTracePropagationUnderBatchStorm(t *testing.T) {
 	rt1, ts1 := newTracedReplica(t, "r1")
 	rt2, ts2 := newTracedReplica(t, "r2")
@@ -49,8 +51,8 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 		newTestClient(t, ts1.URL, ClientConfig{}),
 		newTestClient(t, ts2.URL, ClientConfig{}),
 	}
-	// Seed both replicas directly (no front-end here: the pool is the
-	// unit under test) and fold the writes in.
+	// Seed both replicas directly (the front-end has no log: its search
+	// path is the unit under test) and fold the writes in.
 	ctx := context.Background()
 	for _, c := range clients {
 		if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
@@ -63,11 +65,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pool, err := NewPool(clients, PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pool.Close)
+	front := newSearchFrontend(t, clients)
 
 	feTracer := obs.NewTracer(obs.Config{Node: "fe", SampleEvery: 1, RecorderCapacity: 1024})
 	batch := []search.Request{
@@ -85,7 +83,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				rctx, rq := feTracer.StartRequest(context.Background(), "", http.MethodPost, "/v2/search/batch")
-				out := pool.DoBatch(rctx, batch)
+				out := front.DoBatch(rctx, batch)
 				for _, r := range out {
 					if r.Err != nil {
 						t.Errorf("batch query failed: %v", r.Err)
@@ -135,7 +133,7 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				pool.DoBatch(sctx, batch)
+				front.DoBatch(sctx, batch)
 			}
 		}()
 	}
@@ -165,15 +163,28 @@ func TestTracePropagationUnderBatchStorm(t *testing.T) {
 	}
 }
 
-// TestRouteSpanCopiesTheSeeker: the seeker attribute of a sampled
-// Pool.Do's fleet.route span is a copy, not a substring of the request
-// body the seeker was read from, which the recorded trace would
-// otherwise keep alive.
-func TestRouteSpanCopiesTheSeeker(t *testing.T) {
-	_, ts := newTracedReplica(t, "r1")
-	c := newTestClient(t, ts.URL, ClientConfig{})
+// newSearchFrontend is a front-end with no log over clients: the search
+// path only, the health prober off.
+func newSearchFrontend(t *testing.T, clients []*Client) *Frontend {
+	t.Helper()
+	pool, err := NewPool(clients, PoolConfig{HealthInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front, err := NewFrontend(pool, NewBroadcaster(clients, BroadcasterConfig{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(front.Close)
+	return front
+}
+
+// seedTracedReplica makes seeker a friend of bob, who tags luigis
+// pizza, on the replica behind c, folded in.
+func seedTracedReplica(t *testing.T, c *Client, seeker string) {
+	t.Helper()
 	ctx := context.Background()
-	if _, err := c.Befriend(ctx, "alice", "bob", 0.9, 1); err != nil {
+	if _, err := c.Befriend(ctx, seeker, "bob", 0.9, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Tag(ctx, "bob", "luigis", "pizza", 2); err != nil {
@@ -182,17 +193,23 @@ func TestRouteSpanCopiesTheSeeker(t *testing.T) {
 	if _, err := deliver(ctx, c, []social.Mutation{{LSN: 3}}, true); err != nil {
 		t.Fatal(err)
 	}
-	pool, err := NewPool([]*Client{c}, PoolConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(pool.Close)
+}
+
+// TestRouteSpanCopiesTheSeeker: the seeker attribute of a sampled
+// SearchBytes's fleet.route span is a copy, not a substring of the
+// request body the seeker was read from, which the recorded trace would
+// otherwise keep alive.
+func TestRouteSpanCopiesTheSeeker(t *testing.T) {
+	_, ts := newTracedReplica(t, "r1")
+	c := newTestClient(t, ts.URL, ClientConfig{})
+	seedTracedReplica(t, c, "alice")
+	front := newSearchFrontend(t, []*Client{c})
 
 	tracer := obs.NewTracer(obs.Config{SampleEvery: 1})
 	body := []byte(`{"seeker":"alice","tags":["pizza"]}`)
 	seeker := unsafe.String(&body[11], 5)
-	rctx, rq := tracer.StartRequest(ctx, "", http.MethodPost, "/v2/search")
-	if _, err := pool.Do(rctx, search.Request{Seeker: seeker, Tags: []string{"pizza"}, K: 3}); err != nil {
+	rctx, rq := tracer.StartRequest(context.Background(), "", http.MethodPost, "/v2/search")
+	if _, err := front.SearchBytes(rctx, search.Request{Seeker: seeker, Tags: []string{"pizza"}, K: 3}, body, nil); err != nil {
 		t.Fatal(err)
 	}
 	rq.Finish(http.StatusOK)
@@ -216,4 +233,66 @@ func TestRouteSpanCopiesTheSeeker(t *testing.T) {
 		}
 	}
 	t.Fatalf("no fleet.route span recorded the seeker: %+v", rec.Spans)
+}
+
+// TestSpansHeaderCarriesAnyName: a seeker name is a client's string,
+// and the replica's spans record it. Through a sampled front door, a
+// name holding non-ASCII, a quote and control bytes reaches the
+// front-end's trace intact in the replica's social.execute span, and
+// the answer the client gets is the replica's answer alone: the spans
+// ride the header, never the body.
+func TestSpansHeaderCarriesAnyName(t *testing.T) {
+	_, ts := newTracedReplica(t, "r1")
+	c := newTestClient(t, ts.URL, ClientConfig{})
+	name := "ál\"i\x01ce\t\x7f\x1b😀 <&>\u2028"
+	seedTracedReplica(t, c, name)
+	front := newSearchFrontend(t, []*Client{c})
+	door, err := server.New(front)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := obs.NewTracer(obs.Config{Node: "fe", SampleEvery: 1})
+	door.SetTracer(tracer)
+
+	query, err := json.Marshal(server.V2Query{Seeker: name, Tags: []string{"pizza"}, K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v2/search", "/v2/search/batch"} {
+		body := string(query)
+		if path == "/v2/search/batch" {
+			body = `{"queries":[` + body + `]}`
+		}
+		rec := httptest.NewRecorder()
+		door.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		want := `{"results":[{"item":"luigis","score":0.54}]}` + "\n"
+		if path == "/v2/search/batch" {
+			want = `{"results":[` + strings.TrimSuffix(want, "\n") + "]}\n"
+		}
+		if rec.Code != http.StatusOK || rec.Body.String() != want {
+			t.Fatalf("%s: %d %q, want %q", path, rec.Code, rec.Body, want)
+		}
+		if h := rec.Header().Get(obs.SpansHeader); h != "" {
+			t.Errorf("%s: the front door's answer carries a spans header", path)
+		}
+		traces := tracer.Traces()
+		rt, ok := tracer.TraceByID(traces[len(traces)-1].ID)
+		if !ok {
+			t.Fatalf("%s: the sampled trace was not recorded", path)
+		}
+		found := false
+		for _, sp := range rt.Spans {
+			for _, a := range sp.Attrs {
+				if sp.Node == "r1" && sp.Name == "social.execute" && a.Key == "seeker" {
+					found = true
+					if a.Value != name {
+						t.Errorf("%s: the replica's seeker attribute %q, want %q", path, a.Value, name)
+					}
+				}
+			}
+		}
+		if !found {
+			t.Errorf("%s: no stitched replica span recorded the seeker: %+v", path, rt.Spans)
+		}
+	}
 }

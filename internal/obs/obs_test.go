@@ -149,6 +149,56 @@ func TestWireSpansGatedOnIncoming(t *testing.T) {
 	rq.Finish(http.StatusOK)
 }
 
+// TestSpansHeaderRoundTrip: the spans a wire-adopted trace puts in the
+// response header reach the caller's trace with every attribute byte
+// intact, a value that is not the header's encoding merges nothing,
+// and a locally-initiated trace sets no header.
+func TestSpansHeaderRoundTrip(t *testing.T) {
+	replica := NewTracer(Config{Node: "r1", SampleEvery: -1})
+	front := NewTracer(Config{Node: "fe", SampleEvery: 1})
+	fctx, frq := front.StartRequest(context.Background(), "", http.MethodPost, "/v2/search")
+	rctx, rrq := replica.StartRequest(context.Background(), Traceparent(fctx), http.MethodPost, "/v2/search")
+	name := "ál\"i\x01ce\t\x7f😀 <&>\u2028"
+	_, sp := StartSpan(rctx, "social.execute")
+	sp.SetAttr("seeker", name)
+	sp.End()
+	h := http.Header{}
+	SetSpansHeader(rctx, h)
+	rrq.Finish(http.StatusOK)
+	for _, bad := range []string{"not base64!", "bnVsbA", "W3siYSI6fV0="} {
+		MergeSpansHeader(fctx, http.Header{SpansHeader: {bad}})
+	}
+	MergeSpansHeader(fctx, h)
+	frq.Finish(http.StatusOK)
+
+	rec, ok := front.TraceByID(frq.TraceID())
+	if !ok {
+		t.Fatal("the front-end's trace was not recorded")
+	}
+	var got []string
+	for _, sd := range rec.Spans {
+		for _, a := range sd.Attrs {
+			if sd.Node == "r1" && a.Key == "seeker" {
+				got = append(got, a.Value)
+			}
+		}
+	}
+	if len(got) != 1 || got[0] != name {
+		t.Fatalf("merged seeker attributes %q, want one %q", got, name)
+	}
+	if len(rec.Spans) != 3 {
+		t.Fatalf("recorded %d spans, want the front-end's root and the replica's two", len(rec.Spans))
+	}
+
+	lctx, lrq := front.StartRequest(context.Background(), "", http.MethodPost, "/v2/search")
+	local := http.Header{}
+	SetSpansHeader(lctx, local)
+	lrq.Finish(http.StatusOK)
+	if v := local.Get(SpansHeader); v != "" {
+		t.Fatalf("a locally-initiated trace set %s: %q", SpansHeader, v)
+	}
+}
+
 func TestSpanTreeAndPropagation(t *testing.T) {
 	tr := NewTracer(Config{Node: "fe1", SampleEvery: 1})
 	ctx, rq := tr.StartRequest(context.Background(), "", http.MethodPost, "/v2/search")

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"context"
+	"encoding/base64"
+	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
@@ -285,10 +287,10 @@ func (tr *Trace) Merge(spans []SpanData) {
 }
 
 // WireSpans exports the trace's span data for attaching to a response
-// body — but only when the request arrived as part of a distributed
-// trace (a sampled traceparent header). Locally-initiated requests
-// return nil, keeping client-facing response bytes identical whether
-// or not head sampling picked the request.
+// (SetSpansHeader) — but only when the request arrived as part of a
+// distributed trace (a sampled traceparent header). Locally-initiated
+// requests return nil, keeping client-facing responses identical
+// whether or not head sampling picked the request.
 func WireSpans(ctx context.Context) []SpanData {
 	tr := FromContext(ctx)
 	if tr == nil || !tr.wire {
@@ -300,6 +302,44 @@ func WireSpans(ctx context.Context) []SpanData {
 		return nil
 	}
 	return tr.exportLocked(tr.nodeLocked(), time.Now())
+}
+
+// SpansHeader is the response header in which a process returns its
+// span data to the caller whose sampled trace it joined: the base64 of
+// the spans' JSON array, so that any string a span attribute holds
+// (a seeker name is a client's string) crosses as header-safe bytes.
+// The body stays the answer alone, whether or not the trace is sampled.
+const SpansHeader = "X-Trace-Spans"
+
+// SetSpansHeader puts the context's wire spans (WireSpans), if any, in
+// the response header h.
+func SetSpansHeader(ctx context.Context, h http.Header) {
+	spans := WireSpans(ctx)
+	if len(spans) == 0 {
+		return
+	}
+	if b, err := json.Marshal(spans); err == nil {
+		h.Set(SpansHeader, base64.StdEncoding.EncodeToString(b))
+	}
+}
+
+// MergeSpansHeader folds the span data a downstream process returned in
+// its response header h (SetSpansHeader) into the context's trace (see
+// MergeRemote). A header that does not decode is dropped: the answer it
+// came with stands.
+func MergeSpansHeader(ctx context.Context, h http.Header) {
+	v := h.Get(SpansHeader)
+	if v == "" {
+		return
+	}
+	b, err := base64.StdEncoding.DecodeString(v)
+	if err != nil {
+		return
+	}
+	var spans []SpanData
+	if json.Unmarshal(b, &spans) == nil {
+		MergeRemote(ctx, spans)
+	}
 }
 
 // nodeLocked names the process for exported spans.

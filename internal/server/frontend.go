@@ -39,14 +39,14 @@ type Frontend interface {
 	// StatsAny is the front-end's counters, a type this package does
 	// not know.
 	StatsAny() interface{}
-	// SearchBytes and SearchBatchBytes are the search bytes path, for
-	// queries that ask for no explain on a request with no sampled trace:
-	// the replicas get the queries' own JSON, and their answers come back
-	// as the bytes this server writes. SearchBytes posts body, req's
-	// JSON, and appends the answer to dst. SearchBatchBytes answers reqs
-	// as Backend.DoBatch does, queries[i] being reqs[i]'s JSON, except
-	// that where a replica's answer is plain, entries[i] is query i's
-	// entry verbatim and its result is zero.
+	// SearchBytes and SearchBatchBytes are a front-end's one search
+	// path: the replicas get the queries' own JSON, and their answers
+	// come back as the bytes this server writes. SearchBytes posts body,
+	// req's JSON, and appends the answer to dst. SearchBatchBytes answers
+	// reqs, queries[i] being reqs[i]'s JSON: where a replica answered
+	// query i, entries[i] is its entry verbatim and result i carries the
+	// entry's error, if any (zero otherwise); where none did, entries[i]
+	// is nil and result i the error.
 	SearchBytes(ctx context.Context, req search.Request, body, dst []byte) ([]byte, error)
 	SearchBatchBytes(ctx context.Context, reqs []search.Request, queries []string, entries [][]byte) []search.BatchResult
 }

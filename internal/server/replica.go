@@ -9,7 +9,6 @@ import (
 	"strconv"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/social"
 	"repro/internal/tagstore"
 	"repro/internal/vocab"
@@ -81,13 +80,10 @@ type ApplyRejection struct {
 }
 
 // AppliedResponse answers an apply page or a snapshot import: the
-// replica's cursor afterwards and the page's rejected records. Spans
-// carries this process's span data for a page that arrived as part of
-// a sampled distributed trace (see obs.WireSpans).
+// replica's cursor afterwards and the page's rejected records.
 type AppliedResponse struct {
 	AppliedLSN uint64           `json:"applied_lsn"`
 	Rejected   []ApplyRejection `json:"rejected,omitempty"`
-	Spans      []obs.SpanData   `json:"spans,omitempty"`
 }
 
 // handleApply is the replication entry point: it applies a page of log
@@ -153,7 +149,6 @@ func (s *Server) handleApply(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	resp.AppliedLSN = s.replica.AppliedLSN()
-	resp.Spans = obs.WireSpans(r.Context())
 	s.writeJSON(w, r, resp)
 }
 

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -155,14 +156,10 @@ func (q V2Query) request() (search.Request, error) {
 	}, nil
 }
 
-// V2SearchResponse is the /v2/search response body. Spans carries
-// this process's span data when the query arrived as part of a sampled
-// distributed trace — a front-end stitching a replica's work into its
-// own trace (see obs.WireSpans); client-initiated queries never see it.
+// V2SearchResponse is the /v2/search response body.
 type V2SearchResponse struct {
 	Results []search.Result `json:"results"`
 	Explain *search.Explain `json:"explain,omitempty"`
-	Spans   []obs.SpanData  `json:"spans,omitempty"`
 }
 
 func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
@@ -184,7 +181,7 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	if s.frontend != nil && !req.Explain && obs.CurrentSpan(r.Context()) == nil {
+	if s.frontend != nil {
 		s.forwardSearch(w, r, tk, req, body.raw)
 		return
 	}
@@ -203,18 +200,15 @@ func (s *Server) handleSearchV2(w http.ResponseWriter, r *http.Request) {
 	if !wantExplain {
 		resp.Explain = nil
 	}
-	out := V2SearchResponse{
-		Results: resp.Results, Explain: resp.Explain,
-		Spans: obs.WireSpans(r.Context()),
-	}
+	out := V2SearchResponse{Results: resp.Results, Explain: resp.Explain}
 	s.writeBody(w, r, func(dst []byte) ([]byte, error) { return AppendSearchResponse(dst, &out) })
 }
 
-// forwardSearch is handleSearchV2 on a front-end for a query that asks
-// for no explain on a request with no sampled trace: the owning replica
+// forwardSearch is handleSearchV2 on a front-end: the owning replica
 // gets the body as the client sent it, and its answer goes back as it
-// came (Frontend.SearchBytes). Its slow-log record carries no explain,
-// as an unsampled request's does on the decode path.
+// came (Frontend.SearchBytes), explain included. Its slow-log record
+// carries no explain: on a sampled trace the replica's own spans carry
+// the engine's decision (algorithm, cache_hit, horizon_users).
 func (s *Server) forwardSearch(w http.ResponseWriter, r *http.Request, tk admission.Ticket, req search.Request, raw string) {
 	start := time.Now()
 	bp := wireBufs.Get().(*[]byte)
@@ -298,10 +292,9 @@ func batchOutcome(batch []search.BatchResult) error {
 }
 
 // V2BatchResponse is the /v2/search/batch response body; entry i
-// answers query i. Spans: see V2SearchResponse.
+// answers query i.
 type V2BatchResponse struct {
 	Results []V2BatchEntry `json:"results"`
-	Spans   []obs.SpanData `json:"spans,omitempty"`
 }
 
 func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
@@ -322,22 +315,35 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	do := func(runnable []search.Request, _ []int) []search.BatchResult {
 		return s.backend.DoBatch(r.Context(), runnable)
 	}
-	// A batch the one pass read asks for no explain: on a front-end, with
-	// no sampled trace, it takes the bytes path, and entries[i] holds
-	// query i's entry as a replica wrote it.
+	// On a front-end each query goes to its replica as its own JSON —
+	// the one pass's text of it, or json.Marshal's when encoding/json
+	// read the body — and entries[i] holds query i's entry as a replica
+	// wrote it.
 	var entries [][]byte
-	if s.frontend != nil && len(body.texts) > 0 && obs.CurrentSpan(r.Context()) == nil {
+	if s.frontend != nil {
+		texts := body.texts
+		if len(texts) == 0 {
+			texts = make([]string, len(qs))
+			for i := range qs {
+				b, err := json.Marshal(&qs[i])
+				if err != nil {
+					s.writeErr(w, http.StatusInternalServerError, err)
+					return
+				}
+				texts[i] = string(b)
+			}
+		}
 		entries = make([][]byte, len(reqs))
 		do = func(runnable []search.Request, positions []int) []search.BatchResult {
 			if len(runnable) == len(reqs) {
-				return s.frontend.SearchBatchBytes(r.Context(), runnable, body.texts, entries)
+				return s.frontend.SearchBatchBytes(r.Context(), runnable, texts, entries)
 			}
-			texts := make([]string, len(positions))
+			sub := make([]string, len(positions))
 			raw := make([][]byte, len(positions))
 			for j, i := range positions {
-				texts[j] = body.texts[i]
+				sub[j] = texts[i]
 			}
-			out := s.frontend.SearchBatchBytes(r.Context(), runnable, texts, raw)
+			out := s.frontend.SearchBatchBytes(r.Context(), runnable, sub, raw)
 			for j, i := range positions {
 				entries[i] = raw[j]
 			}
@@ -348,7 +354,7 @@ func (s *Server) handleSearchBatchV2(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	resp := V2BatchResponse{Results: make([]V2BatchEntry, len(reqs)), Spans: obs.WireSpans(r.Context())}
+	resp := V2BatchResponse{Results: make([]V2BatchEntry, len(reqs))}
 	for i, br := range batch {
 		switch {
 		case errs[i] != nil:

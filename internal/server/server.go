@@ -422,11 +422,16 @@ func (s *Server) aborted(w http.ResponseWriter, r *http.Request) bool {
 // it rather than writing into the next response's.
 var jsonContentType = []string{"application/json"}
 
-// writeOK sends body as a 200 JSON response with its Content-Length.
+// writeOK sends body as a 200 JSON response with its Content-Length,
+// and on a request that joined a caller's sampled trace, this process's
+// spans in the obs.SpansHeader header.
 func (s *Server) writeOK(w http.ResponseWriter, r *http.Request, body []byte) {
 	h := w.Header()
 	h["Content-Type"] = jsonContentType
 	h.Set("Content-Length", strconv.Itoa(len(body)))
+	if s.tracer != nil {
+		obs.SetSpansHeader(r.Context(), h)
+	}
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(body); err != nil {
 		s.logf("server: writing %s %s response: %v", r.Method, r.URL.Path, err)

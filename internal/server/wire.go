@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -14,45 +15,31 @@ import (
 	"unicode/utf8"
 	"unsafe"
 
-	"repro/internal/obs"
 	"repro/internal/search"
 )
 
 // The /v2 search answers a replica returns cross the fleet hop on
-// every read, so they have a hand-written JSON codec instead of
-// encoding/json's reflection. Its contract:
+// every read, so they have a hand-written JSON encoder instead of
+// encoding/json's reflection: the Append functions emit exactly the
+// bytes json.Encoder emits for the same value, trailing newline
+// included, and fail where it fails: a NaN or infinite float. The rare
+// sub-value, explain, is handed to json.Marshal. FuzzSearchWire holds
+// them to encoding/json.
 //
-//   - The Append functions emit exactly the bytes json.Encoder emits
-//     for the same value, trailing newline included, and fail where it
-//     fails: a NaN or infinite float. The rare sub-values, explain and
-//     spans, are handed to json.Marshal.
-//   - The Decode functions decode exactly as json.Unmarshal decodes:
-//     they accept what it accepts and produce the value it produces.
-//     They read in one pass only the shape the Append functions write
-//     for a plain answer — {"item":S,"score":N} results whose strings
-//     need no unescaping, and for a batch, entries holding results only
-//     — and hand any other body whole to json.Unmarshal: explain,
-//     spans, error entries, escaped strings, other spacing, a missing
-//     newline, a field a newer replica adds.
-//
-// FuzzSearchWire holds both halves to encoding/json. The server reads
-// the two search request bodies with the same one-pass-or-json
-// contract (searchBody.decode): a body in the shape json.Marshal writes
-// for a query that sets no option but k and mode is read in one pass,
-// with every string a substring of the body's one copy; any other body
-// goes whole to encoding/json, whose strictness (unknown fields,
+// The server reads the two search request bodies in one pass or with
+// encoding/json (searchBody.decode): a body in the shape json.Marshal
+// writes for a query that sets no option but k and mode is read in one
+// pass, with every string a substring of the body's one copy; any other
+// body goes whole to encoding/json, whose strictness (unknown fields,
 // trailing values, the 400 texts) is part of the API.
 // FuzzSearchRequestWire holds the reader to encoding/json, and
 // FuzzSearchBodyReuse holds a reused pooled target (searchBody) to a
 // fresh decode.
 //
-// A front-end's plain queries skip both codecs (the Frontend role's
-// bytes path): a replica gets the body the client sent, or for a batch
-// its queries' texts the one pass found, and its answer goes back as
-// written, a batch's entries split out by SplitBatchAnswer, a scanner
-// that decodes nothing. FuzzBatchSplice holds the splice to the decode
-// path. The queries a front-end sends on the decode path are
-// json.Marshal's.
+// A front-end decodes no answer: a replica gets the body the client
+// sent, or for a batch its queries' own JSON, and its answer goes back
+// as the replica wrote it, a batch's entries split out by
+// SplitBatchAnswer. FuzzBatchSplice holds the splice to encoding/json.
 
 // maxPooledBytes caps what a pooled buffer or decode target may hold
 // when it goes back to its pool, so that one huge answer or request
@@ -61,16 +48,11 @@ const maxPooledBytes = 64 << 10
 
 // AppendSearchResponse appends r as json.Encoder encodes it.
 func AppendSearchResponse(dst []byte, r *V2SearchResponse) ([]byte, error) {
-	dst, err := appendResults(append(dst, `{"results":`...), r.Results)
+	dst, err := appendAnswer(dst, r.Results, r.Explain)
 	if err != nil {
 		return dst, err
 	}
-	if r.Explain != nil {
-		if dst, err = appendMarshal(append(dst, `,"explain":`...), r.Explain); err != nil {
-			return dst, err
-		}
-	}
-	return appendSpansClose(dst, r.Spans)
+	return append(dst, "}\n"...), nil
 }
 
 // AppendBatchResponse appends r as json.Encoder encodes it.
@@ -83,48 +65,29 @@ func AppendBatchResponse(dst []byte, r *V2BatchResponse) ([]byte, error) {
 func appendBatchResponse(dst []byte, r *V2BatchResponse, raw [][]byte) ([]byte, error) {
 	dst = append(dst, `{"results":`...)
 	if r.Results == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i := range r.Results {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if raw != nil && raw[i] != nil {
-				dst = append(dst, raw[i]...)
-				continue
-			}
-			var err error
-			if dst, err = appendBatchEntry(dst, &r.Results[i]); err != nil {
-				return dst, err
-			}
-		}
-		dst = append(dst, ']')
+		return append(dst, "null}\n"...), nil
 	}
-	return appendSpansClose(dst, r.Spans)
-}
-
-// appendSpansClose ends a response: its spans, if any, and the closing
-// brace with json.Encoder's newline.
-func appendSpansClose(dst []byte, spans []obs.SpanData) ([]byte, error) {
-	if len(spans) > 0 {
+	dst = append(dst, '[')
+	for i := range r.Results {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if raw != nil && raw[i] != nil {
+			dst = append(dst, raw[i]...)
+			continue
+		}
 		var err error
-		if dst, err = appendMarshal(append(dst, `,"spans":`...), spans); err != nil {
+		if dst, err = appendBatchEntry(dst, &r.Results[i]); err != nil {
 			return dst, err
 		}
 	}
-	return append(dst, "}\n"...), nil
+	return append(dst, "]}\n"...), nil
 }
 
 func appendBatchEntry(dst []byte, e *V2BatchEntry) ([]byte, error) {
-	dst, err := appendResults(append(dst, `{"results":`...), e.Results)
+	dst, err := appendAnswer(dst, e.Results, e.Explain)
 	if err != nil {
 		return dst, err
-	}
-	if e.Explain != nil {
-		if dst, err = appendMarshal(append(dst, `,"explain":`...), e.Explain); err != nil {
-			return dst, err
-		}
 	}
 	if e.Error != "" {
 		dst = appendString(append(dst, `,"error":`...), e.Error)
@@ -136,6 +99,16 @@ func appendBatchEntry(dst []byte, e *V2BatchEntry) ([]byte, error) {
 		dst = strconv.AppendInt(append(dst, `,"retry_after_ms":`...), e.RetryAfterMS, 10)
 	}
 	return append(dst, '}'), nil
+}
+
+// appendAnswer opens an answer or a batch entry and appends the fields
+// the two share: the results and, when set, the explain.
+func appendAnswer(dst []byte, rs []search.Result, ex *search.Explain) ([]byte, error) {
+	dst, err := appendResults(append(dst, `{"results":`...), rs)
+	if err != nil || ex == nil {
+		return dst, err
+	}
+	return appendMarshal(append(dst, `,"explain":`...), ex)
 }
 
 func appendResults(dst []byte, rs []search.Result) ([]byte, error) {
@@ -459,70 +432,12 @@ func ReadBody(r io.Reader, size int64, use func(body []byte, err error) error) e
 	return err
 }
 
-// DecodeSearchResponse parses a /v2/search answer into r, which it
-// zeroes first, as json.Unmarshal would.
-func DecodeSearchResponse(data []byte, r *V2SearchResponse) error {
-	*r = V2SearchResponse{}
-	d := newWireDecoder(data)
-	defer d.release()
-	if !d.lit(`{"results":`) || !d.resultList() || !d.end() {
-		return json.Unmarshal(data, r)
-	}
-	r.Results = make([]search.Result, len(d.results))
-	copy(r.Results, d.results)
-	return nil
-}
-
-// DecodeBatchResponse parses a /v2/search/batch answer into r, which
-// it zeroes first, as json.Unmarshal would. An answer read in one pass
-// shares one backing array among its entries' results, each capped at
-// its own length.
-func DecodeBatchResponse(data []byte, r *V2BatchResponse) error {
-	*r = V2BatchResponse{}
-	d := newWireDecoder(data)
-	defer d.release()
-	if !d.entryList() || !d.end() {
-		return json.Unmarshal(data, r)
-	}
-	backing := make([]search.Result, len(d.results))
-	copy(backing, d.results)
-	r.Results = make([]V2BatchEntry, len(d.ends))
-	lo := 0
-	for i, hi := range d.ends {
-		r.Results[i].Results = backing[lo:hi:hi]
-		lo = hi
-	}
-	return nil
-}
-
-// wireDecoder is one pass over a body in its writer's shape: an answer
-// or a search request. The body is copied once into s, so every string
-// read is a substring of it. An answer's results gather in scratch that
-// is copied out at its exact size, and the decoder is pooled with its
-// scratch; a request's pass needs no scratch and runs on the stack.
+// wireDecoder is one pass over a search request body in its writer's
+// shape. The body is copied once into s, so every string read is a
+// substring of it.
 type wireDecoder struct {
-	s       string
-	i       int
-	results []search.Result
-	ends    []int // batch entry j's results end at results[ends[j]]
-}
-
-var wireDecoders = sync.Pool{New: func() interface{} { return new(wireDecoder) }}
-
-func newWireDecoder(data []byte) *wireDecoder {
-	d := wireDecoders.Get().(*wireDecoder)
-	d.s, d.i = string(data), 0
-	return d
-}
-
-// release clears the scratch, which holds substrings of the body, and
-// pools the decoder unless its scratch outgrew maxPooledBytes.
-func (d *wireDecoder) release() {
-	clear(d.results)
-	d.results, d.ends, d.s = d.results[:0], d.ends[:0], ""
-	if cap(d.results)*int(unsafe.Sizeof(search.Result{}))+cap(d.ends)*int(unsafe.Sizeof(0)) <= maxPooledBytes {
-		wireDecoders.Put(d)
-	}
+	s string
+	i int
 }
 
 // lit consumes p if the input continues with it.
@@ -532,63 +447,6 @@ func (d *wireDecoder) lit(p string) bool {
 		return true
 	}
 	return false
-}
-
-// end consumes the closing brace and json.Encoder's newline, which
-// must end the body.
-func (d *wireDecoder) end() bool { return d.lit("}\n") && d.i == len(d.s) }
-
-// entryList reads a batch answer up to its closing brace: entries that
-// hold results only.
-func (d *wireDecoder) entryList() bool {
-	if !d.lit(`{"results":[`) {
-		return false
-	}
-	if d.lit("]") {
-		return true
-	}
-	for {
-		if !d.lit(`{"results":`) || !d.resultList() || !d.lit("}") {
-			return false
-		}
-		d.ends = append(d.ends, len(d.results))
-		if d.lit("]") {
-			return true
-		}
-		if !d.lit(",") {
-			return false
-		}
-	}
-}
-
-// resultList appends an array of {"item":S,"score":N} to d.results.
-func (d *wireDecoder) resultList() bool {
-	if !d.lit("[") {
-		return false
-	}
-	if d.lit("]") {
-		return true
-	}
-	for {
-		if !d.lit(`{"item":`) {
-			return false
-		}
-		item, ok := d.str()
-		if !ok || !d.lit(`,"score":`) {
-			return false
-		}
-		score, ok := d.number()
-		if !ok || !d.lit("}") {
-			return false
-		}
-		d.results = append(d.results, search.Result{Item: item, Score: score})
-		if d.lit("]") {
-			return true
-		}
-		if !d.lit(",") {
-			return false
-		}
-	}
 }
 
 // str reads a string whose bytes are its value: no escape, no control
@@ -660,37 +518,6 @@ func (d *wireDecoder) int() (int, bool) {
 	return n, err == nil
 }
 
-// number reads a JSON number literal as json.Unmarshal reads it into
-// a float64.
-func (d *wireDecoder) number() (float64, bool) {
-	s, j := d.s, d.i
-	if j < len(s) && s[j] == '-' {
-		j++
-	}
-	if j < len(s) && s[j] == '0' {
-		j++
-	} else if j = digits(s, j); j < 0 {
-		return 0, false
-	}
-	if j < len(s) && s[j] == '.' {
-		if j = digits(s, j+1); j < 0 {
-			return 0, false
-		}
-	}
-	if j < len(s) && (s[j] == 'e' || s[j] == 'E') {
-		j++
-		if j < len(s) && (s[j] == '+' || s[j] == '-') {
-			j++
-		}
-		if j = digits(s, j); j < 0 {
-			return 0, false
-		}
-	}
-	f, err := strconv.ParseFloat(s[d.i:j], 64)
-	d.i = j
-	return f, err == nil
-}
-
 // digits returns the end of the run of digits at s[j:], -1 if there is
 // none.
 func digits[T string | []byte](s T, j int) int {
@@ -704,24 +531,63 @@ func digits[T string | []byte](s T, j int) int {
 	return k
 }
 
+// SplitBatchAnswer splits a replica's /v2/search/batch answer into its
+// entries without re-encoding them, storing entry j, verbatim, at
+// entries[positions[j]]. The answer must hold exactly len(positions)
+// entries, each a JSON object that decodes as a V2BatchEntry; on any
+// other it leaves nil at those positions and returns an error. Entry
+// j's decoded error fields come back at failed[j] where it is an error
+// entry (failed is nil when none is), so the caller still reads the
+// error's class: an unavailable entry fails over, and a batch whose
+// every entry failed is a failure to admission.
+//
+// A plain answer, the encoder's shape for entries that hold results
+// only, is split in one pass that decodes nothing (splitPlain); any
+// other — an error entry, explain, escaped strings, other spacing —
+// goes to encoding/json, its entries read as json.RawMessage.
+func SplitBatchAnswer(answer []byte, positions []int, entries [][]byte) (failed []V2BatchEntry, err error) {
+	if splitPlain(answer, positions, entries) {
+		return nil, nil
+	}
+	var resp struct {
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(answer, &resp); err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != len(positions) {
+		return nil, fmt.Errorf("%d answers for %d queries", len(resp.Results), len(positions))
+	}
+	for j, raw := range resp.Results {
+		var e V2BatchEntry
+		if err := json.Unmarshal(raw, &e); err != nil || raw[0] != '{' {
+			for _, p := range positions {
+				entries[p] = nil
+			}
+			return nil, fmt.Errorf("entry %d is no batch entry", j)
+		}
+		if e.Error != "" {
+			if failed == nil {
+				failed = make([]V2BatchEntry, len(positions))
+			}
+			failed[j] = e
+		}
+		entries[positions[j]] = raw
+	}
+	return failed, nil
+}
+
 // plainResults opens a plain answer, and each entry of a plain batch
 // answer.
 const plainResults = `{"results":[`
 
-// SplitBatchAnswer splits a replica's /v2/search/batch answer into its
-// entries without decoding them, storing entry j, verbatim, at
-// entries[positions[j]]. It takes only a plain answer: {"results":[E,…]}
-// and json.Encoder's newline, exactly len(positions) entries, each E
-// {"results":[I,…]} and each item I {"item":S,"score":N}, S a JSON
-// string and N a JSON number that fits a float64. A JSON decoder reads
-// those entries as DecodeBatchResponse reads the answer. On any other
-// answer (an error entry, null results, explain, spans, other spacing)
-// it leaves nil at those positions and reports false.
-//
-// An entry goes on as the replica wrote it: where that is not the
-// encoder's bytes (a score written 1.50), the entry holds the same
-// value, not the same bytes, as the decode path's.
-func SplitBatchAnswer(answer []byte, positions []int, entries [][]byte) bool {
+// splitPlain is SplitBatchAnswer's one pass. It takes only a plain
+// answer: {"results":[E,…]} and json.Encoder's newline, exactly
+// len(positions) entries, each E {"results":[I,…]} and each item I
+// {"item":S,"score":N}, S a JSON string and N a JSON number that fits a
+// float64. On any other answer it leaves nil at the positions and
+// reports false.
+func splitPlain(answer []byte, positions []int, entries [][]byte) bool {
 	a := answerScan{b: answer}
 	ok := a.lit(plainResults)
 	for j := 0; ok && j < len(positions); j++ {
